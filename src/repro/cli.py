@@ -495,23 +495,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"  {r['bench']} [{r['params']['backend']}]: "
             f"wall {r['wall_s']:.3f}s, speedup vs serial {speedup:.2f}x"
         )
-        if r.get("fbs_fused_speedup") is not None:
-            lines.append(
-                f"    fbs phase: fused {r['phase_s'].get('fbs', 0):.3f}s vs "
-                f"unfused {r['fbs_unfused_s']:.3f}s "
-                f"({r['fbs_fused_speedup']:.2f}x)"
-            )
-    if args.kernels:
-        from repro.perf.bench import BENCH_KERNELS_FILENAME, run_kernel_bench
-
-        kernel_records = run_kernel_bench(quick=args.quick, seed=args.seed)
-        records = records + kernel_records
-        lines.append(f"wrote {BENCH_KERNELS_FILENAME}")
-        for r in kernel_records:
-            lines.append(
-                f"  {r['bench']}: fused {r['fused_s'] * 1e3:.2f}ms vs "
-                f"unfused {r['unfused_s'] * 1e3:.2f}ms ({r['speedup']:.2f}x)"
-            )
     text = "\n".join(lines) + "\n"
     if args.json:
         sys.stdout.write(json.dumps(records, indent=2) + "\n")
@@ -737,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run warm-session inference from a compiled plan "
                         "(mnist_cnn only; see 'repro compile')")
     p.add_argument("--backend", default=None,
-                   choices=["batched", "batched-unfused", "serial", "counting"],
+                   choices=["batched", "serial", "counting"],
                    help="op-dispatch backend (default: inherit REPRO_BACKEND, "
                         "else batched)")
     p.set_defaults(func=_cmd_infer)
@@ -812,13 +795,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the mixed-precision allocator bench instead "
                         "(BENCH_mp.json)")
     p.add_argument("--backend", default="batched",
-                   choices=["batched", "batched-unfused", "serial", "counting"],
+                   choices=["batched", "serial", "counting"],
                    help="op-dispatch backend to measure (default: batched; "
                         "the flag beats REPRO_BACKEND, which beats the "
                         "built-in batched default)")
-    p.add_argument("--kernels", action="store_true",
-                   help="also run the fused-kernel microbenches and write "
-                        "BENCH_kernels.json")
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="also write the executed-op trace JSON to PATH")
     p.set_defaults(func=_cmd_bench, seed=41)
@@ -858,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="give every tenant the same keygen seed (one key "
                         "domain: enables cross-tenant batching)")
     p.add_argument("--backend", default=None,
-                   choices=["batched", "batched-unfused", "serial", "counting"],
+                   choices=["batched", "serial", "counting"],
                    help="default op-dispatch backend for every tenant "
                         "(per-tenant pins would win; default: inherit "
                         "REPRO_BACKEND, else batched)")

@@ -45,7 +45,7 @@ from repro.fhe.params import (
     FheParams,
     get_params,
 )
-from repro.fhe.poly import RnsPoly, rns_backend, use_serial_rns
+from repro.fhe.poly import RnsPoly
 from repro.fhe.s2c import S2CKey, slot_to_coeff
 from repro.fhe.security import check_params, security_level
 
@@ -82,11 +82,9 @@ __all__ = [
     "pack_lwe",
     "rlwe_mod_switch",
     "RnsPoly",
-    "rns_backend",
     "sample_extract",
     "check_params",
     "security_level",
     "slot_to_coeff",
     "use_backend",
-    "use_serial_rns",
 ]

@@ -1,22 +1,30 @@
-"""Pluggable op-dispatch backends for every homomorphic primitive.
+"""Op-dispatch backends: one reference engine, one fast engine, one wrapper.
 
 Every primitive the Athena loop executes — RNS NTT/INTT and limb
 arithmetic, modulus switching, LWE sample extraction and dimension
 switching, the packing matrix-vector product, FBS evaluation (baby and
 giant halves), and the S2C transform — dispatches through the *active*
-:class:`Backend`. Three backends ship:
+:class:`Backend`. Each protocol op has at most two bodies:
 
-* :class:`BatchedBackend` — the residue-stacked numpy engine (default):
-  every RnsPoly op treats the (L, N) residue matrix as one stacked array,
-  multiplications go through :func:`repro.fhe.ntt.ntt_forward_rns`.
-* :class:`SerialBackend` — the original per-prime loops, frozen as the
-  reference semantics. The equivalence suite pins the batched path
-  bit-identical to it.
-* :class:`CountingBackend` — a wrapper that executes through an inner
-  backend while recording per-phase primitive counts compatible with the
-  analytical :class:`repro.core.trace.OpCounts` model, so the trace
-  model is verifiable against ops actually executed and the accelerator
-  scheduler can consume *executed* traces.
+* the **reference** body, on :class:`Backend` itself: per-prime RNS loops
+  and fused-tier ops decomposed to those primitives. Registered as
+  ``serial`` (:class:`SerialBackend`); it is the oracle every other
+  engine is pinned bit-identical to.
+* the **fast** body, on :class:`BatchedBackend` (``batched``, the
+  default): every RnsPoly op treats the (L, N) residue matrix as one
+  stacked array (:func:`repro.fhe.ntt.ntt_forward_rns`), and the fused
+  tier runs stacked kernels on cached NTT-domain key stacks with lazy
+  reduction (:func:`lazy_reduce_sum`, bounded by :func:`lazy_chain_limit`).
+
+Ops whose single body is engine-independent (:meth:`Backend.mod_switch`,
+the LWE and composite tiers — they delegate to module implementations
+whose inner ops re-enter the active backend) are not overridden.
+
+:class:`CountingBackend` (``counting``) is the only wrapper: it executes
+through an inner engine while recording per-phase primitive counts
+compatible with the analytical :class:`repro.core.trace.OpCounts` model,
+so the trace model is verifiable against ops actually executed and the
+accelerator scheduler can consume *executed* traces.
 
 Selection is **context-local** (:class:`contextvars.ContextVar`), not a
 module global: two threads — or two :class:`repro.serve.InferenceSession`
@@ -25,30 +33,24 @@ The process-wide default honors the ``REPRO_BACKEND`` environment variable
 (``batched`` | ``serial``), which is how CI runs the whole tier-1 suite
 under the serial reference.
 
-Bit-identity contract: all backends reduce the same integers modulo the
-same primes — only loop structure and instrumentation differ — so every
-primitive's output is bit-for-bit identical across backends. The
-cross-backend equivalence suite (``tests/test_backend.py``) pins this at
-the RnsPoly level and end-to-end through the five-step pipeline.
+Bit-identity contract: both engines reduce the same integers modulo the
+same primes — only loop structure differs — so every primitive's output
+is bit-for-bit identical across backends. The fused tier keeps it because
+the NTT is linear mod p. ``tests/test_backend.py``,
+``tests/test_rns_batched.py`` and ``tests/test_fused_kernels.py`` pin this
+at the RnsPoly level, per fused op, and end-to-end through the five-step
+pipeline.
 
-Fused tier: beyond the per-primitive RNS ops, the protocol carries four
-coarse-grained ops that dominate the FBS hot path — :meth:`Backend.hadd_many`
-(one deferred reduction across an HAdd chain), :meth:`Backend.keyswitch`
-(gadget keyswitch of one component), :meth:`Backend.rotate_keyswitch`
-(automorphism + keyswitch, the packing/S2C rotation), and
-:meth:`Backend.giant_step_batch` (all giant-step CMult keyswitches of one
-FBS batched through stacked ``(G, D, L, N)`` transforms). Base-class
-defaults decompose to today's primitives (so :class:`SerialBackend`
-semantics are unchanged); :class:`BatchedBackend` overrides them with
-residue-stacked fused kernels built on cached NTT-domain key stacks and
-lazy reduction (:func:`lazy_reduce_sum`, bounded by
-:func:`lazy_chain_limit`); :class:`UnfusedBatchedBackend` pins the batched
-kernels with fusion off, as the speedup baseline for the kernel-bench CI
-gate. All default and fused implementations are *dispatch-free* — they
-call ``self`` methods and module-level transforms, never
-:func:`current_backend` — so :class:`CountingBackend` can count each fused
-op exactly once in primitive-equivalent units and delegate execution to
-its inner backend without double counting.
+Fused tier: :meth:`Backend.hadd_many` (one deferred reduction across an
+HAdd chain), :meth:`Backend.keyswitch` (gadget keyswitch of one
+component), :meth:`Backend.rotate_keyswitch` (automorphism + keyswitch,
+the packing/S2C rotation), and :meth:`Backend.giant_step_batch` (all
+giant-step CMult keyswitches of one FBS batched through stacked
+``(G, D, L, N)`` transforms). Reference and fast bodies are both
+*dispatch-free* — they call ``self`` methods and module-level transforms,
+never :func:`current_backend` — so :class:`CountingBackend` can count
+each fused op exactly once in primitive-equivalent units and delegate
+execution to its inner engine without double counting.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ from repro.fhe.ntt import (
     ntt_forward_rns,
     ntt_inverse,
     ntt_inverse_rns,
+    ntt_mul,
+    ntt_mul_rns,
 )
 from repro.utils.modmath import inv_mod
 
@@ -75,7 +79,6 @@ __all__ = [
     "BatchedBackend",
     "CountingBackend",
     "SerialBackend",
-    "UnfusedBatchedBackend",
     "current_backend",
     "default_backend",
     "get_backend",
@@ -148,173 +151,18 @@ def _moduli_column(moduli: tuple[int, ...]) -> np.ndarray:
     return col
 
 
-class _BatchedKernel:
-    """Residue-stacked arithmetic: one numpy pass covers every limb."""
-
-    name = "batched"
-
-    @staticmethod
-    def add(a: np.ndarray, b: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        return (a + b) % _moduli_column(moduli)
-
-    @staticmethod
-    def sub(a: np.ndarray, b: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        return (a - b) % _moduli_column(moduli)
-
-    @staticmethod
-    def neg(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        return -a % _moduli_column(moduli)
-
-    @staticmethod
-    def mul(a: np.ndarray, b: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        mods = _moduli_column(moduli)
-        fa = ntt_forward_rns(a, moduli)
-        fb = ntt_forward_rns(b, moduli)
-        return ntt_inverse_rns(fa * fb % mods, moduli)
-
-    @staticmethod
-    def ntt(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        return ntt_forward_rns(a, moduli)
-
-    @staticmethod
-    def mul_ntt(a: np.ndarray, fb: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        mods = _moduli_column(moduli)
-        fa = ntt_forward_rns(a, moduli)
-        return ntt_inverse_rns(fa * fb % mods, moduli)
-
-    @staticmethod
-    def scalar_mul(a: np.ndarray, value: int, moduli: tuple[int, ...]) -> np.ndarray:
-        mods = _moduli_column(moduli)
-        residues = np.array([value % p for p in moduli], dtype=np.int64)[:, None]
-        return a * residues % mods
-
-    @staticmethod
-    def inv_scalar(a: np.ndarray, value: int, moduli: tuple[int, ...]) -> np.ndarray:
-        mods = _moduli_column(moduli)
-        invs = np.array([inv_mod(value, p) for p in moduli], dtype=np.int64)[:, None]
-        return a * invs % mods
-
-    @staticmethod
-    def automorphism(a: np.ndarray, k: int, moduli: tuple[int, ...]) -> np.ndarray:
-        # Accepts (..., L, N): leading axes batch, so the fused
-        # rotate-keyswitch can permute both ciphertext components at once.
-        n = a.shape[-1]
-        dest, sign = automorphism_map(n, k)
-        out = np.empty_like(a)
-        # |a * sign| < p < 2**31, so the signed product is int64-exact.
-        out[..., dest] = a * sign % _moduli_column(moduli)
-        return out
-
-    @staticmethod
-    def shift(a: np.ndarray, shift: int, moduli: tuple[int, ...]) -> np.ndarray:
-        n = a.shape[1]
-        mods = _moduli_column(moduli)
-        rolled = np.roll(a, shift % n, axis=1)
-        if shift % n:
-            rolled[:, : shift % n] = -rolled[:, : shift % n] % mods
-        if shift >= n:
-            rolled = -rolled % mods
-        return rolled
-
-
-class _SerialKernel:
-    """The pre-batching per-prime loops, frozen as reference semantics."""
-
-    name = "serial"
-
-    @staticmethod
-    def add(a: np.ndarray, b: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        data = a + b
-        for i, p in enumerate(moduli):
-            data[i] %= p
-        return data
-
-    @staticmethod
-    def sub(a: np.ndarray, b: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        data = a - b
-        for i, p in enumerate(moduli):
-            data[i] %= p
-        return data
-
-    @staticmethod
-    def neg(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        data = -a
-        for i, p in enumerate(moduli):
-            data[i] %= p
-        return data
-
-    @staticmethod
-    def mul(a: np.ndarray, b: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        out = np.empty_like(a)
-        for i, p in enumerate(moduli):
-            fa = ntt_forward(a[i].copy(), p)
-            fb = ntt_forward(b[i].copy(), p)
-            out[i] = ntt_inverse(fa * fb % p, p)
-        return out
-
-    @staticmethod
-    def ntt(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        out = np.empty_like(a)
-        for i, p in enumerate(moduli):
-            out[i] = ntt_forward(a[i].copy(), p)
-        return out
-
-    @staticmethod
-    def mul_ntt(a: np.ndarray, fb: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-        out = np.empty_like(a)
-        for i, p in enumerate(moduli):
-            fa = ntt_forward(a[i].copy(), p)
-            out[i] = ntt_inverse(fa * fb[i] % p, p)
-        return out
-
-    @staticmethod
-    def scalar_mul(a: np.ndarray, value: int, moduli: tuple[int, ...]) -> np.ndarray:
-        out = np.empty_like(a)
-        for i, p in enumerate(moduli):
-            out[i] = a[i] * (value % p) % p
-        return out
-
-    @staticmethod
-    def inv_scalar(a: np.ndarray, value: int, moduli: tuple[int, ...]) -> np.ndarray:
-        out = np.empty_like(a)
-        for i, p in enumerate(moduli):
-            out[i] = a[i] * inv_mod(value, p) % p
-        return out
-
-    @staticmethod
-    def automorphism(a: np.ndarray, k: int, moduli: tuple[int, ...]) -> np.ndarray:
-        n = a.shape[1]
-        dest, sign = automorphism_map(n, k)
-        out = np.zeros_like(a)
-        signed = a * sign  # safe: |value| < p < 2**31
-        for i, p in enumerate(moduli):
-            out[i][dest] = signed[i] % p  # k odd => dest is a permutation
-        return out
-
-    @staticmethod
-    def shift(a: np.ndarray, shift: int, moduli: tuple[int, ...]) -> np.ndarray:
-        n = a.shape[1]
-        out = np.empty_like(a)
-        for i, p in enumerate(moduli):
-            row = a[i]
-            rolled = np.roll(row, shift % n)
-            if shift % n:
-                rolled[: shift % n] = (-rolled[: shift % n]) % p
-            if shift >= n:
-                rolled = (-rolled) % p
-            out[i] = rolled
-        return out
-
-
 class Backend:
-    """Dispatch point for every homomorphic primitive.
+    """Dispatch point for every homomorphic primitive, and its reference bodies.
 
-    Three tiers:
+    Four tiers:
 
     * **RNS tier** — limb arithmetic on (L, N) residue matrices
-      (:meth:`add` .. :meth:`shift`, :meth:`mod_switch`). Concrete
-      backends plug a kernel here; this is where batched and serial
-      differ.
+      (:meth:`add` .. :meth:`shift`). The bodies here are the per-prime
+      loops, frozen as reference semantics; :class:`BatchedBackend`
+      overrides each with one stacked numpy pass. :meth:`mod_switch` (an
+      exact CRT lift) has one body for both.
+    * **fused tier** — the coarse-grained FBS hot-path ops, decomposed
+      here to RNS-tier primitives.
     * **LWE tier** — the noise-control chain (:meth:`sample_extract`,
       :meth:`lwe_keyswitch`, :meth:`lwe_rescale`). Default
       implementations delegate to :mod:`repro.fhe.lwe`; a hardware
@@ -330,44 +178,80 @@ class Backend:
     """
 
     name = "base"
-    kernel = _BatchedKernel
 
-    @property
-    def rns_name(self) -> str:
-        """Name of the RNS arithmetic kernel actually executing."""
-        return self.kernel.name
+    #: Name of the RNS arithmetic actually executing (a wrapper reports
+    #: its inner engine's).
+    rns_name = "serial"
 
     # -- RNS tier ----------------------------------------------------------
 
     def add(self, a, b, moduli):
-        return self.kernel.add(a, b, moduli)
+        data = a + b
+        for i, p in enumerate(moduli):
+            data[i] %= p
+        return data
 
     def sub(self, a, b, moduli):
-        return self.kernel.sub(a, b, moduli)
+        data = a - b
+        for i, p in enumerate(moduli):
+            data[i] %= p
+        return data
 
     def neg(self, a, moduli):
-        return self.kernel.neg(a, moduli)
+        data = -a
+        for i, p in enumerate(moduli):
+            data[i] %= p
+        return data
 
     def mul(self, a, b, moduli):
-        return self.kernel.mul(a, b, moduli)
+        out = np.empty_like(a)
+        for i, p in enumerate(moduli):
+            out[i] = ntt_mul(a[i], b[i], p)
+        return out
 
     def ntt(self, a, moduli):
-        return self.kernel.ntt(a, moduli)
+        out = np.empty_like(a)
+        for i, p in enumerate(moduli):
+            out[i] = ntt_forward(a[i], p)
+        return out
 
     def mul_ntt(self, a, fb, moduli):
-        return self.kernel.mul_ntt(a, fb, moduli)
+        out = np.empty_like(a)
+        for i, p in enumerate(moduli):
+            out[i] = ntt_inverse(ntt_forward(a[i], p) * fb[i] % p, p)
+        return out
 
     def scalar_mul(self, a, value, moduli):
-        return self.kernel.scalar_mul(a, value, moduli)
+        out = np.empty_like(a)
+        for i, p in enumerate(moduli):
+            out[i] = a[i] * (value % p) % p
+        return out
 
     def inv_scalar(self, a, value, moduli):
-        return self.kernel.inv_scalar(a, value, moduli)
+        out = np.empty_like(a)
+        for i, p in enumerate(moduli):
+            out[i] = a[i] * inv_mod(value, p) % p
+        return out
 
     def automorphism(self, a, k, moduli):
-        return self.kernel.automorphism(a, k, moduli)
+        dest, sign = automorphism_map(a.shape[1], k)
+        out = np.zeros_like(a)
+        signed = a * sign  # safe: |value| < p < 2**31
+        for i, p in enumerate(moduli):
+            out[i][dest] = signed[i] % p  # k odd => dest is a permutation
+        return out
 
     def shift(self, a, shift, moduli):
-        return self.kernel.shift(a, shift, moduli)
+        n = a.shape[1]
+        out = np.empty_like(a)
+        for i, p in enumerate(moduli):
+            rolled = np.roll(a[i], shift % n)
+            if shift % n:
+                rolled[: shift % n] = (-rolled[: shift % n]) % p
+            if shift >= n:
+                rolled = (-rolled) % p
+            out[i] = rolled
+        return out
 
     def mod_switch(self, data, moduli, new_modulus):
         """Scale-and-round an (L, N) residue stack from Q to ``new_modulus``.
@@ -386,18 +270,18 @@ class Backend:
 
     # -- fused tier --------------------------------------------------------
     #
-    # Coarse-grained ops covering the FBS hot path. The defaults below
-    # decompose to the RNS-tier primitives of *this* backend (``self``
-    # methods only — never ``current_backend()``), which keeps serial
-    # semantics unchanged and lets CountingBackend count each fused op
-    # exactly once before delegating execution to its inner backend.
+    # Coarse-grained ops covering the FBS hot path. The reference bodies
+    # below decompose to the RNS-tier primitives of *this* backend
+    # (``self`` methods only — never ``current_backend()``), which lets
+    # CountingBackend count each fused op exactly once before delegating
+    # execution to its inner engine, and lets a counting subclass without
+    # the fused overrides count the decomposed op stream organically.
 
     def hadd_many(self, arrays, moduli):
         """Sum k reduced (L, N) residue stacks; one chain, one result.
 
-        Default: the sequential left-fold the call sites used to spell
-        out. BatchedBackend defers the modular reduction across the whole
-        chain (:func:`lazy_reduce_sum`).
+        Reference: the sequential left-fold. BatchedBackend defers the
+        modular reduction across the whole chain (:func:`lazy_reduce_sum`).
         """
         acc = arrays[0]
         for other in arrays[1:]:
@@ -408,9 +292,8 @@ class Backend:
         """Gadget keyswitch of one component's (L, N) residue stack.
 
         Returns the (delta_c0, delta_c1) residue stacks to be added to the
-        ciphertext. Default: the classic digit loop — decompose, then one
-        full polynomial product per digit per output component, exactly as
-        ``repro.fhe.keys.apply_keyswitch`` historically inlined it.
+        ciphertext. Reference: the classic digit loop — decompose, then one
+        full polynomial product per digit per output component.
         """
         from repro.fhe.keys import gadget_digit_rows
 
@@ -429,8 +312,8 @@ class Backend:
 
         Takes the two component stacks of a ciphertext, applies X -> X^k to
         both, keyswitches the rotated c1 back under the base secret, and
-        returns the new (c0, c1) stacks. Default decomposes to two
-        automorphisms, a keyswitch, and the final correction add.
+        returns the new (c0, c1) stacks. Reference: two automorphisms, a
+        keyswitch, and the final correction add.
         """
         c0k = self.automorphism(c0, k, moduli)
         c1k = self.automorphism(c1, k, moduli)
@@ -441,11 +324,9 @@ class Backend:
         """Relinearized CMult for every giant-step pair of one FBS.
 
         ``pairs`` is a list of (inner, giant) BfvCiphertexts; returns the
-        list of products in order. Default: per-pair tensor + keyswitch +
-        correction adds — the exact op sequence ``ctx.cmult`` used to run,
-        with the keyswitch routed through :meth:`keyswitch` so a batched
-        override can stack all G gadget decompositions through single
-        (G, D, L, N) transforms.
+        list of products in order. Reference: per-pair tensor + keyswitch +
+        correction adds; BatchedBackend stacks all G gadget decompositions
+        through single (G, D, L, N) transforms.
         """
         from repro.fhe.bfv import BfvCiphertext
         from repro.fhe.poly import RnsPoly
@@ -517,24 +398,74 @@ class Backend:
 class BatchedBackend(Backend):
     """Residue-stacked execution engine (the default hot path).
 
-    Overrides the fused tier with stacked-array kernels: keyswitches run
+    RNS tier: one numpy pass covers every limb. Fused tier: keyswitches run
     one batched forward NTT over all gadget digits against cached
     NTT-domain key stacks (:meth:`repro.fhe.keys.KeySwitchKey.ntt_stack`),
     accumulate in the NTT domain with lazy reduction, and pay two inverse
     transforms per keyswitch instead of two per digit. Bit-identical to
-    the decomposed defaults: the NTT is linear mod p, so
+    the reference bodies: the NTT is linear mod p, so
     ``intt(sum(f_d * k_d mod p) mod p) == sum(intt(f_d * k_d)) mod p``
     exactly, and the cached key transforms are the same deterministic
     ``ntt_forward_rns`` values the per-digit path recomputes.
     """
 
     name = "batched"
-    kernel = _BatchedKernel
+    rns_name = "batched"
 
     #: Soft element budget for one stacked (G', D, L, N) giant-step chunk
     #: (~128 MiB of int64); keeps large-parameter batches out of swap
     #: without changing results (chunk boundaries are invisible mod p).
     giant_batch_elems = 1 << 24
+
+    # -- RNS tier ----------------------------------------------------------
+
+    def add(self, a, b, moduli):
+        return (a + b) % _moduli_column(moduli)
+
+    def sub(self, a, b, moduli):
+        return (a - b) % _moduli_column(moduli)
+
+    def neg(self, a, moduli):
+        return -a % _moduli_column(moduli)
+
+    def mul(self, a, b, moduli):
+        return ntt_mul_rns(a, b, moduli)
+
+    def ntt(self, a, moduli):
+        return ntt_forward_rns(a, moduli)
+
+    def mul_ntt(self, a, fb, moduli):
+        fa = ntt_forward_rns(a, moduli)
+        return ntt_inverse_rns(fa * fb % _moduli_column(moduli), moduli)
+
+    def scalar_mul(self, a, value, moduli):
+        residues = np.array([value % p for p in moduli], dtype=np.int64)[:, None]
+        return a * residues % _moduli_column(moduli)
+
+    def inv_scalar(self, a, value, moduli):
+        invs = np.array([inv_mod(value, p) for p in moduli], dtype=np.int64)[:, None]
+        return a * invs % _moduli_column(moduli)
+
+    def automorphism(self, a, k, moduli):
+        # Accepts (..., L, N): leading axes batch, so the fused
+        # rotate-keyswitch can permute both ciphertext components at once.
+        dest, sign = automorphism_map(a.shape[-1], k)
+        out = np.empty_like(a)
+        # |a * sign| < p < 2**31, so the signed product is int64-exact.
+        out[..., dest] = a * sign % _moduli_column(moduli)
+        return out
+
+    def shift(self, a, shift, moduli):
+        n = a.shape[1]
+        mods = _moduli_column(moduli)
+        rolled = np.roll(a, shift % n, axis=1)
+        if shift % n:
+            rolled[:, : shift % n] = -rolled[:, : shift % n] % mods
+        if shift >= n:
+            rolled = -rolled % mods
+        return rolled
+
+    # -- fused tier --------------------------------------------------------
 
     def hadd_many(self, arrays, moduli):
         if len(arrays) == 1:
@@ -556,7 +487,7 @@ class BatchedBackend(Backend):
         return out[0], out[1]
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
-        rot = self.kernel.automorphism(np.stack([c0, c1]), k, moduli)
+        rot = self.automorphism(np.stack([c0, c1]), k, moduli)
         d0, d1 = self.keyswitch(rot[1], ksk, moduli)
         return (rot[0] + d0) % _moduli_column(moduli), d1
 
@@ -596,28 +527,10 @@ class BatchedBackend(Backend):
         return out
 
 
-class UnfusedBatchedBackend(BatchedBackend):
-    """Batched RNS kernels with the fused tier decomposed to primitives.
-
-    Same (L, N) stacked limb arithmetic as :class:`BatchedBackend`, but
-    every fused op falls back to the base-class digit loops — the
-    apples-to-apples baseline the kernel-bench CI gate measures fusion
-    against, and the ``REPRO_BACKEND=batched-unfused`` tier-1 matrix leg.
-    """
-
-    name = "batched-unfused"
-
-    hadd_many = Backend.hadd_many
-    keyswitch = Backend.keyswitch
-    rotate_keyswitch = Backend.rotate_keyswitch
-    giant_step_batch = Backend.giant_step_batch
-
-
 class SerialBackend(Backend):
-    """Frozen per-prime reference loops (equivalence + speedup baseline)."""
+    """The reference engine under its registry name: every body inherited."""
 
     name = "serial"
-    kernel = _SerialKernel
 
 
 class CountingBackend(Backend):
@@ -844,12 +757,10 @@ class CountingBackend(Backend):
 
 #: Singleton executing backends (stateless; counting backends are per-use).
 BATCHED = BatchedBackend()
-BATCHED_UNFUSED = UnfusedBatchedBackend()
 SERIAL = SerialBackend()
 
 _NAMED: dict[str, Backend] = {
     "batched": BATCHED,
-    "batched-unfused": BATCHED_UNFUSED,
     "serial": SERIAL,
 }
 
@@ -863,8 +774,8 @@ _DEFAULT: Backend | None = None
 def get_backend(backend: "Backend | str") -> Backend:
     """Resolve a backend instance or name.
 
-    Names: ``batched`` (fused default) | ``batched-unfused`` | ``serial``
-    | ``counting``. ``counting`` returns a *fresh* CountingBackend over
+    Names: ``batched`` (default) | ``serial`` | ``counting``.
+    ``counting`` returns a *fresh* CountingBackend over
     the batched engine each call — counters are per-use state, so there
     is no counting singleton to share.
     """
@@ -882,10 +793,15 @@ def get_backend(backend: "Backend | str") -> Backend:
 
 
 def default_backend() -> Backend:
-    """The process-wide default, honoring ``REPRO_BACKEND`` once at first use."""
+    """The process-wide default, honoring ``REPRO_BACKEND`` once at first use.
+
+    The variable is normalised as :meth:`repro.perf.ExecConfig.from_env`
+    does: stripped, lower-cased, and empty means unset.
+    """
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = get_backend(os.environ.get("REPRO_BACKEND", "batched"))
+        name = os.environ.get("REPRO_BACKEND", "").strip().lower()
+        _DEFAULT = get_backend(name or "batched")
     return _DEFAULT
 
 

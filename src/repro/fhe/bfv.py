@@ -286,8 +286,8 @@ class BfvContext:
         """The tensor half of CMult: exact degree-2 product, scaled by t/Q.
 
         Returns (r0, r1, r2, noise_bits) — the three scaled components
-        before relinearization. Deliberately dispatch-free (big-int
-        Kronecker products and CRT lifts only, no backend calls), so the
+        before relinearization. Deliberately dispatch-free (exact
+        aux-basis products and CRT lifts only, no backend calls), so the
         fused :meth:`~repro.fhe.backend.Backend.giant_step_batch` can run
         it for every pair and then batch all the keyswitches.
         """

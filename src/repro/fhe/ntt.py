@@ -10,10 +10,11 @@ The transform is the standard "merged-psi" negacyclic NTT (Longa & Naehrig):
 powers of the 2N-th root of unity are folded into the butterflies so no
 separate pre/post scaling pass is needed.
 
-:func:`negacyclic_mul_exact` provides an arbitrary-precision reference
-multiplier (Kronecker substitution into Python big integers) used to verify
-the NTT path and to implement BFV ciphertext multiplication, which needs the
-exact integer product before scale-and-round.
+:func:`negacyclic_mul_exact` provides an arbitrary-precision multiplier
+(the same transforms over an auxiliary basis of 31-bit NTT primes wide
+enough for an exact centered CRT lift) used to verify the NTT path and to
+implement BFV ciphertext multiplication, which needs the exact integer
+product before scale-and-round.
 """
 
 from __future__ import annotations
@@ -215,82 +216,36 @@ def _exact_mul_basis(n: int, limbs: int) -> tuple[int, ...]:
 def negacyclic_mul_exact(a, b) -> list[int]:
     """Exact product in Z[X]/(X^N + 1) over arbitrary-precision integers.
 
-    ``a`` and ``b`` are sequences of (possibly large, possibly negative)
-    Python integers. For power-of-two lengths the product is computed in an
-    auxiliary RNS basis wide enough that the centered CRT lift recovers the
-    true integer coefficients (|c_i| <= N * max|a| * max|b| < basis/2):
-    vectorized int64 NTTs do the convolution, big-int work is confined to
-    the basis conversion at the seams. Other lengths fall back to Kronecker
-    substitution into Python big integers.
+    ``a`` and ``b`` are equal-length sequences of (possibly large, possibly
+    negative) Python integers; the length must be a power of two >= 2. The
+    product is computed in an auxiliary RNS basis wide enough that the
+    centered CRT lift recovers the true integer coefficients
+    (|c_i| <= N * max|a| * max|b| < basis/2): vectorized int64 NTTs do the
+    convolution, big-int work is confined to the basis conversion at the
+    seams.
     """
+    from repro.fhe.rns import from_rns_centered, to_rns
+
     n = len(a)
     if len(b) != n:
         raise ParameterError("operands must have equal length")
-    if n >= 2 and not (n & (n - 1)):
-        arr_a = np.array([int(x) for x in a], dtype=object)
-        arr_b = np.array([int(x) for x in b], dtype=object)
-        max_a = max(1, int(max(arr_a.max(), -arr_a.min())))
-        max_b = max(1, int(max(arr_b.max(), -arr_b.min())))
-        # Basis product > 2 * N * max_a * max_b: centered lift is exact.
-        bound_bits = (n * max_a * max_b).bit_length() + 2
-        # find_ntt_primes(bits=31) yields primes in (2**30, 2**31).
-        basis = _exact_mul_basis(n, -(-bound_bits // 30))
-        from repro.fhe.rns import from_rns_centered, to_rns
-
-        stacked = np.stack([to_rns(arr_a, basis), to_rns(arr_b, basis)])
-        f = ntt_forward_rns(stacked, basis)
-        mods = np.array(basis, dtype=np.int64)[:, None]
-        prod = ntt_inverse_rns(f[0] * f[1] % mods, basis)
-        return from_rns_centered(prod, basis)
-    return _negacyclic_mul_kronecker([int(x) for x in a], [int(x) for x in b])
-
-
-def _negacyclic_mul_kronecker(a: list[int], b: list[int]) -> list[int]:
-    """Kronecker-substitution reference path (any length, pure big-int).
-
-    The polynomials are evaluated at x = 2**bits with non-negative digit
-    packing, multiplied as two big integers (Python's Karatsuba does the
-    heavy lifting), unpacked, and reduced negacyclically. Retained as the
-    fallback for non-power-of-two lengths and as the independent oracle the
-    RNS-basis path is tested against.
-    """
-    n = len(a)
-    # Shift to non-negative digits: offset each coefficient by M, multiply,
-    # then subtract the cross terms. Cheaper: split into sign-free parts.
-    # Split into non-negative parts so every packed digit stays non-negative
-    # and unpacking needs no sign/carry handling. Four big-int products:
-    # (a+ - a-)(b+ - b-) = (a+b+ + a-b-) - (a+b- + a-b+).
-    a_pos = [x if x > 0 else 0 for x in a]
-    a_neg = [-x if x < 0 else 0 for x in a]
-    b_pos = [x if x > 0 else 0 for x in b]
-    b_neg = [-x if x < 0 else 0 for x in b]
-    max_a = max(max(a_pos, default=0), max(a_neg, default=0), 1)
-    max_b = max(max(b_pos, default=0), max(b_neg, default=0), 1)
-    # Each digit of a product of packed ints is at most n * max_a * max_b,
-    # and we add two such products together: one extra bit covers the sum.
-    bits = (max_a * max_b * n).bit_length() + 2
-    mask = (1 << bits) - 1
-
-    def pack(coeffs: list[int]) -> int:
-        out = 0
-        for c in reversed(coeffs):
-            out = (out << bits) | c
-        return out
-
-    pp = pack(a_pos) * pack(b_pos) + pack(a_neg) * pack(b_neg)
-    pm = pack(a_pos) * pack(b_neg) + pack(a_neg) * pack(b_pos)
-
-    def unpack(value: int) -> list[int]:
-        digits = []
-        for _ in range(2 * n):
-            digits.append(value & mask)
-            value >>= bits
-        return digits
-
-    dp = unpack(pp)
-    dm = unpack(pm)
-    full = [dp[i] - dm[i] for i in range(2 * n)]
-    return [full[i] - full[i + n] for i in range(n)]
+    if n < 2 or n & (n - 1):
+        raise ParameterError(
+            f"exact negacyclic product needs a power-of-two length >= 2, got {n}"
+        )
+    arr_a = np.array([int(x) for x in a], dtype=object)
+    arr_b = np.array([int(x) for x in b], dtype=object)
+    max_a = max(1, int(max(arr_a.max(), -arr_a.min())))
+    max_b = max(1, int(max(arr_b.max(), -arr_b.min())))
+    # Basis product > 2 * N * max_a * max_b: centered lift is exact.
+    bound_bits = (n * max_a * max_b).bit_length() + 2
+    # find_ntt_primes(bits=31) yields primes in (2**30, 2**31).
+    basis = _exact_mul_basis(n, -(-bound_bits // 30))
+    stacked = np.stack([to_rns(arr_a, basis), to_rns(arr_b, basis)])
+    f = ntt_forward_rns(stacked, basis)
+    mods = np.array(basis, dtype=np.int64)[:, None]
+    prod = ntt_inverse_rns(f[0] * f[1] % mods, basis)
+    return from_rns_centered(prod, basis)
 
 
 def cyclic_ntt(a: np.ndarray, p: int, root: int) -> np.ndarray:

@@ -6,23 +6,15 @@ kept in the coefficient domain; multiplications run a negacyclic NTT
 internally. Galois automorphisms x -> x^k are implemented as signed
 index permutations of the coefficient vector.
 
-Every op dispatches through the context-active :class:`repro.fhe.backend.
-Backend` (see that module for the batched/serial/counting backends and the
-selection rules). The historical entry points survive as thin shims:
-
-* :func:`use_serial_rns` — context manager selecting the per-prime
-  reference loops, now backed by :func:`repro.fhe.backend.use_backend`
-  (context-local, so concurrent threads no longer interfere). Prefer
-  ``use_backend("serial")`` in new code.
-* :func:`rns_backend` — reports the *current context's* RNS kernel name.
-
-Both kernels honor the same dtype-overflow contract (limb primes < 2**31,
-so products and butterfly sums stay inside int64) and are bit-identical.
+Every op dispatches through the context-active
+:class:`repro.fhe.backend.Backend` (see that module for the reference and
+batched engines, the counting wrapper, and the selection rules). Both
+engines honor the same dtype-overflow contract (limb primes < 2**31, so
+products and butterfly sums stay inside int64) and are bit-identical.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,36 +22,13 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe import rns
-from repro.fhe.backend import (
-    automorphism_map,
-    current_backend,
-    use_backend,
-)
+from repro.fhe.backend import automorphism_map, current_backend
 from repro.fhe.ntt import negacyclic_mul_exact
 
 __all__ = [
     "RnsPoly",
     "automorphism_map",
-    "rns_backend",
-    "use_serial_rns",
 ]
-
-
-@contextlib.contextmanager
-def use_serial_rns():
-    """Run RnsPoly arithmetic through the per-prime reference loops.
-
-    Deprecated shim over ``use_backend("serial")`` — selection is now
-    context-local rather than a module-global flip, so other threads are
-    unaffected. Kept for the equivalence tests and ``repro bench``.
-    """
-    with use_backend("serial"):
-        yield
-
-
-def rns_backend() -> str:
-    """Name of the RNS arithmetic kernel active in the current context."""
-    return current_backend().rns_name
 
 
 @dataclass

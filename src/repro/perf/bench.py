@@ -147,7 +147,6 @@ def bench_mnist_cnn(
     compare_serial: bool = True,
     backend: str = "batched",
     counting: CountingBackend | None = None,
-    compare_unfused: bool = True,
 ) -> dict:
     """End-to-end encrypted MNIST-CNN run at TEST_LOOP parameters.
 
@@ -165,12 +164,6 @@ def bench_mnist_cnn(
     :class:`LoopCost`) and ``record["phase_ops"]`` splits them per pipeline
     phase. Pass ``counting`` to keep the populated wrapper for an executed
     trace (``run_benches`` does, for ``--trace-out``).
-
-    When measuring the default fused ``batched`` backend, a third run
-    under ``batched-unfused`` (same counting-wrapper setup, fused tier
-    decomposed to primitives) adds ``fbs_unfused_s`` and
-    ``fbs_fused_speedup`` — the CI kernel gate asserts the fused FBS phase
-    beats the unfused baseline.
     """
     if backend == "counting":  # counting wraps batched; avoid double-wrap
         backend = "batched"
@@ -222,20 +215,6 @@ def bench_mnist_cnn(
             pipe.run_program(program, x_q)
             serial_s = time.perf_counter() - start
         record["speedup_vs_serial"] = round(serial_s / record["wall_s"], 3)
-
-    if compare_unfused and backend == "batched":
-        # Same harness, fused tier decomposed to primitives: the delta is
-        # exactly the fused-kernel win on the FBS hot path.
-        unfused_perf = PerfRecorder()
-        unfused_pipe = AthenaPipeline(TEST_LOOP, seed=seed, perf=unfused_perf)
-        with use_backend(CountingBackend("batched-unfused")):
-            unfused_pipe.run_program(program, x_q)
-        unfused_fbs = unfused_perf.summary()["phase_s"].get("fbs", 0.0)
-        fused_fbs = record["phase_s"].get("fbs", 0.0)
-        record["fbs_unfused_s"] = round(unfused_fbs, 6)
-        record["fbs_fused_speedup"] = (
-            round(unfused_fbs / fused_fbs, 3) if fused_fbs else None
-        )
     return record
 
 
@@ -360,136 +339,6 @@ def run_benches(
     if trace_out is not None:
         payload = executed_trace_payload(counting)
         Path(trace_out).write_text(json.dumps(payload, indent=2) + "\n")
-    return records
-
-
-# -- fused-kernel microbenches -------------------------------------------------
-
-#: Default output filename of :func:`run_kernel_bench` (CI uploads it).
-BENCH_KERNELS_FILENAME = "BENCH_kernels.json"
-
-#: Record keys of one BENCH_kernels.json entry.
-KERNEL_BENCH_SCHEMA = ("bench", "params", "reps", "fused_s", "unfused_s",
-                       "speedup")
-
-
-def _best_of(fn, reps: int) -> float:
-    """Minimum wall time of ``fn`` over ``reps`` calls (noise-robust)."""
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def run_kernel_bench(
-    out: str | Path | None = BENCH_KERNELS_FILENAME,
-    quick: bool = False,
-    seed: int = 41,
-) -> list[dict]:
-    """Microbenches of the fused FBS kernels against their decomposed forms.
-
-    Three records, each timing the fused :class:`BatchedBackend` kernel and
-    the primitive-decomposed default (:class:`UnfusedBatchedBackend`) on
-    identical TEST_LOOP inputs:
-
-    * ``ntt_stack``         — one (D, L, N) batched forward NTT vs D
-      separate (L, N) calls (the transform under every fused keyswitch);
-    * ``rotate_keyswitch``  — fused automorphism + NTT-domain keyswitch vs
-      the rotate-then-digit-loop decomposition;
-    * ``giant_step_batch``  — G giant-step relinearizations through one
-      stacked (G, D, L, N) pipeline vs G sequential CMult+keyswitch calls.
-
-    ``speedup`` is unfused/fused; values > 1 mean fusion wins. The records
-    are informational — the CI gate rides on the end-to-end FBS phase
-    comparison in :func:`bench_mnist_cnn` (``fbs_fused_speedup``).
-    """
-    from repro.fhe.backend import BATCHED, BATCHED_UNFUSED
-    from repro.fhe.bfv import BfvContext, Plaintext
-    from repro.fhe.keys import gadget_digit_rows
-    from repro.fhe.ntt import ntt_forward_rns
-    from repro.fhe.slots import rotation_galois_element
-
-    params = TEST_LOOP
-    moduli = params.moduli
-    reps = 3 if quick else 7
-    rng = np.random.default_rng(seed)
-    ctx = BfvContext(params, seed=seed)
-    sk, pk = ctx.keygen()
-    rlk = ctx.relin_key(sk).warm()
-    k = rotation_galois_element(params.n, 1)
-    gk = ctx.galois_key(sk, k).warm()
-    ct_a = ctx.encrypt(
-        Plaintext(rng.integers(0, params.t, params.n).astype(np.int64), params), pk
-    )
-    ct_b = ctx.encrypt(
-        Plaintext(rng.integers(0, params.t, params.n).astype(np.int64), params), pk
-    )
-    info = _params_info(params, "batched")
-    records = []
-
-    # 1. Batched-axis NTT: one (D, L, N) call vs D per-digit (L, N) calls.
-    digits = gadget_digit_rows(ct_a.c1.data, moduli, rlk.base_bits,
-                               rlk.num_digits)
-    mods = np.array(moduli, dtype=np.int64)[:, None]
-    stacked = np.mod(digits[:, None, :], mods)
-    fused_s = _best_of(lambda: ntt_forward_rns(stacked, moduli), reps)
-    unfused_s = _best_of(
-        lambda: [ntt_forward_rns(stacked[d], moduli)
-                 for d in range(stacked.shape[0])],
-        reps,
-    )
-    records.append({
-        "bench": "ntt_stack",
-        "params": {**info, "digits": rlk.num_digits},
-        "reps": reps,
-        "fused_s": round(fused_s, 6),
-        "unfused_s": round(unfused_s, 6),
-        "speedup": round(unfused_s / fused_s, 3),
-    })
-
-    # 2. Fused automorphism + keyswitch vs rotate-then-digit-loop.
-    fused_s = _best_of(
-        lambda: BATCHED.rotate_keyswitch(ct_a.c0.data, ct_a.c1.data, k, gk,
-                                         moduli),
-        reps,
-    )
-    unfused_s = _best_of(
-        lambda: BATCHED_UNFUSED.rotate_keyswitch(ct_a.c0.data, ct_a.c1.data,
-                                                 k, gk, moduli),
-        reps,
-    )
-    records.append({
-        "bench": "rotate_keyswitch",
-        "params": {**info, "digits": gk.num_digits},
-        "reps": reps,
-        "fused_s": round(fused_s, 6),
-        "unfused_s": round(unfused_s, 6),
-        "speedup": round(unfused_s / fused_s, 3),
-    })
-
-    # 3. Stacked giant-step relinearization vs sequential CMult+keyswitch.
-    pairs = [(ct_a, ct_b)] * (2 if quick else 4)
-    fused_s = _best_of(lambda: BATCHED.giant_step_batch(ctx, pairs, rlk), reps)
-    unfused_s = _best_of(
-        lambda: BATCHED_UNFUSED.giant_step_batch(ctx, pairs, rlk), reps
-    )
-    records.append({
-        "bench": "giant_step_batch",
-        "params": {**info, "pairs": len(pairs), "digits": rlk.num_digits},
-        "reps": reps,
-        "fused_s": round(fused_s, 6),
-        "unfused_s": round(unfused_s, 6),
-        "speedup": round(unfused_s / fused_s, 3),
-    })
-
-    for record in records:
-        missing = [key for key in KERNEL_BENCH_SCHEMA if key not in record]
-        if missing:  # pragma: no cover - schema regression guard
-            raise RuntimeError(f"kernel bench record missing keys: {missing}")
-    if out is not None:
-        Path(out).write_text(json.dumps(records, indent=2) + "\n")
     return records
 
 

@@ -37,10 +37,10 @@ class ExecConfig:
     """How a ParallelMap runs: executor mode, worker count, and the default
     op-dispatch backend *name* for the work it fans out.
 
-    ``backend`` is a :func:`repro.fhe.backend.get_backend` name (e.g.
-    ``"batched"``, ``"batched-unfused"``, ``"serial"``, ``"counting"``) or
-    ``None`` to inherit the ambient default. It is carried as a string so
-    the config stays picklable across process pools. Precedence at a serve
+    ``backend`` is a :func:`repro.fhe.backend.get_backend` name
+    (``"batched"``, ``"serial"`` or ``"counting"``) or ``None`` to inherit
+    the ambient default. It is carried as a string so the config stays
+    picklable across process pools. Precedence at a serve
     call site: an explicit per-tenant pin (``Tenant.backend``) wins over
     this config's backend, which wins over the ``REPRO_BACKEND``
     environment default, which wins over the built-in ``"batched"``.

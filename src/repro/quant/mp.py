@@ -68,10 +68,15 @@ __all__ = [
 ]
 
 #: Default slack added to a calibrated MAC peak before freezing the
-#: restricted LUT domain: covers calibration-vs-evaluation distribution
-#: shift. The real-ciphertext pipeline feeds the LUT bit-exact wrapped
-#: MACs (see the PlainIntExecutor equivalence suite), so the margin does
-#: not need to absorb FHE noise.
+#: restricted LUT domain. It has two things to cover: calibration-vs-
+#: evaluation distribution shift, and the refresh noise that reaches every
+#: LUT input on the real-ciphertext path — the LWE mod-switch rounding,
+#: std ``sqrt((|s|^2 + 1) / 12)`` (measured 1.0 at TEST_FBS, 1.9 at
+#: TEST_LOOP), whose activation flips the next layer's MAC then sums. At
+#: 8 a wide fan-in round can still leave its window about once in a
+#: thousand inferences (benchmarks/ledger/README.md, "Refresh noise and
+#: the LUT windows"); the value stays because the ledger's subjects are
+#: built on it.
 DEFAULT_LUT_MARGIN = 8
 
 

@@ -57,23 +57,8 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return cols, out_h, out_w
 
 
-def __getattr__(name: str):
-    # Backwards-compatible alias (pre-1.1 name), kept importable but
-    # deprecated in favour of the public im2col.
-    if name == "_im2col":
-        import warnings
-
-        warnings.warn(
-            "repro.quant.nn._im2col is deprecated; use repro.quant.nn.im2col",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return im2col
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, pad):
-    """Adjoint of _im2col: scatter patch gradients back onto the image."""
+    """Adjoint of im2col: scatter patch gradients back onto the image."""
     b, c, h, w = x_shape
     hp, wp = h + 2 * pad, w + 2 * pad
     out = np.zeros((b, c, hp, wp), dtype=cols.dtype)

@@ -33,7 +33,7 @@ This package layers that split into a service:
 from repro.serve.api import InferenceRequest, InferenceResult, LayerStats
 from repro.serve.batching import BatchAssembler, RequestBatch
 from repro.serve.cache import PlanCache, ShardedPlanCache
-from repro.serve.scheduler import FairScheduler, ServiceRequest
+from repro.serve.scheduler import FairScheduler
 from repro.serve.service import AthenaService
 from repro.serve.session import InferenceSession, SessionCore, SessionRuntime
 from repro.serve.tenant import Tenant, TenantRegistry
@@ -49,7 +49,6 @@ __all__ = [
     "LayerStats",
     "PlanCache",
     "RequestBatch",
-    "ServiceRequest",
     "SessionCore",
     "SessionRuntime",
     "ShardedPlanCache",

@@ -41,11 +41,7 @@ from repro.errors import ParameterError, ServiceOverloaded
 from repro.perf import PerfRecorder
 from repro.serve.api import InferenceRequest, LayerStats
 
-__all__ = ["FairScheduler", "ServiceRequest"]
-
-#: Deprecated alias retained for one release: the scheduler's queue element
-#: is now the typed :class:`repro.serve.api.InferenceRequest`.
-ServiceRequest = InferenceRequest
+__all__ = ["FairScheduler"]
 
 
 class FairScheduler:

@@ -24,7 +24,9 @@ from repro.core.framework import AthenaPipeline, LoopCost
 from repro.core.program import lower
 from repro.core.trace import compare_traces, executed_trace, trace_model
 from repro.errors import ParameterError
+from repro.fhe import backend as backend_mod
 from repro.fhe.backend import (
+    Backend,
     BatchedBackend,
     CountingBackend,
     SerialBackend,
@@ -34,6 +36,7 @@ from repro.fhe.backend import (
 )
 from repro.fhe.params import TEST_LOOP
 from repro.fhe.poly import RnsPoly
+from repro.perf import ExecConfig
 from repro.perf.bench import _BLOCK_MIX, mnist_cnn_micro
 
 
@@ -49,8 +52,24 @@ class TestSelection:
         assert get_backend("serial").name == "serial"
         inst = CountingBackend("batched")
         assert get_backend(inst) is inst
-        with pytest.raises(ParameterError):
+        assert isinstance(get_backend("counting"), CountingBackend)
+        with pytest.raises(
+            ParameterError, match=r"\['batched', 'counting', 'serial'\]"
+        ):
             get_backend("gpu")
+
+    @pytest.mark.parametrize(
+        "raw, want",
+        [("", "batched"), ("  ", "batched"), ("Serial", "serial"),
+         (" BATCHED\n", "batched")],
+    )
+    def test_default_backend_normalises_env(self, monkeypatch, raw, want):
+        """REPRO_BACKEND is stripped, lower-cased, and empty means unset —
+        the same rule ExecConfig.from_env applies."""
+        monkeypatch.setenv("REPRO_BACKEND", raw)
+        monkeypatch.setattr(backend_mod, "_DEFAULT", None)
+        assert backend_mod.default_backend().name == want
+        assert (ExecConfig.from_env().backend or "batched") == want
 
     def test_use_backend_yields_and_restores(self):
         before = current_backend()
@@ -63,8 +82,8 @@ class TestSelection:
         """Regression: selection must be context-local, not process-global.
 
         Both threads sit *inside* their contexts at the same time (barrier),
-        so a global toggle — the old ``use_serial_rns`` flag — would make
-        one of them observe the other's backend.
+        so a global toggle would make one of them observe the other's
+        backend.
         """
         barrier = threading.Barrier(2)
         seen: dict[str, str] = {}
@@ -92,6 +111,31 @@ class TestSelection:
         with use_backend("serial"):
             names = pmap.map(lambda _: current_backend().name, range(8))
         assert set(names) == {"serial"}
+
+
+class TestProtocolConformance:
+    #: Ops whose single body is engine-independent: mod_switch is a CRT
+    #: lift; the LWE and composite tiers delegate to module
+    #: implementations whose inner ops re-enter the active backend.
+    SHARED = {"mod_switch", "sample_extract", "lwe_keyswitch", "lwe_rescale",
+              "matvec", "fbs", "s2c"}
+
+    def test_fast_engine_and_wrapper_override_every_op(self):
+        """Backend's bodies are the per-prime reference: an op the batched
+        engine does not override runs silently slow, one the counting
+        wrapper does not override runs uncounted."""
+        ops = [
+            name for name, value in vars(Backend).items()
+            if callable(value) and not name.startswith("_")
+            and name not in ("record", "phase")
+        ]
+        assert len(ops) == 21
+        assert not hasattr(Backend, "kernel")
+        assert [op for op in ops if op not in vars(CountingBackend)] == []
+        assert [
+            op for op in ops
+            if op not in self.SHARED and op not in vars(BatchedBackend)
+        ] == []
 
 
 class TestRnsBitIdentity:

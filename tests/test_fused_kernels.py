@@ -5,8 +5,8 @@ Three claims pinned here:
 1. *Counting parity* — a fused op is counted exactly once, in the
    primitive units the decomposed path would have dispatched. Pinned two
    ways: CountingBackend totals are identical whether its inner engine
-   fuses (``batched``) or decomposes (``batched-unfused``) — the
-   double-count regression — and the bulk-counted units match what a
+   fuses (``batched``) or decomposes (``serial``) — the double-count
+   regression — and the bulk-counted units match what a
    counting backend *without* the fused overrides records organically
    when the default decompositions drive its primitive counters.
 2. *Bit-identity* — the batched fused kernels (stacked NTT keyswitch,
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.fhe.backend import (
     BATCHED,
-    BATCHED_UNFUSED,
     SERIAL,
     Backend,
     CountingBackend,
@@ -96,7 +95,7 @@ class TestCountingParity:
         whether the delegated-to engine fuses or decomposes."""
         ctx, _, rlk, gk, cts = _fixture()
         fused = CountingBackend(BATCHED)
-        unfused = CountingBackend(BATCHED_UNFUSED)
+        unfused = CountingBackend(SERIAL)
         out_f = _run_workload(fused, ctx, rlk, gk, cts)
         out_u = _run_workload(unfused, ctx, rlk, gk, cts)
         assert fused.totals() == unfused.totals()
@@ -138,7 +137,7 @@ class TestFusedBitIdentity:
         rlk.warm()
         gk.warm()
         baseline = _run_workload(BATCHED, ctx, rlk, gk, cts)
-        for be in (BATCHED_UNFUSED, SERIAL, CountingBackend(BATCHED)):
+        for be in (SERIAL, CountingBackend(SERIAL), CountingBackend(BATCHED)):
             outs = _run_workload(be, ctx, rlk, gk, cts)
             for x, y in zip(baseline, outs):
                 assert np.array_equal(x, y), be.name

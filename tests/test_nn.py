@@ -298,6 +298,3 @@ class TestIm2col:
         summed = cols.sum(axis=-1)
         assert summed.shape == (1, 2, 2)
         assert summed[0, 0, 0] == x[0, 0, :2, :2].sum()
-
-    def test_legacy_alias_preserved(self):
-        assert nn._im2col is nn.im2col

@@ -109,6 +109,11 @@ class TestExactMultiplier:
         with pytest.raises(ParameterError):
             ntt.negacyclic_mul_exact([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_length_not_power_of_two(self, n):
+        with pytest.raises(ParameterError, match="power-of-two"):
+            ntt.negacyclic_mul_exact([1] * n, [1] * n)
+
     @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=16, max_size=16),
            st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=16, max_size=16))
     @settings(max_examples=30)

@@ -159,50 +159,6 @@ class TestCliJsonFlags:
 
 
 class TestDeprecations:
-    def test_legacy_run_layers_warns_and_matches(self):
-        from repro.core.legacy import run_layers
-        from repro.core.program import PlainIntExecutor, lower, run_program
-        from repro.quant.quantize import QLinear, QuantConfig, QuantizedModel
-
-        rng = np.random.default_rng(0)
-        cfg = QuantConfig(4, 4, t=257)
-        fc = QLinear(
-            weight=rng.integers(-2, 3, (3, 8)).astype(np.int64),
-            bias=np.zeros(3, dtype=np.int64),
-            in_scale=1.0, w_scale=1.0, out_scale=2.0, activation="identity",
-            in_features=8, out_features=3,
-        )
-        x_q = rng.integers(-3, 4, (1, 8)).astype(np.int64)
-        with pytest.warns(DeprecationWarning, match="AthenaProgram"):
-            got = run_layers([fc], x_q, cfg)
-        qm = QuantizedModel([fc], cfg, 1.0, (8,))
-        want = run_program(lower(qm), PlainIntExecutor(cfg), x_q)
-        assert np.array_equal(got, want)
-
-    def test_legacy_mac_layers_warns(self):
-        from repro.core.legacy import mac_layers
-        from repro.core.program import lower
-        from repro.quant.quantize import QLinear, QuantConfig, QuantizedModel
-
-        rng = np.random.default_rng(1)
-        fc = QLinear(
-            weight=rng.integers(-2, 3, (3, 8)).astype(np.int64),
-            bias=np.zeros(3, dtype=np.int64),
-            in_scale=1.0, w_scale=1.0, out_scale=2.0, activation="identity",
-            in_features=8, out_features=3,
-        )
-        qm = QuantizedModel([fc], QuantConfig(4, 4, t=257), 1.0, (8,))
-        with pytest.warns(DeprecationWarning):
-            got = mac_layers(qm)
-        assert got == lower(qm).mac_sources()
-
-    def test_nn_im2col_alias_warns(self):
-        from repro.quant import nn
-
-        with pytest.warns(DeprecationWarning, match="im2col"):
-            alias = nn._im2col
-        assert alias is nn.im2col
-
     def test_curated_top_level_api(self):
         assert repro.lower is not None
         assert repro.PerfRecorder is PerfRecorder

@@ -3,12 +3,14 @@
 The batched backend must be *bit-identical* to the serial reference for
 every RnsPoly operation: both reduce the same integers modulo the same
 primes, only the loop structure differs. These tests sweep random (L, N)
-stacks through every op under both backends.
+stacks through every op under both backends, each selected explicitly so
+the comparison is batched-vs-serial whatever ``REPRO_BACKEND`` says.
 """
 
 import numpy as np
 import pytest
 
+from repro.fhe.backend import current_backend, get_backend, use_backend
 from repro.fhe.ntt import (
     ntt_forward,
     ntt_forward_rns,
@@ -18,7 +20,7 @@ from repro.fhe.ntt import (
     ntt_mul_rns,
 )
 from repro.fhe.params import ATHENA_MEDIUM, TEST_LOOP
-from repro.fhe.poly import RnsPoly, rns_backend, use_serial_rns
+from repro.fhe.poly import RnsPoly
 from repro.fhe.rns import from_rns, to_rns
 
 PARAM_SETS = [TEST_LOOP, ATHENA_MEDIUM]
@@ -35,37 +37,30 @@ def params(request):
 
 
 def _default_name() -> str:
-    """What rns_backend() should report outside any use_backend context.
-
-    The process default honors REPRO_BACKEND (the CI matrix legs set it to
-    ``serial`` / ``batched-unfused``); with the variable unset it is the
-    batched engine. ``rns_backend()`` names the RNS *kernel*, so both
-    batched variants — fused or not, the fused tier sits above the kernel —
-    report ``batched``.
-    """
+    """The RNS engine the ambient default should run: REPRO_BACKEND (the CI
+    serial leg sets it), else batched."""
     import os
-
-    from repro.fhe.backend import get_backend
 
     return get_backend(os.environ.get("REPRO_BACKEND") or "batched").rns_name
 
 
 class TestBackendSwitch:
     def test_default_follows_env(self):
-        assert rns_backend() == _default_name()
+        assert current_backend().rns_name == _default_name()
 
     def test_context_manager_swaps_and_restores(self):
-        with use_serial_rns():
-            assert rns_backend() == "serial"
-            with use_serial_rns():
-                assert rns_backend() == "serial"
-        assert rns_backend() == _default_name()
+        with use_backend("serial"):
+            assert current_backend().rns_name == "serial"
+            with use_backend("batched"):
+                assert current_backend().rns_name == "batched"
+            assert current_backend().rns_name == "serial"
+        assert current_backend().rns_name == _default_name()
 
     def test_restores_on_exception(self):
         with pytest.raises(RuntimeError):
-            with use_serial_rns():
+            with use_backend("serial"):
                 raise RuntimeError("boom")
-        assert rns_backend() == _default_name()
+        assert current_backend().rns_name == _default_name()
 
 
 class TestStackedNtt:
@@ -131,15 +126,17 @@ class TestRnsPolyOpEquivalence:
     )
     def test_op_bit_identical(self, params, op):
         a, b = self._pair(params, 11)
-        batched = op(a, b)
-        with use_serial_rns():
+        with use_backend("batched"):
+            batched = op(a, b)
+        with use_backend("serial"):
             serial = op(a, b)
         assert np.array_equal(batched.data, serial.data)
 
     def test_constant_bit_identical(self, params):
         for value in (0, 1, -1, 12345, -(2**40)):
-            batched = RnsPoly.constant(value, params.n, params.moduli)
-            with use_serial_rns():
+            with use_backend("batched"):
+                batched = RnsPoly.constant(value, params.n, params.moduli)
+            with use_backend("serial"):
                 serial = RnsPoly.constant(value, params.n, params.moduli)
             assert np.array_equal(batched.data, serial.data)
 
@@ -151,8 +148,9 @@ class TestRnsPolyOpEquivalence:
 
     def test_crt_seams_unaffected_by_backend(self, params):
         a, _ = self._pair(params, 17)
-        batched = a.to_int_coeffs()
-        with use_serial_rns():
+        with use_backend("batched"):
+            batched = a.to_int_coeffs()
+        with use_backend("serial"):
             serial = a.to_int_coeffs()
         assert batched == serial
 
@@ -184,6 +182,7 @@ class TestDtypeOverflowGuards:
         mods = np.array(params.moduli, dtype=np.int64)[:, None]
         top = np.broadcast_to(mods - 1, (len(params.moduli), params.n)).copy()
         a = RnsPoly(top.copy(), params.moduli)
-        fast = a * a
+        with use_backend("batched"):
+            fast = a * a
         exact = a.mul_exact_then_reduce(a)
         assert np.array_equal(fast.data, exact.data)

@@ -33,7 +33,6 @@ from repro.serve import (
     InferenceSession,
     LayerStats,
     PlanCache,
-    ServiceRequest,
     SessionCore,
     ShardedPlanCache,
     Tenant,
@@ -42,8 +41,8 @@ from repro.serve import (
 from repro.serve.loadgen import pack_cnn, serve_micro_cnn
 
 
-def _request(tenant_id: str, model: str = "m") -> ServiceRequest:
-    return ServiceRequest(
+def _request(tenant_id: str, model: str = "m") -> InferenceRequest:
+    return InferenceRequest(
         tenant_id=tenant_id, model=model, x_q=np.zeros(1, dtype=np.int64)
     )
 
@@ -110,10 +109,6 @@ class TestTypedApi:
         assert a.request_id != b.request_id
         assert a.request_id.startswith("req-")
         assert a.enqueued_at > 0 and a.dequeued_at is None
-
-    def test_service_request_alias_is_the_typed_request(self):
-        # One-release compatibility alias for the old tuple-era name.
-        assert ServiceRequest is InferenceRequest
 
     def test_result_defaults_describe_a_solo_run(self):
         result = InferenceResult(
