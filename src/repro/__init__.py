@@ -6,7 +6,7 @@ Subpackages:
 * :mod:`repro.quant` — quantized CNN training/inference framework
 * :mod:`repro.data` — synthetic dataset generators
 * :mod:`repro.core` — the Athena five-step inference framework
-* :mod:`repro.perf` — perf counters, parallel executors, bench harness
+* :mod:`repro.perf` — perf counters, parallel executors
 * :mod:`repro.serve` — warm inference sessions + on-disk plan cache
 * :mod:`repro.accel` — cycle-level accelerator simulator and baselines
 * :mod:`repro.eval` — per-table / per-figure experiment drivers

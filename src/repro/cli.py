@@ -18,26 +18,19 @@ Commands:
                                bit-widths minimizing predicted FHE cost under
                                an accuracy-drop budget; ``--config-out``
                                writes the artifact ``compile --mp`` consumes.
-* ``bench``                  — pipeline + RNS benchmarks -> BENCH_pipeline.json
-                               (includes cold-compile vs warm-run walls and
-                               per-phase executed op counts; ``--backend``
-                               picks the dispatch engine).
 * ``trace``                  — analytical primitive-op trace of the micro
                                model; ``--executed`` also runs it under a
                                CountingBackend and reports parity.
 * ``serve``                  — in-process demo of the layered multi-tenant
                                service: tenants, fair scheduler, warm worker
                                pool, shared plan cache; prints per-layer stats.
-* ``loadgen``                — closed-loop load generator over the service
-                               -> BENCH_serve.json (requests/sec, p50/p99
-                               latency, queue depth, plan-cache hit rate).
 * ``ablation``               — accelerator design-choice ablations.
 
 Exit codes are uniform across commands: 0 on success, 1 when the library
 reports a failure (:class:`repro.errors.ReproError`), 2 on usage errors
-(argparse's own convention). ``experiment``, ``infer``, and ``bench`` share
-the output parent parser: ``--json`` switches to machine-readable output and
-``--out PATH`` redirects it to a file.
+(argparse's own convention). ``experiment``, ``infer``, ``tune``, ``allocate``,
+``trace`` and ``serve`` share the output parent parser: ``--json`` switches to
+machine-readable output and ``--out PATH`` redirects it to a file.
 """
 
 from __future__ import annotations
@@ -155,19 +148,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_TUNE_SUBJECTS = ["mnist_cnn", "resnet20_block"]
-
-
-def _tune_subject(name: str):
-    """Micro bench model for a ``repro tune`` / ``repro compile`` subject."""
-    import numpy as np
-
-    from repro.perf.bench import mnist_cnn_micro, resnet_block_micro
-
-    builder = resnet_block_micro if name == "resnet20_block" else mnist_cnn_micro
-    return builder(np.random.default_rng(5))
-
-
 def _load_mp_payload(path: str) -> tuple:
     """Read a ``repro allocate --config-out`` artifact (or a bare MpConfig).
 
@@ -199,20 +179,24 @@ def _mp_subject(mp_path: str | None):
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    """Compile a micro benchmark model into an on-disk plan artifact."""
+    """Compile a micro subject into an on-disk plan artifact."""
     import time
 
     from repro.core.plan import compile_program
     from repro.core.program import lower
-    from repro.fhe.params import get_params
+    from repro.fhe.params import TEST_LOOP, get_params
     from repro.fhe.serialize import dump_plan
+    from repro.quant.subjects import micro_subject
 
     if args.mp and args.model != "mp_cnn":
         print("repro: error: --mp requires --model mp_cnn", file=sys.stderr)
         return EXIT_USAGE
-    params = get_params(args.params)
-    subject = _mp_subject(args.mp) if args.model == "mp_cnn" \
-        else _tune_subject(args.model)
+    if args.model == "mp_cnn":
+        subject, params = _mp_subject(args.mp), TEST_LOOP
+    else:
+        subject, params = micro_subject(args.model)
+    if args.params:
+        params = get_params(args.params)
     program = lower(subject, params)
     tuning = None
     if args.tune:
@@ -228,7 +212,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         fh.write(raw)
     payload = {
         "model": program.name,
-        "params": args.params,
+        "params": params.name,
         "chunk": args.chunk,
         "tuned": bool(args.tune),
         "tuning": tuning.tag() if tuning else None,
@@ -243,7 +227,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     else:
         tuned = f" (tuned: {tuning.tag()})" if tuning else ""
         sys.stdout.write(
-            f"compiled {program.name} @ {args.params} in {compile_s:.3f}s "
+            f"compiled {program.name} @ {params.name} in {compile_s:.3f}s "
             f"({len(raw)} bytes) -> {out}{tuned}\n"
             f"  model hash: {plan.model_hash}\n"
         )
@@ -255,34 +239,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.core.program import lower
     from repro.core.tune import tune_program
     from repro.fhe.params import get_params
+    from repro.quant.subjects import micro_subject
 
-    if args.bench_out:
-        from repro.perf.bench import run_tune_bench
-
-        records = run_tune_bench(
-            out=args.bench_out,
-            chunk=args.chunk if args.chunk is not None else 16,
-        )
-        lines = [f"wrote {args.bench_out}"]
-        for r in records:
-            lines.append(
-                f"  {r['bench']}: predicted "
-                f"{r['predicted_default_mod_muls']:.3e} -> "
-                f"{r['predicted_tuned_mod_muls']:.3e} mod_muls, measured "
-                f"{r['measured_default_mod_muls']:.3e} -> "
-                f"{r['measured_tuned_mod_muls']:.3e}, wall "
-                f"{r['default_wall_s']:.2f}s -> {r['tuned_wall_s']:.2f}s"
-                + (f" [{r['tuning']}]" if r["tuning"] else " [default]")
-            )
-        text = "\n".join(lines) + "\n"
-        if args.json:
-            sys.stdout.write(json.dumps(records, indent=2) + "\n")
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-
-    params = get_params(args.params)
-    program = lower(_tune_subject(args.model), params)
+    subject, params = micro_subject(args.model)
+    if args.params:
+        params = get_params(args.params)
+    program = lower(subject, params)
     result = tune_program(program, params, chunk=args.chunk)
     report = result.report()
     saving = report["predicted_saving_mod_muls"]
@@ -292,7 +254,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         else 0.0
     )
     lines = [
-        f"{program.name} @ {args.params}"
+        f"{program.name} @ {params.name}"
         + (f", chunk={args.chunk}" if args.chunk else ""),
         f"  predicted default : {report['predicted_default_mod_muls']:.3e} mod_muls",
         f"  predicted tuned   : {report['predicted_tuned_mod_muls']:.3e} mod_muls",
@@ -313,38 +275,6 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     """Mixed-precision bit allocation on the TEST_FBS micro subject."""
     from repro.fhe.params import get_params
     from repro.quant.mp import allocate_bits, mp_micro_subject
-
-    if args.bench_out:
-        from repro.perf.bench import run_mp_bench
-
-        records = run_mp_bench(out=args.bench_out, mode=args.mode)
-        lines = [f"wrote {args.bench_out}"]
-        for r in records:
-            if "headline" in r:
-                h = r["headline"]
-                lines.append(
-                    f"  {r['bench']}: measured "
-                    f"{r['baseline_measured_mod_muls']:.3e} -> "
-                    f"{h['measured_mod_muls']:.3e} mod_muls, wall "
-                    f"{r['baseline_wall_s']:.2f}s -> {h['wall_s']:.2f}s, "
-                    f"acc {r['baseline_accuracy']:.4f} -> "
-                    f"{h['accuracy']:.4f} [{h['mp']}]"
-                )
-            else:
-                b = r["baseline"]
-                best = min(r["points"], key=lambda p: p["predicted_mod_muls"])
-                lines.append(
-                    f"  {r['bench']}: predicted "
-                    f"{b['predicted_mod_muls']:.3e} -> "
-                    f"{best['predicted_mod_muls']:.3e} mod_muls, acc "
-                    f"{b['accuracy']:.4f} -> {best['accuracy']:.4f} "
-                    f"[{best['mp']}]"
-                )
-        if args.json:
-            sys.stdout.write(json.dumps(records, indent=2) + "\n")
-        else:
-            sys.stdout.write("\n".join(lines) + "\n")
-        return EXIT_OK
 
     params = get_params(args.params)
     model, x, y, config = mp_micro_subject(seed=args.seed)
@@ -380,7 +310,7 @@ def _infer_with_plan(args: argparse.Namespace) -> int:
     from repro.core.program import lower
     from repro.core.plan import program_fingerprint
     from repro.fhe.serialize import guess_params, load_plan
-    from repro.perf.bench import mnist_cnn_micro
+    from repro.quant.subjects import micro_subject
     from repro.serve import InferenceSession
 
     raw = Path(args.plan).read_bytes()
@@ -390,7 +320,7 @@ def _infer_with_plan(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_FAILURE
     plan = load_plan(raw, params)
-    qm = mnist_cnn_micro(np.random.default_rng(5))
+    qm, _ = micro_subject("mnist_cnn")
     program = lower(qm, params)
     if program_fingerprint(program) != plan.model_hash:
         print("repro: error: plan was compiled for a different model",
@@ -460,60 +390,17 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import BENCH_FILENAME, run_benches
-
-    if args.mp:
-        from repro.perf.bench import BENCH_MP_FILENAME, run_mp_bench
-
-        out = args.out if args.out else BENCH_MP_FILENAME
-        records = run_mp_bench(out=out, seed=args.seed, backend=args.backend)
-        r = records[0]
-        h = r["headline"]
-        text = (
-            f"wrote {out}\n"
-            f"  {r['bench']}: measured "
-            f"{r['baseline_measured_mod_muls']:.3e} -> "
-            f"{h['measured_mod_muls']:.3e} mod_muls, wall "
-            f"{r['baseline_wall_s']:.2f}s -> {h['wall_s']:.2f}s [{h['mp']}]\n"
-        )
-        if args.json:
-            sys.stdout.write(json.dumps(records, indent=2) + "\n")
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-
-    out = args.out if args.out else BENCH_FILENAME
-    records = run_benches(out=out, quick=args.quick, seed=args.seed,
-                          backend=args.backend, trace_out=args.trace_out)
-    lines = [f"wrote {out}"]
-    if args.trace_out:
-        lines.append(f"wrote {args.trace_out}")
-    for r in records:
-        speedup = r["speedup_vs_serial"]
-        lines.append(
-            f"  {r['bench']} [{r['params']['backend']}]: "
-            f"wall {r['wall_s']:.3f}s, speedup vs serial {speedup:.2f}x"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.json:
-        sys.stdout.write(json.dumps(records, indent=2) + "\n")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Analytical op-count trace; ``--executed`` compares against a real run."""
     import numpy as np
 
     from repro.core.trace import EXECUTED_FIELDS, trace_model
-    from repro.fhe.params import TEST_LOOP
-    from repro.perf.bench import mnist_cnn_micro
+    from repro.quant.subjects import SUBJECT_SEED, SUBJECTS
 
-    rng = np.random.default_rng(5)
-    qm = mnist_cnn_micro(rng)
-    analytical = trace_model(qm, TEST_LOOP, softmax=False)
+    builder, params = SUBJECTS["mnist_cnn"]
+    rng = np.random.default_rng(SUBJECT_SEED)  # also draws the input below
+    qm = builder(rng)
+    analytical = trace_model(qm, params, softmax=False)
 
     if not args.executed:
         by_phase = analytical.by_phase()
@@ -525,7 +412,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 for phase, ops in sorted(by_phase.items())
             },
         }
-        text = f"{qm.name} @ test-loop (analytical)\n"
+        text = f"{qm.name} @ {params.name} (analytical)\n"
         for phase, ops in sorted(by_phase.items()):
             text += (f"  {phase:<10} ntt {ops.ntt:>10.0f}  "
                      f"mod_mul {ops.mod_mul:>12.0f}  "
@@ -539,11 +426,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.fhe.backend import CountingBackend, use_backend
 
     counting = CountingBackend(args.backend)
-    pipe = AthenaPipeline(TEST_LOOP, seed=args.seed)
-    x_q = rng.integers(-3, 4, (1, 6, 6)).astype(np.int64)
+    pipe = AthenaPipeline(params, seed=args.seed)
+    x_q = rng.integers(-3, 4, qm.input_shape).astype(np.int64)
     with use_backend(counting):
-        pipe.run_program(lower(qm, TEST_LOOP), x_q)
-    executed = executed_trace(counting, TEST_LOOP)
+        pipe.run_program(lower(qm, params), x_q)
+    executed = executed_trace(counting, params)
     comparison = compare_traces(executed, analytical)
     payload = {
         "model": qm.name,
@@ -551,7 +438,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "backend": counting.rns_name,
         "comparison": comparison,
     }
-    lines = [f"{qm.name} @ test-loop (executed [{counting.rns_name}] "
+    lines = [f"{qm.name} @ {params.name} (executed [{counting.rns_name}] "
              f"vs analytical)"]
     for prim, row in comparison.items():
         ratio = "n/a" if row["ratio"] is None else f"{row['ratio']:.3f}"
@@ -565,16 +452,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Stand up the four-layer service in process and answer a demo batch."""
     import numpy as np
 
-    from repro.fhe.params import TEST_FBS
     from repro.perf import ExecConfig
+    from repro.quant.subjects import micro_subject
     from repro.serve import AthenaService, InferenceRequest, Tenant
-    from repro.serve.loadgen import pack_cnn, serve_micro_cnn
 
-    builder = pack_cnn if args.model == "pack" else serve_micro_cnn
-    qm = builder(np.random.default_rng(5))
+    qm, params = micro_subject(args.model)
     shared = args.shared_keys
     tenants = [
-        Tenant(f"tenant{i}", TEST_FBS,
+        Tenant(f"tenant{i}", params,
                seed=args.seed if shared else args.seed + i)
         for i in range(args.tenants)
     ]
@@ -603,7 +488,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     batcher = stats["detail"]["batcher"]
     occupancy = batcher["detail"]["occupancy_mean"]
     lines = [
-        f"{qm.name} @ {TEST_FBS.name} ({fingerprint[:16]}), "
+        f"{qm.name} @ {params.name} ({fingerprint[:16]}), "
         f"{len(results)} requests, {args.tenants} tenants, "
         f"{args.workers} {args.mode} worker(s)",
         f"  scheduler : accepted {sched['accepted']}, "
@@ -624,58 +509,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import BENCH_SERVE_FILENAME, run_loadgen
-
-    model = args.model
-    requests = args.requests
-    if args.quick:
-        # Keep the default transport window: on the small models it is the
-        # dominant per-request cost, which is exactly what lets the
-        # multi-worker configuration overlap (and the batched one amortize)
-        # and win even in smoke runs.
-        if model == "mnist_cnn":
-            model = "micro" if args.batching == "off" else "pack"
-        requests = min(requests, 4)
-    out = args.out if args.out else BENCH_SERVE_FILENAME
-    workers = tuple(int(w) for w in args.workers.split(","))
-    records = run_loadgen(
-        out=out,
-        model=model,
-        tenants=args.tenants,
-        requests=requests,
-        worker_counts=workers,
-        mode=args.mode,
-        transport_s=args.transport_ms / 1000.0,
-        seed=args.seed,
-        warmup=args.warmup,
-        cache_dir=args.cache_dir,
-        batching=args.batching,
-        batch_window_s=args.batch_window_ms / 1000.0,
-        shared_keys=args.shared_keys,
-    )
-    lines = [f"wrote {out}"]
-    for r in records:
-        hit_rate = r["plan_cache"]["hit_rate"]
-        hit = "n/a" if hit_rate is None else f"{hit_rate:.2f}"
-        occ = r["batch_occupancy"]
-        batched = (
-            f"batched x{occ:.2f}" if r["batching"] and occ else "unbatched"
-        )
-        lines.append(
-            f"  {r['model']} [{r['phase']}] {r['workers']}x{r['mode']} "
-            f"{batched}: {r['requests_per_s']:.3f} req/s, "
-            f"p50 {r['latency_p50_s']:.3f}s, p99 {r['latency_p99_s']:.3f}s, "
-            f"cache hit rate {hit}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.json:
-        sys.stdout.write(json.dumps(records, indent=2) + "\n")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 def _cmd_ablation(args: argparse.Namespace) -> int:
     from repro.accel.ablation import run_ablations
     from repro.eval.render import render_table
@@ -692,9 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Athena reproduction command line"
     )
+    from repro.quant.subjects import SUBJECTS
+
     sub = parser.add_subparsers(dest="command", required=True)
     seed = _seed_parent()
     output = _output_parent()
+    subjects = list(SUBJECTS)
 
     p = sub.add_parser("params", help="show FHE parameter sets")
     p.add_argument("name", nargs="?", help="preset name (default: all)")
@@ -728,12 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", parents=[seed],
                        help="precompute a CompiledProgram plan artifact")
     p.add_argument("--model", default="mnist_cnn",
-                   choices=_TUNE_SUBJECTS + ["mp_cnn"],
-                   help="micro bench subject (default: mnist_cnn; 'mp_cnn' "
+                   choices=subjects + ["mp_cnn"],
+                   help="micro subject (default: mnist_cnn; 'mp_cnn' "
                         "is the mixed-precision subject of "
                         "'repro allocate')")
-    p.add_argument("--params", default="test-loop",
-                   help="parameter preset (default: test-loop)")
+    p.add_argument("--params", default=None,
+                   help="parameter preset (default: the subject's own; "
+                        "test-loop for mnist_cnn and mp_cnn)")
     p.add_argument("--chunk", type=int, default=None,
                    help="LWE outputs per refresh tile (default: unchunked)")
     p.add_argument("--tune", action="store_true",
@@ -768,40 +605,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config-out", metavar="PATH", default=None,
                    help="write the chosen MpConfig artifact for "
                         "'repro compile --mp'")
-    p.add_argument("--bench-out", metavar="PATH", default=None,
-                   help="run the full measured mp harness instead and "
-                        "write BENCH_mp.json to PATH")
     p.set_defaults(func=_cmd_allocate, seed=7)
 
     p = sub.add_parser("tune", parents=[output],
                        help="cost-model encoding autotuner (per-step picks)")
-    p.add_argument("--model", default="mnist_cnn", choices=_TUNE_SUBJECTS,
-                   help="micro bench subject (default: mnist_cnn)")
-    p.add_argument("--params", default="test-loop",
-                   help="parameter preset (default: test-loop)")
+    p.add_argument("--model", default="mnist_cnn", choices=subjects,
+                   help="micro subject (default: mnist_cnn)")
+    p.add_argument("--params", default=None,
+                   help="parameter preset (default: the subject's own; "
+                        "test-loop for mnist_cnn)")
     p.add_argument("--chunk", type=int, default=None,
                    help="global LWE outputs per refresh tile the tuner may "
                         "override per step (default: unchunked)")
-    p.add_argument("--bench-out", metavar="PATH", default=None,
-                   help="run the full predicted-vs-measured harness over "
-                        "all subjects and write BENCH_tune.json to PATH")
     p.set_defaults(func=_cmd_tune)
-
-    p = sub.add_parser("bench", parents=[seed, output],
-                       help="pipeline + RNS benchmarks (BENCH_pipeline.json)")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke mode: fewer repetitions")
-    p.add_argument("--mp", action="store_true",
-                   help="run the mixed-precision allocator bench instead "
-                        "(BENCH_mp.json)")
-    p.add_argument("--backend", default="batched",
-                   choices=["batched", "serial", "counting"],
-                   help="op-dispatch backend to measure (default: batched; "
-                        "the flag beats REPRO_BACKEND, which beats the "
-                        "built-in batched default)")
-    p.add_argument("--trace-out", metavar="PATH", default=None,
-                   help="also write the executed-op trace JSON to PATH")
-    p.set_defaults(func=_cmd_bench, seed=41)
 
     p = sub.add_parser("trace", parents=[seed, output],
                        help="primitive op-count trace (analytical model)")
@@ -816,9 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", parents=[seed, output],
                        help="multi-tenant serving demo (in-process)")
     p.add_argument("--model", default="serve_micro",
-                   choices=["serve_micro", "pack"],
-                   help="demo model; 'pack' has batch_capacity 2 "
-                        "(default: serve_micro)")
+                   choices=subjects,
+                   help="demo model, served at its own parameter set; "
+                        "'pack' has batch_capacity 2 (default: serve_micro)")
     p.add_argument("--tenants", type=int, default=2,
                    help="number of tenants (default: 2)")
     p.add_argument("--requests", type=int, default=4,
@@ -843,42 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(per-tenant pins would win; default: inherit "
                         "REPRO_BACKEND, else batched)")
     p.set_defaults(func=_cmd_serve, seed=41)
-
-    p = sub.add_parser("loadgen", parents=[seed, output],
-                       help="serving load generator (BENCH_serve.json)")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke mode: micro model, few requests")
-    p.add_argument("--model", default="mnist_cnn",
-                   choices=["mnist_cnn", "micro", "pack"],
-                   help="serving subject (default: mnist_cnn; 'pack' is "
-                        "the batchable one)")
-    p.add_argument("--tenants", type=int, default=2,
-                   help="number of tenants (default: 2)")
-    p.add_argument("--requests", type=int, default=6,
-                   help="timed requests per configuration (default: 6)")
-    p.add_argument("--workers", default="1,2", metavar="N[,N...]",
-                   help="comma-separated worker counts to compare "
-                        "(default: 1,2)")
-    p.add_argument("--mode", default="thread",
-                   choices=["serial", "thread", "process"],
-                   help="worker executor mode (default: thread)")
-    p.add_argument("--transport-ms", type=float, default=1500.0,
-                   help="per-batch ciphertext transport window, ms "
-                        "(default: 1500)")
-    p.add_argument("--warmup", type=int, default=1,
-                   help="untimed warmup requests per tenant (default: 1)")
-    p.add_argument("--cache-dir", metavar="DIR", default=None,
-                   help="disk-backed plan cache directory (default: memory)")
-    p.add_argument("--batching", default="on",
-                   choices=["on", "off", "both"],
-                   help="cross-request batching; 'both' runs every worker "
-                        "count unbatched then batched (default: on)")
-    p.add_argument("--batch-window-ms", type=float, default=250.0,
-                   help="max wait for batch co-riders, ms (default: 250)")
-    p.add_argument("--shared-keys", action="store_true",
-                   help="same keygen seed for all tenants (one key domain: "
-                        "enables cross-tenant batching)")
-    p.set_defaults(func=_cmd_loadgen, seed=41)
 
     p = sub.add_parser("ablation", help="accelerator design ablations")
     p.add_argument("--model", default="resnet20")

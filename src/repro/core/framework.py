@@ -405,16 +405,11 @@ class CiphertextExecutor(ProgramExecutor):
                     f"plan was compiled with chunk={plan.chunk}, "
                     f"requested {chunk}"
                 )
-            plan.bind(program, pipe.params)
-            if plan.needs_upgrade():
-                # Wire-form plans carry stubs for the complex steps (their
-                # artifacts are cheaper to rebuild than to ship); recompile
-                # once under the plan's own tuning.
-                with pipe._dispatch(), pipe._phase("compile"):
-                    plan = compile_program(
-                        program, pipe.params, chunk=plan.chunk,
-                        tuning=plan.tuning,
-                    )
+            # A wire-form plan handed straight to the executor is recompiled
+            # here, per executor; sessions and plan caches bind once and hold
+            # the result, so for them this returns ``plan`` itself.
+            with pipe._dispatch():
+                plan = plan.bind(program, pipe.params)
         if lanes > 1:
             if plan.chunk is not None:
                 raise ParameterError(

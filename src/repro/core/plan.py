@@ -440,7 +440,7 @@ class CompiledOpaque:
     whose artifacts did not fit this parameter set (the executor raises its
     usual error when such a step is actually reached), or — with ``stub``
     set — complex steps elided from the wire form, which
-    :meth:`CompiledProgram.needs_upgrade` flags for recompilation."""
+    :meth:`CompiledProgram.bind` recompiles."""
 
     index: int
     name: str
@@ -472,8 +472,12 @@ class CompiledProgram:
     #: The per-step encoding overrides this plan was compiled under.
     tuning: TuningConfig | None = None
 
-    def bind(self, program: AthenaProgram, params: FheParams) -> None:
-        """Validate that this plan matches ``program`` under ``params``."""
+    def bind(self, program: AthenaProgram, params: FheParams) -> "CompiledProgram":
+        """Validate that this plan matches ``program`` under ``params`` and
+        return the runnable plan: ``self``, or — when this is a wire-form
+        plan carrying stubs — a fresh compile under the same chunk and
+        tuning. Callers keep the return value, so a loaded plan is
+        recompiled once where it is bound, not once per request."""
         if params_fingerprint(params) != params_fingerprint(self.params):
             raise ParameterError("plan was compiled for different parameters")
         if len(self.steps) != len(program.steps):
@@ -488,9 +492,15 @@ class CompiledProgram:
                     f"plan step {cstep.index} is {want!r}, "
                     f"program has {step.kind!r}"
                 )
+        if self.needs_upgrade():
+            return compile_program(
+                program, params, chunk=self.chunk, tuning=self.tuning
+            )
+        return self
 
     def needs_upgrade(self) -> bool:
-        """True when wire-form stubs must be recompiled before execution."""
+        """True while wire-form stubs stand in for steps :meth:`bind` must
+        recompile before execution."""
         return any(getattr(s, "stub", False) for s in self.steps)
 
 

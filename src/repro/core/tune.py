@@ -9,7 +9,7 @@ primitives the trace model uses (:mod:`repro.core.trace`), and bakes the
 winners into a :class:`~repro.core.lowering.TuningConfig` that
 :func:`repro.core.plan.compile_program` resolves into concrete artifacts.
 
-Guarantees the bench gate relies on:
+Guarantees ``tests/test_tune.py`` pins:
 
 * the default choice is always a candidate and wins ties (candidates are
   scored in a fixed order with a strict-improvement comparison), so the
@@ -66,7 +66,7 @@ class CandidateScore:
     @property
     def cost(self) -> float:
         """Scalar objective: predicted modular multiplications (the
-        element-level unit both the trace model and the bench artifacts
+        element-level unit both the trace model and ``CountingBackend``
         report, and the dominant accelerator datapath load)."""
         return self.ops.mod_mul
 
@@ -116,7 +116,7 @@ class TuningResult:
         return sum(s.chosen.cost for s in self.steps)
 
     def report(self) -> dict:
-        """JSON-ready summary (the shape ``BENCH_tune.json`` embeds)."""
+        """JSON-ready summary (what ``repro tune --json`` prints)."""
         return {
             "model": self.model,
             "predicted_default_mod_muls": self.default_cost,

@@ -31,8 +31,8 @@ from repro.fhe.s2c import S2CPlan
 _MAGIC = 0x41544E41  # "ATNA"
 # v3: compiled plans carry the autotuner's encoding config, linear steps
 # their strategy tag, and layout-bearing steps (placed packing, fused max
-# trees, pool/remap/residual rounds) ship as *stub* markers that the
-# executor recompiles from the program on first bind. v1/v2 artifacts are
+# trees, pool/remap/residual rounds) ship as *stub* markers that
+# ``CompiledProgram.bind`` recompiles from the program. v1/v2 artifacts are
 # rejected; the plan cache recompiles on load failure, so stale caches
 # self-heal.
 _VERSION = 3
@@ -49,6 +49,18 @@ def params_fingerprint(params: FheParams) -> bytes:
     return hashlib.sha256(material).digest()[:16]
 
 
+def _read(buf: io.BytesIO, size: int) -> bytes:
+    """Exactly ``size`` bytes, or :class:`ParameterError` on a short read."""
+    data = buf.read(size)
+    if len(data) != size:
+        raise ParameterError("truncated serialized object")
+    return data
+
+
+def _unpack(buf: io.BytesIO, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read(buf, struct.calcsize(fmt)))
+
+
 def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr, dtype="<i8")
     buf.write(struct.pack("<B", arr.ndim))
@@ -58,12 +70,10 @@ def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
 
 
 def _read_array(buf: io.BytesIO) -> np.ndarray:
-    (ndim,) = struct.unpack("<B", buf.read(1))
-    shape = tuple(struct.unpack("<Q", buf.read(8))[0] for _ in range(ndim))
+    (ndim,) = _unpack(buf, "<B")
+    shape = tuple(_unpack(buf, "<Q")[0] for _ in range(ndim))
     count = int(np.prod(shape)) if shape else 1
-    data = buf.read(count * 8)
-    if len(data) != count * 8:
-        raise ParameterError("truncated serialized array")
+    data = _read(buf, count * 8)
     return np.frombuffer(data, dtype="<i8").reshape(shape).astype(np.int64)
 
 
@@ -74,8 +84,8 @@ def _write_str(buf: io.BytesIO, text: str) -> None:
 
 
 def _read_str(buf: io.BytesIO) -> str:
-    (length,) = struct.unpack("<H", buf.read(2))
-    return buf.read(length).decode()
+    (length,) = _unpack(buf, "<H")
+    return _read(buf, length).decode()
 
 
 def _header(kind: int, params: FheParams) -> bytes:
@@ -83,14 +93,14 @@ def _header(kind: int, params: FheParams) -> bytes:
 
 
 def _check_header(buf: io.BytesIO, expected_kind: int, params: FheParams) -> None:
-    magic, version, kind = struct.unpack("<IHH", buf.read(8))
+    magic, version, kind = _unpack(buf, "<IHH")
     if magic != _MAGIC:
         raise ParameterError("not a repro-serialized object")
     if version != _VERSION:
         raise ParameterError(f"unsupported serialization version {version}")
     if kind != expected_kind:
         raise ParameterError(f"expected kind {expected_kind}, found {kind}")
-    if buf.read(16) != params_fingerprint(params):
+    if _read(buf, 16) != params_fingerprint(params):
         raise ParameterError("parameter fingerprint mismatch")
 
 
@@ -109,7 +119,7 @@ def dump_ciphertext(ct: BfvCiphertext) -> bytes:
 def load_ciphertext(raw: bytes, params: FheParams) -> BfvCiphertext:
     buf = io.BytesIO(raw)
     _check_header(buf, KIND_CIPHERTEXT, params)
-    (noise_bits,) = struct.unpack("<d", buf.read(8))
+    (noise_bits,) = _unpack(buf, "<d")
     c0 = RnsPoly(_read_array(buf), params.moduli)
     c1 = RnsPoly(_read_array(buf), params.moduli)
     if c0.data.shape != (params.num_limbs, params.n):
@@ -131,10 +141,12 @@ def dump_lwe_batch(batch: LweBatch) -> bytes:
 
 def load_lwe_batch(raw: bytes) -> LweBatch:
     buf = io.BytesIO(raw)
-    magic, version, kind = struct.unpack("<IHH", buf.read(8))
+    magic, version, kind = _unpack(buf, "<IHH")
     if magic != _MAGIC or kind != KIND_LWE_BATCH:
         raise ParameterError("not a serialized LWE batch")
-    (modulus,) = struct.unpack("<Q", buf.read(8))
+    if version != _VERSION:
+        raise ParameterError(f"unsupported serialization version {version}")
+    (modulus,) = _unpack(buf, "<Q")
     a = _read_array(buf)
     b = _read_array(buf)
     if a.shape[0] != b.shape[0]:
@@ -148,7 +160,7 @@ def load_lwe_batch(raw: bytes) -> LweBatch:
 #: Wire tags for compiled-plan steps.
 _STEP_OPAQUE = 0  # layout-only / degraded step: kind string only
 _STEP_LINEAR = 1  # plain linear round: full artifact payload
-_STEP_STUB = 2  # layout-bearing step: recompiled from the program on bind
+_STEP_STUB = 2  # layout-bearing step: CompiledProgram.bind recompiles it
 
 
 def _write_tuning(buf: io.BytesIO, tuning) -> None:
@@ -164,13 +176,13 @@ def _write_tuning(buf: io.BytesIO, tuning) -> None:
 def _read_tuning(buf: io.BytesIO):
     from repro.core.lowering import StepEncodingChoice, TuningConfig
 
-    (count,) = struct.unpack("<H", buf.read(2))
+    (count,) = _unpack(buf, "<H")
     entries = []
     for _ in range(count):
         step_name = _read_str(buf)
         strategy = _read_str(buf)
-        (chunk_raw,) = struct.unpack("<Q", buf.read(8))
-        (bsgs_raw,) = struct.unpack("<Q", buf.read(8))
+        (chunk_raw,) = _unpack(buf, "<Q")
+        (bsgs_raw,) = _unpack(buf, "<Q")
         entries.append((step_name, StepEncodingChoice(
             strategy=strategy,
             chunk=int(chunk_raw) or None,
@@ -191,8 +203,9 @@ def dump_plan(plan) -> bytes:
     packing, fused max trees, pool/remap/residual rounds — are written as
     *stub* markers: their artifacts reference each other (a residual's
     body targets the join layout), so the loader ships the cheap identity
-    and the executor recompiles the full plan from the program on first
-    bind (:meth:`CompiledProgram.needs_upgrade`).
+    and :meth:`CompiledProgram.bind` recompiles the full plan from the
+    program — once, where the plan is bound; every holder keeps the plan
+    ``bind`` returns.
     """
     from repro.core.plan import CompiledLinear, CompiledOpaque
 
@@ -254,20 +267,20 @@ def load_plan(raw: bytes, params: FheParams):
     _check_header(buf, KIND_PLAN, params)
     name = _read_str(buf)
     model_hash = _read_str(buf)
-    (chunk_raw,) = struct.unpack("<Q", buf.read(8))
+    (chunk_raw,) = _unpack(buf, "<Q")
     chunk = int(chunk_raw) or None
     tuning = _read_tuning(buf)
-    (n_steps,) = struct.unpack("<I", buf.read(4))
+    (n_steps,) = _unpack(buf, "<I")
     steps: list = []
     for index in range(n_steps):
-        (tag,) = struct.unpack("<B", buf.read(1))
+        (tag,) = _unpack(buf, "<B")
         step_name = _read_str(buf)
         if tag != _STEP_LINEAR:
             steps.append(CompiledOpaque(index, step_name, _read_str(buf),
                                         stub=tag == _STEP_STUB))
             continue
         op = _read_str(buf)
-        (s2c,) = struct.unpack("<B", buf.read(1))
+        (s2c,) = _unpack(buf, "<B")
         strategy = _read_str(buf)
         choice = tuning.get(step_name) if tuning else None
         step_chunk = chunk
@@ -276,7 +289,7 @@ def load_plan(raw: bytes, params: FheParams):
         positions = _read_array(buf)
         kernel = Plaintext.from_coeffs(_read_array(buf), params)
         kernel.pmult_operand()
-        (has_bias,) = struct.unpack("<B", buf.read(1))
+        (has_bias,) = _unpack(buf, "<B")
         bias = None
         if has_bias:
             bias = Plaintext.from_coeffs(_read_array(buf), params)
@@ -286,7 +299,7 @@ def load_plan(raw: bytes, params: FheParams):
         coeffs = _read_array(buf)
         register_interpolation(values, params.t, coeffs)
         lut = FbsLut(values, params.t, lut_name)
-        (span,) = struct.unpack("<Q", buf.read(8))
+        (span,) = _unpack(buf, "<Q")
         bs = choice.bsgs if choice is not None else None
         steps.append(
             CompiledLinear(

@@ -5,8 +5,6 @@
   :func:`repro.core.program.run_program`.
 - :class:`ExecConfig` / :class:`ParallelMap` — serial/thread/process map
   over independent work items, driven by ``REPRO_EXECUTOR``/``REPRO_WORKERS``.
-- :mod:`repro.perf.bench` — the ``repro bench`` harness emitting
-  ``BENCH_pipeline.json``.
 """
 
 from repro.perf.parallel import ExecConfig, ParallelMap

@@ -2,8 +2,7 @@
 
 :class:`PerfRecorder` accumulates wall-time per named phase plus arbitrary
 op counters. It is attachable to :class:`repro.core.framework.AthenaPipeline`
-and :func:`repro.core.program.run_program`; the ``repro bench`` harness
-serializes its summary into ``BENCH_pipeline.json``.
+and :func:`repro.core.program.run_program`.
 
 Contract: phases opened through :meth:`phase` at the same nesting level are
 disjoint, so their durations sum to (at most) the enclosing wall time; the
@@ -80,7 +79,7 @@ class PerfRecorder:
             self._wall = 0.0
 
     def summary(self) -> dict:
-        """JSON-ready snapshot (the BENCH_pipeline.json record body)."""
+        """JSON-ready snapshot."""
         return {
             "wall_s": round(self.wall_s, 6),
             "phase_s": {k: round(v, 6) for k, v in sorted(self.phase_s.items())},

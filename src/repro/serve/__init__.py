@@ -27,7 +27,7 @@ This package layers that split into a service:
 * **workers** — :class:`WorkerPool`: warm ``(tenant, model)`` sessions
   behind serial/thread/process executors with per-worker key material.
 * **service** — :class:`AthenaService`: the asyncio façade composing all
-  of the above (``repro serve`` / ``repro loadgen`` on the CLI).
+  of the above (``repro serve`` on the CLI).
 """
 
 from repro.serve.api import InferenceRequest, InferenceResult, LayerStats

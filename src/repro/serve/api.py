@@ -13,8 +13,8 @@ peers, and ran). This module is the single place those shapes live:
   lane/batch placement and a per-request timing breakdown.
 * :class:`LayerStats` — the one schema-versioned stats shape every layer
   (scheduler, batch assembler, sessions, worker pool, service) reports
-  through, so loadgen and benches consume a uniform ``to_dict()`` instead
-  of three divergent ad-hoc dicts.
+  through, so every consumer reads a uniform ``to_dict()`` instead of
+  three divergent ad-hoc dicts.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class LayerStats:
     requests that layer fully processed, ``counters`` holds integer/float
     event counts, ``timings`` wall-clock aggregates in seconds, and
     ``detail`` arbitrary nested context (per-tenant maps, nested layer
-    stats). :meth:`to_dict` is the JSON-ready form loadgen and the benches
-    consume; its key set is pinned by ``schema_version``.
+    stats). :meth:`to_dict` is the JSON-ready form; its key set is pinned
+    by ``schema_version``.
     """
 
     layer: str

@@ -101,18 +101,20 @@ class PlanCache:
         the same model never share an artifact — the cache can never serve
         a stale layout for a different encoding config.
 
-        A cached artifact that no longer loads — most commonly a stale wire
-        version left behind by an older build — is treated as a miss and
-        overwritten with a fresh compile, so cache directories survive
-        format bumps without manual cleanup.
+        A cached artifact that no longer loads — a stale wire version left
+        behind by an older build, a truncated file — is treated as a miss
+        and overwritten with a fresh compile, so cache directories survive
+        format bumps without manual cleanup. A hit whose wire form carries
+        stubs is recompiled here by :meth:`CompiledProgram.bind`, and the
+        runnable plan is what callers (and the sharded cache's memory
+        layer) hold.
         """
         path = self.path_for(
             program_fingerprint(program, tuning), params, chunk
         )
         if path.exists():
             try:
-                plan = load_plan(path.read_bytes(), params)
-                plan.bind(program, params)
+                plan = load_plan(path.read_bytes(), params).bind(program, params)
             except ReproError:
                 pass  # stale or corrupt artifact: recompile below
             else:
@@ -192,7 +194,7 @@ class ShardedPlanCache(PlanCache):
         with self._lock:
             plan = self._memory.get(key)
         if plan is not None:
-            plan.bind(program, params)
+            plan = plan.bind(program, params)
             self._record(hit=True)
             return plan
         if self.root is not None:

@@ -107,7 +107,7 @@ class SessionCore:
         start = time.perf_counter()
         with dispatch:
             if plan is not None:
-                plan.bind(program, params)
+                plan = plan.bind(program, params)
             elif cache is not None:
                 plan = cache.get(program, params, chunk, tuning)
             else:

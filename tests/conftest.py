@@ -48,3 +48,19 @@ def fbs_rlk(fbs_ctx, fbs_keys):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def executed_mod_muls():
+    """``run(program, plan, x_q, params) -> (output, counted mod_muls)``."""
+    from repro.core.framework import AthenaPipeline
+    from repro.fhe.backend import CountingBackend, use_backend
+
+    def run(program, plan, x_q, params):
+        pipe = AthenaPipeline(params, seed=41)
+        counting = CountingBackend("batched")
+        with use_backend(counting):
+            out = pipe.run_program(program, x_q, plan=plan)
+        return out, counting.totals()["mod_mul"]
+
+    return run

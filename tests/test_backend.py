@@ -37,7 +37,10 @@ from repro.fhe.backend import (
 from repro.fhe.params import TEST_LOOP
 from repro.fhe.poly import RnsPoly
 from repro.perf import ExecConfig
-from repro.perf.bench import _BLOCK_MIX, mnist_cnn_micro
+from repro.quant.subjects import mnist_cnn_micro
+
+#: RNS op mix of one ResNet-20 residual block, scaled down.
+_BLOCK_MIX = {"mul": 8, "add": 96, "scalar_mul": 96, "automorphism": 16}
 
 
 def _random_poly(rng, params):
@@ -218,7 +221,7 @@ class TestCountingBackend:
 
 
 class TestBlockMixParity:
-    """The resnet20_block bench mix: executed RNS units match the analytic
+    """The ResNet-20 block op mix: executed RNS units match the analytic
     per-op costs *exactly* (no modelling conventions involved)."""
 
     def test_counts_match_mix_analytics(self):

@@ -3,6 +3,16 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.plan import program_fingerprint
+from repro.core.program import lower
+from repro.quant.subjects import SUBJECTS, micro_subject
+
+FINGERPRINTS = {  # as built before the builders moved to repro.quant.subjects
+    "mnist_cnn": "164888c7dba1700917f12e3e06949f4666a01bb490a21b630c0ea872cda062ef",
+    "resnet20_block": "10aa7fb809980e7f53d152e4b804ebdbf7ac9640cf0ec1a4ca1ca5dbc866873f",
+    "serve_micro": "daa6269635bebb867c18a83fdc80b99eb7257ec2725240f92bc7dc98a54ff771",
+    "pack": "cb7fe1e43e88c8ea70801d9a32c404b889c62d842d787340a86066a5a1f24a91",
+}
 
 
 class TestParser:
@@ -44,3 +54,24 @@ class TestParser:
     def test_ablation_command(self, capsys):
         assert main(["ablation", "--model", "mnist_cnn"]) == 0
         assert "no-two-region-dataflow" in capsys.readouterr().out
+
+
+class TestSubjectsTable:
+    def test_fingerprints_are_pinned(self):
+        assert sorted(FINGERPRINTS) == sorted(SUBJECTS)
+        for name, digest in FINGERPRINTS.items():
+            qm, params = micro_subject(name)
+            assert program_fingerprint(lower(qm, params)) == digest, name
+
+    @pytest.mark.parametrize("command", ["compile", "tune", "serve"])
+    def test_model_choices_come_from_the_table(self, command, capsys):
+        parser = build_parser()
+        for name in SUBJECTS:
+            assert parser.parse_args([command, "--model", name]).model == name
+        with pytest.raises(SystemExit, match="2"):
+            parser.parse_args([command, "--model", "no-such-subject"])
+
+    @pytest.mark.parametrize("command", ["bench", "loadgen"])
+    def test_deleted_commands_are_usage_errors(self, command, capsys):
+        with pytest.raises(SystemExit, match="2"):
+            main([command])

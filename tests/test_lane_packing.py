@@ -31,7 +31,7 @@ from repro.fhe.slots import (
     pack_lane_coeffs,
     unpack_lane_coeffs,
 )
-from repro.serve.loadgen import pack_cnn, serve_micro_cnn
+from repro.quant.subjects import pack_cnn, serve_micro_cnn
 
 
 # -- pure lane arithmetic -----------------------------------------------------

@@ -135,6 +135,7 @@ class TestUnsupportedLayer:
 
     def test_cli_surfaces_clean_one_liner(self, capsys, monkeypatch):
         from repro import cli
+        from repro.quant.subjects import SUBJECTS
 
         class Mystery:
             pass
@@ -142,7 +143,7 @@ class TestUnsupportedLayer:
         rng = np.random.default_rng(0)
         qm = QuantizedModel(
             [_conv(rng, 1, 1, 3, 1, 0, 6), Mystery()], CFG, 1.0, (1, 6, 6))
-        monkeypatch.setattr(cli, "_tune_subject", lambda name: qm)
+        monkeypatch.setitem(SUBJECTS, "mnist_cnn", (lambda rng: qm, TEST_LOOP))
         assert cli.main(["tune", "--params", "test-loop"]) == cli.EXIT_FAILURE
         err = capsys.readouterr().err
         assert "repro: error: unsupported layer at layer 1 (Mystery)" in err

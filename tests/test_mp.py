@@ -198,6 +198,25 @@ class TestPlanIntegration:
         raw = dump_plan(plan)
         assert dump_plan(load_plan(raw, TEST_FBS)) == raw
 
+    @pytest.mark.slow
+    def test_allocated_plan_executes_fewer_mod_muls(
+            self, subject, allocation, executed_mod_muls):
+        from repro.core.tune import tune_program
+
+        model, x, _y, config = subject
+
+        def executed(qm, tuning_of):
+            program = lower(qm, TEST_FBS)
+            plan = compile_program(program, TEST_FBS, tuning=tuning_of(program))
+            return executed_mod_muls(
+                program, plan, qm.quantize_input(x[0]), TEST_FBS)[1]
+
+        uniform = executed(quantize_model(model, x, config, name="m"),
+                           lambda program: tune_program(program, TEST_FBS).tuning)
+        allocated = executed(allocation.model,
+                             lambda program: allocation.tuning.tuning)
+        assert allocated < uniform
+
 
 class TestModulusOverflowError:
     def test_validate_t_names_offender(self, subject):

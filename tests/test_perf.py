@@ -1,9 +1,8 @@
-"""PerfRecorder accounting, ParallelMap executors, bench harness, CLI flags,
-deprecation shims, and the chunked parallel five-step path."""
+"""PerfRecorder accounting, ParallelMap executors, CLI flags, the curated
+top-level API, and the chunked parallel five-step path."""
 
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ import repro
 from repro.cli import main
 from repro.errors import ParameterError
 from repro.perf import ExecConfig, ParallelMap, PerfRecorder
-from repro.perf.bench import BENCH_SCHEMA, bench_resnet20_block
 
 
 class TestPerfRecorder:
@@ -115,29 +113,6 @@ class TestParallelMap:
         assert pmap.map(abs, [-1, -2, 3]) == [1, 2, 3]
 
 
-class TestBenchHarness:
-    def test_resnet20_block_record_schema_and_speedup(self):
-        record = bench_resnet20_block(reps=2)
-        assert all(key in record for key in BENCH_SCHEMA)
-        assert record["bench"] == "resnet20_block"
-        assert record["wall_s"] > 0
-        assert record["ops"]["mul"] == 16
-        # `repro bench` targets >= 2x here (measured ~2.4-2.9x); the test
-        # bar is lower only to absorb loaded-CI timing noise.
-        assert record["speedup_vs_serial"] >= 1.5
-
-    @pytest.mark.slow
-    def test_cli_bench_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_pipeline.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        records = json.loads(out.read_text())
-        assert [r["bench"] for r in records] == ["mnist_cnn", "resnet20_block"]
-        for record in records:
-            assert all(key in record for key in BENCH_SCHEMA)
-            assert record["speedup_vs_serial"] is not None
-        assert "speedup" in capsys.readouterr().out
-
-
 class TestCliJsonFlags:
     def test_experiment_json(self, capsys):
         assert main(["experiment", "table8", "--json"]) == 0
@@ -176,7 +151,7 @@ class TestChunkedCiphertextPath:
     def _setup(self):
         from repro.core.program import lower
         from repro.fhe.params import TEST_LOOP
-        from repro.perf.bench import mnist_cnn_micro
+        from repro.quant.subjects import mnist_cnn_micro
 
         rng = np.random.default_rng(5)
         qm = mnist_cnn_micro(rng)

@@ -21,7 +21,7 @@ from repro.core.program import lower
 from repro.errors import ParameterError
 from repro.fhe.params import TEST_LOOP, TEST_SMALL
 from repro.fhe.serialize import dump_plan, load_plan
-from repro.perf.bench import mnist_cnn_micro
+from repro.quant.subjects import mnist_cnn_micro
 from repro.serve import InferenceSession, PlanCache
 
 

@@ -456,7 +456,7 @@ class TestCompiledPlanBitIdentity:
 
     def _setup(self):
         from repro.fhe.params import TEST_LOOP
-        from repro.perf.bench import mnist_cnn_micro
+        from repro.quant.subjects import mnist_cnn_micro
 
         rng = np.random.default_rng(5)
         qm = mnist_cnn_micro(rng)
@@ -485,7 +485,7 @@ class TestCompiledPlanBitIdentity:
         from repro.core.plan import compile_program
         from repro.fhe.params import TEST_LOOP
         from repro.fhe.serialize import dump_plan, load_plan
-        from repro.perf.bench import mnist_cnn_micro
+        from repro.quant.subjects import mnist_cnn_micro
 
         program, x_q = self._setup()
         plan = compile_program(program, TEST_LOOP)

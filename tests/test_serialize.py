@@ -10,6 +10,18 @@ from repro.fhe.lwe import LweBatch
 from repro.fhe.params import TEST_SMALL, TEST_TINY
 
 
+def _assert_every_prefix_rejected(raw, load):
+    """A short read anywhere is a ParameterError, never a struct.error."""
+    for cut in range(len(raw)):
+        with pytest.raises(ParameterError):
+            load(raw[:cut])
+
+
+def _lwe_batch(rng, rows=10):
+    return LweBatch(rng.integers(0, 257, (rows, 16)).astype(np.int64),
+                    rng.integers(0, 257, rows).astype(np.int64), 257)
+
+
 class TestCiphertextRoundtrip:
     def test_roundtrip_decrypts(self, tiny_ctx, tiny_keys, rng):
         sk, pk = tiny_keys
@@ -42,30 +54,36 @@ class TestCiphertextRoundtrip:
         with pytest.raises(ParameterError):
             serialize.load_ciphertext(b"\x00" * 64, TEST_TINY)
 
-    def test_truncation_rejected(self, tiny_ctx, tiny_keys):
-        _, pk = tiny_keys
+    def test_truncation_rejected(self, tiny_ctx, tiny_keys, rng):
+        sk, pk = tiny_keys
         p = tiny_ctx.params
         ct = tiny_ctx.encrypt(Plaintext.from_coeffs([1], p), pk)
-        raw = serialize.dump_ciphertext(ct)
-        with pytest.raises(ParameterError):
-            serialize.load_ciphertext(raw[: len(raw) // 2], p)
+        for raw, load in (
+            (serialize.dump_ciphertext(ct),
+             lambda b: serialize.load_ciphertext(b, p)),
+            (serialize.dump_lwe_batch(_lwe_batch(rng, 3)),
+             serialize.load_lwe_batch),
+            (serialize.dump_secret_key(sk, allow_secret=True),
+             lambda b: serialize.load_secret_key(b, p)),
+        ):
+            _assert_every_prefix_rejected(raw, load)
 
 
 class TestLweBatch:
     def test_roundtrip(self, rng):
-        batch = LweBatch(
-            rng.integers(0, 257, (10, 16)).astype(np.int64),
-            rng.integers(0, 257, 10).astype(np.int64),
-            257,
-        )
+        batch = _lwe_batch(rng)
         back = serialize.load_lwe_batch(serialize.dump_lwe_batch(batch))
         assert np.array_equal(back.a, batch.a)
         assert np.array_equal(back.b, batch.b)
         assert back.modulus == 257
 
-    def test_garbage_rejected(self):
+    def test_garbage_rejected(self, rng):
         with pytest.raises(ParameterError):
             serialize.load_lwe_batch(b"nope nope nope nope nope")
+        raw = bytearray(serialize.dump_lwe_batch(_lwe_batch(rng, 2)))
+        raw[4:6] = (99).to_bytes(2, "little")  # a foreign wire version
+        with pytest.raises(ParameterError, match="version 99"):
+            serialize.load_lwe_batch(bytes(raw))
 
 
 class TestSecretKey:
@@ -108,7 +126,7 @@ class TestPlanWireV3:
     def _micro_program(self):
         from repro.core.program import lower
         from repro.fhe.params import TEST_LOOP
-        from repro.perf.bench import mnist_cnn_micro
+        from repro.quant.subjects import mnist_cnn_micro
 
         return lower(mnist_cnn_micro(np.random.default_rng(5)), TEST_LOOP)
 
@@ -155,7 +173,7 @@ class TestPlanWireV3:
         from repro.core.plan import compile_program
         from repro.core.program import lower
         from repro.fhe.params import TEST_LOOP
-        from repro.perf.bench import resnet_block_micro
+        from repro.quant.subjects import resnet_block_micro
 
         program = lower(
             resnet_block_micro(np.random.default_rng(5)), TEST_LOOP)
@@ -173,12 +191,15 @@ class TestPlanWireV3:
 
     def test_truncated_plan_rejected(self):
         from repro.core.plan import compile_program
+        from repro.core.program import lower
         from repro.fhe.params import TEST_LOOP
+        from repro.quant.subjects import resnet_block_micro
 
-        raw = serialize.dump_plan(
-            compile_program(self._micro_program(), TEST_LOOP))
-        with pytest.raises(ParameterError):
-            serialize.load_plan(raw[: len(raw) // 3], TEST_LOOP)
+        program = lower(  # stub steps and a full linear payload in one plan
+            resnet_block_micro(np.random.default_rng(5)), TEST_LOOP)
+        raw = serialize.dump_plan(compile_program(program, TEST_LOOP))
+        _assert_every_prefix_rejected(
+            raw, lambda b: serialize.load_plan(b, TEST_LOOP))
 
     @pytest.mark.slow
     def test_stub_upgrade_runs_bit_identical(self):
@@ -188,7 +209,7 @@ class TestPlanWireV3:
         from repro.core.plan import compile_program
         from repro.core.program import lower
         from repro.fhe.params import TEST_LOOP
-        from repro.perf.bench import resnet_block_micro
+        from repro.quant.subjects import resnet_block_micro
 
         rng = np.random.default_rng(5)
         qm = resnet_block_micro(rng)

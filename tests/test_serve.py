@@ -38,7 +38,7 @@ from repro.serve import (
     Tenant,
     TenantRegistry,
 )
-from repro.serve.loadgen import pack_cnn, serve_micro_cnn
+from repro.quant.subjects import pack_cnn, resnet_block_micro, serve_micro_cnn
 
 
 def _request(tenant_id: str, model: str = "m") -> InferenceRequest:
@@ -337,7 +337,7 @@ class TestBatchAssembler:
 
 def _loop_program():
     from repro.core.program import lower
-    from repro.perf.bench import mnist_cnn_micro
+    from repro.quant.subjects import mnist_cnn_micro
 
     return lower(mnist_cnn_micro(np.random.default_rng(5)), TEST_LOOP)
 
@@ -373,6 +373,17 @@ class TestCrashSafePersistence:
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == 0.5
         assert cache.stats() == {"hits": 1, "misses": 1, "hit_rate": 0.5}
+
+    def test_truncated_artifact_self_heals(self, tmp_path):
+        program = _loop_program()
+        cache = PlanCache(tmp_path)
+        plan = cache.get(program, TEST_LOOP)
+        path = cache.path_for(plan.model_hash, TEST_LOOP)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:30])
+        assert cache.get(program, TEST_LOOP).model_hash == plan.model_hash
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert path.read_bytes() == whole
 
 
 class TestShardedPlanCache:
@@ -417,6 +428,29 @@ class TestShardedPlanCache:
         chunked = cache.get(program, TEST_LOOP, chunk=16)
         assert unchunked is not chunked
         assert cache.misses == 2
+
+    @pytest.mark.slow
+    def test_restart_on_warm_cache_recompiles_stubs_once(
+            self, tmp_path, monkeypatch):
+        """A disk hit on a stub-bearing plan recompiles in ``get``, once."""
+        rng = np.random.default_rng(5)
+        qm = resnet_block_micro(rng)
+        x = rng.integers(-2, 3, (1, 6, 6))
+        cold = InferenceSession(qm, TEST_LOOP, seed=7, backend="batched",
+                                cache=ShardedPlanCache(tmp_path))
+        want = cold.run(x)
+        cache = ShardedPlanCache(tmp_path)  # a restart: nothing in memory
+        warm = InferenceSession(qm, TEST_LOOP, seed=7, backend="batched", cache=cache)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert not warm.plan.needs_upgrade()
+        assert warm.runtime.batch_capacity == cold.runtime.batch_capacity
+
+        def boom(*a, **k):  # pragma: no cover - fails the test if reached
+            raise AssertionError("a bound plan must not recompile")
+
+        for mod in ("core.plan", "core.framework", "serve.cache"):
+            monkeypatch.setattr(f"repro.{mod}.compile_program", boom)
+        assert np.array_equal(warm.run(x), want)  # a fresh executor per request
 
 
 # -- session core / runtime split --------------------------------------------

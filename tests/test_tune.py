@@ -1,6 +1,6 @@
 """Autotuner contract tests (:mod:`repro.core.tune`).
 
-Three guarantees the bench gate and the plan cache rely on:
+Three guarantees the plan cache and the serving stack rely on:
 
 * the tuned plan's predicted cost is never worse than the default plan's
   (default-first enumeration, strict-improvement comparison);
@@ -26,7 +26,7 @@ from repro.core.tune import (
     tune_program,
 )
 from repro.fhe.params import ATHENA, TEST_LOOP
-from repro.perf.bench import mnist_cnn_micro, resnet_block_micro
+from repro.quant.subjects import mnist_cnn_micro, resnet_block_micro
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ class TestTuneProgram:
                 assert s.saving > 0
 
     def test_micro_model_opts_conv_out_of_global_chunk(self, micro_program):
-        # The headline bench win: the conv round's 32 outputs split into
+        # The headline win: the conv round's 32 outputs split into
         # two tiles under chunk=16, doubling FBS/packing/S2C; the tuner
         # opts it back into a single tile.
         result = tune_program(micro_program, TEST_LOOP, chunk=16)
@@ -118,6 +118,25 @@ class TestTuneProgram:
             assert set(row) >= {"name", "kind", "default", "chosen",
                                 "default_mod_muls", "chosen_mod_muls",
                                 "candidates", "improved"}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("builder, strict", [(mnist_cnn_micro, True), (resnet_block_micro, False)])
+def test_tuned_plan_executes_no_more_mod_muls(builder, strict, executed_mod_muls):
+    """Counted on ciphertexts, not predicted."""
+    qm = builder(np.random.default_rng(5))
+    program = lower(qm, TEST_LOOP)
+    tuning = tune_program(program, TEST_LOOP, chunk=16).tuning
+    x_q = np.random.default_rng(41).integers(-2, 3, qm.input_shape)
+    ref = qm.forward_int(x_q[None])[0].reshape(-1)
+    counts = []
+    # An empty tuning compiles to the default plan: nothing second to run.
+    for choice in [None, tuning] if tuning else [None]:
+        plan = compile_program(program, TEST_LOOP, chunk=16, tuning=choice)
+        out, mod_muls = executed_mod_muls(program, plan, x_q, TEST_LOOP)
+        assert np.abs(out - ref).max() <= 2
+        counts.append(mod_muls)
+    assert counts[-1] < counts[0] or (not strict and counts[-1] == counts[0])
 
 
 class TestDeterminism:
