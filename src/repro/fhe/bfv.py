@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import NoiseBudgetExhausted, ParameterError
+from repro.fhe import rns
 from repro.fhe import slots as slotlib
 from repro.fhe.backend import current_backend
 from repro.fhe.keys import (
@@ -35,10 +38,10 @@ from repro.fhe.keys import (
     SecretKey,
     apply_keyswitch,
 )
-from repro.fhe.ntt import negacyclic_mul_exact
+from repro.fhe.ntt import ntt_forward_rns, ntt_inverse_rns
 from repro.fhe.params import FheParams
 from repro.fhe.poly import RnsPoly
-from repro.utils.modmath import centered_array
+from repro.utils.modmath import centered_array, find_ntt_primes, inv_mod
 from repro.utils.sampling import Sampler
 
 
@@ -128,6 +131,80 @@ class BfvCiphertext:
                 f"estimated noise {self.noise_bits:.1f} bits exceeds "
                 f"Delta/2 = {math.log2(self.params.delta / 2):.1f} bits"
             )
+
+
+class _TensorTables(NamedTuple):
+    """Word-sized constants of :meth:`BfvContext.cmult_tensor` for one ring."""
+
+    aux: tuple[int, ...]  # P
+    both: tuple[int, ...]  # Q u P, Q's limbs first
+    both_col: np.ndarray  # (L+K, 1) the primes of Q u P
+    aux_col: np.ndarray  # (K, 1) the primes of P
+    half: np.ndarray  # (L+K, 1) floor(Q/2) mod each prime of Q u P
+    q_inv: np.ndarray  # (K, 1) Q^-1 mod each prime of P
+
+
+@lru_cache(maxsize=None)
+def _tensor_tables(params: FheParams) -> _TensorTables:
+    """The auxiliary basis P of the RNS tensor and the constants that go with it.
+
+    P is 31-bit NTT primes (so disjoint from the sub-2**30 limbs of Q) with
+    P > 2*t*N*Q + 4, twice what the centred scaled tensor needs — every
+    component is at most t*N*Q/2 + 1 in magnitude. Built on the first CMult
+    of a parameter set; a few KiB.
+    """
+    bound = 2 * params.t * params.n * params.q + 4
+    # Every prime exceeds 2**30, so this many always suffice; keep the
+    # shortest prefix (largest prime first) that does.
+    aux = tuple(find_ntt_primes(bound.bit_length() // 30 + 1, 31, 2 * params.n))
+    while math.prod(aux[:-1]) > bound:
+        aux = aux[:-1]
+    both = params.moduli + aux
+
+    def column(values) -> np.ndarray:
+        col = np.array(values, dtype=np.int64)[:, None]
+        col.setflags(write=False)
+        return col
+
+    return _TensorTables(
+        aux=aux,
+        both=both,
+        both_col=column(both),
+        aux_col=column(aux),
+        half=column([params.q // 2 % p for p in both]),
+        q_inv=column([inv_mod(params.q % p, p) for p in aux]),
+    )
+
+
+def cmult_bounds(params: FheParams) -> dict[str, tuple[int | float, int | float]]:
+    """``name -> (peak, limit)`` for everything the RNS tensor relies on.
+
+    :meth:`BfvContext.cmult_tensor` is exact for ``params`` iff every
+    peak is strictly below its limit. Reads the moduli tables only (no
+    twiddles), so it is cheap at any ring degree.
+    """
+    tb = _tensor_tables(params)
+    aux = tb.aux
+    top = max(tb.both) - 1
+    aux_modulus = rns.rns_modulus(aux)
+    widest = max(len(params.moduli), len(aux))
+    return {
+        # residue * residue, residue * CRT constant, residue * t
+        "product": (top * max(top, params.t), 2**62),
+        # e1's two products; t*e + floor(Q/2); x * inv + folded shift;
+        # base_extend's 2L split-digit (< 2**16) products against its
+        # weights, less overflow * Q and floor(Q/2) mod the target prime
+        "lazy_sum": (
+            max(
+                2 * top * top,
+                top * params.t + top,
+                2 * widest * (top << 16) + widest * top + top,
+            ),
+            2**63,
+        ),
+        "aux_basis": (2 * params.t * params.n * params.q + 4, aux_modulus),
+        "overflow_estimate": (rns.overflow_estimate_error(widest), rns.V_AMBIGUITY),
+    }
 
 
 class BfvContext:
@@ -283,51 +360,72 @@ class BfvContext:
     def cmult_tensor(
         self, a: BfvCiphertext, b: BfvCiphertext
     ) -> tuple[RnsPoly, RnsPoly, RnsPoly, float]:
-        """The tensor half of CMult: exact degree-2 product, scaled by t/Q.
+        """The tensor half of CMult, in word-sized RNS.
 
-        Returns (r0, r1, r2, noise_bits) — the three scaled components
-        before relinearization. Deliberately dispatch-free (exact
-        aux-basis products and CRT lifts only, no backend calls), so the
-        fused :meth:`~repro.fhe.backend.Backend.giant_step_batch` can run
-        it for every pair and then batch all the keyswitches.
+        Returns (r0, r1, r2, noise_bits): the scaled components
+        ``round(t * e / Q) mod Q`` for e = (a0*b0, a0*b1 + a1*b0, a1*b1)
+        over the centred integer lifts, before relinearization. Exact —
+        bit-identical to tensoring over Python integers — and dispatch-free
+        (module-level transforms and :func:`repro.fhe.rns.base_extend` only,
+        no backend calls), so the fused
+        :meth:`~repro.fhe.backend.Backend.giant_step_batch` can run it for
+        every pair and then count or batch the keyswitches.
+
+        The operands are extended exactly from Q to an auxiliary NTT basis P
+        (:func:`_tensor_tables`) wide enough to hold the scaled result,
+        multiplied in the NTT domain over Q u P, and brought back; with
+        y = t*e + floor(Q/2), ``floor(y / Q) = (y - [y]_Q) / Q`` is
+        computed modulo each prime of P from the exact extension of
+        [y]_Q, then converted P -> Q centred. :func:`cmult_bounds` states
+        the overflow and precision bounds this relies on.
         """
-        a0 = a.c0.to_int_coeffs()
-        a1 = a.c1.to_int_coeffs()
-        b0 = b.c0.to_int_coeffs()
-        b1 = b.c1.to_int_coeffs()
-        e0 = negacyclic_mul_exact(a0, b0)
-        e1a = negacyclic_mul_exact(a0, b1)
-        e1b = negacyclic_mul_exact(a1, b0)
-        e2 = negacyclic_mul_exact(a1, b1)
-        e1 = [x + y for x, y in zip(e1a, e1b)]
-        r0 = self._scale_round(e0)
-        r1 = self._scale_round(e1)
-        r2 = self._scale_round(e2)
+        params = self.params
+        if a.params != params or b.params != params:
+            raise ParameterError("ring mismatch between operands")
+        moduli = params.moduli
+        tb = _tensor_tables(params)
+        num_limbs = len(moduli)
+        ops = [a.c0.data, a.c1.data]
+        if b is not a:  # a square extends and transforms its operand once
+            ops += [b.c0.data, b.c1.data]
+        ops = np.stack(ops)
+        # (2 or 4, L+K, N): every operand component, one forward pass.
+        f = ntt_forward_rns(
+            np.concatenate(
+                [ops, rns.base_extend(ops, moduli, tb.aux, centered=True)], axis=-2
+            ),
+            tb.both,
+        )
+        a0, a1, b0, b1 = f[0], f[1], f[-2], f[-1]
+        e = np.empty((3,) + f.shape[1:], dtype=np.int64)
+        # Left unreduced for the inverse transform's own reduction: each
+        # product is < 2**62, and the two summed for e1 stay below 2**63.
+        np.multiply(a0, b0, out=e[0])
+        np.multiply(a0, b1, out=e[1])
+        e[1] += a1 * b0
+        np.multiply(a1, b1, out=e[2])
+        y = (ntt_inverse_rns(e, tb.both) * params.t + tb.half) % tb.both_col
+        y_mod_q = rns.base_extend(y[:, :num_limbs], moduli, tb.aux)
+        scaled = (y[:, num_limbs:] - y_mod_q) * tb.q_inv % tb.aux_col
+        r0, r1, r2 = rns.base_extend(scaled, tb.aux, moduli, centered=True)
         noise = max(a.noise_bits, b.noise_bits) + self._log_nt
-        return r0, r1, r2, noise
+        return RnsPoly(r0, moduli), RnsPoly(r1, moduli), RnsPoly(r2, moduli), noise
 
     def cmult(
         self, a: BfvCiphertext, b: BfvCiphertext, rlk: KeySwitchKey
     ) -> BfvCiphertext:
         """Ciphertext-ciphertext multiplication with relinearization.
 
-        Tensor the ciphertexts exactly over the integers (centered lifts),
-        scale each component by t/Q with rounding, then fold the quadratic
-        term back to degree one with the relinearization key.
+        Tensor the ciphertexts (exactly the product of the centred integer
+        lifts, computed in RNS by :meth:`cmult_tensor`), scale each
+        component by t/Q with rounding, then fold the quadratic term back to
+        degree one with the relinearization key.
         """
         p = a.params
         current_backend().record("cmult")
         r0, r1, r2, noise = self.cmult_tensor(a, b)
         d0, d1 = apply_keyswitch(r2, rlk)
         return BfvCiphertext(r0 + d0, r1 + d1, p, noise)
-
-    def _scale_round(self, coeffs: list[int]) -> RnsPoly:
-        """round(t * x / Q) mod Q, coefficient-wise on exact integers."""
-        p = self.params
-        q = p.q
-        arr = np.asarray(coeffs, dtype=object)
-        scaled = (arr * (p.t * 2) + q) // (2 * q)
-        return RnsPoly.from_int_coeffs(scaled, p.moduli)
 
     def square(self, ct: BfvCiphertext, rlk: KeySwitchKey) -> BfvCiphertext:
         return self.cmult(ct, ct, rlk)
@@ -381,13 +479,9 @@ class BfvContext:
         """Measured noise: log2 of max |c0 + c1*s - Delta*m| over coefficients."""
         p = self.params
         phase = ct.c0 + ct.c1 * sk.poly
-        coeffs = phase.to_int_coeffs(centered=False)
+        coeffs = rns.from_rns_object(phase.data, p.moduli)
         q = p.q
-        worst = 0
-        for v in coeffs:
-            m = ((v * p.t + q // 2) // q) % p.t
-            residual = (v - p.delta * m) % q
-            if residual > q // 2:
-                residual -= q
-            worst = max(worst, abs(residual))
+        m = ((coeffs * p.t + q // 2) // q) % p.t
+        residual = (coeffs - p.delta * m) % q
+        worst = int(np.abs(np.where(residual > q // 2, residual - q, residual)).max())
         return math.log2(worst) if worst else 0.0

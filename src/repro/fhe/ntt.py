@@ -12,9 +12,10 @@ separate pre/post scaling pass is needed.
 
 :func:`negacyclic_mul_exact` provides an arbitrary-precision multiplier
 (the same transforms over an auxiliary basis of 31-bit NTT primes wide
-enough for an exact centered CRT lift) used to verify the NTT path and to
-implement BFV ciphertext multiplication, which needs the exact integer
-product before scale-and-round.
+enough for an exact centered CRT lift) used to verify the NTT path, by the
+CKKS baseline and the encoding checks, and as the tests' oracle for BFV
+ciphertext multiplication — which works over the same auxiliary primes but
+never leaves int64 (:meth:`repro.fhe.bfv.BfvContext.cmult_tensor`).
 """
 
 from __future__ import annotations

@@ -3,14 +3,19 @@
 A ring element modulo Q = p_0 * p_1 * ... * p_{L-1} is stored as an (L, N)
 int64 matrix of residues. CRT lift/lower conversions go through Python big
 integers (exact); they are only needed at the "seams" — decryption rounding,
-ciphertext multiplication, modulus switching, and gadget decomposition — so
-their O(N*L) big-int cost is acceptable at test-scale parameters.
+modulus switching, and gadget decomposition — so their O(N*L) big-int cost
+is acceptable at test-scale parameters.
+
+Ciphertext multiplication is not one of those seams: it changes basis with
+:func:`base_extend`, which stays on int64 arrays and is exact all the same
+(the CRT overflow count is estimated in float64 and recomputed with Python
+ints only where the estimate is too close to an integer to trust).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,6 +93,130 @@ def from_rns_centered(residues: np.ndarray, moduli: tuple[int, ...]) -> list[int
     half = q // 2
     lifted = from_rns_object(residues, moduli)
     return np.where(lifted > half, lifted - q, lifted).tolist()
+
+
+#: Half-width of the band around every integer inside which the float64
+#: estimate of a CRT overflow count is not trusted and :func:`base_extend`
+#: recomputes it exactly. Must exceed :func:`overflow_estimate_error` for the
+#: limb counts in use; 2**-30 does up to thousands of limbs and sends about
+#: one coefficient in 2**29 down the exact route.
+V_AMBIGUITY = 2.0**-30
+
+#: :func:`base_extend` splits each CRT digit at this bit so that a whole
+#: limb axis of digit * weight products sums in int64 without reduction.
+_SPLIT_BITS = 15
+
+
+def overflow_estimate_error(num_limbs: int) -> float:
+    """Bound on |float64 estimate - sum_i xi_i / p_i| over ``num_limbs`` limbs.
+
+    Each term is ``xi_i * fl(1 / p_i)`` — two roundings — and then passes
+    through at most ``num_limbs - 1`` additions, in whatever order numpy
+    sums: a relative error below ``(num_limbs + 2) * 2**-53`` on a term
+    that is below 1.
+    """
+    return num_limbs * (num_limbs + 2) * 2.0**-53
+
+
+class _ExtensionTables(NamedTuple):
+    """Word-sized constants of one ``src`` -> ``dst`` base conversion."""
+
+    src: np.ndarray  # (L, 1) source primes
+    dst: np.ndarray  # (K, 1) target primes
+    inv: np.ndarray  # (L, 1) (Q/p_i)^-1 mod p_i
+    half_inv: np.ndarray  # (L, 1) floor(Q/2) * inv mod p_i
+    recip: np.ndarray  # (L, 1) float64 1 / p_i
+    weights: np.ndarray  # (K, 2L) [(Q/p_i) << _SPLIT_BITS | Q/p_i] mod dst_j
+    q_mod: np.ndarray  # (K, 1) Q mod dst_j
+    half_mod: np.ndarray  # (K, 1) floor(Q/2) mod dst_j
+
+
+@lru_cache(maxsize=None)
+def _extension_tables(
+    src: tuple[int, ...], dst: tuple[int, ...]
+) -> _ExtensionTables:
+    q, partials, inverses = _crt_constants(src)
+    half = q // 2
+
+    def column(values, dtype=np.int64) -> np.ndarray:
+        col = np.array(values, dtype=dtype)[:, None]
+        col.setflags(write=False)
+        return col
+
+    weights = np.array(
+        [
+            [(part << _SPLIT_BITS) % p for part in partials]
+            + [part % p for part in partials]
+            for p in dst
+        ],
+        dtype=np.int64,
+    )
+    weights.setflags(write=False)
+    return _ExtensionTables(
+        src=column(src),
+        dst=column(dst),
+        inv=column(inverses),
+        half_inv=column([half * inv % p for inv, p in zip(inverses, src)]),
+        recip=column([1.0 / p for p in src], np.float64),
+        weights=weights,
+        q_mod=column([q % p for p in dst]),
+        half_mod=column([half % p for p in dst]),
+    )
+
+
+def _exact_overflow(digits: np.ndarray, src: tuple[int, ...]) -> int:
+    """floor(sum_i xi_i / p_i) for one coefficient's (L,) CRT digits, exactly."""
+    q, partials, _ = _crt_constants(src)
+    return sum(int(d) * part for d, part in zip(digits, partials)) // q
+
+
+def base_extend(
+    residues: np.ndarray,
+    src: tuple[int, ...],
+    dst: tuple[int, ...],
+    centered: bool = False,
+) -> np.ndarray:
+    """Exact change of RNS basis on int64 arrays: (..., L, N) -> (..., K, N).
+
+    Row j of the result is ``x mod dst[j]``, where x is the CRT lift of
+    ``residues`` over ``src`` into [0, Q) — or, with ``centered``, into
+    [-(Q-1)/2, (Q-1)/2], the interval :func:`from_rns_centered` lifts to.
+    Primes on both sides must be below 2**31 and Q odd.
+
+    With xi_i = [x_i * (Q/p_i)^-1] mod p_i the lift is
+    ``sum_i xi_i * (Q/p_i) - v * Q`` for the overflow count
+    ``v = floor(sum_i xi_i / p_i)``. The sum of fractions is taken in
+    float64; its error is below :func:`overflow_estimate_error`, so its
+    floor is v whenever it lies at least :data:`V_AMBIGUITY` from an
+    integer. The few coefficients where it does not — x within about
+    Q * 2**-30 of 0 or Q — get v from Python integers instead, so the
+    result is exact for every input. A centred lift is the plain lift of
+    ``x + floor(Q/2)`` shifted back: zeros and small values of either sign,
+    the common case, then sit mid-interval rather than on the ambiguous
+    edge.
+    """
+    tb = _extension_tables(src, dst)
+    xi = residues * tb.inv  # < 2**62
+    if centered:
+        xi += tb.half_inv  # the folded shift: still < 2**63
+    xi %= tb.src
+    estimate = (xi * tb.recip).sum(axis=-2)
+    overflow = np.floor(estimate)
+    frac = estimate - overflow
+    overflow = overflow.astype(np.int64)
+    doubtful = (frac < V_AMBIGUITY) | (frac > 1.0 - V_AMBIGUITY)
+    for index in zip(*np.nonzero(doubtful)):
+        digits = xi[index[:-1] + (slice(None), index[-1])]
+        overflow[index] = _exact_overflow(digits, src)
+    # Halves are < 2**16 and weights < 2**31: 2L products sum far below 2**63.
+    halves = np.concatenate(
+        [xi >> _SPLIT_BITS, xi & ((1 << _SPLIT_BITS) - 1)], axis=-2
+    )
+    out = np.matmul(tb.weights, halves)
+    out -= overflow[..., None, :] * tb.q_mod
+    if centered:
+        out -= tb.half_mod
+    return out % tb.dst
 
 
 def rns_modulus(moduli: tuple[int, ...]) -> int:

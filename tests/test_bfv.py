@@ -1,5 +1,7 @@
 """Tests for the BFV scheme: encryption, homomorphic ops, slots, Galois."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,30 @@ class TestHomomorphicOps:
             sk,
         )
         assert after > before
+
+    def test_true_noise_matches_coefficient_loop(self, small_ctx, small_keys, rng):
+        """The vectorised measurement equals the per-coefficient definition,
+        on a fresh, a multiplied and a transparent ciphertext."""
+        sk, pk = small_keys
+        p = small_ctx.params
+        q = p.q
+
+        def by_loop(ct):
+            phase = ct.c0 + ct.c1 * sk.poly
+            worst = 0
+            for v in phase.to_int_coeffs(centered=False):
+                m = ((v * p.t + q // 2) // q) % p.t
+                residual = (v - p.delta * m) % q
+                if residual > q // 2:
+                    residual -= q
+                worst = max(worst, abs(residual))
+            return math.log2(worst) if worst else 0.0
+
+        ct = small_ctx.encrypt(Plaintext.from_coeffs(rng.integers(0, p.t, p.n), p), pk)
+        squared = small_ctx.square(ct, small_ctx.relin_key(sk))
+        for subject in (ct, squared, small_ctx.encrypt_zero()):
+            assert small_ctx.true_noise_bits(subject, sk) == by_loop(subject)
+        assert small_ctx.true_noise_bits(small_ctx.encrypt_zero(), sk) == 0.0
 
 
 class TestGaloisAndRotations:
