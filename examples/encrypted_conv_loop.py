@@ -20,8 +20,9 @@ from repro.core.encoding import (
     encode_kernels,
     valid_output_positions,
 )
-from repro.core.framework import AthenaPipeline, LoopCost
+from repro.core.framework import AthenaPipeline
 from repro.core.lut import remap_lut
+from repro.fhe.backend import CountingBackend, use_backend
 from repro.fhe.params import TEST_LOOP
 
 
@@ -43,13 +44,15 @@ def main() -> None:
     lut = remap_lut(multiplier=0.25, activation="relu", a_max=63, t=params.t)
 
     ct = pipe.encrypt_coeffs(features)
-    cost = LoopCost()
+    counting = CountingBackend()
     t0 = time.time()
-    out = pipe.loop(ct, kernels, lut, positions, cost)
+    with use_backend(counting):
+        out = pipe.loop(ct, kernels, lut, positions)
+    ops = counting.ops_by_phase()
     print(
         f"five-step loop: {time.time() - t0:.1f}s "
-        f"(PMult={cost.pmult}, extractions={cost.extractions}, "
-        f"FBS SMult={cost.fbs.smult}, CMult={cost.fbs.cmult})"
+        f"(PMult={ops['linear']['pmult']}, extractions={ops['se']['extract']}, "
+        f"FBS SMult={ops['fbs']['smult']}, CMult={ops['fbs_giant']['cmult']})"
     )
 
     decrypted = pipe.decrypt_coeffs(out)[: positions.shape[0]]

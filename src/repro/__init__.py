@@ -6,13 +6,13 @@ Subpackages:
 * :mod:`repro.quant` — quantized CNN training/inference framework
 * :mod:`repro.data` — synthetic dataset generators
 * :mod:`repro.core` — the Athena five-step inference framework
-* :mod:`repro.perf` — perf counters, parallel executors
+* :mod:`repro.perf` — executor configuration, parallel map
 * :mod:`repro.serve` — warm inference sessions + on-disk plan cache
 * :mod:`repro.accel` — cycle-level accelerator simulator and baselines
 * :mod:`repro.eval` — per-table / per-figure experiment drivers
 
 The curated top-level surface (``repro.lower``, ``repro.run_program``,
-``repro.AthenaPipeline``, ``repro.FbsLut``, ``repro.PerfRecorder``, ...) is
+``repro.AthenaPipeline``, ``repro.FbsLut``, ``repro.ExecConfig``, ...) is
 re-exported lazily (PEP 562) so that ``import repro`` stays free of the
 numpy-heavy submodule imports until a symbol is actually touched.
 """
@@ -32,7 +32,6 @@ _EXPORTS = {
     "InferenceResult": ("repro.serve", "InferenceResult"),
     "InferenceSession": ("repro.serve", "InferenceSession"),
     "ParallelMap": ("repro.perf", "ParallelMap"),
-    "PerfRecorder": ("repro.perf", "PerfRecorder"),
     "PlanCache": ("repro.serve", "PlanCache"),
     "SessionCore": ("repro.serve", "SessionCore"),
     "SessionRuntime": ("repro.serve", "SessionRuntime"),

@@ -437,6 +437,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "mode": "executed",
         "backend": counting.rns_name,
         "comparison": comparison,
+        "phase_s": counting.summary()["phase_s"],
     }
     lines = [f"{qm.name} @ {params.name} (executed [{counting.rns_name}] "
              f"vs analytical)"]
@@ -444,6 +445,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         ratio = "n/a" if row["ratio"] is None else f"{row['ratio']:.3f}"
         lines.append(f"  {prim:<10} executed {row['executed']:>14.0f}  "
                      f"analytical {row['analytical']:>14.0f}  ratio {ratio}")
+    lines.append("  seconds    " + "  ".join(
+        f"{phase} {seconds:.3f}" for phase, seconds in payload["phase_s"].items()))
     _emit(args, "\n".join(lines) + "\n", payload)
     return EXIT_OK
 

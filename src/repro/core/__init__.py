@@ -8,7 +8,7 @@ from repro.core.encoding import (
     cheetah_plan,
     conv_via_coefficients,
 )
-from repro.core.framework import AthenaPipeline, CiphertextExecutor, LoopCost
+from repro.core.framework import AthenaPipeline, CiphertextExecutor
 from repro.core.keyinventory import build_inventory, summarize as key_summary
 from repro.core.inference import (
     AthenaNoiseModel,
@@ -41,7 +41,6 @@ __all__ = [
     "EncodingPlan",
     "InferenceStats",
     "LinearStep",
-    "LoopCost",
     "LutSpec",
     "PlainIntExecutor",
     "PoolStep",

@@ -20,7 +20,6 @@ enough modulus for one full FBS depth (see ``TEST_LOOP`` in params).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -50,42 +49,16 @@ from repro.errors import ParameterError
 from repro.fhe import lwe as lwelib
 from repro.fhe.backend import Backend, current_backend, get_backend, use_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
-from repro.fhe.fbs import FbsCost, FbsLut, FbsPlan, fbs_evaluate
+from repro.fhe.fbs import FbsLut, FbsPlan, fbs_evaluate
 from repro.fhe.packing import PackingKey, pack_lwe
 from repro.fhe.params import FheParams
 from repro.fhe.s2c import S2CKey, S2CPlan, slot_to_coeff
-from repro.perf import ParallelMap, PerfRecorder
+from repro.perf import ParallelMap
 from repro.utils.sampling import Sampler
-
-
-@dataclass
-class LoopCost:
-    """Operation counts of one full Athena loop (drives the trace model)."""
-
-    pmult: int = 0
-    hadd: int = 0
-    extractions: int = 0
-    fbs: FbsCost = field(default_factory=FbsCost)
-
-    def merge(self, other: "LoopCost") -> None:
-        """Fold another loop's counts in (chunked tiles count privately,
-        then merge, so parallel tiles never race on shared counters)."""
-        self.pmult += other.pmult
-        self.hadd += other.hadd
-        self.extractions += other.extractions
-        self.fbs.smult += other.fbs.smult
-        self.fbs.hadd += other.fbs.hadd
-        self.fbs.cmult += other.fbs.cmult
 
 
 class AthenaPipeline:
     """All keys + the five-step loop for one parameter set.
-
-    A :class:`~repro.perf.PerfRecorder` may be attached (constructor or
-    :meth:`attach_perf`); the five-step phases are then timed under the
-    canonical names ``pmult`` / ``mod_switch`` / ``extract`` / ``pack`` /
-    ``fbs`` / ``s2c``, which are pairwise disjoint code regions, so their
-    recorded durations sum to at most the run wall time.
 
     A :class:`repro.fhe.backend.Backend` (or backend name) may be bound at
     construction; every pipeline entry point then installs it as the
@@ -94,9 +67,12 @@ class AthenaPipeline:
     so op counting and batched/serial selection follow the pipeline rather
     than whatever the ambient context happens to be. Without one, the
     ambient :func:`current_backend` (contextvar, then ``REPRO_BACKEND``,
-    then batched) applies. Op *counts* are no longer tallied here: wrap the
-    pipeline's backend in a :class:`repro.fhe.backend.CountingBackend` to
-    observe every primitive actually dispatched.
+    then batched) applies.
+
+    The pipeline keeps no counters and no clocks. Every step runs inside a
+    backend phase (``linear`` / ``se`` / ``packing`` / ``fbs`` / ``s2c``);
+    bind or install a :class:`repro.fhe.backend.CountingBackend` to get
+    every primitive actually dispatched, and the seconds spent, per phase.
     """
 
     def __init__(
@@ -104,11 +80,9 @@ class AthenaPipeline:
         params: FheParams,
         seed: int = 0,
         ks_base_bits: int = 7,
-        perf: PerfRecorder | None = None,
         backend: Backend | str | None = None,
     ):
         self.params = params
-        self.perf = perf
         self.backend = get_backend(backend) if backend is not None else None
         with self._dispatch(), current_backend().phase("keygen"):
             self.ctx = BfvContext(params, seed=seed)
@@ -132,15 +106,6 @@ class AthenaPipeline:
             for gk in self.s2c_key.rotation_keys.values():
                 gk.warm()
 
-    # -- instrumentation -----------------------------------------------------
-
-    def attach_perf(self, perf: PerfRecorder | None) -> None:
-        """Attach (or detach with ``None``) a phase-time recorder."""
-        self.perf = perf
-
-    def _phase(self, name: str):
-        return self.perf.phase(name) if self.perf is not None else nullcontext()
-
     def _dispatch(self):
         """Install the pipeline's backend as the context-active one."""
         return use_backend(self.backend) if self.backend is not None else nullcontext()
@@ -158,78 +123,50 @@ class AthenaPipeline:
 
     # -- Step 1: linear layer ---------------------------------------------------
 
-    def linear(
-        self,
-        ct: BfvCiphertext,
-        kernel: np.ndarray | Plaintext,
-        cost: LoopCost | None = None,
-    ) -> BfvCiphertext:
+    def linear(self, ct: BfvCiphertext, kernel: np.ndarray | Plaintext) -> BfvCiphertext:
         """Coefficient-encoded convolution/FC: one plaintext multiplication.
 
         ``kernel`` may be a raw coefficient array or a pre-encoded
         :class:`Plaintext` (a compile-time artifact whose NTT operand form
         is already cached — see :mod:`repro.core.plan`).
         """
-        with self._dispatch(), current_backend().phase("linear"), self._phase("pmult"):
+        with self._dispatch(), current_backend().phase("linear"):
             if not isinstance(kernel, Plaintext):
                 kernel = Plaintext.from_coeffs(kernel, self.params)
-            out = self.ctx.pmult(ct, kernel)
-        if cost:
-            cost.pmult += 1
-        return out
+            return self.ctx.pmult(ct, kernel)
 
-    def accumulate(self, cts: list[BfvCiphertext], cost: LoopCost | None = None) -> BfvCiphertext:
+    def accumulate(self, cts: list[BfvCiphertext]) -> BfvCiphertext:
         with self._dispatch(), current_backend().phase("linear"):
             acc = cts[0]
             for ct in cts[1:]:
                 acc = self.ctx.add(acc, ct)
-                if cost:
-                    cost.hadd += 1
         return acc
 
     # -- Steps 2-3: noise control + conversion -------------------------------------
 
     def refresh_to_lwe(
-        self,
-        ct: BfvCiphertext,
-        positions: np.ndarray | None = None,
-        cost: LoopCost | None = None,
+        self, ct: BfvCiphertext, positions: np.ndarray | None = None
     ) -> lwelib.LweBatch:
         """Modulus switch, extract the valid coefficients, switch dimension
         and modulus down to t. Resulting messages sit at Delta = 1."""
         with self._dispatch():
-            with self._phase("mod_switch"):
-                small = lwelib.rlwe_mod_switch(ct, self.params.lwe_q)
-            with self._phase("extract"):
-                batch = lwelib.sample_extract(small, positions)
-                switched = lwelib.keyswitch(batch, self.lwe_ksk)
-                out = lwelib.lwe_mod_switch(switched, self.params.t)
-        if cost:
-            cost.extractions += batch.count
-        return out
+            small = lwelib.rlwe_mod_switch(ct, self.params.lwe_q)
+            batch = lwelib.sample_extract(small, positions)
+            switched = lwelib.keyswitch(batch, self.lwe_ksk)
+            return lwelib.lwe_mod_switch(switched, self.params.t)
 
     # -- Steps 4-5: packing + FBS ---------------------------------------------------
 
     def bootstrap(
-        self,
-        batch: lwelib.LweBatch,
-        lut: FbsLut,
-        cost: LoopCost | None = None,
-        plan: FbsPlan | None = None,
+        self, batch: lwelib.LweBatch, lut: FbsLut, plan: FbsPlan | None = None
     ) -> BfvCiphertext:
         """Pack LWE ciphertexts into slots and evaluate the LUT polynomial.
 
         ``plan`` supplies a precomputed BSGS schedule; the op sequence (and
         result) is identical with or without it."""
         with self._dispatch():
-            with self._phase("pack"):
-                packed = pack_lwe(self.ctx, batch, self.packing_key)
-            with self._phase("fbs"):
-                out = fbs_evaluate(
-                    self.ctx, packed, lut, self.rlk, cost.fbs if cost else None,
-                    plan=plan,
-                )
-        return out
+            packed = pack_lwe(self.ctx, batch, self.packing_key)
+            return fbs_evaluate(self.ctx, packed, lut, self.rlk, plan=plan)
 
     # -- loop closure -------------------------------------------------------------
 
@@ -237,9 +174,8 @@ class AthenaPipeline:
         self, ct: BfvCiphertext, plan: S2CPlan | None = None
     ) -> BfvCiphertext:
         """S2C: prepare the FBS output for the next coefficient-encoded layer."""
-        with self._dispatch(), self._phase("s2c"):
-            out = slot_to_coeff(self.ctx, ct, self.s2c_key, plan=plan)
-        return out
+        with self._dispatch():
+            return slot_to_coeff(self.ctx, ct, self.s2c_key, plan=plan)
 
     def loop(
         self,
@@ -247,15 +183,14 @@ class AthenaPipeline:
         kernel_coeffs: np.ndarray,
         lut: FbsLut,
         positions: np.ndarray,
-        cost: LoopCost | None = None,
         s2c: bool = True,
     ) -> BfvCiphertext:
         """One complete five-step round: Conv -> refresh -> FBS [-> S2C]."""
         if positions.shape[0] > self.params.n:
             raise ParameterError("more outputs than slots")
-        out = self.linear(ct, kernel_coeffs, cost)
-        batch = self.refresh_to_lwe(out, positions, cost)
-        boot = self.bootstrap(batch, lut, cost)
+        out = self.linear(ct, kernel_coeffs)
+        batch = self.refresh_to_lwe(out, positions)
+        boot = self.bootstrap(batch, lut)
         return self.to_coeffs(boot) if s2c else boot
 
     # -- lowered-program driver ------------------------------------------------
@@ -264,7 +199,6 @@ class AthenaPipeline:
         self,
         program: AthenaProgram,
         x_q: np.ndarray,
-        cost: LoopCost | None = None,
         chunk: int | None = None,
         pmap: ParallelMap | None = None,
         plan: CompiledProgram | None = None,
@@ -282,30 +216,21 @@ class AthenaPipeline:
         With ``plan`` (a :class:`repro.core.plan.CompiledProgram`) the run
         reuses compile-time artifacts and performs ciphertext ops only —
         the warm-session path of :class:`repro.serve.InferenceSession`.
-        Without one, the program is compiled here, *inside* the timed span,
-        under the ``compile`` perf phase — so a cold run's wall time
+        Without one, the program is compiled here, inside the call (under
+        the backend's ``compile`` phase) — so a cold run's wall time
         honestly includes the compile work a warm run skips. Either way the
         homomorphic op sequence is identical, so outputs are bit-for-bit
         equal. Returns the centered integer outputs — comparable, up to FHE
         noise, with ``QuantizedModel.forward_int`` on the same program.
+
+        This is the one-lane call of :meth:`run_batch`'s body.
         """
-        span = self.perf.run() if self.perf is not None else nullcontext()
-        with self._dispatch():
-            with span:
-                ex = CiphertextExecutor(
-                    self, program, cost, chunk=chunk, pmap=pmap, plan=plan
-                )
-                ct = _run_steps(program, ex, np.asarray(x_q, dtype=np.int64))
-            raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)
-        vals = raw[: ex.out_count]
-        t = self.params.t
-        return np.where(vals > t // 2, vals - t, vals)
+        return self._run_lanes(program, [x_q], chunk, pmap, plan)[0]
 
     def run_batch(
         self,
         program: AthenaProgram,
         xs: list[np.ndarray],
-        cost: LoopCost | None = None,
         pmap: ParallelMap | None = None,
         plan: CompiledProgram | None = None,
     ) -> list[np.ndarray]:
@@ -316,20 +241,21 @@ class AthenaPipeline:
         pays for one PMult, one refresh chain, one pack + FBS, and one S2C
         per layer — the amortization Eq. 1's spare coefficient space buys.
         Lane count is bounded by ``plan.batch_capacity``. With one input
-        this degenerates to exactly the :meth:`run_program` op sequence.
+        this is exactly the :meth:`run_program` op sequence.
         Returns the centered integer outputs, one array per input, in order.
         """
-        xs = [np.asarray(x, dtype=np.int64) for x in xs]
         if not xs:
             return []
-        span = self.perf.run() if self.perf is not None else nullcontext()
+        return self._run_lanes(program, xs, None, pmap, plan)
+
+    def _run_lanes(self, program, xs, chunk, pmap, plan) -> list[np.ndarray]:
+        """The one execution body: ``len(xs)`` lanes through one ciphertext."""
+        xs = [np.asarray(x, dtype=np.int64) for x in xs]
         with self._dispatch():
-            with span:
-                ex = CiphertextExecutor(
-                    self, program, cost, pmap=pmap, plan=plan, lanes=len(xs)
-                )
-                value = xs[0] if len(xs) == 1 else np.stack(xs)
-                ct = _run_steps(program, ex, value)
+            ex = CiphertextExecutor(
+                self, program, chunk=chunk, pmap=pmap, plan=plan, lanes=len(xs)
+            )
+            ct = _run_steps(program, ex, xs[0] if len(xs) == 1 else np.stack(xs))
             raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)
         t = self.params.t
         outs = []
@@ -345,9 +271,9 @@ class CiphertextExecutor(ProgramExecutor):
     The flowing value is a BFV ciphertext. All request-invariant work —
     kernel/bias encoding, LUT interpolation and BSGS scheduling, S2C
     diagonals, tile layouts — lives in the :class:`CompiledProgram`
-    (compiled at construction under the ``compile`` perf phase when not
-    supplied), so each :meth:`linear` call performs only encrypt (first
-    step), PMult, refresh, pack, FBS, and S2C on the request's data. Plan
+    (compiled at construction when not supplied), so each :meth:`linear`
+    call performs only encrypt (first step), PMult, refresh, pack, FBS,
+    and S2C on the request's data. Plan
     artifacts are resolved by *step index*, never by object identity, so a
     deserialized plan drives any equivalent re-lowered program.
 
@@ -382,7 +308,6 @@ class CiphertextExecutor(ProgramExecutor):
         self,
         pipe: AthenaPipeline,
         program: AthenaProgram,
-        cost: LoopCost | None = None,
         chunk: int | None = None,
         pmap: ParallelMap | None = None,
         plan: CompiledProgram | None = None,
@@ -394,10 +319,9 @@ class CiphertextExecutor(ProgramExecutor):
             raise ParameterError(f"need at least one lane, got {lanes}")
         self.pipe = pipe
         self.program = program
-        self.cost = cost
         self.pmap = pmap if pmap is not None else ParallelMap()
         if plan is None:
-            with pipe._dispatch(), pipe._phase("compile"):
+            with pipe._dispatch():
                 plan = compile_program(program, pipe.params, chunk=chunk)
         else:
             if chunk is not None and chunk != plan.chunk:
@@ -493,7 +417,7 @@ class CiphertextExecutor(ProgramExecutor):
                 ct = pipe.encrypt_coeffs(self._encode_lanes(feats, layout, n))
             else:
                 ct = value
-        out = pipe.linear(ct, cstep.kernel, self.cost)
+        out = pipe.linear(ct, cstep.kernel)
         bias = layout.bias if layout is not None else cstep.bias
         if bias is not None:
             with pipe._dispatch(), current_backend().phase("linear"):
@@ -506,7 +430,7 @@ class CiphertextExecutor(ProgramExecutor):
             positions = (
                 layout.positions if layout is not None else cstep.positions
             )
-            batch = pipe.refresh_to_lwe(out, positions, self.cost)
+            batch = pipe.refresh_to_lwe(out, positions)
             if layout is not None:
                 # Spread the lanes' samples to the chained pack rows; the
                 # gap rows are trivial zero encryptions (exact zeros).
@@ -516,7 +440,7 @@ class CiphertextExecutor(ProgramExecutor):
             self.lane_stride = (
                 layout.out_stride if layout is not None else cstep.out_count
             )
-            boot = pipe.bootstrap(batch, cstep.lut, self.cost, plan=cstep.fbs)
+            boot = pipe.bootstrap(batch, cstep.lut, plan=cstep.fbs)
             boot = self._correct(boot, cstep.pack_correction)
             self.tail_s2c = step.s2c
             return pipe.to_coeffs(boot, plan=self.plan.s2c) if step.s2c else boot
@@ -559,13 +483,9 @@ class CiphertextExecutor(ProgramExecutor):
         with pipe._dispatch(), current_backend().phase("pooling"):
             shifted = self._shift(ct, n - rnd.delta)
             diff = pipe.ctx.add(ct, shifted)
-        if self.cost is not None:
-            self.cost.hadd += 2
-        batch = pipe.refresh_to_lwe(diff, rnd.positions, self.cost)
+        batch = pipe.refresh_to_lwe(diff, rnd.positions)
         batch = batch.place(rnd.positions, n)
-        boot = pipe.bootstrap(
-            batch, cstep.pool_lut, self.cost, plan=cstep.pool_fbs
-        )
+        boot = pipe.bootstrap(batch, cstep.pool_lut, plan=cstep.pool_fbs)
         relu_ct = pipe.to_coeffs(boot, plan=self.plan.s2c)
         with pipe._dispatch(), current_backend().phase("pooling"):
             return pipe.ctx.sub(relu_ct, shifted)
@@ -598,22 +518,15 @@ class CiphertextExecutor(ProgramExecutor):
         )
         merged: BfvCiphertext | None = None
         with pipe._dispatch(), current_backend().phase("s2c"):
-            for ct_k, cost_k in rounds:
-                if merged is None:
-                    merged = ct_k
-                else:
-                    merged = pipe.ctx.add(merged, ct_k)
-                    if self.cost is not None:
-                        self.cost.hadd += 1
-                if self.cost is not None and cost_k is not None:
-                    self.cost.merge(cost_k)
+            for ct_k in rounds:
+                merged = ct_k if merged is None else pipe.ctx.add(merged, ct_k)
         self.tail_s2c = True
         self.lane_stride = cstep.out_count
         return merged
 
     def _tile_round(
         self, out: BfvCiphertext, cstep: CompiledLinear, tile: TilePlan
-    ) -> tuple[BfvCiphertext, LoopCost | None]:
+    ) -> BfvCiphertext:
         """One tile: refresh -> FBS -> dead-slot correction -> S2C -> shift.
 
         Packing zeroes the slots past this tile's count *exactly*, and FBS
@@ -624,26 +537,20 @@ class CiphertextExecutor(ProgramExecutor):
         and wrapped coefficients (all zero) pick up only a sign.
         """
         pipe = self.pipe
-        cost = LoopCost() if self.cost is not None else None
         # Tiles may run in pool worker threads; the pipeline's backend is
         # re-installed here because thread workers start from the context
         # captured at submit time, not the caller's.
         with pipe._dispatch():
-            batch = pipe.refresh_to_lwe(out, tile.positions, cost)
-            boot = pipe.bootstrap(batch, cstep.lut, cost, plan=cstep.fbs)
+            batch = pipe.refresh_to_lwe(out, tile.positions)
+            boot = pipe.bootstrap(batch, cstep.lut, plan=cstep.fbs)
             if tile.correction is not None:
                 with current_backend().phase("fbs"):
                     boot = pipe.ctx.add_plain(boot, tile.correction)
             ct = pipe.to_coeffs(boot, plan=self.plan.s2c)
             if tile.offset:
                 with current_backend().phase("s2c"):
-                    ct = BfvCiphertext(
-                        ct.c0.negacyclic_shift(tile.offset),
-                        ct.c1.negacyclic_shift(tile.offset),
-                        ct.params,
-                        ct.noise_bits,
-                    )
-        return ct, cost
+                    ct = self._shift(ct, tile.offset)
+        return ct
 
     def pool(self, step: PoolStep, value):
         """Average/global pooling: one depthwise all-ones PMult.
@@ -658,7 +565,7 @@ class CiphertextExecutor(ProgramExecutor):
                 f"pooling step {step.name!r} cannot be the program's entry "
                 "step on the real-ciphertext backend"
             )
-        return self.pipe.linear(value, cstep.kernel, self.cost)
+        return self.pipe.linear(value, cstep.kernel)
 
     def remap(self, step: RemapStep, value):
         """A bare LUT refresh round (the pooling division tables)."""
@@ -669,10 +576,10 @@ class CiphertextExecutor(ProgramExecutor):
                 "step on the real-ciphertext backend"
             )
         pipe = self.pipe
-        batch = pipe.refresh_to_lwe(value, cstep.positions, self.cost)
+        batch = pipe.refresh_to_lwe(value, cstep.positions)
         if cstep.pack_rows is not None:
             batch = batch.place(cstep.pack_rows, pipe.params.n)
-        boot = pipe.bootstrap(batch, cstep.lut, self.cost, plan=cstep.fbs)
+        boot = pipe.bootstrap(batch, cstep.lut, plan=cstep.fbs)
         boot = self._correct(boot, cstep.pack_correction)
         self.out_count = cstep.out_count
         self.lane_stride = cstep.out_count
@@ -697,12 +604,10 @@ class CiphertextExecutor(ProgramExecutor):
             if cstep.alpha != 1:
                 skip = pipe.ctx.smult(skip, cstep.alpha)
             total = pipe.ctx.add(main, skip)
-        if self.cost is not None:
-            self.cost.hadd += 1
-        batch = pipe.refresh_to_lwe(total, cstep.positions, self.cost)
+        batch = pipe.refresh_to_lwe(total, cstep.positions)
         if cstep.pack_rows is not None:
             batch = batch.place(cstep.pack_rows, pipe.params.n)
-        boot = pipe.bootstrap(batch, cstep.lut, self.cost, plan=cstep.fbs)
+        boot = pipe.bootstrap(batch, cstep.lut, plan=cstep.fbs)
         boot = self._correct(boot, cstep.pack_correction)
         self.out_count = cstep.out_count
         self.lane_stride = cstep.out_count

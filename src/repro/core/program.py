@@ -58,7 +58,6 @@ drift from the lowered fusion decisions.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -393,35 +392,24 @@ class ProgramExecutor:
         raise NotImplementedError
 
 
-def run_program(program: AthenaProgram, executor: ProgramExecutor, value=None,
-                perf=None):
+def run_program(program: AthenaProgram, executor: ProgramExecutor, value=None):
     """Drive ``executor`` through the program's schedule.
 
     The driver owns the step order and the residual-branch recursion (body,
     then shortcut, then join) so every backend executes the identical
     schedule; executors only decide how each step is realized.
-
-    ``perf`` (a :class:`repro.perf.PerfRecorder`) times each step under
-    ``step:<phase>`` and counts ``step:<kind>`` ops. The ``step:`` prefix
-    keeps driver-level accounting disjoint from the finer pipeline phases
-    (pmult/extract/...) when both levels share one recorder — only the
-    pipeline names participate in the phases-sum-to-wall contract.
     """
     for step in program.steps:
-        span = perf.phase(f"step:{step.phase}") if perf is not None else nullcontext()
-        with span:
-            if step.kind == "residual":
-                main = run_program(step.body, executor, value)
-                skip = (
-                    run_program(step.shortcut, executor, value)
-                    if step.shortcut
-                    else value
-                )
-                value = executor.residual(step, main, skip)
-            else:
-                value = getattr(executor, step.kind)(step, value)
-        if perf is not None:
-            perf.count(f"step:{step.kind}")
+        if step.kind == "residual":
+            main = run_program(step.body, executor, value)
+            skip = (
+                run_program(step.shortcut, executor, value)
+                if step.shortcut
+                else value
+            )
+            value = executor.residual(step, main, skip)
+        else:
+            value = getattr(executor, step.kind)(step, value)
     return value
 
 

@@ -23,7 +23,7 @@ from repro.fhe.backend import (
     use_backend,
 )
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
-from repro.fhe.fbs import FbsCost, FbsLut, fbs_evaluate, interpolate_lut
+from repro.fhe.fbs import FbsLut, fbs_evaluate, interpolate_lut
 from repro.fhe.lwe import (
     LweBatch,
     SmallRlwe,
@@ -62,7 +62,6 @@ __all__ = [
     "BfvContext",
     "CountingBackend",
     "SerialBackend",
-    "FbsCost",
     "FbsLut",
     "FheParams",
     "LweBatch",

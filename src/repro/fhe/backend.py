@@ -20,11 +20,13 @@ Ops whose single body is engine-independent (:meth:`Backend.mod_switch`,
 the LWE and composite tiers — they delegate to module implementations
 whose inner ops re-enter the active backend) are not overridden.
 
-:class:`CountingBackend` (``counting``) is the only wrapper: it executes
-through an inner engine while recording per-phase primitive counts
-compatible with the analytical :class:`repro.core.trace.OpCounts` model,
-so the trace model is verifiable against ops actually executed and the
-accelerator scheduler can consume *executed* traces.
+:class:`CountingBackend` (``counting``) is the only wrapper and the one
+way to observe a run: it executes through an inner engine while recording
+per-phase primitive counts compatible with the analytical
+:class:`repro.core.trace.OpCounts` model — so the trace model is
+verifiable against ops actually executed and the accelerator scheduler can
+consume *executed* traces — and per-phase self-seconds (the Fig. 9
+execution breakdown).
 
 Selection is **context-local** (:class:`contextvars.ContextVar`), not a
 module global: two threads — or two :class:`repro.serve.InferenceSession`
@@ -59,6 +61,7 @@ import contextlib
 import contextvars
 import os
 import threading
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -172,9 +175,11 @@ class Backend:
       implementations, whose inner ops re-enter the active backend, so a
       wrapper (e.g. :class:`CountingBackend`) observes every sub-op.
 
-    Plus two instrumentation hooks, no-ops except on counting backends:
+    Plus the two instrumentation hooks — the execution stack's only
+    instrumentation seam, no-ops except on counting backends:
     :meth:`record` (a primitive event) and :meth:`phase` (a phase label
-    for subsequent events, used by the executed-trace model).
+    for subsequent events, used by the executed-trace model, and the
+    region whose seconds a counting backend accumulates).
     """
 
     name = "base"
@@ -373,11 +378,11 @@ class Backend:
             ctx, ct, diagonals, rotation_keys, baby_steps, plan=plan
         )
 
-    def fbs(self, ctx, ct, lut, rlk, cost=None, plan=None):
+    def fbs(self, ctx, ct, lut, rlk, plan=None):
         """Functional bootstrapping: evaluate a LUT polynomial on all slots."""
         from repro.fhe import fbs
 
-        return fbs.fbs_evaluate_impl(ctx, ct, lut, rlk, cost=cost, plan=plan)
+        return fbs.fbs_evaluate_impl(ctx, ct, lut, rlk, plan=plan)
 
     def s2c(self, ctx, ct, key, plan=None):
         """Slot-to-coefficient transform."""
@@ -548,6 +553,13 @@ class CountingBackend(Backend):
       ``keyswitch``, ``extract``, ``lwe_keyswitch``, ``lwe_mod_switch``,
       ``mod_switch``, ``matvec``, ``pack``, ``fbs``, ``s2c``, ...
 
+    Beside the counts, ``phase_s`` accumulates *self*-seconds per phase
+    label: entering a nested phase pauses its parent (``fbs_giant`` inside
+    ``fbs``), so on one thread the labels are disjoint and sum to at most
+    the run's wall time. Time outside every phase is not attributed. Under
+    a thread fan-out each worker's seconds are added to the same labels, so
+    the sum is busy time and may exceed the wall.
+
     The phase label is thread-local (each worker of a chunked-tile
     fan-out runs its five-step chain — and therefore opens its phases —
     in its own thread); the counter store is lock-protected, so one
@@ -563,6 +575,7 @@ class CountingBackend(Backend):
         self._lock = threading.Lock()
         self._tls = threading.local()
         self.phase_ops: dict[str, dict[str, int]] = {}
+        self.phase_s: dict[str, float] = {}
 
     @property
     def rns_name(self) -> str:
@@ -576,20 +589,30 @@ class CountingBackend(Backend):
 
     @contextlib.contextmanager
     def phase(self, name: str):
-        stack = getattr(self._tls, "stack", None)
+        tls = self._tls
+        stack = getattr(tls, "stack", None)
         if stack is None:
-            stack = self._tls.stack = []
+            stack = tls.stack = []
+        now = time.perf_counter()
+        if stack:
+            self._credit(stack[-1], now - tls.since)
         stack.append(name)
+        tls.since = now
         try:
             yield
         finally:
+            now = time.perf_counter()
+            self._credit(name, now - tls.since)
             stack.pop()
+            tls.since = now
+
+    def _credit(self, phase: str, seconds: float) -> None:
+        """Add the stretch since this thread's last phase boundary."""
+        with self._lock:
+            self.phase_s[phase] = self.phase_s.get(phase, 0.0) + seconds
 
     def record(self, op: str, k: int = 1) -> None:
-        phase = self.current_phase()
-        with self._lock:
-            ops = self.phase_ops.setdefault(phase, {})
-            ops[op] = ops.get(op, 0) + k
+        self._bulk(**{op: k})
 
     def _bulk(self, **ops: int) -> None:
         phase = self.current_phase()
@@ -614,19 +637,23 @@ class CountingBackend(Backend):
         return dict(sorted(out.items()))
 
     def summary(self) -> dict:
-        """JSON-ready snapshot: per-phase records plus totals."""
+        """JSON-ready snapshot: per-phase records and seconds, plus totals."""
+        with self._lock:
+            phase_s = {ph: round(s, 6) for ph, s in sorted(self.phase_s.items())}
         return {
             "backend": self.inner.name,
             "phase_ops": {
                 ph: dict(sorted(ops.items()))
                 for ph, ops in sorted(self.ops_by_phase().items())
             },
+            "phase_s": phase_s,
             "ops": self.totals(),
         }
 
     def reset(self) -> None:
         with self._lock:
             self.phase_ops.clear()
+            self.phase_s.clear()
 
     # -- RNS tier (count, then delegate) ------------------------------------
 
@@ -746,9 +773,9 @@ class CountingBackend(Backend):
             ctx, ct, diagonals, rotation_keys, baby_steps, plan=plan
         )
 
-    def fbs(self, ctx, ct, lut, rlk, cost=None, plan=None):
+    def fbs(self, ctx, ct, lut, rlk, plan=None):
         self.record("fbs")
-        return self.inner.fbs(ctx, ct, lut, rlk, cost=cost, plan=plan)
+        return self.inner.fbs(ctx, ct, lut, rlk, plan=plan)
 
     def s2c(self, ctx, ct, key, plan=None):
         self.record("s2c")

@@ -35,7 +35,6 @@ from repro.fhe.ntt import cyclic_ntt
 from repro.utils.modmath import inv_mod, primitive_root
 
 __all__ = [
-    "FbsCost",
     "FbsLut",
     "FbsPlan",
     "evaluate_poly_all",
@@ -268,15 +267,6 @@ class FbsLut:
 
 
 @dataclass
-class FbsCost:
-    """Operation counts of one FBS evaluation (drives the accelerator sim)."""
-
-    smult: int = 0
-    hadd: int = 0
-    cmult: int = 0
-
-
-@dataclass
 class FbsPlan:
     """Compile-time BSGS schedule of one LUT polynomial (Algorithm 2).
 
@@ -393,7 +383,6 @@ def fbs_evaluate(
     ct: BfvCiphertext,
     lut: FbsLut,
     rlk: KeySwitchKey,
-    cost: FbsCost | None = None,
     plan: FbsPlan | None = None,
 ) -> BfvCiphertext:
     """Algorithm 2: evaluate the LUT polynomial on every slot of ``ct``.
@@ -409,7 +398,7 @@ def fbs_evaluate(
     """
     be = current_backend()
     with be.phase("fbs"):
-        return be.fbs(ctx, ct, lut, rlk, cost=cost, plan=plan)
+        return be.fbs(ctx, ct, lut, rlk, plan=plan)
 
 
 def fbs_evaluate_impl(
@@ -417,7 +406,6 @@ def fbs_evaluate_impl(
     ct: BfvCiphertext,
     lut: FbsLut,
     rlk: KeySwitchKey,
-    cost: FbsCost | None = None,
     plan: FbsPlan | None = None,
 ) -> BfvCiphertext:
     """Default :meth:`Backend.fbs` implementation (BSGS, Algorithm 2).
@@ -458,8 +446,6 @@ def fbs_evaluate_impl(
                 a = powers[bs] if lo == 1 else giants[lo]
                 b = powers[bs] if hi == 1 else giants[hi]
                 giants[e] = ctx.cmult(a, b, rlk)
-        if cost:
-            cost.cmult += 1
 
     def giant(g: int) -> BfvCiphertext:
         return powers[bs] if g == 1 else giants[g]
@@ -469,9 +455,6 @@ def fbs_evaluate_impl(
     slots: list[BfvCiphertext | None] = []  # result parts, group order
     for g, const, terms in plan.groups:
         parts = [ctx.smult(powers[j], coeff) for j, coeff in terms]
-        if cost:
-            cost.smult += len(terms)
-            cost.hadd += max(0, len(parts) - 1)
         inner = ctx.add_many(parts) if parts else None
         if const:
             base = inner if inner is not None else ctx.encrypt_zero()
@@ -484,8 +467,6 @@ def fbs_evaluate_impl(
     if combos:
         with be.phase("fbs_giant"):
             combined = be.giant_step_batch(ctx, combos, rlk)
-        if cost:
-            cost.cmult += len(combos)
         it = iter(combined)
         slots = [next(it) if s is None else s for s in slots]
     result_parts = [s for s in slots if s is not None]
@@ -493,6 +474,4 @@ def fbs_evaluate_impl(
         # All-zero polynomial: the LUT is identically zero, so the answer is
         # a (transparent) zero ciphertext rather than SMult(ct, 0).
         return ctx.encrypt_zero()
-    if cost:
-        cost.hadd += len(result_parts) - 1
     return ctx.add_many(result_parts)

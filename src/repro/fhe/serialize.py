@@ -61,6 +61,12 @@ def _unpack(buf: io.BytesIO, fmt: str) -> tuple:
     return struct.unpack(fmt, _read(buf, struct.calcsize(fmt)))
 
 
+def _check_end(buf: io.BytesIO) -> None:
+    """A complete object consumes its whole buffer."""
+    if buf.read(1):
+        raise ParameterError("trailing bytes after serialized object")
+
+
 def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr, dtype="<i8")
     buf.write(struct.pack("<B", arr.ndim))
@@ -85,7 +91,10 @@ def _write_str(buf: io.BytesIO, text: str) -> None:
 
 def _read_str(buf: io.BytesIO) -> str:
     (length,) = _unpack(buf, "<H")
-    return _read(buf, length).decode()
+    try:
+        return _read(buf, length).decode()
+    except UnicodeDecodeError:
+        raise ParameterError("corrupt string in serialized object") from None
 
 
 def _header(kind: int, params: FheParams) -> bytes:
@@ -120,11 +129,15 @@ def load_ciphertext(raw: bytes, params: FheParams) -> BfvCiphertext:
     buf = io.BytesIO(raw)
     _check_header(buf, KIND_CIPHERTEXT, params)
     (noise_bits,) = _unpack(buf, "<d")
-    c0 = RnsPoly(_read_array(buf), params.moduli)
-    c1 = RnsPoly(_read_array(buf), params.moduli)
-    if c0.data.shape != (params.num_limbs, params.n):
+    c0 = _read_array(buf)
+    c1 = _read_array(buf)
+    _check_end(buf)
+    shape = (params.num_limbs, params.n)
+    if c0.shape != shape or c1.shape != shape:
         raise ParameterError("ciphertext shape does not match parameters")
-    return BfvCiphertext(c0, c1, params, noise_bits)
+    return BfvCiphertext(
+        RnsPoly(c0, params.moduli), RnsPoly(c1, params.moduli), params, noise_bits
+    )
 
 
 # -- LWE batches ----------------------------------------------------------------
@@ -149,7 +162,8 @@ def load_lwe_batch(raw: bytes) -> LweBatch:
     (modulus,) = _unpack(buf, "<Q")
     a = _read_array(buf)
     b = _read_array(buf)
-    if a.shape[0] != b.shape[0]:
+    _check_end(buf)
+    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
         raise ParameterError("inconsistent LWE batch")
     return LweBatch(a, b, int(modulus))
 
@@ -318,6 +332,7 @@ def load_plan(raw: bytes, params: FheParams):
                 lane_span=int(span),
             )
         )
+    _check_end(buf)
     # Lane chaining (out strides + batch capacity) is a pure function of the
     # spans and the parameter set — re-derived rather than shipped.
     capacity = _annotate_lanes(steps, params, chunk)
@@ -355,6 +370,7 @@ def load_secret_key(raw: bytes, params: FheParams):
     buf = io.BytesIO(raw)
     _check_header(buf, KIND_SECRET_KEY, params)
     coeffs = _read_array(buf)
+    _check_end(buf)
     if coeffs.shape != (params.n,):
         raise ParameterError("secret key length mismatch")
     return SecretKey(params, RnsPoly.from_int_coeffs(coeffs, params.moduli), coeffs)

@@ -24,10 +24,9 @@ from the event-loop thread (the service's ``submit`` coroutine),
 batch assembler additionally uses :meth:`take_matching` (harvest queued
 requests compatible with a forming batch, preserving per-tenant FIFO
 order) and :meth:`wait_for_activity` (bounded wait for new admissions
-inside a batch window). Depth accounting feeds the load generator's
-queue-depth metric, and a :class:`~repro.perf.PerfRecorder` (when
-attached) receives ``sched.accepted`` / ``sched.rejected`` counts and
-per-request queue-wait time under the ``queue_wait`` phase.
+inside a batch window). :meth:`FairScheduler.stats` reports admissions,
+sheds, queue depth and the queue-wait seconds summed over dequeued
+requests.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from collections import deque
 from typing import Callable
 
 from repro.errors import ParameterError, ServiceOverloaded
-from repro.perf import PerfRecorder
 from repro.serve.api import InferenceRequest, LayerStats
 
 __all__ = ["FairScheduler"]
@@ -47,19 +45,13 @@ __all__ = ["FairScheduler"]
 class FairScheduler:
     """Bounded per-tenant FIFOs with round-robin fair dequeue."""
 
-    def __init__(
-        self,
-        tenant_ids,
-        capacity: int = 8,
-        perf: PerfRecorder | None = None,
-    ):
+    def __init__(self, tenant_ids, capacity: int = 8):
         tenant_ids = list(tenant_ids)
         if not tenant_ids:
             raise ParameterError("scheduler needs at least one tenant")
         if capacity < 1:
             raise ParameterError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.perf = perf
         self._queues: dict[str, deque[InferenceRequest]] = {
             tid: deque() for tid in tenant_ids
         }
@@ -70,6 +62,7 @@ class FairScheduler:
         self.accepted = 0
         self.rejected = 0
         self.depth_max = 0
+        self.queue_wait_s = 0.0
 
     # -- admission ---------------------------------------------------------
 
@@ -89,8 +82,6 @@ class FairScheduler:
             ) from None
         if len(queue) >= self.capacity:
             self.rejected += 1
-            if self.perf is not None:
-                self.perf.count("sched.rejected")
             raise ServiceOverloaded(
                 f"tenant {request.tenant_id!r} queue is full "
                 f"({self.capacity} pending)",
@@ -102,8 +93,6 @@ class FairScheduler:
         queue.append(request)
         self.accepted += 1
         self.depth_max = max(self.depth_max, self.depth())
-        if self.perf is not None:
-            self.perf.count("sched.accepted")
         self._wakeup.set()
 
     # -- dequeue -----------------------------------------------------------
@@ -114,10 +103,7 @@ class FairScheduler:
 
     def _stamp(self, request: InferenceRequest) -> InferenceRequest:
         request.dequeued_at = time.perf_counter()
-        if self.perf is not None:
-            self.perf.add_time(
-                "queue_wait", request.dequeued_at - request.enqueued_at
-            )
+        self.queue_wait_s += request.dequeued_at - request.enqueued_at
         return request
 
     def _pop_next(self) -> InferenceRequest | None:
@@ -223,6 +209,7 @@ class FairScheduler:
                 "queue_depth": self.depth(),
                 "queue_depth_max": self.depth_max,
             },
+            timings={"queue_wait_s": round(self.queue_wait_s, 6)},
             detail={
                 "capacity_per_tenant": self.capacity,
                 "per_tenant_depth": {

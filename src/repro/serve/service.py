@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.core.program import AthenaProgram, lower
 from repro.errors import ParameterError
-from repro.perf import ExecConfig, PerfRecorder
+from repro.perf import ExecConfig
 from repro.serve.api import InferenceRequest, InferenceResult, LayerStats
 from repro.serve.batching import BatchAssembler, RequestBatch
 from repro.serve.cache import PlanCache, ShardedPlanCache
@@ -92,7 +92,6 @@ class AthenaService:
         exec_config: ExecConfig | None = None,
         queue_capacity: int = 8,
         transport_s: float = 0.0,
-        perf: PerfRecorder | None = None,
         batching: bool = True,
         batch_window_s: float = 0.05,
         max_batch: int | None = None,
@@ -118,7 +117,6 @@ class AthenaService:
         self.batching = batching
         self.batch_window_s = batch_window_s
         self.max_batch = max_batch
-        self.perf = perf if perf is not None else PerfRecorder()
         self.models: dict[str, str] = {}  # name -> program fingerprint
         self._cores: dict[tuple[str, str], SessionCore] = {}
         self.pool: WorkerPool | None = None
@@ -212,11 +210,9 @@ class AthenaService:
             raise ParameterError("service already started")
         if not self._cores:
             raise ParameterError("register at least one model before start()")
-        self.pool = WorkerPool(self._cores, self.exec_config, perf=self.perf)
+        self.pool = WorkerPool(self._cores, self.exec_config)
         self.pool.start()
-        self.scheduler = FairScheduler(
-            self.tenants.ids(), capacity=self.queue_capacity, perf=self.perf
-        )
+        self.scheduler = FairScheduler(self.tenants.ids(), capacity=self.queue_capacity)
         self.assembler = BatchAssembler(
             self.scheduler,
             capacity_for=self._batch_capacity_for,
@@ -252,8 +248,7 @@ class AthenaService:
                     # out a single window regardless of lane count — the
                     # first amortization batching buys. Other slots keep
                     # computing meanwhile.
-                    with self.perf.phase("transport"):
-                        await asyncio.sleep(self.transport_s)
+                    await asyncio.sleep(self.transport_s)
                 lead = batch.lead
                 outs = await self.pool.run_batch(
                     (lead.tenant_id, lead.model),
@@ -401,13 +396,7 @@ class AthenaService:
         counters: dict = {
             "queue_capacity": self.queue_capacity,
         }
-        timings: dict = {
-            "transport_s": self.transport_s,
-            **{
-                f"phase_{k}_s": round(v, 6)
-                for k, v in sorted(self.perf.phase_s.items())
-            },
-        }
+        timings: dict = {"transport_s": self.transport_s}
         if self.scheduler is not None:
             detail["scheduler"] = self.scheduler.stats().to_dict()
         if self.assembler is not None:

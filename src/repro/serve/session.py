@@ -25,20 +25,24 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.framework import AthenaPipeline, LoopCost
+from repro.core.framework import AthenaPipeline
 from repro.core.plan import CompiledProgram, compile_program
 from repro.core.program import AthenaProgram, lower
 from repro.fhe.backend import Backend, get_backend, use_backend
 from repro.fhe.params import TEST_LOOP, FheParams
-from repro.perf import ParallelMap, PerfRecorder
+from repro.perf import ParallelMap
 from repro.serve.api import LayerStats
 
 __all__ = ["InferenceSession", "SessionCore", "SessionRuntime"]
+
+#: Run walls a runtime keeps for its p50/p99; older runs fall off the window.
+LATENCY_WINDOW = 4096
 
 
 def _percentile(latencies: list[float], q: float) -> float | None:
@@ -133,10 +137,10 @@ class SessionRuntime:
     produces bit-identical outputs.
 
     :meth:`run` serializes requests on an internal lock; *all* bookkeeping
-    (request count, accumulated run time, the per-request latency log, and
-    ``last_perf``) is updated inside that lock, so concurrent callers never
-    lose updates and :meth:`stats` always reports a consistent snapshot,
-    including p50/p99 request latency.
+    (request count, accumulated run time, the windowed run-latency log) is
+    updated inside that lock, so concurrent callers never lose updates and
+    :meth:`stats` always reports a consistent snapshot, including p50/p99
+    run latency.
     """
 
     def __init__(self, core: SessionCore, pmap: ParallelMap | None = None):
@@ -156,29 +160,18 @@ class SessionRuntime:
         self.runs = 0
         self.max_lanes = 0
         self.run_s = 0.0
-        self.latencies: list[float] = []
-        self.last_perf: PerfRecorder | None = None
+        self.latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     @property
     def batch_capacity(self) -> int:
         """Lanes one ciphertext can carry through this session's plan."""
         return self.core.plan.batch_capacity
 
-    def run(
-        self,
-        x_q: np.ndarray,
-        cost: LoopCost | None = None,
-        perf: PerfRecorder | None = None,
-    ) -> np.ndarray:
+    def run(self, x_q: np.ndarray) -> np.ndarray:
         """One encrypted inference; returns centered integer outputs."""
-        return self.run_batch([x_q], cost, perf)[0]
+        return self.run_batch([x_q])[0]
 
-    def run_batch(
-        self,
-        xs: list[np.ndarray],
-        cost: LoopCost | None = None,
-        perf: PerfRecorder | None = None,
-    ) -> list[np.ndarray]:
+    def run_batch(self, xs: list[np.ndarray]) -> list[np.ndarray]:
         """One *fused* execution answering ``len(xs)`` requests at once.
 
         The inputs share a single ciphertext (lane count bounded by the
@@ -187,24 +180,24 @@ class SessionRuntime:
         A single-input batch is exactly the :meth:`run` op sequence.
         Returns one centered integer output array per input, in order.
         """
+        return self.timed_batch(xs)[0]
+
+    def timed_batch(self, xs: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
+        """:meth:`run_batch` plus the run's wall seconds, measured under
+        the request lock (so waiting for another caller's run is excluded)."""
         core = self.core
-        recorder = perf if perf is not None else PerfRecorder()
         with self._lock:
-            previous = self.pipeline.perf
-            self.pipeline.attach_perf(recorder)
-            try:
-                outs = self.pipeline.run_batch(
-                    core.program, xs, cost, pmap=self.pmap, plan=core.plan
-                )
-            finally:
-                self.pipeline.attach_perf(previous)
+            start = time.perf_counter()
+            outs = self.pipeline.run_batch(
+                core.program, xs, pmap=self.pmap, plan=core.plan
+            )
+            wall = time.perf_counter() - start
             self.requests += len(xs)
             self.runs += 1
             self.max_lanes = max(self.max_lanes, len(xs))
-            self.run_s += recorder.wall_s
-            self.latencies.append(recorder.wall_s)
-            self.last_perf = recorder
-        return outs
+            self.run_s += wall
+            self.latencies.append(wall)
+        return outs, wall
 
     def stats(self) -> LayerStats:
         """Uniform-schema accounting: compile vs keygen vs run, p50/p99.
@@ -212,6 +205,9 @@ class SessionRuntime:
         ``timings["amortized_request_s"]`` is run seconds divided by
         *requests* (lanes), the cost-per-inference batching buys down;
         ``mean_run_s`` and the percentiles are per fused *execution*.
+        ``requests``, ``runs`` and ``run_s`` are exact lifetime totals;
+        ``run_p50_s`` / ``run_p99_s`` are over the last
+        ``LATENCY_WINDOW`` runs only.
         """
         with self._lock:
             requests = self.requests
@@ -257,13 +253,13 @@ class InferenceSession:
     deserialized plan (the :class:`SessionCore`, its duration recorded as
     ``compile_s``) — then key generation and pipeline setup (the
     :class:`SessionRuntime`). Each :meth:`run` performs only ciphertext
-    ops, timed by a fresh per-request :class:`PerfRecorder` (so
-    ``compile_s`` and per-request ``run_s`` never mix; a cold
-    ``run_program`` instead carries its compile inside the run span under
-    the ``compile`` phase).
+    ops, timed by one clock pair under the runtime's lock (so ``compile_s``
+    and per-request ``run_s`` never mix; a cold ``run_program`` instead
+    carries its compile inside the call, under the backend's ``compile``
+    phase).
 
-    Requests are serialized by the runtime's lock — the pipeline's recorder
-    attachment and deterministic randomness are per-pipeline state — while
+    Requests are serialized by the runtime's lock — the pipeline's
+    deterministic randomness is per-pipeline state — while
     each request still fans out its chunked tiles through ``pmap``
     internally. Outputs are bit-identical to a plan-free
     :meth:`AthenaPipeline.run_program` on the same pipeline state: the plan
@@ -347,30 +343,16 @@ class InferenceSession:
         return self.runtime.run_s
 
     @property
-    def latencies(self) -> list[float]:
+    def latencies(self) -> deque[float]:
         return self.runtime.latencies
 
-    @property
-    def last_perf(self) -> PerfRecorder | None:
-        return self.runtime.last_perf
-
-    def run(
-        self,
-        x_q: np.ndarray,
-        cost: LoopCost | None = None,
-        perf: PerfRecorder | None = None,
-    ) -> np.ndarray:
+    def run(self, x_q: np.ndarray) -> np.ndarray:
         """One encrypted inference; returns centered integer outputs."""
-        return self.runtime.run(x_q, cost, perf)
+        return self.runtime.run(x_q)
 
-    def run_batch(
-        self,
-        xs: list[np.ndarray],
-        cost: LoopCost | None = None,
-        perf: PerfRecorder | None = None,
-    ) -> list[np.ndarray]:
+    def run_batch(self, xs: list[np.ndarray]) -> list[np.ndarray]:
         """Fused multi-image inference (see :meth:`SessionRuntime.run_batch`)."""
-        return self.runtime.run_batch(xs, cost, perf)
+        return self.runtime.run_batch(xs)
 
     def stats(self) -> "LayerStats":
         """Session accounting in the uniform :class:`LayerStats` schema."""

@@ -38,7 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 
 from repro.errors import ParameterError
-from repro.perf import ExecConfig, PerfRecorder
+from repro.perf import ExecConfig
 from repro.serve.api import LayerStats
 from repro.serve.session import SessionCore, SessionRuntime
 
@@ -59,9 +59,7 @@ def _process_init(payload: bytes) -> None:
 
 def _process_run_batch(key, xs):
     """One fused batch inside a worker process; returns (outputs, seconds)."""
-    runtime = _PROCESS_RUNTIMES[key]
-    outs = runtime.run_batch(xs)
-    return outs, runtime.last_perf.wall_s
+    return _PROCESS_RUNTIMES[key].timed_batch(xs)
 
 
 def _process_pid() -> int:
@@ -82,17 +80,17 @@ class WorkerPool:
         self,
         cores: dict[tuple[str, str], SessionCore],
         config: ExecConfig | None = None,
-        perf: PerfRecorder | None = None,
     ):
         if not cores:
             raise ParameterError("worker pool needs at least one session core")
         self.cores = dict(cores)
         self.config = config if config is not None else ExecConfig("thread")
-        self.perf = perf
         self._executor = None
         self._runtimes: dict[tuple[str, str], SessionRuntime] | None = None
         self._requests: dict[tuple[str, str], int] = {k: 0 for k in self.cores}
         self.run_s = 0.0
+        #: Seconds :meth:`start` spent spawning workers and generating keys.
+        self.start_s = 0.0
         #: Fused executions dispatched (a k-lane batch counts once).
         self.runs = 0
         self.started = False
@@ -130,8 +128,7 @@ class WorkerPool:
             }
             if self.config.mode == "thread":
                 self._executor = ThreadPoolExecutor(max_workers=self.slots)
-        if self.perf is not None:
-            self.perf.add_time("pool_start", time.perf_counter() - start)
+        self.start_s += time.perf_counter() - start
         self.started = True
 
     def stop(self) -> None:
@@ -143,9 +140,7 @@ class WorkerPool:
     # -- request execution -------------------------------------------------
 
     def _run_local_batch(self, key, xs):
-        runtime = self._runtimes[key]
-        outs = runtime.run_batch(xs)
-        return outs, runtime.last_perf.wall_s
+        return self._runtimes[key].timed_batch(xs)
 
     async def run(self, key, x_q):
         """Answer one request on a free worker; returns the output array."""
@@ -177,8 +172,6 @@ class WorkerPool:
         self._requests[key] += len(xs)
         self.runs += 1
         self.run_s += run_s
-        if self.perf is not None:
-            self.perf.add_time("run", run_s)
         return outs
 
     # -- accounting --------------------------------------------------------
@@ -214,6 +207,9 @@ class WorkerPool:
             layer="workers",
             requests=sum(self._requests.values()),
             counters={"workers": self.slots, "runs": self.runs},
-            timings={"run_s": round(self.run_s, 6)},
+            timings={
+                "run_s": round(self.run_s, 6),
+                "start_s": round(self.start_s, 6),
+            },
             detail=detail,
         )

@@ -16,11 +16,12 @@ Three claims pinned here:
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.core.framework import AthenaPipeline, LoopCost
+from repro.core.framework import AthenaPipeline
 from repro.core.program import lower
 from repro.core.trace import compare_traces, executed_trace, trace_model
 from repro.errors import ParameterError
@@ -213,11 +214,27 @@ class TestCountingBackend:
         assert by_phase["other"]["mod_add"] > 0
         assert by_phase["linear"]["ntt"] > 0
         summary = counting.summary()
-        assert set(summary) == {"backend", "phase_ops", "ops"}
+        assert set(summary) == {"backend", "phase_ops", "phase_s", "ops"}
         assert summary["backend"] == "batched"
+        assert set(summary["phase_s"]) == {"linear"}  # unphased time: unattributed
         counting.reset()
         assert counting.ops_by_phase() == {}
         assert counting.totals() == {}
+        assert counting.summary()["phase_s"] == {}
+
+    def test_nested_phase_pauses_its_parent(self):
+        """Self-seconds: labels are disjoint, so they sum to <= the wall."""
+        counting = CountingBackend("batched")
+        start = time.perf_counter()
+        with counting.phase("fbs"):
+            time.sleep(0.02)
+            with counting.phase("fbs_giant"):
+                time.sleep(0.03)
+            time.sleep(0.01)
+        wall = time.perf_counter() - start
+        seconds = counting.phase_s
+        assert seconds["fbs"] >= 0.03 and seconds["fbs_giant"] >= 0.03
+        assert seconds["fbs"] + seconds["fbs_giant"] <= wall
 
 
 class TestBlockMixParity:
@@ -300,16 +317,24 @@ class TestMnistOpCountParity:
         qm, program, x_q = _mnist_fixture()
         counting = CountingBackend("batched")
         pipe = AthenaPipeline(TEST_LOOP, seed=41)
-        cost = LoopCost()
+        start = time.perf_counter()
         with use_backend(counting):
-            pipe.run_program(program, x_q, cost)
+            pipe.run_program(program, x_q)
+        wall = time.perf_counter() - start
 
-        # Event-level parity against the pipeline's own LoopCost: the
-        # counting backend observes exactly the ops the loop accounts.
-        events = counting.totals()
-        assert events["extract"] == cost.extractions == 35
-        assert events["smult"] == cost.fbs.smult
-        assert counting.ops_by_phase()["fbs_giant"]["cmult"] == cost.fbs.cmult
+        # The Fig. 9 breakdown: every runtime label timed, labels disjoint.
+        seconds = counting.phase_s
+        assert {"linear", "se", "packing", "fbs", "s2c"} <= set(seconds)
+        assert all(s >= 0 for s in seconds.values())
+        assert sum(seconds.values()) <= wall
+
+        # Event-level pins: the ops the three five-step rounds dispatch
+        # (conv round + two FC-sized rounds at TEST_LOOP).
+        ops = counting.ops_by_phase()
+        assert ops["linear"]["pmult"] == 2
+        assert ops["se"]["extract"] == 35
+        assert ops["fbs"]["smult"] == 369 and ops["fbs"]["hadd"] == 367
+        assert ops["fbs_giant"]["cmult"] == 86
 
         executed = executed_trace(counting, TEST_LOOP)
         analytical = trace_model(qm, TEST_LOOP, softmax=False)

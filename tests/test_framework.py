@@ -14,9 +14,10 @@ from repro.core.encoding import (
     encode_kernels,
     valid_output_positions,
 )
-from repro.core.framework import AthenaPipeline, LoopCost
+from repro.core.framework import AthenaPipeline
 from repro.core.lut import remap_lut
 from repro.fhe import lwe as lwelib
+from repro.fhe.backend import CountingBackend, use_backend
 from repro.fhe.params import TEST_LOOP
 
 
@@ -76,16 +77,18 @@ class TestFullLoop:
         mh, kh, pos, macs = self._conv_setup(rng, pipeline)
         p = pipeline.params
         lut = remap_lut(multiplier=0.25, activation="relu", a_max=63, t=p.t)
-        cost = LoopCost()
-        out = pipeline.loop(pipeline.encrypt_coeffs(mh), kh, lut, pos, cost)
+        counting = CountingBackend()
+        with use_backend(counting):
+            out = pipeline.loop(pipeline.encrypt_coeffs(mh), kh, lut, pos)
         dec = pipeline.decrypt_coeffs(out)[: pos.shape[0]]
         got = np.where(dec > p.t // 2, dec - p.t, dec)
         expected = lut.apply_plain_signed(macs)
         # §3.3: e_ms introduces a maximum error of +/-1 to the remap result.
         assert np.abs(got - expected).max() <= 1
-        assert cost.pmult == 1
-        assert cost.extractions == pos.shape[0]
-        assert cost.fbs.smult > 0 and cost.fbs.cmult > 0
+        ops = counting.ops_by_phase()
+        assert ops["linear"]["pmult"] == 1
+        assert ops["se"]["extract"] == pos.shape[0]
+        assert ops["fbs"]["smult"] > 0 and ops["fbs_giant"]["cmult"] > 0
 
     def test_loop_output_feeds_next_linear(self, pipeline, rng):
         # After S2C the data is back in coefficients: apply another PMult.

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.fhe import lwe
+from repro.fhe.backend import CountingBackend, use_backend
 from repro.fhe.bfv import Plaintext
 from repro.fhe.fbs import (
-    FbsCost,
     FbsLut,
     evaluate_poly_plain,
     fbs_evaluate,
@@ -182,12 +182,14 @@ class TestFbsHomomorphic:
         lut = FbsLut.from_function(lambda x: np.maximum(x, 0), p.t, "relu")
         x = rng.integers(0, p.t, p.n)
         ct = ctx.encrypt(Plaintext.from_slots(x, p), pk)
-        cost = FbsCost()
-        out = fbs_evaluate(ctx, ct, lut, fbs_rlk, cost)
+        counting = CountingBackend()
+        with use_backend(counting):
+            out = fbs_evaluate(ctx, ct, lut, fbs_rlk)
         assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
         # Alg. 2 cost shape: O(t) SMult, O(sqrt t) CMult.
-        assert cost.smult <= p.t
-        assert cost.cmult <= 3 * int(np.sqrt(p.t)) + 20
+        ops = counting.ops_by_phase()
+        assert 0 < ops["fbs"]["smult"] <= p.t
+        assert 0 < ops["fbs_giant"]["cmult"] <= 3 * int(np.sqrt(p.t)) + 20
 
     def test_remap_lut(self, fbs_ctx, fbs_keys, fbs_rlk, rng):
         # LUT(x) = floor(relu(x) * scale) — remapping merged with activation.
@@ -211,7 +213,8 @@ class TestFbsHomomorphic:
         lut = FbsLut(np.arange(p.t), p.t, "identity")
         x = rng.integers(0, p.t, p.n)
         ct = ctx.encrypt(Plaintext.from_slots(x, p), pk)
-        cost = FbsCost()
-        out = fbs_evaluate(ctx, ct, lut, fbs_rlk, cost)
-        assert cost.cmult == 0
+        counting = CountingBackend()
+        with use_backend(counting):
+            out = fbs_evaluate(ctx, ct, lut, fbs_rlk)
+        assert "cmult" not in counting.totals()
         assert np.array_equal(ctx.decrypt(out, sk).to_slots(), x % p.t)

@@ -1,8 +1,9 @@
-"""PerfRecorder accounting, ParallelMap executors, CLI flags, the curated
+"""The instrumentation seam, ParallelMap executors, CLI flags, the curated
 top-level API, and the chunked parallel five-step path."""
 
+import importlib
+import inspect
 import json
-import time
 
 import numpy as np
 import pytest
@@ -10,80 +11,43 @@ import pytest
 import repro
 from repro.cli import main
 from repro.errors import ParameterError
-from repro.perf import ExecConfig, ParallelMap, PerfRecorder
+from repro.perf import ExecConfig, ParallelMap
 
 
-class TestPerfRecorder:
-    def test_phase_accounting_sums_to_total(self):
-        perf = PerfRecorder()
-        with perf.run():
-            with perf.phase("pmult"):
-                time.sleep(0.01)
-            with perf.phase("fbs"):
-                time.sleep(0.02)
-            with perf.phase("pmult"):
-                time.sleep(0.01)
-        # Disjoint phases must sum to at most the run wall time, and the
-        # sleeps bound the phase sum from below.
-        assert perf.total_phase_s >= 0.04
-        assert perf.total_phase_s <= perf.wall_s
-        assert set(perf.phase_s) == {"pmult", "fbs"}
-        assert perf.phase_s["pmult"] >= 0.02
+class TestInstrumentationSeam:
+    """``Backend.phase`` / ``Backend.record`` is the only way to observe a
+    run: nothing in the execution stack takes a counter or recorder."""
 
-    def test_counts_accumulate(self):
-        perf = PerfRecorder()
-        perf.count("pmult")
-        perf.count("pmult", 4)
-        perf.count("extract", 35)
-        assert perf.ops == {"pmult": 5, "extract": 35}
+    @pytest.mark.parametrize("module", [
+        "repro.core.framework", "repro.core.program", "repro.fhe.fbs",
+        "repro.serve",
+    ])
+    def test_no_public_callable_takes_cost_or_perf(self, module):
+        mod = importlib.import_module(module)
+        offenders = []
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [
+                    (f"{name}.{attr}", fn)
+                    for attr, fn in vars(obj).items()
+                    if callable(fn) and (attr == "__init__" or not attr.startswith("_"))
+                ]
+            for label, fn in members:
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                if {"cost", "perf"} & set(params):
+                    offenders.append(label)
+        assert offenders == []
 
-    def test_wall_falls_back_to_phase_sum(self):
-        perf = PerfRecorder()
-        perf.add_time("fbs", 1.5)
-        assert perf.wall_s == pytest.approx(1.5)
+    def test_perf_package_is_the_executors(self):
+        import repro.perf
 
-    def test_summary_schema(self):
-        perf = PerfRecorder()
-        with perf.run():
-            with perf.phase("s2c"):
-                pass
-            perf.count("s2c")
-        summary = perf.summary()
-        assert set(summary) == {"wall_s", "phase_s", "ops"}
-        assert summary["ops"] == {"s2c": 1}
-
-    def test_merge_and_reset(self):
-        a, b = PerfRecorder(), PerfRecorder()
-        a.add_time("fbs", 1.0)
-        b.add_time("fbs", 2.0)
-        b.count("pack", 3)
-        a.merge(b)
-        assert a.phase_s["fbs"] == pytest.approx(3.0)
-        assert a.ops == {"pack": 3}
-        a.reset()
-        assert a.phase_s == {} and a.ops == {} and a.wall_s == 0.0
-
-    def test_merge_with_self_is_a_noop(self):
-        # Regression: self-merge must not deadlock on the non-reentrant
-        # lock, and must not double the counters.
-        a = PerfRecorder()
-        a.count("pack", 2)
-        a.merge(a)
-        assert a.ops == {"pack": 2}
-
-    def test_pickle_roundtrip_recreates_lock(self):
-        # Recorders cross process-executor boundaries; the lock is dropped
-        # in transit and must come back usable.
-        import pickle
-
-        a = PerfRecorder()
-        a.add_time("fbs", 1.0)
-        a.count("pack", 3)
-        b = pickle.loads(pickle.dumps(a))
-        assert b.phase_s == {"fbs": 1.0} and b.ops == {"pack": 3}
-        assert b.wall_s == pytest.approx(1.0)
-        b.count("pack")  # fresh lock, still functional
-        assert b.ops["pack"] == 4
+        assert repro.perf.__all__ == ["ExecConfig", "ParallelMap"]
 
 
 class TestParallelMap:
@@ -136,9 +100,9 @@ class TestCliJsonFlags:
 class TestDeprecations:
     def test_curated_top_level_api(self):
         assert repro.lower is not None
-        assert repro.PerfRecorder is PerfRecorder
+        assert repro.ParallelMap is ParallelMap
         for name in ("AthenaPipeline", "FbsLut", "run_program", "lower",
-                     "PerfRecorder"):
+                     "ParallelMap"):
             assert name in repro.__all__
         with pytest.raises(AttributeError):
             repro.no_such_symbol
@@ -159,21 +123,28 @@ class TestChunkedCiphertextPath:
         return lower(qm, TEST_LOOP), qm, x_q
 
     def test_chunked_matches_plaintext_and_is_thread_safe(self):
-        from repro.core.framework import AthenaPipeline, LoopCost
+        from repro.core.framework import AthenaPipeline
+        from repro.fhe.backend import CountingBackend
         from repro.fhe.params import TEST_LOOP
 
         program, qm, x_q = self._setup()
         want = qm.forward_int(x_q[None])[0]
 
-        cost = LoopCost()
-        serial_pipe = AthenaPipeline(TEST_LOOP, seed=41)
-        got_serial = serial_pipe.run_program(program, x_q, cost, chunk=16)
+        serial_counts = CountingBackend()
+        serial_pipe = AthenaPipeline(TEST_LOOP, seed=41, backend=serial_counts)
+        serial_counts.reset()  # drop keygen
+        got_serial = serial_pipe.run_program(program, x_q, chunk=16)
         assert np.abs(got_serial - want).max() <= 2
         # The conv round (32 outputs) splits into two tiles; counts cover
         # the extra FBS round but the extraction total is unchanged.
-        assert cost.extractions == 32 + 3
+        serial_ops = serial_counts.ops_by_phase()
+        assert serial_ops["se"]["extract"] == 32 + 3
+        assert serial_ops["fbs"]["smult"] == 610
+        assert serial_ops["fbs_giant"]["cmult"] == 131
 
-        thread_pipe = AthenaPipeline(TEST_LOOP, seed=41)
+        thread_counts = CountingBackend()
+        thread_pipe = AthenaPipeline(TEST_LOOP, seed=41, backend=thread_counts)
+        thread_counts.reset()
         got_thread = thread_pipe.run_program(
             program, x_q, chunk=16,
             pmap=ParallelMap(ExecConfig("thread", workers=4)),
@@ -181,6 +152,9 @@ class TestChunkedCiphertextPath:
         # Evaluation is deterministic given the keys: thread scheduling must
         # not change a single bit of the result.
         assert np.array_equal(got_serial, got_thread)
+        # One shared counter across the tile fan-out loses no event and
+        # mislabels none: phase by phase it equals the serial run.
+        assert thread_counts.ops_by_phase() == serial_ops
 
     def test_chunk_validation(self):
         from repro.core.framework import AthenaPipeline, CiphertextExecutor

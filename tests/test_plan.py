@@ -19,6 +19,7 @@ from repro.core.plan import (
 )
 from repro.core.program import lower
 from repro.errors import ParameterError
+from repro.fhe.backend import CountingBackend
 from repro.fhe.params import TEST_LOOP, TEST_SMALL
 from repro.fhe.serialize import dump_plan, load_plan
 from repro.quant.subjects import mnist_cnn_micro
@@ -156,7 +157,10 @@ class TestInferenceSession:
     def test_session_answers_requests_and_separates_phases(self):
         qm, program = _program()
         rng = np.random.default_rng(7)
-        session = InferenceSession(program, TEST_LOOP, seed=41)
+        counting = CountingBackend()
+        session = InferenceSession(program, TEST_LOOP, seed=41, backend=counting)
+        assert "compile" in counting.ops_by_phase()  # construction compiled
+        counting.reset()
         for _ in range(2):
             x_q = rng.integers(-3, 4, (1, 6, 6)).astype(np.int64)
             got = session.run(x_q)
@@ -165,5 +169,6 @@ class TestInferenceSession:
         stats = session.stats()
         assert stats.requests == 2
         assert stats.timings["compile_s"] > 0 and stats.timings["run_s"] > 0
-        # Warm requests never pay the compile phase.
-        assert "compile" not in session.last_perf.phase_s
+        # Warm requests never pay the compile phase: no op, no second.
+        assert "compile" not in counting.ops_by_phase()
+        assert "compile" not in counting.phase_s

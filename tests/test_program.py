@@ -341,13 +341,6 @@ class TestSatelliteFixes:
         assert lut.signed_range == 128
         assert lut.signed_range is lut.signed_range  # cached, same int object
 
-    def test_loopcost_default_not_shared(self):
-        from repro.core.framework import LoopCost
-
-        a, b = LoopCost(), LoopCost()
-        a.fbs.smult += 5
-        assert b.fbs.smult == 0
-
     def test_interpolation_cached_by_table_bytes(self):
         from repro.fhe.fbs import FbsLut
 
@@ -409,7 +402,8 @@ class TestCiphertextProgram:
         return QuantizedModel([conv, QFlatten(), fc], cfg, 1.0, (1, 6, 6))
 
     def test_chained_loops_match_plaintext(self):
-        from repro.core.framework import AthenaPipeline, LoopCost
+        from repro.core.framework import AthenaPipeline
+        from repro.fhe.backend import CountingBackend
         from repro.fhe.params import TEST_LOOP
 
         rng = np.random.default_rng(5)
@@ -419,15 +413,16 @@ class TestCiphertextProgram:
         assert qm.check_t()
 
         program = lower(qm, TEST_LOOP)
-        pipe = AthenaPipeline(TEST_LOOP, seed=41)
-        cost = LoopCost()
-        got = pipe.run_program(program, x_q, cost)
+        counting = CountingBackend()
+        pipe = AthenaPipeline(TEST_LOOP, seed=41, backend=counting)
+        got = pipe.run_program(program, x_q)
         assert got.shape == want.shape
         # Two chained LUT rounds: the conv round's +/-1 remap deviations can
         # propagate through the FC MAC, so allow a couple of output LSBs.
         assert np.abs(got - want).max() <= 2
-        assert cost.pmult == 2  # one per linear step
-        assert cost.extractions == 32 + 3
+        ops = counting.ops_by_phase()
+        assert ops["linear"]["pmult"] == 2  # one per linear step
+        assert ops["se"]["extract"] == 32 + 3
 
     def test_tail_skips_s2c(self):
         from repro.core.framework import AthenaPipeline, CiphertextExecutor
@@ -464,21 +459,23 @@ class TestCompiledPlanBitIdentity:
         return lower(qm, TEST_LOOP), x_q
 
     def test_precompiled_plan_matches_in_span_compile(self):
-        from repro.core.framework import AthenaPipeline, LoopCost
+        from repro.core.framework import AthenaPipeline
         from repro.core.plan import compile_program
+        from repro.fhe.backend import CountingBackend
         from repro.fhe.params import TEST_LOOP
 
         program, x_q = self._setup()
         baseline = AthenaPipeline(TEST_LOOP, seed=7).run_program(program, x_q)
 
         plan = compile_program(program, TEST_LOOP)
-        cost = LoopCost()
-        got = AthenaPipeline(TEST_LOOP, seed=7).run_program(
-            program, x_q, cost, plan=plan
+        counting = CountingBackend()
+        got = AthenaPipeline(TEST_LOOP, seed=7, backend=counting).run_program(
+            program, x_q, plan=plan
         )
         assert np.array_equal(got, baseline)
-        # The thin interpreter still meters the same ciphertext ops.
-        assert cost.pmult == 2 and cost.extractions == 32 + 3
+        # The thin interpreter still dispatches the same ciphertext ops.
+        ops = counting.ops_by_phase()
+        assert ops["linear"]["pmult"] == 2 and ops["se"]["extract"] == 32 + 3
 
     def test_save_load_run_round_trip(self):
         from repro.core.framework import AthenaPipeline

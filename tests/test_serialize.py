@@ -1,5 +1,7 @@
 """Tests for the wire formats (ciphertexts, LWE batches, secret keys)."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,74 @@ class TestSecretKey:
         m = rng.integers(0, p.t, p.n)
         ct = tiny_ctx.encrypt(Plaintext.from_coeffs(m, p), pk)
         assert np.array_equal(tiny_ctx.decrypt(ct, back).coeffs, m)
+
+
+def _array_bytes(arr):
+    """The wire form of one int64 array (ndim, dims, little-endian data)."""
+    arr = np.asarray(arr, dtype="<i8")
+    return (struct.pack("<B", arr.ndim)
+            + b"".join(struct.pack("<Q", d) for d in arr.shape) + arr.tobytes())
+
+
+class TestMalformedInput:
+    """Complete-looking but wrong bytes are a ParameterError, never a
+    numpy / codec exception and never silently accepted."""
+
+    @pytest.fixture(scope="class")
+    def blobs(self, tiny_ctx, tiny_keys):
+        from repro.core.plan import compile_program
+        from repro.core.program import lower
+        from repro.fhe.params import TEST_LOOP
+        from repro.quant.subjects import mnist_cnn_micro
+
+        sk, pk = tiny_keys
+        p = tiny_ctx.params
+        ct = tiny_ctx.encrypt(Plaintext.from_coeffs([1], p), pk)
+        program = lower(mnist_cnn_micro(np.random.default_rng(5)), TEST_LOOP)
+        rng = np.random.default_rng(3)
+        return {
+            "ciphertext": (serialize.dump_ciphertext(ct),
+                           lambda b: serialize.load_ciphertext(b, p)),
+            "lwe": (serialize.dump_lwe_batch(_lwe_batch(rng, 3)),
+                    serialize.load_lwe_batch),
+            "plan": (serialize.dump_plan(compile_program(program, TEST_LOOP)),
+                     lambda b: serialize.load_plan(b, TEST_LOOP)),
+            "secret": (serialize.dump_secret_key(sk, allow_secret=True),
+                       lambda b: serialize.load_secret_key(b, p)),
+        }
+
+    @pytest.mark.parametrize("kind", ["ciphertext", "lwe", "plan", "secret"])
+    def test_trailing_bytes_rejected(self, blobs, kind):
+        raw, load = blobs[kind]
+        load(raw)  # the untouched object loads
+        with pytest.raises(ParameterError, match="trailing"):
+            load(raw + b"\x00")
+
+    def test_ciphertext_second_component_shape_checked(self, blobs, tiny_ctx):
+        raw, load = blobs["ciphertext"]
+        p = tiny_ctx.params
+        c1_at = len(raw) - len(_array_bytes(np.zeros((p.num_limbs, p.n))))
+        with pytest.raises(ParameterError, match="shape"):
+            load(raw[:c1_at] + _array_bytes(np.zeros((1, 4))))
+
+    @pytest.mark.parametrize("a, b", [
+        (np.int64(7), np.int64(7)),                    # 0-d: no rows to count
+        (np.zeros((3, 16)), np.zeros((3, 1))),         # b must be a vector
+        (np.zeros(3), np.zeros(3)),                    # a must be a matrix
+        (np.zeros((3, 16)), np.zeros(2)),              # row counts differ
+    ], ids=["scalars", "b-matrix", "a-vector", "row-mismatch"])
+    def test_lwe_batch_dimensions_checked(self, blobs, a, b):
+        raw, load = blobs["lwe"]
+        head = raw[:16]  # magic/version/kind + modulus
+        with pytest.raises(ParameterError, match="inconsistent"):
+            load(head + _array_bytes(a) + _array_bytes(b))
+
+    def test_flipped_string_byte_is_a_parameter_error(self, blobs):
+        raw, load = blobs["plan"]
+        flipped = bytearray(raw)
+        flipped[26] = 0xFF  # first byte of the plan name: not valid UTF-8
+        with pytest.raises(ParameterError, match="corrupt string"):
+            load(bytes(flipped))
 
 
 class TestFingerprint:

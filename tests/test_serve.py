@@ -23,7 +23,7 @@ import pytest
 import repro.serve.cache as cache_mod
 from repro.errors import ParameterError, ServiceOverloaded
 from repro.fhe.params import TEST_FBS, TEST_LOOP
-from repro.perf import ExecConfig, PerfRecorder
+from repro.perf import ExecConfig
 from repro.serve import (
     AthenaService,
     BatchAssembler,
@@ -39,6 +39,7 @@ from repro.serve import (
     TenantRegistry,
 )
 from repro.quant.subjects import pack_cnn, resnet_block_micro, serve_micro_cnn
+from repro.serve.session import LATENCY_WINDOW
 
 
 def _request(tenant_id: str, model: str = "m") -> InferenceRequest:
@@ -153,8 +154,7 @@ class TestFairScheduler:
         assert sched.accepted == 3 and sched.rejected == 1
 
     def test_round_robin_dequeue_prevents_starvation(self):
-        perf = PerfRecorder()
-        sched = FairScheduler(["a", "b"], capacity=8, perf=perf)
+        sched = FairScheduler(["a", "b"], capacity=8)
         for tid in ["a", "a", "a", "b"]:
             sched.submit(_request(tid))
         sched.close()
@@ -167,8 +167,9 @@ class TestFairScheduler:
 
         # b's lone request is served second despite arriving last.
         assert asyncio.run(drain()) == ["a", "b", "a", "a"]
-        assert perf.ops["sched.accepted"] == 4
-        assert perf.phase_s["queue_wait"] >= 0
+        stats = sched.stats()
+        assert stats.counters["accepted"] == 4
+        assert stats.timings["queue_wait_s"] >= 0
 
     def test_waiter_wakes_on_submit_and_drains_on_close(self):
         async def scenario():
@@ -476,7 +477,9 @@ class TestSessionCore:
         session = InferenceSession(_micro_model(), TEST_FBS, seed=3)
         assert session.core.plan is session.plan
         assert session.runtime.pipeline is session.pipeline
-        assert session.requests == 0 and session.latencies == []
+        assert session.requests == 0 and len(session.latencies) == 0
+        # The percentile log is a bounded window, not a per-run leak.
+        assert session.latencies.maxlen == LATENCY_WINDOW
 
 
 # -- service façade: registration and validation (no ciphertext runs) --------
