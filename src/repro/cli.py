@@ -308,7 +308,6 @@ def _infer_with_plan(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.core.program import lower
-    from repro.core.plan import program_fingerprint
     from repro.fhe.serialize import guess_params, load_plan
     from repro.quant.subjects import micro_subject
     from repro.serve import InferenceSession
@@ -322,10 +321,8 @@ def _infer_with_plan(args: argparse.Namespace) -> int:
     plan = load_plan(raw, params)
     qm, _ = micro_subject("mnist_cnn")
     program = lower(qm, params)
-    if program_fingerprint(program) != plan.model_hash:
-        print("repro: error: plan was compiled for a different model",
-              file=sys.stderr)
-        return EXIT_FAILURE
+    # The session binds the plan: a plan compiled from another model (or
+    # under another tuning) is a ParameterError -> exit 1 in main().
     session = InferenceSession(program, params, seed=args.seed, plan=plan,
                                backend=args.backend)
     rng = np.random.default_rng(args.seed + 5)

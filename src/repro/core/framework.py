@@ -31,8 +31,7 @@ from repro.core.plan import (
     CompiledProgram,
     CompiledRemap,
     CompiledResidual,
-    MaxRound,
-    TilePlan,
+    RefreshRound,
     compile_program,
 )
 from repro.fhe.slots import pack_lane_coeffs
@@ -270,10 +269,11 @@ class CiphertextExecutor(ProgramExecutor):
 
     The flowing value is a BFV ciphertext. All request-invariant work —
     kernel/bias encoding, LUT interpolation and BSGS scheduling, S2C
-    diagonals, tile layouts — lives in the :class:`CompiledProgram`
-    (compiled at construction when not supplied), so each :meth:`linear`
-    call performs only encrypt (first step), PMult, refresh, pack, FBS,
-    and S2C on the request's data. Plan
+    diagonals, every :class:`RefreshRound` — lives in the
+    :class:`CompiledProgram` (compiled at construction when not supplied),
+    so each :meth:`linear` call performs only encrypt (first step), PMult,
+    and :meth:`_refresh` — the one place the loop's refresh -> pack -> FBS
+    -> S2C is written — on the request's data. Plan
     artifacts are resolved by *step index*, never by object identity, so a
     deserialized plan drives any equivalent re-lowered program.
 
@@ -285,7 +285,7 @@ class CiphertextExecutor(ProgramExecutor):
     historical, byte-identical path — or a padded interior grid whose
     exact-zero margin supplies the next convolution's zero padding).
 
-    MAC-domain max-pool fusion replays the plan's :class:`MaxRound` tree
+    MAC-domain max-pool fusion replays the plan's ``(delta, round)`` tree
     (``max(a, b) = b + relu(a - b)`` per level, one exact monomial shift +
     one ReLU refresh round each); average/global pooling runs as a
     depthwise all-ones PMult followed by a division-LUT refresh; residual
@@ -295,13 +295,12 @@ class CiphertextExecutor(ProgramExecutor):
     :class:`ParameterError` only when actually reached.
 
     With ``chunk`` set, a layer whose output count exceeds the cap is
-    refreshed as several independent five-step tiles (extract -> pack ->
-    FBS -> S2C on at most ``chunk`` outputs each), fanned out through
-    ``pmap``; tile ciphertexts are merged back into the single-ciphertext
-    layout by exact monomial shifts. Unused pack slots hold exactly 0, so
-    each tile's FBS output carries LUT(0) in its dead slots; an exact
-    ``add_plain(-LUT(0))`` correction (a compile-time plaintext) zeroes
-    them before S2C, which is what makes the shift-merge collision-free.
+    refreshed as several independent tiles (extract -> pack -> FBS -> S2C
+    on at most ``chunk`` outputs each), fanned out through ``pmap``. Each
+    tile is a round *placed* at its own rows of the merged layout: unused
+    pack slots hold exactly 0, so the tile's FBS output carries LUT(0) in
+    its dead slots; the round's exact ``-LUT(0)`` correction zeroes them
+    before S2C, so the tile ciphertexts merge by plain addition.
     """
 
     def __init__(
@@ -329,11 +328,7 @@ class CiphertextExecutor(ProgramExecutor):
                     f"plan was compiled with chunk={plan.chunk}, "
                     f"requested {chunk}"
                 )
-            # A wire-form plan handed straight to the executor is recompiled
-            # here, per executor; sessions and plan caches bind once and hold
-            # the result, so for them this returns ``plan`` itself.
-            with pipe._dispatch():
-                plan = plan.bind(program, pipe.params)
+            plan.bind(program, pipe.params)
         if lanes > 1:
             if plan.chunk is not None:
                 raise ParameterError(
@@ -422,49 +417,51 @@ class CiphertextExecutor(ProgramExecutor):
         if bias is not None:
             with pipe._dispatch(), current_backend().phase("linear"):
                 out = pipe.ctx.add_plain(out, bias)
-        if cstep.pool_rounds is not None:
-            for rnd in cstep.pool_rounds:
-                out = self._max_round(out, cstep, rnd)
-        self.out_count = cstep.out_count
-        if cstep.tiles is None:
-            positions = (
-                layout.positions if layout is not None else cstep.positions
-            )
-            batch = pipe.refresh_to_lwe(out, positions)
-            if layout is not None:
-                # Spread the lanes' samples to the chained pack rows; the
-                # gap rows are trivial zero encryptions (exact zeros).
-                batch = batch.place(layout.pack_map, layout.pack_rows)
-            elif cstep.pack_rows is not None:
-                batch = batch.place(cstep.pack_rows, n)
-            self.lane_stride = (
-                layout.out_stride if layout is not None else cstep.out_count
-            )
-            boot = pipe.bootstrap(batch, cstep.lut, plan=cstep.fbs)
-            boot = self._correct(boot, cstep.pack_correction)
-            self.tail_s2c = step.s2c
-            return pipe.to_coeffs(boot, plan=self.plan.s2c) if step.s2c else boot
-        return self._chunked_rounds(out, cstep)
+        for delta, rnd in cstep.pool_rounds or ():
+            out = self._max_round(out, delta, rnd)
+        self.out_count = cstep.round.count
+        if cstep.tiles is not None:
+            # Tiles merge in coefficient space, so each one runs S2C and the
+            # result is in coefficient form even for the tail step.
+            tiles = self.pmap.starmap(
+                partial(self._refresh, out), [(t, True) for t in cstep.tiles])
+            with pipe._dispatch(), current_backend().phase("s2c"):
+                out = tiles[0]
+                for tile in tiles[1:]:
+                    out = pipe.ctx.add(out, tile)
+            self.lane_stride, self.tail_s2c = self.out_count, True
+            return out
+        rnd = layout.round if layout is not None else cstep.round
+        self.lane_stride = (
+            layout.out_stride if layout is not None else self.out_count)
+        self.tail_s2c = step.s2c
+        return self._refresh(out, rnd, step.s2c)
 
-    def _correct(self, boot: BfvCiphertext, correction) -> BfvCiphertext:
-        """Zero a placed layout's gap slots exactly (``-LUT(0)`` plaintext)."""
-        if correction is None:
-            return boot
+    def _refresh(
+        self, ct: BfvCiphertext, rnd: RefreshRound, s2c: bool
+    ) -> BfvCiphertext:
+        """The loop's refresh (Fig. 2 steps 2-5, then S2C), written once.
+
+        Mod-switch + extract at the round's positions, scatter the samples
+        onto its pack rows (gap rows are trivial zero encryptions), pack +
+        FBS through its table, zero the unfilled rows exactly with its
+        ``-LUT(0)`` plaintext, and return to coefficients. Chunk tiles call
+        this from pool worker threads, which start from the context
+        captured at submit time — hence the backend is re-installed here.
+        """
         pipe = self.pipe
-        with pipe._dispatch(), current_backend().phase("fbs"):
-            return pipe.ctx.add_plain(boot, correction)
-
-    def _shift(self, ct: BfvCiphertext, offset: int) -> BfvCiphertext:
-        """Exact monomial multiplication by X^offset (no key material)."""
-        return BfvCiphertext(
-            ct.c0.negacyclic_shift(offset),
-            ct.c1.negacyclic_shift(offset),
-            ct.params,
-            ct.noise_bits,
-        )
+        with pipe._dispatch():
+            batch = pipe.refresh_to_lwe(ct, rnd.positions)
+            if rnd.rows is not None:
+                batch = batch.place(rnd.rows, rnd.height)
+            boot = pipe.bootstrap(batch, rnd.lut, plan=rnd.fbs)
+            if rnd.correction is not None:
+                with current_backend().phase("fbs"):
+                    boot = pipe.ctx.add_plain(boot, rnd.correction)
+            return pipe.to_coeffs(boot, plan=self.plan.s2c) if s2c else boot
 
     def _max_round(
-        self, ct: BfvCiphertext, cstep: CompiledLinear, rnd: MaxRound
+        self, ct: BfvCiphertext, delta: int, rnd: RefreshRound
     ) -> BfvCiphertext:
         """One MAC-domain max-tree level: ``max(a, b) = b + relu(a - b)``.
 
@@ -479,14 +476,14 @@ class CiphertextExecutor(ProgramExecutor):
         never read: the next level's partners are this level's kept cells.
         """
         pipe = self.pipe
-        n = pipe.params.n
+        offset = pipe.params.n - delta
         with pipe._dispatch(), current_backend().phase("pooling"):
-            shifted = self._shift(ct, n - rnd.delta)
+            # Exact monomial multiplication by X^offset (no key material).
+            shifted = BfvCiphertext(
+                ct.c0.negacyclic_shift(offset), ct.c1.negacyclic_shift(offset),
+                ct.params, ct.noise_bits)
             diff = pipe.ctx.add(ct, shifted)
-        batch = pipe.refresh_to_lwe(diff, rnd.positions)
-        batch = batch.place(rnd.positions, n)
-        boot = pipe.bootstrap(batch, cstep.pool_lut, plan=cstep.pool_fbs)
-        relu_ct = pipe.to_coeffs(boot, plan=self.plan.s2c)
+        relu_ct = self._refresh(diff, rnd, True)
         with pipe._dispatch(), current_backend().phase("pooling"):
             return pipe.ctx.sub(relu_ct, shifted)
 
@@ -499,58 +496,6 @@ class CiphertextExecutor(ProgramExecutor):
             layout.in_stride,
             n,
         )
-
-    # -- chunked refresh: independent tiles + exact shift-merge --------------
-
-    def _chunked_rounds(
-        self, out: BfvCiphertext, cstep: CompiledLinear
-    ) -> BfvCiphertext:
-        """Refresh the round as its precomputed independent five-step tiles.
-
-        Each tile always runs S2C (tile merging happens in coefficient
-        space, where a monomial shift is exact and free of key material), so
-        the merged result is in coefficient form even for the tail step.
-        """
-        pipe = self.pipe
-        rounds = self.pmap.starmap(
-            partial(self._tile_round, out, cstep),
-            [(tile,) for tile in cstep.tiles],
-        )
-        merged: BfvCiphertext | None = None
-        with pipe._dispatch(), current_backend().phase("s2c"):
-            for ct_k in rounds:
-                merged = ct_k if merged is None else pipe.ctx.add(merged, ct_k)
-        self.tail_s2c = True
-        self.lane_stride = cstep.out_count
-        return merged
-
-    def _tile_round(
-        self, out: BfvCiphertext, cstep: CompiledLinear, tile: TilePlan
-    ) -> BfvCiphertext:
-        """One tile: refresh -> FBS -> dead-slot correction -> S2C -> shift.
-
-        Packing zeroes the slots past this tile's count *exactly*, and FBS
-        maps an exact 0 to an exact LUT(0), so subtracting LUT(0) from the
-        dead slots is an exact correction: after S2C the tile's plaintext is
-        zero outside coefficients [0, count). The monomial shift X^offset
-        then lands the tile at [offset, offset + count) without collisions,
-        and wrapped coefficients (all zero) pick up only a sign.
-        """
-        pipe = self.pipe
-        # Tiles may run in pool worker threads; the pipeline's backend is
-        # re-installed here because thread workers start from the context
-        # captured at submit time, not the caller's.
-        with pipe._dispatch():
-            batch = pipe.refresh_to_lwe(out, tile.positions)
-            boot = pipe.bootstrap(batch, cstep.lut, plan=cstep.fbs)
-            if tile.correction is not None:
-                with current_backend().phase("fbs"):
-                    boot = pipe.ctx.add_plain(boot, tile.correction)
-            ct = pipe.to_coeffs(boot, plan=self.plan.s2c)
-            if tile.offset:
-                with current_backend().phase("s2c"):
-                    ct = self._shift(ct, tile.offset)
-        return ct
 
     def pool(self, step: PoolStep, value):
         """Average/global pooling: one depthwise all-ones PMult.
@@ -575,16 +520,13 @@ class CiphertextExecutor(ProgramExecutor):
                 f"remap step {step.name!r} cannot be the program's entry "
                 "step on the real-ciphertext backend"
             )
-        pipe = self.pipe
-        batch = pipe.refresh_to_lwe(value, cstep.positions)
-        if cstep.pack_rows is not None:
-            batch = batch.place(cstep.pack_rows, pipe.params.n)
-        boot = pipe.bootstrap(batch, cstep.lut, plan=cstep.fbs)
-        boot = self._correct(boot, cstep.pack_correction)
-        self.out_count = cstep.out_count
-        self.lane_stride = cstep.out_count
-        self.tail_s2c = step.s2c
-        return pipe.to_coeffs(boot, plan=self.plan.s2c) if step.s2c else boot
+        return self._close(value, cstep.round, step.s2c)
+
+    def _close(self, ct: BfvCiphertext, rnd: RefreshRound, s2c: bool):
+        """Refresh a single-image round and record the tail geometry."""
+        self.out_count = self.lane_stride = rnd.count
+        self.tail_s2c = s2c
+        return self._refresh(ct, rnd, s2c)
 
     def residual(self, step: ResidualStep, main, skip):
         """Join the branches and refresh through the wide-scale LUT.
@@ -604,12 +546,4 @@ class CiphertextExecutor(ProgramExecutor):
             if cstep.alpha != 1:
                 skip = pipe.ctx.smult(skip, cstep.alpha)
             total = pipe.ctx.add(main, skip)
-        batch = pipe.refresh_to_lwe(total, cstep.positions)
-        if cstep.pack_rows is not None:
-            batch = batch.place(cstep.pack_rows, pipe.params.n)
-        boot = pipe.bootstrap(batch, cstep.lut, plan=cstep.fbs)
-        boot = self._correct(boot, cstep.pack_correction)
-        self.out_count = cstep.out_count
-        self.lane_stride = cstep.out_count
-        self.tail_s2c = step.s2c
-        return pipe.to_coeffs(boot, plan=self.plan.s2c) if step.s2c else boot
+        return self._close(total, cstep.round, step.s2c)

@@ -6,8 +6,8 @@ interleaved on every request:
 * **compile time** — work that depends only on the *model* and the
   *parameter set*: Eq. 1 kernel encoding (and its NTT operand form), bias
   placement, LUT tabulation + polynomial interpolation + BSGS schedule,
-  the S2C evaluation-matrix diagonals, chunked-tile layouts with their
-  exact LUT(0) dead-slot corrections, and the extraction position arrays.
+  the S2C evaluation-matrix diagonals, and every refresh round's extraction
+  positions, pack rows and exact ``-LUT(0)`` dead-slot correction.
 * **run time** — ciphertext operations on the request's encrypted data.
 
 :func:`compile_program` lowers an :class:`~repro.core.program.AthenaProgram`
@@ -25,21 +25,20 @@ Feature layouts
 Interior layers chain through :class:`FeatureLayout` descriptors: the
 compiler walks the program once, computes the coefficient layout each
 step *requires* of its input (a padded grid for a pad > 0 convolution,
-compact rows for an FC head), and compiles every refresh round to pack
-its LWE samples directly into the next consumer's layout
-(:attr:`pack_rows`). The gap rows are trivial zero encryptions, and a
-LUT(0) != 0 dead-slot correction keeps them *exact* zeros after S2C —
-which is precisely what lets a placed layout's margin act as the next
+compact rows for an FC head), and compiles every :class:`RefreshRound` to
+pack its LWE samples directly into the next consumer's layout
+(:attr:`RefreshRound.rows`). The gap rows are trivial zero encryptions,
+and a LUT(0) != 0 dead-slot correction keeps them *exact* zeros after S2C
+— which is precisely what lets a placed layout's margin act as the next
 convolution's zero padding. Compact targets keep the historical
-pack-nothing path, so plain conv/FC chains compile to byte-identical
-plans.
+pack-nothing path, so plain conv/FC chains run the identical op sequence.
 
-MAC-domain max-pool fusion compiles to a :class:`MaxRound` tree:
-``max(a, b) = b + relu(a - b)`` evaluated with one exact monomial shift,
-one ReLU refresh round placed back onto the kept grid cells, and one
-ciphertext subtraction per round — ``2*log2(k)`` rounds for a ``k x k``
-(kernel == stride, power of two) window, batched SIMD-wide across all
-windows and channels.
+MAC-domain max-pool fusion compiles to a tree of ``(delta, round)``
+levels: ``max(a, b) = b + relu(a - b)`` evaluated with one exact monomial
+shift, one ReLU refresh round placed back onto the kept grid cells, and
+one ciphertext subtraction per level — ``2*log2(k)`` levels for a
+``k x k`` (kernel == stride, power of two) window, batched SIMD-wide
+across all windows and channels.
 
 Per-step encoding choices (:class:`repro.core.lowering.StepEncodingChoice`,
 optionally overridden by a :class:`repro.core.lowering.TuningConfig` from
@@ -88,8 +87,7 @@ __all__ = [
     "CompiledResidual",
     "FeatureLayout",
     "LaneLayout",
-    "MaxRound",
-    "TilePlan",
+    "RefreshRound",
     "compile_program",
     "program_fingerprint",
 ]
@@ -224,35 +222,60 @@ def _is_plain(layout: FeatureLayout | None) -> bool:
 
 
 @dataclass(frozen=True)
-class TilePlan:
-    """One chunked five-step tile: its positions and exact corrections.
+class RefreshRound:
+    """One turn of the paper's loop after the linear step (Fig. 2).
 
-    ``correction`` is the slot-encoded ``-LUT(0)`` plaintext that zeroes the
-    tile's dead pack slots before S2C (``None`` when LUT(0) = 0), making the
-    later monomial shift-merge collision-free. The shift amount is
-    ``offset`` — the tile's coefficient base in the merged layout.
+    Steps 2-3 mod-switch the ciphertext and extract the LWE samples at
+    ``positions``; step 4 packs sample ``i`` onto row ``rows[i]`` of a
+    zero-padded batch of ``height`` rows (``rows=None``: rows ``0..count-1``,
+    nothing placed); step 5 evaluates ``lut`` through its BSGS schedule
+    ``fbs``; ``correction`` — the slot-encoded ``-LUT(0)`` over every row the
+    round did *not* fill, ``None`` when LUT(0) = 0 or nothing is placed —
+    makes those rows exact zeros again, so after S2C sample ``i`` sits alone
+    at coefficient ``rows[i]``. Every refresh the executor runs — a layer's
+    tail, a chunk tile, a lane batch, a max-tree level, a remap, a residual
+    join — is one of these, built by :func:`_refresh_round`.
     """
 
-    offset: int
     positions: np.ndarray
+    rows: np.ndarray | None
+    height: int
+    lut: FbsLut
+    fbs: FbsPlan
     correction: Plaintext | None
 
+    @property
+    def count(self) -> int:
+        return self.positions.shape[0]
 
-@dataclass(frozen=True)
-class MaxRound:
-    """One level of a MAC-domain max-pool tree.
 
-    The executor evaluates ``max(a, b) = b + relu(a - b)`` across all
-    windows at once: ``shifted = ct * X^(n - delta)`` holds ``-b`` on top
-    of every ``a`` cell, ``add`` forms the differences, a ReLU refresh
-    round placed back onto ``positions`` (the kept cells; relu(0) = 0
-    keeps the off-row coefficients exact) rectifies them, and
-    ``sub(relu_ct, shifted)`` adds ``b`` back. ``delta`` is the
-    coefficient distance between a window cell and its round partner.
-    """
+def _refresh_round(positions: np.ndarray, rows: np.ndarray | None, lut: FbsLut,
+                   fbs: FbsPlan, params: FheParams) -> RefreshRound:
+    """The one builder of a round — and of its ``-LUT(0)`` plaintext."""
+    correction = None
+    lut0 = int(lut.values[0])
+    if rows is not None and lut0:
+        vals = np.full(params.n, -lut0 % params.t, dtype=np.int64)
+        vals[rows] = 0
+        correction = Plaintext.from_slots(vals, params)
+        correction.add_operand()
+    height = positions.shape[0] if rows is None else int(rows.max()) + 1
+    return RefreshRound(positions, rows, height, lut, fbs, correction)
 
-    delta: int
-    positions: np.ndarray
+
+def _tile_rounds(rnd: RefreshRound, chunk: int | None,
+                 params: FheParams) -> tuple[RefreshRound, ...] | None:
+    """Split a compact round into ``chunk``-sized rounds, each placed at its
+    own rows ``offset .. offset+count-1`` so the tiles merge by plain
+    addition; ``None`` for the single-tile case."""
+    if chunk is None or rnd.count <= chunk:
+        return None
+    rows = np.arange(rnd.count, dtype=np.int64)
+    return tuple(
+        _refresh_round(rnd.positions[off : off + chunk], rows[off : off + chunk],
+                       rnd.lut, rnd.fbs, params)
+        for off in range(0, rnd.count, chunk)
+    )
 
 
 @dataclass(frozen=True)
@@ -260,24 +283,19 @@ class LaneLayout:
     """Per-batch-size geometry of one linear round carrying ``lanes`` images.
 
     Lane ``d``'s input block sits at coefficient offset ``d * in_stride``
-    (``in_stride`` = the step's :attr:`CompiledLinear.lane_span`), its MAC
-    outputs at ``positions`` rows ``d*out_count .. (d+1)*out_count - 1``, and
-    its refreshed LWE samples land at pack rows ``d * out_stride + i`` —
-    spaced so that after S2C each lane's coefficients are exactly where the
-    *next* layer's lane ``d`` expects its input (``out_stride`` = the next
-    step's lane span; the tail packs compactly at ``out_stride = out_count``).
-    Gap rows are trivial zero encryptions, exact zeros end to end.
+    (``in_stride`` = the step's :attr:`CompiledLinear.lane_span`); ``round``
+    extracts every lane's MAC outputs (lane-major) and packs lane ``d``'s
+    sample ``i`` at row ``d * out_stride + i`` — spaced so that after S2C
+    each lane's coefficients are exactly where the *next* layer's lane ``d``
+    expects its input (``out_stride`` = the next step's lane span; the tail
+    packs compactly at ``out_stride = count``). Gap rows are trivial zero
+    encryptions, exact zeros end to end.
     """
 
     lanes: int
     in_stride: int
     out_stride: int
-    #: All lanes' extraction positions, lane-major (lanes * out_count).
-    positions: np.ndarray
-    #: Height of the zero-padded LWE batch handed to packing.
-    pack_rows: int
-    #: Target pack row of each extracted sample (aligned with ``positions``).
-    pack_map: np.ndarray
+    round: RefreshRound
     #: Bias replicated into every lane (``None`` when the bias is zero).
     bias: Plaintext | None
 
@@ -295,16 +313,11 @@ class CompiledLinear:
     kernel: Plaintext = None
     #: Bias placed at the (pre-pool) output positions (``None`` when zero).
     bias: Plaintext | None = None
-    #: Coefficient indices of the valid outputs (extraction positions).
-    #: With a fused pool these are the pooled winners, not all MAC outputs.
-    positions: np.ndarray = None
-    out_count: int = 0
-    #: Materialized FBS table (interpolated once, shared via the cache).
-    lut: FbsLut = None
-    #: BSGS schedule of the LUT polynomial, constants pre-encoded.
-    fbs: FbsPlan = None
-    #: Chunked refresh layout; ``None`` when the round runs as one tile.
-    tiles: tuple[TilePlan, ...] | None = None
+    #: The layer's refresh: extraction at the valid outputs (the pooled
+    #: winners under a fused pool), packed onto the next consumer's rows.
+    round: RefreshRound = None
+    #: The same refresh split into chunk tiles; ``None`` = one tile.
+    tiles: tuple[RefreshRound, ...] | None = None
     #: Coefficient span of one image through this round (Eq. 1 workspace).
     lane_span: int = 0
     #: Pack-row stride between lanes' outputs (annotated by the lane chain).
@@ -312,16 +325,12 @@ class CompiledLinear:
     #: Table 2 encoding strategy label ('athena' | 'cheetah') for the cost
     #: model; execution on the single-ciphertext backend is identical.
     strategy: str = "athena"
-    #: Target pack rows of the next consumer's layout (``None`` = compact).
-    pack_rows: np.ndarray | None = None
-    #: Slot-encoded -LUT(0) over the placed layout's gap rows (``None``
-    #: when LUT(0) = 0 or the target is compact).
-    pack_correction: Plaintext | None = None
-    #: MAC-domain max-pool tree (``None`` when no fused pool).
-    pool_rounds: tuple[MaxRound, ...] | None = None
-    #: Shared MAC-domain ReLU table + schedule for the tree rounds.
-    pool_lut: FbsLut | None = None
-    pool_fbs: FbsPlan | None = None
+    #: MAC-domain max-pool tree, one ``(delta, ReLU round)`` per level
+    #: (``None`` when no fused pool). ``delta`` is the coefficient distance
+    #: between a kept window cell and its partner; the round refreshes the
+    #: differences back onto the kept cells (relu(0) = 0 keeps every other
+    #: coefficient an exact zero).
+    pool_rounds: tuple[tuple[int, RefreshRound], ...] | None = None
     #: Lazily built per-batch-size layouts, keyed by lane count.
     _lane_layouts: dict = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -331,11 +340,10 @@ class CompiledLinear:
         cached = self._lane_layouts.get(lanes)
         if cached is not None:
             return cached
-        if lanes < 1:
-            raise ParameterError(f"need at least one lane, got {lanes}")
+        base = self.round
         if self.tiles is not None:
             raise ParameterError("chunked rounds do not support lane batching")
-        if self.pack_rows is not None or self.pool_rounds is not None:
+        if base.rows is not None or self.pool_rounds is not None:
             raise ParameterError(
                 "placed layouts and fused pooling do not support lane batching")
         if self.lane_span <= 0 or self.lane_out_stride <= 0:
@@ -345,29 +353,20 @@ class CompiledLinear:
         if lanes * self.lane_span > n:
             raise ParameterError(
                 f"{lanes} lanes of span {self.lane_span} exceed n={n}")
-        positions = lane_positions(self.positions, self.lane_span, lanes, n)
-        pack_rows = (lanes - 1) * self.lane_out_stride + self.out_count
-        if pack_rows > n:
-            raise ParameterError(
-                f"{lanes} output lanes need {pack_rows} pack rows, have {n}")
-        pack_map = lane_positions(
-            np.arange(self.out_count, dtype=np.int64),
-            self.lane_out_stride, lanes, n)
+        positions = lane_positions(base.positions, self.lane_span, lanes, n)
+        rows = lane_positions(
+            np.arange(base.count, dtype=np.int64), self.lane_out_stride, lanes, n)
         bias = None
         if self.bias is not None:
             coeffs = np.zeros(n, dtype=np.int64)
-            for d in range(lanes):
-                coeffs[self.positions + d * self.lane_span] = \
-                    self.bias.coeffs[self.positions]
+            coeffs[positions] = np.tile(self.bias.coeffs[base.positions], lanes)
             bias = Plaintext.from_coeffs(coeffs, params)
             bias.add_operand()
         layout = LaneLayout(
             lanes=lanes,
             in_stride=self.lane_span,
             out_stride=self.lane_out_stride,
-            positions=positions,
-            pack_rows=pack_rows,
-            pack_map=pack_map,
+            round=_refresh_round(positions, rows, base.lut, base.fbs, params),
             bias=bias,
         )
         self._lane_layouts[lanes] = layout
@@ -389,7 +388,6 @@ class CompiledPool:
     kind: str = field(default="pool", init=False)
     kernel: Plaintext = None
     positions: np.ndarray = None
-    out_count: int = 0
 
 
 @dataclass
@@ -400,12 +398,7 @@ class CompiledRemap:
     name: str
     s2c: bool
     kind: str = field(default="remap", init=False)
-    positions: np.ndarray = None
-    out_count: int = 0
-    lut: FbsLut = None
-    fbs: FbsPlan = None
-    pack_rows: np.ndarray | None = None
-    pack_correction: Plaintext | None = None
+    round: RefreshRound = None
 
 
 @dataclass
@@ -424,28 +417,20 @@ class CompiledResidual:
     s2c: bool
     kind: str = field(default="residual", init=False)
     alpha: int = 1
-    positions: np.ndarray = None
-    out_count: int = 0
-    lut: FbsLut = None
-    fbs: FbsPlan = None
-    pack_rows: np.ndarray | None = None
-    pack_correction: Plaintext | None = None
+    round: RefreshRound = None
     body: list = field(default_factory=list)
     shortcut: list | None = None
 
 
 @dataclass(frozen=True)
 class CompiledOpaque:
-    """Placeholder for steps with no compile-time artifacts (reshape), steps
-    whose artifacts did not fit this parameter set (the executor raises its
-    usual error when such a step is actually reached), or — with ``stub``
-    set — complex steps elided from the wire form, which
-    :meth:`CompiledProgram.bind` recompiles."""
+    """Placeholder for steps with no compile-time artifacts (reshape) and
+    steps whose artifacts did not fit this parameter set (the executor
+    raises its usual error when such a step is actually reached)."""
 
     index: int
     name: str
     kind: str
-    stub: bool = False
 
 
 @dataclass
@@ -473,35 +458,15 @@ class CompiledProgram:
     tuning: TuningConfig | None = None
 
     def bind(self, program: AthenaProgram, params: FheParams) -> "CompiledProgram":
-        """Validate that this plan matches ``program`` under ``params`` and
-        return the runnable plan: ``self``, or — when this is a wire-form
-        plan carrying stubs — a fresh compile under the same chunk and
-        tuning. Callers keep the return value, so a loaded plan is
-        recompiled once where it is bound, not once per request."""
+        """Validate that this plan was compiled from ``program`` (same
+        structure, weights, LUT recipes and tuning) under ``params``;
+        return ``self`` so loaders can chain. A plan — compiled or loaded —
+        is complete: binding never builds anything."""
         if params_fingerprint(params) != params_fingerprint(self.params):
             raise ParameterError("plan was compiled for different parameters")
-        if len(self.steps) != len(program.steps):
-            raise ParameterError(
-                f"plan has {len(self.steps)} steps, program has "
-                f"{len(program.steps)}"
-            )
-        for cstep, step in zip(self.steps, program.steps):
-            want = cstep.kind
-            if want != step.kind:
-                raise ParameterError(
-                    f"plan step {cstep.index} is {want!r}, "
-                    f"program has {step.kind!r}"
-                )
-        if self.needs_upgrade():
-            return compile_program(
-                program, params, chunk=self.chunk, tuning=self.tuning
-            )
+        if self.model_hash != program_fingerprint(program, self.tuning):
+            raise ParameterError("plan was compiled for a different model")
         return self
-
-    def needs_upgrade(self) -> bool:
-        """True while wire-form stubs stand in for steps :meth:`bind` must
-        recompile before execution."""
-        return any(getattr(s, "stub", False) for s in self.steps)
 
 
 def _annotate_lanes(steps: list, params: FheParams, chunk: int | None) -> int:
@@ -510,7 +475,7 @@ def _annotate_lanes(steps: list, params: FheParams, chunk: int | None) -> int:
     Each interior layer's lanes must exit at the *next* layer's input stride
     (its lane span) so that S2C drops lane ``d``'s outputs exactly where lane
     ``d``'s next input block begins; the tail packs lanes compactly. Capacity
-    is the ring-size bound ``min_j n // lane_span_j`` (and ``n // out_count``
+    is the ring-size bound ``min_j n // lane_span_j`` (and ``n // count``
     for the compact tail). The chain is re-derived after deserialization, so
     a loaded plan batches identically to a freshly compiled one.
     """
@@ -520,7 +485,7 @@ def _annotate_lanes(steps: list, params: FheParams, chunk: int | None) -> int:
     for cur, nxt in zip(linears, linears[1:]):
         cur.lane_out_stride = nxt.lane_span
     tail = linears[-1]
-    tail.lane_out_stride = tail.out_count
+    tail.lane_out_stride = tail.round.count
     if chunk is not None:
         return 1
     capacity = params.n
@@ -528,9 +493,9 @@ def _annotate_lanes(steps: list, params: FheParams, chunk: int | None) -> int:
         if isinstance(step, CompiledLinear):
             if (
                 step.tiles is not None
-                or step.pack_rows is not None
+                or step.round.rows is not None
                 or step.pool_rounds is not None
-                or int(step.lut.values[0]) != 0
+                or int(step.round.lut.values[0]) != 0
             ):
                 return 1
             capacity = min(capacity, params.n // max(1, step.lane_span))
@@ -538,28 +503,8 @@ def _annotate_lanes(steps: list, params: FheParams, chunk: int | None) -> int:
             # Steps whose geometry is single-image by construction (pooling,
             # residual joins) or that the executor cannot run anyway.
             return 1
-    capacity = min(capacity, params.n // max(1, tail.out_count))
+    capacity = min(capacity, params.n // max(1, tail.round.count))
     return max(1, capacity)
-
-
-def _build_tiles(
-    positions: np.ndarray, lut: FbsLut, params: FheParams, chunk: int | None
-) -> tuple[TilePlan, ...] | None:
-    """Tile layout of one round, or ``None`` for the single-tile case."""
-    if chunk is None or positions.shape[0] <= chunk:
-        return None
-    lut0 = int(lut.values[0])
-    tiles = []
-    for off in range(0, positions.shape[0], chunk):
-        pos = positions[off : off + chunk]
-        correction = None
-        if lut0:
-            vals = np.zeros(params.n, dtype=np.int64)
-            vals[pos.shape[0] :] = -lut0 % params.t
-            correction = Plaintext.from_slots(vals, params)
-            correction.add_operand()
-        tiles.append(TilePlan(int(off), pos, correction))
-    return tuple(tiles)
 
 
 def _pack_rows_for(target: FeatureLayout | None, out_count: int,
@@ -577,19 +522,10 @@ def _pack_rows_for(target: FeatureLayout | None, out_count: int,
     return target.rows()
 
 
-def _pack_correction(pack_rows: np.ndarray | None, lut: FbsLut,
-                     params: FheParams) -> Plaintext | None:
-    """Exact -LUT(0) plaintext over a placed layout's gap rows."""
-    if pack_rows is None:
-        return None
-    lut0 = int(lut.values[0])
-    if not lut0:
-        return None
-    vals = np.full(params.n, -lut0 % params.t, dtype=np.int64)
-    vals[pack_rows] = 0
-    correction = Plaintext.from_slots(vals, params)
-    correction.add_operand()
-    return correction
+def _s2c_plan(params: FheParams) -> S2CPlan:
+    """The params-only S2C plan, rotation index maps warmed — shared by
+    :func:`compile_program` and :func:`repro.fhe.serialize.load_plan`."""
+    return S2CPlan.build(params).warm_automorphisms(params)
 
 
 def _fbs_plan(lut: FbsLut, choice: StepEncodingChoice | None,
@@ -687,14 +623,25 @@ def _required_layout(steps: list, j: int, shape: tuple | None,
 # --------------------------------------------------------------------------
 
 
+def _compile_round(step, config, params: FheParams, choice: StepEncodingChoice,
+                   positions: np.ndarray,
+                   target: FeatureLayout | None) -> RefreshRound:
+    """A LUT-bearing step's refresh, packed into the next consumer's layout."""
+    lut = step.lut.build(config, params.t)
+    rows = _pack_rows_for(target, positions.shape[0], params)
+    return _refresh_round(
+        positions, rows, lut, _fbs_plan(lut, choice, params), params)
+
+
 def _mac_relu_lut(t: int) -> FbsLut:
     """The MAC-domain rectifier every max-tree round refreshes through."""
     return FbsLut.from_function(lambda v: np.maximum(v, 0), t, name="mac-relu")
 
 
 def _pool_tree(layer, pool, gh: int, gw: int, oy: int, ox: int,
-               n: int) -> tuple[tuple[MaxRound, ...], np.ndarray]:
-    """Build the MAC-domain max rounds + final pooled extraction positions.
+               n: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
+    """Build the MAC-domain max levels, each ``(delta, kept cells)``, + the
+    final pooled extraction positions.
 
     Cell ``(cp, a, b)`` of the conv's output grid sits at coefficient
     ``t_index - cp*cin*gh*gw + (oy + a*s)*gw + (ox + b*s)``; window
@@ -732,19 +679,19 @@ def _pool_tree(layer, pool, gh: int, gw: int, oy: int, ox: int,
     levels = k.bit_length() - 1
     origins_y = list(range(0, oh - k + 1, k))
     origins_x = list(range(0, ow - k + 1, k))
-    rounds: list[MaxRound] = []
+    rounds: list[tuple[int, np.ndarray]] = []
     for r in range(levels):  # column reduction, all rows still live
         stepw = 1 << (r + 1)
         xs = [w0 + o for w0 in origins_x for o in range(0, k, stepw)]
-        rounds.append(MaxRound((1 << r) * s, positions_for(range(oh), xs)))
+        rounds.append(((1 << r) * s, positions_for(range(oh), xs)))
     for r in range(levels):  # row reduction over the window columns
         steph = 1 << (r + 1)
         ys = [y0 + o for y0 in origins_y for o in range(0, k, steph)]
-        rounds.append(MaxRound((1 << r) * s * gw, positions_for(ys, origins_x)))
+        rounds.append(((1 << r) * s * gw, positions_for(ys, origins_x)))
     final = positions_for(origins_y, origins_x)
     if final.size and int(final.max()) >= n:
         raise ParameterError("pooled positions overflow the ring")
-    return tuple(rounds), final
+    return rounds, final
 
 
 def _compile_linear(
@@ -774,12 +721,7 @@ def _compile_linear(
             # The historical path: the input sits on the conv's own padded
             # grid (client-side np.pad for the entry step, or a placed
             # layout matching it exactly). Byte-identical artifacts.
-            if layer.pad and not _is_plain(in_layout):
-                grid = (hp, wp)
-            elif layer.pad:
-                grid = (hp, wp)  # entry step synthesizes the grid in plaintext
-            else:
-                grid = (h, w)
+            grid = (hp, wp)
             kernel_coeffs = encode_kernels(layer.weight, hp, wp, n)
             span = lane_span(
                 layer.weight.shape[0], cin, hp, wp, layer.weight.shape[-1])
@@ -823,22 +765,23 @@ def _compile_linear(
         bias = Plaintext.from_coeffs(bias_coeffs, params)
         bias.add_operand()
 
-    pool_rounds = pool_lut = pool_fbs = None
+    pool_rounds = None
     positions = positions_full
     if step.fused_pool is not None:
         if step.op != "conv":
             raise ParameterError("fused pooling requires a convolution")
-        pool_rounds, positions = _pool_tree(
+        levels, positions = _pool_tree(
             layer, step.fused_pool, grid[0], grid[1], oy, ox, n)
-        pool_lut = _mac_relu_lut(params.t)
-        pool_fbs = _fbs_plan(pool_lut, choice, params)
+        relu = _mac_relu_lut(params.t)
+        relu_fbs = _fbs_plan(relu, choice, params)
+        pool_rounds = tuple(
+            (delta, _refresh_round(kept, kept, relu, relu_fbs, params))
+            for delta, kept in levels)
 
-    lut = step.lut.build(config, params.t)
-    fbs = _fbs_plan(lut, choice, params)
-    pack_rows = _pack_rows_for(target, positions.shape[0], params)
+    rnd = _compile_round(step, config, params, choice, positions, target)
     tiles = None
-    if pack_rows is None and pool_rounds is None:
-        tiles = _build_tiles(positions, lut, params, _step_chunk(choice, chunk))
+    if rnd.rows is None and pool_rounds is None:
+        tiles = _tile_rounds(rnd, _step_chunk(choice, chunk), params)
     return CompiledLinear(
         index=index,
         name=step.name,
@@ -846,18 +789,11 @@ def _compile_linear(
         s2c=step.s2c,
         kernel=kernel,
         bias=bias,
-        positions=positions,
-        out_count=positions.shape[0],
-        lut=lut,
-        fbs=fbs,
+        round=rnd,
         tiles=tiles,
         lane_span=span,
         strategy=choice.strategy,
-        pack_rows=pack_rows,
-        pack_correction=_pack_correction(pack_rows, lut, params),
         pool_rounds=pool_rounds,
-        pool_lut=pool_lut,
-        pool_fbs=pool_fbs,
     )
 
 
@@ -891,12 +827,7 @@ def _compile_pool(step, index: int, params: FheParams,
     positions = grid_output_positions(
         c, c, h, w, k, s, (h - k) // s + 1, (w - k) // s + 1, 0, 0)
     return CompiledPool(
-        index=index,
-        name=step.name,
-        kernel=kernel,
-        positions=positions,
-        out_count=positions.shape[0],
-    )
+        index=index, name=step.name, kernel=kernel, positions=positions)
 
 
 def _compile_remap(
@@ -911,18 +842,12 @@ def _compile_remap(
     if pending is None:
         raise ParameterError(
             f"remap step {step.name!r} has no preceding pool round")
-    lut = step.lut.build(config, params.t)
-    pack_rows = _pack_rows_for(target, pending.out_count, params)
     return CompiledRemap(
         index=index,
         name=step.name,
         s2c=step.s2c,
-        positions=pending.positions,
-        out_count=pending.out_count,
-        lut=lut,
-        fbs=_fbs_plan(lut, choice, params),
-        pack_rows=pack_rows,
-        pack_correction=_pack_correction(pack_rows, lut, params),
+        round=_compile_round(
+            step, config, params, choice, pending.positions, target),
     )
 
 
@@ -969,20 +894,13 @@ def _compile_residual(
     if join_layout.span > params.n:
         raise ParameterError(
             f"join layout of {step.name!r} exceeds degree {params.n}")
-    positions = join_layout.rows()
-    lut = step.lut.build(config, params.t)
-    pack_rows = _pack_rows_for(target, positions.shape[0], params)
     return CompiledResidual(
         index=index,
         name=step.name,
         s2c=step.s2c,
         alpha=int(step.skip_alpha),
-        positions=positions,
-        out_count=positions.shape[0],
-        lut=lut,
-        fbs=_fbs_plan(lut, choice, params),
-        pack_rows=pack_rows,
-        pack_correction=_pack_correction(pack_rows, lut, params),
+        round=_compile_round(
+            step, config, params, choice, join_layout.rows(), target),
         body=body,
         shortcut=shortcut,
     )
@@ -1030,16 +948,13 @@ def _compile_block(
                     )
                 )
             )
-            if plain:
+            try:
                 compiled.append(_compile_linear(
                     step, i, config, params, chunk, choice, cur_layout, target))
-            else:
-                try:
-                    compiled.append(_compile_linear(
-                        step, i, config, params, chunk, choice, cur_layout,
-                        target))
-                except (EncodingError, ParameterError):
-                    compiled.append(CompiledOpaque(i, step.name, step.kind))
+            except (EncodingError, ParameterError):
+                if plain:  # historical error behavior
+                    raise
+                compiled.append(CompiledOpaque(i, step.name, step.kind))
             cur_layout = target
         elif step.kind == "pool":
             try:
@@ -1102,7 +1017,7 @@ def compile_program(
             steps=steps,
             params=params,
             chunk=chunk,
-            s2c=S2CPlan.build(params).warm_automorphisms(params),
+            s2c=_s2c_plan(params),
             model_hash=program_fingerprint(program, tuning),
             name=program.name,
             batch_capacity=capacity,

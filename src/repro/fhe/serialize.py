@@ -1,4 +1,4 @@
-"""Binary serialization of ciphertexts and key material.
+"""Binary serialization of ciphertexts, key material and compiled plans.
 
 In the paper's deployment model the client encrypts an image, ships
 ciphertexts to the datacenter, and receives encrypted results back, so
@@ -7,6 +7,10 @@ stable wire formats matter. Formats are versioned, self-describing
 
     [magic u32][version u16][kind u16][params fingerprint]
     [payload: shapes + int64 little-endian arrays]
+
+A compiled plan (kind 4) is the complete plan — every step, as
+:class:`repro.core.plan.RefreshRound` records — followed by a CRC32 of the
+bytes above it; see :func:`dump_plan` / :func:`load_plan`.
 
 Only public material round-trips by design: secret keys serialize behind
 an explicit ``allow_secret`` flag so they are never written accidentally.
@@ -17,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
+import zlib
 
 import numpy as np
 
@@ -26,16 +31,13 @@ from repro.fhe.fbs import FbsLut, FbsPlan, register_interpolation
 from repro.fhe.lwe import LweBatch
 from repro.fhe.params import PRESETS, FheParams
 from repro.fhe.poly import RnsPoly
-from repro.fhe.s2c import S2CPlan
 
 _MAGIC = 0x41544E41  # "ATNA"
-# v3: compiled plans carry the autotuner's encoding config, linear steps
-# their strategy tag, and layout-bearing steps (placed packing, fused max
-# trees, pool/remap/residual rounds) ship as *stub* markers that
-# ``CompiledProgram.bind`` recompiles from the program. v1/v2 artifacts are
-# rejected; the plan cache recompiles on load failure, so stale caches
-# self-heal.
-_VERSION = 3
+# v4: a compiled plan serialises every step as refresh rounds (see
+# ``dump_plan``) behind a CRC32 trailer, so loading needs no program and no
+# compiler. Older artifacts are rejected; the plan cache recompiles on load
+# failure, so stale caches self-heal.
+_VERSION = 4
 
 KIND_CIPHERTEXT = 1
 KIND_LWE_BATCH = 2
@@ -171,12 +173,6 @@ def load_lwe_batch(raw: bytes) -> LweBatch:
 # -- compiled plans ----------------------------------------------------------
 
 
-#: Wire tags for compiled-plan steps.
-_STEP_OPAQUE = 0  # layout-only / degraded step: kind string only
-_STEP_LINEAR = 1  # plain linear round: full artifact payload
-_STEP_STUB = 2  # layout-bearing step: CompiledProgram.bind recompiles it
-
-
 def _write_tuning(buf: io.BytesIO, tuning) -> None:
     entries = tuning.choices if tuning else ()
     buf.write(struct.pack("<H", len(entries)))
@@ -205,133 +201,210 @@ def _read_tuning(buf: io.BytesIO):
     return TuningConfig(tuple(entries)) if entries else None
 
 
+def _write_optional(buf: io.BytesIO, arr: np.ndarray | None) -> None:
+    buf.write(struct.pack("<B", int(arr is not None)))
+    if arr is not None:
+        _write_array(buf, arr)
+
+
+def _read_index(buf: io.BytesIO, params: FheParams) -> np.ndarray:
+    """A vector of coefficient / slot indices: 1-D, inside the ring."""
+    arr = _read_array(buf)
+    if arr.ndim != 1 or not arr.size or arr.min() < 0 or arr.max() >= params.n:
+        raise ParameterError("index vector outside the ring in serialized plan")
+    return arr
+
+
+def _read_plaintext(buf: io.BytesIO, params: FheParams) -> Plaintext:
+    coeffs = _read_array(buf)
+    if coeffs.shape != (params.n,):
+        raise ParameterError("plaintext length does not match parameters")
+    return Plaintext.from_coeffs(coeffs, params)
+
+
+def _write_round(buf: io.BytesIO, rnd) -> None:
+    """One :class:`repro.core.plan.RefreshRound`: where it extracts, where it
+    packs, its table with the interpolated polynomial, and the BSGS split.
+    The schedule, the batch height and the ``-LUT(0)`` correction are
+    functions of those and are rebuilt by the one round builder at load."""
+    _write_array(buf, rnd.positions)
+    _write_optional(buf, rnd.rows)
+    _write_str(buf, rnd.lut.name)
+    _write_array(buf, rnd.lut.values)
+    _write_array(buf, rnd.lut.coeffs)
+    buf.write(struct.pack("<Q", rnd.fbs.bs))
+
+
+def _read_round(buf: io.BytesIO, params: FheParams):
+    from repro.core.plan import _refresh_round
+
+    positions = _read_index(buf, params)
+    (placed,) = _unpack(buf, "<B")
+    rows = _read_index(buf, params) if placed else None
+    if rows is not None and (rows.shape != positions.shape
+                             or np.unique(rows).size != rows.size):
+        raise ParameterError("pack rows do not match positions in serialized plan")
+    lut_name = _read_str(buf)
+    values = _read_array(buf)
+    # The artifact carries the interpolation: never recomputed at load.
+    register_interpolation(values, params.t, _read_array(buf))
+    lut = FbsLut(values, params.t, lut_name)
+    (bs,) = _unpack(buf, "<Q")
+    if not 2 <= bs <= params.t:
+        raise ParameterError("bad BSGS split in serialized plan")
+    fbs = FbsPlan.from_lut(lut, bs=int(bs)).materialize(params)
+    return _refresh_round(positions, rows, lut, fbs, params)
+
+
+def _write_steps(buf: io.BytesIO, steps: list) -> None:
+    """A step list, recursively: name, kind, then — unless the step is an
+    opaque placeholder — the kind's payload."""
+    from repro.core.plan import CompiledOpaque
+
+    buf.write(struct.pack("<I", len(steps)))
+    for cstep in steps:
+        _write_str(buf, cstep.name)
+        _write_str(buf, cstep.kind)
+        opaque = isinstance(cstep, CompiledOpaque)
+        buf.write(struct.pack("<B", int(opaque)))
+        if opaque:
+            continue
+        if cstep.kind == "pool":
+            _write_array(buf, cstep.kernel.coeffs)
+            _write_array(buf, cstep.positions)
+            continue
+        buf.write(struct.pack("<B", int(cstep.s2c)))
+        _write_round(buf, cstep.round)
+        if cstep.kind == "residual":
+            buf.write(struct.pack("<q", cstep.alpha))
+            _write_steps(buf, cstep.body)
+            _write_steps(buf, cstep.shortcut or [])
+        elif cstep.kind == "linear":
+            _write_str(buf, cstep.op)
+            _write_str(buf, cstep.strategy)
+            _write_array(buf, cstep.kernel.coeffs)
+            _write_optional(buf, cstep.bias.coeffs if cstep.bias else None)
+            buf.write(struct.pack(
+                "<QQ", cstep.lane_span,
+                cstep.tiles[0].count if cstep.tiles else 0))
+            pool = cstep.pool_rounds or ()
+            buf.write(struct.pack("<B", len(pool)))
+            for delta, rnd in pool:
+                buf.write(struct.pack("<Q", delta))
+                _write_round(buf, rnd)
+
+
+def _read_steps(buf: io.BytesIO, params: FheParams) -> list:
+    from repro.core.plan import (
+        CompiledLinear,
+        CompiledOpaque,
+        CompiledPool,
+        CompiledRemap,
+        CompiledResidual,
+        _tile_rounds,
+    )
+
+    (n_steps,) = _unpack(buf, "<I")
+    steps: list = []
+    for index in range(n_steps):
+        name = _read_str(buf)
+        kind = _read_str(buf)
+        (opaque,) = _unpack(buf, "<B")
+        if opaque:
+            steps.append(CompiledOpaque(index, name, kind))
+            continue
+        if kind == "pool":
+            kernel = _read_plaintext(buf, params)
+            kernel.pmult_operand()
+            steps.append(CompiledPool(
+                index=index, name=name, kernel=kernel,
+                positions=_read_index(buf, params)))
+            continue
+        if kind not in ("linear", "remap", "residual"):
+            raise ParameterError(f"unknown step kind {kind!r} in serialized plan")
+        (s2c,) = _unpack(buf, "<B")
+        rnd = _read_round(buf, params)
+        if kind == "remap":
+            steps.append(CompiledRemap(
+                index=index, name=name, s2c=bool(s2c), round=rnd))
+        elif kind == "residual":
+            (alpha,) = _unpack(buf, "<q")
+            body = _read_steps(buf, params)
+            steps.append(CompiledResidual(
+                index=index, name=name, s2c=bool(s2c), alpha=alpha, round=rnd,
+                body=body, shortcut=_read_steps(buf, params) or None))
+        else:
+            op = _read_str(buf)
+            strategy = _read_str(buf)
+            kernel = _read_plaintext(buf, params)
+            kernel.pmult_operand()
+            bias = None
+            if _unpack(buf, "<B")[0]:
+                bias = _read_plaintext(buf, params)
+                bias.add_operand()
+            span, tile = _unpack(buf, "<QQ")
+            (levels,) = _unpack(buf, "<B")
+            pool = tuple(
+                (int(_unpack(buf, "<Q")[0]), _read_round(buf, params))
+                for _ in range(levels))
+            steps.append(CompiledLinear(
+                index=index, name=name, op=op, s2c=bool(s2c), strategy=strategy,
+                kernel=kernel, bias=bias, round=rnd,
+                tiles=_tile_rounds(rnd, int(tile) or None, params),
+                lane_span=int(span), pool_rounds=pool or None))
+    return steps
+
+
 def dump_plan(plan) -> bytes:
-    """Serialize a :class:`repro.core.plan.CompiledProgram`.
+    """Serialize a :class:`repro.core.plan.CompiledProgram` (wire v4).
 
-    The wire form carries only derived, non-secret model artifacts: kernel
-    and bias coefficient vectors, extraction positions, LUT tables with
-    their interpolated polynomials, the chunk cap, and the autotuner's
-    encoding config. NTT operand forms, BSGS schedules, S2C diagonals, and
-    tile corrections are deterministic functions of those (plus the
-    parameter set) and are rebuilt at load. Layout-bearing steps — placed
-    packing, fused max trees, pool/remap/residual rounds — are written as
-    *stub* markers: their artifacts reference each other (a residual's
-    body targets the join layout), so the loader ships the cheap identity
-    and :meth:`CompiledProgram.bind` recompiles the full plan from the
-    program — once, where the plan is bound; every holder keeps the plan
-    ``bind`` returns.
+    Every step is on the wire — linear rounds (with placed packing, chunk
+    tiles and fused max trees), pooling kernels, remaps, residual blocks
+    with both branches, opaque placeholders — as derived, non-secret model
+    artifacts: kernel and bias coefficient vectors, each refresh round's
+    positions, pack rows, LUT with its interpolated polynomial and BSGS
+    split, the chunk cap and the autotuner's encoding config. NTT operand
+    forms, BSGS schedules, ``-LUT(0)`` corrections and the S2C diagonals
+    are deterministic functions of those (plus the parameter set) and are
+    rebuilt at load. The last four bytes are a CRC32 of everything before
+    them.
     """
-    from repro.core.plan import CompiledLinear, CompiledOpaque
-
     buf = io.BytesIO()
     buf.write(_header(KIND_PLAN, plan.params))
     _write_str(buf, plan.name)
     _write_str(buf, plan.model_hash)
     buf.write(struct.pack("<Q", 0 if plan.chunk is None else plan.chunk))
     _write_tuning(buf, plan.tuning)
-    buf.write(struct.pack("<I", len(plan.steps)))
-    for cstep in plan.steps:
-        plain_linear = (
-            isinstance(cstep, CompiledLinear)
-            and cstep.pack_rows is None
-            and cstep.pool_rounds is None
-        )
-        if plain_linear:
-            tag = _STEP_LINEAR
-        elif isinstance(cstep, CompiledOpaque) and not cstep.stub:
-            tag = _STEP_OPAQUE
-        else:
-            tag = _STEP_STUB
-        buf.write(struct.pack("<B", tag))
-        _write_str(buf, cstep.name)
-        if tag != _STEP_LINEAR:
-            _write_str(buf, cstep.kind)
-            continue
-        _write_str(buf, cstep.op)
-        buf.write(struct.pack("<B", int(cstep.s2c)))
-        _write_str(buf, cstep.strategy)
-        _write_array(buf, cstep.positions)
-        _write_array(buf, cstep.kernel.coeffs)
-        buf.write(struct.pack("<B", int(cstep.bias is not None)))
-        if cstep.bias is not None:
-            _write_array(buf, cstep.bias.coeffs)
-        _write_str(buf, cstep.lut.name)
-        _write_array(buf, cstep.lut.values)
-        _write_array(buf, cstep.lut.coeffs)
-        buf.write(struct.pack("<Q", cstep.lane_span))
-    return buf.getvalue()
+    _write_steps(buf, plan.steps)
+    body = buf.getvalue()
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def load_plan(raw: bytes, params: FheParams):
-    """Rebuild a :class:`repro.core.plan.CompiledProgram` from wire bytes.
+    """Rebuild a complete, runnable :class:`repro.core.plan.CompiledProgram`
+    from wire bytes — no program needed, nothing left for ``bind`` to finish.
 
-    LUT interpolations are seeded into the FBS cache from the artifact
-    (never recomputed); plaintext operands are re-warmed so the loaded plan
-    is immediately as fast as a freshly compiled one.
+    The header (magic, version, parameter fingerprint) and then the CRC32
+    trailer are verified before any payload is parsed, so an artifact of an
+    older wire version, a truncated file or a flipped bit raises
+    :class:`ParameterError` instead of decoding into a wrong kernel. LUT
+    interpolations are seeded into the FBS cache from the artifact (never
+    recomputed); plaintext operands and the S2C rotation maps are re-warmed,
+    so the first request on a loaded plan is as fast as on a compiled one.
     """
-    from repro.core.plan import (
-        CompiledLinear,
-        CompiledOpaque,
-        CompiledProgram,
-        _annotate_lanes,
-        _build_tiles,
-    )
+    from repro.core.plan import CompiledProgram, _annotate_lanes, _s2c_plan
 
-    buf = io.BytesIO(raw)
+    body = raw[:-4]
+    buf = io.BytesIO(body)
     _check_header(buf, KIND_PLAN, params)
+    if struct.pack("<I", zlib.crc32(body)) != raw[-4:]:
+        raise ParameterError("plan checksum mismatch (corrupt artifact)")
     name = _read_str(buf)
     model_hash = _read_str(buf)
     (chunk_raw,) = _unpack(buf, "<Q")
     chunk = int(chunk_raw) or None
     tuning = _read_tuning(buf)
-    (n_steps,) = _unpack(buf, "<I")
-    steps: list = []
-    for index in range(n_steps):
-        (tag,) = _unpack(buf, "<B")
-        step_name = _read_str(buf)
-        if tag != _STEP_LINEAR:
-            steps.append(CompiledOpaque(index, step_name, _read_str(buf),
-                                        stub=tag == _STEP_STUB))
-            continue
-        op = _read_str(buf)
-        (s2c,) = _unpack(buf, "<B")
-        strategy = _read_str(buf)
-        choice = tuning.get(step_name) if tuning else None
-        step_chunk = chunk
-        if choice is not None and choice.chunk is not None:
-            step_chunk = choice.chunk
-        positions = _read_array(buf)
-        kernel = Plaintext.from_coeffs(_read_array(buf), params)
-        kernel.pmult_operand()
-        (has_bias,) = _unpack(buf, "<B")
-        bias = None
-        if has_bias:
-            bias = Plaintext.from_coeffs(_read_array(buf), params)
-            bias.add_operand()
-        lut_name = _read_str(buf)
-        values = _read_array(buf)
-        coeffs = _read_array(buf)
-        register_interpolation(values, params.t, coeffs)
-        lut = FbsLut(values, params.t, lut_name)
-        (span,) = _unpack(buf, "<Q")
-        bs = choice.bsgs if choice is not None else None
-        steps.append(
-            CompiledLinear(
-                index=index,
-                name=step_name,
-                op=op,
-                s2c=bool(s2c),
-                strategy=strategy,
-                kernel=kernel,
-                bias=bias,
-                positions=positions,
-                out_count=positions.shape[0],
-                lut=lut,
-                fbs=FbsPlan.from_lut(lut, bs=bs).materialize(params),
-                tiles=_build_tiles(positions, lut, params, step_chunk),
-                lane_span=int(span),
-            )
-        )
+    steps = _read_steps(buf, params)
     _check_end(buf)
     # Lane chaining (out strides + batch capacity) is a pure function of the
     # spans and the parameter set — re-derived rather than shipped.
@@ -341,7 +414,7 @@ def load_plan(raw: bytes, params: FheParams):
         params=params,
         chunk=chunk,
         tuning=tuning,
-        s2c=S2CPlan.build(params),
+        s2c=_s2c_plan(params),
         model_hash=model_hash,
         name=name,
         batch_capacity=capacity,

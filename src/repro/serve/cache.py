@@ -49,19 +49,28 @@ class PlanCache:
 
     SUFFIX = ".plan"
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, root: str | Path | None):
+        #: ``None`` = nothing touches disk: every :meth:`get` compiles.
+        self.root = None if root is None else Path(root)
+        if self.root is not None:
+            self.root.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
 
+    @classmethod
+    def file_name(
+        cls, model_hash: str, params: FheParams, chunk: int | None = None
+    ) -> str:
+        """``<hash16>-<params>[-c<chunk>].plan``."""
+        tag = f"-c{chunk}" if chunk is not None else ""
+        return (f"{model_hash[:16]}-{params_fingerprint(params).hex()}"
+                f"{tag}{cls.SUFFIX}")
+
     def path_for(
         self, model_hash: str, params: FheParams, chunk: int | None = None
     ) -> Path:
-        phash = params_fingerprint(params).hex()
-        tag = f"-c{chunk}" if chunk is not None else ""
-        return self.root / f"{model_hash[:16]}-{phash}{tag}{self.SUFFIX}"
+        return self.root / self.file_name(model_hash, params, chunk)
 
     def _record(self, hit: bool) -> None:
         with self._lock:
@@ -102,17 +111,17 @@ class PlanCache:
         a stale layout for a different encoding config.
 
         A cached artifact that no longer loads — a stale wire version left
-        behind by an older build, a truncated file — is treated as a miss
-        and overwritten with a fresh compile, so cache directories survive
-        format bumps without manual cleanup. A hit whose wire form carries
-        stubs is recompiled here by :meth:`CompiledProgram.bind`, and the
-        runnable plan is what callers (and the sharded cache's memory
-        layer) hold.
+        behind by an older build, a truncated file, a flipped bit — is
+        treated as a miss and overwritten with a fresh compile, so cache
+        directories survive format bumps and corruption without manual
+        cleanup. A hit is :func:`load_plan` (plus the identity check of
+        :meth:`CompiledProgram.bind`) and nothing else: the loaded plan is
+        complete, so the serve path never compiles on a warm cache.
         """
-        path = self.path_for(
+        path = None if self.root is None else self.path_for(
             program_fingerprint(program, tuning), params, chunk
         )
-        if path.exists():
+        if path is not None and path.exists():
             try:
                 plan = load_plan(path.read_bytes(), params).bind(program, params)
             except ReproError:
@@ -121,7 +130,8 @@ class PlanCache:
                 self._record(hit=True)
                 return plan
         plan = compile_program(program, params, chunk=chunk, tuning=tuning)
-        self._write_atomic(path, dump_plan(plan))
+        if path is not None:
+            self._write_atomic(path, dump_plan(plan))
         self._record(hit=False)
         return plan
 
@@ -156,27 +166,15 @@ class ShardedPlanCache(PlanCache):
     """
 
     def __init__(self, root: str | Path | None, shard_chars: int = 2):
+        super().__init__(root)
         self.shard_chars = shard_chars
         self._memory: dict[tuple[str, str, int | None], CompiledProgram] = {}
-        if root is None:
-            # Memory-only: skip PlanCache.__init__'s mkdir but keep counters.
-            self.root = None
-            self.hits = 0
-            self.misses = 0
-            self._lock = threading.Lock()
-        else:
-            super().__init__(root)
 
     def path_for(
         self, model_hash: str, params: FheParams, chunk: int | None = None
     ) -> Path:
-        phash = params_fingerprint(params).hex()
-        tag = f"-c{chunk}" if chunk is not None else ""
-        return (
-            self.root
-            / model_hash[: self.shard_chars]
-            / f"{model_hash[:16]}-{phash}{tag}{self.SUFFIX}"
-        )
+        return (self.root / model_hash[: self.shard_chars]
+                / self.file_name(model_hash, params, chunk))
 
     def get(
         self,
@@ -185,7 +183,7 @@ class ShardedPlanCache(PlanCache):
         chunk: int | None = None,
         tuning=None,
     ) -> CompiledProgram:
-        """Memory, then (if disk-backed) sharded disk, then compile."""
+        """Memory, then :meth:`PlanCache.get` (sharded disk, then compile)."""
         key = (
             program_fingerprint(program, tuning),
             params_fingerprint(params).hex(),
@@ -194,14 +192,9 @@ class ShardedPlanCache(PlanCache):
         with self._lock:
             plan = self._memory.get(key)
         if plan is not None:
-            plan = plan.bind(program, params)
             self._record(hit=True)
             return plan
-        if self.root is not None:
-            plan = super().get(program, params, chunk, tuning)
-        else:
-            plan = compile_program(program, params, chunk=chunk, tuning=tuning)
-            self._record(hit=False)
+        plan = super().get(program, params, chunk, tuning)
         with self._lock:
             self._memory[key] = plan
         return plan

@@ -92,9 +92,11 @@ class SessionCore:
         """Lower + compile (or cache-load, or bind) the compile-time half.
 
         Mirrors the historical ``InferenceSession`` constructor: ``model``
-        may be a quantized model or a pre-lowered program; ``plan`` binds a
-        caller-supplied deserialized plan, ``cache`` consults a
-        :class:`repro.serve.PlanCache`, and otherwise the program is
+        may be a quantized model or a pre-lowered program; ``plan`` checks a
+        caller-supplied (typically deserialized) plan against the program —
+        a loaded plan is complete, binding builds nothing; ``cache``
+        consults a :class:`repro.serve.PlanCache` (a disk hit is a
+        ``load_plan``, never a compile), and otherwise the program is
         compiled here. The duration of that plan work is ``compile_s``.
         ``tuning`` (a :class:`repro.core.lowering.TuningConfig`, e.g. from
         :func:`repro.core.tune.tune_model`) selects per-step encodings and

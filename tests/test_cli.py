@@ -75,3 +75,24 @@ class TestSubjectsTable:
     def test_deleted_commands_are_usage_errors(self, command, capsys):
         with pytest.raises(SystemExit, match="2"):
             main([command])
+
+
+@pytest.mark.slow
+class TestCompileThenInfer:
+    """``repro compile ... --out P && repro infer ... --plan P``."""
+
+    def test_tuned_chunked_plan_round_trips(self, tmp_path, capsys):
+        """The plan's ``model_hash`` folds the tuning in; the identity check
+        (``CompiledProgram.bind``) must fold it in too."""
+        out = str(tmp_path / "t.plan")
+        assert main(["compile", "--model", "mnist_cnn", "--tune",
+                     "--chunk", "16", "--out", out]) == 0
+        assert "tuned:" in capsys.readouterr().out
+        assert main(["infer", "mnist_cnn", "--plan", out, "--count", "1"]) == 0
+        assert "1 warm requests" in capsys.readouterr().out
+
+    def test_plan_of_another_model_is_exit_1(self, tmp_path, capsys):
+        out = str(tmp_path / "r.plan")
+        assert main(["compile", "--model", "resnet20_block", "--out", out]) == 0
+        assert main(["infer", "mnist_cnn", "--plan", out, "--count", "1"]) == 1
+        assert "plan was compiled for a different model" in capsys.readouterr().err

@@ -55,12 +55,13 @@ class TestCompileProgram:
         ]
         conv, reshape, fc = plan.steps
         assert reshape.kind == "reshape"
-        assert (conv.out_count, fc.out_count) == (32, 3)
+        assert (conv.round.count, fc.round.count) == (32, 3)
         assert conv.s2c is True and fc.s2c is False  # tail fusion preserved
         # Operand forms are warmed at compile time, not first request.
         assert conv.kernel._ntt_op is not None
         assert conv.bias is not None and conv.bias._scaled_op is not None
-        assert conv.fbs.degree > 0 and conv.lut.t == TEST_LOOP.t
+        assert conv.round.fbs.degree > 0 and conv.round.lut.t == TEST_LOOP.t
+        assert conv.round.rows is None and conv.round.height == 32  # compact
         assert conv.tiles is None  # unchunked round: one tile
         assert plan.s2c.direct.baby_steps == plan.s2c.crossed.baby_steps
         assert plan.model_hash == program_fingerprint(program)
@@ -69,17 +70,59 @@ class TestCompileProgram:
         _, program = _program()
         plan = compile_program(program, TEST_LOOP, chunk=16)
         conv, _, fc = plan.steps
-        assert [t.offset for t in conv.tiles] == [0, 16]
-        assert all(t.positions.shape[0] == 16 for t in conv.tiles)
+        # A tile is the round's own positions, placed at its own pack rows.
+        assert [t.rows.tolist() for t in conv.tiles] == [
+            list(range(16)), list(range(16, 32))]
+        assert [t.height for t in conv.tiles] == [16, 32]
+        assert np.array_equal(
+            np.concatenate([t.positions for t in conv.tiles]),
+            conv.round.positions)
         for tile in conv.tiles:
-            assert (tile.correction is None) == (int(conv.lut.values[0]) == 0)
+            assert tile.lut is conv.round.lut and tile.fbs is conv.round.fbs
+            assert (tile.correction is None) == (
+                int(conv.round.lut.values[0]) == 0)
         assert fc.tiles is None  # 3 outputs <= chunk
+
+    def test_correction_zeroes_exactly_the_unfilled_rows(self):
+        """One builder for every ``-LUT(0)`` plaintext: placed layouts,
+        chunk tiles and lane batches all get the same rule."""
+        from repro.core.plan import _refresh_round, _tile_rounds
+        from repro.fhe.fbs import FbsLut, FbsPlan
+
+        lut = FbsLut.from_function(lambda v: v + 5, TEST_LOOP.t)
+        rnd = _refresh_round(np.arange(40, 72), None, lut,
+                             FbsPlan.from_lut(lut), TEST_LOOP)
+        assert rnd.correction is None  # compact: nothing placed
+        for tile in _tile_rounds(rnd, 16, TEST_LOOP):
+            slots = tile.correction.to_slots()
+            assert not slots[tile.rows].any()
+            rest = np.delete(slots, tile.rows)
+            assert np.all(rest == (-5) % TEST_LOOP.t)
 
     def test_bind_rejects_other_params(self):
         _, program = _program()
         plan = compile_program(program, TEST_LOOP)
         with pytest.raises(ParameterError):
             plan.bind(program, TEST_SMALL)
+
+    def test_bind_rejects_other_weights(self):
+        """Same shape, same step kinds, different weights: not this plan's
+        model (``bind`` used to compare step count and kinds only)."""
+        _, program = _program()
+        plan = compile_program(program, TEST_LOOP)
+        assert plan.bind(program, TEST_LOOP) is plan
+        reseeded = lower(mnist_cnn_micro(np.random.default_rng(6)), TEST_LOOP)
+        with pytest.raises(ParameterError, match="different model"):
+            plan.bind(reseeded, TEST_LOOP)
+
+    def test_bind_checks_the_tuning_the_plan_was_compiled_under(self):
+        from repro.core.lowering import StepEncodingChoice, TuningConfig
+
+        _, program = _program()
+        tuning = TuningConfig((("qconv0", StepEncodingChoice(bsgs=4)),))
+        tuned = compile_program(program, TEST_LOOP, tuning=tuning)
+        assert tuned.model_hash != program_fingerprint(program)
+        assert tuned.bind(program, TEST_LOOP) is tuned
 
     def test_bad_chunk_rejected(self):
         _, program = _program()
@@ -99,15 +142,16 @@ class TestWireFormat:
             assert type(got) is type(want) and got.name == want.name
             if isinstance(want, CompiledLinear):
                 assert np.array_equal(got.kernel.coeffs, want.kernel.coeffs)
-                assert np.array_equal(got.positions, want.positions)
-                assert np.array_equal(got.lut.values, want.lut.values)
-                assert np.array_equal(got.lut.coeffs, want.lut.coeffs)
+                assert np.array_equal(got.round.positions, want.round.positions)
+                assert np.array_equal(got.round.lut.values, want.round.lut.values)
+                assert np.array_equal(got.round.lut.coeffs, want.round.lut.coeffs)
                 assert got.s2c == want.s2c and got.op == want.op
                 if want.bias is None:
                     assert got.bias is None
                 else:
                     assert np.array_equal(got.bias.coeffs, want.bias.coeffs)
-                assert got.fbs.groups == want.fbs.groups
+                assert got.round.fbs.groups == want.round.fbs.groups
+                assert (got.tiles is None) == (want.tiles is None)
         # The loaded plan binds to an equivalent re-lowered program.
         loaded.bind(lower(mnist_cnn_micro(np.random.default_rng(5)), TEST_LOOP),
                     TEST_LOOP)

@@ -1,15 +1,18 @@
 """Tests for the wire formats (ciphertexts, LWE batches, secret keys)."""
 
+import functools
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.fhe import serialize
 from repro.fhe.bfv import Plaintext
 from repro.fhe.lwe import LweBatch
-from repro.fhe.params import TEST_SMALL, TEST_TINY
+from repro.fhe.params import TEST_LOOP, TEST_SMALL, TEST_TINY
 
 
 def _assert_every_prefix_rejected(raw, load):
@@ -143,8 +146,11 @@ class TestMalformedInput:
     def test_trailing_bytes_rejected(self, blobs, kind):
         raw, load = blobs[kind]
         load(raw)  # the untouched object loads
+        # A plan's last four bytes are its checksum: the extra byte goes
+        # before a fresh one, or the checksum would reject it first.
+        longer = _resealed(raw[:-4] + b"\x00") if kind == "plan" else raw + b"\x00"
         with pytest.raises(ParameterError, match="trailing"):
-            load(raw + b"\x00")
+            load(longer)
 
     def test_ciphertext_second_component_shape_checked(self, blobs, tiny_ctx):
         raw, load = blobs["ciphertext"]
@@ -167,10 +173,12 @@ class TestMalformedInput:
 
     def test_flipped_string_byte_is_a_parameter_error(self, blobs):
         raw, load = blobs["plan"]
-        flipped = bytearray(raw)
+        flipped = bytearray(raw[:-4])
         flipped[26] = 0xFF  # first byte of the plan name: not valid UTF-8
         with pytest.raises(ParameterError, match="corrupt string"):
-            load(bytes(flipped))
+            load(_resealed(bytes(flipped)))
+        with pytest.raises(ParameterError, match="checksum"):
+            load(bytes(flipped) + raw[-4:])
 
 
 class TestFingerprint:
@@ -190,8 +198,9 @@ class TestFingerprint:
 
 
 class TestPlanWireV3:
-    """The v3 plan format: tuning config on the wire, per-step overrides
-    honored at load, and layout-bearing steps elided as recompile stubs."""
+    """Guarantees the plan wire has made since v3 — tuning config on the
+    wire, per-step overrides honored at load, truncation rejected — still
+    pinned on v4. (Class name kept so the test ids stay stable.)"""
 
     def _micro_program(self):
         from repro.core.program import lower
@@ -228,8 +237,7 @@ class TestPlanWireV3:
         # The chunk opt-out keeps the round single-tile despite the global
         # chunk=16; the BSGS override reaches the rebuilt FBS schedule.
         assert conv.tiles is None
-        assert conv.fbs.bs == 4
-        assert loaded.needs_upgrade() is False
+        assert conv.round.fbs.bs == 4
 
     def test_untuned_plan_has_no_tuning(self):
         from repro.core.plan import compile_program
@@ -239,59 +247,247 @@ class TestPlanWireV3:
         loaded = serialize.load_plan(serialize.dump_plan(plan), TEST_LOOP)
         assert loaded.tuning is None
 
-    def test_layout_bearing_steps_become_stubs(self):
-        from repro.core.plan import compile_program
-        from repro.core.program import lower
-        from repro.fhe.params import TEST_LOOP
-        from repro.quant.subjects import resnet_block_micro
-
-        program = lower(
-            resnet_block_micro(np.random.default_rng(5)), TEST_LOOP)
-        plan = compile_program(program, TEST_LOOP)
-        loaded = serialize.load_plan(serialize.dump_plan(plan), TEST_LOOP)
-        kinds = [s.kind for s in loaded.steps]
-        assert kinds == [s.kind for s in plan.steps]
-        # The residual (and the placed-packing stem feeding it) cannot be
-        # fully captured on the wire; they come back as recompile stubs.
-        stubs = [getattr(s, "stub", False) for s in loaded.steps]
-        assert stubs[1] is True  # the residual join
-        assert loaded.needs_upgrade() is True
-        # The plain tail FC round-trips in full.
-        assert stubs[-1] is False
-
     def test_truncated_plan_rejected(self):
-        from repro.core.plan import compile_program
-        from repro.core.program import lower
-        from repro.fhe.params import TEST_LOOP
-        from repro.quant.subjects import resnet_block_micro
-
-        program = lower(  # stub steps and a full linear payload in one plan
-            resnet_block_micro(np.random.default_rng(5)), TEST_LOOP)
-        raw = serialize.dump_plan(compile_program(program, TEST_LOOP))
+        raw = _resnet_block_raw()
         _assert_every_prefix_rejected(
             raw, lambda b: serialize.load_plan(b, TEST_LOOP))
 
-    @pytest.mark.slow
-    def test_stub_upgrade_runs_bit_identical(self):
-        """A loaded stub-bearing plan recompiles in the executor and then
-        produces byte-identical outputs to the original in-memory plan."""
+
+@functools.lru_cache(maxsize=None)
+def _resnet_block_plan():
+    """(program, plan): placed packing, a residual with its body, a
+    reshape, a plain FC."""
+    from repro.core.plan import compile_program
+    from repro.core.program import lower
+    from repro.quant.subjects import resnet_block_micro
+
+    program = lower(resnet_block_micro(np.random.default_rng(5)), TEST_LOOP)
+    return program, compile_program(program, TEST_LOOP)
+
+
+@functools.lru_cache(maxsize=None)
+def _resnet_block_raw() -> bytes:
+    return serialize.dump_plan(_resnet_block_plan()[1])
+
+
+def _wire_subjects():
+    """(id, program builder, params, compile kwargs) for every step kind the
+    wire carries: the four SUBJECTS, the fused conv+max-pool and the
+    avg-pool/remap micro models of ``tests/test_lowering.py``, and a
+    chunked + tuned ``mnist_cnn_micro``."""
+    from repro.core.lowering import StepEncodingChoice, TuningConfig
+    from repro.core.program import lower
+    from repro.quant.quantize import (
+        QAvgPool, QFlatten, QMaxPool, QuantizedModel)
+    from repro.quant.subjects import SUBJECTS, mnist_cnn_micro
+    from tests.test_lowering import CFG, _conv, _fc
+
+    def subject(builder, params):
+        return lambda: lower(builder(np.random.default_rng(5)), params)
+
+    def maxpool():
+        r = np.random.default_rng(11)
+        return QuantizedModel([
+            _conv(r, 1, 2, 3, 1, 1, 4, out_scale=6.0),
+            QMaxPool(2, 2), QFlatten(), _fc(r, 8, 3),
+        ], CFG, 1.0, (1, 4, 4)).program()
+
+    def avgpool():
+        r = np.random.default_rng(16)
+        return QuantizedModel([
+            _conv(r, 1, 2, 3, 1, 0, 6, out_scale=10.0),
+            QAvgPool(kernel=2, stride=2), QFlatten(), _fc(r, 8, 3),
+        ], CFG, 1.0, (1, 6, 6)).program()
+
+    cases = [(name, subject(builder, params), params, {})
+             for name, (builder, params) in SUBJECTS.items()]
+    cases.append(("fused_maxpool", maxpool, TEST_LOOP, {}))
+    cases.append(("avgpool_remap", avgpool, TEST_LOOP, {}))
+    tuning = TuningConfig((("qfc2", StepEncodingChoice(bsgs=4)),))
+    cases.append(("chunk16_tuned", subject(mnist_cnn_micro, TEST_LOOP),
+                  TEST_LOOP, {"chunk": 16, "tuning": tuning}))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+def _step_types(steps):
+    """Step types, recursing into residual branches."""
+    return [
+        (type(s).__name__, _step_types(s.body), _step_types(s.shortcut or []))
+        if s.kind == "residual" and hasattr(s, "body") else type(s).__name__
+        for s in steps
+    ]
+
+
+def _resealed(body: bytes) -> bytes:
+    """``body`` (a plan without its trailer) under a fresh, valid CRC32."""
+    import zlib
+
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestPlanWireV4:
+    """v4: every step is on the wire, so a loaded plan is the compiled plan
+    — same step types, byte-identical re-dump, bit-identical outputs —
+    and corrupt or stale bytes never decode."""
+
+    @pytest.mark.parametrize("build, params, kwargs", _wire_subjects())
+    def test_every_step_kind_round_trips(self, build, params, kwargs):
+        from repro.core.plan import compile_program
+
+        program = build()
+        plan = compile_program(program, params, **kwargs)
+        raw = serialize.dump_plan(plan)
+        loaded = serialize.load_plan(raw, params)
+        # No opaque where the compiled plan had artifacts, at any depth.
+        assert _step_types(loaded.steps) == _step_types(plan.steps)
+        assert serialize.dump_plan(loaded) == raw
+        assert loaded.batch_capacity == plan.batch_capacity
+        assert loaded.bind(program, params) is loaded
+
+    def test_wire_subjects_cover_every_step_kind(self):
+        from repro.core.plan import compile_program
+
+        seen = set()
+        tiled = pooled = placed = False
+        for case in _wire_subjects():
+            build, params, kwargs = case.values
+            plan = compile_program(build(), params, **kwargs)
+            stack = list(plan.steps)
+            while stack:
+                step = stack.pop()
+                seen.add(type(step).__name__)
+                stack += getattr(step, "body", [])
+                stack += getattr(step, "shortcut", None) or []
+                tiled |= bool(getattr(step, "tiles", None))
+                pooled |= bool(getattr(step, "pool_rounds", None))
+                rnd = getattr(step, "round", None)
+                placed |= rnd is not None and rnd.rows is not None
+        assert seen == {"CompiledLinear", "CompiledPool", "CompiledRemap",
+                        "CompiledResidual", "CompiledOpaque"}
+        assert tiled and pooled and placed
+
+    def test_loaded_rounds_equal_compiled_rounds(self):
+        _, plan = _resnet_block_plan()
+        loaded = serialize.load_plan(serialize.dump_plan(plan), TEST_LOOP)
+        stem, block = plan.steps[0], plan.steps[1]
+        got_stem, got_block = loaded.steps[0], loaded.steps[1]
+        pairs = [(got_stem.round, stem.round), (got_block.round, block.round),
+                 (got_block.body[-1].round, block.body[-1].round)]
+        assert stem.round.rows is not None  # placed onto the block's grid
+        for got, want in pairs:
+            assert np.array_equal(got.positions, want.positions)
+            assert (got.rows is None) == (want.rows is None)
+            if want.rows is not None:
+                assert np.array_equal(got.rows, want.rows)
+            assert got.height == want.height
+            assert got.fbs.groups == want.fbs.groups
+            assert (got.correction is None) == (want.correction is None)
+            if want.correction is not None:
+                assert np.array_equal(
+                    got.correction.coeffs, want.correction.coeffs)
+        assert got_block.alpha == block.alpha
+
+    def test_v3_bytes_rejected(self):
+        raw = bytearray(_resnet_block_raw())
+        raw[4:6] = (3).to_bytes(2, "little")
+        with pytest.raises(ParameterError, match="version 3"):
+            serialize.load_plan(bytes(raw), TEST_LOOP)
+
+    def test_resealed_garbage_is_still_a_parameter_error(self):
+        """A valid checksum over a wrong payload reaches the parser, which
+        validates shapes and index ranges itself."""
+        body = bytearray(_resnet_block_raw()[:-4])
+        at = body.index(b"qconv0") + len(b"qconv0")
+        # name | kind "linear" | opaque | s2c | positions: ndim, dim, data
+        at += 2 + len(b"linear") + 1 + 1 + 1 + 8
+        body[at:at + 8] = (10 ** 6).to_bytes(8, "little")  # position >= n
+        with pytest.raises(ParameterError, match="outside the ring"):
+            serialize.load_plan(_resealed(bytes(body)), TEST_LOOP)
+
+    def test_first_s2c_on_a_loaded_plan_builds_no_automorphism_map(self):
+        """``load_plan`` warms the S2C rotation maps exactly as
+        ``compile_program`` does (it did not before v4)."""
         from repro.core.framework import AthenaPipeline
         from repro.core.plan import compile_program
         from repro.core.program import lower
-        from repro.fhe.params import TEST_LOOP
-        from repro.quant.subjects import resnet_block_micro
+        from repro.fhe.backend import automorphism_map
+        from repro.quant.subjects import SUBJECTS
 
-        rng = np.random.default_rng(5)
-        qm = resnet_block_micro(rng)
-        program = lower(qm, TEST_LOOP)
-        x_q = rng.integers(-2, 3, (1, 6, 6)).astype(np.int64)
+        builder, params = SUBJECTS["serve_micro"]
+        program = lower(builder(np.random.default_rng(5)), params)
+        raw = serialize.dump_plan(compile_program(program, params))
+        pipe = AthenaPipeline(params, seed=3)
+        ct = pipe.encrypt_coeffs(np.arange(params.n) % 5)
+        automorphism_map.cache_clear()
+        loaded = serialize.load_plan(raw, params)
+        before = automorphism_map.cache_info().misses
+        assert before > 0
+        pipe.to_coeffs(ct, plan=loaded.s2c)
+        assert automorphism_map.cache_info().misses == before
 
-        plan = compile_program(program, TEST_LOOP)
+    @pytest.mark.slow
+    def test_loaded_plan_runs_bit_identical(self):
+        """Same key seed, compiled plan vs its loaded wire form: every
+        output equal — with nothing recompiled in between."""
+        from repro.core.framework import AthenaPipeline
+
+        program, plan = _resnet_block_plan()
+        x_q = np.random.default_rng(9).integers(-2, 3, (1, 6, 6)).astype(np.int64)
         want = AthenaPipeline(TEST_LOOP, seed=7).run_program(
             program, x_q, plan=plan)
-
         loaded = serialize.load_plan(serialize.dump_plan(plan), TEST_LOOP)
-        assert loaded.needs_upgrade()
         got = AthenaPipeline(TEST_LOOP, seed=7).run_program(
             program, x_q, plan=loaded)
         assert np.array_equal(got, want)
+
+
+class TestPlanIntegrity:
+    """The CRC32 trailer: no damaged plan decodes, and caches self-heal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_single_bit_flip_is_rejected(self, data):
+        raw = bytearray(_resnet_block_raw())
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at] ^= 1 << data.draw(st.integers(0, 7))
+        with pytest.raises(ParameterError):
+            serialize.load_plan(bytes(raw), TEST_LOOP)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_overwritten_length_field_is_rejected(self, data):
+        """Overwrite 2, 4 or 8 bytes anywhere — every string length, array
+        dimension and step count is one of those — with another value."""
+        raw = bytearray(_resnet_block_raw())
+        width = data.draw(st.sampled_from([2, 4, 8]))
+        at = data.draw(st.integers(0, len(raw) - width))
+        lie = data.draw(st.binary(min_size=width, max_size=width))
+        if bytes(raw[at:at + width]) == lie:
+            return
+        raw[at:at + width] = lie
+        with pytest.raises(ParameterError):
+            serialize.load_plan(bytes(raw), TEST_LOOP)
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_caches_self_heal_from_a_flipped_bit(self, tmp_path_factory,
+                                                 sharded, data):
+        from repro.serve import PlanCache, ShardedPlanCache
+
+        program, plan = _resnet_block_plan()
+        root = tmp_path_factory.mktemp("plans")
+        make = ShardedPlanCache if sharded else PlanCache
+        make(root).get(program, TEST_LOOP)
+        path = make(root).path_for(plan.model_hash, TEST_LOOP)
+        whole = path.read_bytes()
+        assert whole == _resnet_block_raw()
+        damaged = bytearray(whole)
+        at = data.draw(st.integers(24, len(whole) - 1))  # past the header
+        damaged[at] ^= 1 << data.draw(st.integers(0, 7))
+        path.write_bytes(bytes(damaged))
+        cache = make(root)  # a restart: nothing in memory
+        healed = cache.get(program, TEST_LOOP)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert serialize.dump_plan(healed) == whole
+        assert path.read_bytes() == whole

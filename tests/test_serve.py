@@ -431,26 +431,28 @@ class TestShardedPlanCache:
         assert cache.misses == 2
 
     @pytest.mark.slow
-    def test_restart_on_warm_cache_recompiles_stubs_once(
-            self, tmp_path, monkeypatch):
-        """A disk hit on a stub-bearing plan recompiles in ``get``, once."""
+    def test_a_disk_hit_never_compiles(self, tmp_path, monkeypatch):
+        """A restart on a warm cache is ``load_plan`` and nothing else: the
+        compiler is poisoned *before* the warm session is built."""
         rng = np.random.default_rng(5)
         qm = resnet_block_micro(rng)
         x = rng.integers(-2, 3, (1, 6, 6))
         cold = InferenceSession(qm, TEST_LOOP, seed=7, backend="batched",
                                 cache=ShardedPlanCache(tmp_path))
         want = cold.run(x)
+
+        def boom(*a, **k):  # pragma: no cover - fails the test if reached
+            raise AssertionError("a disk hit must not compile")
+
+        for mod in ("core.plan", "core.framework", "serve.cache",
+                    "serve.session"):
+            monkeypatch.setattr(f"repro.{mod}.compile_program", boom)
         cache = ShardedPlanCache(tmp_path)  # a restart: nothing in memory
         warm = InferenceSession(qm, TEST_LOOP, seed=7, backend="batched", cache=cache)
         assert (cache.hits, cache.misses) == (1, 0)
-        assert not warm.plan.needs_upgrade()
+        assert [type(s) for s in warm.plan.steps] == [
+            type(s) for s in cold.plan.steps]
         assert warm.runtime.batch_capacity == cold.runtime.batch_capacity
-
-        def boom(*a, **k):  # pragma: no cover - fails the test if reached
-            raise AssertionError("a bound plan must not recompile")
-
-        for mod in ("core.plan", "core.framework", "serve.cache"):
-            monkeypatch.setattr(f"repro.{mod}.compile_program", boom)
         assert np.array_equal(warm.run(x), want)  # a fresh executor per request
 
 

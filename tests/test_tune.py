@@ -205,7 +205,7 @@ class TestCompileHonorsTuning:
     def test_bsgs_override_reaches_fbs_plan(self, micro_program):
         tuning = TuningConfig((("qconv0", StepEncodingChoice(bsgs=4)),))
         plan = compile_program(micro_program, TEST_LOOP, tuning=tuning)
-        assert plan.steps[0].fbs.bs == 4
+        assert plan.steps[0].round.fbs.bs == 4
 
 
 class TestZooSweep:
