@@ -34,7 +34,7 @@ from repro.core.plan import (
     RefreshRound,
     compile_program,
 )
-from repro.fhe.slots import pack_lane_coeffs
+from repro.fhe.slots import pack_lane_coeffs, row_swap_element
 from repro.core.program import (
     AthenaProgram,
     LinearStep,
@@ -95,14 +95,19 @@ class AthenaPipeline:
             self.packing_key = PackingKey.generate(
                 self.ctx, self.lwe_secret, self.sk, self.pk
             )
-            self.s2c_key = S2CKey.generate(self.ctx, self.sk)
+            # Packing and S2C rotate by the same BSGS amounts under the
+            # same secret: S2C holds the packing key's Galois keys (the
+            # same objects) and adds only the row swap.
+            swap = self.ctx.galois_keys(self.sk, [row_swap_element(params.n)])
+            self.s2c_key = S2CKey(
+                self.packing_key.rotation_keys | swap, self.packing_key.baby_steps
+            )
             # Warm the NTT-domain stacks of every keyswitch key once at
             # keygen: the fused kernels multiply against these on every
             # rotation/CMult, so no request ever pays the key transforms.
             self.rlk.warm()
-            for gk in self.packing_key.rotation_keys.values():
-                gk.warm()
-            for gk in self.s2c_key.rotation_keys.values():
+            for gk in (self.packing_key.rotation_keys
+                       | self.s2c_key.rotation_keys).values():
                 gk.warm()
 
     def _dispatch(self):

@@ -9,11 +9,11 @@ without seed compression (PRNG regeneration of the uniform halves).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.fhe import slots as slotlib
 from repro.fhe.params import ATHENA, FheParams
+from repro.fhe.slots import baby_giant_amounts
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,6 @@ class KeyInventory:
             + self.relin_key_bytes(seed_compressed)
             + self.lwe_ksk_bytes(seed_compressed)
         )
-
-
-def baby_giant_amounts(dim: int, baby: int | None = None) -> set[int]:
-    """Rotation amounts a BSGS pass over ``dim`` diagonals uses."""
-    baby = baby or max(1, math.isqrt(dim))
-    giant = -(-dim // baby)
-    amounts = set(range(1, baby))
-    amounts |= {g * baby for g in range(1, giant)}
-    return amounts
 
 
 def build_inventory(params: FheParams = ATHENA, ksk_digit_bits: int | None = None) -> KeyInventory:

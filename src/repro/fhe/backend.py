@@ -2,8 +2,8 @@
 
 Every primitive the Athena loop executes — RNS NTT/INTT and limb
 arithmetic, modulus switching, LWE sample extraction and dimension
-switching, the packing matrix-vector product, FBS evaluation (baby and
-giant halves), and the S2C transform — dispatches through the *active*
+switching, the packing / S2C matrix-vector product, FBS evaluation (baby
+and giant halves), and the S2C transform — dispatches through the *active*
 :class:`Backend`. Each protocol op has at most two bodies:
 
 * the **reference** body, on :class:`Backend` itself: per-prime RNS loops
@@ -45,10 +45,12 @@ pipeline.
 
 Fused tier: :meth:`Backend.hadd_many` (one deferred reduction across an
 HAdd chain), :meth:`Backend.keyswitch` (gadget keyswitch of one
-component), :meth:`Backend.rotate_keyswitch` (automorphism + keyswitch,
-the packing/S2C rotation), and :meth:`Backend.giant_step_batch` (all
-giant-step CMult keyswitches of one FBS batched through stacked
-``(G, D, L, N)`` transforms). Reference and fast bodies are both
+component), :meth:`Backend.rotate_keyswitch` (the one rotation:
+decompose, then X -> X^k on the digits), :meth:`Backend.matvec` (a whole
+BSGS mat-vec; on the batched engine it never leaves the evaluation
+domain), and :meth:`Backend.giant_step_batch` (all giant-step CMult
+keyswitches of one FBS batched through stacked ``(G, D, L, N)``
+transforms). Reference and fast bodies are both
 *dispatch-free* — they call ``self`` methods and module-level transforms,
 never :func:`current_backend` — so :class:`CountingBackend` can count
 each fused op exactly once in primitive-equivalent units and delegate
@@ -68,6 +70,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe.ntt import (
+    _bit_reverse_indices,
     ntt_forward,
     ntt_forward_rns,
     ntt_inverse,
@@ -75,6 +78,7 @@ from repro.fhe.ntt import (
     ntt_mul,
     ntt_mul_rns,
 )
+from repro.fhe.slots import rotation_galois_element
 from repro.utils.modmath import inv_mod
 
 __all__ = [
@@ -89,6 +93,13 @@ __all__ = [
     "lazy_reduce_sum",
     "use_backend",
 ]
+
+
+#: Soft element budget for one stacked chunk — (G', D, L, N) giant steps,
+#: (T, 2, L, N) mat-vec products, the (T, L, N) diagonals of a plan build —
+#: ~128 MiB of int64; keeps large-parameter batches out of swap without
+#: changing results.
+GIANT_BATCH_ELEMS = 1 << 24
 
 
 def lazy_chain_limit(moduli: tuple[int, ...]) -> int:
@@ -147,11 +158,49 @@ def automorphism_map(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def ntt_automorphism_perm(n: int, k: int) -> np.ndarray:
+    """X -> X^k in the evaluation domain: a gather, no signs, any limb.
+
+    Output index i of :func:`repro.fhe.ntt.ntt_forward_rns` holds the
+    evaluation at psi^(2*brv(i) + 1), which X -> X^k takes from the point
+    psi^((2*brv(i) + 1) * k): ``ntt(automorphism(a, k)) == ntt(a)[..., perm]``.
+    """
+    if k % 2 == 0:
+        raise ParameterError(f"Galois element must be odd, got {k}")
+    rev = _bit_reverse_indices(n)
+    perm = rev[((2 * rev + 1) * (k % (2 * n)) % (2 * n) - 1) // 2]
+    perm.setflags(write=False)
+    return perm
+
+
+def warm_automorphism(n: int, k: int) -> None:
+    """Build both index tables of X -> X^k now (a compile-time hook)."""
+    automorphism_map(n, k)
+    ntt_automorphism_perm(n, k)
+
+
+@lru_cache(maxsize=None)
 def _moduli_column(moduli: tuple[int, ...]) -> np.ndarray:
     """(L, 1) int64 broadcast column for a modulus chain."""
     col = np.array(moduli, dtype=np.int64)[:, None]
     col.setflags(write=False)
     return col
+
+
+def _digit_residues(data, ksk, moduli) -> np.ndarray:
+    """Gadget digits of one component as a (D, L, N) residue stack."""
+    from repro.fhe.keys import gadget_digit_rows
+
+    rows = gadget_digit_rows(data, moduli, ksk.base_bits, ksk.num_digits)
+    return np.mod(rows[:, None, :], _moduli_column(moduli))
+
+
+def _rotation_key(rotation_keys, n: int, amount: int):
+    """(Galois element, key) of a row rotation by ``amount`` slots."""
+    k = rotation_galois_element(n, amount)
+    if k not in rotation_keys:
+        raise ParameterError(f"missing Galois key for element {k}")
+    return k, rotation_keys[k]
 
 
 class Backend:
@@ -164,16 +213,17 @@ class Backend:
       loops, frozen as reference semantics; :class:`BatchedBackend`
       overrides each with one stacked numpy pass. :meth:`mod_switch` (an
       exact CRT lift) has one body for both.
-    * **fused tier** — the coarse-grained FBS hot-path ops, decomposed
-      here to RNS-tier primitives.
+    * **fused tier** — the coarse-grained hot-path ops (keyswitch,
+      rotation, mat-vec, giant steps), decomposed here to RNS-tier
+      primitives.
     * **LWE tier** — the noise-control chain (:meth:`sample_extract`,
       :meth:`lwe_keyswitch`, :meth:`lwe_rescale`). Default
       implementations delegate to :mod:`repro.fhe.lwe`; a hardware
       backend may override them wholesale.
-    * **composite tier** — :meth:`matvec` (packing / S2C diagonals),
-      :meth:`fbs`, :meth:`s2c`. Defaults delegate to the module
-      implementations, whose inner ops re-enter the active backend, so a
-      wrapper (e.g. :class:`CountingBackend`) observes every sub-op.
+    * **composite tier** — :meth:`fbs`, :meth:`s2c`. Defaults delegate to
+      the module implementations, whose inner ops re-enter the active
+      backend, so a wrapper (e.g. :class:`CountingBackend`) observes every
+      sub-op.
 
     Plus the two instrumentation hooks — the execution stack's only
     instrumentation seam, no-ops except on counting backends:
@@ -215,9 +265,10 @@ class Backend:
         return out
 
     def ntt(self, a, moduli):
+        # (..., L, N): leading axes batch (a plan's whole diagonal stack).
         out = np.empty_like(a)
         for i, p in enumerate(moduli):
-            out[i] = ntt_forward(a[i], p)
+            out[..., i, :] = ntt_forward(a[..., i, :], p)
         return out
 
     def mul_ntt(self, a, fb, moduli):
@@ -239,11 +290,13 @@ class Backend:
         return out
 
     def automorphism(self, a, k, moduli):
-        dest, sign = automorphism_map(a.shape[1], k)
+        # (..., L, N): leading axes batch (a rotation's gadget-digit stack).
+        dest, sign = automorphism_map(a.shape[-1], k)
         out = np.zeros_like(a)
         signed = a * sign  # safe: |value| < p < 2**31
         for i, p in enumerate(moduli):
-            out[i][dest] = signed[i] % p  # k odd => dest is a permutation
+            # k odd => dest is a permutation
+            out[..., i, dest] = signed[..., i, :] % p
         return out
 
     def shift(self, a, shift, moduli):
@@ -275,7 +328,7 @@ class Backend:
 
     # -- fused tier --------------------------------------------------------
     #
-    # Coarse-grained ops covering the FBS hot path. The reference bodies
+    # Coarse-grained ops covering the hot paths. The reference bodies
     # below decompose to the RNS-tier primitives of *this* backend
     # (``self`` methods only — never ``current_backend()``), which lets
     # CountingBackend count each fused op exactly once before delegating
@@ -293,37 +346,74 @@ class Backend:
             acc = self.add(acc, other, moduli)
         return acc
 
-    def keyswitch(self, data, ksk, moduli):
-        """Gadget keyswitch of one component's (L, N) residue stack.
-
-        Returns the (delta_c0, delta_c1) residue stacks to be added to the
-        ciphertext. Reference: the classic digit loop — decompose, then one
-        full polynomial product per digit per output component.
-        """
-        from repro.fhe.keys import gadget_digit_rows
-
-        digit_rows = gadget_digit_rows(data, moduli, ksk.base_bits, ksk.num_digits)
-        mods = _moduli_column(moduli)
-        out0 = np.zeros_like(data)
-        out1 = np.zeros_like(data)
-        for d in range(ksk.num_digits):
-            dig = np.mod(digit_rows[d][None, :], mods)
+    def _digit_loop(self, digits, ksk, moduli):
+        """(D, L, N) digit residues against the key: one full polynomial
+        product per digit per output component."""
+        out0 = np.zeros_like(digits[0])
+        out1 = np.zeros_like(digits[0])
+        for d, dig in enumerate(digits):
             out0 = self.add(out0, self.mul(dig, ksk.k0[d].data, moduli), moduli)
             out1 = self.add(out1, self.mul(dig, ksk.k1[d].data, moduli), moduli)
         return out0, out1
 
-    def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
-        """Fused automorphism + keyswitch: the packing/S2C rotation body.
+    def keyswitch(self, data, ksk, moduli):
+        """Gadget keyswitch of one component's (L, N) residue stack.
 
-        Takes the two component stacks of a ciphertext, applies X -> X^k to
-        both, keyswitches the rotated c1 back under the base secret, and
-        returns the new (c0, c1) stacks. Reference: two automorphisms, a
-        keyswitch, and the final correction add.
+        Returns the (delta_c0, delta_c1) residue stacks to be added to the
+        ciphertext. Reference: decompose, then the digit loop.
         """
-        c0k = self.automorphism(c0, k, moduli)
-        c1k = self.automorphism(c1, k, moduli)
-        d0, d1 = self.keyswitch(c1k, ksk, moduli)
-        return self.add(c0k, d0, moduli), d1
+        return self._digit_loop(_digit_residues(data, ksk, moduli), ksk, moduli)
+
+    def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
+        """Fused automorphism + keyswitch: the one rotation definition.
+
+        *Decompose c1, then apply X -> X^k to the digits*:
+        ``sum_d phi_k(dig_d) * 2^(w*d) = phi_k(c1) (mod Q)`` and a signed
+        permutation keeps ``|phi_k(dig_d)| < 2^w``, so the Galois key for
+        ``s(X^k)`` switches them with the Table-4 noise of switching the
+        digits of phi_k(c1) — and every rotation of one ciphertext shares
+        one digit matrix, which is what :meth:`matvec` hoists. Returns the
+        new (c0, c1) stacks. Reference: one automorphism over the digit
+        stack and one over c0, the digit loop, the correction add.
+        """
+        digits = self.automorphism(_digit_residues(c1, ksk, moduli), k, moduli)
+        d0, d1 = self._digit_loop(digits, ksk, moduli)
+        return self.add(self.automorphism(c0, k, moduli), d0, moduli), d1
+
+    def matvec(self, c0, c1, plan, rotation_keys, moduli):
+        """BSGS Halevi-Shoup plaintext-matrix x ciphertext-vector product.
+
+        Component stacks of the encrypted vector and a
+        :class:`repro.fhe.packing.MatvecPlan` in, the product's (c0, c1)
+        stacks out. Reference: one :meth:`rotate_keyswitch` per live baby
+        step, one cached-operand product per diagonal, one HAdd chain and
+        one giant rotation per group, one chain over the groups.
+        """
+        n = c0.shape[-1]
+
+        def rotate(pair, amount):
+            self.record("rotation")
+            self.record("keyswitch")
+            k, gk = _rotation_key(rotation_keys, n, amount)
+            return self.rotate_keyswitch(*pair, k, gk, moduli)
+
+        def chain(pairs):
+            if len(pairs) > 1:
+                self.record("hadd", len(pairs) - 1)
+            return [self.hadd_many([p[i] for p in pairs], moduli) for i in (0, 1)]
+
+        babies = {0: (c0, c1)}
+        for b in plan.babies:
+            babies[b] = rotate(babies[0], b)
+        parts = []
+        for g, idx, stack in plan.groups:
+            self.record("pmult", len(idx))
+            inner = chain([
+                [self.mul_ntt(comp, w, moduli) for comp in babies[b]]
+                for b, w in zip(idx, stack)
+            ])
+            parts.append(rotate(inner, g * plan.baby_steps) if g else inner)
+        return tuple(chain(parts))
 
     def giant_step_batch(self, ctx, pairs, rlk):
         """Relinearized CMult for every giant-step pair of one FBS.
@@ -370,14 +460,6 @@ class Backend:
 
     # -- composite tier ----------------------------------------------------
 
-    def matvec(self, ctx, ct, diagonals, rotation_keys, baby_steps, plan=None):
-        """BSGS Halevi-Shoup plaintext-matrix x ciphertext-vector product."""
-        from repro.fhe import packing
-
-        return packing.hypercube_matvec_impl(
-            ctx, ct, diagonals, rotation_keys, baby_steps, plan=plan
-        )
-
     def fbs(self, ctx, ct, lut, rlk, plan=None):
         """Functional bootstrapping: evaluate a LUT polynomial on all slots."""
         from repro.fhe import fbs
@@ -407,7 +489,8 @@ class BatchedBackend(Backend):
     one batched forward NTT over all gadget digits against cached
     NTT-domain key stacks (:meth:`repro.fhe.keys.KeySwitchKey.ntt_stack`),
     accumulate in the NTT domain with lazy reduction, and pay two inverse
-    transforms per keyswitch instead of two per digit. Bit-identical to
+    transforms per keyswitch instead of two per digit; a mat-vec pays them
+    once for all its rotations and products. Bit-identical to
     the reference bodies: the NTT is linear mod p, so
     ``intt(sum(f_d * k_d mod p) mod p) == sum(intt(f_d * k_d)) mod p``
     exactly, and the cached key transforms are the same deterministic
@@ -417,10 +500,9 @@ class BatchedBackend(Backend):
     name = "batched"
     rns_name = "batched"
 
-    #: Soft element budget for one stacked (G', D, L, N) giant-step chunk
-    #: (~128 MiB of int64); keeps large-parameter batches out of swap
-    #: without changing results (chunk boundaries are invisible mod p).
-    giant_batch_elems = 1 << 24
+    #: The engine's stacked kernels chunk under this; an instance may lower
+    #: it (chunk boundaries are invisible mod p).
+    giant_batch_elems = GIANT_BATCH_ELEMS
 
     # -- RNS tier ----------------------------------------------------------
 
@@ -477,24 +559,77 @@ class BatchedBackend(Backend):
             return arrays[0]
         return lazy_reduce_sum(np.stack(arrays), moduli)
 
-    def keyswitch(self, data, ksk, moduli):
-        from repro.fhe.keys import gadget_digit_rows
-
+    def _key_products(self, fd, ksk, moduli):
+        """Evaluation-domain (delta_c0, delta_c1) of a (D, L, N) stack of
+        transformed gadget digits against the cached key stacks."""
         mods = _moduli_column(moduli)
-        digit_rows = gadget_digit_rows(data, moduli, ksk.base_bits, ksk.num_digits)
-        # Broadcast (D, N) digits across limbs, one batched forward pass.
-        fd = ntt_forward_rns(np.mod(digit_rows[:, None, :], mods), moduli)
         k0, k1 = ksk.ntt_stack()
         # Products reduce below 2**31 before the lazy digit-axis sum.
-        acc0 = lazy_reduce_sum(fd * k0 % mods, moduli)
-        acc1 = lazy_reduce_sum(fd * k1 % mods, moduli)
-        out = ntt_inverse_rns(np.stack([acc0, acc1]), moduli)
+        return np.stack([
+            lazy_reduce_sum(fd * k0 % mods, moduli),
+            lazy_reduce_sum(fd * k1 % mods, moduli),
+        ])
+
+    def keyswitch(self, data, ksk, moduli):
+        # (D, N) digits broadcast across limbs, one batched forward pass.
+        fd = ntt_forward_rns(_digit_residues(data, ksk, moduli), moduli)
+        out = ntt_inverse_rns(self._key_products(fd, ksk, moduli), moduli)
         return out[0], out[1]
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
-        rot = self.automorphism(np.stack([c0, c1]), k, moduli)
-        d0, d1 = self.keyswitch(rot[1], ksk, moduli)
-        return (rot[0] + d0) % _moduli_column(moduli), d1
+        n = c0.shape[-1]
+        fd = ntt_forward_rns(_digit_residues(c1, ksk, moduli), moduli)
+        delta = self._key_products(fd[..., ntt_automorphism_perm(n, k)], ksk, moduli)
+        d0, d1 = ntt_inverse_rns(delta, moduli)
+        return (self.automorphism(c0, k, moduli) + d0) % _moduli_column(moduli), d1
+
+    def matvec(self, c0, c1, plan, rotation_keys, moduli):
+        """The mat-vec without leaving the evaluation domain.
+
+        One stacked forward NTT of (c0, c1); one decomposition and one
+        (D, L, N) forward NTT shared by *every* baby step, each then a
+        gather by :func:`ntt_automorphism_perm` and a lazy multiply-
+        accumulate against its key stack; diagonal products and group sums
+        are pointwise (chunked under ``giant_batch_elems``); a giant step
+        inverse-transforms only its c1, to decompose it; the summed groups
+        pay one stacked inverse. Bit-identical to the reference: the NTT is
+        a ring isomorphism mod each prime, and a group's c1 is decomposed
+        from the same canonical residues either way.
+        """
+        n = c0.shape[-1]
+        mods = _moduli_column(moduli)
+
+        def digits(c1, gk):
+            return ntt_forward_rns(_digit_residues(c1, gk, moduli), moduli)
+
+        def rotate(f0, fd, k, gk):
+            perm = ntt_automorphism_perm(n, k)
+            out = self._key_products(fd[..., perm], gk, moduli)
+            out[0] = (out[0] + f0[..., perm]) % mods
+            return out
+
+        babies = {0: ntt_forward_rns(np.stack([c0, c1]), moduli)}
+        if plan.babies:
+            keys = [_rotation_key(rotation_keys, n, b) for b in plan.babies]
+            fd = digits(c1, keys[0][1])  # one gadget per parameter set
+            for b, (k, gk) in zip(plan.babies, keys):
+                babies[b] = rotate(babies[0][0], fd, k, gk)
+        chunk = max(1, self.giant_batch_elems // (2 * c0.size))
+        parts = []
+        for g, idx, stack in plan.groups:
+            sums = []
+            for lo in range(0, len(idx), chunk):
+                cts = np.stack([babies[b] for b in idx[lo : lo + chunk]])
+                sums.append(lazy_reduce_sum(
+                    cts * stack[lo : lo + chunk, None] % mods, moduli))
+            inner = lazy_reduce_sum(np.stack(sums), moduli)
+            if g:
+                k, gk = _rotation_key(rotation_keys, n, g * plan.baby_steps)
+                fd = digits(ntt_inverse_rns(inner[1], moduli), gk)
+                inner = rotate(inner[0], fd, k, gk)
+            parts.append(inner)
+        out = ntt_inverse_rns(lazy_reduce_sum(np.stack(parts), moduli), moduli)
+        return out[0], out[1]
 
     def giant_step_batch(self, ctx, pairs, rlk):
         from repro.fhe.bfv import BfvCiphertext
@@ -546,8 +681,8 @@ class CountingBackend(Backend):
     * RNS-tier work, derived from the dispatched array shapes in the same
       units as the analytical trace model (:mod:`repro.core.trace`):
       ``ntt`` (limb transforms), ``mod_mul`` / ``mod_add`` (elements),
-      ``automorph`` / ``shift`` (limb permutations), ``rnsconv``
-      (mod-switch elements).
+      ``automorph`` / ``shift`` (one index map per limb per call, whatever
+      leading axes ride along), ``rnsconv`` (mod-switch elements).
     * primitive events recorded by the dispatch sites: ``pmult``,
       ``smult``, ``hadd``, ``add_plain``, ``cmult``, ``rotation``,
       ``keyswitch``, ``extract``, ``lwe_keyswitch``, ``lwe_mod_switch``,
@@ -619,7 +754,8 @@ class CountingBackend(Backend):
         with self._lock:
             store = self.phase_ops.setdefault(phase, {})
             for op, k in ops.items():
-                store[op] = store.get(op, 0) + k
+                if k:
+                    store[op] = store.get(op, 0) + k
 
     # -- views --------------------------------------------------------------
 
@@ -675,7 +811,7 @@ class CountingBackend(Backend):
         return self.inner.mul(a, b, moduli)
 
     def ntt(self, a, moduli):
-        self._bulk(ntt=len(moduli))
+        self._bulk(ntt=a.size // a.shape[-1])  # limb transforms, any stack
         return self.inner.ntt(a, moduli)
 
     def mul_ntt(self, a, fb, moduli):
@@ -712,7 +848,8 @@ class CountingBackend(Backend):
     # output component plus the accumulator add. That keeps executed
     # counts identical whether the inner backend fuses or not, so
     # ``compare_traces`` reconciliation and the trace ratio bands hold
-    # unchanged under fusion.
+    # unchanged under fusion: the counts are a billing convention, not the
+    # transforms the batched engine executes (a mat-vec executes far fewer).
 
     def _keyswitch_units(self, size: int, num_limbs: int, num_digits: int) -> dict:
         return {
@@ -730,12 +867,34 @@ class CountingBackend(Backend):
         self._bulk(**self._keyswitch_units(data.size, len(moduli), ksk.num_digits))
         return self.inner.keyswitch(data, ksk, moduli)
 
+    def _rotate_units(self, size: int, num_limbs: int, num_digits: int) -> dict:
+        units = self._keyswitch_units(size, num_limbs, num_digits)
+        # One index map per limb for c0 and one for the digit stack.
+        units["automorph"] = 2 * num_limbs
+        units["mod_add"] += size  # the c0 + delta_c0 correction
+        return units
+
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
-        units = self._keyswitch_units(c0.size, len(moduli), ksk.num_digits)
-        units["automorph"] = 2 * len(moduli)
-        units["mod_add"] += c0.size  # the c0 + delta_c0 correction
-        self._bulk(**units)
+        self._bulk(**self._rotate_units(c0.size, len(moduli), ksk.num_digits))
         return self.inner.rotate_keyswitch(c0, c1, k, ksk, moduli)
+
+    def matvec(self, c0, c1, plan, rotation_keys, moduli):
+        # Billed from the plan shape as the stream the reference body
+        # dispatches: a rotation per live baby and per giant step, a PMult
+        # (two cached-operand products) per diagonal, and HAdd chains that
+        # join T terms with T - 1 additions in all.
+        size, limbs = c0.size, len(moduli)
+        rotations = len(plan.babies) + sum(1 for g, _, _ in plan.groups if g)
+        terms = sum(len(idx) for _, idx, _ in plan.groups)
+        units = {"ntt": 4 * limbs * terms, "mod_mul": 2 * size * terms,
+                 "mod_add": 2 * size * (terms - 1), "automorph": 0}
+        # One gadget per parameter set (with no key at all, inner raises).
+        digits = next((gk.num_digits for gk in rotation_keys.values()), 0)
+        for op, k in self._rotate_units(size, limbs, digits).items():
+            units[op] += rotations * k
+        self._bulk(rotation=rotations, keyswitch=rotations, pmult=terms,
+                   hadd=terms - 1, **units)
+        return self.inner.matvec(c0, c1, plan, rotation_keys, moduli)
 
     def giant_step_batch(self, ctx, pairs, rlk):
         if pairs:
@@ -766,12 +925,6 @@ class CountingBackend(Backend):
         return self.inner.lwe_rescale(batch, new_modulus)
 
     # -- composite tier ------------------------------------------------------
-
-    def matvec(self, ctx, ct, diagonals, rotation_keys, baby_steps, plan=None):
-        self.record("matvec")
-        return self.inner.matvec(
-            ctx, ct, diagonals, rotation_keys, baby_steps, plan=plan
-        )
 
     def fbs(self, ctx, ct, lut, rlk, plan=None):
         self.record("fbs")

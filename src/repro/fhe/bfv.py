@@ -50,7 +50,7 @@ class Plaintext:
     """A BFV plaintext: coefficient vector modulo t.
 
     A plaintext that participates in many homomorphic ops (a plan-held
-    kernel, an S2C diagonal, a bias vector) caches its operand forms lazily:
+    kernel, a bias vector) caches its operand forms lazily:
     the centered NTT-domain residues for :meth:`BfvContext.pmult` and the
     Delta-scaled residues for :meth:`BfvContext.add_plain` are computed on
     first use and reused afterwards, so a compiled program transforms each
@@ -284,6 +284,23 @@ class BfvContext:
         out = (((coeffs * p.t + q // 2) // q) % p.t).astype(np.int64)
         return Plaintext(out, p)
 
+    # ----- Table-4 noise rules: one statement each, shared by the ops below
+    # and by the fused mat-vec's estimate (repro.fhe.packing.hypercube_matvec)
+
+    def pmult_noise(self, noise_bits: float) -> float:
+        return noise_bits + self._log_nt
+
+    def galois_noise(self, noise_bits: float) -> float:
+        return noise_bits + math.log2(self.params.n) / 2 + 2
+
+    @staticmethod
+    def hadd_noise(noises: list[float]) -> float:
+        """The sequential ``max(acc, next) + 1`` fold of an HAdd chain."""
+        acc = noises[0]
+        for other in noises[1:]:
+            acc = max(acc, other) + 1
+        return acc
+
     # ----- homomorphic operations ------------------------------------------
 
     def add(self, a: BfvCiphertext, b: BfvCiphertext) -> BfvCiphertext:
@@ -316,9 +333,7 @@ class BfvContext:
         moduli = cts[0].params.moduli
         c0 = be.hadd_many([ct.c0.data for ct in cts], moduli)
         c1 = be.hadd_many([ct.c1.data for ct in cts], moduli)
-        noise = cts[0].noise_bits
-        for ct in cts[1:]:
-            noise = max(noise, ct.noise_bits) + 1
+        noise = self.hadd_noise([ct.noise_bits for ct in cts])
         return BfvCiphertext(
             RnsPoly(c0, moduli), RnsPoly(c1, moduli), cts[0].params, noise
         )
@@ -347,14 +362,15 @@ class BfvContext:
         """Multiply by a plaintext polynomial (weights stay unencrypted).
 
         The plaintext operand is used in NTT form (cached on the plaintext),
-        so a plan-held kernel or diagonal pays its forward transform once
+        so a plan-held kernel pays its forward transform once
         across all requests; the result is bit-identical to the plain
         ``RnsPoly`` product.
         """
         current_backend().record("pmult")
         w = pt.pmult_operand()
         return BfvCiphertext(
-            ct.c0.mul_ntt(w), ct.c1.mul_ntt(w), ct.params, ct.noise_bits + self._log_nt
+            ct.c0.mul_ntt(w), ct.c1.mul_ntt(w), ct.params,
+            self.pmult_noise(ct.noise_bits),
         )
 
     def cmult_tensor(
@@ -438,10 +454,10 @@ class BfvContext:
         """sigma_k on the plaintext; keyswitch back to the original key.
 
         Runs through the backend's fused
-        :meth:`~repro.fhe.backend.Backend.rotate_keyswitch` — one stacked
-        automorphism over both components plus the batched keyswitch on
-        the batched engine; the historical two-automorphism digit loop on
-        serial. Both records land here so counting stays in one place.
+        :meth:`~repro.fhe.backend.Backend.rotate_keyswitch`, which
+        decomposes c1 and rotates the *digits* (the one rotation
+        definition, shared with the fused mat-vec). Both records land
+        here so counting stays in one place.
         """
         k = k % (2 * ct.params.n)
         be = current_backend()
@@ -449,9 +465,9 @@ class BfvContext:
         be.record("keyswitch")
         moduli = ct.params.moduli
         c0, c1 = be.rotate_keyswitch(ct.c0.data, ct.c1.data, k, gk, moduli)
-        noise = ct.noise_bits + math.log2(ct.params.n) / 2 + 2
         return BfvCiphertext(
-            RnsPoly(c0, moduli), RnsPoly(c1, moduli), ct.params, noise
+            RnsPoly(c0, moduli), RnsPoly(c1, moduli), ct.params,
+            self.galois_noise(ct.noise_bits),
         )
 
     def rotate_slots(

@@ -16,6 +16,11 @@ The slot hypercube is 2 x (N/2); row rotations act on both rows in parallel,
 so one mat-vec pass computes N outputs at once: the top row of diagonals is
 drawn from rows 0..N/2-1 of A and the bottom row from rows N/2..N-1, with
 the packing key holding s' (zero-padded to N/2) replicated in both rows.
+
+The mat-vec itself is one fused backend op (:meth:`Backend.matvec`) fed by a
+:class:`MatvecPlan`: this module builds the plan — per request for packing,
+whose matrix is the request's, once per parameter set for S2C — and folds
+the noise estimate; the engines own the arithmetic.
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe import slots as slotlib
-from repro.fhe.backend import automorphism_map, current_backend
+from repro.fhe.backend import GIANT_BATCH_ELEMS, current_backend, warm_automorphism
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
 from repro.fhe.keys import KeySwitchKey, PublicKey, SecretKey
 from repro.fhe.lwe import LweBatch
+from repro.fhe.poly import RnsPoly
+from repro.fhe.rns import to_rns
 from repro.utils.modmath import centered_array
 
 
@@ -64,29 +71,20 @@ class PackingKey:
         )
         if baby_steps is None:
             baby_steps = max(1, int(math.isqrt(half)))
-        amounts = set(range(1, baby_steps))
-        giant = -(-half // baby_steps)
-        amounts |= {g * baby_steps for g in range(1, giant)}
-        keys = ctx.rotation_keys(sk, amounts) if amounts else {}
+        keys = ctx.rotation_keys(sk, slotlib.baby_giant_amounts(half, baby_steps))
         return cls(enc, keys, n_lwe, baby_steps)
 
 
-def _hypercube_diagonals(
-    a_top: np.ndarray, a_bot: np.ndarray, half: int
-) -> np.ndarray:
+def hypercube_diagonals(top: np.ndarray, bot: np.ndarray, half: int) -> np.ndarray:
     """All M diagonals of the 2-row block mat-vec, shape (M, N).
 
-    diag_d slot i (top row) = a_top[i, (i+d) mod M]; bottom analogous.
-    Matrices are zero-padded to (M, M).
+    diag_d slot i (top row) = top[i, (i+d) mod M]; bottom analogous.
+    Matrices smaller than (M, M) are zero-padded.
     """
 
-    def pad(m: np.ndarray) -> np.ndarray:
-        out = np.zeros((half, half), dtype=np.int64)
-        out[: m.shape[0], : m.shape[1]] = m
-        return out
-
-    top = pad(a_top)
-    bot = pad(a_bot)
+    top, bot = (
+        np.pad(m, ((0, half - m.shape[0]), (0, half - m.shape[1]))) for m in (top, bot)
+    )
     i = np.arange(half)
     diags = np.empty((half, 2 * half), dtype=np.int64)
     for d in range(half):
@@ -98,128 +96,101 @@ def _hypercube_diagonals(
 
 @dataclass(frozen=True)
 class MatvecPlan:
-    """Compile-time form of one BSGS Halevi-Shoup mat-vec.
+    """One BSGS Halevi-Shoup mat-vec in the form :meth:`Backend.matvec` eats.
 
-    The per-request path re-derives, for every call, which baby rotations
-    are live, which diagonals are nonzero, and the giant-step roll of each
-    diagonal — then slot-encodes every rolled diagonal into a fresh
-    plaintext. For a fixed matrix (the S2C evaluation matrix, any plan-held
-    weight matrix) all of that is request-invariant, so it is computed once
-    here; the plaintexts additionally cache their NTT operand form, making
-    each diagonal's forward transform a one-time cost.
+    Which baby rotations are live, which diagonals are nonzero, each one's
+    giant-step roll, slot encoding and forward transform depend on the
+    matrix alone: compile-time work for a fixed matrix (S2C), per-request
+    work for packing — which is why :meth:`build` does it in one pass.
     """
 
     baby_steps: int
     #: Baby rotation amounts that feed at least one nonzero diagonal.
     babies: tuple[int, ...]
-    #: (g, ((b, rolled-diagonal plaintext), ...)) for non-empty groups.
-    groups: tuple[tuple[int, tuple[tuple[int, Plaintext], ...]], ...]
+    #: Per non-empty giant group: (g, baby index of each live diagonal, the
+    #: (T_g, L, N) read-only evaluation-domain stack of those diagonals,
+    #: each centred mod t and rolled right by g * baby_steps — the
+    #: plaintext-side correction for the giant rotation).
+    groups: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
 
     @classmethod
     def build(
         cls, diagonals: np.ndarray, params, baby_steps: int
     ) -> "MatvecPlan":
-        half = params.n // 2
-        if diagonals.shape != (half, params.n):
+        n, moduli = params.n, params.moduli
+        half = n // 2
+        if diagonals.shape != (half, n):
             raise ParameterError("diagonal matrix has wrong shape")
-        giant = -(-half // baby_steps)
-        babies = tuple(
-            b for b in range(1, baby_steps) if np.any(diagonals[b::baby_steps])
+        be = current_backend()
+        live = np.flatnonzero(diagonals.any(axis=1))
+        giant, baby = np.divmod(live, baby_steps)
+        stack = np.empty((live.size, len(moduli), n), dtype=np.int64)
+        column = np.arange(half)
+        chunk = max(1, GIANT_BATCH_ELEMS // (len(moduli) * n))
+        for lo in range(0, live.size, chunk):
+            rows = live[lo : lo + chunk, None]
+            cols = (column - giant[lo : lo + chunk, None] * baby_steps) % half
+            rolled = np.concatenate(
+                [diagonals[rows, cols], diagonals[rows, half + cols]], axis=1
+            )
+            coeffs = centered_array(slotlib.slot_encode(rolled, n, params.t), params.t)
+            stack[lo : lo + chunk] = be.ntt(to_rns(coeffs, moduli), moduli)
+        stack.setflags(write=False)
+        # ``live`` ascends, so each group is one contiguous run of the stack.
+        bounds = np.flatnonzero(np.diff(giant, prepend=-1, append=-1))
+        groups = tuple(
+            (int(giant[lo]), tuple(baby[lo:hi].tolist()), stack[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
         )
-        groups = []
-        for g in range(giant):
-            terms = []
-            for b in range(baby_steps):
-                d = g * baby_steps + b
-                if d >= half or not np.any(diagonals[d]):
-                    continue
-                # Rotate the diagonal right by g*baby_steps within each row
-                # (plaintext-side correction for the later giant rotation).
-                diag = diagonals[d]
-                rolled = np.concatenate(
-                    [
-                        np.roll(diag[:half], g * baby_steps),
-                        np.roll(diag[half:], g * baby_steps),
-                    ]
-                )
-                pt = Plaintext.from_slots(rolled, params)
-                pt.pmult_operand()  # NTT once at compile time
-                terms.append((b, pt))
-            if terms:
-                groups.append((g, tuple(terms)))
-        return cls(baby_steps, babies, tuple(groups))
+        babies = tuple(sorted(set(baby[baby > 0].tolist())))
+        return cls(baby_steps, babies, groups)
 
     def warm_automorphisms(self, params) -> "MatvecPlan":
-        """Precompute the automorphism index maps every rotation will use.
+        """Precompute the index tables every rotation will use.
 
-        The fused rotate-keyswitch permutes coefficients through the cached
-        (dest, sign) tables of :func:`repro.fhe.backend.automorphism_map`;
-        touching them here moves that one-time cost into compile time so
-        warm serve runs pay none of it.
+        The batched mat-vec gathers by the evaluation-domain permutation,
+        the reference permutes coefficients; building both tables here
+        moves that one-time cost into compile time, so warm serve runs pay
+        none of it under either engine.
         """
         amounts = set(self.babies)
-        amounts |= {g * self.baby_steps for g, _ in self.groups if g}
+        amounts |= {g * self.baby_steps for g, _, _ in self.groups if g}
         for amount in amounts:
-            k = slotlib.rotation_galois_element(params.n, amount)
-            if k != 1:
-                automorphism_map(params.n, k)
+            warm_automorphism(
+                params.n, slotlib.rotation_galois_element(params.n, amount))
         return self
 
 
 def hypercube_matvec(
     ctx: BfvContext,
     ct: BfvCiphertext,
-    diagonals: np.ndarray | None,
+    plan: MatvecPlan,
     rotation_keys: dict[int, KeySwitchKey],
-    baby_steps: int,
-    plan: MatvecPlan | None = None,
 ) -> BfvCiphertext:
     """BSGS Halevi-Shoup product: slots(out)_i = sum_d diag[d][i] * v_{i+d}.
 
-    Dispatches through the active backend's :meth:`Backend.matvec`.
-    ``diagonals`` has shape (M, N) with M = N/2 (row length); index d of the
-    first axis is the rotation amount. Zero diagonals are skipped. A
-    precomputed :class:`MatvecPlan` replaces the diagonal scan and per-call
-    plaintext encoding with the compile-time artifacts; the homomorphic op
-    sequence — and therefore the result — is identical either way.
-    """
-    return current_backend().matvec(
-        ctx, ct, diagonals, rotation_keys, baby_steps, plan=plan
-    )
-
-
-def hypercube_matvec_impl(
-    ctx: BfvContext,
-    ct: BfvCiphertext,
-    diagonals: np.ndarray | None,
-    rotation_keys: dict[int, KeySwitchKey],
-    baby_steps: int,
-    plan: MatvecPlan | None = None,
-) -> BfvCiphertext:
-    """Default :meth:`Backend.matvec` implementation (BSGS Halevi-Shoup).
-
-    Rotations run through the backend's fused rotate-keyswitch (via
-    :meth:`~repro.fhe.bfv.BfvContext.rotate_slots`); the per-group
-    diagonal sums and the final group fold go through fused
-    :meth:`~repro.fhe.bfv.BfvContext.add_many` chains.
+    Dispatches the component stacks through the active backend's fused
+    :meth:`Backend.matvec` and attaches the analytic noise estimate, which
+    depends on the plan's shape only: the fold the op sequence *rotate ->
+    PMult -> HAdd chain -> rotate -> HAdd chain* performs (Table 4 rules).
     """
     params = ctx.params
-    if plan is None:
-        plan = MatvecPlan.build(diagonals, params, baby_steps)
-    # Baby rotations of the encrypted vector.
-    baby_cts: list[BfvCiphertext | None] = [ct] + [None] * (plan.baby_steps - 1)
-    for b in plan.babies:
-        baby_cts[b] = ctx.rotate_slots(ct, b, rotation_keys)
-    result_parts: list[BfvCiphertext] = []
-    for g, terms in plan.groups:
-        inner = ctx.add_many([ctx.pmult(baby_cts[b], pt) for b, pt in terms])
-        if g:
-            inner = ctx.rotate_slots(inner, g * plan.baby_steps, rotation_keys)
-        result_parts.append(inner)
-    if not result_parts:
-        # All-zero matrix: encrypt-free zero ciphertext via 0 * ct.
-        return ctx.smult(ct, 0)
-    return ctx.add_many(result_parts)
+    be = current_backend()
+    be.record("matvec")
+    if not plan.groups:  # all-zero matrix: the transparent zero
+        return ctx.encrypt_zero()
+    moduli = params.moduli
+    c0, c1 = be.matvec(ct.c0.data, ct.c1.data, plan, rotation_keys, moduli)
+    parts = []
+    for g, idx, _ in plan.groups:
+        inner = ctx.hadd_noise([
+            ctx.pmult_noise(ctx.galois_noise(ct.noise_bits) if b else ct.noise_bits)
+            for b in idx
+        ])
+        parts.append(ctx.galois_noise(inner) if g else inner)
+    return BfvCiphertext(
+        RnsPoly(c0, moduli), RnsPoly(c1, moduli), params, ctx.hadd_noise(parts)
+    )
 
 
 def pack_lwe(
@@ -250,13 +221,11 @@ def pack_lwe(
             if batch.count > half
             else np.zeros((0, batch.dim), dtype=np.int64)
         )
-        diagonals = _hypercube_diagonals(a_top, a_bot, half)
+        plan = MatvecPlan.build(
+            hypercube_diagonals(a_top, a_bot, half), params, packing_key.baby_steps
+        )
         out = hypercube_matvec(
-            ctx,
-            packing_key.encrypted_secret,
-            diagonals,
-            packing_key.rotation_keys,
-            packing_key.baby_steps,
+            ctx, packing_key.encrypted_secret, plan, packing_key.rotation_keys
         )
         b_slots = np.zeros(params.n, dtype=np.int64)
         b_slots[: min(batch.count, half)] = batch.b[: min(batch.count, half)]

@@ -106,7 +106,7 @@ class RnsPoly:
     def ntt_form(self) -> np.ndarray:
         """Forward-NTT residues (L, N), for reuse across many products.
 
-        A plan-held operand (kernel plaintext, S2C diagonal) is transformed
+        A plan-held operand (a kernel plaintext) is transformed
         once at compile time; :meth:`mul_ntt` then skips that operand's
         forward butterfly pass on every request. Both backends produce the
         identical array, so a cached form is valid under either.

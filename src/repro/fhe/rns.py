@@ -54,12 +54,13 @@ def to_rns(values: Sequence[int] | np.ndarray, moduli: tuple[int, ...]) -> np.nd
     """Reduce a vector of integers into an (L, N) residue matrix.
 
     Word-sized numpy inputs reduce in one broadcast against the stacked
-    moduli column; big/negative Python ints go through a per-limb object
-    broadcast (Python ``%`` semantics, so negatives land in [0, p)).
+    moduli column ((..., N) stacks give (..., L, N)); big/negative Python
+    ints go through a per-limb object broadcast (Python ``%`` semantics,
+    so negatives land in [0, p)).
     """
     if isinstance(values, np.ndarray) and values.dtype != object:
         mods = np.array(moduli, dtype=np.int64)[:, None]
-        return np.mod(values[None, :].astype(np.int64), mods)
+        return np.mod(values[..., None, :].astype(np.int64), mods)
     arr = np.asarray(values, dtype=object)
     out = np.empty((len(moduli), arr.shape[0]), dtype=np.int64)
     for i, p in enumerate(moduli):

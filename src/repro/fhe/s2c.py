@@ -11,9 +11,11 @@ homomorphic evaluation of P on the slot vector:
 P is N x N while the rotation group acts on a 2 x (N/2) hypercube, so P is
 split into four (N/2)^2 blocks: the block-diagonal part applies directly and
 the anti-diagonal part applies to the row-swapped ciphertext. Both passes
-are BSGS Halevi-Shoup mat-vecs, giving the O(sqrt(N)) rotation cost the
-framework's complexity table assumes (the paper's O(cbrt(N)) three-stage
-factorization is a further constant-factor optimization of the same step).
+are BSGS Halevi-Shoup mat-vecs (the fused :meth:`Backend.matvec`, which the
+batched engine evaluates without leaving the NTT domain), giving the
+O(sqrt(N)) rotation cost the framework's complexity table assumes (the
+paper's O(cbrt(N)) three-stage factorization is a further constant-factor
+optimization of the same step).
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe import slots as slotlib
-from repro.fhe.backend import current_backend
+from repro.fhe.backend import current_backend, warm_automorphism
 from repro.fhe.bfv import BfvCiphertext, BfvContext
 from repro.fhe.keys import KeySwitchKey, SecretKey
-from repro.fhe.packing import MatvecPlan, hypercube_matvec
+from repro.fhe.packing import MatvecPlan, hypercube_diagonals, hypercube_matvec
 from repro.fhe.params import FheParams
 from repro.utils.modmath import root_of_unity
 
@@ -59,16 +61,6 @@ def _evaluation_matrix(n: int, t: int) -> np.ndarray:
     return mat
 
 
-def _block_diagonals(top: np.ndarray, bot: np.ndarray, half: int) -> np.ndarray:
-    i = np.arange(half)
-    out = np.empty((half, 2 * half), dtype=np.int64)
-    for d in range(half):
-        cols = (i + d) % half
-        out[d, :half] = top[i, cols]
-        out[d, half:] = bot[i, cols]
-    return out
-
-
 @dataclass
 class S2CKey:
     """Galois keys for the two S2C mat-vec passes plus the row swap."""
@@ -80,15 +72,13 @@ class S2CKey:
     def generate(
         cls, ctx: BfvContext, sk: SecretKey, baby_steps: int | None = None
     ) -> "S2CKey":
+        """A standalone key. Beside a :class:`~repro.fhe.packing.PackingKey`
+        (the pipeline), share its Galois keys and add only the row swap."""
         half = ctx.params.n // 2
         if baby_steps is None:
             baby_steps = max(1, int(math.isqrt(half)))
-        amounts = set(range(1, baby_steps))
-        giant = -(-half // baby_steps)
-        amounts |= {g * baby_steps for g in range(1, giant)}
-        keys = ctx.rotation_keys(sk, amounts) if amounts else {}
-        swap = slotlib.row_swap_element(ctx.params.n)
-        keys.update(ctx.galois_keys(sk, [swap]))
+        keys = ctx.rotation_keys(sk, slotlib.baby_giant_amounts(half, baby_steps))
+        keys |= ctx.galois_keys(sk, [slotlib.row_swap_element(ctx.params.n)])
         return cls(keys, baby_steps)
 
 
@@ -97,9 +87,10 @@ class S2CPlan:
     """Compile-time form of the S2C transform for one parameter set.
 
     The evaluation matrix P depends only on (N, t), so both mat-vec passes
-    — diagonal extraction, giant-step rolls, slot encoding, and the NTT
-    form of every diagonal plaintext — are request-invariant and built once
-    here. A plan-driven :func:`slot_to_coeff` performs only ciphertext ops.
+    — diagonal extraction, giant-step rolls, slot encoding, and the
+    evaluation-domain stack of every group's diagonals — are
+    request-invariant and built once here. A plan-driven
+    :func:`slot_to_coeff` performs only ciphertext ops.
     """
 
     direct: MatvecPlan
@@ -115,19 +106,17 @@ class S2CPlan:
         p00, p01 = p[:half, :half], p[:half, half:]
         p10, p11 = p[half:, :half], p[half:, half:]
         return cls(
-            MatvecPlan.build(_block_diagonals(p00, p11, half), params, baby_steps),
-            MatvecPlan.build(_block_diagonals(p01, p10, half), params, baby_steps),
+            MatvecPlan.build(hypercube_diagonals(p00, p11, half), params, baby_steps),
+            MatvecPlan.build(hypercube_diagonals(p01, p10, half), params, baby_steps),
         )
 
     def warm_automorphisms(self, params: FheParams) -> "S2CPlan":
-        """Precompute every automorphism index map both passes will use
+        """Precompute every automorphism index table both passes will use
         (baby/giant rotations plus the row swap), so plan-driven runs pay
-        no map construction at request time."""
-        from repro.fhe.backend import automorphism_map
-
+        no table construction at request time."""
         self.direct.warm_automorphisms(params)
         self.crossed.warm_automorphisms(params)
-        automorphism_map(params.n, slotlib.row_swap_element(params.n))
+        warm_automorphism(params.n, slotlib.row_swap_element(params.n))
         return self
 
 
@@ -136,10 +125,9 @@ def slot_to_coeff(
 ) -> BfvCiphertext:
     """Return a ciphertext whose *coefficients* equal ``ct``'s slot values.
 
-    Dispatches through the active backend's :meth:`Backend.s2c`. With a
-    precomputed :class:`S2CPlan` the two Halevi-Shoup passes reuse
-    compile-time diagonal plaintexts; the op sequence is unchanged, so the
-    result is bit-identical to the per-request path.
+    Dispatches through the active backend's :meth:`Backend.s2c`. Without a
+    precomputed :class:`S2CPlan` the same plan is built on the spot and the
+    same body runs, so the result is bit-identical either way.
     """
     be = current_backend()
     with be.phase("s2c"):
@@ -150,33 +138,11 @@ def slot_to_coeff_impl(
     ctx: BfvContext, ct: BfvCiphertext, key: S2CKey, plan: S2CPlan | None = None
 ) -> BfvCiphertext:
     """Default :meth:`Backend.s2c` implementation (two BSGS passes)."""
-    params = ctx.params
-    n, t = params.n, params.t
-    half = n // 2
-    if plan is not None:
-        if plan.direct.baby_steps != key.baby_steps:
-            raise ParameterError("S2C plan was built for different baby steps")
-        direct = hypercube_matvec(
-            ctx, ct, None, key.rotation_keys, key.baby_steps, plan=plan.direct
-        )
-        swapped = ctx.row_swap(ct, key.rotation_keys)
-        crossed = hypercube_matvec(
-            ctx, swapped, None, key.rotation_keys, key.baby_steps,
-            plan=plan.crossed,
-        )
-        return ctx.add_many([direct, crossed])
-    p = _evaluation_matrix(n, t)
-    p00, p01 = p[:half, :half], p[:half, half:]
-    p10, p11 = p[half:, :half], p[half:, half:]
-    direct = hypercube_matvec(
-        ctx, ct, _block_diagonals(p00, p11, half), key.rotation_keys, key.baby_steps
-    )
+    if plan is None:
+        plan = S2CPlan.build(ctx.params, key.baby_steps)
+    elif plan.direct.baby_steps != key.baby_steps:
+        raise ParameterError("S2C plan was built for different baby steps")
+    direct = hypercube_matvec(ctx, ct, plan.direct, key.rotation_keys)
     swapped = ctx.row_swap(ct, key.rotation_keys)
-    crossed = hypercube_matvec(
-        ctx,
-        swapped,
-        _block_diagonals(p01, p10, half),
-        key.rotation_keys,
-        key.baby_steps,
-    )
-    return ctx.add(direct, crossed)
+    crossed = hypercube_matvec(ctx, swapped, plan.crossed, key.rotation_keys)
+    return ctx.add_many([direct, crossed])

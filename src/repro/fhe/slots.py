@@ -18,6 +18,7 @@ permutation that matches NTT output positions to hypercube slots.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -55,13 +56,15 @@ def _slot_permutation(n: int, t: int) -> np.ndarray:
 
 
 def slot_encode(values: np.ndarray, n: int, t: int) -> np.ndarray:
-    """Encode a length-N vector over Z_t into plaintext polynomial coeffs."""
+    """Encode length-N vectors over Z_t into plaintext polynomial coeffs.
+
+    Leading axes batch: a (T, N) stack encodes in one inverse transform.
+    """
     values = np.mod(np.asarray(values, dtype=np.int64), t)
-    if values.shape != (n,):
+    if values.shape[-1:] != (n,):
         raise ParameterError(f"expected {n} slot values, got shape {values.shape}")
-    perm = _slot_permutation(n, t)
-    ntt_domain = np.zeros(n, dtype=np.int64)
-    ntt_domain[perm] = values
+    ntt_domain = np.empty_like(values)
+    ntt_domain[..., _slot_permutation(n, t)] = values
     return ntt_inverse(ntt_domain, t)
 
 
@@ -154,6 +157,17 @@ def lane_positions(base: np.ndarray, stride: int, lanes: int, n: int) -> np.ndar
 def rotation_galois_element(n: int, amount: int) -> int:
     """Galois element k with sigma_k = rotate-rows-left-by-``amount``."""
     return pow(3, amount % (n // 2), 2 * n)
+
+
+def baby_giant_amounts(dim: int, baby: int | None = None) -> set[int]:
+    """Rotation amounts a BSGS pass over ``dim`` diagonals uses.
+
+    ``baby`` defaults to floor(sqrt(dim)) baby steps. The one statement of
+    the rule: key generation (packing, S2C) and the key inventory share it.
+    """
+    baby = baby or max(1, math.isqrt(dim))
+    giant = -(-dim // baby)
+    return set(range(1, baby)) | {g * baby for g in range(1, giant)}
 
 
 ROW_SWAP_GALOIS = -1  # sigma_{-1} (i.e. X -> X^(2N-1)) swaps the two rows

@@ -50,6 +50,45 @@ def rng():
     return np.random.default_rng(12345)
 
 
+#: Tolerance of a real-ciphertext run against ``forward_int``, in standard
+#: deviations of the modelled logit error (one logit in 16 000 beyond it).
+REFRESH_SIGMAS = 4
+
+
+def refresh_noise_bound(qm, params) -> int:
+    """``REFRESH_SIGMAS`` sigma of the logit error the refresh noise causes.
+
+    Closed form over the last two LUT rounds of the lowered model; it reads
+    weights and scales, never an engine. Each refresh perturbs its LUT input
+    by e_ms of std sigma_ms = sqrt((|s|^2 + 1) / 12): 1.91 at TEST_LOOP for
+    the expected ternary norm (benchmarks/ledger/README.md measures 1.89 on
+    a drawn secret). The round feeding the head scales that by its LUT slope
+    mu (a fused max-pool tree refreshes once more per level first) and
+    rounds, leaving an activation error of variance eps^2 + E[f(1 - f)] <=
+    eps^2 + min(sqrt(2/pi) * eps, 1/4), eps = mu * sigma_ms the std before
+    rounding and f the fractional part of that error's magnitude. The head
+    sums those through its weights (largest row norm), adds
+    its own e_ms, and scales by its slope. Earlier rounds shrink by every
+    slope after them and are left to the sigma multiple. Which ciphertext
+    bits a run draws moves its error inside this bound, never the bound.
+    """
+    from repro.core.inference import AthenaNoiseModel
+    from repro.core.program import lower
+
+    def slope(spec):
+        return 1 / spec.divisor if spec.kind == "divide" else spec.source.remap_multiplier
+
+    *_, feed, head = lower(qm, params).lut_steps()
+    sigma_ms = AthenaNoiseModel(params).std
+    pool = getattr(feed, "fused_pool", None)
+    levels = int(np.ceil(np.log2(pool.kernel**2))) if pool else 0
+    eps = slope(feed.lut) * sigma_ms * np.sqrt(1 + levels)
+    act_var = eps**2 + min(np.sqrt(2 / np.pi) * eps, 0.25)
+    rows = head.layer.weight.reshape(head.layer.weight.shape[0], -1)
+    mac_var = sigma_ms**2 + act_var * (rows.astype(np.float64) ** 2).sum(axis=1).max()
+    return int(np.ceil(REFRESH_SIGMAS * slope(head.lut) * np.sqrt(mac_var)))
+
+
 @pytest.fixture()
 def executed_mod_muls():
     """``run(program, plan, x_q, params) -> (output, counted mod_muls)``."""

@@ -1,6 +1,6 @@
 """Fused-kernel tier: counting parity, bit-identity, and lazy-reduction safety.
 
-Three claims pinned here:
+Four claims pinned here:
 
 1. *Counting parity* — a fused op is counted exactly once, in the
    primitive units the decomposed path would have dispatched. Pinned two
@@ -17,24 +17,41 @@ Three claims pinned here:
    :func:`lazy_chain_limit` leaves orders-of-magnitude headroom over the
    longest chains the engine forms (gadget digit axes, HAdd fan-ins) for
    every parameter preset.
+4. *One rotation, one mat-vec* — the evaluation-domain mat-vec of the
+   batched engine equals the reference body and the composite spelled out
+   from public ciphertext ops, executes the transform count it was built
+   for, and rests on a permutation table checked against the coefficient-
+   domain automorphism on every preset.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ParameterError
+from repro.fhe import backend as backend_mod
+from repro.fhe import keys as keys_mod
 from repro.fhe.backend import (
     BATCHED,
     SERIAL,
     Backend,
+    BatchedBackend,
     CountingBackend,
     lazy_chain_limit,
     lazy_reduce_sum,
+    ntt_automorphism_perm,
+    use_backend,
 )
-from repro.fhe.bfv import BfvContext, Plaintext
-from repro.fhe.params import PRESETS, TEST_FBS
-from repro.fhe.slots import rotation_galois_element
+from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
+from repro.fhe.keys import apply_keyswitch
+from repro.fhe.ntt import ntt_forward_rns
+from repro.fhe.packing import MatvecPlan, hypercube_diagonals, hypercube_matvec
+from repro.fhe.params import PRESETS, TEST_FBS, TEST_LOOP, TEST_SMALL, TEST_TINY
+from repro.fhe.s2c import S2CKey, S2CPlan, _evaluation_matrix
+from repro.fhe.slots import baby_giant_amounts, rotation_galois_element
 
 _slow = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -56,6 +73,7 @@ class DecomposedCounting(CountingBackend):
     keyswitch = Backend.keyswitch
     rotate_keyswitch = Backend.rotate_keyswitch
     giant_step_batch = Backend.giant_step_batch
+    matvec = Backend.matvec
 
 
 def _fixture():
@@ -215,3 +233,245 @@ class TestLazyReduction:
         moduli = PRESETS["test-tiny"].moduli
         stack = np.arange(2 * 8, dtype=np.int64).reshape(1, 2, 8)
         assert np.array_equal(lazy_reduce_sum(stack, moduli), stack[0])
+
+
+# --- one rotation definition, one mat-vec --------------------------------------
+
+
+class TestRotation:
+    """``rotate_keyswitch``: decompose c1, then apply X -> X^k to the digits."""
+
+    def test_fast_equals_reference_and_rotates_the_plaintext(self):
+        ctx, sk, _, gk, cts = _fixture()
+        params = ctx.params
+        ct = cts[0]
+        k = rotation_galois_element(params.n, 1)
+        fast = BATCHED.rotate_keyswitch(ct.c0.data, ct.c1.data, k, gk, params.moduli)
+        ref = SERIAL.rotate_keyswitch(ct.c0.data, ct.c1.data, k, gk, params.moduli)
+        for x, y in zip(fast, ref):
+            assert np.array_equal(x, y)
+        out = ctx.apply_galois(ct, k, gk)
+        assert np.array_equal(out.c0.data, fast[0]) and np.array_equal(out.c1.data, fast[1])
+        want = np.roll(ctx.decrypt(ct, sk).to_slots().reshape(2, -1), -1, axis=1)
+        assert np.array_equal(ctx.decrypt(out, sk).to_slots(), want.reshape(-1))
+
+    def test_noise_matches_rotating_before_decomposing(self):
+        """Same noise term as automorphism-then-keyswitch, composed here
+        from public ops: the measured noise stays within a bit of it and
+        under the gadget bound D * N * 2^w * sigma (``repro.fhe.keys``)."""
+        ctx, sk, _, gk, cts = _fixture()
+        params = ctx.params
+        k = rotation_galois_element(params.n, 1)
+        bound = math.log2(
+            gk.num_digits * params.n * 2**gk.base_bits * params.sigma)
+        for ct in cts:
+            d0, d1 = apply_keyswitch(ct.c1.automorphism(k), gk)
+            old = BfvCiphertext(ct.c0.automorphism(k) + d0, d1, params, 0.0)
+            new = ctx.apply_galois(ct, k, gk)
+            measured = ctx.true_noise_bits(new, sk)
+            assert abs(measured - ctx.true_noise_bits(old, sk)) <= 1.0
+            assert measured <= bound
+            assert np.array_equal(ctx.decrypt(new, sk).coeffs, ctx.decrypt(old, sk).coeffs)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_evaluation_domain_permutation(self, preset, seed):
+        """ntt(automorphism(a, k)) == ntt(a)[..., perm_k] on every limb, for
+        random odd k, on every preset (the paper's ring included)."""
+        params = PRESETS[preset]
+        n, moduli = params.n, params.moduli
+        rng = np.random.default_rng(seed)
+        k = 2 * int(rng.integers(0, n)) + 1
+        a = rng.integers(0, min(moduli), (len(moduli), n), dtype=np.int64)
+        rotated = ntt_forward_rns(BATCHED.automorphism(a, k, moduli), moduli)
+        perm = ntt_automorphism_perm(n, k)
+        assert np.array_equal(rotated, ntt_forward_rns(a, moduli)[..., perm])
+        assert np.array_equal(SERIAL.automorphism(a, k, moduli),
+                              BATCHED.automorphism(a, k, moduli))
+
+
+def _composite_matvec(ctx, ct, diagonals, keys, baby_steps):
+    """The BSGS product spelled out from public ciphertext ops."""
+    params = ctx.params
+    half = params.n // 2
+    babies, parts = {0: ct}, []
+    for g in range(-(-half // baby_steps)):
+        terms = []
+        for b in range(baby_steps):
+            d = g * baby_steps + b
+            if d >= half or not diagonals[d].any():
+                continue
+            if b not in babies:
+                babies[b] = ctx.rotate_slots(ct, b, keys)
+            rolled = np.concatenate([np.roll(diagonals[d, :half], g * baby_steps),
+                                     np.roll(diagonals[d, half:], g * baby_steps)])
+            terms.append(ctx.pmult(babies[b], Plaintext.from_slots(rolled, params)))
+        if terms:
+            inner = ctx.add_many(terms)
+            parts.append(ctx.rotate_slots(inner, g * baby_steps, keys) if g else inner)
+    return ctx.add_many(parts)
+
+
+@pytest.fixture(scope="module", params=[TEST_TINY, TEST_SMALL, TEST_FBS, TEST_LOOP],
+                ids=lambda p: p.name)
+def matvec_setup(request):
+    params = request.param
+    ctx = BfvContext(params, seed=77)
+    sk, pk = ctx.keygen()
+    key = S2CKey.generate(ctx, sk)
+    rng = np.random.default_rng(78)
+    ct = ctx.encrypt(Plaintext.from_slots(rng.integers(0, params.t, params.n), params), pk)
+    return ctx, sk, key, ct
+
+
+def _assert_same_ciphertext(a, b):
+    assert np.array_equal(a.c0.data, b.c0.data)
+    assert np.array_equal(a.c1.data, b.c1.data)
+    assert a.noise_bits == b.noise_bits
+
+
+def _three_ways(ctx, ct, diagonals, keys, baby_steps, fast=BATCHED):
+    """Fast body, reference body and the spelled-out composite must agree
+    bit for bit (noise estimate included); returns the fast result."""
+    plan = MatvecPlan.build(diagonals, ctx.params, baby_steps)
+    with use_backend(fast):
+        got = hypercube_matvec(ctx, ct, plan, keys)
+    with use_backend(SERIAL):
+        _assert_same_ciphertext(got, hypercube_matvec(ctx, ct, plan, keys))
+    with use_backend(BATCHED):
+        _assert_same_ciphertext(
+            got, _composite_matvec(ctx, ct, diagonals, keys, baby_steps))
+    return got
+
+
+class TestMatvecBitIdentity:
+    def test_s2c_plans_and_a_dense_matrix(self, matvec_setup):
+        ctx, sk, key, ct = matvec_setup
+        params = ctx.params
+        half = params.n // 2
+        p = _evaluation_matrix(params.n, params.t)
+        direct = hypercube_diagonals(p[:half, :half], p[half:, half:], half)
+        crossed = hypercube_diagonals(p[:half, half:], p[half:, :half], half)
+        dense = np.random.default_rng(5).integers(
+            -(params.t // 2), params.t // 2 + 1, (half, params.n))
+        for diagonals in (direct, crossed, dense):
+            got = _three_ways(ctx, ct, diagonals, key.rotation_keys, key.baby_steps)
+            v = ctx.decrypt(ct, sk).to_slots().reshape(2, half)
+            want = sum(diagonals[d].reshape(2, half) * np.roll(v, -d, axis=1)
+                       for d in range(half)) % params.t
+            assert np.array_equal(ctx.decrypt(got, sk).to_slots(), want.reshape(-1))
+
+    def test_sparse_matrices(self, matvec_setup):
+        ctx, _, key, ct = matvec_setup
+        params = ctx.params
+        half, bs = params.n // 2, key.baby_steps
+        rng = np.random.default_rng(6)
+
+        def sparse(rows):
+            out = np.zeros((half, params.n), dtype=np.int64)
+            out[rows] = rng.integers(1, params.t, (len(rows), params.n))
+            return out
+
+        dead_baby = sparse([d for d in range(half) if d % bs != 1])
+        one_group = sparse(list(range(bs, 2 * bs)))
+        one_diagonal = sparse([0])
+        for diagonals in (dead_baby, one_group, one_diagonal):
+            _three_ways(ctx, ct, diagonals, key.rotation_keys, bs)
+        assert 1 not in MatvecPlan.build(dead_baby, params, bs).babies
+        assert len(MatvecPlan.build(one_group, params, bs).groups) == 1
+
+    def test_baby_steps_one_and_chunked_products(self, monkeypatch):
+        params = TEST_TINY
+        ctx = BfvContext(params, seed=79)
+        sk, pk = ctx.keygen()
+        half = params.n // 2
+        rng = np.random.default_rng(80)
+        ct = ctx.encrypt(Plaintext.from_slots(rng.integers(0, params.t, params.n), params), pk)
+        dense = rng.integers(0, params.t, (half, params.n))
+        _three_ways(ctx, ct, dense, ctx.rotation_keys(sk, baby_giant_amounts(half, 1)), 1)
+
+        # A one-element budget: every diagonal product is its own chunk.
+        tight = BatchedBackend()
+        tight.giant_batch_elems = 1
+        sums = []
+        real = backend_mod.lazy_reduce_sum
+
+        def spy(stack, moduli, axis=0):
+            sums.append(stack.shape)
+            return real(stack, moduli, axis)
+
+        monkeypatch.setattr(backend_mod, "lazy_reduce_sum", spy)
+        bs = math.isqrt(half)
+        keys = ctx.rotation_keys(sk, baby_giant_amounts(half, bs))
+        _three_ways(ctx, ct, dense, keys, bs, fast=tight)
+        one_term = (1, 2, len(params.moduli), params.n)
+        assert sums.count(one_term) == half  # unchunked: one sum per group
+
+    def test_missing_key_and_wrong_shape_raise(self, matvec_setup):
+        ctx, _, key, ct = matvec_setup
+        params = ctx.params
+        plan = S2CPlan.build(params, key.baby_steps).direct
+        k = rotation_galois_element(params.n, key.baby_steps)
+        without = {e: gk for e, gk in key.rotation_keys.items() if e != k}
+        for be in (BATCHED, SERIAL, CountingBackend(BATCHED)):
+            with use_backend(be), pytest.raises(ParameterError, match=f"element {k}$"):
+                hypercube_matvec(ctx, ct, plan, without)
+        with pytest.raises(ParameterError, match="wrong shape"):
+            MatvecPlan.build(np.zeros((params.n, params.n), dtype=np.int64),
+                             params, key.baby_steps)
+
+
+class TestMatvecAccounting:
+    def test_counting_parity(self, matvec_setup):
+        """One mat-vec bills the same totals and per-phase events whether
+        the wrapper's bulk formula, or the reference body's own dispatches
+        on a wrapper without the fused overrides, do the counting."""
+        ctx, _, key, ct = matvec_setup
+        plan = S2CPlan.build(ctx.params, key.baby_steps).crossed
+        records = []
+        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL),
+                         DecomposedCounting(BATCHED)):
+            with use_backend(counting), counting.phase("s2c"):
+                hypercube_matvec(ctx, ct, plan, key.rotation_keys)
+            records.append((counting.totals(), counting.ops_by_phase()))
+        assert records[0] == records[1] == records[2]
+        totals = records[0][0]
+        terms = sum(len(idx) for _, idx, _ in plan.groups)
+        rotations = len(plan.babies) + sum(1 for g, _, _ in plan.groups if g)
+        assert totals["pmult"] == terms and totals["hadd"] == terms - 1
+        assert totals["rotation"] == totals["keyswitch"] == rotations
+        assert totals["matvec"] == 1
+
+    def test_executed_transforms_of_one_s2c_matvec(self, monkeypatch):
+        """The work the fast body was built to avoid, pinned where it is
+        done: limb transforms and gadget decompositions of one S2C direct
+        mat-vec at TEST_LOOP (the composite executed 5 076 and 14)."""
+        params = TEST_LOOP
+        ctx = BfvContext(params, seed=81)
+        sk, pk = ctx.keygen()
+        key = S2CKey.generate(ctx, sk)
+        plan = S2CPlan.build(params, key.baby_steps).direct
+        ct = ctx.encrypt(Plaintext.from_slots(np.arange(params.n), params), pk)
+        for gk in key.rotation_keys.values():
+            gk.warm()
+        executed = {"limb_transforms": 0, "decompositions": 0}
+
+        def spy(module, name, unit):
+            real = getattr(module, name)
+
+            def wrapper(a, *args, **kwargs):
+                executed[unit] += a.size // a.shape[-1] if unit == "limb_transforms" else 1
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(backend_mod, "ntt_forward_rns", "limb_transforms")
+        spy(backend_mod, "ntt_inverse_rns", "limb_transforms")
+        spy(keys_mod, "gadget_digit_rows", "decompositions")
+        with use_backend(BATCHED):
+            hypercube_matvec(ctx, ct, plan, key.rotation_keys)
+        assert len(plan.babies) == 7 and len(plan.groups) == 8
+        assert executed["decompositions"] == 8
+        assert executed["limb_transforms"] <= 1600

@@ -39,6 +39,7 @@ from repro.quant.quantize import (
     QuantConfig,
     QuantizedModel,
 )
+from tests.conftest import refresh_noise_bound
 
 CFG = QuantConfig(4, 4, t=TEST_LOOP.t)
 
@@ -232,7 +233,8 @@ class TestGroupedConv:
 
 def _run_ciphertext(layers, in_shape, seed=7, pipe_seed=41):
     """Lower, compile, and run one mini model through the real-ciphertext
-    pipeline; return (absolute error vs the integer reference, plan)."""
+    pipeline; assert the output within the refresh-noise bound of the
+    integer reference and return the plan."""
     from repro.core.framework import AthenaPipeline
 
     rng = np.random.default_rng(seed)
@@ -244,40 +246,40 @@ def _run_ciphertext(layers, in_shape, seed=7, pipe_seed=41):
     pipe = AthenaPipeline(TEST_LOOP, seed=pipe_seed)
     got = pipe.run_program(program, x_q, plan=plan)
     assert got.shape == ref.shape
-    return int(np.abs(got - ref).max()), plan
+    assert np.abs(got - ref).max() <= refresh_noise_bound(qm, TEST_LOOP)
+    return plan
 
 
 @pytest.mark.slow
 class TestCiphertextCoverage:
     """Every layer shape the registry opened up, end to end under TEST_LOOP.
 
-    Tolerances: each five-step round's e_ms noise lands within ±2 LSB of
-    the integer reference; projection residuals add the join refresh's
-    positively-biased error into a downstream FC fan-in, so they get one
-    extra LSB of headroom (see the noise notes in DESIGN.md).
+    Tolerance: :func:`tests.conftest.refresh_noise_bound` for each model —
+    4 sigma of the logit error its last two refreshes cause, 4 to 9 LSB
+    here (sigma is 1.0 to 2.0: the ±2 these tests used to assert was a
+    one-to-two-sigma draw). A wrong rotation, LUT or layout lands anywhere
+    in ±128 (see the noise notes in DESIGN.md).
     """
 
     def test_fused_conv_maxpool(self):
         r = np.random.default_rng(11)
-        err, plan = _run_ciphertext([
+        plan = _run_ciphertext([
             _conv(r, 1, 2, 3, 1, 1, 4, out_scale=6.0),
             QMaxPool(2, 2), QFlatten(), _fc(r, 8, 3),
         ], (1, 4, 4))
-        assert err <= 2
         assert plan.steps[0].pool_rounds  # the pool fused into the conv
 
     def test_interior_padded_conv(self):
         r = np.random.default_rng(12)
-        err, _ = _run_ciphertext([
+        _run_ciphertext([
             _conv(r, 1, 1, 3, 1, 0, 6, out_scale=6.0),
             _conv(r, 1, 2, 3, 1, 1, 4, out_scale=6.0),
             QFlatten(), _fc(r, 32, 3),
         ], (1, 6, 6))
-        assert err <= 2
 
     def test_identity_residual(self):
         r = np.random.default_rng(13)
-        err, _ = _run_ciphertext([
+        _run_ciphertext([
             _conv(r, 1, 1, 3, 1, 0, 6, out_scale=8.0),
             QResidual(
                 body=[_conv(r, 1, 1, 3, 1, 1, 4, act="identity",
@@ -285,11 +287,10 @@ class TestCiphertextCoverage:
                 shortcut=None, add_scale=1.0, out_scale=2.0, skip_alpha=2),
             QFlatten(), _fc(r, 16, 3),
         ], (1, 6, 6))
-        assert err <= 2
 
     def test_projection_residual(self):
         r = np.random.default_rng(14)
-        err, _ = _run_ciphertext([
+        _run_ciphertext([
             _conv(r, 1, 1, 3, 1, 0, 6, out_scale=8.0),
             QResidual(
                 body=[_conv(r, 1, 2, 3, 2, 1, 4, act="identity",
@@ -299,37 +300,33 @@ class TestCiphertextCoverage:
                 add_scale=1.0, out_scale=2.0, skip_alpha=1),
             QFlatten(), _fc(r, 8, 3),
         ], (1, 6, 6))
-        assert err <= 3  # join noise summed by the FC fan-in
 
     def test_global_avgpool_head(self):
         r = np.random.default_rng(15)
-        err, _ = _run_ciphertext([
+        _run_ciphertext([
             _conv(r, 1, 2, 3, 1, 0, 6, out_scale=12.0, out_max=6),
             QGlobalAvgPool(spatial=16), _fc(r, 2, 3),
         ], (1, 6, 6))
-        assert err <= 2
 
     def test_avgpool(self):
         r = np.random.default_rng(16)
-        err, _ = _run_ciphertext([
+        _run_ciphertext([
             _conv(r, 1, 2, 3, 1, 0, 6, out_scale=10.0),
             QAvgPool(kernel=2, stride=2), QFlatten(), _fc(r, 8, 3),
         ], (1, 6, 6))
-        assert err <= 2
 
     def test_grouped_conv(self):
         r = np.random.default_rng(21)
-        err, _ = _run_ciphertext([
+        _run_ciphertext([
             _conv(r, 2, 2, 3, 1, 0, 5, out_scale=8.0, groups=2),
             QFlatten(), _fc(np.random.default_rng(22), 18, 3),
         ], (2, 5, 5), seed=23)
-        assert err <= 2
 
     def test_resnet56_style_mini(self):
         """Three-stage resnet56 topology in miniature: stem, identity
         residual, projection (stride-2) residual, GAP head, FC."""
         r = np.random.default_rng(31)
-        err, _ = _run_ciphertext([
+        _run_ciphertext([
             _conv(r, 1, 1, 3, 1, 0, 6, out_scale=8.0),
             QResidual(
                 body=[_conv(r, 1, 1, 3, 1, 1, 4, act="identity",
@@ -343,4 +340,3 @@ class TestCiphertextCoverage:
                 add_scale=1.0, out_scale=2.0, skip_alpha=1),
             QGlobalAvgPool(spatial=4), _fc(r, 2, 3),
         ], (1, 6, 6))
-        assert err <= 3

@@ -15,8 +15,14 @@ from repro.fhe.fbs import (
     fbs_evaluate,
     interpolate_lut,
 )
-from repro.fhe.packing import PackingKey, pack_lwe
-from repro.fhe.s2c import S2CKey, slot_to_coeff, _evaluation_matrix, _slot_points
+from repro.fhe.packing import MatvecPlan, PackingKey, hypercube_matvec, pack_lwe
+from repro.fhe.s2c import (
+    S2CKey,
+    S2CPlan,
+    _evaluation_matrix,
+    _slot_points,
+    slot_to_coeff,
+)
 from repro.fhe.slots import slot_decode
 from repro.utils.sampling import Sampler
 
@@ -65,6 +71,18 @@ class TestPacking:
         dec = ctx.decrypt(pack_lwe(ctx, batch, pkey), sk).to_slots()
         assert np.array_equal(dec, m % p.t)
 
+    def test_all_zero_matrix_is_the_transparent_zero(self, packing_setup):
+        """No live diagonal: a noiseless zero, not an SMult-by-0 that pays
+        log2(t) noise bits on a live ciphertext for a constant."""
+        ctx, sk, *_, pkey = packing_setup
+        p = ctx.params
+        plan = MatvecPlan.build(
+            np.zeros((p.n // 2, p.n), dtype=np.int64), p, pkey.baby_steps)
+        assert plan.groups == () and plan.babies == ()
+        out = hypercube_matvec(ctx, pkey.encrypted_secret, plan, pkey.rotation_keys)
+        assert out.noise_bits == 0.0
+        assert not ctx.decrypt(out, sk).to_slots().any()
+
     def test_wrong_modulus_raises(self, packing_setup):
         ctx, *_, pkey = packing_setup
         bad = lwe.LweBatch(
@@ -106,6 +124,21 @@ class TestS2C:
         ct = ctx.encrypt(Plaintext.from_slots(v, p), pk)
         out = slot_to_coeff(ctx, ct, key)
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, v % p.t)
+
+    def test_one_body_with_or_without_a_plan(self, tiny_ctx, tiny_keys, rng):
+        """No plan passed: the same plan is built on the spot and the same
+        body runs — bit-identical ciphertexts, equal noise estimates."""
+        ctx = tiny_ctx
+        sk, pk = tiny_keys
+        p = ctx.params
+        key = S2CKey.generate(ctx, sk)
+        ct = ctx.encrypt(Plaintext.from_slots(rng.integers(0, p.t, p.n), p), pk)
+        bare = slot_to_coeff(ctx, ct, key)
+        planned = slot_to_coeff(ctx, ct, key, plan=S2CPlan.build(p, key.baby_steps))
+        assert bare.c0 == planned.c0 and bare.c1 == planned.c1
+        assert bare.noise_bits == planned.noise_bits
+        with pytest.raises(ParameterError, match="different baby steps"):
+            slot_to_coeff(ctx, ct, key, plan=S2CPlan.build(p, key.baby_steps * 2))
 
     def test_s2c_linear(self, tiny_ctx, tiny_keys, rng):
         ctx = tiny_ctx

@@ -405,12 +405,13 @@ class TestPlanWireV4:
             serialize.load_plan(_resealed(bytes(body)), TEST_LOOP)
 
     def test_first_s2c_on_a_loaded_plan_builds_no_automorphism_map(self):
-        """``load_plan`` warms the S2C rotation maps exactly as
+        """``load_plan`` warms the S2C rotation tables — the coefficient
+        maps and the evaluation-domain permutations — exactly as
         ``compile_program`` does (it did not before v4)."""
         from repro.core.framework import AthenaPipeline
         from repro.core.plan import compile_program
         from repro.core.program import lower
-        from repro.fhe.backend import automorphism_map
+        from repro.fhe.backend import automorphism_map, ntt_automorphism_perm
         from repro.quant.subjects import SUBJECTS
 
         builder, params = SUBJECTS["serve_micro"]
@@ -418,12 +419,14 @@ class TestPlanWireV4:
         raw = serialize.dump_plan(compile_program(program, params))
         pipe = AthenaPipeline(params, seed=3)
         ct = pipe.encrypt_coeffs(np.arange(params.n) % 5)
-        automorphism_map.cache_clear()
+        tables = (automorphism_map, ntt_automorphism_perm)
+        for table in tables:
+            table.cache_clear()
         loaded = serialize.load_plan(raw, params)
-        before = automorphism_map.cache_info().misses
-        assert before > 0
+        before = [table.cache_info().misses for table in tables]
+        assert min(before) > 0
         pipe.to_coeffs(ct, plan=loaded.s2c)
-        assert automorphism_map.cache_info().misses == before
+        assert [table.cache_info().misses for table in tables] == before
 
     @pytest.mark.slow
     def test_loaded_plan_runs_bit_identical(self):

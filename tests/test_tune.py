@@ -27,6 +27,7 @@ from repro.core.tune import (
 )
 from repro.fhe.params import ATHENA, TEST_LOOP
 from repro.quant.subjects import mnist_cnn_micro, resnet_block_micro
+from tests.conftest import refresh_noise_bound
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ def test_tuned_plan_executes_no_more_mod_muls(builder, strict, executed_mod_muls
     for choice in [None, tuning] if tuning else [None]:
         plan = compile_program(program, TEST_LOOP, chunk=16, tuning=choice)
         out, mod_muls = executed_mod_muls(program, plan, x_q, TEST_LOOP)
-        assert np.abs(out - ref).max() <= 2
+        assert np.abs(out - ref).max() <= refresh_noise_bound(qm, TEST_LOOP)
         counts.append(mod_muls)
     assert counts[-1] < counts[0] or (not strict and counts[-1] == counts[0])
 
