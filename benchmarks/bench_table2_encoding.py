@@ -25,17 +25,17 @@ def test_table2_first_row_cheetah_matches_paper(once):
     assert plan.valid_ratio == pytest.approx(0.25, rel=0.01)  # paper: 25%
 
 
-def test_table2_autotuner_picks(once):
-    """The autotuner's per-layer strategy picks alongside the paper table.
+def test_table2_cost_column(once):
+    """Table 2's cost column: each encoding's predicted mod_muls per layer.
 
-    The tuner scores Athena and Cheetah coefficient encoding with the full
-    trace model (Eq. 1 PMults plus the refresh rounds each strategy's
-    result-ciphertext count forces); Table 2's valid-ratio advantage must
-    translate into the cost model picking Athena on every paper shape —
-    Cheetah's per-output-channel ciphertexts multiply the FBS/packing/S2C
+    ``strategy_costs`` scores Athena and Cheetah coefficient encoding with
+    the trace model's primitives (Eq. 1 PMults plus the refresh each
+    encoding's result-ciphertext count forces); Table 2's valid-ratio
+    advantage must translate into Athena being cheaper on every paper shape
+    — Cheetah's per-output-channel ciphertexts multiply the FBS/packing/S2C
     work downstream of the linear phase.
     """
-    from repro.core.tune import strategy_costs
+    from repro.core.trace import strategy_costs
 
     rows = once(lambda: [strategy_costs(s, ATHENA) for s in TABLE2_SHAPES])
     print()

@@ -10,10 +10,7 @@ Commands:
                                ``--plan`` runs the warm-session
                                real-ciphertext path from a compiled plan.
 * ``compile``                — precompute a CompiledProgram artifact
-                               (kernels, LUT polynomials, BSGS/S2C plans);
-                               ``--tune`` bakes in autotuned encodings.
-* ``tune``                   — cost-model encoding autotuner: per-step
-                               strategy/chunk/BSGS picks + predicted savings.
+                               (kernels, LUT polynomials, BSGS/S2C plans).
 * ``allocate``               — mixed-precision bit allocator: per-layer
                                bit-widths minimizing predicted FHE cost under
                                an accuracy-drop budget; ``--config-out``
@@ -28,7 +25,7 @@ Commands:
 
 Exit codes are uniform across commands: 0 on success, 1 when the library
 reports a failure (:class:`repro.errors.ReproError`), 2 on usage errors
-(argparse's own convention). ``experiment``, ``infer``, ``tune``, ``allocate``,
+(argparse's own convention). ``experiment``, ``infer``, ``allocate``,
 ``trace`` and ``serve`` share the output parent parser: ``--json`` switches to
 machine-readable output and ``--out PATH`` redirects it to a file.
 """
@@ -198,13 +195,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.params:
         params = get_params(args.params)
     program = lower(subject, params)
-    tuning = None
-    if args.tune:
-        from repro.core.tune import tune_program
-
-        tuning = tune_program(program, params, chunk=args.chunk).tuning
     start = time.perf_counter()
-    plan = compile_program(program, params, chunk=args.chunk, tuning=tuning)
+    plan = compile_program(program, params)
     compile_s = time.perf_counter() - start
     raw = dump_plan(plan)
     out = args.out or f"{program.name}.plan"
@@ -213,9 +205,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     payload = {
         "model": program.name,
         "params": params.name,
-        "chunk": args.chunk,
-        "tuned": bool(args.tune),
-        "tuning": tuning.tag() if tuning else None,
         "mp": args.mp,
         "model_hash": plan.model_hash,
         "compile_s": round(compile_s, 6),
@@ -225,49 +214,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.json:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        tuned = f" (tuned: {tuning.tag()})" if tuning else ""
         sys.stdout.write(
             f"compiled {program.name} @ {params.name} in {compile_s:.3f}s "
-            f"({len(raw)} bytes) -> {out}{tuned}\n"
+            f"({len(raw)} bytes) -> {out}\n"
             f"  model hash: {plan.model_hash}\n"
         )
-    return EXIT_OK
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    """Run the encoding autotuner and report per-step picks + predicted cost."""
-    from repro.core.program import lower
-    from repro.core.tune import tune_program
-    from repro.fhe.params import get_params
-    from repro.quant.subjects import micro_subject
-
-    subject, params = micro_subject(args.model)
-    if args.params:
-        params = get_params(args.params)
-    program = lower(subject, params)
-    result = tune_program(program, params, chunk=args.chunk)
-    report = result.report()
-    saving = report["predicted_saving_mod_muls"]
-    pct = (
-        100.0 * saving / report["predicted_default_mod_muls"]
-        if report["predicted_default_mod_muls"]
-        else 0.0
-    )
-    lines = [
-        f"{program.name} @ {params.name}"
-        + (f", chunk={args.chunk}" if args.chunk else ""),
-        f"  predicted default : {report['predicted_default_mod_muls']:.3e} mod_muls",
-        f"  predicted tuned   : {report['predicted_tuned_mod_muls']:.3e} mod_muls",
-        f"  predicted saving  : {saving:.3e} mod_muls ({pct:.1f}%)",
-    ]
-    for row in report["steps"]:
-        mark = "->" if row["improved"] else "  "
-        lines.append(
-            f"  {mark} {row['name']:<16} {row['kind']:<8} "
-            f"{row['default']:<16} -> {row['chosen']:<16} "
-            f"({row['candidates']} candidates)"
-        )
-    _emit(args, "\n".join(lines) + "\n", report)
     return EXIT_OK
 
 
@@ -321,8 +272,8 @@ def _infer_with_plan(args: argparse.Namespace) -> int:
     plan = load_plan(raw, params)
     qm, _ = micro_subject("mnist_cnn")
     program = lower(qm, params)
-    # The session binds the plan: a plan compiled from another model (or
-    # under another tuning) is a ParameterError -> exit 1 in main().
+    # The session binds the plan: a plan compiled from another model is a
+    # ParameterError -> exit 1 in main().
     session = InferenceSession(program, params, seed=args.seed, plan=plan,
                                backend=args.backend)
     rng = np.random.default_rng(args.seed + 5)
@@ -571,12 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None,
                    help="parameter preset (default: the subject's own; "
                         "test-loop for mnist_cnn and mp_cnn)")
-    p.add_argument("--chunk", type=int, default=None,
-                   help="LWE outputs per refresh tile (default: unchunked)")
-    p.add_argument("--tune", action="store_true",
-                   help="run the encoding autotuner first and bake its "
-                        "per-step choices into the plan (changes the "
-                        "fingerprint)")
     p.add_argument("--mp", metavar="PATH", default=None,
                    help="mixed-precision config artifact from "
                         "'repro allocate --config-out' (requires "
@@ -606,18 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the chosen MpConfig artifact for "
                         "'repro compile --mp'")
     p.set_defaults(func=_cmd_allocate, seed=7)
-
-    p = sub.add_parser("tune", parents=[output],
-                       help="cost-model encoding autotuner (per-step picks)")
-    p.add_argument("--model", default="mnist_cnn", choices=subjects,
-                   help="micro subject (default: mnist_cnn)")
-    p.add_argument("--params", default=None,
-                   help="parameter preset (default: the subject's own; "
-                        "test-loop for mnist_cnn)")
-    p.add_argument("--chunk", type=int, default=None,
-                   help="global LWE outputs per refresh tile the tuner may "
-                        "override per step (default: unchunked)")
-    p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("trace", parents=[seed, output],
                        help="primitive op-count trace (analytical model)")

@@ -20,7 +20,6 @@ enough modulus for one full FBS depth (see ``TEST_LOOP`` in params).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from functools import partial
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from repro.fhe.fbs import FbsLut, FbsPlan, fbs_evaluate
 from repro.fhe.packing import PackingKey, pack_lwe
 from repro.fhe.params import FheParams
 from repro.fhe.s2c import S2CKey, S2CPlan, slot_to_coeff
-from repro.perf import ParallelMap
 from repro.utils.sampling import Sampler
 
 
@@ -61,10 +59,9 @@ class AthenaPipeline:
 
     A :class:`repro.fhe.backend.Backend` (or backend name) may be bound at
     construction; every pipeline entry point then installs it as the
-    context-active backend for the duration of the call — including tile
-    rounds fanned out to worker threads, which re-install it themselves —
-    so op counting and batched/serial selection follow the pipeline rather
-    than whatever the ambient context happens to be. Without one, the
+    context-active backend for the duration of the call, so op counting
+    and batched/serial selection follow the pipeline rather than whatever
+    the ambient context happens to be. Without one, the
     ambient :func:`current_backend` (contextvar, then ``REPRO_BACKEND``,
     then batched) applies.
 
@@ -139,13 +136,6 @@ class AthenaPipeline:
                 kernel = Plaintext.from_coeffs(kernel, self.params)
             return self.ctx.pmult(ct, kernel)
 
-    def accumulate(self, cts: list[BfvCiphertext]) -> BfvCiphertext:
-        with self._dispatch(), current_backend().phase("linear"):
-            acc = cts[0]
-            for ct in cts[1:]:
-                acc = self.ctx.add(acc, ct)
-        return acc
-
     # -- Steps 2-3: noise control + conversion -------------------------------------
 
     def refresh_to_lwe(
@@ -203,8 +193,6 @@ class AthenaPipeline:
         self,
         program: AthenaProgram,
         x_q: np.ndarray,
-        chunk: int | None = None,
-        pmap: ParallelMap | None = None,
         plan: CompiledProgram | None = None,
     ) -> np.ndarray:
         """Execute a lowered :class:`AthenaProgram` end to end on encrypted
@@ -213,9 +201,6 @@ class AthenaPipeline:
 
         The tail step's ``s2c=False`` flag (program fusion rule 4) is
         honoured here: the final FBS output is decoded from slots directly.
-        ``chunk`` caps the LWE outputs per refresh round; rounds of one
-        layer then become independent ciphertext tiles executed through
-        ``pmap`` (see :meth:`CiphertextExecutor.linear`).
 
         With ``plan`` (a :class:`repro.core.plan.CompiledProgram`) the run
         reuses compile-time artifacts and performs ciphertext ops only —
@@ -229,13 +214,12 @@ class AthenaPipeline:
 
         This is the one-lane call of :meth:`run_batch`'s body.
         """
-        return self._run_lanes(program, [x_q], chunk, pmap, plan)[0]
+        return self._run_lanes(program, [x_q], plan)[0]
 
     def run_batch(
         self,
         program: AthenaProgram,
         xs: list[np.ndarray],
-        pmap: ParallelMap | None = None,
         plan: CompiledProgram | None = None,
     ) -> list[np.ndarray]:
         """Run ``len(xs)`` independent inputs through *one* fused execution.
@@ -250,15 +234,13 @@ class AthenaPipeline:
         """
         if not xs:
             return []
-        return self._run_lanes(program, xs, None, pmap, plan)
+        return self._run_lanes(program, xs, plan)
 
-    def _run_lanes(self, program, xs, chunk, pmap, plan) -> list[np.ndarray]:
+    def _run_lanes(self, program, xs, plan) -> list[np.ndarray]:
         """The one execution body: ``len(xs)`` lanes through one ciphertext."""
         xs = [np.asarray(x, dtype=np.int64) for x in xs]
         with self._dispatch():
-            ex = CiphertextExecutor(
-                self, program, chunk=chunk, pmap=pmap, plan=plan, lanes=len(xs)
-            )
+            ex = CiphertextExecutor(self, program, plan=plan, lanes=len(xs))
             ct = _run_steps(program, ex, xs[0] if len(xs) == 1 else np.stack(xs))
             raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)
         t = self.params.t
@@ -298,55 +280,30 @@ class CiphertextExecutor(ProgramExecutor):
     through the block's wide-scale LUT. Steps whose artifacts did not fit
     the parameter set are opaque in the plan and raise
     :class:`ParameterError` only when actually reached.
-
-    With ``chunk`` set, a layer whose output count exceeds the cap is
-    refreshed as several independent tiles (extract -> pack -> FBS -> S2C
-    on at most ``chunk`` outputs each), fanned out through ``pmap``. Each
-    tile is a round *placed* at its own rows of the merged layout: unused
-    pack slots hold exactly 0, so the tile's FBS output carries LUT(0) in
-    its dead slots; the round's exact ``-LUT(0)`` correction zeroes them
-    before S2C, so the tile ciphertexts merge by plain addition.
     """
 
     def __init__(
         self,
         pipe: AthenaPipeline,
         program: AthenaProgram,
-        chunk: int | None = None,
-        pmap: ParallelMap | None = None,
         plan: CompiledProgram | None = None,
         lanes: int = 1,
     ):
-        if chunk is not None and chunk < 1:
-            raise ParameterError(f"chunk cap must be >= 1, got {chunk}")
         if lanes < 1:
             raise ParameterError(f"need at least one lane, got {lanes}")
         self.pipe = pipe
         self.program = program
-        self.pmap = pmap if pmap is not None else ParallelMap()
         if plan is None:
             with pipe._dispatch():
-                plan = compile_program(program, pipe.params, chunk=chunk)
+                plan = compile_program(program, pipe.params)
         else:
-            if chunk is not None and chunk != plan.chunk:
-                raise ParameterError(
-                    f"plan was compiled with chunk={plan.chunk}, "
-                    f"requested {chunk}"
-                )
             plan.bind(program, pipe.params)
-        if lanes > 1:
-            if plan.chunk is not None:
-                raise ParameterError(
-                    "lane batching requires an unchunked plan (chunked tiles "
-                    "already consume the spare coefficient space)"
-                )
-            if lanes > plan.batch_capacity:
-                raise ParameterError(
-                    f"{lanes} lanes exceed the plan's batch capacity "
-                    f"{plan.batch_capacity}"
-                )
+        if lanes > plan.batch_capacity:
+            raise ParameterError(
+                f"{lanes} lanes exceed the plan's batch capacity "
+                f"{plan.batch_capacity}"
+            )
         self.plan = plan
-        self.chunk = plan.chunk
         self.lanes = lanes
         #: Satellite of the plan split: runtime steps resolve to plan
         #: artifacts positionally (``bind`` guarantees alignment), walking
@@ -425,17 +382,6 @@ class CiphertextExecutor(ProgramExecutor):
         for delta, rnd in cstep.pool_rounds or ():
             out = self._max_round(out, delta, rnd)
         self.out_count = cstep.round.count
-        if cstep.tiles is not None:
-            # Tiles merge in coefficient space, so each one runs S2C and the
-            # result is in coefficient form even for the tail step.
-            tiles = self.pmap.starmap(
-                partial(self._refresh, out), [(t, True) for t in cstep.tiles])
-            with pipe._dispatch(), current_backend().phase("s2c"):
-                out = tiles[0]
-                for tile in tiles[1:]:
-                    out = pipe.ctx.add(out, tile)
-            self.lane_stride, self.tail_s2c = self.out_count, True
-            return out
         rnd = layout.round if layout is not None else cstep.round
         self.lane_stride = (
             layout.out_stride if layout is not None else self.out_count)
@@ -450,20 +396,17 @@ class CiphertextExecutor(ProgramExecutor):
         Mod-switch + extract at the round's positions, scatter the samples
         onto its pack rows (gap rows are trivial zero encryptions), pack +
         FBS through its table, zero the unfilled rows exactly with its
-        ``-LUT(0)`` plaintext, and return to coefficients. Chunk tiles call
-        this from pool worker threads, which start from the context
-        captured at submit time — hence the backend is re-installed here.
+        ``-LUT(0)`` plaintext, and return to coefficients.
         """
         pipe = self.pipe
-        with pipe._dispatch():
-            batch = pipe.refresh_to_lwe(ct, rnd.positions)
-            if rnd.rows is not None:
-                batch = batch.place(rnd.rows, rnd.height)
-            boot = pipe.bootstrap(batch, rnd.lut, plan=rnd.fbs)
-            if rnd.correction is not None:
-                with current_backend().phase("fbs"):
-                    boot = pipe.ctx.add_plain(boot, rnd.correction)
-            return pipe.to_coeffs(boot, plan=self.plan.s2c) if s2c else boot
+        batch = pipe.refresh_to_lwe(ct, rnd.positions)
+        if rnd.rows is not None:
+            batch = batch.place(rnd.rows, rnd.height)
+        boot = pipe.bootstrap(batch, rnd.lut, plan=rnd.fbs)
+        if rnd.correction is not None:
+            with pipe._dispatch(), current_backend().phase("fbs"):
+                boot = pipe.ctx.add_plain(boot, rnd.correction)
+        return pipe.to_coeffs(boot, plan=self.plan.s2c) if s2c else boot
 
     def _max_round(
         self, ct: BfvCiphertext, delta: int, rnd: RefreshRound

@@ -1,21 +1,13 @@
-"""Pluggable layer-lowering registry + declarative per-step encoding.
+"""Pluggable layer-lowering registry.
 
 Lowering used to be a closed ``isinstance`` chain inside
-``repro.core.program._lower_layers``: four zoo CNNs, Athena-style
-encoding hardwired, and a silent ``QuantizationError`` for anything else.
-This module opens that seam:
-
-* each quantized-IR layer type registers a :class:`LoweringRule` that
-  emits the layer's program steps (and may consume a lookahead layer,
-  which is how conv+max-pool fusion is expressed);
-* every LUT-bearing step the rules emit carries a declarative
-  :class:`StepEncodingChoice` — which coefficient-encoding strategy the
-  cost model should assume (paper Table 2: ``athena`` vs ``cheetah``),
-  what chunk tile the five-step refresh should use, and the FBS BSGS
-  baby-step split. The choice is *advice*, not execution: the compiler
-  (``repro.core.plan``) and the autotuner (``repro.core.tune``) resolve
-  it into concrete plan artifacts, and an explicit tuning config always
-  wins over the rule's default.
+``repro.core.program._lower_layers``: four zoo CNNs and a silent
+``QuantizationError`` for anything else. This module opens that seam:
+each quantized-IR layer type registers a :class:`LoweringRule` that emits
+the layer's program steps (and may consume a lookahead layer, which is
+how conv+max-pool fusion is expressed). Every LUT-bearing step is
+Athena-encoded (paper §3.2.1 — Table 2's cost comparison against Cheetah
+is :func:`repro.core.trace.strategy_costs`) and refreshes in one round.
 
 The registry is keyed by layer type and walked through the MRO, so a
 subclass of ``QConv`` lowers through the conv rule unless it registers
@@ -48,84 +40,13 @@ from repro.quant.quantize import (
 )
 
 __all__ = [
-    "DEFAULT_ENCODING",
     "LoweringContext",
     "LoweringRule",
-    "StepEncodingChoice",
-    "TuningConfig",
     "lower_layers",
     "lowering_rules",
     "register_rule",
     "rule_for",
 ]
-
-
-# --------------------------------------------------------------------------
-# Declarative encoding choice
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StepEncodingChoice:
-    """How one step's five-step round should be laid out.
-
-    * ``strategy`` — coefficient-encoding cost model (paper §3.2.1 /
-      Table 2): ``"athena"`` packs a whole (C, H, W) tensor per
-      ciphertext, ``"cheetah"`` packs per input channel. On a
-      single-ciphertext layer both execute identically; the strategy
-      steers the analytical cost model and multi-ciphertext planning.
-    * ``chunk`` — refresh-tile size: extract/bootstrap at most ``chunk``
-      outputs per tile and merge tiles by monomial shift (``None`` =
-      whatever the global compile chunk says).
-    * ``bsgs`` — baby-step count for the FBS polynomial's BSGS
-      evaluation (``None`` = ``ceil(sqrt(degree + 1))``).
-    """
-
-    strategy: str = "athena"
-    chunk: int | None = None
-    bsgs: int | None = None
-
-    def __post_init__(self):
-        if self.strategy not in ("athena", "cheetah"):
-            raise ValueError(f"unknown encoding strategy {self.strategy!r}")
-        if self.chunk is not None and self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        if self.bsgs is not None and self.bsgs < 2:
-            raise ValueError("bsgs must be >= 2")
-
-    def tag(self) -> str:
-        """Stable string form, folded into ``program_fingerprint``."""
-        return f"{self.strategy}:{self.chunk}:{self.bsgs}"
-
-
-DEFAULT_ENCODING = StepEncodingChoice()
-
-
-@dataclass(frozen=True)
-class TuningConfig:
-    """A per-step map of encoding choices, produced by ``repro.core.tune``.
-
-    ``choices`` pairs step *names* with their :class:`StepEncodingChoice`;
-    steps not named keep their rule default. The config is folded into
-    ``program_fingerprint`` (via :meth:`tag`) so two compiles of the same
-    model under different tunings never collide in a plan cache.
-    """
-
-    choices: tuple[tuple[str, StepEncodingChoice], ...] = ()
-
-    def get(self, name: str) -> StepEncodingChoice | None:
-        for step_name, choice in self.choices:
-            if step_name == name:
-                return choice
-        return None
-
-    def tag(self) -> str:
-        """Stable string form for fingerprinting (sorted by step name)."""
-        parts = sorted(f"{name}={choice.tag()}" for name, choice in self.choices)
-        return "|".join(parts)
-
-    def __bool__(self) -> bool:
-        return bool(self.choices)
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +191,7 @@ def _register_stock_rules() -> None:
         step = LinearStep(
             op="conv", layer=layer, lut=lut_spec(layer), name=name,
             stat="conv", mac_values=mac_values, out_values=out_values,
-            fused_pool=fused, encoding=DEFAULT_ENCODING,
+            fused_pool=fused,
         )
         return [step], consumed
 
@@ -279,7 +200,7 @@ def _register_stock_rules() -> None:
         step = LinearStep(
             op="fc", layer=layer, lut=lut_spec(layer), name=name,
             stat="fc", mac_values=layer.out_features,
-            out_values=layer.out_features, encoding=DEFAULT_ENCODING,
+            out_values=layer.out_features,
         )
         return [step], 0
 
@@ -291,16 +212,14 @@ def _register_stock_rules() -> None:
     def _lower_avgpool(ctx, layer, nxt, name):
         return [
             PoolStep(op="sum", layer=layer, name=name, stat="avgpool"),
-            RemapStep(lut=lut_spec(layer), name=name, stat="avgpool",
-                      encoding=DEFAULT_ENCODING),
+            RemapStep(lut=lut_spec(layer), name=name, stat="avgpool"),
         ], 0
 
     @register_rule(QGlobalAvgPool)
     def _lower_gap(ctx, layer, nxt, name):
         return [
             PoolStep(op="gap", layer=layer, name=name, stat="gap"),
-            RemapStep(lut=lut_spec(layer), name=name, stat="gap",
-                      encoding=DEFAULT_ENCODING),
+            RemapStep(lut=lut_spec(layer), name=name, stat="gap"),
         ], 0
 
     @register_rule(QFlatten)
@@ -322,6 +241,5 @@ def _register_stock_rules() -> None:
                 ctx.cfg, ctx.params, name=f"{name}.skip",
             )
         step = ResidualStep(layer=layer, body=body, shortcut=shortcut,
-                            lut=lut_spec(layer), name=name,
-                            encoding=DEFAULT_ENCODING)
+                            lut=lut_spec(layer), name=name)
         return [step], 0

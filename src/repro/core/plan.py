@@ -40,12 +40,13 @@ one ciphertext subtraction per level — ``2*log2(k)`` levels for a
 ``k x k`` (kernel == stride, power of two) window, batched SIMD-wide
 across all windows and channels.
 
-Per-step encoding choices (:class:`repro.core.lowering.StepEncodingChoice`,
-optionally overridden by a :class:`repro.core.lowering.TuningConfig` from
-``repro.core.tune``) resolve here into concrete artifacts: the refresh
-tile size, the FBS BSGS split, and the Table 2 strategy label the cost
-model uses. The tuning config is folded into :func:`program_fingerprint`
-so differently-tuned plans never collide in a cache.
+Every LUT-bearing step compiles to exactly one :class:`RefreshRound` —
+one SIMD-wide pack -> FBS -> S2C per ciphertext, as the paper's Fig. 2
+draws it — and each round's BSGS split is the balanced one its LUT
+polynomial's degree gives (:meth:`repro.fhe.fbs.FbsPlan.from_lut`). There
+is no per-step choice to resolve, so a plan is a function of the lowered
+program and the parameter set alone, and :func:`program_fingerprint` (with
+the parameter fingerprint) is its complete cache key.
 
 Bit-identity contract: a plan-driven run issues the *identical* homomorphic
 op sequence as a plan-free run (the plan only moves the derivation of each
@@ -67,7 +68,6 @@ from repro.core.encoding import (
     grid_output_positions,
     lane_span,
 )
-from repro.core.lowering import DEFAULT_ENCODING, StepEncodingChoice, TuningConfig
 from repro.core.program import AthenaProgram, LinearStep
 from repro.errors import EncodingError, ParameterError
 from repro.fhe.backend import current_backend
@@ -93,21 +93,16 @@ __all__ = [
 ]
 
 
-def program_fingerprint(program: AthenaProgram,
-                        tuning: TuningConfig | None = None) -> str:
+def program_fingerprint(program: AthenaProgram) -> str:
     """Hex digest pinning a lowered model: structure, weights, LUT recipes.
 
     Two programs lowered from the same quantized model hash identically;
     any change to a weight, bias, scale, fusion decision, grouped-conv
-    topology, or quantization config changes the digest — and so does the
-    ``tuning`` config (via its stable tag), so a plan cache keyed on this
-    digest never serves a differently-tuned layout. Used (with the
+    topology, or quantization config changes the digest. Used (with the
     parameter fingerprint) as the on-disk plan-cache key.
     """
     h = hashlib.sha256()
     h.update(repr(program.config).encode())
-    if tuning:
-        h.update(f"|tuning:{tuning.tag()}".encode())
 
     def feed(steps) -> None:
         for step in steps:
@@ -233,8 +228,8 @@ class RefreshRound:
     round did *not* fill, ``None`` when LUT(0) = 0 or nothing is placed —
     makes those rows exact zeros again, so after S2C sample ``i`` sits alone
     at coefficient ``rows[i]``. Every refresh the executor runs — a layer's
-    tail, a chunk tile, a lane batch, a max-tree level, a remap, a residual
-    join — is one of these, built by :func:`_refresh_round`.
+    tail, a lane batch, a max-tree level, a remap, a residual join — is one
+    of these, built by :func:`_refresh_round`.
     """
 
     positions: np.ndarray
@@ -261,21 +256,6 @@ def _refresh_round(positions: np.ndarray, rows: np.ndarray | None, lut: FbsLut,
         correction.add_operand()
     height = positions.shape[0] if rows is None else int(rows.max()) + 1
     return RefreshRound(positions, rows, height, lut, fbs, correction)
-
-
-def _tile_rounds(rnd: RefreshRound, chunk: int | None,
-                 params: FheParams) -> tuple[RefreshRound, ...] | None:
-    """Split a compact round into ``chunk``-sized rounds, each placed at its
-    own rows ``offset .. offset+count-1`` so the tiles merge by plain
-    addition; ``None`` for the single-tile case."""
-    if chunk is None or rnd.count <= chunk:
-        return None
-    rows = np.arange(rnd.count, dtype=np.int64)
-    return tuple(
-        _refresh_round(rnd.positions[off : off + chunk], rows[off : off + chunk],
-                       rnd.lut, rnd.fbs, params)
-        for off in range(0, rnd.count, chunk)
-    )
 
 
 @dataclass(frozen=True)
@@ -316,15 +296,10 @@ class CompiledLinear:
     #: The layer's refresh: extraction at the valid outputs (the pooled
     #: winners under a fused pool), packed onto the next consumer's rows.
     round: RefreshRound = None
-    #: The same refresh split into chunk tiles; ``None`` = one tile.
-    tiles: tuple[RefreshRound, ...] | None = None
     #: Coefficient span of one image through this round (Eq. 1 workspace).
     lane_span: int = 0
     #: Pack-row stride between lanes' outputs (annotated by the lane chain).
     lane_out_stride: int = 0
-    #: Table 2 encoding strategy label ('athena' | 'cheetah') for the cost
-    #: model; execution on the single-ciphertext backend is identical.
-    strategy: str = "athena"
     #: MAC-domain max-pool tree, one ``(delta, ReLU round)`` per level
     #: (``None`` when no fused pool). ``delta`` is the coefficient distance
     #: between a kept window cell and its partner; the round refreshes the
@@ -341,8 +316,6 @@ class CompiledLinear:
         if cached is not None:
             return cached
         base = self.round
-        if self.tiles is not None:
-            raise ParameterError("chunked rounds do not support lane batching")
         if base.rows is not None or self.pool_rounds is not None:
             raise ParameterError(
                 "placed layouts and fused pooling do not support lane batching")
@@ -445,31 +418,28 @@ class CompiledProgram:
 
     steps: list
     params: FheParams
-    chunk: int | None
     s2c: S2CPlan
     model_hash: str
     name: str = "model"
     #: Images one ciphertext can carry through the whole program (>= 1).
-    #: 1 means single-image only — chunked plans, placed layouts, pooling,
-    #: residual joins, and LUTs with LUT(0) != 0 (whose dead slots are not
-    #: exact zeros) all disable lane batching.
+    #: 1 means single-image only — placed layouts, pooling, residual joins,
+    #: and LUTs with LUT(0) != 0 (whose dead slots are not exact zeros) all
+    #: disable lane batching.
     batch_capacity: int = 1
-    #: The per-step encoding overrides this plan was compiled under.
-    tuning: TuningConfig | None = None
 
     def bind(self, program: AthenaProgram, params: FheParams) -> "CompiledProgram":
         """Validate that this plan was compiled from ``program`` (same
-        structure, weights, LUT recipes and tuning) under ``params``;
+        structure, weights and LUT recipes) under ``params``;
         return ``self`` so loaders can chain. A plan — compiled or loaded —
         is complete: binding never builds anything."""
         if params_fingerprint(params) != params_fingerprint(self.params):
             raise ParameterError("plan was compiled for different parameters")
-        if self.model_hash != program_fingerprint(program, self.tuning):
+        if self.model_hash != program_fingerprint(program):
             raise ParameterError("plan was compiled for a different model")
         return self
 
 
-def _annotate_lanes(steps: list, params: FheParams, chunk: int | None) -> int:
+def _annotate_lanes(steps: list, params: FheParams) -> int:
     """Chain lane geometry across the linear steps; return the batch capacity.
 
     Each interior layer's lanes must exit at the *next* layer's input stride
@@ -486,14 +456,11 @@ def _annotate_lanes(steps: list, params: FheParams, chunk: int | None) -> int:
         cur.lane_out_stride = nxt.lane_span
     tail = linears[-1]
     tail.lane_out_stride = tail.round.count
-    if chunk is not None:
-        return 1
     capacity = params.n
     for step in steps:
         if isinstance(step, CompiledLinear):
             if (
-                step.tiles is not None
-                or step.round.rows is not None
+                step.round.rows is not None
                 or step.pool_rounds is not None
                 or int(step.round.lut.values[0]) != 0
             ):
@@ -528,23 +495,8 @@ def _s2c_plan(params: FheParams) -> S2CPlan:
     return S2CPlan.build(params).warm_automorphisms(params)
 
 
-def _fbs_plan(lut: FbsLut, choice: StepEncodingChoice | None,
-              params: FheParams) -> FbsPlan:
-    bs = choice.bsgs if choice is not None else None
-    return FbsPlan.from_lut(lut, bs=bs).materialize(params)
-
-
-def _resolve_choice(step, tuning: TuningConfig | None) -> StepEncodingChoice:
-    """Tuning override > rule default > global default."""
-    if tuning is not None:
-        override = tuning.get(step.name)
-        if override is not None:
-            return override
-    return getattr(step, "encoding", None) or DEFAULT_ENCODING
-
-
-def _step_chunk(choice: StepEncodingChoice, chunk: int | None) -> int | None:
-    return choice.chunk if choice.chunk is not None else chunk
+def _fbs_plan(lut: FbsLut, params: FheParams) -> FbsPlan:
+    return FbsPlan.from_lut(lut).materialize(params)
 
 
 # --------------------------------------------------------------------------
@@ -623,14 +575,12 @@ def _required_layout(steps: list, j: int, shape: tuple | None,
 # --------------------------------------------------------------------------
 
 
-def _compile_round(step, config, params: FheParams, choice: StepEncodingChoice,
-                   positions: np.ndarray,
+def _compile_round(step, config, params: FheParams, positions: np.ndarray,
                    target: FeatureLayout | None) -> RefreshRound:
     """A LUT-bearing step's refresh, packed into the next consumer's layout."""
     lut = step.lut.build(config, params.t)
     rows = _pack_rows_for(target, positions.shape[0], params)
-    return _refresh_round(
-        positions, rows, lut, _fbs_plan(lut, choice, params), params)
+    return _refresh_round(positions, rows, lut, _fbs_plan(lut, params), params)
 
 
 def _mac_relu_lut(t: int) -> FbsLut:
@@ -699,8 +649,6 @@ def _compile_linear(
     index: int,
     config,
     params: FheParams,
-    chunk: int | None,
-    choice: StepEncodingChoice,
     in_layout: FeatureLayout | None,
     target: FeatureLayout | None,
 ) -> CompiledLinear:
@@ -773,15 +721,11 @@ def _compile_linear(
         levels, positions = _pool_tree(
             layer, step.fused_pool, grid[0], grid[1], oy, ox, n)
         relu = _mac_relu_lut(params.t)
-        relu_fbs = _fbs_plan(relu, choice, params)
+        relu_fbs = _fbs_plan(relu, params)
         pool_rounds = tuple(
             (delta, _refresh_round(kept, kept, relu, relu_fbs, params))
             for delta, kept in levels)
 
-    rnd = _compile_round(step, config, params, choice, positions, target)
-    tiles = None
-    if rnd.rows is None and pool_rounds is None:
-        tiles = _tile_rounds(rnd, _step_chunk(choice, chunk), params)
     return CompiledLinear(
         index=index,
         name=step.name,
@@ -789,10 +733,8 @@ def _compile_linear(
         s2c=step.s2c,
         kernel=kernel,
         bias=bias,
-        round=rnd,
-        tiles=tiles,
+        round=_compile_round(step, config, params, positions, target),
         lane_span=span,
-        strategy=choice.strategy,
         pool_rounds=pool_rounds,
     )
 
@@ -835,7 +777,6 @@ def _compile_remap(
     index: int,
     config,
     params: FheParams,
-    choice: StepEncodingChoice,
     pending: CompiledPool | None,
     target: FeatureLayout | None,
 ) -> CompiledRemap:
@@ -846,8 +787,7 @@ def _compile_remap(
         index=index,
         name=step.name,
         s2c=step.s2c,
-        round=_compile_round(
-            step, config, params, choice, pending.positions, target),
+        round=_compile_round(step, config, params, pending.positions, target),
     )
 
 
@@ -856,9 +796,6 @@ def _compile_residual(
     index: int,
     config,
     params: FheParams,
-    chunk: int | None,
-    tuning: TuningConfig | None,
-    choice: StepEncodingChoice,
     in_layout: FeatureLayout | None,
     target: FeatureLayout | None,
     shape: tuple | None,
@@ -879,8 +816,7 @@ def _compile_residual(
     if step.shortcut is not None:
         join_layout = _compact(body_out)
         shortcut = _compile_block(
-            step.shortcut.steps, config, params, chunk, tuning,
-            shape, in_layout, join_layout)
+            step.shortcut.steps, config, params, shape, in_layout, join_layout)
     else:
         if tuple(in_layout.shape) != tuple(body_out):
             raise ParameterError(
@@ -889,8 +825,7 @@ def _compile_residual(
         join_layout = in_layout
         shortcut = None
     body = _compile_block(
-        step.body.steps, config, params, chunk, tuning,
-        shape, in_layout, join_layout)
+        step.body.steps, config, params, shape, in_layout, join_layout)
     if join_layout.span > params.n:
         raise ParameterError(
             f"join layout of {step.name!r} exceeds degree {params.n}")
@@ -899,8 +834,7 @@ def _compile_residual(
         name=step.name,
         s2c=step.s2c,
         alpha=int(step.skip_alpha),
-        round=_compile_round(
-            step, config, params, choice, join_layout.rows(), target),
+        round=_compile_round(step, config, params, join_layout.rows(), target),
         body=body,
         shortcut=shortcut,
     )
@@ -910,8 +844,6 @@ def _compile_block(
     steps: list,
     config,
     params: FheParams,
-    chunk: int | None,
-    tuning: TuningConfig | None,
     shape: tuple | None,
     in_layout: FeatureLayout | None,
     final_target: FeatureLayout | None,
@@ -928,7 +860,6 @@ def _compile_block(
     cur_layout = in_layout
     pending_pool: CompiledPool | None = None
     for i, step in enumerate(steps):
-        choice = _resolve_choice(step, tuning)
         out_shape = _shape_after(step, shape)
         target = _required_layout(steps, i + 1, out_shape, final_target)
         if step.kind == "linear":
@@ -950,7 +881,7 @@ def _compile_block(
             )
             try:
                 compiled.append(_compile_linear(
-                    step, i, config, params, chunk, choice, cur_layout, target))
+                    step, i, config, params, cur_layout, target))
             except (EncodingError, ParameterError):
                 if plain:  # historical error behavior
                     raise
@@ -966,7 +897,7 @@ def _compile_block(
         elif step.kind == "remap":
             try:
                 compiled.append(_compile_remap(
-                    step, i, config, params, choice, pending_pool, target))
+                    step, i, config, params, pending_pool, target))
             except (EncodingError, ParameterError):
                 compiled.append(CompiledOpaque(i, step.name, step.kind))
             pending_pool = None
@@ -974,8 +905,7 @@ def _compile_block(
         elif step.kind == "residual":
             try:
                 compiled.append(_compile_residual(
-                    step, i, config, params, chunk, tuning, choice,
-                    cur_layout, target, shape))
+                    step, i, config, params, cur_layout, target, shape))
             except (EncodingError, ParameterError):
                 compiled.append(CompiledOpaque(i, step.name, step.kind))
             cur_layout = target
@@ -988,38 +918,31 @@ def _compile_block(
 def compile_program(
     program: AthenaProgram,
     params: FheParams | None = None,
-    chunk: int | None = None,
-    tuning: TuningConfig | None = None,
+    tuning: None = None,
 ) -> CompiledProgram:
     """Precompute every request-invariant artifact of ``program``.
 
-    ``chunk`` caps the LWE outputs per refresh round exactly as in
-    :meth:`AthenaPipeline.run_program`; rounds exceeding the cap get a
-    precomputed tile layout. ``tuning`` overrides individual steps'
-    declarative encoding choices (strategy / chunk tile / BSGS split) and
-    is folded into the plan's ``model_hash``. Steps the ciphertext
-    backend cannot execute compile to opaque placeholders so that
-    compiling a program never fails where running it would have
-    succeeded.
+    Steps the ciphertext backend cannot execute compile to opaque
+    placeholders so that compiling a program never fails where running it
+    would have succeeded.
     """
+    # ``tuning`` exists for benchmarks/ledger/tracing.py, its only caller.
+    if tuning is not None:
+        raise ParameterError("there is no encoding tuner: tuning must be None")
     if params is None:
         params = program.params
-    if chunk is not None and chunk < 1:
-        raise ParameterError(f"chunk cap must be >= 1, got {chunk}")
     # Compile-time NTT transforms (cached plaintext operands) are labeled
     # so a counting backend separates them from per-request work.
     with current_backend().phase("compile"):
         steps = _compile_block(
-            program.steps, program.config, params, chunk, tuning,
+            program.steps, program.config, params,
             _initial_shape(program.steps), None, None)
-        capacity = _annotate_lanes(steps, params, chunk)
+        capacity = _annotate_lanes(steps, params)
         return CompiledProgram(
             steps=steps,
             params=params,
-            chunk=chunk,
             s2c=_s2c_plan(params),
-            model_hash=program_fingerprint(program, tuning),
+            model_hash=program_fingerprint(program),
             name=program.name,
             batch_capacity=capacity,
-            tuning=tuning,
         )

@@ -65,7 +65,6 @@ import numpy as np
 
 from repro.core import lowering
 from repro.core.encoding import valid_output_positions
-from repro.core.lowering import StepEncodingChoice  # noqa: F401 (re-export)
 from repro.errors import QuantizationError
 from repro.fhe.fbs import (
     FbsLut,
@@ -189,9 +188,6 @@ class LinearStep:
     out_values: int  # LUT-round size (after any fused pooling)
     fused_pool: QMaxPool | None = None
     s2c: bool = True
-    #: Declarative encoding advice from the lowering rule (see
-    #: repro.core.lowering.StepEncodingChoice); tuning configs override it.
-    encoding: "StepEncodingChoice | None" = None
     _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def output_positions(self) -> np.ndarray:
@@ -235,7 +231,6 @@ class RemapStep:
     stat: str  # engine stat label ('avgpool' | 'gap')
     phase: str = "pooling"
     s2c: bool = True
-    encoding: "StepEncodingChoice | None" = None
 
     @property
     def source(self):
@@ -266,7 +261,6 @@ class ResidualStep:
     name: str
     stat: str = "residual-add"
     s2c: bool = True
-    encoding: "StepEncodingChoice | None" = None
 
     @property
     def skip_alpha(self) -> int:
@@ -327,7 +321,7 @@ class AthenaProgram:
                 return step.layer.out_scale
         return 1.0
 
-    def compile(self, params: FheParams | None = None, chunk: int | None = None):
+    def compile(self, params: FheParams | None = None):
         """Precompute this program's :class:`repro.core.plan.CompiledProgram`.
 
         Convenience wrapper over :func:`repro.core.plan.compile_program`
@@ -335,7 +329,7 @@ class AthenaProgram:
         """
         from repro.core.plan import compile_program
 
-        return compile_program(self, params or self.params, chunk=chunk)
+        return compile_program(self, params or self.params)
 
 
 # --------------------------------------------------------------------------

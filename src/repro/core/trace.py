@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.encoding import ConvShape, athena_plan
+from repro.core.encoding import ConvShape, athena_plan, cheetah_plan
 from repro.core.program import (
     LinearStep,
     PoolStep,
@@ -254,6 +254,31 @@ def se_chain_ops(params: FheParams, values: int) -> OpCounts:
         mod_add=values * per_value_mul,
         hbm_bytes=values * params.lwe_n * 4,
     )
+
+
+def strategy_costs(shape: ConvShape, params: FheParams,
+                   t_layer: int | None = None) -> dict:
+    """Predicted mod_mul cost of one raw conv shape under each Table 2
+    encoding — the table's cost column.
+
+    The linear phase (Eq. 1 PMults) plus the refresh the encoding's
+    result-ciphertext count forces: the extraction chain is per value,
+    packing, FBS and S2C are per ciphertext. Returns ``{"athena": cost,
+    "cheetah": cost, "pick": name}`` (a tie goes to ``athena``).
+    """
+    values = shape.cout * shape.out_hw**2
+    costs = {}
+    for name, planner in (("athena", athena_plan), ("cheetah", cheetah_plan)):
+        plan = planner(shape, params.n)
+        cts = max(plan.result_cts, -(-values // params.n))
+        ops = _pmult(params).scaled(plan.pmult)
+        ops += se_chain_ops(params, values)
+        ops += packing_ops(params).scaled(cts)
+        ops += fbs_ops(params, t_layer).scaled(cts)
+        ops += s2c_ops(params).scaled(cts)
+        costs[name] = ops.mod_mul
+    costs["pick"] = "cheetah" if costs["cheetah"] < costs["athena"] else "athena"
+    return costs
 
 
 # -- model walking ----------------------------------------------------------------

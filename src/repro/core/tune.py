@@ -1,388 +1,30 @@
-"""Compile-time encoding autotuner: cost-model-driven per-step choices.
+"""The tune stage ``benchmarks/ledger/`` still calls: nothing is tuned.
 
-The lowering rules attach a *default* :class:`StepEncodingChoice` to every
-LUT-bearing step (Athena-style strategy, global chunk, balanced BSGS
-split). This module enumerates the candidate space per step — encoding
-strategy (paper Table 2: ``athena`` vs ``cheetah``), refresh-tile chunk,
-FBS baby-step count — scores each candidate with the same analytical
-primitives the trace model uses (:mod:`repro.core.trace`), and bakes the
-winners into a :class:`~repro.core.lowering.TuningConfig` that
-:func:`repro.core.plan.compile_program` resolves into concrete artifacts.
-
-Guarantees ``tests/test_tune.py`` pins:
-
-* the default choice is always a candidate and wins ties (candidates are
-  scored in a fixed order with a strict-improvement comparison), so the
-  tuned plan's predicted cost is **never worse than the default plan's**;
-* tuning is a pure function of the lowered program and the parameter set —
-  two calls on the same model + params produce byte-identical configs
-  (the determinism property test pins this);
-* only *non-default* winners enter the config, so a model where nothing
-  improves tunes to an empty config — and keeps the untuned
-  ``program_fingerprint``, sharing its cached plan.
+There is no per-step encoding choice (README "Tuning", DESIGN.md §14): a
+lowered program compiles to one plan. ``benchmarks/ledger/`` (``tracing.py``,
+``workloads.py``) still times a tune stage and forwards its ``.tuning``, so
+this module keeps exactly that call shape until the ledger drops it
+(ROADMAP, "Re-base the ledger").
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.core.encoding import athena_plan, cheetah_plan
-from repro.core.lowering import DEFAULT_ENCODING, StepEncodingChoice, TuningConfig
-from repro.core.program import AthenaProgram, lower
-from repro.core.trace import (
-    OpCounts,
-    _cmult,
-    _conv_shape,
-    _hadd,
-    _pmult,
-    _smult,
-    effective_t,
-    packing_ops,
-    s2c_ops,
-    se_chain_ops,
-)
-from repro.fhe.params import ATHENA, FheParams
-from repro.quant.quantize import QuantizedModel
+from repro.core.program import AthenaProgram
+from repro.fhe.params import FheParams
 
-__all__ = [
-    "CandidateScore",
-    "StepTuning",
-    "TuningResult",
-    "score_choice",
-    "step_candidates",
-    "tune_model",
-    "tune_program",
-]
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    """One candidate's predicted per-request cost."""
-
-    choice: StepEncodingChoice
-    ops: OpCounts
-
-    @property
-    def cost(self) -> float:
-        """Scalar objective: predicted modular multiplications (the
-        element-level unit both the trace model and ``CountingBackend``
-        report, and the dominant accelerator datapath load)."""
-        return self.ops.mod_mul
-
-
-@dataclass(frozen=True)
-class StepTuning:
-    """One step's tuning outcome (kept for every tunable step, even when
-    the default wins, so benchmark tables can show the full picture)."""
-
-    name: str
-    kind: str
-    default: CandidateScore
-    chosen: CandidateScore
-    candidates: int
-
-    @property
-    def improved(self) -> bool:
-        return self.chosen.choice != self.default.choice
-
-    @property
-    def saving(self) -> float:
-        return self.default.cost - self.chosen.cost
+__all__ = ["TuningResult", "tune_program"]
 
 
 @dataclass(frozen=True)
 class TuningResult:
-    """The autotuner's full output for one program under one parameter set."""
+    """Nothing was tuned: ``tuning`` is always ``None``."""
 
-    model: str
-    params: FheParams
-    steps: tuple[StepTuning, ...]
-
-    @property
-    def tuning(self) -> TuningConfig:
-        """Only the strict improvements — an all-default tune is empty (and
-        falsy), keeping the untuned fingerprint and its cached plan."""
-        return TuningConfig(tuple(
-            (s.name, s.chosen.choice) for s in self.steps if s.improved
-        ))
-
-    @property
-    def default_cost(self) -> float:
-        return sum(s.default.cost for s in self.steps)
-
-    @property
-    def tuned_cost(self) -> float:
-        return sum(s.chosen.cost for s in self.steps)
-
-    def report(self) -> dict:
-        """JSON-ready summary (what ``repro tune --json`` prints)."""
-        return {
-            "model": self.model,
-            "predicted_default_mod_muls": self.default_cost,
-            "predicted_tuned_mod_muls": self.tuned_cost,
-            "predicted_saving_mod_muls": self.default_cost - self.tuned_cost,
-            "steps": [
-                {
-                    "name": s.name,
-                    "kind": s.kind,
-                    "default": s.default.choice.tag(),
-                    "chosen": s.chosen.choice.tag(),
-                    "default_mod_muls": s.default.cost,
-                    "chosen_mod_muls": s.chosen.cost,
-                    "candidates": s.candidates,
-                    "improved": s.improved,
-                }
-                for s in self.steps
-            ],
-        }
+    tuning: None = None
 
 
-# --------------------------------------------------------------------------
-# Cost model (assembled from the trace model's primitives)
-# --------------------------------------------------------------------------
-
-
-def _fbs_with_bs(params: FheParams, t_layer: int, bs: int | None) -> OpCounts:
-    """One FBS evaluation with an explicit BSGS split (trace conventions:
-    the baby half streams O(t) SMult + HAdd, the giant half runs bs + gs
-    CMults — the knob trades giant-ladder CMults against group count)."""
-    if bs is None:
-        bs = max(2, math.ceil(math.sqrt(t_layer)))
-    gs = -(-t_layer // bs)
-    out = OpCounts()
-    out += _smult(params).scaled(t_layer)
-    out += _hadd(params).scaled(t_layer)
-    out += _cmult(params).scaled(bs + gs)
-    return out
-
-
-def _refresh_round(params: FheParams, values: int, t_layer: int,
-                   tiles: int, bs: int | None) -> OpCounts:
-    """Steps 2-5 + S2C for one LUT round split into ``tiles`` ciphertexts.
-
-    The extraction chain is per-value (tile-count invariant); packing, FBS,
-    and S2C are per-ciphertext, so chunking multiplies them — the chunk
-    knob trades ciphertext-level parallelism (and LWE working-set size)
-    against total work. Tile merging adds one HAdd per extra tile.
-    """
-    out = OpCounts()
-    out += se_chain_ops(params, values)
-    out += packing_ops(params).scaled(tiles)
-    out += _fbs_with_bs(params, t_layer, bs).scaled(tiles)
-    out += s2c_ops(params).scaled(tiles)
-    if tiles > 1:
-        out += _hadd(params).scaled(tiles - 1)
-    return out
-
-
-def _tile_count(values: int, choice: StepEncodingChoice,
-                chunk: int | None, n: int) -> int:
-    eff = choice.chunk if choice.chunk is not None else chunk
-    if eff is not None and values > eff:
-        return -(-values // eff)
-    return max(1, -(-values // n))
-
-
-def score_choice(
-    step,
-    choice: StepEncodingChoice,
-    params: FheParams,
-    chunk: int | None = None,
-    t_eff: int | None = None,
-) -> OpCounts:
-    """Predicted per-request cost of one step under one encoding choice.
-
-    Uses the same primitive building blocks as :class:`TraceExecutor`, so
-    a program scored entirely at default choices reproduces the trace
-    model's ``mod_mul`` total for that step (the one extra term here — a
-    tile-merge HAdd per extra chunk — only contributes ``mod_add``).
-    """
-    ops = OpCounts()
-    if step.kind == "linear":
-        layer = step.layer
-        t_layer = effective_t(layer, params, t_eff)
-        if step.op == "conv":
-            shape = _conv_shape(layer)
-            plan = (
-                cheetah_plan(shape, params.n)
-                if choice.strategy == "cheetah"
-                else athena_plan(shape, params.n)
-            )
-            ops += _pmult(params).scaled(plan.pmult)
-            if plan.hadd:
-                ops += _hadd(params).scaled(plan.hadd)
-            result_cts = plan.result_cts
-        else:
-            in_cts = max(1, -(-layer.in_features // params.n))
-            ops += _pmult(params).scaled(in_cts)
-            result_cts = 1
-        if step.fused_pool is not None:
-            rounds = step.fused_pool.kernel**2 - 1
-            cts = max(1, -(-step.out_values // params.n))
-            for _ in range(rounds):
-                ops += se_chain_ops(
-                    params, min(step.mac_values, cts * params.n))
-                ops += packing_ops(params).scaled(cts)
-                ops += _fbs_with_bs(params, t_layer, choice.bsgs).scaled(cts)
-                ops += s2c_ops(params).scaled(cts)
-        tiles = max(
-            result_cts,
-            _tile_count(step.out_values, choice, chunk, params.n),
-        )
-        ops += _refresh_round(
-            params, step.out_values, t_layer, tiles, choice.bsgs)
-    elif step.kind == "remap":
-        t_layer = effective_t(step.source, params, t_eff)
-        ops += _fbs_with_bs(params, t_layer, choice.bsgs)
-    elif step.kind == "residual":
-        # The join refresh is one placed bootstrap over the block's output
-        # positions — never tiled (trace convention: one ciphertext).
-        t_layer = effective_t(step.layer, params, t_eff)
-        ops += _hadd(params)
-        ops += _refresh_round(params, params.n, t_layer, 1, choice.bsgs)
-    return ops
-
-
-def strategy_costs(shape, params: FheParams, t_layer: int | None = None) -> dict:
-    """Predicted per-strategy mod_mul cost for one raw conv shape.
-
-    The strategy half of the tuner's candidate space, exposed standalone so
-    the Table 2 benchmark can report the pick the tuner would make for each
-    paper layer shape: the linear phase (Eq. 1 PMults) plus the refresh
-    rounds the strategy's result-ciphertext count forces. Returns
-    ``{"athena": cost, "cheetah": cost, "pick": name}`` (ties go to
-    ``athena``, matching the tuner's default-first rule).
-    """
-    t_layer = t_layer or params.t
-    costs = {}
-    for name, planner in (("athena", athena_plan), ("cheetah", cheetah_plan)):
-        plan = planner(shape, params.n)
-        ops = _pmult(params).scaled(plan.pmult)
-        if plan.hadd:
-            ops += _hadd(params).scaled(plan.hadd)
-        values = shape.cout * shape.out_hw**2
-        ops += _refresh_round(
-            params, values,
-            t_layer,
-            max(plan.result_cts, -(-values // params.n)),
-            None,
-        )
-        costs[name] = ops.mod_mul
-    costs["pick"] = (
-        "cheetah" if costs["cheetah"] < costs["athena"] else "athena"
-    )
-    return costs
-
-
-# --------------------------------------------------------------------------
-# Candidate enumeration + search
-# --------------------------------------------------------------------------
-
-
-def step_candidates(
-    step,
-    params: FheParams,
-    chunk: int | None = None,
-) -> list[StepEncodingChoice]:
-    """Candidate encoding choices for one step, default first.
-
-    The space is deliberately small and structured: both Table 2
-    strategies (conv steps only — FC and join rounds have no channel
-    layout to choose), the un-chunked single-tile layout when a global
-    chunk would split the round, and the balanced BSGS split for the
-    step's *effective* table size (mac-peak-calibrated models interpolate
-    a lower-degree polynomial, where a narrower split beats the full-t
-    default).
-    """
-    default = getattr(step, "encoding", None) or DEFAULT_ENCODING
-    candidates = [default]
-
-    def add(**kw) -> None:
-        cand_kw = {
-            "strategy": default.strategy,
-            "chunk": default.chunk,
-            "bsgs": default.bsgs,
-        }
-        cand_kw.update(kw)
-        cand = StepEncodingChoice(**cand_kw)
-        if cand not in candidates:
-            candidates.append(cand)
-
-    if step.kind == "linear" and step.op == "conv":
-        for strategy in ("athena", "cheetah"):
-            add(strategy=strategy)
-    if step.kind == "linear":
-        # Chunking applies to linear refresh rounds only (remap/residual
-        # rounds are single placed bootstraps at runtime).
-        values = getattr(step, "out_values", params.n)
-        if chunk is not None and values > chunk:
-            # Opt this round out of the global chunk cap (single tile).
-            add(chunk=int(values))
-    layer = getattr(step, "layer", None) or getattr(step, "source", None)
-    if layer is not None:
-        t_layer = effective_t(layer, params)
-        if t_layer < params.t:
-            add(bsgs=max(2, math.ceil(math.sqrt(t_layer))))
-    return candidates
-
-
-def _tunable_steps(steps: list) -> list:
-    """All LUT-bearing steps, nested residual branches included (their
-    prefixed names are unique program-wide, so one flat config addresses
-    every level)."""
-    out = []
-    for step in steps:
-        if step.kind in ("linear", "remap"):
-            out.append(step)
-        elif step.kind == "residual":
-            out.extend(_tunable_steps(step.body.steps))
-            if step.shortcut is not None:
-                out.extend(_tunable_steps(step.shortcut.steps))
-            out.append(step)
-    return out
-
-
-def tune_program(
-    program: AthenaProgram,
-    params: FheParams | None = None,
-    chunk: int | None = None,
-    t_eff: int | None = None,
-) -> TuningResult:
-    """Pick the cheapest candidate per step (deterministic, default-first).
-
-    Candidates are scored in enumeration order and replaced only on
-    *strict* improvement, so the default choice wins every tie and the
-    tuned total can never exceed the default total.
-    """
-    if params is None:
-        params = program.params
-    tuned = []
-    for step in _tunable_steps(program.steps):
-        candidates = step_candidates(step, params, chunk)
-        scored = [
-            CandidateScore(c, score_choice(step, c, params, chunk, t_eff))
-            for c in candidates
-        ]
-        best = scored[0]
-        for cand in scored[1:]:
-            if cand.cost < best.cost:
-                best = cand
-        tuned.append(StepTuning(
-            name=step.name,
-            kind=step.kind,
-            default=scored[0],
-            chosen=best,
-            candidates=len(scored),
-        ))
-    return TuningResult(model=program.name, params=params, steps=tuple(tuned))
-
-
-def tune_model(
-    qmodel: QuantizedModel,
-    params: FheParams = ATHENA,
-    chunk: int | None = None,
-    t_eff: int | None = None,
-) -> TuningResult:
-    """Lower ``qmodel`` and autotune the resulting program."""
-    return tune_program(lower(qmodel, params), params, chunk, t_eff)
+def tune_program(program: AthenaProgram,
+                 params: FheParams | None = None) -> TuningResult:
+    """The ledger's tune stage: there is nothing to choose."""
+    return TuningResult()

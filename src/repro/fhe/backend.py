@@ -695,10 +695,9 @@ class CountingBackend(Backend):
     a thread fan-out each worker's seconds are added to the same labels, so
     the sum is busy time and may exceed the wall.
 
-    The phase label is thread-local (each worker of a chunked-tile
-    fan-out runs its five-step chain — and therefore opens its phases —
-    in its own thread); the counter store is lock-protected, so one
-    recorder may be shared across the fan-out. Use
+    The phase label is thread-local (each thread of a fan-out opens its
+    own phases); the counter store is lock-protected, so one recorder may
+    be shared across the fan-out. Use
     :func:`repro.core.trace.executed_trace` to view the records as a
     :class:`~repro.core.trace.WorkloadTrace` for the accel scheduler.
     """

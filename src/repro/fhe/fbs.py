@@ -287,20 +287,12 @@ class FbsPlan:
     _const_pts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def from_lut(cls, lut: "FbsLut", bs: int | None = None) -> "FbsPlan":
-        """BSGS schedule of ``lut``'s polynomial.
-
-        ``bs`` overrides the baby-step count (the autotuner's knob); the
-        default ``ceil(sqrt(degree + 1))`` split balances baby and giant
-        steps. Any ``bs >= 2`` evaluates the same polynomial — only the
-        op mix (SMult-heavy vs CMult-heavy) changes.
-        """
+    def from_lut(cls, lut: "FbsLut") -> "FbsPlan":
+        """BSGS schedule of ``lut``'s polynomial, at the
+        ``ceil(sqrt(degree + 1))`` split that balances baby and giant steps."""
         coeffs = lut.coeffs
         degree = int(np.max(np.nonzero(coeffs)[0])) if np.any(coeffs) else 0
-        if bs is None:
-            bs = max(2, math.ceil(math.sqrt(degree + 1)))
-        elif bs < 2:
-            raise ValueError(f"bs must be >= 2, got {bs}")
+        bs = max(2, math.ceil(math.sqrt(degree + 1)))
         gs = -(-(degree + 1) // bs)
         groups = []
         for g in range(gs):

@@ -27,17 +27,17 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe.bfv import BfvCiphertext, Plaintext
-from repro.fhe.fbs import FbsLut, FbsPlan, register_interpolation
+from repro.fhe.fbs import FbsLut, register_interpolation
 from repro.fhe.lwe import LweBatch
 from repro.fhe.params import PRESETS, FheParams
 from repro.fhe.poly import RnsPoly
 
 _MAGIC = 0x41544E41  # "ATNA"
-# v4: a compiled plan serialises every step as refresh rounds (see
+# v5: a compiled plan serialises every step as refresh rounds (see
 # ``dump_plan``) behind a CRC32 trailer, so loading needs no program and no
 # compiler. Older artifacts are rejected; the plan cache recompiles on load
 # failure, so stale caches self-heal.
-_VERSION = 4
+_VERSION = 5
 
 KIND_CIPHERTEXT = 1
 KIND_LWE_BATCH = 2
@@ -173,34 +173,6 @@ def load_lwe_batch(raw: bytes) -> LweBatch:
 # -- compiled plans ----------------------------------------------------------
 
 
-def _write_tuning(buf: io.BytesIO, tuning) -> None:
-    entries = tuning.choices if tuning else ()
-    buf.write(struct.pack("<H", len(entries)))
-    for step_name, choice in entries:
-        _write_str(buf, step_name)
-        _write_str(buf, choice.strategy)
-        buf.write(struct.pack("<Q", 0 if choice.chunk is None else choice.chunk))
-        buf.write(struct.pack("<Q", 0 if choice.bsgs is None else choice.bsgs))
-
-
-def _read_tuning(buf: io.BytesIO):
-    from repro.core.lowering import StepEncodingChoice, TuningConfig
-
-    (count,) = _unpack(buf, "<H")
-    entries = []
-    for _ in range(count):
-        step_name = _read_str(buf)
-        strategy = _read_str(buf)
-        (chunk_raw,) = _unpack(buf, "<Q")
-        (bsgs_raw,) = _unpack(buf, "<Q")
-        entries.append((step_name, StepEncodingChoice(
-            strategy=strategy,
-            chunk=int(chunk_raw) or None,
-            bsgs=int(bsgs_raw) or None,
-        )))
-    return TuningConfig(tuple(entries)) if entries else None
-
-
 def _write_optional(buf: io.BytesIO, arr: np.ndarray | None) -> None:
     buf.write(struct.pack("<B", int(arr is not None)))
     if arr is not None:
@@ -224,19 +196,18 @@ def _read_plaintext(buf: io.BytesIO, params: FheParams) -> Plaintext:
 
 def _write_round(buf: io.BytesIO, rnd) -> None:
     """One :class:`repro.core.plan.RefreshRound`: where it extracts, where it
-    packs, its table with the interpolated polynomial, and the BSGS split.
-    The schedule, the batch height and the ``-LUT(0)`` correction are
-    functions of those and are rebuilt by the one round builder at load."""
+    packs, and its table with the interpolated polynomial. The BSGS schedule,
+    the batch height and the ``-LUT(0)`` correction are functions of those
+    and are rebuilt by the one round builder at load."""
     _write_array(buf, rnd.positions)
     _write_optional(buf, rnd.rows)
     _write_str(buf, rnd.lut.name)
     _write_array(buf, rnd.lut.values)
     _write_array(buf, rnd.lut.coeffs)
-    buf.write(struct.pack("<Q", rnd.fbs.bs))
 
 
 def _read_round(buf: io.BytesIO, params: FheParams):
-    from repro.core.plan import _refresh_round
+    from repro.core.plan import _fbs_plan, _refresh_round
 
     positions = _read_index(buf, params)
     (placed,) = _unpack(buf, "<B")
@@ -249,11 +220,7 @@ def _read_round(buf: io.BytesIO, params: FheParams):
     # The artifact carries the interpolation: never recomputed at load.
     register_interpolation(values, params.t, _read_array(buf))
     lut = FbsLut(values, params.t, lut_name)
-    (bs,) = _unpack(buf, "<Q")
-    if not 2 <= bs <= params.t:
-        raise ParameterError("bad BSGS split in serialized plan")
-    fbs = FbsPlan.from_lut(lut, bs=int(bs)).materialize(params)
-    return _refresh_round(positions, rows, lut, fbs, params)
+    return _refresh_round(positions, rows, lut, _fbs_plan(lut, params), params)
 
 
 def _write_steps(buf: io.BytesIO, steps: list) -> None:
@@ -281,12 +248,9 @@ def _write_steps(buf: io.BytesIO, steps: list) -> None:
             _write_steps(buf, cstep.shortcut or [])
         elif cstep.kind == "linear":
             _write_str(buf, cstep.op)
-            _write_str(buf, cstep.strategy)
             _write_array(buf, cstep.kernel.coeffs)
             _write_optional(buf, cstep.bias.coeffs if cstep.bias else None)
-            buf.write(struct.pack(
-                "<QQ", cstep.lane_span,
-                cstep.tiles[0].count if cstep.tiles else 0))
+            buf.write(struct.pack("<Q", cstep.lane_span))
             pool = cstep.pool_rounds or ()
             buf.write(struct.pack("<B", len(pool)))
             for delta, rnd in pool:
@@ -301,7 +265,6 @@ def _read_steps(buf: io.BytesIO, params: FheParams) -> list:
         CompiledPool,
         CompiledRemap,
         CompiledResidual,
-        _tile_rounds,
     )
 
     (n_steps,) = _unpack(buf, "<I")
@@ -335,46 +298,41 @@ def _read_steps(buf: io.BytesIO, params: FheParams) -> list:
                 body=body, shortcut=_read_steps(buf, params) or None))
         else:
             op = _read_str(buf)
-            strategy = _read_str(buf)
             kernel = _read_plaintext(buf, params)
             kernel.pmult_operand()
             bias = None
             if _unpack(buf, "<B")[0]:
                 bias = _read_plaintext(buf, params)
                 bias.add_operand()
-            span, tile = _unpack(buf, "<QQ")
+            (span,) = _unpack(buf, "<Q")
             (levels,) = _unpack(buf, "<B")
             pool = tuple(
                 (int(_unpack(buf, "<Q")[0]), _read_round(buf, params))
                 for _ in range(levels))
             steps.append(CompiledLinear(
-                index=index, name=name, op=op, s2c=bool(s2c), strategy=strategy,
-                kernel=kernel, bias=bias, round=rnd,
-                tiles=_tile_rounds(rnd, int(tile) or None, params),
-                lane_span=int(span), pool_rounds=pool or None))
+                index=index, name=name, op=op, s2c=bool(s2c), kernel=kernel,
+                bias=bias, round=rnd, lane_span=int(span),
+                pool_rounds=pool or None))
     return steps
 
 
 def dump_plan(plan) -> bytes:
-    """Serialize a :class:`repro.core.plan.CompiledProgram` (wire v4).
+    """Serialize a :class:`repro.core.plan.CompiledProgram` (wire v5).
 
-    Every step is on the wire — linear rounds (with placed packing, chunk
-    tiles and fused max trees), pooling kernels, remaps, residual blocks
-    with both branches, opaque placeholders — as derived, non-secret model
-    artifacts: kernel and bias coefficient vectors, each refresh round's
-    positions, pack rows, LUT with its interpolated polynomial and BSGS
-    split, the chunk cap and the autotuner's encoding config. NTT operand
-    forms, BSGS schedules, ``-LUT(0)`` corrections and the S2C diagonals
-    are deterministic functions of those (plus the parameter set) and are
-    rebuilt at load. The last four bytes are a CRC32 of everything before
-    them.
+    Every step is on the wire — linear rounds (with placed packing and
+    fused max trees), pooling kernels, remaps, residual blocks with both
+    branches, opaque placeholders — as derived, non-secret model
+    artifacts: kernel and bias coefficient vectors, each linear step's lane
+    span, and each refresh round's positions, pack rows and LUT with its
+    interpolated polynomial. NTT operand forms, BSGS schedules, ``-LUT(0)``
+    corrections and the S2C diagonals are deterministic functions of those
+    (plus the parameter set) and are rebuilt at load. The last four bytes
+    are a CRC32 of everything before them.
     """
     buf = io.BytesIO()
     buf.write(_header(KIND_PLAN, plan.params))
     _write_str(buf, plan.name)
     _write_str(buf, plan.model_hash)
-    buf.write(struct.pack("<Q", 0 if plan.chunk is None else plan.chunk))
-    _write_tuning(buf, plan.tuning)
     _write_steps(buf, plan.steps)
     body = buf.getvalue()
     return body + struct.pack("<I", zlib.crc32(body))
@@ -401,19 +359,14 @@ def load_plan(raw: bytes, params: FheParams):
         raise ParameterError("plan checksum mismatch (corrupt artifact)")
     name = _read_str(buf)
     model_hash = _read_str(buf)
-    (chunk_raw,) = _unpack(buf, "<Q")
-    chunk = int(chunk_raw) or None
-    tuning = _read_tuning(buf)
     steps = _read_steps(buf, params)
     _check_end(buf)
     # Lane chaining (out strides + batch capacity) is a pure function of the
     # spans and the parameter set — re-derived rather than shipped.
-    capacity = _annotate_lanes(steps, params, chunk)
+    capacity = _annotate_lanes(steps, params)
     return CompiledProgram(
         steps=steps,
         params=params,
-        chunk=chunk,
-        tuning=tuning,
         s2c=_s2c_plan(params),
         model_hash=model_hash,
         name=name,

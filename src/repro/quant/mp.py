@@ -8,15 +8,15 @@ interpolant's degree (<= 2r instead of t-1, see
 actually executes. This module closes the loop CalibTIP opens on plain
 hardware — per-layer bit allocation by integer programming with
 layer-wise calibration and bias correction — but scores candidates with
-the *FHE* trace model (``repro.core.tune``, composed with the PR-7
-per-step encoding autotuner) instead of a FLOP proxy.
+the *FHE* trace model (:func:`repro.core.trace.trace_model`'s predicted
+mod_muls) instead of a FLOP proxy.
 
 Pipeline
 --------
 
 1. :func:`allocate_bits` quantizes the model once per (layer, candidate
    bit-width) pair with only that layer overridden, measuring calibration
-   accuracy and predicted tuned mod_mul cost — the sensitivity profile.
+   accuracy and predicted mod_mul cost — the sensitivity profile.
 2. A multiple-choice knapsack — greedy saving/drop ratio by default, an
    exact drop-unit DP with ``mode="dp"`` — picks at most one override per
    layer maximizing predicted savings under a max accuracy-drop budget.
@@ -35,7 +35,6 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,9 +50,6 @@ from repro.quant.quantize import (
     QuantizedModel,
     quantize_model,
 )
-
-if TYPE_CHECKING:  # imported lazily at runtime: repro.core imports repro.quant
-    from repro.core.tune import TuningResult
 
 __all__ = [
     "DEFAULT_LUT_MARGIN",
@@ -202,7 +198,7 @@ class ProfileOption:
 
     bits: LayerQuantConfig
     accuracy: float  # calibration accuracy with only this layer overridden
-    cost: float  # predicted tuned mod_muls of the whole model
+    cost: float  # predicted mod_muls of the whole model
     drop: float  # floor_accuracy - accuracy (may be negative)
     saving: float  # floor_cost - cost
 
@@ -232,14 +228,13 @@ class AllocationResult:
     bias_correct: bool
     lut_margin: int
     baseline_accuracy: float  # uniform bits, legacy quantization
-    baseline_cost: float  # its predicted tuned mod_muls
+    baseline_cost: float  # its predicted mod_muls
     floor_accuracy: float  # uniform bits + restricted LUT ranges
     floor_cost: float
     accuracy: float  # the chosen config's calibration accuracy
-    cost: float  # the chosen config's predicted tuned mod_muls
+    cost: float  # the chosen config's predicted mod_muls
     profiles: tuple[LayerProfile, ...]
     model: QuantizedModel = field(repr=False, compare=False, default=None)
-    tuning: TuningResult | None = field(repr=False, compare=False, default=None)
 
     @property
     def drop(self) -> float:
@@ -392,7 +387,6 @@ def allocate_bits(
     mode: str = "greedy",
     bias_correct: bool = True,
     lut_margin: int = DEFAULT_LUT_MARGIN,
-    chunk: int | None = None,
     name: str = "model",
 ) -> AllocationResult:
     """Search per-layer bit assignments minimizing predicted FHE cost.
@@ -402,8 +396,7 @@ def allocate_bits(
     knapsack) or ``"dp"`` (exact DP over drop units). The result's
     ``model`` is the fully quantized mixed-precision model (tracked MAC
     peaks, bias-corrected, restricted LUT ranges frozen), ready for
-    ``compile_program``; its ``tuning`` is the composed encoding-autotuner
-    config for the same program.
+    ``compile_program``.
     """
     if mode not in ("greedy", "dp"):
         raise ParameterError(f"unknown allocation mode {mode!r}")
@@ -427,25 +420,24 @@ def allocate_bits(
         )
         acc = qm.accuracy(calib_x, calib_y)
         qm.validate_t()
-        tuning = tune_model(qm, params, chunk)
-        return qm, acc, tuning
+        cost = trace_model(qm, params, softmax=False).totals().mod_mul
+        return qm, acc, cost
 
-    from repro.core.tune import tune_model
+    # Imported here: repro.core imports repro.quant.
+    from repro.core.trace import trace_model
 
     # Uniform baseline: the legacy quantization path, full-domain LUTs.
-    base_qm, base_acc, base_tuning = measure(None, False)
-    base_cost = base_tuning.tuned_cost
+    _, base_acc, base_cost = measure(None, False)
 
     # Floor: identical bits, tracking on — restricted LUT ranges and
     # (optionally) bias correction. If correction hurts more than the
     # budget allows, drop it: without it the floor is plain-identical to
     # the baseline, so the budget is satisfiable by construction.
     use_bc = bias_correct
-    floor_qm, floor_acc, floor_tuning = measure(MpConfig(), use_bc)
+    floor_qm, floor_acc, floor_cost = measure(MpConfig(), use_bc)
     if use_bc and base_acc - floor_acc > budget + 1e-12:
         use_bc = False
-        floor_qm, floor_acc, floor_tuning = measure(MpConfig(), use_bc)
-    floor_cost = floor_tuning.tuned_cost
+        floor_qm, floor_acc, floor_cost = measure(MpConfig(), use_bc)
 
     # Sensitivity profile: one quantization per (layer, candidate).
     profiles: list[LayerProfile] = []
@@ -454,14 +446,14 @@ def allocate_bits(
         for cand in candidates:
             if cand.w_bits >= config.w_bits and cand.a_bits >= config.a_bits:
                 continue
-            _, acc, tuning = measure(MpConfig(((lname, cand),)), use_bc)
+            _, acc, cost = measure(MpConfig(((lname, cand),)), use_bc)
             opts.append(
                 ProfileOption(
                     bits=cand,
                     accuracy=acc,
-                    cost=tuning.tuned_cost,
+                    cost=cost,
                     drop=floor_acc - acc,
-                    saving=floor_cost - tuning.tuned_cost,
+                    saving=floor_cost - cost,
                 )
             )
         profiles.append(
@@ -486,7 +478,7 @@ def allocate_bits(
     # Terminates at the floor, which satisfies the budget by construction.
     while True:
         mp = MpConfig.from_dict(assign)
-        qm, acc, tuning = measure(mp, use_bc)
+        qm, acc, cost = measure(mp, use_bc)
         if base_acc - acc <= budget + 1e-12 or not assign:
             break
         worst = max(
@@ -517,10 +509,9 @@ def allocate_bits(
         floor_accuracy=floor_acc,
         floor_cost=floor_cost,
         accuracy=acc,
-        cost=tuning.tuned_cost,
+        cost=cost,
         profiles=tuple(profiles),
         model=qm,
-        tuning=tuning,
     )
 
 

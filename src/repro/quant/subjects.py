@@ -4,7 +4,7 @@ Each builder draws its weights from a caller-seeded generator, so every
 consumer that passes ``default_rng(SUBJECT_SEED)`` compiles the
 byte-identical model (same ``program_fingerprint``, same plan-cache key).
 :data:`SUBJECTS` names them with the parameter set each is sized for; it
-is the one list behind ``repro compile`` / ``tune`` / ``trace`` / ``serve``
+is the one list behind ``repro compile`` / ``trace`` / ``serve``
 ``--model``.
 """
 
@@ -58,7 +58,7 @@ def resnet_block_micro(rng: np.random.Generator) -> QuantizedModel:
     one paper-style basic block with a strided body and a 1x1 projection
     shortcut, and a small head. Exercises the placed-layout compile path
     (both branches refresh into the join layout) that the plain micro model
-    never reaches, so the tuner tests cover both plan families.
+    never reaches.
     """
     cfg = QuantConfig(4, 4, t=TEST_LOOP.t)
 

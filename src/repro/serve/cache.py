@@ -10,7 +10,7 @@ Two flavours:
   sharded into subdirectories by ``program_fingerprint`` prefix (so one
   deployment directory scales past a few thousand models), and loaded
   plans are additionally memoized in memory keyed by the full
-  ``(model hash, params hash, chunk)`` triple — tenants sharing a model
+  ``(model hash, params hash)`` pair — tenants sharing a model
   under the same parameters share one compiled artifact *object*, which is
   safe because plans hold no key material and are read-only at run time.
 """
@@ -33,8 +33,8 @@ class PlanCache:
 
     The cache key is the pair of fingerprints that fully determine a plan —
     the lowered model (structure + weights + quantization config) and the
-    parameter set — plus the chunk cap, which changes the tile layout.
-    Artifacts contain no key material, so a shared cache directory is safe.
+    parameter set. Artifacts contain no key material, so a shared cache
+    directory is safe.
 
     Writes are atomic: the artifact is staged as a ``*.tmp`` file in the
     destination directory and published with :func:`os.replace`, so every
@@ -59,18 +59,12 @@ class PlanCache:
         self._lock = threading.Lock()
 
     @classmethod
-    def file_name(
-        cls, model_hash: str, params: FheParams, chunk: int | None = None
-    ) -> str:
-        """``<hash16>-<params>[-c<chunk>].plan``."""
-        tag = f"-c{chunk}" if chunk is not None else ""
-        return (f"{model_hash[:16]}-{params_fingerprint(params).hex()}"
-                f"{tag}{cls.SUFFIX}")
+    def file_name(cls, model_hash: str, params: FheParams) -> str:
+        """``<hash16>-<params>.plan``."""
+        return f"{model_hash[:16]}-{params_fingerprint(params).hex()}{cls.SUFFIX}"
 
-    def path_for(
-        self, model_hash: str, params: FheParams, chunk: int | None = None
-    ) -> Path:
-        return self.root / self.file_name(model_hash, params, chunk)
+    def path_for(self, model_hash: str, params: FheParams) -> Path:
+        return self.root / self.file_name(model_hash, params)
 
     def _record(self, hit: bool) -> None:
         with self._lock:
@@ -96,19 +90,8 @@ class PlanCache:
                 "hit_rate": round(self.hits / total, 4) if total else None,
             }
 
-    def get(
-        self,
-        program,
-        params: FheParams,
-        chunk: int | None = None,
-        tuning=None,
-    ) -> CompiledProgram:
+    def get(self, program, params: FheParams) -> CompiledProgram:
         """Load the program's plan from disk, compiling (and saving) on miss.
-
-        ``tuning`` (a :class:`repro.core.lowering.TuningConfig`) is folded
-        into ``program_fingerprint``, so a tuned and an untuned plan for
-        the same model never share an artifact — the cache can never serve
-        a stale layout for a different encoding config.
 
         A cached artifact that no longer loads — a stale wire version left
         behind by an older build, a truncated file, a flipped bit — is
@@ -119,7 +102,7 @@ class PlanCache:
         complete, so the serve path never compiles on a warm cache.
         """
         path = None if self.root is None else self.path_for(
-            program_fingerprint(program, tuning), params, chunk
+            program_fingerprint(program), params
         )
         if path is not None and path.exists():
             try:
@@ -129,7 +112,7 @@ class PlanCache:
             else:
                 self._record(hit=True)
                 return plan
-        plan = compile_program(program, params, chunk=chunk, tuning=tuning)
+        plan = compile_program(program, params)
         if path is not None:
             self._write_atomic(path, dump_plan(plan))
         self._record(hit=False)
@@ -168,33 +151,21 @@ class ShardedPlanCache(PlanCache):
     def __init__(self, root: str | Path | None, shard_chars: int = 2):
         super().__init__(root)
         self.shard_chars = shard_chars
-        self._memory: dict[tuple[str, str, int | None], CompiledProgram] = {}
+        self._memory: dict[tuple[str, str], CompiledProgram] = {}
 
-    def path_for(
-        self, model_hash: str, params: FheParams, chunk: int | None = None
-    ) -> Path:
+    def path_for(self, model_hash: str, params: FheParams) -> Path:
         return (self.root / model_hash[: self.shard_chars]
-                / self.file_name(model_hash, params, chunk))
+                / self.file_name(model_hash, params))
 
-    def get(
-        self,
-        program,
-        params: FheParams,
-        chunk: int | None = None,
-        tuning=None,
-    ) -> CompiledProgram:
+    def get(self, program, params: FheParams) -> CompiledProgram:
         """Memory, then :meth:`PlanCache.get` (sharded disk, then compile)."""
-        key = (
-            program_fingerprint(program, tuning),
-            params_fingerprint(params).hex(),
-            chunk,
-        )
+        key = (program_fingerprint(program), params_fingerprint(params).hex())
         with self._lock:
             plan = self._memory.get(key)
         if plan is not None:
             self._record(hit=True)
             return plan
-        plan = super().get(program, params, chunk, tuning)
+        plan = super().get(program, params)
         with self._lock:
             self._memory[key] = plan
         return plan

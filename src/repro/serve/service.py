@@ -129,13 +129,7 @@ class AthenaService:
 
     # -- model registration (compile once, share via the cache) ------------
 
-    def register_model(
-        self,
-        name: str,
-        model,
-        chunk: int | None = None,
-        tuning=None,
-    ) -> str:
+    def register_model(self, name: str, model) -> str:
         """Compile ``model`` for every tenant; returns its fingerprint.
 
         ``model`` is a quantized model (lowered per tenant parameter set)
@@ -143,10 +137,7 @@ class AthenaService:
         its parameter set). Compilation goes through the shared plan cache,
         so the first tenant pays the compile and every further tenant with
         the same parameters gets a cache hit — the sharing the fingerprint
-        sharding exists for. ``tuning`` (a
-        :class:`repro.core.lowering.TuningConfig`) applies the autotuner's
-        per-step encoding choices; it is folded into the plan fingerprint,
-        so tuned and untuned registrations never collide in the cache.
+        sharding exists for.
         """
         if self.pool is not None:
             raise ParameterError("register models before start()")
@@ -168,10 +159,8 @@ class AthenaService:
                 program,
                 tenant.params,
                 seed=tenant.seed,
-                chunk=chunk,
                 cache=self.cache,
                 backend=tenant.backend or self.exec_config.backend,
-                tuning=tuning,
             )
             if fingerprint is None:
                 fingerprint = core.fingerprint

@@ -34,9 +34,9 @@ import numpy as np
 from repro.core.framework import AthenaPipeline
 from repro.core.plan import CompiledProgram, compile_program
 from repro.core.program import AthenaProgram, lower
+from repro.errors import ParameterError
 from repro.fhe.backend import Backend, get_backend, use_backend
 from repro.fhe.params import TEST_LOOP, FheParams
-from repro.perf import ParallelMap
 from repro.serve.api import LayerStats
 
 __all__ = ["InferenceSession", "SessionCore", "SessionRuntime"]
@@ -83,11 +83,10 @@ class SessionCore:
         model,
         params: FheParams | None = None,
         seed: int = 0,
-        chunk: int | None = None,
         plan: CompiledProgram | None = None,
         cache=None,
         backend: Backend | str | None = None,
-        tuning=None,
+        tuning: None = None,
     ) -> "SessionCore":
         """Lower + compile (or cache-load, or bind) the compile-time half.
 
@@ -98,11 +97,10 @@ class SessionCore:
         consults a :class:`repro.serve.PlanCache` (a disk hit is a
         ``load_plan``, never a compile), and otherwise the program is
         compiled here. The duration of that plan work is ``compile_s``.
-        ``tuning`` (a :class:`repro.core.lowering.TuningConfig`, e.g. from
-        :func:`repro.core.tune.tune_model`) selects per-step encodings and
-        is part of the cache key — tuned and untuned cores never share a
-        cached plan.
         """
+        # ``tuning`` exists for benchmarks/ledger/tracing.py, its only caller.
+        if tuning is not None:
+            raise ParameterError("there is no encoding tuner: tuning must be None")
         if isinstance(model, AthenaProgram):
             program = model
             params = params or program.params
@@ -115,11 +113,9 @@ class SessionCore:
             if plan is not None:
                 plan = plan.bind(program, params)
             elif cache is not None:
-                plan = cache.get(program, params, chunk, tuning)
+                plan = cache.get(program, params)
             else:
-                plan = compile_program(
-                    program, params, chunk=chunk, tuning=tuning
-                )
+                plan = compile_program(program, params)
         return cls(
             program=program,
             params=params,
@@ -145,7 +141,7 @@ class SessionRuntime:
     run latency.
     """
 
-    def __init__(self, core: SessionCore, pmap: ParallelMap | None = None):
+    def __init__(self, core: SessionCore):
         self.core = core
         self.backend = (
             get_backend(core.backend) if core.backend is not None else None
@@ -155,7 +151,6 @@ class SessionRuntime:
             core.params, seed=core.seed, backend=self.backend
         )
         self.keygen_s = time.perf_counter() - start
-        self.pmap = pmap
         self._lock = threading.Lock()
         self.requests = 0
         #: Fused pipeline executions (a k-lane batch is one run, k requests).
@@ -190,9 +185,7 @@ class SessionRuntime:
         core = self.core
         with self._lock:
             start = time.perf_counter()
-            outs = self.pipeline.run_batch(
-                core.program, xs, pmap=self.pmap, plan=core.plan
-            )
+            outs = self.pipeline.run_batch(core.program, xs, plan=core.plan)
             wall = time.perf_counter() - start
             self.requests += len(xs)
             self.runs += 1
@@ -261,12 +254,10 @@ class InferenceSession:
     phase).
 
     Requests are serialized by the runtime's lock — the pipeline's
-    deterministic randomness is per-pipeline state — while
-    each request still fans out its chunked tiles through ``pmap``
-    internally. Outputs are bit-identical to a plan-free
-    :meth:`AthenaPipeline.run_program` on the same pipeline state: the plan
-    only moves operand derivation to compile time, never changing the
-    homomorphic op sequence.
+    deterministic randomness is per-pipeline state. Outputs are
+    bit-identical to a plan-free :meth:`AthenaPipeline.run_program` on the
+    same pipeline state: the plan only moves operand derivation to compile
+    time, never changing the homomorphic op sequence.
 
     ``backend`` pins this session's op dispatch (a
     :class:`repro.fhe.backend.Backend` instance or name). Selection is
@@ -285,24 +276,22 @@ class InferenceSession:
         model,
         params: FheParams | None = None,
         seed: int = 0,
-        chunk: int | None = None,
-        pmap: ParallelMap | None = None,
         plan: CompiledProgram | None = None,
         cache=None,
         backend: Backend | str | None = None,
-        tuning=None,
+        tuning: None = None,
     ):
         self.core = SessionCore.build(
             model,
             params=params,
             seed=seed,
-            chunk=chunk,
             plan=plan,
             cache=cache,
             backend=backend,
+            # benchmarks/ledger/workloads.py is the only caller passing one.
             tuning=tuning,
         )
-        self.runtime = SessionRuntime(self.core, pmap=pmap)
+        self.runtime = SessionRuntime(self.core)
 
     # -- compile-time half -------------------------------------------------
 
@@ -331,10 +320,6 @@ class InferenceSession:
     @property
     def pipeline(self) -> AthenaPipeline:
         return self.runtime.pipeline
-
-    @property
-    def pmap(self) -> ParallelMap | None:
-        return self.runtime.pmap
 
     @property
     def requests(self) -> int:

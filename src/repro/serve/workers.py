@@ -1,7 +1,7 @@
 """Worker layer: warm per-model sessions behind a pluggable executor.
 
 :class:`WorkerPool` generalizes the :class:`repro.perf.ParallelMap` /
-:class:`repro.perf.ExecConfig` pattern from "fan one request's tiles out"
+:class:`repro.perf.ExecConfig` pattern from "map one function over a list"
 to "keep many requests in flight": the same three executor modes, but the
 unit of work is a whole inference request and the pool state is a table of
 warm sessions keyed by ``(tenant_id, model)``.

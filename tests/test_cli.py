@@ -63,7 +63,7 @@ class TestSubjectsTable:
             qm, params = micro_subject(name)
             assert program_fingerprint(lower(qm, params)) == digest, name
 
-    @pytest.mark.parametrize("command", ["compile", "tune", "serve"])
+    @pytest.mark.parametrize("command", ["compile", "serve"])
     def test_model_choices_come_from_the_table(self, command, capsys):
         parser = build_parser()
         for name in SUBJECTS:
@@ -71,23 +71,23 @@ class TestSubjectsTable:
         with pytest.raises(SystemExit, match="2"):
             parser.parse_args([command, "--model", "no-such-subject"])
 
-    @pytest.mark.parametrize("command", ["bench", "loadgen"])
-    def test_deleted_commands_are_usage_errors(self, command, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["bench"], ["loadgen"], ["tune"], ["compile", "--tune"],
+        ["compile", "--chunk", "16"],
+    ], ids=["bench", "loadgen", "tune", "compile--tune", "compile--chunk"])
+    def test_deleted_commands_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit, match="2"):
-            main([command])
+            main(argv)
 
 
 @pytest.mark.slow
 class TestCompileThenInfer:
     """``repro compile ... --out P && repro infer ... --plan P``."""
 
-    def test_tuned_chunked_plan_round_trips(self, tmp_path, capsys):
-        """The plan's ``model_hash`` folds the tuning in; the identity check
-        (``CompiledProgram.bind``) must fold it in too."""
+    def test_plan_round_trips(self, tmp_path, capsys):
         out = str(tmp_path / "t.plan")
-        assert main(["compile", "--model", "mnist_cnn", "--tune",
-                     "--chunk", "16", "--out", out]) == 0
-        assert "tuned:" in capsys.readouterr().out
+        assert main(["compile", "--model", "mnist_cnn", "--out", out]) == 0
+        assert f"-> {out}\n" in capsys.readouterr().out
         assert main(["infer", "mnist_cnn", "--plan", out, "--count", "1"]) == 0
         assert "1 warm requests" in capsys.readouterr().out
 

@@ -124,11 +124,6 @@ class TestPlanLaneAnnotations:
         plan = compile_program(program, TEST_FBS)
         assert plan.batch_capacity == 1
 
-    def test_chunked_plans_never_batch(self):
-        program = lower(pack_cnn(np.random.default_rng(5)), TEST_FBS)
-        plan = compile_program(program, TEST_FBS, chunk=2)
-        assert plan.batch_capacity == 1
-
     def test_wire_format_round_trips_lane_metadata(self):
         program = lower(pack_cnn(np.random.default_rng(5)), TEST_FBS)
         plan = compile_program(program, TEST_FBS)

@@ -1,9 +1,9 @@
 """The pluggable lowering registry and its widened ciphertext-path coverage.
 
 Fast tier: registry resolution (MRO walk, custom rules), the typed
-:class:`~repro.errors.UnsupportedLayer` error and its CLI surface, the
-declarative :class:`StepEncodingChoice` validation, and grouped/depthwise
-conv equivalence across the plaintext and simulated executors.
+:class:`~repro.errors.UnsupportedLayer` error and its CLI surface, and
+grouped/depthwise conv equivalence across the plaintext and simulated
+executors.
 
 Slow tier: the real-ciphertext pipeline over every layer shape the
 registry refactor opened up — fused max-pool, interior padding, identity
@@ -18,8 +18,6 @@ import pytest
 from repro.core import lowering
 from repro.core.inference import AthenaNoiseModel, SimulatedAthenaEngine
 from repro.core.lowering import (
-    StepEncodingChoice,
-    TuningConfig,
     lowering_rules,
     register_rule,
     rule_for,
@@ -145,34 +143,10 @@ class TestUnsupportedLayer:
         qm = QuantizedModel(
             [_conv(rng, 1, 1, 3, 1, 0, 6), Mystery()], CFG, 1.0, (1, 6, 6))
         monkeypatch.setitem(SUBJECTS, "mnist_cnn", (lambda rng: qm, TEST_LOOP))
-        assert cli.main(["tune", "--params", "test-loop"]) == cli.EXIT_FAILURE
+        assert cli.main(["compile", "--params", "test-loop"]) == cli.EXIT_FAILURE
         err = capsys.readouterr().err
         assert "repro: error: unsupported layer at layer 1 (Mystery)" in err
         assert "Traceback" not in err
-
-
-class TestStepEncodingChoice:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepEncodingChoice(strategy="brutus")
-        with pytest.raises(ValueError):
-            StepEncodingChoice(chunk=0)
-        with pytest.raises(ValueError):
-            StepEncodingChoice(bsgs=1)
-
-    def test_tag_is_stable(self):
-        assert StepEncodingChoice().tag() == "athena:None:None"
-        assert StepEncodingChoice("cheetah", 16, 4).tag() == "cheetah:16:4"
-
-    def test_tuning_config_lookup_and_tag(self):
-        cfg = TuningConfig((
-            ("b", StepEncodingChoice(chunk=8)),
-            ("a", StepEncodingChoice(bsgs=4)),
-        ))
-        assert cfg.get("b").chunk == 8
-        assert cfg.get("missing") is None
-        assert cfg.tag() == "a=athena:None:4|b=athena:8:None"  # sorted
-        assert bool(cfg) and not bool(TuningConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.plan import compile_program, program_fingerprint
 from repro.core.program import lower
-from repro.core.trace import effective_t
+from repro.core.trace import effective_t, trace_model
 from repro.errors import ModulusOverflow, ParameterError, QuantizationError
 from repro.fhe.params import TEST_FBS
 from repro.fhe.serialize import dump_plan, load_plan
@@ -158,6 +158,26 @@ class TestAllocator:
         # accuracy vs the legacy baseline.
         assert res.floor_accuracy >= res.baseline_accuracy - res.budget - 1e-12
 
+    @pytest.mark.parametrize("mode", ["greedy", "dp"])
+    def test_micro_subject_allocation_is_pinned(self, subject, mode):
+        """The objective is ``trace_model``'s predicted mod_muls; the
+        allocation it produces on the micro subject, literally."""
+        model, x, y, config = subject
+        res = allocate_bits(model, x, y, config, params=TEST_FBS, mode=mode)
+        assert res.mp.tag() == "linear1=w2a2"
+        assert (res.baseline_cost, res.floor_cost, res.cost) == (
+            553584, 195184, 182896)
+        assert [(p.name, [(o.bits.label, o.cost) for o in p.options])
+                for p in res.profiles] == [
+            ("conv0", [("w2a2", 157296)]), ("linear1", [("w2a2", 182896)])]
+        assert [round(a, 4) for a in (
+            res.baseline_accuracy, res.floor_accuracy, res.accuracy)] == [
+            0.9479, 0.9479, 0.9896]
+        qm = quantize_model(model, x, config, name="m")
+        qm.accuracy(x, y)  # the MAC peaks the allocator costs the baseline at
+        assert res.baseline_cost == trace_model(
+            qm, TEST_FBS, softmax=False).totals().mod_mul
+
     def test_dp_no_worse_than_greedy(self, subject, allocation):
         model, x, y, config = subject
         dp = allocate_bits(model, x, y, config, params=TEST_FBS,
@@ -193,29 +213,23 @@ class TestPlanIntegration:
 
     def test_mp_plan_round_trips(self, allocation):
         program = lower(allocation.model, TEST_FBS)
-        plan = compile_program(program, TEST_FBS,
-                               tuning=allocation.tuning.tuning)
+        plan = compile_program(program, TEST_FBS)
         raw = dump_plan(plan)
         assert dump_plan(load_plan(raw, TEST_FBS)) == raw
 
     @pytest.mark.slow
     def test_allocated_plan_executes_fewer_mod_muls(
             self, subject, allocation, executed_mod_muls):
-        from repro.core.tune import tune_program
-
         model, x, _y, config = subject
 
-        def executed(qm, tuning_of):
+        def executed(qm):
             program = lower(qm, TEST_FBS)
-            plan = compile_program(program, TEST_FBS, tuning=tuning_of(program))
+            plan = compile_program(program, TEST_FBS)
             return executed_mod_muls(
                 program, plan, qm.quantize_input(x[0]), TEST_FBS)[1]
 
-        uniform = executed(quantize_model(model, x, config, name="m"),
-                           lambda program: tune_program(program, TEST_FBS).tuning)
-        allocated = executed(allocation.model,
-                             lambda program: allocation.tuning.tuning)
-        assert allocated < uniform
+        uniform = executed(quantize_model(model, x, config, name="m"))
+        assert executed(allocation.model) < uniform
 
 
 class TestModulusOverflowError:

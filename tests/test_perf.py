@@ -1,9 +1,10 @@
 """The instrumentation seam, ParallelMap executors, CLI flags, the curated
-top-level API, and the chunked parallel five-step path."""
+top-level API, and the counting wrapper under a thread fan-out."""
 
 import importlib
 import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,35 +15,83 @@ from repro.errors import ParameterError
 from repro.perf import ExecConfig, ParallelMap
 
 
+def _public_signatures(module: str):
+    """``(defining module.qualname, parameter names)`` of every public
+    callable ``module`` exposes, methods (class- and static- included) too."""
+    mod = importlib.import_module(module)
+    for name, obj in vars(mod).items():
+        if name.startswith("_") or not callable(obj):
+            continue
+        members = [obj]
+        if inspect.isclass(obj):  # its signature is its __init__'s
+            members = [
+                getattr(obj, attr) for attr in vars(obj)
+                if attr == "__init__" or not attr.startswith("_")
+            ]
+        for fn in members:
+            if not callable(fn):
+                continue
+            try:
+                params = set(inspect.signature(fn).parameters)
+            except (TypeError, ValueError):
+                continue
+            where = getattr(fn, "__module__", module)
+            yield f"{where}.{getattr(fn, '__qualname__', name)}", params
+
+
+#: The compile / run / serve stack: it exposes no refresh-tile size, no
+#: executor and no per-step encoding option.
+_OPTION_FREE = [
+    "repro.core.framework", "repro.core.plan", "repro.core.program",
+    "repro.core.lowering", "repro.fhe.serialize", "repro.fhe.fbs",
+    "repro.quant.mp", "repro.serve",
+]
+
+
 class TestInstrumentationSeam:
     """``Backend.phase`` / ``Backend.record`` is the only way to observe a
-    run: nothing in the execution stack takes a counter or recorder."""
+    run: nothing in the execution stack takes a counter or recorder — nor a
+    refresh-tile size, an executor, or a per-step encoding choice."""
 
     @pytest.mark.parametrize("module", [
         "repro.core.framework", "repro.core.program", "repro.fhe.fbs",
         "repro.serve",
     ])
     def test_no_public_callable_takes_cost_or_perf(self, module):
-        mod = importlib.import_module(module)
-        offenders = []
-        for name, obj in vars(mod).items():
-            if name.startswith("_") or not callable(obj):
-                continue
-            members = [(name, obj)]
-            if inspect.isclass(obj):
-                members += [
-                    (f"{name}.{attr}", fn)
-                    for attr, fn in vars(obj).items()
-                    if callable(fn) and (attr == "__init__" or not attr.startswith("_"))
-                ]
-            for label, fn in members:
-                try:
-                    params = inspect.signature(fn).parameters
-                except (TypeError, ValueError):
-                    continue
-                if {"cost", "perf"} & set(params):
-                    offenders.append(label)
+        offenders = [label for label, params in _public_signatures(module)
+                     if {"cost", "perf"} & params]
         assert offenders == []
+
+    @pytest.mark.parametrize("module", _OPTION_FREE)
+    def test_no_deleted_option(self, module):
+        offenders = {label for label, params in _public_signatures(module)
+                     if {"chunk", "pmap", "encoding", "bs"} & params}
+        # The schedule record stores the split ``from_lut`` derives; nothing
+        # passes one in.
+        offenders.discard("repro.fhe.fbs.FbsPlan.__init__")
+        assert offenders == set()
+
+    def test_tuning_is_ledger_only_and_must_be_none(self):
+        """``benchmarks/ledger/`` passes ``tuning=tune_program(...).tuning``
+        — always ``None`` — to exactly these; anything else is an error."""
+        from repro.core.plan import compile_program
+        from repro.core.program import lower
+        from repro.quant.subjects import micro_subject
+        from repro.serve import InferenceSession, SessionCore
+
+        takers = {label for module in _OPTION_FREE
+                  for label, params in _public_signatures(module)
+                  if "tuning" in params}
+        assert takers == {
+            "repro.core.plan.compile_program",
+            "repro.serve.session.SessionCore.build",
+            "repro.serve.session.InferenceSession.__init__",
+        }
+        qm, params = micro_subject("mnist_cnn")
+        program = lower(qm, params)
+        for entry in (compile_program, SessionCore.build, InferenceSession):
+            with pytest.raises(ParameterError, match="tuning must be None"):
+                entry(program, params, tuning=object())
 
     def test_perf_package_is_the_executors(self):
         import repro.perf
@@ -108,59 +157,50 @@ class TestDeprecations:
             repro.no_such_symbol
 
 
-@pytest.mark.slow
-class TestChunkedCiphertextPath:
-    """Chunked five-step rounds: tile merge is exact and executor-agnostic."""
+class TestCountingThreadSafety:
+    """One counter shared across a thread fan-out loses no event and
+    mislabels none: the phase label is thread-local, the store is locked."""
 
-    def _setup(self):
-        from repro.core.program import lower
-        from repro.fhe.params import TEST_LOOP
-        from repro.quant.subjects import mnist_cnn_micro
+    def test_k_threads_count_k_times_one_serial_call(
+            self, fbs_ctx, fbs_keys, fbs_rlk):
+        from repro.fhe.backend import CountingBackend, current_backend, use_backend
+        from repro.fhe.bfv import Plaintext
+        from repro.fhe.fbs import FbsLut, FbsPlan, fbs_evaluate
 
-        rng = np.random.default_rng(5)
-        qm = mnist_cnn_micro(rng)
-        x_q = rng.integers(-3, 4, (1, 6, 6)).astype(np.int64)
-        return lower(qm, TEST_LOOP), qm, x_q
+        ctx, (_, pk) = fbs_ctx, fbs_keys
+        params = ctx.params
+        k = 16  # more items than workers, more workers than cores
+        # Degree 5: a short ladder keeps the serial leg's 18 evaluations cheap.
+        lut = FbsLut.from_function(lambda v: v**5 + 3 * v**2 + v, params.t)
+        plan = FbsPlan.from_lut(lut).materialize(params)
+        assert plan.degree == 5
+        kernel = Plaintext.from_coeffs(np.arange(params.n) % 3, params)
+        cts = [
+            ctx.encrypt(Plaintext.from_slots(np.full(params.n, i), params), pk)
+            for i in range(k)
+        ]
 
-    def test_chunked_matches_plaintext_and_is_thread_safe(self):
-        from repro.core.framework import AthenaPipeline
-        from repro.fhe.backend import CountingBackend
-        from repro.fhe.params import TEST_LOOP
+        def work(ct):
+            with current_backend().phase("linear"):
+                ctx.pmult(ct, kernel)
+            fbs_evaluate(ctx, ct, lut, fbs_rlk, plan=plan)
 
-        program, qm, x_q = self._setup()
-        want = qm.forward_int(x_q[None])[0]
+        def counted(pmap, items):
+            counting = CountingBackend()
+            with use_backend(counting):
+                pmap.map(work, items)
+            return counting.ops_by_phase()
 
-        serial_counts = CountingBackend()
-        serial_pipe = AthenaPipeline(TEST_LOOP, seed=41, backend=serial_counts)
-        serial_counts.reset()  # drop keygen
-        got_serial = serial_pipe.run_program(program, x_q, chunk=16)
-        assert np.abs(got_serial - want).max() <= 2
-        # The conv round (32 outputs) splits into two tiles; counts cover
-        # the extra FBS round but the extraction total is unchanged.
-        serial_ops = serial_counts.ops_by_phase()
-        assert serial_ops["se"]["extract"] == 32 + 3
-        assert serial_ops["fbs"]["smult"] == 610
-        assert serial_ops["fbs_giant"]["cmult"] == 131
-
-        thread_counts = CountingBackend()
-        thread_pipe = AthenaPipeline(TEST_LOOP, seed=41, backend=thread_counts)
-        thread_counts.reset()
-        got_thread = thread_pipe.run_program(
-            program, x_q, chunk=16,
-            pmap=ParallelMap(ExecConfig("thread", workers=4)),
-        )
-        # Evaluation is deterministic given the keys: thread scheduling must
-        # not change a single bit of the result.
-        assert np.array_equal(got_serial, got_thread)
-        # One shared counter across the tile fan-out loses no event and
-        # mislabels none: phase by phase it equals the serial run.
-        assert thread_counts.ops_by_phase() == serial_ops
-
-    def test_chunk_validation(self):
-        from repro.core.framework import AthenaPipeline, CiphertextExecutor
-        from repro.fhe.params import TEST_LOOP
-
-        program, _, _ = self._setup()
-        pipe = AthenaPipeline(TEST_LOOP, seed=41)
-        with pytest.raises(ParameterError):
-            CiphertextExecutor(pipe, program, chunk=0)
+        work(cts[0])  # operand forms and key stacks are cached on first use
+        serial = counted(ParallelMap(ExecConfig("serial")), cts[:1])
+        assert {"linear", "fbs", "fbs_giant"} <= set(serial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = counted(ParallelMap(ExecConfig("thread", workers=4)), cts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == {
+            phase: {op: k * n for op, n in ops.items()}
+            for phase, ops in serial.items()
+        }

@@ -22,7 +22,7 @@ from repro.errors import ParameterError
 from repro.fhe.backend import CountingBackend
 from repro.fhe.params import TEST_LOOP, TEST_SMALL
 from repro.fhe.serialize import dump_plan, load_plan
-from repro.quant.subjects import mnist_cnn_micro
+from repro.quant.subjects import SUBJECTS, micro_subject, mnist_cnn_micro
 from repro.serve import InferenceSession, PlanCache
 
 
@@ -62,42 +62,26 @@ class TestCompileProgram:
         assert conv.bias is not None and conv.bias._scaled_op is not None
         assert conv.round.fbs.degree > 0 and conv.round.lut.t == TEST_LOOP.t
         assert conv.round.rows is None and conv.round.height == 32  # compact
-        assert conv.tiles is None  # unchunked round: one tile
         assert plan.s2c.direct.baby_steps == plan.s2c.crossed.baby_steps
         assert plan.model_hash == program_fingerprint(program)
 
-    def test_chunked_tile_layout(self):
-        _, program = _program()
-        plan = compile_program(program, TEST_LOOP, chunk=16)
-        conv, _, fc = plan.steps
-        # A tile is the round's own positions, placed at its own pack rows.
-        assert [t.rows.tolist() for t in conv.tiles] == [
-            list(range(16)), list(range(16, 32))]
-        assert [t.height for t in conv.tiles] == [16, 32]
-        assert np.array_equal(
-            np.concatenate([t.positions for t in conv.tiles]),
-            conv.round.positions)
-        for tile in conv.tiles:
-            assert tile.lut is conv.round.lut and tile.fbs is conv.round.fbs
-            assert (tile.correction is None) == (
-                int(conv.round.lut.values[0]) == 0)
-        assert fc.tiles is None  # 3 outputs <= chunk
-
     def test_correction_zeroes_exactly_the_unfilled_rows(self):
-        """One builder for every ``-LUT(0)`` plaintext: placed layouts,
-        chunk tiles and lane batches all get the same rule."""
-        from repro.core.plan import _refresh_round, _tile_rounds
+        """One builder for every ``-LUT(0)`` plaintext: placed layouts and
+        lane batches get the same rule."""
+        from repro.core.plan import _refresh_round
         from repro.fhe.fbs import FbsLut, FbsPlan
 
         lut = FbsLut.from_function(lambda v: v + 5, TEST_LOOP.t)
-        rnd = _refresh_round(np.arange(40, 72), None, lut,
-                             FbsPlan.from_lut(lut), TEST_LOOP)
-        assert rnd.correction is None  # compact: nothing placed
-        for tile in _tile_rounds(rnd, 16, TEST_LOOP):
-            slots = tile.correction.to_slots()
-            assert not slots[tile.rows].any()
-            rest = np.delete(slots, tile.rows)
-            assert np.all(rest == (-5) % TEST_LOOP.t)
+        fbs = FbsPlan.from_lut(lut)
+        positions = np.arange(40, 56)
+        compact = _refresh_round(positions, None, lut, fbs, TEST_LOOP)
+        assert compact.correction is None  # nothing placed
+        rows = np.arange(16, 32)
+        placed = _refresh_round(positions, rows, lut, fbs, TEST_LOOP)
+        assert placed.height == 32
+        slots = placed.correction.to_slots()
+        assert not slots[rows].any()
+        assert np.all(np.delete(slots, rows) == (-5) % TEST_LOOP.t)
 
     def test_bind_rejects_other_params(self):
         _, program = _program()
@@ -115,28 +99,30 @@ class TestCompileProgram:
         with pytest.raises(ParameterError, match="different model"):
             plan.bind(reseeded, TEST_LOOP)
 
-    def test_bind_checks_the_tuning_the_plan_was_compiled_under(self):
-        from repro.core.lowering import StepEncodingChoice, TuningConfig
 
-        _, program = _program()
-        tuning = TuningConfig((("qconv0", StepEncodingChoice(bsgs=4)),))
-        tuned = compile_program(program, TEST_LOOP, tuning=tuning)
-        assert tuned.model_hash != program_fingerprint(program)
-        assert tuned.bind(program, TEST_LOOP) is tuned
+class TestLedgerTuneStage:
+    """``benchmarks/ledger/`` times a tune stage and forwards its
+    ``.tuning``; there is nothing to choose, so that is always ``None``."""
 
-    def test_bad_chunk_rejected(self):
-        _, program = _program()
-        with pytest.raises(ParameterError):
-            compile_program(program, TEST_LOOP, chunk=0)
+    @pytest.mark.parametrize("name", list(SUBJECTS))
+    def test_tune_program_has_nothing_to_choose(self, name):
+        from repro.core.tune import tune_program
+
+        qm, params = micro_subject(name)
+        program = lower(qm, params)
+        tuned = tune_program(program, params)
+        assert tuned.tuning is None
+        plan = compile_program(program, params, tuning=tuned.tuning)
+        assert plan.model_hash == program_fingerprint(program)
 
 
 class TestWireFormat:
     def test_round_trip_preserves_artifacts(self):
         _, program = _program()
-        plan = compile_program(program, TEST_LOOP, chunk=16)
+        plan = compile_program(program, TEST_LOOP)
         loaded = load_plan(dump_plan(plan), TEST_LOOP)
         assert loaded.model_hash == plan.model_hash
-        assert loaded.chunk == plan.chunk and loaded.name == plan.name
+        assert loaded.name == plan.name
         assert len(loaded.steps) == len(plan.steps)
         for got, want in zip(loaded.steps, plan.steps):
             assert type(got) is type(want) and got.name == want.name
@@ -151,7 +137,6 @@ class TestWireFormat:
                 else:
                     assert np.array_equal(got.bias.coeffs, want.bias.coeffs)
                 assert got.round.fbs.groups == want.round.fbs.groups
-                assert (got.tiles is None) == (want.tiles is None)
         # The loaded plan binds to an equivalent re-lowered program.
         loaded.bind(lower(mnist_cnn_micro(np.random.default_rng(5)), TEST_LOOP),
                     TEST_LOOP)
@@ -187,13 +172,6 @@ class TestPlanCache:
         assert np.array_equal(
             second.steps[0].kernel.coeffs, first.steps[0].kernel.coeffs
         )
-
-    def test_chunk_gets_its_own_entry(self, tmp_path):
-        _, program = _program()
-        cache = PlanCache(tmp_path)
-        cache.get(program, TEST_LOOP)
-        cache.get(program, TEST_LOOP, chunk=16)
-        assert len(list(tmp_path.glob("*.plan"))) == 2
 
 
 @pytest.mark.slow

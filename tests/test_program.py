@@ -498,18 +498,3 @@ class TestCompiledPlanBitIdentity:
             relowered, x_q, plan=loaded
         )
         assert np.array_equal(got, want)
-
-    def test_chunked_plan_matches(self):
-        from repro.core.framework import AthenaPipeline
-        from repro.core.plan import compile_program
-        from repro.fhe.params import TEST_LOOP
-
-        program, x_q = self._setup()
-        baseline = AthenaPipeline(TEST_LOOP, seed=7).run_program(
-            program, x_q, chunk=16
-        )
-        plan = compile_program(program, TEST_LOOP, chunk=16)
-        got = AthenaPipeline(TEST_LOOP, seed=7).run_program(
-            program, x_q, plan=plan
-        )
-        assert np.array_equal(got, baseline)

@@ -422,13 +422,23 @@ class TestShardedPlanCache:
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.root is None
 
-    def test_chunk_is_part_of_the_key(self, tmp_path):
+    def test_the_ledgers_build_call_hits_disk_without_compiling(
+            self, tmp_path, monkeypatch):
+        """``SessionCore.build(..., cache=..., tuning=None)`` — the call
+        ``benchmarks/ledger/tracing.py`` times as ``hit_build_s``."""
         program = _loop_program()
-        cache = ShardedPlanCache(tmp_path)
-        unchunked = cache.get(program, TEST_LOOP)
-        chunked = cache.get(program, TEST_LOOP, chunk=16)
-        assert unchunked is not chunked
-        assert cache.misses == 2
+        cold = SessionCore.build(program, TEST_LOOP, tuning=None,
+                                 cache=ShardedPlanCache(tmp_path))
+
+        def boom(*a, **k):  # pragma: no cover - fails the test if reached
+            raise AssertionError("a disk hit must not compile")
+
+        monkeypatch.setattr(cache_mod, "compile_program", boom)
+        monkeypatch.setattr("repro.serve.session.compile_program", boom)
+        cache = ShardedPlanCache(tmp_path)  # a restart: nothing in memory
+        warm = SessionCore.build(program, TEST_LOOP, tuning=None, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert warm.fingerprint == cold.fingerprint
 
     @pytest.mark.slow
     def test_a_disk_hit_never_compiles(self, tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from repro.core.trace import (
     packing_ops,
     s2c_ops,
     se_chain_ops,
+    strategy_costs,
     trace_model,
 )
 from repro.data import synthetic_digits
@@ -124,3 +125,34 @@ class TestTraceModel:
             summed += p.ops
         assert total.mod_mul == summed.mod_mul
         assert total.ntt == summed.ntt
+
+
+class TestStrategyCosts:
+    def test_athena_beats_cheetah_on_paper_shape(self):
+        from repro.core.encoding import TABLE2_SHAPES
+
+        row = strategy_costs(TABLE2_SHAPES[0], ATHENA)
+        assert row["pick"] == "athena"
+        assert row["cheetah"] > row["athena"]
+
+
+class TestZooSweep:
+    """Every zoo model (resnet56 and the grouped-conv mobile_cnn included)
+    lowers through the registry and is costed at paper params."""
+
+    @pytest.mark.parametrize(
+        "name", ["mnist_cnn", "lenet", "resnet20", "resnet56", "mobile_cnn"])
+    def test_lower_and_trace(self, name):
+        from repro.data import synthetic_cifar
+        from repro.quant.models import build, input_shape
+
+        rng = np.random.default_rng(7)
+        shape = input_shape(name)
+        x = (synthetic_digits(64, rng)[0] if shape == (1, 28, 28)
+             else synthetic_cifar(64, rng)[0])
+        width = 0.5 if name == "mobile_cnn" else 0.25
+        model = build(name, rng=np.random.default_rng(11), width=width)
+        qm = quantize_model(model, x[:32], QuantConfig(7, 7), name=name)
+        first = trace_model(qm, ATHENA, softmax=False).totals()
+        again = trace_model(qm, ATHENA, softmax=False).totals()
+        assert first.mod_mul > 0 and first == again
