@@ -35,11 +35,6 @@ import numpy as np
 from repro.errors import EncodingError
 
 
-def conv_output_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
-    """Spatial output size of a convolution."""
-    return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
-
-
 # ---------------------------------------------------------------------------
 # Concrete single-ciphertext encoding (validates Eq. 1 end to end)
 # ---------------------------------------------------------------------------
@@ -55,23 +50,26 @@ def encode_features(m: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def t_index(cout: int, cin: int, h: int, w: int, wk: int) -> int:
+    """Eq. 1's T on an ``(h, w)`` grid: the kernel polynomial's top coefficient,
+    and the coefficient of output ``(0, 0, 0)``. The one statement of it."""
+    return h * w * (cout * cin - 1) + w * (wk - 1) + wk - 1
+
+
 def encode_kernels(k: np.ndarray, h: int, w: int, n: int) -> np.ndarray:
     """Eq. 1 kernel layout (output-channel-major, Athena ordering)."""
     cout, cin, wk, wk2 = k.shape
     if wk != wk2:
         raise EncodingError("kernels must be square")
-    hw = h * w
-    t_index = hw * (cout * cin - 1) + w * (wk - 1) + wk - 1
-    if t_index >= n:
+    top = t_index(cout, cin, h, w, wk)
+    if top >= n:
         raise EncodingError(
-            f"conv ({cout},{cin},{h},{w},{wk}) needs degree > {t_index}, have {n}"
+            f"conv ({cout},{cin},{h},{w},{wk}) needs degree > {top}, have {n}"
         )
+    taps = np.arange(wk, dtype=np.int64)
+    chan = np.arange(cout * cin, dtype=np.int64).reshape(cout, cin, 1, 1) * (h * w)
     out = np.zeros(n, dtype=np.int64)
-    for cp in range(cout):
-        for c in range(cin):
-            for i in range(wk):
-                for j in range(wk):
-                    out[t_index - cp * cin * hw - c * hw - i * w - j] = k[cp, c, i, j]
+    out[top - chan - taps[:, None] * w - taps] = k
     return out
 
 
@@ -89,17 +87,9 @@ def extract_conv_outputs(
     ``h``/``w`` are the (already padded) input sizes; valid positions are
     h' <= H - Wk, w' <= W - Wk on the stride grid.
     """
-    hw = h * w
-    t_index = hw * (cout * cin - 1) + w * (wk - 1) + wk - 1
-    oh = (h - wk) // stride + 1
-    ow = (w - wk) // stride + 1
-    out = np.empty((cout, oh, ow), dtype=product.dtype)
-    for cp in range(cout):
-        base = t_index - cp * cin * hw
-        for a in range(oh):
-            for b in range(ow):
-                out[cp, a, b] = product[base + a * stride * w + b * stride]
-    return out
+    oh, ow = (h - wk) // stride + 1, (w - wk) // stride + 1
+    positions = valid_output_positions(cout, cin, h, w, wk, stride)
+    return product[positions].reshape(cout, oh, ow)
 
 
 def conv_via_coefficients(
@@ -136,58 +126,36 @@ def lane_span(cout: int, cin: int, h: int, w: int, wk: int) -> int:
     degree. ``h``/``w`` are the padded input sizes; an FC layer is the
     ``h = w = wk = 1`` case.
     """
-    hw = h * w
-    t_index = hw * (cout * cin - 1) + w * (wk - 1) + wk - 1
-    return t_index + cin * hw
+    return t_index(cout, cin, h, w, wk) + cin * h * w
+
+
+def output_cells(
+    cout: int, cin: int, gh: int, gw: int, wk: int, ys, xs
+) -> np.ndarray:
+    """Coefficients of M_hat*K_hat holding output ``(c', y, x)`` for every
+    channel, grid row in ``ys`` and grid column in ``xs`` — C order.
+
+    The image may sit anywhere inside the ``(gh, gw)`` coefficient grid as
+    long as everything outside it is an exact zero (the invariant every
+    refresh round maintains): the product at ``t_index - c'*cin*gh*gw +
+    y*gw + x`` is then the kernel's window sum anchored at grid cell
+    ``(y, x)``.
+    """
+    base = t_index(cout, cin, gh, gw, wk) - np.arange(cout, dtype=np.int64) * (
+        cin * gh * gw)
+    ys = np.asarray(ys, dtype=np.int64) * gw
+    xs = np.asarray(xs, dtype=np.int64)
+    return (base[:, None, None] + ys[None, :, None] + xs[None, None, :]).reshape(-1)
 
 
 def valid_output_positions(
     cout: int, cin: int, h: int, w: int, wk: int, stride: int
 ) -> np.ndarray:
-    """Coefficient indices holding valid conv outputs (for sample extract)."""
-    hw = h * w
-    t_index = hw * (cout * cin - 1) + w * (wk - 1) + wk - 1
-    oh = (h - wk) // stride + 1
-    ow = (w - wk) // stride + 1
-    idx = np.empty(cout * oh * ow, dtype=np.int64)
-    pos = 0
-    for cp in range(cout):
-        base = t_index - cp * cin * hw
-        for a in range(oh):
-            for b in range(ow):
-                idx[pos] = base + a * stride * w + b * stride
-                pos += 1
-    return idx
-
-
-def grid_output_positions(
-    cout: int, cin: int, gh: int, gw: int, wk: int, stride: int,
-    oh: int, ow: int, oy: int, ox: int,
-) -> np.ndarray:
-    """Valid-output positions for a conv reading an interior image window.
-
-    Generalizes :func:`valid_output_positions` to a feature layout whose
-    image sits at offset ``(oy, ox)`` inside a ``(gh, gw)`` coefficient
-    grid with exact zeros outside the image (the invariant every refresh
-    round's placed packing maintains). The conv's output sample ``(cp, a,
-    b)`` then lives at ``t_index - cp*cin*gh*gw + (oy + a*stride)*gw +
-    (ox + b*stride)`` — with ``(gh, gw)`` equal to the padded input and
-    ``oy = ox = 0`` this is exactly :func:`valid_output_positions`.
-    ``oy``/``ox`` here are the window origin *after* subtracting the
-    conv's own pad from the layout offset; the caller guarantees
-    ``oy, ox >= 0`` (the layout's interior margin covers the pad).
-    """
-    ghw = gh * gw
-    t_index = ghw * (cout * cin - 1) + gw * (wk - 1) + wk - 1
-    idx = np.empty(cout * oh * ow, dtype=np.int64)
-    pos = 0
-    for cp in range(cout):
-        base = t_index - cp * cin * ghw
-        for a in range(oh):
-            for b in range(ow):
-                idx[pos] = base + (oy + a * stride) * gw + (ox + b * stride)
-                pos += 1
-    return idx
+    """Coefficient indices holding valid conv outputs (for sample extract):
+    :func:`output_cells` on the stride grid of an image filling ``(h, w)``."""
+    return output_cells(
+        cout, cin, h, w, wk,
+        np.arange(0, h - wk + 1, stride), np.arange(0, w - wk + 1, stride))
 
 
 # ---------------------------------------------------------------------------

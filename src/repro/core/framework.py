@@ -24,15 +24,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro.core.encoding import encode_features
-from repro.core.plan import (
-    CompiledLinear,
-    CompiledPool,
-    CompiledProgram,
-    CompiledRemap,
-    CompiledResidual,
-    RefreshRound,
-    compile_program,
-)
+from repro.core.plan import CompiledProgram, RefreshRound, compile_program
 from repro.fhe.slots import pack_lane_coeffs, row_swap_element
 from repro.core.program import (
     AthenaProgram,
@@ -264,22 +256,22 @@ class CiphertextExecutor(ProgramExecutor):
     artifacts are resolved by *step index*, never by object identity, so a
     deserialized plan drives any equivalent re-lowered program.
 
-    The *first* linear step receives the raw quantized input array and
-    performs the client-side encode (including any zero-padding) + encrypt.
-    Interior layers chain through the plan's feature layouts: each refresh
-    round *places* its LWE samples directly onto the next consumer's
-    required rows (compact Eq. 1 order for plain conv/FC chains — the
-    historical, byte-identical path — or a padded interior grid whose
-    exact-zero margin supplies the next convolution's zero padding).
+    The entry step — always a conv/FC; :meth:`CompiledProgram.bind` checks
+    it once — receives the raw quantized input array and performs the
+    client-side encode (including any zero-padding) + encrypt. Interior
+    layers chain through the plan's feature layouts: every refresh round
+    places its LWE samples onto the next consumer's rows (compact Eq. 1
+    order, or a padded interior grid whose margin is the next convolution's
+    zero padding) and zeroes every row it leaves, for any table.
 
     MAC-domain max-pool fusion replays the plan's ``(delta, round)`` tree
     (``max(a, b) = b + relu(a - b)`` per level, one exact monomial shift +
     one ReLU refresh round each); average/global pooling runs as a
     depthwise all-ones PMult followed by a division-LUT refresh; residual
     joins add the branch ciphertexts (``main + alpha * skip``) and refresh
-    through the block's wide-scale LUT. Steps whose artifacts did not fit
-    the parameter set are opaque in the plan and raise
-    :class:`ParameterError` only when actually reached.
+    through the block's wide-scale LUT. A step the parameter set cannot hold
+    fails :func:`compile_program`; a plan that is not this program's fails
+    ``bind`` — nothing is re-checked per step or per request.
     """
 
     def __init__(
@@ -305,11 +297,8 @@ class CiphertextExecutor(ProgramExecutor):
             )
         self.plan = plan
         self.lanes = lanes
-        #: Satellite of the plan split: runtime steps resolve to plan
-        #: artifacts positionally (``bind`` guarantees alignment), walking
-        #: residual branches in parallel; nested steps of an *opaque*
-        #: residual map to the opaque itself, so reaching them raises the
-        #: same clean error as reaching the block.
+        #: Runtime steps resolve to plan artifacts positionally (``bind``
+        #: guarantees alignment), walking residual branches in parallel.
         self._artifacts: dict[int, object] = {}
         self._index_steps(program.steps, plan.steps)
         self.out_count = 0
@@ -321,33 +310,14 @@ class CiphertextExecutor(ProgramExecutor):
         for step, cstep in zip(steps, csteps):
             self._artifacts[id(step)] = cstep
             if step.kind == "residual":
-                inner = isinstance(cstep, CompiledResidual)
-                body_c = (
-                    cstep.body if inner else [cstep] * len(step.body.steps)
-                )
-                self._index_steps(step.body.steps, body_c)
+                self._index_steps(step.body.steps, cstep.body)
                 if step.shortcut is not None:
-                    sc = (
-                        cstep.shortcut
-                        if inner and cstep.shortcut is not None
-                        else [cstep] * len(step.shortcut.steps)
-                    )
-                    self._index_steps(step.shortcut.steps, sc)
-
-    def _compiled(self, step, want: type):
-        cstep = self._artifacts[id(step)]
-        if not isinstance(cstep, want):
-            raise ParameterError(
-                f"step {step.name!r} has no ciphertext lowering under this "
-                f"parameter set (compiled as {getattr(cstep, 'kind', '?')!r} "
-                "placeholder)"
-            )
-        return cstep
+                    self._index_steps(step.shortcut.steps, cstep.shortcut)
 
     def linear(self, step: LinearStep, value) -> BfvCiphertext:
         pipe, params = self.pipe, self.pipe.params
         layer = step.layer
-        cstep = self._compiled(step, CompiledLinear)
+        cstep = self._artifacts[id(step)]
         n = params.n
         layout = (
             cstep.lane_layout(self.lanes, params) if self.lanes > 1 else None
@@ -396,12 +366,11 @@ class CiphertextExecutor(ProgramExecutor):
         Mod-switch + extract at the round's positions, scatter the samples
         onto its pack rows (gap rows are trivial zero encryptions), pack +
         FBS through its table, zero the unfilled rows exactly with its
-        ``-LUT(0)`` plaintext, and return to coefficients.
+        ``-LUT(0)`` plaintext (absent only when there is nothing to cancel),
+        and return to coefficients.
         """
         pipe = self.pipe
-        batch = pipe.refresh_to_lwe(ct, rnd.positions)
-        if rnd.rows is not None:
-            batch = batch.place(rnd.rows, rnd.height)
+        batch = pipe.refresh_to_lwe(ct, rnd.positions).place(rnd.rows, rnd.height)
         boot = pipe.bootstrap(batch, rnd.lut, plan=rnd.fbs)
         if rnd.correction is not None:
             with pipe._dispatch(), current_backend().phase("fbs"):
@@ -452,23 +421,11 @@ class CiphertextExecutor(ProgramExecutor):
         positions; the mandatory following :meth:`remap` step refreshes
         them through the division LUT.
         """
-        cstep = self._compiled(step, CompiledPool)
-        if isinstance(value, np.ndarray):
-            raise ParameterError(
-                f"pooling step {step.name!r} cannot be the program's entry "
-                "step on the real-ciphertext backend"
-            )
-        return self.pipe.linear(value, cstep.kernel)
+        return self.pipe.linear(value, self._artifacts[id(step)].kernel)
 
     def remap(self, step: RemapStep, value):
         """A bare LUT refresh round (the pooling division tables)."""
-        cstep = self._compiled(step, CompiledRemap)
-        if isinstance(value, np.ndarray):
-            raise ParameterError(
-                f"remap step {step.name!r} cannot be the program's entry "
-                "step on the real-ciphertext backend"
-            )
-        return self._close(value, cstep.round, step.s2c)
+        return self._close(value, self._artifacts[id(step)].round, step.s2c)
 
     def _close(self, ct: BfvCiphertext, rnd: RefreshRound, s2c: bool):
         """Refresh a single-image round and record the tail geometry."""
@@ -483,12 +440,7 @@ class CiphertextExecutor(ProgramExecutor):
         time, so the join itself is ``main + alpha * skip`` followed by
         one standard refresh round placed into the next consumer's layout.
         """
-        cstep = self._compiled(step, CompiledResidual)
-        if isinstance(main, np.ndarray) or isinstance(skip, np.ndarray):
-            raise ParameterError(
-                f"residual block {step.name!r} cannot be the program's "
-                "entry step on the real-ciphertext backend"
-            )
+        cstep = self._artifacts[id(step)]
         pipe = self.pipe
         with pipe._dispatch(), current_backend().phase("residual"):
             if cstep.alpha != 1:

@@ -27,11 +27,13 @@ compiler walks the program once, computes the coefficient layout each
 step *requires* of its input (a padded grid for a pad > 0 convolution,
 compact rows for an FC head), and compiles every :class:`RefreshRound` to
 pack its LWE samples directly into the next consumer's layout
-(:attr:`RefreshRound.rows`). The gap rows are trivial zero encryptions,
-and a LUT(0) != 0 dead-slot correction keeps them *exact* zeros after S2C
-— which is precisely what lets a placed layout's margin act as the next
-convolution's zero padding. Compact targets keep the historical
-pack-nothing path, so plain conv/FC chains run the identical op sequence.
+(:attr:`RefreshRound.rows` — always explicit; the compact layout is
+``arange(count)``). The rows a round does not fill are trivial zero
+encryptions, and its ``-LUT(0)`` correction keeps them *exact* zeros after
+S2C for any table — which is what makes the next layer's Eq. 1 product a
+convolution, and what lets a placed layout's margin act as the next
+convolution's zero padding. A convolution compiles on whichever grid its
+input arrives on (:func:`_eq1`), an FC as the ``1 x 1`` grid.
 
 MAC-domain max-pool fusion compiles to a tree of ``(delta, round)``
 levels: ``max(a, b) = b + relu(a - b)`` evaluated with one exact monomial
@@ -63,11 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.encoding import (
-    encode_kernels,
-    grid_output_positions,
-    lane_span,
-)
+from repro.core.encoding import encode_kernels, lane_span, output_cells
 from repro.core.program import AthenaProgram, LinearStep
 from repro.errors import EncodingError, ParameterError
 from repro.fhe.backend import current_backend
@@ -80,10 +78,10 @@ from repro.fhe.slots import lane_positions
 
 __all__ = [
     "CompiledLinear",
-    "CompiledOpaque",
     "CompiledPool",
     "CompiledProgram",
     "CompiledRemap",
+    "CompiledReshape",
     "CompiledResidual",
     "FeatureLayout",
     "LaneLayout",
@@ -157,7 +155,7 @@ class FeatureLayout:
     """Where a logical feature tensor lives in a ciphertext's coefficients.
 
     ``grid=None`` is the compact layout: element ``i`` (C-order) at
-    coefficient ``i`` — the historical layer-chaining convention. With a
+    coefficient ``i``. With a
     ``(gh, gw)`` grid, channel ``c``'s image sits inside an interior window
     at ``offset=(oy, ox)``: element ``(c, i, j)`` at coefficient
     ``c*gh*gw + (oy+i)*gw + (ox+j)``, with the margin coefficients *exact*
@@ -212,28 +210,25 @@ def _compact(shape) -> FeatureLayout:
     return FeatureLayout(tuple(int(d) for d in shape))
 
 
-def _is_plain(layout: FeatureLayout | None) -> bool:
-    return layout is None or layout.is_compact()
-
-
 @dataclass(frozen=True)
 class RefreshRound:
     """One turn of the paper's loop after the linear step (Fig. 2).
 
     Steps 2-3 mod-switch the ciphertext and extract the LWE samples at
     ``positions``; step 4 packs sample ``i`` onto row ``rows[i]`` of a
-    zero-padded batch of ``height`` rows (``rows=None``: rows ``0..count-1``,
-    nothing placed); step 5 evaluates ``lut`` through its BSGS schedule
-    ``fbs``; ``correction`` — the slot-encoded ``-LUT(0)`` over every row the
-    round did *not* fill, ``None`` when LUT(0) = 0 or nothing is placed —
-    makes those rows exact zeros again, so after S2C sample ``i`` sits alone
-    at coefficient ``rows[i]``. Every refresh the executor runs — a layer's
+    zero-padded batch of ``height`` rows (the compact layout is
+    ``rows = arange(count)``); step 5 evaluates ``lut`` through its BSGS
+    schedule ``fbs``; ``correction`` — the slot-encoded ``-LUT(0)`` over every
+    row the round did *not* fill, ``None`` only when LUT(0) = 0 or all ``n``
+    rows are filled — makes those rows exact zeros again, so after S2C sample
+    ``i`` sits alone at coefficient ``rows[i]`` and everything else is an
+    exact zero. Every refresh the executor runs — a layer's
     tail, a lane batch, a max-tree level, a remap, a residual join — is one
     of these, built by :func:`_refresh_round`.
     """
 
     positions: np.ndarray
-    rows: np.ndarray | None
+    rows: np.ndarray
     height: int
     lut: FbsLut
     fbs: FbsPlan
@@ -244,18 +239,18 @@ class RefreshRound:
         return self.positions.shape[0]
 
 
-def _refresh_round(positions: np.ndarray, rows: np.ndarray | None, lut: FbsLut,
+def _refresh_round(positions: np.ndarray, rows: np.ndarray, lut: FbsLut,
                    fbs: FbsPlan, params: FheParams) -> RefreshRound:
     """The one builder of a round — and of its ``-LUT(0)`` plaintext."""
     correction = None
     lut0 = int(lut.values[0])
-    if rows is not None and lut0:
+    if lut0 and rows.size < params.n:
         vals = np.full(params.n, -lut0 % params.t, dtype=np.int64)
         vals[rows] = 0
         correction = Plaintext.from_slots(vals, params)
         correction.add_operand()
-    height = positions.shape[0] if rows is None else int(rows.max()) + 1
-    return RefreshRound(positions, rows, height, lut, fbs, correction)
+    return RefreshRound(
+        positions, rows, int(rows.max()) + 1, lut, fbs, correction)
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,7 @@ class LaneLayout:
     each lane's coefficients are exactly where the *next* layer's lane ``d``
     expects its input (``out_stride`` = the next step's lane span; the tail
     packs compactly at ``out_stride = count``). Gap rows are trivial zero
-    encryptions, exact zeros end to end.
+    encryptions, made exact zeros again by the round's own correction.
     """
 
     lanes: int
@@ -316,9 +311,9 @@ class CompiledLinear:
         if cached is not None:
             return cached
         base = self.round
-        if base.rows is not None or self.pool_rounds is not None:
+        if self.pool_rounds is not None:
             raise ParameterError(
-                "placed layouts and fused pooling do not support lane batching")
+                "a fused max tree shifts one image's cells: no lane batching")
         if self.lane_span <= 0 or self.lane_out_stride <= 0:
             raise ParameterError(
                 f"step {self.name!r} carries no lane geometry (stale plan?)")
@@ -327,8 +322,7 @@ class CompiledLinear:
             raise ParameterError(
                 f"{lanes} lanes of span {self.lane_span} exceed n={n}")
         positions = lane_positions(base.positions, self.lane_span, lanes, n)
-        rows = lane_positions(
-            np.arange(base.count, dtype=np.int64), self.lane_out_stride, lanes, n)
+        rows = lane_positions(base.rows, self.lane_out_stride, lanes, n)
         bias = None
         if self.bias is not None:
             coeffs = np.zeros(n, dtype=np.int64)
@@ -396,14 +390,13 @@ class CompiledResidual:
 
 
 @dataclass(frozen=True)
-class CompiledOpaque:
-    """Placeholder for steps with no compile-time artifacts (reshape) and
-    steps whose artifacts did not fit this parameter set (the executor
-    raises its usual error when such a step is actually reached)."""
+class CompiledReshape:
+    """A flatten: free on ciphertexts, so it has no compile-time artifacts
+    (the wire's flagged placeholder)."""
 
     index: int
     name: str
-    kind: str
+    kind: str = field(default="reshape", init=False)
 
 
 @dataclass
@@ -421,22 +414,41 @@ class CompiledProgram:
     s2c: S2CPlan
     model_hash: str
     name: str = "model"
-    #: Images one ciphertext can carry through the whole program (>= 1).
-    #: 1 means single-image only — placed layouts, pooling, residual joins,
-    #: and LUTs with LUT(0) != 0 (whose dead slots are not exact zeros) all
-    #: disable lane batching.
+    #: Images one ciphertext can carry through the whole program (>= 1):
+    #: the ring-size bound over a chain of conv/FC rounds, and 1 (single
+    #: image only) for a fused max tree and for pool / remap / residual
+    #: steps, whose geometry is one image's (see :func:`_annotate_lanes`).
     batch_capacity: int = 1
 
     def bind(self, program: AthenaProgram, params: FheParams) -> "CompiledProgram":
         """Validate that this plan was compiled from ``program`` (same
         structure, weights and LUT recipes) under ``params``;
         return ``self`` so loaders can chain. A plan — compiled or loaded —
-        is complete: binding never builds anything."""
+        is complete: binding never builds anything.
+
+        This is the executor's one boundary check: the step trees align kind
+        for kind and the entry step is linear (it encrypts the input), so no
+        per-request handler re-tests what it was handed."""
         if params_fingerprint(params) != params_fingerprint(self.params):
             raise ParameterError("plan was compiled for different parameters")
         if self.model_hash != program_fingerprint(program):
             raise ParameterError("plan was compiled for a different model")
+        if not _aligned(program.steps, self.steps):
+            raise ParameterError("plan steps do not align with the program's")
+        entry = next((s for s in self.steps if s.kind != "reshape"), None)
+        if entry is None or entry.kind != "linear":
+            raise ParameterError("the program's entry step must be a conv/FC")
         return self
+
+
+def _aligned(steps: list, csteps: list) -> bool:
+    """Same step kinds in the same order, through both residual branches."""
+    return len(steps) == len(csteps) and all(
+        step.kind == cstep.kind and (step.kind != "residual" or (
+            _aligned(step.body.steps, cstep.body)
+            and _aligned(step.shortcut.steps if step.shortcut else [],
+                         cstep.shortcut or [])))
+        for step, cstep in zip(steps, csteps))
 
 
 def _annotate_lanes(steps: list, params: FheParams) -> int:
@@ -444,41 +456,38 @@ def _annotate_lanes(steps: list, params: FheParams) -> int:
 
     Each interior layer's lanes must exit at the *next* layer's input stride
     (its lane span) so that S2C drops lane ``d``'s outputs exactly where lane
-    ``d``'s next input block begins; the tail packs lanes compactly. Capacity
-    is the ring-size bound ``min_j n // lane_span_j`` (and ``n // count``
-    for the compact tail). The chain is re-derived after deserialization, so
-    a loaded plan batches identically to a freshly compiled one.
+    ``d``'s next input block begins — the round's own rows, tiled at that
+    stride, whatever layout they place into; the tail packs lanes compactly.
+    Capacity is the ring-size bound ``min_j n // lane_span_j`` (and
+    ``n // count`` for the compact tail). The chain is re-derived after
+    deserialization, so a loaded plan batches identically to a freshly
+    compiled one.
     """
-    linears = [s for s in steps if isinstance(s, CompiledLinear)]
-    if not linears:
-        return 1
-    for cur, nxt in zip(linears, linears[1:]):
-        cur.lane_out_stride = nxt.lane_span
-    tail = linears[-1]
-    tail.lane_out_stride = tail.round.count
-    capacity = params.n
+    capacity, tail = params.n, None
     for step in steps:
-        if isinstance(step, CompiledLinear):
-            if (
-                step.round.rows is not None
-                or step.pool_rounds is not None
-                or int(step.round.lut.values[0]) != 0
-            ):
-                return 1
-            capacity = min(capacity, params.n // max(1, step.lane_span))
-        elif step.kind != "reshape":
-            # Steps whose geometry is single-image by construction (pooling,
-            # residual joins) or that the executor cannot run anyway.
+        if step.kind == "reshape":
+            continue
+        if step.kind != "linear" or step.pool_rounds is not None:
+            # One image's geometry by construction: pool / remap / residual
+            # steps address one image's coefficients (window sums, the join
+            # layout), and a max-tree level shifts the whole ciphertext by
+            # one image's cell distance and refreshes back onto its cells.
             return 1
-    capacity = min(capacity, params.n // max(1, tail.round.count))
+        if tail is not None:
+            tail.lane_out_stride = step.lane_span
+        capacity = min(capacity, params.n // max(1, step.lane_span))
+        tail = step
+    if tail is not None:
+        tail.lane_out_stride = tail.round.count
+        capacity = min(capacity, params.n // tail.round.count)
     return max(1, capacity)
 
 
 def _pack_rows_for(target: FeatureLayout | None, out_count: int,
-                   params: FheParams) -> np.ndarray | None:
-    """Resolve a refresh round's placement rows (``None`` = compact)."""
-    if target is None or target.is_compact():
-        return None
+                   params: FheParams) -> np.ndarray:
+    """Resolve a refresh round's pack rows: the target layout's, or compact."""
+    if target is None:
+        return np.arange(out_count, dtype=np.int64)
     if target.count != out_count:
         raise ParameterError(
             f"target layout holds {target.count} values, round produces "
@@ -588,43 +597,59 @@ def _mac_relu_lut(t: int) -> FbsLut:
     return FbsLut.from_function(lambda v: np.maximum(v, 0), t, name="mac-relu")
 
 
-def _pool_tree(layer, pool, gh: int, gw: int, oy: int, ox: int,
-               n: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
+def _eq1(name: str, weight: np.ndarray, grid: tuple, origin: tuple,
+         stride: int, out_hw: tuple, params: FheParams):
+    """The one Eq. 1 derivation: kernel operand, lane span and extraction
+    positions of a ``(cout, cin, wk, wk)`` stack on a ``(gh, gw)`` grid whose
+    ``oh x ow`` output window starts at grid cell ``origin``.
+
+    It fits when every output lies inside the ring (which bounds the kernel:
+    output ``(0, 0, 0)`` sits at or above its top coefficient) and the
+    product's negacyclic wrap — coefficients ``[0, span - n)`` — stays below
+    all of them.
+    """
+    cout, cin, wk, _ = weight.shape
+    (gh, gw), (oy, ox), (oh, ow), n = grid, origin, out_hw, params.n
+    span = lane_span(cout, cin, gh, gw, wk)
+    positions = output_cells(
+        cout, cin, gh, gw, wk,
+        oy + np.arange(oh) * stride, ox + np.arange(ow) * stride)
+    if (not positions.size or int(positions.max()) >= n
+            or span - n > int(positions.min())):
+        raise EncodingError(
+            f"step {name!r}: the Eq. 1 product of a ({cout},{cin},{wk},{wk}) "
+            f"kernel on a {gh}x{gw} grid (span {span}) does not fit degree {n}")
+    kernel = Plaintext.from_coeffs(encode_kernels(weight, gh, gw, n), params)
+    kernel.pmult_operand()
+    return kernel, span, positions
+
+
+def _pool_tree(step: LinearStep, grid: tuple,
+               origin: tuple) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
     """Build the MAC-domain max levels, each ``(delta, kept cells)``, + the
     final pooled extraction positions.
 
-    Cell ``(cp, a, b)`` of the conv's output grid sits at coefficient
-    ``t_index - cp*cin*gh*gw + (oy + a*s)*gw + (ox + b*s)``; window
-    partners are therefore a *uniform* coefficient distance apart across
-    all channels and rows, which is what lets one monomial shift serve
-    the whole SIMD batch. Supported windows: kernel == stride, power of
-    two (every zoo pool), full windows only (im2col semantics).
+    Conv output ``(cp, a, b)`` sits at grid cell ``(oy + a*s, ox + b*s)`` of
+    :func:`repro.core.encoding.output_cells`; window partners are therefore
+    a *uniform* coefficient distance apart across all channels and rows,
+    which is what lets one monomial shift serve the whole SIMD batch.
+    Supported windows: kernel == stride, power of two (every zoo pool), full
+    windows only (im2col semantics).
     """
+    layer, pool = step.layer, step.fused_pool
     k, ps = pool.kernel, pool.stride
     if k != ps or k < 2 or k & (k - 1):
         raise ParameterError(
-            f"fused max-pool needs kernel == stride, power of two; got "
-            f"kernel={k} stride={ps}")
-    cout = layer.weight.shape[0]
-    cin = layer.in_shape[0]
+            f"fused max-pool of step {step.name!r} needs kernel == stride, "
+            f"power of two; got kernel={k} stride={ps}")
+    cout, cin, wk, _ = layer.weight.shape
     s = layer.stride
     _, oh, ow = layer.out_shape
-    ghw = gh * gw
-    wk = layer.weight.shape[2]
-    t_index = ghw * (cout * cin - 1) + gw * (wk - 1) + wk - 1
-
-    def cell(cp: int, a: int, b: int) -> int:
-        return t_index - cp * cin * ghw + (oy + a * s) * gw + (ox + b * s)
+    (gh, gw), (oy, ox) = grid, origin
 
     def positions_for(ys, xs) -> np.ndarray:
-        out = np.empty(cout * len(ys) * len(xs), dtype=np.int64)
-        pos = 0
-        for cp in range(cout):
-            for a in ys:
-                for b in xs:
-                    out[pos] = cell(cp, a, b)
-                    pos += 1
-        return out
+        return output_cells(cout, cin, gh, gw, wk,
+                            oy + np.asarray(ys) * s, ox + np.asarray(xs) * s)
 
     levels = k.bit_length() - 1
     origins_y = list(range(0, oh - k + 1, k))
@@ -638,10 +663,7 @@ def _pool_tree(layer, pool, gh: int, gw: int, oy: int, ox: int,
         steph = 1 << (r + 1)
         ys = [y0 + o for y0 in origins_y for o in range(0, k, steph)]
         rounds.append(((1 << r) * s * gw, positions_for(ys, origins_x)))
-    final = positions_for(origins_y, origins_x)
-    if final.size and int(final.max()) >= n:
-        raise ParameterError("pooled positions overflow the ring")
-    return rounds, final
+    return rounds, positions_for(origins_y, origins_x)
 
 
 def _compile_linear(
@@ -654,72 +676,44 @@ def _compile_linear(
 ) -> CompiledLinear:
     layer = step.layer
     n = params.n
-    grid = None
-    oy = ox = 0
     if step.op == "conv":
-        cin, h, w = layer.in_shape
-        hp, wp = h + 2 * layer.pad, w + 2 * layer.pad
-        own_grid = FeatureLayout((cin, h, w), (hp, wp),
-                                 (layer.pad, layer.pad))
-        if (
-            _is_plain(in_layout)
-            or (in_layout.grid == own_grid.grid
-                and tuple(in_layout.offset) == own_grid.offset)
-        ):
-            # The historical path: the input sits on the conv's own padded
-            # grid (client-side np.pad for the entry step, or a placed
-            # layout matching it exactly). Byte-identical artifacts.
-            grid = (hp, wp)
-            kernel_coeffs = encode_kernels(layer.weight, hp, wp, n)
-            span = lane_span(
-                layer.weight.shape[0], cin, hp, wp, layer.weight.shape[-1])
-            positions_full = step.output_positions()
+        weight, stride, pad = layer.weight, layer.stride, layer.pad
+        _, h, w = layer.in_shape
+        out_hw = layer.out_shape[1:]
+        if in_layout is None:
+            # The entry image: the client zero-pads it onto the
+            # convolution's own padded grid, window at the origin.
+            grid, origin = (h + 2 * pad, w + 2 * pad), (0, 0)
         else:
-            gh, gw = in_layout.grid
-            loy, lox = in_layout.offset
-            oy, ox = loy - layer.pad, lox - layer.pad
-            if oy < 0 or ox < 0:
+            # The grid the input arrives on (compact: the bare image), whose
+            # exact-zero margin is this convolution's zero padding.
+            grid = in_layout.grid or (h, w)
+            origin = (in_layout.offset[0] - pad, in_layout.offset[1] - pad)
+            if min(origin) < 0:
                 raise ParameterError(
-                    f"layout margin ({loy},{lox}) cannot cover pad "
-                    f"{layer.pad} for step {step.name!r}")
-            grid = (gh, gw)
-            kernel_coeffs = encode_kernels(layer.weight, gh, gw, n)
-            span = lane_span(
-                layer.weight.shape[0], cin, gh, gw, layer.weight.shape[-1])
-            if span > n:
-                raise ParameterError(
-                    f"step {step.name!r} needs span {span} on its placed "
-                    f"grid, have n={n}")
-            _, oh, ow = layer.out_shape
-            positions_full = grid_output_positions(
-                layer.weight.shape[0], cin, gh, gw, layer.weight.shape[-1],
-                layer.stride, oh, ow, oy, ox)
+                    f"layout margin {tuple(in_layout.offset)} cannot cover "
+                    f"pad {pad} for step {step.name!r}")
     else:
-        # An FC layer is the Wk = H = W = 1 case of the Eq. 1 encoding.
-        kernel_coeffs = encode_kernels(layer.weight[:, :, None, None], 1, 1, n)
-        span = lane_span(layer.weight.shape[0], layer.weight.shape[1], 1, 1, 1)
-        positions_full = step.output_positions()
-    kernel = Plaintext.from_coeffs(kernel_coeffs, params)
-    kernel.pmult_operand()
-
-    if positions_full.shape[0] > n:
-        raise ParameterError("more outputs than slots")
+        # An FC layer is Eq. 1 on the 1 x 1 grid.
+        weight, stride = layer.weight[:, :, None, None], 1
+        grid, origin, out_hw = (1, 1), (0, 0), (1, 1)
+    kernel, span, positions = _eq1(
+        step.name, weight, grid, origin, stride, out_hw, params)
 
     bias = None
     if np.any(layer.bias):
         bias_coeffs = np.zeros(n, dtype=np.int64)
-        reps = positions_full.shape[0] // layer.bias.shape[0]
-        bias_coeffs[positions_full] = np.repeat(layer.bias, reps)
+        reps = positions.shape[0] // layer.bias.shape[0]
+        bias_coeffs[positions] = np.repeat(layer.bias, reps)
         bias = Plaintext.from_coeffs(bias_coeffs, params)
         bias.add_operand()
 
     pool_rounds = None
-    positions = positions_full
     if step.fused_pool is not None:
         if step.op != "conv":
-            raise ParameterError("fused pooling requires a convolution")
-        levels, positions = _pool_tree(
-            layer, step.fused_pool, grid[0], grid[1], oy, ox, n)
+            raise ParameterError(
+                f"fused pooling of step {step.name!r} requires a convolution")
+        levels, positions = _pool_tree(step, grid, origin)
         relu = _mac_relu_lut(params.t)
         relu_fbs = _fbs_plan(relu, params)
         pool_rounds = tuple(
@@ -747,27 +741,25 @@ def _compile_pool(step, index: int, params: FheParams,
             "(only MAC-domain fusion behind a monotone activation)")
     if layout is None or not layout.is_compact() or len(layout.shape) != 3:
         raise ParameterError(
-            f"pool step {step.name!r} needs a compact (C, H, W) input layout")
+            f"pool step {step.name!r} needs a compact (C, H, W) ciphertext "
+            "input (it cannot open the program)")
     c, h, w = layout.shape
     if step.op == "gap":
         if h != w:
-            raise ParameterError("global average pooling needs a square map")
+            raise ParameterError(
+                f"global average pooling {step.name!r} needs a square map")
         k, s = h, 1
     else:
         k, s = step.layer.kernel, step.layer.stride
     if k > min(h, w):
         raise ParameterError(
-            f"pool window {k} exceeds the {h}x{w} feature map")
-    if lane_span(c, c, h, w, k) > params.n:
-        raise ParameterError(
-            f"pool step {step.name!r} does not fit in degree {params.n}")
+            f"pool window {k} of step {step.name!r} exceeds the {h}x{w} "
+            "feature map")
     weight = np.zeros((c, c, k, k), dtype=np.int64)
     weight[np.arange(c), np.arange(c)] = 1
-    kernel = Plaintext.from_coeffs(
-        encode_kernels(weight, h, w, params.n), params)
-    kernel.pmult_operand()
-    positions = grid_output_positions(
-        c, c, h, w, k, s, (h - k) // s + 1, (w - k) // s + 1, 0, 0)
+    kernel, _, positions = _eq1(
+        step.name, weight, (h, w), (0, 0), s,
+        ((h - k) // s + 1, (w - k) // s + 1), params)
     return CompiledPool(
         index=index, name=step.name, kernel=kernel, positions=positions)
 
@@ -802,8 +794,8 @@ def _compile_residual(
 ) -> CompiledResidual:
     if in_layout is None:
         raise ParameterError(
-            f"residual block {step.name!r} cannot be the ciphertext "
-            "program's entry step")
+            f"residual block {step.name!r} needs a ciphertext input (it "
+            "cannot open the program)")
     if shape is None:
         raise ParameterError(
             f"residual block {step.name!r} has no tracked input shape")
@@ -848,13 +840,11 @@ def _compile_block(
     in_layout: FeatureLayout | None,
     final_target: FeatureLayout | None,
 ) -> list:
-    """Compile one step list, chaining layouts; degrade gracefully.
+    """Compile one step list, chaining layouts.
 
-    Steps that only the *new* machinery could realize (placed layouts,
-    fused pooling, pool/remap/residual rounds) compile to opaque
-    placeholders when their artifacts do not fit the parameter set, so
-    compiling a program never fails where running it would have
-    succeeded. Plain conv/FC rounds keep their historical error behavior.
+    A program is straight-line — a run reaches every step — so a step the
+    parameter set cannot hold fails the compile, with the per-kind
+    compiler's typed error naming it, exactly where the run would fail.
     """
     compiled: list = []
     cur_layout = in_layout
@@ -863,54 +853,23 @@ def _compile_block(
         out_shape = _shape_after(step, shape)
         target = _required_layout(steps, i + 1, out_shape, final_target)
         if step.kind == "linear":
-            plain = (
-                step.fused_pool is None
-                and _is_plain(target)
-                and (
-                    _is_plain(cur_layout)
-                    or (
-                        step.op == "conv"
-                        and cur_layout.grid == (
-                            step.layer.in_shape[1] + 2 * step.layer.pad,
-                            step.layer.in_shape[2] + 2 * step.layer.pad,
-                        )
-                        and tuple(cur_layout.offset) == (
-                            step.layer.pad, step.layer.pad)
-                    )
-                )
-            )
-            try:
-                compiled.append(_compile_linear(
-                    step, i, config, params, cur_layout, target))
-            except (EncodingError, ParameterError):
-                if plain:  # historical error behavior
-                    raise
-                compiled.append(CompiledOpaque(i, step.name, step.kind))
+            compiled.append(_compile_linear(
+                step, i, config, params, cur_layout, target))
             cur_layout = target
         elif step.kind == "pool":
-            try:
-                cstep = _compile_pool(step, i, params, cur_layout)
-            except (EncodingError, ParameterError):
-                cstep = CompiledOpaque(i, step.name, step.kind)
-            pending_pool = cstep if isinstance(cstep, CompiledPool) else None
-            compiled.append(cstep)
+            pending_pool = _compile_pool(step, i, params, cur_layout)
+            compiled.append(pending_pool)
         elif step.kind == "remap":
-            try:
-                compiled.append(_compile_remap(
-                    step, i, config, params, pending_pool, target))
-            except (EncodingError, ParameterError):
-                compiled.append(CompiledOpaque(i, step.name, step.kind))
+            compiled.append(_compile_remap(
+                step, i, config, params, pending_pool, target))
             pending_pool = None
             cur_layout = target
         elif step.kind == "residual":
-            try:
-                compiled.append(_compile_residual(
-                    step, i, config, params, cur_layout, target, shape))
-            except (EncodingError, ParameterError):
-                compiled.append(CompiledOpaque(i, step.name, step.kind))
+            compiled.append(_compile_residual(
+                step, i, config, params, cur_layout, target, shape))
             cur_layout = target
         else:  # reshape
-            compiled.append(CompiledOpaque(i, step.name, step.kind))
+            compiled.append(CompiledReshape(i, step.name))
         shape = out_shape
     return compiled
 
@@ -922,9 +881,9 @@ def compile_program(
 ) -> CompiledProgram:
     """Precompute every request-invariant artifact of ``program``.
 
-    Steps the ciphertext backend cannot execute compile to opaque
-    placeholders so that compiling a program never fails where running it
-    would have succeeded.
+    A program with a step the ciphertext backend cannot run under ``params``
+    raises that step's typed error here, when the plan is built — not on the
+    first request.
     """
     # ``tuning`` exists for benchmarks/ledger/tracing.py, its only caller.
     if tuning is not None:

@@ -58,13 +58,12 @@ drift from the lowered fusion decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from repro.core import lowering
-from repro.core.encoding import valid_output_positions
 from repro.errors import QuantizationError
 from repro.fhe.fbs import (
     FbsLut,
@@ -188,23 +187,6 @@ class LinearStep:
     out_values: int  # LUT-round size (after any fused pooling)
     fused_pool: QMaxPool | None = None
     s2c: bool = True
-    _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def output_positions(self) -> np.ndarray:
-        """Coefficient indices of the valid outputs under Eq. 1 encoding."""
-        if self._positions is None:
-            if self.op == "conv":
-                cin, h, w = self.layer.in_shape
-                hp, wp = h + 2 * self.layer.pad, w + 2 * self.layer.pad
-                self._positions = valid_output_positions(
-                    self.layer.weight.shape[0], cin, hp, wp,
-                    self.layer.weight.shape[2], self.layer.stride,
-                )
-            else:
-                self._positions = valid_output_positions(
-                    self.layer.out_features, self.layer.in_features, 1, 1, 1, 1
-                )
-        return self._positions
 
 
 @dataclass
@@ -309,10 +291,6 @@ class AthenaProgram:
             elif step.kind in ("linear", "remap"):
                 out.append(step)
         return out
-
-    def build_luts(self, t: int | None = None) -> dict[str, FbsLut]:
-        """Materialize every FBS table of the program, keyed by step name."""
-        return {s.name: s.lut.build(self.config, t) for s in self.lut_steps()}
 
     def final_scale(self) -> float:
         """Output scale of the classifier head (softmax LUT input scale)."""

@@ -25,7 +25,6 @@ the noise estimate; the engines own the arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +68,7 @@ class PackingKey:
         enc = ctx.encrypt(
             Plaintext.from_slots(np.concatenate([row, row]), params), pk
         )
-        if baby_steps is None:
-            baby_steps = max(1, int(math.isqrt(half)))
+        baby_steps = baby_steps or slotlib.default_baby_steps(half)
         keys = ctx.rotation_keys(sk, slotlib.baby_giant_amounts(half, baby_steps))
         return cls(enc, keys, n_lwe, baby_steps)
 

@@ -20,7 +20,6 @@ optimization of the same step).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,8 +74,7 @@ class S2CKey:
         """A standalone key. Beside a :class:`~repro.fhe.packing.PackingKey`
         (the pipeline), share its Galois keys and add only the row swap."""
         half = ctx.params.n // 2
-        if baby_steps is None:
-            baby_steps = max(1, int(math.isqrt(half)))
+        baby_steps = baby_steps or slotlib.default_baby_steps(half)
         keys = ctx.rotation_keys(sk, slotlib.baby_giant_amounts(half, baby_steps))
         keys |= ctx.galois_keys(sk, [slotlib.row_swap_element(ctx.params.n)])
         return cls(keys, baby_steps)
@@ -100,8 +98,7 @@ class S2CPlan:
     def build(cls, params: FheParams, baby_steps: int | None = None) -> "S2CPlan":
         n, t = params.n, params.t
         half = n // 2
-        if baby_steps is None:
-            baby_steps = max(1, int(math.isqrt(half)))
+        baby_steps = baby_steps or slotlib.default_baby_steps(half)
         p = _evaluation_matrix(n, t)
         p00, p01 = p[:half, :half], p[:half, half:]
         p10, p11 = p[half:, :half], p[half:, half:]

@@ -196,11 +196,13 @@ def _read_plaintext(buf: io.BytesIO, params: FheParams) -> Plaintext:
 
 def _write_round(buf: io.BytesIO, rnd) -> None:
     """One :class:`repro.core.plan.RefreshRound`: where it extracts, where it
-    packs, and its table with the interpolated polynomial. The BSGS schedule,
-    the batch height and the ``-LUT(0)`` correction are functions of those
-    and are rebuilt by the one round builder at load."""
+    packs (absent = identity rows, ``arange(count)``), and its table with the
+    interpolated polynomial. The BSGS schedule, the batch height and the
+    ``-LUT(0)`` correction are functions of those and are rebuilt by the one
+    round builder at load."""
     _write_array(buf, rnd.positions)
-    _write_optional(buf, rnd.rows)
+    identity = np.array_equal(rnd.rows, np.arange(rnd.count))
+    _write_optional(buf, None if identity else rnd.rows)
     _write_str(buf, rnd.lut.name)
     _write_array(buf, rnd.lut.values)
     _write_array(buf, rnd.lut.coeffs)
@@ -211,10 +213,12 @@ def _read_round(buf: io.BytesIO, params: FheParams):
 
     positions = _read_index(buf, params)
     (placed,) = _unpack(buf, "<B")
-    rows = _read_index(buf, params) if placed else None
-    if rows is not None and (rows.shape != positions.shape
-                             or np.unique(rows).size != rows.size):
-        raise ParameterError("pack rows do not match positions in serialized plan")
+    rows = np.arange(positions.size, dtype=np.int64)  # absent = identity
+    if placed:
+        rows = _read_index(buf, params)
+        if rows.shape != positions.shape or np.unique(rows).size != rows.size:
+            raise ParameterError(
+                "pack rows do not match positions in serialized plan")
     lut_name = _read_str(buf)
     values = _read_array(buf)
     # The artifact carries the interpolation: never recomputed at load.
@@ -224,17 +228,14 @@ def _read_round(buf: io.BytesIO, params: FheParams):
 
 
 def _write_steps(buf: io.BytesIO, steps: list) -> None:
-    """A step list, recursively: name, kind, then — unless the step is an
-    opaque placeholder — the kind's payload."""
-    from repro.core.plan import CompiledOpaque
-
+    """A step list, recursively: name, kind, the no-payload flag (set for
+    a reshape, the one step without artifacts), then the kind's payload."""
     buf.write(struct.pack("<I", len(steps)))
     for cstep in steps:
         _write_str(buf, cstep.name)
         _write_str(buf, cstep.kind)
-        opaque = isinstance(cstep, CompiledOpaque)
-        buf.write(struct.pack("<B", int(opaque)))
-        if opaque:
+        buf.write(struct.pack("<B", int(cstep.kind == "reshape")))
+        if cstep.kind == "reshape":
             continue
         if cstep.kind == "pool":
             _write_array(buf, cstep.kernel.coeffs)
@@ -261,9 +262,9 @@ def _write_steps(buf: io.BytesIO, steps: list) -> None:
 def _read_steps(buf: io.BytesIO, params: FheParams) -> list:
     from repro.core.plan import (
         CompiledLinear,
-        CompiledOpaque,
         CompiledPool,
         CompiledRemap,
+        CompiledReshape,
         CompiledResidual,
     )
 
@@ -272,9 +273,13 @@ def _read_steps(buf: io.BytesIO, params: FheParams) -> list:
     for index in range(n_steps):
         name = _read_str(buf)
         kind = _read_str(buf)
-        (opaque,) = _unpack(buf, "<B")
-        if opaque:
-            steps.append(CompiledOpaque(index, name, kind))
+        (bare,) = _unpack(buf, "<B")
+        if bool(bare) != (kind == "reshape"):
+            raise ParameterError(
+                f"step {name!r} of kind {kind!r} has a wrong no-payload flag "
+                "in serialized plan")
+        if bare:
+            steps.append(CompiledReshape(index, name))
             continue
         if kind == "pool":
             kernel = _read_plaintext(buf, params)
@@ -321,7 +326,7 @@ def dump_plan(plan) -> bytes:
 
     Every step is on the wire — linear rounds (with placed packing and
     fused max trees), pooling kernels, remaps, residual blocks with both
-    branches, opaque placeholders — as derived, non-secret model
+    branches, flagged payload-free reshapes — as derived, non-secret model
     artifacts: kernel and bias coefficient vectors, each linear step's lane
     span, and each refresh round's positions, pack rows and LUT with its
     interpolated polynomial. NTT operand forms, BSGS schedules, ``-LUT(0)``

@@ -159,13 +159,19 @@ def rotation_galois_element(n: int, amount: int) -> int:
     return pow(3, amount % (n // 2), 2 * n)
 
 
-def baby_giant_amounts(dim: int, baby: int | None = None) -> set[int]:
-    """Rotation amounts a BSGS pass over ``dim`` diagonals uses.
+def default_baby_steps(dim: int) -> int:
+    """Baby steps of a BSGS pass over ``dim`` diagonals: floor(sqrt(dim)).
 
-    ``baby`` defaults to floor(sqrt(dim)) baby steps. The one statement of
-    the rule: key generation (packing, S2C) and the key inventory share it.
+    The one statement of the rule: key generation (packing, S2C), the S2C
+    plan and the key inventory share it.
     """
-    baby = baby or max(1, math.isqrt(dim))
+    return max(1, math.isqrt(dim))
+
+
+def baby_giant_amounts(dim: int, baby: int | None = None) -> set[int]:
+    """Rotation amounts a BSGS pass over ``dim`` diagonals uses
+    (``baby`` defaults to :func:`default_baby_steps`)."""
+    baby = baby or default_baby_steps(dim)
     giant = -(-dim // baby)
     return set(range(1, baby)) | {g * baby for g in range(1, giant)}
 

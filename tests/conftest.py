@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,34 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def sigmoid_pack_cnn():
+    """The ``pack`` subject with its conv switched to sigmoid / out_scale
+    0.125: a *hidden* layer whose table has LUT(0) = 4. Not a ``SUBJECTS``
+    entry — the pinned fingerprints do not move."""
+    from repro.quant.subjects import micro_subject
+
+    qm, _ = micro_subject("pack")
+    qm.layers[0] = dataclasses.replace(
+        qm.layers[0], activation="sigmoid", out_scale=0.125)
+    return qm
+
+
+def plan_rounds(steps):
+    """Every :class:`repro.core.plan.RefreshRound` under a step list: layer
+    tails, max-tree levels, remaps, residual joins and both branches."""
+    for step in steps:
+        if getattr(step, "round", None) is not None:
+            yield step.round
+        for _, rnd in getattr(step, "pool_rounds", None) or ():
+            yield rnd
+        yield from plan_rounds(getattr(step, "body", None) or [])
+        yield from plan_rounds(getattr(step, "shortcut", None) or [])
+
+
+#: Largest derivative of each merged activation: what a LUT input error is
+#: multiplied by, beside the linear ``remap_multiplier``, on its way out.
+ACTIVATION_SLOPE = {"identity": 1.0, "relu": 1.0, "sigmoid": 0.25, "gelu": 1.13}
+
 #: Tolerance of a real-ciphertext run against ``forward_int``, in standard
 #: deviations of the modelled logit error (one logit in 16 000 beyond it).
 REFRESH_SIGMAS = 4
@@ -71,12 +101,23 @@ def refresh_noise_bound(qm, params) -> int:
     its own e_ms, and scales by its slope. Earlier rounds shrink by every
     slope after them and are left to the sigma multiple. Which ciphertext
     bits a run draws moves its error inside this bound, never the bound.
+
+    A LUT's slope is its linear ``remap_multiplier`` times the largest
+    derivative of its activation (``ACTIVATION_SLOPE``): 1 for relu and
+    identity, so their bounds are the multiplier's alone; 1/4 for sigmoid,
+    whose table is far flatter than its multiplier says (multiplier 8,
+    steepest table step 2 on the sigmoid test models — taking the
+    multiplier alone put their bound at 27-30 LSB, wide enough to hold a
+    5-LSB wrong answer; it is 7-8 with the derivative).
     """
     from repro.core.inference import AthenaNoiseModel
     from repro.core.program import lower
 
     def slope(spec):
-        return 1 / spec.divisor if spec.kind == "divide" else spec.source.remap_multiplier
+        if spec.kind == "divide":
+            return 1 / spec.divisor
+        act = getattr(spec.source, "activation", "relu")  # residual joins rectify
+        return spec.source.remap_multiplier * ACTIVATION_SLOPE[act]
 
     *_, feed, head = lower(qm, params).lut_steps()
     sigma_ms = AthenaNoiseModel(params).std

@@ -13,6 +13,10 @@ from repro.core.encoding import (
     conv_via_coefficients,
     encode_features,
     encode_kernels,
+    extract_conv_outputs,
+    lane_span,
+    output_cells,
+    t_index,
     valid_output_positions,
 )
 from repro.errors import EncodingError
@@ -100,6 +104,116 @@ class TestEq1Conv:
         pos = valid_output_positions(cout, cin, hw, hw, wk, 1)
         expected = direct_conv(m, k, 1, 0).reshape(-1)
         assert np.array_equal(prod[pos], expected)
+
+
+# Frozen copies of the three loops the one geometry replaced (the own-grid
+# and placed-grid position functions and the kernel scatter), as they stood
+# before ``output_cells`` — the oracle the broadcast forms are pinned to.
+
+
+def _frozen_valid_output_positions(cout, cin, h, w, wk, stride):
+    hw = h * w
+    top = hw * (cout * cin - 1) + w * (wk - 1) + wk - 1
+    oh = (h - wk) // stride + 1
+    ow = (w - wk) // stride + 1
+    idx = np.empty(cout * oh * ow, dtype=np.int64)
+    pos = 0
+    for cp in range(cout):
+        base = top - cp * cin * hw
+        for a in range(oh):
+            for b in range(ow):
+                idx[pos] = base + a * stride * w + b * stride
+                pos += 1
+    return idx
+
+
+def _frozen_grid_output_positions(cout, cin, gh, gw, wk, stride, oh, ow, oy, ox):
+    ghw = gh * gw
+    top = ghw * (cout * cin - 1) + gw * (wk - 1) + wk - 1
+    idx = np.empty(cout * oh * ow, dtype=np.int64)
+    pos = 0
+    for cp in range(cout):
+        base = top - cp * cin * ghw
+        for a in range(oh):
+            for b in range(ow):
+                idx[pos] = base + (oy + a * stride) * gw + (ox + b * stride)
+                pos += 1
+    return idx
+
+
+def _frozen_encode_kernels(k, h, w, n):
+    cout, cin, wk, _ = k.shape
+    hw = h * w
+    top = hw * (cout * cin - 1) + w * (wk - 1) + wk - 1
+    out = np.zeros(n, dtype=np.int64)
+    for cp in range(cout):
+        for c in range(cin):
+            for i in range(wk):
+                for j in range(wk):
+                    out[top - cp * cin * hw - c * hw - i * w - j] = k[cp, c, i, j]
+    return out
+
+
+def _grid_positions(cout, cin, gh, gw, wk, stride, oh, ow, oy, ox):
+    """The compiler's call: an ``oh x ow`` stride window at ``(oy, ox)``."""
+    return output_cells(cout, cin, gh, gw, wk,
+                        oy + np.arange(oh) * stride, ox + np.arange(ow) * stride)
+
+
+class TestOnePositionFunction:
+    SHAPES = [  # TestEq1Conv's parametrised shapes
+        (1, 1, 4, 2, 1, 0),
+        (2, 3, 6, 3, 1, 1),
+        (3, 4, 5, 3, 1, 0),
+        (2, 2, 8, 1, 2, 0),
+        (1, 2, 6, 2, 2, 0),
+    ]
+
+    @pytest.mark.parametrize("cin,cout,hw,wk,stride,pad", SHAPES)
+    def test_equals_both_frozen_forms(self, rng, cin, cout, hw, wk, stride, pad):
+        hp = hw + 2 * pad
+        want = _frozen_valid_output_positions(cout, cin, hp, hp, wk, stride)
+        got = valid_output_positions(cout, cin, hp, hp, wk, stride)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        oh = (hp - wk) // stride + 1
+        # The same convolution reading its image from inside a larger grid.
+        for margin in (0, 1, 2):
+            gh = hp + 2 * margin
+            args = (cout, cin, gh, gh, wk, stride, oh, oh, margin, margin)
+            assert np.array_equal(
+                _grid_positions(*args), _frozen_grid_output_positions(*args))
+        k = rng.integers(-5, 6, (cout, cin, wk, wk))
+        n = lane_span(cout, cin, hp, hp, wk)
+        assert np.array_equal(
+            encode_kernels(k, hp, hp, n), _frozen_encode_kernels(k, hp, hp, n))
+        assert t_index(cout, cin, hp, hp, wk) == want[0] == n - cin * hp * hp
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_of_small_shapes_strides_and_origins(self, data):
+        draw = lambda lo, hi: data.draw(st.integers(lo, hi))  # noqa: E731
+        cout, cin, wk, stride = draw(1, 3), draw(1, 3), draw(1, 3), draw(1, 3)
+        gh, gw = draw(wk, 7), draw(wk, 7)
+        oy, ox = draw(0, gh - wk), draw(0, gw - wk)
+        oh = draw(1, (gh - wk - oy) // stride + 1)
+        ow = draw(1, (gw - wk - ox) // stride + 1)
+        args = (cout, cin, gh, gw, wk, stride, oh, ow, oy, ox)
+        assert np.array_equal(
+            _grid_positions(*args), _frozen_grid_output_positions(*args))
+        assert np.array_equal(
+            valid_output_positions(cout, cin, gh, gw, wk, stride),
+            _frozen_valid_output_positions(cout, cin, gh, gw, wk, stride))
+        k = np.arange(cout * cin * wk * wk).reshape(cout, cin, wk, wk) + 1
+        n = lane_span(cout, cin, gh, gw, wk)
+        assert np.array_equal(
+            encode_kernels(k, gh, gw, n), _frozen_encode_kernels(k, gh, gw, n))
+
+    def test_extract_reads_the_valid_positions(self, rng):
+        product = rng.integers(-9, 10, 512)
+        got = extract_conv_outputs(product, 2, 3, 6, 5, 3, stride=2)
+        pos = valid_output_positions(2, 3, 6, 5, 3, 2)
+        assert got.shape == (2, 2, 2)
+        assert np.array_equal(got.reshape(-1), product[pos])
 
 
 class TestPackingPlans:

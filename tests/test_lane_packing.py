@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from repro.core.encoding import lane_span
-from repro.core.framework import AthenaPipeline
+from repro.core.framework import AthenaPipeline, CiphertextExecutor
 from repro.core.plan import compile_program
 from repro.core.program import lower
 from repro.errors import ParameterError
 from repro.fhe.lwe import LweBatch
-from repro.fhe.params import TEST_FBS
+from repro.fhe.params import TEST_FBS, TEST_LOOP
 from repro.fhe.serialize import dump_plan, load_plan
 from repro.fhe.slots import (
     lane_capacity,
@@ -31,7 +31,9 @@ from repro.fhe.slots import (
     pack_lane_coeffs,
     unpack_lane_coeffs,
 )
+from repro.quant.quantize import QConv, QFlatten, QLinear, QuantConfig, QuantizedModel
 from repro.quant.subjects import pack_cnn, serve_micro_cnn
+from tests.conftest import refresh_noise_bound, sigmoid_pack_cnn
 
 
 # -- pure lane arithmetic -----------------------------------------------------
@@ -138,6 +140,96 @@ class TestPlanLaneAnnotations:
         ]
 
 
+def placed_chain_cnn() -> QuantizedModel:
+    """conv(k2, pad 0) -> conv(k3, pad 1) -> fc(4->2) on 3x3, for TEST_LOOP.
+
+    The first round *places* its 2x2 output inside the second convolution's
+    4x4 padded grid, so its zero margin is that convolution's padding.
+    Margin-safe like the ledger's ``packed_cnn``: weights and biases are
+    multiples of ``out_scale`` = 16, every LUT input sits 8 from a rounding
+    boundary, and with inputs in [-1, 1] MACs stay within +-112."""
+    def conv(weight, k, pad, hw):
+        w = np.zeros((1, 1, k, k), dtype=np.int64)
+        for (i, j), v in weight.items():
+            w[0, 0, i, j] = v
+        oh = hw + 2 * pad - k + 1
+        return QConv(
+            weight=w, bias=np.array([16], dtype=np.int64), stride=1, pad=pad,
+            in_scale=1.0, w_scale=1.0, out_scale=16.0, activation="relu",
+            in_shape=(1, hw, hw), out_shape=(1, oh, oh))
+
+    fc = QLinear(
+        weight=np.array([[16, -16, 0, 0], [0, 0, 16, -16]], dtype=np.int64),
+        bias=np.array([16, -16], dtype=np.int64), in_scale=1.0, w_scale=1.0,
+        out_scale=16.0, activation="identity", in_features=4, out_features=2)
+    return QuantizedModel(
+        [conv({(0, 0): 16, (1, 1): 16}, 2, 0, 3),
+         conv({(1, 1): 16, (0, 2): 16}, 3, 1, 2), QFlatten(), fc],
+        QuantConfig(4, 4, t=TEST_LOOP.t), 1.0, (1, 3, 3), name="placed_chain")
+
+
+class TestLaneCapacityRules:
+    """What still pins ``batch_capacity`` to 1, and what no longer does."""
+
+    def test_a_lut0_table_batches(self):
+        plan = compile_program(lower(sigmoid_pack_cnn(), TEST_FBS), TEST_FBS)
+        assert int(plan.steps[0].round.lut.values[0]) == 4
+        assert plan.batch_capacity == 2
+        lanes = plan.steps[0].lane_layout(2, TEST_FBS).round
+        assert lanes.rows.tolist() == [0, 1, 2, 3, 11, 12, 13, 14]
+        assert lanes.correction is not None
+
+    def test_a_placed_layout_batches_on_its_own_rows(self):
+        plan = compile_program(lower(placed_chain_cnn(), TEST_LOOP), TEST_LOOP)
+        first, second = plan.steps[0], plan.steps[1]
+        assert first.round.rows.tolist() == [5, 6, 9, 10]  # inside the 4x4 grid
+        assert [first.lane_span, second.lane_span] == [13, 26]
+        assert plan.batch_capacity == 4
+        rows = first.lane_layout(4, TEST_LOOP).round.rows.reshape(4, -1)
+        assert np.array_equal(
+            rows, first.round.rows + 26 * np.arange(4)[:, None])
+
+    def test_a_fused_pool_and_a_residual_do_not(self):
+        from tests.test_serialize import _wire_subjects
+
+        plans = {}
+        for case in _wire_subjects():
+            build, params = case.values
+            plans[case.id] = compile_program(build(), params)
+        assert plans["fused_maxpool"].batch_capacity == 1  # max-tree shifts
+        assert plans["avgpool_remap"].batch_capacity == 1  # pool / remap steps
+        assert plans["resnet20_block"].batch_capacity == 1  # residual join
+        assert plans["pack"].batch_capacity == 2
+        with pytest.raises(ParameterError, match="max tree"):
+            plans["fused_maxpool"].steps[0].lane_layout(2, TEST_LOOP)
+
+
+class TestZeroOutsideTheRows:
+    """Step 0 on real ciphertexts: after the refresh every coefficient
+    outside the round's rows decrypts to an exact 0 — for a table with
+    LUT(0) = 4 as for ReLU, for one lane as for two."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: pack_cnn(np.random.default_rng(5)), sigmoid_pack_cnn,
+    ], ids=["relu", "sigmoid"])
+    def test_step_zero_leaves_exact_zeros(self, build):
+        program = lower(build(), TEST_FBS)
+        plan = compile_program(program, TEST_FBS)
+        pipe = AthenaPipeline(TEST_FBS, seed=3)
+        xs = _inputs(101, 2)
+        for lanes in (1, 2):
+            with pipe._dispatch():
+                ex = CiphertextExecutor(pipe, program, plan=plan, lanes=lanes)
+                ct = ex.linear(
+                    program.steps[0], xs[0] if lanes == 1 else np.stack(xs))
+                coeffs = pipe.decrypt_coeffs(ct)
+            # Lane d's four outputs land at the fc's lane stride, 11 * d.
+            rows = (np.arange(4) + 11 * np.arange(lanes)[:, None]).reshape(-1)
+            outside = np.delete(coeffs, rows)
+            assert outside.size == TEST_FBS.n - 4 * lanes
+            assert not outside.any()
+
+
 # -- full-pipeline lane semantics ---------------------------------------------
 
 
@@ -221,3 +313,44 @@ class TestBatchedPipeline:
         xs = _inputs(113, 3)
         with pytest.raises(ParameterError):
             AthenaPipeline(TEST_FBS, seed=7).run_batch(program, xs, plan=plan)
+
+
+@pytest.mark.slow
+class TestLanesTimesSigmoid:
+    """A hidden ``LUT(0) != 0`` layer, single and batched. The model is not
+    margin-safe (its sigmoid table steps at arbitrary MACs), so each run is
+    held to the refresh-noise bound of ``forward_int``, not to the others."""
+
+    def test_single_and_two_lane_runs_sit_inside_the_noise_bound(self):
+        qm = sigmoid_pack_cnn()
+        program = lower(qm, TEST_FBS)
+        plan = compile_program(program, TEST_FBS)
+        bound = refresh_noise_bound(qm, TEST_FBS)
+        xs = _inputs(101, 2)
+        wants = [qm.forward_int(x[None])[0] for x in xs]
+        batch = AthenaPipeline(TEST_FBS, seed=3).run_batch(program, xs, plan=plan)
+        for x, got, want in zip(xs, batch, wants):
+            assert np.abs(got - want).max() <= bound
+            single = AthenaPipeline(TEST_FBS, seed=3).run_program(
+                program, x, plan=plan)
+            assert np.abs(single - want).max() <= bound
+
+
+@pytest.mark.slow
+class TestLanesTimesPlaced:
+    """Four lanes through a placed (pad > 0 interior) chain: bit-identical
+    to the single-image runs and to ``forward_int``."""
+
+    def test_four_lane_batch_matches_plain_and_single(self):
+        qm = placed_chain_cnn()
+        program = lower(qm, TEST_LOOP)
+        plan = compile_program(program, TEST_LOOP)
+        rng = np.random.default_rng(131)
+        xs = [rng.integers(-1, 2, (1, 3, 3)).astype(np.int64) for _ in range(4)]
+        outs = AthenaPipeline(TEST_LOOP, seed=3).run_batch(program, xs, plan=plan)
+        for x, out in zip(xs, outs):
+            assert np.array_equal(out, qm.forward_int(x[None])[0])
+        for lane in (0, 3):  # first and last: the two ends of the ring
+            single = AthenaPipeline(TEST_LOOP, seed=3).run_program(
+                program, xs[lane], plan=plan)
+            assert np.array_equal(outs[lane], single)

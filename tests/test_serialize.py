@@ -317,9 +317,10 @@ class TestPlanWireV4:
                 stack += getattr(step, "shortcut", None) or []
                 pooled |= bool(getattr(step, "pool_rounds", None))
                 rnd = getattr(step, "round", None)
-                placed |= rnd is not None and rnd.rows is not None
+                placed |= rnd is not None and not np.array_equal(
+                    rnd.rows, np.arange(rnd.count))
         assert seen == {"CompiledLinear", "CompiledPool", "CompiledRemap",
-                        "CompiledResidual", "CompiledOpaque"}
+                        "CompiledResidual", "CompiledReshape"}
         assert pooled and placed
 
     def test_loaded_rounds_equal_compiled_rounds(self):
@@ -329,12 +330,12 @@ class TestPlanWireV4:
         got_stem, got_block = loaded.steps[0], loaded.steps[1]
         pairs = [(got_stem.round, stem.round), (got_block.round, block.round),
                  (got_block.body[-1].round, block.body[-1].round)]
-        assert stem.round.rows is not None  # placed onto the block's grid
+        # Placed onto the block's grid; the join round packs compactly.
+        assert not np.array_equal(stem.round.rows, np.arange(stem.round.count))
+        assert np.array_equal(block.round.rows, np.arange(block.round.count))
         for got, want in pairs:
             assert np.array_equal(got.positions, want.positions)
-            assert (got.rows is None) == (want.rows is None)
-            if want.rows is not None:
-                assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.rows, want.rows)
             assert got.height == want.height
             assert got.fbs.groups == want.fbs.groups
             assert (got.correction is None) == (want.correction is None)
@@ -342,6 +343,16 @@ class TestPlanWireV4:
                 assert np.array_equal(
                     got.correction.coeffs, want.correction.coeffs)
         assert got_block.alpha == block.alpha
+
+    def test_placeholder_flag_on_a_linear_step_is_rejected(self):
+        """The no-payload flag is a reshape's spelling and nothing else's: a
+        step that must run cannot arrive without its artifacts."""
+        body = bytearray(_resnet_block_raw()[:-4])
+        at = body.index(b"qconv0") + len(b"qconv0") + 2 + len(b"linear")
+        assert body[at] == 0
+        body[at] = 1
+        with pytest.raises(ParameterError, match="no-payload flag"):
+            serialize.load_plan(_resealed(bytes(body)), TEST_LOOP)
 
     def test_v3_bytes_rejected(self):
         raw = bytearray(_resnet_block_raw())
@@ -403,6 +414,78 @@ class TestPlanWireV4:
         got = AthenaPipeline(TEST_LOOP, seed=7).run_program(
             program, x_q, plan=loaded)
         assert np.array_equal(got, want)
+
+
+#: SHA-256 of ``dump_plan(compile_program(...))`` per wire subject, recorded
+#: at the commit before rounds' rows became explicit: the wire did not move.
+PLAN_SHA256 = {
+    "mnist_cnn": "fc2790def2951b8be4f269a2ef81ac0ea8a372ca9a63983b93f28bfd3395ccaf",
+    "resnet20_block": "9a680923a4b72aa1962e1f0dbe5f4044cf13b655db7a01df3ba7cca13128adde",
+    "serve_micro": "6ea27b625888cb9ed65e0740e2202e1bb503c6a5033f1ccdfe3129bc3e0b099c",
+    "pack": "3a2b5b242b45d9a3603857b4628d95a23ca59890dcf76b8d8452016acbf56961",
+    "fused_maxpool": "525401d8888b33b702aec2d6883848320d0abf64459c7f78868becf19fd29f56",
+    "avgpool_remap": "60edb0df059d0d1e309de9f9e48d98e880950cd014b3b4b5788565d1bd594676",
+}
+
+
+def _zero_invariant_subjects():
+    """The wire subjects plus the sigmoid ``pack`` variant (a hidden
+    ``LUT(0) != 0`` layer, which none of them has)."""
+    from repro.core.program import lower
+    from repro.fhe.params import TEST_FBS
+    from tests.conftest import sigmoid_pack_cnn
+
+    return _wire_subjects() + [pytest.param(
+        lambda: lower(sigmoid_pack_cnn(), TEST_FBS), TEST_FBS,
+        id="pack_sigmoid")]
+
+
+class TestOneRefreshGeometry:
+    """Every round packs sample ``i`` onto ``rows[i]`` and leaves an exact
+    zero everywhere else — compact rounds and ``LUT(0) != 0`` tables
+    included — on the same wire bytes as before."""
+
+    @pytest.mark.parametrize("build, params", _zero_invariant_subjects())
+    def test_every_round_cancels_lut0_outside_its_rows(self, build, params):
+        from repro.core.plan import compile_program
+        from tests.conftest import plan_rounds
+
+        plan = compile_program(build(), params)
+        loaded = serialize.load_plan(serialize.dump_plan(plan), params)
+        for rounds in (plan_rounds(plan.steps), plan_rounds(loaded.steps)):
+            seen = 0
+            for rnd in rounds:
+                seen += 1
+                assert rnd.rows.shape == rnd.positions.shape
+                assert rnd.height == rnd.rows.max() + 1
+                if rnd.rows.size == params.n:
+                    continue
+                fix = (np.zeros(params.n, dtype=np.int64)
+                       if rnd.correction is None else rnd.correction.to_slots())
+                assert not fix[rnd.rows].any()
+                left = np.delete(int(rnd.lut.values[0]) + fix, rnd.rows)
+                assert not (left % params.t).any()
+            assert seen >= 2
+
+    def test_the_sigmoid_variant_needs_the_correction(self):
+        """The subject above is not vacuous: its conv round is compact, its
+        table has LUT(0) = 4, and the round carries the plaintext."""
+        build, params = _zero_invariant_subjects()[-1].values
+        from repro.core.plan import compile_program
+
+        rnd = compile_program(build(), params).steps[0].round
+        assert np.array_equal(rnd.rows, np.arange(4))
+        assert int(rnd.lut.values[0]) == 4 and rnd.correction is not None
+
+    @pytest.mark.parametrize("build, params", _wire_subjects())
+    def test_plan_bytes_did_not_move(self, build, params, request):
+        import hashlib
+
+        from repro.core.plan import compile_program
+
+        raw = serialize.dump_plan(compile_program(build(), params))
+        name = request.node.callspec.id
+        assert hashlib.sha256(raw).hexdigest() == PLAN_SHA256[name]
 
 
 class TestPlanIntegrity:
