@@ -86,7 +86,8 @@ class AthenaPipeline:
             )
             # Packing and S2C rotate by the same BSGS amounts under the
             # same secret: S2C holds the packing key's Galois keys (the
-            # same objects) and adds only the row swap.
+            # same objects) and adds only the row swap. Packing itself
+            # uses them once, below, never on a request.
             swap = self.ctx.galois_keys(self.sk, [row_swap_element(params.n)])
             self.s2c_key = S2CKey(
                 self.packing_key.rotation_keys | swap, self.packing_key.baby_steps
@@ -94,10 +95,12 @@ class AthenaPipeline:
             # Warm the NTT-domain stacks of every keyswitch key once at
             # keygen: the fused kernels multiply against these on every
             # rotation/CMult, so no request ever pays the key transforms.
+            # Then the packing key's stack of rotated secrets, every
+            # packing's sources, which is built from them.
             self.rlk.warm()
-            for gk in (self.packing_key.rotation_keys
-                       | self.s2c_key.rotation_keys).values():
+            for gk in self.s2c_key.rotation_keys.values():
                 gk.warm()
+            self.packing_key.rotated_secrets()
 
     def _dispatch(self):
         """Install the pipeline's backend as the context-active one."""

@@ -501,7 +501,9 @@ def _pack_rows_for(target: FeatureLayout | None, out_count: int,
 def _s2c_plan(params: FheParams) -> S2CPlan:
     """The params-only S2C plan, rotation index maps warmed — shared by
     :func:`compile_program` and :func:`repro.fhe.serialize.load_plan`."""
-    return S2CPlan.build(params).warm_automorphisms(params)
+    plan = S2CPlan.build(params)
+    plan.matvec.warm_automorphisms(params)
+    return plan
 
 
 def _fbs_plan(lut: FbsLut, params: FheParams) -> FbsPlan:

@@ -47,10 +47,11 @@ Fused tier: :meth:`Backend.hadd_many` (one deferred reduction across an
 HAdd chain), :meth:`Backend.keyswitch` (gadget keyswitch of one
 component), :meth:`Backend.rotate_keyswitch` (the one rotation:
 decompose, then X -> X^k on the digits), :meth:`Backend.matvec` (a whole
-BSGS mat-vec; on the batched engine it never leaves the evaluation
-domain), and :meth:`Backend.giant_step_batch` (all giant-step CMult
-keyswitches of one FBS batched through stacked ``(G, D, L, N)``
-transforms). Reference and fast bodies are both
+BSGS mat-vec over a set of sources — derived from the request's ciphertext
+for S2C, ready key material for packing; on the batched engine it never
+leaves the evaluation domain), and :meth:`Backend.giant_step_batch` (all
+giant-step CMult keyswitches of one FBS batched through stacked
+``(G, D, L, N)`` transforms). Reference and fast bodies are both
 *dispatch-free* — they call ``self`` methods and module-level transforms,
 never :func:`current_backend` — so :class:`CountingBackend` can count
 each fused op exactly once in primitive-equivalent units and delegate
@@ -195,12 +196,51 @@ def _digit_residues(data, ksk, moduli) -> np.ndarray:
     return np.mod(rows[:, None, :], _moduli_column(moduli))
 
 
-def _rotation_key(rotation_keys, n: int, amount: int):
-    """(Galois element, key) of a row rotation by ``amount`` slots."""
-    k = rotation_galois_element(n, amount)
+def _galois_key(rotation_keys, k: int):
+    """(Galois element, key) of X -> X^k."""
     if k not in rotation_keys:
         raise ParameterError(f"missing Galois key for element {k}")
     return k, rotation_keys[k]
+
+
+def _key_products(fd, ksk, moduli):
+    """Evaluation-domain (delta_c0, delta_c1) of a (D, L, N) stack of
+    transformed gadget digits against the cached key stacks."""
+    mods = _moduli_column(moduli)
+    k0, k1 = ksk.ntt_stack()
+    # Products reduce below 2**31 before the lazy digit-axis sum.
+    return np.stack([
+        lazy_reduce_sum(fd * k0 % mods, moduli),
+        lazy_reduce_sum(fd * k1 % mods, moduli),
+    ])
+
+
+def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> list[np.ndarray]:
+    """Images of one ciphertext under each Galois element of ``elements``,
+    as (2, L, N) evaluation-domain stacks, on *one* decomposition.
+
+    ``f0`` is the ciphertext's c0 in the evaluation domain, ``c1`` its c1
+    in the coefficient domain (where it decomposes). The (D, L, N) digit
+    transform is paid once; each image is then a gather by
+    :func:`ntt_automorphism_perm` and a lazy multiply-accumulate against
+    its key stack — :meth:`Backend.rotate_keyswitch` per element, without
+    leaving the evaluation domain. Dispatch-free: the batched mat-vec and
+    the packing key's one-time stack both build on it.
+    """
+    if not elements:
+        return []
+    n = c1.shape[-1]
+    mods = _moduli_column(moduli)
+    keys = [_galois_key(rotation_keys, k) for k in elements]
+    # One gadget per parameter set: any key's digits serve every key.
+    fd = ntt_forward_rns(_digit_residues(c1, keys[0][1], moduli), moduli)
+    images = []
+    for k, gk in keys:
+        perm = ntt_automorphism_perm(n, k)
+        image = _key_products(fd[..., perm], gk, moduli)
+        image[0] = (image[0] + f0[..., perm]) % mods
+        images.append(image)
+    return images
 
 
 class Backend:
@@ -380,39 +420,53 @@ class Backend:
         d0, d1 = self._digit_loop(digits, ksk, moduli)
         return self.add(self.automorphism(c0, k, moduli), d0, moduli), d1
 
-    def matvec(self, c0, c1, plan, rotation_keys, moduli):
-        """BSGS Halevi-Shoup plaintext-matrix x ciphertext-vector product.
+    def matvec(self, vec, plan, rotation_keys, moduli):
+        """BSGS Halevi-Shoup plaintext-matrix x encrypted-vector product
+        ``sum_g rot_{g*bs}( sum_j diag_{g,j} * src_j )`` over *sources*:
+        images of one ciphertext under Galois elements.
 
-        Component stacks of the encrypted vector and a
-        :class:`repro.fhe.packing.MatvecPlan` in, the product's (c0, c1)
-        stacks out. Reference: one :meth:`rotate_keyswitch` per live baby
-        step, one cached-operand product per diagonal, one HAdd chain and
-        one giant rotation per group, one chain over the groups.
+        ``vec`` says where the sources come from. A (2, L, N) stack is the
+        coefficient-domain (c0, c1) of one ciphertext, source 0, and the op
+        derives the others as the :class:`repro.fhe.packing.MatvecPlan`
+        spells out (S2C: the baby rotations, the row swap, the swap's baby
+        rotations). An (S, 2, L, N) stack is every source ready, in the
+        evaluation domain, indexed by source id — key material
+        (:meth:`repro.fhe.packing.PackingKey.rotated_secrets`), so nothing
+        is rotated. Returns the product's (c0, c1) stacks. Reference: one
+        :meth:`rotate_keyswitch` per derived source, one cached-operand
+        product per diagonal, one HAdd chain and one giant rotation per
+        group, one chain over the groups.
         """
-        n = c0.shape[-1]
+        n = vec.shape[-1]
 
-        def rotate(pair, amount):
+        def rotate(pair, k):
             self.record("rotation")
             self.record("keyswitch")
-            k, gk = _rotation_key(rotation_keys, n, amount)
-            return self.rotate_keyswitch(*pair, k, gk, moduli)
+            return self.rotate_keyswitch(*pair, *_galois_key(rotation_keys, k), moduli)
 
         def chain(pairs):
             if len(pairs) > 1:
                 self.record("hadd", len(pairs) - 1)
             return [self.hadd_many([p[i] for p in pairs], moduli) for i in (0, 1)]
 
-        babies = {0: (c0, c1)}
-        for b in plan.babies:
-            babies[b] = rotate(babies[0], b)
+        if vec.ndim == 4:  # ready sources: back to where mul_ntt takes them
+            src = np.empty_like(vec)
+            for i, p in enumerate(moduli):
+                src[..., i, :] = ntt_inverse(vec[..., i, :], p)
+        else:
+            src = {0: tuple(vec)}
+            for parent, images in plan.derived:
+                for s, k in images:
+                    src[s] = rotate(src[parent], k)
         parts = []
-        for g, idx, stack in plan.groups:
-            self.record("pmult", len(idx))
+        for g, ids, stack in plan.groups:
+            self.record("pmult", len(ids))
             inner = chain([
-                [self.mul_ntt(comp, w, moduli) for comp in babies[b]]
-                for b, w in zip(idx, stack)
+                [self.mul_ntt(comp, w, moduli) for comp in src[s]]
+                for s, w in zip(ids, stack)
             ])
-            parts.append(rotate(inner, g * plan.baby_steps) if g else inner)
+            giant = rotation_galois_element(n, g * plan.baby_steps)
+            parts.append(rotate(inner, giant) if g else inner)
         return tuple(chain(parts))
 
     def giant_step_batch(self, ctx, pairs, rlk):
@@ -490,7 +544,9 @@ class BatchedBackend(Backend):
     NTT-domain key stacks (:meth:`repro.fhe.keys.KeySwitchKey.ntt_stack`),
     accumulate in the NTT domain with lazy reduction, and pay two inverse
     transforms per keyswitch instead of two per digit; a mat-vec pays them
-    once for all its rotations and products. Bit-identical to
+    once for all its products, rotates every image of one ciphertext on
+    one decomposition (:func:`hoisted_rotations`), and rotates nothing at
+    all when its sources come ready (packing). Bit-identical to
     the reference bodies: the NTT is linear mod p, so
     ``intt(sum(f_d * k_d mod p) mod p) == sum(intt(f_d * k_d)) mod p``
     exactly, and the cached key transforms are the same deterministic
@@ -559,74 +615,59 @@ class BatchedBackend(Backend):
             return arrays[0]
         return lazy_reduce_sum(np.stack(arrays), moduli)
 
-    def _key_products(self, fd, ksk, moduli):
-        """Evaluation-domain (delta_c0, delta_c1) of a (D, L, N) stack of
-        transformed gadget digits against the cached key stacks."""
-        mods = _moduli_column(moduli)
-        k0, k1 = ksk.ntt_stack()
-        # Products reduce below 2**31 before the lazy digit-axis sum.
-        return np.stack([
-            lazy_reduce_sum(fd * k0 % mods, moduli),
-            lazy_reduce_sum(fd * k1 % mods, moduli),
-        ])
-
     def keyswitch(self, data, ksk, moduli):
         # (D, N) digits broadcast across limbs, one batched forward pass.
         fd = ntt_forward_rns(_digit_residues(data, ksk, moduli), moduli)
-        out = ntt_inverse_rns(self._key_products(fd, ksk, moduli), moduli)
+        out = ntt_inverse_rns(_key_products(fd, ksk, moduli), moduli)
         return out[0], out[1]
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
         n = c0.shape[-1]
         fd = ntt_forward_rns(_digit_residues(c1, ksk, moduli), moduli)
-        delta = self._key_products(fd[..., ntt_automorphism_perm(n, k)], ksk, moduli)
+        delta = _key_products(fd[..., ntt_automorphism_perm(n, k)], ksk, moduli)
         d0, d1 = ntt_inverse_rns(delta, moduli)
         return (self.automorphism(c0, k, moduli) + d0) % _moduli_column(moduli), d1
 
-    def matvec(self, c0, c1, plan, rotation_keys, moduli):
+    def matvec(self, vec, plan, rotation_keys, moduli):
         """The mat-vec without leaving the evaluation domain.
 
-        One stacked forward NTT of (c0, c1); one decomposition and one
-        (D, L, N) forward NTT shared by *every* baby step, each then a
-        gather by :func:`ntt_automorphism_perm` and a lazy multiply-
-        accumulate against its key stack; diagonal products and group sums
-        are pointwise (chunked under ``giant_batch_elems``); a giant step
+        Ready sources are used as handed in. Otherwise one stacked forward
+        NTT of (c0, c1), then every image of one parent shares one
+        decomposition and one (D, L, N) forward NTT
+        (:func:`hoisted_rotations`): the baby rotations and the row swap
+        ride on c1's, the swap's babies on the swapped c1's — the only
+        source inverse-transformed. Diagonal products and group sums are
+        pointwise (chunked under ``giant_batch_elems``); a giant step
         inverse-transforms only its c1, to decompose it; the summed groups
         pay one stacked inverse. Bit-identical to the reference: the NTT is
-        a ring isomorphism mod each prime, and a group's c1 is decomposed
-        from the same canonical residues either way.
+        a ring isomorphism mod each prime, and every decomposed c1 is the
+        same canonical residues either way.
         """
-        n = c0.shape[-1]
+        n = vec.shape[-1]
         mods = _moduli_column(moduli)
-
-        def digits(c1, gk):
-            return ntt_forward_rns(_digit_residues(c1, gk, moduli), moduli)
-
-        def rotate(f0, fd, k, gk):
-            perm = ntt_automorphism_perm(n, k)
-            out = self._key_products(fd[..., perm], gk, moduli)
-            out[0] = (out[0] + f0[..., perm]) % mods
-            return out
-
-        babies = {0: ntt_forward_rns(np.stack([c0, c1]), moduli)}
-        if plan.babies:
-            keys = [_rotation_key(rotation_keys, n, b) for b in plan.babies]
-            fd = digits(c1, keys[0][1])  # one gadget per parameter set
-            for b, (k, gk) in zip(plan.babies, keys):
-                babies[b] = rotate(babies[0][0], fd, k, gk)
-        chunk = max(1, self.giant_batch_elems // (2 * c0.size))
+        if vec.ndim == 4:
+            src = vec
+        else:
+            src = {0: ntt_forward_rns(vec, moduli)}
+            for parent, images in plan.derived:
+                ids, elements = zip(*images)
+                c1 = ntt_inverse_rns(src[parent][1], moduli) if parent else vec[1]
+                src.update(zip(ids, hoisted_rotations(
+                    src[parent][0], c1, elements, rotation_keys, moduli)))
+        chunk = max(1, self.giant_batch_elems // (2 * len(moduli) * n))
         parts = []
-        for g, idx, stack in plan.groups:
+        for g, ids, stack in plan.groups:
             sums = []
-            for lo in range(0, len(idx), chunk):
-                cts = np.stack([babies[b] for b in idx[lo : lo + chunk]])
+            for lo in range(0, len(ids), chunk):
+                cts = np.stack([src[s] for s in ids[lo : lo + chunk]])
                 sums.append(lazy_reduce_sum(
                     cts * stack[lo : lo + chunk, None] % mods, moduli))
             inner = lazy_reduce_sum(np.stack(sums), moduli)
             if g:
-                k, gk = _rotation_key(rotation_keys, n, g * plan.baby_steps)
-                fd = digits(ntt_inverse_rns(inner[1], moduli), gk)
-                inner = rotate(inner[0], fd, k, gk)
+                giant = rotation_galois_element(n, g * plan.baby_steps)
+                (inner,) = hoisted_rotations(
+                    inner[0], ntt_inverse_rns(inner[1], moduli), [giant],
+                    rotation_keys, moduli)
             parts.append(inner)
         out = ntt_inverse_rns(lazy_reduce_sum(np.stack(parts), moduli), moduli)
         return out[0], out[1]
@@ -877,14 +918,18 @@ class CountingBackend(Backend):
         self._bulk(**self._rotate_units(c0.size, len(moduli), ksk.num_digits))
         return self.inner.rotate_keyswitch(c0, c1, k, ksk, moduli)
 
-    def matvec(self, c0, c1, plan, rotation_keys, moduli):
+    def matvec(self, vec, plan, rotation_keys, moduli):
         # Billed from the plan shape as the stream the reference body
-        # dispatches: a rotation per live baby and per giant step, a PMult
-        # (two cached-operand products) per diagonal, and HAdd chains that
-        # join T terms with T - 1 additions in all.
-        size, limbs = c0.size, len(moduli)
-        rotations = len(plan.babies) + sum(1 for g, _, _ in plan.groups if g)
-        terms = sum(len(idx) for _, idx, _ in plan.groups)
+        # dispatches: a rotation per source it derives (none when they
+        # come ready) and per giant step, a PMult (two cached-operand
+        # products) per diagonal, and HAdd chains that join T terms with
+        # T - 1 additions in all.
+        limbs = len(moduli)
+        size = limbs * vec.shape[-1]
+        rotations = sum(1 for g, _, _ in plan.groups if g)
+        if vec.ndim == 3:
+            rotations += sum(len(images) for _, images in plan.derived)
+        terms = sum(len(ids) for _, ids, _ in plan.groups)
         units = {"ntt": 4 * limbs * terms, "mod_mul": 2 * size * terms,
                  "mod_add": 2 * size * (terms - 1), "automorph": 0}
         # One gadget per parameter set (with no key at all, inner raises).
@@ -893,7 +938,7 @@ class CountingBackend(Backend):
             units[op] += rotations * k
         self._bulk(rotation=rotations, keyswitch=rotations, pmult=terms,
                    hadd=terms - 1, **units)
-        return self.inner.matvec(c0, c1, plan, rotation_keys, moduli)
+        return self.inner.matvec(vec, plan, rotation_keys, moduli)
 
     def giant_step_batch(self, ctx, pairs, rlk):
         if pairs:

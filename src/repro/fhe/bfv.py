@@ -207,6 +207,13 @@ def cmult_bounds(params: FheParams) -> dict[str, tuple[int | float, int | float]
     }
 
 
+def galois_noise_growth(n: int) -> float:
+    """Bits one Galois keyswitch adds (Table 4) — a function of the ring
+    alone, so key material rotated without a context can carry the estimate
+    (:meth:`repro.fhe.packing.PackingKey.rotated_secrets`)."""
+    return math.log2(n) / 2 + 2
+
+
 class BfvContext:
     """Keygen and homomorphic evaluation for one parameter set."""
 
@@ -291,7 +298,7 @@ class BfvContext:
         return noise_bits + self._log_nt
 
     def galois_noise(self, noise_bits: float) -> float:
-        return noise_bits + math.log2(self.params.n) / 2 + 2
+        return noise_bits + galois_noise_growth(self.params.n)
 
     @staticmethod
     def hadd_noise(noises: list[float]) -> float:

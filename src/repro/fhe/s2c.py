@@ -9,13 +9,15 @@ homomorphic evaluation of P on the slot vector:
     slots(ct') = P @ slots(ct)   =>   coeffs(ct') = slots(ct).
 
 P is N x N while the rotation group acts on a 2 x (N/2) hypercube, so P is
-split into four (N/2)^2 blocks: the block-diagonal part applies directly and
-the anti-diagonal part applies to the row-swapped ciphertext. Both passes
-are BSGS Halevi-Shoup mat-vecs (the fused :meth:`Backend.matvec`, which the
-batched engine evaluates without leaving the NTT domain), giving the
-O(sqrt(N)) rotation cost the framework's complexity table assumes (the
-paper's O(cbrt(N)) three-stage factorization is a further constant-factor
-optimization of the same step).
+four (N/2)^2 blocks: the block-diagonal part meets the rotations of the
+ciphertext, the anti-diagonal part the rotations of its row swap. That is
+*one* BSGS Halevi-Shoup mat-vec over both families of sources (the fused
+:meth:`Backend.matvec`, which the batched engine evaluates without leaving
+the NTT domain): a giant group holds both blocks' diagonals, so it is
+summed once and rotated once — ``rot_g(A) + rot_g(B) = rot_g(A + B)``.
+The O(sqrt(N)) rotation cost is the one the framework's complexity table
+assumes (the paper's O(cbrt(N)) three-stage factorization is a further
+constant-factor optimization of the same step).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe import slots as slotlib
-from repro.fhe.backend import current_backend, warm_automorphism
+from repro.fhe.backend import current_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext
 from repro.fhe.keys import KeySwitchKey, SecretKey
 from repro.fhe.packing import MatvecPlan, hypercube_diagonals, hypercube_matvec
@@ -62,7 +64,7 @@ def _evaluation_matrix(n: int, t: int) -> np.ndarray:
 
 @dataclass
 class S2CKey:
-    """Galois keys for the two S2C mat-vec passes plus the row swap."""
+    """Galois keys of the S2C mat-vec: BSGS rotations plus the row swap."""
 
     rotation_keys: dict[int, KeySwitchKey]
     baby_steps: int
@@ -84,15 +86,14 @@ class S2CKey:
 class S2CPlan:
     """Compile-time form of the S2C transform for one parameter set.
 
-    The evaluation matrix P depends only on (N, t), so both mat-vec passes
-    — diagonal extraction, giant-step rolls, slot encoding, and the
-    evaluation-domain stack of every group's diagonals — are
-    request-invariant and built once here. A plan-driven
+    The evaluation matrix P depends only on (N, t), so the whole mat-vec
+    — diagonal extraction of all four blocks, giant-step rolls, slot
+    encoding, and the evaluation-domain stack of every group's diagonals
+    — is request-invariant and built once here. A plan-driven
     :func:`slot_to_coeff` performs only ciphertext ops.
     """
 
-    direct: MatvecPlan
-    crossed: MatvecPlan
+    matvec: MatvecPlan
 
     @classmethod
     def build(cls, params: FheParams, baby_steps: int | None = None) -> "S2CPlan":
@@ -102,19 +103,11 @@ class S2CPlan:
         p = _evaluation_matrix(n, t)
         p00, p01 = p[:half, :half], p[:half, half:]
         p10, p11 = p[half:, :half], p[half:, half:]
-        return cls(
-            MatvecPlan.build(hypercube_diagonals(p00, p11, half), params, baby_steps),
-            MatvecPlan.build(hypercube_diagonals(p01, p10, half), params, baby_steps),
-        )
-
-    def warm_automorphisms(self, params: FheParams) -> "S2CPlan":
-        """Precompute every automorphism index table both passes will use
-        (baby/giant rotations plus the row swap), so plan-driven runs pay
-        no table construction at request time."""
-        self.direct.warm_automorphisms(params)
-        self.crossed.warm_automorphisms(params)
-        warm_automorphism(params.n, slotlib.row_swap_element(params.n))
-        return self
+        passes = np.stack([
+            hypercube_diagonals(p00, p11, half),  # meets rot_r(v)
+            hypercube_diagonals(p01, p10, half),  # meets rot_r(swap(v))
+        ])
+        return cls(MatvecPlan.build(passes, params, baby_steps))
 
 
 def slot_to_coeff(
@@ -134,12 +127,9 @@ def slot_to_coeff(
 def slot_to_coeff_impl(
     ctx: BfvContext, ct: BfvCiphertext, key: S2CKey, plan: S2CPlan | None = None
 ) -> BfvCiphertext:
-    """Default :meth:`Backend.s2c` implementation (two BSGS passes)."""
+    """Default :meth:`Backend.s2c` implementation (one BSGS mat-vec)."""
     if plan is None:
         plan = S2CPlan.build(ctx.params, key.baby_steps)
-    elif plan.direct.baby_steps != key.baby_steps:
+    elif plan.matvec.baby_steps != key.baby_steps:
         raise ParameterError("S2C plan was built for different baby steps")
-    direct = hypercube_matvec(ctx, ct, plan.direct, key.rotation_keys)
-    swapped = ctx.row_swap(ct, key.rotation_keys)
-    crossed = hypercube_matvec(ctx, swapped, plan.crossed, key.rotation_keys)
-    return ctx.add_many([direct, crossed])
+    return hypercube_matvec(ctx, ct, plan.matvec, key.rotation_keys)

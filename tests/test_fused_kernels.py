@@ -22,15 +22,21 @@ Four claims pinned here:
    from public ciphertext ops, executes the transform count it was built
    for, and rests on a permutation table checked against the coefficient-
    domain automorphism on every preset.
+5. *Sources* — S2C is that one mat-vec over the rotations of a ciphertext
+   and of its row swap; packing is it over the packing key's cached stack
+   of rotated secrets. Both are bit-identical across the engines and pay
+   only the rotations nobody else already paid.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.framework import AthenaPipeline
 from repro.errors import ParameterError
 from repro.fhe import backend as backend_mod
 from repro.fhe import keys as keys_mod
@@ -45,13 +51,25 @@ from repro.fhe.backend import (
     ntt_automorphism_perm,
     use_backend,
 )
-from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
+from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext, galois_noise_growth
 from repro.fhe.keys import apply_keyswitch
-from repro.fhe.ntt import ntt_forward_rns
-from repro.fhe.packing import MatvecPlan, hypercube_diagonals, hypercube_matvec
+from repro.fhe.lwe import LweBatch
+from repro.fhe.ntt import ntt_forward_rns, ntt_inverse_rns
+from repro.fhe.packing import (
+    MatvecPlan,
+    PackingKey,
+    hypercube_diagonals,
+    hypercube_matvec,
+    pack_lwe,
+)
 from repro.fhe.params import PRESETS, TEST_FBS, TEST_LOOP, TEST_SMALL, TEST_TINY
-from repro.fhe.s2c import S2CKey, S2CPlan, _evaluation_matrix
-from repro.fhe.slots import baby_giant_amounts, rotation_galois_element
+from repro.fhe.poly import RnsPoly
+from repro.fhe.s2c import S2CKey, S2CPlan, _evaluation_matrix, slot_to_coeff
+from repro.fhe.slots import (
+    baby_giant_amounts,
+    rotation_galois_element,
+    row_swap_element,
+)
 
 _slow = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -293,21 +311,26 @@ class TestRotation:
 
 
 def _composite_matvec(ctx, ct, diagonals, keys, baby_steps):
-    """The BSGS product spelled out from public ciphertext ops."""
+    """The BSGS product spelled out from public ciphertext ops; a second
+    pass of ``diagonals`` meets the row-swapped ciphertext."""
     params = ctx.params
     half = params.n // 2
-    babies, parts = {0: ct}, []
+    passes = diagonals.reshape(-1, half, params.n)
+    bases = [ct] if len(passes) == 1 else [ct, ctx.row_swap(ct, keys)]
+    babies, parts = {}, []
+    for p, base in enumerate(bases):  # every source, in the op's order
+        for b in range(baby_steps):
+            if passes[p, b::baby_steps].any():
+                babies[p, b] = ctx.rotate_slots(base, b, keys)
     for g in range(-(-half // baby_steps)):
         terms = []
-        for b in range(baby_steps):
+        for p, b in ((p, b) for p in range(len(passes)) for b in range(baby_steps)):
             d = g * baby_steps + b
-            if d >= half or not diagonals[d].any():
+            if d >= half or not passes[p, d].any():
                 continue
-            if b not in babies:
-                babies[b] = ctx.rotate_slots(ct, b, keys)
-            rolled = np.concatenate([np.roll(diagonals[d, :half], g * baby_steps),
-                                     np.roll(diagonals[d, half:], g * baby_steps)])
-            terms.append(ctx.pmult(babies[b], Plaintext.from_slots(rolled, params)))
+            rolled = np.concatenate([np.roll(passes[p, d, :half], g * baby_steps),
+                                     np.roll(passes[p, d, half:], g * baby_steps)])
+            terms.append(ctx.pmult(babies[p, b], Plaintext.from_slots(rolled, params)))
         if terms:
             inner = ctx.add_many(terms)
             parts.append(ctx.rotate_slots(inner, g * baby_steps, keys) if g else inner)
@@ -346,22 +369,32 @@ def _three_ways(ctx, ct, diagonals, keys, baby_steps, fast=BATCHED):
     return got
 
 
+def _s2c_passes(params):
+    """Both diagonal sets of the S2C matrix: (direct, crossed)."""
+    half = params.n // 2
+    p = _evaluation_matrix(params.n, params.t)
+    return np.stack([hypercube_diagonals(p[:half, :half], p[half:, half:], half),
+                     hypercube_diagonals(p[:half, half:], p[half:, :half], half)])
+
+
 class TestMatvecBitIdentity:
     def test_s2c_plans_and_a_dense_matrix(self, matvec_setup):
         ctx, sk, key, ct = matvec_setup
         params = ctx.params
         half = params.n // 2
-        p = _evaluation_matrix(params.n, params.t)
-        direct = hypercube_diagonals(p[:half, :half], p[half:, half:], half)
-        crossed = hypercube_diagonals(p[:half, half:], p[half:, :half], half)
+        both = _s2c_passes(params)
         dense = np.random.default_rng(5).integers(
             -(params.t // 2), params.t // 2 + 1, (half, params.n))
-        for diagonals in (direct, crossed, dense):
+        v = ctx.decrypt(ct, sk).to_slots().reshape(2, half)
+        sources = (v, v[::-1])  # the second pass reads the row swap
+        for diagonals in (both[0], both[1], dense, both):
             got = _three_ways(ctx, ct, diagonals, key.rotation_keys, key.baby_steps)
-            v = ctx.decrypt(ct, sk).to_slots().reshape(2, half)
-            want = sum(diagonals[d].reshape(2, half) * np.roll(v, -d, axis=1)
-                       for d in range(half)) % params.t
+            passes = diagonals.reshape(-1, half, params.n)
+            want = sum(passes[p, d].reshape(2, half) * np.roll(sources[p], -d, axis=1)
+                       for p in range(len(passes)) for d in range(half)) % params.t
             assert np.array_equal(ctx.decrypt(got, sk).to_slots(), want.reshape(-1))
+        # The whole S2C: slots become coefficients.
+        assert np.array_equal(ctx.decrypt(got, sk).coeffs, v.reshape(-1))
 
     def test_sparse_matrices(self, matvec_setup):
         ctx, _, key, ct = matvec_setup
@@ -379,8 +412,10 @@ class TestMatvecBitIdentity:
         one_diagonal = sparse([0])
         for diagonals in (dead_baby, one_group, one_diagonal):
             _three_ways(ctx, ct, diagonals, key.rotation_keys, bs)
-        assert 1 not in MatvecPlan.build(dead_baby, params, bs).babies
+        ((parent, images),) = MatvecPlan.build(dead_baby, params, bs).derived
+        assert parent == 0 and [s for s, _ in images] == list(range(2, bs))
         assert len(MatvecPlan.build(one_group, params, bs).groups) == 1
+        assert MatvecPlan.build(one_diagonal, params, bs).derived == ()
 
     def test_baby_steps_one_and_chunked_products(self, monkeypatch):
         params = TEST_TINY
@@ -412,15 +447,45 @@ class TestMatvecBitIdentity:
     def test_missing_key_and_wrong_shape_raise(self, matvec_setup):
         ctx, _, key, ct = matvec_setup
         params = ctx.params
-        plan = S2CPlan.build(params, key.baby_steps).direct
-        k = rotation_galois_element(params.n, key.baby_steps)
-        without = {e: gk for e, gk in key.rotation_keys.items() if e != k}
-        for be in (BATCHED, SERIAL, CountingBackend(BATCHED)):
-            with use_backend(be), pytest.raises(ParameterError, match=f"element {k}$"):
-                hypercube_matvec(ctx, ct, plan, without)
-        with pytest.raises(ParameterError, match="wrong shape"):
-            MatvecPlan.build(np.zeros((params.n, params.n), dtype=np.int64),
-                             params, key.baby_steps)
+        plan = S2CPlan.build(params, key.baby_steps).matvec
+        for k in (rotation_galois_element(params.n, key.baby_steps),  # a giant
+                  rotation_galois_element(params.n, 1),  # a baby, both passes
+                  row_swap_element(params.n)):
+            without = {e: gk for e, gk in key.rotation_keys.items() if e != k}
+            for be in (BATCHED, SERIAL, CountingBackend(BATCHED)):
+                with use_backend(be), pytest.raises(ParameterError, match=f"element {k}$"):
+                    hypercube_matvec(ctx, ct, plan, without)
+        for shape in ((params.n, params.n), (3, params.n // 2, params.n)):
+            with pytest.raises(ParameterError, match="wrong shape"):
+                MatvecPlan.build(np.zeros(shape, dtype=np.int64), params, key.baby_steps)
+
+
+def _pack_setup(params, seed=3):
+    """A pipeline's keys plus ``batch(count)``: LWE samples of a fresh
+    ciphertext's first ``count`` coefficients, and those coefficients."""
+    pipe = AthenaPipeline(params, seed=seed)
+    values = np.random.default_rng(seed).integers(0, params.t, params.n)
+    ct = pipe.encrypt_coeffs(values)
+    return pipe, values, lambda count: pipe.refresh_to_lwe(ct, np.arange(count))
+
+
+def _spy_transforms(monkeypatch):
+    """Count limb transforms and gadget decompositions as they execute."""
+    executed = {"limb_transforms": 0, "decompositions": 0}
+
+    def spy(module, name, unit):
+        real = getattr(module, name)
+
+        def wrapper(a, *args, **kwargs):
+            executed[unit] += a.size // a.shape[-1] if unit == "limb_transforms" else 1
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(backend_mod, "ntt_forward_rns", "limb_transforms")
+    spy(backend_mod, "ntt_inverse_rns", "limb_transforms")
+    spy(keys_mod, "gadget_digit_rows", "decompositions")
+    return executed
 
 
 class TestMatvecAccounting:
@@ -429,7 +494,7 @@ class TestMatvecAccounting:
         the wrapper's bulk formula, or the reference body's own dispatches
         on a wrapper without the fused overrides, do the counting."""
         ctx, _, key, ct = matvec_setup
-        plan = S2CPlan.build(ctx.params, key.baby_steps).crossed
+        plan = S2CPlan.build(ctx.params, key.baby_steps).matvec
         records = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL),
                          DecomposedCounting(BATCHED)):
@@ -438,40 +503,168 @@ class TestMatvecAccounting:
             records.append((counting.totals(), counting.ops_by_phase()))
         assert records[0] == records[1] == records[2]
         totals = records[0][0]
-        terms = sum(len(idx) for _, idx, _ in plan.groups)
-        rotations = len(plan.babies) + sum(1 for g, _, _ in plan.groups if g)
-        assert totals["pmult"] == terms and totals["hadd"] == terms - 1
-        assert totals["rotation"] == totals["keyswitch"] == rotations
+        bs = key.baby_steps
+        gs = -(-ctx.params.n // 2 // bs)
+        # Both passes' babies, the row swap, one merged giant per group.
+        assert totals["rotation"] == totals["keyswitch"] == 2 * (bs - 1) + 1 + (gs - 1)
+        assert totals["pmult"] == ctx.params.n and totals["hadd"] == ctx.params.n - 1
         assert totals["matvec"] == 1
+        if ctx.params is TEST_LOOP:
+            assert totals["rotation"] == 22  # two passes and a swap billed 29
+
+    @pytest.mark.parametrize("params", [TEST_FBS, TEST_LOOP], ids=lambda p: p.name)
+    def test_packing_bills_products_only(self, params):
+        """Same three-way parity for packing's shape, whose sources come
+        ready: a PMult per live diagonal, no rotation, no keyswitch."""
+        pipe, _, batch = _pack_setup(params)
+        lwe = batch(params.n // 2 + 3)
+        records = []
+        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL),
+                         DecomposedCounting(BATCHED)):
+            with use_backend(counting):
+                pack_lwe(pipe.ctx, lwe, pipe.packing_key)
+            records.append((counting.totals(), counting.ops_by_phase()))
+        assert records[0] == records[1] == records[2]
+        totals = records[0][0]
+        assert totals["pmult"] == params.n // 2 and totals["hadd"] == params.n // 2 - 1
+        assert totals["matvec"] == totals["pack"] == 1
+        assert not {"rotation", "keyswitch", "automorph"} & set(totals)
 
     def test_executed_transforms_of_one_s2c_matvec(self, monkeypatch):
         """The work the fast body was built to avoid, pinned where it is
-        done: limb transforms and gadget decompositions of one S2C direct
-        mat-vec at TEST_LOOP (the composite executed 5 076 and 14)."""
-        params = TEST_LOOP
-        ctx = BfvContext(params, seed=81)
-        sk, pk = ctx.keygen()
-        key = S2CKey.generate(ctx, sk)
-        plan = S2CPlan.build(params, key.baby_steps).direct
-        ct = ctx.encrypt(Plaintext.from_slots(np.arange(params.n), params), pk)
-        for gk in key.rotation_keys.values():
-            gk.warm()
-        executed = {"limb_transforms": 0, "decompositions": 0}
-
-        def spy(module, name, unit):
-            real = getattr(module, name)
-
-            def wrapper(a, *args, **kwargs):
-                executed[unit] += a.size // a.shape[-1] if unit == "limb_transforms" else 1
-                return real(a, *args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        spy(backend_mod, "ntt_forward_rns", "limb_transforms")
-        spy(backend_mod, "ntt_inverse_rns", "limb_transforms")
-        spy(keys_mod, "gadget_digit_rows", "decompositions")
+        done: limb transforms and gadget decompositions of one whole S2C at
+        TEST_LOOP. Two passes, a coefficient-domain row swap and an add
+        executed 3 276 and 17."""
+        pipe = AthenaPipeline(TEST_LOOP, seed=81)
+        plan = S2CPlan.build(TEST_LOOP)
+        ct = pipe.ctx.encrypt(
+            Plaintext.from_slots(np.arange(TEST_LOOP.n), TEST_LOOP), pipe.pk)
+        executed = _spy_transforms(monkeypatch)
         with use_backend(BATCHED):
-            hypercube_matvec(ctx, ct, plan, key.rotation_keys)
-        assert len(plan.babies) == 7 and len(plan.groups) == 8
-        assert executed["decompositions"] == 8
-        assert executed["limb_transforms"] <= 1600
+            slot_to_coeff(pipe.ctx, ct, pipe.s2c_key, plan=plan)
+        assert len(plan.matvec.groups) == 8
+        assert executed == {"limb_transforms": 1728, "decompositions": 9}
+
+    def test_executed_transforms_of_one_pack(self, monkeypatch):
+        """One ``pack_lwe`` of 43 LWE samples at TEST_LOOP: the request's own
+        diagonals (64 x 9 limbs) and one stacked inverse. Rotating the
+        secret on every request executed 2 115 and 8."""
+        pipe, _, batch = _pack_setup(TEST_LOOP)
+        lwe = batch(43)
+        executed = _spy_transforms(monkeypatch)
+        with use_backend(BATCHED):
+            pack_lwe(pipe.ctx, lwe, pipe.packing_key)
+        assert executed == {"limb_transforms": 594, "decompositions": 0}
+
+
+def _same_on_every_engine(run):
+    """``run()`` under batched, serial and counting(batched): one result."""
+    results = []
+    for be in (BATCHED, SERIAL, CountingBackend(BATCHED)):
+        with use_backend(be):
+            results.append(run())
+    for other in results[1:]:
+        _assert_same_ciphertext(results[0], other)
+    return results[0]
+
+
+@pytest.fixture(scope="module", params=[TEST_SMALL, TEST_FBS, TEST_LOOP],
+                ids=lambda p: p.name)
+def pack_setup(request):
+    return _pack_setup(request.param)
+
+
+@lru_cache(maxsize=None)
+def _fbs_s2c():
+    """One pipeline for the hypothesis sweep (no fixture per example)."""
+    return AthenaPipeline(TEST_FBS, seed=3), S2CPlan.build(TEST_FBS)
+
+
+class TestSources:
+    """S2C derives its sources from the request; packing's are key material."""
+
+    def test_s2c_identical_on_every_engine(self, pack_setup):
+        pipe, values, _ = pack_setup
+        params = pipe.params
+        ct = pipe.ctx.encrypt(Plaintext.from_slots(values, params), pipe.pk)
+        plan = S2CPlan.build(params)
+        out = _same_on_every_engine(
+            lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_key, plan=plan))
+        assert np.array_equal(pipe.decrypt_coeffs(out), values)
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_s2c_sweep_of_slot_vectors(self, seed):
+        pipe, plan = _fbs_s2c()
+        params = pipe.params
+        rng = np.random.default_rng(seed)
+        # Dense, sparse and constant vectors alike.
+        values = rng.integers(0, params.t, params.n) * (rng.random(params.n) < rng.random())
+        ct = pipe.ctx.encrypt(Plaintext.from_slots(values, params), pipe.pk)
+        out = _same_on_every_engine(
+            lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_key, plan=plan))
+        assert np.array_equal(pipe.decrypt_coeffs(out), values)
+
+    def test_pack_identical_on_every_engine(self, pack_setup):
+        pipe, _, batch = pack_setup
+        params = pipe.params
+        half = params.n // 2
+        for count in (1, half - 1, half, half + 1, params.n):
+            lwe = batch(count)
+            out = _same_on_every_engine(
+                lambda: pack_lwe(pipe.ctx, lwe, pipe.packing_key))
+            # Homomorphic decryption: slot i holds b_i + <a_i, s'> exactly.
+            want = np.zeros(params.n, dtype=np.int64)
+            want[:count] = (lwe.b + lwe.a @ pipe.lwe_secret) % params.t
+            assert np.array_equal(pipe.decrypt_slots(out), want)
+
+    def test_all_zero_batch_is_the_transparent_zero(self, pack_setup):
+        pipe, _, batch = pack_setup
+        lwe = batch(5)
+        lwe = LweBatch(np.zeros_like(lwe.a), lwe.b, lwe.modulus)
+        out = _same_on_every_engine(lambda: pack_lwe(pipe.ctx, lwe, pipe.packing_key))
+        assert out.noise_bits == 0.0 and not out.c1.data.any()
+        assert np.array_equal(pipe.decrypt_slots(out)[:5], lwe.b)
+
+    def test_rotated_secrets_are_the_rotations(self, pack_setup):
+        pipe, _, _ = pack_setup
+        params, key = pipe.params, pipe.packing_key
+        half = params.n // 2
+        stack, noise = key.rotated_secrets()
+        assert stack.shape == (half, 2, len(params.moduli), params.n)
+        assert key.rotated_secrets()[0] is stack and not stack.flags.writeable
+        row = np.zeros(half, dtype=np.int64)
+        row[: key.lwe_dim] = pipe.lwe_secret % params.t
+        for d in range(half):
+            c0, c1 = ntt_inverse_rns(stack[d], params.moduli)
+            ct = BfvCiphertext(RnsPoly(c0, params.moduli), RnsPoly(c1, params.moduli),
+                               params, noise[d])
+            assert np.array_equal(pipe.decrypt_slots(ct), np.tile(np.roll(row, -d), 2))
+        # At most two keyswitches deep, whatever d.
+        growth = galois_noise_growth(params.n)
+        fresh = key.encrypted_secret.noise_bits
+        assert set(noise) == {fresh, fresh + growth, fresh + 2 * growth}
+
+    def test_missing_galois_key_raises_when_the_stack_is_built(self):
+        params = TEST_FBS
+        ctx = BfvContext(params, seed=82)
+        sk, pk = ctx.keygen()
+        key = PackingKey.generate(ctx, np.ones(params.lwe_n, dtype=np.int64), sk, pk)
+        k = rotation_galois_element(params.n, key.baby_steps)  # a giant's key
+        del key.rotation_keys[k]
+        for be in (BATCHED, SERIAL):
+            with use_backend(be), pytest.raises(ParameterError, match=f"element {k}$"):
+                key.rotated_secrets()
+
+    def test_measured_noise_within_the_estimate_and_the_old_bodies(self):
+        """TEST_LOOP, pipeline seed 3. The two-pass S2C measured 35.2 bits
+        and the per-request rotations 34.9 (of a 270-bit Q): merged giants
+        draw 7 fewer keyswitch terms, the stack's rows at most two each."""
+        pipe, values, batch = _pack_setup(TEST_LOOP)
+        ct = pipe.ctx.encrypt(Plaintext.from_slots(values, TEST_LOOP), pipe.pk)
+        for out, before in ((pipe.to_coeffs(ct), 35.2),
+                            (pack_lwe(pipe.ctx, batch(43), pipe.packing_key), 34.9)):
+            measured = pipe.ctx.true_noise_bits(out, pipe.sk)
+            assert measured <= out.noise_bits and measured <= before + 1
+

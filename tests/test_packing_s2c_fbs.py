@@ -15,7 +15,14 @@ from repro.fhe.fbs import (
     fbs_evaluate,
     interpolate_lut,
 )
-from repro.fhe.packing import MatvecPlan, PackingKey, hypercube_matvec, pack_lwe
+from repro.fhe.packing import (
+    MatvecPlan,
+    PackingKey,
+    hypercube_diagonals,
+    hypercube_matvec,
+    pack_lwe,
+)
+from repro.fhe.params import TEST_FBS, TEST_LOOP
 from repro.fhe.s2c import (
     S2CKey,
     S2CPlan,
@@ -78,10 +85,37 @@ class TestPacking:
         p = ctx.params
         plan = MatvecPlan.build(
             np.zeros((p.n // 2, p.n), dtype=np.int64), p, pkey.baby_steps)
-        assert plan.groups == () and plan.babies == ()
+        assert plan.groups == () and plan.derived == ()
         out = hypercube_matvec(ctx, pkey.encrypted_secret, plan, pkey.rotation_keys)
         assert out.noise_bits == 0.0
         assert not ctx.decrypt(out, sk).to_slots().any()
+
+    @pytest.mark.parametrize("params", [TEST_FBS, TEST_LOOP], ids=lambda p: p.name)
+    def test_diagonals_equal_the_row_by_row_loop(self, params):
+        """The broadcast gather against a frozen copy of the loop it
+        replaced: same values, same C order, any block shapes up to N/2."""
+
+        def loop(top, bot, half):
+            top, bot = (np.pad(m, ((0, half - m.shape[0]), (0, half - m.shape[1])))
+                        for m in (top, bot))
+            i = np.arange(half)
+            diags = np.empty((half, 2 * half), dtype=np.int64)
+            for d in range(half):
+                cols = (i + d) % half
+                diags[d, :half] = top[i, cols]
+                diags[d, half:] = bot[i, cols]
+            return diags
+
+        half = params.n // 2
+        rng = np.random.default_rng(params.n)
+        shapes = [(half, half), (1, 1), (half, 3), (5, half), (0, half)]
+        shapes += [tuple(rng.integers(0, half + 1, 2)) for _ in range(6)]
+        for shape in shapes:
+            top = rng.integers(-params.t, params.t, (max(shape[0], 1), shape[1]))
+            bot = rng.integers(-params.t, params.t, shape)  # may be empty
+            got = hypercube_diagonals(top, bot, half)
+            assert np.array_equal(got, loop(top, bot, half))
+            assert got.dtype == np.int64 and got.flags.c_contiguous
 
     def test_wrong_modulus_raises(self, packing_setup):
         ctx, *_, pkey = packing_setup

@@ -24,6 +24,7 @@ from repro.fhe.params import TEST_LOOP, TEST_SMALL
 from repro.fhe.serialize import dump_plan, load_plan
 from repro.quant.subjects import SUBJECTS, micro_subject, mnist_cnn_micro
 from repro.serve import InferenceSession, PlanCache
+from tests.conftest import refresh_noise_bound
 
 
 def _program():
@@ -64,7 +65,7 @@ class TestCompileProgram:
         # Compact is spelled out: identity rows, never ``None``.
         assert np.array_equal(conv.round.rows, np.arange(32))
         assert conv.round.height == 32
-        assert plan.s2c.direct.baby_steps == plan.s2c.crossed.baby_steps
+        assert len(plan.s2c.matvec.groups) == 8  # one mat-vec, both passes
         assert plan.model_hash == program_fingerprint(program)
 
     def test_correction_zeroes_exactly_the_unfilled_rows(self):
@@ -333,7 +334,7 @@ class TestInferenceSession:
             x_q = rng.integers(-3, 4, (1, 6, 6)).astype(np.int64)
             got = session.run(x_q)
             want = qm.forward_int(x_q[None])[0]
-            assert np.abs(got - want).max() <= 2
+            assert np.abs(got - want).max() <= refresh_noise_bound(qm, TEST_LOOP)
         stats = session.stats()
         assert stats.requests == 2
         assert stats.timings["compile_s"] > 0 and stats.timings["run_s"] > 0
