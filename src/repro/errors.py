@@ -74,6 +74,22 @@ class ModulusOverflow(QuantizationError):
         self.excess = excess
 
 
+class TensorOverflow(ParameterError):
+    """A CMult tensor was asked to sum more products than its auxiliary
+    basis holds exactly (:func:`repro.fhe.bfv.cmult_bounds`).
+
+    The basis of a parameter set is sized once, for the ``ceil(sqrt(t))``
+    giant steps any FBS over Z_t can combine; a longer sum would wrap
+    modulo P silently, so it is refused. ``terms`` is the number of
+    products asked for, ``capacity`` the number the basis holds.
+    """
+
+    def __init__(self, message: str, *, terms: int, capacity: int):
+        super().__init__(message)
+        self.terms = terms
+        self.capacity = capacity
+
+
 class ScheduleError(ReproError):
     """The accelerator simulator was given an unschedulable op trace."""
 

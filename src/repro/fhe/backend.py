@@ -49,9 +49,10 @@ component), :meth:`Backend.rotate_keyswitch` (the one rotation:
 decompose, then X -> X^k on the digits), :meth:`Backend.matvec` (a whole
 BSGS mat-vec over a set of sources — derived from the request's ciphertext
 for S2C, ready key material for packing; on the batched engine it never
-leaves the evaluation domain), and :meth:`Backend.giant_step_batch` (all
-giant-step CMult keyswitches of one FBS batched through stacked
-``(G, D, L, N)`` transforms). Reference and fast bodies are both
+leaves the evaluation domain), and :meth:`Backend.giant_step_batch` (the
+giant-step combination of one FBS as one inner-product CMult: G products
+summed in the evaluation domain of Q u P, one scale-round, one
+keyswitch). Reference and fast bodies are both
 *dispatch-free* — they call ``self`` methods and module-level transforms,
 never :func:`current_backend` — so :class:`CountingBackend` can count
 each fused op exactly once in primitive-equivalent units and delegate
@@ -96,8 +97,9 @@ __all__ = [
 ]
 
 
-#: Soft element budget for one stacked chunk — (G', D, L, N) giant steps,
-#: (T, 2, L, N) mat-vec products, the (T, L, N) diagonals of a plan build —
+#: Soft element budget for one stacked chunk — (G', 2, 2, L+K, N) giant-step
+#: products, (T, 2, L, N) mat-vec products, the (T, L, N) diagonals of a
+#: plan build —
 #: ~128 MiB of int64; keeps large-parameter batches out of swap without
 #: changing results.
 GIANT_BATCH_ELEMS = 1 << 24
@@ -470,27 +472,34 @@ class Backend:
         return tuple(chain(parts))
 
     def giant_step_batch(self, ctx, pairs, rlk):
-        """Relinearized CMult for every giant-step pair of one FBS.
+        """The giant-step combination of one FBS: ``relin(sum_g inner_g *
+        giant_g)`` over ``pairs``, a list of (inner, giant) BfvCiphertexts,
+        as one ciphertext.
 
-        ``pairs`` is a list of (inner, giant) BfvCiphertexts; returns the
-        list of products in order. Reference: per-pair tensor + keyswitch +
-        correction adds; BatchedBackend stacks all G gadget decompositions
-        through single (G, D, L, N) transforms.
+        The tensor is linear, so the G products accumulate in the
+        evaluation domain of Q u P (:meth:`BfvContext.tensor_products`) and
+        share one scale-round and one keyswitch. Reference: per-pair
+        products joined by G - 1 additions over Q u P, the keyswitch, the
+        two correction adds; BatchedBackend sums stacked products lazily.
+        Both sums are exact, so the bodies are bit-identical.
         """
         from repro.fhe.bfv import BfvCiphertext
         from repro.fhe.poly import RnsPoly
 
-        out = []
-        for a, b in pairs:
-            moduli = a.params.moduli
+        ctx.check_tensor_terms(len(pairs))
+        moduli, both = ctx.params.moduli, ctx.tensor_moduli
+        acc = None
+        for pair in pairs:
             self.record("cmult")
-            r0, r1, r2, noise = ctx.cmult_tensor(a, b)
-            self.record("keyswitch")
-            d0, d1 = self.keyswitch(r2.data, rlk, moduli)
-            c0 = RnsPoly(self.add(r0.data, d0, moduli), moduli)
-            c1 = RnsPoly(self.add(r1.data, d1, moduli), moduli)
-            out.append(BfvCiphertext(c0, c1, a.params, noise))
-        return out
+            e = ctx.tensor_products([pair])
+            acc = e if acc is None else np.stack(
+                [self.add(x, y, both) for x, y in zip(acc, e)])
+        r0, r1, r2 = ctx.tensor_scale_round(acc)
+        self.record("keyswitch")
+        d0, d1 = self.keyswitch(r2, rlk, moduli)
+        c0 = RnsPoly(self.add(r0, d0, moduli), moduli)
+        c1 = RnsPoly(self.add(r1, d1, moduli), moduli)
+        return BfvCiphertext(c0, c1, ctx.params, ctx.cmult_noise(pairs))
 
     # -- LWE tier ----------------------------------------------------------
 
@@ -674,38 +683,20 @@ class BatchedBackend(Backend):
 
     def giant_step_batch(self, ctx, pairs, rlk):
         from repro.fhe.bfv import BfvCiphertext
-        from repro.fhe.keys import gadget_digit_rows
         from repro.fhe.poly import RnsPoly
 
-        if not pairs:
-            return []
-        params = pairs[0][0].params
-        moduli = params.moduli
-        mods = _moduli_column(moduli)
-        num_digits = rlk.num_digits
-        k0, k1 = rlk.ntt_stack()
-        per_pair = num_digits * len(moduli) * params.n
-        chunk = max(1, self.giant_batch_elems // per_pair)
-        out = []
-        for start in range(0, len(pairs), chunk):
-            group = pairs[start : start + chunk]
-            tensors = [ctx.cmult_tensor(a, b) for a, b in group]
-            digits = np.stack(
-                [
-                    gadget_digit_rows(r2.data, moduli, rlk.base_bits, num_digits)
-                    for _, _, r2, _ in tensors
-                ]
-            )
-            # (G, D, N) digits -> (G, D, L, N) residues, one forward pass.
-            fd = ntt_forward_rns(np.mod(digits[:, :, None, :], mods), moduli)
-            acc0 = lazy_reduce_sum(fd * k0 % mods, moduli, axis=1)
-            acc1 = lazy_reduce_sum(fd * k1 % mods, moduli, axis=1)
-            deltas = ntt_inverse_rns(np.stack([acc0, acc1]), moduli)
-            for g, (r0, r1, _, noise) in enumerate(tensors):
-                c0 = RnsPoly((r0.data + deltas[0, g]) % mods, moduli)
-                c1 = RnsPoly((r1.data + deltas[1, g]) % mods, moduli)
-                out.append(BfvCiphertext(c0, c1, params, noise))
-        return out
+        ctx.check_tensor_terms(len(pairs))
+        moduli = ctx.params.moduli
+        # A chunk of G' pairs peaks at its (G', 2, 2, L+K, N) products; the
+        # chunks' lazy sums add up unreduced (cmult_bounds: "lazy_sum").
+        chunk = max(1, self.giant_batch_elems // (4 * len(ctx.tensor_moduli) * ctx.params.n))
+        e = sum(ctx.tensor_products(pairs[lo : lo + chunk])
+                for lo in range(0, len(pairs), chunk))
+        r0, r1, r2 = ctx.tensor_scale_round(e)
+        d0, d1 = self.keyswitch(r2, rlk, moduli)
+        c0 = RnsPoly(self.add(r0, d0, moduli), moduli)
+        c1 = RnsPoly(self.add(r1, d1, moduli), moduli)
+        return BfvCiphertext(c0, c1, ctx.params, ctx.cmult_noise(pairs))
 
 
 class SerialBackend(Backend):
@@ -941,17 +932,16 @@ class CountingBackend(Backend):
         return self.inner.matvec(vec, plan, rotation_keys, moduli)
 
     def giant_step_batch(self, ctx, pairs, rlk):
-        if pairs:
-            moduli = pairs[0][0].params.moduli
-            size = pairs[0][0].c0.data.size
-            g = len(pairs)
-            units = self._keyswitch_units(size, len(moduli), rlk.num_digits)
-            units = {op: k * g for op, k in units.items()}
-            units["mod_add"] += 2 * size * g  # r0+d0, r1+d1 per pair
-            self.record("cmult", g)
-            self.record("keyswitch", g)
-            self._bulk(**units)
-        return self.inner.giant_step_batch(ctx, pairs, rlk)
+        out = self.inner.giant_step_batch(ctx, pairs, rlk)  # raises on a bad batch
+        # Billed as the stream the reference body dispatches: a CMult per
+        # product, G - 1 three-component additions over Q u P, one
+        # keyswitch, the two correction adds.
+        limbs, n = len(ctx.params.moduli), ctx.params.n
+        units = self._keyswitch_units(limbs * n, limbs, rlk.num_digits)
+        units["mod_add"] += 2 * limbs * n
+        units["mod_add"] += 3 * (len(pairs) - 1) * len(ctx.tensor_moduli) * n
+        self._bulk(cmult=len(pairs), keyswitch=1, **units)
+        return out
 
     # -- LWE tier ------------------------------------------------------------
 

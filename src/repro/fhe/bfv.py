@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import NoiseBudgetExhausted, ParameterError
+from repro.errors import NoiseBudgetExhausted, ParameterError, TensorOverflow
 from repro.fhe import rns
 from repro.fhe import slots as slotlib
 from repro.fhe.backend import current_backend
@@ -132,6 +132,11 @@ class BfvCiphertext:
                 f"Delta/2 = {math.log2(self.params.delta / 2):.1f} bits"
             )
 
+    def __getstate__(self) -> dict:
+        """Pickle the four fields only: a cached CMult operand form
+        (:meth:`BfvContext.tensor_form`) is derived data."""
+        return {k: v for k, v in self.__dict__.items() if k != "_tensor_form"}
+
 
 class _TensorTables(NamedTuple):
     """Word-sized constants of :meth:`BfvContext.cmult_tensor` for one ring."""
@@ -142,6 +147,7 @@ class _TensorTables(NamedTuple):
     aux_col: np.ndarray  # (K, 1) the primes of P
     half: np.ndarray  # (L+K, 1) floor(Q/2) mod each prime of Q u P
     q_inv: np.ndarray  # (K, 1) Q^-1 mod each prime of P
+    terms: int  # products one tensor may sum: ceil(sqrt(t))
 
 
 @lru_cache(maxsize=None)
@@ -149,11 +155,15 @@ def _tensor_tables(params: FheParams) -> _TensorTables:
     """The auxiliary basis P of the RNS tensor and the constants that go with it.
 
     P is 31-bit NTT primes (so disjoint from the sub-2**30 limbs of Q) with
-    P > 2*t*N*Q + 4, twice what the centred scaled tensor needs — every
-    component is at most t*N*Q/2 + 1 in magnitude. Built on the first CMult
-    of a parameter set; a few KiB.
+    P > 2*t*N*Q*terms + 4, twice what the centred scaled sum of ``terms``
+    tensors needs — every component of one is at most t*N*Q/2 + 1 in
+    magnitude. ``terms`` is ceil(sqrt(t)): an FBS over Z_t combines
+    ``gs <= bs = ceil(sqrt(degree + 1)) <= ceil(sqrt(t))`` giant steps, so
+    one basis per ring serves every plan. Built on the first CMult of a
+    parameter set; a few KiB.
     """
-    bound = 2 * params.t * params.n * params.q + 4
+    terms = math.isqrt(params.t - 1) + 1
+    bound = 2 * params.t * params.n * params.q * terms + 4
     # Every prime exceeds 2**30, so this many always suffice; keep the
     # shortest prefix (largest prime first) that does.
     aux = tuple(find_ntt_primes(bound.bit_length() // 30 + 1, 31, 2 * params.n))
@@ -173,15 +183,17 @@ def _tensor_tables(params: FheParams) -> _TensorTables:
         aux_col=column(aux),
         half=column([params.q // 2 % p for p in both]),
         q_inv=column([inv_mod(params.q % p, p) for p in aux]),
+        terms=terms,
     )
 
 
 def cmult_bounds(params: FheParams) -> dict[str, tuple[int | float, int | float]]:
     """``name -> (peak, limit)`` for everything the RNS tensor relies on.
 
-    :meth:`BfvContext.cmult_tensor` is exact for ``params`` iff every
-    peak is strictly below its limit. Reads the moduli tables only (no
-    twiddles), so it is cheap at any ring degree.
+    :meth:`BfvContext.cmult_tensor` is exact for ``params``, for any sum of
+    up to ``ceil(sqrt(t))`` products, iff every peak is strictly below its
+    limit. Reads the moduli tables only (no twiddles), so it is cheap at
+    any ring degree.
     """
     tb = _tensor_tables(params)
     aux = tb.aux
@@ -191,18 +203,19 @@ def cmult_bounds(params: FheParams) -> dict[str, tuple[int | float, int | float]
     return {
         # residue * residue, residue * CRT constant, residue * t
         "product": (top * max(top, params.t), 2**62),
-        # e1's two products; t*e + floor(Q/2); x * inv + folded shift;
-        # base_extend's 2L split-digit (< 2**16) products against its
-        # weights, less overflow * Q and floor(Q/2) mod the target prime
+        # e1's 2 * terms reduced products; t*e + floor(Q/2); x * inv +
+        # folded shift; base_extend's 2L split-digit (< 2**16) products
+        # against its weights, less overflow * Q and floor(Q/2) mod the
+        # target prime
         "lazy_sum": (
             max(
-                2 * top * top,
+                2 * tb.terms * top,
                 top * params.t + top,
                 2 * widest * (top << 16) + widest * top + top,
             ),
             2**63,
         ),
-        "aux_basis": (2 * params.t * params.n * params.q + 4, aux_modulus),
+        "aux_basis": (2 * params.t * params.n * params.q * tb.terms + 4, aux_modulus),
         "overflow_estimate": (rns.overflow_estimate_error(widest), rns.V_AMBIGUITY),
     }
 
@@ -300,6 +313,12 @@ class BfvContext:
     def galois_noise(self, noise_bits: float) -> float:
         return noise_bits + galois_noise_growth(self.params.n)
 
+    def cmult_noise(self, pairs) -> float:
+        """Table-4 estimate of the relinearised sum of ``pairs``' products:
+        the worst operand, one CMult, log2 G for the G-term sum."""
+        worst = max(max(a.noise_bits, b.noise_bits) for a, b in pairs)
+        return worst + self._log_nt + math.log2(len(pairs))
+
     @staticmethod
     def hadd_noise(noises: list[float]) -> float:
         """The sequential ``max(acc, next) + 1`` fold of an HAdd chain."""
@@ -380,59 +399,92 @@ class BfvContext:
             self.pmult_noise(ct.noise_bits),
         )
 
-    def cmult_tensor(
-        self, a: BfvCiphertext, b: BfvCiphertext
-    ) -> tuple[RnsPoly, RnsPoly, RnsPoly, float]:
-        """The tensor half of CMult, in word-sized RNS.
+    # The CMult tensor of a sum of products, in three dispatch-free stages
+    # (module-level transforms and rns.base_extend only, no backend calls):
+    # the giant_step_batch bodies run them and differ only in how they sum.
 
-        Returns (r0, r1, r2, noise_bits): the scaled components
-        ``round(t * e / Q) mod Q`` for e = (a0*b0, a0*b1 + a1*b0, a1*b1)
-        over the centred integer lifts, before relinearization. Exact —
-        bit-identical to tensoring over Python integers — and dispatch-free
-        (module-level transforms and :func:`repro.fhe.rns.base_extend` only,
-        no backend calls), so the fused
-        :meth:`~repro.fhe.backend.Backend.giant_step_batch` can run it for
-        every pair and then count or batch the keyswitches.
+    @property
+    def tensor_moduli(self) -> tuple[int, ...]:
+        """Q u P, the basis the tensor multiplies in (Q's limbs first)."""
+        return _tensor_tables(self.params).both
 
-        The operands are extended exactly from Q to an auxiliary NTT basis P
-        (:func:`_tensor_tables`) wide enough to hold the scaled result,
-        multiplied in the NTT domain over Q u P, and brought back; with
-        y = t*e + floor(Q/2), ``floor(y / Q) = (y - [y]_Q) / Q`` is
+    def check_tensor_terms(self, count: int) -> None:
+        """Refuse an empty sum, and one of more products than P was sized for."""
+        terms = _tensor_tables(self.params).terms
+        if count < 1:
+            raise ParameterError("a CMult tensor needs at least one pair")
+        if count > terms:
+            raise TensorOverflow(
+                f"a tensor of {count} products exceeds the {terms} the "
+                f"auxiliary basis of {self.params.name} holds",
+                terms=count, capacity=terms,
+            )
+
+    def tensor_form(self, ct: BfvCiphertext) -> np.ndarray:
+        """Stage 1: ``ct`` as a CMult operand — the exact centred extension
+        Q -> P and forward NTT over Q u P of (c0, c1), a (2, L+K, N) array.
+
+        Built the first time ``ct`` is an operand and kept on it (read-only;
+        not a field: absent from ``==``, ``repr``, pickles and the wire
+        format), so a ciphertext multiplied several times — a square, a
+        power feeding several powers — enters Q u P once.
+        """
+        if ct.params != self.params:
+            raise ParameterError("ring mismatch between operands")
+        form = getattr(ct, "_tensor_form", None)
+        if form is None:
+            tb = _tensor_tables(self.params)
+            ops = np.stack([ct.c0.data, ct.c1.data])
+            ext = rns.base_extend(ops, self.params.moduli, tb.aux, centered=True)
+            form = ntt_forward_rns(np.concatenate([ops, ext], axis=-2), tb.both)
+            form.setflags(write=False)
+            ct._tensor_form = form
+        return form
+
+    def tensor_products(self, pairs) -> np.ndarray:
+        """Stage 2: ``(e0, e1, e2) = sum_g (a0*b0, a0*b1 + a1*b0, a1*b1)``
+        over ``pairs`` in the evaluation domain of Q u P, a (3, L+K, N)
+        array. Each product is reduced below 2**31 and the terms summed
+        lazily, so partial sums of one batch add up in int64 unreduced."""
+        mods = _tensor_tables(self.params).both_col
+        a = np.stack([self.tensor_form(x) for x, _ in pairs])
+        b = np.stack([self.tensor_form(y) for _, y in pairs])
+        e = (a[:, :, None] * b[:, None, :] % mods).sum(axis=0)  # e[i, j] = sum ai*bj
+        return np.stack([e[0, 0], e[0, 1] + e[1, 0], e[1, 1]])
+
+    def tensor_scale_round(self, e: np.ndarray) -> np.ndarray:
+        """Stage 3: ``round(t * e / Q) mod Q`` of a (possibly lazy) stage-2
+        sum, a (3, L, N) array — one inverse NTT, one rounding.
+
+        With y = t*e + floor(Q/2), ``floor(y / Q) = (y - [y]_Q) / Q`` is
         computed modulo each prime of P from the exact extension of
-        [y]_Q, then converted P -> Q centred. :func:`cmult_bounds` states
-        the overflow and precision bounds this relies on.
+        [y]_Q, then converted P -> Q centred.
         """
         params = self.params
-        if a.params != params or b.params != params:
-            raise ParameterError("ring mismatch between operands")
         moduli = params.moduli
         tb = _tensor_tables(params)
         num_limbs = len(moduli)
-        ops = [a.c0.data, a.c1.data]
-        if b is not a:  # a square extends and transforms its operand once
-            ops += [b.c0.data, b.c1.data]
-        ops = np.stack(ops)
-        # (2 or 4, L+K, N): every operand component, one forward pass.
-        f = ntt_forward_rns(
-            np.concatenate(
-                [ops, rns.base_extend(ops, moduli, tb.aux, centered=True)], axis=-2
-            ),
-            tb.both,
-        )
-        a0, a1, b0, b1 = f[0], f[1], f[-2], f[-1]
-        e = np.empty((3,) + f.shape[1:], dtype=np.int64)
-        # Left unreduced for the inverse transform's own reduction: each
-        # product is < 2**62, and the two summed for e1 stay below 2**63.
-        np.multiply(a0, b0, out=e[0])
-        np.multiply(a0, b1, out=e[1])
-        e[1] += a1 * b0
-        np.multiply(a1, b1, out=e[2])
         y = (ntt_inverse_rns(e, tb.both) * params.t + tb.half) % tb.both_col
         y_mod_q = rns.base_extend(y[:, :num_limbs], moduli, tb.aux)
         scaled = (y[:, num_limbs:] - y_mod_q) * tb.q_inv % tb.aux_col
-        r0, r1, r2 = rns.base_extend(scaled, tb.aux, moduli, centered=True)
-        noise = max(a.noise_bits, b.noise_bits) + self._log_nt
-        return RnsPoly(r0, moduli), RnsPoly(r1, moduli), RnsPoly(r2, moduli), noise
+        return rns.base_extend(scaled, tb.aux, moduli, centered=True)
+
+    def cmult_tensor(self, pairs) -> tuple[RnsPoly, RnsPoly, RnsPoly, float]:
+        """The tensor half of CMult for a sum of products, in word-sized RNS.
+
+        ``pairs`` is a list of (a, b) ciphertexts. Returns (r0, r1, r2,
+        noise_bits): the scaled components ``round(t * e / Q) mod Q`` for
+        e = sum over the pairs of (a0*b0, a0*b1 + a1*b0, a1*b1) over the
+        centred integer lifts, before relinearization. Exact — bit-identical
+        to tensoring over Python integers, one rounding whatever the number
+        of pairs. :func:`cmult_bounds` states the overflow and precision
+        bounds this relies on.
+        """
+        self.check_tensor_terms(len(pairs))
+        moduli = self.params.moduli
+        r0, r1, r2 = self.tensor_scale_round(self.tensor_products(pairs))
+        return (RnsPoly(r0, moduli), RnsPoly(r1, moduli), RnsPoly(r2, moduli),
+                self.cmult_noise(pairs))
 
     def cmult(
         self, a: BfvCiphertext, b: BfvCiphertext, rlk: KeySwitchKey
@@ -440,15 +492,14 @@ class BfvContext:
         """Ciphertext-ciphertext multiplication with relinearization.
 
         Tensor the ciphertexts (exactly the product of the centred integer
-        lifts, computed in RNS by :meth:`cmult_tensor`), scale each
-        component by t/Q with rounding, then fold the quadratic term back to
-        degree one with the relinearization key.
+        lifts, computed in RNS by :meth:`cmult_tensor` — the one-pair
+        case), scale each component by t/Q with rounding, then fold the
+        quadratic term back to degree one with the relinearization key.
         """
-        p = a.params
         current_backend().record("cmult")
-        r0, r1, r2, noise = self.cmult_tensor(a, b)
+        r0, r1, r2, noise = self.cmult_tensor([(a, b)])
         d0, d1 = apply_keyswitch(r2, rlk)
-        return BfvCiphertext(r0 + d0, r1 + d1, p, noise)
+        return BfvCiphertext(r0 + d0, r1 + d1, a.params, noise)
 
     def square(self, ct: BfvCiphertext, rlk: KeySwitchKey) -> BfvCiphertext:
         return self.cmult(ct, ct, rlk)

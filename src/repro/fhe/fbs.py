@@ -21,7 +21,7 @@ Athena accelerator's FRU array and two-region dataflow exploit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -325,9 +325,9 @@ class FbsPlan:
         recursion the evaluator historically ran — per group in ascending
         order, each needed power before the group's giant — so plan-driven
         evaluation stays bit-identical while the runtime loses the
-        per-request recursion and the giant-step *combination* CMults can
-        be batched after the ladder. Computed once per plan at compile
-        time (``cached_property``).
+        per-request recursion. The giant-step *combination* is not in the
+        ladder: it is one inner-product CMult after it. Computed once per
+        plan at compile time (``cached_property``).
         """
         steps: list[tuple[str, int, int, int]] = []
         have_p = {1}
@@ -381,8 +381,9 @@ def fbs_evaluate(
 
     Dispatches through the active backend's :meth:`Backend.fbs`. Baby
     steps: inner sums of scalar-multiplied ciphertext powers (SMult +
-    HAdd). Giant steps: one CMult per group with the precomputed power
-    ct^(bs*g). Returns a ciphertext whose slot i holds LUT(slot_i(ct)).
+    HAdd). Giant steps: one inner-product CMult, sum_g inner_g *
+    ct^(bs*g), over the precomputed giant powers. Returns a ciphertext
+    whose slot i holds LUT(slot_i(ct)).
 
     ``plan`` supplies a precomputed BSGS schedule (see :class:`FbsPlan`);
     without one, the schedule is derived here. Either way the homomorphic
@@ -411,13 +412,14 @@ def fbs_evaluate_impl(
     minimal-depth power/giant CMult schedule — depth ceil(log2 e) per
     power, which keeps FBS noise at ~log2(t) levels instead of sqrt(t)),
     then fold each group's baby terms through one fused
-    :meth:`~repro.fhe.bfv.BfvContext.add_many`, and finally run every
-    giant-step *combination* CMult through a single
-    :meth:`~repro.fhe.backend.Backend.giant_step_batch` — the batched
-    engine stacks all G gadget decompositions into one (G, D, L, N)
-    transform set. The combinations are mutually independent (no group
-    product feeds another group), so deferring them behind the group scan
-    is bit-identical to the historical interleaved order.
+    :meth:`~repro.fhe.bfv.BfvContext.add_many`, and finally combine
+    ``sum_{g>0} inner_g * giant_g`` in a single
+    :meth:`~repro.fhe.backend.Backend.giant_step_batch`: one tensor sum,
+    one scale-round, one relinearisation, whatever the number of groups.
+    Every CMult operand keeps its Q u P evaluation form
+    (:meth:`~repro.fhe.bfv.BfvContext.tensor_form`) for the rest of the
+    call, so a power that feeds several powers, or a giant that feeds a
+    giant and the combination, is extended and transformed once.
     """
     be = current_backend()
     t = ctx.params.t
@@ -427,7 +429,9 @@ def fbs_evaluate_impl(
         plan = FbsPlan.from_lut(lut)
     bs = plan.bs
 
-    powers: dict[int, BfvCiphertext] = {1: ct}
+    # A private handle on the input: every form built below is held by an
+    # object local to this call and dies with it.
+    powers: dict[int, BfvCiphertext] = {1: replace(ct)}
     giants: dict[int, BfvCiphertext] = {}
     for kind, e, lo, hi in plan.ladder:
         with be.phase("fbs_giant"):
@@ -439,12 +443,9 @@ def fbs_evaluate_impl(
                 b = powers[bs] if hi == 1 else giants[hi]
                 giants[e] = ctx.cmult(a, b, rlk)
 
-    def giant(g: int) -> BfvCiphertext:
-        return powers[bs] if g == 1 else giants[g]
-
-    # Group scan: baby sums now, giant combinations deferred into one batch.
+    # Group scan: the baby sums, then the giant combination in one CMult.
     combos: list[tuple[BfvCiphertext, BfvCiphertext]] = []
-    slots: list[BfvCiphertext | None] = []  # result parts, group order
+    result_parts: list[BfvCiphertext] = []
     for g, const, terms in plan.groups:
         parts = [ctx.smult(powers[j], coeff) for j, coeff in terms]
         inner = ctx.add_many(parts) if parts else None
@@ -452,16 +453,12 @@ def fbs_evaluate_impl(
             base = inner if inner is not None else ctx.encrypt_zero()
             inner = ctx.add_plain(base, plan.const_plaintext(const, ctx.params))
         if g:
-            combos.append((inner, giant(g)))
-            slots.append(None)  # filled from the batch below
+            combos.append((inner, powers[bs] if g == 1 else giants[g]))
         else:
-            slots.append(inner)
+            result_parts.append(inner)
     if combos:
         with be.phase("fbs_giant"):
-            combined = be.giant_step_batch(ctx, combos, rlk)
-        it = iter(combined)
-        slots = [next(it) if s is None else s for s in slots]
-    result_parts = [s for s in slots if s is not None]
+            result_parts.append(be.giant_step_batch(ctx, combos, rlk))
     if not result_parts:
         # All-zero polynomial: the LUT is identically zero, so the answer is
         # a (transparent) zero ciphertext rather than SMult(ct, 0).

@@ -146,8 +146,8 @@ def ntt_forward_rns(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     Axis -2 indexes limbs: slice i is transformed modulo ``moduli[i]``; one
     butterfly pass per stage covers every limb (the per-prime loop this
     replaces ran log2(N) stages L times over). Leading axes batch freely —
-    the fused-kernel layer stacks gadget digits (D, L, N) or whole giant-step
-    groups (G, D, L, N) through a single call, amortizing the Python/numpy
+    the fused-kernel layer stacks gadget digits (D, L, N) or a plan's whole
+    diagonal set (T, L, N) through a single call, amortizing the Python/numpy
     dispatch of every stage across the batch. Same ordering contract as
     :func:`ntt_forward`: natural in, bit-reversed out. Overflow-safe for
     primes < 2**31: every intermediate product is < 2**62.

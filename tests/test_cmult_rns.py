@@ -1,20 +1,23 @@
 """The word-sized CMult tensor against its big-int oracle.
 
 :meth:`BfvContext.cmult_tensor` claims to be *exact*: bit-identical,
-for every input, to tensoring the centred CRT lifts over Python integers and
-rounding by t/Q. That big-int computation lives here, as the oracle
-(:func:`oracle_tensor`), built from ``negacyclic_mul_exact`` and
-``from_rns_centered``. Pinned below:
+for every input, to tensoring the centred CRT lifts over Python integers,
+summing the products of all its pairs and rounding the sum by t/Q — once.
+That big-int computation lives here, as the oracle (:func:`oracle_sum`),
+built from ``negacyclic_mul_exact`` and ``from_rns_centered``. Pinned below:
 
 1. :func:`repro.fhe.rns.base_extend` equals the big-int lift on drawn residue
    stacks and on the edges of the interval, plain and centred.
 2. the tensor equals the oracle on random, adversarial and crafted operands
    (including the ones that force the exact-integer route for the CRT
    overflow count), with no big-int conversion on the normal path.
-3. ``cmult`` and ``giant_step_batch`` are bit-identical across engines and to
+3. a sum of G products equals ``round(t * sum(e) / Q)`` for G up to the
+   ``ceil(sqrt(t))`` the auxiliary basis is sized for — squares, a
+   transparent-zero operand and crafted rounding edges in the list.
+4. ``cmult`` and ``giant_step_batch`` are bit-identical across engines and to
    oracle tensor + the same keyswitch; mismatched rings raise.
-4. the overflow / precision bounds hold for every preset (tables only), and
-   the kernel runs at the paper's ring size (slow).
+5. the overflow / precision bounds hold for every preset (tables only), an
+   over-long sum raises, and the kernel runs at the paper's ring size (slow).
 """
 
 from fractions import Fraction
@@ -24,8 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
-from repro.fhe import backend as backend_module
+from repro.errors import ParameterError, TensorOverflow
 from repro.fhe import bfv as bfv_module
 from repro.fhe import rns
 from repro.fhe.backend import BATCHED, SERIAL, BatchedBackend, use_backend
@@ -54,31 +56,36 @@ _drawn = settings(
 # --- the oracle -----------------------------------------------------------------
 
 
-def oracle_tensor(a: BfvCiphertext, b: BfvCiphertext) -> np.ndarray:
-    """(3, L, N): the big-int tensor + t/Q rounding the RNS kernel replaced."""
-    p = a.params
-    a0, a1, b0, b1 = (
-        rns.from_rns_centered(x.data, p.moduli) for x in (a.c0, a.c1, b.c0, b.c1)
-    )
-    e0 = negacyclic_mul_exact(a0, b0)
-    e1 = [
-        x + y
-        for x, y in zip(negacyclic_mul_exact(a0, b1), negacyclic_mul_exact(a1, b0))
-    ]
-    e2 = negacyclic_mul_exact(a1, b1)
+def oracle_sum(pairs) -> np.ndarray:
+    """(3, L, N): big-int tensors of every pair, summed, then *one* t/Q
+    rounding — what the RNS kernel replaced, for a sum of products."""
+    p = pairs[0][0].params
+    total = np.zeros((3, p.n), dtype=object)
+    for a, b in pairs:
+        a0, a1, b0, b1 = (
+            rns.from_rns_centered(x.data, p.moduli) for x in (a.c0, a.c1, b.c0, b.c1)
+        )
+        products = [(a0, b0), (a0, b1), (a1, b0), (a1, b1)]
+        e00, e01, e10, e11 = (
+            np.asarray(negacyclic_mul_exact(x, y), dtype=object) for x, y in products
+        )
+        total += np.stack([e00, e01 + e10, e11])
     return np.stack(
-        [
-            rns.to_rns(
-                (np.asarray(e, dtype=object) * (2 * p.t) + p.q) // (2 * p.q), p.moduli
-            )
-            for e in (e0, e1, e2)
-        ]
+        [rns.to_rns((e * (2 * p.t) + p.q) // (2 * p.q), p.moduli) for e in total]
     )
+
+
+def oracle_tensor(a: BfvCiphertext, b: BfvCiphertext) -> np.ndarray:
+    return oracle_sum([(a, b)])
+
+
+def tensor_sum(ctx: BfvContext, pairs) -> np.ndarray:
+    r0, r1, r2, _ = ctx.cmult_tensor(pairs)
+    return np.stack([r0.data, r1.data, r2.data])
 
 
 def tensor(ctx: BfvContext, a: BfvCiphertext, b: BfvCiphertext) -> np.ndarray:
-    r0, r1, r2, _ = ctx.cmult_tensor(a, b)
-    return np.stack([r0.data, r1.data, r2.data])
+    return tensor_sum(ctx, [(a, b)])
 
 
 def ct_from_ints(params: FheParams, c0, c1) -> BfvCiphertext:
@@ -297,11 +304,110 @@ class TestTensorMatchesOracle:
         assert np.array_equal(small_ctx.decrypt(ct, sk).coeffs, expect)
 
 
+# --- a sum of products == one rounding of the summed oracle ---------------------------------
+
+#: One pair, two, a full-domain t = 257 combination, and all the basis holds.
+_TERMS = [1, 2, 15, 17]
+
+
+def _mixed_pairs(ctx: BfvContext, count: int, rng, draw) -> list:
+    """``count`` pairs over a small pool of ``draw()`` ciphertexts (so
+    operands repeat across pairs), with a square and — a constant-only FBS
+    group — a transparent zero plus a plaintext as one ``inner``."""
+    params = ctx.params
+    pool = [draw() for _ in range(5)]
+    pairs = [
+        (pool[rng.integers(len(pool))], pool[rng.integers(len(pool))])
+        for _ in range(count)
+    ]
+    pairs[0] = (pool[0], pool[0])
+    if count > 1:
+        const = Plaintext.from_slots(np.full(params.n, 7), params)
+        pairs[1] = (ctx.add_plain(ctx.encrypt_zero(), const), pool[1])
+    return pairs
+
+
+class TestSummedTensor:
+    @pytest.mark.parametrize("params", [TEST_FBS, TEST_LOOP], ids=lambda p: p.name)
+    @pytest.mark.parametrize("count", _TERMS)
+    def test_uniform_and_adversarial_operands(self, params, count, rng):
+        ctx = BfvContext(params, seed=5)
+        edges = np.array(edge_values(params.q), dtype=object)
+
+        def adversarial():
+            c0, c1 = (edges[rng.integers(0, len(edges), params.n)] for _ in range(2))
+            return ct_from_ints(params, c0, c1)
+
+        for draw in (lambda: uniform_ct(params, rng), adversarial):
+            pairs = _mixed_pairs(ctx, count, rng, draw)
+            assert np.array_equal(tensor_sum(ctx, pairs), oracle_sum(pairs))
+
+    @pytest.mark.parametrize("count", _TERMS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rounding_edge_of_the_sum(self, count, sign, exact_route_calls, rng):
+        """The *sum* lands on t*e = (Q +- 1)/2 (mod Q) though no single
+        product does: the crafted coefficient is split over the pairs."""
+        params = TEST_LOOP
+        q, t, n = params.q, params.t, params.n
+        c = (q + sign) // 2 * inv_mod(t, q) % q
+        shares = [int(rng.integers(0, 2**62)) * int(rng.integers(0, 2**62)) % q
+                  for _ in range(count - 1)]
+        shares.append((c - sum(shares)) % q)
+        one = [1] + [0] * (n - 1)
+        b = ct_from_ints(params, one, one)
+        pairs = [
+            (ct_from_ints(params, [s] + [0] * (n - 1), [0, s] + [0] * (n - 2)), b)
+            for s in shares
+        ]
+        ctx = BfvContext(params, seed=5)
+        assert np.array_equal(tensor_sum(ctx, pairs), oracle_sum(pairs))
+        assert exact_route_calls, "the crafted sum never reached the edge"
+
+    @pytest.mark.parametrize("count", _TERMS)
+    def test_every_coefficient_through_the_exact_route(
+        self, count, monkeypatch, exact_route_calls, rng
+    ):
+        monkeypatch.setattr(rns, "V_AMBIGUITY", 1.0)
+        params = TEST_FBS
+        ctx = BfvContext(params, seed=5)
+        pairs = _mixed_pairs(ctx, count, rng, lambda: uniform_ct(params, rng))
+        assert np.array_equal(tensor_sum(ctx, pairs), oracle_sum(pairs))
+        # Two components out per *distinct* operand, then — whatever the
+        # number of pairs — three sums out and three back.
+        distinct = len({id(ct) for pair in pairs for ct in pair})
+        assert len(exact_route_calls) == (2 * distinct + 6) * params.n
+
+    @pytest.mark.parametrize("count", _TERMS)
+    def test_both_engines_relinearise_the_oracle_sum(self, count, rng):
+        params = TEST_FBS
+        ctx = BfvContext(params, seed=5)
+        sk, _ = ctx.keygen()
+        rlk = ctx.relin_key(sk)
+        pairs = _mixed_pairs(ctx, count, rng, lambda: uniform_ct(params, rng))
+        want = _relinearised_oracle(pairs, rlk)
+        for be in (BATCHED, SERIAL):
+            got = be.giant_step_batch(ctx, pairs, rlk)
+            assert np.array_equal(_components(got), want), be.name
+
+
 # --- cmult / giant_step_batch ----------------------------------------------------------
 
 
+def _components(ct) -> np.ndarray:
+    return np.stack([ct.c0.data, ct.c1.data])
+
+
 def _relinearized(cts) -> np.ndarray:
-    return np.stack([np.stack([ct.c0.data, ct.c1.data]) for ct in cts])
+    return np.stack([_components(ct) for ct in cts])
+
+
+def _relinearised_oracle(pairs, rlk) -> np.ndarray:
+    """(2, L, N): oracle sum, then the reference keyswitch and correction adds."""
+    moduli = pairs[0][0].params.moduli
+    mods = np.array(moduli, dtype=np.int64)[:, None]
+    r = oracle_sum(pairs)
+    d0, d1 = SERIAL.keyswitch(r[2], rlk, moduli)
+    return np.stack([(r[0] + d0) % mods, (r[1] + d1) % mods])
 
 
 class TestCmultAndGiantStep:
@@ -320,54 +426,47 @@ class TestCmultAndGiantStep:
         ]
         return ctx, rlk, cts
 
-    @staticmethod
-    def _expected(pairs, rlk) -> np.ndarray:
-        """Oracle tensor, then the same keyswitch and correction adds."""
-        out = []
-        for a, b in pairs:
-            moduli = a.params.moduli
-            mods = np.array(moduli, dtype=np.int64)[:, None]
-            r = oracle_tensor(a, b)
-            d0, d1 = SERIAL.keyswitch(r[2], rlk, moduli)
-            out.append(np.stack([(r[0] + d0) % mods, (r[1] + d1) % mods]))
-        return np.stack(out)
-
     @pytest.mark.parametrize("backend", ["batched", "serial"])
     def test_cmult_and_square(self, subject, backend):
         ctx, rlk, (a, b, *_) = subject
         with use_backend(backend):
             got = _relinearized([ctx.cmult(a, b, rlk), ctx.square(a, rlk)])
-        assert np.array_equal(got, self._expected([(a, b), (a, a)], rlk))
+        want = [_relinearised_oracle([pair], rlk) for pair in ((a, b), (a, a))]
+        assert np.array_equal(got, np.stack(want))
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_giant_step_batch(self, subject, count):
+        """One ciphertext: the relinearised sum of the per-pair big-int
+        products, its estimate the worst operand + one CMult + log2 G."""
         ctx, rlk, (a, b, c, d) = subject
         pairs = [(a, b), (c, d), (b, b)][:count]
-        want = self._expected(pairs, rlk)
+        want = _relinearised_oracle(pairs, rlk)
+        noise = max(ct.noise_bits for pair in pairs for ct in pair)
+        noise += np.log2(ctx.params.n * ctx.params.t) + np.log2(count)
         for be in (BATCHED, SERIAL):
             got = be.giant_step_batch(ctx, pairs, rlk)
-            assert np.array_equal(_relinearized(got), want), be.name
-            assert [ct.noise_bits for ct in got] == [
-                ctx.cmult_tensor(x, y)[3] for x, y in pairs
-            ]
+            assert np.array_equal(_components(got), want), be.name
+            assert got.noise_bits == ctx.cmult_tensor(pairs)[3]
+            assert got.noise_bits == pytest.approx(noise, abs=1e-9)
 
     def test_giant_step_batch_in_two_chunks(self, subject, monkeypatch):
         ctx, rlk, (a, b, c, d) = subject
         pairs = [(a, b), (c, d)]
-        stacked = []
-        real = backend_module.ntt_forward_rns
+        whole = BATCHED.giant_step_batch(ctx, pairs, rlk)
+        chunks = []
+        real = ctx.tensor_products
 
-        def spy(x, moduli):
-            if x.ndim == 4:  # the (G, D, L, N) gadget stack of one chunk
-                stacked.append(x.shape[0])
-            return real(x, moduli)
+        def spy(group):
+            chunks.append(len(group))
+            return real(group)
 
-        monkeypatch.setattr(backend_module, "ntt_forward_rns", spy)
+        monkeypatch.setattr(ctx, "tensor_products", spy)
         small = BatchedBackend()
-        small.giant_batch_elems = 1  # below any one pair's stack: a pair a chunk
+        small.giant_batch_elems = 1  # below any one pair's products: a pair a chunk
         got = small.giant_step_batch(ctx, pairs, rlk)
-        assert stacked == [1, 1]
-        assert np.array_equal(_relinearized(got), self._expected(pairs, rlk))
+        assert chunks == [1, 1]
+        assert np.array_equal(_components(got), _components(whole))
+        assert np.array_equal(_components(got), _relinearised_oracle(pairs, rlk))
 
     def test_ring_mismatch_raises(self, subject):
         ctx, rlk, (a, *_) = subject
@@ -378,8 +477,8 @@ class TestCmultAndGiantStep:
         for b in (other_limbs, other_t):
             for call in (
                 lambda: ctx.cmult(a, b, rlk),
-                lambda: ctx.cmult_tensor(a, b),
-                lambda: ctx.cmult_tensor(b, a),
+                lambda: ctx.cmult_tensor([(a, b)]),
+                lambda: ctx.cmult_tensor([(a, a), (b, a)]),
                 lambda: BATCHED.giant_step_batch(ctx, [(a, a), (a, b)], rlk),
                 lambda: SERIAL.giant_step_batch(ctx, [(a, a), (a, b)], rlk),
             ):
@@ -407,6 +506,36 @@ class TestBounds:
         assert all(2**30 < p < 2**31 for p in aux)
         needed, have = cmult_bounds(params)["aux_basis"]
         assert have // needed < 2**31  # at most one prime more than necessary
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_basis_is_sized_for_the_longest_fbs_combination(self, name):
+        """ceil(sqrt(t)) terms: the aux bound and the lazy sum both carry it."""
+        params = PRESETS[name]
+        terms = bfv_module._tensor_tables(params).terms
+        assert (terms - 1) ** 2 < params.t <= terms**2
+        bounds = cmult_bounds(params)
+        assert bounds["aux_basis"][0] == 2 * params.t * params.n * params.q * terms + 4
+        top = max(bfv_module._tensor_tables(params).both) - 1
+        assert bounds["lazy_sum"][0] >= 2 * terms * top
+
+    def test_a_sum_longer_than_the_basis_raises(self, rng):
+        params = TEST_FBS
+        ctx = BfvContext(params, seed=5)
+        sk, _ = ctx.keygen()
+        rlk = ctx.relin_key(sk)
+        a, b = uniform_ct(params, rng), uniform_ct(params, rng)
+        for count, error in ((18, TensorOverflow), (0, ParameterError)):
+            for call in (
+                lambda: ctx.cmult_tensor([(a, b)] * count),
+                lambda: BATCHED.giant_step_batch(ctx, [(a, b)] * count, rlk),
+                lambda: SERIAL.giant_step_batch(ctx, [(a, b)] * count, rlk),
+            ):
+                with pytest.raises(error) as err:
+                    call()
+                if count:
+                    assert (err.value.terms, err.value.capacity) == (18, 17)
+        assert issubclass(TensorOverflow, ParameterError)
+        ctx.cmult_tensor([(a, b)] * 17)  # all the basis holds
 
     def test_estimate_error_bound_holds_on_the_worst_digits(self):
         """All digits p_i - 1: the largest sum the float estimate ever takes."""

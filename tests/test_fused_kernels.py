@@ -10,8 +10,8 @@ Four claims pinned here:
    counting backend *without* the fused overrides records organically
    when the default decompositions drive its primitive counters.
 2. *Bit-identity* — the batched fused kernels (stacked NTT keyswitch,
-   fused rotate, giant-step batching) produce byte-for-byte the same
-   results as the decomposed defaults and the serial reference.
+   fused rotate, the summed giant-step tensor) produce byte-for-byte the
+   same results as the decomposed defaults and the serial reference.
 3. *Lazy-reduction safety* — :func:`lazy_reduce_sum` equals the exact
    (arbitrary-precision) fold for any chain of reduced residues, and
    :func:`lazy_chain_limit` leaves orders-of-magnitude headroom over the
@@ -26,6 +26,9 @@ Four claims pinned here:
    and of its row swap; packing is it over the packing key's cached stack
    of rotated secrets. Both are bit-identical across the engines and pay
    only the rotations nobody else already paid.
+6. *One relinearisation per LUT* — a whole FBS decomposes once per ladder
+   CMult and once for its giant-step combination, and every CMult operand
+   enters the evaluation domain of Q u P once; counted, not timed.
 """
 
 import math
@@ -39,6 +42,7 @@ from hypothesis import strategies as st
 from repro.core.framework import AthenaPipeline
 from repro.errors import ParameterError
 from repro.fhe import backend as backend_mod
+from repro.fhe import bfv as bfv_mod
 from repro.fhe import keys as keys_mod
 from repro.fhe.backend import (
     BATCHED,
@@ -52,6 +56,7 @@ from repro.fhe.backend import (
     use_backend,
 )
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext, galois_noise_growth
+from repro.fhe.fbs import FbsLut, FbsPlan, fbs_evaluate
 from repro.fhe.keys import apply_keyswitch
 from repro.fhe.lwe import LweBatch
 from repro.fhe.ntt import ntt_forward_rns, ntt_inverse_rns
@@ -117,12 +122,9 @@ def _run_workload(be, ctx, rlk, gk, cts):
     k = rotation_galois_element(ctx.params.n, 1)
     d0, d1 = be.keyswitch(a.c1.data, rlk, moduli)
     r0, r1 = be.rotate_keyswitch(a.c0.data, a.c1.data, k, gk, moduli)
-    prods = be.giant_step_batch(ctx, [(a, b), (b, c), (a, c)], rlk)
+    prod = be.giant_step_batch(ctx, [(a, b), (b, c), (a, c)], rlk)
     s = be.hadd_many([a.c0.data, b.c0.data, c.c0.data, a.c1.data], moduli)
-    outs = [d0, d1, r0, r1, s]
-    for p in prods:
-        outs.extend([p.c0.data, p.c1.data])
-    return outs
+    return [d0, d1, r0, r1, s, prod.c0.data, prod.c1.data]
 
 
 class TestCountingParity:
@@ -150,6 +152,26 @@ class TestCountingParity:
         assert bulk.totals() == organic.totals()
         for x, y in zip(out_b, out_o):
             assert np.array_equal(x, y)
+
+    def test_giant_step_batch_bills_one_keyswitch(self):
+        """G products, G - 1 three-component additions over Q u P, then one
+        keyswitch and its two correction adds — whichever body runs."""
+        ctx, _, rlk, _, (a, b, c) = _fixture()
+        params = ctx.params
+        l, n, d = len(params.moduli), params.n, rlk.num_digits
+        wide = len(ctx.tensor_moduli)
+        totals = []
+        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL),
+                         DecomposedCounting(BATCHED)):
+            counting.giant_step_batch(ctx, [(a, b), (b, c), (a, c)], rlk)
+            totals.append(counting.totals())
+        assert totals[0] == totals[1] == totals[2] == {
+            "cmult": 3,
+            "keyswitch": 1,
+            "ntt": 6 * l * d,
+            "mod_mul": 2 * d * l * n,
+            "mod_add": 2 * d * l * n + 2 * l * n + 2 * 3 * wide * n,
+        }
 
     def test_keyswitch_unit_formula(self):
         """One keyswitch = per digit: two full products + two adds."""
@@ -179,17 +201,19 @@ class TestFusedBitIdentity:
                 assert np.array_equal(x, y), be.name
 
     def test_fused_ops_decrypt_correctly(self):
-        """The fused giant-step products are real relinearized CMults."""
+        """The fused giant step is a real relinearized sum of CMults."""
         ctx, sk, rlk, _, cts = _fixture()
-        a, b, _ = cts
+        a, b, c = cts
         t = ctx.params.t
-        ma = ctx.decrypt(a, sk).coeffs
-        mb = ctx.decrypt(b, sk).coeffs
+        ma, mb, mc = (ctx.decrypt(x, sk).coeffs.tolist() for x in cts)
         from repro.fhe.ntt import negacyclic_mul_exact
 
-        expect = np.mod(negacyclic_mul_exact(ma.tolist(), mb.tolist()), t)
-        (prod,) = BATCHED.giant_step_batch(ctx, [(a, b)], rlk)
-        assert np.array_equal(ctx.decrypt(prod, sk).coeffs, expect)
+        ab = np.array(negacyclic_mul_exact(ma, mb))
+        prod = BATCHED.giant_step_batch(ctx, [(a, b)], rlk)
+        assert np.array_equal(ctx.decrypt(prod, sk).coeffs, ab % t)
+        total = BATCHED.giant_step_batch(ctx, [(a, b), (b, c)], rlk)
+        expect = (ab + np.array(negacyclic_mul_exact(mb, mc))) % t
+        assert np.array_equal(ctx.decrypt(total, sk).coeffs, expect)
 
 
 # --- lazy-reduction safety ----------------------------------------------------
@@ -484,6 +508,9 @@ def _spy_transforms(monkeypatch):
 
     spy(backend_mod, "ntt_forward_rns", "limb_transforms")
     spy(backend_mod, "ntt_inverse_rns", "limb_transforms")
+    # The CMult tensor's own transforms, over Q u P (none in a mat-vec).
+    spy(bfv_mod, "ntt_forward_rns", "limb_transforms")
+    spy(bfv_mod, "ntt_inverse_rns", "limb_transforms")
     spy(keys_mod, "gadget_digit_rows", "decompositions")
     return executed
 
@@ -555,6 +582,49 @@ class TestMatvecAccounting:
         with use_backend(BATCHED):
             pack_lwe(pipe.ctx, lwe, pipe.packing_key)
         assert executed == {"limb_transforms": 594, "decompositions": 0}
+
+
+class TestFbsAccounting:
+    """One relinearisation per LUT and one Q u P entry per operand, as counts."""
+
+    def test_executed_transforms_of_one_full_domain_fbs(self, monkeypatch):
+        """The t = 257 ReLU table at TEST_LOOP: 30 ladder CMults and a
+        15-term combination. One keyswitch per combination pair executed 45
+        decompositions and 14 325 limb transforms (8 910 under keyswitches,
+        5 415 in tensors that re-extended every operand)."""
+        ctx = BfvContext(TEST_LOOP, seed=83)
+        sk, pk = ctx.keygen()
+        rlk = ctx.relin_key(sk).warm()
+        lut = FbsLut.from_function(lambda x: np.maximum(x, 0), TEST_LOOP.t, "relu")
+        plan = FbsPlan.from_lut(lut)
+        x = np.random.default_rng(83).integers(0, TEST_LOOP.t, TEST_LOOP.n)
+        ct = ctx.encrypt(Plaintext.from_slots(x, TEST_LOOP), pk)
+        executed = _spy_transforms(monkeypatch)
+        with use_backend(BATCHED):
+            out = fbs_evaluate(ctx, ct, lut, rlk, plan=plan)
+        assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
+        assert len(plan.ladder) == 30
+        assert sum(1 for g, _, _ in plan.groups if g) == 15
+        assert executed == {"limb_transforms": 9387,
+                            "decompositions": len(plan.ladder) + 1}
+
+    def test_counting_parity_of_one_fbs(self):
+        """A whole FBS bills the same totals and per-phase events whether
+        the wrapper's bulk formulas or the reference bodies' own dispatches
+        count it: G + ladder CMults, ladder + 1 keyswitches."""
+        ctx, _, rlk, _, (ct, *_) = _fixture()
+        lut = FbsLut.from_function(lambda x: np.maximum(x, 0), TEST_FBS.t, "relu")
+        plan = FbsPlan.from_lut(lut).materialize(TEST_FBS)  # constants encoded once
+        records = []
+        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL),
+                         DecomposedCounting(BATCHED)):
+            with use_backend(counting):
+                fbs_evaluate(ctx, ct, lut, rlk, plan=plan)
+            records.append((counting.totals(), counting.ops_by_phase()))
+        assert records[0] == records[1] == records[2]
+        giant = records[0][1]["fbs_giant"]
+        assert giant["cmult"] == len(plan.ladder) + 15 == 45
+        assert giant["keyswitch"] == len(plan.ladder) + 1 == 31
 
 
 def _same_on_every_engine(run):

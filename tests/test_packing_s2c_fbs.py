@@ -1,16 +1,26 @@
 """Tests for LWE packing, slot-to-coefficient, and functional bootstrapping."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
+from repro.fhe import bfv as bfv_module
 from repro.fhe import lwe
-from repro.fhe.backend import CountingBackend, use_backend
-from repro.fhe.bfv import Plaintext
+from repro.fhe.backend import (
+    BATCHED,
+    SERIAL,
+    BatchedBackend,
+    CountingBackend,
+    use_backend,
+)
+from repro.fhe.bfv import BfvContext, Plaintext
 from repro.fhe.fbs import (
     FbsLut,
+    FbsPlan,
     evaluate_poly_plain,
     fbs_evaluate,
     interpolate_lut,
@@ -23,6 +33,7 @@ from repro.fhe.packing import (
     pack_lwe,
 )
 from repro.fhe.params import TEST_FBS, TEST_LOOP
+from repro.fhe.serialize import dump_ciphertext, load_ciphertext
 from repro.fhe.s2c import (
     S2CKey,
     S2CPlan,
@@ -285,3 +296,174 @@ class TestFbsHomomorphic:
             out = fbs_evaluate(ctx, ct, lut, fbs_rlk)
         assert "cmult" not in counting.totals()
         assert np.array_equal(ctx.decrypt(out, sk).to_slots(), x % p.t)
+
+
+# --- FBS plan shapes end to end: the one inner-product giant step ------------------
+
+
+def _poly_lut(coeffs: dict[int, int], t: int, name: str) -> FbsLut:
+    """The table of ``sum c_j x^j`` — its interpolant is that polynomial."""
+    x = np.arange(t, dtype=object)
+    values = sum(c * x**j for j, c in coeffs.items()) % t
+    return FbsLut(values.astype(np.int64), t, name)
+
+
+def _edge_luts(t: int) -> dict[str, FbsLut]:
+    def sigmoid(x):
+        return np.rint(8 / (1 + np.exp(-x / 16.0))).astype(np.int64)
+
+    return {
+        "affine": _poly_lut({0: 3, 1: 5}, t, "affine"),  # degree < bs: no combination
+        "one-combination": _poly_lut({1: 2, 3: 7}, t, "cubic"),
+        "const-only-giant": _poly_lut({1: 1, 6: 9}, t, "sextic"),  # group 2 is "9"
+        "sigmoid": FbsLut.from_function(sigmoid, t, "sigmoid"),  # LUT(0) != 0
+        "zero": FbsLut(np.zeros(t, dtype=np.int64), t, "zero"),
+        "relu": FbsLut.from_function(lambda x: np.maximum(x, 0), t, "relu"),
+    }
+
+
+def _fbs_operands(plan: FbsPlan) -> tuple[int, int]:
+    """(operand slots, distinct operand ciphertexts) of one evaluation."""
+
+    def giant(g):
+        return ("p", plan.bs) if g == 1 else ("g", g)
+
+    slots = []
+    for kind, _, lo, hi in plan.ladder:
+        slots += [("p", lo), ("p", hi)] if kind == "p" else [giant(lo), giant(hi)]
+    for g, _, _ in plan.groups:
+        if g:
+            slots += [("inner", g), giant(g)]
+    return len(slots), len(set(slots))
+
+
+class TestFbsEdgePlans:
+    SHAPES = {  # name -> (degree, ladder CMults, combination pairs)
+        "affine": (1, 0, 0),
+        "one-combination": (3, 1, 1),
+        "const-only-giant": (6, 3, 1),
+        "sigmoid": (255, 26, 15),
+        "zero": (0, 0, 0),
+        "relu": (256, 30, 15),
+    }
+
+    @pytest.fixture(scope="class")
+    def subject(self, fbs_ctx, fbs_keys, fbs_rlk):
+        sk, pk = fbs_keys
+        p = fbs_ctx.params
+        x = np.random.default_rng(21).integers(0, p.t, p.n)
+        return fbs_ctx, sk, fbs_rlk, x, fbs_ctx.encrypt(Plaintext.from_slots(x, p), pk)
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_every_slot_on_every_engine(self, subject, name, monkeypatch):
+        ctx, sk, rlk, x, ct = subject
+        lut = _edge_luts(ctx.params.t)[name]
+        plan = FbsPlan.from_lut(lut).materialize(ctx.params)
+        degree, ladder, pairs = self.SHAPES[name]
+        assert (plan.degree, len(plan.ladder)) == (degree, ladder)
+        assert sum(1 for g, _, _ in plan.groups if g) == pairs
+        if name == "const-only-giant":
+            assert plan.groups[-1] == (2, 9, ())
+        assert (lut.values[0] != 0) == (name in ("affine", "sigmoid"))
+
+        builds = []
+        real = bfv_module.ntt_forward_rns
+
+        def spy(a, moduli):
+            builds.append(a.shape)
+            return real(a, moduli)
+
+        monkeypatch.setattr(bfv_module, "ntt_forward_rns", spy)
+        outs = []
+        counting = CountingBackend(BATCHED)
+        for be in (BATCHED, SERIAL, counting):
+            del builds[:]
+            with use_backend(be):
+                outs.append(fbs_evaluate(ctx, ct, lut, rlk, plan=plan))
+            # The only forward transform in bfv.py builds a form: one per
+            # distinct operand, however many CMults it feeds.
+            slots, distinct = _fbs_operands(plan)
+            assert len(builds) == distinct <= slots
+        for out in outs[1:]:
+            assert np.array_equal(out.c0.data, outs[0].c0.data)
+            assert np.array_equal(out.c1.data, outs[0].c1.data)
+            assert out.noise_bits == outs[0].noise_bits
+        assert np.array_equal(ctx.decrypt(outs[0], sk).to_slots(), lut.apply_plain(x))
+        giant = counting.ops_by_phase().get("fbs_giant", {})
+        assert giant.get("cmult", 0) == ladder + pairs
+        assert giant.get("keyswitch", 0) == ladder + (1 if pairs else 0)
+        if name == "zero":
+            assert outs[0].noise_bits == 0.0 and not outs[0].c1.data.any()
+        if name == "relu":
+            assert _fbs_operands(plan) == (90, 39)
+
+    def test_no_combination_never_reaches_giant_step_batch(self, subject, monkeypatch):
+        ctx, sk, rlk, x, ct = subject
+        lut = _edge_luts(ctx.params.t)["affine"]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("giant_step_batch without a combination")
+
+        monkeypatch.setattr(BatchedBackend, "giant_step_batch", forbidden)
+        with use_backend(BATCHED):
+            out = fbs_evaluate(ctx, ct, lut, rlk)
+        assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
+
+    def test_a_form_dies_with_the_call(self, subject):
+        """Nothing the caller holds carries a form afterwards, and a form
+        that is attached (an operand of a bare ``cmult``) stays out of
+        pickles, the wire format, ``==`` and ``repr``."""
+        ctx, sk, rlk, x, ct = subject
+        lut = _edge_luts(ctx.params.t)["relu"]
+        wire, pickled = dump_ciphertext(ct), pickle.dumps(ct)
+        out = fbs_evaluate(ctx, ct, lut, rlk)
+        for held in (ct, out):
+            assert "_tensor_form" not in vars(held)
+        assert dump_ciphertext(ct) == wire and pickle.dumps(ct) == pickled
+
+        twin = load_ciphertext(wire, ctx.params)
+        ctx.cmult(ct, ct, rlk)  # attaches: ct is an operand in its own right
+        form = vars(ct)["_tensor_form"]
+        assert not form.flags.writeable and ctx.tensor_form(ct) is form
+        assert form.shape == (2, len(ctx.tensor_moduli), ctx.params.n)
+        assert dump_ciphertext(ct) == wire and pickle.dumps(ct) == pickled
+        assert "_tensor_form" not in vars(pickle.loads(pickle.dumps(ct)))
+        assert "_tensor_form" not in repr(ct) and "_tensor_form" not in vars(twin)
+        assert repr(ct) == repr(twin)
+        assert np.array_equal(ct.c0.data, twin.c0.data) and ct.noise_bits == twin.noise_bits
+        del ct._tensor_form
+
+
+class TestFbsNoiseIsMeasured:
+    """One full-domain ReLU FBS, context seed 83, input ``default_rng(83)``.
+
+    With one keyswitch per combination pair (the parent of the summed
+    giant step) the same seeds measured 125.73 bits at TEST_FBS and 150.25
+    at TEST_LOOP, under estimates of 142.90 and 163.82."""
+
+    @pytest.mark.parametrize("params,before,estimate", [
+        (TEST_FBS, 125.73, 140.81), (TEST_LOOP, 150.25, 161.73)],
+        ids=lambda v: getattr(v, "name", None))
+    def test_true_noise_within_the_parent_and_the_estimate(self, params, before, estimate):
+        ctx = BfvContext(params, seed=83)
+        sk, pk = ctx.keygen()
+        rlk = ctx.relin_key(sk)
+        lut = FbsLut.from_function(lambda x: np.maximum(x, 0), params.t, "relu")
+        x = np.random.default_rng(83).integers(0, params.t, params.n)
+        out = fbs_evaluate(ctx, ctx.encrypt(Plaintext.from_slots(x, params), pk), lut, rlk)
+        assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
+        measured = ctx.true_noise_bits(out, sk)
+        assert measured <= before + 0.005  # recorded to two decimals
+        assert measured <= out.noise_bits
+        assert out.noise_bits == pytest.approx(estimate, abs=0.005)
+
+    def test_the_combined_estimate_grows_by_log2_of_the_terms(self, fbs_ctx, fbs_keys, fbs_rlk):
+        _, pk = fbs_keys
+        p = fbs_ctx.params
+        a, b = (fbs_ctx.encrypt(Plaintext.from_slots(np.arange(p.n) + i, p), pk)
+                for i in range(2))
+        one = BATCHED.giant_step_batch(fbs_ctx, [(a, b)], fbs_rlk).noise_bits
+        assert one == fbs_ctx.cmult(a, b, fbs_rlk).noise_bits
+        for terms in (2, 4, 16):
+            got = BATCHED.giant_step_batch(fbs_ctx, [(a, b)] * terms, fbs_rlk).noise_bits
+            assert got == pytest.approx(one + np.log2(terms), abs=1e-9)
