@@ -3,7 +3,8 @@
 The paper's Table 1 lists 720 MB of "rot+relin" key material. This module
 derives the concrete inventory our pipeline needs — which Galois elements
 the packing and S2C mat-vecs use, the relinearization key, and the LWE
-keyswitch key — and sizes it under a given gadget configuration, with and
+keyswitch key — and sizes it as the keys the code generates (one digit per
+limb of Q over Q u {P}, :meth:`FheParams.keyswitch_key_bytes`), with and
 without seed compression (PRNG regeneration of the uniform halves).
 """
 
@@ -21,17 +22,15 @@ class KeyInventory:
     params: FheParams
     rotation_amounts: tuple[int, ...]
     galois_elements: tuple[int, ...]
-    ksk_digits: int
 
     @property
     def num_galois_keys(self) -> int:
         return len(self.galois_elements)
 
     def galois_key_bytes(self, seed_compressed: bool = True) -> int:
-        per_digit = 2 * self.params.n * self.params.q.bit_length() // 8
-        if seed_compressed:
-            per_digit //= 2  # the uniform half regenerates from a seed
-        return self.ksk_digits * per_digit
+        size = self.params.keyswitch_key_bytes()
+        # The uniform half regenerates from a seed.
+        return size // 2 if seed_compressed else size
 
     def relin_key_bytes(self, seed_compressed: bool = True) -> int:
         return self.galois_key_bytes(seed_compressed)
@@ -52,7 +51,7 @@ class KeyInventory:
         )
 
 
-def build_inventory(params: FheParams = ATHENA, ksk_digit_bits: int | None = None) -> KeyInventory:
+def build_inventory(params: FheParams = ATHENA) -> KeyInventory:
     """Collect every Galois element the five-step loop can request."""
     half = params.n // 2
     amounts: set[int] = set()
@@ -64,20 +63,14 @@ def build_inventory(params: FheParams = ATHENA, ksk_digit_bits: int | None = Non
         slotlib.rotation_galois_element(params.n, a) for a in amounts if a % (half) != 0
     }
     elements.add(slotlib.row_swap_element(params.n))
-    digit_bits = ksk_digit_bits or params.decomp_bits
-    digits = -(-params.q.bit_length() // digit_bits)
-    return KeyInventory(
-        params,
-        tuple(sorted(amounts)),
-        tuple(sorted(elements)),
-        digits,
-    )
+    return KeyInventory(params, tuple(sorted(amounts)), tuple(sorted(elements)))
 
 
 def summarize(params: FheParams = ATHENA, dnum: int = 3) -> dict[str, float]:
-    """Key sizing under hybrid keyswitching with ``dnum`` digits (the
-    accelerator-style configuration, far fewer digits than bit-level
-    gadgets) — the regime in which the paper's ~720 MB figure lives."""
+    """Key sizing under hybrid keyswitching with ``dnum`` grouped digits (the
+    accelerator-style configuration; the executed keys have one digit per
+    limb, ``dnum`` = L) — the regime in which the paper's ~720 MB figure
+    lives."""
     inv = build_inventory(params)
     per_key = dnum * 2 * params.n * params.q.bit_length() // 8 // 2  # seeded
     total = (inv.num_galois_keys + 1) * per_key + inv.lwe_ksk_bytes()

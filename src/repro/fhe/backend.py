@@ -44,12 +44,14 @@ at the RnsPoly level, per fused op, and end-to-end through the five-step
 pipeline.
 
 Fused tier: :meth:`Backend.hadd_many` (one deferred reduction across an
-HAdd chain), :meth:`Backend.keyswitch` (gadget keyswitch of one
-component), :meth:`Backend.rotate_keyswitch` (the one rotation:
-decompose, then X -> X^k on the digits), :meth:`Backend.matvec` (a whole
-BSGS mat-vec over a set of sources — derived from the request's ciphertext
-for S2C, ready key material for packing; on the batched engine it never
-leaves the evaluation domain), and :meth:`Backend.giant_step_batch` (the
+HAdd chain), :meth:`Backend.keyswitch` (hybrid keyswitch of one
+component: its L residue rows are the digits, multiplied against the key
+over Q u {P} and divided by the special prime P),
+:meth:`Backend.rotate_keyswitch` (the one rotation: take the digits, then
+X -> X^k on them), :meth:`Backend.matvec` (a whole BSGS mat-vec over a set
+of sources — derived from the request's ciphertext for S2C, ready key
+material for packing; on the batched engine it never leaves the
+evaluation domain), and :meth:`Backend.giant_step_batch` (the
 giant-step combination of one FBS as one inner-product CMult: G products
 summed in the evaluation domain of Q u P, one scale-round, one
 keyswitch). Reference and fast bodies are both
@@ -81,7 +83,7 @@ from repro.fhe.ntt import (
     ntt_mul_rns,
 )
 from repro.fhe.slots import rotation_galois_element
-from repro.utils.modmath import inv_mod
+from repro.utils.modmath import centered_array, inv_mod
 
 __all__ = [
     "Backend",
@@ -111,7 +113,7 @@ def lazy_chain_limit(moduli: tuple[int, ...]) -> int:
     Every reduced residue is <= max(moduli) - 1, so a chain of k deferred
     additions peaks at k * (max_p - 1); the accumulator stays below
     2**63 - 1 as long as k <= this bound. For 31-bit limb primes the bound
-    is ~2**32 — far above any HAdd chain or gadget-digit count in the zoo
+    is ~2**32 — far above any HAdd chain or keyswitch digit count in the zoo
     models (the hypothesis suite in ``tests/test_fused_kernels.py`` pins
     this across all presets).
     """
@@ -190,12 +192,28 @@ def _moduli_column(moduli: tuple[int, ...]) -> np.ndarray:
     return col
 
 
-def _digit_residues(data, ksk, moduli) -> np.ndarray:
-    """Gadget digits of one component as a (D, L, N) residue stack."""
-    from repro.fhe.keys import gadget_digit_rows
+def _digit_residues(data, both) -> np.ndarray:
+    """Digits of one (L, N) component as an (L, L+1, N) residue stack over
+    ``both`` = Q u {P}: digit i is residue row i as it stands (the CRT
+    idempotent sits in the key), reduced into every limb."""
+    return np.mod(data[:, None, :], _moduli_column(both))
 
-    rows = gadget_digit_rows(data, moduli, ksk.base_bits, ksk.num_digits)
-    return np.mod(rows[:, None, :], _moduli_column(moduli))
+
+@lru_cache(maxsize=None)
+def _special_inverse(both: tuple[int, ...]) -> np.ndarray:
+    """(L, 1) column of P^-1 mod each limb of Q, for ``both`` = Q u {P}."""
+    return _moduli_column(tuple(inv_mod(both[-1], q) for q in both[:-1]))
+
+
+def _mod_down(x, both, lift=None) -> np.ndarray:
+    """``round(x / P)`` of an (..., L+1, N) stack over Q u {P}, over Q:
+    subtract the centred P-residue, multiply by P^-1 — exact, word-sized.
+    Linear mod each limb, so it holds in either domain given ``lift``, the
+    centred P-residue in x's domain (default: x's own P limb, coefficients)."""
+    if lift is None:
+        lift = centered_array(x[..., -1:, :], both[-1])
+    mods = _moduli_column(both[:-1])
+    return (x[..., :-1, :] - lift) % mods * _special_inverse(both) % mods
 
 
 def _galois_key(rotation_keys, k: int):
@@ -205,44 +223,45 @@ def _galois_key(rotation_keys, k: int):
     return k, rotation_keys[k]
 
 
-def _key_products(fd, ksk, moduli):
-    """Evaluation-domain (delta_c0, delta_c1) of a (D, L, N) stack of
-    transformed gadget digits against the cached key stacks."""
-    mods = _moduli_column(moduli)
-    k0, k1 = ksk.ntt_stack()
+def _key_products(fd, ksk):
+    """Evaluation-domain (delta_c0, delta_c1) over Q u {P} of an (L, L+1, N)
+    stack of transformed digits against the cached key stacks."""
+    both = ksk.moduli
+    mods = _moduli_column(both)
     # Products reduce below 2**31 before the lazy digit-axis sum.
-    return np.stack([
-        lazy_reduce_sum(fd * k0 % mods, moduli),
-        lazy_reduce_sum(fd * k1 % mods, moduli),
-    ])
+    return np.stack([lazy_reduce_sum(fd * k % mods, both) for k in ksk.ntt_stack()])
 
 
 def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> list[np.ndarray]:
     """Images of one ciphertext under each Galois element of ``elements``,
-    as (2, L, N) evaluation-domain stacks, on *one* decomposition.
+    as (2, L, N) evaluation-domain stacks over Q, on *one* digit transform.
 
     ``f0`` is the ciphertext's c0 in the evaluation domain, ``c1`` its c1
-    in the coefficient domain (where it decomposes). The (D, L, N) digit
-    transform is paid once; each image is then a gather by
-    :func:`ntt_automorphism_perm` and a lazy multiply-accumulate against
+    in the coefficient domain (where its residue rows are the digits). The
+    (L, L+1, N) digit transform is paid once; each image is then a gather
+    by :func:`ntt_automorphism_perm` and a lazy multiply-accumulate against
     its key stack — :meth:`Backend.rotate_keyswitch` per element, without
-    leaving the evaluation domain. Dispatch-free: the batched mat-vec and
-    the packing key's one-time stack both build on it.
+    leaving the evaluation domain: the mod-down is linear, so only the P
+    limb of every image is inverse-transformed and its centred lift
+    forward-transformed over Q, one stacked call each. Dispatch-free: the
+    batched mat-vec and the packing key's one-time stack both build on it.
     """
     if not elements:
         return []
     n = c1.shape[-1]
     mods = _moduli_column(moduli)
     keys = [_galois_key(rotation_keys, k) for k in elements]
-    # One gadget per parameter set: any key's digits serve every key.
-    fd = ntt_forward_rns(_digit_residues(c1, keys[0][1], moduli), moduli)
-    images = []
-    for k, gk in keys:
-        perm = ntt_automorphism_perm(n, k)
-        image = _key_products(fd[..., perm], gk, moduli)
+    # One basis per parameter set: any key's Q u {P} serves every key.
+    both = keys[0][1].moduli
+    fd = ntt_forward_rns(_digit_residues(c1, both), both)
+    perms = [ntt_automorphism_perm(n, k) for k, _ in keys]
+    wide = np.stack([_key_products(fd[..., perm], gk) for perm, (_, gk) in zip(perms, keys)])
+    special = ntt_inverse_rns(wide[..., -1:, :], both[-1:])
+    lift = ntt_forward_rns(centered_array(special, both[-1]) % mods, moduli)
+    images = _mod_down(wide, both, lift)
+    for image, perm in zip(images, perms):
         image[0] = (image[0] + f0[..., perm]) % mods
-        images.append(image)
-    return images
+    return list(images)
 
 
 class Backend:
@@ -332,7 +351,7 @@ class Backend:
         return out
 
     def automorphism(self, a, k, moduli):
-        # (..., L, N): leading axes batch (a rotation's gadget-digit stack).
+        # (..., L, N): leading axes batch (a rotation's digit stack).
         dest, sign = automorphism_map(a.shape[-1], k)
         out = np.zeros_like(a)
         signed = a * sign  # safe: |value| < p < 2**31
@@ -388,38 +407,42 @@ class Backend:
             acc = self.add(acc, other, moduli)
         return acc
 
-    def _digit_loop(self, digits, ksk, moduli):
-        """(D, L, N) digit residues against the key: one full polynomial
-        product per digit per output component."""
+    def _digit_loop(self, digits, ksk):
+        """(L, L+1, N) digit residues against the key — one full product over
+        Q u {P} per digit per output component — then both mod-downs."""
+        both = ksk.moduli
         out0 = np.zeros_like(digits[0])
         out1 = np.zeros_like(digits[0])
         for d, dig in enumerate(digits):
-            out0 = self.add(out0, self.mul(dig, ksk.k0[d].data, moduli), moduli)
-            out1 = self.add(out1, self.mul(dig, ksk.k1[d].data, moduli), moduli)
-        return out0, out1
+            out0 = self.add(out0, self.mul(dig, ksk.k0[d].data, both), both)
+            out1 = self.add(out1, self.mul(dig, ksk.k1[d].data, both), both)
+        self.record("rnsconv", 2 * out0[:-1].size)
+        return _mod_down(out0, both), _mod_down(out1, both)
 
     def keyswitch(self, data, ksk, moduli):
-        """Gadget keyswitch of one component's (L, N) residue stack.
+        """Hybrid keyswitch of one component's (L, N) residue stack.
 
         Returns the (delta_c0, delta_c1) residue stacks to be added to the
-        ciphertext. Reference: decompose, then the digit loop.
+        ciphertext. Reference: the residue rows as digits, the digit loop.
         """
-        return self._digit_loop(_digit_residues(data, ksk, moduli), ksk, moduli)
+        return self._digit_loop(_digit_residues(data, ksk.moduli), ksk)
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
         """Fused automorphism + keyswitch: the one rotation definition.
 
-        *Decompose c1, then apply X -> X^k to the digits*:
-        ``sum_d phi_k(dig_d) * 2^(w*d) = phi_k(c1) (mod Q)`` and a signed
-        permutation keeps ``|phi_k(dig_d)| < 2^w``, so the Galois key for
-        ``s(X^k)`` switches them with the Table-4 noise of switching the
-        digits of phi_k(c1) — and every rotation of one ciphertext shares
-        one digit matrix, which is what :meth:`matvec` hoists. Returns the
-        new (c0, c1) stacks. Reference: one automorphism over the digit
-        stack and one over c0, the digit loop, the correction add.
+        *Take c1's digits, then apply X -> X^k to them*: a digit is a
+        residue row of c1 as it stands, ``sum_i phi_k(dig_i) * P * delta_i =
+        P * phi_k(c1) (mod Q * P)`` and a signed permutation keeps
+        ``|phi_k(dig_i)| < q_i``, so the Galois key for ``s(X^k)`` switches
+        them with the noise of switching the digits of phi_k(c1) — and
+        every rotation of one ciphertext shares one digit stack, which is
+        what :meth:`matvec` hoists. Returns the new (c0, c1) stacks.
+        Reference: one automorphism over the digit stack and one over c0,
+        the digit loop, the correction add.
         """
-        digits = self.automorphism(_digit_residues(c1, ksk, moduli), k, moduli)
-        d0, d1 = self._digit_loop(digits, ksk, moduli)
+        both = ksk.moduli
+        digits = self.automorphism(_digit_residues(c1, both), k, both)
+        d0, d1 = self._digit_loop(digits, ksk)
         return self.add(self.automorphism(c0, k, moduli), d0, moduli), d1
 
     def matvec(self, vec, plan, rotation_keys, moduli):
@@ -549,13 +572,14 @@ class BatchedBackend(Backend):
     """Residue-stacked execution engine (the default hot path).
 
     RNS tier: one numpy pass covers every limb. Fused tier: keyswitches run
-    one batched forward NTT over all gadget digits against cached
-    NTT-domain key stacks (:meth:`repro.fhe.keys.KeySwitchKey.ntt_stack`),
-    accumulate in the NTT domain with lazy reduction, and pay two inverse
-    transforms per keyswitch instead of two per digit; a mat-vec pays them
-    once for all its products, rotates every image of one ciphertext on
-    one decomposition (:func:`hoisted_rotations`), and rotates nothing at
-    all when its sources come ready (packing). Bit-identical to
+    one batched (L, L+1, N) forward NTT over all digits — the component's
+    residue rows, reduced into Q u {P} — against cached NTT-domain key
+    stacks (:meth:`repro.fhe.keys.KeySwitchKey.ntt_stack`), accumulate in
+    the NTT domain with lazy reduction, and pay two inverse transforms and
+    a word-sized mod-down per keyswitch, not two inverses per digit; a
+    mat-vec pays them once for all its products, rotates every image of one
+    ciphertext on one digit transform (:func:`hoisted_rotations`), and
+    rotates nothing when its sources come ready (packing). Bit-identical to
     the reference bodies: the NTT is linear mod p, so
     ``intt(sum(f_d * k_d mod p) mod p) == sum(intt(f_d * k_d)) mod p``
     exactly, and the cached key transforms are the same deterministic
@@ -625,16 +649,18 @@ class BatchedBackend(Backend):
         return lazy_reduce_sum(np.stack(arrays), moduli)
 
     def keyswitch(self, data, ksk, moduli):
-        # (D, N) digits broadcast across limbs, one batched forward pass.
-        fd = ntt_forward_rns(_digit_residues(data, ksk, moduli), moduli)
-        out = ntt_inverse_rns(_key_products(fd, ksk, moduli), moduli)
+        # Residue rows broadcast across Q u {P}, one batched forward pass.
+        both = ksk.moduli
+        fd = ntt_forward_rns(_digit_residues(data, both), both)
+        out = _mod_down(ntt_inverse_rns(_key_products(fd, ksk), both), both)
         return out[0], out[1]
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
         n = c0.shape[-1]
-        fd = ntt_forward_rns(_digit_residues(c1, ksk, moduli), moduli)
-        delta = _key_products(fd[..., ntt_automorphism_perm(n, k)], ksk, moduli)
-        d0, d1 = ntt_inverse_rns(delta, moduli)
+        both = ksk.moduli
+        fd = ntt_forward_rns(_digit_residues(c1, both), both)
+        delta = _key_products(fd[..., ntt_automorphism_perm(n, k)], ksk)
+        d0, d1 = _mod_down(ntt_inverse_rns(delta, both), both)
         return (self.automorphism(c0, k, moduli) + d0) % _moduli_column(moduli), d1
 
     def matvec(self, vec, plan, rotation_keys, moduli):
@@ -642,15 +668,15 @@ class BatchedBackend(Backend):
 
         Ready sources are used as handed in. Otherwise one stacked forward
         NTT of (c0, c1), then every image of one parent shares one
-        decomposition and one (D, L, N) forward NTT
+        (L, L+1, N) digit transform
         (:func:`hoisted_rotations`): the baby rotations and the row swap
         ride on c1's, the swap's babies on the swapped c1's — the only
         source inverse-transformed. Diagonal products and group sums are
         pointwise (chunked under ``giant_batch_elems``); a giant step
-        inverse-transforms only its c1, to decompose it; the summed groups
-        pay one stacked inverse. Bit-identical to the reference: the NTT is
-        a ring isomorphism mod each prime, and every decomposed c1 is the
-        same canonical residues either way.
+        inverse-transforms only its c1, whose rows are its digits; the
+        summed groups pay one stacked inverse. Bit-identical to the
+        reference: the NTT is a ring isomorphism mod each prime, and every
+        c1 taken as digits is the same canonical residues either way.
         """
         n = vec.shape[-1]
         mods = _moduli_column(moduli)
@@ -874,19 +900,22 @@ class CountingBackend(Backend):
     #
     # Fused implementations are dispatch-free, so the inner backend's
     # execution records nothing here: each fused op is counted exactly
-    # once, in the primitive units the decomposed path would have
-    # dispatched — per digit, one full product (3L ntt + LN mod_mul) per
-    # output component plus the accumulator add. That keeps executed
-    # counts identical whether the inner backend fuses or not, so
+    # once, in the primitive units the reference body would have
+    # dispatched — per digit (one per limb of Q), one full product over
+    # Q u {P} (3(L+1) ntt + (L+1)N mod_mul) per output component plus the
+    # accumulator add, then both mod-downs (``rnsconv``). That keeps
+    # executed counts identical whether the inner backend fuses or not, so
     # ``compare_traces`` reconciliation and the trace ratio bands hold
     # unchanged under fusion: the counts are a billing convention, not the
     # transforms the batched engine executes (a mat-vec executes far fewer).
 
-    def _keyswitch_units(self, size: int, num_limbs: int, num_digits: int) -> dict:
+    def _keyswitch_units(self, n: int, num_limbs: int) -> dict:
+        wide = num_limbs * (num_limbs + 1)  # digits x limbs of Q u {P}
         return {
-            "ntt": 6 * num_limbs * num_digits,
-            "mod_mul": 2 * num_digits * size,
-            "mod_add": 2 * num_digits * size,
+            "ntt": 6 * wide,
+            "mod_mul": 2 * wide * n,
+            "mod_add": 2 * wide * n,
+            "rnsconv": 2 * num_limbs * n,
         }
 
     def hadd_many(self, arrays, moduli):
@@ -895,18 +924,18 @@ class CountingBackend(Backend):
         return self.inner.hadd_many(arrays, moduli)
 
     def keyswitch(self, data, ksk, moduli):
-        self._bulk(**self._keyswitch_units(data.size, len(moduli), ksk.num_digits))
+        self._bulk(**self._keyswitch_units(data.shape[-1], len(moduli)))
         return self.inner.keyswitch(data, ksk, moduli)
 
-    def _rotate_units(self, size: int, num_limbs: int, num_digits: int) -> dict:
-        units = self._keyswitch_units(size, num_limbs, num_digits)
-        # One index map per limb for c0 and one for the digit stack.
-        units["automorph"] = 2 * num_limbs
-        units["mod_add"] += size  # the c0 + delta_c0 correction
+    def _rotate_units(self, n: int, num_limbs: int) -> dict:
+        units = self._keyswitch_units(n, num_limbs)
+        # One index map per limb: c0's over Q, the digit stack's over Q u {P}.
+        units["automorph"] = 2 * num_limbs + 1
+        units["mod_add"] += num_limbs * n  # the c0 + delta_c0 correction
         return units
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
-        self._bulk(**self._rotate_units(c0.size, len(moduli), ksk.num_digits))
+        self._bulk(**self._rotate_units(c0.shape[-1], len(moduli)))
         return self.inner.rotate_keyswitch(c0, c1, k, ksk, moduli)
 
     def matvec(self, vec, plan, rotation_keys, moduli):
@@ -915,17 +944,15 @@ class CountingBackend(Backend):
         # come ready) and per giant step, a PMult (two cached-operand
         # products) per diagonal, and HAdd chains that join T terms with
         # T - 1 additions in all.
-        limbs = len(moduli)
-        size = limbs * vec.shape[-1]
+        limbs, n = len(moduli), vec.shape[-1]
+        size = limbs * n
         rotations = sum(1 for g, _, _ in plan.groups if g)
         if vec.ndim == 3:
             rotations += sum(len(images) for _, images in plan.derived)
         terms = sum(len(ids) for _, ids, _ in plan.groups)
         units = {"ntt": 4 * limbs * terms, "mod_mul": 2 * size * terms,
-                 "mod_add": 2 * size * (terms - 1), "automorph": 0}
-        # One gadget per parameter set (with no key at all, inner raises).
-        digits = next((gk.num_digits for gk in rotation_keys.values()), 0)
-        for op, k in self._rotate_units(size, limbs, digits).items():
+                 "mod_add": 2 * size * (terms - 1), "automorph": 0, "rnsconv": 0}
+        for op, k in self._rotate_units(n, limbs).items():
             units[op] += rotations * k
         self._bulk(rotation=rotations, keyswitch=rotations, pmult=terms,
                    hadd=terms - 1, **units)
@@ -937,7 +964,7 @@ class CountingBackend(Backend):
         # product, G - 1 three-component additions over Q u P, one
         # keyswitch, the two correction adds.
         limbs, n = len(ctx.params.moduli), ctx.params.n
-        units = self._keyswitch_units(limbs * n, limbs, rlk.num_digits)
+        units = self._keyswitch_units(n, limbs)
         units["mod_add"] += 2 * limbs * n
         units["mod_add"] += 3 * (len(pairs) - 1) * len(ctx.tensor_moduli) * n
         self._bulk(cmult=len(pairs), keyswitch=1, **units)

@@ -277,7 +277,7 @@ class BfvContext:
         p = self.params
         from repro.fhe.keys import _uniform_poly
 
-        a = _uniform_poly(p, self.sampler)
+        a = _uniform_poly(p.moduli, p.n, self.sampler)
         e = RnsPoly.from_int_coeffs(self.sampler.gaussian(p.n), p.moduli)
         scaled = RnsPoly.from_int_coeffs(pt.coeffs, p.moduli).scalar_mul(p.delta)
         c0 = -(a * sk.poly) + e + scaled
@@ -513,8 +513,8 @@ class BfvContext:
 
         Runs through the backend's fused
         :meth:`~repro.fhe.backend.Backend.rotate_keyswitch`, which
-        decomposes c1 and rotates the *digits* (the one rotation
-        definition, shared with the fused mat-vec). Both records land
+        takes c1's residue rows as digits and rotates *them* (the one
+        rotation definition, shared with the fused mat-vec). Both records land
         here so counting stays in one place.
         """
         k = k % (2 * ct.params.n)

@@ -21,9 +21,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from repro.errors import NoiseBudgetExhausted, ParameterError
-from repro.fhe.keys import gadget_decompose
 from repro.fhe.ntt import negacyclic_mul_exact
 from repro.fhe.poly import RnsPoly
+from repro.fhe.rns import from_rns_object
 from repro.utils.modmath import find_ntt_primes, inv_mod
 from repro.utils.sampling import Sampler
 
@@ -62,6 +62,19 @@ class CkksParams:
 #: Small CKKS preset for tests and the Fig. 1 study.
 CKKS_SMALL = CkksParams("ckks-small", n=256, scale_bits=30, num_limbs=8)
 CKKS_TINY = CkksParams("ckks-tiny", n=64, scale_bits=28, num_limbs=4)
+
+
+def gadget_decompose(poly: RnsPoly, base_bits: int, num_digits: int) -> list[RnsPoly]:
+    """Base-2^w digit polynomials of the exact CRT lift: non-negative, < 2^w,
+    sum_j digit_j * 2^(w*j) = coeff (mod Q). The baseline's own gadget."""
+    coeffs = from_rns_object(poly.data, poly.moduli)
+    parts = []
+    for _ in range(num_digits):
+        parts.append(RnsPoly.from_int_coeffs(coeffs & ((1 << base_bits) - 1), poly.moduli))
+        coeffs = coeffs >> base_bits
+    if np.any(coeffs != 0):
+        raise ParameterError("gadget decomposition ran out of digits")
+    return parts
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,18 @@
 """Key material for the BFV scheme: secret/public keys and keyswitch keys.
 
-Keyswitch keys (relinearization, Galois, and LWE packing keys) use the
-classic base-2^w gadget decomposition over the full modulus Q: the key for a
-target secret ``g`` is the list KSK_j = (-(a_j * s) + e_j + T^j * g, a_j),
-so that sum_j digit_j(c) * KSK_j key-switches a component encrypted under
-``g`` to one under ``s`` while adding only O(l * N * T * sigma) noise.
+Keyswitch keys (relinearization, Galois, and LWE packing keys) are hybrid
+keys at one RNS digit per limb of Q = q_0 ... q_{L-1} and one special prime
+P: the key for a target secret ``g`` is the list
+
+    KSK_i = (-(a_i * s) + e_i + P * g * delta_i, a_i)   over Q u {P},
+
+delta_i being the CRT idempotent of limb i (1 mod q_i, 0 mod q_j), so that
+``sum_i c_i * P * delta_i = P * c`` for the residue rows c_i = c mod q_i of
+a component *as they stand*: nothing is decomposed, each row is only
+reduced into the limbs of Q u {P}. ``sum_i c_i * KSK_i`` encrypts
+P * c * g under ``s`` modulo Q * P; dividing it by P with rounding (the
+*mod-down*) key-switches the component for O(L * N * sigma * max(q_i) / P
++ N) noise, L digit transforms and no big integer anywhere.
 """
 
 from __future__ import annotations
@@ -13,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ParameterError
 from repro.fhe.backend import current_backend
 from repro.fhe.ntt import ntt_forward_rns
 from repro.fhe.params import FheParams
 from repro.fhe.poly import RnsPoly
-from repro.fhe.rns import from_rns_object
 from repro.utils.sampling import Sampler
 
 
@@ -51,55 +57,55 @@ class PublicKey:
     @classmethod
     def generate(cls, sk: SecretKey, sampler: Sampler) -> "PublicKey":
         params = sk.params
-        a = _uniform_poly(params, sampler)
+        a = _uniform_poly(params.moduli, params.n, sampler)
         e = RnsPoly.from_int_coeffs(sampler.gaussian(params.n), params.moduli)
         b = -(a * sk.poly) + e
         return cls(b, a)
 
 
-def _uniform_poly(params: FheParams, sampler: Sampler) -> RnsPoly:
-    """Uniform element of R_Q, sampled limb-wise (valid: limbs independent)."""
-    data = np.empty((len(params.moduli), params.n), dtype=np.int64)
-    for i, p in enumerate(params.moduli):
-        data[i] = sampler.uniform(p, params.n)
-    return RnsPoly(data, params.moduli)
+def _uniform_poly(moduli: tuple[int, ...], n: int, sampler: Sampler) -> RnsPoly:
+    """Uniform ring element over ``moduli``, sampled limb-wise (valid: limbs
+    independent)."""
+    data = np.empty((len(moduli), n), dtype=np.int64)
+    for i, p in enumerate(moduli):
+        data[i] = sampler.uniform(p, n)
+    return RnsPoly(data, moduli)
 
 
 @dataclass
 class KeySwitchKey:
-    """Gadget-decomposed keyswitch key from secret ``g`` to secret ``s``."""
+    """Hybrid keyswitch key from secret ``g`` to secret ``s``: one digit key
+    per limb of Q, each over Q u {P}."""
 
-    k0: list[RnsPoly]  # -(a_j s) + e_j + T^j g
-    k1: list[RnsPoly]  # a_j
-    base_bits: int
+    k0: list[RnsPoly]  # -(a_i s) + e_i + P g delta_i
+    k1: list[RnsPoly]  # a_i
 
     @classmethod
-    def generate(
-        cls, target: RnsPoly, sk: SecretKey, sampler: Sampler
-    ) -> "KeySwitchKey":
+    def generate(cls, target: RnsPoly, sk: SecretKey, sampler: Sampler) -> "KeySwitchKey":
         params = sk.params
-        w = params.decomp_bits
-        digits = -(-params.q.bit_length() // w)
+        both = params.keyswitch_moduli
+        s = RnsPoly.from_int_coeffs(sk.coeffs, both).ntt_form()
         k0, k1 = [], []
-        power = 1
-        for _ in range(digits):
-            a = _uniform_poly(params, sampler)
-            e = RnsPoly.from_int_coeffs(sampler.gaussian(params.n), params.moduli)
-            k0.append(-(a * sk.poly) + e + target.scalar_mul(power))
+        for i, q in enumerate(params.moduli):
+            a = _uniform_poly(both, params.n, sampler)
+            e = RnsPoly.from_int_coeffs(sampler.gaussian(params.n), both)
+            b = -a.mul_ntt(s) + e
+            # P * g * delta_i is P * g on limb i and zero on every other.
+            b.data[i] = (b.data[i] + target.data[i] * (params.special_prime % q)) % q
+            k0.append(b)
             k1.append(a)
-            power <<= w
-        return cls(k0, k1, w)
+        return cls(k0, k1)
 
     @property
-    def num_digits(self) -> int:
-        return len(self.k0)
+    def moduli(self) -> tuple[int, ...]:
+        """Q u {P}: Q's limbs, then the special prime."""
+        return self.k0[0].moduli
 
     def ntt_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (D, L, N) forward-NTT stacks of both key halves.
+        """Cached (L, L+1, N) forward-NTT stacks of both key halves.
 
-        The fused keyswitch kernels multiply every gadget digit against
-        these in the NTT domain, so the per-digit key transforms (2 * 3 * L
-        forwards per keyswitch in the decomposed path) are paid once per
+        The fused keyswitch kernels multiply every digit against these in
+        the NTT domain, so the per-digit key transforms are paid once per
         key lifetime instead of once per ciphertext op. Computed directly
         through :func:`ntt_forward_rns` — compile-time work, deliberately
         outside backend dispatch so counting backends never see it.
@@ -107,9 +113,8 @@ class KeySwitchKey:
         """
         cached = getattr(self, "_ntt_stack_cache", None)
         if cached is None:
-            moduli = self.k0[0].moduli
-            k0 = ntt_forward_rns(np.stack([p.data for p in self.k0]), moduli)
-            k1 = ntt_forward_rns(np.stack([p.data for p in self.k1]), moduli)
+            k0 = ntt_forward_rns(np.stack([p.data for p in self.k0]), self.moduli)
+            k1 = ntt_forward_rns(np.stack([p.data for p in self.k1]), self.moduli)
             for arr in (k0, k1):
                 arr.setflags(write=False)
             cached = self._ntt_stack_cache = (k0, k1)
@@ -121,37 +126,20 @@ class KeySwitchKey:
         return self
 
 
-def gadget_digit_rows(
-    data: np.ndarray, moduli: tuple[int, ...], base_bits: int, num_digits: int
-) -> np.ndarray:
-    """Base-2^w digits of an (L, N) residue stack as a (D, N) int64 matrix.
-
-    Row d holds digit d of every coefficient's exact CRT lift:
-    non-negative integers < 2^w with sum_d row_d * 2^(w*d) = coeff (mod Q).
-    Shared by the decomposed digit loop and the fused stacked kernels.
-    """
-    coeffs = from_rns_object(data, moduli)
-    n = data.shape[-1]
-    mask = (1 << base_bits) - 1
-    digit_rows = np.empty((num_digits, n), dtype=np.int64)
-    for d in range(num_digits):
-        digit_rows[d] = coeffs & mask
-        coeffs = coeffs >> base_bits
-    if np.any(coeffs != 0):
-        raise ParameterError("gadget decomposition ran out of digits")
-    return digit_rows
-
-
-def gadget_decompose(poly: RnsPoly, base_bits: int, num_digits: int) -> list[RnsPoly]:
-    """Decompose a ring element into base-2^w digit polynomials.
-
-    Digits are non-negative integers < 2^w satisfying
-    sum_j digit_j * 2^(w*j) = coeff (mod Q), computed on the exact CRT lift.
-    """
-    digit_rows = gadget_digit_rows(poly.data, poly.moduli, base_bits, num_digits)
-    return [
-        RnsPoly.from_int_coeffs(digit_rows[d], poly.moduli) for d in range(num_digits)
-    ]
+def keyswitch_bounds(params: FheParams) -> dict[str, tuple[int, int]]:
+    """``name -> (peak, limit)`` for everything the keyswitch kernels rely
+    on: they are exact for ``params`` iff every peak is strictly below its
+    limit. Reads the moduli tables only (no twiddles), like
+    :func:`repro.fhe.bfv.cmult_bounds`."""
+    top = max(params.keyswitch_moduli) - 1
+    return {
+        # digit residue * key residue; (x - lift) mod q times P^-1
+        "product": (top * top, 2**62),
+        # the L reduced products of one digit-axis sum
+        "lazy_sum": (len(params.moduli) * top, 2**63),
+        # P above every limb of Q (so none of them), and word-sized
+        "special_prime": (max(params.moduli), params.special_prime),
+    }
 
 
 def apply_keyswitch(
@@ -161,7 +149,7 @@ def apply_keyswitch(
 
     Returns the (delta_c0, delta_c1) pair to be added to the ciphertext.
     The digit arithmetic runs through the active backend's fused
-    :meth:`~repro.fhe.backend.Backend.keyswitch` op (decomposed digit loop
+    :meth:`~repro.fhe.backend.Backend.keyswitch` op (per-digit products
     on serial, stacked NTT-domain accumulation on batched).
     """
     be = current_backend()

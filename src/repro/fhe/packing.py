@@ -18,8 +18,8 @@ the packing key holding s' (zero-padded to N/2) replicated in both rows.
 
 Only the diagonals depend on the request. The rotations ``rot_d(s')`` are
 key material: :meth:`PackingKey.rotated_secrets` derives all N/2 of them
-once, with two hoisted Baby-Step Giant-Step levels (O(sqrt(N))
-decompositions), and a request multiplies its diagonals against that stack
+once, with two hoisted Baby-Step Giant-Step levels (O(sqrt(N)) digit
+transforms), and a request multiplies its diagonals against that stack
 — no rotation, no keyswitch.
 
 The mat-vec itself is one fused backend op (:meth:`Backend.matvec`) fed by a
@@ -94,9 +94,9 @@ class PackingKey:
         mat-vec is the diagonal stack, so the rotations are paid once per
         key lifetime. Derived from the BSGS Galois keys as
         ``rot_{g*bs + r} = rot_r(rot_{g*bs})`` with both levels hoisted:
-        the babies and giants of the secret on one decomposition, then
-        each giant's babies on one decomposition of that giant — 1 + (gs
-        - 1) decompositions, two keyswitch noise terms at most per row.
+        the babies and giants of the secret on one digit transform, then
+        each giant's babies on one digit transform of that giant — 1 + (gs
+        - 1) of them, two keyswitch noise terms at most per row.
         (N/2) ciphertexts of memory. Like
         :meth:`KeySwitchKey.ntt_stack`: compile-time work outside backend
         dispatch, deterministic, so a benign compute-twice race needs no

@@ -36,7 +36,6 @@ class FheParams:
         num_limbs: Number of limb primes; log2(Q) ~= limb_bits * num_limbs.
         t: Plaintext modulus (prime, t = 1 mod 2N for slot packing).
         lwe_n: LWE dimension n after dimension switching.
-        decomp_bits: Digit width for keyswitch gadget decomposition.
         sigma: Error standard deviation.
     """
 
@@ -46,7 +45,6 @@ class FheParams:
     num_limbs: int
     t: int
     lwe_n: int
-    decomp_bits: int = 8
     sigma: float = 3.2
 
     def __post_init__(self) -> None:
@@ -75,6 +73,17 @@ class FheParams:
         return out
 
     @cached_property
+    def special_prime(self) -> int:
+        """The keyswitch's special prime P: the largest 31-bit NTT prime for
+        2N, so above every (sub-2**30) limb of Q and none of them."""
+        return find_ntt_primes(1, 31, 2 * self.n)[0]
+
+    @cached_property
+    def keyswitch_moduli(self) -> tuple[int, ...]:
+        """Q u {P}, the basis keyswitch keys live in (Q's limbs first)."""
+        return self.moduli + (self.special_prime,)
+
+    @cached_property
     def delta(self) -> int:
         """BFV plaintext scaling factor Delta = floor(Q / t)."""
         return self.q // self.t
@@ -101,11 +110,11 @@ class FheParams:
         """Size of one fresh BFV ciphertext: two ring elements at full Q."""
         return 2 * self.n * self.q.bit_length() // 8
 
-    def keyswitch_key_bytes(self, digits: int | None = None) -> int:
-        """Size of one keyswitch (relin/galois) key."""
-        if digits is None:
-            digits = -(-self.q.bit_length() // self.decomp_bits)
-        return digits * self.ciphertext_bytes
+    def keyswitch_key_bytes(self) -> int:
+        """Size of one keyswitch (relin/galois) key: one digit per limb of
+        Q, each digit two ring elements over Q u {P}."""
+        bits = (self.q * self.special_prime).bit_length()
+        return self.num_limbs * 2 * self.n * bits // 8
 
     def total_key_bytes(self, num_rotations: int = 0) -> int:
         """Relinearization key plus ``num_rotations`` Galois keys."""
@@ -128,18 +137,18 @@ ATHENA = FheParams("athena", n=1 << 15, limb_bits=30, num_limbs=24, t=65537, lwe
 ATHENA_MEDIUM = FheParams("athena-medium", n=1 << 12, limb_bits=30, num_limbs=6, t=65537, lwe_n=512)
 
 #: Small set: full algebra (t=257 keeps 2N | t-1 up to N=128).
-TEST_SMALL = FheParams("test-small", n=128, limb_bits=30, num_limbs=3, t=257, lwe_n=64, decomp_bits=6)
+TEST_SMALL = FheParams("test-small", n=128, limb_bits=30, num_limbs=3, t=257, lwe_n=64)
 
 #: Tiny set for exhaustive FBS / LUT tests.
-TEST_TINY = FheParams("test-tiny", n=32, limb_bits=30, num_limbs=2, t=257, lwe_n=16, decomp_bits=6)
+TEST_TINY = FheParams("test-tiny", n=32, limb_bits=30, num_limbs=2, t=257, lwe_n=16)
 
 #: Deep-modulus tiny set: enough budget for a full-degree FBS evaluation
 #: (log2(t) CMult levels) on the real backend.
-TEST_FBS = FheParams("test-fbs", n=32, limb_bits=30, num_limbs=8, t=257, lwe_n=16, decomp_bits=12)
+TEST_FBS = FheParams("test-fbs", n=32, limb_bits=30, num_limbs=8, t=257, lwe_n=16)
 
 #: End-to-end loop set: room for one complete five-step Athena round
 #: (conv + packing + full FBS + S2C) on the real backend.
-TEST_LOOP = FheParams("test-loop", n=128, limb_bits=30, num_limbs=9, t=257, lwe_n=64, decomp_bits=14)
+TEST_LOOP = FheParams("test-loop", n=128, limb_bits=30, num_limbs=9, t=257, lwe_n=64)
 
 PRESETS: dict[str, FheParams] = {
     p.name: p

@@ -73,8 +73,8 @@ def from_rns_object(residues: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray
 
     The vectorized core of :func:`from_rns`: one object-dtype broadcast
     against the cached weight column, so numpy drives the big-int loop
-    instead of interpreted Python. Hot path of gadget decomposition and
-    modulus switching.
+    instead of interpreted Python. Hot path of modulus switching and
+    decryption (no keyswitch lifts anything).
     """
     if residues.shape[0] != len(moduli):
         raise ParameterError("residue matrix does not match modulus chain")

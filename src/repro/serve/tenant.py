@@ -68,9 +68,9 @@ class Tenant:
 
         return (params_fingerprint(self.params).hex(), self.seed, self.backend)
 
-    def key_inventory(self, ksk_digit_bits: int | None = None) -> KeyInventory:
+    def key_inventory(self) -> KeyInventory:
         """Evaluation-key inventory this tenant's parameter set implies."""
-        return build_inventory(self.params, ksk_digit_bits=ksk_digit_bits)
+        return build_inventory(self.params)
 
     def key_material_bytes(self, seed_compressed: bool = True) -> int:
         """Size of this tenant's full evaluation-key set."""

@@ -85,6 +85,15 @@ ACTIVATION_SLOPE = {"identity": 1.0, "relu": 1.0, "sigmoid": 0.25, "gelu": 1.13}
 REFRESH_SIGMAS = 4
 
 
+def keyswitch_noise_bound(params) -> float:
+    """What one hybrid keyswitch adds, in magnitude: the key's noise over P
+    (``L * N`` terms of at most ``6 sigma * max(q_i)``, divided by P) and
+    ``(N + 1) / 2`` for the two roundings (one of them times s)."""
+    l, n = len(params.moduli), params.n
+    return (l * n * 6 * params.sigma * max(params.moduli) / params.special_prime
+            + (n + 1) / 2)
+
+
 def refresh_noise_bound(qm, params) -> int:
     """``REFRESH_SIGMAS`` sigma of the logit error the refresh noise causes.
 

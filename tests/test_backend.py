@@ -313,39 +313,48 @@ class TestMnistOpCountParity:
     Bands document the known convention deltas (measured ratios in
     parentheses, executed/analytical):
 
-    - ``ntt`` (12.01x; 15.76 while every giant-step pair of an FBS paid
-      its own keyswitch, 20.45 while packing rotated its secret on every
-      request and S2C ran two passes): the model assumes cached
-      plaintext-NTT operands and Halevi-Shoup hoisting, billing ~zero NTTs
-      to linear/packing/S2C; the counts bill the decomposed reference,
-      which transforms operands per op. A billing convention, not what the
-      batched engine does: its mat-vec stays in the evaluation domain and
-      hoists every rotation of one ciphertext, so it *executes* 21 874
-      limb transforms on this request, CMult tensors included (31 598
-      before the summed giant step), where the counts bill 96 840 (were
-      127 080) and the model 8 064 — the executed side is pinned in
-      tests/test_fused_kernels.py.
-    - ``mod_mul`` (1.76x; was 2.20, 2.76) / ``mod_add`` (2.21x; was 2.71,
-      3.38): the engine counts every limb stream at full width (keyswitch
-      gadget accumulation, FBS ladder bookkeeping); the model keeps only
-      the dominant terms. All three moved toward 1 with the 28 giant-step
-      keyswitches (2 LUTs x 14) the model never billed — it has always
-      assumed one amortised relinearisation per accumulation group.
-    - ``automorph`` (0.196x; was 0.509, band 0.25-1.0): the model bills
+    - ``ntt`` (6.65x; 12.01 under the base-2^14 gadget's 20 digits, 15.76
+      while every giant-step pair of an FBS paid its own keyswitch, 20.45
+      while packing rotated its secret on every request and S2C ran two
+      passes): the model assumes cached plaintext-NTT operands,
+      Halevi-Shoup hoisting and ``dnum`` = 3 grouped digits, billing ~zero
+      NTTs to linear/packing/S2C; the counts bill the reference body, which
+      transforms operands per op and keyswitches at one digit per limb
+      (``dnum`` = L = 9 over L + 1 limbs). A billing convention, not what
+      the batched engine does: its mat-vec stays in the evaluation domain
+      and hoists every rotation of one ciphertext, so it *executes* 16 400
+      limb transforms on this request, CMult tensors included (21 874
+      under the gadget, 31 598 before the summed giant step), where the
+      counts bill 53 640 (were 96 840, 127 080) and the model 8 064 — the
+      executed side is pinned in tests/test_fused_kernels.py.
+    - ``mod_mul`` (1.13x; was 1.76, 2.20, 2.76) / ``mod_add`` (1.46x; was
+      2.21, 2.71, 3.38): the engine counts every limb stream at full width
+      (keyswitch digit accumulation over Q u {P}, FBS ladder bookkeeping);
+      the model keeps only the dominant terms. All three moved toward 1
+      with the 28 giant-step keyswitches (2 LUTs x 14) the model never
+      billed — it has always assumed one amortised relinearisation per
+      accumulation group — and again when the executed keyswitch became
+      the hybrid one the model has always billed (9 digits, not 20).
+    - ``automorph`` (0.207x; 0.196 while a digit stack was permuted over L
+      limbs rather than L + 1; was 0.509, band 0.25-1.0): the model bills
       per-digit keyswitch automorphisms — 14 rotations per packing and per
       S2C pass, the paper's Table-3 counts — where the engine folds each
       rotation into one permutation per component and now bills 22
       rotations on the whole run (57 before): packing's are paid once per
       key, S2C's giant steps once per group.
-    - ``rnsconv`` (~0.01x): the engine counts only mod-switch data
-      elements; the model adds the keyswitch base-conversion work its
-      accelerator datapath executes.
+    - ``rnsconv`` (0.29x; was ~0.01 while only mod-switch data elements
+      were counted): every keyswitch now bills its mod-down, 2 L N elements
+      — the same term the model bills — and the rest of the gap is the
+      CMult tensor's base conversions, which the engine does not count.
     """
 
+    #: Re-pinned with the hybrid keyswitch, each where the ratio left its
+    #: band: ntt (10.0, 40.0) -> (5.0, 10.0), mod_mul (1.5, 5.0) ->
+    #: (1.0, 1.5), mod_add (1.5, 6.0) -> (1.2, 2.0); automorph unchanged.
     RATIO_BANDS = {
-        "ntt": (10.0, 40.0),
-        "mod_mul": (1.5, 5.0),
-        "mod_add": (1.5, 6.0),
+        "ntt": (5.0, 10.0),
+        "mod_mul": (1.0, 1.5),
+        "mod_add": (1.2, 2.0),
         "automorph": (0.1, 0.4),
     }
 
@@ -388,7 +397,7 @@ class TestMnistOpCountParity:
         for prim, (lo, hi) in self.RATIO_BANDS.items():
             ratio = comparison[prim]["ratio"]
             assert ratio is not None and lo <= ratio <= hi, (prim, ratio)
-        assert comparison["rnsconv"]["ratio"] < 0.05
+        assert 0.2 < comparison["rnsconv"]["ratio"] < 0.4  # was < 0.05
 
     def test_executed_trace_feeds_the_scheduler(self):
         """schedule_executed accepts a populated CountingBackend directly."""

@@ -32,6 +32,7 @@ from repro.fhe import bfv as bfv_module
 from repro.fhe import rns
 from repro.fhe.backend import BATCHED, SERIAL, BatchedBackend, use_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext, cmult_bounds
+from repro.fhe.keys import keyswitch_bounds
 from repro.fhe.ntt import negacyclic_mul_exact
 from repro.fhe.params import (
     ATHENA,
@@ -43,7 +44,7 @@ from repro.fhe.params import (
     FheParams,
 )
 from repro.fhe.poly import RnsPoly
-from repro.utils.modmath import inv_mod
+from repro.utils.modmath import inv_mod, is_prime
 
 RUN_PRESETS = [TEST_TINY, TEST_FBS, TEST_SMALL, TEST_LOOP]
 _ids = [p.name for p in RUN_PRESETS]
@@ -497,6 +498,22 @@ class TestBounds:
         assert set(bounds) == {"product", "lazy_sum", "aux_basis", "overflow_estimate"}
         for what, (peak, limit) in bounds.items():
             assert 0 < peak < limit, (name, what)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_keyswitch_peak_below_its_limit(self, name):
+        """What the hybrid keyswitch relies on, on every preset (the paper's
+        ring included): word-sized products, an L-term lazy sum inside
+        int64, and a special prime that is prime, NTT-friendly for 2N, no
+        limb of Q and larger than each."""
+        params = PRESETS[name]
+        bounds = keyswitch_bounds(params)
+        assert set(bounds) == {"product", "lazy_sum", "special_prime"}
+        for what, (peak, limit) in bounds.items():
+            assert 0 < peak < limit, (name, what)
+        p = params.special_prime
+        assert is_prime(p) and p % (2 * params.n) == 1 and 2**30 < p < 2**31
+        assert p not in params.moduli and params.keyswitch_moduli == params.moduli + (p,)
+        assert bounds["lazy_sum"][0] == len(params.moduli) * (p - 1)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_aux_basis_is_disjoint_and_not_oversized(self, name):

@@ -15,7 +15,7 @@ Four claims pinned here:
 3. *Lazy-reduction safety* — :func:`lazy_reduce_sum` equals the exact
    (arbitrary-precision) fold for any chain of reduced residues, and
    :func:`lazy_chain_limit` leaves orders-of-magnitude headroom over the
-   longest chains the engine forms (gadget digit axes, HAdd fan-ins) for
+   longest chains the engine forms (keyswitch digit axes, HAdd fan-ins) for
    every parameter preset.
 4. *One rotation, one mat-vec* — the evaluation-domain mat-vec of the
    batched engine equals the reference body and the composite spelled out
@@ -26,9 +26,10 @@ Four claims pinned here:
    and of its row swap; packing is it over the packing key's cached stack
    of rotated secrets. Both are bit-identical across the engines and pay
    only the rotations nobody else already paid.
-6. *One relinearisation per LUT* — a whole FBS decomposes once per ladder
-   CMult and once for its giant-step combination, and every CMult operand
-   enters the evaluation domain of Q u P once; counted, not timed.
+6. *One relinearisation per LUT* — a whole FBS keyswitches once per ladder
+   CMult and once for its giant-step combination, every CMult operand
+   enters the evaluation domain of Q u P once, and nothing on the request
+   path lifts a residue stack to Python integers; counted, not timed.
 """
 
 import math
@@ -44,6 +45,8 @@ from repro.errors import ParameterError
 from repro.fhe import backend as backend_mod
 from repro.fhe import bfv as bfv_mod
 from repro.fhe import keys as keys_mod
+from repro.fhe import packing as packing_mod
+from repro.fhe import rns as rns_mod
 from repro.fhe.backend import (
     BATCHED,
     SERIAL,
@@ -75,6 +78,7 @@ from repro.fhe.slots import (
     rotation_galois_element,
     row_swap_element,
 )
+from tests.conftest import keyswitch_noise_bound
 
 _slow = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -158,8 +162,9 @@ class TestCountingParity:
         keyswitch and its two correction adds — whichever body runs."""
         ctx, _, rlk, _, (a, b, c) = _fixture()
         params = ctx.params
-        l, n, d = len(params.moduli), params.n, rlk.num_digits
+        l, n = len(params.moduli), params.n
         wide = len(ctx.tensor_moduli)
+        assert len(rlk.k0) == l and len(rlk.moduli) == l + 1
         totals = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL),
                          DecomposedCounting(BATCHED)):
@@ -168,22 +173,25 @@ class TestCountingParity:
         assert totals[0] == totals[1] == totals[2] == {
             "cmult": 3,
             "keyswitch": 1,
-            "ntt": 6 * l * d,
-            "mod_mul": 2 * d * l * n,
-            "mod_add": 2 * d * l * n + 2 * l * n + 2 * 3 * wide * n,
+            "ntt": 6 * l * (l + 1),
+            "mod_mul": 2 * l * (l + 1) * n,
+            "mod_add": 2 * l * (l + 1) * n + 2 * l * n + 2 * 3 * wide * n,
+            "rnsconv": 2 * l * n,
         }
 
     def test_keyswitch_unit_formula(self):
-        """One keyswitch = per digit: two full products + two adds."""
+        """One keyswitch = per digit (one per limb): two full products + two
+        adds over the L + 1 limbs of Q u {P}; then both mod-downs."""
         ctx, _, rlk, _, cts = _fixture()
         params = ctx.params
-        l, n, d = len(params.moduli), params.n, rlk.num_digits
+        l, n = len(params.moduli), params.n
         counting = CountingBackend(BATCHED)
         counting.keyswitch(cts[0].c1.data, rlk, params.moduli)
         assert counting.totals() == {
-            "ntt": 6 * l * d,
-            "mod_mul": 2 * d * l * n,
-            "mod_add": 2 * d * l * n,
+            "ntt": 6 * l * (l + 1),
+            "mod_mul": 2 * l * (l + 1) * n,
+            "mod_add": 2 * l * (l + 1) * n,
+            "rnsconv": 2 * l * n,
         }
 
 
@@ -250,13 +258,13 @@ class TestLazyReduction:
         assert (limit + 1) * peak > 2**63 - 1
 
     def test_headroom_over_longest_engine_chains(self):
-        """The longest lazy chains the engine forms — the gadget digit axis
-        of a keyswitch and the slot-count HAdd fan-ins — sit orders of
-        magnitude below the overflow bound at every preset."""
+        """The longest lazy chains the engine forms — the digit axis of a
+        keyswitch (one digit per limb, summed over Q u {P}) and the
+        slot-count HAdd fan-ins — sit orders of magnitude below the
+        overflow bound at every preset."""
         for params in PRESETS.values():
-            limit = lazy_chain_limit(params.moduli)
-            num_digits = -(-params.q.bit_length() // params.decomp_bits)
-            longest = max(num_digits, params.n)
+            limit = lazy_chain_limit(params.keyswitch_moduli)
+            longest = max(len(params.moduli), params.n)
             assert limit >= 1000 * longest, params.name
 
     def test_chunked_fold_beyond_limit(self):
@@ -281,7 +289,8 @@ class TestLazyReduction:
 
 
 class TestRotation:
-    """``rotate_keyswitch``: decompose c1, then apply X -> X^k to the digits."""
+    """``rotate_keyswitch``: c1's residue rows are the digits; apply X -> X^k
+    to them."""
 
     def test_fast_equals_reference_and_rotates_the_plaintext(self):
         ctx, sk, _, gk, cts = _fixture()
@@ -300,20 +309,30 @@ class TestRotation:
     def test_noise_matches_rotating_before_decomposing(self):
         """Same noise term as automorphism-then-keyswitch, composed here
         from public ops: the measured noise stays within a bit of it and
-        under the gadget bound D * N * 2^w * sigma (``repro.fhe.keys``)."""
+        under the ciphertext's own plus the hybrid bound ``L * N * 6 sigma *
+        max(q_i) / P + (N + 1) / 2`` (``repro.fhe.keys``). And in absolute
+        terms: one Galois keyswitch of a fresh ciphertext reads at most 10
+        bits (7.9 at both; the base-2^w gadget read 21.3 at TEST_LOOP, 18.7 at
+        TEST_FBS)."""
         ctx, sk, _, gk, cts = _fixture()
         params = ctx.params
         k = rotation_galois_element(params.n, 1)
-        bound = math.log2(
-            gk.num_digits * params.n * 2**gk.base_bits * params.sigma)
         for ct in cts:
             d0, d1 = apply_keyswitch(ct.c1.automorphism(k), gk)
             old = BfvCiphertext(ct.c0.automorphism(k) + d0, d1, params, 0.0)
             new = ctx.apply_galois(ct, k, gk)
             measured = ctx.true_noise_bits(new, sk)
             assert abs(measured - ctx.true_noise_bits(old, sk)) <= 1.0
-            assert measured <= bound
+            assert 2**measured <= 2 ** ctx.true_noise_bits(ct, sk) + keyswitch_noise_bound(params)
             assert np.array_equal(ctx.decrypt(new, sk).coeffs, ctx.decrypt(old, sk).coeffs)
+        for params in (TEST_LOOP, TEST_FBS):
+            ctx = BfvContext(params, seed=1)
+            sk, pk = ctx.keygen()
+            gk = ctx.galois_key(sk, rotation_galois_element(params.n, 1))
+            values = np.random.default_rng(0).integers(0, params.t, params.n)
+            ct = ctx.encrypt(Plaintext.from_slots(values, params), pk)
+            rotated = ctx.apply_galois(ct, rotation_galois_element(params.n, 1), gk)
+            assert ctx.true_noise_bits(rotated, sk) <= 10, params.name
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     @given(st.integers(min_value=0, max_value=2**32))
@@ -494,8 +513,9 @@ def _pack_setup(params, seed=3):
 
 
 def _spy_transforms(monkeypatch):
-    """Count limb transforms and gadget decompositions as they execute."""
-    executed = {"limb_transforms": 0, "decompositions": 0}
+    """Count limb transforms and CRT lifts to Python integers as they
+    execute."""
+    executed = {"limb_transforms": 0, "crt_lifts": 0}
 
     def spy(module, name, unit):
         real = getattr(module, name)
@@ -511,7 +531,11 @@ def _spy_transforms(monkeypatch):
     # The CMult tensor's own transforms, over Q u P (none in a mat-vec).
     spy(bfv_mod, "ntt_forward_rns", "limb_transforms")
     spy(bfv_mod, "ntt_inverse_rns", "limb_transforms")
-    spy(keys_mod, "gadget_digit_rows", "decompositions")
+    # The lift to Python integers: every site on the ciphertext path reaches
+    # it as ``rns.from_rns_object`` (none binds the name), so one spy sees all.
+    for module in (backend_mod, keys_mod, bfv_mod, packing_mod):
+        assert not hasattr(module, "from_rns_object")
+    spy(rns_mod, "from_rns_object", "crt_lifts")
     return executed
 
 
@@ -559,9 +583,10 @@ class TestMatvecAccounting:
 
     def test_executed_transforms_of_one_s2c_matvec(self, monkeypatch):
         """The work the fast body was built to avoid, pinned where it is
-        done: limb transforms and gadget decompositions of one whole S2C at
+        done: limb transforms and big-integer lifts of one whole S2C at
         TEST_LOOP. Two passes, a coefficient-domain row swap and an add
-        executed 3 276 and 17."""
+        executed 3 276 transforms and 17 decompositions; nine base-2^14
+        decompositions of 20 digits each, 1 728 and 9 lifts."""
         pipe = AthenaPipeline(TEST_LOOP, seed=81)
         plan = S2CPlan.build(TEST_LOOP)
         ct = pipe.ctx.encrypt(
@@ -570,7 +595,7 @@ class TestMatvecAccounting:
         with use_backend(BATCHED):
             slot_to_coeff(pipe.ctx, ct, pipe.s2c_key, plan=plan)
         assert len(plan.matvec.groups) == 8
-        assert executed == {"limb_transforms": 1728, "decompositions": 9}
+        assert executed == {"limb_transforms": 1358, "crt_lifts": 0}
 
     def test_executed_transforms_of_one_pack(self, monkeypatch):
         """One ``pack_lwe`` of 43 LWE samples at TEST_LOOP: the request's own
@@ -581,7 +606,20 @@ class TestMatvecAccounting:
         executed = _spy_transforms(monkeypatch)
         with use_backend(BATCHED):
             pack_lwe(pipe.ctx, lwe, pipe.packing_key)
-        assert executed == {"limb_transforms": 594, "decompositions": 0}
+        assert executed == {"limb_transforms": 594, "crt_lifts": 0}
+
+
+    def test_executed_transforms_of_one_keyswitch(self, monkeypatch):
+        """One standalone keyswitch at TEST_LOOP: the (L, L+1, N) digit
+        transform and the (2, L+1, N) inverse, L (L + 1) + 2 (L + 1) = 110.
+        Twenty base-2^14 digits over nine limbs executed 198 and one lift."""
+        ctx = BfvContext(TEST_LOOP, seed=84)
+        sk, pk = ctx.keygen()
+        rlk = ctx.relin_key(sk).warm()
+        ct = ctx.encrypt(Plaintext.from_slots(np.arange(TEST_LOOP.n), TEST_LOOP), pk)
+        executed = _spy_transforms(monkeypatch)
+        BATCHED.keyswitch(ct.c1.data, rlk, TEST_LOOP.moduli)
+        assert executed == {"limb_transforms": 110, "crt_lifts": 0}
 
 
 class TestFbsAccounting:
@@ -591,7 +629,8 @@ class TestFbsAccounting:
         """The t = 257 ReLU table at TEST_LOOP: 30 ladder CMults and a
         15-term combination. One keyswitch per combination pair executed 45
         decompositions and 14 325 limb transforms (8 910 under keyswitches,
-        5 415 in tensors that re-extended every operand)."""
+        5 415 in tensors that re-extended every operand); 31 base-2^14
+        keyswitches of 198 transforms each, 9 387 and 31 lifts."""
         ctx = BfvContext(TEST_LOOP, seed=83)
         sk, pk = ctx.keygen()
         rlk = ctx.relin_key(sk).warm()
@@ -602,11 +641,10 @@ class TestFbsAccounting:
         executed = _spy_transforms(monkeypatch)
         with use_backend(BATCHED):
             out = fbs_evaluate(ctx, ct, lut, rlk, plan=plan)
+        assert executed == {"limb_transforms": 6659, "crt_lifts": 0}
         assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
         assert len(plan.ladder) == 30
         assert sum(1 for g, _, _ in plan.groups if g) == 15
-        assert executed == {"limb_transforms": 9387,
-                            "decompositions": len(plan.ladder) + 1}
 
     def test_counting_parity_of_one_fbs(self):
         """A whole FBS bills the same totals and per-phase events whether

@@ -435,27 +435,37 @@ class TestFbsEdgePlans:
 
 
 class TestFbsNoiseIsMeasured:
-    """One full-domain ReLU FBS, context seed 83, input ``default_rng(83)``.
+    """One full-domain ReLU FBS of the input ``default_rng(83)``, under the
+    keys of context seeds 0-7: a distribution, not one draw — a change to
+    key generation redraws every key, so single seeds move by bits either
+    way (seed 83 read 150.25 at TEST_LOOP under the base-2^w gadget and
+    reads 152.64 under the hybrid keys) while the medians do not.
 
-    With one keyswitch per combination pair (the parent of the summed
-    giant step) the same seeds measured 125.73 bits at TEST_FBS and 150.25
-    at TEST_LOOP, under estimates of 142.90 and 163.82."""
+    ``parent`` is the 8-seed median at the last commit of the gadget, which
+    this loop printed there (per seed, TEST_FBS: 127.41 127.35 124.75 125.76
+    123.09 125.45 123.05 125.81; TEST_LOOP: 147.35 148.10 147.45 149.26
+    146.27 148.10 146.75 145.31); the hybrid keys read 125.38 and 146.23.
+    With one keyswitch per combination pair (the parent of the summed giant
+    step) seed 83 measured 125.73 bits at TEST_FBS and 150.25 at TEST_LOOP,
+    under estimates of 142.90 and 163.82."""
 
-    @pytest.mark.parametrize("params,before,estimate", [
-        (TEST_FBS, 125.73, 140.81), (TEST_LOOP, 150.25, 161.73)],
+    @pytest.mark.parametrize("params,parent,estimate", [
+        (TEST_FBS, 125.61, 140.81), (TEST_LOOP, 147.40, 161.73)],
         ids=lambda v: getattr(v, "name", None))
-    def test_true_noise_within_the_parent_and_the_estimate(self, params, before, estimate):
-        ctx = BfvContext(params, seed=83)
-        sk, pk = ctx.keygen()
-        rlk = ctx.relin_key(sk)
+    def test_true_noise_within_the_parent_and_the_estimate(self, params, parent, estimate):
         lut = FbsLut.from_function(lambda x: np.maximum(x, 0), params.t, "relu")
         x = np.random.default_rng(83).integers(0, params.t, params.n)
-        out = fbs_evaluate(ctx, ctx.encrypt(Plaintext.from_slots(x, params), pk), lut, rlk)
-        assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
-        measured = ctx.true_noise_bits(out, sk)
-        assert measured <= before + 0.005  # recorded to two decimals
-        assert measured <= out.noise_bits
-        assert out.noise_bits == pytest.approx(estimate, abs=0.005)
+        draws = []
+        for seed in range(8):
+            ctx = BfvContext(params, seed=seed)
+            sk, pk = ctx.keygen()
+            rlk = ctx.relin_key(sk)
+            out = fbs_evaluate(ctx, ctx.encrypt(Plaintext.from_slots(x, params), pk), lut, rlk)
+            assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
+            assert out.noise_bits == pytest.approx(estimate, abs=0.005)
+            draws.append(ctx.true_noise_bits(out, sk))
+        assert max(draws) <= estimate
+        assert np.median(draws) <= parent + 1
 
     def test_the_combined_estimate_grows_by_log2_of_the_terms(self, fbs_ctx, fbs_keys, fbs_rlk):
         _, pk = fbs_keys

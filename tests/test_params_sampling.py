@@ -81,9 +81,13 @@ class TestValidation:
 
 class TestSizing:
     def test_keyswitch_key_scales_with_digits(self):
-        one = TEST_SMALL.keyswitch_key_bytes(digits=1)
-        five = TEST_SMALL.keyswitch_key_bytes(digits=5)
-        assert five == 5 * one
+        """One digit per limb, each digit two ring elements over Q u {P}."""
+        for params in (TEST_SMALL, ATHENA_MEDIUM, ATHENA):
+            bits = (params.q * params.special_prime).bit_length()
+            digit = 2 * params.n * bits // 8
+            assert params.keyswitch_key_bytes() == params.num_limbs * digit
+            assert digit > params.ciphertext_bytes  # the special prime's share
+        assert ATHENA.keyswitch_key_bytes() == 24 * 2 * 2**15 * 751 // 8
 
     def test_total_keys_grow_with_rotations(self):
         assert TEST_SMALL.total_key_bytes(8) > TEST_SMALL.total_key_bytes(2)
