@@ -35,13 +35,14 @@ The process-wide default honors the ``REPRO_BACKEND`` environment variable
 (``batched`` | ``serial``), which is how CI runs the whole tier-1 suite
 under the serial reference.
 
-Bit-identity contract: both engines reduce the same integers modulo the
-same primes — only loop structure differs — so every primitive's output
-is bit-for-bit identical across backends. The fused tier keeps it because
-the NTT is linear mod p. ``tests/test_backend.py``,
-``tests/test_rns_batched.py`` and ``tests/test_fused_kernels.py`` pin this
-at the RnsPoly level, per fused op, and end-to-end through the five-step
-pipeline.
+Bit-identity contract: both engines hand back the canonical residue in
+[0, p) of the same integer — the stacked NTT defers its reductions
+(:func:`repro.fhe.ntt.ntt_bounds`), the per-prime loops do not — so every
+primitive's output is bit-for-bit identical across backends. The fused tier
+keeps it because the NTT is linear mod p. ``tests/test_ntt.py``,
+``tests/test_backend.py``, ``tests/test_rns_batched.py`` and
+``tests/test_fused_kernels.py`` pin this per transform, at the RnsPoly
+level, per fused op, and end-to-end through the five-step pipeline.
 
 Fused tier: :meth:`Backend.hadd_many` (one deferred reduction across an
 HAdd chain), :meth:`Backend.keyswitch` (hybrid keyswitch of one
@@ -192,11 +193,25 @@ def _moduli_column(moduli: tuple[int, ...]) -> np.ndarray:
     return col
 
 
-def _digit_residues(data, both) -> np.ndarray:
-    """Digits of one (L, N) component as an (L, L+1, N) residue stack over
+@lru_cache(maxsize=4096)
+def _scalar_column(value: int, moduli: tuple[int, ...], invert: bool = False) -> np.ndarray:
+    """(L, 1) column of ``value`` (or of its inverse) mod each limb, from
+    :func:`_moduli_column`'s uncached body; bounded (FBS coefficients are < t)."""
+    return _moduli_column.__wrapped__(
+        [inv_mod(value, p) if invert else value % p for p in moduli])
+
+
+def _digit_rows(data, both) -> np.ndarray:
+    """Digits of one (L, N) component as a read-only (L, L+1, N) view over
     ``both`` = Q u {P}: digit i is residue row i as it stands (the CRT
-    idempotent sits in the key), reduced into every limb."""
-    return np.mod(data[:, None, :], _moduli_column(both))
+    idempotent sits in the key); the stacked transform's entry reduction
+    takes it into every limb."""
+    return np.broadcast_to(data[:, None, :], (len(data), len(both), data.shape[-1]))
+
+
+def _digit_residues(data, both) -> np.ndarray:
+    """:func:`_digit_rows` reduced into every limb: the reference's digits."""
+    return np.mod(_digit_rows(data, both), _moduli_column(both))
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +268,7 @@ def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> list[np.ndarra
     keys = [_galois_key(rotation_keys, k) for k in elements]
     # One basis per parameter set: any key's Q u {P} serves every key.
     both = keys[0][1].moduli
-    fd = ntt_forward_rns(_digit_residues(c1, both), both)
+    fd = ntt_forward_rns(_digit_rows(c1, both), both)
     perms = [ntt_automorphism_perm(n, k) for k, _ in keys]
     wide = np.stack([_key_products(fd[..., perm], gk) for perm, (_, gk) in zip(perms, keys)])
     special = ntt_inverse_rns(wide[..., -1:, :], both[-1:])
@@ -615,12 +630,10 @@ class BatchedBackend(Backend):
         return ntt_inverse_rns(fa * fb % _moduli_column(moduli), moduli)
 
     def scalar_mul(self, a, value, moduli):
-        residues = np.array([value % p for p in moduli], dtype=np.int64)[:, None]
-        return a * residues % _moduli_column(moduli)
+        return a * _scalar_column(value, moduli) % _moduli_column(moduli)
 
     def inv_scalar(self, a, value, moduli):
-        invs = np.array([inv_mod(value, p) for p in moduli], dtype=np.int64)[:, None]
-        return a * invs % _moduli_column(moduli)
+        return a * _scalar_column(value, moduli, True) % _moduli_column(moduli)
 
     def automorphism(self, a, k, moduli):
         # Accepts (..., L, N): leading axes batch, so the fused
@@ -651,14 +664,14 @@ class BatchedBackend(Backend):
     def keyswitch(self, data, ksk, moduli):
         # Residue rows broadcast across Q u {P}, one batched forward pass.
         both = ksk.moduli
-        fd = ntt_forward_rns(_digit_residues(data, both), both)
+        fd = ntt_forward_rns(_digit_rows(data, both), both)
         out = _mod_down(ntt_inverse_rns(_key_products(fd, ksk), both), both)
         return out[0], out[1]
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
         n = c0.shape[-1]
         both = ksk.moduli
-        fd = ntt_forward_rns(_digit_residues(c1, both), both)
+        fd = ntt_forward_rns(_digit_rows(c1, both), both)
         delta = _key_products(fd[..., ntt_automorphism_perm(n, k)], ksk)
         d0, d1 = _mod_down(ntt_inverse_rns(delta, both), both)
         return (self.automorphism(c0, k, moduli) + d0) % _moduli_column(moduli), d1

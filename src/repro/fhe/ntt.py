@@ -3,8 +3,9 @@
 This is the workhorse of the whole FHE substrate: polynomial multiplication
 in Z_p[X]/(X^N + 1) for primes p = 1 (mod 2N), p < 2**31. All butterflies
 are vectorized numpy int64 operations; since p < 2**31 every intermediate
-product fits in an int64 (a*b < 2**62), so no Barrett/Montgomery machinery
-is required in Python.
+product fits in an int64 (a*b < 2**62). The per-prime transforms reduce with
+``%`` after every product and sum; the stacked ones every request runs reach
+the same residues with no ``%`` inside a butterfly (:func:`ntt_bounds`).
 
 The transform is the standard "merged-psi" negacyclic NTT (Longa & Naehrig):
 powers of the 2N-th root of unity are folded into the butterflies so no
@@ -32,7 +33,7 @@ from repro.utils.modmath import inv_mod, root_of_unity
 def _bit_reverse_indices(n: int) -> np.ndarray:
     """Indices 0..n-1 in bit-reversed order (n a power of two).
 
-    Cached: callers (`_tables`, `_rns_tables`, `cyclic_ntt`) only ever use
+    Cached: callers (`_tables`, `cyclic_ntt`, the evaluation-domain perms) only ever use
     the array for read-only fancy indexing, and the LUT-interpolation path
     recomputes it at t-1 = 65536 elements otherwise.
     """
@@ -121,77 +122,126 @@ def ntt_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _rns_tables(
-    n: int, moduli: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked (psi_rev, inv_psi_rev, inv_n, moduli-column) for a limb chain.
+#: Shortest twiddle row a stage broadcasts: stages whose twiddles repeat with
+#: a shorter period are tiled up to it (or to the whole half-ring, if smaller).
+_MIN_ROW = 16
 
-    Each row of the (L, N) twiddle stacks is the per-prime table from
-    :func:`_tables`; the moduli come back as an (L, 1) int64 column ready to
-    broadcast against (L, N) residue matrices.
-    """
-    psi = np.stack([_tables(n, p)[0] for p in moduli])
-    ipsi = np.stack([_tables(n, p)[1] for p in moduli])
-    inv_n = np.array([_tables(n, p)[2] for p in moduli], dtype=np.int64)[:, None]
-    mods = np.array(moduli, dtype=np.int64)[:, None]
-    for arr in (psi, ipsi, inv_n, mods):
+
+def ntt_bounds(n: int, moduli: tuple[int, ...]) -> dict[str, tuple[int | float, int | float]]:
+    """``name -> (peak, limit)`` for everything the stacked kernel relies on:
+    exact for ``(n, moduli)`` iff every peak is strictly below its limit. A
+    lazy product (:func:`_lazy_mul`) leaves ``|v| < 2p``, so from reduced
+    input a forward value grows by at most 2p a stage and an inverse value
+    at most doubles. Reads ``n`` and the moduli only."""
+    top = max(moduli)
+    forward = (2 * n.bit_length() - 1) * top  # what the forward exit reduction reads
+    inverse = n * top  # an inverse sum or difference, the scaling's operand
+    operand = max(forward - 2 * top, inverse)
+    return {
+        # the int64 -> float64 conversion of a product's operand is exact
+        "float_operand": (operand, 2**53),
+        # |w * s/p - fl(fl(w) * fl(s/p))|, two roundings of a value below |w|:
+        # under 1 the truncated quotient is off by at most one
+        "quotient_error": (operand * 2.0**-52, 1.0),
+        "lazy_accumulator": (max(forward, inverse), 2**63),
+    }
+
+
+@lru_cache(maxsize=None)
+def _rns_tables(n: int, moduli: tuple[int, ...]):
+    """``(forward, inverse, scale, mods)`` of the stacked kernel, read-only.
+
+    ``forward`` / ``inverse`` hold per stage, in execution order, the int64
+    twiddles ``s`` beside the float64 ``s / p`` as (L, 1, r) broadcast rows:
+    position k of stage m takes the per-prime ``psi_rev[m + (k mod m)]``, a
+    row is ``psi_rev[m : 2m]``, tiled where m < ``_MIN_ROW``. ``scale`` is
+    the (L, 1) pair for N^-1 (the last inverse twiddle already carries it),
+    ``mods`` the (L, 1) moduli column."""
+    for name, (peak, limit) in ntt_bounds(n, moduli).items():
+        if not peak < limit:
+            raise ParameterError(f"stacked NTT, N = {n}: {name} {peak} is not below {limit}")
+    mods = np.array(moduli, dtype=np.int64)[:, None, None]
+    psi, ipsi, inv_n = (np.array(t)[:, None] for t in zip(*(_tables(n, p) for p in moduli)))
+    ipsi[..., 1] = ipsi[..., 1] * inv_n % mods[..., 0]
+    width = min(_MIN_ROW, n // 2)
+    periods = [1 << i for i in range(n.bit_length() - 1)]
+    rows = [np.tile(t[..., m : 2 * m], max(1, width // m)) for t in (psi, ipsi) for m in periods]
+    pairs = [(s, s / mods) for s in rows] + [(inv_n, inv_n / mods[..., 0])]
+    for arr in (mods, *sum(pairs, ())):
         arr.setflags(write=False)
-    return psi, ipsi, inv_n, mods
+    forward, inverse = pairs[: len(periods)], pairs[len(periods) : -1]
+    return forward, inverse[::-1], pairs[-1], mods[..., 0]
+
+
+def _lazy_mul(w, s, s_over_p, mods, q, t, out):
+    """``out = w * s - trunc(float64(w) * (s / p)) * p``: congruent to w * s mod p
+    with ``|out| < 2p`` (:func:`ntt_bounds`), no division. Both products wrap in
+    int64 — into ``q`` and ``t``, which may be ``w`` or ``out`` — and the wrap cancels."""
+    np.multiply(w, s_over_p, out=q, casting="unsafe")
+    np.multiply(q, mods, out=q)
+    np.multiply(w, s, out=t)
+    np.subtract(t, q, out=out)
+
+
+def _workspace(a, mods):
+    """``a`` reduced into a fresh (..., L, N) buffer (the entry reduction), its
+    ping-pong twin, two half-width scratch buffers, the moduli over stage rows."""
+    shape = np.broadcast_shapes(a.shape, (len(mods), a.shape[-1]))
+    src = np.mod(a, mods, out=np.empty(shape, dtype=np.int64))
+    q, v = np.empty((2,) + shape[:-1] + (shape[-1] // 2,), dtype=np.int64)
+    return src, np.empty_like(src), q, v, mods[:, :, None]
 
 
 def ntt_forward_rns(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     """Forward negacyclic NTT of an (..., L, N) residue stack, all limbs at once.
 
-    Axis -2 indexes limbs: slice i is transformed modulo ``moduli[i]``; one
-    butterfly pass per stage covers every limb (the per-prime loop this
-    replaces ran log2(N) stages L times over). Leading axes batch freely —
-    the fused-kernel layer stacks gadget digits (D, L, N) or a plan's whole
-    diagonal set (T, L, N) through a single call, amortizing the Python/numpy
-    dispatch of every stage across the batch. Same ordering contract as
-    :func:`ntt_forward`: natural in, bit-reversed out. Overflow-safe for
-    primes < 2**31: every intermediate product is < 2**62.
-    """
+    Axis -2 indexes limbs: slice i is transformed modulo ``moduli[i]``;
+    leading axes batch freely — a keyswitch's digits (L, L+1, N), a plan's
+    whole diagonal set (T, L, N). :func:`ntt_forward` limb by limb, bit for
+    bit: any int64 input (reduced on entry, never written), natural in,
+    bit-reversed out, a fresh array of canonical residues.
+
+    Constant geometry: a stage reads the two contiguous halves of one buffer
+    and writes position k's butterfly with k + N/2 to 2k, 2k + 1 of the
+    other; log2(N) such index rotations leave the data where the in-place
+    schedule does. No ``%`` inside a stage: products are :func:`_lazy_mul`,
+    sums stay unreduced, one reduction on the way out."""
     n = a.shape[-1]
-    psi_rev, _, _, mods = _rns_tables(n, moduli)
-    a = np.mod(a, mods).astype(np.int64)
-    mods3 = mods[:, :, None]
-    t = n
-    m = 1
-    while m < n:
-        t //= 2
-        view = a.reshape(*a.shape[:-1], m, 2, t)
-        s = psi_rev[:, m : 2 * m, None]
-        u = view[..., 0, :].copy()
-        v = view[..., 1, :] * s % mods3
-        view[..., 0, :] = (u + v) % mods3
-        view[..., 1, :] = (u - v) % mods3
-        m *= 2
-    return a
+    stages, _, _, mods = _rns_tables(n, moduli)
+    src, dst, q, v, p = _workspace(a, mods)
+    for twiddle in stages:
+        r = twiddle[0].shape[-1]
+        rows = src.shape[:-1] + (n // 2 // r, r)
+        lo, hi = src[..., : n // 2].reshape(rows), src[..., n // 2 :].reshape(rows)
+        prod, out = v.reshape(rows), dst.reshape(rows + (2,))
+        _lazy_mul(hi, *twiddle, p, q.reshape(rows), prod, prod)
+        np.add(lo, prod, out=out[..., 0])
+        np.subtract(lo, prod, out=out[..., 1])
+        src, dst = dst, src
+    return np.mod(src, mods, out=dst)
 
 
 def ntt_inverse_rns(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`ntt_forward_rns` (bit-reversed in, natural out).
+    """Inverse of :func:`ntt_forward_rns` (bit-reversed in, natural out):
+    :func:`ntt_inverse` limb by limb, bit for bit, on the same stacks.
 
-    Accepts the same (..., L, N) batched stacks as the forward transform.
-    """
+    The forward schedule mirrored: a stage reads the pairs 2k, 2k + 1 and
+    writes their sum to k, their twiddled difference to k + N/2. Sums run
+    unreduced to below N * p and take N^-1 on the way out."""
     n = a.shape[-1]
-    _, ipsi_rev, inv_n, mods = _rns_tables(n, moduli)
-    a = np.mod(a, mods).astype(np.int64)
-    mods3 = mods[:, :, None]
-    t = 1
-    m = n
-    while m > 1:
-        h = m // 2
-        view = a.reshape(*a.shape[:-1], h, 2, t)
-        s = ipsi_rev[:, h : 2 * h, None]
-        u = view[..., 0, :].copy()
-        v = view[..., 1, :].copy()
-        view[..., 0, :] = (u + v) % mods3
-        view[..., 1, :] = (u - v) * s % mods3
-        t *= 2
-        m = h
-    return a * inv_n % mods
+    _, stages, scale, mods = _rns_tables(n, moduli)
+    src, dst, q, v, p = _workspace(a, mods)
+    for twiddle in stages:
+        r = twiddle[0].shape[-1]
+        rows = src.shape[:-1] + (n // 2 // r, r)
+        pairs = src.reshape(rows + (2,))
+        np.add(pairs[..., 0], pairs[..., 1], out=dst[..., : n // 2].reshape(rows))
+        diff = np.subtract(pairs[..., 0], pairs[..., 1], out=v.reshape(rows))
+        _lazy_mul(diff, *twiddle, p, q.reshape(rows), diff, dst[..., n // 2 :].reshape(rows))
+        src, dst = dst, src
+    lo = src[..., : n // 2]
+    _lazy_mul(lo, *scale, mods, q, lo, lo)
+    return np.mod(src, mods, out=dst)
 
 
 def ntt_mul_rns(a: np.ndarray, b: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
@@ -242,10 +292,7 @@ def negacyclic_mul_exact(a, b) -> list[int]:
     bound_bits = (n * max_a * max_b).bit_length() + 2
     # find_ntt_primes(bits=31) yields primes in (2**30, 2**31).
     basis = _exact_mul_basis(n, -(-bound_bits // 30))
-    stacked = np.stack([to_rns(arr_a, basis), to_rns(arr_b, basis)])
-    f = ntt_forward_rns(stacked, basis)
-    mods = np.array(basis, dtype=np.int64)[:, None]
-    prod = ntt_inverse_rns(f[0] * f[1] % mods, basis)
+    prod = ntt_mul_rns(to_rns(arr_a, basis), to_rns(arr_b, basis), basis)
     return from_rns_centered(prod, basis)
 
 

@@ -132,6 +132,28 @@ class TestRnsPolyOpEquivalence:
             serial = op(a, b)
         assert np.array_equal(batched.data, serial.data)
 
+    def test_scalar_columns_are_cached_per_value_and_basis(self, params):
+        """scalar_mul / inv_scalar read one bounded, read-only (L, 1) column
+        per (value, basis, direction); a hit computes what a miss did."""
+        from repro.fhe.backend import _scalar_column
+
+        a, _ = self._pair(params, 19)
+        for name, values in (("scalar_mul", (3, -7, params.delta, 0)),
+                             ("inv_scalar", (3, params.t, 2**40 + 1))):
+            for value in values:
+                with use_backend("batched"):
+                    miss, hit = getattr(a, name)(value), getattr(a, name)(value)
+                with use_backend("serial"):
+                    serial = getattr(a, name)(value)
+                assert np.array_equal(miss.data, serial.data)
+                assert np.array_equal(hit.data, serial.data)
+        col = _scalar_column(3, params.moduli)
+        assert col is _scalar_column(3, params.moduli) and not col.flags.writeable
+        assert col.shape == (len(params.moduli), 1)
+        assert _scalar_column(3, params.keyswitch_moduli).shape == (len(params.moduli) + 1, 1)
+        assert not np.array_equal(col, _scalar_column(3, params.moduli, True))
+        assert _scalar_column.cache_info().maxsize == 4096
+
     def test_constant_bit_identical(self, params):
         for value in (0, 1, -1, 12345, -(2**40)):
             with use_backend("batched"):
