@@ -17,8 +17,9 @@ and giant halves), and the S2C transform — dispatches through the *active*
   reduction (:func:`lazy_reduce_sum`, bounded by :func:`lazy_chain_limit`).
 
 Ops whose single body is engine-independent (:meth:`Backend.mod_switch`,
-the LWE and composite tiers — they delegate to module implementations
-whose inner ops re-enter the active backend) are not overridden.
+:meth:`Backend.cmult_batch`, the LWE and composite tiers — they delegate to
+self methods or to module implementations whose inner ops re-enter the
+active backend) are not overridden.
 
 :class:`CountingBackend` (``counting``) is the only wrapper and the one
 way to observe a run: it executes through an inner engine while recording
@@ -52,10 +53,12 @@ over Q u {P} and divided by the special prime P),
 X -> X^k on them), :meth:`Backend.matvec` (a whole BSGS mat-vec over a set
 of sources — derived from the request's ciphertext for S2C, ready key
 material for packing; on the batched engine it never leaves the
-evaluation domain), and :meth:`Backend.giant_step_batch` (the
-giant-step combination of one FBS as one inner-product CMult: G products
-summed in the evaluation domain of Q u P, one scale-round, one
-keyswitch). Reference and fast bodies are both
+evaluation domain), :meth:`Backend.giant_step_batch` (the giant-step
+combination of one FBS as one inner-product CMult: G products summed in
+the evaluation domain of Q u P, one scale-round, one keyswitch),
+:meth:`Backend.cmult_batch` (one FBS ladder level, its independent CMults
+stacked) and :meth:`Backend.lincomb` (the FBS baby steps as one matrix
+product). Reference and fast bodies are both
 *dispatch-free* — they call ``self`` methods and module-level transforms,
 never :func:`current_backend` — so :class:`CountingBackend` can count
 each fused op exactly once in primitive-equivalent units and delegate
@@ -106,6 +109,11 @@ __all__ = [
 #: ~128 MiB of int64; keeps large-parameter batches out of swap without
 #: changing results.
 GIANT_BATCH_ELEMS = 1 << 24
+
+#: Cap on the (B, L, L+1, N) digit stack of one :meth:`Backend.cmult_batch`
+#: chunk: a whole t = 257 ladder level at n = 32, five CMults at n = 128,
+#: one from n = 4096 up (EXPERIMENTS.md has the sweep).
+CMULT_BATCH_ELEMS = 1 << 16
 
 
 def lazy_chain_limit(moduli: tuple[int, ...]) -> int:
@@ -202,11 +210,11 @@ def _scalar_column(value: int, moduli: tuple[int, ...], invert: bool = False) ->
 
 
 def _digit_rows(data, both) -> np.ndarray:
-    """Digits of one (L, N) component as a read-only (L, L+1, N) view over
-    ``both`` = Q u {P}: digit i is residue row i as it stands (the CRT
-    idempotent sits in the key); the stacked transform's entry reduction
-    takes it into every limb."""
-    return np.broadcast_to(data[:, None, :], (len(data), len(both), data.shape[-1]))
+    """Digits of an (..., L, N) component stack as a read-only
+    (..., L, L+1, N) view over ``both`` = Q u {P}: digit i is residue row i
+    as it stands (the CRT idempotent sits in the key); the stacked
+    transform's entry reduction takes it into every limb."""
+    return np.broadcast_to(data[..., None, :], data.shape[:-1] + (len(both), data.shape[-1]))
 
 
 def _digit_residues(data, both) -> np.ndarray:
@@ -239,12 +247,13 @@ def _galois_key(rotation_keys, k: int):
 
 
 def _key_products(fd, ksk):
-    """Evaluation-domain (delta_c0, delta_c1) over Q u {P} of an (L, L+1, N)
-    stack of transformed digits against the cached key stacks."""
+    """Evaluation-domain (..., 2, L+1, N) (delta_c0, delta_c1) over Q u {P}
+    of (..., L, L+1, N) transformed digits against the cached key stacks."""
     both = ksk.moduli
     mods = _moduli_column(both)
     # Products reduce below 2**31 before the lazy digit-axis sum.
-    return np.stack([lazy_reduce_sum(fd * k % mods, both) for k in ksk.ntt_stack()])
+    return np.stack(
+        [lazy_reduce_sum(fd * k % mods, both, axis=-3) for k in ksk.ntt_stack()], axis=-3)
 
 
 def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> list[np.ndarray]:
@@ -319,7 +328,7 @@ class Backend:
     def add(self, a, b, moduli):
         data = a + b
         for i, p in enumerate(moduli):
-            data[i] %= p
+            data[..., i, :] %= p
         return data
 
     def sub(self, a, b, moduli):
@@ -435,11 +444,14 @@ class Backend:
         return _mod_down(out0, both), _mod_down(out1, both)
 
     def keyswitch(self, data, ksk, moduli):
-        """Hybrid keyswitch of one component's (L, N) residue stack.
+        """Hybrid keyswitch of one component's (L, N) residue stack (or of
+        each of an (..., L, N) stack of components).
 
         Returns the (delta_c0, delta_c1) residue stacks to be added to the
         ciphertext. Reference: the residue rows as digits, the digit loop.
         """
+        if data.ndim > 2:
+            return tuple(map(np.stack, zip(*(self.keyswitch(x, ksk, moduli) for x in data))))
         return self._digit_loop(_digit_residues(data, ksk.moduli), ksk)
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
@@ -526,18 +538,67 @@ class Backend:
 
         ctx.check_tensor_terms(len(pairs))
         moduli, both = ctx.params.moduli, ctx.tensor_moduli
+        ctx.tensor_forms([ct for pair in pairs for ct in pair])
         acc = None
         for pair in pairs:
             self.record("cmult")
-            e = ctx.tensor_products([pair])
-            acc = e if acc is None else np.stack(
-                [self.add(x, y, both) for x, y in zip(acc, e)])
+            (e,) = ctx.tensor_products([pair])
+            acc = e if acc is None else self.add(acc, e, both)
         r0, r1, r2 = ctx.tensor_scale_round(acc)
         self.record("keyswitch")
         d0, d1 = self.keyswitch(r2, rlk, moduli)
         c0 = RnsPoly(self.add(r0, d0, moduli), moduli)
         c1 = RnsPoly(self.add(r1, d1, moduli), moduli)
         return BfvCiphertext(c0, c1, ctx.params, ctx.cmult_noise(pairs))
+
+    def cmult_batch(self, ctx, pairs, rlk):
+        """Relinearised products of independent CMults (one FBS ladder
+        level), each bit-identical to
+        :meth:`~repro.fhe.bfv.BfvContext.cmult` of its (a, b) pair.
+
+        One dispatch-free body for every engine: the operands without a
+        Q u P form enter it in one stacked pass, then per chunk of at most
+        :data:`CMULT_BATCH_ELEMS` digit elements the tensors share one
+        scale-round, one :meth:`keyswitch` of the (B, L, N) quadratic
+        components and one call per correction add.
+        """
+        from repro.fhe.bfv import BfvCiphertext
+        from repro.fhe.poly import RnsPoly
+
+        params = ctx.params
+        moduli = params.moduli
+        chunk = max(1, CMULT_BATCH_ELEMS // (len(moduli) * (len(moduli) + 1) * params.n))
+        ctx.tensor_forms([ct for pair in pairs for ct in pair])
+        out = []
+        for lo in range(0, len(pairs), chunk):
+            part = pairs[lo : lo + chunk]
+            self.record("cmult", len(part))
+            self.record("keyswitch", len(part))
+            r = ctx.tensor_scale_round(ctx.tensor_products(part))
+            d0, d1 = self.keyswitch(r[:, 2], rlk, moduli)
+            c0, c1 = self.add(r[:, 0], d0, moduli), self.add(r[:, 1], d1, moduli)
+            out += [BfvCiphertext(RnsPoly(x, moduli), RnsPoly(y, moduli), params,
+                                  ctx.cmult_noise([pair])) for x, y, pair in zip(c0, c1, part)]
+        return out
+
+    def lincomb(self, stack, coeffs, moduli):
+        """Row g of the (G, 2, L, N) result is ``sum_j coeffs[g, j] *
+        stack[j]`` over a (J, 2, L, N) ciphertext stack and a (G, J) matrix
+        of small signed integers (FBS baby steps: one row per group); a zero
+        coefficient is no term, an empty row the zero ciphertext.
+
+        Reference: per nonzero term one scalar product per component, per
+        row one HAdd chain. BatchedBackend: one exact matrix product.
+        """
+        out = np.zeros((len(coeffs),) + stack.shape[1:], dtype=np.int64)
+        for row, weights in zip(out, coeffs):
+            terms = [[self.scalar_mul(comp, int(c), moduli) for comp in stack[j]]
+                     for j, c in enumerate(weights) if c]
+            self.record("smult", len(terms))
+            if terms:
+                self.record("hadd", len(terms) - 1)
+                row[...] = [self.hadd_many(list(comps), moduli) for comps in zip(*terms)]
+        return out
 
     # -- LWE tier ----------------------------------------------------------
 
@@ -666,7 +727,7 @@ class BatchedBackend(Backend):
         both = ksk.moduli
         fd = ntt_forward_rns(_digit_rows(data, both), both)
         out = _mod_down(ntt_inverse_rns(_key_products(fd, ksk), both), both)
-        return out[0], out[1]
+        return out[..., 0, :, :], out[..., 1, :, :]
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
         n = c0.shape[-1]
@@ -729,13 +790,22 @@ class BatchedBackend(Backend):
         # A chunk of G' pairs peaks at its (G', 2, 2, L+K, N) products; the
         # chunks' lazy sums add up unreduced (cmult_bounds: "lazy_sum").
         chunk = max(1, self.giant_batch_elems // (4 * len(ctx.tensor_moduli) * ctx.params.n))
-        e = sum(ctx.tensor_products(pairs[lo : lo + chunk])
+        e = sum(ctx.tensor_products(pairs[lo : lo + chunk]).sum(axis=0)
                 for lo in range(0, len(pairs), chunk))
         r0, r1, r2 = ctx.tensor_scale_round(e)
         d0, d1 = self.keyswitch(r2, rlk, moduli)
         c0 = RnsPoly(self.add(r0, d0, moduli), moduli)
         c1 = RnsPoly(self.add(r1, d1, moduli), moduli)
         return BfvCiphertext(c0, c1, ctx.params, ctx.cmult_noise(pairs))
+
+    def lincomb(self, stack, coeffs, moduli):
+        # Exact in float64 while a chunk sums below 2**53 (one chunk at ATHENA).
+        x, w = stack.astype(np.float64), coeffs.astype(np.float64)
+        step = max(1, (2**53 - 1) // ((max(moduli) - 1) * int(np.abs(coeffs).max(initial=1))))
+        out = np.zeros((len(coeffs),) + stack.shape[1:], dtype=np.int64)
+        for lo in range(0, len(stack), step):
+            out += np.tensordot(w[:, lo : lo + step], x[lo : lo + step], 1).astype(np.int64)
+        return out % _moduli_column(moduli)
 
 
 class SerialBackend(Backend):
@@ -937,7 +1007,9 @@ class CountingBackend(Backend):
         return self.inner.hadd_many(arrays, moduli)
 
     def keyswitch(self, data, ksk, moduli):
-        self._bulk(**self._keyswitch_units(data.shape[-1], len(moduli)))
+        stacked = data.size // (len(moduli) * data.shape[-1])  # components
+        units = self._keyswitch_units(data.shape[-1], len(moduli))
+        self._bulk(**{op: k * stacked for op, k in units.items()})
         return self.inner.keyswitch(data, ksk, moduli)
 
     def _rotate_units(self, n: int, num_limbs: int) -> dict:
@@ -971,17 +1043,32 @@ class CountingBackend(Backend):
                    hadd=terms - 1, **units)
         return self.inner.matvec(vec, plan, rotation_keys, moduli)
 
+    def _cmult_units(self, ctx, terms: int, times: int = 1) -> dict:
+        """``times`` relinearised sums of ``terms`` products, as the reference
+        giant step dispatches one: a CMult per product, terms - 1 additions
+        over Q u P, one keyswitch, the two correction adds."""
+        limbs, n = len(ctx.params.moduli), ctx.params.n
+        units = dict(self._keyswitch_units(n, limbs), cmult=terms, keyswitch=1)
+        units["mod_add"] += 2 * limbs * n + 3 * (terms - 1) * len(ctx.tensor_moduli) * n
+        return {op: k * times for op, k in units.items()}
+
     def giant_step_batch(self, ctx, pairs, rlk):
         out = self.inner.giant_step_batch(ctx, pairs, rlk)  # raises on a bad batch
-        # Billed as the stream the reference body dispatches: a CMult per
-        # product, G - 1 three-component additions over Q u P, one
-        # keyswitch, the two correction adds.
-        limbs, n = len(ctx.params.moduli), ctx.params.n
-        units = self._keyswitch_units(n, limbs)
-        units["mod_add"] += 2 * limbs * n
-        units["mod_add"] += 3 * (len(pairs) - 1) * len(ctx.tensor_moduli) * n
-        self._bulk(cmult=len(pairs), keyswitch=1, **units)
+        self._bulk(**self._cmult_units(ctx, len(pairs)))
         return out
+
+    def cmult_batch(self, ctx, pairs, rlk):
+        out = self.inner.cmult_batch(ctx, pairs, rlk)
+        self._bulk(**self._cmult_units(ctx, 1, times=len(pairs)))  # BfvContext.cmult's
+        return out
+
+    def lincomb(self, stack, coeffs, moduli):
+        # As the reference: an SMult (two scalar products) per nonzero term,
+        # a k-term HAdd chain of both components per row.
+        size, terms = 2 * len(moduli) * stack.shape[-1], np.count_nonzero(coeffs, axis=1)
+        smults, hadds = int(terms.sum()), int(np.maximum(terms - 1, 0).sum())
+        self._bulk(smult=smults, mod_mul=smults * size, hadd=hadds, mod_add=hadds * size)
+        return self.inner.lincomb(stack, coeffs, moduli)
 
     # -- LWE tier ------------------------------------------------------------
 

@@ -32,12 +32,7 @@ from repro.errors import NoiseBudgetExhausted, ParameterError, TensorOverflow
 from repro.fhe import rns
 from repro.fhe import slots as slotlib
 from repro.fhe.backend import current_backend
-from repro.fhe.keys import (
-    KeySwitchKey,
-    PublicKey,
-    SecretKey,
-    apply_keyswitch,
-)
+from repro.fhe.keys import KeySwitchKey, PublicKey, SecretKey
 from repro.fhe.ntt import ntt_forward_rns, ntt_inverse_rns
 from repro.fhe.params import FheParams
 from repro.fhe.poly import RnsPoly
@@ -134,12 +129,12 @@ class BfvCiphertext:
 
     def __getstate__(self) -> dict:
         """Pickle the four fields only: a cached CMult operand form
-        (:meth:`BfvContext.tensor_form`) is derived data."""
+        (:meth:`BfvContext.tensor_forms`) is derived data."""
         return {k: v for k, v in self.__dict__.items() if k != "_tensor_form"}
 
 
 class _TensorTables(NamedTuple):
-    """Word-sized constants of :meth:`BfvContext.cmult_tensor` for one ring."""
+    """Word-sized constants of the CMult tensor stages for one ring."""
 
     aux: tuple[int, ...]  # P
     both: tuple[int, ...]  # Q u P, Q's limbs first
@@ -190,10 +185,10 @@ def _tensor_tables(params: FheParams) -> _TensorTables:
 def cmult_bounds(params: FheParams) -> dict[str, tuple[int | float, int | float]]:
     """``name -> (peak, limit)`` for everything the RNS tensor relies on.
 
-    :meth:`BfvContext.cmult_tensor` is exact for ``params``, for any sum of
-    up to ``ceil(sqrt(t))`` products, iff every peak is strictly below its
-    limit. Reads the moduli tables only (no twiddles), so it is cheap at
-    any ring degree.
+    The tensor stages of :class:`BfvContext` are exact for ``params``, for
+    any sum of up to ``ceil(sqrt(t))`` products, iff every peak here and in
+    :func:`repro.fhe.rns.extension_bounds` is strictly below its limit. Reads
+    the moduli tables only (no twiddles), so it is cheap at any ring degree.
     """
     tb = _tensor_tables(params)
     aux = tb.aux
@@ -204,17 +199,8 @@ def cmult_bounds(params: FheParams) -> dict[str, tuple[int | float, int | float]
         # residue * residue, residue * CRT constant, residue * t
         "product": (top * max(top, params.t), 2**62),
         # e1's 2 * terms reduced products; t*e + floor(Q/2); x * inv +
-        # folded shift; base_extend's 2L split-digit (< 2**16) products
-        # against its weights, less overflow * Q and floor(Q/2) mod the
-        # target prime
-        "lazy_sum": (
-            max(
-                2 * tb.terms * top,
-                top * params.t + top,
-                2 * widest * (top << 16) + widest * top + top,
-            ),
-            2**63,
-        ),
+        # folded shift
+        "lazy_sum": (max(2 * tb.terms * top, top * params.t + top), 2**63),
         "aux_basis": (2 * params.t * params.n * params.q * tb.terms + 4, aux_modulus),
         "overflow_estimate": (rns.overflow_estimate_error(widest), rns.V_AMBIGUITY),
     }
@@ -399,9 +385,9 @@ class BfvContext:
             self.pmult_noise(ct.noise_bits),
         )
 
-    # The CMult tensor of a sum of products, in three dispatch-free stages
-    # (module-level transforms and rns.base_extend only, no backend calls):
-    # the giant_step_batch bodies run them and differ only in how they sum.
+    # The CMult tensor in three dispatch-free stages (module-level transforms
+    # and rns.base_extend only, no backend calls): cmult_batch keeps the
+    # products apart, the giant_step_batch bodies sum them, one rounding.
 
     @property
     def tensor_moduli(self) -> tuple[int, ...]:
@@ -420,41 +406,44 @@ class BfvContext:
                 terms=count, capacity=terms,
             )
 
-    def tensor_form(self, ct: BfvCiphertext) -> np.ndarray:
-        """Stage 1: ``ct`` as a CMult operand — the exact centred extension
-        Q -> P and forward NTT over Q u P of (c0, c1), a (2, L+K, N) array.
+    def tensor_forms(self, cts) -> list[np.ndarray]:
+        """Stage 1: each ciphertext of ``cts`` as a CMult operand — the
+        exact centred extension Q -> P and forward NTT over Q u P of
+        (c0, c1), a (2, L+K, N) array.
 
-        Built the first time ``ct`` is an operand and kept on it (read-only;
-        not a field: absent from ``==``, ``repr``, pickles and the wire
-        format), so a ciphertext multiplied several times — a square, a
-        power feeding several powers — enters Q u P once.
+        Built the first time a ciphertext is an operand and kept on it
+        (read-only; not a field: absent from ``==``, ``repr``, pickles and
+        the wire format), so a square or a power feeding several powers
+        enters Q u P once — and those of ``cts`` without one, together.
         """
-        if ct.params != self.params:
+        if any(ct.params != self.params for ct in cts):
             raise ParameterError("ring mismatch between operands")
-        form = getattr(ct, "_tensor_form", None)
-        if form is None:
+        todo = list({id(ct): ct for ct in cts
+                     if getattr(ct, "_tensor_form", None) is None}.values())
+        if todo:
             tb = _tensor_tables(self.params)
-            ops = np.stack([ct.c0.data, ct.c1.data])
+            ops = np.array([(ct.c0.data, ct.c1.data) for ct in todo])
             ext = rns.base_extend(ops, self.params.moduli, tb.aux, centered=True)
-            form = ntt_forward_rns(np.concatenate([ops, ext], axis=-2), tb.both)
-            form.setflags(write=False)
-            ct._tensor_form = form
-        return form
+            forms = ntt_forward_rns(np.concatenate([ops, ext], axis=-2), tb.both)
+            forms.setflags(write=False)
+            for ct, form in zip(todo, forms):
+                ct._tensor_form = form
+        return [ct._tensor_form for ct in cts]
 
     def tensor_products(self, pairs) -> np.ndarray:
-        """Stage 2: ``(e0, e1, e2) = sum_g (a0*b0, a0*b1 + a1*b0, a1*b1)``
-        over ``pairs`` in the evaluation domain of Q u P, a (3, L+K, N)
-        array. Each product is reduced below 2**31 and the terms summed
-        lazily, so partial sums of one batch add up in int64 unreduced."""
+        """Stage 2: ``(a0*b0, a0*b1 + a1*b0, a1*b1)`` of each pair in the
+        evaluation domain of Q u P, a (G, 3, L+K, N) array. Each product is
+        reduced below 2**31 and nothing else, so a sum over pairs (or over
+        partial sums of one batch) adds up in int64 unreduced."""
         mods = _tensor_tables(self.params).both_col
-        a = np.stack([self.tensor_form(x) for x, _ in pairs])
-        b = np.stack([self.tensor_form(y) for _, y in pairs])
-        e = (a[:, :, None] * b[:, None, :] % mods).sum(axis=0)  # e[i, j] = sum ai*bj
-        return np.stack([e[0, 0], e[0, 1] + e[1, 0], e[1, 1]])
+        forms = self.tensor_forms([ct for pair in pairs for ct in pair])
+        a, b = np.stack(forms[0::2]), np.stack(forms[1::2])
+        e = a[:, :, None] * b[:, None, :] % mods  # e[g, i, j] = ai*bj
+        return np.stack([e[:, 0, 0], e[:, 0, 1] + e[:, 1, 0], e[:, 1, 1]], axis=1)
 
     def tensor_scale_round(self, e: np.ndarray) -> np.ndarray:
         """Stage 3: ``round(t * e / Q) mod Q`` of a (possibly lazy) stage-2
-        sum, a (3, L, N) array — one inverse NTT, one rounding.
+        sum, a (..., 3, L, N) array — one inverse NTT, one rounding.
 
         With y = t*e + floor(Q/2), ``floor(y / Q) = (y - [y]_Q) / Q`` is
         computed modulo each prime of P from the exact extension of
@@ -465,26 +454,9 @@ class BfvContext:
         tb = _tensor_tables(params)
         num_limbs = len(moduli)
         y = (ntt_inverse_rns(e, tb.both) * params.t + tb.half) % tb.both_col
-        y_mod_q = rns.base_extend(y[:, :num_limbs], moduli, tb.aux)
-        scaled = (y[:, num_limbs:] - y_mod_q) * tb.q_inv % tb.aux_col
+        y_mod_q = rns.base_extend(y[..., :num_limbs, :], moduli, tb.aux)
+        scaled = (y[..., num_limbs:, :] - y_mod_q) * tb.q_inv % tb.aux_col
         return rns.base_extend(scaled, tb.aux, moduli, centered=True)
-
-    def cmult_tensor(self, pairs) -> tuple[RnsPoly, RnsPoly, RnsPoly, float]:
-        """The tensor half of CMult for a sum of products, in word-sized RNS.
-
-        ``pairs`` is a list of (a, b) ciphertexts. Returns (r0, r1, r2,
-        noise_bits): the scaled components ``round(t * e / Q) mod Q`` for
-        e = sum over the pairs of (a0*b0, a0*b1 + a1*b0, a1*b1) over the
-        centred integer lifts, before relinearization. Exact — bit-identical
-        to tensoring over Python integers, one rounding whatever the number
-        of pairs. :func:`cmult_bounds` states the overflow and precision
-        bounds this relies on.
-        """
-        self.check_tensor_terms(len(pairs))
-        moduli = self.params.moduli
-        r0, r1, r2 = self.tensor_scale_round(self.tensor_products(pairs))
-        return (RnsPoly(r0, moduli), RnsPoly(r1, moduli), RnsPoly(r2, moduli),
-                self.cmult_noise(pairs))
 
     def cmult(
         self, a: BfvCiphertext, b: BfvCiphertext, rlk: KeySwitchKey
@@ -492,14 +464,14 @@ class BfvContext:
         """Ciphertext-ciphertext multiplication with relinearization.
 
         Tensor the ciphertexts (exactly the product of the centred integer
-        lifts, computed in RNS by :meth:`cmult_tensor` — the one-pair
-        case), scale each component by t/Q with rounding, then fold the
-        quadratic term back to degree one with the relinearization key.
+        lifts, in word-sized RNS: the three stages above, bit-identical to
+        tensoring over Python integers), scale each component by t/Q with
+        rounding, then fold the quadratic term back to degree one with the
+        relinearization key — the one-pair case of the backend's
+        :meth:`~repro.fhe.backend.Backend.cmult_batch`.
         """
-        current_backend().record("cmult")
-        r0, r1, r2, noise = self.cmult_tensor([(a, b)])
-        d0, d1 = apply_keyswitch(r2, rlk)
-        return BfvCiphertext(r0 + d0, r1 + d1, a.params, noise)
+        (out,) = current_backend().cmult_batch(self, [(a, b)], rlk)
+        return out
 
     def square(self, ct: BfvCiphertext, rlk: KeySwitchKey) -> BfvCiphertext:
         return self.cmult(ct, ct, rlk)

@@ -32,6 +32,7 @@ from repro.fhe.backend import current_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
 from repro.fhe.keys import KeySwitchKey
 from repro.fhe.ntt import cyclic_ntt
+from repro.fhe.poly import RnsPoly
 from repro.utils.modmath import inv_mod, primitive_root
 
 __all__ = [
@@ -361,12 +362,38 @@ class FbsPlan:
                 need_g(g)
         return tuple(steps)
 
+    def operand(self, kind: str, x: int) -> tuple[str, int]:
+        """Key of ladder operand x of ``kind`` (giant 1 aliases power bs)."""
+        return ("p", self.bs) if kind == "g" and x == 1 else (kind, x)
+
+    @cached_property
+    def levels(self) -> tuple[tuple[tuple[str, int, int, int], ...], ...]:
+        """The ladder by depth: level k holds, in ladder order, the steps
+        whose operands all come from earlier levels — independent CMults,
+        one :meth:`Backend.cmult_batch` each (9 levels at t = 257)."""
+        depth, levels = {("p", 1): 0}, {}
+        for kind, e, lo, hi in self.ladder:
+            d = depth[(kind, e)] = 1 + max(depth[self.operand(kind, x)] for x in (lo, hi))
+            levels.setdefault(d, []).append((kind, e, lo, hi))
+        return tuple(tuple(levels[d]) for d in sorted(levels))
+
+    @cached_property
+    def baby_terms(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """(powers, coeffs): the baby powers j the groups use, ascending, and
+        the read-only (G, J) matrix of their coefficients mod t — row g is
+        group g's sum_j c_j x^j, one row of :meth:`Backend.lincomb`."""
+        powers = tuple(sorted({j for _, _, terms in self.groups for j, _ in terms}))
+        coeffs = np.array([[dict(terms).get(j, 0) for j in powers] for _, _, terms in self.groups],
+                          dtype=np.int64).reshape(len(self.groups), len(powers))
+        coeffs.setflags(write=False)
+        return powers, coeffs
+
     def materialize(self, params) -> "FbsPlan":
-        """Pre-encode constants and the CMult ladder for one parameter set."""
+        """Pre-encode constants and the CMult schedule for one parameter set."""
         for _, const, _ in self.groups:
             if const:
                 self.const_plaintext(const, params).add_operand()
-        self.ladder  # noqa: B018 — force the cached schedule at compile time
+        self.levels, self.baby_terms  # noqa: B018 — force the cached schedules
         return self
 
 
@@ -408,52 +435,53 @@ def fbs_evaluate_impl(
     way the analytical trace model does; the scalar baby-step sums stay in
     the enclosing ``fbs`` phase.
 
-    Structure: replay the plan's precomputed :attr:`FbsPlan.ladder` (the
-    minimal-depth power/giant CMult schedule — depth ceil(log2 e) per
-    power, which keeps FBS noise at ~log2(t) levels instead of sqrt(t)),
-    then fold each group's baby terms through one fused
-    :meth:`~repro.fhe.bfv.BfvContext.add_many`, and finally combine
-    ``sum_{g>0} inner_g * giant_g`` in a single
+    Structure: replay the plan's minimal-depth power/giant CMult ladder
+    (depth ceil(log2 e) per power, which keeps FBS noise at ~log2(t) levels
+    instead of sqrt(t)) one :meth:`~repro.fhe.backend.Backend.cmult_batch`
+    per :attr:`FbsPlan.levels` entry; then every group's baby sum as one
+    row of one :meth:`~repro.fhe.backend.Backend.lincomb`; and finally
+    combine ``sum_{g>0} inner_g * giant_g`` in a single
     :meth:`~repro.fhe.backend.Backend.giant_step_batch`: one tensor sum,
     one scale-round, one relinearisation, whatever the number of groups.
     Every CMult operand keeps its Q u P evaluation form
-    (:meth:`~repro.fhe.bfv.BfvContext.tensor_form`) for the rest of the
+    (:meth:`~repro.fhe.bfv.BfvContext.tensor_forms`) for the rest of the
     call, so a power that feeds several powers, or a giant that feeds a
     giant and the combination, is extended and transformed once.
     """
     be = current_backend()
-    t = ctx.params.t
+    params = ctx.params
+    t, moduli = params.t, params.moduli
     if lut.t != t:
         raise ParameterError("LUT modulus does not match context")
     if plan is None:
         plan = FbsPlan.from_lut(lut)
-    bs = plan.bs
 
     # A private handle on the input: every form built below is held by an
     # object local to this call and dies with it.
-    powers: dict[int, BfvCiphertext] = {1: replace(ct)}
-    giants: dict[int, BfvCiphertext] = {}
-    for kind, e, lo, hi in plan.ladder:
+    held: dict[tuple[str, int], BfvCiphertext] = {("p", 1): replace(ct)}
+    for level in plan.levels:
         with be.phase("fbs_giant"):
-            if kind == "p":
-                got = ctx.cmult(powers[lo], powers[hi], rlk)
-                powers[e] = got
-            else:
-                a = powers[bs] if lo == 1 else giants[lo]
-                b = powers[bs] if hi == 1 else giants[hi]
-                giants[e] = ctx.cmult(a, b, rlk)
+            pairs = [(held[plan.operand(kind, lo)], held[plan.operand(kind, hi)])
+                     for kind, _, lo, hi in level]
+            for (kind, e, _, _), got in zip(level, be.cmult_batch(ctx, pairs, rlk)):
+                held[(kind, e)] = got
 
-    # Group scan: the baby sums, then the giant combination in one CMult.
+    # Baby sums, one row per group; then the giant combination in one CMult.
+    powers, raw = plan.baby_terms
+    stack = np.array([(held[("p", j)].c0.data, held[("p", j)].c1.data) for j in powers],
+                     dtype=np.int64).reshape(len(powers), 2, len(moduli), params.n)
+    rows = be.lincomb(stack, np.where(raw > t // 2, raw - t, raw), moduli)
+    log_t = math.log2(t)
     combos: list[tuple[BfvCiphertext, BfvCiphertext]] = []
     result_parts: list[BfvCiphertext] = []
-    for g, const, terms in plan.groups:
-        parts = [ctx.smult(powers[j], coeff) for j, coeff in terms]
-        inner = ctx.add_many(parts) if parts else None
+    for (g, const, terms), (c0, c1) in zip(plan.groups, rows):
+        noise = (ctx.hadd_noise([held[("p", j)].noise_bits + log_t for j, _ in terms])
+                 if terms else 0.0)  # an empty row is the transparent zero
+        inner = BfvCiphertext(RnsPoly(c0, moduli), RnsPoly(c1, moduli), params, noise)
         if const:
-            base = inner if inner is not None else ctx.encrypt_zero()
-            inner = ctx.add_plain(base, plan.const_plaintext(const, ctx.params))
+            inner = ctx.add_plain(inner, plan.const_plaintext(const, params))
         if g:
-            combos.append((inner, powers[bs] if g == 1 else giants[g]))
+            combos.append((inner, held[plan.operand("g", g)]))
         else:
             result_parts.append(inner)
     if combos:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fhe.backend import current_backend
 from repro.fhe.ntt import ntt_forward_rns
 from repro.fhe.params import FheParams
 from repro.fhe.poly import RnsPoly
@@ -141,18 +140,3 @@ def keyswitch_bounds(params: FheParams) -> dict[str, tuple[int, int]]:
         "special_prime": (max(params.moduli), params.special_prime),
     }
 
-
-def apply_keyswitch(
-    component: RnsPoly, ksk: KeySwitchKey
-) -> tuple[RnsPoly, RnsPoly]:
-    """Key-switch a single ciphertext component.
-
-    Returns the (delta_c0, delta_c1) pair to be added to the ciphertext.
-    The digit arithmetic runs through the active backend's fused
-    :meth:`~repro.fhe.backend.Backend.keyswitch` op (per-digit products
-    on serial, stacked NTT-domain accumulation on batched).
-    """
-    be = current_backend()
-    be.record("keyswitch")
-    d0, d1 = be.keyswitch(component.data, ksk, component.moduli)
-    return RnsPoly(d0, component.moduli), RnsPoly(d1, component.moduli)

@@ -16,7 +16,7 @@ separate pre/post scaling pass is needed.
 enough for an exact centered CRT lift) used to verify the NTT path, by the
 CKKS baseline and the encoding checks, and as the tests' oracle for BFV
 ciphertext multiplication — which works over the same auxiliary primes but
-never leaves int64 (:meth:`repro.fhe.bfv.BfvContext.cmult_tensor`).
+stays word-sized (:meth:`repro.fhe.bfv.BfvContext.tensor_products`).
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ modulus switching, and gadget decomposition — so their O(N*L) big-int cost
 is acceptable at test-scale parameters.
 
 Ciphertext multiplication is not one of those seams: it changes basis with
-:func:`base_extend`, which stays on int64 arrays and is exact all the same
-(the CRT overflow count is estimated in float64 and recomputed with Python
-ints only where the estimate is too close to an integer to trust).
+:func:`base_extend`, which stays on word-sized arrays and is exact all the
+same (the CRT sum is a float64 product kept below 2**53, the overflow count is
+estimated in float64 and recomputed with Python ints only where the estimate
+is too close to an integer to trust).
 """
 
 from __future__ import annotations
@@ -119,6 +120,19 @@ def overflow_estimate_error(num_limbs: int) -> float:
     return num_limbs * (num_limbs + 2) * 2.0**-53
 
 
+def extension_bounds(
+    src: tuple[int, ...], dst: tuple[int, ...]
+) -> dict[str, tuple[int, int]]:
+    """``name -> (peak, limit)`` in the mould of
+    :func:`repro.fhe.bfv.cmult_bounds`: :func:`base_extend` from ``src`` to
+    ``dst`` is exact iff every peak is strictly below its limit. Its CRT sum
+    is a float64 (BLAS) product of split digits and weights below the target
+    primes: every term and partial sum is an integer, exact below 2**53."""
+    low = (1 << _SPLIT_BITS) - 1
+    return {"float_sum": (sum((p - 1 >> _SPLIT_BITS) + low for p in src) * (max(dst) - 1),
+                          2**53)}
+
+
 class _ExtensionTables(NamedTuple):
     """Word-sized constants of one ``src`` -> ``dst`` base conversion."""
 
@@ -127,7 +141,7 @@ class _ExtensionTables(NamedTuple):
     inv: np.ndarray  # (L, 1) (Q/p_i)^-1 mod p_i
     half_inv: np.ndarray  # (L, 1) floor(Q/2) * inv mod p_i
     recip: np.ndarray  # (L, 1) float64 1 / p_i
-    weights: np.ndarray  # (K, 2L) [(Q/p_i) << _SPLIT_BITS | Q/p_i] mod dst_j
+    weights: np.ndarray  # (K, 2L) float64 [(Q/p_i) << _SPLIT_BITS | Q/p_i] mod dst_j
     q_mod: np.ndarray  # (K, 1) Q mod dst_j
     half_mod: np.ndarray  # (K, 1) floor(Q/2) mod dst_j
 
@@ -136,6 +150,10 @@ class _ExtensionTables(NamedTuple):
 def _extension_tables(
     src: tuple[int, ...], dst: tuple[int, ...]
 ) -> _ExtensionTables:
+    for name, (peak, limit) in extension_bounds(src, dst).items():
+        if not peak < limit:
+            raise ParameterError(f"base extension from {len(src)} primes: {name} "
+                                 f"{peak} is not below {limit}")
     q, partials, inverses = _crt_constants(src)
     half = q // 2
 
@@ -150,7 +168,7 @@ def _extension_tables(
             + [part % p for part in partials]
             for p in dst
         ],
-        dtype=np.int64,
+        dtype=np.float64,
     )
     weights.setflags(write=False)
     return _ExtensionTables(
@@ -182,7 +200,8 @@ def base_extend(
     Row j of the result is ``x mod dst[j]``, where x is the CRT lift of
     ``residues`` over ``src`` into [0, Q) — or, with ``centered``, into
     [-(Q-1)/2, (Q-1)/2], the interval :func:`from_rns_centered` lifts to.
-    Primes on both sides must be below 2**31 and Q odd.
+    Primes on both sides must be below 2**31, Q odd, and the pair of bases
+    inside :func:`extension_bounds` (else ``ParameterError``).
 
     With xi_i = [x_i * (Q/p_i)^-1] mod p_i the lift is
     ``sum_i xi_i * (Q/p_i) - v * Q`` for the overflow count
@@ -209,11 +228,11 @@ def base_extend(
     for index in zip(*np.nonzero(doubtful)):
         digits = xi[index[:-1] + (slice(None), index[-1])]
         overflow[index] = _exact_overflow(digits, src)
-    # Halves are < 2**16 and weights < 2**31: 2L products sum far below 2**63.
+    # Exact in float64 (extension_bounds: "float_sum"), so BLAS does the sum.
     halves = np.concatenate(
-        [xi >> _SPLIT_BITS, xi & ((1 << _SPLIT_BITS) - 1)], axis=-2
+        [xi >> _SPLIT_BITS, xi & ((1 << _SPLIT_BITS) - 1)], axis=-2, dtype=np.float64
     )
-    out = np.matmul(tb.weights, halves)
+    out = np.matmul(tb.weights, halves).astype(np.int64)
     out -= overflow[..., None, :] * tb.q_mod
     if centered:
         out -= tb.half_mod

@@ -120,11 +120,13 @@ class TestSelection:
 
 class TestProtocolConformance:
     #: Ops whose single body is engine-independent: mod_switch is a CRT
-    #: lift; the LWE and composite tiers delegate to module
-    #: implementations whose inner ops re-enter the active backend.
-    #: (``matvec`` left this set when it became a fused op with two bodies.)
-    SHARED = {"mod_switch", "sample_extract", "lwe_keyswitch", "lwe_rescale",
-              "fbs", "s2c"}
+    #: lift; cmult_batch runs the dispatch-free tensor stages and leaves the
+    #: engine its keyswitch and adds; the LWE and composite tiers delegate
+    #: to module implementations whose inner ops re-enter the active
+    #: backend. (``matvec`` left this set when it became a fused op with
+    #: two bodies.)
+    SHARED = {"mod_switch", "cmult_batch", "sample_extract", "lwe_keyswitch",
+              "lwe_rescale", "fbs", "s2c"}
 
     def test_fast_engine_and_wrapper_override_every_op(self):
         """Backend's bodies are the per-prime reference: an op the batched
@@ -135,7 +137,7 @@ class TestProtocolConformance:
             if callable(value) and not name.startswith("_")
             and name not in ("record", "phase")
         ]
-        assert len(ops) == 21
+        assert len(ops) == 23
         assert not hasattr(Backend, "kernel")
         assert [op for op in ops if op not in vars(CountingBackend)] == []
         assert [

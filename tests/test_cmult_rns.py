@@ -1,6 +1,7 @@
 """The word-sized CMult tensor against its big-int oracle.
 
-:meth:`BfvContext.cmult_tensor` claims to be *exact*: bit-identical,
+:class:`BfvContext`'s three tensor stages (``tensor_forms``,
+``tensor_products``, ``tensor_scale_round``) claim to be *exact*: bit-identical,
 for every input, to tensoring the centred CRT lifts over Python integers,
 summing the products of all its pairs and rounding the sum by t/Q — once.
 That big-int computation lives here, as the oracle (:func:`oracle_sum`),
@@ -44,7 +45,7 @@ from repro.fhe.params import (
     FheParams,
 )
 from repro.fhe.poly import RnsPoly
-from repro.utils.modmath import inv_mod, is_prime
+from repro.utils.modmath import find_ntt_primes, inv_mod, is_prime
 
 RUN_PRESETS = [TEST_TINY, TEST_FBS, TEST_SMALL, TEST_LOOP]
 _ids = [p.name for p in RUN_PRESETS]
@@ -81,8 +82,9 @@ def oracle_tensor(a: BfvCiphertext, b: BfvCiphertext) -> np.ndarray:
 
 
 def tensor_sum(ctx: BfvContext, pairs) -> np.ndarray:
-    r0, r1, r2, _ = ctx.cmult_tensor(pairs)
-    return np.stack([r0.data, r1.data, r2.data])
+    """(3, L, N): the three tensor stages, the products summed lazily."""
+    ctx.check_tensor_terms(len(pairs))
+    return ctx.tensor_scale_round(ctx.tensor_products(pairs).sum(axis=0))
 
 
 def tensor(ctx: BfvContext, a: BfvCiphertext, b: BfvCiphertext) -> np.ndarray:
@@ -447,7 +449,7 @@ class TestCmultAndGiantStep:
         for be in (BATCHED, SERIAL):
             got = be.giant_step_batch(ctx, pairs, rlk)
             assert np.array_equal(_components(got), want), be.name
-            assert got.noise_bits == ctx.cmult_tensor(pairs)[3]
+            assert got.noise_bits == ctx.cmult_noise(pairs)
             assert got.noise_bits == pytest.approx(noise, abs=1e-9)
 
     def test_giant_step_batch_in_two_chunks(self, subject, monkeypatch):
@@ -478,8 +480,8 @@ class TestCmultAndGiantStep:
         for b in (other_limbs, other_t):
             for call in (
                 lambda: ctx.cmult(a, b, rlk),
-                lambda: ctx.cmult_tensor([(a, b)]),
-                lambda: ctx.cmult_tensor([(a, a), (b, a)]),
+                lambda: ctx.tensor_products([(a, b)]),
+                lambda: ctx.tensor_products([(a, a), (b, a)]),
                 lambda: BATCHED.giant_step_batch(ctx, [(a, a), (a, b)], rlk),
                 lambda: SERIAL.giant_step_batch(ctx, [(a, a), (a, b)], rlk),
             ):
@@ -516,6 +518,27 @@ class TestBounds:
         assert bounds["lazy_sum"][0] == len(params.moduli) * (p - 1)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_extension_peak_below_its_limit(self, name):
+        """Both conversions of the tensor, Q -> P and P -> Q, sum their CRT
+        terms exactly in float64 on every preset (ATHENA's 24-limb Q and
+        its aux basis included)."""
+        params = PRESETS[name]
+        aux = bfv_module._tensor_tables(params).aux
+        for src, dst in ((params.moduli, aux), (aux, params.moduli)):
+            bounds = rns.extension_bounds(src, dst)
+            assert set(bounds) == {"float_sum"}
+            for what, (peak, limit) in bounds.items():
+                assert 0 < peak < limit, (name, what)
+
+    def test_an_extension_outside_its_bound_raises(self):
+        """Seventy 31-bit primes: the float64 CRT sum could reach 2**53.7,
+        so the basis is refused rather than converted inexactly."""
+        wide = tuple(find_ntt_primes(70, 31, 64))
+        assert rns.extension_bounds(wide, wide[:1])["float_sum"][0] > 2**53
+        with pytest.raises(ParameterError, match="float_sum"):
+            rns.base_extend(np.zeros((70, 4), dtype=np.int64), wide, wide[:1])
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_aux_basis_is_disjoint_and_not_oversized(self, name):
         params = PRESETS[name]
         aux, both = bfv_module._tensor_tables(params)[:2]
@@ -543,7 +566,7 @@ class TestBounds:
         a, b = uniform_ct(params, rng), uniform_ct(params, rng)
         for count, error in ((18, TensorOverflow), (0, ParameterError)):
             for call in (
-                lambda: ctx.cmult_tensor([(a, b)] * count),
+                lambda: tensor_sum(ctx, [(a, b)] * count),
                 lambda: BATCHED.giant_step_batch(ctx, [(a, b)] * count, rlk),
                 lambda: SERIAL.giant_step_batch(ctx, [(a, b)] * count, rlk),
             ):
@@ -552,7 +575,7 @@ class TestBounds:
                 if count:
                     assert (err.value.terms, err.value.capacity) == (18, 17)
         assert issubclass(TensorOverflow, ParameterError)
-        ctx.cmult_tensor([(a, b)] * 17)  # all the basis holds
+        tensor_sum(ctx, [(a, b)] * 17)  # all the basis holds
 
     def test_estimate_error_bound_holds_on_the_worst_digits(self):
         """All digits p_i - 1: the largest sum the float estimate ever takes."""

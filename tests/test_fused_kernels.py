@@ -60,7 +60,6 @@ from repro.fhe.backend import (
 )
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext, galois_noise_growth
 from repro.fhe.fbs import FbsLut, FbsPlan, fbs_evaluate
-from repro.fhe.keys import apply_keyswitch
 from repro.fhe.lwe import LweBatch
 from repro.fhe.ntt import ntt_forward_rns, ntt_inverse_rns
 from repro.fhe.packing import (
@@ -100,6 +99,8 @@ class DecomposedCounting(CountingBackend):
     keyswitch = Backend.keyswitch
     rotate_keyswitch = Backend.rotate_keyswitch
     giant_step_batch = Backend.giant_step_batch
+    cmult_batch = Backend.cmult_batch
+    lincomb = Backend.lincomb
     matvec = Backend.matvec
 
 
@@ -119,6 +120,10 @@ def _fixture():
     return ctx, sk, rlk, gk, cts
 
 
+def _components(ct) -> np.ndarray:
+    return np.stack([ct.c0.data, ct.c1.data])
+
+
 def _run_workload(be, ctx, rlk, gk, cts):
     """One of each fused op; returns the concatenated result arrays."""
     moduli = ctx.params.moduli
@@ -128,7 +133,12 @@ def _run_workload(be, ctx, rlk, gk, cts):
     r0, r1 = be.rotate_keyswitch(a.c0.data, a.c1.data, k, gk, moduli)
     prod = be.giant_step_batch(ctx, [(a, b), (b, c), (a, c)], rlk)
     s = be.hadd_many([a.c0.data, b.c0.data, c.c0.data, a.c1.data], moduli)
-    return [d0, d1, r0, r1, s, prod.c0.data, prod.c1.data]
+    stacked = be.keyswitch(np.stack([a.c1.data, c.c0.data]), rlk, moduli)
+    level = be.cmult_batch(ctx, [(a, b), (b, c), (c, c)], rlk)
+    rows = be.lincomb(np.stack([_components(x) for x in cts]),
+                      np.array([[1, -128, 0], [0, 0, 0], [5, 7, 128]]), moduli)
+    return [d0, d1, r0, r1, s, prod.c0.data, prod.c1.data, *stacked, rows,
+            *(_components(x) for x in level)]
 
 
 class TestCountingParity:
@@ -318,7 +328,8 @@ class TestRotation:
         params = ctx.params
         k = rotation_galois_element(params.n, 1)
         for ct in cts:
-            d0, d1 = apply_keyswitch(ct.c1.automorphism(k), gk)
+            d0, d1 = (RnsPoly(d, params.moduli) for d in BATCHED.keyswitch(
+                ct.c1.automorphism(k).data, gk, params.moduli))
             old = BfvCiphertext(ct.c0.automorphism(k) + d0, d1, params, 0.0)
             new = ctx.apply_galois(ct, k, gk)
             measured = ctx.true_noise_bits(new, sk)

@@ -1,5 +1,6 @@
 """Tests for LWE packing, slot-to-coefficient, and functional bootstrapping."""
 
+import math
 import pickle
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
+from repro.fhe import backend as backend_module
 from repro.fhe import bfv as bfv_module
 from repro.fhe import lwe
 from repro.fhe.backend import (
@@ -21,6 +23,7 @@ from repro.fhe.bfv import BfvContext, Plaintext
 from repro.fhe.fbs import (
     FbsLut,
     FbsPlan,
+    evaluate_poly_all,
     evaluate_poly_plain,
     fbs_evaluate,
     interpolate_lut,
@@ -32,7 +35,7 @@ from repro.fhe.packing import (
     hypercube_matvec,
     pack_lwe,
 )
-from repro.fhe.params import TEST_FBS, TEST_LOOP
+from repro.fhe.params import TEST_FBS, TEST_LOOP, TEST_TINY
 from repro.fhe.serialize import dump_ciphertext, load_ciphertext
 from repro.fhe.s2c import (
     S2CKey,
@@ -370,7 +373,7 @@ class TestFbsEdgePlans:
         real = bfv_module.ntt_forward_rns
 
         def spy(a, moduli):
-            builds.append(a.shape)
+            builds.append(len(a))  # (M, 2, L+K, N): M forms in one call
             return real(a, moduli)
 
         monkeypatch.setattr(bfv_module, "ntt_forward_rns", spy)
@@ -380,10 +383,12 @@ class TestFbsEdgePlans:
             del builds[:]
             with use_backend(be):
                 outs.append(fbs_evaluate(ctx, ct, lut, rlk, plan=plan))
-            # The only forward transform in bfv.py builds a form: one per
-            # distinct operand, however many CMults it feeds.
+            # The only forward transform in bfv.py builds forms: one per
+            # distinct operand, however many CMults it feeds, and at most
+            # one call per ladder level plus the combination.
             slots, distinct = _fbs_operands(plan)
-            assert len(builds) == distinct <= slots
+            assert sum(builds) == distinct <= slots
+            assert len(builds) <= len(plan.levels) + 1
         for out in outs[1:]:
             assert np.array_equal(out.c0.data, outs[0].c0.data)
             assert np.array_equal(out.c1.data, outs[0].c1.data)
@@ -424,7 +429,7 @@ class TestFbsEdgePlans:
         twin = load_ciphertext(wire, ctx.params)
         ctx.cmult(ct, ct, rlk)  # attaches: ct is an operand in its own right
         form = vars(ct)["_tensor_form"]
-        assert not form.flags.writeable and ctx.tensor_form(ct) is form
+        assert not form.flags.writeable and ctx.tensor_forms([ct])[0] is form
         assert form.shape == (2, len(ctx.tensor_moduli), ctx.params.n)
         assert dump_ciphertext(ct) == wire and pickle.dumps(ct) == pickled
         assert "_tensor_form" not in vars(pickle.loads(pickle.dumps(ct)))
@@ -432,6 +437,144 @@ class TestFbsEdgePlans:
         assert repr(ct) == repr(twin)
         assert np.array_equal(ct.c0.data, twin.c0.data) and ct.noise_bits == twin.noise_bits
         del ct._tensor_form
+
+
+def _degree_lut(degree: int, t: int, seed: int = 0) -> FbsLut:
+    """A table whose interpolant has every coefficient up to ``degree``."""
+    coeffs = np.zeros(t, dtype=np.int64)
+    coeffs[: degree + 1] = np.random.default_rng(seed + degree).integers(1, t, degree + 1)
+    return FbsLut(evaluate_poly_all(coeffs, t), t, f"degree{degree}")
+
+
+def _ladder_depth(plan: FbsPlan) -> int:
+    """Depth of the minimal-depth ladder in closed form: ceil(log2 e) for
+    power e, ceil(log2 bs) + ceil(log2 g) for giant g."""
+    used = {j for _, _, terms in plan.groups for j, _ in terms}
+    giants = {g for g, _, _ in plan.groups if g}
+    if giants:
+        used.add(plan.bs)
+    depths = [math.ceil(math.log2(e)) for e in used]
+    depths += [math.ceil(math.log2(plan.bs)) + math.ceil(math.log2(g)) for g in giants]
+    return max(depths, default=0)
+
+
+class TestFbsLevels:
+    """The ladder runs level by level — each depth's independent CMults as
+    stacked passes — and the baby steps as one matrix product, with every
+    residue and estimate what one CMult / SMult at a time gives."""
+
+    @pytest.mark.parametrize("degree", range(257))
+    def test_levels_partition_the_ladder_by_depth(self, degree):
+        plan = FbsPlan.from_lut(_degree_lut(degree, 257))
+        flat = [step for level in plan.levels for step in level]
+        assert sorted(flat) == sorted(plan.ladder) and len(flat) == len(plan.ladder)
+        level_of = {("p", 1): 0}
+        for k, level in enumerate(plan.levels, start=1):
+            order = [plan.ladder.index(step) for step in level]
+            assert order == sorted(order)  # ladder order inside a level
+            for kind, e, lo, hi in level:
+                assert level_of[plan.operand(kind, lo)] < k
+                assert level_of[plan.operand(kind, hi)] < k
+            for kind, e, _, _ in level:
+                level_of[(kind, e)] = k
+        assert len(plan.levels) == _ladder_depth(plan)
+        if degree == 256:
+            assert [len(level) for level in plan.levels] == [1, 2, 4, 8, 1, 1, 2, 4, 7]
+
+    @pytest.fixture(scope="class", params=[TEST_TINY, TEST_FBS, TEST_LOOP],
+                    ids=lambda p: p.name)
+    def subject(self, request):
+        params = request.param
+        ctx = BfvContext(params, seed=11)
+        sk, pk = ctx.keygen()
+        rlk = ctx.relin_key(sk).warm()
+        x = np.random.default_rng(12).integers(0, params.t, params.n)
+        return ctx, sk, rlk, x, ctx.encrypt(Plaintext.from_slots(x, params), pk)
+
+    @pytest.mark.parametrize("name", [1, 2, 3, 16, 17, 255, 256, "sigmoid", "zero", "constant"])
+    def test_stacked_equals_one_at_a_time(self, subject, name, monkeypatch):
+        """Batched (stacked levels, one-matrix baby steps) == the same with
+        one CMult per chunk == serial == counting: residues and estimates."""
+        ctx, sk, rlk, x, ct = subject
+        t = ctx.params.t
+        if isinstance(name, int):
+            lut = _degree_lut(name, t)
+        elif name == "constant":
+            lut = FbsLut(np.full(t, 5), t, "constant")
+        else:
+            lut = _edge_luts(t)[name]
+        plan = FbsPlan.from_lut(lut).materialize(ctx.params)
+        one_at_a_time = BatchedBackend()
+        outs = []
+        for be in (BATCHED, one_at_a_time, SERIAL, CountingBackend(BATCHED)):
+            with monkeypatch.context() as patch, use_backend(be):
+                if be is one_at_a_time:
+                    patch.setattr(backend_module, "CMULT_BATCH_ELEMS", 1)
+                outs.append(fbs_evaluate(ctx, ct, lut, rlk, plan=plan))
+        for out in outs[1:]:
+            assert np.array_equal(out.c0.data, outs[0].c0.data)
+            assert np.array_equal(out.c1.data, outs[0].c1.data)
+            assert out.noise_bits == outs[0].noise_bits
+        assert "_tensor_form" not in vars(ct)
+        if ctx.params is not TEST_TINY:  # two limbs hold no full-domain FBS
+            assert np.array_equal(ctx.decrypt(outs[0], sk).to_slots(), lut.apply_plain(x))
+
+    def test_lincomb_equals_the_per_term_sum(self, rng):
+        """Extreme, zero and large coefficients, an empty row and one row,
+        against exact integer sums. The large ones force the batched body to
+        split the terms into exact float64 chunks."""
+        params = TEST_LOOP
+        moduli, t = params.moduli, params.t
+        stack = np.stack([
+            np.stack([np.stack([rng.integers(0, p, params.n) for p in moduli])
+                      for _ in range(2)])
+            for _ in range(5)])
+        stack[0] = np.array(moduli)[:, None] - 1  # every residue at its top
+        half = t // 2
+        cases = [
+            np.array([[half, -half, 0, 1, -1], [0, 0, 0, 0, 0], [-half] * 5]),
+            np.array([[3, 0, 0, 0, -7]]),
+            np.array([[2**22, -(2**22), 2**22 - 1, -1, 5]]),
+            np.zeros((0, 5), dtype=np.int64),
+        ]
+        for coeffs in cases:
+            want = np.array([
+                [[[sum(int(c) * int(stack[j, comp, i, k]) for j, c in enumerate(row)) % p
+                   for k in range(params.n)] for i, p in enumerate(moduli)]
+                 for comp in range(2)]
+                for row in coeffs], dtype=np.int64).reshape((len(coeffs),) + stack.shape[1:])
+            for be in (BATCHED, SERIAL, CountingBackend(SERIAL)):
+                assert np.array_equal(be.lincomb(stack, coeffs, moduli), want), be.name
+        empty = BATCHED.lincomb(stack[:0], np.zeros((2, 0), dtype=np.int64), moduli)
+        assert empty.shape == (2,) + stack.shape[1:] and not empty.any()
+
+    def test_fewer_transform_calls_same_transforms(self, fbs_ctx, fbs_keys, fbs_rlk,
+                                                   monkeypatch):
+        """One full-domain FBS at TEST_FBS: the same 5 697 limb transforms
+        (one form per distinct operand, one keyswitch per relinearisation)
+        in fewer stacked calls — two forward and two inverse per ladder
+        level and per combination. One CMult at a time made 70 forward and
+        62 inverse calls."""
+        _, pk = fbs_keys
+        p = fbs_ctx.params
+        ct = fbs_ctx.encrypt(Plaintext.from_slots(np.arange(p.n), p), pk)
+        lut = _edge_luts(p.t)["relu"]
+        plan = FbsPlan.from_lut(lut).materialize(p)
+        calls = {}
+        for module in (backend_module, bfv_module):
+            for name in ("ntt_forward_rns", "ntt_inverse_rns"):
+                real = getattr(module, name)
+
+                def spy(a, *args, _real=real, _name=name):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    calls["limbs"] = calls.get("limbs", 0) + a.size // a.shape[-1]
+                    return _real(a, *args)
+
+                monkeypatch.setattr(module, name, spy)
+        with use_backend(BATCHED):
+            fbs_evaluate(fbs_ctx, ct, lut, fbs_rlk, plan=plan)
+        assert len(plan.levels) == 9
+        assert calls == {"ntt_forward_rns": 20, "ntt_inverse_rns": 20, "limbs": 5697}
 
 
 class TestFbsNoiseIsMeasured:
