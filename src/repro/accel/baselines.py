@@ -10,7 +10,7 @@ model predictions are also exposed for honesty checks in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.accel.configs import (
     AcceleratorConfig,
     by_name,
 )
-from repro.accel.energy import EnergyResult, energy_for
+from repro.accel.energy import energy_for
 from repro.accel.scheduler import ScheduleResult, schedule
 from repro.accel.workload import MODEL_NAMES, ckks_trace
 from repro.core.trace import WorkloadTrace, trace_model
@@ -130,14 +130,6 @@ def athena_run_w6a7(model: str, qmodel=None) -> ScheduleResult:
     else:
         trace = trace_model(qmodel, ATHENA_PARAMS)
     return schedule(trace, calibrated_athena())
-
-
-@dataclass
-class FullSystemRow:
-    accelerator: str
-    model: str
-    time_ms: float
-    energy: EnergyResult
 
 
 def table6(models: tuple[str, ...] = MODEL_NAMES) -> dict[str, dict[str, float]]:

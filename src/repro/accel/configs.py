@@ -60,10 +60,6 @@ class AcceleratorConfig:
     giant_fru_fraction: float = 1.0
     units: tuple[UnitSpec, ...] = field(default=())
 
-    @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.frequency_ghz
-
 
 #: Athena accelerator (paper §4.1-4.2, Tables 8 and 9).
 #: 2048 lanes; 256 radix-8 NTT units (2048 data/cycle); 17 FRU blocks with

@@ -56,14 +56,6 @@ class ScheduleResult:
             out[p.phase] = out.get(p.phase, 0.0) + p.cycles * scale
         return out
 
-    def busy_cycles_by_resource(self) -> dict[str, float]:
-        """Per-resource busy cycles (drives the energy model)."""
-        out: dict[str, float] = {}
-        for p in self.phases:
-            for res, cyc in p.resource_cycles.items():
-                out[res] = out.get(res, 0.0) + cyc
-        return out
-
 
 def _resource_cycles(
     ops: OpCounts, cfg: AcceleratorConfig, ring_n: int

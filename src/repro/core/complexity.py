@@ -92,11 +92,3 @@ def table3(
         Table3Row("athena", "fbs", athena_fbs(t)),
         Table3Row("athena", "s2c", athena_s2c(n)),
     ]
-
-
-def per_layer_totals(rows: list[Table3Row]) -> dict[str, OpComplexity]:
-    """Sum the rows per solution: one linear + one non-linear round."""
-    out: dict[str, OpComplexity] = {}
-    for row in rows:
-        out[row.solution] = out.get(row.solution, OpComplexity(0, 0, 0)) + row.complexity
-    return out

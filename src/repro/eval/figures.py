@@ -12,7 +12,7 @@ from repro.accel import baselines as accel_baselines
 from repro.accel.baselines import athena_run, calibrated_athena
 from repro.accel.energy import energy_for
 from repro.accel.sensitivity import lane_sweep, precision_sweep_perf
-from repro.baselines.approx import model_probe, sweep
+from repro.baselines.approx import sweep
 from repro.core.inference import SimulatedAthenaEngine
 from repro.eval.render import render_table
 from repro.eval.zoo import get_benchmark
@@ -25,17 +25,6 @@ from repro.quant.quantize import QuantConfig, quantize_model
 
 def fig1(orders=(2, 4, 8, 16, 32, 64), deltas=(None, 25, 30, 35)):
     return sweep(orders=orders, deltas=deltas)
-
-
-def fig1_model_probe(orders=(4, 16, 32), deltas=(None, 25, 30, 35), seed: int = 0):
-    """ResNet-20 output-probability accuracy with approximated ReLU."""
-    entry = get_benchmark("resnet20", seed=seed)
-    x = entry.data["x_test"][:64]
-    out = {}
-    for order in orders:
-        for delta in deltas:
-            out[(order, delta)] = model_probe(entry.float_model, x, order, delta)
-    return out
 
 
 def render_fig1() -> str:

@@ -37,8 +37,9 @@ The process-wide default honors the ``REPRO_BACKEND`` environment variable
 under the serial reference.
 
 Bit-identity contract: both engines hand back the canonical residue in
-[0, p) of the same integer — the stacked NTT defers its reductions
-(:func:`repro.fhe.ntt.ntt_bounds`), the per-prime loops do not — so every
+[0, p) of the same integer — the stacked NTT computes it as exact float64
+matrix products (:func:`repro.fhe.ntt.ntt_bounds`), the per-prime loops with
+``%`` — so every
 primitive's output is bit-for-bit identical across backends. The fused tier
 keeps it because the NTT is linear mod p. ``tests/test_ntt.py``,
 ``tests/test_backend.py``, ``tests/test_rns_batched.py`` and
@@ -334,19 +335,19 @@ class Backend:
     def sub(self, a, b, moduli):
         data = a - b
         for i, p in enumerate(moduli):
-            data[i] %= p
+            data[..., i, :] %= p
         return data
 
     def neg(self, a, moduli):
         data = -a
         for i, p in enumerate(moduli):
-            data[i] %= p
+            data[..., i, :] %= p
         return data
 
     def mul(self, a, b, moduli):
         out = np.empty_like(a)
         for i, p in enumerate(moduli):
-            out[i] = ntt_mul(a[i], b[i], p)
+            out[..., i, :] = ntt_mul(a[..., i, :], b[..., i, :], p)
         return out
 
     def ntt(self, a, moduli):
@@ -359,19 +360,19 @@ class Backend:
     def mul_ntt(self, a, fb, moduli):
         out = np.empty_like(a)
         for i, p in enumerate(moduli):
-            out[i] = ntt_inverse(ntt_forward(a[i], p) * fb[i] % p, p)
+            out[..., i, :] = ntt_inverse(ntt_forward(a[..., i, :], p) * fb[..., i, :] % p, p)
         return out
 
     def scalar_mul(self, a, value, moduli):
         out = np.empty_like(a)
         for i, p in enumerate(moduli):
-            out[i] = a[i] * (value % p) % p
+            out[..., i, :] = a[..., i, :] * (value % p) % p
         return out
 
     def inv_scalar(self, a, value, moduli):
         out = np.empty_like(a)
         for i, p in enumerate(moduli):
-            out[i] = a[i] * inv_mod(value, p) % p
+            out[..., i, :] = a[..., i, :] * inv_mod(value, p) % p
         return out
 
     def automorphism(self, a, k, moduli):
@@ -385,15 +386,15 @@ class Backend:
         return out
 
     def shift(self, a, shift, moduli):
-        n = a.shape[1]
+        n = a.shape[-1]
         out = np.empty_like(a)
         for i, p in enumerate(moduli):
-            rolled = np.roll(a[i], shift % n)
+            rolled = np.roll(a[..., i, :], shift % n, axis=-1)
             if shift % n:
-                rolled[: shift % n] = (-rolled[: shift % n]) % p
+                rolled[..., : shift % n] = (-rolled[..., : shift % n]) % p
             if shift >= n:
                 rolled = (-rolled) % p
-            out[i] = rolled
+            out[..., i, :] = rolled
         return out
 
     def mod_switch(self, data, moduli, new_modulus):
@@ -706,11 +707,11 @@ class BatchedBackend(Backend):
         return out
 
     def shift(self, a, shift, moduli):
-        n = a.shape[1]
+        n = a.shape[-1]
         mods = _moduli_column(moduli)
-        rolled = np.roll(a, shift % n, axis=1)
+        rolled = np.roll(a, shift % n, axis=-1)
         if shift % n:
-            rolled[:, : shift % n] = -rolled[:, : shift % n] % mods
+            rolled[..., : shift % n] = -rolled[..., : shift % n] % mods
         if shift >= n:
             rolled = -rolled % mods
         return rolled

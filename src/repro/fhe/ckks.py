@@ -59,8 +59,7 @@ class CkksParams:
         return self.n // 2
 
 
-#: Small CKKS preset for tests and the Fig. 1 study.
-CKKS_SMALL = CkksParams("ckks-small", n=256, scale_bits=30, num_limbs=8)
+#: Small CKKS preset for tests.
 CKKS_TINY = CkksParams("ckks-tiny", n=64, scale_bits=28, num_limbs=4)
 
 

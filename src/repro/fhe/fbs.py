@@ -262,10 +262,6 @@ class FbsLut:
                             self.values)
         return int(np.abs(centered).max())
 
-    @property
-    def nonzero_terms(self) -> int:
-        return int(np.count_nonzero(self.coeffs))
-
 
 @dataclass
 class FbsPlan:

@@ -5,7 +5,7 @@ in Z_p[X]/(X^N + 1) for primes p = 1 (mod 2N), p < 2**31. All butterflies
 are vectorized numpy int64 operations; since p < 2**31 every intermediate
 product fits in an int64 (a*b < 2**62). The per-prime transforms reduce with
 ``%`` after every product and sum; the stacked ones every request runs reach
-the same residues with no ``%`` inside a butterfly (:func:`ntt_bounds`).
+the same residues as exact float64 matrix products (:func:`ntt_bounds`).
 
 The transform is the standard "merged-psi" negacyclic NTT (Longa & Naehrig):
 powers of the 2N-th root of unity are folded into the butterflies so no
@@ -21,6 +21,7 @@ stays word-sized (:meth:`repro.fhe.bfv.BfvContext.tensor_products`).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -118,78 +119,170 @@ def ntt_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Residue-stacked transforms: one butterfly pass covers every RNS limb
+# Residue-stacked transforms: float64 matrix products over every RNS limb
 # ---------------------------------------------------------------------------
 
 
-#: Shortest twiddle row a stage broadcasts: stages whose twiddles repeat with
-#: a shorter period are tiled up to it (or to the whole half-ring, if smaller).
-_MIN_ROW = 16
+#: Cap on the (..., L, N) elements one chunk of a stacked transform holds: a
+#: longer stack runs in leading-axis chunks through a float64 workspace of 16
+#: bytes per element, plus the output (EXPERIMENTS.md has the sweep).
+NTT_CHUNK_ELEMS = 1 << 15
+
+
+def _gemm_peak(f: int, p: int) -> int:
+    """Bound on |a length-f product sum| + 1/2: its operands are residues
+    centred to |r| <= p//2 + 2**12, split as h = rint(r / 2**16) and
+    l = r - 2**16 h (|l| <= 2**15), against centred table entries."""
+    return f * ((p // 2 + 2**12 + 2**15) // 2**16 + 2**15) * (p // 2) + 1
+
+
+def _factors(n: int) -> tuple[int, ...]:
+    """N's factors, largest first: as few as ``gemm_sum`` admits at every
+    word-sized prime (each at most 32), as even as possible."""
+    top = max(b for b in range(1, 10) if _gemm_peak(1 << b, 2**31 - 1) < 2**51)
+    bits = n.bit_length() - 1
+    k = max(1, -(-bits // top))
+    return tuple(1 << (bits // k + (i < bits % k)) for i in range(k))
 
 
 def ntt_bounds(n: int, moduli: tuple[int, ...]) -> dict[str, tuple[int | float, int | float]]:
     """``name -> (peak, limit)`` for everything the stacked kernel relies on:
-    exact for ``(n, moduli)`` iff every peak is strictly below its limit. A
-    lazy product (:func:`_lazy_mul`) leaves ``|v| < 2p``, so from reduced
-    input a forward value grows by at most 2p a stage and an inverse value
-    at most doubles. Reads ``n`` and the moduli only."""
+    exact for ``(n, moduli)`` iff every peak is strictly below its limit.
+    Reads ``n`` and the moduli only. The float64 quotients ``rint(x / p)``
+    of the entry, the reductions and the twists are off by < 2**12 / p, so
+    every product operand is centred to |r| <= p//2 + 2**12; a product's sum
+    stays below :func:`_gemm_peak` < 2**51, an exact integer whose reduction
+    is off by < 1/p and whose exit ``floor((Z + 1/2) / p)`` is exact."""
     top = max(moduli)
-    forward = (2 * n.bit_length() - 1) * top  # what the forward exit reduction reads
-    inverse = n * top  # an inverse sum or difference, the scaling's operand
-    operand = max(forward - 2 * top, inverse)
     return {
-        # the int64 -> float64 conversion of a product's operand is exact
-        "float_operand": (operand, 2**53),
-        # |w * s/p - fl(fl(w) * fl(s/p))|, two roundings of a value below |w|:
-        # under 1 the truncated quotient is off by at most one
-        "quotient_error": (operand * 2.0**-52, 1.0),
-        "lazy_accumulator": (max(forward, inverse), 2**63),
+        # residues and twiddles are words: an int64 product of two is exact
+        "word": (top, 2**31),
+        # p * |fl(fl(a) * fl(1/p)) - a/p| for any int64 a
+        "entry_quotient": (3 * 2**10 + 1, 2**12),
+        # the same for a twist's quotient, |r * tau / p| <= p/4 + 2**12
+        "twist_quotient": ((top // 4 + 2**12) * top // 2**51 + 1, 2**12),
+        "gemm_sum": (max(_gemm_peak(f, p) for f in _factors(n) for p in moduli), 2**51),
     }
 
 
 @lru_cache(maxsize=None)
-def _rns_tables(n: int, moduli: tuple[int, ...]):
-    """``(forward, inverse, scale, mods)`` of the stacked kernel, read-only.
+def _gemm_tables(n: int, moduli: tuple[int, ...]):
+    """``(forward, inverse, cols)`` of the stacked kernel, read-only.
 
-    ``forward`` / ``inverse`` hold per stage, in execution order, the int64
-    twiddles ``s`` beside the float64 ``s / p`` as (L, 1, r) broadcast rows:
-    position k of stage m takes the per-prime ``psi_rev[m + (k mod m)]``, a
-    row is ``psi_rev[m : 2m]``, tiled where m < ``_MIN_ROW``. ``scale`` is
-    the (L, 1) pair for N^-1 (the last inverse twiddle already carries it),
-    ``mods`` the (L, 1) moduli column."""
+    Four-step over N = f_0 ... f_{k-1} (:func:`_factors`), digit 0 slowest.
+    Forward step s < k - 1 is digit s's length-f negacyclic transform: one
+    (f, f) matrix per limb against every (f, rest) slab, outputs bit-reversed,
+    then an explicit twist of the slab rows if another such step follows.
+    The last step folds its twist into per-row (A, A) matrices, one per value
+    of digit k - 2 — :func:`ntt_forward`'s order, digit by digit. The inverse
+    runs the inverse matrices backwards, N^-1 spread over them.
+
+    A step is ``(view, right, hi, lo, twist)``: the (L, rows, f, rest) view
+    it contracts, whether the tables multiply from the right (the folded
+    step), the centred tables for the operand halves h and l / 2**16 (scaled
+    by 2**-16 where a reduction follows) and the twist after it, ``(view,
+    tau, 2**16 tau / p)``. ``cols``: the (L, 1) int64 and float64 moduli,
+    1/p, p / 2**16 and 2**16 / p."""
     for name, (peak, limit) in ntt_bounds(n, moduli).items():
         if not peak < limit:
             raise ParameterError(f"stacked NTT, N = {n}: {name} {peak} is not below {limit}")
-    mods = np.array(moduli, dtype=np.int64)[:, None, None]
-    psi, ipsi, inv_n = (np.array(t)[:, None] for t in zip(*(_tables(n, p) for p in moduli)))
-    ipsi[..., 1] = ipsi[..., 1] * inv_n % mods[..., 0]
-    width = min(_MIN_ROW, n // 2)
-    periods = [1 << i for i in range(n.bit_length() - 1)]
-    rows = [np.tile(t[..., m : 2 * m], max(1, width // m)) for t in (psi, ipsi) for m in periods]
-    pairs = [(s, s / mods) for s in rows] + [(inv_n, inv_n / mods[..., 0])]
-    for arr in (mods, *sum(pairs, ())):
+    fs = _factors(n)
+    k, a, b = len(fs), fs[-1], fs[-2] if len(fs) > 1 else 1
+    mods = np.array(moduli, dtype=np.int64)[:, None]
+    pf = mods.astype(np.float64)
+    pw = np.stack([_tables(n, p)[0][_bit_reverse_indices(n)] for p in moduli])
+    pw = np.concatenate([pw, (mods - pw) % mods], axis=1)  # psi^0 .. psi^(2N - 1)
+    ipw = pw[:, -np.arange(2 * n)]
+
+    def centred(v, f=1):  # v / f mod p, centred
+        p = mods.reshape((-1,) + (1,) * (v.ndim - 1))
+        v = v * np.array([pow(f, -1, q) for q in moduli]).reshape(p.shape) % p
+        return v - p * (v > p // 2)
+
+    def halves(mat, scale, f=1):  # C order: BLAS reads a transposed table slower
+        mat = np.ascontiguousarray(centred(mat, f))
+        return (centred(mat * 2**16) * scale)[:, None], (mat * (2.0**16 * scale))[:, None]
+
+    def view(s):  # (L, rows above, f, rest) of digit s
+        rows = math.prod(fs[:s])
+        return len(moduli), rows, fs[s], n // (rows * fs[s])
+
+    def step(powers, s, inverse):  # digit s's transform, or its inverse
+        f, scale = fs[s], 1.0 if inverse and not s else 2.0**-16
+        e = n // f * (2 * _bit_reverse_indices(f)[:, None] + 1) * np.arange(f) % (2 * n)
+        return view(s), False, *halves(powers[:, e.T if inverse else e], scale, f if inverse else 1)
+
+    def twist(powers, s):
+        _, rows, f, rest = view(s)
+        e = rows * (2 * _bit_reverse_indices(f)[:, None] + 1 - f) * np.arange(rest) % (2 * n)
+        tau = centred(powers[:, e])[:, None]
+        return view(s), tau, tau * 2.0**16 / pf[:, :, None, None]
+
+    e = (2 * (_bit_reverse_indices(b)[:, None] + b * _bit_reverse_indices(a)) + 1)[:, :, None]
+    e = n // (a * b) * e * np.arange(a) % (2 * n)
+    folded = (len(moduli), n // (a * b), b, a)
+    forward = [step(pw, s, False) + (twist(pw, s) if s < k - 2 else None,) for s in range(k - 1)]
+    forward.append((folded, True, *halves(pw[:, e].transpose(0, 1, 3, 2), 1.0), None))
+    inverse = [(folded, True, *halves(ipw[:, e], 2.0**-16 if k > 1 else 1.0, a), None)]
+    for s in reversed(range(k - 1)):
+        inverse.append(step(ipw, s, True) + (twist(ipw, s - 1) if s else None,))
+    cols = (mods, pf, 1.0 / pf, pf * 2.0**-16, 2.0**16 / pf)
+    for arr in (*cols, *(x for st in forward + inverse for x in (*st[2:4], *(st[4] or ())[1:]))):
         arr.setflags(write=False)
-    forward, inverse = pairs[: len(periods)], pairs[len(periods) : -1]
-    return forward, inverse[::-1], pairs[-1], mods[..., 0]
+    return forward, inverse, cols
 
 
-def _lazy_mul(w, s, s_over_p, mods, q, t, out):
-    """``out = w * s - trunc(float64(w) * (s / p)) * p``: congruent to w * s mod p
-    with ``|out| < 2p`` (:func:`ntt_bounds`), no division. Both products wrap in
-    int64 — into ``q`` and ``t``, which may be ``w`` or ``out`` — and the wrap cancels."""
-    np.multiply(w, s_over_p, out=q, casting="unsafe")
-    np.multiply(q, mods, out=q)
-    np.multiply(w, s, out=t)
-    np.subtract(t, q, out=out)
-
-
-def _workspace(a, mods):
-    """``a`` reduced into a fresh (..., L, N) buffer (the entry reduction), its
-    ping-pong twin, two half-width scratch buffers, the moduli over stage rows."""
-    shape = np.broadcast_shapes(a.shape, (len(mods), a.shape[-1]))
-    src = np.mod(a, mods, out=np.empty(shape, dtype=np.int64))
-    q, v = np.empty((2,) + shape[:-1] + (shape[-1] // 2,), dtype=np.int64)
-    return src, np.empty_like(src), q, v, mods[:, :, None]
+def _transform(a: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndarray:
+    n = a.shape[-1]
+    forward, backward, (mods, pf, pinv, p_lo, pinv_hi) = _gemm_tables(n, moduli)
+    steps = backward if inverse else forward
+    shape = np.broadcast_shapes(a.shape, (len(moduli), n))
+    rows = np.broadcast_to(a, shape).reshape((-1,) + shape[-2:])
+    out = np.empty(shape, dtype=np.int64)
+    chunk = max(1, NTT_CHUNK_ELEMS // (len(moduli) * n))
+    work = np.empty((2, min(chunk, len(rows)) * len(moduli) * n))
+    for lo in range(0, len(rows), chunk):
+        src, dst = rows[lo : lo + chunk], out.reshape(rows.shape)[lo : lo + chunk]
+        y, h = (w[: src.size].reshape(src.shape) for w in work)
+        l, y_int, h_int = dst.view(np.float64), y.view(np.int64), h.view(np.int64)
+        # entry: the centred r = a - rint(a / p) p, in (wrapping) int64
+        np.multiply(src, pinv, out=y)
+        np.rint(y, out=y_int, casting="unsafe")
+        np.multiply(y_int, mods, out=y_int)
+        np.subtract(src, y_int, out=y_int)
+        np.multiply(y_int, 2.0**-16, out=y)
+        for i, (view, right, m_hi, m_lo, twist) in enumerate(steps):
+            np.rint(y, out=h)  # y = r / 2**16: the halves h and l / 2**16
+            np.subtract(y, h, out=l)
+            hv, lv, yv = (v.reshape((len(src),) + view) for v in (h, l, y))
+            if right:
+                hv, lv, yv = (v.transpose(1, 2, 3, 0, 4) for v in (hv, lv, yv))
+            for x, m, prod in ((hv, m_hi, yv), (lv, m_lo, hv)):
+                np.matmul(*((x, m) if right else (m, x)), out=prod)
+            np.add(y, h, out=y)
+            if i == len(steps) - 1:
+                break
+            # y = Y / 2**16 -> r / 2**16, r = Y - rint(Y / p) p
+            np.multiply(y, pinv_hi, out=h)
+            np.rint(h, out=h)
+            np.multiply(h, p_lo, out=h)
+            np.subtract(y, h, out=y)
+            if twist is not None:  # r tau - rint(r tau / p) p, in int64
+                at = (len(src),) + twist[0]
+                np.multiply(y, 2.0**16, out=h_int, casting="unsafe")
+                np.multiply(y.reshape(at), twist[2], out=l.reshape(at))
+                np.rint(l, out=dst, casting="unsafe")
+                np.multiply(h_int.reshape(at), twist[1], out=y_int.reshape(at))
+                np.multiply(dst, mods, out=dst)
+                np.subtract(y_int, dst, out=y_int)
+                np.multiply(y_int, 2.0**-16, out=y)
+        # exit: floor((Z + 1/2) / p) is Z's true quotient
+        np.add(y, 0.5, out=y)
+        np.multiply(y, pinv, out=h)
+        np.floor(h, out=h)
+        np.multiply(h, pf, out=h)
+        np.subtract(y, h, out=dst, casting="unsafe")
+    return out
 
 
 def ntt_forward_rns(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
@@ -199,54 +292,21 @@ def ntt_forward_rns(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     leading axes batch freely — a keyswitch's digits (L, L+1, N), a plan's
     whole diagonal set (T, L, N). :func:`ntt_forward` limb by limb, bit for
     bit: any int64 input (reduced on entry, never written), natural in,
-    bit-reversed out, a fresh array of canonical residues.
-
-    Constant geometry: a stage reads the two contiguous halves of one buffer
-    and writes position k's butterfly with k + N/2 to 2k, 2k + 1 of the
-    other; log2(N) such index rotations leave the data where the in-place
-    schedule does. No ``%`` inside a stage: products are :func:`_lazy_mul`,
-    sums stay unreduced, one reduction on the way out."""
-    n = a.shape[-1]
-    stages, _, _, mods = _rns_tables(n, moduli)
-    src, dst, q, v, p = _workspace(a, mods)
-    for twiddle in stages:
-        r = twiddle[0].shape[-1]
-        rows = src.shape[:-1] + (n // 2 // r, r)
-        lo, hi = src[..., : n // 2].reshape(rows), src[..., n // 2 :].reshape(rows)
-        prod, out = v.reshape(rows), dst.reshape(rows + (2,))
-        _lazy_mul(hi, *twiddle, p, q.reshape(rows), prod, prod)
-        np.add(lo, prod, out=out[..., 0])
-        np.subtract(lo, prod, out=out[..., 1])
-        src, dst = dst, src
-    return np.mod(src, mods, out=dst)
+    bit-reversed out, a fresh array of canonical residues. Each digit's
+    transform is one float64 matrix product over the whole stack
+    (:func:`_gemm_tables`); no int64 ``%`` anywhere (:func:`ntt_bounds`)."""
+    return _transform(a, moduli, False)
 
 
 def ntt_inverse_rns(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     """Inverse of :func:`ntt_forward_rns` (bit-reversed in, natural out):
-    :func:`ntt_inverse` limb by limb, bit for bit, on the same stacks.
-
-    The forward schedule mirrored: a stage reads the pairs 2k, 2k + 1 and
-    writes their sum to k, their twiddled difference to k + N/2. Sums run
-    unreduced to below N * p and take N^-1 on the way out."""
-    n = a.shape[-1]
-    _, stages, scale, mods = _rns_tables(n, moduli)
-    src, dst, q, v, p = _workspace(a, mods)
-    for twiddle in stages:
-        r = twiddle[0].shape[-1]
-        rows = src.shape[:-1] + (n // 2 // r, r)
-        pairs = src.reshape(rows + (2,))
-        np.add(pairs[..., 0], pairs[..., 1], out=dst[..., : n // 2].reshape(rows))
-        diff = np.subtract(pairs[..., 0], pairs[..., 1], out=v.reshape(rows))
-        _lazy_mul(diff, *twiddle, p, q.reshape(rows), diff, dst[..., n // 2 :].reshape(rows))
-        src, dst = dst, src
-    lo = src[..., : n // 2]
-    _lazy_mul(lo, *scale, mods, q, lo, lo)
-    return np.mod(src, mods, out=dst)
+    :func:`ntt_inverse` limb by limb, bit for bit, on the same stacks."""
+    return _transform(a, moduli, True)
 
 
 def ntt_mul_rns(a: np.ndarray, b: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    """Negacyclic product of two (L, N) residue stacks, one pass per stage."""
-    _, _, _, mods = _rns_tables(a.shape[-1], moduli)
+    """Negacyclic product of two (L, N) residue stacks, every limb at once."""
+    mods = _gemm_tables(a.shape[-1], moduli)[2][0]
     fa = ntt_forward_rns(a, moduli)
     fb = ntt_forward_rns(b, moduli)
     return ntt_inverse_rns(fa * fb % mods, moduli)
@@ -257,7 +317,7 @@ def _exact_mul_basis(n: int, limbs: int) -> tuple[int, ...]:
     """Auxiliary RNS basis for exact products: ``limbs`` 31-bit NTT primes.
 
     Deterministic (largest qualifying primes downward), so every caller at
-    the same (n, limbs) shares one cached twiddle set via :func:`_rns_tables`.
+    the same (n, limbs) shares one cached table set via :func:`_gemm_tables`.
     """
     from repro.utils.modmath import find_ntt_primes
 

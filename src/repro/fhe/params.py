@@ -89,10 +89,6 @@ class FheParams:
         return self.q // self.t
 
     @property
-    def log2_q(self) -> float:
-        return float(self.q.bit_length())
-
-    @property
     def slots_supported(self) -> bool:
         """True when R_t fully splits so all N slots are available."""
         return (self.t - 1) % (2 * self.n) == 0

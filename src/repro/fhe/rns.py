@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.utils.modmath import crt_combine, inv_mod
+from repro.utils.modmath import inv_mod
 
 
 @lru_cache(maxsize=None)
@@ -242,8 +242,3 @@ def base_extend(
 def rns_modulus(moduli: tuple[int, ...]) -> int:
     """Product of the modulus chain."""
     return _crt_constants(moduli)[0]
-
-
-def crt_single(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """CRT for a single coefficient (thin wrapper for readability)."""
-    return crt_combine(residues, moduli)

@@ -176,9 +176,6 @@ def baby_giant_amounts(dim: int, baby: int | None = None) -> set[int]:
     return set(range(1, baby)) | {g * baby for g in range(1, giant)}
 
 
-ROW_SWAP_GALOIS = -1  # sigma_{-1} (i.e. X -> X^(2N-1)) swaps the two rows
-
-
 def row_swap_element(n: int) -> int:
     """Galois element performing the row swap on the 2 x (N/2) hypercube."""
     return 2 * n - 1

@@ -9,7 +9,7 @@ overflow.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -183,10 +183,3 @@ def next_pow2(x: int) -> int:
     if x < 1:
         raise ParameterError("next_pow2 requires x >= 1")
     return 1 << (x - 1).bit_length() if x > 1 else 1
-
-
-def barrett_ready(moduli: Iterable[int]) -> None:
-    """Validate that all moduli are int64-safe for numpy kernels."""
-    for q in moduli:
-        if q >= (1 << 31):
-            raise ParameterError(f"modulus {q} >= 2**31 breaks int64 kernels")

@@ -36,7 +36,7 @@ from repro.fhe.backend import (
     get_backend,
     use_backend,
 )
-from repro.fhe.params import TEST_LOOP
+from repro.fhe.params import TEST_LOOP, TEST_SMALL
 from repro.fhe.poly import RnsPoly
 from repro.perf import ExecConfig
 from repro.quant.subjects import mnist_cnn_micro
@@ -175,6 +175,38 @@ class TestRnsBitIdentity:
                 results.append(op(a, b).data)
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], results[2])
+
+    #: Every RNS-tier op on raw residue stacks; ``b`` doubles as the
+    #: evaluation-domain operand of ``mul_ntt``.
+    RNS_OPS = {
+        "add": lambda be, a, b, m: be.add(a, b, m),
+        "sub": lambda be, a, b, m: be.sub(a, b, m),
+        "neg": lambda be, a, b, m: be.neg(a, m),
+        "mul": lambda be, a, b, m: be.mul(a, b, m),
+        "ntt": lambda be, a, b, m: be.ntt(a, m),
+        "mul_ntt": lambda be, a, b, m: be.mul_ntt(a, b, m),
+        "scalar_mul": lambda be, a, b, m: be.scalar_mul(a, -12345, m),
+        "inv_scalar": lambda be, a, b, m: be.inv_scalar(a, 12345, m),
+        "automorphism": lambda be, a, b, m: be.automorphism(a, 3, m),
+        "shift": lambda be, a, b, m: be.shift(a, 5, m),
+        "shift_past_n": lambda be, a, b, m: be.shift(a, a.shape[-1] + 5, m),
+    }
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["L_N", "2_L_N"])
+    @pytest.mark.parametrize("op", sorted(RNS_OPS))
+    def test_rns_tier_takes_stacks_on_both_engines(self, op, lead):
+        """Limbs are axis -2 on both engines: an (L, N) call and a (2, L, N)
+        stack agree across engines, and the stack equals one call per row."""
+        params = TEST_SMALL
+        col = np.array(params.moduli)[:, None]
+        rng = np.random.default_rng(16)
+        a, b = (rng.integers(0, col, lead + col.shape[:1] + (params.n,)) for _ in range(2))
+        run = self.RNS_OPS[op]
+        serial = run(get_backend("serial"), a.copy(), b.copy(), params.moduli)
+        assert np.array_equal(serial, run(get_backend("batched"), a, b, params.moduli))
+        if lead:
+            rows = [run(get_backend("serial"), x, y, params.moduli) for x, y in zip(a, b)]
+            assert np.array_equal(serial, np.stack(rows))
 
     def test_mod_switch_identical_across_backends(self):
         rng = np.random.default_rng(12)

@@ -163,7 +163,20 @@ class TestFullLoop:
         p = pipeline.params
         lut = remap_lut(multiplier=0.25, activation="relu", a_max=63, t=p.t)
         out = pipeline.loop(pipeline.encrypt_coeffs(mh), kh, lut, pos)
-        assert out.noise_budget_bits > 0 or True  # estimate may be pessimistic
         # The decisive check: true noise below half Delta.
         true_bits = pipeline.ctx.true_noise_bits(out, pipeline.sk)
         assert true_bits < np.log2(p.delta / 2)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4(a): the bit-max Table-4 estimate (293.2 bits) "
+        "calls this round undecryptable (limit 261.0; measured noise ~178 bits)",
+    )
+    def test_noise_estimate_certifies_one_loop(self, pipeline, rng):
+        """The same round as test_budget_survives_loop: its noise estimate
+        must leave budget. XPASSes once the estimate certifies; then the
+        marker goes."""
+        mh, kh, pos, _ = self._conv_setup(rng, pipeline)
+        lut = remap_lut(multiplier=0.25, activation="relu", a_max=63, t=pipeline.params.t)
+        out = pipeline.loop(pipeline.encrypt_coeffs(mh), kh, lut, pos)
+        assert out.noise_budget_bits > 0

@@ -1,5 +1,7 @@
 """Unit tests for the NTT layer: transforms, exact multiplier, cyclic DFT."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,7 +241,15 @@ class TestStackedKernel:
             assert not (a.flags.c_contiguous and a.flags.writeable)
             assert_matches_oracle(a, moduli)
 
-    @given(st.integers(1, 10), st.integers(1, 4), st.integers(0, 2**32))
+    def test_a_partial_last_chunk(self, monkeypatch, rng):
+        """Seven rows through chunks of three: the last chunk holds one row,
+        and every chunk writes straight into the output."""
+        n, (moduli, _) = preset_bases("test-small")
+        monkeypatch.setattr(ntt, "NTT_CHUNK_ELEMS", 3 * len(moduli) * n)
+        assert_matches_oracle(rng.integers(-(2**62), 2**62, (7, len(moduli), n)), moduli)
+        assert_matches_oracle(rng.integers(0, 2**30, (7, 1, len(moduli), n)), moduli)
+
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_random_bases_and_sizes(self, log_n, limbs, seed):
         n = 1 << log_n
@@ -256,36 +266,51 @@ class TestStackedKernel:
         n, bases = preset_bases(name)
         for moduli in bases:
             bounds = ntt.ntt_bounds(n, moduli)
-            assert set(bounds) == {"float_operand", "quotient_error", "lazy_accumulator"}
+            assert set(bounds) == {"word", "entry_quotient", "twist_quotient", "gemm_sum"}
             for what, (peak, limit) in bounds.items():
                 assert 0 < peak < limit, (name, what)
-            assert bounds["float_operand"][0] == n * max(moduli)
+            # the longest product over a 30/31-bit basis: 32 * 1.5 * 2**45
+            assert bounds["gemm_sum"][0] > max(ntt._factors(n)) * 2**45
 
     def test_a_basis_outside_the_bounds_is_refused(self):
-        """N * p past 2**53: the float quotient would stop being within one."""
+        """A 50-bit modulus leaves the word size and the product sums both."""
         wide = (2**49 + 1,)
-        peak, limit = ntt.ntt_bounds(16, wide)["float_operand"]
-        assert peak >= limit
+        bounds = ntt.ntt_bounds(16, wide)
+        assert all(bounds[what][0] >= bounds[what][1] for what in ("word", "gemm_sum"))
         for transform in (ntt.ntt_forward_rns, ntt.ntt_inverse_rns):
-            with pytest.raises(ParameterError, match="float_operand"):
+            with pytest.raises(ParameterError, match="word"):
                 transform(np.zeros((1, 16), dtype=np.int64), wide)
-        long_ring = np.broadcast_to(np.int64(0), (1, 2**23))  # no memory behind it
-        with pytest.raises(ParameterError, match="quotient_error"):
-            ntt.ntt_forward_rns(long_ring, (P64,))
 
-    @pytest.mark.parametrize("name", [n for n in sorted(PRESETS) if n != "athena"])
+    def test_factors_follow_from_the_product_bound(self):
+        """Every N up to 2**23: the fewest factors of at most 32 (the largest
+        product gemm_sum admits at a 31-bit prime), at most one bit apart."""
+        assert ntt._gemm_peak(32, 2**31 - 1) < 2**51 <= ntt._gemm_peak(64, 2**31 - 1)
+        for log_n in range(1, 24):
+            fs = ntt._factors(1 << log_n)
+            assert math.prod(fs) == 1 << log_n and max(fs) <= 32
+            assert len(fs) == -(-log_n // 5) and max(fs) <= 2 * min(fs)
+            assert ntt.ntt_bounds(1 << log_n, (2**31 - 1,))["gemm_sum"][0] < 2**51
+
+    @pytest.mark.parametrize("name", PRESET_CASES)
     def test_twiddle_tables_stay_linear_in_the_basis(self, name):
-        """int64 + float64 rows of both directions are 2x the per-prime
-        psi_rev / ipsi_rev they are built from; the tiled short stages add a
-        constant (four 16-wide rows per limb, table and dtype), so from
-        N = 128 up a basis holds at most 4x."""
-        n, (moduli, _) = preset_bases(name)
-        forward, inverse, scale, mods = ntt._rns_tables(n, moduli)
-        assert len(forward) == len(inverse) == n.bit_length() - 1
-        held = sum(arr.nbytes for pair in (*forward, *inverse, scale) for arr in pair)
-        per_prime = sum(t.nbytes for p in moduli for t in ntt._tables(n, p)[:2])
-        tiles = 4 * len(moduli) * 4 * 16 * 8
-        assert held + mods.nbytes <= 2 * per_prime + tiles + 3 * mods.nbytes
-        if n >= 128:
-            assert held + mods.nbytes <= 4 * per_prime
-        assert not any(arr.flags.writeable for pair in forward + inverse for arr in pair)
+        """32 bytes per table entry (two directions x a float64 pair, or an
+        int64 twist beside its float64 quotient): a limb holds its (f, f)
+        matrices, the folded (B, A, A) block and one twisted word per
+        coefficient above the block — at most 32 N (A + 2) bytes, and from
+        N = 4096 up at most 5x the per-prime psi_rev / ipsi_rev. Computed
+        from shapes; built and counted below ATHENA."""
+        n, bases = preset_bases(name)
+        fs = ntt._factors(n)
+        a, b = fs[-1], (fs[-2] if len(fs) > 1 else 1)
+        twisted = sum(n // math.prod(fs[:s]) for s in range(len(fs) - 2))
+        per_limb = 32 * (sum(f * f for f in fs[:-1]) + b * a * a + twisted)
+        assert per_limb <= 32 * n * (a + 2)
+        if n >= 4096:
+            assert per_limb <= 5 * 16 * n
+        if name == "athena":
+            return
+        for moduli in bases:
+            forward, inverse, cols = ntt._gemm_tables(n, moduli)
+            tables = [x for step in forward + inverse for x in (*step[2:4], *(step[4] or ())[1:])]
+            assert sum(x.nbytes for x in tables) == len(moduli) * per_limb
+            assert not any(x.flags.writeable for x in (*tables, *cols))
