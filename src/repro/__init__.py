@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* :mod:`repro.fhe` — BFV/LWE/CKKS cryptographic substrate
+* :mod:`repro.fhe` — BFV/LWE cryptographic substrate
 * :mod:`repro.quant` — quantized CNN training/inference framework
 * :mod:`repro.data` — synthetic dataset generators
 * :mod:`repro.core` — the Athena five-step inference framework
@@ -32,7 +32,6 @@ _EXPORTS = {
     "InferenceResult": ("repro.serve", "InferenceResult"),
     "InferenceSession": ("repro.serve", "InferenceSession"),
     "ParallelMap": ("repro.perf", "ParallelMap"),
-    "PlanCache": ("repro.serve", "PlanCache"),
     "SessionCore": ("repro.serve", "SessionCore"),
     "SessionRuntime": ("repro.serve", "SessionRuntime"),
     "ShardedPlanCache": ("repro.serve", "ShardedPlanCache"),

@@ -233,7 +233,6 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         model, x, y, config,
         params=params,
         budget=args.budget,
-        mode=args.mode,
         bias_correct=not args.no_bias_correct,
         lut_margin=args.lut_margin,
     )
@@ -539,9 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: test-fbs)")
     p.add_argument("--budget", type=float, default=0.02,
                    help="max calibration accuracy drop (default: 0.02)")
-    p.add_argument("--mode", default="greedy", choices=["greedy", "dp"],
-                   help="knapsack solver: greedy ratio or exact DP "
-                        "(default: greedy)")
     p.add_argument("--no-bias-correct", action="store_true",
                    help="disable CalibTIP-style per-layer bias correction")
     p.add_argument("--lut-margin", type=int, default=8,

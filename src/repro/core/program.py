@@ -58,13 +58,13 @@ drift from the lowered fusion decisions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from repro.core import lowering
-from repro.errors import QuantizationError
+from repro.errors import QuantizationError, UnsupportedLayer
 from repro.fhe.fbs import (
     FbsLut,
     evaluate_poly_all,
@@ -311,8 +311,7 @@ class AthenaProgram:
 
 
 # --------------------------------------------------------------------------
-# Lowering pass — dispatch lives in the repro.core.lowering registry; this
-# module registers the stock rules and keeps the public lower() entry point.
+# Lowering pass
 # --------------------------------------------------------------------------
 
 
@@ -331,13 +330,72 @@ def lower(model: QuantizedModel, params: FheParams = ATHENA) -> AthenaProgram:
 
 def _lower_layers(layers: list, cfg: QuantConfig, params: FheParams,
                   prefix: str) -> list:
-    """Registry-driven lowering (see :mod:`repro.core.lowering`).
+    """Lower one quantized-IR layer list into program steps.
 
-    Kept under its historical name; raises
-    :class:`repro.errors.UnsupportedLayer` for layer types with no
-    registered rule.
+    Steps are named ``{prefix}{classname}{index}``, one index per source
+    layer, so a subclass of a Q-node lowers like its base under its own
+    name. A conv followed by a max-pool consumes the pool when the fusion
+    rule allows it; residual branches lower by recursion. Any other type
+    raises :class:`repro.errors.UnsupportedLayer`.
     """
-    return lowering.lower_layers(layers, cfg, params, prefix=prefix)
+    steps: list = []
+    i = 0
+    idx = 0
+    while i < len(layers):
+        layer = layers[i]
+        nxt = layers[i + 1] if i + 1 < len(layers) else None
+        name = f"{prefix}{type(layer).__name__.lower()}{idx}"
+        if isinstance(layer, QConv):
+            mac_values = int(math.prod(layer.out_shape))
+            fused = None
+            if isinstance(nxt, QMaxPool) and layer.activation in MONOTONE_ACTIVATIONS:
+                fused = nxt
+                i += 1  # the pool rides on this step
+            steps.append(LinearStep(
+                op="conv", layer=layer, lut=lut_spec(layer), name=name,
+                stat="conv", mac_values=mac_values,
+                out_values=mac_values // fused.stride**2 if fused else mac_values,
+                fused_pool=fused,
+            ))
+        elif isinstance(layer, QLinear):
+            steps.append(LinearStep(
+                op="fc", layer=layer, lut=lut_spec(layer), name=name,
+                stat="fc", mac_values=layer.out_features,
+                out_values=layer.out_features,
+            ))
+        elif isinstance(layer, QMaxPool):
+            steps.append(PoolStep(op="max", layer=layer, name=name))
+        elif isinstance(layer, (QAvgPool, QGlobalAvgPool)):
+            op, stat = ("sum", "avgpool") if isinstance(layer, QAvgPool) else ("gap", "gap")
+            steps.append(PoolStep(op=op, layer=layer, name=name, stat=stat))
+            steps.append(RemapStep(lut=lut_spec(layer), name=name, stat=stat))
+        elif isinstance(layer, QFlatten):
+            steps.append(ReshapeStep(name=name))
+        elif isinstance(layer, QResidual):
+            steps.append(ResidualStep(
+                layer=layer,
+                body=_lower_branch(layer.body, cfg, params, f"{name}.body"),
+                shortcut=(_lower_branch(layer.shortcut, cfg, params, f"{name}.skip")
+                          if layer.shortcut else None),
+                lut=lut_spec(layer), name=name,
+            ))
+        else:
+            kind = type(layer).__name__
+            raise UnsupportedLayer(
+                f"cannot lower layer {i} ({kind}): not a quantized-IR layer type",
+                index=i,
+                layer_type=kind,
+            )
+        i += 1
+        idx += 1
+    return steps
+
+
+def _lower_branch(layers: list, cfg: QuantConfig, params: FheParams,
+                  name: str) -> AthenaProgram:
+    """A residual branch as its own sub-program, steps prefixed ``name.``."""
+    return AthenaProgram(_lower_layers(layers, cfg, params, f"{name}."),
+                         cfg, params, name=name)
 
 
 # --------------------------------------------------------------------------
@@ -449,8 +507,3 @@ class PlainIntExecutor(ProgramExecutor):
             .max(axis=-1)
             .transpose(0, 3, 1, 2)
         )
-
-
-# The stock lowering rules close over this module's step classes, so they
-# register once the classes above exist (end of import).
-lowering._register_stock_rules()

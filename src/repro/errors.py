@@ -29,14 +29,13 @@ class QuantizationError(ReproError):
 
 
 class UnsupportedLayer(QuantizationError):
-    """Lowering met a layer type with no registered :class:`LoweringRule`.
+    """Lowering met a layer that is none of the quantized-IR node types.
 
-    Subclasses :class:`QuantizationError` so pre-registry callers that
-    caught the old ``cannot lower`` error keep working. The payload names
-    the offending layer so CLI users see *which* layer of *which* type
-    broke the compile instead of a bare class name: ``index`` is the
-    position within the layer list handed to the lowering pass and
-    ``layer_type`` the layer's class name.
+    Subclasses :class:`QuantizationError`, so callers catching quantization
+    failures catch it too. The payload names the offending layer so CLI
+    users see *which* layer of *which* type broke the compile instead of a
+    bare class name: ``index`` is the position within the layer list handed
+    to the lowering pass and ``layer_type`` the layer's class name.
     """
 
     def __init__(self, message: str, *, index: int | None = None,

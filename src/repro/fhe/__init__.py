@@ -1,4 +1,4 @@
-"""FHE substrate: BFV (exact), CKKS (approximate), LWE chain, FBS.
+"""FHE substrate: BFV (exact), LWE chain, FBS.
 
 Public surface:
 
@@ -8,7 +8,6 @@ Public surface:
 * :mod:`repro.fhe.packing` — LWE -> RLWE homomorphic-decryption packing
 * :mod:`repro.fhe.fbs` — LUT interpolation + Paterson-Stockmeyer evaluation
 * :mod:`repro.fhe.s2c` — slot-to-coefficient transform
-* :mod:`repro.fhe.ckks` — compact CKKS baseline
 * :mod:`repro.fhe.backend` — pluggable op-dispatch backends
   (batched / serial / counting) with context-local selection
 """

@@ -14,7 +14,7 @@ separate pre/post scaling pass is needed.
 :func:`negacyclic_mul_exact` provides an arbitrary-precision multiplier
 (the same transforms over an auxiliary basis of 31-bit NTT primes wide
 enough for an exact centered CRT lift) used to verify the NTT path, by the
-CKKS baseline and the encoding checks, and as the tests' oracle for BFV
+encoding checks, and as the tests' oracle for BFV
 ciphertext multiplication — which works over the same auxiliary primes but
 stays word-sized (:meth:`repro.fhe.bfv.BfvContext.tensor_products`).
 """

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -53,7 +55,9 @@ def params_fingerprint(params: FheParams) -> bytes:
 
 def _read(buf: io.BytesIO, size: int) -> bytes:
     """Exactly ``size`` bytes, or :class:`ParameterError` on a short read."""
-    data = buf.read(size)
+    # A size decoded from corrupt input may exceed what read() accepts; no
+    # buffer holds sys.maxsize bytes, so capping it still reads short.
+    data = buf.read(min(size, sys.maxsize))
     if len(data) != size:
         raise ParameterError("truncated serialized object")
     return data
@@ -80,9 +84,13 @@ def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
 def _read_array(buf: io.BytesIO) -> np.ndarray:
     (ndim,) = _unpack(buf, "<B")
     shape = tuple(_unpack(buf, "<Q")[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    data = _read(buf, count * 8)
-    return np.frombuffer(data, dtype="<i8").reshape(shape).astype(np.int64)
+    # math.prod, not np.prod: a uint64 product wraps, and a corrupt shape
+    # whose product wraps to the true length would pass the length check.
+    data = _read(buf, math.prod(shape) * 8)
+    try:
+        return np.frombuffer(data, dtype="<i8").reshape(shape).astype(np.int64)
+    except ValueError:  # an empty array with a dimension numpy cannot hold
+        raise ParameterError("corrupt array shape in serialized object") from None
 
 
 def _write_str(buf: io.BytesIO, text: str) -> None:

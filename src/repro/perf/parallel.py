@@ -71,7 +71,12 @@ class ExecConfig:
         env = os.environ if env is None else env
         mode = env.get("REPRO_EXECUTOR", "serial").strip().lower() or "serial"
         raw = env.get("REPRO_WORKERS", "").strip()
-        workers = int(raw) if raw else None
+        try:
+            workers = int(raw) if raw else None
+        except ValueError:
+            raise ParameterError(
+                f"REPRO_WORKERS must be an integer, got {raw!r}"
+            ) from None
         backend = env.get("REPRO_BACKEND", "").strip().lower() or None
         return cls(mode=mode, workers=workers, backend=backend)
 

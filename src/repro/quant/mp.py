@@ -17,9 +17,9 @@ Pipeline
 1. :func:`allocate_bits` quantizes the model once per (layer, candidate
    bit-width) pair with only that layer overridden, measuring calibration
    accuracy and predicted mod_mul cost — the sensitivity profile.
-2. A multiple-choice knapsack — greedy saving/drop ratio by default, an
-   exact drop-unit DP with ``mode="dp"`` — picks at most one override per
-   layer maximizing predicted savings under a max accuracy-drop budget.
+2. A multiple-choice knapsack, solved exactly by a DP over accuracy-drop
+   units, picks at most one override per layer maximizing predicted
+   savings under a max accuracy-drop budget.
 3. The combined assignment is *re-measured* (profiles assume additivity;
    the verification loop reverts the most damaging override until the
    measured drop fits the budget), so the returned config is certified on
@@ -223,7 +223,6 @@ class AllocationResult:
     mp: MpConfig
     config: QuantConfig
     params_name: str
-    mode: str
     budget: float
     bias_correct: bool
     lut_margin: int
@@ -251,7 +250,6 @@ class AllocationResult:
             "config": self.config.label,
             "t": self.config.t,
             "params": self.params_name,
-            "mode": self.mode,
             "budget": self.budget,
             "bias_correct": self.bias_correct,
             "lut_margin": self.lut_margin,
@@ -288,8 +286,7 @@ class AllocationResult:
 
     def report(self) -> str:
         lines = [
-            f"mixed-precision allocation [{self.mode}] for "
-            f"{self.config.label} @ {self.params_name} "
+            f"mixed-precision allocation for {self.config.label} @ {self.params_name} "
             f"(budget {self.budget:.3f}, margin {self.lut_margin})",
             f"  baseline  acc {self.baseline_accuracy:.4f}  "
             f"cost {self.baseline_cost:.3e} mod_muls",
@@ -304,31 +301,6 @@ class AllocationResult:
                 f"{'' if chosen else ' (uniform)'}"
             )
         return "\n".join(lines)
-
-
-def _greedy_assign(
-    profiles: list[LayerProfile], budget: float
-) -> dict[str, LayerQuantConfig]:
-    """Multiple-choice knapsack, greedy by saving/drop ratio."""
-    eps = 1e-9
-    items = [
-        (p.name, o)
-        for p in profiles
-        for o in p.options
-        if o.saving > 0 and o.drop <= budget + eps
-    ]
-    items.sort(key=lambda it: (-it[1].saving / max(it[1].drop, eps), it[0]))
-    assign: dict[str, LayerQuantConfig] = {}
-    spent = 0.0
-    for lname, opt in items:
-        if lname in assign:
-            continue
-        est = max(opt.drop, 0.0)
-        if spent + est > budget + eps:
-            continue
-        assign[lname] = opt.bits
-        spent += est
-    return assign
 
 
 def _dp_assign(
@@ -384,7 +356,6 @@ def allocate_bits(
     params: FheParams = TEST_FBS,
     candidates: list[LayerQuantConfig] | None = None,
     budget: float = 0.02,
-    mode: str = "greedy",
     bias_correct: bool = True,
     lut_margin: int = DEFAULT_LUT_MARGIN,
     name: str = "model",
@@ -392,14 +363,11 @@ def allocate_bits(
     """Search per-layer bit assignments minimizing predicted FHE cost.
 
     ``budget`` bounds the admissible calibration accuracy drop relative to
-    the uniform-bits baseline; ``mode`` is ``"greedy"`` (saving/drop ratio
-    knapsack) or ``"dp"`` (exact DP over drop units). The result's
-    ``model`` is the fully quantized mixed-precision model (tracked MAC
-    peaks, bias-corrected, restricted LUT ranges frozen), ready for
-    ``compile_program``.
+    the uniform-bits baseline; the knapsack is solved exactly by a DP over
+    drop units. The result's ``model`` is the fully quantized
+    mixed-precision model (tracked MAC peaks, bias-corrected, restricted
+    LUT ranges frozen), ready for ``compile_program``.
     """
-    if mode not in ("greedy", "dp"):
-        raise ParameterError(f"unknown allocation mode {mode!r}")
     if candidates is None:
         candidates = [
             LayerQuantConfig(b, b)
@@ -468,10 +436,7 @@ def allocate_bits(
     # Budget available for bit-narrowing on top of the floor's own drop.
     floor_drop = base_acc - floor_acc
     head = max(0.0, budget - max(floor_drop, 0.0))
-    if mode == "dp":
-        assign = _dp_assign(profiles, head, len(calib_y))
-    else:
-        assign = _greedy_assign(profiles, head)
+    assign = _dp_assign(profiles, head, len(calib_y))
 
     # Certify the combined config; profiles assume additivity, so revert
     # the most damaging override until the measured drop fits the budget.
@@ -500,7 +465,6 @@ def allocate_bits(
         mp=mp,
         config=config,
         params_name=params.name,
-        mode=mode,
         budget=budget,
         bias_correct=use_bc,
         lut_margin=lut_margin,

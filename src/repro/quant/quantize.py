@@ -369,55 +369,6 @@ def _wrap_t(mac: np.ndarray, t: int) -> np.ndarray:
     return (mac + t // 2) % t - t // 2
 
 
-def _ir_forward_int(ir: list, x_q: np.ndarray, config: QuantConfig) -> np.ndarray:
-    """Integer forward over a raw IR list, mirroring PlainIntExecutor.
-
-    Used by the calibration tracker to replay residual branches after
-    their tails are retargeted (and by bias correction to recompute branch
-    outputs): semantics — including where ``_wrap_t`` is and is not applied
-    — match ``repro.core.program.PlainIntExecutor`` node for node.
-    """
-    t, a_max = config.t, config.a_max
-    for node in ir:
-        if isinstance(node, QConv):
-            mac = _int_conv(x_q, node)
-            node.mac_peak = max(node.mac_peak, int(np.abs(mac).max()))
-            x_q = node.remap(_wrap_t(mac, t), a_max)
-        elif isinstance(node, QLinear):
-            mac = x_q @ node.weight.T + node.bias
-            node.mac_peak = max(node.mac_peak, int(np.abs(mac).max()))
-            x_q = node.remap(_wrap_t(mac, t), a_max)
-        elif isinstance(node, QMaxPool):
-            cols, oh, ow = nn.im2col(x_q, node.kernel, node.kernel, node.stride, 0)
-            b, c = x_q.shape[0], x_q.shape[1]
-            x_q = (
-                cols.reshape(b, oh, ow, c, node.kernel**2)
-                .max(axis=-1)
-                .transpose(0, 3, 1, 2)
-            )
-        elif isinstance(node, QAvgPool):
-            cols, oh, ow = nn.im2col(x_q, node.kernel, node.kernel, node.stride, 0)
-            b, c = x_q.shape[0], x_q.shape[1]
-            total = cols.reshape(b, oh, ow, c, node.kernel**2).sum(axis=-1)
-            node.mac_peak = max(node.mac_peak, int(np.abs(total).max()))
-            x_q = np.rint(total / node.kernel**2).astype(np.int64).transpose(0, 3, 1, 2)
-        elif isinstance(node, QGlobalAvgPool):
-            total = x_q.sum(axis=(2, 3))
-            node.mac_peak = max(node.mac_peak, int(np.abs(total).max()))
-            x_q = np.rint(total / node.spatial).astype(np.int64)
-        elif isinstance(node, QFlatten):
-            x_q = x_q.reshape(x_q.shape[0], -1)
-        elif isinstance(node, QResidual):
-            main = _ir_forward_int(node.body, x_q, config)
-            skip = _ir_forward_int(node.shortcut, x_q, config) if node.shortcut else x_q
-            total = main + skip * node.skip_alpha
-            node.mac_peak = max(node.mac_peak, int(np.abs(total).max()))
-            x_q = node.remap(_wrap_t(total, t), a_max)
-        else:
-            raise QuantizationError(f"cannot execute {type(node).__name__}")
-    return x_q
-
-
 # --------------------------------------------------------------------------
 # BatchNorm folding
 # --------------------------------------------------------------------------
@@ -508,9 +459,10 @@ def quantize_model(
 
     Any of the three switches the converter into *tracking* mode: the
     calibration batch is additionally threaded through the integer IR as
-    it is built (mirroring ``PlainIntExecutor`` node for node), so MAC
-    peaks and bias corrections reflect the quantized network the FHE
-    pipeline will actually run.
+    it is built (conv and linear MACs inline, where bias correction needs
+    them; pools and residual joins through ``forward_int``), so MAC peaks
+    and bias corrections reflect the quantized network the FHE pipeline
+    will actually run.
     """
     folded = fold_batchnorm(model)
     a_max = config.a_max
@@ -534,6 +486,11 @@ def quantize_model(
         shift = np.rint(delta / s).astype(np.int64)
         node.bias = node.bias + shift
         return shift
+
+    def _forward_int(ir: list, x_q: np.ndarray) -> np.ndarray:
+        # A raw IR list (one pool node, a residual branch) runs through the
+        # one integer executor, PlainIntExecutor.
+        return QuantizedModel(ir, config, 1.0, x_q.shape[1:]).forward_int(x_q)
 
     def convert(layers: list, x_f: np.ndarray, in_scale: float, x_q=None):
         """Returns (ir_list, out_float, out_scale, out_q)."""
@@ -621,7 +578,7 @@ def quantize_model(
                 ir.append(node)
                 x_f = layer.forward(x_f)
                 if x_q is not None:
-                    x_q = _ir_forward_int([node], x_q, config)
+                    x_q = _forward_int([node], x_q)
                 i += 1
             elif isinstance(layer, AvgPool2d):
                 node = QAvgPool(layer.kernel, layer.stride)
@@ -629,7 +586,7 @@ def quantize_model(
                 mac_nodes.append(node)
                 x_f = layer.forward(x_f)
                 if x_q is not None:
-                    x_q = _ir_forward_int([node], x_q, config)
+                    x_q = _forward_int([node], x_q)
                 i += 1
             elif isinstance(layer, GlobalAvgPool):
                 node = QGlobalAvgPool(spatial=x_f.shape[2] * x_f.shape[3])
@@ -637,7 +594,7 @@ def quantize_model(
                 mac_nodes.append(node)
                 x_f = layer.forward(x_f)
                 if x_q is not None:
-                    x_q = _ir_forward_int([node], x_q, config)
+                    x_q = _forward_int([node], x_q)
                 i += 1
             elif isinstance(layer, Flatten):
                 ir.append(QFlatten())
@@ -697,8 +654,8 @@ def quantize_model(
             # (out_scale/out_max), so the outputs threaded during convert
             # are stale. Bias corrections and tail MAC peaks stay valid —
             # the retarget only changes what happens *after* the MAC.
-            main_q = _ir_forward_int(body_ir, x_q, config)
-            skip_q = _ir_forward_int(shortcut_ir, x_q, config) if shortcut_ir else x_q
+            main_q = _forward_int(body_ir, x_q)
+            skip_q = _forward_int(shortcut_ir, x_q) if shortcut_ir else x_q
             total = main_q + skip_q * skip_alpha
             node.mac_peak = max(node.mac_peak, int(np.abs(total).max()))
             out_q = node.remap(_wrap_t(total, config.t), a_max)

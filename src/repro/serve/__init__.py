@@ -9,9 +9,9 @@ This package layers that split into a service:
   :class:`SessionRuntime` (keys, pipeline, request lock, p50/p99 stats);
   :class:`InferenceSession` remains the single-tenant façade over one of
   each.
-* **cache** — :class:`PlanCache` (crash-safe on-disk plan persistence) and
-  :class:`ShardedPlanCache` (fingerprint-sharded + in-memory, shared by
-  tenants running the same model).
+* **cache** — :class:`ShardedPlanCache`: crash-safe, fingerprint-sharded
+  on-disk plan persistence behind an in-memory layer shared by tenants
+  running the same model.
 * **tenant** — :class:`Tenant` / :class:`TenantRegistry`: per-tenant
   parameters, keygen seeds, pinned backends, and key-inventory sizing.
 * **api** — the typed request path: :class:`InferenceRequest` /
@@ -32,7 +32,7 @@ This package layers that split into a service:
 
 from repro.serve.api import InferenceRequest, InferenceResult, LayerStats
 from repro.serve.batching import BatchAssembler, RequestBatch
-from repro.serve.cache import PlanCache, ShardedPlanCache
+from repro.serve.cache import ShardedPlanCache
 from repro.serve.scheduler import FairScheduler
 from repro.serve.service import AthenaService
 from repro.serve.session import InferenceSession, SessionCore, SessionRuntime
@@ -47,7 +47,6 @@ __all__ = [
     "InferenceResult",
     "InferenceSession",
     "LayerStats",
-    "PlanCache",
     "RequestBatch",
     "SessionCore",
     "SessionRuntime",

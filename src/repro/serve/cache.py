@@ -1,18 +1,13 @@
-"""On-disk compiled-plan caches keyed by (model hash, params hash).
+"""The compiled-plan cache keyed by (model hash, params hash).
 
-Two flavours:
-
-* :class:`PlanCache` — the flat single-directory cache of PR 3, now with
-  crash-safe persistence (plans are written to a temp file in the cache
-  directory and published with :func:`os.replace`, so a concurrent reader
-  can never load a truncated ``.plan``) and hit/miss accounting.
-* :class:`ShardedPlanCache` — the serving-layer cache: artifacts are
-  sharded into subdirectories by ``program_fingerprint`` prefix (so one
-  deployment directory scales past a few thousand models), and loaded
-  plans are additionally memoized in memory keyed by the full
-  ``(model hash, params hash)`` pair — tenants sharing a model
-  under the same parameters share one compiled artifact *object*, which is
-  safe because plans hold no key material and are read-only at run time.
+Artifacts are sharded into subdirectories by ``program_fingerprint``
+prefix (so one deployment directory scales past a few thousand models),
+written crash-safe (a temp file in the destination directory published
+with :func:`os.replace`, so a concurrent reader can never load a truncated
+``.plan``), and memoized in memory keyed by the full ``(model hash, params
+hash)`` pair — tenants sharing a model under the same parameters share one
+compiled artifact *object*, which is safe because plans hold no key
+material and are read-only at run time.
 """
 
 from __future__ import annotations
@@ -27,14 +22,23 @@ from repro.errors import ReproError
 from repro.fhe.params import FheParams
 from repro.fhe.serialize import dump_plan, load_plan, params_fingerprint
 
+#: Leading hex digits of the model fingerprint that name a plan's shard.
+SHARD_CHARS = 2
 
-class PlanCache:
+
+class ShardedPlanCache:
     """Persist :class:`CompiledProgram` artifacts across processes.
 
     The cache key is the pair of fingerprints that fully determine a plan —
     the lowered model (structure + weights + quantization config) and the
     parameter set. Artifacts contain no key material, so a shared cache
-    directory is safe.
+    directory is safe. Disk layout:
+    ``<root>/<hash[:2]>/<hash[:16]>-<params>.plan``.
+
+    ``root=None`` builds a memory-only cache (nothing touches disk) — the
+    default for an :class:`repro.serve.AthenaService` that was not given a
+    persistent cache directory, so co-located tenants still share one
+    compiled plan per model.
 
     Writes are atomic: the artifact is staged as a ``*.tmp`` file in the
     destination directory and published with :func:`os.replace`, so every
@@ -50,21 +54,17 @@ class PlanCache:
     SUFFIX = ".plan"
 
     def __init__(self, root: str | Path | None):
-        #: ``None`` = nothing touches disk: every :meth:`get` compiles.
         self.root = None if root is None else Path(root)
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-
-    @classmethod
-    def file_name(cls, model_hash: str, params: FheParams) -> str:
-        """``<hash16>-<params>.plan``."""
-        return f"{model_hash[:16]}-{params_fingerprint(params).hex()}{cls.SUFFIX}"
+        self._memory: dict[tuple[str, str], CompiledProgram] = {}
 
     def path_for(self, model_hash: str, params: FheParams) -> Path:
-        return self.root / self.file_name(model_hash, params)
+        name = f"{model_hash[:16]}-{params_fingerprint(params).hex()}{self.SUFFIX}"
+        return self.root / model_hash[:SHARD_CHARS] / name
 
     def _record(self, hit: bool) -> None:
         with self._lock:
@@ -91,19 +91,32 @@ class PlanCache:
             }
 
     def get(self, program, params: FheParams) -> CompiledProgram:
-        """Load the program's plan from disk, compiling (and saving) on miss.
+        """The program's plan: from memory, else from disk, else compiled
+        (and saved).
 
         A cached artifact that no longer loads — a stale wire version left
         behind by an older build, a truncated file, a flipped bit — is
         treated as a miss and overwritten with a fresh compile, so cache
         directories survive format bumps and corruption without manual
-        cleanup. A hit is :func:`load_plan` (plus the identity check of
+        cleanup. A disk hit is :func:`load_plan` (plus the identity check of
         :meth:`CompiledProgram.bind`) and nothing else: the loaded plan is
         complete, so the serve path never compiles on a warm cache.
         """
-        path = None if self.root is None else self.path_for(
-            program_fingerprint(program), params
-        )
+        model_hash = program_fingerprint(program)
+        key = (model_hash, params_fingerprint(params).hex())
+        with self._lock:
+            plan = self._memory.get(key)
+        if plan is not None:
+            self._record(hit=True)
+            return plan
+        plan = self._load_or_compile(program, params, model_hash)
+        with self._lock:
+            self._memory[key] = plan
+        return plan
+
+    def _load_or_compile(self, program, params: FheParams,
+                         model_hash: str) -> CompiledProgram:
+        path = None if self.root is None else self.path_for(model_hash, params)
         if path is not None and path.exists():
             try:
                 plan = load_plan(path.read_bytes(), params).bind(program, params)
@@ -134,38 +147,3 @@ class PlanCache:
             except OSError:
                 pass
             raise
-
-
-class ShardedPlanCache(PlanCache):
-    """Fingerprint-sharded plan cache with an in-memory layer.
-
-    ``root=None`` builds a memory-only cache (nothing touches disk) — the
-    default for an :class:`repro.serve.AthenaService` that was not given a
-    persistent cache directory, so co-located tenants still share one
-    compiled plan per model.
-
-    Disk layout shards by the leading ``shard_chars`` hex digits of the
-    model fingerprint: ``<root>/<hash[:2]>/<hash[:16]>-<params>.plan``.
-    """
-
-    def __init__(self, root: str | Path | None, shard_chars: int = 2):
-        super().__init__(root)
-        self.shard_chars = shard_chars
-        self._memory: dict[tuple[str, str], CompiledProgram] = {}
-
-    def path_for(self, model_hash: str, params: FheParams) -> Path:
-        return (self.root / model_hash[: self.shard_chars]
-                / self.file_name(model_hash, params))
-
-    def get(self, program, params: FheParams) -> CompiledProgram:
-        """Memory, then :meth:`PlanCache.get` (sharded disk, then compile)."""
-        key = (program_fingerprint(program), params_fingerprint(params).hex())
-        with self._lock:
-            plan = self._memory.get(key)
-        if plan is not None:
-            self._record(hit=True)
-            return plan
-        plan = super().get(program, params)
-        with self._lock:
-            self._memory[key] = plan
-        return plan

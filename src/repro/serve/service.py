@@ -57,7 +57,7 @@ from repro.errors import ParameterError
 from repro.perf import ExecConfig
 from repro.serve.api import InferenceRequest, InferenceResult, LayerStats
 from repro.serve.batching import BatchAssembler, RequestBatch
-from repro.serve.cache import PlanCache, ShardedPlanCache
+from repro.serve.cache import ShardedPlanCache
 from repro.serve.scheduler import FairScheduler
 from repro.serve.session import SessionCore
 from repro.serve.tenant import Tenant, TenantRegistry
@@ -88,7 +88,7 @@ class AthenaService:
     def __init__(
         self,
         tenants: TenantRegistry | Iterable[Tenant],
-        cache: PlanCache | None = None,
+        cache: ShardedPlanCache | None = None,
         exec_config: ExecConfig | None = None,
         queue_capacity: int = 8,
         transport_s: float = 0.0,

@@ -58,7 +58,7 @@ class SessionCore:
 
     Everything here is plain data — numpy arrays, dataclasses, and at most
     a backend *name* — so a core pickles cleanly and can be built once in a
-    control process, persisted through a :class:`repro.serve.PlanCache`,
+    control process, persisted through a :class:`repro.serve.ShardedPlanCache`,
     and handed to any number of workers. Pass ``backend`` as a name (not an
     instance) when a core must cross a process boundary; stateful backend
     instances (e.g. a populated CountingBackend) are kept by reference and
@@ -94,7 +94,7 @@ class SessionCore:
         may be a quantized model or a pre-lowered program; ``plan`` checks a
         caller-supplied (typically deserialized) plan against the program —
         a loaded plan is complete, binding builds nothing; ``cache``
-        consults a :class:`repro.serve.PlanCache` (a disk hit is a
+        consults a :class:`repro.serve.ShardedPlanCache` (a disk hit is a
         ``load_plan``, never a compile), and otherwise the program is
         compiled here. The duration of that plan work is ``compile_s``.
         """
@@ -244,7 +244,7 @@ class InferenceSession:
     """Compile once, run many: the warm-serving façade over the pipeline.
 
     Construction does all request-invariant work — plan compilation, a
-    :class:`repro.serve.PlanCache` lookup, or binding a caller-supplied
+    :class:`repro.serve.ShardedPlanCache` lookup, or binding a caller-supplied
     deserialized plan (the :class:`SessionCore`, its duration recorded as
     ``compile_s``) — then key generation and pipeline setup (the
     :class:`SessionRuntime`). Each :meth:`run` performs only ciphertext

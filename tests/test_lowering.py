@@ -1,12 +1,12 @@
-"""The pluggable lowering registry and its widened ciphertext-path coverage.
+"""The closed lowering pass and its ciphertext-path coverage.
 
-Fast tier: registry resolution (MRO walk, custom rules), the typed
+Fast tier: subclasses of a Q-node lower like their base, the typed
 :class:`~repro.errors.UnsupportedLayer` error and its CLI surface, and
 grouped/depthwise conv equivalence across the plaintext and simulated
 executors.
 
 Slow tier: the real-ciphertext pipeline over every layer shape the
-registry refactor opened up — fused max-pool, interior padding, identity
+lowering covers — fused max-pool, interior padding, identity
 and projection residuals, average/global-average pooling heads, grouped
 convs, and a three-stage resnet56-style miniature — each checked against
 the integer reference model.
@@ -15,15 +15,9 @@ the integer reference model.
 import numpy as np
 import pytest
 
-from repro.core import lowering
 from repro.core.inference import AthenaNoiseModel, SimulatedAthenaEngine
-from repro.core.lowering import (
-    lowering_rules,
-    register_rule,
-    rule_for,
-)
 from repro.core.plan import compile_program, program_fingerprint
-from repro.core.program import ReshapeStep, lower
+from repro.core.program import lower
 from repro.errors import QuantizationError, ReproError, UnsupportedLayer
 from repro.fhe.params import TEST_LOOP
 from repro.quant.quantize import (
@@ -71,47 +65,43 @@ def _fc(rng, fin, fout, out_scale=2.0):
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Closed lowering
 # ---------------------------------------------------------------------------
 
 
-class TestRegistry:
-    def test_stock_rules_cover_the_quantized_ir(self):
-        rules = lowering_rules()
-        for kind in (QConv, QLinear, QMaxPool, QAvgPool, QGlobalAvgPool,
-                     QFlatten, QResidual):
-            assert kind in rules, kind
-
-    def test_subclass_inherits_rule_through_mro(self):
+class TestClosedLowering:
+    def test_subclass_lowers_like_its_base(self):
         class FancyConv(QConv):
             pass
 
         rng = np.random.default_rng(0)
-        layer = FancyConv(**vars(_conv(rng, 1, 1, 3, 1, 0, 6)))
-        assert rule_for(layer) is lowering_rules()[QConv]
+        conv = _conv(rng, 1, 1, 3, 1, 0, 6)
+        tail = [QMaxPool(2, 2), QFlatten(), _fc(rng, 4, 3)]
 
-    def test_unregistered_type_has_no_rule(self):
+        def steps(first):
+            qm = QuantizedModel([first, *tail], CFG, 1.0, (1, 6, 6))
+            return lower(qm, TEST_LOOP).steps
+
+        def shape(steps):
+            return [(s.kind, getattr(s, "op", None), getattr(s, "out_values", None))
+                    for s in steps]
+
+        base, fancy = steps(conv), steps(FancyConv(**vars(conv)))
+        assert [s.name for s in fancy] == ["fancyconv0", "qflatten1", "qlinear2"]
+        assert fancy[0].fused_pool is tail[0]  # the conv + max-pool fusion holds
+        assert shape(fancy) == shape(base)
+
+    def test_unknown_type_in_a_branch_names_its_index_and_type(self):
         class Mystery:
             pass
 
-        assert rule_for(Mystery()) is None
-
-    def test_custom_rule_registration(self):
-        class PassThrough:
-            pass
-
-        try:
-            @register_rule(PassThrough)
-            def _lower_passthrough(ctx, layer, nxt, name):
-                return [ReshapeStep(name=name)], 0
-
-            steps = lowering.lower_layers(
-                [PassThrough()], CFG, TEST_LOOP)
-            assert len(steps) == 1
-            assert isinstance(steps[0], ReshapeStep)
-            assert steps[0].name == "passthrough0"
-        finally:
-            lowering._RULES.pop(PassThrough, None)
+        rng = np.random.default_rng(0)
+        block = QResidual(body=[_conv(rng, 1, 1, 3, 1, 1, 4), Mystery()],
+                          shortcut=None, add_scale=1.0, out_scale=2.0)
+        qm = QuantizedModel([block], CFG, 1.0, (1, 4, 4))
+        with pytest.raises(UnsupportedLayer) as exc_info:
+            lower(qm, TEST_LOOP)
+        assert (exc_info.value.index, exc_info.value.layer_type) == (1, "Mystery")
 
 
 class TestUnsupportedLayer:
@@ -127,7 +117,6 @@ class TestUnsupportedLayer:
         exc = exc_info.value
         assert exc.index == 1
         assert exc.layer_type == "Mystery"
-        assert "register_rule" in str(exc)
         # The typed error slots into the existing hierarchy (CLI catch-all).
         assert isinstance(exc, QuantizationError)
         assert isinstance(exc, ReproError)
@@ -201,7 +190,7 @@ class TestGroupedConv:
 
 
 # ---------------------------------------------------------------------------
-# Real-ciphertext coverage of the widened lowering surface
+# Real-ciphertext coverage of the lowering surface
 # ---------------------------------------------------------------------------
 
 
@@ -226,7 +215,7 @@ def _run_ciphertext(layers, in_shape, seed=7, pipe_seed=41):
 
 @pytest.mark.slow
 class TestCiphertextCoverage:
-    """Every layer shape the registry opened up, end to end under TEST_LOOP.
+    """Every layer shape the lowering covers, end to end under TEST_LOOP.
 
     Tolerance: :func:`tests.conftest.refresh_noise_bound` for each model —
     4 sigma of the logit error its last two refreshes cause, 4 to 9 LSB

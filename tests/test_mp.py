@@ -158,12 +158,11 @@ class TestAllocator:
         # accuracy vs the legacy baseline.
         assert res.floor_accuracy >= res.baseline_accuracy - res.budget - 1e-12
 
-    @pytest.mark.parametrize("mode", ["greedy", "dp"])
-    def test_micro_subject_allocation_is_pinned(self, subject, mode):
+    def test_micro_subject_allocation_is_pinned(self, subject):
         """The objective is ``trace_model``'s predicted mod_muls; the
         allocation it produces on the micro subject, literally."""
         model, x, y, config = subject
-        res = allocate_bits(model, x, y, config, params=TEST_FBS, mode=mode)
+        res = allocate_bits(model, x, y, config, params=TEST_FBS)
         assert res.mp.tag() == "linear1=w2a2"
         assert (res.baseline_cost, res.floor_cost, res.cost) == (
             553584, 195184, 182896)
@@ -178,13 +177,6 @@ class TestAllocator:
         assert res.baseline_cost == trace_model(
             qm, TEST_FBS, softmax=False).totals().mod_mul
 
-    def test_dp_no_worse_than_greedy(self, subject, allocation):
-        model, x, y, config = subject
-        dp = allocate_bits(model, x, y, config, params=TEST_FBS,
-                           budget=0.02, mode="dp")
-        assert dp.drop <= dp.budget + 1e-12
-        assert dp.cost <= allocation.cost + 1e-9
-
     def test_report_and_json(self, allocation):
         payload = allocation.to_json()
         assert payload["tag"] == allocation.mp.tag()
@@ -192,12 +184,6 @@ class TestAllocator:
         assert payload["layers"], payload
         text = allocation.report()
         assert "baseline" in text and "allocated" in text
-
-    def test_bad_mode_rejected(self, subject):
-        model, x, y, config = subject
-        with pytest.raises(ParameterError):
-            allocate_bits(model, x, y, config, params=TEST_FBS,
-                          mode="simulated-annealing")
 
 
 class TestPlanIntegration:

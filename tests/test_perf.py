@@ -43,8 +43,7 @@ def _public_signatures(module: str):
 #: executor and no per-step encoding option.
 _OPTION_FREE = [
     "repro.core.framework", "repro.core.plan", "repro.core.program",
-    "repro.core.lowering", "repro.fhe.serialize", "repro.fhe.fbs",
-    "repro.quant.mp", "repro.serve",
+    "repro.fhe.serialize", "repro.fhe.fbs", "repro.quant.mp", "repro.serve",
 ]
 
 
@@ -110,6 +109,14 @@ class TestParallelMap:
             ExecConfig(mode="gpu")
         with pytest.raises(ParameterError):
             ExecConfig(workers=0)
+
+    def test_exec_config_rejects_non_integer_workers(self, monkeypatch, capsys):
+        with pytest.raises(ParameterError, match="REPRO_WORKERS"):
+            ExecConfig.from_env({"REPRO_WORKERS": "four"})
+        # table5 fans out through ParallelMap() before any work: a clean exit 1.
+        monkeypatch.setenv("REPRO_WORKERS", "four")
+        assert main(["experiment", "table5"]) == 1
+        assert "repro: error: REPRO_WORKERS" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["serial", "thread"])
     def test_map_preserves_order(self, mode):

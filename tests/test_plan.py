@@ -23,7 +23,7 @@ from repro.fhe.backend import CountingBackend
 from repro.fhe.params import TEST_LOOP, TEST_SMALL
 from repro.fhe.serialize import dump_plan, load_plan
 from repro.quant.subjects import SUBJECTS, micro_subject, mnist_cnn_micro
-from repro.serve import InferenceSession, PlanCache
+from repro.serve import InferenceSession, ShardedPlanCache
 from tests.conftest import refresh_noise_bound
 
 
@@ -168,7 +168,7 @@ class TestCompileFailsWhereRunWould:
         with pytest.raises(error, match=text):
             SessionCore.build(qm, TEST_LOOP)
         with pytest.raises(error, match=text):
-            PlanCache(tmp_path).get(lower(qm, TEST_LOOP), TEST_LOOP)
+            ShardedPlanCache(tmp_path).get(lower(qm, TEST_LOOP), TEST_LOOP)
         assert not list(tmp_path.iterdir())  # nothing cached either
         service = AthenaService([Tenant("a", TEST_LOOP)])
         with pytest.raises(error, match=text):
@@ -298,23 +298,25 @@ class TestWireFormat:
 class TestPlanCache:
     def test_miss_compiles_and_persists(self, tmp_path):
         _, program = _program()
-        cache = PlanCache(tmp_path)
+        cache = ShardedPlanCache(tmp_path)
         plan = cache.get(program, TEST_LOOP)
         path = cache.path_for(plan.model_hash, TEST_LOOP)
         assert path.exists() and path.suffix == ".plan"
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_hit_loads_from_disk(self, tmp_path, monkeypatch):
         _, program = _program()
-        cache = PlanCache(tmp_path)
-        first = cache.get(program, TEST_LOOP)
-        # A second lookup must not recompile: poison compile_program.
+        first = ShardedPlanCache(tmp_path).get(program, TEST_LOOP)
+        # A lookup after a restart must not recompile: poison compile_program.
         import repro.serve.cache as cache_mod
 
         def boom(*a, **k):  # pragma: no cover - fails the test if reached
             raise AssertionError("cache hit must not recompile")
 
         monkeypatch.setattr(cache_mod, "compile_program", boom)
+        cache = ShardedPlanCache(tmp_path)  # nothing in memory
         second = cache.get(program, TEST_LOOP)
+        assert (cache.hits, cache.misses) == (1, 0)
         assert second.model_hash == first.model_hash
         assert np.array_equal(
             second.steps[0].kernel.coeffs, first.steps[0].kernel.coeffs

@@ -171,6 +171,22 @@ class TestMalformedInput:
         with pytest.raises(ParameterError, match="inconsistent"):
             load(head + _array_bytes(a) + _array_bytes(b))
 
+    @pytest.mark.parametrize("kind, top", [("ciphertext", 40), ("lwe", 24)])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_single_bit_flip_loads_or_is_a_parameter_error(
+            self, blobs, kind, top, data):
+        """Byte ``top`` is the high byte of the first shape word: its top
+        bit makes the shape product wrap in uint64 to the true length."""
+        raw, load = blobs[kind]
+        flipped = bytearray(raw)
+        at = data.draw(st.just(top) | st.integers(0, len(raw) - 1))
+        flipped[at] ^= 1 << data.draw(st.integers(0, 7))
+        try:
+            load(bytes(flipped))
+        except ParameterError:
+            pass
+
     def test_flipped_string_byte_is_a_parameter_error(self, blobs):
         raw, load = blobs["plan"]
         flipped = bytearray(raw[:-4])
@@ -515,40 +531,35 @@ class TestPlanIntegrity:
         with pytest.raises(ParameterError):
             serialize.load_plan(bytes(raw), TEST_LOOP)
 
-    @pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
-    def test_caches_self_heal_from_a_flipped_bit(self, tmp_path_factory,
-                                                 sharded, data):
-        from repro.serve import PlanCache, ShardedPlanCache
+    def test_caches_self_heal_from_a_flipped_bit(self, tmp_path_factory, data):
+        from repro.serve import ShardedPlanCache
 
         program, plan = _resnet_block_plan()
         root = tmp_path_factory.mktemp("plans")
-        make = ShardedPlanCache if sharded else PlanCache
-        make(root).get(program, TEST_LOOP)
-        path = make(root).path_for(plan.model_hash, TEST_LOOP)
+        ShardedPlanCache(root).get(program, TEST_LOOP)
+        path = ShardedPlanCache(root).path_for(plan.model_hash, TEST_LOOP)
         whole = path.read_bytes()
         assert whole == _resnet_block_raw()
         damaged = bytearray(whole)
         at = data.draw(st.integers(24, len(whole) - 1))  # past the header
         damaged[at] ^= 1 << data.draw(st.integers(0, 7))
         path.write_bytes(bytes(damaged))
-        cache = make(root)  # a restart: nothing in memory
+        cache = ShardedPlanCache(root)  # a restart: nothing in memory
         healed = cache.get(program, TEST_LOOP)
         assert (cache.hits, cache.misses) == (0, 1)
         assert serialize.dump_plan(healed) == whole
         assert path.read_bytes() == whole
 
-    @pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
-    def test_caches_self_heal_from_a_v4_artifact(self, tmp_path, sharded):
-        from repro.serve import PlanCache, ShardedPlanCache
+    def test_caches_self_heal_from_a_v4_artifact(self, tmp_path):
+        from repro.serve import ShardedPlanCache
 
+        cache = ShardedPlanCache(tmp_path)
         program, plan = _resnet_block_plan()
-        make = ShardedPlanCache if sharded else PlanCache
-        path = make(tmp_path).path_for(plan.model_hash, TEST_LOOP)
+        path = cache.path_for(plan.model_hash, TEST_LOOP)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(_as_v4(_resnet_block_raw()))
-        cache = make(tmp_path)
         healed = cache.get(program, TEST_LOOP)
         assert (cache.hits, cache.misses) == (0, 1)
         assert serialize.dump_plan(healed) == _resnet_block_raw()

@@ -32,7 +32,6 @@ from repro.serve import (
     InferenceResult,
     InferenceSession,
     LayerStats,
-    PlanCache,
     SessionCore,
     ShardedPlanCache,
     Tenant,
@@ -347,7 +346,7 @@ def _loop_program():
 class TestCrashSafePersistence:
     def test_crash_mid_write_leaves_no_partial_plan(self, tmp_path, monkeypatch):
         program = _loop_program()
-        cache = PlanCache(tmp_path)
+        cache = ShardedPlanCache(tmp_path)
 
         def crash(src, dst):
             raise OSError("simulated crash before publish")
@@ -357,18 +356,20 @@ class TestCrashSafePersistence:
             cache.get(program, TEST_LOOP)
         # Nothing published, nothing leaked: a concurrent reader can never
         # observe a truncated artifact, and the staging file is cleaned up.
-        assert list(tmp_path.rglob(f"*{PlanCache.SUFFIX}")) == []
+        assert list(tmp_path.rglob(f"*{ShardedPlanCache.SUFFIX}")) == []
         assert list(tmp_path.rglob("*.tmp")) == []
         monkeypatch.undo()
         # The retry compiles again and persists normally.
         plan = cache.get(program, TEST_LOOP)
         path = cache.path_for(plan.model_hash, TEST_LOOP)
         assert path.exists()
-        assert PlanCache(tmp_path).get(program, TEST_LOOP).model_hash == plan.model_hash
+        restarted = ShardedPlanCache(tmp_path)
+        assert restarted.get(program, TEST_LOOP).model_hash == plan.model_hash
+        assert (restarted.hits, restarted.misses) == (1, 0)
 
     def test_hit_miss_accounting(self, tmp_path):
         program = _loop_program()
-        cache = PlanCache(tmp_path)
+        cache = ShardedPlanCache(tmp_path)
         assert cache.hit_rate is None
         cache.get(program, TEST_LOOP)
         cache.get(program, TEST_LOOP)
@@ -378,13 +379,13 @@ class TestCrashSafePersistence:
 
     def test_truncated_artifact_self_heals(self, tmp_path):
         program = _loop_program()
-        cache = PlanCache(tmp_path)
-        plan = cache.get(program, TEST_LOOP)
+        plan = ShardedPlanCache(tmp_path).get(program, TEST_LOOP)
+        cache = ShardedPlanCache(tmp_path)  # a restart: nothing in memory
         path = cache.path_for(plan.model_hash, TEST_LOOP)
         whole = path.read_bytes()
         path.write_bytes(whole[:30])
         assert cache.get(program, TEST_LOOP).model_hash == plan.model_hash
-        assert (cache.hits, cache.misses) == (0, 2)
+        assert (cache.hits, cache.misses) == (0, 1)
         assert path.read_bytes() == whole
 
 
