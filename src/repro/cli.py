@@ -89,8 +89,8 @@ def _cmd_params(args: argparse.Namespace) -> int:
         sec = check_params(p)
         print(p.describe())
         print(
-            f"    security: RLWE {sec['rlwe_bits']:.0f} bits, "
-            f"LWE {sec['lwe_bits']:.0f} bits"
+            f"    security: RLWE {sec['rlwe_bits']:.0f} bits, keys (log2 QP = "
+            f"{sec['logqp']:.0f}) {sec['key_bits']:.0f} bits, LWE {sec['lwe_bits']:.0f} bits"
         )
     return EXIT_OK
 

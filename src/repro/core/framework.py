@@ -92,14 +92,8 @@ class AthenaPipeline:
             self.s2c_key = S2CKey(
                 self.packing_key.rotation_keys | swap, self.packing_key.baby_steps
             )
-            # Warm the NTT-domain stacks of every keyswitch key once at
-            # keygen: the fused kernels multiply against these on every
-            # rotation/CMult, so no request ever pays the key transforms.
-            # Then the packing key's stack of rotated secrets, every
-            # packing's sources, which is built from them.
-            self.rlk.warm()
-            for gk in self.s2c_key.rotation_keys.values():
-                gk.warm()
+            # The packing key's stack of rotated secrets, every packing's
+            # sources, is built once here from the Galois keys.
             self.packing_key.rotated_secrets()
 
     def _dispatch(self):

@@ -3,9 +3,9 @@
 The paper's Table 1 lists 720 MB of "rot+relin" key material. This module
 derives the concrete inventory our pipeline needs — which Galois elements
 the packing and S2C mat-vecs use, the relinearization key, and the LWE
-keyswitch key — and sizes it as the keys the code generates (one digit per
-limb of Q over Q u {P}, :meth:`FheParams.keyswitch_key_bytes`), with and
-without seed compression (PRNG regeneration of the uniform halves).
+keyswitch key — and sizes it as the keys the code generates (D digits over
+Q u P, :meth:`FheParams.keyswitch_key_bytes`: 5 of 875 bits at ATHENA), with
+and without seed compression (PRNG regeneration of the uniform halves).
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ def build_inventory(params: FheParams = ATHENA) -> KeyInventory:
 
 
 def summarize(params: FheParams = ATHENA, dnum: int = 3) -> dict[str, float]:
-    """Key sizing under hybrid keyswitching with ``dnum`` grouped digits (the
-    accelerator-style configuration; the executed keys have one digit per
-    limb, ``dnum`` = L) — the regime in which the paper's ~720 MB figure
-    lives."""
+    """Key sizing under hybrid keyswitching with ``dnum`` grouped digits over
+    Q alone (the accelerator-style configuration; the executed keys have D =
+    5 digits over Q u P at ATHENA) — the regime in which the paper's ~720 MB
+    figure lives."""
     inv = build_inventory(params)
     per_key = dnum * 2 * params.n * params.q.bit_length() // 8 // 2  # seeded
     total = (inv.num_galois_keys + 1) * per_key + inv.lwe_ksk_bytes()

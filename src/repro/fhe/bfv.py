@@ -285,10 +285,7 @@ class BfvContext:
         p = self.params
         current_backend().record("decrypt")
         phase = ct.c0 + ct.c1 * sk.poly
-        coeffs = np.asarray(phase.to_int_coeffs(centered=False), dtype=object)
-        q = p.q
-        out = (((coeffs * p.t + q // 2) // q) % p.t).astype(np.int64)
-        return Plaintext(out, p)
+        return Plaintext(phase.mod_switch(p.t), p)
 
     # ----- Table-4 noise rules: one statement each, shared by the ops below
     # and by the fused mat-vec's estimate (repro.fhe.packing.hypercube_matvec)
@@ -485,7 +482,7 @@ class BfvContext:
 
         Runs through the backend's fused
         :meth:`~repro.fhe.backend.Backend.rotate_keyswitch`, which
-        takes c1's residue rows as digits and rotates *them* (the one
+        takes c1's digits and rotates *them* (the one
         rotation definition, shared with the fused mat-vec). Both records land
         here so counting stays in one place.
         """

@@ -1,26 +1,30 @@
 """Key material for the BFV scheme: secret/public keys and keyswitch keys.
 
 Keyswitch keys (relinearization, Galois, and LWE packing keys) are hybrid
-keys at one RNS digit per limb of Q = q_0 ... q_{L-1} and one special prime
-P: the key for a target secret ``g`` is the list
+keys over Q = q_0 ... q_{L-1} and a special basis P of K = alpha primes
+(:attr:`FheParams.special_moduli`). Q's limbs fall into D = ceil(L / alpha)
+digit groups of alpha limbs (the last may hold fewer), Q_j the product of
+group j, and the key for a target secret ``g`` is
 
-    KSK_i = (-(a_i * s) + e_i + P * g * delta_i, a_i)   over Q u {P},
+    KSK_j = (-(a_j * s) + e_j + P * g * delta_j, a_j)   over Q u P,
 
-delta_i being the CRT idempotent of limb i (1 mod q_i, 0 mod q_j), so that
-``sum_i c_i * P * delta_i = P * c`` for the residue rows c_i = c mod q_i of
-a component *as they stand*: nothing is decomposed, each row is only
-reduced into the limbs of Q u {P}. ``sum_i c_i * KSK_i`` encrypts
-P * c * g under ``s`` modulo Q * P; dividing it by P with rounding (the
-*mod-down*) key-switches the component for O(L * N * sigma * max(q_i) / P
-+ N) noise, L digit transforms and no big integer anywhere.
+delta_j the CRT idempotent of group j. Digit j of a component c is the
+centred lift [c]_{Q_j} of its group-j residues, so ``sum_j [c]_{Q_j} *
+KSK_j`` encrypts P * c * g under ``s`` modulo Q * P; dividing it by P with
+rounding (the *mod-down*) key-switches c for O(D * N * sigma * max(Q_j) / P
++ N) noise, max(Q_j) < P. A digit enters Q u P by one word-sized base
+extension (the *mod-up*), the mod-down is another: no big integer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fhe import rns
+from repro.fhe.backend import digit_groups
 from repro.fhe.ntt import ntt_forward_rns
 from repro.fhe.params import FheParams
 from repro.fhe.poly import RnsPoly
@@ -73,56 +77,35 @@ def _uniform_poly(moduli: tuple[int, ...], n: int, sampler: Sampler) -> RnsPoly:
 
 @dataclass
 class KeySwitchKey:
-    """Hybrid keyswitch key from secret ``g`` to secret ``s``: one digit key
-    per limb of Q, each over Q u {P}."""
+    """Hybrid keyswitch key from secret ``g`` to secret ``s``: the read-only
+    (D, L+K, N) evaluation-domain stacks of both halves over Q u P,
+    transformed once at generation, so no keyswitch pays a key transform."""
 
-    k0: list[RnsPoly]  # -(a_i s) + e_i + P g delta_i
-    k1: list[RnsPoly]  # a_i
+    k0: np.ndarray  # -(a_j s) + e_j + P g delta_j
+    k1: np.ndarray  # a_j
+    moduli: tuple[int, ...]  # Q u P: Q's limbs, then the special primes
 
     @classmethod
     def generate(cls, target: RnsPoly, sk: SecretKey, sampler: Sampler) -> "KeySwitchKey":
         params = sk.params
         both = params.keyswitch_moduli
         s = RnsPoly.from_int_coeffs(sk.coeffs, both).ntt_form()
+        mods = np.array(params.moduli, dtype=np.int64)[:, None]
+        special = math.prod(params.special_moduli)
+        payload = target.data * np.array([special % q for q in params.moduli])[:, None] % mods
         k0, k1 = [], []
-        for i, q in enumerate(params.moduli):
+        for rows in digit_groups(params.num_limbs, both):
             a = _uniform_poly(both, params.n, sampler)
             e = RnsPoly.from_int_coeffs(sampler.gaussian(params.n), both)
             b = -a.mul_ntt(s) + e
-            # P * g * delta_i is P * g on limb i and zero on every other.
-            b.data[i] = (b.data[i] + target.data[i] * (params.special_prime % q)) % q
-            k0.append(b)
-            k1.append(a)
-        return cls(k0, k1)
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        """Q u {P}: Q's limbs, then the special prime."""
-        return self.k0[0].moduli
-
-    def ntt_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (L, L+1, N) forward-NTT stacks of both key halves.
-
-        The fused keyswitch kernels multiply every digit against these in
-        the NTT domain, so the per-digit key transforms are paid once per
-        key lifetime instead of once per ciphertext op. Computed directly
-        through :func:`ntt_forward_rns` — compile-time work, deliberately
-        outside backend dispatch so counting backends never see it.
-        Deterministic, so a benign compute-twice race needs no lock.
-        """
-        cached = getattr(self, "_ntt_stack_cache", None)
-        if cached is None:
-            k0 = ntt_forward_rns(np.stack([p.data for p in self.k0]), self.moduli)
-            k1 = ntt_forward_rns(np.stack([p.data for p in self.k1]), self.moduli)
-            for arr in (k0, k1):
-                arr.setflags(write=False)
-            cached = self._ntt_stack_cache = (k0, k1)
-        return cached
-
-    def warm(self) -> "KeySwitchKey":
-        """Precompute the NTT stacks (key-generation/compile-time hook)."""
-        self.ntt_stack()
-        return self
+            # P * g * delta_j is P * g on the limbs of group j, zero elsewhere.
+            b.data[rows] = (b.data[rows] + payload[rows]) % mods[rows]
+            k0.append(b.data)
+            k1.append(a.data)
+        halves = [ntt_forward_rns(np.stack(half), both) for half in (k0, k1)]
+        for arr in halves:
+            arr.setflags(write=False)
+        return cls(*halves, both)
 
 
 def keyswitch_bounds(params: FheParams) -> dict[str, tuple[int, int]]:
@@ -130,13 +113,20 @@ def keyswitch_bounds(params: FheParams) -> dict[str, tuple[int, int]]:
     on: they are exact for ``params`` iff every peak is strictly below its
     limit. Reads the moduli tables only (no twiddles), like
     :func:`repro.fhe.bfv.cmult_bounds`."""
-    top = max(params.keyswitch_moduli) - 1
+    moduli, both = params.moduli, params.keyswitch_moduli
+    special = both[len(moduli):]
+    top = max(both) - 1
+    groups = [moduli[rows] for rows in digit_groups(len(moduli), both)]
     return {
         # digit residue * key residue; (x - lift) mod q times P^-1
         "product": (top * top, 2**62),
-        # the L reduced products of one digit-axis sum
-        "lazy_sum": (len(params.moduli) * top, 2**63),
-        # P above every limb of Q (so none of them), and word-sized
-        "special_prime": (max(params.moduli), params.special_prime),
+        # the D reduced products of one digit-axis sum
+        "lazy_sum": (params.num_digits * top, 2**63),
+        # P above every digit's modulus Q_j, so the mod-down shrinks the
+        # digits' key noise below the rounding's
+        "special_basis": (max(math.prod(g) for g in groups), math.prod(special)),
+        # the mod-up of every digit, Q_j -> the rest of Q u P, and the
+        # mod-down's P -> Q: exact float64 CRT sums
+        "mod_up": (max(rns.extension_bounds(g, both)["float_sum"][0] for g in groups), 2**53),
+        "mod_down": (rns.extension_bounds(special, moduli)["float_sum"][0], 2**53),
     }
-

@@ -166,20 +166,16 @@ def keyswitch_keygen(
     """Generate the N -> n LWE keyswitch key at modulus q'.
 
     Entry (j, d) encrypts big_secret[j] * 2^(d * base_bits) under the small
-    secret: beta = -<alpha, s'> + e + s_j * B^d.
+    secret: beta = -<alpha, s'> + e + s_j * B^d — one uniform draw, one
+    Gaussian draw and one exact int64 product for all N * digits entries
+    (|<alpha, s'>| < n * q for a ternary s').
     """
-    big_n = big_secret.shape[0]
-    small_n = small_secret.shape[0]
+    big_n, small_n = big_secret.shape[0], small_secret.shape[0]
     digits = -(-modulus.bit_length() // base_bits)
-    alpha = np.empty((big_n, digits, small_n), dtype=np.int64)
-    beta = np.empty((big_n, digits), dtype=np.int64)
-    for j in range(big_n):
-        for d in range(digits):
-            a = sampler.uniform(modulus, small_n)
-            e = int(sampler.gaussian(1)[0])
-            payload = int(big_secret[j]) * (1 << (d * base_bits))
-            alpha[j, d] = a
-            beta[j, d] = (-(int(np.dot(a, small_secret) % modulus)) + e + payload) % modulus
+    alpha = sampler.uniform(modulus, big_n * digits * small_n).reshape(big_n, digits, small_n)
+    e = sampler.gaussian(big_n * digits).reshape(big_n, digits)
+    payload = big_secret[:, None] << (base_bits * np.arange(digits))
+    beta = (e + payload - alpha @ small_secret) % modulus
     return LweKeySwitchKey(alpha, beta, base_bits, modulus)
 
 

@@ -289,7 +289,7 @@ def ntt_forward_rns(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     """Forward negacyclic NTT of an (..., L, N) residue stack, all limbs at once.
 
     Axis -2 indexes limbs: slice i is transformed modulo ``moduli[i]``;
-    leading axes batch freely — a keyswitch's digits (L, L+1, N), a plan's
+    leading axes batch freely — a keyswitch's digits (D, L+K, N), a plan's
     whole diagonal set (T, L, N). :func:`ntt_forward` limb by limb, bit for
     bit: any int64 input (reduced on entry, never written), natural in,
     bit-reversed out, a fresh array of canonical residues. Each digit's

@@ -97,8 +97,7 @@ class PackingKey:
         the babies and giants of the secret on one digit transform, then
         each giant's babies on one digit transform of that giant — 1 + (gs
         - 1) of them, two keyswitch noise terms at most per row.
-        (N/2) ciphertexts of memory. Like
-        :meth:`KeySwitchKey.ntt_stack`: compile-time work outside backend
+        (N/2) ciphertexts of memory. Compile-time work outside backend
         dispatch, deterministic, so a benign compute-twice race needs no
         lock.
         """

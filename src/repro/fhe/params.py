@@ -18,10 +18,12 @@ and the runnable examples use. The full `ATHENA` set is used analytically
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from repro.errors import ParameterError
+from repro.fhe.security import max_logq
 from repro.utils.modmath import find_ntt_primes, is_prime
 
 
@@ -67,21 +69,27 @@ class FheParams:
     @cached_property
     def q(self) -> int:
         """Full ciphertext modulus Q (product of limb primes)."""
-        out = 1
-        for p in self.moduli:
-            out *= p
-        return out
+        return math.prod(self.moduli)
 
     @cached_property
-    def special_prime(self) -> int:
-        """The keyswitch's special prime P: the largest 31-bit NTT prime for
-        2N, so above every (sub-2**30) limb of Q and none of them."""
-        return find_ntt_primes(1, 31, 2 * self.n)[0]
+    def special_moduli(self) -> tuple[int, ...]:
+        """The keyswitch's special basis P: the K largest 31-bit NTT primes for
+        2N (above every sub-2**30 limb of Q; a prefix of the CMult tensor's
+        auxiliary basis). K, a digit's width in limbs, is derived: the most
+        that keep log2(QP) under the 128-bit ceiling, or L where Q alone is over."""
+        spare = max_logq(self.n, 128) - self.q.bit_length()
+        k = self.num_limbs if spare < 0 else min(self.num_limbs, max(1, int(spare // 31)))
+        return tuple(find_ntt_primes(k, 31, 2 * self.n))
+
+    @property
+    def num_digits(self) -> int:
+        """D = ceil(L / K), the digit keys of one keyswitch key."""
+        return -(-self.num_limbs // len(self.special_moduli))
 
     @cached_property
     def keyswitch_moduli(self) -> tuple[int, ...]:
-        """Q u {P}, the basis keyswitch keys live in (Q's limbs first)."""
-        return self.moduli + (self.special_prime,)
+        """Q u P, the basis keyswitch keys live in (Q's limbs first)."""
+        return self.moduli + self.special_moduli
 
     @cached_property
     def delta(self) -> int:
@@ -107,10 +115,10 @@ class FheParams:
         return 2 * self.n * self.q.bit_length() // 8
 
     def keyswitch_key_bytes(self) -> int:
-        """Size of one keyswitch (relin/galois) key: one digit per limb of
-        Q, each digit two ring elements over Q u {P}."""
-        bits = (self.q * self.special_prime).bit_length()
-        return self.num_limbs * 2 * self.n * bits // 8
+        """Size of one keyswitch (relin/galois) key: D digits, each two ring
+        elements over Q u P."""
+        bits = math.prod(self.keyswitch_moduli).bit_length()
+        return self.num_digits * 2 * self.n * bits // 8
 
     def total_key_bytes(self, num_rotations: int = 0) -> int:
         """Relinearization key plus ``num_rotations`` Galois keys."""

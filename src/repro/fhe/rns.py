@@ -1,20 +1,21 @@
 """Residue Number System representation of big-modulus coefficient vectors.
 
 A ring element modulo Q = p_0 * p_1 * ... * p_{L-1} is stored as an (L, N)
-int64 matrix of residues. CRT lift/lower conversions go through Python big
-integers (exact); they are only needed at the "seams" — decryption rounding,
-modulus switching, and gadget decomposition — so their O(N*L) big-int cost
-is acceptable at test-scale parameters.
+int64 matrix of residues. CRT lifts to Python big integers
+(:func:`from_rns_object` and the functions over it) are exact and serve the
+oracles only: measured noise and the tests.
 
-Ciphertext multiplication is not one of those seams: it changes basis with
-:func:`base_extend`, which stays on word-sized arrays and is exact all the
-same (the CRT sum is a float64 product kept below 2**53, the overflow count is
-estimated in float64 and recomputed with Python ints only where the estimate
-is too close to an integer to trust).
+Nothing on the ciphertext path lifts. Ciphertext multiplication, the
+keyswitch's mod-up and mod-down, modulus switching and decryption change
+basis with :func:`base_extend`, which stays on word-sized arrays and is exact
+all the same (the CRT sum is a float64 product kept below 2**53, the overflow
+count is estimated in float64 and recomputed with Python ints only where the
+estimate is too close to an integer to trust).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -27,9 +28,7 @@ from repro.utils.modmath import inv_mod
 @lru_cache(maxsize=None)
 def _crt_constants(moduli: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
     """(Q, Q/p_i, (Q/p_i)^-1 mod p_i) for a modulus chain."""
-    q = 1
-    for p in moduli:
-        q *= p
+    q = math.prod(moduli)
     partials = [q // p for p in moduli]
     inverses = [inv_mod(part % p, p) for part, p in zip(partials, moduli)]
     return q, partials, inverses
@@ -74,8 +73,8 @@ def from_rns_object(residues: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray
 
     The vectorized core of :func:`from_rns`: one object-dtype broadcast
     against the cached weight column, so numpy drives the big-int loop
-    instead of interpreted Python. Hot path of modulus switching and
-    decryption (no keyswitch lifts anything).
+    instead of interpreted Python. The oracles' lift (measured noise, the
+    tests); the ciphertext path uses :func:`base_extend`.
     """
     if residues.shape[0] != len(moduli):
         raise ParameterError("residue matrix does not match modulus chain")

@@ -10,8 +10,10 @@ they cite the standard rather than running the full lattice estimator.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from repro.fhe.params import FheParams
+if TYPE_CHECKING:  # params derives its digit rule from max_logq
+    from repro.fhe.params import FheParams
 
 #: HE-standard maximum log2(Q) for a ternary secret at (128, 192, 256)-bit
 #: classical security, per ring dimension.
@@ -57,11 +59,17 @@ def security_level(n: int, logq: float) -> float:
 
 
 def check_params(params: FheParams, target: int = 128) -> dict[str, float]:
-    """Security of both the RLWE and the LWE instances of a parameter set."""
+    """Security of the RLWE, keyswitch-key and LWE instances of a parameter
+    set. Keyswitch keys are RLWE samples modulo Q * P, not Q, so they are
+    judged at log2(QP) — the weakest of the three when P is wide."""
     rlwe = security_level(params.n, params.q.bit_length())
+    logqp = math.prod(params.keyswitch_moduli).bit_length()
+    key = security_level(params.n, logqp)
     lwe = security_level(params.lwe_n, math.log2(params.lwe_q))
     return {
         "rlwe_bits": rlwe,
+        "logqp": float(logqp),
+        "key_bits": key,
         "lwe_bits": lwe,
-        "meets_target": float(min(rlwe, lwe) >= target),
+        "meets_target": float(min(key, lwe) >= target),  # key_bits <= rlwe_bits
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -87,11 +88,15 @@ REFRESH_SIGMAS = 4
 
 def keyswitch_noise_bound(params) -> float:
     """What one hybrid keyswitch adds, in magnitude: the key's noise over P
-    (``L * N`` terms of at most ``6 sigma * max(q_i)``, divided by P) and
-    ``(N + 1) / 2`` for the two roundings (one of them times s)."""
-    l, n = len(params.moduli), params.n
-    return (l * n * 6 * params.sigma * max(params.moduli) / params.special_prime
-            + (n + 1) / 2)
+    (``D * N`` terms of at most ``6 sigma * max(Q_j) / 2``, a centred digit
+    times a key error, divided by P) and ``(N + 1) / 2`` for the two
+    roundings (one of them times s)."""
+    from repro.fhe.backend import digit_groups
+
+    groups = digit_groups(params.num_limbs, params.keyswitch_moduli)
+    widest = max(math.prod(params.moduli[rows]) for rows in groups)
+    n, p = params.n, math.prod(params.special_moduli)
+    return len(groups) * n * 6 * params.sigma * widest / 2 / p + (n + 1) / 2
 
 
 def refresh_noise_bound(qm, params) -> int:

@@ -504,18 +504,24 @@ class TestBounds:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_keyswitch_peak_below_its_limit(self, name):
         """What the hybrid keyswitch relies on, on every preset (the paper's
-        ring included): word-sized products, an L-term lazy sum inside
-        int64, and a special prime that is prime, NTT-friendly for 2N, no
-        limb of Q and larger than each."""
+        ring included): word-sized products, a D-term lazy sum inside int64,
+        P above every digit's modulus, exact float64 CRT sums in the mod-up
+        and the mod-down; and a special basis of alpha primes that are
+        NTT-friendly for 2N, no limb of Q, and a prefix of the tensor's
+        auxiliary basis."""
         params = PRESETS[name]
         bounds = keyswitch_bounds(params)
-        assert set(bounds) == {"product", "lazy_sum", "special_prime"}
+        assert set(bounds) == {"product", "lazy_sum", "special_basis", "mod_up", "mod_down"}
         for what, (peak, limit) in bounds.items():
             assert 0 < peak < limit, (name, what)
-        p = params.special_prime
-        assert is_prime(p) and p % (2 * params.n) == 1 and 2**30 < p < 2**31
-        assert p not in params.moduli and params.keyswitch_moduli == params.moduli + (p,)
-        assert bounds["lazy_sum"][0] == len(params.moduli) * (p - 1)
+        special = params.special_moduli
+        assert len(set(special)) == len(special) == -(-params.num_limbs // params.num_digits)
+        for p in special:
+            assert is_prime(p) and p % (2 * params.n) == 1 and 2**30 < p < 2**31
+        assert not set(special) & set(params.moduli)
+        assert params.keyswitch_moduli == params.moduli + special
+        assert bfv_module._tensor_tables(params).aux[: len(special)] == special
+        assert bounds["lazy_sum"][0] == params.num_digits * (max(special) - 1)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_extension_peak_below_its_limit(self, name):

@@ -1,5 +1,8 @@
-"""Tests for key material: the RNS gadget (one digit per limb, one special
-prime) and the keyswitch keys built on it."""
+"""Tests for key material: the grouped RNS digits (alpha limbs of Q per digit,
+K = alpha special primes), their mod-up and mod-down, and the keyswitch keys
+built on them."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,27 +13,41 @@ from repro.fhe import rns
 from repro.fhe.backend import (
     BATCHED,
     SERIAL,
+    Backend,
     CountingBackend,
-    _digit_residues,
+    _mod_down,
+    _mod_up,
     current_backend,
+    digit_groups,
     hoisted_rotations,
     use_backend,
 )
-from repro.fhe.bfv import BfvContext, Plaintext
+from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
 from repro.fhe.keys import KeySwitchKey
-from repro.fhe.ntt import ntt_forward_rns
+from repro.fhe.ntt import negacyclic_mul_exact, ntt_forward_rns, ntt_inverse_rns
+from repro.fhe.packing import MatvecPlan, hypercube_matvec
 from repro.fhe.params import (
     ATHENA_MEDIUM,
     TEST_FBS,
     TEST_LOOP,
     TEST_SMALL,
     TEST_TINY,
+    FheParams,
 )
 from repro.fhe.poly import RnsPoly
+from repro.fhe.s2c import S2CKey, S2CPlan, slot_to_coeff
 from repro.fhe.slots import rotation_galois_element, row_swap_element
 from repro.utils.modmath import inv_mod
 from repro.utils.sampling import Sampler
 from tests.conftest import keyswitch_noise_bound
+
+#: Test-only sets where Q sits under the HE-standard ceiling, so the digit
+#: rule groups: alpha = 1, D = 2; and alpha = 2, D = 3 with a one-limb last
+#: digit.
+GROUPED_2 = FheParams("grouped-2", n=4096, limb_bits=30, num_limbs=2, t=65537, lwe_n=16)
+GROUPED_3 = FheParams("grouped-3", n=8192, limb_bits=30, num_limbs=5, t=65537, lwe_n=16)
+
+TOY_SETS = (TEST_TINY, TEST_SMALL, TEST_FBS, TEST_LOOP)
 
 
 @pytest.fixture(scope="module")
@@ -44,61 +61,94 @@ def keys(ctx):
 
 
 def _assert_digits_recompose(params, data):
-    """``sum_i c_i * P * delta_i = P * c (mod Q * P)`` over the integers, for
-    the digits the kernels multiply: residue row i of ``data`` as it stands,
-    reduced into every limb of Q u {P}."""
-    moduli, both, p = params.moduli, params.keyswitch_moduli, params.special_prime
-    assert both == moduli + (p,)
-    digits = _digit_residues(data, both)
-    assert digits.shape == (len(moduli), len(both), params.n)
+    """``sum_j [c]_{Q_j} * P * delta_j = P * c (mod Q * P)`` over the
+    integers, for the digits the kernels multiply: the mod-up of group j is
+    the centred lift of its residues, in every limb of Q u P."""
+    moduli, both = params.moduli, params.keyswitch_moduli
+    assert both == moduli + params.special_moduli
+    p, q = math.prod(params.special_moduli), params.q
+    digits = _mod_up(data, moduli, both)
+    assert digits.shape == (params.num_digits, len(both), params.n)
     total = np.zeros(params.n, dtype=object)
-    for i, q in enumerate(moduli):
-        assert 0 <= data[i].min() and data[i].max() < q  # a digit is < q_i
-        assert np.array_equal(digits[i], data[i] % np.array(both)[:, None])
-        rest = params.q // q
-        idempotent = rest * inv_mod(rest % q, q)  # 1 mod q_i, 0 mod q_j
-        total += data[i].astype(object) * (p * idempotent)
+    for j, rows in enumerate(digit_groups(len(moduli), both)):
+        q_j = math.prod(moduli[rows])
+        assert q_j < p  # P dominates every digit
+        lift = np.array(rns.from_rns_centered(data[rows], moduli[rows]), dtype=object)
+        assert np.abs(lift).max() <= q_j // 2
+        assert np.array_equal(digits[j], rns.to_rns(lift, both))
+        rest = q // q_j
+        idempotent = rest * inv_mod(rest % q_j, q_j)  # 1 mod group j, 0 mod the rest
+        total += lift * (p * idempotent)
     lifted = rns.from_rns_object(data, moduli)
-    assert np.array_equal(total % (params.q * p), lifted * p % (params.q * p))
+    assert np.array_equal(total % (q * p), lifted * p % (q * p))
 
 
 class TestRnsDigits:
-    """A digit is a residue row: the CRT idempotent sits in the key."""
+    """A digit is the centred lift of a group's residues: the CRT idempotent
+    sits in the key."""
 
     def test_recomposition(self, rng):
-        for params in (TEST_TINY, TEST_SMALL, TEST_FBS, TEST_LOOP):
+        for params in TOY_SETS + (GROUPED_2, GROUPED_3):
             poly = RnsPoly.from_int_coeffs(rng.integers(0, 10**9, params.n), params.moduli)
             _assert_digits_recompose(params, poly.data)
 
     def test_largest_digits_recompose(self):
-        """Every residue at q_i - 1: the widest digits a component has."""
-        for params in (TEST_TINY, TEST_SMALL, TEST_FBS, TEST_LOOP):
-            data = np.repeat(np.array(params.moduli)[:, None] - 1, params.n, axis=1)
+        """Every residue at q_i - 1, and lifts at the centred interval's
+        edges (+-(Q_j - 1)/2, the base extension's exact route)."""
+        for params in TOY_SETS + (GROUPED_3,):
+            moduli = params.moduli
+            data = np.repeat(np.array(moduli)[:, None] - 1, params.n, axis=1)
+            _assert_digits_recompose(params, data)
+            for rows in digit_groups(len(moduli), params.keyswitch_moduli):
+                q_j = math.prod(moduli[rows])
+                edges = [(q_j - 1) // 2, (q_j + 1) // 2, 0, q_j - 1]
+                data[rows, :4] = rns.to_rns(edges, moduli[rows])
             _assert_digits_recompose(params, data)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=15, deadline=None)
     def test_recomposition_random(self, seed):
-        params = TEST_TINY
         rng = np.random.default_rng(seed)
-        data = np.stack([rng.integers(0, q, params.n) for q in params.moduli])
-        _assert_digits_recompose(params, data)
+        for params in (TEST_TINY, GROUPED_3):
+            data = np.stack([rng.integers(0, q, params.n) for q in params.moduli])
+            _assert_digits_recompose(params, data)
 
-    def test_key_folds_the_idempotent(self, ctx, keys):
-        """Digit key i is an encryption of P * g * delta_i under s over
-        Q u {P}: P * g on limb i, zero on every other limb, small noise."""
-        sk, _ = keys
-        p = ctx.params
-        both = p.keyswitch_moduli
-        target = RnsPoly.from_int_coeffs(Sampler(7).ternary(p.n), p.moduli)
-        ksk = KeySwitchKey.generate(target, sk, Sampler(8))
-        assert len(ksk.k0) == len(p.moduli) and ksk.moduli == both
-        s = RnsPoly.from_int_coeffs(sk.coeffs, both)
-        for i, (k0, k1) in enumerate(zip(ksk.k0, ksk.k1)):
-            payload = RnsPoly.zeros(p.n, both)
-            payload.data[i] = target.data[i] * p.special_prime % both[i]
-            noise = (k0 + k1 * s - payload).to_int_coeffs(centered=True)
-            assert max(abs(v) for v in noise) <= 6 * p.sigma
+    @pytest.mark.parametrize("params", (TEST_LOOP, GROUPED_3), ids=lambda p: p.name)
+    def test_mod_down_is_the_rounded_division(self, params, rng):
+        """round(x / P) mod Q of the lift x of a stack over Q u P: exact,
+        word-sized, edges of the centred P residue included."""
+        moduli, both = params.moduli, params.keyswitch_moduli
+        p = math.prod(params.special_moduli)
+        x = rng.integers(0, 2**31, (2, len(both), params.n)) % np.array(both)[:, None]
+        x[:, :, :2] = rns.to_rns([p // 2, p // 2 + 1], both)  # +-(P-1)/2
+        for comp, got in zip(x, _mod_down(x, moduli, both)):
+            lifted = rns.from_rns_object(comp, both)
+            want = (lifted + p // 2) // p % params.q
+            assert np.array_equal(got, rns.to_rns(want, moduli))
+
+    def test_key_folds_the_idempotent(self, keys):
+        """Digit key j is an encryption of P * g * delta_j under s over
+        Q u P: P * g on the limbs of group j, zero on every other limb and on
+        P, small noise — one key per group, on a one-digit and a two-digit
+        set, held in the evaluation domain."""
+        for params, sk in ((TEST_TINY, keys[0]), (GROUPED_2, None)):
+            sk = sk or BfvContext(params, seed=56).keygen()[0]
+            both = params.keyswitch_moduli
+            target = RnsPoly.from_int_coeffs(Sampler(7).ternary(params.n), params.moduli)
+            ksk = KeySwitchKey.generate(target, sk, Sampler(8))
+            groups = digit_groups(len(params.moduli), both)
+            assert len(ksk.k0) == len(groups) == params.num_digits and ksk.moduli == both
+            s = RnsPoly.from_int_coeffs(sk.coeffs, both)
+            p = math.prod(params.special_moduli)
+            assert ksk.k0.shape == ksk.k1.shape == (len(groups), len(both), params.n)
+            assert not ksk.k0.flags.writeable and not ksk.k1.flags.writeable
+            halves = (ntt_inverse_rns(h, both) for h in (ksk.k0, ksk.k1))
+            for rows, k0, k1 in zip(groups, *halves):
+                payload = RnsPoly.zeros(params.n, both)
+                payload.data[rows] = target.data[rows] * (p % np.array(both[rows]))[:, None]
+                payload.data[rows] %= np.array(both[rows])[:, None]
+                noise = (RnsPoly(k0, both) + RnsPoly(k1, both) * s - payload).to_int_coeffs()
+                assert max(abs(v) for v in noise) <= 6 * params.sigma
 
 
 def _keyswitch_residual(params, seed):
@@ -121,8 +171,9 @@ def _keyswitch_residual(params, seed):
 class TestKeySwitchKeys:
     def test_keyswitch_moves_component(self):
         """The keyswitch of c under KSK_{g->s} must satisfy
-        out0 + out1*s = c*g (mod Q) up to the hybrid noise bound."""
-        for params in (TEST_TINY, TEST_SMALL, TEST_FBS, TEST_LOOP):
+        out0 + out1*s = c*g (mod Q) up to the hybrid noise bound — one digit
+        on the toy sets, two on a grouped one."""
+        for params in TOY_SETS + (GROUPED_2,):
             for seed in (77, 78):
                 residual = _keyswitch_residual(params, seed)
                 assert residual <= keyswitch_noise_bound(params), params.name
@@ -147,8 +198,6 @@ class TestKeySwitchKeys:
             ctx.encrypt(Plaintext.from_coeffs(m2, p), pk),
             rlk,
         )
-        from repro.fhe.ntt import negacyclic_mul_exact
-
         expected = np.mod(negacyclic_mul_exact(list(m1), list(m2)), p.t)
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, expected)
 
@@ -166,18 +215,22 @@ class TestKeySwitchKeys:
         assert not np.array_equal(dec, correct)
 
 
-@pytest.fixture(scope="module", params=[TEST_TINY, TEST_SMALL, TEST_FBS, TEST_LOOP],
-                ids=lambda p: p.name)
-def rotation_setup(request):
-    params = request.param
-    ctx = BfvContext(params, seed=91)
+def _setup(params, seed=91):
+    ctx = BfvContext(params, seed=seed)
     sk, pk = ctx.keygen()
     elements = [rotation_galois_element(params.n, 1),
+                rotation_galois_element(params.n, 2),
                 rotation_galois_element(params.n, 3),
                 row_swap_element(params.n)]
-    rng = np.random.default_rng(92)
-    ct = ctx.encrypt(Plaintext.from_slots(rng.integers(0, params.t, params.n), params), pk)
-    return ctx, sk, ctx.relin_key(sk), ctx.galois_keys(sk, elements), ct
+    rng = np.random.default_rng(seed + 1)
+    ct = ctx.encrypt(Plaintext.from_coeffs(rng.integers(0, params.t, params.n), params), pk)
+    return ctx, sk, pk, ctx.relin_key(sk), ctx.galois_keys(sk, elements), ct
+
+
+@pytest.fixture(scope="module", params=TOY_SETS, ids=lambda p: p.name)
+def rotation_setup(request):
+    ctx, sk, _, rlk, gks, ct = _setup(request.param)
+    return ctx, sk, rlk, gks, ct
 
 
 class TestOneKeyswitchThreeBodies:
@@ -210,17 +263,137 @@ class TestOneKeyswitchThreeBodies:
                 .automorphism(k).data[0])
 
     def test_hoisted_images_are_the_transformed_rotations(self, rotation_setup):
-        """The evaluation-domain mod-down (only the P limb leaves the
+        """The evaluation-domain mod-down (only the K special limbs leave the
         domain) equals the coefficient-domain one: every image is the
         forward transform of ``rotate_keyswitch``'s output."""
         ctx, _, _, gks, ct = rotation_setup
+        _assert_hoisted_images(ctx, gks, ct)
+
+
+def _assert_hoisted_images(ctx, gks, ct):
+    moduli = ctx.params.moduli
+    elements = list(gks)
+    f0 = ntt_forward_rns(ct.c0.data, moduli)
+    images = hoisted_rotations(f0, ct.c1.data, elements, gks, moduli)
+    assert len(images) == len(elements)
+    for k, image in zip(elements, images):
+        for be in (SERIAL, BATCHED):
+            rotated = be.rotate_keyswitch(ct.c0.data, ct.c1.data, k, gks[k], moduli)
+            assert np.array_equal(image, ntt_forward_rns(np.stack(rotated), moduli))
+    assert hoisted_rotations(f0, ct.c1.data, [], gks, moduli) == []
+
+
+def _sparse_s2c_plan(params):
+    """A mat-vec of S2C's shape — the babies of both passes, the row swap,
+    the swap's baby, two giant groups — over small random plaintext
+    diagonals: S2C's own plan is N^2 words at the grouped sets' rings."""
+    n, bs = params.n, 2
+    rng = np.random.default_rng(63)
+    baby = rotation_galois_element(n, 1)
+
+    def stack(count):
+        small = rng.integers(-(params.t // 2), params.t // 2 + 1, (count, n))
+        out = ntt_forward_rns(rns.to_rns(small, params.moduli), params.moduli)
+        out.setflags(write=False)
+        return out
+
+    derived = ((0, ((1, baby), (bs, row_swap_element(n)))), (bs, ((bs + 1, baby),)))
+    return MatvecPlan(bs, derived, ((0, (0, 1, 2, 3), stack(4)), (1, (0, 3), stack(2))))
+
+
+class _OrganicCounting(CountingBackend):
+    """Counts the reference keyswitch bodies primitive by primitive."""
+
+    keyswitch = Backend.keyswitch
+    rotate_keyswitch = Backend.rotate_keyswitch
+
+
+def _same_on_every_engine(run):
+    """``run()`` under batched, serial and counting(batched): one result
+    (arrays, ciphertexts, or tuples / lists of them), bit for bit."""
+
+    def arrays(x):
+        if isinstance(x, BfvCiphertext):
+            return [x.c0.data, x.c1.data]
+        if isinstance(x, np.ndarray):
+            return [x]
+        return [a for item in x for a in arrays(item)]
+
+    results = []
+    for be in (BATCHED, SERIAL, CountingBackend(BATCHED)):
+        with use_backend(be):
+            results.append(run())
+    for other in results[1:]:
+        for x, y in zip(arrays(results[0]), arrays(other), strict=True):
+            assert np.array_equal(x, y)
+    return results[0]
+
+
+@pytest.fixture(scope="module", ids=lambda p: p.name, params=[
+    TEST_FBS, TEST_LOOP, GROUPED_2,
+    pytest.param(GROUPED_3, marks=pytest.mark.slow, id=GROUPED_3.name)])
+def grouped_setup(request):
+    return _setup(request.param, seed=61)
+
+
+class TestGroupedDigits:
+    """serial == batched == counting for every op a keyswitch runs under, on
+    one-digit sets (TEST_FBS, TEST_LOOP) and on grouped ones (D = 2; D = 3
+    with an uneven last group) — and the results decrypt."""
+
+    def test_rule_groups_where_it_must(self, grouped_setup):
+        params, rlk = grouped_setup[0].params, grouped_setup[3]
+        sizes = [r.stop - r.start for r in digit_groups(params.num_limbs, params.keyswitch_moduli)]
+        want = {"test-fbs": [8], "test-loop": [9], "grouped-2": [1, 1], "grouped-3": [2, 2, 1]}
+        assert sizes == want[params.name]
+        assert len(rlk.k0) == params.num_digits == len(sizes)
+        assert rlk.k0.shape == (len(sizes), params.num_limbs + max(sizes), params.n)
+
+    def test_keyswitch_and_rotations(self, grouped_setup):
+        ctx, sk, _, rlk, gks, ct = grouped_setup
         moduli = ctx.params.moduli
-        elements = list(gks)
-        f0 = ntt_forward_rns(ct.c0.data, moduli)
-        images = hoisted_rotations(f0, ct.c1.data, elements, gks, moduli)
-        assert len(images) == len(elements)
-        for k, image in zip(elements, images):
-            for be in (SERIAL, BATCHED):
-                rotated = be.rotate_keyswitch(ct.c0.data, ct.c1.data, k, gks[k], moduli)
-                assert np.array_equal(image, ntt_forward_rns(np.stack(rotated), moduli))
-        assert hoisted_rotations(f0, ct.c1.data, [], gks, moduli) == []
+        for data in (ct.c1.data, np.stack([ct.c0.data, ct.c1.data])):  # one, and a stack
+            _same_on_every_engine(lambda: current_backend().keyswitch(data, rlk, moduli))
+        plain = RnsPoly.from_int_coeffs(ctx.decrypt(ct, sk).coeffs, (ctx.params.t,))
+        for k, gk in gks.items():
+            out = _same_on_every_engine(lambda: ctx.apply_galois(ct, k, gk))
+            assert np.array_equal(ctx.decrypt(out, sk).coeffs, plain.automorphism(k).data[0])
+        _assert_hoisted_images(ctx, gks, ct)
+
+    def test_billing_is_the_reference_stream(self, grouped_setup):
+        """The counting wrapper's bulk units equal what the reference bodies
+        dispatch one primitive at a time, whatever D and K are."""
+        ctx, _, _, rlk, gks, ct = grouped_setup
+        moduli = ctx.params.moduli
+        k, gk = next(iter(gks.items()))
+        totals = []
+        for counting in (CountingBackend(BATCHED), _OrganicCounting(BATCHED)):
+            counting.keyswitch(np.stack([ct.c0.data, ct.c1.data]), rlk, moduli)
+            counting.rotate_keyswitch(ct.c0.data, ct.c1.data, k, gk, moduli)
+            totals.append(counting.totals())
+        assert totals[0] == totals[1]
+        width, n = len(rlk.moduli), ctx.params.n
+        assert totals[0]["rnsconv"] == 3 * (ctx.params.num_digits * width + len(moduli)) * n
+
+    def test_cmult_batch(self, grouped_setup):
+        ctx, sk, pk, rlk, _, ct = grouped_setup
+        params = ctx.params
+        m = np.random.default_rng(62).integers(0, 4, params.n)
+        other = ctx.encrypt(Plaintext.from_coeffs(m, params), pk)
+        pairs = [(ct, other), (other, other)]
+        outs = _same_on_every_engine(lambda: current_backend().cmult_batch(ctx, pairs, rlk))
+        square = np.mod(negacyclic_mul_exact(list(m), list(m)), params.t)
+        assert np.array_equal(ctx.decrypt(outs[1], sk).coeffs, square)
+
+    def test_s2c(self, grouped_setup):
+        """One S2C on the one-digit sets; the same mat-vec over a sparse
+        plan of its shape on the grouped ones."""
+        ctx, sk, _, _, gks, ct = grouped_setup
+        if ctx.params.n > 128:
+            _same_on_every_engine(
+                lambda: hypercube_matvec(ctx, ct, _sparse_s2c_plan(ctx.params), gks))
+            return
+        key = S2CKey.generate(ctx, sk)
+        plan = S2CPlan.build(ctx.params, key.baby_steps)
+        out = _same_on_every_engine(lambda: slot_to_coeff(ctx, ct, key, plan=plan))
+        assert np.array_equal(ctx.decrypt(out, sk).coeffs, ctx.decrypt(ct, sk).to_slots())

@@ -111,6 +111,18 @@ class TestKeyswitch:
         dec = lwe.lwe_decrypt(switched, s_small, delta=p.lwe_q // p.t, t=p.t)
         assert np.array_equal(dec, m % p.t)
 
+    def test_keygen_entries_encrypt_the_gadget_rows(self, chain):
+        """Every (j, d) entry of the vectorised key is an LWE encryption of
+        big_secret[j] * 2^(d * base_bits) under the small secret."""
+        ctx, sk, _, s_small, ksk = chain
+        q = ksk.modulus
+        assert ksk.alpha.shape == (ctx.params.n, ksk.num_digits, s_small.shape[0])
+        assert 0 <= ksk.alpha.min() and ksk.alpha.max() < q
+        gadget = sk.coeffs[:, None] * 2 ** (ksk.base_bits * np.arange(ksk.num_digits))
+        noise = (ksk.beta + ksk.alpha @ s_small - gadget) % q
+        noise = np.where(noise > q // 2, noise - q, noise)
+        assert np.abs(noise).max() <= 6 * ctx.params.sigma
+
     def test_modulus_mismatch_raises(self, chain):
         *_, ksk = chain
         bad = lwe.LweBatch(np.zeros((1, 4), dtype=np.int64), np.zeros(1, dtype=np.int64), 31)

@@ -160,7 +160,7 @@ class TestCyclicNtt:
 
 
 def preset_bases(name):
-    """The two bases every request transforms over: Q u {P} and Q u aux."""
+    """The two bases every request transforms over: Q u P and Q u aux."""
     params = PRESETS[name]
     return params.n, (params.keyswitch_moduli, BfvContext(params).tensor_moduli)
 

@@ -487,7 +487,7 @@ class TestFbsLevels:
         params = request.param
         ctx = BfvContext(params, seed=11)
         sk, pk = ctx.keygen()
-        rlk = ctx.relin_key(sk).warm()
+        rlk = ctx.relin_key(sk)
         x = np.random.default_rng(12).integers(0, params.t, params.n)
         return ctx, sk, rlk, x, ctx.encrypt(Plaintext.from_slots(x, params), pk)
 
@@ -550,11 +550,13 @@ class TestFbsLevels:
 
     def test_fewer_transform_calls_same_transforms(self, fbs_ctx, fbs_keys, fbs_rlk,
                                                    monkeypatch):
-        """One full-domain FBS at TEST_FBS: the same 5 697 limb transforms
-        (one form per distinct operand, one keyswitch per relinearisation)
-        in fewer stacked calls — two forward and two inverse per ladder
-        level and per combination. One CMult at a time made 70 forward and
-        62 inverse calls."""
+        """One full-domain FBS at TEST_FBS: the same limb transforms (one
+        form per distinct operand, one keyswitch per relinearisation) in
+        fewer stacked calls — two forward and two inverse per ladder level
+        and per combination. 39 operands enter Q u aux and 31 tensors leave
+        it (171 rows of 17 limbs); 31 keyswitches of D (L + K) + 2 (L + K) =
+        48 (90 at one digit per limb, 5 697 in all): 4 395. One CMult at a
+        time made 70 forward and 62 inverse calls."""
         _, pk = fbs_keys
         p = fbs_ctx.params
         ct = fbs_ctx.encrypt(Plaintext.from_slots(np.arange(p.n), p), pk)
@@ -574,7 +576,10 @@ class TestFbsLevels:
         with use_backend(BATCHED):
             fbs_evaluate(fbs_ctx, ct, lut, fbs_rlk, plan=plan)
         assert len(plan.levels) == 9
-        assert calls == {"ntt_forward_rns": 20, "ntt_inverse_rns": 20, "limbs": 5697}
+        width = len(p.keyswitch_moduli)
+        limbs = 171 * len(fbs_ctx.tensor_moduli) + 31 * (p.num_digits + 2) * width
+        assert calls == {"ntt_forward_rns": 20, "ntt_inverse_rns": 20, "limbs": limbs}
+        assert limbs == 4395
 
 
 class TestFbsNoiseIsMeasured:

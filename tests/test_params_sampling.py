@@ -1,5 +1,7 @@
 """Tests for parameter sets and the randomness source."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,13 +83,17 @@ class TestValidation:
 
 class TestSizing:
     def test_keyswitch_key_scales_with_digits(self):
-        """One digit per limb, each digit two ring elements over Q u {P}."""
+        """D digits, each two ring elements over Q u P: one digit where Q
+        alone is above the 128-bit ceiling, five at ATHENA (24 digits of
+        751 bits under one digit per limb)."""
         for params in (TEST_SMALL, ATHENA_MEDIUM, ATHENA):
-            bits = (params.q * params.special_prime).bit_length()
+            bits = math.prod(params.keyswitch_moduli).bit_length()
             digit = 2 * params.n * bits // 8
-            assert params.keyswitch_key_bytes() == params.num_limbs * digit
-            assert digit > params.ciphertext_bytes  # the special prime's share
-        assert ATHENA.keyswitch_key_bytes() == 24 * 2 * 2**15 * 751 // 8
+            assert params.keyswitch_key_bytes() == params.num_digits * digit
+            assert digit > params.ciphertext_bytes  # the special basis' share
+        assert (TEST_SMALL.num_digits, ATHENA_MEDIUM.num_digits) == (1, 1)
+        assert (len(ATHENA.special_moduli), ATHENA.num_digits) == (5, 5)
+        assert ATHENA.keyswitch_key_bytes() == 5 * 2 * 2**15 * 875 // 8
 
     def test_total_keys_grow_with_rotations(self):
         assert TEST_SMALL.total_key_bytes(8) > TEST_SMALL.total_key_bytes(2)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.fhe import rns
-from repro.fhe.params import TEST_SMALL, TEST_TINY
+from repro.fhe.backend import BATCHED, ROUND_PRIME, SERIAL, CountingBackend
+from repro.fhe.params import PRESETS, TEST_LOOP, TEST_SMALL, TEST_TINY
 from repro.fhe.poly import RnsPoly, automorphism_map
 
 MODULI = TEST_TINY.moduli
@@ -149,3 +150,51 @@ class TestShiftAndModSwitch:
         scaled = RnsPoly.from_int_coeffs(msg, MODULI).scalar_mul(delta)
         switched = scaled.mod_switch(t)
         assert np.array_equal(switched % t, msg % t)
+
+
+def _big_int_scale_round(data, moduli, modulus):
+    """The oracle: floor((modulus * x + floor(Q/2)) / Q) mod modulus of the
+    CRT lift x, over Python integers."""
+    q = rns.rns_modulus(moduli)
+    x = rns.from_rns_object(data, moduli)
+    return ((x * modulus + q // 2) // q % modulus).astype(np.int64)
+
+
+class TestScaleRound:
+    """``Backend.mod_switch`` and ``BfvContext.decrypt`` scale and round
+    word-sized, bit for bit the big-integer formula."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_matches_the_big_integer_formula(self, name, rng):
+        params = PRESETS[name]
+        moduli, q = params.moduli, params.q
+        edges = [0, 1, q - 1, q // 2 - 1, q // 2, q // 2 + 1]
+        for m in (params.t, params.lwe_q, 2, ROUND_PRIME - 1):
+            for k in (1, m // 2, m - 1):  # either side of a rounding step
+                step = -(-(k * q - q // 2) // m)
+                edges += [step - 1, step]
+        data = np.stack([rng.integers(0, p, 96) for p in moduli])
+        data[:, : len(edges)] = rns.to_rns(edges, moduli)
+        for m in (params.t, params.lwe_q, 2, ROUND_PRIME - 1):
+            want = _big_int_scale_round(data, moduli, m)
+            for be in (SERIAL, BATCHED, CountingBackend(BATCHED)):
+                got = be.mod_switch(data, moduli, m)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (name, m, be.name)
+
+    def test_target_must_be_below_the_round_prime(self):
+        data = np.zeros((len(MODULI), 4), dtype=np.int64)
+        for m in (0, ROUND_PRIME, 2**40):
+            with pytest.raises(ParameterError, match="scale-and-round"):
+                BATCHED.mod_switch(data, MODULI, m)
+
+    def test_decrypt_is_the_formula_on_the_phase(self, rng):
+        from repro.fhe.bfv import BfvContext, Plaintext
+
+        ctx = BfvContext(TEST_LOOP, seed=9)
+        sk, pk = ctx.keygen()
+        values = rng.integers(0, TEST_LOOP.t, TEST_LOOP.n)
+        ct = ctx.encrypt(Plaintext.from_coeffs(values, TEST_LOOP), pk)
+        phase = ct.c0 + ct.c1 * sk.poly
+        want = _big_int_scale_round(phase.data, TEST_LOOP.moduli, TEST_LOOP.t)
+        assert np.array_equal(ctx.decrypt(ct, sk).coeffs, want)
+        assert np.array_equal(want, values)

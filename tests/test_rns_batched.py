@@ -150,7 +150,8 @@ class TestRnsPolyOpEquivalence:
         col = _scalar_column(3, params.moduli)
         assert col is _scalar_column(3, params.moduli) and not col.flags.writeable
         assert col.shape == (len(params.moduli), 1)
-        assert _scalar_column(3, params.keyswitch_moduli).shape == (len(params.moduli) + 1, 1)
+        assert _scalar_column(3, params.keyswitch_moduli).shape == (
+            len(params.keyswitch_moduli), 1)
         assert not np.array_equal(col, _scalar_column(3, params.moduli, True))
         assert _scalar_column.cache_info().maxsize == 4096
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fhe.params import ATHENA
+from repro.fhe.params import ATHENA, PRESETS
 from repro.fhe.security import check_params, max_logq, security_level
 
 
@@ -40,3 +40,22 @@ class TestAthenaClaim:
         # logQ = 720 under the 881-bit ceiling at N = 2^15.
         result = check_params(ATHENA)
         assert result["rlwe_bits"] == pytest.approx(128 * 881 / 720, rel=0.01)
+
+
+class TestKeysJudgedAtQP:
+    """Keyswitch keys are RLWE samples modulo Q * P, so the report judges
+    them at log2(QP), not at Q."""
+
+    def test_athena_keys_stay_above_128_under_the_digit_rule(self):
+        result = check_params(ATHENA)
+        assert (len(ATHENA.special_moduli), ATHENA.num_digits) == (5, 5)
+        assert result["logqp"] == 875 <= max_logq(ATHENA.n, 128)
+        assert 128 <= result["key_bits"] < result["rlwe_bits"]
+        assert result["key_bits"] == pytest.approx(128 * 881 / 875)
+        assert result["meets_target"] == 1.0
+
+    @pytest.mark.parametrize("name", sorted(n for n in PRESETS if n.startswith("test-")))
+    def test_toy_sets_are_reported_as_toys(self, name):
+        result = check_params(PRESETS[name])
+        assert result["key_bits"] < result["rlwe_bits"] < 128
+        assert result["meets_target"] == 0.0
