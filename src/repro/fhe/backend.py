@@ -22,12 +22,14 @@ self methods or to module implementations whose inner ops re-enter the
 active backend) are not overridden.
 
 :class:`CountingBackend` (``counting``) is the only wrapper and the one
-way to observe a run: it executes through an inner engine while recording
-per-phase primitive counts compatible with the analytical
-:class:`repro.core.trace.OpCounts` model — so the trace model is
-verifiable against ops actually executed and the accelerator scheduler can
-consume *executed* traces — and per-phase self-seconds (the Fig. 9
-execution breakdown).
+way to observe a run. It overrides only the RNS tier, counting each call
+and delegating it to an inner engine; every op above that tier runs its
+reference body, whose primitives reach those counters and whose
+:meth:`Backend.record` events land in its records. So each count —
+compatible with the analytical :class:`repro.core.trace.OpCounts` model,
+and consumed by the accelerator scheduler as an *executed* trace — is a
+primitive that ran, and the per-phase self-seconds (the Fig. 9 execution
+breakdown) time that same stream.
 
 Selection is **context-local** (:class:`contextvars.ContextVar`), not a
 module global: two threads — or two :class:`repro.serve.InferenceSession`
@@ -61,9 +63,8 @@ the evaluation domain of Q u P, one scale-round, one keyswitch),
 stacked) and :meth:`Backend.lincomb` (the FBS baby steps as one matrix
 product). Reference and fast bodies are both
 *dispatch-free* — they call ``self`` methods and module-level transforms,
-never :func:`current_backend` — so :class:`CountingBackend` can count
-each fused op exactly once in primitive-equivalent units and delegate
-execution to its inner engine without double counting.
+never :func:`current_backend` — so on :class:`CountingBackend` a reference
+body's primitives are counted once, by the wrapper's RNS tier.
 """
 
 from __future__ import annotations
@@ -332,9 +333,10 @@ class Backend:
 
     Plus the two instrumentation hooks — the execution stack's only
     instrumentation seam, no-ops except on counting backends:
-    :meth:`record` (a primitive event) and :meth:`phase` (a phase label
-    for subsequent events, used by the executed-trace model, and the
-    region whose seconds a counting backend accumulates).
+    :meth:`record` (a primitive event; the bodies above the RNS tier
+    record their own) and :meth:`phase` (a phase label for subsequent
+    events, used by the executed-trace model, and the region whose seconds
+    a counting backend accumulates).
     """
 
     name = "base"
@@ -388,12 +390,6 @@ class Backend:
             out[..., i, :] = a[..., i, :] * (value % p) % p
         return out
 
-    def inv_scalar(self, a, value, moduli):
-        out = np.empty_like(a)
-        for i, p in enumerate(moduli):
-            out[..., i, :] = a[..., i, :] * inv_mod(value, p) % p
-        return out
-
     def automorphism(self, a, k, moduli):
         # (..., L, N): leading axes batch (a rotation's digit stack).
         dest, sign = automorphism_map(a.shape[-1], k)
@@ -434,10 +430,9 @@ class Backend:
     #
     # Coarse-grained ops covering the hot paths. The reference bodies
     # below decompose to the RNS-tier primitives of *this* backend
-    # (``self`` methods only — never ``current_backend()``), which lets
-    # CountingBackend count each fused op exactly once before delegating
-    # execution to its inner engine, and lets a counting subclass without
-    # the fused overrides count the decomposed op stream organically.
+    # (``self`` methods only — never ``current_backend()``), which is what
+    # CountingBackend runs: it counts the decomposed stream one primitive
+    # at a time, plus the events these bodies record.
 
     def hadd_many(self, arrays, moduli):
         """Sum k reduced (L, N) residue stacks; one chain, one result.
@@ -623,18 +618,22 @@ class Backend:
         """Algorithm 1: RLWE coefficients -> independent LWE ciphertexts."""
         from repro.fhe import lwe
 
-        return lwe.sample_extract_impl(ct, indices)
+        out = lwe.sample_extract_impl(ct, indices)
+        self.record("extract", out.count)
+        return out
 
     def lwe_keyswitch(self, batch, ksk):
         """LWE dimension switch N -> n with gadget decomposition."""
         from repro.fhe import lwe
 
+        self.record("lwe_keyswitch", batch.count)
         return lwe.keyswitch_impl(batch, ksk)
 
     def lwe_rescale(self, batch, new_modulus):
         """Scale-and-round a batch of LWE ciphertexts to ``new_modulus``."""
         from repro.fhe import lwe
 
+        self.record("lwe_mod_switch", batch.count)
         return lwe.lwe_mod_switch_impl(batch, new_modulus)
 
     # -- composite tier ----------------------------------------------------
@@ -643,12 +642,14 @@ class Backend:
         """Functional bootstrapping: evaluate a LUT polynomial on all slots."""
         from repro.fhe import fbs
 
+        self.record("fbs")
         return fbs.fbs_evaluate_impl(ctx, ct, lut, rlk, plan=plan)
 
     def s2c(self, ctx, ct, key, plan=None):
         """Slot-to-coefficient transform."""
         from repro.fhe import s2c
 
+        self.record("s2c")
         return s2c.slot_to_coeff_impl(ctx, ct, key, plan=plan)
 
     # -- instrumentation hooks ---------------------------------------------
@@ -682,10 +683,6 @@ class BatchedBackend(Backend):
     name = "batched"
     rns_name = "batched"
 
-    #: The engine's stacked kernels chunk under this; an instance may lower
-    #: it (chunk boundaries are invisible mod p).
-    giant_batch_elems = GIANT_BATCH_ELEMS
-
     # -- RNS tier ----------------------------------------------------------
 
     def add(self, a, b, moduli):
@@ -709,9 +706,6 @@ class BatchedBackend(Backend):
 
     def scalar_mul(self, a, value, moduli):
         return a * _scalar_column(value, moduli) % _moduli_column(moduli)
-
-    def inv_scalar(self, a, value, moduli):
-        return a * _scalar_column(value, moduli, True) % _moduli_column(moduli)
 
     def automorphism(self, a, k, moduli):
         # Accepts (..., L, N): leading axes batch, so the fused
@@ -755,7 +749,7 @@ class BatchedBackend(Backend):
         (:func:`hoisted_rotations`): the baby rotations and the row swap
         ride on c1's, the swap's babies on the swapped c1's — the only
         source inverse-transformed. Diagonal products and group sums are
-        pointwise (chunked under ``giant_batch_elems``); a giant step
+        pointwise (chunked under :data:`GIANT_BATCH_ELEMS`); a giant step
         inverse-transforms only its c1, where its digits are taken; the
         summed groups pay one stacked inverse. Bit-identical to the
         reference: the NTT is a ring isomorphism mod each prime, and every
@@ -772,7 +766,7 @@ class BatchedBackend(Backend):
                 c1 = ntt_inverse_rns(src[parent][1], moduli) if parent else vec[1]
                 src.update(zip(ids, hoisted_rotations(
                     src[parent][0], c1, elements, rotation_keys, moduli)))
-        chunk = max(1, self.giant_batch_elems // (2 * len(moduli) * n))
+        chunk = max(1, GIANT_BATCH_ELEMS // (2 * len(moduli) * n))
         parts = []
         for g, ids, stack in plan.groups:
             sums = []
@@ -798,7 +792,7 @@ class BatchedBackend(Backend):
         moduli = ctx.params.moduli
         # A chunk of G' pairs peaks at its (G', 2, 2, L+K, N) products; the
         # chunks' lazy sums add up unreduced (cmult_bounds: "lazy_sum").
-        chunk = max(1, self.giant_batch_elems // (4 * len(ctx.tensor_moduli) * ctx.params.n))
+        chunk = max(1, GIANT_BATCH_ELEMS // (4 * len(ctx.tensor_moduli) * ctx.params.n))
         e = sum(ctx.tensor_products(pairs[lo : lo + chunk]).sum(axis=0)
                 for lo in range(0, len(pairs), chunk))
         r0, r1, r2 = ctx.tensor_scale_round(e)
@@ -824,26 +818,36 @@ class SerialBackend(Backend):
 
 
 class CountingBackend(Backend):
-    """Execute through ``inner`` while recording per-phase op counts.
+    """Run the reference bodies over ``inner``'s RNS tier, counting per phase.
 
-    Counts two kinds of events into ``phase -> {op: count}`` records:
+    Only the RNS tier (:meth:`add` .. :meth:`mod_switch`) and the two hooks
+    are overridden here: each RNS call is counted, then delegated to
+    ``inner``. Every op above that tier — the fused, LWE and composite
+    tiers — is :class:`Backend`'s reference body, so a counted keyswitch,
+    mat-vec or FBS executes its decomposition over ``inner``'s primitives
+    (2–4× the batched engine's time on a whole inference) and every count
+    is a primitive that ran. Two kinds of events land in ``phase -> {op:
+    count}`` records:
 
     * RNS-tier work, derived from the dispatched array shapes in the same
       units as the analytical trace model (:mod:`repro.core.trace`):
       ``ntt`` (limb transforms), ``mod_mul`` / ``mod_add`` (elements),
       ``automorph`` / ``shift`` (one index map per limb per call, whatever
-      leading axes ride along), ``rnsconv`` (mod-switch elements).
-    * primitive events recorded by the dispatch sites: ``pmult``,
+      leading axes ride along), ``rnsconv`` (base-conversion outputs).
+    * primitive events the bodies and dispatch sites record: ``pmult``,
       ``smult``, ``hadd``, ``add_plain``, ``cmult``, ``rotation``,
       ``keyswitch``, ``extract``, ``lwe_keyswitch``, ``lwe_mod_switch``,
       ``mod_switch``, ``matvec``, ``pack``, ``fbs``, ``s2c``, ...
 
     Beside the counts, ``phase_s`` accumulates *self*-seconds per phase
-    label: entering a nested phase pauses its parent (``fbs_giant`` inside
-    ``fbs``), so on one thread the labels are disjoint and sum to at most
-    the run's wall time. Time outside every phase is not attributed. Under
-    a thread fan-out each worker's seconds are added to the same labels, so
-    the sum is busy time and may exceed the wall.
+    label of that same counted stream — the reference decomposition, not
+    the batched engine's fused kernels (production per-phase seconds come
+    from timing an uncounted run). Entering a nested phase pauses its
+    parent (``fbs_giant`` inside ``fbs``), so on one thread the labels are
+    disjoint and sum to at most the run's wall time. Time outside every
+    phase is not attributed. Under a thread fan-out each worker's seconds
+    are added to the same labels, so the sum is busy time and may exceed
+    the wall.
 
     The phase label is thread-local (each thread of a fan-out opens its
     own phases); the counter store is lock-protected, so one recorder may
@@ -972,10 +976,6 @@ class CountingBackend(Backend):
         self._bulk(mod_mul=a.size)
         return self.inner.scalar_mul(a, value, moduli)
 
-    def inv_scalar(self, a, value, moduli):
-        self._bulk(mod_mul=a.size)
-        return self.inner.inv_scalar(a, value, moduli)
-
     def automorphism(self, a, k, moduli):
         self._bulk(automorph=len(moduli))
         return self.inner.automorphism(a, k, moduli)
@@ -987,123 +987,6 @@ class CountingBackend(Backend):
     def mod_switch(self, data, moduli, new_modulus):
         self._bulk(rnsconv=data.size)
         return self.inner.mod_switch(data, moduli, new_modulus)
-
-    # -- fused tier (count once in decomposed-equivalent units, delegate) ----
-    #
-    # Fused implementations are dispatch-free, so the inner backend's
-    # execution records nothing here: each fused op is counted exactly
-    # once, in the primitive units the reference body would have
-    # dispatched — per digit, one cached-operand product over Q u P per
-    # output component plus the accumulator add, and the mod-up's and both
-    # mod-downs' outputs (``rnsconv``), D and K read off the key. That keeps
-    # executed counts identical whether the inner backend fuses or not, so
-    # ``compare_traces`` reconciliation and the trace ratio bands hold
-    # unchanged under fusion: the counts are a billing convention, not the
-    # transforms the batched engine executes (a mat-vec executes far fewer).
-
-    def _keyswitch_units(self, n: int, num_limbs: int, ksk) -> dict:
-        wide = len(ksk.k0) * len(ksk.moduli)  # digits x limbs of Q u P
-        return {
-            "ntt": 4 * wide,
-            "mod_mul": 2 * wide * n,
-            "mod_add": 2 * wide * n,
-            "rnsconv": (wide + num_limbs) * n,
-        }
-
-    def hadd_many(self, arrays, moduli):
-        if len(arrays) > 1:
-            self._bulk(mod_add=(len(arrays) - 1) * arrays[0].size)
-        return self.inner.hadd_many(arrays, moduli)
-
-    def keyswitch(self, data, ksk, moduli):
-        stacked = data.size // (len(moduli) * data.shape[-1])  # components
-        units = self._keyswitch_units(data.shape[-1], len(moduli), ksk)
-        self._bulk(**{op: k * stacked for op, k in units.items()})
-        return self.inner.keyswitch(data, ksk, moduli)
-
-    def _rotate_units(self, n: int, num_limbs: int, ksk) -> dict:
-        units = self._keyswitch_units(n, num_limbs, ksk)
-        # One index map per limb: c0's over Q, the digit stack's over Q u P.
-        units["automorph"] = num_limbs + len(ksk.moduli)
-        units["mod_add"] += num_limbs * n  # the c0 + delta_c0 correction
-        return units
-
-    def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
-        self._bulk(**self._rotate_units(c0.shape[-1], len(moduli), ksk))
-        return self.inner.rotate_keyswitch(c0, c1, k, ksk, moduli)
-
-    def matvec(self, vec, plan, rotation_keys, moduli):
-        # Billed from the plan shape as the stream the reference body
-        # dispatches: a rotation per source it derives (none when they
-        # come ready) and per giant step, a PMult (two cached-operand
-        # products) per diagonal, and HAdd chains that join T terms with
-        # T - 1 additions in all.
-        limbs, n = len(moduli), vec.shape[-1]
-        size = limbs * n
-        rotations = sum(1 for g, _, _ in plan.groups if g)
-        if vec.ndim == 3:
-            rotations += sum(len(images) for _, images in plan.derived)
-        terms = sum(len(ids) for _, ids, _ in plan.groups)
-        units = {"ntt": 4 * limbs * terms, "mod_mul": 2 * size * terms,
-                 "mod_add": 2 * size * (terms - 1), "automorph": 0, "rnsconv": 0}
-        if rotations:  # one basis per parameter set: any key sizes them all
-            for op, k in self._rotate_units(n, limbs, next(iter(rotation_keys.values()))).items():
-                units[op] += rotations * k
-        self._bulk(rotation=rotations, keyswitch=rotations, pmult=terms,
-                   hadd=terms - 1, **units)
-        return self.inner.matvec(vec, plan, rotation_keys, moduli)
-
-    def _cmult_units(self, ctx, rlk, terms: int, times: int = 1) -> dict:
-        """``times`` relinearised sums of ``terms`` products, as the reference
-        giant step dispatches one: a CMult per product, terms - 1 additions
-        over Q u P, one keyswitch, the two correction adds."""
-        limbs, n = len(ctx.params.moduli), ctx.params.n
-        units = dict(self._keyswitch_units(n, limbs, rlk), cmult=terms, keyswitch=1)
-        units["mod_add"] += 2 * limbs * n + 3 * (terms - 1) * len(ctx.tensor_moduli) * n
-        return {op: k * times for op, k in units.items()}
-
-    def giant_step_batch(self, ctx, pairs, rlk):
-        out = self.inner.giant_step_batch(ctx, pairs, rlk)  # raises on a bad batch
-        self._bulk(**self._cmult_units(ctx, rlk, len(pairs)))
-        return out
-
-    def cmult_batch(self, ctx, pairs, rlk):
-        out = self.inner.cmult_batch(ctx, pairs, rlk)
-        self._bulk(**self._cmult_units(ctx, rlk, 1, times=len(pairs)))  # BfvContext.cmult's
-        return out
-
-    def lincomb(self, stack, coeffs, moduli):
-        # As the reference: an SMult (two scalar products) per nonzero term,
-        # a k-term HAdd chain of both components per row.
-        size, terms = 2 * len(moduli) * stack.shape[-1], np.count_nonzero(coeffs, axis=1)
-        smults, hadds = int(terms.sum()), int(np.maximum(terms - 1, 0).sum())
-        self._bulk(smult=smults, mod_mul=smults * size, hadd=hadds, mod_add=hadds * size)
-        return self.inner.lincomb(stack, coeffs, moduli)
-
-    # -- LWE tier ------------------------------------------------------------
-
-    def sample_extract(self, ct, indices=None):
-        out = self.inner.sample_extract(ct, indices)
-        self.record("extract", out.count)
-        return out
-
-    def lwe_keyswitch(self, batch, ksk):
-        self.record("lwe_keyswitch", batch.count)
-        return self.inner.lwe_keyswitch(batch, ksk)
-
-    def lwe_rescale(self, batch, new_modulus):
-        self.record("lwe_mod_switch", batch.count)
-        return self.inner.lwe_rescale(batch, new_modulus)
-
-    # -- composite tier ------------------------------------------------------
-
-    def fbs(self, ctx, ct, lut, rlk, plan=None):
-        self.record("fbs")
-        return self.inner.fbs(ctx, ct, lut, rlk, plan=plan)
-
-    def s2c(self, ctx, ct, key, plan=None):
-        self.record("s2c")
-        return self.inner.s2c(ctx, ct, key, plan=plan)
 
 
 #: Singleton executing backends (stateless; counting backends are per-use).

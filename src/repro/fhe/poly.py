@@ -163,11 +163,6 @@ class RnsPoly:
         """
         return current_backend().mod_switch(self.data, self.moduli, new_modulus)
 
-    def inv_scalar(self, value: int) -> "RnsPoly":
-        """Multiply by value^-1 mod Q (per limb)."""
-        be = current_backend()
-        return RnsPoly(be.inv_scalar(self.data, value, self.moduli), self.moduli)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RnsPoly):
             return NotImplemented

@@ -29,9 +29,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError, TensorOverflow
+from repro.fhe import backend as backend_mod
 from repro.fhe import bfv as bfv_module
 from repro.fhe import rns
-from repro.fhe.backend import BATCHED, SERIAL, BatchedBackend, use_backend
+from repro.fhe.backend import BATCHED, SERIAL, use_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext, cmult_bounds
 from repro.fhe.keys import keyswitch_bounds
 from repro.fhe.ntt import negacyclic_mul_exact
@@ -464,9 +465,9 @@ class TestCmultAndGiantStep:
             return real(group)
 
         monkeypatch.setattr(ctx, "tensor_products", spy)
-        small = BatchedBackend()
-        small.giant_batch_elems = 1  # below any one pair's products: a pair a chunk
-        got = small.giant_step_batch(ctx, pairs, rlk)
+        # Below any one pair's products: a pair a chunk.
+        monkeypatch.setattr(backend_mod, "GIANT_BATCH_ELEMS", 1)
+        got = BATCHED.giant_step_batch(ctx, pairs, rlk)
         assert chunks == [1, 1]
         assert np.array_equal(_components(got), _components(whole))
         assert np.array_equal(_components(got), _relinearised_oracle(pairs, rlk))

@@ -2,13 +2,11 @@
 
 Four claims pinned here:
 
-1. *Counting parity* — a fused op is counted exactly once, in the
-   primitive units the decomposed path would have dispatched. Pinned two
-   ways: CountingBackend totals are identical whether its inner engine
-   fuses (``batched``) or decomposes (``serial``) — the double-count
-   regression — and the bulk-counted units match what a
-   counting backend *without* the fused overrides records organically
-   when the default decompositions drive its primitive counters.
+1. *Counting parity* — a counted fused op is its reference decomposition,
+   each primitive counted as it runs: CountingBackend totals are
+   identical whether its inner engine fuses (``batched``) or decomposes
+   (``serial``) — the double-count regression — and equal the closed-form
+   units of a keyswitch, a giant step, a mat-vec and a whole FBS.
 2. *Bit-identity* — the batched fused kernels (stacked NTT keyswitch,
    fused rotate, the summed giant-step tensor) produce byte-for-byte the
    same results as the decomposed defaults and the serial reference.
@@ -50,8 +48,6 @@ from repro.fhe import rns as rns_mod
 from repro.fhe.backend import (
     BATCHED,
     SERIAL,
-    Backend,
-    BatchedBackend,
     CountingBackend,
     lazy_chain_limit,
     lazy_reduce_sum,
@@ -82,26 +78,6 @@ from tests.conftest import keyswitch_noise_bound
 _slow = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-
-
-class DecomposedCounting(CountingBackend):
-    """Counting backend with the fused-tier overrides removed.
-
-    The fused ops fall back to the ``Backend`` default decompositions,
-    whose ``self.add`` / ``self.mul`` / ``self.automorphism`` calls land
-    on CountingBackend's primitive counters — so this backend counts the
-    decomposed op stream *organically*, one primitive at a time. Its
-    totals are the ground truth the bulk ``_keyswitch_units`` formulas
-    must reproduce.
-    """
-
-    hadd_many = Backend.hadd_many
-    keyswitch = Backend.keyswitch
-    rotate_keyswitch = Backend.rotate_keyswitch
-    giant_step_batch = Backend.giant_step_batch
-    cmult_batch = Backend.cmult_batch
-    lincomb = Backend.lincomb
-    matvec = Backend.matvec
 
 
 def _fixture():
@@ -155,18 +131,6 @@ class TestCountingParity:
         for x, y in zip(out_f, out_u):
             assert np.array_equal(x, y)
 
-    def test_bulk_units_match_organic_decomposed_counts(self):
-        """The ``_keyswitch_units`` formulas equal the primitive stream the
-        default decompositions actually dispatch."""
-        ctx, _, rlk, gk, cts = _fixture()
-        bulk = CountingBackend(BATCHED)
-        organic = DecomposedCounting(BATCHED)
-        out_b = _run_workload(bulk, ctx, rlk, gk, cts)
-        out_o = _run_workload(organic, ctx, rlk, gk, cts)
-        assert bulk.totals() == organic.totals()
-        for x, y in zip(out_b, out_o):
-            assert np.array_equal(x, y)
-
     def test_giant_step_batch_bills_one_keyswitch(self):
         """G products, G - 1 three-component additions over Q u P, then one
         keyswitch and its two correction adds — whichever body runs."""
@@ -176,11 +140,10 @@ class TestCountingParity:
         wide = len(ctx.tensor_moduli)
         assert len(rlk.k0) == 1 and len(rlk.moduli) == 2 * l  # one digit, K = L
         totals = []
-        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL),
-                         DecomposedCounting(BATCHED)):
+        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             counting.giant_step_batch(ctx, [(a, b), (b, c), (a, c)], rlk)
             totals.append(counting.totals())
-        assert totals[0] == totals[1] == totals[2] == {
+        assert totals[0] == totals[1] == {
             "cmult": 3,
             "keyswitch": 1,
             "ntt": 4 * 2 * l,
@@ -416,11 +379,11 @@ def _assert_same_ciphertext(a, b):
     assert a.noise_bits == b.noise_bits
 
 
-def _three_ways(ctx, ct, diagonals, keys, baby_steps, fast=BATCHED):
+def _three_ways(ctx, ct, diagonals, keys, baby_steps):
     """Fast body, reference body and the spelled-out composite must agree
     bit for bit (noise estimate included); returns the fast result."""
     plan = MatvecPlan.build(diagonals, ctx.params, baby_steps)
-    with use_backend(fast):
+    with use_backend(BATCHED):
         got = hypercube_matvec(ctx, ct, plan, keys)
     with use_backend(SERIAL):
         _assert_same_ciphertext(got, hypercube_matvec(ctx, ct, plan, keys))
@@ -489,8 +452,7 @@ class TestMatvecBitIdentity:
         _three_ways(ctx, ct, dense, ctx.rotation_keys(sk, baby_giant_amounts(half, 1)), 1)
 
         # A one-element budget: every diagonal product is its own chunk.
-        tight = BatchedBackend()
-        tight.giant_batch_elems = 1
+        monkeypatch.setattr(backend_mod, "GIANT_BATCH_ELEMS", 1)
         sums = []
         real = backend_mod.lazy_reduce_sum
 
@@ -501,7 +463,7 @@ class TestMatvecBitIdentity:
         monkeypatch.setattr(backend_mod, "lazy_reduce_sum", spy)
         bs = math.isqrt(half)
         keys = ctx.rotation_keys(sk, baby_giant_amounts(half, bs))
-        _three_ways(ctx, ct, dense, keys, bs, fast=tight)
+        _three_ways(ctx, ct, dense, keys, bs)
         one_term = (1, 2, len(params.moduli), params.n)
         assert sums.count(one_term) == half  # unchunked: one sum per group
 
@@ -566,18 +528,17 @@ def _keyswitch_transforms(params) -> int:
 
 class TestMatvecAccounting:
     def test_counting_parity(self, matvec_setup):
-        """One mat-vec bills the same totals and per-phase events whether
-        the wrapper's bulk formula, or the reference body's own dispatches
-        on a wrapper without the fused overrides, do the counting."""
+        """One counted mat-vec records the same totals and per-phase events
+        whether the reference body runs over the batched or the serial RNS
+        tier."""
         ctx, _, key, ct = matvec_setup
         plan = S2CPlan.build(ctx.params, key.baby_steps).matvec
         records = []
-        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL),
-                         DecomposedCounting(BATCHED)):
+        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             with use_backend(counting), counting.phase("s2c"):
                 hypercube_matvec(ctx, ct, plan, key.rotation_keys)
             records.append((counting.totals(), counting.ops_by_phase()))
-        assert records[0] == records[1] == records[2]
+        assert records[0] == records[1]
         totals = records[0][0]
         bs = key.baby_steps
         gs = -(-ctx.params.n // 2 // bs)
@@ -590,17 +551,16 @@ class TestMatvecAccounting:
 
     @pytest.mark.parametrize("params", [TEST_FBS, TEST_LOOP], ids=lambda p: p.name)
     def test_packing_bills_products_only(self, params):
-        """Same three-way parity for packing's shape, whose sources come
+        """Same parity for packing's shape, whose sources come
         ready: a PMult per live diagonal, no rotation, no keyswitch."""
         pipe, _, batch = _pack_setup(params)
         lwe = batch(params.n // 2 + 3)
         records = []
-        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL),
-                         DecomposedCounting(BATCHED)):
+        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             with use_backend(counting):
                 pack_lwe(pipe.ctx, lwe, pipe.packing_key)
             records.append((counting.totals(), counting.ops_by_phase()))
-        assert records[0] == records[1] == records[2]
+        assert records[0] == records[1]
         totals = records[0][0]
         assert totals["pmult"] == params.n // 2 and totals["hadd"] == params.n // 2 - 1
         assert totals["matvec"] == totals["pack"] == 1
@@ -692,19 +652,17 @@ class TestFbsAccounting:
         assert sum(1 for g, _, _ in plan.groups if g) == 15
 
     def test_counting_parity_of_one_fbs(self):
-        """A whole FBS bills the same totals and per-phase events whether
-        the wrapper's bulk formulas or the reference bodies' own dispatches
-        count it: G + ladder CMults, ladder + 1 keyswitches."""
+        """A whole counted FBS records the same totals and per-phase events
+        over either RNS tier: G + ladder CMults, ladder + 1 keyswitches."""
         ctx, _, rlk, _, (ct, *_) = _fixture()
         lut = FbsLut.from_function(lambda x: np.maximum(x, 0), TEST_FBS.t, "relu")
         plan = FbsPlan.from_lut(lut).materialize(TEST_FBS)  # constants encoded once
         records = []
-        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL),
-                         DecomposedCounting(BATCHED)):
+        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             with use_backend(counting):
                 fbs_evaluate(ctx, ct, lut, rlk, plan=plan)
             records.append((counting.totals(), counting.ops_by_phase()))
-        assert records[0] == records[1] == records[2]
+        assert records[0] == records[1]
         giant = records[0][1]["fbs_giant"]
         assert giant["cmult"] == len(plan.ladder) + 15 == 45
         assert giant["keyswitch"] == len(plan.ladder) + 1 == 31

@@ -84,10 +84,6 @@ class TestRnsPolyArithmetic:
         one = RnsPoly.constant(1, N, MODULI)
         assert a * one == a
 
-    def test_inv_scalar(self, rng):
-        a = random_poly(rng)
-        assert a.scalar_mul(7).inv_scalar(7) == a
-
     def test_ring_mismatch_raises(self, rng):
         a = random_poly(rng)
         b = RnsPoly.zeros(TEST_SMALL.n, TEST_SMALL.moduli)
