@@ -8,6 +8,9 @@ def test_table5_accuracy(once):
     print("\n" + render_table5())
     for model, row in data.items():
         for label in ("w7a7", "w6a7"):
+            # Every observed MAC fits t: a wrapped MAC corrupts plain-Q and
+            # cipher alike, and the gap below would no longer measure noise.
+            assert row[f"fits-t {label}"], (model, label, "MACs overflow t")
             gap = row[f"cipher {label}"] - row[f"plain-Q {label}"]
             # Paper: ciphertext inference within ~0.3% of plain-quantized
             # (synthetic datasets + reduced test sets widen the band).

@@ -10,8 +10,9 @@ max-pooling via the max-tree, all on the real BFV backend.
 
 import numpy as np
 
-from repro.core.lut import activation_lut, max_tree_plain, relu_lut, sigmoid_lut
+from repro.core.lut import activation_lut, sigmoid_lut
 from repro.fhe import BfvContext, FbsLut, Plaintext, TEST_FBS, fbs_evaluate
+from repro.quant.quantize import QMaxPool, QuantConfig, QuantizedModel
 
 
 def main() -> None:
@@ -55,12 +56,14 @@ def main() -> None:
     assert np.array_equal(got, swish.apply_plain_signed(x))
     print(f"custom      ok: x={x[:5]} -> {got[:5]}")
 
-    # 4. Max-pooling as a ReLU max-tree (plaintext recipe shown here; the
-    #    encrypted version is one FBS per tree level — see the framework).
-    windows = rng.integers(-60, 60, (8, 4))
-    maxed = max_tree_plain(windows, relu_lut(params.t), params.t)
-    assert np.array_equal(maxed, windows.max(axis=-1))
-    print(f"max-tree    ok: {windows[0]} -> {maxed[0]}")
+    # 4. Max-pooling as a ReLU max-tree, max(a, b) = b + relu(a - b) over
+    #    the window halves (the integer walker shown here; the encrypted
+    #    version is one FBS per tree level — see the framework).
+    image = rng.integers(-60, 60, (1, 2, 4, 4))
+    pool = QuantizedModel([QMaxPool(2, 2)], QuantConfig(t=params.t), 1.0, (2, 4, 4))
+    maxed = pool.forward_int(image)
+    assert np.array_equal(maxed, image.reshape(1, 2, 2, 2, 2, 2).max(axis=(3, 5)))
+    print(f"max-tree    ok: {image[0, 0, :2, :2].ravel()} -> {maxed[0, 0, 0, 0]}")
     print("all custom activations evaluated exactly under encryption")
 
 

@@ -302,12 +302,14 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         return _infer_with_plan(args)
-
-    from contextlib import nullcontext
+    if args.backend:
+        # The simulated engine runs integers and never dispatches an op.
+        print("repro: error: --backend needs --plan (only a plan run "
+              "dispatches ciphertext ops)", file=sys.stderr)
+        return EXIT_USAGE
 
     from repro.core.inference import SimulatedAthenaEngine
     from repro.eval.zoo import get_benchmark
-    from repro.fhe.backend import use_backend
     from repro.fhe.params import ATHENA
 
     entry = get_benchmark(args.model, seed=args.seed)
@@ -316,9 +318,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     x = entry.data["x_test"][: args.count]
     y = entry.data["y_test"][: args.count]
     plain = qm.accuracy(x, y)
-    dispatch = use_backend(args.backend) if args.backend else nullcontext()
-    with dispatch:
-        cipher = engine.accuracy(x, y)
+    cipher = engine.accuracy(x, y)
     text = (
         f"{args.model} ({args.mode}), {len(x)} images\n"
         f"  plain-quant accuracy : {plain * 100:.2f}%\n"
@@ -507,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(mnist_cnn only; see 'repro compile')")
     p.add_argument("--backend", default=None,
                    choices=["batched", "serial", "counting"],
-                   help="op-dispatch backend (default: inherit REPRO_BACKEND, "
-                        "else batched)")
+                   help="op-dispatch backend of a --plan run (default: "
+                        "inherit REPRO_BACKEND, else batched)")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("compile", parents=[seed],

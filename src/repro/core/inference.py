@@ -8,10 +8,11 @@ paper §3.3 (the e_ms distribution, validated against the real backend at
 small parameters in the test suite). This is what makes ResNet-20/56-scale
 accuracy experiments tractable in Python (DESIGN.md substitution #3).
 
-The engine consumes the lowered :class:`~repro.core.program.AthenaProgram`
-— the same schedule the plaintext forward, the trace generator, and the
-real-ciphertext backend execute — so fusion decisions (conv+max-pool in the
-MAC domain, residual wide-scale joins) can never drift between backends.
+The engine walks the lowered :class:`~repro.core.program.AthenaProgram`
+with a subclass of :class:`~repro.core.program.PlainIntExecutor` (the
+walker behind ``forward_int``) that adds e_ms to every LUT round and
+max-tree ReLU and writes no calibration peak. With noise disabled it is
+``forward_int`` by construction, on every model, wrapped MACs included.
 
 The engine also records per-layer statistics: the error ratio Fig. 4 plots
 (fraction of LUT outputs flipped by noise), the MAC peaks Fig. 4's orange
@@ -25,26 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.program import (
-    LinearStep,
-    PoolStep,
-    ProgramExecutor,
-    RemapStep,
-    ReshapeStep,
-    ResidualStep,
-    lower,
-    run_program,
-)
+from repro.core import lut as lutlib
+from repro.core.program import PlainIntExecutor, lower, run_program
+from repro.errors import ParameterError
 from repro.fhe.fbs import FbsLut
 from repro.fhe.params import ATHENA, FheParams
-from repro.quant import nn
-from repro.quant.quantize import (
-    QMaxPool,
-    QuantizedModel,
-    _int_conv,
-    _wrap_t,
-)
-from repro.core import lut as lutlib
+from repro.quant.quantize import QMaxPool, QuantizedModel, _wrap_t
 
 
 @dataclass
@@ -123,22 +110,22 @@ class SimulatedAthenaEngine:
         seed: int = 0,
         noise: AthenaNoiseModel | None = None,
     ):
+        if model.config.t != params.t:  # noise-free == forward_int needs one t
+            raise ParameterError(f"model quantized for t = {model.config.t}, "
+                                 f"but {params.name} runs t = {params.t}")
         self.model = model
         self.params = params
         self.program = lower(model, params)
         self.rng = np.random.default_rng(seed)
         self.noise = noise if noise is not None else AthenaNoiseModel(params)
         self._luts: dict[int, FbsLut] = {}
-        self._relu = lutlib.relu_lut(params.t)
 
     # -- LUT cache ---------------------------------------------------------
 
-    def _lut(self, step) -> FbsLut:
-        key = id(step)
-        got = self._luts.get(key)
+    def _table(self, step) -> FbsLut:
+        got = self._luts.get(id(step))
         if got is None:
-            got = step.lut.build(self.model.config, self.params.t)
-            self._luts[key] = got
+            got = self._luts[id(step)] = step.lut.build(self.model.config)
         return got
 
     # -- main entry ----------------------------------------------------------
@@ -181,102 +168,54 @@ class SimulatedAthenaEngine:
             correct += int((logits.argmax(axis=1) == y[s : s + batch]).sum())
         return correct / x.shape[0]
 
-    # -- step primitives -------------------------------------------------------
 
-    def _apply_lut(
-        self, mac: np.ndarray, lut: FbsLut, stat: LayerStat
-    ) -> np.ndarray:
+class _SimulatedExecutor(PlainIntExecutor):
+    """The integer walker with e_ms injected at every FBS (the engine's walker).
+
+    Only the hooks differ from :class:`PlainIntExecutor`: the schedule, the
+    MACs, the mod-t wraps and the max-tree order are the plain walker's, so
+    a noise-free engine is ``forward_int``. The RNG draws one e_ms tensor
+    per LUT round and per max-tree level, in walk order.
+    """
+
+    def __init__(self, engine: SimulatedAthenaEngine, stats: InferenceStats):
+        super().__init__(engine.model.config)
+        self.engine = engine
+        self.stats = stats
+
+    def _lut(self, step, value: np.ndarray) -> np.ndarray:
         """Steps 2-5 of the loop: noise refresh chain + FBS, on integers.
 
         The flip statistic (Fig. 4's blue line) is scale-aware: a deviation
         counts once it reaches one LSB of the *activation* (int-a) domain,
         so wide intermediate remaps aren't reported as spuriously noisy.
         """
-        t = self.params.t
-        wrapped = _wrap_t(mac, t)
-        noisy = _wrap_t(wrapped + self.noise.sample(self.rng, mac.shape), t)
+        engine, t = self.engine, self.cfg.t
+        lut = engine._table(step)
+        stat = self.stats.layer(step.stat)
+        wrapped = _wrap_t(value, t)
+        noisy = _wrap_t(wrapped + engine.noise.sample(engine.rng, value.shape), t)
         out = lut.apply_plain_signed(noisy)
         clean = lut.apply_plain_signed(wrapped)
-        threshold = max(1, lut.signed_range // (2 * self.model.config.a_max + 1))
-        stat.mac_peak = max(stat.mac_peak, int(np.abs(mac).max()))
-        stat.lut_evals += mac.size
+        threshold = max(1, lut.signed_range // (2 * self.cfg.a_max + 1))
+        stat.mac_peak = max(stat.mac_peak, int(np.abs(value).max()))
+        stat.lut_evals += value.size
         stat.flipped += int((np.abs(out - clean) >= threshold).sum())
-        stat.total += mac.size
+        stat.total += value.size
         return out
 
-    def _maxpool(self, x_q: np.ndarray, layer: QMaxPool, stat: LayerStat) -> np.ndarray:
-        """Max-tree pooling: each pairwise max is one perturbed ReLU FBS."""
-        t = self.params.t
-        cols, oh, ow = nn.im2col(x_q, layer.kernel, layer.kernel, layer.stride, 0)
-        b, c = x_q.shape[0], x_q.shape[1]
-        vals = cols.reshape(b, oh, ow, c, layer.kernel**2)
-        while vals.shape[-1] > 1:
-            n = vals.shape[-1]
-            half = n // 2
-            a = vals[..., :half]
-            bb = vals[..., half : 2 * half]
-            diff = _wrap_t(a - bb, t)
-            noisy = _wrap_t(diff + self.noise.sample(self.rng, diff.shape), t)
-            relu_out = self._relu.apply_plain_signed(noisy)
-            # Only the eval count is recorded here: a perturbed ReLU on a
-            # MAC-scale difference shifts the selected maximum by ~e_ms,
-            # which the downstream remap LUT absorbs — counting raw output
-            # differences would wildly overstate the Fig. 4 error ratio.
-            stat.lut_evals += diff.size
-            merged = bb + relu_out
-            if n % 2:
-                merged = np.concatenate([merged, vals[..., -1:]], axis=-1)
-            vals = merged
-        return vals[..., 0].transpose(0, 3, 1, 2)
+    def _relu(self, diff: np.ndarray) -> np.ndarray:
+        """Each pairwise max is one perturbed ReLU FBS. Only evals count:
+        the ~e_ms shift of the selected maximum is absorbed by the remap
+        LUT, so counting flips here would overstate Fig. 4's error ratio."""
+        engine, t = self.engine, self.cfg.t
+        noisy = _wrap_t(diff + engine.noise.sample(engine.rng, diff.shape), t)
+        self._pool_stat.lut_evals += diff.size
+        return lutlib.relu_lut(t).apply_plain_signed(noisy)
 
+    def _peak(self, layer, value: np.ndarray) -> None:
+        """A simulation never writes calibration peaks onto the IR."""
 
-class _SimulatedExecutor(ProgramExecutor):
-    """Noise-faithful realization of each program step (the engine's walker).
-
-    Fused conv+max-pool steps run in the MAC domain — MAC-scale values
-    tolerate e_ms, int-a values do not — which for a monotone remap LUT is
-    exactly the plaintext executor's remap-then-pool result.
-    """
-
-    def __init__(self, engine: SimulatedAthenaEngine, stats: InferenceStats):
-        self.engine = engine
-        self.stats = stats
-
-    def linear(self, step: LinearStep, x_q: np.ndarray) -> np.ndarray:
-        engine = self.engine
-        layer = step.layer
-        if step.op == "conv":
-            mac = _int_conv(x_q, layer)
-        else:
-            mac = x_q @ layer.weight.T + layer.bias
-        if step.fused_pool is not None:
-            mac = engine._maxpool(mac, step.fused_pool, self.stats.layer("maxpool"))
-        return engine._apply_lut(mac, engine._lut(step), self.stats.layer(step.stat))
-
-    def pool(self, step: PoolStep, x_q: np.ndarray) -> np.ndarray:
-        layer = step.layer
-        if step.op == "max":
-            return self.engine._maxpool(x_q, layer, self.stats.layer("maxpool"))
-        if step.op == "sum":
-            cols, oh, ow = nn.im2col(x_q, layer.kernel, layer.kernel, layer.stride, 0)
-            b, c = x_q.shape[0], x_q.shape[1]
-            return cols.reshape(b, oh, ow, c, layer.kernel**2).sum(axis=-1)
-        return x_q.sum(axis=(2, 3))  # gap
-
-    def remap(self, step: RemapStep, total: np.ndarray) -> np.ndarray:
-        out = self.engine._apply_lut(
-            total, self.engine._lut(step), self.stats.layer(step.stat)
-        )
-        return out.transpose(0, 3, 1, 2) if out.ndim == 4 else out
-
-    def reshape(self, step: ReshapeStep, x_q: np.ndarray) -> np.ndarray:
-        return x_q.reshape(x_q.shape[0], -1)
-
-    def residual(self, step: ResidualStep, main: np.ndarray,
-                 skip: np.ndarray) -> np.ndarray:
-        # skip_alpha is a noise-free ciphertext SMult (exact).
-        return self.engine._apply_lut(
-            main + skip * step.skip_alpha,
-            self.engine._lut(step),
-            self.stats.layer(step.stat),
-        )
+    def _maxpool(self, x_q: np.ndarray, layer: QMaxPool) -> np.ndarray:
+        self._pool_stat = self.stats.layer("maxpool")
+        return super()._maxpool(x_q, layer)

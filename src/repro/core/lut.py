@@ -11,8 +11,9 @@ plaintext integer pipeline share literally the same table — any output
 difference between them is then attributable to FHE noise alone.
 
 Also provided: generic activation tables (ReLU / sigmoid / GELU / ...), the
-average-pool division table, the max-tree helper for max-pooling, and the
-two-step softmax tables (exp and reciprocal-of-sum), all per §3.2.3.
+average-pool division table, and the two-step softmax tables (exp and
+reciprocal-of-sum), all per §3.2.3. Max-pooling's max-tree lives in the
+integer walker, :class:`repro.core.program.PlainIntExecutor`.
 """
 
 from __future__ import annotations
@@ -107,32 +108,6 @@ def avgpool_lut(kernel: int, t: int) -> FbsLut:
     k2 = kernel * kernel
     vals = np.rint(_centered_domain(t) / k2).astype(np.int64)
     return FbsLut(vals, t, f"avgpool-{kernel}")
-
-
-# ---------------------------------------------------------------------------
-# Max-pooling via the max-tree (paper / PEGASUS [30])
-# ---------------------------------------------------------------------------
-
-
-def max_tree_plain(values: np.ndarray, relu: FbsLut, t: int) -> np.ndarray:
-    """max over axis -1 using only (sub, ReLU-LUT, add) — the FHE recipe.
-
-    max(a, b) = b + relu(a - b); reducing pairwise gives a log-depth tree of
-    O(k) LUT evaluations for a k-wide pooling window, matching the paper's
-    O(k) FBS cost for max-pooling.
-    """
-    vals = np.asarray(values, dtype=np.int64)
-    while vals.shape[-1] > 1:
-        n = vals.shape[-1]
-        half = n // 2
-        a = vals[..., :half]
-        b = vals[..., half : 2 * half]
-        diff = (a - b + t // 2) % t - t // 2  # centered mod-t subtraction
-        merged = b + relu.apply_plain(diff)
-        if n % 2:
-            merged = np.concatenate([merged, vals[..., -1:]], axis=-1)
-        vals = merged
-    return vals[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,12 @@ Fusion rules (applied at lowering time, consumed by all executors)
 
 1. **Conv + max-pool in the MAC domain.** A ``QMaxPool`` directly following
    a conv whose merged activation is monotone rides on the conv's
-   :class:`LinearStep`: pool-then-remap equals remap-then-pool exactly for
-   a monotone LUT, and MAC-scale values tolerate e_ms where int-a values do
-   not. Non-monotone activations (gelu) keep a separate activation-domain
-   :class:`PoolStep`.
+   :class:`LinearStep`: MAC-scale values tolerate e_ms where int-a values
+   do not. The max-tree takes each window difference mod t, so
+   pool-then-remap equals remap-then-pool for a monotone LUT exactly when
+   every window difference stays inside +/-t/2; past that both the
+   ciphertext and the integer walker wrap. Non-monotone activations (gelu)
+   keep a separate activation-domain :class:`PoolStep`.
 2. **Residual wide-scale join.** Both branches of a :class:`ResidualStep`
    arrive at the shared ``add_scale`` (see :class:`QResidual`); the
    encrypted addition plus one post-add LUT is a single program node.
@@ -49,11 +51,12 @@ Executor protocol
 An executor implements one handler per node kind (``linear`` / ``pool`` /
 ``remap`` / ``reshape`` / ``residual``); each handler receives the step and
 the flowing value and returns the new value. Value semantics are
-executor-defined: integer tensors for the plaintext and simulated engines,
-BFV ciphertexts for the real backend, ``None`` for pure accounting walkers
-such as the trace generator. :func:`run_program` owns the schedule —
-including the recursion into residual sub-programs — so no executor can
-drift from the lowered fusion decisions.
+executor-defined: integer tensors for :class:`PlainIntExecutor` and the
+simulated engine (its subclass), BFV ciphertexts for the real backend,
+``None`` for pure accounting walkers such as the trace generator.
+:func:`run_program` owns the schedule — including the recursion into
+residual sub-programs — so no executor can drift from the lowered fusion
+decisions.
 """
 
 from __future__ import annotations
@@ -448,17 +451,49 @@ def run_program(program: AthenaProgram, executor: ProgramExecutor, value=None):
 # --------------------------------------------------------------------------
 
 
+def _windows(x_q: np.ndarray, layer) -> np.ndarray:
+    """(B, C, H, W) -> (B, out_h, out_w, C, k*k) pooling windows."""
+    cols, oh, ow = nn.im2col(x_q, layer.kernel, layer.kernel, layer.stride, 0)
+    return cols.reshape(x_q.shape[0], oh, ow, x_q.shape[1], layer.kernel**2)
+
+
 class PlainIntExecutor(ProgramExecutor):
     """Bit-exact integer inference — what the ciphertext pipeline computes.
 
-    Fused conv+max-pool steps are realized remap-then-pool (the LUT is
-    monotone, so this equals the MAC-domain order the encrypted backends
-    use, without tabulating the LUT). MAC peaks are recorded on the source
-    IR nodes, preserving the calibration side effect (Fig. 4 / check_t).
+    The one integer walker. Every LUT reads its input mod t (``_lut``);
+    every max-pool, fused into a conv's MAC domain or standalone, is the
+    FHE max-tree over differences taken mod t (``_maxpool``), which equals
+    remap-then-max while window differences stay inside +/-t/2. MAC peaks
+    land on the source IR nodes through ``_peak`` (the calibration side
+    effect behind Fig. 4 / check_t). The simulated engine subclasses this
+    walker and overrides only ``_lut``, ``_relu`` and ``_peak``.
     """
 
     def __init__(self, cfg: QuantConfig):
         self.cfg = cfg
+
+    def _lut(self, step, value: np.ndarray) -> np.ndarray:
+        """One LUT round on ``value`` read mod t."""
+        return step.lut.apply_exact(_wrap_t(value, self.cfg.t), self.cfg)
+
+    def _relu(self, diff: np.ndarray) -> np.ndarray:
+        """One max-tree ReLU on a centered mod-t difference."""
+        return np.maximum(diff, 0)
+
+    def _peak(self, layer, value: np.ndarray) -> None:
+        layer.mac_peak = max(layer.mac_peak, int(np.abs(value).max()))
+
+    def _maxpool(self, x_q: np.ndarray, layer: QMaxPool) -> np.ndarray:
+        """max(a, b) = b + relu(a - b), reduced pairwise over each window."""
+        vals = _windows(x_q, layer)
+        while vals.shape[-1] > 1:
+            n, half = vals.shape[-1], vals.shape[-1] // 2
+            low = vals[..., half : 2 * half]
+            merged = low + self._relu(_wrap_t(vals[..., :half] - low, self.cfg.t))
+            if n % 2:
+                merged = np.concatenate([merged, vals[..., -1:]], axis=-1)
+            vals = merged
+        return vals[..., 0].transpose(0, 3, 1, 2)
 
     def linear(self, step: LinearStep, x_q: np.ndarray) -> np.ndarray:
         layer = step.layer
@@ -466,27 +501,21 @@ class PlainIntExecutor(ProgramExecutor):
             mac = _int_conv(x_q, layer)
         else:
             mac = x_q @ layer.weight.T + layer.bias
-        layer.mac_peak = max(layer.mac_peak, int(np.abs(mac).max()))
-        out = step.lut.apply_exact(_wrap_t(mac, self.cfg.t), self.cfg)
+        self._peak(layer, mac)
         if step.fused_pool is not None:
-            out = self._maxpool(out, step.fused_pool)
-        return out
+            mac = self._maxpool(mac, step.fused_pool)
+        return self._lut(step, mac)
 
     def pool(self, step: PoolStep, x_q: np.ndarray) -> np.ndarray:
-        layer = step.layer
         if step.op == "max":
-            return self._maxpool(x_q, layer)
-        if step.op == "sum":
-            cols, oh, ow = nn.im2col(x_q, layer.kernel, layer.kernel, layer.stride, 0)
-            b, c = x_q.shape[0], x_q.shape[1]
-            total = cols.reshape(b, oh, ow, c, layer.kernel**2).sum(axis=-1)
-        else:  # gap
-            total = x_q.sum(axis=(2, 3))
-        layer.mac_peak = max(layer.mac_peak, int(np.abs(total).max()))
+            return self._maxpool(x_q, step.layer)
+        total = (_windows(x_q, step.layer).sum(axis=-1) if step.op == "sum"
+                 else x_q.sum(axis=(2, 3)))  # gap
+        self._peak(step.layer, total)
         return total
 
     def remap(self, step: RemapStep, total: np.ndarray) -> np.ndarray:
-        out = step.lut.apply_exact(total, self.cfg)
+        out = self._lut(step, total)
         return out.transpose(0, 3, 1, 2) if out.ndim == 4 else out
 
     def reshape(self, step: ReshapeStep, x_q: np.ndarray) -> np.ndarray:
@@ -494,16 +523,7 @@ class PlainIntExecutor(ProgramExecutor):
 
     def residual(self, step: ResidualStep, main: np.ndarray,
                  skip: np.ndarray) -> np.ndarray:
+        # skip_alpha is a noise-free ciphertext SMult (exact).
         total = main + skip * step.skip_alpha
-        step.layer.mac_peak = max(step.layer.mac_peak, int(np.abs(total).max()))
-        return step.lut.apply_exact(_wrap_t(total, self.cfg.t), self.cfg)
-
-    @staticmethod
-    def _maxpool(x_q: np.ndarray, layer: QMaxPool) -> np.ndarray:
-        cols, oh, ow = nn.im2col(x_q, layer.kernel, layer.kernel, layer.stride, 0)
-        b, c = x_q.shape[0], x_q.shape[1]
-        return (
-            cols.reshape(b, oh, ow, c, layer.kernel**2)
-            .max(axis=-1)
-            .transpose(0, 3, 1, 2)
-        )
+        self._peak(step.layer, total)
+        return self._lut(step, total)

@@ -51,6 +51,11 @@ class TestParser:
         out = capsys.readouterr().out
         assert "ciphertext accuracy" in out
 
+    def test_infer_backend_without_plan_is_usage_error(self, capsys):
+        # The simulated engine dispatches no op, so --backend alone is inert.
+        assert main(["infer", "mnist_cnn", "--backend", "serial"]) == 2
+        assert "--backend needs --plan" in capsys.readouterr().err
+
     def test_ablation_command(self, capsys):
         assert main(["ablation", "--model", "mnist_cnn"]) == 0
         assert "no-two-region-dataflow" in capsys.readouterr().out

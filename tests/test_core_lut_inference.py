@@ -5,12 +5,20 @@ import pytest
 
 from repro.core import lut as lutlib
 from repro.core.inference import AthenaNoiseModel, SimulatedAthenaEngine
+from repro.core.program import PlainIntExecutor
 from repro.data import synthetic_digits
-from repro.errors import QuantizationError
+from repro.errors import ParameterError, QuantizationError
 from repro.fhe.params import ATHENA
 from repro.quant.models import mnist_cnn
 from repro.quant.nn import Sgd, train_epoch
-from repro.quant.quantize import QConv, QuantConfig, quantize_model
+from repro.quant.quantize import (
+    QConv,
+    QFlatten,
+    QMaxPool,
+    QuantConfig,
+    QuantizedModel,
+    quantize_model,
+)
 
 T = 257  # small prime for fast exhaustive LUT checks
 
@@ -80,18 +88,23 @@ class TestActivationLuts:
 
 
 class TestMaxTree:
+    """The one max-tree, ``PlainIntExecutor._maxpool``, against numpy's max."""
+
+    @staticmethod
+    def _pool(x, kernel):
+        walker = PlainIntExecutor(QuantConfig(t=T))
+        return walker._maxpool(x, QMaxPool(kernel, kernel))
+
     def test_matches_numpy_max(self, rng):
-        relu = lutlib.relu_lut(T)
-        vals = rng.integers(-60, 60, (10, 4))
-        got = lutlib.max_tree_plain(vals, relu, T)
-        assert np.array_equal(got, vals.max(axis=-1))
+        x = rng.integers(-60, 60, (2, 3, 4, 4))
+        want = x.reshape(2, 3, 2, 2, 2, 2).max(axis=(3, 5))
+        assert np.array_equal(self._pool(x, 2), want)
 
     def test_odd_width(self, rng):
-        relu = lutlib.relu_lut(T)
-        vals = rng.integers(-60, 60, (6, 5))
-        assert np.array_equal(
-            lutlib.max_tree_plain(vals, relu, T), vals.max(axis=-1)
-        )
+        # A 3x3 window: nine values leave an odd tail at three tree levels.
+        x = rng.integers(-60, 60, (2, 3, 6, 6))
+        want = x.reshape(2, 3, 2, 3, 2, 3).max(axis=(3, 5))
+        assert np.array_equal(self._pool(x, 3), want)
 
 
 class TestSoftmax:
@@ -173,3 +186,10 @@ class TestSimulatedEngine:
         a = SimulatedAthenaEngine(qm, ATHENA, seed=9).infer(x[:8])
         b = SimulatedAthenaEngine(qm, ATHENA, seed=9).infer(x[:8])
         assert np.array_equal(a, b)
+
+    def test_refuses_a_model_quantized_for_another_t(self):
+        # forward_int wraps at config.t, the engine at params.t: a mismatch
+        # would break noise-free == forward_int without a word.
+        qm = QuantizedModel([QFlatten()], QuantConfig(4, 4, t=257), 1.0, (1, 2, 2))
+        with pytest.raises(ParameterError, match="t = 257"):
+            SimulatedAthenaEngine(qm, ATHENA)

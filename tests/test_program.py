@@ -39,21 +39,28 @@ from tests.conftest import refresh_noise_bound
 MODELS = ("mnist_cnn", "lenet", "resnet20")
 
 
+def _miniature(name, cfg):
+    rng = np.random.default_rng(7)
+    shape = input_shape(name)
+    x = (
+        synthetic_digits(96, rng)[0]
+        if shape == (1, 28, 28)
+        else synthetic_cifar(96, rng)[0]
+    )
+    model = build(name, rng=np.random.default_rng(11), width=0.25)
+    return quantize_model(model, x[:64], cfg), x
+
+
 @pytest.fixture(scope="module")
 def zoo():
     """Quantized miniatures of the three benchmark architectures."""
-    out = {}
-    for name in MODELS:
-        rng = np.random.default_rng(7)
-        shape = input_shape(name)
-        x = (
-            synthetic_digits(96, rng)[0]
-            if shape == (1, 28, 28)
-            else synthetic_cifar(96, rng)[0]
-        )
-        model = build(name, rng=np.random.default_rng(11), width=0.25)
-        out[name] = (quantize_model(model, x[:64], QuantConfig(7, 7)), x)
-    return out
+    return {name: _miniature(name, QuantConfig(7, 7)) for name in MODELS}
+
+
+@pytest.fixture(scope="module")
+def zoo_w6a7():
+    """The same miniatures quantized at w6a7."""
+    return {name: _miniature(name, QuantConfig(6, 7)) for name in MODELS}
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +215,29 @@ class TestPlaintextEquivalence:
 
 
 class TestSimulatedEquivalence:
-    @pytest.mark.parametrize("name", MODELS)
-    def test_noise_free_engine_bit_identical(self, zoo, name):
-        qm, x = zoo[name]
+    @pytest.mark.parametrize("name,zoo_fixture", [
+        *(pytest.param(name, "zoo", id=name) for name in MODELS),
+        *(pytest.param(name, "zoo_w6a7", id=f"{name}-w6a7") for name in MODELS),
+    ])
+    def test_noise_free_engine_bit_identical(self, request, name, zoo_fixture):
+        qm, x = request.getfixturevalue(zoo_fixture)[name]
         engine = SimulatedAthenaEngine(
             qm, noise=AthenaNoiseModel(enabled=False)
         )
         got = engine.infer(x[:16])
         want = qm.forward_int(qm.quantize_input(x[:16]))
         assert np.array_equal(got, want)
+
+    def test_noise_free_engine_equals_forward_int_when_macs_wrap(self):
+        # A conv + max-pool whose MACs overflow t: the fused max-tree's
+        # window differences wrap mod t, and both walkers must wrap alike.
+        qm, x = _miniature("lenet", QuantConfig(7, 7))
+        qm.layers[0].weight *= 16
+        x_q = qm.quantize_input(x[:32])
+        want = qm.forward_int(x_q)
+        assert not qm.check_t()
+        engine = SimulatedAthenaEngine(qm, noise=AthenaNoiseModel(enabled=False))
+        assert np.array_equal(engine.infer(x[:32]), want)
 
 
 class TestTraceEquivalence:
