@@ -148,29 +148,33 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _load_mp_payload(path: str) -> tuple:
     """Read a ``repro allocate --config-out`` artifact (or a bare MpConfig).
 
-    Returns (MpConfig, bias_correct, lut_margin). Accepts both the wrapped
-    shape ``{"mp": {...}, "bias_correct": ..., "lut_margin": ...}`` and a
-    bare ``{"assignments": {...}}``.
+    Returns (seed, MpConfig, bias_correct, lut_margin). Accepts both the
+    wrapped shape ``{"seed": ..., "mp": {...}, "bias_correct": ...,
+    "lut_margin": ...}`` and a bare ``{"assignments": {...}}``; without a
+    ``"seed"`` the subject is the default ``mp_micro_subject()``'s, 7.
     """
     from repro.quant.mp import DEFAULT_LUT_MARGIN, MpConfig
 
     with open(path) as fh:
         payload = json.load(fh)
+    seed = int(payload.get("seed", 7))
     mp = MpConfig.from_json(payload.get("mp", payload))
     bias_correct = bool(payload.get("bias_correct", True))
     lut_margin = int(payload.get("lut_margin", DEFAULT_LUT_MARGIN))
-    return mp, bias_correct, lut_margin
+    return seed, mp, bias_correct, lut_margin
 
 
 def _mp_subject(mp_path: str | None):
-    """The mixed-precision micro subject, quantized per the --mp artifact."""
+    """The mixed-precision micro subject, quantized per the --mp artifact
+    (built from the seed the artifact was allocated on)."""
     from repro.quant.mp import mp_micro_subject
     from repro.quant.quantize import quantize_model
 
-    model, x, _y, config = mp_micro_subject()
     if not mp_path:
+        model, x, _y, config = mp_micro_subject()
         return quantize_model(model, x, config, name="mp_cnn")
-    mp, bias_correct, lut_margin = _load_mp_payload(mp_path)
+    seed, mp, bias_correct, lut_margin = _load_mp_payload(mp_path)
+    model, x, _y, config = mp_micro_subject(seed)
     return quantize_model(model, x, config, name="mp_cnn", mp=mp,
                           bias_correct=bias_correct, lut_margin=lut_margin)
 
@@ -238,6 +242,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     )
     if args.config_out:
         artifact = {
+            "seed": args.seed,
             "mp": res.mp.to_json(),
             "bias_correct": res.bias_correct,
             "lut_margin": res.lut_margin,
@@ -511,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "inherit REPRO_BACKEND, else batched)")
     p.set_defaults(func=_cmd_infer)
 
-    p = sub.add_parser("compile", parents=[seed],
+    p = sub.add_parser("compile",
                        help="precompute a CompiledProgram plan artifact")
     p.add_argument("--model", default="mnist_cnn",
                    choices=subjects + ["mp_cnn"],

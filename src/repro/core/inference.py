@@ -213,8 +213,9 @@ class _SimulatedExecutor(PlainIntExecutor):
         self._pool_stat.lut_evals += diff.size
         return lutlib.relu_lut(t).apply_plain_signed(noisy)
 
-    def _peak(self, layer, value: np.ndarray) -> None:
+    def _mac(self, layer, value: np.ndarray) -> np.ndarray:
         """A simulation never writes calibration peaks onto the IR."""
+        return value
 
     def _maxpool(self, x_q: np.ndarray, layer: QMaxPool) -> np.ndarray:
         self._pool_stat = self.stats.layer("maxpool")

@@ -463,10 +463,13 @@ class PlainIntExecutor(ProgramExecutor):
     The one integer walker. Every LUT reads its input mod t (``_lut``);
     every max-pool, fused into a conv's MAC domain or standalone, is the
     FHE max-tree over differences taken mod t (``_maxpool``), which equals
-    remap-then-max while window differences stay inside +/-t/2. MAC peaks
-    land on the source IR nodes through ``_peak`` (the calibration side
-    effect behind Fig. 4 / check_t). The simulated engine subclasses this
-    walker and overrides only ``_lut``, ``_relu`` and ``_peak``.
+    remap-then-max while window differences stay inside +/-t/2. Every MAC
+    (conv/FC, pool sum, residual join) passes through ``_mac``, which
+    records its peak on the source IR node (the calibration side effect
+    behind Fig. 4 / check_t) and returns the value the step goes on with.
+    The simulated engine subclasses this walker and overrides only
+    ``_lut``, ``_relu`` and ``_mac``; :class:`BiasCorrector` overrides only
+    ``_mac``.
     """
 
     def __init__(self, cfg: QuantConfig):
@@ -480,8 +483,9 @@ class PlainIntExecutor(ProgramExecutor):
         """One max-tree ReLU on a centered mod-t difference."""
         return np.maximum(diff, 0)
 
-    def _peak(self, layer, value: np.ndarray) -> None:
+    def _mac(self, layer, value: np.ndarray) -> np.ndarray:
         layer.mac_peak = max(layer.mac_peak, int(np.abs(value).max()))
+        return value
 
     def _maxpool(self, x_q: np.ndarray, layer: QMaxPool) -> np.ndarray:
         """max(a, b) = b + relu(a - b), reduced pairwise over each window."""
@@ -501,7 +505,7 @@ class PlainIntExecutor(ProgramExecutor):
             mac = _int_conv(x_q, layer)
         else:
             mac = x_q @ layer.weight.T + layer.bias
-        self._peak(layer, mac)
+        mac = self._mac(layer, mac)
         if step.fused_pool is not None:
             mac = self._maxpool(mac, step.fused_pool)
         return self._lut(step, mac)
@@ -511,8 +515,7 @@ class PlainIntExecutor(ProgramExecutor):
             return self._maxpool(x_q, step.layer)
         total = (_windows(x_q, step.layer).sum(axis=-1) if step.op == "sum"
                  else x_q.sum(axis=(2, 3)))  # gap
-        self._peak(step.layer, total)
-        return total
+        return self._mac(step.layer, total)
 
     def remap(self, step: RemapStep, total: np.ndarray) -> np.ndarray:
         out = self._lut(step, total)
@@ -524,6 +527,31 @@ class PlainIntExecutor(ProgramExecutor):
     def residual(self, step: ResidualStep, main: np.ndarray,
                  skip: np.ndarray) -> np.ndarray:
         # skip_alpha is a noise-free ciphertext SMult (exact).
-        total = main + skip * step.skip_alpha
-        self._peak(step.layer, total)
+        total = self._mac(step.layer, main + skip * step.skip_alpha)
         return self._lut(step, total)
+
+
+class BiasCorrector(PlainIntExecutor):
+    """The integer walker with CalibTIP bias correction folded into each MAC.
+
+    ``z_means`` maps ``id(node)`` of a conv/linear IR node to the
+    per-channel mean of its float pre-activation on the calibration batch.
+    The per-channel mean of that minus the dequantized integer MAC is a
+    systematic quantization bias: it is rounded into the integer bias, and
+    the walk goes on with the corrected MAC, so every later layer corrects
+    against corrected inputs. Nodes without an entry are only tracked.
+    """
+
+    def __init__(self, cfg: QuantConfig, z_means: dict):
+        super().__init__(cfg)
+        self.z_means = z_means
+
+    def _mac(self, layer, value: np.ndarray) -> np.ndarray:
+        z_mean = self.z_means.get(id(layer))
+        if z_mean is not None:
+            s = layer.in_scale * layer.w_scale
+            axes = (0, *range(2, value.ndim))
+            shift = np.rint((z_mean - value.mean(axis=axes) * s) / s).astype(np.int64)
+            layer.bias = layer.bias + shift
+            value = value + shift.reshape(-1, *[1] * (value.ndim - 2))
+        return super()._mac(layer, value)

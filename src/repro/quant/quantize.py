@@ -449,27 +449,26 @@ def quantize_model(
       ``.get`` works) assigning :class:`LayerQuantConfig` overrides by
       layer name — ``conv0``, ``linear1``, ... numbered over MAC layers
       in conversion order, residual branches included.
-    - ``bias_correct``: CalibTIP-style bias correction — after quantizing
-      each conv/linear, shift its integer bias by the per-channel mean
-      discrepancy between the float pre-activation and the dequantized
-      integer MAC observed on ``calib_x``.
+    - ``bias_correct``: CalibTIP-style bias correction — shift each
+      conv/linear's integer bias by the per-channel mean discrepancy
+      between the float pre-activation and the dequantized integer MAC
+      observed on ``calib_x``.
     - ``lut_margin``: record each LUT-bearing node's calibrated MAC peak
       plus this safety margin as ``lut_range``, enabling restricted-domain
       LUT interpolation downstream (``repro.fhe.fbs.interpolate_range``).
 
-    Any of the three switches the converter into *tracking* mode: the
-    calibration batch is additionally threaded through the integer IR as
-    it is built (conv and linear MACs inline, where bias correction needs
-    them; pools and residual joins through ``forward_int``), so MAC peaks
-    and bias corrections reflect the quantized network the FHE pipeline
-    will actually run.
+    Any of the three switches on *tracking*: once the IR is built, the
+    whole calibration batch runs once through the one integer walker
+    (:class:`repro.core.program.BiasCorrector`, a ``PlainIntExecutor``
+    that corrects each bias as its MAC goes by), so MAC peaks, bias
+    corrections and LUT windows come from exactly the network
+    ``forward_int`` and the FHE pipeline run, wrapped MACs included.
     """
     folded = fold_batchnorm(model)
+    calib_x = np.asarray(calib_x, dtype=np.float64)
     a_max = config.a_max
     input_scale = _act_scale(calib_x, a_max)
-    in_shape = tuple(calib_x.shape[1:])
-    track = mp is not None or bias_correct or lut_margin is not None
-    mac_nodes: list = []  # every LUT-bearing node, conversion order
+    z_means: dict = {}  # id(conv/linear node) -> per-channel mean of z
     mac_index = [0]  # shared conv/linear naming counter (conversion order)
 
     def _layer_cfg(kind: str):
@@ -477,135 +476,72 @@ def quantize_model(
         mac_index[0] += 1
         return mp.get(lname) if mp is not None else None
 
-    def _correct_bias(node, z: np.ndarray, mac: np.ndarray, axes) -> np.ndarray:
-        # CalibTIP bias correction: the per-channel mean of the float
-        # pre-activation minus the dequantized integer MAC is a systematic
-        # quantization bias; fold it into the integer bias exactly.
-        s = node.in_scale * node.w_scale
-        delta = z.mean(axis=axes) - mac.mean(axis=axes) * s
-        shift = np.rint(delta / s).astype(np.int64)
-        node.bias = node.bias + shift
-        return shift
-
-    def _forward_int(ir: list, x_q: np.ndarray) -> np.ndarray:
-        # A raw IR list (one pool node, a residual branch) runs through the
-        # one integer executor, PlainIntExecutor.
-        return QuantizedModel(ir, config, 1.0, x_q.shape[1:]).forward_int(x_q)
-
-    def convert(layers: list, x_f: np.ndarray, in_scale: float, x_q=None):
-        """Returns (ir_list, out_float, out_scale, out_q)."""
+    def convert(layers: list, x_f: np.ndarray, in_scale: float):
+        """Returns (ir_list, out_float, out_scale)."""
         ir: list = []
         i = 0
         scale = in_scale
         while i < len(layers):
             layer = layers[i]
             nxt = layers[i + 1] if i + 1 < len(layers) else None
-            if isinstance(layer, Conv2d):
+            if isinstance(layer, (Conv2d, Linear)):
+                is_conv = isinstance(layer, Conv2d)
                 act = _merged_activation(nxt) or "identity"
                 z = layer.forward(x_f)
                 a = ACTIVATIONS[act](z)
-                lcfg = _layer_cfg("conv")
+                lcfg = _layer_cfg("conv" if is_conv else "linear")
                 out_scale = _act_scale(a, lcfg.a_max if lcfg else a_max)
                 w_q, w_scale = _quantize_weights(
                     layer.weight, lcfg.w_max if lcfg else config.w_max
                 )
-                # Grouped convs quantize the grouped tensor (zeros in the
-                # dense expansion quantize to exact zeros, so w_scale is
-                # identical either way) and store the dense equivalent —
-                # every downstream consumer sees an ordinary conv.
-                w_q = nn.expand_grouped_weight(w_q, getattr(layer, "groups", 1))
-                bias = layer.bias if layer.bias is not None else np.zeros(layer.out_ch)
-                bias_q = np.rint(bias / (scale * w_scale)).astype(np.int64)
-                node = QConv(
-                    weight=w_q,
-                    groups=getattr(layer, "groups", 1),
-                    bias=bias_q,
-                    stride=layer.stride,
-                    pad=layer.pad,
+                bias = layer.bias if layer.bias is not None else np.zeros(len(w_q))
+                common = dict(
+                    bias=np.rint(bias / (scale * w_scale)).astype(np.int64),
                     in_scale=scale,
                     w_scale=w_scale,
                     out_scale=out_scale,
                     activation=act,
-                    in_shape=tuple(x_f.shape[1:]),
-                    out_shape=tuple(a.shape[1:]),
                     bits=lcfg,
                 )
+                if is_conv:
+                    # Grouped convs quantize the grouped tensor (zeros in the
+                    # dense expansion quantize to exact zeros, so w_scale is
+                    # identical either way) and store the dense equivalent —
+                    # every downstream consumer sees an ordinary conv.
+                    groups = getattr(layer, "groups", 1)
+                    node = QConv(
+                        weight=nn.expand_grouped_weight(w_q, groups),
+                        groups=groups,
+                        stride=layer.stride,
+                        pad=layer.pad,
+                        in_shape=tuple(x_f.shape[1:]),
+                        out_shape=tuple(a.shape[1:]),
+                        **common,
+                    )
+                else:
+                    node = QLinear(
+                        weight=w_q,
+                        in_features=layer.weight.shape[1],
+                        out_features=layer.weight.shape[0],
+                        **common,
+                    )
                 ir.append(node)
-                mac_nodes.append(node)
-                if x_q is not None:
-                    mac = _int_conv(x_q, node)
-                    if bias_correct:
-                        shift = _correct_bias(node, z, mac, (0, 2, 3))
-                        mac = mac + shift[None, :, None, None]
-                    node.mac_peak = max(node.mac_peak, int(np.abs(mac).max()))
-                    x_q = node.remap(_wrap_t(mac, config.t), a_max)
+                z_means[id(node)] = z.mean(axis=(0, *range(2, z.ndim)))
                 x_f, scale = a, out_scale
                 i += 2 if act != "identity" else 1
-            elif isinstance(layer, Linear):
-                act = _merged_activation(nxt) or "identity"
-                z = layer.forward(x_f)
-                a = ACTIVATIONS[act](z)
-                lcfg = _layer_cfg("linear")
-                out_scale = _act_scale(a, lcfg.a_max if lcfg else a_max)
-                w_q, w_scale = _quantize_weights(
-                    layer.weight, lcfg.w_max if lcfg else config.w_max
-                )
-                bias_q = np.rint(layer.bias / (scale * w_scale)).astype(np.int64)
-                node = QLinear(
-                    weight=w_q,
-                    bias=bias_q,
-                    in_scale=scale,
-                    w_scale=w_scale,
-                    out_scale=out_scale,
-                    activation=act,
-                    in_features=layer.weight.shape[1],
-                    out_features=layer.weight.shape[0],
-                    bits=lcfg,
-                )
-                ir.append(node)
-                mac_nodes.append(node)
-                if x_q is not None:
-                    mac = x_q @ node.weight.T + node.bias
-                    if bias_correct:
-                        shift = _correct_bias(node, z, mac, 0)
-                        mac = mac + shift[None, :]
-                    node.mac_peak = max(node.mac_peak, int(np.abs(mac).max()))
-                    x_q = node.remap(_wrap_t(mac, config.t), a_max)
-                x_f, scale = a, out_scale
-                i += 2 if act != "identity" else 1
-            elif isinstance(layer, MaxPool2d):
-                node = QMaxPool(layer.kernel, layer.stride)
-                ir.append(node)
+            elif isinstance(layer, (MaxPool2d, AvgPool2d, GlobalAvgPool, Flatten)):
+                if isinstance(layer, GlobalAvgPool):
+                    ir.append(QGlobalAvgPool(spatial=x_f.shape[2] * x_f.shape[3]))
+                elif isinstance(layer, Flatten):
+                    ir.append(QFlatten())
+                else:
+                    qtype = QMaxPool if isinstance(layer, MaxPool2d) else QAvgPool
+                    ir.append(qtype(layer.kernel, layer.stride))
                 x_f = layer.forward(x_f)
-                if x_q is not None:
-                    x_q = _forward_int([node], x_q)
-                i += 1
-            elif isinstance(layer, AvgPool2d):
-                node = QAvgPool(layer.kernel, layer.stride)
-                ir.append(node)
-                mac_nodes.append(node)
-                x_f = layer.forward(x_f)
-                if x_q is not None:
-                    x_q = _forward_int([node], x_q)
-                i += 1
-            elif isinstance(layer, GlobalAvgPool):
-                node = QGlobalAvgPool(spatial=x_f.shape[2] * x_f.shape[3])
-                ir.append(node)
-                mac_nodes.append(node)
-                x_f = layer.forward(x_f)
-                if x_q is not None:
-                    x_q = _forward_int([node], x_q)
-                i += 1
-            elif isinstance(layer, Flatten):
-                ir.append(QFlatten())
-                x_f = layer.forward(x_f)
-                if x_q is not None:
-                    x_q = x_q.reshape(x_q.shape[0], -1)
                 i += 1
             elif isinstance(layer, Residual):
-                node, x_f, scale, x_q = _convert_residual(layer, x_f, scale, x_q)
+                node, x_f, scale = _convert_residual(layer, x_f, scale)
                 ir.append(node)
-                mac_nodes.append(node)
                 i += 1
             elif _merged_activation(layer):
                 raise QuantizationError(
@@ -613,14 +549,13 @@ def quantize_model(
                 )
             else:
                 raise QuantizationError(f"cannot quantize {type(layer).__name__}")
-        return ir, x_f, scale, x_q
+        return ir, x_f, scale
 
-    def _convert_residual(block: Residual, x_f: np.ndarray, in_scale: float, x_q=None):
+    def _convert_residual(block: Residual, x_f: np.ndarray, in_scale: float):
         # Both branches meet at a shared *wide* scale (see QResidual).
         main_f = block.body.forward(x_f)
         skip_f = block.shortcut.forward(x_f) if block.shortcut else x_f
-        total_f = main_f + skip_f
-        out_f = np.maximum(total_f, 0)
+        out_f = np.maximum(main_f + skip_f, 0)
         branch_peak = max(
             float(np.abs(main_f).max()), float(np.abs(skip_f).max()), 1e-12
         )
@@ -634,11 +569,11 @@ def quantize_model(
             add_scale = in_scale / skip_alpha
         else:
             add_scale = target_scale
-        body_ir, _, _, _ = convert(block.body.layers, x_f, in_scale, x_q)
+        body_ir, _, _ = convert(block.body.layers, x_f, in_scale)
         _retarget_tail(body_ir, add_scale)
         shortcut_ir = None
         if block.shortcut:
-            shortcut_ir, _, _, _ = convert(block.shortcut.layers, x_f, in_scale, x_q)
+            shortcut_ir, _, _ = convert(block.shortcut.layers, x_f, in_scale)
             _retarget_tail(shortcut_ir, add_scale)
         out_scale = _act_scale(out_f, a_max)
         node = QResidual(
@@ -648,18 +583,7 @@ def quantize_model(
             out_scale=out_scale,
             skip_alpha=skip_alpha,
         )
-        out_q = None
-        if x_q is not None:
-            # Replay both branches: retargeting rewrote the tails' remap
-            # (out_scale/out_max), so the outputs threaded during convert
-            # are stale. Bias corrections and tail MAC peaks stay valid —
-            # the retarget only changes what happens *after* the MAC.
-            main_q = _forward_int(body_ir, x_q)
-            skip_q = _forward_int(shortcut_ir, x_q) if shortcut_ir else x_q
-            total = main_q + skip_q * skip_alpha
-            node.mac_peak = max(node.mac_peak, int(np.abs(total).max()))
-            out_q = node.remap(_wrap_t(total, config.t), a_max)
-        return node, out_f, out_scale, out_q
+        return node, out_f, out_scale
 
     def _retarget_tail(ir: list, add_scale: float) -> None:
         tail = ir[-1]
@@ -670,12 +594,7 @@ def quantize_model(
         tail.out_scale = add_scale
         tail.out_max = RESIDUAL_WIDE_MAX
 
-    x_q0 = None
-    if track:
-        x_q0 = np.clip(
-            np.rint(calib_x.astype(np.float64) / input_scale), -a_max, a_max
-        ).astype(np.int64)
-    ir, _, _, _ = convert(folded.layers, calib_x.astype(np.float64), input_scale, x_q0)
+    ir, _, _ = convert(folded.layers, calib_x, input_scale)
     # The classifier head keeps wide precision: softmax's exp LUT operates
     # on the logits, and at int-a granularity the e_ms perturbation would
     # swing exp() by whole quantization steps. Argmax is scale-invariant,
@@ -687,15 +606,15 @@ def quantize_model(
         eff_a = tail.bits.a_max if tail.bits else a_max
         tail.out_scale = tail.out_scale * eff_a / wide
         tail.out_max = wide
-    qmodel = QuantizedModel(ir, config, input_scale, in_shape, name=name)
-    if lut_margin is not None:
-        # The MAC peaks were calibrated above; freeze the restricted LUT
-        # domains before the first lowering so LutSpec captures them.
-        for node in mac_nodes:
-            peak = int(getattr(node, "mac_peak", 0))
-            if peak <= 0:
-                continue
-            r = peak + int(lut_margin)
-            if 2 * r + 1 < config.t:
-                node.lut_range = r
+    qmodel = QuantizedModel(ir, config, input_scale, tuple(calib_x.shape[1:]),
+                            name=name)
+    if mp is not None or bias_correct or lut_margin is not None:
+        # Imported here: repro.core and repro.quant.mp import this module.
+        from repro.core.program import BiasCorrector, run_program
+        from repro.quant.mp import assign_lut_ranges
+
+        corrector = BiasCorrector(config, z_means if bias_correct else {})
+        run_program(qmodel.program(), corrector, qmodel.quantize_input(calib_x))
+        if lut_margin is not None:
+            assign_lut_ranges(qmodel, lut_margin)
     return qmodel

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core.plan import program_fingerprint
 from repro.core.program import lower
+from repro.fhe.params import TEST_LOOP
+from repro.quant.mp import allocate_bits, mp_micro_subject
 from repro.quant.subjects import SUBJECTS, micro_subject
 
 FINGERPRINTS = {  # as built before the builders moved to repro.quant.subjects
@@ -78,11 +82,27 @@ class TestSubjectsTable:
 
     @pytest.mark.parametrize("argv", [
         ["bench"], ["loadgen"], ["tune"], ["compile", "--tune"],
-        ["compile", "--chunk", "16"],
-    ], ids=["bench", "loadgen", "tune", "compile--tune", "compile--chunk"])
+        ["compile", "--chunk", "16"], ["compile", "--seed", "3"],
+    ], ids=["bench", "loadgen", "tune", "compile--tune", "compile--chunk",
+            "compile--seed"])
     def test_deleted_commands_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit, match="2"):
             main(argv)
+
+
+class TestAllocateThenCompile:
+    """``repro allocate --config-out A && repro compile --model mp_cnn --mp A``."""
+
+    def test_compiles_the_subject_that_was_allocated(self, tmp_path, capsys):
+        artifact = str(tmp_path / "a.json")
+        assert main(["allocate", "--seed", "3", "--config-out", artifact]) == 0
+        capsys.readouterr()
+        assert main(["compile", "--model", "mp_cnn", "--mp", artifact,
+                     "--out", str(tmp_path / "a.plan"), "--json"]) == 0
+        compiled = json.loads(capsys.readouterr().out)
+        model, x, y, config = mp_micro_subject(3)
+        res = allocate_bits(model, x, y, config)
+        assert compiled["model_hash"] == program_fingerprint(lower(res.model, TEST_LOOP))
 
 
 @pytest.mark.slow

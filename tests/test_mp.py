@@ -6,9 +6,11 @@ import pytest
 from repro.core.plan import compile_program, program_fingerprint
 from repro.core.program import lower
 from repro.core.trace import effective_t, trace_model
+from repro.data.synthetic import synthetic_cifar, synthetic_digits
 from repro.errors import ModulusOverflow, ParameterError, QuantizationError
 from repro.fhe.params import TEST_FBS
 from repro.fhe.serialize import dump_plan, load_plan
+from repro.quant.models import build
 from repro.quant.mp import (
     DEFAULT_LUT_MARGIN,
     MpConfig,
@@ -104,6 +106,56 @@ class TestTrackedQuantization:
             assert node.lut_range is not None
             assert node.lut_range >= node.mac_peak + DEFAULT_LUT_MARGIN
             assert 2 * node.lut_range + 1 < config.t
+
+    def test_windows_cover_the_walkers_macs(self):
+        """Where lenet's MACs wrap t, tracking is ``forward_int``'s own run:
+        the same peaks, and every frozen window covers them."""
+        x, _ = synthetic_digits(64, np.random.default_rng(3))
+        qm = quantize_model(build("lenet", rng=np.random.default_rng(11), width=0.25),
+                            x, QuantConfig(7, 7, t=8193), name="lenet", mp=MpConfig(),
+                            bias_correct=True, lut_margin=8)
+        assert not qm.check_t()
+        nodes = qm.mac_layers()
+        tracked = [n.mac_peak for n in nodes]
+        for node in nodes:
+            node.mac_peak = 0
+        qm.forward_int(qm.quantize_input(x))
+        walked = [n.mac_peak for n in nodes]
+        assert tracked == walked
+        assert any(n.lut_range is not None for n in nodes)
+        for node, peak in zip(nodes, walked):
+            assert node.lut_range is None or node.lut_range >= peak
+
+    @pytest.mark.parametrize("name, data, count, pinned", [
+        ("resnet20", synthetic_cifar, 32, [
+            (8975, 8983, -48), (5486, 5494, 3), (6189, 6197, -14),
+            (10119, 10127, None), (5792, 5800, 7), (8088, 8096, -12),
+            (8855, 8863, None), (10436, 10444, 30), (7380, 7388, -32),
+            (13307, 13315, None), (8441, 8449, -48), (9296, 9304, -14),
+            (3907, 3915, 12), (8368, 8376, None), (7519, 7527, 45),
+            (10031, 10039, -34), (8177, 8185, None), (12645, 12653, 71),
+            (9102, 9110, -4), (10386, 10394, None), (12029, 12037, -80),
+            (12699, 12707, -81), (5523, 5531, -2), (10828, 10836, None),
+            (9153, 9161, 123), (9958, 9966, -22), (10371, 10379, None),
+            (12507, 12515, 39), (15089, 15097, -19), (7962, 7970, None),
+            (1656, 1664, None), (1388, 1396, 34)]),
+        ("mobile_cnn", synthetic_digits, 64, [
+            (12005, 12013, 22), (4157, 4165, 4), (2733, 2741, 10),
+            (5185, 5193, 2)]),
+        ("vgg_lite", synthetic_cifar, 32, [
+            (8975, 8983, -48), (5410, 5418, 2), (16437, 16445, 2),
+            (639, 647, None), (3699, 3707, 1), (6515, 6523, -26)]),
+    ], ids=["resnet20", "mobile_cnn", "vgg_lite"])
+    def test_tracked_zoo_models_are_pinned(self, name, data, count, pinned):
+        """Residual joins, grouped convs and average pools tracked at w7a7:
+        per MAC node ``(mac_peak, lut_range, bias.sum())``, literally."""
+        x, _ = data(count, np.random.default_rng(3))
+        qm = quantize_model(build(name, rng=np.random.default_rng(11), width=0.25),
+                            x, QuantConfig(7, 7), name=name, bias_correct=True,
+                            lut_margin=8)
+        assert [(n.mac_peak, n.lut_range,
+                 int(n.bias.sum()) if hasattr(n, "bias") else None)
+                for n in qm.mac_layers()] == pinned
 
     def test_assign_lut_ranges_post_hoc(self, subject):
         model, x, y, config = subject
