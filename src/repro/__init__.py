@@ -6,7 +6,7 @@ Subpackages:
 * :mod:`repro.quant` — quantized CNN training/inference framework
 * :mod:`repro.data` — synthetic dataset generators
 * :mod:`repro.core` — the Athena five-step inference framework
-* :mod:`repro.perf` — executor configuration, parallel map
+* :mod:`repro.perf` — the worker pool's executor configuration
 * :mod:`repro.serve` — warm inference sessions + on-disk plan cache
 * :mod:`repro.accel` — cycle-level accelerator simulator and baselines
 * :mod:`repro.eval` — per-table / per-figure experiment drivers
@@ -31,7 +31,6 @@ _EXPORTS = {
     "InferenceRequest": ("repro.serve", "InferenceRequest"),
     "InferenceResult": ("repro.serve", "InferenceResult"),
     "InferenceSession": ("repro.serve", "InferenceSession"),
-    "ParallelMap": ("repro.perf", "ParallelMap"),
     "SessionCore": ("repro.serve", "SessionCore"),
     "SessionRuntime": ("repro.serve", "SessionRuntime"),
     "ShardedPlanCache": ("repro.serve", "ShardedPlanCache"),

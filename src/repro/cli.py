@@ -589,9 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "domain: enables cross-tenant batching)")
     p.add_argument("--backend", default=None,
                    choices=["batched", "serial", "counting"],
-                   help="default op-dispatch backend for every tenant "
-                        "(per-tenant pins would win; default: inherit "
-                        "REPRO_BACKEND, else batched)")
+                   help="op-dispatch backend every session pins "
+                        "(default: inherit REPRO_BACKEND, else batched)")
     p.set_defaults(func=_cmd_serve, seed=41)
 
     p = sub.add_parser("ablation", help="accelerator design ablations")

@@ -19,13 +19,11 @@ enough modulus for one full FBS depth (see ``TEST_LOOP`` in params).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from repro.core.encoding import encode_features
 from repro.core.plan import CompiledProgram, RefreshRound, compile_program
-from repro.fhe.slots import pack_lane_coeffs, row_swap_element
+from repro.fhe.slots import pack_lane_coeffs, row_swap_element, unpack_lane_coeffs
 from repro.core.program import (
     AthenaProgram,
     LinearStep,
@@ -37,7 +35,7 @@ from repro.core.program import (
 from repro.core.program import run_program as _run_steps
 from repro.errors import ParameterError
 from repro.fhe import lwe as lwelib
-from repro.fhe.backend import Backend, current_backend, get_backend, use_backend
+from repro.fhe.backend import current_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
 from repro.fhe.fbs import FbsLut, FbsPlan, fbs_evaluate
 from repro.fhe.packing import PackingKey, pack_lwe
@@ -49,18 +47,15 @@ from repro.utils.sampling import Sampler
 class AthenaPipeline:
     """All keys + the five-step loop for one parameter set.
 
-    A :class:`repro.fhe.backend.Backend` (or backend name) may be bound at
-    construction; every pipeline entry point then installs it as the
-    context-active backend for the duration of the call, so op counting
-    and batched/serial selection follow the pipeline rather than whatever
-    the ambient context happens to be. Without one, the
-    ambient :func:`current_backend` (contextvar, then ``REPRO_BACKEND``,
-    then batched) applies.
+    Every op runs on the ambient :func:`current_backend`; the pipeline pins
+    none. A session (:class:`repro.serve.InferenceSession`) installs its
+    pin around keygen and each run; a bare pipeline follows the
+    ``use_backend`` block enclosing the call.
 
     The pipeline keeps no counters and no clocks. Every step runs inside a
     backend phase (``linear`` / ``se`` / ``packing`` / ``fbs`` / ``s2c``);
-    bind or install a :class:`repro.fhe.backend.CountingBackend` to get
-    every primitive actually dispatched, and the seconds spent, per phase.
+    install a :class:`repro.fhe.backend.CountingBackend` to get every
+    primitive actually dispatched, and the seconds spent, per phase.
     """
 
     def __init__(
@@ -68,11 +63,9 @@ class AthenaPipeline:
         params: FheParams,
         seed: int = 0,
         ks_base_bits: int = 7,
-        backend: Backend | str | None = None,
     ):
         self.params = params
-        self.backend = get_backend(backend) if backend is not None else None
-        with self._dispatch(), current_backend().phase("keygen"):
+        with current_backend().phase("keygen"):
             self.ctx = BfvContext(params, seed=seed)
             self.sk, self.pk = self.ctx.keygen()
             self.rlk = self.ctx.relin_key(self.sk)
@@ -96,10 +89,6 @@ class AthenaPipeline:
             # sources, is built once here from the Galois keys.
             self.packing_key.rotated_secrets()
 
-    def _dispatch(self):
-        """Install the pipeline's backend as the context-active one."""
-        return use_backend(self.backend) if self.backend is not None else nullcontext()
-
     # -- I/O -----------------------------------------------------------------
 
     def encrypt_coeffs(self, values: np.ndarray) -> BfvCiphertext:
@@ -120,7 +109,7 @@ class AthenaPipeline:
         :class:`Plaintext` (a compile-time artifact whose NTT operand form
         is already cached — see :mod:`repro.core.plan`).
         """
-        with self._dispatch(), current_backend().phase("linear"):
+        with current_backend().phase("linear"):
             if not isinstance(kernel, Plaintext):
                 kernel = Plaintext.from_coeffs(kernel, self.params)
             return self.ctx.pmult(ct, kernel)
@@ -132,11 +121,10 @@ class AthenaPipeline:
     ) -> lwelib.LweBatch:
         """Modulus switch, extract the valid coefficients, switch dimension
         and modulus down to t. Resulting messages sit at Delta = 1."""
-        with self._dispatch():
-            small = lwelib.rlwe_mod_switch(ct, self.params.lwe_q)
-            batch = lwelib.sample_extract(small, positions)
-            switched = lwelib.keyswitch(batch, self.lwe_ksk)
-            return lwelib.lwe_mod_switch(switched, self.params.t)
+        small = lwelib.rlwe_mod_switch(ct, self.params.lwe_q)
+        batch = lwelib.sample_extract(small, positions)
+        switched = lwelib.keyswitch(batch, self.lwe_ksk)
+        return lwelib.lwe_mod_switch(switched, self.params.t)
 
     # -- Steps 4-5: packing + FBS ---------------------------------------------------
 
@@ -147,9 +135,8 @@ class AthenaPipeline:
 
         ``plan`` supplies a precomputed BSGS schedule; the op sequence (and
         result) is identical with or without it."""
-        with self._dispatch():
-            packed = pack_lwe(self.ctx, batch, self.packing_key)
-            return fbs_evaluate(self.ctx, packed, lut, self.rlk, plan=plan)
+        packed = pack_lwe(self.ctx, batch, self.packing_key)
+        return fbs_evaluate(self.ctx, packed, lut, self.rlk, plan=plan)
 
     # -- loop closure -------------------------------------------------------------
 
@@ -157,8 +144,7 @@ class AthenaPipeline:
         self, ct: BfvCiphertext, plan: S2CPlan | None = None
     ) -> BfvCiphertext:
         """S2C: prepare the FBS output for the next coefficient-encoded layer."""
-        with self._dispatch():
-            return slot_to_coeff(self.ctx, ct, self.s2c_key, plan=plan)
+        return slot_to_coeff(self.ctx, ct, self.s2c_key, plan=plan)
 
     def loop(
         self,
@@ -201,9 +187,9 @@ class AthenaPipeline:
         equal. Returns the centered integer outputs — comparable, up to FHE
         noise, with ``QuantizedModel.forward_int`` on the same program.
 
-        This is the one-lane call of :meth:`run_batch`'s body.
+        This is the one-lane call of :meth:`run_batch`.
         """
-        return self._run_lanes(program, [x_q], plan)[0]
+        return self.run_batch(program, [x_q], plan)[0]
 
     def run_batch(
         self,
@@ -223,21 +209,13 @@ class AthenaPipeline:
         """
         if not xs:
             return []
-        return self._run_lanes(program, xs, plan)
-
-    def _run_lanes(self, program, xs, plan) -> list[np.ndarray]:
-        """The one execution body: ``len(xs)`` lanes through one ciphertext."""
         xs = [np.asarray(x, dtype=np.int64) for x in xs]
-        with self._dispatch():
-            ex = CiphertextExecutor(self, program, plan=plan, lanes=len(xs))
-            ct = _run_steps(program, ex, xs[0] if len(xs) == 1 else np.stack(xs))
-            raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)
+        ex = CiphertextExecutor(self, program, plan=plan, lanes=len(xs))
+        ct = _run_steps(program, ex, xs[0] if len(xs) == 1 else np.stack(xs))
+        raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)
+        vals = unpack_lane_coeffs(raw, ex.lane_stride, len(xs), ex.out_count)
         t = self.params.t
-        outs = []
-        for d in range(len(xs)):
-            vals = raw[d * ex.lane_stride : d * ex.lane_stride + ex.out_count]
-            outs.append(np.where(vals > t // 2, vals - t, vals))
-        return outs
+        return list(np.where(vals > t // 2, vals - t, vals))
 
 
 class CiphertextExecutor(ProgramExecutor):
@@ -283,8 +261,7 @@ class CiphertextExecutor(ProgramExecutor):
         self.pipe = pipe
         self.program = program
         if plan is None:
-            with pipe._dispatch():
-                plan = compile_program(program, pipe.params)
+            plan = compile_program(program, pipe.params)
         else:
             plan.bind(program, pipe.params)
         if lanes > plan.batch_capacity:
@@ -344,7 +321,7 @@ class CiphertextExecutor(ProgramExecutor):
         out = pipe.linear(ct, cstep.kernel)
         bias = layout.bias if layout is not None else cstep.bias
         if bias is not None:
-            with pipe._dispatch(), current_backend().phase("linear"):
+            with current_backend().phase("linear"):
                 out = pipe.ctx.add_plain(out, bias)
         for delta, rnd in cstep.pool_rounds or ():
             out = self._max_round(out, delta, rnd)
@@ -370,7 +347,7 @@ class CiphertextExecutor(ProgramExecutor):
         batch = pipe.refresh_to_lwe(ct, rnd.positions).place(rnd.rows, rnd.height)
         boot = pipe.bootstrap(batch, rnd.lut, plan=rnd.fbs)
         if rnd.correction is not None:
-            with pipe._dispatch(), current_backend().phase("fbs"):
+            with current_backend().phase("fbs"):
                 boot = pipe.ctx.add_plain(boot, rnd.correction)
         return pipe.to_coeffs(boot, plan=self.plan.s2c) if s2c else boot
 
@@ -391,14 +368,14 @@ class CiphertextExecutor(ProgramExecutor):
         """
         pipe = self.pipe
         offset = pipe.params.n - delta
-        with pipe._dispatch(), current_backend().phase("pooling"):
+        with current_backend().phase("pooling"):
             # Exact monomial multiplication by X^offset (no key material).
             shifted = BfvCiphertext(
                 ct.c0.negacyclic_shift(offset), ct.c1.negacyclic_shift(offset),
                 ct.params, ct.noise_bits)
             diff = pipe.ctx.add(ct, shifted)
         relu_ct = self._refresh(diff, rnd, True)
-        with pipe._dispatch(), current_backend().phase("pooling"):
+        with current_backend().phase("pooling"):
             return pipe.ctx.sub(relu_ct, shifted)
 
     def _encode_lanes(self, blocks_chw: np.ndarray, layout, n: int):
@@ -439,7 +416,7 @@ class CiphertextExecutor(ProgramExecutor):
         """
         cstep = self._artifacts[id(step)]
         pipe = self.pipe
-        with pipe._dispatch(), current_backend().phase("residual"):
+        with current_backend().phase("residual"):
             if cstep.alpha != 1:
                 skip = pipe.ctx.smult(skip, cstep.alpha)
             total = pipe.ctx.add(main, skip)

@@ -21,7 +21,6 @@ line plots, and the LUT-evaluation counts the accelerator trace consumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ from repro.core import lut as lutlib
 from repro.core.program import PlainIntExecutor, lower, run_program
 from repro.errors import ParameterError
 from repro.fhe.fbs import FbsLut
+from repro.fhe.lwe import expected_ems_std
 from repro.fhe.params import ATHENA, FheParams
 from repro.quant.quantize import QMaxPool, QuantizedModel, _wrap_t
 
@@ -47,7 +47,6 @@ class AthenaNoiseModel:
     """
 
     params: FheParams = ATHENA
-    ct_sigma: float = 3.2
     secret_norm_sq: float | None = None
     enabled: bool = True
 
@@ -58,8 +57,7 @@ class AthenaNoiseModel:
             if self.secret_norm_sq is not None
             else 2 * self.params.lwe_n / 3
         )
-        scaled = (self.params.t * self.ct_sigma / self.params.q) ** 2
-        return math.sqrt(scaled + (norm_sq + 1) / 12.0)
+        return expected_ems_std(self.params, norm_sq)
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         if not self.enabled:

@@ -15,7 +15,6 @@ from repro.core.noise_budget import PAPER_TABLE4, budget_bits, is_correct, table
 from repro.eval.render import render_table
 from repro.eval.zoo import get_benchmark
 from repro.fhe.params import ATHENA
-from repro.perf import ParallelMap
 
 
 # -- Table 1: solution comparison -------------------------------------------------
@@ -140,7 +139,7 @@ def render_table4() -> str:
 
 
 def _table5_row(name: str, test_size: int, seed: int):
-    """One model's accuracy sweep (module-level so process pools can run it)."""
+    """One model's accuracy sweep: ``(name, row)``."""
     entry = get_benchmark(name, seed=seed)
     x = entry.data["x_test"][:test_size]
     y = entry.data["y_test"][:test_size]
@@ -156,16 +155,9 @@ def _table5_row(name: str, test_size: int, seed: int):
 
 
 def table5(models=("mnist_cnn", "lenet", "resnet20", "resnet56"), test_size: int = 512,
-           seed: int = 0, pmap: ParallelMap | None = None):
-    """plain-G / plain-Q / cipher accuracy and fits-t per model and quant mode.
-
-    The per-model sweeps are independent; they fan out through ``pmap``
-    (default: :class:`ParallelMap` from the ``REPRO_EXECUTOR`` /
-    ``REPRO_WORKERS`` environment) and come back in input order.
-    """
-    pmap = pmap if pmap is not None else ParallelMap()
-    rows = pmap.starmap(_table5_row, [(name, test_size, seed) for name in models])
-    return dict(rows)
+           seed: int = 0):
+    """plain-G / plain-Q / cipher accuracy and fits-t per model and quant mode."""
+    return dict(_table5_row(name, test_size, seed) for name in models)
 
 
 def render_table5(**kwargs) -> str:

@@ -1029,8 +1029,7 @@ def get_backend(backend: "Backend | str") -> Backend:
 def default_backend() -> Backend:
     """The process-wide default, honoring ``REPRO_BACKEND`` once at first use.
 
-    The variable is normalised as :meth:`repro.perf.ExecConfig.from_env`
-    does: stripped, lower-cased, and empty means unset.
+    The variable is stripped and lower-cased; empty means unset.
     """
     global _DEFAULT
     if _DEFAULT is None:

@@ -1,11 +1,10 @@
-"""Parallel execution for the pipeline.
+"""Executor configuration for the serving worker pool.
 
-:class:`ExecConfig` / :class:`ParallelMap` — serial/thread/process map over
-independent work items, driven by ``REPRO_EXECUTOR``/``REPRO_WORKERS``.
-Counting and timing a run is the job of
-:class:`repro.fhe.backend.CountingBackend`.
+:class:`ExecConfig` — serial/thread/process mode, worker count and the
+backend every session a service builds pins. Counting and timing a run is
+the job of :class:`repro.fhe.backend.CountingBackend`.
 """
 
-from repro.perf.parallel import ExecConfig, ParallelMap
+from repro.perf.parallel import ExecConfig
 
-__all__ = ["ExecConfig", "ParallelMap"]
+__all__ = ["ExecConfig"]

@@ -13,7 +13,7 @@ This package layers that split into a service:
   on-disk plan persistence behind an in-memory layer shared by tenants
   running the same model.
 * **tenant** — :class:`Tenant` / :class:`TenantRegistry`: per-tenant
-  parameters, keygen seeds, pinned backends, and key-inventory sizing.
+  parameters, keygen seeds, and key-inventory sizing.
 * **api** — the typed request path: :class:`InferenceRequest` /
   :class:`InferenceResult`, plus the uniform :class:`LayerStats` schema
   every layer's ``stats()`` returns.

@@ -4,7 +4,7 @@
 assembler -> worker pool over a shared (sharded) plan cache:
 
 1. **tenant layer** (:mod:`repro.serve.tenant`) — who is served, under
-   which parameters/seeds/backends, and what key material that implies.
+   which parameters and seeds, and what key material that implies.
 2. **scheduler layer** (:mod:`repro.serve.scheduler`) — bounded per-tenant
    queues, synchronous admission control (reject/shed with
    :class:`~repro.errors.ServiceOverloaded`, payload carrying the tenant's
@@ -160,7 +160,7 @@ class AthenaService:
                 tenant.params,
                 seed=tenant.seed,
                 cache=self.cache,
-                backend=tenant.backend or self.exec_config.backend,
+                backend=self.exec_config.backend,
             )
             if fingerprint is None:
                 fingerprint = core.fingerprint
@@ -366,7 +366,6 @@ class AthenaService:
             "tenants": {
                 tenant.tenant_id: {
                     "params": tenant.params.name,
-                    "backend": tenant.backend,
                     "requests": self._per_tenant_requests[tenant.tenant_id],
                     "key_material_mb": round(
                         tenant.key_material_bytes() / 2**20, 3

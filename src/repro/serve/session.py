@@ -45,6 +45,11 @@ __all__ = ["InferenceSession", "SessionCore", "SessionRuntime"]
 LATENCY_WINDOW = 4096
 
 
+def _pinned(backend: Backend | str | None):
+    """The session's backend pin as a context, or no-op when unpinned."""
+    return use_backend(backend) if backend is not None else nullcontext()
+
+
 def _percentile(latencies: list[float], q: float) -> float | None:
     """Latency percentile (seconds), ``None`` before the first request."""
     if not latencies:
@@ -56,13 +61,11 @@ def _percentile(latencies: list[float], q: float) -> float | None:
 class SessionCore:
     """The request-invariant half of a session: program + params + plan.
 
-    Everything here is plain data — numpy arrays, dataclasses, and at most
-    a backend *name* — so a core pickles cleanly and can be built once in a
-    control process, persisted through a :class:`repro.serve.ShardedPlanCache`,
-    and handed to any number of workers. Pass ``backend`` as a name (not an
-    instance) when a core must cross a process boundary; stateful backend
-    instances (e.g. a populated CountingBackend) are kept by reference and
-    only survive pickling if they themselves do.
+    Everything here is plain data — numpy arrays, dataclasses, and the
+    session's backend pin — so a core pickles cleanly and can be built once
+    in a control process, persisted through a
+    :class:`repro.serve.ShardedPlanCache`, and handed to any number of
+    workers. Only a pin given as a *name* crosses a process boundary.
     """
 
     program: AthenaProgram
@@ -107,9 +110,8 @@ class SessionCore:
         else:
             params = params or TEST_LOOP
             program = lower(model, params)
-        dispatch = use_backend(backend) if backend is not None else nullcontext()
         start = time.perf_counter()
-        with dispatch:
+        with _pinned(backend):
             if plan is not None:
                 plan = plan.bind(program, params)
             elif cache is not None:
@@ -134,6 +136,9 @@ class SessionRuntime:
     the same core holds identical keys and — given the same request order —
     produces bit-identical outputs.
 
+    The core's backend is this runtime's pin: keygen and every run execute
+    under it, in whichever thread or worker process the runtime lives in.
+
     :meth:`run` serializes requests on an internal lock; *all* bookkeeping
     (request count, accumulated run time, the windowed run-latency log) is
     updated inside that lock, so concurrent callers never lose updates and
@@ -147,9 +152,8 @@ class SessionRuntime:
             get_backend(core.backend) if core.backend is not None else None
         )
         start = time.perf_counter()
-        self.pipeline = AthenaPipeline(
-            core.params, seed=core.seed, backend=self.backend
-        )
+        with _pinned(self.backend):
+            self.pipeline = AthenaPipeline(core.params, seed=core.seed)
         self.keygen_s = time.perf_counter() - start
         self._lock = threading.Lock()
         self.requests = 0
@@ -183,7 +187,7 @@ class SessionRuntime:
         """:meth:`run_batch` plus the run's wall seconds, measured under
         the request lock (so waiting for another caller's run is excluded)."""
         core = self.core
-        with self._lock:
+        with self._lock, _pinned(self.backend):
             start = time.perf_counter()
             outs = self.pipeline.run_batch(core.program, xs, plan=core.plan)
             wall = time.perf_counter() - start

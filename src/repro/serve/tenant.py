@@ -2,11 +2,12 @@
 
 A *tenant* is one key domain: its own :class:`FheParams`, its own keygen
 seed (so every :class:`~repro.serve.session.SessionRuntime` built for it
-derives the same — and only its own — secret/evaluation keys), and
-optionally its own pinned op-dispatch backend. Ciphertexts never cross
-tenants: the scheduler keeps per-tenant queues and the worker layer keys
-its warm sessions by ``(tenant_id, model)``, so tenant A's keys can never
-touch tenant B's requests.
+derives the same — and only its own — secret/evaluation keys). Which
+engine runs its requests is the service's ``ExecConfig`` choice, not the
+tenant's. Ciphertexts never cross tenants: the scheduler keeps per-tenant
+queues and the worker layer keys its warm sessions by
+``(tenant_id, model)``, so tenant A's keys can never touch tenant B's
+requests.
 
 The tenant layer also owns deployment *sizing*: each tenant's evaluation
 key inventory (Galois/relin/LWE-keyswitch material, via
@@ -39,15 +40,11 @@ class Tenant:
         seed: Keygen seed. Every runtime built for this tenant derives the
             same keys from it, so any worker can answer this tenant's
             requests interchangeably.
-        backend: Optional pinned op-dispatch backend *name* (names stay
-            picklable across process workers); ``None`` inherits the
-            ambient default.
     """
 
     tenant_id: str
     params: FheParams
     seed: int = 0
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if not self.tenant_id:
@@ -60,13 +57,11 @@ class Tenant:
         deterministically from ``(params, seed)``, so two tenants with equal
         key domains hold *identical* secret/evaluation keys and their
         requests may legally share a ciphertext — the batching layer's
-        shared-key fast path. The pinned backend is included conservatively:
-        cross-tenant batches execute on one runtime, and folding a tenant
-        into a differently-pinned runtime would misattribute its op counts.
+        shared-key fast path.
         """
         from repro.fhe.serialize import params_fingerprint
 
-        return (params_fingerprint(self.params).hex(), self.seed, self.backend)
+        return (params_fingerprint(self.params).hex(), self.seed)
 
     def key_inventory(self) -> KeyInventory:
         """Evaluation-key inventory this tenant's parameter set implies."""
@@ -77,10 +72,8 @@ class Tenant:
         return self.key_inventory().total_bytes(seed_compressed)
 
     def describe(self) -> str:
-        backend = self.backend or "default"
         return (
             f"{self.tenant_id}: {self.params.name}, seed={self.seed}, "
-            f"backend={backend}, "
             f"keys~{self.key_material_bytes() / 2**20:.2f} MiB"
         )
 

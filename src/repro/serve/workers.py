@@ -1,19 +1,18 @@
 """Worker layer: warm per-model sessions behind a pluggable executor.
 
-:class:`WorkerPool` generalizes the :class:`repro.perf.ParallelMap` /
-:class:`repro.perf.ExecConfig` pattern from "map one function over a list"
-to "keep many requests in flight": the same three executor modes, but the
-unit of work is a whole inference request and the pool state is a table of
-warm sessions keyed by ``(tenant_id, model)``.
+:class:`WorkerPool` keeps many requests in flight under one
+:class:`repro.perf.ExecConfig`: the unit of work is a whole inference
+request and the pool state is a table of warm sessions keyed by
+``(tenant_id, model)``.
 
 The session split (:class:`repro.serve.session.SessionCore` /
 ``SessionRuntime``) is what makes the process mode work: cores are plain
 picklable data, so the pool ships them to each worker process once at
 startup (initializer), where every worker builds its own runtimes — its
 own key material, derived deterministically from each tenant's seed — and
-answers requests warm from the first one. Per-worker backend pinning rides
-on the same mechanism: each core carries its tenant's backend *name*, and
-the runtime installs it context-locally for every run.
+answers requests warm from the first one. Backend pinning rides on the
+same mechanism: each core carries the config's backend (a *name* in
+process mode), and the runtime installs it around keygen and every run.
 
 Executor modes (:class:`repro.perf.ExecConfig`):
 
@@ -141,10 +140,6 @@ class WorkerPool:
 
     def _run_local_batch(self, key, xs):
         return self._runtimes[key].timed_batch(xs)
-
-    async def run(self, key, x_q):
-        """Answer one request on a free worker; returns the output array."""
-        return (await self.run_batch(key, [x_q]))[0]
 
     async def run_batch(self, key, xs):
         """Answer ``len(xs)`` co-batched requests with one fused execution.

@@ -38,7 +38,6 @@ from repro.fhe.backend import (
 )
 from repro.fhe.params import TEST_LOOP, TEST_SMALL
 from repro.fhe.poly import RnsPoly
-from repro.perf import ExecConfig
 from repro.quant.subjects import mnist_cnn_micro
 
 #: RNS op mix of one ResNet-20 residual block, scaled down.
@@ -69,12 +68,10 @@ class TestSelection:
          (" BATCHED\n", "batched")],
     )
     def test_default_backend_normalises_env(self, monkeypatch, raw, want):
-        """REPRO_BACKEND is stripped, lower-cased, and empty means unset —
-        the same rule ExecConfig.from_env applies."""
+        """REPRO_BACKEND is stripped, lower-cased, and empty means unset."""
         monkeypatch.setenv("REPRO_BACKEND", raw)
         monkeypatch.setattr(backend_mod, "_DEFAULT", None)
         assert backend_mod.default_backend().name == want
-        assert (ExecConfig.from_env().backend or "batched") == want
 
     def test_use_backend_yields_and_restores(self):
         before = current_backend()
@@ -106,16 +103,6 @@ class TestSelection:
         for t in threads:
             t.join(timeout=30)
         assert seen == {"serial": "serial", "batched": "batched"}
-
-    def test_thread_map_propagates_selection(self):
-        """ParallelMap's thread mode carries the caller's backend context
-        into worker threads (one context copy per item)."""
-        from repro.perf import ExecConfig, ParallelMap
-
-        pmap = ParallelMap(ExecConfig("thread", workers=4))
-        with use_backend("serial"):
-            names = pmap.map(lambda _: current_backend().name, range(8))
-        assert set(names) == {"serial"}
 
 
 class TestProtocolConformance:
@@ -339,8 +326,9 @@ class TestPipelineBitIdentity:
         outs = []
         for backend in (BatchedBackend(), SerialBackend(),
                         CountingBackend("batched")):
-            pipe = AthenaPipeline(TEST_LOOP, seed=41, backend=backend)
-            outs.append(pipe.run_program(program, x_q))
+            with use_backend(backend):
+                pipe = AthenaPipeline(TEST_LOOP, seed=41)
+                outs.append(pipe.run_program(program, x_q))
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
 

@@ -218,11 +218,10 @@ class TestZeroOutsideTheRows:
         pipe = AthenaPipeline(TEST_FBS, seed=3)
         xs = _inputs(101, 2)
         for lanes in (1, 2):
-            with pipe._dispatch():
-                ex = CiphertextExecutor(pipe, program, plan=plan, lanes=lanes)
-                ct = ex.linear(
-                    program.steps[0], xs[0] if lanes == 1 else np.stack(xs))
-                coeffs = pipe.decrypt_coeffs(ct)
+            ex = CiphertextExecutor(pipe, program, plan=plan, lanes=lanes)
+            ct = ex.linear(
+                program.steps[0], xs[0] if lanes == 1 else np.stack(xs))
+            coeffs = pipe.decrypt_coeffs(ct)
             # Lane d's four outputs land at the fc's lane stride, 11 * d.
             rows = (np.arange(4) + 11 * np.arange(lanes)[:, None]).reshape(-1)
             outside = np.delete(coeffs, rows)

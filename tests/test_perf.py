@@ -1,10 +1,12 @@
-"""The instrumentation seam, ParallelMap executors, CLI flags, the curated
-top-level API, and the counting wrapper under a thread fan-out."""
+"""The instrumentation seam, the one backend pin, the worker pool's
+executor config, CLI flags, the curated top-level API, and the counting
+wrapper under a thread fan-out."""
 
 import importlib
 import inspect
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.errors import ParameterError
-from repro.perf import ExecConfig, ParallelMap
+from repro.perf import ExecConfig
 
 
 def _public_signatures(module: str):
@@ -95,14 +97,24 @@ class TestInstrumentationSeam:
     def test_perf_package_is_the_executors(self):
         import repro.perf
 
-        assert repro.perf.__all__ == ["ExecConfig", "ParallelMap"]
+        assert repro.perf.__all__ == ["ExecConfig"]
+
+
+def test_one_backend_pin():
+    """Only a session pins a backend: no pipeline, tenant or other public
+    callable of the compile / run / serve stack takes one."""
+    takers = {label for module in _OPTION_FREE
+              for label, params in _public_signatures(module)
+              if "backend" in params}
+    assert takers == {
+        "repro.serve.session.SessionCore.__init__",
+        "repro.serve.session.SessionCore.build",
+        "repro.serve.session.InferenceSession.__init__",
+    }
 
 
 class TestParallelMap:
-    def test_exec_config_from_env(self):
-        cfg = ExecConfig.from_env({"REPRO_EXECUTOR": "thread", "REPRO_WORKERS": "3"})
-        assert cfg.mode == "thread" and cfg.workers == 3
-        assert ExecConfig.from_env({}).mode == "serial"
+    """The worker pool's executor config."""
 
     def test_exec_config_rejects_bad_mode(self):
         with pytest.raises(ParameterError):
@@ -110,27 +122,18 @@ class TestParallelMap:
         with pytest.raises(ParameterError):
             ExecConfig(workers=0)
 
-    def test_exec_config_rejects_non_integer_workers(self, monkeypatch, capsys):
-        with pytest.raises(ParameterError, match="REPRO_WORKERS"):
-            ExecConfig.from_env({"REPRO_WORKERS": "four"})
-        # table5 fans out through ParallelMap() before any work: a clean exit 1.
-        monkeypatch.setenv("REPRO_WORKERS", "four")
-        assert main(["experiment", "table5"]) == 1
-        assert "repro: error: REPRO_WORKERS" in capsys.readouterr().err
+    def test_process_workers_take_backend_names_only(self):
+        """Process workers receive pickled session cores: a backend
+        instance (a counter holds a lock) is refused up front, not by a
+        ``TypeError`` out of ``AthenaService.start()``."""
+        from repro.fhe.backend import CountingBackend
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_map_preserves_order(self, mode):
-        pmap = ParallelMap(ExecConfig(mode, workers=4))
-        got = pmap.map(lambda x: x * x, range(20))
-        assert got == [x * x for x in range(20)]
-
-    def test_starmap(self):
-        pmap = ParallelMap(ExecConfig("thread", workers=2))
-        assert pmap.starmap(lambda a, b: a - b, [(5, 2), (9, 4)]) == [3, 5]
-
-    def test_process_mode(self):
-        pmap = ParallelMap(ExecConfig("process", workers=2))
-        assert pmap.map(abs, [-1, -2, 3]) == [1, 2, 3]
+        with pytest.raises(ParameterError, match="backend name"):
+            ExecConfig("process", 1, backend=CountingBackend())
+        assert ExecConfig("process", 1, backend="counting").backend == "counting"
+        for mode in ("serial", "thread"):
+            counting = CountingBackend()
+            assert ExecConfig(mode, 1, backend=counting).backend is counting
 
 
 class TestCliJsonFlags:
@@ -156,10 +159,9 @@ class TestCliJsonFlags:
 class TestDeprecations:
     def test_curated_top_level_api(self):
         assert repro.lower is not None
-        assert repro.ParallelMap is ParallelMap
-        for name in ("AthenaPipeline", "FbsLut", "run_program", "lower",
-                     "ParallelMap"):
+        for name in ("AthenaPipeline", "FbsLut", "run_program", "lower"):
             assert name in repro.__all__
+        assert "ParallelMap" not in repro.__all__
         with pytest.raises(AttributeError):
             repro.no_such_symbol
 
@@ -192,19 +194,24 @@ class TestCountingThreadSafety:
                 ctx.pmult(ct, kernel)
             fbs_evaluate(ctx, ct, lut, fbs_rlk, plan=plan)
 
-        def counted(pmap, items):
+        def counted(items, workers):
             counting = CountingBackend()
-            with use_backend(counting):
-                pmap.map(work, items)
+
+            def item(ct):
+                with use_backend(counting):
+                    work(ct)
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(item, items))
             return counting.ops_by_phase()
 
         work(cts[0])  # operand forms and key stacks are cached on first use
-        serial = counted(ParallelMap(ExecConfig("serial")), cts[:1])
+        serial = counted(cts[:1], 1)
         assert {"linear", "fbs", "fbs_giant"} <= set(serial)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threaded = counted(ParallelMap(ExecConfig("thread", workers=4)), cts)
+            threaded = counted(cts, 4)
         finally:
             sys.setswitchinterval(interval)
         assert threaded == {

@@ -425,7 +425,7 @@ class TestCiphertextProgram:
 
     def test_chained_loops_match_plaintext(self):
         from repro.core.framework import AthenaPipeline
-        from repro.fhe.backend import CountingBackend
+        from repro.fhe.backend import CountingBackend, use_backend
         from repro.fhe.params import TEST_LOOP
 
         rng = np.random.default_rng(5)
@@ -436,8 +436,9 @@ class TestCiphertextProgram:
 
         program = lower(qm, TEST_LOOP)
         counting = CountingBackend()
-        pipe = AthenaPipeline(TEST_LOOP, seed=41, backend=counting)
-        got = pipe.run_program(program, x_q)
+        with use_backend(counting):
+            pipe = AthenaPipeline(TEST_LOOP, seed=41)
+            got = pipe.run_program(program, x_q)
         assert got.shape == want.shape
         # Two chained LUT rounds: the conv round's remap deviations
         # propagate through the FC MAC.
@@ -483,7 +484,7 @@ class TestCompiledPlanBitIdentity:
     def test_precompiled_plan_matches_in_span_compile(self):
         from repro.core.framework import AthenaPipeline
         from repro.core.plan import compile_program
-        from repro.fhe.backend import CountingBackend
+        from repro.fhe.backend import CountingBackend, use_backend
         from repro.fhe.params import TEST_LOOP
 
         program, x_q = self._setup()
@@ -491,9 +492,10 @@ class TestCompiledPlanBitIdentity:
 
         plan = compile_program(program, TEST_LOOP)
         counting = CountingBackend()
-        got = AthenaPipeline(TEST_LOOP, seed=7, backend=counting).run_program(
-            program, x_q, plan=plan
-        )
+        with use_backend(counting):
+            got = AthenaPipeline(TEST_LOOP, seed=7).run_program(
+                program, x_q, plan=plan
+            )
         assert np.array_equal(got, baseline)
         # The thin interpreter still dispatches the same ciphertext ops.
         ops = counting.ops_by_phase()

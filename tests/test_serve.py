@@ -95,9 +95,6 @@ class TestTenantLayer:
         assert base.key_domain() == Tenant("b", TEST_FBS, seed=7).key_domain()
         assert base.key_domain() != Tenant("c", TEST_FBS, seed=8).key_domain()
         assert base.key_domain() != Tenant("d", TEST_LOOP, seed=7).key_domain()
-        assert base.key_domain() != (
-            Tenant("e", TEST_FBS, seed=7, backend="serial").key_domain()
-        )
 
 
 # -- typed request/response API ----------------------------------------------
@@ -548,18 +545,23 @@ class TestServiceValidation:
 class TestServiceEndToEnd:
     def test_outputs_bit_identical_to_direct_sessions(self):
         """The headline guarantee: the service adds layers, not noise."""
+        from repro.fhe.backend import CountingBackend, current_backend
+
         qm = _micro_model()
         rng = np.random.default_rng(11)
-        # bob pins the serial dispatch backend; alice inherits the default.
-        # Backend selection is per-runtime and context-local, so the pin
-        # must never leak into alice's runs (asserted below), and since
-        # backends are bit-identical it must not change bob's outputs.
+        # The config's backend is every session's pin: one counter over the
+        # serial engine. Backends are bit-identical, so the pin must not
+        # change an output against unpinned direct sessions, and it must
+        # not outlive the runs (asserted below).
+        counting = CountingBackend("serial")
         tenants = [
             Tenant("alice", TEST_FBS, seed=7),
-            Tenant("bob", TEST_FBS, seed=8, backend="serial"),
+            Tenant("bob", TEST_FBS, seed=8),
         ]
         service = AthenaService(
-            tenants, exec_config=ExecConfig("serial"), queue_capacity=4
+            tenants,
+            exec_config=ExecConfig("serial", backend=counting),
+            queue_capacity=4,
         )
         service.register_model("micro", qm)
         batch = [
@@ -573,13 +575,12 @@ class TestServiceEndToEnd:
         # the service path must reproduce every output bit for bit.
         alice_rt = service.pool.runtime_for(("alice", "micro"))
         bob_rt = service.pool.runtime_for(("bob", "micro"))
-        assert alice_rt.backend is None  # bob's pin stayed bob's
-        assert bob_rt.backend.name == "serial"
+        assert alice_rt.backend is counting and bob_rt.backend is counting
+        assert counting.totals()["decrypt"] == 4  # the pin reached every run
+        assert current_backend() is not counting
 
         for tenant in tenants:
-            session = InferenceSession(
-                qm, TEST_FBS, seed=tenant.seed, backend=tenant.backend
-            )
+            session = InferenceSession(qm, TEST_FBS, seed=tenant.seed)
             for result, request in zip(results, batch):
                 if result.tenant_id != tenant.tenant_id:
                     continue
