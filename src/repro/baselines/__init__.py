@@ -1,5 +1,5 @@
 """Baseline-method models: CKKS-style polynomial approximation study."""
 
-from repro.baselines.approx import ApproxPoint, bit_accuracy, model_probe, sweep
+from repro.baselines.approx import ApproxPoint, bit_accuracy, sweep
 
-__all__ = ["ApproxPoint", "bit_accuracy", "model_probe", "sweep"]
+__all__ = ["ApproxPoint", "bit_accuracy", "sweep"]

@@ -10,7 +10,7 @@ bits survive each multiplication. This module reproduces the study:
 * every coefficient and every intermediate product quantized to Delta
   fractional bits, mimicking CKKS rescaling;
 * accuracy reported in *bits*: -log2(max |error|) against a 40-bit ground
-  truth, plus a model-level probe (approximate ReLU inside a trained CNN).
+  truth.
 
 The qualitative conclusions to reproduce: more orders help, a plaintext
 ceiling remains (red line), Delta=25 collapses to ~2 bits, and ReLU fares
@@ -150,38 +150,3 @@ def sweep(
                     )
     return out
 
-
-def model_probe(
-    model, x_test: np.ndarray, order: int, delta_bits: int | None
-) -> float:
-    """Fig. 1's CNN probe: run a float model with approximated ReLU and
-    report the output-probability agreement in bits."""
-    from repro.quant.nn import ReLU, Residual, Sequential, softmax
-
-    coeffs = chebyshev_coeffs(relu, order)
-
-    def approx_relu(v: np.ndarray) -> np.ndarray:
-        scale = max(float(np.abs(v).max()), 1e-9)
-        unit = v / scale
-        if delta_bits is None:
-            return C.chebval(unit, coeffs) * scale
-        return eval_fixed_point(coeffs, unit, delta_bits, "chebyshev") * scale
-
-    def run(layers, x, exact: bool):
-        for layer in layers:
-            if isinstance(layer, ReLU):
-                x = relu(x) if exact else approx_relu(x)
-            elif isinstance(layer, Residual):
-                main = run(layer.body.layers, x, exact)
-                skip = run(layer.shortcut.layers, x, exact) if layer.shortcut else x
-                total = main + skip
-                x = relu(total) if exact else approx_relu(total)
-            elif isinstance(layer, Sequential):
-                x = run(layer.layers, x, exact)
-            else:
-                x = layer.forward(x)
-        return x
-
-    exact_probs = softmax(run(model.layers, x_test, True))
-    approx_probs = softmax(run(model.layers, x_test, False))
-    return bit_accuracy(approx_probs, exact_probs)

@@ -404,7 +404,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Stand up the four-layer service in process and answer a demo batch."""
+    """Stand up the layered service in process and answer a demo batch."""
     import numpy as np
 
     from repro.perf import ExecConfig
@@ -439,9 +439,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ]
     results = service.serve_batch(batch)
     stats = service.stats().to_dict()
-    sched = stats["detail"]["scheduler"]["counters"]
-    batcher = stats["detail"]["batcher"]
-    occupancy = batcher["detail"]["occupancy_mean"]
+    scheduler = stats["detail"]["scheduler"]
+    sched = scheduler["counters"]
+    occupancy = scheduler["detail"]["occupancy_mean"]
     lines = [
         f"{qm.name} @ {params.name} ({fingerprint[:16]}), "
         f"{len(results)} requests, {args.tenants} tenants, "
@@ -449,7 +449,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"  scheduler : accepted {sched['accepted']}, "
         f"rejected {sched['rejected']}, "
         f"peak queue depth {sched['queue_depth_max']}",
-        f"  batching  : {batcher['counters']['batches']} batches, "
+        f"  batching  : {sched['batches']} batches, "
         f"mean occupancy "
         f"{'n/a' if occupancy is None else format(occupancy, '.2f')}",
         f"  plan cache: {stats['detail']['plan_cache']['hits']} hits / "

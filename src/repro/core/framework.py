@@ -58,12 +58,7 @@ class AthenaPipeline:
     primitive actually dispatched, and the seconds spent, per phase.
     """
 
-    def __init__(
-        self,
-        params: FheParams,
-        seed: int = 0,
-        ks_base_bits: int = 7,
-    ):
+    def __init__(self, params: FheParams, seed: int = 0):
         self.params = params
         with current_backend().phase("keygen"):
             self.ctx = BfvContext(params, seed=seed)
@@ -72,7 +67,7 @@ class AthenaPipeline:
             sampler = Sampler(seed + 1, sigma=params.sigma)
             self.lwe_secret = sampler.ternary(params.lwe_n)
             self.lwe_ksk = lwelib.keyswitch_keygen(
-                self.sk.coeffs, self.lwe_secret, params.lwe_q, ks_base_bits, sampler
+                self.sk.coeffs, self.lwe_secret, params.lwe_q, lwelib.KS_BASE_BITS, sampler
             )
             self.packing_key = PackingKey.generate(
                 self.ctx, self.lwe_secret, self.sk, self.pk

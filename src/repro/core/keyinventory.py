@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fhe import slots as slotlib
+from repro.fhe.lwe import KS_BASE_BITS
 from repro.fhe.params import ATHENA, FheParams
 from repro.fhe.slots import baby_giant_amounts
 
@@ -37,7 +38,7 @@ class KeyInventory:
 
     def lwe_ksk_bytes(self, seed_compressed: bool = True) -> int:
         p = self.params
-        digits = -(-p.lwe_q.bit_length() // 7)
+        digits = -(-p.lwe_q.bit_length() // KS_BASE_BITS)
         if seed_compressed:
             # the alpha vectors regenerate from a PRNG seed; only betas ship
             return p.n * digits * 4

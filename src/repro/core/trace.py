@@ -35,6 +35,7 @@ from repro.core.program import (
     lower,
     run_program,
 )
+from repro.fhe.lwe import KS_BASE_BITS
 from repro.fhe.params import ATHENA, FheParams
 from repro.quant.quantize import QConv, QuantizedModel
 
@@ -246,7 +247,7 @@ def s2c_ops(params: FheParams) -> OpCounts:
 
 def se_chain_ops(params: FheParams, values: int) -> OpCounts:
     """Extraction + LWE keyswitch + modswitch for ``values`` samples."""
-    l_lwe = -(-params.lwe_q.bit_length() // 7)  # LWE gadget digits (base 2^7)
+    l_lwe = -(-params.lwe_q.bit_length() // KS_BASE_BITS)  # LWE gadget digits
     per_value_mul = params.lwe_n * l_lwe
     return OpCounts(
         extract=values,

@@ -32,6 +32,10 @@ from repro.fhe.backend import current_backend
 from repro.fhe.bfv import BfvCiphertext
 from repro.utils.sampling import Sampler
 
+#: LWE keyswitch gadget base 2^7: the pipeline's keygen, the key-inventory
+#: sizing and the trace model's digit count all read it from here.
+KS_BASE_BITS = 7
+
 
 @dataclass
 class SmallRlwe:

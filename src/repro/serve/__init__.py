@@ -19,11 +19,10 @@ This package layers that split into a service:
   every layer's ``stats()`` returns.
 * **scheduler** — :class:`FairScheduler`: bounded per-tenant queues,
   reject/shed admission control (:class:`repro.errors.ServiceOverloaded`,
-  carrying the offending tenant's queue depth), round-robin fair dequeue.
-* **batching** — :class:`BatchAssembler` / :class:`RequestBatch`:
-  cross-request ciphertext batching between scheduler and workers (same
-  model + key domain, lane count bounded by the plan's
-  ``batch_capacity``, deadline-bounded batch windows).
+  carrying the offending tenant's queue depth), round-robin fair dequeue,
+  and cross-request ciphertext batches (same model + key domain, lane
+  count bounded by the plan's ``batch_capacity``, deadline-bounded batch
+  windows).
 * **workers** — :class:`WorkerPool`: warm ``(tenant, model)`` sessions
   behind serial/thread/process executors with per-worker key material.
 * **service** — :class:`AthenaService`: the asyncio façade composing all
@@ -31,7 +30,6 @@ This package layers that split into a service:
 """
 
 from repro.serve.api import InferenceRequest, InferenceResult, LayerStats
-from repro.serve.batching import BatchAssembler, RequestBatch
 from repro.serve.cache import ShardedPlanCache
 from repro.serve.scheduler import FairScheduler
 from repro.serve.service import AthenaService
@@ -41,13 +39,11 @@ from repro.serve.workers import WorkerPool
 
 __all__ = [
     "AthenaService",
-    "BatchAssembler",
     "FairScheduler",
     "InferenceRequest",
     "InferenceResult",
     "InferenceSession",
     "LayerStats",
-    "RequestBatch",
     "SessionCore",
     "SessionRuntime",
     "ShardedPlanCache",

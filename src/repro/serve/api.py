@@ -7,12 +7,12 @@ which batch), and a cost story (how long it queued, waited for co-batched
 peers, and ran). This module is the single place those shapes live:
 
 * :class:`InferenceRequest` — what a client submits. Carries its own
-  request id and admission timestamp; the scheduler and batch assembler
-  annotate it in place as it moves through the stack.
+  request id and admission timestamp; the scheduler annotates it in
+  place as it moves through the stack.
 * :class:`InferenceResult` — what a client gets back: the output plus the
   lane/batch placement and a per-request timing breakdown.
 * :class:`LayerStats` — the one schema-versioned stats shape every layer
-  (scheduler, batch assembler, sessions, worker pool, service) reports
+  (scheduler, sessions, worker pool, service) reports
   through, so every consumer reads a uniform ``to_dict()`` instead of
   three divergent ad-hoc dicts.
 """
@@ -58,7 +58,7 @@ class InferenceRequest:
     x_q: np.ndarray
     request_id: str = field(default_factory=next_request_id)
     enqueued_at: float = field(default_factory=time.perf_counter)
-    #: When the batch assembler pulled the request off its queue.
+    #: When the scheduler pulled the request off its queue into a batch.
     dequeued_at: float | None = field(default=None, repr=False)
     #: Resolved with an :class:`InferenceResult` (set at admission).
     future: asyncio.Future | None = field(
@@ -94,13 +94,12 @@ class InferenceResult:
 class LayerStats:
     """Uniform per-layer accounting: one schema for every serving layer.
 
-    ``layer`` names the reporting layer (``scheduler`` / ``batcher`` /
-    ``session`` / ``workers`` / ``service``), ``requests`` counts the
-    requests that layer fully processed, ``counters`` holds integer/float
-    event counts, ``timings`` wall-clock aggregates in seconds, and
-    ``detail`` arbitrary nested context (per-tenant maps, nested layer
-    stats). :meth:`to_dict` is the JSON-ready form; its key set is pinned
-    by ``schema_version``.
+    ``layer`` names the reporting layer (``scheduler`` / ``session`` /
+    ``workers`` / ``service``), ``requests`` counts the requests that layer
+    fully processed, ``counters`` holds integer/float event counts,
+    ``timings`` wall-clock aggregates in seconds, and ``detail`` arbitrary
+    nested context (per-tenant maps, nested layer stats). :meth:`to_dict`
+    is the JSON-ready form; its key set is pinned by ``schema_version``.
     """
 
     layer: str

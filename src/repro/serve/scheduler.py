@@ -1,7 +1,7 @@
 """Scheduler layer: the asyncio front door of the serving stack.
 
-:class:`FairScheduler` owns admission and ordering, nothing else — it
-never touches ciphertexts or keys. Three properties, each load-bearing for
+:class:`FairScheduler` owns admission, ordering and batch formation — it
+never touches ciphertexts or keys. Four properties, each load-bearing for
 a multi-tenant deployment:
 
 * **Bounded queues** — each tenant gets its own FIFO of at most
@@ -14,19 +14,30 @@ a multi-tenant deployment:
 * **Tenant isolation** — the bound is *per tenant*, so one tenant
   flooding the service exhausts only its own queue space; other tenants'
   requests are still admitted.
-* **Fair dequeue** — workers drain tenants round-robin (each dequeue
-  serves the next tenant in the ring that has work), so a deep queue for
-  one tenant cannot starve the others regardless of arrival order.
+* **Fair dequeue** — batches are led round-robin (each leader comes from
+  the next tenant in the ring that has work), so a deep queue for one
+  tenant cannot starve the others regardless of arrival order.
+* **Lane batches** — Athena's coefficient encoding leaves most of a small
+  model's ring unused: one image of lane span S occupies coefficients
+  [0, S) of an n-coefficient ciphertext, so ``n // S`` independent images
+  can ride one ciphertext and split the cost of the PMult, the refresh
+  chain, the pack + FBS and the S2C (see
+  :class:`repro.core.plan.LaneLayout`). :meth:`FairScheduler.next_batch`
+  fills a leader's remaining lanes with requests of the same
+  ``group_key`` — the same model *and* key domain
+  (:meth:`repro.serve.Tenant.key_domain`) — up to ``lanes(leader)``,
+  taking only matching queue heads so per-tenant FIFO order holds. A
+  leader never waits more than ``window_s`` for co-riders: under load the
+  lanes are already queued and the batch dispatches at once; under light
+  load the window expires and the request runs solo.
 
 The scheduler is asyncio-native and single-loop: :meth:`submit` is called
 from the event-loop thread (the service's ``submit`` coroutine),
-:meth:`next_request` is awaited by the service's dispatcher tasks. The
-batch assembler additionally uses :meth:`take_matching` (harvest queued
-requests compatible with a forming batch, preserving per-tenant FIFO
-order) and :meth:`wait_for_activity` (bounded wait for new admissions
-inside a batch window). :meth:`FairScheduler.stats` reports admissions,
-sheds, queue depth and the queue-wait seconds summed over dequeued
-requests.
+:meth:`next_batch` is awaited by the service's dispatcher tasks. All queue
+surgery happens synchronously on the loop, so concurrent dispatchers never
+double-claim a request. :meth:`FairScheduler.stats` reports admissions,
+sheds, queue depth, the queue-wait seconds summed over dequeued requests,
+and the batch counters.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from typing import Callable
+from typing import Callable, Hashable
 
 from repro.errors import ParameterError, ServiceOverloaded
 from repro.serve.api import InferenceRequest, LayerStats
@@ -43,15 +54,31 @@ __all__ = ["FairScheduler"]
 
 
 class FairScheduler:
-    """Bounded per-tenant FIFOs with round-robin fair dequeue."""
+    """Bounded per-tenant FIFOs, round-robin leaders, lane batches.
 
-    def __init__(self, tenant_ids, capacity: int = 8):
+    ``group_key(request)`` is the compatibility key requests must share to
+    ride one ciphertext; ``lanes(request)`` the lane budget of a batch the
+    request leads; ``window_s`` how long a partial batch waits for late
+    co-riders after its leader is dequeued.
+    """
+
+    def __init__(
+        self,
+        tenant_ids,
+        capacity: int,
+        group_key: Callable[[InferenceRequest], Hashable],
+        lanes: Callable[[InferenceRequest], int],
+        window_s: float = 0.0,
+    ):
         tenant_ids = list(tenant_ids)
         if not tenant_ids:
             raise ParameterError("scheduler needs at least one tenant")
         if capacity < 1:
             raise ParameterError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self.group_key = group_key
+        self.lanes = lanes
+        self.window_s = window_s
         self._queues: dict[str, deque[InferenceRequest]] = {
             tid: deque() for tid in tenant_ids
         }
@@ -63,6 +90,10 @@ class FairScheduler:
         self.rejected = 0
         self.depth_max = 0
         self.queue_wait_s = 0.0
+        self.batches = 0
+        self.batched_requests = 0
+        self.occupancy_max = 0
+        self.window_waits = 0
 
     # -- admission ---------------------------------------------------------
 
@@ -95,67 +126,24 @@ class FairScheduler:
         self.depth_max = max(self.depth_max, self.depth())
         self._wakeup.set()
 
-    # -- dequeue -----------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    # -- batch formation ---------------------------------------------------
 
     def _stamp(self, request: InferenceRequest) -> InferenceRequest:
         request.dequeued_at = time.perf_counter()
         self.queue_wait_s += request.dequeued_at - request.enqueued_at
         return request
 
-    def _pop_next(self) -> InferenceRequest | None:
-        """One round-robin sweep: the next tenant with work, else None."""
-        for _ in range(len(self._ring)):
-            tenant_id = self._ring[0]
-            self._ring.rotate(-1)
-            queue = self._queues[tenant_id]
-            if queue:
-                return queue.popleft()
-        return None
-
-    async def next_request(self) -> InferenceRequest | None:
-        """Await the next request, fairly across tenants.
-
-        Returns ``None`` once the scheduler is closed *and* drained — the
-        dispatcher's signal to exit. Multiple dispatcher tasks may await
-        this concurrently; each admitted request is delivered exactly once.
-        """
-        while True:
-            request = self._pop_next()
-            if request is not None:
-                return self._stamp(request)
-            if self._closed:
-                return None
-            self._wakeup.clear()
-            # Re-check after clearing: a submit between the sweep above and
-            # the clear would otherwise be parked until the next wakeup.
-            request = self._pop_next()
-            if request is not None:
-                return self._stamp(request)
-            if self._closed:
-                return None
-            await self._wakeup.wait()
-
-    def take_matching(
-        self,
-        match: Callable[[InferenceRequest], bool],
-        limit: int,
+    def _take(
+        self, match: Callable[[InferenceRequest], bool], limit: int
     ) -> list[InferenceRequest]:
-        """Harvest up to ``limit`` queued requests satisfying ``match``.
+        """Pop up to ``limit`` queue heads satisfying ``match``.
 
-        Used by the batch assembler to fill the remaining lanes of a
-        forming batch. Sweeps tenants round-robin (continuing the fairness
-        ring) but pops only from queue *heads* and only while the head
-        matches — per-tenant FIFO order is never reordered, so a tenant's
-        requests complete in submission order whether or not they batch.
-        Synchronous: no awaits, so the harvest is atomic on the loop.
+        Sweeps tenants round-robin (continuing the fairness ring) but pops
+        only from queue *heads* and only while the head matches, so a
+        tenant's requests complete in submission order whether or not they
+        batch. Synchronous: the harvest is atomic on the loop.
         """
         taken: list[InferenceRequest] = []
-        if limit <= 0:
-            return taken
         for _ in range(len(self._ring)):
             if len(taken) >= limit:
                 break
@@ -166,24 +154,55 @@ class FairScheduler:
                 taken.append(self._stamp(queue.popleft()))
         return taken
 
-    async def wait_for_activity(self, timeout: float) -> bool:
-        """Wait up to ``timeout`` seconds for a new admission (or close).
+    async def _wait(self, timeout: float | None) -> None:
+        """Park until an admission or close, at most ``timeout`` seconds.
 
-        Returns True if woken by activity, False on timeout. Callers must
-        re-sweep the queues afterwards either way: with several waiters on
-        one event, a wakeup is a hint, not a claim.
+        A wakeup is a hint, not a claim: with several dispatchers on one
+        event, callers re-sweep the queues afterwards either way.
         """
-        if timeout <= 0 or self._closed:
-            return self._closed
         self._wakeup.clear()
         if self.depth() or self._closed:
-            # Admissions between the caller's sweep and the clear.
-            return True
+            # Admissions (or a close) between the caller's sweep and the clear.
+            return
         try:
             await asyncio.wait_for(self._wakeup.wait(), timeout)
-            return True
         except asyncio.TimeoutError:
-            return False
+            pass
+
+    async def next_batch(self) -> list[InferenceRequest] | None:
+        """Await the next batch, fairly across tenants.
+
+        The leader is the next request in round-robin order. Its remaining
+        lanes fill from matching queue heads, then — while lanes remain —
+        from requests admitted before ``leader.dequeued_at + window_s``. A
+        one-lane leader never waits, and a close cuts the window short.
+        Returns ``None`` once the scheduler is closed *and* drained — the
+        dispatcher's signal to exit. Each admitted request is delivered
+        exactly once across concurrent dispatchers.
+        """
+        while not (batch := self._take(lambda request: True, 1)):
+            if self._closed:
+                return None
+            await self._wait(None)
+        lead = batch[0]
+        lanes = self.lanes(lead)
+        if lanes > 1:
+            key = self.group_key(lead)
+            deadline = lead.dequeued_at + self.window_s
+            while True:
+                batch += self._take(
+                    lambda request: self.group_key(request) == key,
+                    lanes - len(batch),
+                )
+                remaining = deadline - time.perf_counter()
+                if len(batch) >= lanes or remaining <= 0 or self._closed:
+                    break
+                self.window_waits += 1
+                await self._wait(remaining)
+        self.batches += 1
+        self.batched_requests += len(batch)
+        self.occupancy_max = max(self.occupancy_max, len(batch))
+        return batch
 
     # -- lifecycle / accounting --------------------------------------------
 
@@ -199,7 +218,8 @@ class FairScheduler:
         return sum(len(q) for q in self._queues.values())
 
     def stats(self) -> LayerStats:
-        """Admission/fairness accounting in the uniform layer schema."""
+        """Admission, fairness and batch accounting in the layer schema."""
+        mean = self.batched_requests / self.batches if self.batches else None
         return LayerStats(
             layer="scheduler",
             requests=self.accepted,
@@ -208,12 +228,19 @@ class FairScheduler:
                 "rejected": self.rejected,
                 "queue_depth": self.depth(),
                 "queue_depth_max": self.depth_max,
+                "batches": self.batches,
+                "occupancy_max": self.occupancy_max,
+                "window_waits": self.window_waits,
             },
-            timings={"queue_wait_s": round(self.queue_wait_s, 6)},
+            timings={
+                "queue_wait_s": round(self.queue_wait_s, 6),
+                "window_s": self.window_s,
+            },
             detail={
                 "capacity_per_tenant": self.capacity,
                 "per_tenant_depth": {
                     tid: len(q) for tid, q in self._queues.items()
                 },
+                "occupancy_mean": round(mean, 4) if mean is not None else None,
             },
         )

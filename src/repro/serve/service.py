@@ -1,23 +1,23 @@
 """Service façade: the serving layers composed into one deployment.
 
-:class:`AthenaService` wires tenant registry -> scheduler -> batch
-assembler -> worker pool over a shared (sharded) plan cache:
+:class:`AthenaService` wires tenant registry -> scheduler -> worker pool
+over a shared (sharded) plan cache:
 
 1. **tenant layer** (:mod:`repro.serve.tenant`) — who is served, under
    which parameters and seeds, and what key material that implies.
 2. **scheduler layer** (:mod:`repro.serve.scheduler`) — bounded per-tenant
    queues, synchronous admission control (reject/shed with
    :class:`~repro.errors.ServiceOverloaded`, payload carrying the tenant's
-   queue depth), round-robin fair dequeue.
-3. **batching layer** (:mod:`repro.serve.batching`) — groups compatible
-   queued requests (same model + same key domain, including the
-   shared-key fast path across tenants with identical params + seed) up to
-   the plan's ``batch_capacity``, within a deadline-bounded window.
-4. **worker layer** (:mod:`repro.serve.workers`) — warm
+   queue depth), round-robin fair dequeue, and batch formation: compatible
+   queued requests (same model + same key domain, including the shared-key
+   fast path across tenants with identical params + seed) share one
+   ciphertext up to the plan's ``batch_capacity``, within a
+   deadline-bounded window.
+3. **worker layer** (:mod:`repro.serve.workers`) — warm
    ``(tenant, model)`` sessions behind an :class:`~repro.perf.ExecConfig`
    executor (serial/thread/process); a batch runs as *one* fused pipeline
    execution and is demultiplexed per lane.
-5. **this façade** — model registration through the shared
+4. **this façade** — model registration through the shared
    :class:`~repro.serve.cache.ShardedPlanCache`, the asyncio dispatch loop
    connecting the layers, the typed request/response API
    (:class:`~repro.serve.api.InferenceRequest` /
@@ -27,11 +27,11 @@ assembler -> worker pool over a shared (sharded) plan cache:
 The request path is ``result = await service.submit(InferenceRequest(...))``:
 admission happens synchronously inside ``submit`` (a shed request raises
 before any work starts); a dispatcher task — one per worker slot — then
-assembles a batch, holds the slot for one ``transport_s`` window (the
-per-connection ciphertext upload/download an FHE deployment pays — paid
-*once per batch*, since co-batched clients upload concurrently on their own
-connections while the slot waits out the longest), runs the fused
-execution, and resolves every member's future with its
+takes the scheduler's next batch, holds the slot for one ``transport_s``
+window (the per-connection ciphertext upload/download an FHE deployment
+pays — paid *once per batch*, since co-batched clients upload concurrently
+on their own connections while the slot waits out the longest), runs the
+fused execution, and resolves every member's future with its
 :class:`InferenceResult`.
 
 Outputs are bit-identical to a direct
@@ -55,8 +55,7 @@ import numpy as np
 from repro.core.program import AthenaProgram, lower
 from repro.errors import ParameterError
 from repro.perf import ExecConfig
-from repro.serve.api import InferenceRequest, InferenceResult, LayerStats
-from repro.serve.batching import BatchAssembler, RequestBatch
+from repro.serve.api import InferenceRequest, InferenceResult, LayerStats, next_batch_id
 from repro.serve.cache import ShardedPlanCache
 from repro.serve.scheduler import FairScheduler
 from repro.serve.session import SessionCore
@@ -81,8 +80,7 @@ class AthenaService:
     default; plans whose ``batch_capacity`` is 1 are unaffected either
     way). ``batch_window_s`` bounds how long a dispatcher holds a
     partially-filled batch open for late co-riders — 0 batches only what
-    is already queued. ``max_batch`` caps lanes per batch below the
-    plan's capacity.
+    is already queued.
     """
 
     def __init__(
@@ -94,7 +92,6 @@ class AthenaService:
         transport_s: float = 0.0,
         batching: bool = True,
         batch_window_s: float = 0.05,
-        max_batch: int | None = None,
     ):
         if isinstance(tenants, TenantRegistry):
             self.tenants = tenants
@@ -102,12 +99,12 @@ class AthenaService:
             self.tenants = TenantRegistry(tenants)
         if len(self.tenants) == 0:
             raise ParameterError("service needs at least one tenant")
+        if queue_capacity < 1:
+            raise ParameterError(f"queue capacity must be >= 1, got {queue_capacity}")
         if transport_s < 0:
             raise ParameterError("transport window cannot be negative")
         if batch_window_s < 0:
             raise ParameterError("batch window cannot be negative")
-        if max_batch is not None and max_batch < 1:
-            raise ParameterError("max_batch must be >= 1")
         self.cache = cache if cache is not None else ShardedPlanCache(None)
         self.exec_config = (
             exec_config if exec_config is not None else ExecConfig("thread")
@@ -116,12 +113,10 @@ class AthenaService:
         self.transport_s = transport_s
         self.batching = batching
         self.batch_window_s = batch_window_s
-        self.max_batch = max_batch
         self.models: dict[str, str] = {}  # name -> program fingerprint
         self._cores: dict[tuple[str, str], SessionCore] = {}
         self.pool: WorkerPool | None = None
         self.scheduler: FairScheduler | None = None
-        self.assembler: BatchAssembler | None = None
         self._dispatchers: list[asyncio.Task] = []
         self._per_tenant_requests: dict[str, int] = {
             tid: 0 for tid in self.tenants.ids()
@@ -180,16 +175,11 @@ class AthenaService:
         tenant = self.tenants.get(request.tenant_id)
         return (tenant.key_domain(), request.model)
 
-    def _batch_capacity_for(self, request: InferenceRequest) -> int:
+    def _lanes(self, request: InferenceRequest) -> int:
         """Lane budget for a batch led by ``request``."""
         if not self.batching:
             return 1
-        capacity = self._cores[
-            (request.tenant_id, request.model)
-        ].plan.batch_capacity
-        if self.max_batch is not None:
-            capacity = min(capacity, self.max_batch)
-        return max(1, capacity)
+        return self._cores[(request.tenant_id, request.model)].plan.batch_capacity
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -201,11 +191,11 @@ class AthenaService:
             raise ParameterError("register at least one model before start()")
         self.pool = WorkerPool(self._cores, self.exec_config)
         self.pool.start()
-        self.scheduler = FairScheduler(self.tenants.ids(), capacity=self.queue_capacity)
-        self.assembler = BatchAssembler(
-            self.scheduler,
-            capacity_for=self._batch_capacity_for,
+        self.scheduler = FairScheduler(
+            self.tenants.ids(),
+            capacity=self.queue_capacity,
             group_key=self._group_key,
+            lanes=self._lanes,
             window_s=self.batch_window_s if self.batching else 0.0,
         )
         self._dispatchers = [
@@ -224,9 +214,9 @@ class AthenaService:
             self.pool.stop()
 
     async def _dispatch(self) -> None:
-        """One worker slot's loop: assemble a batch -> transport -> run."""
+        """One worker slot's loop: next batch -> transport -> run."""
         while True:
-            batch = await self.assembler.next_batch()
+            batch = await self.scheduler.next_batch()
             if batch is None:
                 return
             dispatched_at = time.perf_counter()
@@ -238,15 +228,15 @@ class AthenaService:
                     # first amortization batching buys. Other slots keep
                     # computing meanwhile.
                     await asyncio.sleep(self.transport_s)
-                lead = batch.lead
+                lead = batch[0]
                 outs = await self.pool.run_batch(
                     (lead.tenant_id, lead.model),
-                    [request.x_q for request in batch.requests],
+                    [request.x_q for request in batch],
                 )
                 self._resolve(batch, outs, dispatched_at)
             except Exception as exc:  # noqa: BLE001 - delivered to callers
                 delivered = False
-                for request in batch.requests:
+                for request in batch:
                     if not request.future.cancelled():
                         request.future.set_exception(exc)
                         delivered = True
@@ -254,12 +244,13 @@ class AthenaService:
                     raise
 
     def _resolve(
-        self, batch: RequestBatch, outs: list, dispatched_at: float
+        self, batch: list[InferenceRequest], outs: list, dispatched_at: float
     ) -> None:
         """Demultiplex one fused execution into per-request results."""
         done_at = time.perf_counter()
         run_s = done_at - dispatched_at - (self.transport_s or 0.0)
-        for lane, (request, out) in enumerate(zip(batch.requests, outs)):
+        batch_id = next_batch_id()
+        for lane, (request, out) in enumerate(zip(batch, outs)):
             self._per_tenant_requests[request.tenant_id] += 1
             dequeued_at = request.dequeued_at or dispatched_at
             result = InferenceResult(
@@ -268,8 +259,8 @@ class AthenaService:
                 model=request.model,
                 output=out,
                 lane=lane,
-                batch_size=batch.size,
-                batch_id=batch.batch_id,
+                batch_size=len(batch),
+                batch_id=batch_id,
                 timings={
                     "queue_wait_s": dequeued_at - request.enqueued_at,
                     "batch_wait_s": dispatched_at - dequeued_at,
@@ -356,7 +347,7 @@ class AthenaService:
         """Deployment accounting across all layers, uniform schema.
 
         ``detail`` nests each layer's own :class:`LayerStats` (as dicts)
-        under ``scheduler`` / ``batcher`` / ``workers``, plus the tenant
+        under ``scheduler`` / ``workers``, plus the tenant
         table, model fingerprints, and plan-cache counters.
         ``counters["amortized_run_s"]`` is pool run seconds over requests
         served — the cost-per-inference batching amortizes.
@@ -378,7 +369,6 @@ class AthenaService:
             "batching": {
                 "enabled": self.batching,
                 "window_s": self.batch_window_s,
-                "max_batch": self.max_batch,
             },
         }
         counters: dict = {
@@ -386,9 +376,8 @@ class AthenaService:
         }
         timings: dict = {"transport_s": self.transport_s}
         if self.scheduler is not None:
-            detail["scheduler"] = self.scheduler.stats().to_dict()
-        if self.assembler is not None:
-            detail["batcher"] = self.assembler.stats().to_dict()
+            # "batcher" aliases the one record for the perf ledger, which reads it.
+            detail["scheduler"] = detail["batcher"] = self.scheduler.stats().to_dict()
         if self.pool is not None:
             pool_stats = self.pool.stats()
             detail["workers"] = pool_stats.to_dict()

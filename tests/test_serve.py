@@ -1,7 +1,7 @@
 """The layered serving stack: tenants, scheduler, batching, workers, service.
 
-Fast tests pin each layer's contract in isolation — admission control and
-fair dequeue (pure asyncio, no ciphertexts), batch assembly and the
+Fast tests pin each layer's contract in isolation — admission control,
+fair dequeue and batch formation (pure asyncio, no ciphertexts), the
 shared-key fast path, crash-safe plan persistence, the sharded/in-memory
 cache, the picklable session core, the typed request/response dataclasses,
 and the service's registration/validation rules. The ``slow``-marked tests
@@ -26,7 +26,6 @@ from repro.fhe.params import TEST_FBS, TEST_LOOP
 from repro.perf import ExecConfig
 from repro.serve import (
     AthenaService,
-    BatchAssembler,
     FairScheduler,
     InferenceRequest,
     InferenceResult,
@@ -134,9 +133,32 @@ class TestTypedApi:
 # -- scheduler layer ---------------------------------------------------------
 
 
+def _scheduler(
+    tenant_ids,
+    capacity=8,
+    lanes=1,
+    window_s=0.0,
+    group_key=lambda request: (request.tenant_id, request.model),
+):
+    return FairScheduler(
+        tenant_ids,
+        capacity,
+        group_key=group_key,
+        lanes=lambda request: lanes,
+        window_s=window_s,
+    )
+
+
+async def _drain(sched) -> list[list[InferenceRequest]]:
+    batches = []
+    while (batch := await sched.next_batch()) is not None:
+        batches.append(batch)
+    return batches
+
+
 class TestFairScheduler:
     def test_per_tenant_bound_isolates_tenants(self):
-        sched = FairScheduler(["a", "b"], capacity=2)
+        sched = _scheduler(["a", "b"], capacity=2)
         sched.submit(_request("a"))
         sched.submit(_request("a"))
         with pytest.raises(ServiceOverloaded) as excinfo:
@@ -151,30 +173,26 @@ class TestFairScheduler:
         assert sched.accepted == 3 and sched.rejected == 1
 
     def test_round_robin_dequeue_prevents_starvation(self):
-        sched = FairScheduler(["a", "b"], capacity=8)
+        sched = _scheduler(["a", "b"])
         for tid in ["a", "a", "a", "b"]:
             sched.submit(_request(tid))
         sched.close()
 
-        async def drain() -> list[str]:
-            order = []
-            while (req := await sched.next_request()) is not None:
-                order.append(req.tenant_id)
-            return order
-
+        batches = asyncio.run(_drain(sched))
         # b's lone request is served second despite arriving last.
-        assert asyncio.run(drain()) == ["a", "b", "a", "a"]
+        assert [batch[0].tenant_id for batch in batches] == ["a", "b", "a", "a"]
+        assert all(len(batch) == 1 for batch in batches)
         stats = sched.stats()
         assert stats.counters["accepted"] == 4
         assert stats.timings["queue_wait_s"] >= 0
 
     def test_waiter_wakes_on_submit_and_drains_on_close(self):
         async def scenario():
-            sched = FairScheduler(["a"], capacity=1)
+            sched = _scheduler(["a"], capacity=1)
 
             async def waiter():
-                first = await sched.next_request()
-                second = await sched.next_request()
+                first = await sched.next_batch()
+                second = await sched.next_batch()
                 return first, second
 
             task = asyncio.create_task(waiter())
@@ -185,149 +203,127 @@ class TestFairScheduler:
             return await task
 
         first, second = asyncio.run(scenario())
-        assert first.tenant_id == "a" and second is None
+        assert [r.tenant_id for r in first] == ["a"] and second is None
 
     def test_closed_scheduler_sheds(self):
-        sched = FairScheduler(["a"])
+        sched = _scheduler(["a"])
         sched.close()
         with pytest.raises(ServiceOverloaded):
             sched.submit(_request("a"))
 
     def test_unknown_tenant_is_a_usage_error(self):
-        sched = FairScheduler(["a"])
+        sched = _scheduler(["a"])
         with pytest.raises(ParameterError):
             sched.submit(_request("intruder"))
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ParameterError):
-            FairScheduler([])
+            _scheduler([])
         with pytest.raises(ParameterError):
-            FairScheduler(["a"], capacity=0)
+            _scheduler(["a"], capacity=0)
 
     def test_stats_shape(self):
-        sched = FairScheduler(["a", "b"], capacity=3)
+        sched = _scheduler(["a", "b"], capacity=3)
         sched.submit(_request("a"))
         stats = sched.stats()
         assert isinstance(stats, LayerStats) and stats.layer == "scheduler"
         assert stats.requests == 1
         counters = stats.counters
         assert counters["queue_depth"] == counters["queue_depth_max"] == 1
+        assert counters["batches"] == counters["window_waits"] == 0
         assert stats.detail["capacity_per_tenant"] == 3
         assert stats.detail["per_tenant_depth"] == {"a": 1, "b": 0}
+        assert stats.detail["occupancy_mean"] is None
         assert stats.to_dict()["schema_version"] == 1
 
-    def test_take_matching_pops_only_matching_heads(self):
-        sched = FairScheduler(["a", "b"], capacity=8)
+
+# -- batch formation ---------------------------------------------------------
+
+
+class TestBatches:
+    def test_co_riders_are_matching_heads_only(self):
+        sched = _scheduler(
+            ["a", "b"], lanes=8, group_key=lambda request: request.model
+        )
         first_a, second_a = _request("a"), _request("a")
-        first_b = _request("b", model="other")
-        for req in (first_a, second_a, first_b):
+        first_b, second_b = _request("b", model="other"), _request("b")
+        for req in (first_a, second_a, first_b, second_b):
             sched.submit(req)
-        taken = sched.take_matching(lambda r: r.model == "m", limit=8)
-        # Both of a's queued requests match; b's head does not, and
-        # take_matching never digs past a non-matching head (FIFO per
-        # tenant is preserved).
-        assert taken == [first_a, second_a]
-        assert all(r.dequeued_at is not None for r in taken)
-        assert sched.depth("a") == 0 and sched.depth("b") == 1
+        sched.close()
 
+        batches = asyncio.run(_drain(sched))
+        # Both of a's queued requests match the leader; b's head does not,
+        # and a co-rider is never dug out from behind a non-matching head
+        # (FIFO per tenant is preserved), so second_b waits for first_b.
+        assert batches == [[first_a, second_a], [first_b], [second_b]]
+        assert all(r.dequeued_at is not None for batch in batches for r in batch)
+        assert sched.depth() == 0
 
-# -- batch assembly ----------------------------------------------------------
-
-
-def _assembler(sched, capacity, window_s=0.0):
-    return BatchAssembler(
-        sched,
-        capacity_for=lambda request: capacity,
-        group_key=lambda request: (request.tenant_id, request.model),
-        window_s=window_s,
-    )
-
-
-class TestBatchAssembler:
     def test_groups_compatible_queued_requests_up_to_capacity(self):
-        sched = FairScheduler(["a"], capacity=8)
+        sched = _scheduler(["a"], lanes=2)
         reqs = [_request("a") for _ in range(3)]
         for req in reqs:
             sched.submit(req)
         sched.close()
 
-        async def drain():
-            assembler = _assembler(sched, capacity=2)
-            batches = []
-            while (batch := await assembler.next_batch()) is not None:
-                batches.append(batch)
-            return assembler, batches
-
-        assembler, batches = asyncio.run(drain())
-        assert [b.size for b in batches] == [2, 1]
-        assert batches[0].requests == reqs[:2]
-        assert batches[0].batch_id != batches[1].batch_id
-        assert assembler.occupancy_mean == 1.5
-        stats = assembler.stats()
-        assert stats.layer == "batcher" and stats.requests == 3
+        batches = asyncio.run(_drain(sched))
+        assert [len(b) for b in batches] == [2, 1]
+        assert batches[0] == reqs[:2]
+        stats = sched.stats()
+        assert stats.layer == "scheduler" and stats.requests == 3
         assert stats.counters["batches"] == 2
         assert stats.counters["occupancy_max"] == 2
+        assert stats.detail["occupancy_mean"] == 1.5
 
     def test_incompatible_requests_never_share_a_batch(self):
-        sched = FairScheduler(["a", "b"], capacity=8)
+        sched = _scheduler(["a", "b"], lanes=4)
         sched.submit(_request("a"))
         sched.submit(_request("b"))
         sched.close()
 
-        async def drain():
-            assembler = _assembler(sched, capacity=4)
-            batches = []
-            while (batch := await assembler.next_batch()) is not None:
-                batches.append(batch)
-            return batches
-
-        batches = asyncio.run(drain())
+        batches = asyncio.run(_drain(sched))
         # Distinct group keys (different tenants here): solo batches.
-        assert [b.size for b in batches] == [1, 1]
+        assert [len(b) for b in batches] == [1, 1]
 
     def test_window_admits_late_co_riders(self):
         async def scenario():
-            sched = FairScheduler(["a"], capacity=8)
-            assembler = _assembler(sched, capacity=2, window_s=5.0)
+            sched = _scheduler(["a"], lanes=2, window_s=5.0)
             sched.submit(_request("a"))
-            task = asyncio.create_task(assembler.next_batch())
+            task = asyncio.create_task(sched.next_batch())
             await asyncio.sleep(0)  # leader dequeued, window open
             sched.submit(_request("a"))
             batch = await asyncio.wait_for(task, timeout=2.0)
-            return batch
+            return sched, batch
 
-        batch = asyncio.run(scenario())
+        sched, batch = asyncio.run(scenario())
         # The second request arrived after the leader was dequeued but
         # inside the window: it rides along instead of paying its own run.
-        assert batch.size == 2
+        assert len(batch) == 2
+        assert sched.window_waits == 1
 
     def test_capacity_one_skips_the_window(self):
         async def scenario():
-            sched = FairScheduler(["a"], capacity=8)
-            assembler = _assembler(sched, capacity=1, window_s=60.0)
+            sched = _scheduler(["a"], lanes=1, window_s=60.0)
             sched.submit(_request("a"))
-            batch = await asyncio.wait_for(
-                assembler.next_batch(), timeout=2.0
-            )
-            return assembler, batch
+            batch = await asyncio.wait_for(sched.next_batch(), timeout=2.0)
+            return sched, batch
 
-        assembler, batch = asyncio.run(scenario())
-        assert batch.size == 1
-        assert assembler.window_waits == 0
+        sched, batch = asyncio.run(scenario())
+        assert len(batch) == 1
+        assert sched.window_waits == 0
 
     def test_close_cuts_the_window_short(self):
         async def scenario():
-            sched = FairScheduler(["a"], capacity=8)
-            assembler = _assembler(sched, capacity=2, window_s=60.0)
+            sched = _scheduler(["a"], lanes=2, window_s=60.0)
             sched.submit(_request("a"))
-            task = asyncio.create_task(assembler.next_batch())
+            task = asyncio.create_task(sched.next_batch())
             await asyncio.sleep(0)
             sched.close()
             return await asyncio.wait_for(task, timeout=2.0)
 
         batch = asyncio.run(scenario())
         # A closed scheduler will never supply co-riders: dispatch solo now.
-        assert batch.size == 1
+        assert len(batch) == 1
 
 
 # -- crash-safe plan persistence --------------------------------------------
@@ -503,6 +499,16 @@ class TestServiceValidation:
         with pytest.raises(ParameterError):
             AthenaService([Tenant("a", TEST_FBS)], transport_s=-1.0)
 
+    def test_bad_queue_capacity_fails_before_keygen(self):
+        # Refused at construction: start() never keygens a pool it then
+        # cannot front with a scheduler.
+        with pytest.raises(ParameterError, match="queue capacity"):
+            AthenaService(
+                [Tenant("a", TEST_FBS)],
+                exec_config=ExecConfig("thread", 2),
+                queue_capacity=0,
+            )
+
     def test_registration_shares_plans_across_tenants(self):
         service = AthenaService(
             [Tenant("a", TEST_FBS, seed=1), Tenant("b", TEST_FBS, seed=2)]
@@ -662,12 +668,41 @@ class TestServiceEndToEnd:
             assert np.array_equal(result.output, want)
 
         stats = service.stats()
-        batcher = stats.detail["batcher"]
-        assert batcher["counters"]["batches"] == 2
-        assert batcher["counters"]["occupancy_max"] == 2
-        assert batcher["detail"]["occupancy_mean"] == 2.0
+        scheduler = stats.detail["scheduler"]
+        assert stats.detail["batcher"] is scheduler
+        assert scheduler["counters"]["batches"] == 2
+        assert scheduler["counters"]["occupancy_max"] == 2
+        assert scheduler["detail"]["occupancy_mean"] == 2.0
         workers = stats.detail["workers"]
         assert workers["counters"]["runs"] == 2 and workers["requests"] == 4
+
+    def test_batching_off_runs_every_request_solo(self):
+        """batching=False gives every leader one lane: no co-riders, no wait."""
+        qm = pack_cnn(np.random.default_rng(5))
+        rng = np.random.default_rng(37)
+        service = AthenaService(
+            [Tenant("alice", TEST_FBS, seed=9), Tenant("bob", TEST_FBS, seed=9)],
+            exec_config=ExecConfig("serial"),
+            queue_capacity=4,
+            batching=False,
+            batch_window_s=1.0,
+        )
+        service.register_model("pack", qm)
+        assert service._cores[("alice", "pack")].plan.batch_capacity == 2
+        batch = [
+            InferenceRequest(tid, "pack",
+                             rng.integers(-2, 3, (1, 3, 3)).astype(np.int64))
+            for tid in ("alice", "bob", "alice", "bob")
+        ]
+        results = service.serve_batch(batch)
+        assert [r.batch_size for r in results] == [1, 1, 1, 1]
+        assert len({r.batch_id for r in results}) == 4
+        for result, request in zip(results, batch):
+            assert np.array_equal(
+                result.output, qm.forward_int(request.x_q[None])[0]
+            )
+        counters = service.stats().detail["scheduler"]["counters"]
+        assert counters["batches"] == 4 and counters["window_waits"] == 0
 
     def test_batching_respects_distinct_key_domains(self):
         """Different seeds => different keys => no shared ciphertexts."""
