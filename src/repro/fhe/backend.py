@@ -258,14 +258,12 @@ def _galois_key(rotation_keys, k: int):
     return k, rotation_keys[k]
 
 
-def _key_products(fd, ksk):
-    """Evaluation-domain (..., 2, L+K, N) (delta_c0, delta_c1) over Q u P
-    of (..., D, L+K, N) transformed digits against the cached key stacks."""
-    both = ksk.moduli
+def _key_products(fd, k0, k1, both):
+    """Evaluation-domain (..., 2, L+K, N) (delta_c0, delta_c1) over ``both`` = Q u P
+    of (..., D, L+K, N) transformed digits against (stacked) cached key halves."""
     mods = _moduli_column(both)
     # Products reduce below 2**31 before the lazy digit-axis sum.
-    return np.stack(
-        [lazy_reduce_sum(fd * k % mods, both, axis=-3) for k in (ksk.k0, ksk.k1)], axis=-3)
+    return np.stack([lazy_reduce_sum(fd * k % mods, both, axis=-3) for k in (k0, k1)], axis=-3)
 
 
 def _stacked_keyswitch(data, ksk, moduli, perm=slice(None)):
@@ -274,39 +272,48 @@ def _stacked_keyswitch(data, ksk, moduli, perm=slice(None)):
     automorphism), the lazy key products, one inverse pass, the mod-down."""
     both = ksk.moduli
     fd = ntt_forward_rns(_mod_up(data, moduli, both), both)[..., perm]
-    out = _mod_down(ntt_inverse_rns(_key_products(fd, ksk), both), moduli, both)
+    out = _mod_down(ntt_inverse_rns(_key_products(fd, ksk.k0, ksk.k1, both), both), moduli, both)
     return out[..., 0, :, :], out[..., 1, :, :]
 
 
-def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> list[np.ndarray]:
-    """Images of one ciphertext under each Galois element of ``elements``,
-    as (2, L, N) evaluation-domain stacks over Q, on *one* digit transform.
+def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
+    """(E, 2, L, N) evaluation-domain images: image e is the transformed
+    :meth:`Backend.rotate_keyswitch` of its parent under ``elements[e]``.
 
-    ``f0`` is the ciphertext's c0 in the evaluation domain, ``c1`` its c1
-    in the coefficient domain (where its digits are taken). The (D, L+K, N)
-    digit transform is paid once; each image is then a gather by
-    :func:`ntt_automorphism_perm`, a lazy multiply-accumulate against its
-    key stack and an evaluation-domain mod-down (only the K special limbs
-    leave the domain) — :meth:`Backend.rotate_keyswitch` per element.
-    Dispatch-free: the batched mat-vec and the packing key's stack use it.
+    A parent is ``f0`` (its c0, evaluation domain) and ``c1`` (coefficient
+    domain, where its digits are taken): (L, N) is one parent shared by
+    every element, its digit transform paid once (babies); (E, L, N) one
+    parent per element (giants). Per chunk of at most
+    :data:`CMULT_BATCH_ELEMS` digit elements the stack pays each step once:
+    mod-up and digit transform, a gather by the (E, N) table of
+    :func:`ntt_automorphism_perm`, the lazy product against the stacked key
+    halves, an evaluation-domain mod-down (only the K special limbs leave
+    the domain). Dispatch-free: the batched mat-vec and the packing key use it.
     """
-    if not elements:
-        return []
     n, num_limbs = c1.shape[-1], len(moduli)
-    mods = _moduli_column(moduli)
-    keys = [_galois_key(rotation_keys, k) for k in elements]
-    # One basis per parameter set: any key's Q u P serves every key.
-    both = keys[0][1].moduli
-    special = both[num_limbs:]
-    fd = ntt_forward_rns(_mod_up(c1, moduli, both), both)
-    perms = [ntt_automorphism_perm(n, k) for k, _ in keys]
-    wide = np.stack([_key_products(fd[..., perm], gk) for perm, (_, gk) in zip(perms, keys)])
-    lift = rns.base_extend(ntt_inverse_rns(wide[..., num_limbs:, :], special), special,
-                           moduli, True)
-    images = _mod_down(wide, moduli, both, ntt_forward_rns(lift, moduli))
-    for image, perm in zip(images, perms):
-        image[0] = (image[0] + f0[..., perm]) % mods
-    return list(images)
+    keys = [_galois_key(rotation_keys, k)[1] for k in elements]
+    out = np.empty((len(keys), 2, num_limbs, n), dtype=np.int64)
+    if not keys:
+        return out
+    both = keys[0].moduli  # one basis per parameter set: any key's Q u P serves all
+    special, mods = both[num_limbs:], _moduli_column(moduli)
+    shared = c1.ndim == 2
+    if shared:
+        fd, f0 = ntt_forward_rns(_mod_up(c1, moduli, both), both)[None], f0[None]
+    perms = np.stack([ntt_automorphism_perm(n, k) for k in elements])[:, None, :]
+    chunk = max(1, CMULT_BATCH_ELEMS // keys[0].k0.size)  # a digit stack is the key's shape
+    for lo in range(0, len(keys), chunk):
+        part = slice(lo, lo + chunk)
+        if not shared:
+            fd = ntt_forward_rns(_mod_up(c1[part], moduli, both), both)
+        k0, k1 = (np.stack(half) for half in zip(*[(gk.k0, gk.k1) for gk in keys[part]]))
+        wide = _key_products(np.take_along_axis(fd, perms[part, None], -1), k0, k1, both)
+        lift = rns.base_extend(ntt_inverse_rns(wide[..., num_limbs:, :], special), special,
+                               moduli, True)
+        out[part] = _mod_down(wide, moduli, both, ntt_forward_rns(lift, moduli))
+        f0_part = np.take_along_axis(f0 if shared else f0[part], perms[part], -1)
+        out[part, 0] = (out[part, 0] + f0_part) % mods
+    return out
 
 
 class Backend:
@@ -401,15 +408,13 @@ class Backend:
         return out
 
     def shift(self, a, shift, moduli):
+        # X^(N + r) = -X^r, so X^shift rolls the length-2N (a, -a) by shift
+        # mod 2N, any integer shift; the first N coefficients are the product.
         n = a.shape[-1]
         out = np.empty_like(a)
         for i, p in enumerate(moduli):
-            rolled = np.roll(a[..., i, :], shift % n, axis=-1)
-            if shift % n:
-                rolled[..., : shift % n] = (-rolled[..., : shift % n]) % p
-            if shift >= n:
-                rolled = (-rolled) % p
-            out[..., i, :] = rolled
+            limb = a[..., i, :]
+            out[..., i, :] = np.roll(np.concatenate([limb, -limb], -1), shift, -1)[..., :n] % p
         return out
 
     def mod_switch(self, data, moduli, new_modulus):
@@ -672,9 +677,10 @@ class BatchedBackend(Backend):
     the NTT domain with lazy reduction, and pay two inverse transforms and
     a word-sized mod-down per keyswitch, not two inverses per digit; a
     mat-vec pays them once for all its products, rotates every image of one
-    ciphertext on one digit transform (:func:`hoisted_rotations`), and
-    rotates nothing when its sources come ready (packing). Bit-identical to
-    the reference bodies: the NTT is linear mod p, so
+    ciphertext on one digit transform (:func:`hoisted_rotations`) and all its
+    giants in one call, and rotates nothing when its sources come ready
+    (packing). Bit-identical to the reference bodies: the NTT is linear mod
+    p, so
     ``intt(sum(f_d * k_d mod p) mod p) == sum(intt(f_d * k_d)) mod p``
     exactly, and the cached key transforms are the same deterministic
     ``ntt_forward_rns`` values the per-digit path recomputes.
@@ -717,14 +723,8 @@ class BatchedBackend(Backend):
         return out
 
     def shift(self, a, shift, moduli):
-        n = a.shape[-1]
-        mods = _moduli_column(moduli)
-        rolled = np.roll(a, shift % n, axis=-1)
-        if shift % n:
-            rolled[..., : shift % n] = -rolled[..., : shift % n] % mods
-        if shift >= n:
-            rolled = -rolled % mods
-        return rolled
+        rolled = np.roll(np.concatenate([a, -a], -1), shift, -1)  # shift mod 2N
+        return rolled[..., : a.shape[-1]] % _moduli_column(moduli)
 
     # -- fused tier --------------------------------------------------------
 
@@ -749,11 +749,12 @@ class BatchedBackend(Backend):
         (:func:`hoisted_rotations`): the baby rotations and the row swap
         ride on c1's, the swap's babies on the swapped c1's — the only
         source inverse-transformed. Diagonal products and group sums are
-        pointwise (chunked under :data:`GIANT_BATCH_ELEMS`); a giant step
-        inverse-transforms only its c1, where its digits are taken; the
-        summed groups pay one stacked inverse. Bit-identical to the
-        reference: the NTT is a ring isomorphism mod each prime, and every
-        c1 taken as digits is the same canonical residues either way.
+        pointwise (chunked under :data:`GIANT_BATCH_ELEMS`); the giant steps
+        are one :func:`hoisted_rotations` call, one parent per group, after
+        one stacked inverse of their c1; the summed groups pay one stacked
+        inverse. Bit-identical to the reference: the NTT is a ring
+        isomorphism mod each prime, and every c1 taken as digits is the same
+        canonical residues either way.
         """
         n = vec.shape[-1]
         mods = _moduli_column(moduli)
@@ -767,21 +768,21 @@ class BatchedBackend(Backend):
                 src.update(zip(ids, hoisted_rotations(
                     src[parent][0], c1, elements, rotation_keys, moduli)))
         chunk = max(1, GIANT_BATCH_ELEMS // (2 * len(moduli) * n))
-        parts = []
-        for g, ids, stack in plan.groups:
+        parts = np.empty((len(plan.groups), 2, len(moduli), n), dtype=np.int64)
+        for part, (_, ids, stack) in zip(parts, plan.groups):
             sums = []
             for lo in range(0, len(ids), chunk):
                 cts = np.stack([src[s] for s in ids[lo : lo + chunk]])
                 sums.append(lazy_reduce_sum(
                     cts * stack[lo : lo + chunk, None] % mods, moduli))
-            inner = lazy_reduce_sum(np.stack(sums), moduli)
-            if g:
-                giant = rotation_galois_element(n, g * plan.baby_steps)
-                (inner,) = hoisted_rotations(
-                    inner[0], ntt_inverse_rns(inner[1], moduli), [giant],
-                    rotation_keys, moduli)
-            parts.append(inner)
-        out = ntt_inverse_rns(lazy_reduce_sum(np.stack(parts), moduli), moduli)
+            part[...] = lazy_reduce_sum(np.stack(sums), moduli)
+        giants = [i for i, (g, _, _) in enumerate(plan.groups) if g]
+        if giants:
+            elements = [rotation_galois_element(n, plan.groups[i][0] * plan.baby_steps)
+                        for i in giants]
+            parts[giants] = hoisted_rotations(parts[giants, 0], ntt_inverse_rns(
+                parts[giants, 1], moduli), elements, rotation_keys, moduli)
+        out = ntt_inverse_rns(lazy_reduce_sum(parts, moduli), moduli)
         return out[0], out[1]
 
     def giant_step_batch(self, ctx, pairs, rlk):

@@ -144,7 +144,6 @@ class RnsPoly:
 
     def negacyclic_shift(self, shift: int) -> "RnsPoly":
         """Multiply by X^shift (shift may be negative)."""
-        shift %= 2 * self.n
         return RnsPoly(current_backend().shift(self.data, shift, self.moduli), self.moduli)
 
     # --- conversions --------------------------------------------------------

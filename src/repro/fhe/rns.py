@@ -224,13 +224,14 @@ def base_extend(
     frac = estimate - overflow
     overflow = overflow.astype(np.int64)
     doubtful = (frac < V_AMBIGUITY) | (frac > 1.0 - V_AMBIGUITY)
-    for index in zip(*np.nonzero(doubtful)):
-        digits = xi[index[:-1] + (slice(None), index[-1])]
-        overflow[index] = _exact_overflow(digits, src)
+    if doubtful.any():
+        for index in zip(*np.nonzero(doubtful)):
+            digits = xi[index[:-1] + (slice(None), index[-1])]
+            overflow[index] = _exact_overflow(digits, src)
     # Exact in float64 (extension_bounds: "float_sum"), so BLAS does the sum.
-    halves = np.concatenate(
-        [xi >> _SPLIT_BITS, xi & ((1 << _SPLIT_BITS) - 1)], axis=-2, dtype=np.float64
-    )
+    halves = np.empty(xi.shape[:-2] + (2 * len(src), xi.shape[-1]))
+    np.right_shift(xi, _SPLIT_BITS, out=halves[..., : len(src), :])
+    np.bitwise_and(xi, (1 << _SPLIT_BITS) - 1, out=halves[..., len(src) :, :])
     out = np.matmul(tb.weights, halves).astype(np.int64)
     out -= overflow[..., None, :] * tb.q_mod
     if centered:

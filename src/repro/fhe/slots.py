@@ -12,8 +12,8 @@ so that the Galois automorphism X -> X^3 rotates both rows left by one and
 X -> X^-1 swaps the rows — exactly the rotation structure the packing and S2C
 matrix-vector products rely on.
 
-Encode/decode are O(N log N): a negacyclic NTT over Z_t plus a precomputed
-permutation that matches NTT output positions to hypercube slots.
+Encode/decode are one stacked negacyclic NTT over the one-limb basis (t,)
+plus a precomputed permutation from NTT output positions to hypercube slots.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.fhe.ntt import ntt_forward, ntt_inverse
+from repro.fhe.ntt import ntt_forward_rns, ntt_inverse_rns
 from repro.utils.modmath import root_of_unity
 
 
@@ -42,7 +42,7 @@ def _slot_permutation(n: int, t: int) -> np.ndarray:
     # of degree 1); output j then literally equals its evaluation point.
     x = np.zeros(n, dtype=np.int64)
     x[1] = 1
-    points = ntt_forward(x, t)
+    points = ntt_forward_rns(x, (t,))[0]
     position_of_value = {int(v): i for i, v in enumerate(points)}
     if len(position_of_value) != n:
         raise ParameterError("NTT evaluation points are not distinct")
@@ -63,15 +63,14 @@ def slot_encode(values: np.ndarray, n: int, t: int) -> np.ndarray:
     values = np.mod(np.asarray(values, dtype=np.int64), t)
     if values.shape[-1:] != (n,):
         raise ParameterError(f"expected {n} slot values, got shape {values.shape}")
-    ntt_domain = np.empty_like(values)
-    ntt_domain[..., _slot_permutation(n, t)] = values
-    return ntt_inverse(ntt_domain, t)
+    ntt_domain = np.empty_like(values)[..., None, :]  # the one-limb basis (t,)
+    ntt_domain[..., 0, _slot_permutation(n, t)] = values
+    return ntt_inverse_rns(ntt_domain, (t,))[..., 0, :]
 
 
 def slot_decode(coeffs: np.ndarray, n: int, t: int) -> np.ndarray:
     """Decode plaintext polynomial coefficients into the N slot values."""
-    perm = _slot_permutation(n, t)
-    return ntt_forward(np.asarray(coeffs, dtype=np.int64).copy(), t)[perm]
+    return ntt_forward_rns(np.asarray(coeffs, dtype=np.int64), (t,))[0, _slot_permutation(n, t)]
 
 
 # ---------------------------------------------------------------------------

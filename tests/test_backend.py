@@ -36,7 +36,8 @@ from repro.fhe.backend import (
     get_backend,
     use_backend,
 )
-from repro.fhe.params import TEST_LOOP, TEST_SMALL
+from repro.fhe.ntt import negacyclic_mul_exact
+from repro.fhe.params import TEST_LOOP, TEST_SMALL, TEST_TINY
 from repro.fhe.poly import RnsPoly
 from repro.quant.subjects import mnist_cnn_micro
 
@@ -209,6 +210,28 @@ class TestRnsBitIdentity:
                 results.append(a.mod_switch(TEST_LOOP.lwe_q))
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], results[2])
+
+
+class TestShift:
+    """Both engines multiply by X^shift for any integer shift, not only for
+    0 <= shift < 2N: equal to the integer negacyclic product by the
+    monomial."""
+
+    @pytest.mark.parametrize("engine", ["batched", "serial"])
+    @pytest.mark.parametrize("shift", [(0, 0), (0, 3), (1, 0), (1, 3), (2, 3), (0, -3), (-1, -3)],
+                             ids=["0", "3", "N", "N+3", "2N+3", "-3", "-N-3"])
+    def test_shift_is_the_monomial_product(self, engine, shift):
+        params = TEST_TINY
+        n = params.n
+        amount = shift[0] * n + shift[1]
+        a = np.random.default_rng(17).integers(0, params.t, n)
+        # X^amount as a coefficient vector: X^(N + r) = -X^r, X^(2N) = 1.
+        mono = np.zeros(n, dtype=np.int64)
+        mono[amount % n] = -1 if amount % (2 * n) >= n else 1
+        want = RnsPoly.from_int_coeffs(negacyclic_mul_exact(list(a), list(mono)), params.moduli)
+        poly = RnsPoly.from_int_coeffs(a, params.moduli)
+        got = get_backend(engine).shift(poly.data, amount, params.moduli)
+        assert np.array_equal(got, want.data)
 
 
 class TestCountingBackend:

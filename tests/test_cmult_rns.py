@@ -197,6 +197,36 @@ class TestBaseExtend:
                     rns.base_extend(stack[i, j], self.SRC, self.DST, centered=True),
                 )
 
+    @pytest.mark.parametrize("centered", [False, True], ids=["plain", "centred"])
+    @pytest.mark.parametrize("route", ["edges", "all_exact"])
+    def test_stacked_extension_equals_per_row_calls(
+        self, centered, route, monkeypatch, exact_route_calls, rng
+    ):
+        """An (E, 2, L, N) stack extends as its rows do, one call each, and
+        as the big-int lift: with one row on the interval's edges (only
+        they take the exact route), and with every coefficient forced
+        down it."""
+        src, dst = self.SRC, self.DST
+        q = rns.rns_modulus(src)
+        stack = np.stack([rng.integers(0, p, (3, 2, 8)) for p in src], axis=-2)
+        edges = [0, 1, 2, q - 1, q - 2, q // 2, q // 2 + 1, q // 3]
+        stack[1, 0] = rns.to_rns(edges, src)
+        if route == "all_exact":
+            monkeypatch.setattr(rns, "V_AMBIGUITY", 1.0)
+        got = rns.base_extend(stack, src, dst, centered)
+        assert got.shape == (3, 2, len(dst), 8)
+        coefficients = stack[..., 0, :].size
+        if route == "edges":
+            assert 0 < len(exact_route_calls) < coefficients
+        else:
+            assert len(exact_route_calls) == coefficients
+        for e in range(3):
+            for c in range(2):
+                row = stack[e, c]
+                assert np.array_equal(got[e, c], rns.base_extend(row, src, dst, centered))
+                lift = (rns.from_rns_centered if centered else rns.from_rns)(row, src)
+                assert np.array_equal(got[e, c], _lift_mod(lift, dst))
+
 
 # --- tensor == oracle ----------------------------------------------------------------
 

@@ -493,15 +493,19 @@ def _pack_setup(params, seed=3):
 
 
 def _spy_transforms(monkeypatch):
-    """Count limb transforms and CRT lifts to Python integers as they
-    execute."""
-    executed = {"limb_transforms": 0, "crt_lifts": 0}
+    """Count limb transforms, the calls that run them, and CRT lifts to
+    Python integers as they execute."""
+    executed = {"limb_transforms": 0, "transform_calls": 0, "crt_lifts": 0}
 
     def spy(module, name, unit):
         real = getattr(module, name)
 
         def wrapper(a, *args, **kwargs):
-            executed[unit] += a.size // a.shape[-1] if unit == "limb_transforms" else 1
+            if unit == "limb_transforms":
+                executed[unit] += a.size // a.shape[-1]
+                executed["transform_calls"] += 1
+            else:
+                executed[unit] += 1
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -573,10 +577,12 @@ class TestMatvecAccounting:
         pay a (D, L+K, N) digit transform each; 22 images (8 + 7 babies and
         the swap, 7 giants) pay 2K inverse and 2L forward limbs for the
         evaluation-domain mod-down; the sources' entry and exit and the nine
-        c1 inverses pay 12 L: 1 062. Per-limb digits executed 1 358; two
-        passes, a coefficient-domain row swap and an add 3 276 and 17
-        decompositions; nine base-2^14 decompositions of 20 digits each,
-        1 728 and 9 lifts."""
+        c1 inverses pay 12 L: 1 062. They run in 13 calls: the entry, three
+        per hoisting call (digits, special inverse, lift) and the swap's and
+        the giants' c1 inverses, the exit; one call per giant made it 37.
+        Per-limb digits executed 1 358; two passes, a coefficient-domain row
+        swap and an add 3 276 and 17 decompositions; nine base-2^14
+        decompositions of 20 digits each, 1 728 and 9 lifts."""
         pipe = AthenaPipeline(TEST_LOOP, seed=81)
         plan = S2CPlan.build(TEST_LOOP)
         ct = pipe.ctx.encrypt(
@@ -587,7 +593,8 @@ class TestMatvecAccounting:
         assert len(plan.matvec.groups) == 8
         l, width = TEST_LOOP.num_limbs, len(TEST_LOOP.keyswitch_moduli)
         hoisted = 9 * TEST_LOOP.num_digits * width + 22 * 2 * width + 12 * l
-        assert executed == {"limb_transforms": hoisted, "crt_lifts": 0}
+        assert executed == {"limb_transforms": hoisted, "transform_calls": 1 + 3 * 3 + 2 + 1,
+                            "crt_lifts": 0}
         assert hoisted == 1062
 
     def test_executed_transforms_of_one_pack(self, monkeypatch):
@@ -601,7 +608,8 @@ class TestMatvecAccounting:
         with use_backend(BATCHED):
             pack_lwe(pipe.ctx, lwe, pipe.packing_key)
         l = TEST_LOOP.num_limbs
-        assert executed == {"limb_transforms": TEST_LOOP.n // 2 * l + 2 * l, "crt_lifts": 0}
+        assert executed == {"limb_transforms": TEST_LOOP.n // 2 * l + 2 * l,
+                            "transform_calls": 2, "crt_lifts": 0}
         assert executed["limb_transforms"] == 594
 
 
@@ -617,7 +625,8 @@ class TestMatvecAccounting:
         ct = ctx.encrypt(Plaintext.from_slots(np.arange(TEST_LOOP.n), TEST_LOOP), pk)
         executed = _spy_transforms(monkeypatch)
         BATCHED.keyswitch(ct.c1.data, rlk, TEST_LOOP.moduli)
-        assert executed == {"limb_transforms": _keyswitch_transforms(TEST_LOOP), "crt_lifts": 0}
+        assert executed == {"limb_transforms": _keyswitch_transforms(TEST_LOOP),
+                            "transform_calls": 2, "crt_lifts": 0}
         assert executed["limb_transforms"] == 54
 
 
@@ -645,7 +654,10 @@ class TestFbsAccounting:
             out = fbs_evaluate(ctx, ct, lut, rlk, plan=plan)
         tensors = (2 * 39 + 3 * 31) * len(ctx.tensor_moduli)
         keyswitches = (len(plan.ladder) + 1) * _keyswitch_transforms(TEST_LOOP)
-        assert executed == {"limb_transforms": tensors + keyswitches, "crt_lifts": 0}
+        # Four calls per stacked stage (operand entry, tensor exit, the
+        # keyswitch's two): nine ladder levels and the combination.
+        assert executed == {"limb_transforms": tensors + keyswitches,
+                            "transform_calls": 4 * (9 + 1), "crt_lifts": 0}
         assert executed["limb_transforms"] == 4923
         assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
         assert len(plan.ladder) == 30

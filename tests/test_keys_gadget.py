@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fhe import backend as backend_module
 from repro.fhe import rns
 from repro.fhe.backend import (
     BATCHED,
@@ -268,18 +269,34 @@ class TestOneKeyswitchThreeBodies:
         ctx, _, _, gks, ct = rotation_setup
         _assert_hoisted_images(ctx, gks, ct)
 
+    def test_hoisted_images_in_chunks(self, rotation_setup, monkeypatch):
+        """The same images when the digit-stack cap splits the five
+        elements into three chunks, shared parent or not."""
+        ctx, _, _, gks, ct = rotation_setup
+        cap = 2 * next(iter(gks.values())).k0.size
+        monkeypatch.setattr(backend_module, "CMULT_BATCH_ELEMS", cap)
+        _assert_hoisted_images(ctx, gks, ct)
+
 
 def _assert_hoisted_images(ctx, gks, ct):
-    moduli = ctx.params.moduli
-    elements = list(gks)
-    f0 = ntt_forward_rns(ct.c0.data, moduli)
-    images = hoisted_rotations(f0, ct.c1.data, elements, gks, moduli)
-    assert len(images) == len(elements)
-    for k, image in zip(elements, images):
-        for be in (SERIAL, BATCHED):
-            rotated = be.rotate_keyswitch(ct.c0.data, ct.c1.data, k, gks[k], moduli)
-            assert np.array_equal(image, ntt_forward_rns(np.stack(rotated), moduli))
-    assert hoisted_rotations(f0, ct.c1.data, [], gks, moduli) == []
+    """One parent shared by every element and one parent per element: image
+    e is the forward transform of ``rotate_keyswitch``'s output for its
+    parent, on either engine."""
+    moduli, n = ctx.params.moduli, ctx.params.n
+    elements = list(gks) + list(gks)[:1]  # five: chunks of 2, 2 and 1 at a cap of two
+    pair = np.stack([ct.c0.data, ct.c1.data])
+    parents = np.stack([SERIAL.scalar_mul(pair, e + 1, moduli) for e in range(len(elements))])
+    f0 = ntt_forward_rns(parents[:, 0], moduli)
+    shared = hoisted_rotations(f0[0], pair[1], elements, gks, moduli)
+    stacked = hoisted_rotations(f0, parents[:, 1], elements, gks, moduli)
+    assert shared.shape == stacked.shape == (len(elements), 2, len(moduli), n)
+    for e, k in enumerate(elements):
+        for images, parent in ((shared, pair), (stacked, parents[e])):
+            for be in (SERIAL, BATCHED):
+                rotated = be.rotate_keyswitch(*parent, k, gks[k], moduli)
+                assert np.array_equal(images[e], ntt_forward_rns(np.stack(rotated), moduli))
+    empty = hoisted_rotations(f0[0], pair[1], [], gks, moduli)
+    assert empty.shape == (0, 2, len(moduli), n)
 
 
 def _sparse_s2c_plan(params):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.fhe.ntt import negacyclic_mul_exact
+from repro.fhe.ntt import negacyclic_mul_exact, ntt_forward, ntt_inverse
+from repro.fhe.params import PRESETS
 from repro.fhe.slots import (
     _slot_permutation,
     rotation_galois_element,
@@ -14,6 +15,7 @@ from repro.fhe.slots import (
     slot_decode,
     slot_encode,
 )
+from repro.utils.modmath import root_of_unity
 
 N, T = 32, 257
 
@@ -60,6 +62,26 @@ class TestEncodeDecode:
     def test_wrong_length_raises(self):
         with pytest.raises(ParameterError):
             slot_encode(np.zeros(N + 1, dtype=np.int64), N, T)
+
+
+@pytest.mark.parametrize("params", PRESETS.values(), ids=lambda p: p.name)
+def test_slot_path_equals_the_radix2_transform(params):
+    """Encode and decode run the stacked kernel on the one-limb basis (t,);
+    it equals the per-prime radix-2 transform at every preset's (n, t)."""
+    n, t = params.n, params.t
+    rng = np.random.default_rng(n)
+    values, coeffs = rng.integers(0, t, (2, 2, n))
+    monomial = np.zeros(n, dtype=np.int64)
+    monomial[1] = 1
+    points = ntt_forward(monomial, t)  # output j is its evaluation point
+    zeta, exps = root_of_unity(2 * n, t), [pow(3, j, 2 * n) for j in range(n // 2)]
+    slot_points = [pow(zeta, e, t) for e in exps] + [pow(zeta, 2 * n - e, t) for e in exps]
+    perm = _slot_permutation(n, t)
+    assert np.array_equal(points[perm], slot_points)
+    scattered = np.empty_like(values)
+    scattered[:, perm] = values
+    assert np.array_equal(slot_encode(values, n, t), ntt_inverse(scattered, t))
+    assert np.array_equal(slot_decode(coeffs[0], n, t), ntt_forward(coeffs[0], t)[perm])
 
 
 class TestGaloisStructure:
