@@ -37,10 +37,10 @@ from repro.errors import ParameterError
 from repro.fhe import lwe as lwelib
 from repro.fhe.backend import current_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
-from repro.fhe.fbs import FbsLut, FbsPlan, fbs_evaluate
+from repro.fhe.fbs import FbsLut, fbs_evaluate
 from repro.fhe.packing import PackingKey, pack_lwe
 from repro.fhe.params import FheParams
-from repro.fhe.s2c import S2CKey, S2CPlan, slot_to_coeff
+from repro.fhe.s2c import S2CKey, slot_to_coeff
 from repro.utils.sampling import Sampler
 
 
@@ -77,9 +77,7 @@ class AthenaPipeline:
             # same objects) and adds only the row swap. Packing itself
             # uses them once, below, never on a request.
             swap = self.ctx.galois_keys(self.sk, [row_swap_element(params.n)])
-            self.s2c_key = S2CKey(
-                self.packing_key.rotation_keys | swap, self.packing_key.baby_steps
-            )
+            self.s2c_key = S2CKey(self.packing_key.rotation_keys | swap)
             # The packing key's stack of rotated secrets, every packing's
             # sources, is built once here from the Galois keys.
             self.packing_key.rotated_secrets()
@@ -123,23 +121,16 @@ class AthenaPipeline:
 
     # -- Steps 4-5: packing + FBS ---------------------------------------------------
 
-    def bootstrap(
-        self, batch: lwelib.LweBatch, lut: FbsLut, plan: FbsPlan | None = None
-    ) -> BfvCiphertext:
-        """Pack LWE ciphertexts into slots and evaluate the LUT polynomial.
-
-        ``plan`` supplies a precomputed BSGS schedule; the op sequence (and
-        result) is identical with or without it."""
+    def bootstrap(self, batch: lwelib.LweBatch, lut: FbsLut) -> BfvCiphertext:
+        """Pack LWE ciphertexts into slots and evaluate the LUT polynomial."""
         packed = pack_lwe(self.ctx, batch, self.packing_key)
-        return fbs_evaluate(self.ctx, packed, lut, self.rlk, plan=plan)
+        return fbs_evaluate(self.ctx, packed, lut, self.rlk)
 
     # -- loop closure -------------------------------------------------------------
 
-    def to_coeffs(
-        self, ct: BfvCiphertext, plan: S2CPlan | None = None
-    ) -> BfvCiphertext:
+    def to_coeffs(self, ct: BfvCiphertext) -> BfvCiphertext:
         """S2C: prepare the FBS output for the next coefficient-encoded layer."""
-        return slot_to_coeff(self.ctx, ct, self.s2c_key, plan=plan)
+        return slot_to_coeff(self.ctx, ct, self.s2c_key)
 
     def loop(
         self,
@@ -217,9 +208,10 @@ class CiphertextExecutor(ProgramExecutor):
     """Thin interpreter: replays compile-time plans with ciphertext ops.
 
     The flowing value is a BFV ciphertext. All request-invariant work —
-    kernel/bias encoding, LUT interpolation and BSGS scheduling, S2C
-    diagonals, every :class:`RefreshRound` — lives in the
-    :class:`CompiledProgram` (compiled at construction when not supplied),
+    kernel/bias encoding, every :class:`RefreshRound` and the LUT it
+    carries with its polynomial and BSGS schedule — lives in the
+    :class:`CompiledProgram` (compiled at construction when not supplied;
+    compiling also builds the parameter set's one S2C plan),
     so each :meth:`linear` call performs only encrypt (first step), PMult,
     and :meth:`_refresh` — the one place the loop's refresh -> pack -> FBS
     -> S2C is written — on the request's data. Plan
@@ -340,11 +332,11 @@ class CiphertextExecutor(ProgramExecutor):
         """
         pipe = self.pipe
         batch = pipe.refresh_to_lwe(ct, rnd.positions).place(rnd.rows, rnd.height)
-        boot = pipe.bootstrap(batch, rnd.lut, plan=rnd.fbs)
+        boot = pipe.bootstrap(batch, rnd.lut)
         if rnd.correction is not None:
             with current_backend().phase("fbs"):
                 boot = pipe.ctx.add_plain(boot, rnd.correction)
-        return pipe.to_coeffs(boot, plan=self.plan.s2c) if s2c else boot
+        return pipe.to_coeffs(boot) if s2c else boot
 
     def _max_round(
         self, ct: BfvCiphertext, delta: int, rnd: RefreshRound

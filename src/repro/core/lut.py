@@ -80,9 +80,9 @@ def activation_lut(
 
 @lru_cache(maxsize=None)
 def relu_lut(t: int) -> FbsLut:
-    """ReLU table over Z_t. Cached: the table (and its interpolated
-    polynomial) depends only on ``t``, so repeated max-trees and layer
-    builds share one instance — treat the result as immutable."""
+    """ReLU table over Z_t. Cached: the table (with its polynomial and
+    BSGS schedule) depends only on ``t``, so every compiled max tree and
+    layer build shares one instance."""
     return FbsLut.from_function(lambda x: np.maximum(x, 0), t, "relu")
 
 

@@ -5,13 +5,16 @@ interleaved on every request:
 
 * **compile time** — work that depends only on the *model* and the
   *parameter set*: Eq. 1 kernel encoding (and its NTT operand form), bias
-  placement, LUT tabulation + polynomial interpolation + BSGS schedule,
-  the S2C evaluation-matrix diagonals, and every refresh round's extraction
-  positions, pack rows and exact ``-LUT(0)`` dead-slot correction.
+  placement, LUT tabulation (each :class:`~repro.fhe.fbs.FbsLut` derives
+  its own polynomial and BSGS schedule), the S2C evaluation-matrix
+  diagonals (one plan per parameter set, :func:`repro.fhe.s2c.s2c_plan`),
+  and every refresh round's extraction positions, pack rows and exact
+  ``-LUT(0)`` dead-slot correction.
 * **run time** — ciphertext operations on the request's encrypted data.
 
 :func:`compile_program` lowers an :class:`~repro.core.program.AthenaProgram`
-into a :class:`CompiledProgram` holding all of the former, so
+into a :class:`CompiledProgram` holding all of the former but the S2C plan
+(which it builds, so that no request does), so
 :class:`~repro.core.framework.CiphertextExecutor` becomes a thin interpreter
 that performs only the latter. The compiled artifacts are plain
 plaintext/array data — no key material and nothing secret — so a plan can be
@@ -66,13 +69,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.encoding import encode_kernels, lane_span, output_cells
+from repro.core.lut import relu_lut
 from repro.core.program import AthenaProgram, LinearStep
 from repro.errors import EncodingError, ParameterError
 from repro.fhe.backend import current_backend
 from repro.fhe.bfv import Plaintext
-from repro.fhe.fbs import FbsLut, FbsPlan
+from repro.fhe.fbs import FbsLut
 from repro.fhe.params import FheParams
-from repro.fhe.s2c import S2CPlan
+from repro.fhe.s2c import s2c_plan
 from repro.fhe.serialize import params_fingerprint
 from repro.fhe.slots import lane_positions
 
@@ -217,10 +221,11 @@ class RefreshRound:
     Steps 2-3 mod-switch the ciphertext and extract the LWE samples at
     ``positions``; step 4 packs sample ``i`` onto row ``rows[i]`` of a
     zero-padded batch of ``height`` rows (the compact layout is
-    ``rows = arange(count)``); step 5 evaluates ``lut`` through its BSGS
-    schedule ``fbs``; ``correction`` — the slot-encoded ``-LUT(0)`` over every
-    row the round did *not* fill, ``None`` only when LUT(0) = 0 or all ``n``
-    rows are filled — makes those rows exact zeros again, so after S2C sample
+    ``rows = arange(count)``); step 5 evaluates ``lut`` through the BSGS
+    schedule it carries (:attr:`repro.fhe.fbs.FbsLut.plan`); ``correction``
+    — the slot-encoded ``-LUT(0)`` over every row the round did *not* fill,
+    ``None`` only when LUT(0) = 0 or all ``n`` rows are filled — makes
+    those rows exact zeros again, so after S2C sample
     ``i`` sits alone at coefficient ``rows[i]`` and everything else is an
     exact zero. Every refresh the executor runs — a layer's
     tail, a lane batch, a max-tree level, a remap, a residual join — is one
@@ -231,7 +236,6 @@ class RefreshRound:
     rows: np.ndarray
     height: int
     lut: FbsLut
-    fbs: FbsPlan
     correction: Plaintext | None
 
     @property
@@ -240,8 +244,10 @@ class RefreshRound:
 
 
 def _refresh_round(positions: np.ndarray, rows: np.ndarray, lut: FbsLut,
-                   fbs: FbsPlan, params: FheParams) -> RefreshRound:
-    """The one builder of a round — and of its ``-LUT(0)`` plaintext."""
+                   params: FheParams) -> RefreshRound:
+    """The one builder of a round — and of its ``-LUT(0)`` plaintext; the
+    LUT's schedule has its constants encoded for ``params`` here."""
+    lut.plan.materialize(params)
     correction = None
     lut0 = int(lut.values[0])
     if lut0 and rows.size < params.n:
@@ -249,8 +255,7 @@ def _refresh_round(positions: np.ndarray, rows: np.ndarray, lut: FbsLut,
         vals[rows] = 0
         correction = Plaintext.from_slots(vals, params)
         correction.add_operand()
-    return RefreshRound(
-        positions, rows, int(rows.max()) + 1, lut, fbs, correction)
+    return RefreshRound(positions, rows, int(rows.max()) + 1, lut, correction)
 
 
 @dataclass(frozen=True)
@@ -333,7 +338,7 @@ class CompiledLinear:
             lanes=lanes,
             in_stride=self.lane_span,
             out_stride=self.lane_out_stride,
-            round=_refresh_round(positions, rows, base.lut, base.fbs, params),
+            round=_refresh_round(positions, rows, base.lut, params),
             bias=bias,
         )
         self._lane_layouts[lanes] = layout
@@ -411,7 +416,6 @@ class CompiledProgram:
 
     steps: list
     params: FheParams
-    s2c: S2CPlan
     model_hash: str
     name: str = "model"
     #: Images one ciphertext can carry through the whole program (>= 1):
@@ -498,18 +502,6 @@ def _pack_rows_for(target: FeatureLayout | None, out_count: int,
     return target.rows()
 
 
-def _s2c_plan(params: FheParams) -> S2CPlan:
-    """The params-only S2C plan, rotation index maps warmed — shared by
-    :func:`compile_program` and :func:`repro.fhe.serialize.load_plan`."""
-    plan = S2CPlan.build(params)
-    plan.matvec.warm_automorphisms(params)
-    return plan
-
-
-def _fbs_plan(lut: FbsLut, params: FheParams) -> FbsPlan:
-    return FbsPlan.from_lut(lut).materialize(params)
-
-
 # --------------------------------------------------------------------------
 # Layout-resolution walk: logical shapes and required layouts
 # --------------------------------------------------------------------------
@@ -591,12 +583,7 @@ def _compile_round(step, config, params: FheParams, positions: np.ndarray,
     """A LUT-bearing step's refresh, packed into the next consumer's layout."""
     lut = step.lut.build(config, params.t)
     rows = _pack_rows_for(target, positions.shape[0], params)
-    return _refresh_round(positions, rows, lut, _fbs_plan(lut, params), params)
-
-
-def _mac_relu_lut(t: int) -> FbsLut:
-    """The MAC-domain rectifier every max-tree round refreshes through."""
-    return FbsLut.from_function(lambda v: np.maximum(v, 0), t, name="mac-relu")
+    return _refresh_round(positions, rows, lut, params)
 
 
 def _eq1(name: str, weight: np.ndarray, grid: tuple, origin: tuple,
@@ -716,10 +703,8 @@ def _compile_linear(
             raise ParameterError(
                 f"fused pooling of step {step.name!r} requires a convolution")
         levels, positions = _pool_tree(step, grid, origin)
-        relu = _mac_relu_lut(params.t)
-        relu_fbs = _fbs_plan(relu, params)
         pool_rounds = tuple(
-            (delta, _refresh_round(kept, kept, relu, relu_fbs, params))
+            (delta, _refresh_round(kept, kept, relu_lut(params.t), params))
             for delta, kept in levels)
 
     return CompiledLinear(
@@ -899,10 +884,10 @@ def compile_program(
             program.steps, program.config, params,
             _initial_shape(program.steps), None, None)
         capacity = _annotate_lanes(steps, params)
+        s2c_plan(params)  # built here once per parameter set, not on a request
         return CompiledProgram(
             steps=steps,
             params=params,
-            s2c=_s2c_plan(params),
             model_hash=program_fingerprint(program),
             name=program.name,
             batch_capacity=capacity,

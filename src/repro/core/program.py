@@ -68,12 +68,7 @@ from typing import ClassVar
 import numpy as np
 
 from repro.errors import QuantizationError, UnsupportedLayer
-from repro.fhe.fbs import (
-    FbsLut,
-    evaluate_poly_all,
-    interpolate_range,
-    register_interpolation,
-)
+from repro.fhe.fbs import FbsLut, interpolate_range
 from repro.fhe.params import ATHENA, FheParams
 from repro.quant import nn
 from repro.quant.quantize import (
@@ -127,16 +122,12 @@ class LutSpec:
             # Restricted-domain build: interpolate the exact semantics over
             # the certified MAC range only. The resulting degree <= 2r
             # polynomial (vs t-1 generically) is what FBS evaluates, so the
-            # BSGS ladder shrinks with the layer's bit allocation. The full
-            # table it induces on Z_t is registered with its coefficients:
-            # FbsLut then picks them up through the interpolation cache and
-            # plan serialization round-trips bit-identically.
+            # BSGS ladder shrinks with the layer's bit allocation. The LUT
+            # holds the full table that polynomial induces on Z_t, whose
+            # interpolant is the polynomial itself.
             pts = np.arange(-r, r + 1, dtype=np.int64)
-            vals = self.apply_exact(pts, cfg)
-            coeffs = interpolate_range(vals, r, t)
-            table = evaluate_poly_all(coeffs, t)
-            register_interpolation(table, t, coeffs)
-            return FbsLut(table, t, self.name)
+            coeffs = interpolate_range(self.apply_exact(pts, cfg), r, t)
+            return FbsLut.from_coeffs(coeffs, t, self.name)
         raw = np.arange(t, dtype=np.int64)
         domain = np.where(raw > t // 2, raw - t, raw)
         if self.kind == "remap":

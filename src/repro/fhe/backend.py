@@ -643,19 +643,19 @@ class Backend:
 
     # -- composite tier ----------------------------------------------------
 
-    def fbs(self, ctx, ct, lut, rlk, plan=None):
+    def fbs(self, ctx, ct, lut, rlk):
         """Functional bootstrapping: evaluate a LUT polynomial on all slots."""
         from repro.fhe import fbs
 
         self.record("fbs")
-        return fbs.fbs_evaluate_impl(ctx, ct, lut, rlk, plan=plan)
+        return fbs.fbs_evaluate_impl(ctx, ct, lut, rlk)
 
-    def s2c(self, ctx, ct, key, plan=None):
+    def s2c(self, ctx, ct, key):
         """Slot-to-coefficient transform."""
         from repro.fhe import s2c
 
         self.record("s2c")
-        return s2c.slot_to_coeff_impl(ctx, ct, key, plan=plan)
+        return s2c.slot_to_coeff_impl(ctx, ct, key)
 
     # -- instrumentation hooks ---------------------------------------------
 

@@ -65,6 +65,9 @@ class Plaintext:
     @classmethod
     def from_coeffs(cls, coeffs, params: FheParams) -> "Plaintext":
         arr = np.mod(np.asarray(coeffs, dtype=np.int64), params.t)
+        if arr.ndim != 1 or arr.shape[0] > params.n:
+            raise ParameterError(
+                f"expected at most {params.n} coefficients, got shape {arr.shape}")
         if arr.shape != (params.n,):
             padded = np.zeros(params.n, dtype=np.int64)
             padded[: arr.shape[0]] = arr

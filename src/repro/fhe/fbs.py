@@ -43,7 +43,6 @@ __all__ = [
     "fbs_evaluate",
     "interpolate_lut",
     "interpolate_range",
-    "register_interpolation",
 ]
 
 
@@ -55,44 +54,6 @@ def interpolate_lut(values: np.ndarray, t: int) -> np.ndarray:
     if (t - 1) & (t - 2) == 0 and t > 3:  # t-1 is a power of two
         return _interpolate_ntt(values, t)
     return _interpolate_dense(values, t)
-
-
-#: Interpolation results keyed on (table bytes, t). Repeated sessions build
-#: the same ReLU / avgpool / remap tables over and over; at t = 65537 each
-#: interpolation is a 65537-point NTT, so identical tables are resolved from
-#: here. Bounded FIFO: real deployments cycle through a model's handful of
-#: tables, so 64 entries is generous.
-_INTERP_CACHE: dict[tuple[bytes, int], np.ndarray] = {}
-_INTERP_CACHE_MAX = 64
-
-
-def _interpolate_cached(values: np.ndarray, t: int) -> np.ndarray:
-    key = (values.tobytes(), t)
-    got = _INTERP_CACHE.get(key)
-    if got is None:
-        got = interpolate_lut(values, t)
-        got.setflags(write=False)
-        while len(_INTERP_CACHE) >= _INTERP_CACHE_MAX:
-            _INTERP_CACHE.pop(next(iter(_INTERP_CACHE)))
-        _INTERP_CACHE[key] = got
-    return got
-
-
-def register_interpolation(values: np.ndarray, t: int, coeffs: np.ndarray) -> None:
-    """Seed the interpolation cache with known-good coefficients.
-
-    Used when deserializing a compiled plan: the artifact carries the
-    interpolated coefficient vector, so rebuilding its :class:`FbsLut`
-    must not pay the interpolation again (or at all, in a fresh process).
-    """
-    values = np.mod(np.asarray(values, dtype=np.int64), t)
-    coeffs = np.mod(np.asarray(coeffs, dtype=np.int64), t)
-    if values.shape != (t,) or coeffs.shape != (t,):
-        raise ParameterError(f"LUT and coefficients must both have t={t} entries")
-    coeffs.setflags(write=False)
-    while len(_INTERP_CACHE) >= _INTERP_CACHE_MAX:
-        _INTERP_CACHE.pop(next(iter(_INTERP_CACHE)))
-    _INTERP_CACHE[(values.tobytes(), t)] = coeffs
 
 
 def _interpolate_ntt(values: np.ndarray, t: int) -> np.ndarray:
@@ -219,18 +180,50 @@ def evaluate_poly_plain(coeffs: np.ndarray, x: np.ndarray, t: int) -> np.ndarray
     return out
 
 
-@dataclass
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class FbsLut:
-    """A functional-bootstrapping lookup table and its polynomial form."""
+    """A functional-bootstrapping lookup table, its polynomial and its
+    BSGS schedule (paper §3.2.3, Eq. 3 and Algorithm 2).
+
+    The table fixes the rest, so the LUT derives both itself, once, on
+    first use: :attr:`coeffs` interpolates :attr:`values`, :attr:`plan`
+    schedules :attr:`coeffs`. Both arrays are read-only and the fields
+    cannot be reassigned, so the three never disagree.
+    """
 
     values: np.ndarray  # length t, entries mod t
     t: int
     name: str = "lut"
-    coeffs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.values = np.mod(np.asarray(self.values, dtype=np.int64), self.t)
-        self.coeffs = _interpolate_cached(self.values, self.t)
+        values = np.mod(np.asarray(self.values, dtype=np.int64), self.t)
+        if values.shape != (self.t,):
+            raise ParameterError(f"LUT must have exactly t={self.t} entries")
+        object.__setattr__(self, "values", _read_only(values))
+
+    @classmethod
+    def from_coeffs(cls, coeffs: np.ndarray, t: int, name: str = "lut") -> "FbsLut":
+        """The table a known polynomial induces on Z_t (a calibrated window's
+        low-degree interpolant): the table is evaluated from ``coeffs``, and
+        ``coeffs`` is the one polynomial of degree <= t-1 through it."""
+        lut = cls(evaluate_poly_all(coeffs, t), t, name)
+        lut.__dict__["coeffs"] = _read_only(np.mod(np.asarray(coeffs, dtype=np.int64), t))
+        return lut
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Coefficients F_0..F_{t-1} of the table's polynomial (read-only)."""
+        return _read_only(interpolate_lut(self.values, self.t))
+
+    @cached_property
+    def plan(self) -> "FbsPlan":
+        """The BSGS schedule of :attr:`coeffs` (:meth:`FbsPlan.from_lut`)."""
+        return FbsPlan.from_lut(self)
 
     @classmethod
     def from_function(
@@ -394,35 +387,24 @@ class FbsPlan:
 
 
 def fbs_evaluate(
-    ctx: BfvContext,
-    ct: BfvCiphertext,
-    lut: FbsLut,
-    rlk: KeySwitchKey,
-    plan: FbsPlan | None = None,
+    ctx: BfvContext, ct: BfvCiphertext, lut: FbsLut, rlk: KeySwitchKey
 ) -> BfvCiphertext:
     """Algorithm 2: evaluate the LUT polynomial on every slot of ``ct``.
 
     Dispatches through the active backend's :meth:`Backend.fbs`. Baby
     steps: inner sums of scalar-multiplied ciphertext powers (SMult +
     HAdd). Giant steps: one inner-product CMult, sum_g inner_g *
-    ct^(bs*g), over the precomputed giant powers. Returns a ciphertext
-    whose slot i holds LUT(slot_i(ct)).
-
-    ``plan`` supplies a precomputed BSGS schedule (see :class:`FbsPlan`);
-    without one, the schedule is derived here. Either way the homomorphic
-    op sequence is identical, so plan-driven evaluation is bit-identical.
+    ct^(bs*g), over the precomputed giant powers, on the schedule the LUT
+    carries (:attr:`FbsLut.plan`). Returns a ciphertext whose slot i holds
+    LUT(slot_i(ct)).
     """
     be = current_backend()
     with be.phase("fbs"):
-        return be.fbs(ctx, ct, lut, rlk, plan=plan)
+        return be.fbs(ctx, ct, lut, rlk)
 
 
 def fbs_evaluate_impl(
-    ctx: BfvContext,
-    ct: BfvCiphertext,
-    lut: FbsLut,
-    rlk: KeySwitchKey,
-    plan: FbsPlan | None = None,
+    ctx: BfvContext, ct: BfvCiphertext, lut: FbsLut, rlk: KeySwitchKey
 ) -> BfvCiphertext:
     """Default :meth:`Backend.fbs` implementation (BSGS, Algorithm 2).
 
@@ -449,8 +431,7 @@ def fbs_evaluate_impl(
     t, moduli = params.t, params.moduli
     if lut.t != t:
         raise ParameterError("LUT modulus does not match context")
-    if plan is None:
-        plan = FbsPlan.from_lut(lut)
+    plan = lut.plan
 
     # A private handle on the input: every form built below is held by an
     # object local to this call and dies with it.

@@ -61,7 +61,6 @@ class PackingKey:
     encrypted_secret: BfvCiphertext  # slots: s' padded to N/2, both rows
     rotation_keys: dict[int, KeySwitchKey]
     lwe_dim: int
-    baby_steps: int
 
     @classmethod
     def generate(
@@ -70,7 +69,6 @@ class PackingKey:
         lwe_secret: np.ndarray,
         sk: SecretKey,
         pk: PublicKey,
-        baby_steps: int | None = None,
     ) -> "PackingKey":
         params = ctx.params
         half = params.n // 2
@@ -82,9 +80,8 @@ class PackingKey:
         enc = ctx.encrypt(
             Plaintext.from_slots(np.concatenate([row, row]), params), pk
         )
-        baby_steps = baby_steps or slotlib.default_baby_steps(half)
-        keys = ctx.rotation_keys(sk, slotlib.baby_giant_amounts(half, baby_steps))
-        return cls(enc, keys, n_lwe, baby_steps)
+        keys = ctx.rotation_keys(sk, slotlib.baby_giant_amounts(half))
+        return cls(enc, keys, n_lwe)
 
     def rotated_secrets(self) -> tuple[np.ndarray, list[float]]:
         """Cached (N/2, 2, L, N) evaluation-domain stack of
@@ -105,7 +102,8 @@ class PackingKey:
         if cached is None:
             enc = self.encrypted_secret
             params, moduli = enc.params, enc.params.moduli
-            n, half, bs = params.n, params.n // 2, self.baby_steps
+            n, half = params.n, params.n // 2
+            bs = slotlib.default_baby_steps(half)
             stack = np.empty((half, 2, len(moduli), n), dtype=np.int64)
             noise = [enc.noise_bits] * half
 

@@ -27,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.errors import ParameterError
 from repro.fhe import slots as slotlib
 from repro.fhe.backend import current_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext
@@ -67,19 +66,14 @@ class S2CKey:
     """Galois keys of the S2C mat-vec: BSGS rotations plus the row swap."""
 
     rotation_keys: dict[int, KeySwitchKey]
-    baby_steps: int
 
     @classmethod
-    def generate(
-        cls, ctx: BfvContext, sk: SecretKey, baby_steps: int | None = None
-    ) -> "S2CKey":
+    def generate(cls, ctx: BfvContext, sk: SecretKey) -> "S2CKey":
         """A standalone key. Beside a :class:`~repro.fhe.packing.PackingKey`
         (the pipeline), share its Galois keys and add only the row swap."""
-        half = ctx.params.n // 2
-        baby_steps = baby_steps or slotlib.default_baby_steps(half)
-        keys = ctx.rotation_keys(sk, slotlib.baby_giant_amounts(half, baby_steps))
+        keys = ctx.rotation_keys(sk, slotlib.baby_giant_amounts(ctx.params.n // 2))
         keys |= ctx.galois_keys(sk, [slotlib.row_swap_element(ctx.params.n)])
-        return cls(keys, baby_steps)
+        return cls(keys)
 
 
 @dataclass
@@ -89,17 +83,16 @@ class S2CPlan:
     The evaluation matrix P depends only on (N, t), so the whole mat-vec
     — diagonal extraction of all four blocks, giant-step rolls, slot
     encoding, and the evaluation-domain stack of every group's diagonals
-    — is request-invariant and built once here. A plan-driven
-    :func:`slot_to_coeff` performs only ciphertext ops.
+    — is request-invariant and built once per parameter set
+    (:func:`s2c_plan`); :func:`slot_to_coeff` performs only ciphertext ops.
     """
 
     matvec: MatvecPlan
 
     @classmethod
-    def build(cls, params: FheParams, baby_steps: int | None = None) -> "S2CPlan":
+    def build(cls, params: FheParams) -> "S2CPlan":
         n, t = params.n, params.t
         half = n // 2
-        baby_steps = baby_steps or slotlib.default_baby_steps(half)
         p = _evaluation_matrix(n, t)
         p00, p01 = p[:half, :half], p[:half, half:]
         p10, p11 = p[half:, :half], p[half:, half:]
@@ -107,29 +100,32 @@ class S2CPlan:
             hypercube_diagonals(p00, p11, half),  # meets rot_r(v)
             hypercube_diagonals(p01, p10, half),  # meets rot_r(swap(v))
         ])
-        return cls(MatvecPlan.build(passes, params, baby_steps))
+        return cls(MatvecPlan.build(passes, params, slotlib.default_baby_steps(half)))
 
 
-def slot_to_coeff(
-    ctx: BfvContext, ct: BfvCiphertext, key: S2CKey, plan: S2CPlan | None = None
-) -> BfvCiphertext:
+@lru_cache(maxsize=None)
+def s2c_plan(params: FheParams) -> S2CPlan:
+    """The one S2C plan of ``params``, rotation index maps warmed.
+
+    Built on first use; :func:`repro.core.plan.compile_program` and
+    :func:`repro.fhe.serialize.load_plan` call it so that no request pays
+    the build.
+    """
+    plan = S2CPlan.build(params)
+    plan.matvec.warm_automorphisms(params)
+    return plan
+
+
+def slot_to_coeff(ctx: BfvContext, ct: BfvCiphertext, key: S2CKey) -> BfvCiphertext:
     """Return a ciphertext whose *coefficients* equal ``ct``'s slot values.
 
-    Dispatches through the active backend's :meth:`Backend.s2c`. Without a
-    precomputed :class:`S2CPlan` the same plan is built on the spot and the
-    same body runs, so the result is bit-identical either way.
+    Dispatches through the active backend's :meth:`Backend.s2c`.
     """
     be = current_backend()
     with be.phase("s2c"):
-        return be.s2c(ctx, ct, key, plan=plan)
+        return be.s2c(ctx, ct, key)
 
 
-def slot_to_coeff_impl(
-    ctx: BfvContext, ct: BfvCiphertext, key: S2CKey, plan: S2CPlan | None = None
-) -> BfvCiphertext:
+def slot_to_coeff_impl(ctx: BfvContext, ct: BfvCiphertext, key: S2CKey) -> BfvCiphertext:
     """Default :meth:`Backend.s2c` implementation (one BSGS mat-vec)."""
-    if plan is None:
-        plan = S2CPlan.build(ctx.params, key.baby_steps)
-    elif plan.matvec.baby_steps != key.baby_steps:
-        raise ParameterError("S2C plan was built for different baby steps")
-    return hypercube_matvec(ctx, ct, plan.matvec, key.rotation_keys)
+    return hypercube_matvec(ctx, ct, s2c_plan(ctx.params).matvec, key.rotation_keys)

@@ -10,7 +10,10 @@ stable wire formats matter. Formats are versioned, self-describing
 
 A compiled plan (kind 4) is the complete plan — every step, as
 :class:`repro.core.plan.RefreshRound` records — followed by a CRC32 of the
-bytes above it; see :func:`dump_plan` / :func:`load_plan`.
+bytes above it; see :func:`dump_plan` / :func:`load_plan`. A round carries
+its LUT's table only: the table fixes the polynomial and the BSGS schedule,
+which the loaded :class:`~repro.fhe.fbs.FbsLut` derives itself, so an
+artifact cannot hold a polynomial that disagrees with its table.
 
 Only public material round-trips by design: secret keys serialize behind
 an explicit ``allow_secret`` flag so they are never written accidentally.
@@ -29,17 +32,19 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe.bfv import BfvCiphertext, Plaintext
-from repro.fhe.fbs import FbsLut, register_interpolation
+from repro.fhe.fbs import FbsLut
 from repro.fhe.lwe import LweBatch
 from repro.fhe.params import PRESETS, FheParams
 from repro.fhe.poly import RnsPoly
+from repro.fhe.s2c import s2c_plan
 
 _MAGIC = 0x41544E41  # "ATNA"
-# v5: a compiled plan serialises every step as refresh rounds (see
+# v6: a compiled plan serialises every step as refresh rounds (see
 # ``dump_plan``) behind a CRC32 trailer, so loading needs no program and no
-# compiler. Older artifacts are rejected; the plan cache recompiles on load
-# failure, so stale caches self-heal.
-_VERSION = 5
+# compiler; each round writes its LUT's table once and no polynomial. Older
+# artifacts are rejected; the plan cache recompiles on load failure, so
+# stale caches self-heal.
+_VERSION = 6
 
 KIND_CIPHERTEXT = 1
 KIND_LWE_BATCH = 2
@@ -204,20 +209,19 @@ def _read_plaintext(buf: io.BytesIO, params: FheParams) -> Plaintext:
 
 def _write_round(buf: io.BytesIO, rnd) -> None:
     """One :class:`repro.core.plan.RefreshRound`: where it extracts, where it
-    packs (absent = identity rows, ``arange(count)``), and its table with the
-    interpolated polynomial. The BSGS schedule, the batch height and the
-    ``-LUT(0)`` correction are functions of those and are rebuilt by the one
-    round builder at load."""
+    packs (absent = identity rows, ``arange(count)``), and its table. The
+    polynomial and BSGS schedule (which the LUT derives), the batch height
+    and the ``-LUT(0)`` correction are functions of those and are rebuilt by
+    the one round builder at load."""
     _write_array(buf, rnd.positions)
     identity = np.array_equal(rnd.rows, np.arange(rnd.count))
     _write_optional(buf, None if identity else rnd.rows)
     _write_str(buf, rnd.lut.name)
     _write_array(buf, rnd.lut.values)
-    _write_array(buf, rnd.lut.coeffs)
 
 
 def _read_round(buf: io.BytesIO, params: FheParams):
-    from repro.core.plan import _fbs_plan, _refresh_round
+    from repro.core.plan import _refresh_round
 
     positions = _read_index(buf, params)
     (placed,) = _unpack(buf, "<B")
@@ -228,11 +232,8 @@ def _read_round(buf: io.BytesIO, params: FheParams):
             raise ParameterError(
                 "pack rows do not match positions in serialized plan")
     lut_name = _read_str(buf)
-    values = _read_array(buf)
-    # The artifact carries the interpolation: never recomputed at load.
-    register_interpolation(values, params.t, _read_array(buf))
-    lut = FbsLut(values, params.t, lut_name)
-    return _refresh_round(positions, rows, lut, _fbs_plan(lut, params), params)
+    lut = FbsLut(_read_array(buf), params.t, lut_name)
+    return _refresh_round(positions, rows, lut, params)
 
 
 def _write_steps(buf: io.BytesIO, steps: list) -> None:
@@ -330,14 +331,14 @@ def _read_steps(buf: io.BytesIO, params: FheParams) -> list:
 
 
 def dump_plan(plan) -> bytes:
-    """Serialize a :class:`repro.core.plan.CompiledProgram` (wire v5).
+    """Serialize a :class:`repro.core.plan.CompiledProgram` (wire v6).
 
     Every step is on the wire — linear rounds (with placed packing and
     fused max trees), pooling kernels, remaps, residual blocks with both
     branches, flagged payload-free reshapes — as derived, non-secret model
     artifacts: kernel and bias coefficient vectors, each linear step's lane
-    span, and each refresh round's positions, pack rows and LUT with its
-    interpolated polynomial. NTT operand forms, BSGS schedules, ``-LUT(0)``
+    span, and each refresh round's positions, pack rows and LUT table. NTT
+    operand forms, LUT polynomials and BSGS schedules, ``-LUT(0)``
     corrections and the S2C diagonals are deterministic functions of those
     (plus the parameter set) and are rebuilt at load. The last four bytes
     are a CRC32 of everything before them.
@@ -358,12 +359,13 @@ def load_plan(raw: bytes, params: FheParams):
     The header (magic, version, parameter fingerprint) and then the CRC32
     trailer are verified before any payload is parsed, so an artifact of an
     older wire version, a truncated file or a flipped bit raises
-    :class:`ParameterError` instead of decoding into a wrong kernel. LUT
-    interpolations are seeded into the FBS cache from the artifact (never
-    recomputed); plaintext operands and the S2C rotation maps are re-warmed,
-    so the first request on a loaded plan is as fast as on a compiled one.
+    :class:`ParameterError` instead of decoding into a wrong kernel. Each
+    LUT interpolates its own table and schedules its polynomial; plaintext
+    operands are re-warmed and the parameter set's S2C plan is built if it
+    is not yet, so the first request on a loaded plan is as fast as on a
+    compiled one.
     """
-    from repro.core.plan import CompiledProgram, _annotate_lanes, _s2c_plan
+    from repro.core.plan import CompiledProgram, _annotate_lanes
 
     body = raw[:-4]
     buf = io.BytesIO(body)
@@ -377,10 +379,10 @@ def load_plan(raw: bytes, params: FheParams):
     # Lane chaining (out strides + batch capacity) is a pure function of the
     # spans and the parameter set — re-derived rather than shipped.
     capacity = _annotate_lanes(steps, params)
+    s2c_plan(params)
     return CompiledProgram(
         steps=steps,
         params=params,
-        s2c=_s2c_plan(params),
         model_hash=model_hash,
         name=name,
         batch_capacity=capacity,

@@ -171,7 +171,9 @@ def assign_lut_ranges(qmodel: QuantizedModel, margin: int = DEFAULT_LUT_MARGIN) 
     ``mac_peak`` is populated, then call this. Returns the number of
     LUT-bearing nodes annotated; resets the cached program so the next
     lowering captures the ranges. Plain integer inference is unchanged —
-    only the compiled FBS tables shrink.
+    only the compiled FBS tables shrink. A node whose window no longer fits
+    (``2r + 1 >= t``) goes back to the full domain: an earlier, narrower
+    window would misrepresent every MAC outside it.
     """
     t = qmodel.config.t
     annotated = 0
@@ -183,6 +185,8 @@ def assign_lut_ranges(qmodel: QuantizedModel, margin: int = DEFAULT_LUT_MARGIN) 
         if 2 * r + 1 < t:
             layer.lut_range = r
             annotated += 1
+        else:
+            layer.lut_range = None
     qmodel._program = None
     return annotated
 

@@ -18,6 +18,14 @@ class TestPlaintext:
         assert pt.coeffs.shape == (TEST_TINY.n,)
         assert pt.coeffs[0] == 1 and pt.coeffs[3] == 0
 
+    @pytest.mark.parametrize("coeffs", [
+        np.ones(TEST_TINY.n + 1), np.ones((2, 4)), np.ones((1, TEST_TINY.n)), 3,
+    ], ids=["too-many", "matrix", "row", "scalar"])
+    def test_from_coeffs_rejects_what_is_not_a_short_vector(self, coeffs):
+        """Typed like ``from_slots``: a caller catching ``ReproError`` sees it."""
+        with pytest.raises(ParameterError, match=f"at most {TEST_TINY.n} coefficients"):
+            Plaintext.from_coeffs(coeffs, TEST_TINY)
+
     def test_slot_roundtrip(self, rng):
         v = rng.integers(0, TEST_TINY.t, TEST_TINY.n)
         pt = Plaintext.from_slots(v, TEST_TINY)

@@ -55,7 +55,7 @@ from repro.fhe.backend import (
     use_backend,
 )
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext, galois_noise_growth
-from repro.fhe.fbs import FbsLut, FbsPlan, fbs_evaluate
+from repro.fhe.fbs import FbsLut, fbs_evaluate
 from repro.fhe.lwe import LweBatch
 from repro.fhe.ntt import ntt_forward_rns, ntt_inverse_rns
 from repro.fhe.packing import (
@@ -67,9 +67,10 @@ from repro.fhe.packing import (
 )
 from repro.fhe.params import PRESETS, TEST_FBS, TEST_LOOP, TEST_SMALL, TEST_TINY
 from repro.fhe.poly import RnsPoly
-from repro.fhe.s2c import S2CKey, S2CPlan, _evaluation_matrix, slot_to_coeff
+from repro.fhe.s2c import S2CKey, S2CPlan, _evaluation_matrix, s2c_plan, slot_to_coeff
 from repro.fhe.slots import (
     baby_giant_amounts,
+    default_baby_steps,
     rotation_galois_element,
     row_swap_element,
 )
@@ -412,7 +413,7 @@ class TestMatvecBitIdentity:
         v = ctx.decrypt(ct, sk).to_slots().reshape(2, half)
         sources = (v, v[::-1])  # the second pass reads the row swap
         for diagonals in (both[0], both[1], dense, both):
-            got = _three_ways(ctx, ct, diagonals, key.rotation_keys, key.baby_steps)
+            got = _three_ways(ctx, ct, diagonals, key.rotation_keys, default_baby_steps(half))
             passes = diagonals.reshape(-1, half, params.n)
             want = sum(passes[p, d].reshape(2, half) * np.roll(sources[p], -d, axis=1)
                        for p in range(len(passes)) for d in range(half)) % params.t
@@ -423,7 +424,8 @@ class TestMatvecBitIdentity:
     def test_sparse_matrices(self, matvec_setup):
         ctx, _, key, ct = matvec_setup
         params = ctx.params
-        half, bs = params.n // 2, key.baby_steps
+        half = params.n // 2
+        bs = default_baby_steps(half)
         rng = np.random.default_rng(6)
 
         def sparse(rows):
@@ -470,8 +472,8 @@ class TestMatvecBitIdentity:
     def test_missing_key_and_wrong_shape_raise(self, matvec_setup):
         ctx, _, key, ct = matvec_setup
         params = ctx.params
-        plan = S2CPlan.build(params, key.baby_steps).matvec
-        for k in (rotation_galois_element(params.n, key.baby_steps),  # a giant
+        plan = S2CPlan.build(params).matvec
+        for k in (rotation_galois_element(params.n, plan.baby_steps),  # a giant
                   rotation_galois_element(params.n, 1),  # a baby, both passes
                   row_swap_element(params.n)):
             without = {e: gk for e, gk in key.rotation_keys.items() if e != k}
@@ -480,7 +482,7 @@ class TestMatvecBitIdentity:
                     hypercube_matvec(ctx, ct, plan, without)
         for shape in ((params.n, params.n), (3, params.n // 2, params.n)):
             with pytest.raises(ParameterError, match="wrong shape"):
-                MatvecPlan.build(np.zeros(shape, dtype=np.int64), params, key.baby_steps)
+                MatvecPlan.build(np.zeros(shape, dtype=np.int64), params, plan.baby_steps)
 
 
 def _pack_setup(params, seed=3):
@@ -536,7 +538,7 @@ class TestMatvecAccounting:
         whether the reference body runs over the batched or the serial RNS
         tier."""
         ctx, _, key, ct = matvec_setup
-        plan = S2CPlan.build(ctx.params, key.baby_steps).matvec
+        plan = S2CPlan.build(ctx.params).matvec
         records = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             with use_backend(counting), counting.phase("s2c"):
@@ -544,7 +546,7 @@ class TestMatvecAccounting:
             records.append((counting.totals(), counting.ops_by_phase()))
         assert records[0] == records[1]
         totals = records[0][0]
-        bs = key.baby_steps
+        bs = plan.baby_steps
         gs = -(-ctx.params.n // 2 // bs)
         # Both passes' babies, the row swap, one merged giant per group.
         assert totals["rotation"] == totals["keyswitch"] == 2 * (bs - 1) + 1 + (gs - 1)
@@ -584,12 +586,12 @@ class TestMatvecAccounting:
         swap and an add 3 276 and 17 decompositions; nine base-2^14
         decompositions of 20 digits each, 1 728 and 9 lifts."""
         pipe = AthenaPipeline(TEST_LOOP, seed=81)
-        plan = S2CPlan.build(TEST_LOOP)
+        plan = s2c_plan(TEST_LOOP)  # built before the spy: requests never build it
         ct = pipe.ctx.encrypt(
             Plaintext.from_slots(np.arange(TEST_LOOP.n), TEST_LOOP), pipe.pk)
         executed = _spy_transforms(monkeypatch)
         with use_backend(BATCHED):
-            slot_to_coeff(pipe.ctx, ct, pipe.s2c_key, plan=plan)
+            slot_to_coeff(pipe.ctx, ct, pipe.s2c_key)
         assert len(plan.matvec.groups) == 8
         l, width = TEST_LOOP.num_limbs, len(TEST_LOOP.keyswitch_moduli)
         hoisted = 9 * TEST_LOOP.num_digits * width + 22 * 2 * width + 12 * l
@@ -646,12 +648,12 @@ class TestFbsAccounting:
         sk, pk = ctx.keygen()
         rlk = ctx.relin_key(sk)
         lut = FbsLut.from_function(lambda x: np.maximum(x, 0), TEST_LOOP.t, "relu")
-        plan = FbsPlan.from_lut(lut)
+        plan = lut.plan
         x = np.random.default_rng(83).integers(0, TEST_LOOP.t, TEST_LOOP.n)
         ct = ctx.encrypt(Plaintext.from_slots(x, TEST_LOOP), pk)
         executed = _spy_transforms(monkeypatch)
         with use_backend(BATCHED):
-            out = fbs_evaluate(ctx, ct, lut, rlk, plan=plan)
+            out = fbs_evaluate(ctx, ct, lut, rlk)
         tensors = (2 * 39 + 3 * 31) * len(ctx.tensor_moduli)
         keyswitches = (len(plan.ladder) + 1) * _keyswitch_transforms(TEST_LOOP)
         # Four calls per stacked stage (operand entry, tensor exit, the
@@ -668,11 +670,11 @@ class TestFbsAccounting:
         over either RNS tier: G + ladder CMults, ladder + 1 keyswitches."""
         ctx, _, rlk, _, (ct, *_) = _fixture()
         lut = FbsLut.from_function(lambda x: np.maximum(x, 0), TEST_FBS.t, "relu")
-        plan = FbsPlan.from_lut(lut).materialize(TEST_FBS)  # constants encoded once
+        plan = lut.plan.materialize(TEST_FBS)  # constants encoded once
         records = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             with use_backend(counting):
-                fbs_evaluate(ctx, ct, lut, rlk, plan=plan)
+                fbs_evaluate(ctx, ct, lut, rlk)
             records.append((counting.totals(), counting.ops_by_phase()))
         assert records[0] == records[1]
         giant = records[0][1]["fbs_giant"]
@@ -700,7 +702,7 @@ def pack_setup(request):
 @lru_cache(maxsize=None)
 def _fbs_s2c():
     """One pipeline for the hypothesis sweep (no fixture per example)."""
-    return AthenaPipeline(TEST_FBS, seed=3), S2CPlan.build(TEST_FBS)
+    return AthenaPipeline(TEST_FBS, seed=3)
 
 
 class TestSources:
@@ -710,23 +712,20 @@ class TestSources:
         pipe, values, _ = pack_setup
         params = pipe.params
         ct = pipe.ctx.encrypt(Plaintext.from_slots(values, params), pipe.pk)
-        plan = S2CPlan.build(params)
-        out = _same_on_every_engine(
-            lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_key, plan=plan))
+        out = _same_on_every_engine(lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_key))
         assert np.array_equal(pipe.decrypt_coeffs(out), values)
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=5, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_s2c_sweep_of_slot_vectors(self, seed):
-        pipe, plan = _fbs_s2c()
+        pipe = _fbs_s2c()
         params = pipe.params
         rng = np.random.default_rng(seed)
         # Dense, sparse and constant vectors alike.
         values = rng.integers(0, params.t, params.n) * (rng.random(params.n) < rng.random())
         ct = pipe.ctx.encrypt(Plaintext.from_slots(values, params), pipe.pk)
-        out = _same_on_every_engine(
-            lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_key, plan=plan))
+        out = _same_on_every_engine(lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_key))
         assert np.array_equal(pipe.decrypt_coeffs(out), values)
 
     def test_pack_identical_on_every_engine(self, pack_setup):
@@ -774,7 +773,7 @@ class TestSources:
         ctx = BfvContext(params, seed=82)
         sk, pk = ctx.keygen()
         key = PackingKey.generate(ctx, np.ones(params.lwe_n, dtype=np.int64), sk, pk)
-        k = rotation_galois_element(params.n, key.baby_steps)  # a giant's key
+        k = rotation_galois_element(params.n, default_baby_steps(params.n // 2))  # a giant's key
         del key.rotation_keys[k]
         for be in (BATCHED, SERIAL):
             with use_backend(be), pytest.raises(ParameterError, match=f"element {k}$"):

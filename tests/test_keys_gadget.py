@@ -35,7 +35,7 @@ from repro.fhe.params import (
     FheParams,
 )
 from repro.fhe.poly import RnsPoly
-from repro.fhe.s2c import S2CKey, S2CPlan, slot_to_coeff
+from repro.fhe.s2c import S2CKey, slot_to_coeff
 from repro.fhe.slots import rotation_galois_element, row_swap_element
 from repro.utils.modmath import inv_mod
 from repro.utils.sampling import Sampler
@@ -396,6 +396,5 @@ class TestGroupedDigits:
                 lambda: hypercube_matvec(ctx, ct, _sparse_s2c_plan(ctx.params), gks))
             return
         key = S2CKey.generate(ctx, sk)
-        plan = S2CPlan.build(ctx.params, key.baby_steps)
-        out = _same_on_every_engine(lambda: slot_to_coeff(ctx, ct, key, plan=plan))
+        out = _same_on_every_engine(lambda: slot_to_coeff(ctx, ct, key))
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, ctx.decrypt(ct, sk).to_slots())

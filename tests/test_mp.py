@@ -165,6 +165,21 @@ class TestTrackedQuantization:
         assert annotated == 2
         assert all(n.lut_range for _, n in mac_layer_names(qm.layers))
 
+    def test_a_window_that_no_longer_fits_is_dropped(self, subject):
+        """A re-calibrated peak whose window would cover Z_t sends the node
+        back to the full domain instead of keeping its stale window."""
+        model, x, _y, config = subject
+        qm = quantize_model(model, x, config, name="m")
+        node = qm.mac_layers()[0]
+        node.mac_peak = 10
+        assign_lut_ranges(qm)
+        assert node.lut_range == 10 + DEFAULT_LUT_MARGIN
+        node.mac_peak = 128
+        assert 2 * (128 + DEFAULT_LUT_MARGIN) + 1 >= config.t
+        assign_lut_ranges(qm)
+        assert node.lut_range is None
+        assert lower(qm, TEST_FBS).lut_steps()[0].lut.lut_range is None
+
 
 class TestRestrictedLut:
     def test_tables_exact_on_domain(self, subject):
@@ -182,8 +197,8 @@ class TestRestrictedLut:
             exact = spec.apply_exact(pts, config)
             assert np.array_equal(lut.values[pts % config.t] % config.t,
                                   exact % config.t)
-            # The registered interpolant is the low-degree polynomial the
-            # FBS ladder actually evaluates.
+            # The LUT's polynomial is the low-degree interpolant the FBS
+            # ladder actually evaluates.
             degree = int(np.max(np.nonzero(lut.coeffs % config.t)))
             assert degree <= 2 * r
             checked += 1

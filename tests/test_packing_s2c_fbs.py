@@ -42,9 +42,10 @@ from repro.fhe.s2c import (
     S2CPlan,
     _evaluation_matrix,
     _slot_points,
+    s2c_plan,
     slot_to_coeff,
 )
-from repro.fhe.slots import slot_decode
+from repro.fhe.slots import default_baby_steps, slot_decode
 from repro.utils.sampling import Sampler
 
 
@@ -98,7 +99,7 @@ class TestPacking:
         ctx, sk, *_, pkey = packing_setup
         p = ctx.params
         plan = MatvecPlan.build(
-            np.zeros((p.n // 2, p.n), dtype=np.int64), p, pkey.baby_steps)
+            np.zeros((p.n // 2, p.n), dtype=np.int64), p, default_baby_steps(p.n // 2))
         assert plan.groups == () and plan.derived == ()
         out = hypercube_matvec(ctx, pkey.encrypted_secret, plan, pkey.rotation_keys)
         assert out.noise_bits == 0.0
@@ -173,20 +174,24 @@ class TestS2C:
         out = slot_to_coeff(ctx, ct, key)
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, v % p.t)
 
-    def test_one_body_with_or_without_a_plan(self, tiny_ctx, tiny_keys, rng):
-        """No plan passed: the same plan is built on the spot and the same
-        body runs — bit-identical ciphertexts, equal noise estimates."""
+    def test_one_plan_per_parameter_set(self, tiny_ctx, tiny_keys, rng):
+        """The S2C plan is a memoised function of the parameter set, at the
+        one baby-step rule; every transform under those parameters runs it."""
         ctx = tiny_ctx
         sk, pk = tiny_keys
         p = ctx.params
-        key = S2CKey.generate(ctx, sk)
-        ct = ctx.encrypt(Plaintext.from_slots(rng.integers(0, p.t, p.n), p), pk)
-        bare = slot_to_coeff(ctx, ct, key)
-        planned = slot_to_coeff(ctx, ct, key, plan=S2CPlan.build(p, key.baby_steps))
-        assert bare.c0 == planned.c0 and bare.c1 == planned.c1
-        assert bare.noise_bits == planned.noise_bits
-        with pytest.raises(ParameterError, match="different baby steps"):
-            slot_to_coeff(ctx, ct, key, plan=S2CPlan.build(p, key.baby_steps * 2))
+        plan = s2c_plan(p)
+        assert s2c_plan(p) is plan
+        assert plan.matvec.baby_steps == default_baby_steps(p.n // 2)
+        fresh = S2CPlan.build(p).matvec
+        assert plan.matvec.derived == fresh.derived
+        for (g, ids, stack), (g2, ids2, stack2) in zip(plan.matvec.groups, fresh.groups,
+                                                       strict=True):
+            assert (g, ids) == (g2, ids2) and np.array_equal(stack, stack2)
+        v = rng.integers(0, p.t, p.n)
+        ct = ctx.encrypt(Plaintext.from_slots(v, p), pk)
+        out = slot_to_coeff(ctx, ct, S2CKey.generate(ctx, sk))
+        assert np.array_equal(ctx.decrypt(out, sk).coeffs, v % p.t)
 
     def test_s2c_linear(self, tiny_ctx, tiny_keys, rng):
         ctx = tiny_ctx
@@ -199,6 +204,27 @@ class TestS2C:
         c2 = ctx.encrypt(Plaintext.from_slots(v2, p), pk)
         out = slot_to_coeff(ctx, ctx.add(c1, c2), key)
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, (v1 + v2) % p.t)
+
+
+class TestDerivedPlansHaveOneOwner:
+    def test_no_entry_point_takes_a_plan_or_a_baby_step_count(self):
+        """The LUT carries its schedule and the parameter set fixes the S2C
+        plan, so no FBS / S2C entry point takes either, and the one
+        baby-step rule is not an option of any key or plan."""
+        import inspect
+
+        from repro.core.framework import AthenaPipeline
+        from repro.fhe.backend import Backend
+        from repro.fhe.fbs import fbs_evaluate_impl
+        from repro.fhe.s2c import slot_to_coeff_impl
+
+        entry_points = [fbs_evaluate, fbs_evaluate_impl, Backend.fbs, AthenaPipeline.bootstrap,
+                        slot_to_coeff, slot_to_coeff_impl, Backend.s2c, AthenaPipeline.to_coeffs]
+        constructors = [S2CKey.generate, PackingKey.generate, S2CPlan.build]
+        assert [f.__qualname__ for f in entry_points
+                if "plan" in inspect.signature(f).parameters] == []
+        assert [f.__qualname__ for f in constructors
+                if "baby_steps" in inspect.signature(f).parameters] == []
 
 
 class TestLutInterpolation:
@@ -361,7 +387,7 @@ class TestFbsEdgePlans:
     def test_every_slot_on_every_engine(self, subject, name, monkeypatch):
         ctx, sk, rlk, x, ct = subject
         lut = _edge_luts(ctx.params.t)[name]
-        plan = FbsPlan.from_lut(lut).materialize(ctx.params)
+        plan = lut.plan.materialize(ctx.params)
         degree, ladder, pairs = self.SHAPES[name]
         assert (plan.degree, len(plan.ladder)) == (degree, ladder)
         assert sum(1 for g, _, _ in plan.groups if g) == pairs
@@ -382,7 +408,7 @@ class TestFbsEdgePlans:
         for be in (BATCHED, SERIAL, counting):
             del builds[:]
             with use_backend(be):
-                outs.append(fbs_evaluate(ctx, ct, lut, rlk, plan=plan))
+                outs.append(fbs_evaluate(ctx, ct, lut, rlk))
             # The only forward transform in bfv.py builds forms: one per
             # distinct operand, however many CMults it feeds, and at most
             # one call per ladder level plus the combination.
@@ -503,14 +529,14 @@ class TestFbsLevels:
             lut = FbsLut(np.full(t, 5), t, "constant")
         else:
             lut = _edge_luts(t)[name]
-        plan = FbsPlan.from_lut(lut).materialize(ctx.params)
+        plan = lut.plan.materialize(ctx.params)
         one_at_a_time = BatchedBackend()
         outs = []
         for be in (BATCHED, one_at_a_time, SERIAL, CountingBackend(BATCHED)):
             with monkeypatch.context() as patch, use_backend(be):
                 if be is one_at_a_time:
                     patch.setattr(backend_module, "CMULT_BATCH_ELEMS", 1)
-                outs.append(fbs_evaluate(ctx, ct, lut, rlk, plan=plan))
+                outs.append(fbs_evaluate(ctx, ct, lut, rlk))
         for out in outs[1:]:
             assert np.array_equal(out.c0.data, outs[0].c0.data)
             assert np.array_equal(out.c1.data, outs[0].c1.data)
@@ -561,7 +587,7 @@ class TestFbsLevels:
         p = fbs_ctx.params
         ct = fbs_ctx.encrypt(Plaintext.from_slots(np.arange(p.n), p), pk)
         lut = _edge_luts(p.t)["relu"]
-        plan = FbsPlan.from_lut(lut).materialize(p)
+        plan = lut.plan.materialize(p)
         calls = {}
         for module in (backend_module, bfv_module):
             for name in ("ntt_forward_rns", "ntt_inverse_rns"):
@@ -574,7 +600,7 @@ class TestFbsLevels:
 
                 monkeypatch.setattr(module, name, spy)
         with use_backend(BATCHED):
-            fbs_evaluate(fbs_ctx, ct, lut, fbs_rlk, plan=plan)
+            fbs_evaluate(fbs_ctx, ct, lut, fbs_rlk)
         assert len(plan.levels) == 9
         width = len(p.keyswitch_moduli)
         limbs = 171 * len(fbs_ctx.tensor_moduli) + 31 * (p.num_digits + 2) * width

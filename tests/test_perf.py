@@ -174,14 +174,14 @@ class TestCountingThreadSafety:
             self, fbs_ctx, fbs_keys, fbs_rlk):
         from repro.fhe.backend import CountingBackend, current_backend, use_backend
         from repro.fhe.bfv import Plaintext
-        from repro.fhe.fbs import FbsLut, FbsPlan, fbs_evaluate
+        from repro.fhe.fbs import FbsLut, fbs_evaluate
 
         ctx, (_, pk) = fbs_ctx, fbs_keys
         params = ctx.params
         k = 16  # more items than workers, more workers than cores
         # Degree 5: a short ladder keeps the serial leg's 18 evaluations cheap.
         lut = FbsLut.from_function(lambda v: v**5 + 3 * v**2 + v, params.t)
-        plan = FbsPlan.from_lut(lut).materialize(params)
+        plan = lut.plan.materialize(params)
         assert plan.degree == 5
         kernel = Plaintext.from_coeffs(np.arange(params.n) % 3, params)
         cts = [
@@ -192,7 +192,7 @@ class TestCountingThreadSafety:
         def work(ct):
             with current_backend().phase("linear"):
                 ctx.pmult(ct, kernel)
-            fbs_evaluate(ctx, ct, lut, fbs_rlk, plan=plan)
+            fbs_evaluate(ctx, ct, lut, fbs_rlk)
 
         def counted(items, workers):
             counting = CountingBackend()

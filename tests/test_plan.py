@@ -21,6 +21,7 @@ from repro.core.program import lower
 from repro.errors import EncodingError, ParameterError
 from repro.fhe.backend import CountingBackend
 from repro.fhe.params import TEST_LOOP, TEST_SMALL
+from repro.fhe.s2c import s2c_plan
 from repro.fhe.serialize import dump_plan, load_plan
 from repro.quant.subjects import SUBJECTS, micro_subject, mnist_cnn_micro
 from repro.serve import InferenceSession, ShardedPlanCache
@@ -61,35 +62,32 @@ class TestCompileProgram:
         # Operand forms are warmed at compile time, not first request.
         assert conv.kernel._ntt_op is not None
         assert conv.bias is not None and conv.bias._scaled_op is not None
-        assert conv.round.fbs.degree > 0 and conv.round.lut.t == TEST_LOOP.t
+        assert conv.round.lut.plan.degree > 0 and conv.round.lut.t == TEST_LOOP.t
         # Compact is spelled out: identity rows, never ``None``.
         assert np.array_equal(conv.round.rows, np.arange(32))
         assert conv.round.height == 32
-        assert len(plan.s2c.matvec.groups) == 8  # one mat-vec, both passes
+        assert len(s2c_plan(TEST_LOOP).matvec.groups) == 8  # one mat-vec, both passes
         assert plan.model_hash == program_fingerprint(program)
 
     def test_correction_zeroes_exactly_the_unfilled_rows(self):
         """One builder for every ``-LUT(0)`` plaintext: compact rounds,
         placed layouts and lane batches get the same rule."""
         from repro.core.plan import _refresh_round
-        from repro.fhe.fbs import FbsLut, FbsPlan
+        from repro.fhe.fbs import FbsLut
 
         lut = FbsLut.from_function(lambda v: v + 5, TEST_LOOP.t)
-        fbs = FbsPlan.from_lut(lut)
         positions = np.arange(40, 56)
         for rows, height in ((np.arange(16), 16), (np.arange(16, 32), 32)):
-            rnd = _refresh_round(positions, rows, lut, fbs, TEST_LOOP)
+            rnd = _refresh_round(positions, rows, lut, TEST_LOOP)
             assert rnd.height == height
             slots = rnd.correction.to_slots()
             assert not slots[rows].any()
             assert np.all(np.delete(slots, rows) == (-5) % TEST_LOOP.t)
         # Nothing to cancel: LUT(0) = 0, or no row left unfilled.
         full = np.arange(TEST_LOOP.n)
-        assert _refresh_round(full, full, lut, fbs, TEST_LOOP).correction is None
+        assert _refresh_round(full, full, lut, TEST_LOOP).correction is None
         relu = FbsLut.from_function(lambda v: np.maximum(v, 0), TEST_LOOP.t)
-        assert _refresh_round(
-            positions, np.arange(16), relu, FbsPlan.from_lut(relu), TEST_LOOP
-        ).correction is None
+        assert _refresh_round(positions, np.arange(16), relu, TEST_LOOP).correction is None
 
     def test_bind_rejects_other_params(self):
         _, program = _program()
@@ -191,7 +189,7 @@ class TestCompileFailsWhereRunWould:
         program.steps[:] = [s for s in program.steps if s.kind == "reshape"]
         plan = CompiledProgram(
             steps=[CompiledReshape(0, program.steps[0].name)],
-            params=TEST_LOOP, s2c=None,
+            params=TEST_LOOP,
             model_hash=program_fingerprint(program))
         with pytest.raises(ParameterError, match="entry step"):
             plan.bind(program, TEST_LOOP)
@@ -283,7 +281,7 @@ class TestWireFormat:
                     assert got.bias is None
                 else:
                     assert np.array_equal(got.bias.coeffs, want.bias.coeffs)
-                assert got.round.fbs.groups == want.round.fbs.groups
+                assert got.round.lut.plan.groups == want.round.lut.plan.groups
         # The loaded plan binds to an equivalent re-lowered program.
         loaded.bind(lower(mnist_cnn_micro(np.random.default_rng(5)), TEST_LOOP),
                     TEST_LOOP)

@@ -363,22 +363,23 @@ class TestSatelliteFixes:
         assert lut.signed_range == 128
         assert lut.signed_range is lut.signed_range  # cached, same int object
 
-    def test_interpolation_cached_by_table_bytes(self):
-        from repro.fhe.fbs import FbsLut
+    def test_lut_derives_its_polynomial_and_schedule_once(self):
+        from repro.fhe.fbs import FbsLut, interpolate_lut
 
         a = FbsLut(np.arange(17, dtype=np.int64), 17, "first")
-        b = FbsLut(np.arange(17, dtype=np.int64), 17, "second")
-        assert a.coeffs is b.coeffs  # one interpolation, shared read-only
-        assert not a.coeffs.flags.writeable
-
-    def test_register_interpolation_seeds_cache(self):
-        from repro.fhe.fbs import FbsLut, interpolate_lut, register_interpolation
-
-        vals = (np.arange(17, dtype=np.int64) * 3) % 17
-        coeffs = interpolate_lut(vals, 17)
-        register_interpolation(vals, 17, coeffs)
-        lut = FbsLut(vals, 17, "seeded")
-        assert np.array_equal(lut.coeffs, coeffs)
+        assert a.coeffs is a.coeffs and a.plan is a.plan  # derived once
+        assert np.array_equal(a.coeffs, interpolate_lut(a.values, 17))
+        assert not a.values.flags.writeable and not a.coeffs.flags.writeable
+        with pytest.raises(AttributeError):
+            a.values = np.zeros(17, dtype=np.int64)
+        # A LUT built from a polynomial holds the table it induces, and that
+        # table's interpolant is the polynomial itself.
+        coeffs = np.zeros(17, dtype=np.int64)
+        coeffs[[0, 2]] = (3, 1)
+        b = FbsLut.from_coeffs(coeffs, 17, "x^2+3")
+        assert np.array_equal(b.values, (np.arange(17) ** 2 + 3) % 17)
+        assert np.array_equal(b.coeffs, interpolate_lut(b.values, 17))
+        assert b.plan.degree == 2
 
     def test_stock_lut_builders_cached(self):
         from repro.core.lut import avgpool_lut

@@ -353,7 +353,7 @@ class TestPlanWireV4:
             assert np.array_equal(got.positions, want.positions)
             assert np.array_equal(got.rows, want.rows)
             assert got.height == want.height
-            assert got.fbs.groups == want.fbs.groups
+            assert got.lut.plan.groups == want.lut.plan.groups
             assert (got.correction is None) == (want.correction is None)
             if want.correction is not None:
                 assert np.array_equal(
@@ -395,11 +395,13 @@ class TestPlanWireV4:
     def test_first_s2c_on_a_loaded_plan_builds_no_automorphism_map(self):
         """``load_plan`` warms the S2C rotation tables — the coefficient
         maps and the evaluation-domain permutations — exactly as
-        ``compile_program`` does (it did not before v4)."""
+        ``compile_program`` does (it did not before v4): in a process that
+        has not built the parameter set's S2C plan yet, it builds it."""
         from repro.core.framework import AthenaPipeline
         from repro.core.plan import compile_program
         from repro.core.program import lower
         from repro.fhe.backend import automorphism_map, ntt_automorphism_perm
+        from repro.fhe.s2c import s2c_plan
         from repro.quant.subjects import SUBJECTS
 
         builder, params = SUBJECTS["serve_micro"]
@@ -408,12 +410,12 @@ class TestPlanWireV4:
         pipe = AthenaPipeline(params, seed=3)
         ct = pipe.encrypt_coeffs(np.arange(params.n) % 5)
         tables = (automorphism_map, ntt_automorphism_perm)
-        for table in tables:
+        for table in (*tables, s2c_plan):
             table.cache_clear()
-        loaded = serialize.load_plan(raw, params)
+        serialize.load_plan(raw, params)
         before = [table.cache_info().misses for table in tables]
         assert min(before) > 0
-        pipe.to_coeffs(ct, plan=loaded.s2c)
+        pipe.to_coeffs(ct)
         assert [table.cache_info().misses for table in tables] == before
 
     @pytest.mark.slow
@@ -432,15 +434,17 @@ class TestPlanWireV4:
         assert np.array_equal(got, want)
 
 
-#: SHA-256 of ``dump_plan(compile_program(...))`` per wire subject, recorded
-#: at the commit before rounds' rows became explicit: the wire did not move.
+#: SHA-256 of ``dump_plan(compile_program(...))`` per wire subject at wire v6.
+#: Each equals the v5 bytes recorded before it with the version word 6, every
+#: round's polynomial array dropped, the max-tree table named ``relu`` (the
+#: shared ``core.lut.relu_lut``) and the CRC32 recomputed: nothing else moved.
 PLAN_SHA256 = {
-    "mnist_cnn": "fc2790def2951b8be4f269a2ef81ac0ea8a372ca9a63983b93f28bfd3395ccaf",
-    "resnet20_block": "9a680923a4b72aa1962e1f0dbe5f4044cf13b655db7a01df3ba7cca13128adde",
-    "serve_micro": "6ea27b625888cb9ed65e0740e2202e1bb503c6a5033f1ccdfe3129bc3e0b099c",
-    "pack": "3a2b5b242b45d9a3603857b4628d95a23ca59890dcf76b8d8452016acbf56961",
-    "fused_maxpool": "525401d8888b33b702aec2d6883848320d0abf64459c7f78868becf19fd29f56",
-    "avgpool_remap": "60edb0df059d0d1e309de9f9e48d98e880950cd014b3b4b5788565d1bd594676",
+    "mnist_cnn": "0e421d556e8768084de66308cde61ed8b5cbe17c4bd54820551859eb2877f11e",
+    "resnet20_block": "4b59a0950615092a036b0520bfc157d45adadde83fa00785027a220603b411ea",
+    "serve_micro": "82b251534784b7a16bb775ec4c8263b4dc518e027cbc7e996283f06f201477e0",
+    "pack": "fc945e6572e0c299374dc2ac469e7b7d223e2cd0a3e965859a1137ed713b4198",
+    "fused_maxpool": "b1a1f3c87f9b90a02c8c2135fc0feca29bf460ab218402729103b9b2fa90dc32",
+    "avgpool_remap": "c060aa3ac2d31a9463e8b821cb209b2bd6568a9a36367166d6609d911ecb71cf",
 }
 
 
@@ -459,7 +463,7 @@ def _zero_invariant_subjects():
 class TestOneRefreshGeometry:
     """Every round packs sample ``i`` onto ``rows[i]`` and leaves an exact
     zero everywhere else — compact rounds and ``LUT(0) != 0`` tables
-    included — on the same wire bytes as before."""
+    included — on the wire bytes pinned in ``PLAN_SHA256``."""
 
     @pytest.mark.parametrize("build, params", _zero_invariant_subjects())
     def test_every_round_cancels_lut0_outside_its_rows(self, build, params):
@@ -564,3 +568,72 @@ class TestPlanIntegrity:
         assert (cache.hits, cache.misses) == (0, 1)
         assert serialize.dump_plan(healed) == _resnet_block_raw()
         assert path.read_bytes() == _resnet_block_raw()
+
+
+class TestLutOwnsItsPolynomial:
+    """A round carries its LUT's table only; the LUT derives its polynomial
+    and BSGS schedule itself, so no artifact can hand a later compile, or a
+    LUT of the same table, a polynomial of its own."""
+
+    def test_a_tampered_lut_array_cannot_reach_a_later_compile(self):
+        from repro.core.plan import compile_program
+        from tests.conftest import plan_rounds
+
+        program, plan = _resnet_block_plan()
+        before = serialize.dump_plan(compile_program(program, TEST_LOOP))
+        raw = serialize.dump_plan(plan)
+        arrays = {arr.tobytes(): arr for rnd in plan_rounds(plan.steps)
+                  for arr in (rnd.lut.values, rnd.lut.coeffs)}
+        tampered = 0
+        for blob, arr in arrays.items():
+            at = raw.find(blob)
+            if at < 0:
+                continue
+            altered = arr.copy()
+            altered[1] = (altered[1] + 1) % TEST_LOOP.t
+            body = raw[:at] + altered.tobytes() + raw[at + len(blob):-4]
+            try:
+                serialize.load_plan(_resealed(body), TEST_LOOP)
+            except ParameterError:
+                pass
+            tampered += 1
+            assert serialize.dump_plan(compile_program(program, TEST_LOOP)) == before
+        assert tampered
+
+    @pytest.mark.parametrize("build, params", _wire_subjects())
+    def test_loaded_polynomials_are_the_tables_interpolants(self, build, params):
+        from repro.core.plan import compile_program
+        from repro.fhe.fbs import interpolate_lut
+        from tests.conftest import plan_rounds
+
+        raw = serialize.dump_plan(compile_program(build(), params))
+        loaded = serialize.load_plan(raw, params)
+        rounds = list(plan_rounds(loaded.steps))
+        assert rounds
+        for rnd in rounds:
+            assert np.array_equal(rnd.lut.coeffs, interpolate_lut(rnd.lut.values, params.t))
+            assert not rnd.lut.values.flags.writeable
+            assert not rnd.lut.coeffs.flags.writeable
+            assert rnd.lut.coeffs.tobytes() not in raw
+
+    def test_fused_max_pools_share_one_relu_and_one_schedule(self):
+        from repro.core.lut import relu_lut
+        from repro.core.plan import RefreshRound, compile_program
+
+        build, params = next(case.values for case in _wire_subjects()
+                             if case.id == "fused_maxpool")
+        first, second = (compile_program(build(), params) for _ in range(2))
+        luts = [rnd.lut for plan in (first, second)
+                for _, rnd in plan.steps[0].pool_rounds]
+        assert len(luts) == 4
+        assert all(lut is relu_lut(params.t) for lut in luts)
+        assert all(lut.plan is relu_lut(params.t).plan for lut in luts)
+        assert "fbs" not in RefreshRound.__dataclass_fields__
+        assert not hasattr(first, "s2c")
+
+    def test_v5_bytes_rejected(self):
+        """v5 carried each round's polynomial beside its table: no reader."""
+        raw = _resnet_block_raw()
+        v5 = _resealed(raw[:4] + (5).to_bytes(2, "little") + raw[6:-4])
+        with pytest.raises(ParameterError, match="version 5"):
+            serialize.load_plan(v5, TEST_LOOP)
