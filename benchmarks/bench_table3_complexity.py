@@ -8,7 +8,7 @@ from repro.core.complexity import table3
 from repro.eval.tables import render_table3
 from repro.fhe.backend import CountingBackend, use_backend
 from repro.fhe.bfv import BfvContext, Plaintext
-from repro.fhe.fbs import FbsLut, FbsPlan, fbs_evaluate
+from repro.fhe.fbs import FbsLut, fbs_evaluate
 from repro.fhe.params import TEST_FBS
 
 
@@ -19,11 +19,11 @@ def executed_fbs_counts() -> dict[str, int]:
     ctx = BfvContext(params, seed=3)
     sk, pk = ctx.keygen()
     lut = FbsLut.from_function(lambda x: np.maximum(x, 0), params.t, "relu")
-    plan = FbsPlan.from_lut(lut)
+    plan = lut.plan
     counting = CountingBackend("batched")
     ct = ctx.encrypt(Plaintext.from_slots(np.arange(params.n), params), pk)
     with use_backend(counting):
-        fbs_evaluate(ctx, ct, lut, ctx.relin_key(sk), plan=plan)
+        fbs_evaluate(ctx, ct, lut, ctx.relin_key(sk))
     giant = counting.ops_by_phase()["fbs_giant"]
     return {"cmult": giant["cmult"], "relin": giant["keyswitch"],
             "ladder": len(plan.ladder), "bs": plan.bs}

@@ -68,7 +68,7 @@ from typing import ClassVar
 import numpy as np
 
 from repro.errors import QuantizationError, UnsupportedLayer
-from repro.fhe.fbs import FbsLut, interpolate_range
+from repro.fhe.fbs import FbsLut, evaluate_poly_all, interpolate_range
 from repro.fhe.params import ATHENA, FheParams
 from repro.quant import nn
 from repro.quant.quantize import (
@@ -123,11 +123,11 @@ class LutSpec:
             # the certified MAC range only. The resulting degree <= 2r
             # polynomial (vs t-1 generically) is what FBS evaluates, so the
             # BSGS ladder shrinks with the layer's bit allocation. The LUT
-            # holds the full table that polynomial induces on Z_t, whose
-            # interpolant is the polynomial itself.
+            # holds the full table that polynomial induces on Z_t; the
+            # table's interpolant, which the LUT derives, is the polynomial.
             pts = np.arange(-r, r + 1, dtype=np.int64)
             coeffs = interpolate_range(self.apply_exact(pts, cfg), r, t)
-            return FbsLut.from_coeffs(coeffs, t, self.name)
+            return FbsLut(evaluate_poly_all(coeffs, t), t, self.name)
         raw = np.arange(t, dtype=np.int64)
         domain = np.where(raw > t // 2, raw - t, raw)
         if self.kind == "remap":

@@ -206,15 +206,6 @@ class FbsLut:
             raise ParameterError(f"LUT must have exactly t={self.t} entries")
         object.__setattr__(self, "values", _read_only(values))
 
-    @classmethod
-    def from_coeffs(cls, coeffs: np.ndarray, t: int, name: str = "lut") -> "FbsLut":
-        """The table a known polynomial induces on Z_t (a calibrated window's
-        low-degree interpolant): the table is evaluated from ``coeffs``, and
-        ``coeffs`` is the one polynomial of degree <= t-1 through it."""
-        lut = cls(evaluate_poly_all(coeffs, t), t, name)
-        lut.__dict__["coeffs"] = _read_only(np.mod(np.asarray(coeffs, dtype=np.int64), t))
-        return lut
-
     @cached_property
     def coeffs(self) -> np.ndarray:
         """Coefficients F_0..F_{t-1} of the table's polynomial (read-only)."""

@@ -220,7 +220,9 @@ def _write_round(buf: io.BytesIO, rnd) -> None:
     _write_array(buf, rnd.lut.values)
 
 
-def _read_round(buf: io.BytesIO, params: FheParams):
+def _read_round(buf: io.BytesIO, params: FheParams, luts: dict):
+    """One round; ``luts`` holds the LUTs this load has built, by name and
+    table, so a repeated table (a max tree's levels) is derived once."""
     from repro.core.plan import _refresh_round
 
     positions = _read_index(buf, params)
@@ -232,8 +234,11 @@ def _read_round(buf: io.BytesIO, params: FheParams):
             raise ParameterError(
                 "pack rows do not match positions in serialized plan")
     lut_name = _read_str(buf)
-    lut = FbsLut(_read_array(buf), params.t, lut_name)
-    return _refresh_round(positions, rows, lut, params)
+    values = _read_array(buf)
+    key = (lut_name, values.tobytes())
+    if key not in luts:
+        luts[key] = FbsLut(values, params.t, lut_name)
+    return _refresh_round(positions, rows, luts[key], params)
 
 
 def _write_steps(buf: io.BytesIO, steps: list) -> None:
@@ -268,7 +273,7 @@ def _write_steps(buf: io.BytesIO, steps: list) -> None:
                 _write_round(buf, rnd)
 
 
-def _read_steps(buf: io.BytesIO, params: FheParams) -> list:
+def _read_steps(buf: io.BytesIO, params: FheParams, luts: dict) -> list:
     from repro.core.plan import (
         CompiledLinear,
         CompiledPool,
@@ -300,16 +305,16 @@ def _read_steps(buf: io.BytesIO, params: FheParams) -> list:
         if kind not in ("linear", "remap", "residual"):
             raise ParameterError(f"unknown step kind {kind!r} in serialized plan")
         (s2c,) = _unpack(buf, "<B")
-        rnd = _read_round(buf, params)
+        rnd = _read_round(buf, params, luts)
         if kind == "remap":
             steps.append(CompiledRemap(
                 index=index, name=name, s2c=bool(s2c), round=rnd))
         elif kind == "residual":
             (alpha,) = _unpack(buf, "<q")
-            body = _read_steps(buf, params)
+            body = _read_steps(buf, params, luts)
             steps.append(CompiledResidual(
                 index=index, name=name, s2c=bool(s2c), alpha=alpha, round=rnd,
-                body=body, shortcut=_read_steps(buf, params) or None))
+                body=body, shortcut=_read_steps(buf, params, luts) or None))
         else:
             op = _read_str(buf)
             kernel = _read_plaintext(buf, params)
@@ -321,7 +326,7 @@ def _read_steps(buf: io.BytesIO, params: FheParams) -> list:
             (span,) = _unpack(buf, "<Q")
             (levels,) = _unpack(buf, "<B")
             pool = tuple(
-                (int(_unpack(buf, "<Q")[0]), _read_round(buf, params))
+                (int(_unpack(buf, "<Q")[0]), _read_round(buf, params, luts))
                 for _ in range(levels))
             steps.append(CompiledLinear(
                 index=index, name=name, op=op, s2c=bool(s2c), kernel=kernel,
@@ -359,8 +364,9 @@ def load_plan(raw: bytes, params: FheParams):
     The header (magic, version, parameter fingerprint) and then the CRC32
     trailer are verified before any payload is parsed, so an artifact of an
     older wire version, a truncated file or a flipped bit raises
-    :class:`ParameterError` instead of decoding into a wrong kernel. Each
-    LUT interpolates its own table and schedules its polynomial; plaintext
+    :class:`ParameterError` instead of decoding into a wrong kernel. One
+    LUT is built per distinct table and derives its polynomial and schedule
+    itself, so rounds repeating a table share them; plaintext
     operands are re-warmed and the parameter set's S2C plan is built if it
     is not yet, so the first request on a loaded plan is as fast as on a
     compiled one.
@@ -374,7 +380,7 @@ def load_plan(raw: bytes, params: FheParams):
         raise ParameterError("plan checksum mismatch (corrupt artifact)")
     name = _read_str(buf)
     model_hash = _read_str(buf)
-    steps = _read_steps(buf, params)
+    steps = _read_steps(buf, params, {})
     _check_end(buf)
     # Lane chaining (out strides + batch capacity) is a pure function of the
     # spans and the parameter set — re-derived rather than shipped.

@@ -364,7 +364,7 @@ class TestSatelliteFixes:
         assert lut.signed_range is lut.signed_range  # cached, same int object
 
     def test_lut_derives_its_polynomial_and_schedule_once(self):
-        from repro.fhe.fbs import FbsLut, interpolate_lut
+        from repro.fhe.fbs import FbsLut, evaluate_poly_all, interpolate_lut
 
         a = FbsLut(np.arange(17, dtype=np.int64), 17, "first")
         assert a.coeffs is a.coeffs and a.plan is a.plan  # derived once
@@ -372,13 +372,12 @@ class TestSatelliteFixes:
         assert not a.values.flags.writeable and not a.coeffs.flags.writeable
         with pytest.raises(AttributeError):
             a.values = np.zeros(17, dtype=np.int64)
-        # A LUT built from a polynomial holds the table it induces, and that
-        # table's interpolant is the polynomial itself.
+        # The table a polynomial induces gives that polynomial back.
         coeffs = np.zeros(17, dtype=np.int64)
         coeffs[[0, 2]] = (3, 1)
-        b = FbsLut.from_coeffs(coeffs, 17, "x^2+3")
+        b = FbsLut(evaluate_poly_all(coeffs, 17), 17, "x^2+3")
         assert np.array_equal(b.values, (np.arange(17) ** 2 + 3) % 17)
-        assert np.array_equal(b.coeffs, interpolate_lut(b.values, 17))
+        assert np.array_equal(b.coeffs, coeffs)
         assert b.plan.degree == 2
 
     def test_stock_lut_builders_cached(self):

@@ -628,6 +628,10 @@ class TestLutOwnsItsPolynomial:
         assert len(luts) == 4
         assert all(lut is relu_lut(params.t) for lut in luts)
         assert all(lut.plan is relu_lut(params.t).plan for lut in luts)
+        # A load builds one LUT per distinct table: its max tree shares one.
+        loaded = serialize.load_plan(serialize.dump_plan(first), params)
+        pooled = {id(rnd.lut) for _, rnd in loaded.steps[0].pool_rounds}
+        assert len(pooled) == 1
         assert "fbs" not in RefreshRound.__dataclass_fields__
         assert not hasattr(first, "s2c")
 
