@@ -2,69 +2,54 @@
 
 Every primitive the Athena loop executes — RNS NTT/INTT and limb
 arithmetic, modulus switching, LWE sample extraction and dimension
-switching, the packing / S2C matrix-vector product, FBS evaluation (baby
-and giant halves), and the S2C transform — dispatches through the *active*
-:class:`Backend`. Each protocol op has at most two bodies:
+switching, the packing / S2C mat-vec, FBS evaluation — dispatches through
+the *active* :class:`Backend`. Each protocol op has at most two bodies:
 
 * the **reference** body, on :class:`Backend` itself: per-prime RNS loops
   and fused-tier ops decomposed to those primitives. Registered as
-  ``serial`` (:class:`SerialBackend`); it is the oracle every other
-  engine is pinned bit-identical to.
-* the **fast** body, on :class:`BatchedBackend` (``batched``, the
-  default): every RnsPoly op treats the (L, N) residue matrix as one
-  stacked array (:func:`repro.fhe.ntt.ntt_forward_rns`), and the fused
-  tier runs stacked kernels on cached NTT-domain key stacks with lazy
-  reduction (:func:`lazy_reduce_sum`, bounded by :func:`lazy_chain_limit`).
+  ``serial`` (:class:`SerialBackend`), it is the oracle every other engine
+  is pinned bit-identical to.
+* the **fast** body, on :class:`BatchedBackend` (``batched``, the default):
+  the (L, N) residue matrix is one stacked array
+  (:func:`repro.fhe.ntt.ntt_forward_rns`), and the fused tier runs stacked
+  kernels on cached NTT-domain key stacks with lazy reduction
+  (:func:`lazy_reduce_sum` under :func:`lazy_chain_limit`, product runs
+  under :func:`lazy_product_limit`).
 
-Ops whose single body is engine-independent (:meth:`Backend.mod_switch`,
-:meth:`Backend.cmult_batch`, the LWE and composite tiers — they delegate to
-self methods or to module implementations whose inner ops re-enter the
-active backend) are not overridden.
-
-:class:`CountingBackend` (``counting``) is the only wrapper and the one
-way to observe a run. It overrides only the RNS tier, counting each call
-and delegating it to an inner engine; every op above that tier runs its
-reference body, whose primitives reach those counters and whose
-:meth:`Backend.record` events land in its records. So each count —
-compatible with the analytical :class:`repro.core.trace.OpCounts` model,
-and consumed by the accelerator scheduler as an *executed* trace — is a
-primitive that ran, and the per-phase self-seconds (the Fig. 9 execution
-breakdown) time that same stream.
-
-Selection is **context-local** (:class:`contextvars.ContextVar`), not a
-module global: two threads — or two :class:`repro.serve.InferenceSession`
-requests — may run different backends concurrently without interfering.
-The process-wide default honors the ``REPRO_BACKEND`` environment variable
-(``batched`` | ``serial``), which is how CI runs the whole tier-1 suite
-under the serial reference.
+Engine-independent ops (:meth:`Backend.mod_switch`,
+:meth:`Backend.cmult_batch`, the LWE and composite tiers) have one body.
+:class:`CountingBackend` (``counting``) is the only wrapper and the one way
+to observe a run: it counts and delegates the RNS tier only, so every op
+above it runs its reference body and each count — in the units of
+:class:`repro.core.trace.OpCounts`, the accelerator scheduler's *executed*
+trace — is a primitive that ran; its per-phase self-seconds time that
+stream. Selection is **context-local** (:class:`contextvars.ContextVar`):
+two threads or sessions may run different backends at once. The
+process-wide default honors ``REPRO_BACKEND`` (``batched`` | ``serial``),
+which is how CI runs tier-1 under the reference.
 
 Bit-identity contract: both engines hand back the canonical residue in
-[0, p) of the same integer — the stacked NTT computes it as exact float64
-matrix products (:func:`repro.fhe.ntt.ntt_bounds`), the per-prime loops with
-``%`` — so every
-primitive's output is bit-for-bit identical across backends. The fused tier
-keeps it because the NTT is linear mod p. ``tests/test_ntt.py``,
+[0, p) of the same integer (the stacked NTT as exact float64 matrix
+products, :func:`repro.fhe.ntt.ntt_bounds`; the loops with ``%``), and the
+fused tier keeps it because the NTT is linear mod p. ``tests/test_ntt.py``,
 ``tests/test_backend.py``, ``tests/test_rns_batched.py`` and
-``tests/test_fused_kernels.py`` pin this per transform, at the RnsPoly
-level, per fused op, and end-to-end through the five-step pipeline.
+``tests/test_fused_kernels.py`` pin it per transform, per RnsPoly op, per
+fused op and through the five-step pipeline.
 
-Fused tier: :meth:`Backend.hadd_many` (one deferred reduction across an
-HAdd chain), :meth:`Backend.keyswitch` (hybrid keyswitch of one
-component: its digits extended into Q u P, multiplied against the key and
-divided by the special basis P),
+Fused tier: :meth:`Backend.hadd_many` (one deferred reduction per HAdd
+chain), :meth:`Backend.keyswitch` (digits extended into Q u P, multiplied
+against the key, divided by the special basis P),
 :meth:`Backend.rotate_keyswitch` (the one rotation: take the digits, then
-X -> X^k on them), :meth:`Backend.matvec` (a whole BSGS mat-vec over a set
-of sources — derived from the request's ciphertext for S2C, ready key
-material for packing; on the batched engine it never leaves the
-evaluation domain), :meth:`Backend.giant_step_batch` (the giant-step
-combination of one FBS as one inner-product CMult: G products summed in
-the evaluation domain of Q u P, one scale-round, one keyswitch),
-:meth:`Backend.cmult_batch` (one FBS ladder level, its independent CMults
-stacked) and :meth:`Backend.lincomb` (the FBS baby steps as one matrix
-product). Reference and fast bodies are both
-*dispatch-free* — they call ``self`` methods and module-level transforms,
-never :func:`current_backend` — so on :class:`CountingBackend` a reference
-body's primitives are counted once, by the wrapper's RNS tier.
+X -> X^k on them), :meth:`Backend.matvec` (a whole BSGS mat-vec over
+sources derived from the request's ciphertext (S2C) or ready key material
+(packing): diagonal products summed unreduced in runs, the giants' key
+products summed over Q u P under one mod-down),
+:meth:`Backend.giant_step_batch` (one FBS's giant-step combination as one
+inner-product CMult), :meth:`Backend.cmult_batch` (one FBS ladder level)
+and :meth:`Backend.lincomb` (the FBS baby steps as one matrix product).
+Both bodies are *dispatch-free* — ``self`` methods and module-level
+transforms, never :func:`current_backend` — so a counted reference body's
+primitives are counted once, by the wrapper's RNS tier.
 """
 
 from __future__ import annotations
@@ -102,13 +87,14 @@ __all__ = [
     "default_backend",
     "get_backend",
     "lazy_chain_limit",
+    "lazy_product_limit",
     "lazy_reduce_sum",
     "use_backend",
 ]
 
 
 #: Soft element budget for one stacked chunk — (G', 2, 2, L+K, N) giant-step
-#: products, (T, 2, L, N) mat-vec products, the (T, L, N) diagonals of a
+#: products, (T, 2, L, N) gathered mat-vec sources, the (T, L, N) diagonals of a
 #: plan build —
 #: ~128 MiB of int64; keeps large-parameter batches out of swap without
 #: changing results.
@@ -125,16 +111,21 @@ CMULT_BATCH_ELEMS = 1 << 16
 
 
 def lazy_chain_limit(moduli: tuple[int, ...]) -> int:
-    """Max number of reduced residues that may be summed lazily in int64.
-
-    Every reduced residue is <= max(moduli) - 1, so a chain of k deferred
-    additions peaks at k * (max_p - 1); the accumulator stays below
-    2**63 - 1 as long as k <= this bound. For 31-bit limb primes the bound
-    is ~2**32 — far above any HAdd chain or keyswitch digit count in the zoo
-    models (the hypothesis suite in ``tests/test_fused_kernels.py`` pins
-    this across all presets).
-    """
+    """Max number of reduced residues that may be summed lazily in int64:
+    each is <= max_p - 1, so a chain of k peaks at k * (max_p - 1). About
+    2**32 for 31-bit limb primes, far above any HAdd chain or digit count
+    (``tests/test_fused_kernels.py`` pins this across all presets)."""
     return (2**63 - 1) // (max(moduli) - 1)
+
+
+def lazy_product_limit(moduli: tuple[int, ...]) -> int:
+    """Max number of products of two reduced residues that may be summed
+    lazily in int64: each is <= (max_p - 1)**2. Eight for the 30-bit limbs
+    of Q at every preset; a basis where one product overflows is refused."""
+    limit = (2**63 - 1) // (max(moduli) - 1) ** 2
+    if not limit:
+        raise ParameterError(f"a product of two residues mod {max(moduli)} overflows int64")
+    return limit
 
 
 def lazy_reduce_sum(stack: np.ndarray, moduli: tuple[int, ...], axis: int = 0) -> np.ndarray:
@@ -238,16 +229,17 @@ def _mod_up(data, moduli, both) -> np.ndarray:
     return np.stack(digits, axis=-3)
 
 
-def _mod_down(x, moduli, both, lift=None) -> np.ndarray:
+def _mod_down(x, moduli, both, ntt=False) -> np.ndarray:
     """``round(x / P)`` over Q of an (..., L+K, N) stack over ``both`` = Q u
     P: subtract the centred lift of the P residues, multiply by P^-1 — exact,
-    word-sized. Linear mod each limb, so it holds in either domain given
-    ``lift`` in x's domain (default: x's own P limbs, extended)."""
-    num_limbs = len(moduli)
-    if lift is None:
-        lift = rns.base_extend(x[..., num_limbs:, :], both[num_limbs:], moduli, True)
+    word-sized. Linear mod each limb, so it holds in the evaluation domain
+    too (``ntt``): only the K special limbs leave it, their lift comes back."""
+    num_limbs, special = len(moduli), both[len(moduli):]
+    p_limbs = ntt_inverse_rns(x[..., num_limbs:, :], special) if ntt else x[..., num_limbs:, :]
+    lift = rns.base_extend(p_limbs, special, moduli, True)
+    lift = ntt_forward_rns(lift, moduli) if ntt else lift
     mods = _moduli_column(moduli)
-    p_inv = _scalar_column(math.prod(both[num_limbs:]), moduli, True)
+    p_inv = _scalar_column(math.prod(special), moduli, True)
     return (x[..., :num_limbs, :] - lift) % mods * p_inv % mods
 
 
@@ -277,42 +269,48 @@ def _stacked_keyswitch(data, ksk, moduli, perm=slice(None)):
 
 
 def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
-    """(E, 2, L, N) evaluation-domain images: image e is the transformed
-    :meth:`Backend.rotate_keyswitch` of its parent under ``elements[e]``.
+    """Evaluation-domain :meth:`Backend.rotate_keyswitch` images of parents
+    under ``elements``, hoisted. A parent is ``f0`` (its c0, evaluation
+    domain) and ``c1`` (coefficient domain, where its digits are taken).
 
-    A parent is ``f0`` (its c0, evaluation domain) and ``c1`` (coefficient
-    domain, where its digits are taken): (L, N) is one parent shared by
-    every element, its digit transform paid once (babies); (E, L, N) one
-    parent per element (giants). Per chunk of at most
-    :data:`CMULT_BATCH_ELEMS` digit elements the stack pays each step once:
-    mod-up and digit transform, a gather by the (E, N) table of
+    An (L, N) parent shared by every element (babies) pays its digit
+    transform once and returns the (E, 2, L, N) images. An (E, L, N) stack,
+    one parent per element (giants), returns the (2, L, N) *sum* of the
+    images under one mod-down: it is linear, ``mod_down(P a + w) = a +
+    mod_down(w)``, so the E key products sum over Q u P first. Per chunk of
+    at most :data:`CMULT_BATCH_ELEMS` digit elements the stack pays each
+    step once: mod-up and digit transform, a gather by the (E, N) table of
     :func:`ntt_automorphism_perm`, the lazy product against the stacked key
-    halves, an evaluation-domain mod-down (only the K special limbs leave
-    the domain). Dispatch-free: the batched mat-vec and the packing key use it.
+    halves; the mod-down stays in the evaluation domain. Dispatch-free: the
+    batched mat-vec and the packing key use it.
     """
     n, num_limbs = c1.shape[-1], len(moduli)
+    shared = c1.ndim == 2
     keys = [_galois_key(rotation_keys, k)[1] for k in elements]
-    out = np.empty((len(keys), 2, num_limbs, n), dtype=np.int64)
+    out = np.zeros((len(keys), 2, num_limbs, n) if shared else (2, num_limbs, n), np.int64)
     if not keys:
         return out
     both = keys[0].moduli  # one basis per parameter set: any key's Q u P serves all
-    special, mods = both[num_limbs:], _moduli_column(moduli)
-    shared = c1.ndim == 2
     if shared:
-        fd, f0 = ntt_forward_rns(_mod_up(c1, moduli, both), both)[None], f0[None]
+        fd = ntt_forward_rns(_mod_up(c1, moduli, both), both)[None]
     perms = np.stack([ntt_automorphism_perm(n, k) for k in elements])[:, None, :]
     chunk = max(1, CMULT_BATCH_ELEMS // keys[0].k0.size)  # a digit stack is the key's shape
+    wide = 0
     for lo in range(0, len(keys), chunk):
         part = slice(lo, lo + chunk)
         if not shared:
             fd = ntt_forward_rns(_mod_up(c1[part], moduli, both), both)
         k0, k1 = (np.stack(half) for half in zip(*[(gk.k0, gk.k1) for gk in keys[part]]))
-        wide = _key_products(np.take_along_axis(fd, perms[part, None], -1), k0, k1, both)
-        lift = rns.base_extend(ntt_inverse_rns(wide[..., num_limbs:, :], special), special,
-                               moduli, True)
-        out[part] = _mod_down(wide, moduli, both, ntt_forward_rns(lift, moduli))
-        f0_part = np.take_along_axis(f0 if shared else f0[part], perms[part], -1)
-        out[part, 0] = (out[part, 0] + f0_part) % mods
+        products = _key_products(np.take_along_axis(fd, perms[part, None], -1), k0, k1, both)
+        if shared:
+            out[part] = _mod_down(products, moduli, both, ntt=True)
+        else:  # E reduced terms, far inside lazy_chain_limit
+            wide = wide + products.sum(axis=0)
+    if not shared:
+        out = _mod_down(wide % _moduli_column(both), moduli, both, ntt=True)
+    turned = np.take_along_axis(f0[None] if shared else f0, perms, -1)
+    out[..., 0, :, :] += turned if shared else turned.sum(axis=0)
+    out[..., 0, :, :] %= _moduli_column(moduli)
     return out
 
 
@@ -322,28 +320,21 @@ class Backend:
     Four tiers:
 
     * **RNS tier** — limb arithmetic on (L, N) residue matrices
-      (:meth:`add` .. :meth:`shift`). The bodies here are the per-prime
-      loops, frozen as reference semantics; :class:`BatchedBackend`
-      overrides each with one stacked numpy pass. :meth:`mod_switch` (an
-      exact base conversion) has one body for both.
-    * **fused tier** — the coarse-grained hot-path ops (keyswitch,
-      rotation, mat-vec, giant steps), decomposed here to RNS-tier
-      primitives.
-    * **LWE tier** — the noise-control chain (:meth:`sample_extract`,
-      :meth:`lwe_keyswitch`, :meth:`lwe_rescale`). Default
-      implementations delegate to :mod:`repro.fhe.lwe`; a hardware
-      backend may override them wholesale.
-    * **composite tier** — :meth:`fbs`, :meth:`s2c`. Defaults delegate to
-      the module implementations, whose inner ops re-enter the active
-      backend, so a wrapper (e.g. :class:`CountingBackend`) observes every
-      sub-op.
+      (:meth:`add` .. :meth:`shift`): the per-prime loops, frozen as
+      reference semantics, each one stacked numpy pass on
+      :class:`BatchedBackend`; :meth:`mod_switch` has one body for both.
+    * **fused tier** — the hot-path ops (keyswitch, rotation, mat-vec,
+      giant steps), decomposed here to RNS-tier primitives.
+    * **LWE tier** — :meth:`sample_extract`, :meth:`lwe_keyswitch`,
+      :meth:`lwe_rescale`, delegating to :mod:`repro.fhe.lwe`.
+    * **composite tier** — :meth:`fbs`, :meth:`s2c`, delegating to module
+      implementations whose inner ops re-enter the active backend, so a
+      wrapper observes every sub-op.
 
-    Plus the two instrumentation hooks — the execution stack's only
-    instrumentation seam, no-ops except on counting backends:
-    :meth:`record` (a primitive event; the bodies above the RNS tier
-    record their own) and :meth:`phase` (a phase label for subsequent
-    events, used by the executed-trace model, and the region whose seconds
-    a counting backend accumulates).
+    Plus the execution stack's only instrumentation seam, no-ops except on
+    counting backends: :meth:`record` (a primitive event) and
+    :meth:`phase` (a label for subsequent events, and the region whose
+    seconds a counting backend accumulates).
     """
 
     name = "base"
@@ -452,25 +443,33 @@ class Backend:
 
     def _digit_loop(self, digits, ksk, moduli):
         """(D, L+K, N) digits against the key — one cached-operand product
-        over Q u P per digit per output component — then both mod-downs."""
+        over Q u P per digit per output component: the (2, L+K, N) sum that
+        :meth:`_divide_by_p` takes down to Q."""
         both = ksk.moduli
         out = [np.zeros_like(digits[0]), np.zeros_like(digits[0])]
         for dig, *keys in zip(digits, ksk.k0, ksk.k1):
             out = [self.add(acc, self.mul_ntt(dig, k, both), both) for acc, k in zip(out, keys)]
-        # Base-conversion outputs: the mod-up's D(L+K) - L, both mod-downs' 2L.
-        self.record("rnsconv", (digits.size // digits.shape[-1] + len(moduli)) * digits.shape[-1])
-        return tuple(_mod_down(acc, moduli, both) for acc in out)
+        # Base-conversion outputs of the mod-up: D(L+K) - L.
+        self.record("rnsconv", (digits.size // digits.shape[-1] - len(moduli)) * digits.shape[-1])
+        return np.stack(out)
+
+    def _divide_by_p(self, wide, moduli, both):
+        """Both mod-downs of a (2, L+K, N) digit-loop sum, as (d0, d1)."""
+        self.record("rnsconv", 2 * len(moduli) * wide.shape[-1])  # L outputs per component
+        return tuple(_mod_down(wide, moduli, both))
 
     def keyswitch(self, data, ksk, moduli):
         """Hybrid keyswitch of one component's (L, N) residue stack (or of
         each of an (..., L, N) stack of components).
 
         Returns the (delta_c0, delta_c1) residue stacks to be added to the
-        ciphertext. Reference: the mod-up, the digit loop.
+        ciphertext. Reference: the mod-up, the digit loop, the mod-down.
         """
         if data.ndim > 2:
             return tuple(map(np.stack, zip(*(self.keyswitch(x, ksk, moduli) for x in data))))
-        return self._digit_loop(_mod_up(data, moduli, ksk.moduli), ksk, moduli)
+        both = ksk.moduli
+        return self._divide_by_p(self._digit_loop(_mod_up(data, moduli, both), ksk, moduli),
+                                 moduli, both)
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
         """Fused automorphism + keyswitch: the one rotation definition.
@@ -482,11 +481,11 @@ class Backend:
         digits — every rotation of one ciphertext shares one digit stack,
         which :meth:`matvec` hoists. Returns the new (c0, c1) stacks.
         Reference: the mod-up, one automorphism over the digit stack and one
-        over c0, the digit loop, the correction add.
+        over c0, the digit loop, the mod-down, the correction add.
         """
         both = ksk.moduli
         digits = self.automorphism(_mod_up(c1, moduli, both), k, both)
-        d0, d1 = self._digit_loop(digits, ksk, moduli)
+        d0, d1 = self._divide_by_p(self._digit_loop(digits, ksk, moduli), moduli, both)
         return self.add(self.automorphism(c0, k, moduli), d0, moduli), d1
 
     def matvec(self, vec, plan, rotation_keys, moduli):
@@ -503,8 +502,9 @@ class Backend:
         (:meth:`repro.fhe.packing.PackingKey.rotated_secrets`), so nothing
         is rotated. Returns the product's (c0, c1) stacks. Reference: one
         :meth:`rotate_keyswitch` per derived source, one cached-operand
-        product per diagonal, one HAdd chain and one giant rotation per
-        group, one chain over the groups.
+        product per diagonal and one HAdd chain per group; the mod-down is
+        linear, ``mod_down(P a + w) = a + mod_down(w)``, so the giants'
+        digit loops sum over Q u P and share one mod-down.
         """
         n = vec.shape[-1]
 
@@ -527,16 +527,28 @@ class Backend:
             for parent, images in plan.derived:
                 for s, k in images:
                     src[s] = rotate(src[parent], k)
-        parts = []
+        parts, turned, wide = [], [], []
         for g, ids, stack in plan.groups:
             self.record("pmult", len(ids))
             inner = chain([
                 [self.mul_ntt(comp, w, moduli) for comp in src[s]]
                 for s, w in zip(ids, stack)
             ])
-            giant = rotation_galois_element(n, g * plan.baby_steps)
-            parts.append(rotate(inner, giant) if g else inner)
-        return tuple(chain(parts))
+            if not g:
+                parts.append(inner)
+                continue
+            self.record("rotation")
+            self.record("keyswitch")
+            k, ksk = _galois_key(rotation_keys, rotation_galois_element(n, g * plan.baby_steps))
+            both = ksk.moduli
+            turned.append(self.automorphism(inner[0], k, moduli))
+            wide.append(self._digit_loop(
+                self.automorphism(_mod_up(inner[1], moduli, both), k, both), ksk, moduli))
+        if wide:
+            d0, d1 = self._divide_by_p(self.hadd_many(wide, both), moduli, both)
+            parts.append((self.hadd_many(turned + [d0], moduli), d1))
+        self.record("hadd", len(plan.groups) - 1)
+        return tuple(self.hadd_many([p[i] for p in parts], moduli) for i in (0, 1))
 
     def giant_step_batch(self, ctx, pairs, rlk):
         """The giant-step combination of one FBS: ``relin(sum_g inner_g *
@@ -670,20 +682,15 @@ class Backend:
 class BatchedBackend(Backend):
     """Residue-stacked execution engine (the default hot path).
 
-    RNS tier: one numpy pass covers every limb. Fused tier: keyswitches run
-    one batched (D, L+K, N) forward NTT over all digits — the component's
-    digit groups, each extended into Q u P — against cached NTT-domain key
-    stacks (:class:`repro.fhe.keys.KeySwitchKey`), accumulate in
-    the NTT domain with lazy reduction, and pay two inverse transforms and
-    a word-sized mod-down per keyswitch, not two inverses per digit; a
-    mat-vec pays them once for all its products, rotates every image of one
-    ciphertext on one digit transform (:func:`hoisted_rotations`) and all its
-    giants in one call, and rotates nothing when its sources come ready
-    (packing). Bit-identical to the reference bodies: the NTT is linear mod
-    p, so
-    ``intt(sum(f_d * k_d mod p) mod p) == sum(intt(f_d * k_d)) mod p``
-    exactly, and the cached key transforms are the same deterministic
-    ``ntt_forward_rns`` values the per-digit path recomputes.
+    RNS tier: one numpy pass covers every limb. Fused tier: a keyswitch runs
+    one (D, L+K, N) forward NTT over all its digits against cached
+    NTT-domain key stacks (:class:`repro.fhe.keys.KeySwitchKey`), sums in
+    the NTT domain lazily and pays one inverse and a word-sized mod-down; a
+    mat-vec hoists every image of one ciphertext on one digit transform and
+    its giants under one mod-down (:func:`hoisted_rotations`), and rotates
+    nothing when its sources come ready (packing). Bit-identical to the
+    reference bodies: the NTT is linear mod p, so ``intt(sum(f_d * k_d mod
+    p) mod p) == sum(intt(f_d * k_d)) mod p`` exactly.
     """
 
     name = "batched"
@@ -744,45 +751,46 @@ class BatchedBackend(Backend):
         """The mat-vec without leaving the evaluation domain.
 
         Ready sources are used as handed in. Otherwise one stacked forward
-        NTT of (c0, c1), then every image of one parent shares one
-        (D, L+K, N) digit transform
-        (:func:`hoisted_rotations`): the baby rotations and the row swap
-        ride on c1's, the swap's babies on the swapped c1's — the only
-        source inverse-transformed. Diagonal products and group sums are
-        pointwise (chunked under :data:`GIANT_BATCH_ELEMS`); the giant steps
-        are one :func:`hoisted_rotations` call, one parent per group, after
-        one stacked inverse of their c1; the summed groups pay one stacked
-        inverse. Bit-identical to the reference: the NTT is a ring
-        isomorphism mod each prime, and every c1 taken as digits is the same
-        canonical residues either way.
+        NTT of (c0, c1) into an (S, 2, L, N) source array, and every image
+        of one parent shares one digit transform (:func:`hoisted_rotations`):
+        the babies and the row swap ride on c1's, the swap's babies on the
+        swapped c1's. Per chunk under :data:`GIANT_BATCH_ELEMS` a group
+        gathers its rows once and sums its products unreduced, one ``%`` per
+        run of :func:`lazy_product_limit`. The giants are one
+        :func:`hoisted_rotations` sum under one mod-down. Bit-identical to
+        the reference: the NTT is a ring isomorphism mod each prime, and
+        both bodies round the same sum over Q u P.
         """
         n = vec.shape[-1]
         mods = _moduli_column(moduli)
         if vec.ndim == 4:
             src = vec
         else:
-            src = {0: ntt_forward_rns(vec, moduli)}
+            size = 1 + max(max(ids) for _, ids, _ in plan.groups)  # the swap is below a live id
+            src = np.empty((size, 2, len(moduli), n), dtype=np.int64)
+            src[0] = ntt_forward_rns(vec, moduli)
             for parent, images in plan.derived:
                 ids, elements = zip(*images)
-                c1 = ntt_inverse_rns(src[parent][1], moduli) if parent else vec[1]
-                src.update(zip(ids, hoisted_rotations(
-                    src[parent][0], c1, elements, rotation_keys, moduli)))
+                c1 = ntt_inverse_rns(src[parent, 1], moduli) if parent else vec[1]
+                src[list(ids)] = hoisted_rotations(
+                    src[parent, 0], c1, elements, rotation_keys, moduli)
         chunk = max(1, GIANT_BATCH_ELEMS // (2 * len(moduli) * n))
+        run = lazy_product_limit(moduli)
         parts = np.empty((len(plan.groups), 2, len(moduli), n), dtype=np.int64)
         for part, (_, ids, stack) in zip(parts, plan.groups):
             sums = []
             for lo in range(0, len(ids), chunk):
-                cts = np.stack([src[s] for s in ids[lo : lo + chunk]])
-                sums.append(lazy_reduce_sum(
-                    cts * stack[lo : lo + chunk, None] % mods, moduli))
-            part[...] = lazy_reduce_sum(np.stack(sums), moduli)
-        giants = [i for i, (g, _, _) in enumerate(plan.groups) if g]
-        if giants:
-            elements = [rotation_galois_element(n, plan.groups[i][0] * plan.baby_steps)
-                        for i in giants]
-            parts[giants] = hoisted_rotations(parts[giants, 0], ntt_inverse_rns(
-                parts[giants, 1], moduli), elements, rotation_keys, moduli)
-        out = ntt_inverse_rns(lazy_reduce_sum(parts, moduli), moduli)
+                rows, diags = src[list(ids[lo : lo + chunk])], stack[lo : lo + chunk]
+                sums += [np.einsum("tcln,tln->cln", rows[r : r + run], diags[r : r + run])
+                         for r in range(0, len(rows), run)]
+            part[...] = lazy_reduce_sum(np.stack(sums) % mods, moduli)
+        elements = [rotation_galois_element(n, g * plan.baby_steps) for g, _, _ in plan.groups if g]
+        head = len(parts) - len(elements)  # group 0, when live, is not rotated
+        out = parts[0] if head else 0
+        if elements:
+            out = (out + hoisted_rotations(parts[head:, 0], ntt_inverse_rns(
+                parts[head:, 1], moduli), elements, rotation_keys, moduli)) % mods
+        out = ntt_inverse_rns(out, moduli)
         return out[0], out[1]
 
     def giant_step_batch(self, ctx, pairs, rlk):
@@ -822,13 +830,11 @@ class CountingBackend(Backend):
     """Run the reference bodies over ``inner``'s RNS tier, counting per phase.
 
     Only the RNS tier (:meth:`add` .. :meth:`mod_switch`) and the two hooks
-    are overridden here: each RNS call is counted, then delegated to
-    ``inner``. Every op above that tier — the fused, LWE and composite
-    tiers — is :class:`Backend`'s reference body, so a counted keyswitch,
-    mat-vec or FBS executes its decomposition over ``inner``'s primitives
-    (2–4× the batched engine's time on a whole inference) and every count
-    is a primitive that ran. Two kinds of events land in ``phase -> {op:
-    count}`` records:
+    are overridden: each RNS call is counted, then delegated to ``inner``.
+    Every op above runs :class:`Backend`'s reference body over ``inner``'s
+    primitives (2–4× the batched engine's time on a whole inference), so
+    every count is a primitive that ran. Two kinds of events land in
+    ``phase -> {op: count}`` records:
 
     * RNS-tier work, derived from the dispatched array shapes in the same
       units as the analytical trace model (:mod:`repro.core.trace`):
@@ -841,20 +847,14 @@ class CountingBackend(Backend):
       ``mod_switch``, ``matvec``, ``pack``, ``fbs``, ``s2c``, ...
 
     Beside the counts, ``phase_s`` accumulates *self*-seconds per phase
-    label of that same counted stream — the reference decomposition, not
-    the batched engine's fused kernels (production per-phase seconds come
-    from timing an uncounted run). Entering a nested phase pauses its
-    parent (``fbs_giant`` inside ``fbs``), so on one thread the labels are
-    disjoint and sum to at most the run's wall time. Time outside every
-    phase is not attributed. Under a thread fan-out each worker's seconds
-    are added to the same labels, so the sum is busy time and may exceed
-    the wall.
-
-    The phase label is thread-local (each thread of a fan-out opens its
-    own phases); the counter store is lock-protected, so one recorder may
-    be shared across the fan-out. Use
-    :func:`repro.core.trace.executed_trace` to view the records as a
-    :class:`~repro.core.trace.WorkloadTrace` for the accel scheduler.
+    label of that counted stream, not of the fused kernels (production
+    per-phase seconds come from timing an uncounted run). A nested phase
+    pauses its parent (``fbs_giant`` inside ``fbs``), so on one thread the
+    labels are disjoint; under a thread fan-out each worker adds to the
+    same labels, so the sum is busy time. The phase label is thread-local
+    and the counter store lock-protected, so one recorder may be shared
+    across a fan-out. :func:`repro.core.trace.executed_trace` views the
+    records as a :class:`~repro.core.trace.WorkloadTrace`.
     """
 
     name = "counting"

@@ -99,6 +99,19 @@ def keyswitch_noise_bound(params) -> float:
     return len(groups) * n * 6 * params.sigma * widest / 2 / p + (n + 1) / 2
 
 
+def assert_rounding_apart(x, y, moduli, roundings: int) -> None:
+    """``x - y`` over Q is one small integer polynomial (the same on every
+    limb) with |coefficient| <= ``roundings // 2``: the mod-down of a sum
+    of ``roundings`` terms over Q u P against the sum of their mod-downs.
+    The centred P lifts differ by a multiple of P below (roundings + 1) * P
+    / 2, so one term (one giant) is bit for bit."""
+    mods = np.array(moduli, dtype=np.int64)[:, None]
+    diff = (np.asarray(x) - np.asarray(y)) % mods
+    diff = np.where(diff > mods // 2, diff - mods, diff)
+    assert (diff == diff[..., :1, :]).all()
+    assert np.abs(diff).max() <= roundings // 2
+
+
 def refresh_noise_bound(qm, params) -> int:
     """``REFRESH_SIGMAS`` sigma of the logit error the refresh noise causes.
 

@@ -14,12 +14,14 @@ Four claims pinned here:
    (arbitrary-precision) fold for any chain of reduced residues, and
    :func:`lazy_chain_limit` leaves orders-of-magnitude headroom over the
    longest chains the engine forms (keyswitch digit axes, HAdd fan-ins) for
-   every parameter preset.
+   every parameter preset; the mat-vec's unreduced product runs, bounded by
+   :func:`lazy_product_limit`, equal the exact sum too.
 4. *One rotation, one mat-vec* — the evaluation-domain mat-vec of the
-   batched engine equals the reference body and the composite spelled out
-   from public ciphertext ops, executes the transform count it was built
-   for, and rests on a permutation table checked against the coefficient-
-   domain automorphism on every preset.
+   batched engine equals the reference body bit for bit, and the composite
+   spelled out from public ciphertext ops up to the giants' one shared
+   mod-down; it executes the transform count it was built for, and rests on
+   a permutation table checked against the coefficient-domain automorphism
+   on every preset.
 5. *Sources* — S2C is that one mat-vec over the rotations of a ciphertext
    and of its row swap; packing is it over the packing key's cached stack
    of rotated secrets. Both are bit-identical across the engines and pay
@@ -50,6 +52,7 @@ from repro.fhe.backend import (
     SERIAL,
     CountingBackend,
     lazy_chain_limit,
+    lazy_product_limit,
     lazy_reduce_sum,
     ntt_automorphism_perm,
     use_backend,
@@ -74,7 +77,7 @@ from repro.fhe.slots import (
     rotation_galois_element,
     row_swap_element,
 )
-from tests.conftest import keyswitch_noise_bound
+from tests.conftest import assert_rounding_apart, keyswitch_noise_bound
 
 _slow = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -233,6 +236,46 @@ class TestLazyReduction:
         assert limit * peak <= 2**63 - 1
         assert (limit + 1) * peak > 2**63 - 1
 
+    @given(_presets)
+    @settings(max_examples=len(PRESETS), deadline=None)
+    def test_product_limit_is_int64_safe_and_tight(self, preset):
+        """k products of two residues of max(p)-1 fit in int64 iff k <=
+        lazy_product_limit: eight at every preset (30-bit limbs of Q)."""
+        moduli = PRESETS[preset].moduli
+        limit = lazy_product_limit(moduli)
+        peak = (max(moduli) - 1) ** 2
+        assert limit * peak <= 2**63 - 1 < (limit + 1) * peak
+        assert limit == 8
+
+    @given(_presets, _chain_lengths, st.integers(min_value=0, max_value=2**32))
+    @_slow
+    def test_lazy_product_sums_equal_exact_fold(self, preset, k, seed):
+        """A mat-vec group of k diagonal x source products, summed in runs of
+        lazy_product_limit, == the arbitrary-precision sum mod p: worst-case
+        residues (p - 1 on both sides) in the first half of the chain."""
+        moduli = PRESETS[preset].moduli
+        mods = np.array(moduli, dtype=np.int64)[:, None]
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, mods, (k, 2, len(moduli), 8), dtype=np.int64)
+        diag = rng.integers(0, mods, (k, len(moduli), 8), dtype=np.int64)
+        src[: k // 2 + 1], diag[: k // 2 + 1] = mods - 1, mods - 1
+        plan = MatvecPlan(k, (), ((0, tuple(range(k)), diag),))
+        got = np.stack(BATCHED.matvec(src, plan, {}, moduli))
+        exact = (src.astype(object) * diag[:, None].astype(object)).sum(axis=0) % mods
+        assert np.array_equal(got, ntt_inverse_rns(exact.astype(np.int64), moduli))
+
+    def test_product_limit_refuses_a_32_bit_prime(self):
+        """One product of two residues mod 2^32 - 5 can reach 2^64: such a
+        basis is refused, by the helper and by the mat-vec that uses it."""
+        moduli = PRESETS["test-tiny"].moduli + (2**32 - 5,)
+        with pytest.raises(ParameterError, match="overflows int64"):
+            lazy_product_limit(moduli)
+        src = np.ones((1, 2, len(moduli), 8), dtype=np.int64)
+        plan = MatvecPlan(1, (), ((0, (0,), src[:, 0]),))
+        with pytest.raises(ParameterError, match="overflows int64"):
+            BATCHED.matvec(src, plan, {}, moduli)
+        assert lazy_product_limit(((1 << 31) - 1,)) == 2
+
     def test_headroom_over_longest_engine_chains(self):
         """The longest lazy chains the engine forms — the digit axis of a
         keyswitch (D digits, summed over Q u P) and the
@@ -335,14 +378,15 @@ class TestRotation:
                               BATCHED.automorphism(a, k, moduli))
 
 
-def _composite_matvec(ctx, ct, diagonals, keys, baby_steps):
-    """The BSGS product spelled out from public ciphertext ops; a second
-    pass of ``diagonals`` meets the row-swapped ciphertext."""
+def _composite_groups(ctx, ct, diagonals, keys, baby_steps):
+    """Each live group's (g, inner sum) of the BSGS product, spelled out
+    from public ciphertext ops; a second pass of ``diagonals`` meets the
+    row-swapped ciphertext."""
     params = ctx.params
     half = params.n // 2
     passes = diagonals.reshape(-1, half, params.n)
     bases = [ct] if len(passes) == 1 else [ct, ctx.row_swap(ct, keys)]
-    babies, parts = {}, []
+    babies, groups = {}, []
     for p, base in enumerate(bases):  # every source, in the op's order
         for b in range(baby_steps):
             if passes[p, b::baby_steps].any():
@@ -357,9 +401,15 @@ def _composite_matvec(ctx, ct, diagonals, keys, baby_steps):
                                      np.roll(passes[p, d, half:], g * baby_steps)])
             terms.append(ctx.pmult(babies[p, b], Plaintext.from_slots(rolled, params)))
         if terms:
-            inner = ctx.add_many(terms)
-            parts.append(ctx.rotate_slots(inner, g * baby_steps, keys) if g else inner)
-    return ctx.add_many(parts)
+            groups.append((g, ctx.add_many(terms)))
+    return groups
+
+
+def _composite_matvec(ctx, ct, diagonals, keys, baby_steps):
+    """The BSGS product from public ops, one ``apply_galois`` per giant."""
+    groups = _composite_groups(ctx, ct, diagonals, keys, baby_steps)
+    return ctx.add_many([ctx.rotate_slots(inner, g * baby_steps, keys) if g else inner
+                         for g, inner in groups])
 
 
 @pytest.fixture(scope="module", params=[TEST_TINY, TEST_SMALL, TEST_FBS, TEST_LOOP],
@@ -381,16 +431,22 @@ def _assert_same_ciphertext(a, b):
 
 
 def _three_ways(ctx, ct, diagonals, keys, baby_steps):
-    """Fast body, reference body and the spelled-out composite must agree
-    bit for bit (noise estimate included); returns the fast result."""
+    """Fast body and reference body must agree bit for bit (noise estimate
+    included). The spelled-out composite mods down each giant rotation on
+    its own, so it sits within ``G // 2`` of them on every coefficient —
+    bit for bit at one giant — with the same estimate. Returns the fast
+    result."""
     plan = MatvecPlan.build(diagonals, ctx.params, baby_steps)
     with use_backend(BATCHED):
         got = hypercube_matvec(ctx, ct, plan, keys)
     with use_backend(SERIAL):
         _assert_same_ciphertext(got, hypercube_matvec(ctx, ct, plan, keys))
     with use_backend(BATCHED):
-        _assert_same_ciphertext(
-            got, _composite_matvec(ctx, ct, diagonals, keys, baby_steps))
+        spelled = _composite_matvec(ctx, ct, diagonals, keys, baby_steps)
+    giants = sum(1 for g, _, _ in plan.groups if g)
+    for x, y in ((got.c0, spelled.c0), (got.c1, spelled.c1)):
+        assert_rounding_apart(x.data, y.data, ctx.params.moduli, giants)
+    assert got.noise_bits == spelled.noise_bits
     return got
 
 
@@ -453,8 +509,8 @@ class TestMatvecBitIdentity:
         dense = rng.integers(0, params.t, (half, params.n))
         _three_ways(ctx, ct, dense, ctx.rotation_keys(sk, baby_giant_amounts(half, 1)), 1)
 
-        # A one-element budget: every diagonal product is its own chunk.
-        monkeypatch.setattr(backend_mod, "GIANT_BATCH_ELEMS", 1)
+        # Each group's products sum in runs of lazy_product_limit, one
+        # reduction per run; the group's lazy sum then folds its runs.
         sums = []
         real = backend_mod.lazy_reduce_sum
 
@@ -463,11 +519,21 @@ class TestMatvecBitIdentity:
             return real(stack, moduli, axis)
 
         monkeypatch.setattr(backend_mod, "lazy_reduce_sum", spy)
-        bs = math.isqrt(half)
-        keys = ctx.rotation_keys(sk, baby_giant_amounts(half, bs))
-        _three_ways(ctx, ct, dense, keys, bs)
-        one_term = (1, 2, len(params.moduli), params.n)
-        assert sums.count(one_term) == half  # unchunked: one sum per group
+        one = (2, len(params.moduli), params.n)
+        run = backend_mod.lazy_product_limit(params.moduli)
+        assert run == 8
+        budget = backend_mod.GIANT_BATCH_ELEMS
+        # Four groups of four products (one run each), one group of 16 (two).
+        for bs in (math.isqrt(half), half):
+            keys = ctx.rotation_keys(sk, baby_giant_amounts(half, bs))
+            sizes = [len(ids) for _, ids, _ in MatvecPlan.build(dense, params, bs).groups]
+            assert sizes == [bs] * (half // bs)
+            # A one-element budget: every product is its own chunk, so its own run.
+            for elems, runs in ((budget, -(-bs // run)), (1, bs)):
+                monkeypatch.setattr(backend_mod, "GIANT_BATCH_ELEMS", elems)
+                sums.clear()
+                _three_ways(ctx, ct, dense, keys, bs)
+                assert [s for s in sums if s[1:] == one] == [(runs, *one)] * (half // bs)
 
     def test_missing_key_and_wrong_shape_raise(self, matvec_setup):
         ctx, _, key, ct = matvec_setup
@@ -576,15 +642,17 @@ class TestMatvecAccounting:
         """The work the fast body was built to avoid, pinned where it is
         done: limb transforms and big-integer lifts of one whole S2C at
         TEST_LOOP. Nine hoisted parents (c1, the swap's c1, seven giants)
-        pay a (D, L+K, N) digit transform each; 22 images (8 + 7 babies and
-        the swap, 7 giants) pay 2K inverse and 2L forward limbs for the
-        evaluation-domain mod-down; the sources' entry and exit and the nine
-        c1 inverses pay 12 L: 1 062. They run in 13 calls: the entry, three
-        per hoisting call (digits, special inverse, lift) and the swap's and
-        the giants' c1 inverses, the exit; one call per giant made it 37.
-        Per-limb digits executed 1 358; two passes, a coefficient-domain row
-        swap and an add 3 276 and 17 decompositions; nine base-2^14
-        decompositions of 20 digits each, 1 728 and 9 lifts."""
+        pay a (D, L+K, N) digit transform each; 16 evaluation-domain
+        mod-downs — one per image of the 8 + 7 babies and the swap, one for
+        the seven giants' summed key products — pay 2K inverse and 2L
+        forward limbs each; the sources' entry and exit and the nine c1
+        inverses pay 12 L: 846. They run in 13 calls: the entry, three per
+        hoisting call (digits, special inverse, lift) and the swap's and the
+        giants' c1 inverses, the exit; one call per giant made it 37. One
+        mod-down per giant executed 1 062; per-limb digits 1 358; two
+        passes, a coefficient-domain row swap and an add 3 276 and 17
+        decompositions; nine base-2^14 decompositions of 20 digits each,
+        1 728 and 9 lifts."""
         pipe = AthenaPipeline(TEST_LOOP, seed=81)
         plan = s2c_plan(TEST_LOOP)  # built before the spy: requests never build it
         ct = pipe.ctx.encrypt(
@@ -594,10 +662,10 @@ class TestMatvecAccounting:
             slot_to_coeff(pipe.ctx, ct, pipe.s2c_key)
         assert len(plan.matvec.groups) == 8
         l, width = TEST_LOOP.num_limbs, len(TEST_LOOP.keyswitch_moduli)
-        hoisted = 9 * TEST_LOOP.num_digits * width + 22 * 2 * width + 12 * l
+        hoisted = 9 * TEST_LOOP.num_digits * width + 16 * 2 * width + 12 * l
         assert executed == {"limb_transforms": hoisted, "transform_calls": 1 + 3 * 3 + 2 + 1,
                             "crt_lifts": 0}
-        assert hoisted == 1062
+        assert hoisted == 846
 
     def test_executed_transforms_of_one_pack(self, monkeypatch):
         """One ``pack_lwe`` of 43 LWE samples at TEST_LOOP: the request's own
@@ -790,3 +858,45 @@ class TestSources:
             measured = pipe.ctx.true_noise_bits(out, pipe.sk)
             assert measured <= out.noise_bits and measured <= before + 1
 
+
+    @pytest.mark.parametrize("params", [TEST_FBS, TEST_LOOP], ids=lambda p: p.name)
+    def test_giants_share_one_mod_down(self, params):
+        """S2C's giants sum their key products over Q u P under one mod-down;
+        the old body, one ``apply_galois`` per giant group then ``add_many``,
+        is rebuilt here from public ops. Over key seeds 0-7 both decrypt to
+        the same coefficients and the estimate covers the measured noise.
+        The phase the giant keyswitches add — the result's c0 + c1 s less
+        the rotated phases of the groups, exact over Q — is at most the old
+        body's: 2-4 against 5-6 at TEST_FBS, 7-10 against 16-25 at
+        TEST_LOOP (one rounding in place of seven). The whole noise is the
+        diagonal products' (19-22 bits): the two agree in it to 1/1000 bit,
+        and either one may be the larger."""
+        bs = default_baby_steps(params.n // 2)
+        values = np.random.default_rng(0).integers(0, params.t, params.n)
+
+        def phase(ct):
+            return ct.c0 + ct.c1 * sk.poly
+
+        def peak(poly):
+            lifted = rns_mod.from_rns_object(poly.data, params.moduli) % params.q
+            return max(min(int(x), params.q - int(x)) for x in lifted)
+
+        for seed in range(8):
+            ctx = BfvContext(params, seed=seed)
+            sk, pk = ctx.keygen()
+            keys = S2CKey.generate(ctx, sk).rotation_keys
+            ct = ctx.encrypt(Plaintext.from_slots(values, params), pk)
+            shared = slot_to_coeff(ctx, ct, S2CKey(keys))
+            groups = _composite_groups(ctx, ct, _s2c_passes(params), keys, bs)
+            giants = [(rotation_galois_element(params.n, g * bs), inner)
+                      for g, inner in groups if g]
+            old = ctx.add_many([inner for g, inner in groups if not g] + [
+                ctx.apply_galois(inner, k, keys[k]) for k, inner in giants])
+            assert np.array_equal(ctx.decrypt(shared, sk).coeffs, ctx.decrypt(old, sk).coeffs)
+            measured = ctx.true_noise_bits(shared, sk)
+            assert measured <= shared.noise_bits == old.noise_bits
+            assert abs(measured - ctx.true_noise_bits(old, sk)) < 1e-3
+            rotated = [phase(inner) for g, inner in groups if not g]
+            rotated += [phase(inner).automorphism(k) for k, inner in giants]
+            ideal = sum(rotated[1:], rotated[0])
+            assert peak(phase(shared) - ideal) <= peak(phase(old) - ideal), seed

@@ -39,7 +39,7 @@ from repro.fhe.s2c import S2CKey, slot_to_coeff
 from repro.fhe.slots import rotation_galois_element, row_swap_element
 from repro.utils.modmath import inv_mod
 from repro.utils.sampling import Sampler
-from tests.conftest import keyswitch_noise_bound
+from tests.conftest import assert_rounding_apart, keyswitch_noise_bound
 
 #: Test-only sets where Q sits under the HE-standard ceiling, so the digit
 #: rule groups: alpha = 1, D = 2; and alpha = 2, D = 3 with a one-limb last
@@ -279,30 +279,39 @@ class TestOneKeyswitchThreeBodies:
 
 
 def _assert_hoisted_images(ctx, gks, ct):
-    """One parent shared by every element and one parent per element: image
-    e is the forward transform of ``rotate_keyswitch``'s output for its
-    parent, on either engine."""
+    """One parent shared by every element (the babies): image e is the
+    forward transform of ``rotate_keyswitch``'s output, on either engine.
+    One parent per element (the giants): the transformed sum of those
+    outputs under one mod-down — the sum itself for one element, within
+    ``E // 2`` of it on every coefficient for E."""
     moduli, n = ctx.params.moduli, ctx.params.n
     elements = list(gks) + list(gks)[:1]  # five: chunks of 2, 2 and 1 at a cap of two
     pair = np.stack([ct.c0.data, ct.c1.data])
     parents = np.stack([SERIAL.scalar_mul(pair, e + 1, moduli) for e in range(len(elements))])
     f0 = ntt_forward_rns(parents[:, 0], moduli)
     shared = hoisted_rotations(f0[0], pair[1], elements, gks, moduli)
-    stacked = hoisted_rotations(f0, parents[:, 1], elements, gks, moduli)
-    assert shared.shape == stacked.shape == (len(elements), 2, len(moduli), n)
+    assert shared.shape == (len(elements), 2, len(moduli), n)
+    images = []
     for e, k in enumerate(elements):
-        for images, parent in ((shared, pair), (stacked, parents[e])):
-            for be in (SERIAL, BATCHED):
-                rotated = be.rotate_keyswitch(*parent, k, gks[k], moduli)
-                assert np.array_equal(images[e], ntt_forward_rns(np.stack(rotated), moduli))
+        for be in (SERIAL, BATCHED):
+            rotated = be.rotate_keyswitch(*pair, k, gks[k], moduli)
+            assert np.array_equal(shared[e], ntt_forward_rns(np.stack(rotated), moduli))
+        images.append(np.stack(SERIAL.rotate_keyswitch(*parents[e], k, gks[k], moduli)))
+    for count in (1, len(elements)):
+        summed = hoisted_rotations(f0[:count], parents[:count, 1], elements[:count], gks, moduli)
+        assert summed.shape == (2, len(moduli), n)
+        assert_rounding_apart(ntt_inverse_rns(summed, moduli),
+                              SERIAL.hadd_many(images[:count], moduli), moduli, count)
     empty = hoisted_rotations(f0[0], pair[1], [], gks, moduli)
     assert empty.shape == (0, 2, len(moduli), n)
+    assert not hoisted_rotations(f0[:0], parents[:0, 1], [], gks, moduli).any()
 
 
 def _sparse_s2c_plan(params):
     """A mat-vec of S2C's shape — the babies of both passes, the row swap,
-    the swap's baby, two giant groups — over small random plaintext
-    diagonals: S2C's own plan is N^2 words at the grouped sets' rings."""
+    the swap's baby, group 0 and two giant groups (rotations by 2 and 4,
+    which share one mod-down) — over small random plaintext diagonals:
+    S2C's own plan is N^2 words at the grouped sets' rings."""
     n, bs = params.n, 2
     rng = np.random.default_rng(63)
     baby = rotation_galois_element(n, 1)
@@ -314,7 +323,8 @@ def _sparse_s2c_plan(params):
         return out
 
     derived = ((0, ((1, baby), (bs, row_swap_element(n)))), (bs, ((bs + 1, baby),)))
-    return MatvecPlan(bs, derived, ((0, (0, 1, 2, 3), stack(4)), (1, (0, 3), stack(2))))
+    groups = ((0, (0, 1, 2, 3), stack(4)), (1, (0, 3), stack(2)), (2, (1, 2), stack(2)))
+    return MatvecPlan(bs, derived, groups)
 
 
 def _same_on_every_engine(run):
@@ -392,6 +402,7 @@ class TestGroupedDigits:
         plan of its shape on the grouped ones."""
         ctx, sk, _, _, gks, ct = grouped_setup
         if ctx.params.n > 128:
+            gks = gks | ctx.galois_keys(sk, [rotation_galois_element(ctx.params.n, 4)])
             _same_on_every_engine(
                 lambda: hypercube_matvec(ctx, ct, _sparse_s2c_plan(ctx.params), gks))
             return
