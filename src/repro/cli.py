@@ -373,6 +373,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     from repro.core.framework import AthenaPipeline
+    from repro.core.plan import compile_program
     from repro.core.program import lower
     from repro.core.trace import compare_traces, executed_trace
     from repro.fhe.backend import CountingBackend, use_backend
@@ -381,7 +382,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     pipe = AthenaPipeline(params, seed=args.seed)
     x_q = rng.integers(-3, 4, qm.input_shape).astype(np.int64)
     with use_backend(counting):
-        pipe.run_program(lower(qm, params), x_q)
+        pipe.run(compile_program(lower(qm, params), params), x_q)
     executed = executed_trace(counting, params)
     comparison = compare_traces(executed, analytical)
     payload = {

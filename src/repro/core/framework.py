@@ -11,6 +11,12 @@
   Step 5  FBS              — LUT polynomial evaluated on all slots at once
   (loop)  S2C              — slots back to coefficients for the next layer
 
+:meth:`AthenaPipeline.run` executes a compiled plan
+(:class:`repro.core.plan.CompiledProgram`, the whole ciphertext program):
+:class:`CiphertextExecutor` walks the plan's own steps through the one
+walker, :func:`repro.core.program.run_program`, with no lowered program
+beside it.
+
 This runs at *reduced* parameters (pure-Python crypto); the test suite uses
 it to validate that the fast simulated engine's noise injection matches
 real-ciphertext behaviour. Parameter sets must satisfy 2N | t-1 and carry
@@ -22,17 +28,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.encoding import encode_features
-from repro.core.plan import CompiledProgram, RefreshRound, compile_program
-from repro.fhe.slots import pack_lane_coeffs, row_swap_element, unpack_lane_coeffs
-from repro.core.program import (
-    AthenaProgram,
-    LinearStep,
-    PoolStep,
-    ProgramExecutor,
-    RemapStep,
-    ResidualStep,
+from repro.core.plan import (
+    CompiledLinear,
+    CompiledPool,
+    CompiledProgram,
+    CompiledRemap,
+    CompiledResidual,
+    RefreshRound,
 )
-from repro.core.program import run_program as _run_steps
+from repro.core.program import ProgramExecutor, run_program
 from repro.errors import ParameterError
 from repro.fhe import lwe as lwelib
 from repro.fhe.backend import current_backend
@@ -41,6 +45,7 @@ from repro.fhe.fbs import FbsLut, fbs_evaluate
 from repro.fhe.packing import PackingKey, pack_lwe
 from repro.fhe.params import FheParams
 from repro.fhe.s2c import S2CKey, slot_to_coeff
+from repro.fhe.slots import pack_lane_coeffs, row_swap_element, unpack_lane_coeffs
 from repro.utils.sampling import Sampler
 
 
@@ -148,40 +153,27 @@ class AthenaPipeline:
         boot = self.bootstrap(batch, lut)
         return self.to_coeffs(boot) if s2c else boot
 
-    # -- lowered-program driver ------------------------------------------------
+    # -- compiled-plan driver ---------------------------------------------------
 
-    def run_program(
-        self,
-        program: AthenaProgram,
-        x_q: np.ndarray,
-        plan: CompiledProgram | None = None,
-    ) -> np.ndarray:
-        """Execute a lowered :class:`AthenaProgram` end to end on encrypted
-        data: encode + encrypt the quantized input client-side, run one
-        five-step round per LUT-bearing step, decrypt the tail.
+    def run(self, plan: CompiledProgram, x_q: np.ndarray) -> np.ndarray:
+        """Execute a :class:`repro.core.plan.CompiledProgram` end to end on
+        encrypted data: encode + encrypt the quantized input client-side,
+        run one five-step round per LUT-bearing step, decrypt the tail.
 
-        The tail step's ``s2c=False`` flag (program fusion rule 4) is
+        The plan is the whole program — compiled, or loaded from its wire
+        form with no program at all — and the run performs ciphertext ops
+        only. The tail step's ``s2c=False`` flag (program fusion rule 4) is
         honoured here: the final FBS output is decoded from slots directly.
-
-        With ``plan`` (a :class:`repro.core.plan.CompiledProgram`) the run
-        reuses compile-time artifacts and performs ciphertext ops only —
-        the warm-session path of :class:`repro.serve.InferenceSession`.
-        Without one, the program is compiled here, inside the call (under
-        the backend's ``compile`` phase) — so a cold run's wall time
-        honestly includes the compile work a warm run skips. Either way the
-        homomorphic op sequence is identical, so outputs are bit-for-bit
-        equal. Returns the centered integer outputs — comparable, up to FHE
-        noise, with ``QuantizedModel.forward_int`` on the same program.
+        Returns the centered integer outputs — comparable, up to FHE noise,
+        with ``QuantizedModel.forward_int`` on the model the plan was
+        compiled from.
 
         This is the one-lane call of :meth:`run_batch`.
         """
-        return self.run_batch(program, [x_q], plan)[0]
+        return self.run_batch(plan, [x_q])[0]
 
     def run_batch(
-        self,
-        program: AthenaProgram,
-        xs: list[np.ndarray],
-        plan: CompiledProgram | None = None,
+        self, plan: CompiledProgram, xs: list[np.ndarray]
     ) -> list[np.ndarray]:
         """Run ``len(xs)`` independent inputs through *one* fused execution.
 
@@ -190,14 +182,14 @@ class AthenaPipeline:
         pays for one PMult, one refresh chain, one pack + FBS, and one S2C
         per layer — the amortization Eq. 1's spare coefficient space buys.
         Lane count is bounded by ``plan.batch_capacity``. With one input
-        this is exactly the :meth:`run_program` op sequence.
+        this is exactly the :meth:`run` op sequence.
         Returns the centered integer outputs, one array per input, in order.
         """
         if not xs:
             return []
         xs = [np.asarray(x, dtype=np.int64) for x in xs]
-        ex = CiphertextExecutor(self, program, plan=plan, lanes=len(xs))
-        ct = _run_steps(program, ex, xs[0] if len(xs) == 1 else np.stack(xs))
+        ex = CiphertextExecutor(self, plan, lanes=len(xs))
+        ct = run_program(plan, ex, xs[0] if len(xs) == 1 else np.stack(xs))
         raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)
         vals = unpack_lane_coeffs(raw, ex.lane_stride, len(xs), ex.out_count)
         t = self.params.t
@@ -205,26 +197,26 @@ class AthenaPipeline:
 
 
 class CiphertextExecutor(ProgramExecutor):
-    """Thin interpreter: replays compile-time plans with ciphertext ops.
+    """Thin interpreter: walks a compiled plan with ciphertext ops.
 
-    The flowing value is a BFV ciphertext. All request-invariant work —
-    kernel/bias encoding, every :class:`RefreshRound` and the LUT it
-    carries with its polynomial and BSGS schedule — lives in the
-    :class:`CompiledProgram` (compiled at construction when not supplied;
-    compiling also builds the parameter set's one S2C plan),
+    The flowing value is a BFV ciphertext, and the steps handed to each
+    handler are the plan's own (:class:`CompiledLinear`,
+    :class:`CompiledPool`, ...). All request-invariant work — kernel/bias
+    encoding, every :class:`RefreshRound` and the LUT it carries with its
+    polynomial and BSGS schedule — lives in the :class:`CompiledProgram`
+    (compiling or loading it also builds the parameter set's one S2C plan),
     so each :meth:`linear` call performs only encrypt (first step), PMult,
     and :meth:`_refresh` — the one place the loop's refresh -> pack -> FBS
-    -> S2C is written — on the request's data. Plan
-    artifacts are resolved by *step index*, never by object identity, so a
-    deserialized plan drives any equivalent re-lowered program.
+    -> S2C is written — on the request's data.
 
-    The entry step — always a conv/FC; :meth:`CompiledProgram.bind` checks
-    it once — receives the raw quantized input array and performs the
-    client-side encode (including any zero-padding) + encrypt. Interior
-    layers chain through the plan's feature layouts: every refresh round
-    places its LWE samples onto the next consumer's rows (compact Eq. 1
-    order, or a padded interior grid whose margin is the next convolution's
-    zero padding) and zeroes every row it leaves, for any table.
+    The entry step — always a conv/FC; a :class:`CompiledProgram` refuses
+    to exist otherwise — receives the raw quantized input array and performs
+    the client-side encode: one reshape to its ``in_shape``, its zero
+    padding, encrypt. Interior layers chain through the plan's feature
+    layouts: every refresh round places its LWE samples onto the next
+    consumer's rows (compact Eq. 1 order, or a padded interior grid whose
+    margin is the next convolution's zero padding) and zeroes every row it
+    leaves, for any table.
 
     MAC-domain max-pool fusion replays the plan's ``(delta, round)`` tree
     (``max(a, b) = b + relu(a - b)`` per level, one exact monomial shift +
@@ -232,88 +224,50 @@ class CiphertextExecutor(ProgramExecutor):
     depthwise all-ones PMult followed by a division-LUT refresh; residual
     joins add the branch ciphertexts (``main + alpha * skip``) and refresh
     through the block's wide-scale LUT. A step the parameter set cannot hold
-    fails :func:`compile_program`; a plan that is not this program's fails
-    ``bind`` — nothing is re-checked per step or per request.
+    fails :func:`repro.core.plan.compile_program`; a plan that is not a
+    model's fails ``bind`` where the two meet — nothing is re-checked per
+    step or per request.
     """
 
-    def __init__(
-        self,
-        pipe: AthenaPipeline,
-        program: AthenaProgram,
-        plan: CompiledProgram | None = None,
-        lanes: int = 1,
-    ):
+    def __init__(self, pipe: AthenaPipeline, plan: CompiledProgram, lanes: int = 1):
         if lanes < 1:
             raise ParameterError(f"need at least one lane, got {lanes}")
-        self.pipe = pipe
-        self.program = program
-        if plan is None:
-            plan = compile_program(program, pipe.params)
-        else:
-            plan.bind(program, pipe.params)
+        if plan.params != pipe.params:
+            raise ParameterError("plan was compiled for different parameters")
         if lanes > plan.batch_capacity:
             raise ParameterError(
                 f"{lanes} lanes exceed the plan's batch capacity "
                 f"{plan.batch_capacity}"
             )
-        self.plan = plan
+        self.pipe = pipe
         self.lanes = lanes
-        #: Runtime steps resolve to plan artifacts positionally (``bind``
-        #: guarantees alignment), walking residual branches in parallel.
-        self._artifacts: dict[int, object] = {}
-        self._index_steps(program.steps, plan.steps)
         self.out_count = 0
         #: Coefficient/slot distance between consecutive lanes' outputs.
         self.lane_stride = 0
         self.tail_s2c = True
 
-    def _index_steps(self, steps, csteps) -> None:
-        for step, cstep in zip(steps, csteps):
-            self._artifacts[id(step)] = cstep
-            if step.kind == "residual":
-                self._index_steps(step.body.steps, cstep.body)
-                if step.shortcut is not None:
-                    self._index_steps(step.shortcut.steps, cstep.shortcut)
-
-    def linear(self, step: LinearStep, value) -> BfvCiphertext:
+    def linear(self, step: CompiledLinear, value) -> BfvCiphertext:
         pipe, params = self.pipe, self.pipe.params
-        layer = step.layer
-        cstep = self._artifacts[id(step)]
-        n = params.n
-        layout = (
-            cstep.lane_layout(self.lanes, params) if self.lanes > 1 else None
-        )
-        if step.op == "conv":
-            cin, h, w = layer.in_shape
-            if isinstance(value, np.ndarray):
-                imgs = value.reshape(self.lanes, cin, h, w)
-                if layer.pad:
-                    imgs = np.pad(
-                        imgs,
-                        ((0, 0), (0, 0), (layer.pad,) * 2, (layer.pad,) * 2),
-                    )
-                ct = pipe.encrypt_coeffs(self._encode_lanes(imgs, layout, n))
-            else:
-                # Interior step: the previous refresh packed the value onto
-                # exactly the layout this step's kernel was encoded for
-                # (compact Eq. 1 rows, or a padded grid whose exact-zero
-                # margin is this convolution's zero padding).
-                ct = value
-        else:
-            if isinstance(value, np.ndarray):
-                feats = value.reshape(self.lanes, layer.in_features, 1, 1)
-                ct = pipe.encrypt_coeffs(self._encode_lanes(feats, layout, n))
-            else:
-                ct = value
-        out = pipe.linear(ct, cstep.kernel)
-        bias = layout.bias if layout is not None else cstep.bias
+        layout = step.lane_layout(self.lanes, params) if self.lanes > 1 else None
+        if isinstance(value, np.ndarray):
+            # The entry step: every lane's image onto this step's grid.
+            p = step.pad
+            imgs = np.pad(value.reshape(self.lanes, *step.in_shape),
+                          ((0, 0), (0, 0), (p, p), (p, p)))
+            value = pipe.encrypt_coeffs(self._encode_lanes(imgs, layout, params.n))
+        # An interior step's input is already where its kernel expects it:
+        # the previous refresh packed it onto exactly this step's layout
+        # (compact Eq. 1 rows, or a padded grid whose exact-zero margin is
+        # this convolution's zero padding).
+        out = pipe.linear(value, step.kernel)
+        bias = layout.bias if layout is not None else step.bias
         if bias is not None:
             with current_backend().phase("linear"):
                 out = pipe.ctx.add_plain(out, bias)
-        for delta, rnd in cstep.pool_rounds or ():
+        for delta, rnd in step.pool_rounds or ():
             out = self._max_round(out, delta, rnd)
-        self.out_count = cstep.round.count
-        rnd = layout.round if layout is not None else cstep.round
+        self.out_count = step.round.count
+        rnd = layout.round if layout is not None else step.round
         self.lane_stride = (
             layout.out_stride if layout is not None else self.out_count)
         self.tail_s2c = step.s2c
@@ -375,18 +329,18 @@ class CiphertextExecutor(ProgramExecutor):
             n,
         )
 
-    def pool(self, step: PoolStep, value):
+    def pool(self, step: CompiledPool, value):
         """Average/global pooling: one depthwise all-ones PMult.
 
         The window sums accumulate in the MAC domain at the plan's
         positions; the mandatory following :meth:`remap` step refreshes
         them through the division LUT.
         """
-        return self.pipe.linear(value, self._artifacts[id(step)].kernel)
+        return self.pipe.linear(value, step.kernel)
 
-    def remap(self, step: RemapStep, value):
+    def remap(self, step: CompiledRemap, value):
         """A bare LUT refresh round (the pooling division tables)."""
-        return self._close(value, self._artifacts[id(step)].round, step.s2c)
+        return self._close(value, step.round, step.s2c)
 
     def _close(self, ct: BfvCiphertext, rnd: RefreshRound, s2c: bool):
         """Refresh a single-image round and record the tail geometry."""
@@ -394,17 +348,16 @@ class CiphertextExecutor(ProgramExecutor):
         self.tail_s2c = s2c
         return self._refresh(ct, rnd, s2c)
 
-    def residual(self, step: ResidualStep, main, skip):
+    def residual(self, step: CompiledResidual, main, skip):
         """Join the branches and refresh through the wide-scale LUT.
 
         Both branch tails packed into the shared join layout at compile
         time, so the join itself is ``main + alpha * skip`` followed by
         one standard refresh round placed into the next consumer's layout.
         """
-        cstep = self._artifacts[id(step)]
         pipe = self.pipe
         with current_backend().phase("residual"):
-            if cstep.alpha != 1:
-                skip = pipe.ctx.smult(skip, cstep.alpha)
+            if step.alpha != 1:
+                skip = pipe.ctx.smult(skip, step.alpha)
             total = pipe.ctx.add(main, skip)
-        return self._close(total, cstep.round, step.s2c)
+        return self._close(total, step.round, step.s2c)

@@ -53,11 +53,15 @@ is no per-step choice to resolve, so a plan is a function of the lowered
 program and the parameter set alone, and :func:`program_fingerprint` (with
 the parameter fingerprint) is its complete cache key.
 
-Bit-identity contract: a plan-driven run issues the *identical* homomorphic
-op sequence as a plan-free run (the plan only moves the derivation of each
-op's plaintext operand to compile time), so given the same keys and
-randomness the outputs are bit-for-bit equal. ``tests/test_plan.py`` pins
-this.
+A :class:`CompiledProgram` is the whole ciphertext program: the executor
+walks its steps alone, and each linear step carries the input geometry its
+entry encode needs, so a plan loaded from the wire runs with no program.
+
+Bit-identity contract: a plan is a function of the lowered program and the
+parameter set, and its wire form rebuilds it exactly, so a compiled plan and
+its ``load_plan(dump_plan(plan))`` issue the identical homomorphic op
+sequence on the same operands; given the same keys and randomness the
+outputs are bit-for-bit equal. ``tests/test_program.py`` pins this.
 """
 
 from __future__ import annotations
@@ -141,9 +145,9 @@ def program_fingerprint(program: AthenaProgram) -> str:
                 h.update(f":{step.layer.skip_alpha}:{step.s2c:d}".encode())
                 if getattr(step.layer, "lut_range", None):
                     h.update(f":r{step.layer.lut_range}".encode())
-                feed(step.body.steps)
+                feed(step.body)
                 if step.shortcut:
-                    feed(step.shortcut.steps)
+                    feed(step.shortcut)
 
     feed(program.steps)
     return h.hexdigest()
@@ -284,7 +288,6 @@ class LaneLayout:
 class CompiledLinear:
     """All request-invariant artifacts of one conv/FC five-step round."""
 
-    index: int
     name: str
     op: str  # 'conv' | 'fc'
     s2c: bool
@@ -300,6 +303,11 @@ class CompiledLinear:
     lane_span: int = 0
     #: Pack-row stride between lanes' outputs (annotated by the lane chain).
     lane_out_stride: int = 0
+    #: Input image ``(C, H, W)`` before zero padding (``(F, 1, 1)`` for an
+    #: FC) and the convolution's ``pad``: what the entry step's client-side
+    #: encode reshapes and pads a raw input to.
+    in_shape: tuple = ()
+    pad: int = 0
     #: MAC-domain max-pool tree, one ``(delta, ReLU round)`` per level
     #: (``None`` when no fused pool). ``delta`` is the coefficient distance
     #: between a kept window cell and its partner; the round refreshes the
@@ -355,7 +363,6 @@ class CompiledPool:
     :class:`CompiledRemap` refreshes through the division table.
     """
 
-    index: int
     name: str
     kind: str = field(default="pool", init=False)
     kernel: Plaintext = None
@@ -366,7 +373,6 @@ class CompiledPool:
 class CompiledRemap:
     """A bare LUT refresh round (the pooling division tables)."""
 
-    index: int
     name: str
     s2c: bool
     kind: str = field(default="remap", init=False)
@@ -384,7 +390,6 @@ class CompiledResidual:
     layout.
     """
 
-    index: int
     name: str
     s2c: bool
     kind: str = field(default="residual", init=False)
@@ -399,19 +404,21 @@ class CompiledReshape:
     """A flatten: free on ciphertexts, so it has no compile-time artifacts
     (the wire's flagged placeholder)."""
 
-    index: int
     name: str
     kind: str = field(default="reshape", init=False)
 
 
 @dataclass
 class CompiledProgram:
-    """A fully lowered + precomputed model for one parameter set.
+    """A fully lowered + precomputed model for one parameter set: the
+    whole ciphertext program.
 
-    ``steps`` aligns 1:1 with the source program's top-level steps; the
-    executor resolves each runtime step to its artifacts *by index*
-    (never by object identity, so one plan serves any equivalent
-    re-lowered program). Contains no key material.
+    ``steps`` aligns 1:1 with the source program's top-level steps (residual
+    branches as step lists), and the executor walks them alone — no program
+    rides along. Construction refuses a plan whose first non-reshape step is
+    not a conv/FC (the entry step encrypts the input), so neither a
+    hand-built plan nor a loaded one reaches a ciphertext op without one.
+    Contains no key material.
     """
 
     steps: list
@@ -424,24 +431,27 @@ class CompiledProgram:
     #: steps, whose geometry is one image's (see :func:`_annotate_lanes`).
     batch_capacity: int = 1
 
+    def __post_init__(self) -> None:
+        entry = next((s for s in self.steps if s.kind != "reshape"), None)
+        if entry is None or entry.kind != "linear":
+            raise ParameterError("the program's entry step must be a conv/FC")
+
     def bind(self, program: AthenaProgram, params: FheParams) -> "CompiledProgram":
         """Validate that this plan was compiled from ``program`` (same
         structure, weights and LUT recipes) under ``params``;
         return ``self`` so loaders can chain. A plan — compiled or loaded —
         is complete: binding never builds anything.
 
-        This is the executor's one boundary check: the step trees align kind
-        for kind and the entry step is linear (it encrypts the input), so no
-        per-request handler re-tests what it was handed."""
+        It runs where a plan meets a model, once per session and not per
+        request: a caller-supplied plan in :meth:`repro.serve.SessionCore.build`
+        and a plan-cache disk hit. The step trees must align kind for kind,
+        so a plan that passes runs the program's schedule."""
         if params_fingerprint(params) != params_fingerprint(self.params):
             raise ParameterError("plan was compiled for different parameters")
         if self.model_hash != program_fingerprint(program):
             raise ParameterError("plan was compiled for a different model")
         if not _aligned(program.steps, self.steps):
             raise ParameterError("plan steps do not align with the program's")
-        entry = next((s for s in self.steps if s.kind != "reshape"), None)
-        if entry is None or entry.kind != "linear":
-            raise ParameterError("the program's entry step must be a conv/FC")
         return self
 
 
@@ -449,9 +459,8 @@ def _aligned(steps: list, csteps: list) -> bool:
     """Same step kinds in the same order, through both residual branches."""
     return len(steps) == len(csteps) and all(
         step.kind == cstep.kind and (step.kind != "residual" or (
-            _aligned(step.body.steps, cstep.body)
-            and _aligned(step.shortcut.steps if step.shortcut else [],
-                         cstep.shortcut or [])))
+            _aligned(step.body, cstep.body)
+            and _aligned(step.shortcut or [], cstep.shortcut or [])))
         for step, cstep in zip(steps, csteps))
 
 
@@ -528,7 +537,7 @@ def _shape_after(step, shape: tuple | None) -> tuple | None:
     if step.kind == "reshape":
         return (int(math.prod(shape)),)
     if step.kind == "residual":
-        for sub in step.body.steps:
+        for sub in step.body:
             shape = _shape_after(sub, shape)
         return shape
     return shape  # remap
@@ -566,7 +575,7 @@ def _required_layout(steps: list, j: int, shape: tuple | None,
     if step.kind in ("pool", "remap"):
         return _compact(shape) if shape is not None else None
     if step.kind == "residual":
-        inner = _required_layout(step.body.steps, 0, shape, None)
+        inner = _required_layout(step.body, 0, shape, None)
         if inner is None and shape is not None:
             return _compact(shape)
         return inner
@@ -657,7 +666,6 @@ def _pool_tree(step: LinearStep, grid: tuple,
 
 def _compile_linear(
     step: LinearStep,
-    index: int,
     config,
     params: FheParams,
     in_layout: FeatureLayout | None,
@@ -667,7 +675,8 @@ def _compile_linear(
     n = params.n
     if step.op == "conv":
         weight, stride, pad = layer.weight, layer.stride, layer.pad
-        _, h, w = layer.in_shape
+        in_shape = tuple(int(d) for d in layer.in_shape)
+        _, h, w = in_shape
         out_hw = layer.out_shape[1:]
         if in_layout is None:
             # The entry image: the client zero-pads it onto the
@@ -684,7 +693,8 @@ def _compile_linear(
                     f"pad {pad} for step {step.name!r}")
     else:
         # An FC layer is Eq. 1 on the 1 x 1 grid.
-        weight, stride = layer.weight[:, :, None, None], 1
+        weight, stride, pad = layer.weight[:, :, None, None], 1, 0
+        in_shape = (int(layer.in_features), 1, 1)
         grid, origin, out_hw = (1, 1), (0, 0), (1, 1)
     kernel, span, positions = _eq1(
         step.name, weight, grid, origin, stride, out_hw, params)
@@ -708,7 +718,6 @@ def _compile_linear(
             for delta, kept in levels)
 
     return CompiledLinear(
-        index=index,
         name=step.name,
         op=step.op,
         s2c=step.s2c,
@@ -716,11 +725,13 @@ def _compile_linear(
         bias=bias,
         round=_compile_round(step, config, params, positions, target),
         lane_span=span,
+        in_shape=in_shape,
+        pad=int(pad),
         pool_rounds=pool_rounds,
     )
 
 
-def _compile_pool(step, index: int, params: FheParams,
+def _compile_pool(step, params: FheParams,
                   layout: FeatureLayout | None) -> CompiledPool:
     if step.op == "max":
         raise ParameterError(
@@ -748,12 +759,11 @@ def _compile_pool(step, index: int, params: FheParams,
         step.name, weight, (h, w), (0, 0), s,
         ((h - k) // s + 1, (w - k) // s + 1), params)
     return CompiledPool(
-        index=index, name=step.name, kernel=kernel, positions=positions)
+        name=step.name, kernel=kernel, positions=positions)
 
 
 def _compile_remap(
     step,
-    index: int,
     config,
     params: FheParams,
     pending: CompiledPool | None,
@@ -763,7 +773,6 @@ def _compile_remap(
         raise ParameterError(
             f"remap step {step.name!r} has no preceding pool round")
     return CompiledRemap(
-        index=index,
         name=step.name,
         s2c=step.s2c,
         round=_compile_round(step, config, params, pending.positions, target),
@@ -772,7 +781,6 @@ def _compile_remap(
 
 def _compile_residual(
     step,
-    index: int,
     config,
     params: FheParams,
     in_layout: FeatureLayout | None,
@@ -787,7 +795,7 @@ def _compile_residual(
         raise ParameterError(
             f"residual block {step.name!r} has no tracked input shape")
     body_out = shape
-    for sub in step.body.steps:
+    for sub in step.body:
         body_out = _shape_after(sub, body_out)
     if body_out is None:
         raise ParameterError(
@@ -795,7 +803,7 @@ def _compile_residual(
     if step.shortcut is not None:
         join_layout = _compact(body_out)
         shortcut = _compile_block(
-            step.shortcut.steps, config, params, shape, in_layout, join_layout)
+            step.shortcut, config, params, shape, in_layout, join_layout)
     else:
         if tuple(in_layout.shape) != tuple(body_out):
             raise ParameterError(
@@ -804,12 +812,11 @@ def _compile_residual(
         join_layout = in_layout
         shortcut = None
     body = _compile_block(
-        step.body.steps, config, params, shape, in_layout, join_layout)
+        step.body, config, params, shape, in_layout, join_layout)
     if join_layout.span > params.n:
         raise ParameterError(
             f"join layout of {step.name!r} exceeds degree {params.n}")
     return CompiledResidual(
-        index=index,
         name=step.name,
         s2c=step.s2c,
         alpha=int(step.skip_alpha),
@@ -841,22 +848,22 @@ def _compile_block(
         target = _required_layout(steps, i + 1, out_shape, final_target)
         if step.kind == "linear":
             compiled.append(_compile_linear(
-                step, i, config, params, cur_layout, target))
+                step, config, params, cur_layout, target))
             cur_layout = target
         elif step.kind == "pool":
-            pending_pool = _compile_pool(step, i, params, cur_layout)
+            pending_pool = _compile_pool(step, params, cur_layout)
             compiled.append(pending_pool)
         elif step.kind == "remap":
             compiled.append(_compile_remap(
-                step, i, config, params, pending_pool, target))
+                step, config, params, pending_pool, target))
             pending_pool = None
             cur_layout = target
         elif step.kind == "residual":
             compiled.append(_compile_residual(
-                step, i, config, params, cur_layout, target, shape))
+                step, config, params, cur_layout, target, shape))
             cur_layout = target
         else:  # reshape
-            compiled.append(CompiledReshape(i, step.name))
+            compiled.append(CompiledReshape(step.name))
         shape = out_shape
     return compiled
 

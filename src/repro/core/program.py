@@ -20,7 +20,7 @@ Node kinds
   (the average-pool / global-average-pool division tables).
 * :class:`ReshapeStep`  — flatten; free on every backend.
 * :class:`ResidualStep` — wide-scale branch join + post-add ReLU LUT, with
-  the branches as nested sub-programs.
+  the branches as nested step lists.
 
 Fusion rules (applied at lowering time, consumed by all executors)
 ------------------------------------------------------------------
@@ -52,11 +52,11 @@ An executor implements one handler per node kind (``linear`` / ``pool`` /
 ``remap`` / ``reshape`` / ``residual``); each handler receives the step and
 the flowing value and returns the new value. Value semantics are
 executor-defined: integer tensors for :class:`PlainIntExecutor` and the
-simulated engine (its subclass), BFV ciphertexts for the real backend,
-``None`` for pure accounting walkers such as the trace generator.
-:func:`run_program` owns the schedule — including the recursion into
-residual sub-programs — so no executor can drift from the lowered fusion
-decisions.
+simulated engine (its subclass), BFV ciphertexts for the real backend
+(which walks the compiled plan's steps, not this program's), ``None`` for
+pure accounting walkers such as the trace generator. :func:`run_program`
+owns the schedule — including the recursion into residual branches — so
+no executor can drift from the lowered fusion decisions.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ class ResidualStep:
     phase: ClassVar[str] = "linear"
 
     layer: QResidual
-    body: "AthenaProgram"
-    shortcut: "AthenaProgram | None"
+    body: list
+    shortcut: list | None
     lut: LutSpec
     name: str
     stat: str = "residual-add"
@@ -260,31 +260,14 @@ class AthenaProgram:
 
     def mac_sources(self) -> list:
         """MAC-producing IR nodes in execution order (Fig. 4 x-axis)."""
-        out: list = []
-        for step in self.steps:
-            if step.kind == "linear":
-                out.append(step.layer)
-            elif step.kind == "pool" and step.op in ("sum", "gap"):
-                out.append(step.layer)
-            elif step.kind == "residual":
-                out.extend(step.body.mac_sources())
-                if step.shortcut:
-                    out.extend(step.shortcut.mac_sources())
-                out.append(step.layer)
-        return out
+        return [step.layer for step in _flat(self.steps)
+                if step.kind in ("linear", "residual")
+                or (step.kind == "pool" and step.op in ("sum", "gap"))]
 
     def lut_steps(self) -> list:
         """Every step carrying a LUT spec, in execution order."""
-        out: list = []
-        for step in self.steps:
-            if step.kind == "residual":
-                out.extend(step.body.lut_steps())
-                if step.shortcut:
-                    out.extend(step.shortcut.lut_steps())
-                out.append(step)
-            elif step.kind in ("linear", "remap"):
-                out.append(step)
-        return out
+        return [step for step in _flat(self.steps)
+                if step.kind in ("linear", "remap", "residual")]
 
     def final_scale(self) -> float:
         """Output scale of the classifier head (softmax LUT input scale)."""
@@ -293,15 +276,15 @@ class AthenaProgram:
                 return step.layer.out_scale
         return 1.0
 
-    def compile(self, params: FheParams | None = None):
-        """Precompute this program's :class:`repro.core.plan.CompiledProgram`.
 
-        Convenience wrapper over :func:`repro.core.plan.compile_program`
-        (imported lazily — the plan module depends on this one).
-        """
-        from repro.core.plan import compile_program
-
-        return compile_program(self, params or self.params)
+def _flat(steps: list):
+    """Every step in execution order: a residual block's body, then its
+    shortcut, then the block itself (its join)."""
+    for step in steps:
+        if step.kind == "residual":
+            yield from _flat(step.body)
+            yield from _flat(step.shortcut or [])
+        yield step
 
 
 # --------------------------------------------------------------------------
@@ -368,8 +351,8 @@ def _lower_layers(layers: list, cfg: QuantConfig, params: FheParams,
         elif isinstance(layer, QResidual):
             steps.append(ResidualStep(
                 layer=layer,
-                body=_lower_branch(layer.body, cfg, params, f"{name}.body"),
-                shortcut=(_lower_branch(layer.shortcut, cfg, params, f"{name}.skip")
+                body=_lower_layers(layer.body, cfg, params, f"{name}.body."),
+                shortcut=(_lower_layers(layer.shortcut, cfg, params, f"{name}.skip.")
                           if layer.shortcut else None),
                 lut=lut_spec(layer), name=name,
             ))
@@ -383,13 +366,6 @@ def _lower_layers(layers: list, cfg: QuantConfig, params: FheParams,
         i += 1
         idx += 1
     return steps
-
-
-def _lower_branch(layers: list, cfg: QuantConfig, params: FheParams,
-                  name: str) -> AthenaProgram:
-    """A residual branch as its own sub-program, steps prefixed ``name.``."""
-    return AthenaProgram(_lower_layers(layers, cfg, params, f"{name}."),
-                         cfg, params, name=name)
 
 
 # --------------------------------------------------------------------------
@@ -416,21 +392,25 @@ class ProgramExecutor:
         raise NotImplementedError
 
 
-def run_program(program: AthenaProgram, executor: ProgramExecutor, value=None):
+def run_program(program, executor: ProgramExecutor, value=None):
     """Drive ``executor`` through the program's schedule.
 
-    The driver owns the step order and the residual-branch recursion (body,
-    then shortcut, then join) so every backend executes the identical
-    schedule; executors only decide how each step is realized.
+    ``program`` is a lowered :class:`AthenaProgram` or its compiled
+    :class:`repro.core.plan.CompiledProgram`: both are a ``steps`` list
+    whose residual steps carry their branches as ``body`` / ``shortcut``
+    step lists, so the one walker drives either tree. It owns the step order
+    and the residual-branch recursion (body, then shortcut, then join) so
+    every backend executes the identical schedule; executors only decide how
+    each step is realized.
     """
-    for step in program.steps:
+    return _walk(program.steps, executor, value)
+
+
+def _walk(steps: list, executor: ProgramExecutor, value):
+    for step in steps:
         if step.kind == "residual":
-            main = run_program(step.body, executor, value)
-            skip = (
-                run_program(step.shortcut, executor, value)
-                if step.shortcut
-                else value
-            )
+            main = _walk(step.body, executor, value)
+            skip = _walk(step.shortcut, executor, value) if step.shortcut else value
             value = executor.residual(step, main, skip)
         else:
             value = getattr(executor, step.kind)(step, value)

@@ -76,43 +76,29 @@ class S2CKey:
         return cls(keys)
 
 
-@dataclass
-class S2CPlan:
-    """Compile-time form of the S2C transform for one parameter set.
+@lru_cache(maxsize=None)
+def s2c_plan(params: FheParams) -> MatvecPlan:
+    """The one S2C mat-vec plan of ``params``, rotation index maps warmed.
 
     The evaluation matrix P depends only on (N, t), so the whole mat-vec
     — diagonal extraction of all four blocks, giant-step rolls, slot
     encoding, and the evaluation-domain stack of every group's diagonals
-    — is request-invariant and built once per parameter set
-    (:func:`s2c_plan`); :func:`slot_to_coeff` performs only ciphertext ops.
-    """
-
-    matvec: MatvecPlan
-
-    @classmethod
-    def build(cls, params: FheParams) -> "S2CPlan":
-        n, t = params.n, params.t
-        half = n // 2
-        p = _evaluation_matrix(n, t)
-        p00, p01 = p[:half, :half], p[:half, half:]
-        p10, p11 = p[half:, :half], p[half:, half:]
-        passes = np.stack([
-            hypercube_diagonals(p00, p11, half),  # meets rot_r(v)
-            hypercube_diagonals(p01, p10, half),  # meets rot_r(swap(v))
-        ])
-        return cls(MatvecPlan.build(passes, params, slotlib.default_baby_steps(half)))
-
-
-@lru_cache(maxsize=None)
-def s2c_plan(params: FheParams) -> S2CPlan:
-    """The one S2C plan of ``params``, rotation index maps warmed.
-
-    Built on first use; :func:`repro.core.plan.compile_program` and
+    — is request-invariant and built once per parameter set, on first use;
+    :func:`repro.core.plan.compile_program` and
     :func:`repro.fhe.serialize.load_plan` call it so that no request pays
-    the build.
+    the build, and :func:`slot_to_coeff` performs only ciphertext ops.
     """
-    plan = S2CPlan.build(params)
-    plan.matvec.warm_automorphisms(params)
+    n, t = params.n, params.t
+    half = n // 2
+    p = _evaluation_matrix(n, t)
+    p00, p01 = p[:half, :half], p[:half, half:]
+    p10, p11 = p[half:, :half], p[half:, half:]
+    passes = np.stack([
+        hypercube_diagonals(p00, p11, half),  # meets rot_r(v)
+        hypercube_diagonals(p01, p10, half),  # meets rot_r(swap(v))
+    ])
+    plan = MatvecPlan.build(passes, params, slotlib.default_baby_steps(half))
+    plan.warm_automorphisms(params)
     return plan
 
 
@@ -128,4 +114,4 @@ def slot_to_coeff(ctx: BfvContext, ct: BfvCiphertext, key: S2CKey) -> BfvCiphert
 
 def slot_to_coeff_impl(ctx: BfvContext, ct: BfvCiphertext, key: S2CKey) -> BfvCiphertext:
     """Default :meth:`Backend.s2c` implementation (one BSGS mat-vec)."""
-    return hypercube_matvec(ctx, ct, s2c_plan(ctx.params).matvec, key.rotation_keys)
+    return hypercube_matvec(ctx, ct, s2c_plan(ctx.params), key.rotation_keys)

@@ -9,8 +9,10 @@ stable wire formats matter. Formats are versioned, self-describing
     [payload: shapes + int64 little-endian arrays]
 
 A compiled plan (kind 4) is the complete plan — every step, as
-:class:`repro.core.plan.RefreshRound` records — followed by a CRC32 of the
-bytes above it; see :func:`dump_plan` / :func:`load_plan`. A round carries
+:class:`repro.core.plan.RefreshRound` records, each linear step with the
+input geometry its entry encode needs — followed by a CRC32 of the bytes
+above it; see :func:`dump_plan` / :func:`load_plan`. A loaded plan runs
+with no program beside it. A round carries
 its LUT's table only: the table fixes the polynomial and the BSGS schedule,
 which the loaded :class:`~repro.fhe.fbs.FbsLut` derives itself, so an
 artifact cannot hold a polynomial that disagrees with its table.
@@ -39,12 +41,13 @@ from repro.fhe.poly import RnsPoly
 from repro.fhe.s2c import s2c_plan
 
 _MAGIC = 0x41544E41  # "ATNA"
-# v6: a compiled plan serialises every step as refresh rounds (see
+# v7: a compiled plan serialises every step as refresh rounds (see
 # ``dump_plan``) behind a CRC32 trailer, so loading needs no program and no
-# compiler; each round writes its LUT's table once and no polynomial. Older
-# artifacts are rejected; the plan cache recompiles on load failure, so
-# stale caches self-heal.
-_VERSION = 6
+# compiler; each round writes its LUT's table once and no polynomial, and
+# each linear step its entry geometry (input shape and pad), so running one
+# needs no program either. Older artifacts are rejected; the plan cache
+# recompiles on load failure, so stale caches self-heal.
+_VERSION = 7
 
 KIND_CIPHERTEXT = 1
 KIND_LWE_BATCH = 2
@@ -266,6 +269,7 @@ def _write_steps(buf: io.BytesIO, steps: list) -> None:
             _write_array(buf, cstep.kernel.coeffs)
             _write_optional(buf, cstep.bias.coeffs if cstep.bias else None)
             buf.write(struct.pack("<Q", cstep.lane_span))
+            _write_array(buf, np.array([*cstep.in_shape, cstep.pad]))
             pool = cstep.pool_rounds or ()
             buf.write(struct.pack("<B", len(pool)))
             for delta, rnd in pool:
@@ -284,7 +288,7 @@ def _read_steps(buf: io.BytesIO, params: FheParams, luts: dict) -> list:
 
     (n_steps,) = _unpack(buf, "<I")
     steps: list = []
-    for index in range(n_steps):
+    for _ in range(n_steps):
         name = _read_str(buf)
         kind = _read_str(buf)
         (bare,) = _unpack(buf, "<B")
@@ -293,13 +297,13 @@ def _read_steps(buf: io.BytesIO, params: FheParams, luts: dict) -> list:
                 f"step {name!r} of kind {kind!r} has a wrong no-payload flag "
                 "in serialized plan")
         if bare:
-            steps.append(CompiledReshape(index, name))
+            steps.append(CompiledReshape(name))
             continue
         if kind == "pool":
             kernel = _read_plaintext(buf, params)
             kernel.pmult_operand()
             steps.append(CompiledPool(
-                index=index, name=name, kernel=kernel,
+                name=name, kernel=kernel,
                 positions=_read_index(buf, params)))
             continue
         if kind not in ("linear", "remap", "residual"):
@@ -308,12 +312,12 @@ def _read_steps(buf: io.BytesIO, params: FheParams, luts: dict) -> list:
         rnd = _read_round(buf, params, luts)
         if kind == "remap":
             steps.append(CompiledRemap(
-                index=index, name=name, s2c=bool(s2c), round=rnd))
+                name=name, s2c=bool(s2c), round=rnd))
         elif kind == "residual":
             (alpha,) = _unpack(buf, "<q")
             body = _read_steps(buf, params, luts)
             steps.append(CompiledResidual(
-                index=index, name=name, s2c=bool(s2c), alpha=alpha, round=rnd,
+                name=name, s2c=bool(s2c), alpha=alpha, round=rnd,
                 body=body, shortcut=_read_steps(buf, params, luts) or None))
         else:
             op = _read_str(buf)
@@ -324,25 +328,31 @@ def _read_steps(buf: io.BytesIO, params: FheParams, luts: dict) -> list:
                 bias = _read_plaintext(buf, params)
                 bias.add_operand()
             (span,) = _unpack(buf, "<Q")
+            geometry = _read_array(buf)
+            if geometry.shape != (4,) or geometry[:3].min() < 1 or geometry[3] < 0:
+                raise ParameterError(
+                    f"step {name!r} has a corrupt entry geometry in serialized plan")
             (levels,) = _unpack(buf, "<B")
             pool = tuple(
                 (int(_unpack(buf, "<Q")[0]), _read_round(buf, params, luts))
                 for _ in range(levels))
             steps.append(CompiledLinear(
-                index=index, name=name, op=op, s2c=bool(s2c), kernel=kernel,
+                name=name, op=op, s2c=bool(s2c), kernel=kernel,
                 bias=bias, round=rnd, lane_span=int(span),
-                pool_rounds=pool or None))
+                in_shape=tuple(int(d) for d in geometry[:3]),
+                pad=int(geometry[3]), pool_rounds=pool or None))
     return steps
 
 
 def dump_plan(plan) -> bytes:
-    """Serialize a :class:`repro.core.plan.CompiledProgram` (wire v6).
+    """Serialize a :class:`repro.core.plan.CompiledProgram` (wire v7).
 
     Every step is on the wire — linear rounds (with placed packing and
     fused max trees), pooling kernels, remaps, residual blocks with both
     branches, flagged payload-free reshapes — as derived, non-secret model
     artifacts: kernel and bias coefficient vectors, each linear step's lane
-    span, and each refresh round's positions, pack rows and LUT table. NTT
+    span and entry geometry (``in_shape`` and ``pad`` as one four-entry
+    array), and each refresh round's positions, pack rows and LUT table. NTT
     operand forms, LUT polynomials and BSGS schedules, ``-LUT(0)``
     corrections and the S2C diagonals are deterministic functions of those
     (plus the parameter set) and are rebuilt at load. The last four bytes
@@ -359,7 +369,9 @@ def dump_plan(plan) -> bytes:
 
 def load_plan(raw: bytes, params: FheParams):
     """Rebuild a complete, runnable :class:`repro.core.plan.CompiledProgram`
-    from wire bytes — no program needed, nothing left for ``bind`` to finish.
+    from wire bytes — no program needed to load it or to run it, nothing left
+    for ``bind`` to finish. A plan whose first non-reshape step is not a
+    conv/FC is refused here, by the plan's own construction.
 
     The header (magic, version, parameter fingerprint) and then the CRC32
     trailer are verified before any payload is parsed, so an artifact of an

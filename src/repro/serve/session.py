@@ -1,18 +1,18 @@
 """Warm inference sessions, split into a picklable core and a runtime.
 
-The compile-once/run-many split of PR 3 had one seam left to open: the
-:class:`InferenceSession` façade fused *what a session knows* (the lowered
-program, the parameter set, the compiled plan — all request-invariant and
-key-free) with *what a session holds* (generated keys, an attached
-pipeline, a request lock). A multi-worker serving deployment needs those
-halves apart: the knowledge is compiled once and shipped to every worker,
-while each worker generates its own key material and answers requests
-locally.
+A session splits *what it knows* (the compiled plan — request-invariant,
+key-free, and the whole ciphertext program) from *what it holds*
+(generated keys, an attached pipeline, a request lock). A multi-worker
+serving deployment needs those halves apart: the plan is compiled once and
+shipped to every worker, while each worker generates its own key material
+and answers requests locally.
 
-* :class:`SessionCore` — the picklable compile-time half. Contains no key
-  material, no locks, and no pipeline; a core can cross a process boundary
-  (``pickle``), which is how :class:`repro.serve.workers.WorkerPool` seeds
-  process workers with warm sessions.
+* :class:`SessionCore` — the picklable compile-time half: a core is its
+  plan (plus the key seed and backend pin). Contains no lowered program, no
+  key material, no locks, and no pipeline; a core can cross a process
+  boundary (``pickle``), which is how
+  :class:`repro.serve.workers.WorkerPool` seeds process workers with warm
+  sessions.
 * :class:`SessionRuntime` — the per-worker half: key generation, the
   pipeline, the request lock, and request bookkeeping (including a
   per-request latency log so :meth:`SessionRuntime.stats` reports p50/p99).
@@ -59,17 +59,17 @@ def _percentile(latencies: list[float], q: float) -> float | None:
 
 @dataclass
 class SessionCore:
-    """The request-invariant half of a session: program + params + plan.
+    """The request-invariant half of a session: its compiled plan.
 
-    Everything here is plain data — numpy arrays, dataclasses, and the
-    session's backend pin — so a core pickles cleanly and can be built once
-    in a control process, persisted through a
-    :class:`repro.serve.ShardedPlanCache`, and handed to any number of
-    workers. Only a pin given as a *name* crosses a process boundary.
+    The plan is the whole ciphertext program and carries its parameter set
+    (``plan.params``), so no lowered program rides along. Everything here is
+    plain data — numpy arrays, dataclasses, and the session's backend pin —
+    so a core pickles cleanly and can be built once in a control process,
+    persisted through a :class:`repro.serve.ShardedPlanCache`, and handed to
+    any number of workers. Only a pin given as a *name* crosses a process
+    boundary.
     """
 
-    program: AthenaProgram
-    params: FheParams
     plan: CompiledProgram
     seed: int = 0
     backend: Backend | str | None = None
@@ -93,13 +93,14 @@ class SessionCore:
     ) -> "SessionCore":
         """Lower + compile (or cache-load, or bind) the compile-time half.
 
-        Mirrors the historical ``InferenceSession`` constructor: ``model``
-        may be a quantized model or a pre-lowered program; ``plan`` checks a
-        caller-supplied (typically deserialized) plan against the program —
-        a loaded plan is complete, binding builds nothing; ``cache``
+        ``model`` may be a quantized model or a pre-lowered program; ``plan``
+        checks a caller-supplied (typically deserialized) plan against the
+        program with :meth:`CompiledProgram.bind` — once here, never per
+        request; a loaded plan is complete, binding builds nothing. ``cache``
         consults a :class:`repro.serve.ShardedPlanCache` (a disk hit is a
         ``load_plan``, never a compile), and otherwise the program is
-        compiled here. The duration of that plan work is ``compile_s``.
+        compiled here. The duration of that plan work is ``compile_s``; the
+        program is not kept.
         """
         # ``tuning`` exists for benchmarks/ledger/tracing.py, its only caller.
         if tuning is not None:
@@ -119,8 +120,6 @@ class SessionCore:
             else:
                 plan = compile_program(program, params)
         return cls(
-            program=program,
-            params=params,
             plan=plan,
             seed=seed,
             backend=backend,
@@ -153,7 +152,7 @@ class SessionRuntime:
         )
         start = time.perf_counter()
         with _pinned(self.backend):
-            self.pipeline = AthenaPipeline(core.params, seed=core.seed)
+            self.pipeline = AthenaPipeline(core.plan.params, seed=core.seed)
         self.keygen_s = time.perf_counter() - start
         self._lock = threading.Lock()
         self.requests = 0
@@ -189,7 +188,7 @@ class SessionRuntime:
         core = self.core
         with self._lock, _pinned(self.backend):
             start = time.perf_counter()
-            outs = self.pipeline.run_batch(core.program, xs, plan=core.plan)
+            outs = self.pipeline.run_batch(core.plan, xs)
             wall = time.perf_counter() - start
             self.requests += len(xs)
             self.runs += 1
@@ -235,7 +234,7 @@ class SessionRuntime:
                 "run_p99_s": _percentile(latencies, 99),
             },
             detail={
-                "model": core.program.name,
+                "model": core.plan.name,
                 "model_hash": core.fingerprint,
                 "backend": (
                     self.backend.name if self.backend is not None else None
@@ -252,16 +251,15 @@ class InferenceSession:
     deserialized plan (the :class:`SessionCore`, its duration recorded as
     ``compile_s``) — then key generation and pipeline setup (the
     :class:`SessionRuntime`). Each :meth:`run` performs only ciphertext
-    ops, timed by one clock pair under the runtime's lock (so ``compile_s``
-    and per-request ``run_s`` never mix; a cold ``run_program`` instead
-    carries its compile inside the call, under the backend's ``compile``
-    phase).
+    ops — :meth:`AthenaPipeline.run` on the core's plan — timed by one
+    clock pair under the runtime's lock, so ``compile_s`` and per-request
+    ``run_s`` never mix.
 
     Requests are serialized by the runtime's lock — the pipeline's
     deterministic randomness is per-pipeline state. Outputs are
-    bit-identical to a plan-free :meth:`AthenaPipeline.run_program` on the
-    same pipeline state: the plan only moves operand derivation to compile
-    time, never changing the homomorphic op sequence.
+    bit-identical to :meth:`AthenaPipeline.run` of the same plan on the
+    same pipeline state, whether the plan was compiled, cache-loaded or
+    supplied.
 
     ``backend`` pins this session's op dispatch (a
     :class:`repro.fhe.backend.Backend` instance or name). Selection is
@@ -300,12 +298,8 @@ class InferenceSession:
     # -- compile-time half -------------------------------------------------
 
     @property
-    def program(self) -> AthenaProgram:
-        return self.core.program
-
-    @property
     def params(self) -> FheParams:
-        return self.core.params
+        return self.core.plan.params
 
     @property
     def plan(self) -> CompiledProgram:

@@ -159,15 +159,15 @@ def refresh_noise_bound(qm, params) -> int:
 
 @pytest.fixture()
 def executed_mod_muls():
-    """``run(program, plan, x_q, params) -> (output, counted mod_muls)``."""
+    """``run(plan, x_q) -> (output, counted mod_muls)``."""
     from repro.core.framework import AthenaPipeline
     from repro.fhe.backend import CountingBackend, use_backend
 
-    def run(program, plan, x_q, params):
-        pipe = AthenaPipeline(params, seed=41)
+    def run(plan, x_q):
+        pipe = AthenaPipeline(plan.params, seed=41)
         counting = CountingBackend("batched")
         with use_backend(counting):
-            out = pipe.run_program(program, x_q, plan=plan)
+            out = pipe.run(plan, x_q)
         return out, counting.totals()["mod_mul"]
 
     return run

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.framework import AthenaPipeline
+from repro.core.plan import compile_program
 from repro.core.program import lower
 from repro.core.trace import compare_traces, executed_trace, trace_model
 from repro.errors import ParameterError
@@ -339,19 +340,19 @@ def _mnist_fixture():
     rng = np.random.default_rng(5)
     qm = mnist_cnn_micro(rng)
     x_q = rng.integers(-3, 4, (1, 6, 6)).astype(np.int64)
-    return qm, lower(qm, TEST_LOOP), x_q
+    return qm, compile_program(lower(qm, TEST_LOOP), TEST_LOOP), x_q
 
 
 @pytest.mark.slow
 class TestPipelineBitIdentity:
     def test_three_backends_identical_end_to_end(self):
-        _, program, x_q = _mnist_fixture()
+        _, plan, x_q = _mnist_fixture()
         outs = []
         for backend in (BatchedBackend(), SerialBackend(),
                         CountingBackend("batched")):
             with use_backend(backend):
                 pipe = AthenaPipeline(TEST_LOOP, seed=41)
-                outs.append(pipe.run_program(program, x_q))
+                outs.append(pipe.run(plan, x_q))
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
 
@@ -414,12 +415,12 @@ class TestMnistOpCountParity:
     }
 
     def test_executed_vs_analytical(self):
-        qm, program, x_q = _mnist_fixture()
+        qm, plan, x_q = _mnist_fixture()
         counting = CountingBackend("batched")
         pipe = AthenaPipeline(TEST_LOOP, seed=41)
         start = time.perf_counter()
         with use_backend(counting):
-            pipe.run_program(program, x_q)
+            pipe.run(plan, x_q)
         wall = time.perf_counter() - start
 
         # The Fig. 9 breakdown: every runtime label timed, labels disjoint.
@@ -458,11 +459,11 @@ class TestMnistOpCountParity:
         """schedule_executed accepts a populated CountingBackend directly."""
         from repro.accel import ATHENA_ACCEL, schedule_executed
 
-        _, program, x_q = _mnist_fixture()
+        _, plan, x_q = _mnist_fixture()
         counting = CountingBackend("batched")
         pipe = AthenaPipeline(TEST_LOOP, seed=41)
         with use_backend(counting):
-            pipe.run_program(program, x_q)
+            pipe.run(plan, x_q)
         result = schedule_executed(counting, TEST_LOOP, ATHENA_ACCEL)
         assert result.total_ms > 0
         phases = {p.phase for p in result.phases}

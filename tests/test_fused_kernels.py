@@ -70,7 +70,7 @@ from repro.fhe.packing import (
 )
 from repro.fhe.params import PRESETS, TEST_FBS, TEST_LOOP, TEST_SMALL, TEST_TINY
 from repro.fhe.poly import RnsPoly
-from repro.fhe.s2c import S2CKey, S2CPlan, _evaluation_matrix, s2c_plan, slot_to_coeff
+from repro.fhe.s2c import S2CKey, _evaluation_matrix, s2c_plan, slot_to_coeff
 from repro.fhe.slots import (
     baby_giant_amounts,
     default_baby_steps,
@@ -538,7 +538,7 @@ class TestMatvecBitIdentity:
     def test_missing_key_and_wrong_shape_raise(self, matvec_setup):
         ctx, _, key, ct = matvec_setup
         params = ctx.params
-        plan = S2CPlan.build(params).matvec
+        plan = s2c_plan.__wrapped__(params)
         for k in (rotation_galois_element(params.n, plan.baby_steps),  # a giant
                   rotation_galois_element(params.n, 1),  # a baby, both passes
                   row_swap_element(params.n)):
@@ -604,7 +604,7 @@ class TestMatvecAccounting:
         whether the reference body runs over the batched or the serial RNS
         tier."""
         ctx, _, key, ct = matvec_setup
-        plan = S2CPlan.build(ctx.params).matvec
+        plan = s2c_plan.__wrapped__(ctx.params)
         records = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             with use_backend(counting), counting.phase("s2c"):
@@ -660,7 +660,7 @@ class TestMatvecAccounting:
         executed = _spy_transforms(monkeypatch)
         with use_backend(BATCHED):
             slot_to_coeff(pipe.ctx, ct, pipe.s2c_key)
-        assert len(plan.matvec.groups) == 8
+        assert len(plan.groups) == 8
         l, width = TEST_LOOP.num_limbs, len(TEST_LOOP.keyswitch_moduli)
         hoisted = 9 * TEST_LOOP.num_digits * width + 16 * 2 * width + 12 * l
         assert executed == {"limb_transforms": hoisted, "transform_calls": 1 + 3 * 3 + 2 + 1,

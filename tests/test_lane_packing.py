@@ -213,14 +213,12 @@ class TestZeroOutsideTheRows:
         lambda: pack_cnn(np.random.default_rng(5)), sigmoid_pack_cnn,
     ], ids=["relu", "sigmoid"])
     def test_step_zero_leaves_exact_zeros(self, build):
-        program = lower(build(), TEST_FBS)
-        plan = compile_program(program, TEST_FBS)
+        plan = compile_program(lower(build(), TEST_FBS), TEST_FBS)
         pipe = AthenaPipeline(TEST_FBS, seed=3)
         xs = _inputs(101, 2)
         for lanes in (1, 2):
-            ex = CiphertextExecutor(pipe, program, plan=plan, lanes=lanes)
-            ct = ex.linear(
-                program.steps[0], xs[0] if lanes == 1 else np.stack(xs))
+            ex = CiphertextExecutor(pipe, plan, lanes=lanes)
+            ct = ex.linear(plan.steps[0], xs[0] if lanes == 1 else np.stack(xs))
             coeffs = pipe.decrypt_coeffs(ct)
             # Lane d's four outputs land at the fc's lane stride, 11 * d.
             rows = (np.arange(4) + 11 * np.arange(lanes)[:, None]).reshape(-1)
@@ -234,9 +232,7 @@ class TestZeroOutsideTheRows:
 
 def _pack_setup():
     qm = pack_cnn(np.random.default_rng(5))
-    program = lower(qm, TEST_FBS)
-    plan = compile_program(program, TEST_FBS)
-    return qm, program, plan
+    return qm, compile_program(lower(qm, TEST_FBS), TEST_FBS)
 
 
 def _inputs(seed: int, count: int) -> list[np.ndarray]:
@@ -249,44 +245,32 @@ def _inputs(seed: int, count: int) -> list[np.ndarray]:
 @pytest.mark.slow
 class TestBatchedPipeline:
     def test_full_batch_matches_plain_and_single(self):
-        qm, program, plan = _pack_setup()
+        qm, plan = _pack_setup()
         xs = _inputs(101, 2)
-        outs = AthenaPipeline(TEST_FBS, seed=3).run_batch(
-            program, xs, plan=plan
-        )
+        outs = AthenaPipeline(TEST_FBS, seed=3).run_batch(plan, xs)
         for x, out in zip(xs, outs):
             want = qm.forward_int(x[None])[0]
             assert np.array_equal(out, want)
-            single = AthenaPipeline(TEST_FBS, seed=3).run_program(
-                program, x, plan=plan
-            )
+            single = AthenaPipeline(TEST_FBS, seed=3).run(plan, x)
             assert np.array_equal(out, single)
 
     def test_partial_final_batch_single_lane(self):
         # A 1-image "batch" through the batched entry point is the exact
         # single-image op sequence — the shape a partial final batch takes.
-        qm, program, plan = _pack_setup()
+        qm, plan = _pack_setup()
         (x,) = _inputs(103, 1)
-        (out,) = AthenaPipeline(TEST_FBS, seed=4).run_batch(
-            program, [x], plan=plan
-        )
-        direct = AthenaPipeline(TEST_FBS, seed=4).run_program(
-            program, x, plan=plan
-        )
+        (out,) = AthenaPipeline(TEST_FBS, seed=4).run_batch(plan, [x])
+        direct = AthenaPipeline(TEST_FBS, seed=4).run(plan, x)
         assert np.array_equal(out, direct)
         assert np.array_equal(out, qm.forward_int(x[None])[0])
 
     def test_lane_symmetry_first_vs_last(self):
         # The same image must compute the same bits from lane 0 and from
         # lane k-1: swap the batch order and the outputs swap with it.
-        qm, program, plan = _pack_setup()
+        qm, plan = _pack_setup()
         x, y = _inputs(107, 2)
-        fwd = AthenaPipeline(TEST_FBS, seed=5).run_batch(
-            program, [x, y], plan=plan
-        )
-        rev = AthenaPipeline(TEST_FBS, seed=5).run_batch(
-            program, [y, x], plan=plan
-        )
+        fwd = AthenaPipeline(TEST_FBS, seed=5).run_batch(plan, [x, y])
+        rev = AthenaPipeline(TEST_FBS, seed=5).run_batch(plan, [y, x])
         assert np.array_equal(fwd[0], rev[1])
         assert np.array_equal(fwd[1], rev[0])
         assert np.array_equal(fwd[0], qm.forward_int(x[None])[0])
@@ -294,24 +278,20 @@ class TestBatchedPipeline:
 
     def test_cross_lane_isolation(self):
         # Perturbing lane 0's input must not move lane 1's output by a bit.
-        qm, program, plan = _pack_setup()
+        qm, plan = _pack_setup()
         x, y = _inputs(109, 2)
         x2 = x.copy()
         x2[0, 0, 0] += 2
-        base = AthenaPipeline(TEST_FBS, seed=6).run_batch(
-            program, [x, y], plan=plan
-        )
-        bumped = AthenaPipeline(TEST_FBS, seed=6).run_batch(
-            program, [x2, y], plan=plan
-        )
+        base = AthenaPipeline(TEST_FBS, seed=6).run_batch(plan, [x, y])
+        bumped = AthenaPipeline(TEST_FBS, seed=6).run_batch(plan, [x2, y])
         assert np.array_equal(base[1], bumped[1])
         assert np.array_equal(bumped[0], qm.forward_int(x2[None])[0])
 
     def test_overcapacity_batch_rejected(self):
-        _, program, plan = _pack_setup()
+        _, plan = _pack_setup()
         xs = _inputs(113, 3)
         with pytest.raises(ParameterError):
-            AthenaPipeline(TEST_FBS, seed=7).run_batch(program, xs, plan=plan)
+            AthenaPipeline(TEST_FBS, seed=7).run_batch(plan, xs)
 
 
 @pytest.mark.slow
@@ -322,16 +302,14 @@ class TestLanesTimesSigmoid:
 
     def test_single_and_two_lane_runs_sit_inside_the_noise_bound(self):
         qm = sigmoid_pack_cnn()
-        program = lower(qm, TEST_FBS)
-        plan = compile_program(program, TEST_FBS)
+        plan = compile_program(lower(qm, TEST_FBS), TEST_FBS)
         bound = refresh_noise_bound(qm, TEST_FBS)
         xs = _inputs(101, 2)
         wants = [qm.forward_int(x[None])[0] for x in xs]
-        batch = AthenaPipeline(TEST_FBS, seed=3).run_batch(program, xs, plan=plan)
+        batch = AthenaPipeline(TEST_FBS, seed=3).run_batch(plan, xs)
         for x, got, want in zip(xs, batch, wants):
             assert np.abs(got - want).max() <= bound
-            single = AthenaPipeline(TEST_FBS, seed=3).run_program(
-                program, x, plan=plan)
+            single = AthenaPipeline(TEST_FBS, seed=3).run(plan, x)
             assert np.abs(single - want).max() <= bound
 
 
@@ -342,14 +320,12 @@ class TestLanesTimesPlaced:
 
     def test_four_lane_batch_matches_plain_and_single(self):
         qm = placed_chain_cnn()
-        program = lower(qm, TEST_LOOP)
-        plan = compile_program(program, TEST_LOOP)
+        plan = compile_program(lower(qm, TEST_LOOP), TEST_LOOP)
         rng = np.random.default_rng(131)
         xs = [rng.integers(-1, 2, (1, 3, 3)).astype(np.int64) for _ in range(4)]
-        outs = AthenaPipeline(TEST_LOOP, seed=3).run_batch(program, xs, plan=plan)
+        outs = AthenaPipeline(TEST_LOOP, seed=3).run_batch(plan, xs)
         for x, out in zip(xs, outs):
             assert np.array_equal(out, qm.forward_int(x[None])[0])
         for lane in (0, 3):  # first and last: the two ends of the ring
-            single = AthenaPipeline(TEST_LOOP, seed=3).run_program(
-                program, xs[lane], plan=plan)
+            single = AthenaPipeline(TEST_LOOP, seed=3).run(plan, xs[lane])
             assert np.array_equal(outs[lane], single)

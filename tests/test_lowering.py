@@ -204,10 +204,9 @@ def _run_ciphertext(layers, in_shape, seed=7, pipe_seed=41):
     qm = QuantizedModel(layers, CFG, 1.0, in_shape)
     x_q = rng.integers(-2, 3, in_shape).astype(np.int64)
     ref = qm.forward_int(x_q[None])[0].reshape(-1)
-    program = qm.program()
-    plan = compile_program(program, TEST_LOOP)
+    plan = compile_program(qm.program(), TEST_LOOP)
     pipe = AthenaPipeline(TEST_LOOP, seed=pipe_seed)
-    got = pipe.run_program(program, x_q, plan=plan)
+    got = pipe.run(plan, x_q)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= refresh_noise_bound(qm, TEST_LOOP)
     return plan

@@ -276,10 +276,8 @@ class TestPlanIntegration:
         model, x, _y, config = subject
 
         def executed(qm):
-            program = lower(qm, TEST_FBS)
-            plan = compile_program(program, TEST_FBS)
-            return executed_mod_muls(
-                program, plan, qm.quantize_input(x[0]), TEST_FBS)[1]
+            plan = compile_program(lower(qm, TEST_FBS), TEST_FBS)
+            return executed_mod_muls(plan, qm.quantize_input(x[0]))[1]
 
         uniform = executed(quantize_model(model, x, config, name="m"))
         assert executed(allocation.model) < uniform

@@ -39,7 +39,6 @@ from repro.fhe.params import TEST_FBS, TEST_LOOP, TEST_TINY
 from repro.fhe.serialize import dump_ciphertext, load_ciphertext
 from repro.fhe.s2c import (
     S2CKey,
-    S2CPlan,
     _evaluation_matrix,
     _slot_points,
     s2c_plan,
@@ -182,10 +181,10 @@ class TestS2C:
         p = ctx.params
         plan = s2c_plan(p)
         assert s2c_plan(p) is plan
-        assert plan.matvec.baby_steps == default_baby_steps(p.n // 2)
-        fresh = S2CPlan.build(p).matvec
-        assert plan.matvec.derived == fresh.derived
-        for (g, ids, stack), (g2, ids2, stack2) in zip(plan.matvec.groups, fresh.groups,
+        assert plan.baby_steps == default_baby_steps(p.n // 2)
+        fresh = s2c_plan.__wrapped__(p)
+        assert plan.derived == fresh.derived
+        for (g, ids, stack), (g2, ids2, stack2) in zip(plan.groups, fresh.groups,
                                                        strict=True):
             assert (g, ids) == (g2, ids2) and np.array_equal(stack, stack2)
         v = rng.integers(0, p.t, p.n)
@@ -220,7 +219,7 @@ class TestDerivedPlansHaveOneOwner:
 
         entry_points = [fbs_evaluate, fbs_evaluate_impl, Backend.fbs, AthenaPipeline.bootstrap,
                         slot_to_coeff, slot_to_coeff_impl, Backend.s2c, AthenaPipeline.to_coeffs]
-        constructors = [S2CKey.generate, PackingKey.generate, S2CPlan.build]
+        constructors = [S2CKey.generate, PackingKey.generate, s2c_plan]
         assert [f.__qualname__ for f in entry_points
                 if "plan" in inspect.signature(f).parameters] == []
         assert [f.__qualname__ for f in constructors

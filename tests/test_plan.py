@@ -2,10 +2,9 @@
 
 The fast tests here pin the *structure* of the split — what gets computed
 at compile time, how plans fingerprint, serialize, and cache. The
-end-to-end guarantee (plan-driven execution is bit-identical to plan-free
-execution, including through a save -> load round trip) runs real
-ciphertext loops and lives in ``tests/test_program.py`` under the ``slow``
-marker.
+end-to-end guarantee (a plan loaded from its wire bytes runs, with no
+program, bit-identically to the compiled plan) runs real ciphertext loops
+and lives in ``tests/test_program.py`` under the ``slow`` marker.
 """
 
 import numpy as np
@@ -51,7 +50,7 @@ class TestFingerprint:
 class TestCompileProgram:
     def test_compile_precomputes_everything_request_invariant(self):
         _, program = _program()
-        plan = program.compile()
+        plan = compile_program(program, TEST_LOOP)
         assert [type(s) for s in plan.steps] == [
             CompiledLinear, CompiledReshape, CompiledLinear,
         ]
@@ -66,7 +65,7 @@ class TestCompileProgram:
         # Compact is spelled out: identity rows, never ``None``.
         assert np.array_equal(conv.round.rows, np.arange(32))
         assert conv.round.height == 32
-        assert len(s2c_plan(TEST_LOOP).matvec.groups) == 8  # one mat-vec, both passes
+        assert len(s2c_plan(TEST_LOOP).groups) == 8  # one mat-vec, both passes
         assert plan.model_hash == program_fingerprint(program)
 
     def test_correction_zeroes_exactly_the_unfilled_rows(self):
@@ -94,6 +93,18 @@ class TestCompileProgram:
         plan = compile_program(program, TEST_LOOP)
         with pytest.raises(ParameterError):
             plan.bind(program, TEST_SMALL)
+
+    def test_the_engine_refuses_a_plan_of_other_params(self):
+        """A plan meets a pipeline without a model, so the executor checks
+        the one thing it can: the parameter set, before any ciphertext op."""
+        from types import SimpleNamespace
+
+        from repro.core.framework import CiphertextExecutor
+
+        _, program = _program()
+        plan = compile_program(program, TEST_LOOP)
+        with pytest.raises(ParameterError, match="different parameters"):
+            CiphertextExecutor(SimpleNamespace(params=TEST_SMALL), plan)
 
     def test_bind_rejects_other_weights(self):
         """Same shape, same step kinds, different weights: not this plan's
@@ -183,16 +194,17 @@ class TestCompileFailsWhereRunWould:
             plan.bind(program, TEST_LOOP)
 
     def test_bind_rejects_a_hand_built_plan_without_a_linear_entry(self):
+        """Refused at construction, so no such plan reaches ``bind`` or a
+        ciphertext op (the entry step is the one that encrypts the input)."""
         from repro.core.plan import CompiledProgram, CompiledReshape
 
         _, program = _program()
-        program.steps[:] = [s for s in program.steps if s.kind == "reshape"]
-        plan = CompiledProgram(
-            steps=[CompiledReshape(0, program.steps[0].name)],
-            params=TEST_LOOP,
-            model_hash=program_fingerprint(program))
+        reshape = next(s for s in program.steps if s.kind == "reshape")
         with pytest.raises(ParameterError, match="entry step"):
-            plan.bind(program, TEST_LOOP)
+            CompiledProgram(
+                steps=[CompiledReshape(reshape.name)],
+                params=TEST_LOOP,
+                model_hash=program_fingerprint(program))
 
 
 class TestEq1FitRule:
@@ -282,6 +294,7 @@ class TestWireFormat:
                 else:
                     assert np.array_equal(got.bias.coeffs, want.bias.coeffs)
                 assert got.round.lut.plan.groups == want.round.lut.plan.groups
+                assert (got.in_shape, got.pad) == (want.in_shape, want.pad)
         # The loaded plan binds to an equivalent re-lowered program.
         loaded.bind(lower(mnist_cnn_micro(np.random.default_rng(5)), TEST_LOOP),
                     TEST_LOOP)

@@ -14,6 +14,7 @@ import pytest
 from repro.core import trace as tracelib
 from repro.core.inference import AthenaNoiseModel, SimulatedAthenaEngine
 from repro.core.lut import layer_lut, relu_lut
+from repro.core.plan import compile_program
 from repro.core.program import lower
 from repro.core.trace import WorkloadTrace, effective_t, trace_model
 from repro.data import synthetic_cifar, synthetic_digits
@@ -302,7 +303,7 @@ class TestProgramStructure:
         with_proj = [s for s in residuals if s.shortcut is not None]
         assert len(with_proj) == 2
         for s in residuals:
-            assert len(s.body.steps) == 2  # two convs per basic block
+            assert len(s.body) == 2  # two convs per basic block
         # gap lowers to a sum PoolStep + division RemapStep
         kinds = [s.kind for s in program.steps]
         gap_at = kinds.index("pool")
@@ -354,7 +355,7 @@ class TestProgramStructure:
         assert names[0] == "qconv0"
         assert "qresidual1" in names
         res = next(s for s in program.steps if s.kind == "residual")
-        assert res.body.steps[0].name.startswith(f"{res.name}.body.")
+        assert res.body[0].name.startswith(f"{res.name}.body.")
 
 
 class TestSatelliteFixes:
@@ -397,7 +398,7 @@ class TestSatelliteFixes:
 
 
 # ---------------------------------------------------------------------------
-# Real-ciphertext backend: run_program chains two five-step rounds
+# Real-ciphertext backend: AthenaPipeline.run chains two five-step rounds
 # ---------------------------------------------------------------------------
 
 
@@ -438,7 +439,7 @@ class TestCiphertextProgram:
         counting = CountingBackend()
         with use_backend(counting):
             pipe = AthenaPipeline(TEST_LOOP, seed=41)
-            got = pipe.run_program(program, x_q)
+            got = pipe.run(compile_program(program, TEST_LOOP), x_q)
         assert got.shape == want.shape
         # Two chained LUT rounds: the conv round's remap deviations
         # propagate through the FC MAC.
@@ -449,76 +450,63 @@ class TestCiphertextProgram:
 
     def test_tail_skips_s2c(self):
         from repro.core.framework import AthenaPipeline, CiphertextExecutor
+        from repro.core.program import run_program
         from repro.fhe.params import TEST_LOOP
 
         rng = np.random.default_rng(5)
         qm = self._tiny_model(rng)
-        program = lower(qm, TEST_LOOP)
+        plan = compile_program(lower(qm, TEST_LOOP), TEST_LOOP)
         pipe = AthenaPipeline(TEST_LOOP, seed=41)
-        ex = CiphertextExecutor(pipe, program)
-        from repro.core.program import run_program
-
-        run_program(program, ex, rng.integers(-3, 4, (1, 6, 6)).astype(np.int64))
+        ex = CiphertextExecutor(pipe, plan)
+        run_program(plan, ex, rng.integers(-3, 4, (1, 6, 6)).astype(np.int64))
         assert ex.tail_s2c is False and ex.out_count == 3
+
+
+@pytest.fixture(scope="module", params=["mnist_cnn", "pack"])
+def compiled_run(request):
+    """(wire bytes, params, [(inputs, outputs)]) of one subject's compiled
+    plan, run at one lane and at the plan's batch capacity."""
+    from repro.core.framework import AthenaPipeline
+    from repro.fhe.serialize import dump_plan
+    from repro.quant.subjects import SUBJECTS
+
+    builder, params = SUBJECTS[request.param]
+    qm = builder(np.random.default_rng(5))
+    plan = compile_program(lower(qm, params), params)
+    rng = np.random.default_rng(9)
+    runs = []
+    for lanes in sorted({1, plan.batch_capacity}):
+        xs = [rng.integers(-2, 3, qm.input_shape).astype(np.int64)
+              for _ in range(lanes)]
+        runs.append((xs, AthenaPipeline(params, seed=7).run_batch(plan, xs)))
+    return dump_plan(plan), params, runs
 
 
 @pytest.mark.slow
 class TestCompiledPlanBitIdentity:
     """The compile/runtime split must not change a single output bit.
 
-    A plan only moves operand *derivation* to compile time; the homomorphic
-    op sequence is untouched, so two pipelines with identical seeds must
-    produce byte-identical outputs whether the plan is precompiled,
-    compiled in-span, or rebuilt from its serialized artifact.
+    A compiled plan is the whole ciphertext program and its wire form
+    rebuilds it exactly, so two pipelines with identical seeds produce
+    byte-identical outputs from the plan as compiled and from its loaded
+    bytes — with no lowered program beside either run.
     """
 
-    def _setup(self):
-        from repro.fhe.params import TEST_LOOP
-        from repro.quant.subjects import mnist_cnn_micro
-
-        rng = np.random.default_rng(5)
-        qm = mnist_cnn_micro(rng)
-        x_q = rng.integers(-3, 4, (1, 6, 6)).astype(np.int64)
-        return lower(qm, TEST_LOOP), x_q
-
-    def test_precompiled_plan_matches_in_span_compile(self):
+    def test_a_loaded_plan_runs_by_itself(self, compiled_run, monkeypatch):
+        import repro.core.plan as plan_mod
+        import repro.core.program as program_mod
         from repro.core.framework import AthenaPipeline
-        from repro.core.plan import compile_program
-        from repro.fhe.backend import CountingBackend, use_backend
-        from repro.fhe.params import TEST_LOOP
+        from repro.fhe.serialize import load_plan
 
-        program, x_q = self._setup()
-        baseline = AthenaPipeline(TEST_LOOP, seed=7).run_program(program, x_q)
+        raw, params, runs = compiled_run
 
-        plan = compile_program(program, TEST_LOOP)
-        counting = CountingBackend()
-        with use_backend(counting):
-            got = AthenaPipeline(TEST_LOOP, seed=7).run_program(
-                program, x_q, plan=plan
-            )
-        assert np.array_equal(got, baseline)
-        # The thin interpreter still dispatches the same ciphertext ops.
-        ops = counting.ops_by_phase()
-        assert ops["linear"]["pmult"] == 2 and ops["se"]["extract"] == 32 + 3
+        def boom(*a, **k):  # pragma: no cover - fails the test if reached
+            raise AssertionError("a loaded plan runs with no program")
 
-    def test_save_load_run_round_trip(self):
-        from repro.core.framework import AthenaPipeline
-        from repro.core.plan import compile_program
-        from repro.fhe.params import TEST_LOOP
-        from repro.fhe.serialize import dump_plan, load_plan
-        from repro.quant.subjects import mnist_cnn_micro
-
-        program, x_q = self._setup()
-        plan = compile_program(program, TEST_LOOP)
-        loaded = load_plan(dump_plan(plan), TEST_LOOP)
-
-        want = AthenaPipeline(TEST_LOOP, seed=7).run_program(
-            program, x_q, plan=plan
-        )
-        # The loaded plan drives an *equivalent re-lowered* program — plan
-        # artifacts resolve by step index, never by step object identity.
-        relowered = lower(mnist_cnn_micro(np.random.default_rng(5)), TEST_LOOP)
-        got = AthenaPipeline(TEST_LOOP, seed=7).run_program(
-            relowered, x_q, plan=loaded
-        )
-        assert np.array_equal(got, want)
+        monkeypatch.setattr(program_mod, "lower", boom)
+        monkeypatch.setattr(plan_mod, "compile_program", boom)
+        loaded = load_plan(raw, params)
+        assert [len(xs) for xs, _ in runs] == sorted({1, loaded.batch_capacity})
+        for xs, want in runs:
+            got = AthenaPipeline(params, seed=7).run_batch(loaded, xs)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))

@@ -300,7 +300,7 @@ def _resealed(body: bytes) -> bytes:
 class TestPlanWireV4:
     """Since v4 every step is on the wire, so a loaded plan is the compiled
     plan — same step types, byte-identical re-dump, bit-identical outputs —
-    and corrupt or stale bytes never decode; pinned on v5. (Class name kept
+    and corrupt or stale bytes never decode; pinned on v7. (Class name kept
     so the test ids stay stable.)"""
 
     @pytest.mark.parametrize("build, params", _wire_subjects())
@@ -370,6 +370,36 @@ class TestPlanWireV4:
         with pytest.raises(ParameterError, match="no-payload flag"):
             serialize.load_plan(_resealed(bytes(body)), TEST_LOOP)
 
+    def test_a_plan_opening_on_a_remap_is_refused_at_load(self):
+        """A CRC-valid artifact whose first step is a remap decodes every
+        step, then the plan's own construction refuses it: no model is
+        needed to reject it, and no ciphertext op runs on it."""
+        import io
+
+        from repro.core.plan import compile_program
+
+        build, params = next(
+            c.values for c in _wire_subjects() if c.id == "avgpool_remap")
+        plan = compile_program(build(), params)
+        kinds = [step.kind for step in plan.steps]
+        buf = io.BytesIO()
+        buf.write(serialize._header(serialize.KIND_PLAN, params))
+        serialize._write_str(buf, plan.name)
+        serialize._write_str(buf, plan.model_hash)
+        serialize._write_steps(buf, plan.steps[kinds.index("remap"):])
+        with pytest.raises(ParameterError, match="entry step"):
+            serialize.load_plan(_resealed(buf.getvalue()), params)
+
+    def test_entry_geometry_round_trips(self):
+        """Every linear step carries its input shape and pad on the wire:
+        a conv's ``(C, H, W)`` and pad, an FC's ``(F, 1, 1)`` and 0."""
+        _, plan = _resnet_block_plan()
+        loaded = serialize.load_plan(_resnet_block_raw(), TEST_LOOP)
+        linear = [s for s in plan.steps if s.kind == "linear"]
+        assert [(s.in_shape, s.pad) for s in linear] == [
+            (s.in_shape, s.pad) for s in loaded.steps if s.kind == "linear"]
+        assert linear[-1].in_shape[1:] == (1, 1) and linear[-1].pad == 0
+
     def test_v3_bytes_rejected(self):
         raw = bytearray(_resnet_block_raw())
         raw[4:6] = (3).to_bytes(2, "little")
@@ -424,27 +454,26 @@ class TestPlanWireV4:
         output equal — with nothing recompiled in between."""
         from repro.core.framework import AthenaPipeline
 
-        program, plan = _resnet_block_plan()
+        _, plan = _resnet_block_plan()
         x_q = np.random.default_rng(9).integers(-2, 3, (1, 6, 6)).astype(np.int64)
-        want = AthenaPipeline(TEST_LOOP, seed=7).run_program(
-            program, x_q, plan=plan)
+        want = AthenaPipeline(TEST_LOOP, seed=7).run(plan, x_q)
         loaded = serialize.load_plan(serialize.dump_plan(plan), TEST_LOOP)
-        got = AthenaPipeline(TEST_LOOP, seed=7).run_program(
-            program, x_q, plan=loaded)
+        got = AthenaPipeline(TEST_LOOP, seed=7).run(loaded, x_q)
         assert np.array_equal(got, want)
 
 
-#: SHA-256 of ``dump_plan(compile_program(...))`` per wire subject at wire v6.
-#: Each equals the v5 bytes recorded before it with the version word 6, every
-#: round's polynomial array dropped, the max-tree table named ``relu`` (the
-#: shared ``core.lut.relu_lut``) and the CRC32 recomputed: nothing else moved.
+#: SHA-256 of ``dump_plan(compile_program(...))`` per wire subject at wire v7.
+#: Each equals the v6 bytes recorded before it with the version word 7, each
+#: linear step's entry geometry (a four-entry int64 array after its lane
+#: span, 41 bytes) added and the CRC32 recomputed: the v6 writer, run on the
+#: plan loaded from these bytes, reproduces the v6 digests exactly.
 PLAN_SHA256 = {
-    "mnist_cnn": "0e421d556e8768084de66308cde61ed8b5cbe17c4bd54820551859eb2877f11e",
-    "resnet20_block": "4b59a0950615092a036b0520bfc157d45adadde83fa00785027a220603b411ea",
-    "serve_micro": "82b251534784b7a16bb775ec4c8263b4dc518e027cbc7e996283f06f201477e0",
-    "pack": "fc945e6572e0c299374dc2ac469e7b7d223e2cd0a3e965859a1137ed713b4198",
-    "fused_maxpool": "b1a1f3c87f9b90a02c8c2135fc0feca29bf460ab218402729103b9b2fa90dc32",
-    "avgpool_remap": "c060aa3ac2d31a9463e8b821cb209b2bd6568a9a36367166d6609d911ecb71cf",
+    "mnist_cnn": "4f01efc6a03bd0c5a60004fb2f3c79972ae0529b3929d11147f2993b6b892f0b",
+    "resnet20_block": "144ac3beeb197776421458c8955de4955b2eefbc870136b32f982d8eca9f9692",
+    "serve_micro": "c619f0cf70901d3f4dda0f7d6700ae23da39a1d4a2a95b30d35ea607e2032de8",
+    "pack": "0b6f01f50ed2edf75a5102096c3ca6d1ead29489b5704f2e04961faa3227268d",
+    "fused_maxpool": "73f4a7b2a4c0ebf9af167135b1ce8eeecfced848a39ff64de071148cc27a9fef",
+    "avgpool_remap": "84ed17d027dd0e432f19a718c45ddfcd3f1cfa2ced3363914b2782d447a02cfb",
 }
 
 

@@ -15,6 +15,7 @@ the headline guarantee that service outputs are bit-identical to direct
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import pickle
 
 import numpy as np
@@ -449,8 +450,8 @@ class TestShardedPlanCache:
         def boom(*a, **k):  # pragma: no cover - fails the test if reached
             raise AssertionError("a disk hit must not compile")
 
-        for mod in ("core.plan", "core.framework", "serve.cache",
-                    "serve.session"):
+        # The engine itself has no compile path left to poison.
+        for mod in ("core.plan", "serve.cache", "serve.session"):
             monkeypatch.setattr(f"repro.{mod}.compile_program", boom)
         cache = ShardedPlanCache(tmp_path)  # a restart: nothing in memory
         warm = InferenceSession(qm, TEST_LOOP, seed=7, backend="batched", cache=cache)
@@ -476,8 +477,11 @@ class TestSessionCore:
             _micro_model(), TEST_FBS, seed=3, backend="serial"
         )
         clone = pickle.loads(pickle.dumps(core))
+        # A core is its plan: no lowered program, no second parameter set.
+        assert [f.name for f in dataclasses.fields(clone)] == [
+            "plan", "seed", "backend", "compile_s"]
         assert clone.fingerprint == core.fingerprint
-        assert clone.program.name == core.program.name
+        assert clone.plan.name == core.plan.name
         assert clone.seed == core.seed and clone.backend == "serial"
 
     def test_facade_composes_core_and_runtime(self):
