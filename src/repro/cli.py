@@ -576,9 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="demo requests, round-robin across tenants")
     p.add_argument("--workers", type=int, default=1,
                    help="worker count (default: 1)")
-    p.add_argument("--mode", default="serial",
-                   choices=["serial", "thread", "process"],
-                   help="worker executor mode (default: serial)")
+    p.add_argument("--mode", default="thread",
+                   choices=["thread", "process"],
+                   help="worker executor mode (default: thread)")
     p.add_argument("--transport-ms", type=float, default=0.0,
                    help="per-batch ciphertext transport window, ms")
     p.add_argument("--no-batching", action="store_true",

@@ -181,15 +181,15 @@ class AthenaPipeline:
         stride (see :class:`repro.core.plan.LaneLayout`), so the whole batch
         pays for one PMult, one refresh chain, one pack + FBS, and one S2C
         per layer — the amortization Eq. 1's spare coefficient space buys.
-        Lane count is bounded by ``plan.batch_capacity``. With one input
-        this is exactly the :meth:`run` op sequence.
+        Lane count is bounded by ``plan.batch_capacity``; one input is a
+        batch of one, and :meth:`run` is that call.
         Returns the centered integer outputs, one array per input, in order.
         """
         if not xs:
             return []
-        xs = [np.asarray(x, dtype=np.int64) for x in xs]
+        xs = np.stack([np.asarray(x, dtype=np.int64) for x in xs])
         ex = CiphertextExecutor(self, plan, lanes=len(xs))
-        ct = run_program(plan, ex, xs[0] if len(xs) == 1 else np.stack(xs))
+        ct = run_program(plan, ex, xs)
         raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)
         vals = unpack_lane_coeffs(raw, ex.lane_stride, len(xs), ex.out_count)
         t = self.params.t
@@ -209,14 +209,17 @@ class CiphertextExecutor(ProgramExecutor):
     and :meth:`_refresh` — the one place the loop's refresh -> pack -> FBS
     -> S2C is written — on the request's data.
 
-    The entry step — always a conv/FC; a :class:`CompiledProgram` refuses
-    to exist otherwise — receives the raw quantized input array and performs
-    the client-side encode: one reshape to its ``in_shape``, its zero
-    padding, encrypt. Interior layers chain through the plan's feature
-    layouts: every refresh round places its LWE samples onto the next
-    consumer's rows (compact Eq. 1 order, or a padded interior grid whose
-    margin is the next convolution's zero padding) and zeroes every row it
-    leaves, for any table.
+    Every image count runs the one lane path: each linear step takes its
+    geometry from :meth:`CompiledLinear.lane_layout`, and one lane is the
+    step's own round and bias. The entry step — always a conv/FC; a
+    :class:`CompiledProgram` refuses to exist otherwise — receives the raw
+    quantized inputs, stacked, and performs the client-side encode: one
+    reshape per lane to its ``in_shape``, its zero padding, every lane
+    packed at the layout's input stride, encrypt. Interior layers chain
+    through the plan's feature layouts: every refresh round places its LWE
+    samples onto the next consumer's rows (compact Eq. 1 order, or a padded
+    interior grid whose margin is the next convolution's zero padding) and
+    zeroes every row it leaves, for any table.
 
     MAC-domain max-pool fusion replays the plan's ``(delta, round)`` tree
     (``max(a, b) = b + relu(a - b)`` per level, one exact monomial shift +
@@ -247,31 +250,31 @@ class CiphertextExecutor(ProgramExecutor):
         self.tail_s2c = True
 
     def linear(self, step: CompiledLinear, value) -> BfvCiphertext:
-        pipe, params = self.pipe, self.pipe.params
-        layout = step.lane_layout(self.lanes, params) if self.lanes > 1 else None
+        pipe, n = self.pipe, self.pipe.params.n
+        layout = step.lane_layout(self.lanes, pipe.params)
         if isinstance(value, np.ndarray):
-            # The entry step: every lane's image onto this step's grid.
+            # The entry step: every lane's image onto this step's grid, at
+            # the layout's input stride.
             p = step.pad
             imgs = np.pad(value.reshape(self.lanes, *step.in_shape),
                           ((0, 0), (0, 0), (p, p), (p, p)))
-            value = pipe.encrypt_coeffs(self._encode_lanes(imgs, layout, params.n))
+            value = pipe.encrypt_coeffs(pack_lane_coeffs(
+                [encode_features(m, n)[: layout.in_stride] for m in imgs],
+                layout.in_stride, n))
         # An interior step's input is already where its kernel expects it:
         # the previous refresh packed it onto exactly this step's layout
         # (compact Eq. 1 rows, or a padded grid whose exact-zero margin is
         # this convolution's zero padding).
         out = pipe.linear(value, step.kernel)
-        bias = layout.bias if layout is not None else step.bias
-        if bias is not None:
+        if layout.bias is not None:
             with current_backend().phase("linear"):
-                out = pipe.ctx.add_plain(out, bias)
+                out = pipe.ctx.add_plain(out, layout.bias)
         for delta, rnd in step.pool_rounds or ():
             out = self._max_round(out, delta, rnd)
         self.out_count = step.round.count
-        rnd = layout.round if layout is not None else step.round
-        self.lane_stride = (
-            layout.out_stride if layout is not None else self.out_count)
+        self.lane_stride = layout.out_stride
         self.tail_s2c = step.s2c
-        return self._refresh(out, rnd, step.s2c)
+        return self._refresh(out, layout.round, step.s2c)
 
     def _refresh(
         self, ct: BfvCiphertext, rnd: RefreshRound, s2c: bool
@@ -319,16 +322,6 @@ class CiphertextExecutor(ProgramExecutor):
         with current_backend().phase("pooling"):
             return pipe.ctx.sub(relu_ct, shifted)
 
-    def _encode_lanes(self, blocks_chw: np.ndarray, layout, n: int):
-        """Client-side encode: one image, or ``lanes`` images at lane stride."""
-        if layout is None:
-            return encode_features(blocks_chw[0], n)
-        return pack_lane_coeffs(
-            [encode_features(m, n)[: layout.in_stride] for m in blocks_chw],
-            layout.in_stride,
-            n,
-        )
-
     def pool(self, step: CompiledPool, value):
         """Average/global pooling: one depthwise all-ones PMult.
 
@@ -343,7 +336,8 @@ class CiphertextExecutor(ProgramExecutor):
         return self._close(value, step.round, step.s2c)
 
     def _close(self, ct: BfvCiphertext, rnd: RefreshRound, s2c: bool):
-        """Refresh a single-image round and record the tail geometry."""
+        """Refresh a one-image round (these steps cap the batch at one
+        lane) and record the tail geometry."""
         self.out_count = self.lane_stride = rnd.count
         self.tail_s2c = s2c
         return self._refresh(ct, rnd, s2c)

@@ -319,7 +319,14 @@ class CompiledLinear:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def lane_layout(self, lanes: int, params: FheParams) -> LaneLayout:
-        """Build (and cache) the geometry for a ``lanes``-image batch."""
+        """Build (and cache) the geometry for a ``lanes``-image batch.
+
+        One lane is the step's own geometry — its round and bias objects,
+        compact at ``round.count`` — on every step, a fused max tree too.
+        """
+        if lanes == 1:
+            return LaneLayout(1, self.lane_span, self.round.count,
+                              self.round, self.bias)
         cached = self._lane_layouts.get(lanes)
         if cached is not None:
             return cached

@@ -170,7 +170,6 @@ class LinearStep:
     """Conv/FC MAC + merged remap LUT (+ optionally a MAC-domain max-pool)."""
 
     kind: ClassVar[str] = "linear"
-    phase: ClassVar[str] = "linear"
 
     op: str  # 'conv' | 'fc'
     layer: QConv | QLinear
@@ -188,7 +187,6 @@ class PoolStep:
     """Standalone pooling: 'max' (LUT tree), 'sum' (window sum), 'gap'."""
 
     kind: ClassVar[str] = "pool"
-    phase: ClassVar[str] = "pooling"
 
     op: str  # 'max' | 'sum' | 'gap'
     layer: QMaxPool | QAvgPool | QGlobalAvgPool
@@ -205,7 +203,6 @@ class RemapStep:
     lut: LutSpec
     name: str
     stat: str  # engine stat label ('avgpool' | 'gap')
-    phase: str = "pooling"
     s2c: bool = True
 
     @property
@@ -218,7 +215,6 @@ class ReshapeStep:
     """Flatten: free on every backend (pure layout change)."""
 
     kind: ClassVar[str] = "reshape"
-    phase: ClassVar[str] = "data"
 
     name: str
 
@@ -228,7 +224,6 @@ class ResidualStep:
     """Wide-scale branch join + one post-add LUT (paper's residual rule)."""
 
     kind: ClassVar[str] = "residual"
-    phase: ClassVar[str] = "linear"
 
     layer: QResidual
     body: list

@@ -1,6 +1,6 @@
 """Executor configuration for the serving worker pool.
 
-:class:`ExecConfig` — serial/thread/process mode, worker count and the
+:class:`ExecConfig` — thread or process mode, worker count and the
 backend every session a service builds pins. Counting and timing a run is
 the job of :class:`repro.fhe.backend.CountingBackend`.
 """

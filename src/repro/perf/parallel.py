@@ -1,7 +1,7 @@
 """Executor configuration for the serving worker pool (:class:`ExecConfig`).
 
-Serial is the default: at test-scale parameters the numpy kernels are
-faster than pool startup.
+Two modes: ``thread`` (the default) and ``process``. One worker is a pool
+of one thread, not a mode of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.errors import ParameterError
 if TYPE_CHECKING:
     from repro.fhe.backend import Backend
 
-_MODES = ("serial", "thread", "process")
+_MODES = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -24,14 +24,14 @@ class ExecConfig:
     mode, worker count, and the backend every session built under it pins.
 
     ``backend`` is a :func:`repro.fhe.backend.get_backend` name
-    (``"batched"``, ``"serial"`` or ``"counting"``), a backend instance, or
+    (``batched``, ``serial`` or ``counting``), a backend instance, or
     ``None`` to inherit the ambient default (``REPRO_BACKEND``, else
-    ``"batched"``). Process mode pickles every session core to its
+    ``batched``). Process mode pickles every session core to its
     workers, so it takes a name only; an instance (a shared
-    ``CountingBackend``, say) is accepted in serial and thread mode.
+    ``CountingBackend``, say) is accepted in thread mode.
     """
 
-    mode: str = "serial"
+    mode: str = "thread"
     workers: int | None = None
     backend: Backend | str | None = None
 

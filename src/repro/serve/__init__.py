@@ -24,7 +24,7 @@ This package layers that split into a service:
   count bounded by the plan's ``batch_capacity``, deadline-bounded batch
   windows).
 * **workers** — :class:`WorkerPool`: warm ``(tenant, model)`` sessions
-  behind serial/thread/process executors with per-worker key material.
+  behind thread or process executors with per-worker key material.
 * **service** — :class:`AthenaService`: the asyncio façade composing all
   of the above (``repro serve`` on the CLI).
 """

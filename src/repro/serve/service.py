@@ -15,7 +15,7 @@ over a shared (sharded) plan cache:
    deadline-bounded window.
 3. **worker layer** (:mod:`repro.serve.workers`) — warm
    ``(tenant, model)`` sessions behind an :class:`~repro.perf.ExecConfig`
-   executor (serial/thread/process); a batch runs as *one* fused pipeline
+   executor (thread/process); a batch runs as *one* fused pipeline
    execution and is demultiplexed per lane.
 4. **this façade** — model registration through the shared
    :class:`~repro.serve.cache.ShardedPlanCache`, the asyncio dispatch loop
@@ -37,10 +37,10 @@ fused execution, and resolves every member's future with its
 Outputs are bit-identical to a direct
 :meth:`repro.serve.InferenceSession.run` with the tenant's seed, provided
 the per-runtime request order matches (each runtime's encryption
-randomness is a deterministic stream) — ``serial``/single-worker pools
-preserve submission order per tenant, which is what the equivalence tests
-pin; the lane-packing geometry guarantees a batched lane computes the
-identical function of the identical noise-margin, see
+randomness is a deterministic stream) — a one-thread pool preserves
+submission order per tenant, which is what the equivalence tests pin; the
+lane-packing geometry guarantees a batched lane computes the identical
+function of the identical noise-margin, see
 :class:`repro.core.plan.LaneLayout`.
 """
 

@@ -16,13 +16,12 @@ process mode), and the runtime installs it around keygen and every run.
 
 Executor modes (:class:`repro.perf.ExecConfig`):
 
-* ``serial``  — requests run inline in the caller's thread. Deterministic
-  request interleaving; used by tests pinning bit-identity and by the CLI
-  demo. Blocks the event loop while computing.
 * ``thread``  — a :class:`ThreadPoolExecutor`; all threads share one
   runtime per ``(tenant, model)`` (serialized by the runtime's lock), so
   concurrency comes from *different* tenants/models computing at once and
-  from numpy releasing the GIL inside large kernels.
+  from numpy releasing the GIL inside large kernels. One thread keeps each
+  tenant's requests in submission order: ``("thread", 1)`` is what the
+  bit-identity tests pin.
 * ``process`` — a :class:`ProcessPoolExecutor` with warm per-process
   runtimes: true parallelism, at the cost of one keygen per tenant per
   worker at startup.
@@ -71,7 +70,7 @@ class WorkerPool:
 
     ``cores`` maps ``(tenant_id, model)`` to the picklable compile-time
     half of a session; :meth:`start` materializes the runtime half — in
-    this process for serial/thread modes, in every worker process for
+    this process for thread mode, in every worker process for
     process mode — so no request ever pays keygen or compile.
     """
 
@@ -96,9 +95,7 @@ class WorkerPool:
 
     @property
     def slots(self) -> int:
-        """Concurrent request slots (1 in serial mode)."""
-        if self.config.mode == "serial":
-            return 1
+        """Concurrent request slots: the worker count."""
         return self.config.effective_workers
 
     # -- lifecycle ---------------------------------------------------------
@@ -125,8 +122,7 @@ class WorkerPool:
             self._runtimes = {
                 key: SessionRuntime(core) for key, core in self.cores.items()
             }
-            if self.config.mode == "thread":
-                self._executor = ThreadPoolExecutor(max_workers=self.slots)
+            self._executor = ThreadPoolExecutor(max_workers=self.slots)
         self.start_s += time.perf_counter() - start
         self.started = True
 
@@ -144,26 +140,21 @@ class WorkerPool:
     async def run_batch(self, key, xs):
         """Answer ``len(xs)`` co-batched requests with one fused execution.
 
-        Awaitable from the service's dispatcher tasks: thread/process modes
-        yield the event loop while the worker computes, serial mode runs
-        inline (blocking — deterministic by design). Returns one output
-        array per input, in order; a single-input batch is exactly the
-        per-request op sequence.
+        Awaitable from the service's dispatcher tasks: the event loop is
+        free while the worker computes. Returns one output array per input,
+        in order; a single request is a batch of one.
         """
         if not self.started:
             raise ParameterError("worker pool is not started")
         if key not in self.cores:
             raise ParameterError(f"no session for tenant/model {key!r}")
-        if self.config.mode == "serial":
-            outs, run_s = self._run_local_batch(key, xs)
-        else:
-            loop = asyncio.get_running_loop()
-            fn = (
-                _process_run_batch
-                if self.config.mode == "process"
-                else self._run_local_batch
-            )
-            outs, run_s = await loop.run_in_executor(self._executor, fn, key, xs)
+        fn = (
+            _process_run_batch
+            if self.config.mode == "process"
+            else self._run_local_batch
+        )
+        loop = asyncio.get_running_loop()
+        outs, run_s = await loop.run_in_executor(self._executor, fn, key, xs)
         self._requests[key] += len(xs)
         self.runs += 1
         self.run_s += run_s
@@ -172,11 +163,11 @@ class WorkerPool:
     # -- accounting --------------------------------------------------------
 
     def runtime_for(self, key) -> SessionRuntime:
-        """The warm in-process runtime for ``key`` (serial/thread modes).
+        """The warm in-process runtime for ``key`` (thread mode).
 
         Process-mode runtimes live in the worker processes and are not
         reachable from the parent; tests asserting on key material or
-        per-runtime stats use serial/thread pools.
+        per-runtime stats use thread pools.
         """
         if self._runtimes is None:
             raise ParameterError(

@@ -204,6 +204,54 @@ class TestLaneCapacityRules:
             plans["fused_maxpool"].steps[0].lane_layout(2, TEST_LOOP)
 
 
+def _linear_steps(steps):
+    """Every conv/FC step, through both residual branches."""
+    for step in steps:
+        if step.kind == "residual":
+            yield from _linear_steps(step.body)
+            yield from _linear_steps(step.shortcut or [])
+        elif step.kind == "linear":
+            yield step
+
+
+#: SHA-256 of ``dump_ciphertext`` of the tail ciphertext of the fused
+#: max-pool subject's one-lane run below, recorded while the executor still
+#: carried a separate single-image path (its own round, bias and encode).
+FUSED_MAXPOOL_TAIL_SHA256 = (
+    "c4df640b38bc3dae1b9ed8a7b325be1ac318212f3229cd4149c6834a575ad208")
+
+
+class TestOneLane:
+    """One image is a batch of one: ``lane_layout(1)`` is the step's own
+    geometry, so the lane path reproduces the single-image op sequence."""
+
+    def test_one_lane_is_the_steps_own_geometry(self):
+        import hashlib
+
+        from repro.core.program import run_program
+        from repro.fhe.serialize import dump_ciphertext
+        from tests.test_serialize import _wire_subjects
+
+        plans = {}
+        for case in _wire_subjects():
+            build, params = case.values
+            plans[case.id] = plan = compile_program(build(), params)
+            for step in _linear_steps(plan.steps):
+                layout = step.lane_layout(1, params)
+                assert layout.round is step.round and layout.bias is step.bias
+                assert (layout.lanes, layout.in_stride, layout.out_stride) == (
+                    1, step.lane_span, step.round.count)
+        # A fused max tree included: it refuses only a second lane.
+        plan = plans["fused_maxpool"]
+        assert plan.steps[0].pool_rounds is not None
+        x = np.random.default_rng(17).integers(-2, 3, (1, 4, 4)).astype(np.int64)
+        pipe = AthenaPipeline(TEST_LOOP, seed=3)
+        ct = run_program(plan, CiphertextExecutor(pipe, plan), x[None])
+        digest = hashlib.sha256(dump_ciphertext(ct)).hexdigest()
+        assert digest == FUSED_MAXPOOL_TAIL_SHA256
+        assert pipe.decrypt_slots(ct)[:3].tolist() == [0, 0, 4]
+
+
 class TestZeroOutsideTheRows:
     """Step 0 on real ciphertexts: after the refresh every coefficient
     outside the round's rows decrypts to an exact 0 — for a table with
@@ -218,7 +266,7 @@ class TestZeroOutsideTheRows:
         xs = _inputs(101, 2)
         for lanes in (1, 2):
             ex = CiphertextExecutor(pipe, plan, lanes=lanes)
-            ct = ex.linear(plan.steps[0], xs[0] if lanes == 1 else np.stack(xs))
+            ct = ex.linear(plan.steps[0], np.stack(xs[:lanes]))
             coeffs = pipe.decrypt_coeffs(ct)
             # Lane d's four outputs land at the fc's lane stride, 11 * d.
             rows = (np.arange(4) + 11 * np.arange(lanes)[:, None]).reshape(-1)
@@ -255,8 +303,8 @@ class TestBatchedPipeline:
             assert np.array_equal(out, single)
 
     def test_partial_final_batch_single_lane(self):
-        # A 1-image "batch" through the batched entry point is the exact
-        # single-image op sequence — the shape a partial final batch takes.
+        # A 1-image batch — the shape a partial final batch takes — is what
+        # run() executes, and computes forward_int's bits.
         qm, plan = _pack_setup()
         (x,) = _inputs(103, 1)
         (out,) = AthenaPipeline(TEST_FBS, seed=4).run_batch(plan, [x])

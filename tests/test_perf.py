@@ -119,6 +119,10 @@ class TestParallelMap:
     def test_exec_config_rejects_bad_mode(self):
         with pytest.raises(ParameterError):
             ExecConfig(mode="gpu")
+        # One worker is a one-thread pool, not an executor mode of its own:
+        # "serial" names only the reference backend.
+        with pytest.raises(ParameterError):
+            ExecConfig(mode="serial")
         with pytest.raises(ParameterError):
             ExecConfig(workers=0)
 
@@ -131,9 +135,8 @@ class TestParallelMap:
         with pytest.raises(ParameterError, match="backend name"):
             ExecConfig("process", 1, backend=CountingBackend())
         assert ExecConfig("process", 1, backend="counting").backend == "counting"
-        for mode in ("serial", "thread"):
-            counting = CountingBackend()
-            assert ExecConfig(mode, 1, backend=counting).backend is counting
+        counting = CountingBackend()
+        assert ExecConfig("thread", 1, backend=counting).backend is counting
 
 
 class TestCliJsonFlags:

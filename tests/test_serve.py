@@ -570,7 +570,7 @@ class TestServiceEndToEnd:
         ]
         service = AthenaService(
             tenants,
-            exec_config=ExecConfig("serial", backend=counting),
+            exec_config=ExecConfig("thread", 1, backend=counting),
             queue_capacity=4,
         )
         service.register_model("micro", qm)
@@ -641,7 +641,7 @@ class TestServiceEndToEnd:
         ]
         service = AthenaService(
             tenants,
-            exec_config=ExecConfig("serial"),
+            exec_config=ExecConfig("thread", 1),
             queue_capacity=4,
             batch_window_s=1.0,
         )
@@ -686,7 +686,7 @@ class TestServiceEndToEnd:
         rng = np.random.default_rng(37)
         service = AthenaService(
             [Tenant("alice", TEST_FBS, seed=9), Tenant("bob", TEST_FBS, seed=9)],
-            exec_config=ExecConfig("serial"),
+            exec_config=ExecConfig("thread", 1),
             queue_capacity=4,
             batching=False,
             batch_window_s=1.0,
@@ -714,7 +714,7 @@ class TestServiceEndToEnd:
         rng = np.random.default_rng(29)
         service = AthenaService(
             [Tenant("alice", TEST_FBS, seed=1), Tenant("bob", TEST_FBS, seed=2)],
-            exec_config=ExecConfig("serial"),
+            exec_config=ExecConfig("thread", 1),
             queue_capacity=4,
             batch_window_s=0.05,
         )
@@ -741,7 +741,7 @@ class TestServiceEndToEnd:
         rng = np.random.default_rng(31)
         service = AthenaService(
             [Tenant("a", TEST_FBS, seed=1)],
-            exec_config=ExecConfig("serial"),
+            exec_config=ExecConfig("thread", 1),
             queue_capacity=2,
         )
         service.register_model("micro", qm)
