@@ -27,7 +27,7 @@ from repro.accel.ablation import AblationResult, run_ablations
 from repro.accel.energy import EnergyResult, energy_for
 from repro.accel.report import bound_census, phase_summary, render_schedule, utilization
 from repro.accel.sensitivity import lane_sweep, precision_sweep_perf
-from repro.accel.scheduler import ScheduleResult, schedule, schedule_executed
+from repro.accel.scheduler import ScheduleResult, schedule
 from repro.accel.workload import ckks_trace
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "bound_census",
     "phase_summary",
     "schedule",
-    "schedule_executed",
     "render_schedule",
     "run_ablations",
     "lane_sweep",

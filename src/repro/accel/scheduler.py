@@ -145,18 +145,3 @@ def schedule(trace: WorkloadTrace, cfg: AcceleratorConfig) -> ScheduleResult:
         if p.phase.endswith("_giant"):
             p.phase = p.phase[: -len("_giant")]
     return ScheduleResult(cfg.name, trace.model, phases, cfg.frequency_ghz)
-
-
-def schedule_executed(
-    counting, params, cfg: AcceleratorConfig, model: str = "executed"
-) -> ScheduleResult:
-    """Schedule ops *actually executed* by a counting backend.
-
-    Convenience wrapper over :func:`repro.core.trace.executed_trace`: run a
-    workload under a :class:`repro.fhe.backend.CountingBackend`, then hand
-    its per-phase records here to see what the accelerator would do with
-    the real op stream instead of the analytical model's predictions.
-    """
-    from repro.core.trace import executed_trace
-
-    return schedule(executed_trace(counting, params, model=model), cfg)

@@ -94,22 +94,6 @@ def sigmoid_lut(t: int, in_scale: float, out_levels: int) -> FbsLut:
     )
 
 
-@lru_cache(maxsize=None)
-def gelu_lut(t: int, in_scale: float, out_scale: float) -> FbsLut:
-    def gelu(x):
-        return 0.5 * x * (1.0 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3)))
-
-    return activation_lut(gelu, t, in_scale, out_scale, "gelu")
-
-
-@lru_cache(maxsize=None)
-def avgpool_lut(kernel: int, t: int) -> FbsLut:
-    """LUT(x) = round(x / k^2) (paper: Average-pooling). Cached per (k, t)."""
-    k2 = kernel * kernel
-    vals = np.rint(_centered_domain(t) / k2).astype(np.int64)
-    return FbsLut(vals, t, f"avgpool-{kernel}")
-
-
 # ---------------------------------------------------------------------------
 # Softmax (paper §3.2.3: exp LUT, inverse LUT, one CMult)
 # ---------------------------------------------------------------------------

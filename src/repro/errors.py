@@ -2,7 +2,8 @@
 
 Every error raised by the library derives from :class:`ReproError` so callers
 can catch library failures with a single ``except`` clause while still being
-able to distinguish parameter problems from runtime (noise-budget) problems.
+able to distinguish parameter problems from encoding, quantization,
+scheduling and serving ones.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ class ReproError(Exception):
 
 class ParameterError(ReproError):
     """An FHE or model parameter set is invalid or inconsistent."""
-
-
-class NoiseBudgetExhausted(ReproError):
-    """A ciphertext's noise exceeded Delta/2; decryption would be wrong."""
 
 
 class EncodingError(ReproError):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import NoiseBudgetExhausted, ParameterError, TensorOverflow
+from repro.errors import ParameterError, TensorOverflow
 from repro.fhe import rns
 from repro.fhe import slots as slotlib
 from repro.fhe.backend import current_backend
@@ -122,13 +122,6 @@ class BfvCiphertext:
     def noise_budget_bits(self) -> float:
         """Remaining headroom: log2(Delta/2) - current noise estimate."""
         return math.log2(self.params.delta / 2) - self.noise_bits
-
-    def assert_budget(self) -> None:
-        if self.noise_budget_bits <= 0:
-            raise NoiseBudgetExhausted(
-                f"estimated noise {self.noise_bits:.1f} bits exceeds "
-                f"Delta/2 = {math.log2(self.params.delta / 2):.1f} bits"
-            )
 
     def __getstate__(self) -> dict:
         """Pickle the four fields only: a cached CMult operand form
@@ -261,16 +254,6 @@ class BfvContext:
         c1 = pk.a * u + e1
         fresh = math.log2(p.sigma * math.sqrt(2 * p.n) + p.sigma) + 1
         return BfvCiphertext(c0, c1, p, fresh)
-
-    def encrypt_symmetric(self, pt: Plaintext, sk: SecretKey) -> BfvCiphertext:
-        p = self.params
-        from repro.fhe.keys import _uniform_poly
-
-        a = _uniform_poly(p.moduli, p.n, self.sampler)
-        e = RnsPoly.from_int_coeffs(self.sampler.gaussian(p.n), p.moduli)
-        scaled = RnsPoly.from_int_coeffs(pt.coeffs, p.moduli).scalar_mul(p.delta)
-        c0 = -(a * sk.poly) + e + scaled
-        return BfvCiphertext(c0, a, p, math.log2(p.sigma) + 2)
 
     def encrypt_zero(self) -> BfvCiphertext:
         """A transparent (noiseless) encryption of zero.
@@ -412,8 +395,8 @@ class BfvContext:
         (c0, c1), a (2, L+K, N) array.
 
         Built the first time a ciphertext is an operand and kept on it
-        (read-only; not a field: absent from ``==``, ``repr``, pickles and
-        the wire format), so a square or a power feeding several powers
+        (read-only; not a field: absent from ``==``, ``repr`` and pickles),
+        so a square or a power feeding several powers
         enters Q u P once — and those of ``cts`` without one, together.
         """
         if any(ct.params != self.params for ct in cts):

@@ -56,10 +56,13 @@ class FheParams:
             raise ParameterError(f"plaintext modulus must be prime, got {self.t}")
         if self.limb_bits > 30:
             raise ParameterError("limb primes must stay below 2**31")
+        if self.num_limbs < 1:
+            raise ParameterError(f"need at least one limb prime, got {self.num_limbs}")
         if self.lwe_n > self.n:
             raise ParameterError("LWE dimension cannot exceed ring degree")
-        if self.lwe_n & (self.lwe_n - 1):
-            raise ParameterError("LWE dimension must be a power of two")
+        if self.lwe_n < 1 or self.lwe_n & (self.lwe_n - 1):
+            raise ParameterError(
+                f"LWE dimension must be a positive power of two, got {self.lwe_n}")
 
     @cached_property
     def moduli(self) -> tuple[int, ...]:
@@ -97,11 +100,6 @@ class FheParams:
         return self.q // self.t
 
     @property
-    def slots_supported(self) -> bool:
-        """True when R_t fully splits so all N slots are available."""
-        return (self.t - 1) % (2 * self.n) == 0
-
-    @property
     def lwe_q(self) -> int:
         """Intermediate LWE modulus used between extraction and the final
         switch down to t: the first (largest) RNS limb prime."""
@@ -119,10 +117,6 @@ class FheParams:
         elements over Q u P."""
         bits = math.prod(self.keyswitch_moduli).bit_length()
         return self.num_digits * 2 * self.n * bits // 8
-
-    def total_key_bytes(self, num_rotations: int = 0) -> int:
-        """Relinearization key plus ``num_rotations`` Galois keys."""
-        return (1 + num_rotations) * self.keyswitch_key_bytes()
 
     def describe(self) -> str:
         return (

@@ -1,12 +1,14 @@
-"""Binary serialization of ciphertexts, key material and compiled plans.
+"""Binary serialization of compiled plans: the one wire format.
 
-In the paper's deployment model the client encrypts an image, ships
-ciphertexts to the datacenter, and receives encrypted results back, so
-stable wire formats matter. Formats are versioned, self-describing
-(parameter fingerprint included), and numpy-native:
+A plan is what a deployment persists and ships: the plan cache writes it
+to disk, and ``repro compile --out`` / ``repro infer --plan`` carry it
+between processes. Ciphertexts never cross this wire — the service
+encrypts server-side and its workers exchange numpy arrays — so the plan
+is the only kind. The format is versioned, self-describing (parameter
+fingerprint included), and numpy-native:
 
     [magic u32][version u16][kind u16][params fingerprint]
-    [payload: shapes + int64 little-endian arrays]
+    [payload: shapes + int64 little-endian arrays][CRC32 u32]
 
 A compiled plan (kind 4) is the complete plan — every step, as
 :class:`repro.core.plan.RefreshRound` records, each linear step with the
@@ -15,10 +17,8 @@ above it; see :func:`dump_plan` / :func:`load_plan`. A loaded plan runs
 with no program beside it. A round carries
 its LUT's table only: the table fixes the polynomial and the BSGS schedule,
 which the loaded :class:`~repro.fhe.fbs.FbsLut` derives itself, so an
-artifact cannot hold a polynomial that disagrees with its table.
-
-Only public material round-trips by design: secret keys serialize behind
-an explicit ``allow_secret`` flag so they are never written accidentally.
+artifact cannot hold a polynomial that disagrees with its table. A plan
+holds only derived, public model artifacts: no key material.
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ import zlib
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.fhe.bfv import BfvCiphertext, Plaintext
+from repro.fhe.bfv import Plaintext
 from repro.fhe.fbs import FbsLut
-from repro.fhe.lwe import LweBatch
 from repro.fhe.params import PRESETS, FheParams
-from repro.fhe.poly import RnsPoly
 from repro.fhe.s2c import s2c_plan
 
 _MAGIC = 0x41544E41  # "ATNA"
@@ -49,9 +47,6 @@ _MAGIC = 0x41544E41  # "ATNA"
 # recompiles on load failure, so stale caches self-heal.
 _VERSION = 7
 
-KIND_CIPHERTEXT = 1
-KIND_LWE_BATCH = 2
-KIND_SECRET_KEY = 3
 KIND_PLAN = 4
 
 
@@ -115,75 +110,20 @@ def _read_str(buf: io.BytesIO) -> str:
         raise ParameterError("corrupt string in serialized object") from None
 
 
-def _header(kind: int, params: FheParams) -> bytes:
-    return struct.pack("<IHH", _MAGIC, _VERSION, kind) + params_fingerprint(params)
+def _header(params: FheParams) -> bytes:
+    return struct.pack("<IHH", _MAGIC, _VERSION, KIND_PLAN) + params_fingerprint(params)
 
 
-def _check_header(buf: io.BytesIO, expected_kind: int, params: FheParams) -> None:
+def _check_header(buf: io.BytesIO, params: FheParams) -> None:
     magic, version, kind = _unpack(buf, "<IHH")
     if magic != _MAGIC:
         raise ParameterError("not a repro-serialized object")
     if version != _VERSION:
         raise ParameterError(f"unsupported serialization version {version}")
-    if kind != expected_kind:
-        raise ParameterError(f"expected kind {expected_kind}, found {kind}")
+    if kind != KIND_PLAN:
+        raise ParameterError(f"expected kind {KIND_PLAN}, found {kind}")
     if _read(buf, 16) != params_fingerprint(params):
         raise ParameterError("parameter fingerprint mismatch")
-
-
-# -- ciphertexts -------------------------------------------------------------
-
-
-def dump_ciphertext(ct: BfvCiphertext) -> bytes:
-    buf = io.BytesIO()
-    buf.write(_header(KIND_CIPHERTEXT, ct.params))
-    buf.write(struct.pack("<d", ct.noise_bits))
-    _write_array(buf, ct.c0.data)
-    _write_array(buf, ct.c1.data)
-    return buf.getvalue()
-
-
-def load_ciphertext(raw: bytes, params: FheParams) -> BfvCiphertext:
-    buf = io.BytesIO(raw)
-    _check_header(buf, KIND_CIPHERTEXT, params)
-    (noise_bits,) = _unpack(buf, "<d")
-    c0 = _read_array(buf)
-    c1 = _read_array(buf)
-    _check_end(buf)
-    shape = (params.num_limbs, params.n)
-    if c0.shape != shape or c1.shape != shape:
-        raise ParameterError("ciphertext shape does not match parameters")
-    return BfvCiphertext(
-        RnsPoly(c0, params.moduli), RnsPoly(c1, params.moduli), params, noise_bits
-    )
-
-
-# -- LWE batches ----------------------------------------------------------------
-
-
-def dump_lwe_batch(batch: LweBatch) -> bytes:
-    buf = io.BytesIO()
-    buf.write(struct.pack("<IHH", _MAGIC, _VERSION, KIND_LWE_BATCH))
-    buf.write(struct.pack("<Q", batch.modulus))
-    _write_array(buf, batch.a)
-    _write_array(buf, batch.b)
-    return buf.getvalue()
-
-
-def load_lwe_batch(raw: bytes) -> LweBatch:
-    buf = io.BytesIO(raw)
-    magic, version, kind = _unpack(buf, "<IHH")
-    if magic != _MAGIC or kind != KIND_LWE_BATCH:
-        raise ParameterError("not a serialized LWE batch")
-    if version != _VERSION:
-        raise ParameterError(f"unsupported serialization version {version}")
-    (modulus,) = _unpack(buf, "<Q")
-    a = _read_array(buf)
-    b = _read_array(buf)
-    _check_end(buf)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
-        raise ParameterError("inconsistent LWE batch")
-    return LweBatch(a, b, int(modulus))
 
 
 # -- compiled plans ----------------------------------------------------------
@@ -359,7 +299,7 @@ def dump_plan(plan) -> bytes:
     are a CRC32 of everything before them.
     """
     buf = io.BytesIO()
-    buf.write(_header(KIND_PLAN, plan.params))
+    buf.write(_header(plan.params))
     _write_str(buf, plan.name)
     _write_str(buf, plan.model_hash)
     _write_steps(buf, plan.steps)
@@ -387,7 +327,7 @@ def load_plan(raw: bytes, params: FheParams):
 
     body = raw[:-4]
     buf = io.BytesIO(body)
-    _check_header(buf, KIND_PLAN, params)
+    _check_header(buf, params)
     if struct.pack("<I", zlib.crc32(body)) != raw[-4:]:
         raise ParameterError("plan checksum mismatch (corrupt artifact)")
     name = _read_str(buf)
@@ -407,36 +347,8 @@ def load_plan(raw: bytes, params: FheParams):
     )
 
 
-# -- secret keys (explicit opt-in) -------------------------------------------------
-
-
-def dump_secret_key(sk, allow_secret: bool = False) -> bytes:
-    """Serialize a secret key. Requires ``allow_secret=True`` — exporting
-    secrets must never happen by accident."""
-    if not allow_secret:
-        raise ParameterError(
-            "refusing to serialize a secret key without allow_secret=True"
-        )
-    buf = io.BytesIO()
-    buf.write(_header(KIND_SECRET_KEY, sk.params))
-    _write_array(buf, sk.coeffs)
-    return buf.getvalue()
-
-
-def load_secret_key(raw: bytes, params: FheParams):
-    from repro.fhe.keys import SecretKey
-
-    buf = io.BytesIO(raw)
-    _check_header(buf, KIND_SECRET_KEY, params)
-    coeffs = _read_array(buf)
-    _check_end(buf)
-    if coeffs.shape != (params.n,):
-        raise ParameterError("secret key length mismatch")
-    return SecretKey(params, RnsPoly.from_int_coeffs(coeffs, params.moduli), coeffs)
-
-
 def guess_params(raw: bytes) -> FheParams | None:
-    """Identify which preset a serialized object was produced under."""
+    """Identify which preset a serialized plan was produced under."""
     if len(raw) < 24:
         return None
     fingerprint = raw[8:24]

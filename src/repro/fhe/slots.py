@@ -87,13 +87,6 @@ def slot_decode(coeffs: np.ndarray, n: int, t: int) -> np.ndarray:
 # negative monomial degree, so lanes never mix. One PMult serves the batch.
 
 
-def lane_capacity(span: int, n: int) -> int:
-    """How many independent images of coefficient span ``span`` fit in R_n."""
-    if span <= 0:
-        raise ParameterError(f"lane span must be positive, got {span}")
-    return max(1, n // span) if span <= n else 0
-
-
 def lane_offsets(lanes: int, stride: int) -> np.ndarray:
     """Coefficient offset of each lane: d -> d*stride."""
     if lanes < 1:

@@ -113,9 +113,3 @@ class TenantRegistry:
 
     def __contains__(self, tenant_id: str) -> bool:
         return tenant_id in self._tenants
-
-    def total_key_material_bytes(self, seed_compressed: bool = True) -> int:
-        """Aggregate evaluation-key storage across all tenants."""
-        return sum(
-            t.key_material_bytes(seed_compressed) for t in self._tenants.values()
-        )

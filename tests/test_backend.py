@@ -456,15 +456,16 @@ class TestMnistOpCountParity:
         assert 0.3 < comparison["rnsconv"]["ratio"] < 0.6  # 0.29 before the mod-up billed
 
     def test_executed_trace_feeds_the_scheduler(self):
-        """schedule_executed accepts a populated CountingBackend directly."""
-        from repro.accel import ATHENA_ACCEL, schedule_executed
+        """A populated CountingBackend's executed trace schedules directly."""
+        from repro.accel import ATHENA_ACCEL, schedule
+        from repro.core.trace import executed_trace
 
         _, plan, x_q = _mnist_fixture()
         counting = CountingBackend("batched")
         pipe = AthenaPipeline(TEST_LOOP, seed=41)
         with use_backend(counting):
             pipe.run(plan, x_q)
-        result = schedule_executed(counting, TEST_LOOP, ATHENA_ACCEL)
+        result = schedule(executed_trace(counting, TEST_LOOP), ATHENA_ACCEL)
         assert result.total_ms > 0
         phases = {p.phase for p in result.phases}
         assert {"linear", "se", "packing", "fbs", "s2c"} <= phases

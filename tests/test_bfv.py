@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import NoiseBudgetExhausted, ParameterError
+from repro.errors import ParameterError
 from repro.fhe import slots as slotlib
-from repro.fhe.bfv import BfvCiphertext, Plaintext
+from repro.fhe.bfv import Plaintext
 from repro.fhe.ntt import negacyclic_mul_exact
 from repro.fhe.params import TEST_TINY
 
@@ -64,12 +64,6 @@ class TestEncryptDecrypt:
         ct = small_ctx.encrypt(Plaintext.from_coeffs(m, small_ctx.params), pk)
         assert np.array_equal(small_ctx.decrypt(ct, sk).coeffs, m)
 
-    def test_symmetric_roundtrip(self, small_ctx, small_keys, rng):
-        sk, _ = small_keys
-        m = rng.integers(0, small_ctx.params.t, small_ctx.params.n)
-        ct = small_ctx.encrypt_symmetric(Plaintext.from_coeffs(m, small_ctx.params), sk)
-        assert np.array_equal(small_ctx.decrypt(ct, sk).coeffs, m)
-
     def test_fresh_noise_within_estimate(self, small_ctx, small_keys, rng):
         sk, pk = small_keys
         m = rng.integers(0, small_ctx.params.t, small_ctx.params.n)
@@ -82,13 +76,6 @@ class TestEncryptDecrypt:
         c1 = small_ctx.encrypt(pt, pk)
         c2 = small_ctx.encrypt(pt, pk)
         assert c1.c0 != c2.c0  # fresh randomness per encryption
-
-    def test_budget_exhaustion_raises(self, small_ctx):
-        ct = BfvCiphertext.__new__(BfvCiphertext)
-        ct.params = small_ctx.params
-        ct.noise_bits = 10**6
-        with pytest.raises(NoiseBudgetExhausted):
-            ct.assert_budget()
 
 
 class TestHomomorphicOps:

@@ -25,7 +25,6 @@ from repro.fhe.lwe import LweBatch
 from repro.fhe.params import TEST_FBS, TEST_LOOP
 from repro.fhe.serialize import dump_plan, load_plan
 from repro.fhe.slots import (
-    lane_capacity,
     lane_offsets,
     lane_positions,
     pack_lane_coeffs,
@@ -40,15 +39,6 @@ from tests.conftest import refresh_noise_bound, sigmoid_pack_cnn
 
 
 class TestLaneArithmetic:
-    def test_capacity_floor_and_bounds(self):
-        assert lane_capacity(13, 32) == 2
-        assert lane_capacity(32, 32) == 1
-        assert lane_capacity(16, 32) == 2
-        assert lane_capacity(33, 32) == 0  # span exceeds the ring
-        assert lane_capacity(40, 32) == 0
-        with pytest.raises(ParameterError):
-            lane_capacity(0, 32)
-
     def test_offsets_are_stride_multiples(self):
         assert lane_offsets(3, 11).tolist() == [0, 11, 22]
         with pytest.raises(ParameterError):
@@ -214,11 +204,12 @@ def _linear_steps(steps):
             yield step
 
 
-#: SHA-256 of ``dump_ciphertext`` of the tail ciphertext of the fused
-#: max-pool subject's one-lane run below, recorded while the executor still
-#: carried a separate single-image path (its own round, bias and encode).
+#: SHA-256 over the ``c0`` then ``c1`` limb bytes of the tail ciphertext of
+#: the fused max-pool subject's one-lane run below: the ciphertext first
+#: pinned while the executor still carried a separate single-image path
+#: (its own round, bias and encode).
 FUSED_MAXPOOL_TAIL_SHA256 = (
-    "c4df640b38bc3dae1b9ed8a7b325be1ac318212f3229cd4149c6834a575ad208")
+    "13658fa70311809390378cbfcc114dfb26276c1db391f5046b899e7f984a8052")
 
 
 class TestOneLane:
@@ -229,7 +220,6 @@ class TestOneLane:
         import hashlib
 
         from repro.core.program import run_program
-        from repro.fhe.serialize import dump_ciphertext
         from tests.test_serialize import _wire_subjects
 
         plans = {}
@@ -247,8 +237,8 @@ class TestOneLane:
         x = np.random.default_rng(17).integers(-2, 3, (1, 4, 4)).astype(np.int64)
         pipe = AthenaPipeline(TEST_LOOP, seed=3)
         ct = run_program(plan, CiphertextExecutor(pipe, plan), x[None])
-        digest = hashlib.sha256(dump_ciphertext(ct)).hexdigest()
-        assert digest == FUSED_MAXPOOL_TAIL_SHA256
+        digest = hashlib.sha256(ct.c0.data.tobytes() + ct.c1.data.tobytes())
+        assert digest.hexdigest() == FUSED_MAXPOOL_TAIL_SHA256
         assert pipe.decrypt_slots(ct)[:3].tolist() == [0, 0, 4]
 
 

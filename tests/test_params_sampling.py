@@ -33,7 +33,7 @@ class TestAthenaParams:
 
     def test_full_slot_packing_supported(self):
         # t - 1 = 2^16 is divisible by 2N = 2^16: all slots available.
-        assert ATHENA.slots_supported
+        assert (ATHENA.t - 1) % (2 * ATHENA.n) == 0
 
     def test_moduli_are_distinct_ntt_primes(self):
         assert len(set(ATHENA.moduli)) == ATHENA.num_limbs
@@ -48,7 +48,7 @@ class TestAthenaParams:
 class TestPresets:
     def test_all_presets_valid(self):
         for params in PRESETS.values():
-            assert params.slots_supported
+            assert (params.t - 1) % (2 * params.n) == 0
             assert params.q == np.prod([], initial=1) or params.q > 0
             assert params.lwe_q == params.moduli[0]
 
@@ -80,6 +80,17 @@ class TestValidation:
         with pytest.raises(ParameterError):
             FheParams("bad", n=64, limb_bits=30, num_limbs=2, t=257, lwe_n=24)
 
+    def test_zero_lwe_dim(self):
+        """``0 & -1 == 0`` passes a bare power-of-two test; an LWE dimension
+        of 0 would expose every message."""
+        with pytest.raises(ParameterError, match="LWE dimension"):
+            FheParams("bad", n=32, limb_bits=30, num_limbs=2, t=257, lwe_n=0)
+
+    def test_zero_limbs(self):
+        """No limb prime: Q would be 1."""
+        with pytest.raises(ParameterError, match="limb"):
+            FheParams("bad", n=32, limb_bits=30, num_limbs=0, t=257, lwe_n=16)
+
 
 class TestSizing:
     def test_keyswitch_key_scales_with_digits(self):
@@ -94,9 +105,6 @@ class TestSizing:
         assert (TEST_SMALL.num_digits, ATHENA_MEDIUM.num_digits) == (1, 1)
         assert (len(ATHENA.special_moduli), ATHENA.num_digits) == (5, 5)
         assert ATHENA.keyswitch_key_bytes() == 5 * 2 * 2**15 * 875 // 8
-
-    def test_total_keys_grow_with_rotations(self):
-        assert TEST_SMALL.total_key_bytes(8) > TEST_SMALL.total_key_bytes(2)
 
     def test_medium_between_small_and_full(self):
         assert TEST_SMALL.ciphertext_bytes < ATHENA_MEDIUM.ciphertext_bytes < ATHENA.ciphertext_bytes

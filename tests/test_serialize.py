@@ -1,6 +1,7 @@
-"""Tests for the wire formats (ciphertexts, LWE batches, secret keys)."""
+"""Tests for the plan wire format."""
 
 import functools
+import io
 import struct
 
 import numpy as np
@@ -10,9 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.fhe import serialize
-from repro.fhe.bfv import Plaintext
-from repro.fhe.lwe import LweBatch
-from repro.fhe.params import TEST_LOOP, TEST_SMALL, TEST_TINY
+from repro.fhe.params import TEST_LOOP, TEST_TINY
 
 
 def _assert_every_prefix_rejected(raw, load):
@@ -22,179 +21,53 @@ def _assert_every_prefix_rejected(raw, load):
             load(raw[:cut])
 
 
-def _lwe_batch(rng, rows=10):
-    return LweBatch(rng.integers(0, 257, (rows, 16)).astype(np.int64),
-                    rng.integers(0, 257, rows).astype(np.int64), 257)
-
-
-class TestCiphertextRoundtrip:
-    def test_roundtrip_decrypts(self, tiny_ctx, tiny_keys, rng):
-        sk, pk = tiny_keys
-        p = tiny_ctx.params
-        m = rng.integers(0, p.t, p.n)
-        ct = tiny_ctx.encrypt(Plaintext.from_coeffs(m, p), pk)
-        raw = serialize.dump_ciphertext(ct)
-        back = serialize.load_ciphertext(raw, p)
-        assert np.array_equal(tiny_ctx.decrypt(back, sk).coeffs, m)
-        assert back.noise_bits == ct.noise_bits
-
-    def test_roundtrip_still_homomorphic(self, tiny_ctx, tiny_keys, rng):
-        sk, pk = tiny_keys
-        p = tiny_ctx.params
-        m = rng.integers(0, 20, p.n)
-        ct = tiny_ctx.encrypt(Plaintext.from_coeffs(m, p), pk)
-        back = serialize.load_ciphertext(serialize.dump_ciphertext(ct), p)
-        doubled = tiny_ctx.smult(back, 2)
-        assert np.array_equal(tiny_ctx.decrypt(doubled, sk).coeffs, 2 * m % p.t)
-
-    def test_wrong_params_rejected(self, tiny_ctx, tiny_keys, rng):
-        _, pk = tiny_keys
-        p = tiny_ctx.params
-        ct = tiny_ctx.encrypt(Plaintext.from_coeffs([1], p), pk)
-        raw = serialize.dump_ciphertext(ct)
-        with pytest.raises(ParameterError):
-            serialize.load_ciphertext(raw, TEST_SMALL)
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ParameterError):
-            serialize.load_ciphertext(b"\x00" * 64, TEST_TINY)
-
-    def test_truncation_rejected(self, tiny_ctx, tiny_keys, rng):
-        sk, pk = tiny_keys
-        p = tiny_ctx.params
-        ct = tiny_ctx.encrypt(Plaintext.from_coeffs([1], p), pk)
-        for raw, load in (
-            (serialize.dump_ciphertext(ct),
-             lambda b: serialize.load_ciphertext(b, p)),
-            (serialize.dump_lwe_batch(_lwe_batch(rng, 3)),
-             serialize.load_lwe_batch),
-            (serialize.dump_secret_key(sk, allow_secret=True),
-             lambda b: serialize.load_secret_key(b, p)),
-        ):
-            _assert_every_prefix_rejected(raw, load)
-
-
-class TestLweBatch:
-    def test_roundtrip(self, rng):
-        batch = _lwe_batch(rng)
-        back = serialize.load_lwe_batch(serialize.dump_lwe_batch(batch))
-        assert np.array_equal(back.a, batch.a)
-        assert np.array_equal(back.b, batch.b)
-        assert back.modulus == 257
-
-    def test_garbage_rejected(self, rng):
-        with pytest.raises(ParameterError):
-            serialize.load_lwe_batch(b"nope nope nope nope nope")
-        raw = bytearray(serialize.dump_lwe_batch(_lwe_batch(rng, 2)))
-        raw[4:6] = (99).to_bytes(2, "little")  # a foreign wire version
-        with pytest.raises(ParameterError, match="version 99"):
-            serialize.load_lwe_batch(bytes(raw))
-
-
-class TestSecretKey:
-    def test_requires_opt_in(self, tiny_keys):
-        sk, _ = tiny_keys
-        with pytest.raises(ParameterError):
-            serialize.dump_secret_key(sk)
-
-    def test_roundtrip(self, tiny_ctx, tiny_keys, rng):
-        sk, pk = tiny_keys
-        p = tiny_ctx.params
-        raw = serialize.dump_secret_key(sk, allow_secret=True)
-        back = serialize.load_secret_key(raw, p)
-        # the restored key decrypts ciphertexts made under the original
-        m = rng.integers(0, p.t, p.n)
-        ct = tiny_ctx.encrypt(Plaintext.from_coeffs(m, p), pk)
-        assert np.array_equal(tiny_ctx.decrypt(ct, back).coeffs, m)
-
-
-def _array_bytes(arr):
-    """The wire form of one int64 array (ndim, dims, little-endian data)."""
-    arr = np.asarray(arr, dtype="<i8")
-    return (struct.pack("<B", arr.ndim)
-            + b"".join(struct.pack("<Q", d) for d in arr.shape) + arr.tobytes())
-
-
 class TestMalformedInput:
     """Complete-looking but wrong bytes are a ParameterError, never a
     numpy / codec exception and never silently accepted."""
 
-    @pytest.fixture(scope="class")
-    def blobs(self, tiny_ctx, tiny_keys):
-        from repro.core.plan import compile_program
-        from repro.core.program import lower
-        from repro.fhe.params import TEST_LOOP
-        from repro.quant.subjects import mnist_cnn_micro
-
-        sk, pk = tiny_keys
-        p = tiny_ctx.params
-        ct = tiny_ctx.encrypt(Plaintext.from_coeffs([1], p), pk)
-        program = lower(mnist_cnn_micro(np.random.default_rng(5)), TEST_LOOP)
-        rng = np.random.default_rng(3)
-        return {
-            "ciphertext": (serialize.dump_ciphertext(ct),
-                           lambda b: serialize.load_ciphertext(b, p)),
-            "lwe": (serialize.dump_lwe_batch(_lwe_batch(rng, 3)),
-                    serialize.load_lwe_batch),
-            "plan": (serialize.dump_plan(compile_program(program, TEST_LOOP)),
-                     lambda b: serialize.load_plan(b, TEST_LOOP)),
-            "secret": (serialize.dump_secret_key(sk, allow_secret=True),
-                       lambda b: serialize.load_secret_key(b, p)),
-        }
-
-    @pytest.mark.parametrize("kind", ["ciphertext", "lwe", "plan", "secret"])
-    def test_trailing_bytes_rejected(self, blobs, kind):
-        raw, load = blobs[kind]
-        load(raw)  # the untouched object loads
+    def test_trailing_bytes_rejected(self):
+        raw = _resnet_block_raw()
+        serialize.load_plan(raw, TEST_LOOP)  # the untouched plan loads
         # A plan's last four bytes are its checksum: the extra byte goes
         # before a fresh one, or the checksum would reject it first.
-        longer = _resealed(raw[:-4] + b"\x00") if kind == "plan" else raw + b"\x00"
         with pytest.raises(ParameterError, match="trailing"):
-            load(longer)
+            serialize.load_plan(_resealed(raw[:-4] + b"\x00"), TEST_LOOP)
 
-    def test_ciphertext_second_component_shape_checked(self, blobs, tiny_ctx):
-        raw, load = blobs["ciphertext"]
-        p = tiny_ctx.params
-        c1_at = len(raw) - len(_array_bytes(np.zeros((p.num_limbs, p.n))))
-        with pytest.raises(ParameterError, match="shape"):
-            load(raw[:c1_at] + _array_bytes(np.zeros((1, 4))))
+    def test_a_wrapping_shape_word_is_a_parameter_error(self):
+        """With the top bit of the first array's shape word set, a uint64
+        shape product wraps to the true length; the product is taken in
+        Python integers, so the read comes up short instead."""
+        body = bytearray(_resnet_block_raw()[:-4])
+        body[_first_shape_top(body)] ^= 0x80
+        with pytest.raises(ParameterError, match="truncated"):
+            serialize.load_plan(_resealed(bytes(body)), TEST_LOOP)
 
-    @pytest.mark.parametrize("a, b", [
-        (np.int64(7), np.int64(7)),                    # 0-d: no rows to count
-        (np.zeros((3, 16)), np.zeros((3, 1))),         # b must be a vector
-        (np.zeros(3), np.zeros(3)),                    # a must be a matrix
-        (np.zeros((3, 16)), np.zeros(2)),              # row counts differ
-    ], ids=["scalars", "b-matrix", "a-vector", "row-mismatch"])
-    def test_lwe_batch_dimensions_checked(self, blobs, a, b):
-        raw, load = blobs["lwe"]
-        head = raw[:16]  # magic/version/kind + modulus
-        with pytest.raises(ParameterError, match="inconsistent"):
-            load(head + _array_bytes(a) + _array_bytes(b))
-
-    @pytest.mark.parametrize("kind, top", [("ciphertext", 40), ("lwe", 24)])
+    @pytest.mark.parametrize("kind", ["ciphertext", "lwe-batch", "plan"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_any_single_bit_flip_loads_or_is_a_parameter_error(
-            self, blobs, kind, top, data):
-        """Byte ``top`` is the high byte of the first shape word: its top
-        bit makes the shape product wrap in uint64 to the true length."""
-        raw, load = blobs[kind]
-        flipped = bytearray(raw)
-        at = data.draw(st.just(top) | st.integers(0, len(raw) - 1))
-        flipped[at] ^= 1 << data.draw(st.integers(0, 7))
+    def test_any_single_bit_flip_loads_or_is_a_parameter_error(self, kind, data):
+        """A flipped bit either decodes or raises a ParameterError: in the
+        array record of a ciphertext component or of an LWE batch's masks,
+        and in a plan, whose fresh checksum lets the flip reach the parser.
+        The top byte of the first shape word is always a candidate: its top
+        bit would make a uint64 shape product wrap."""
+        raw, top, load = _bit_flip_subject(kind)
+        body = bytearray(raw)
+        at = data.draw(st.just(top) | st.integers(0, len(body) - 1))
+        body[at] ^= 1 << data.draw(st.integers(0, 7))
         try:
-            load(bytes(flipped))
+            load(bytes(body))
         except ParameterError:
             pass
 
-    def test_flipped_string_byte_is_a_parameter_error(self, blobs):
-        raw, load = blobs["plan"]
+    def test_flipped_string_byte_is_a_parameter_error(self):
+        raw = _resnet_block_raw()
         flipped = bytearray(raw[:-4])
         flipped[26] = 0xFF  # first byte of the plan name: not valid UTF-8
         with pytest.raises(ParameterError, match="corrupt string"):
-            load(_resealed(bytes(flipped)))
+            serialize.load_plan(_resealed(bytes(flipped)), TEST_LOOP)
         with pytest.raises(ParameterError, match="checksum"):
-            load(bytes(flipped) + raw[-4:])
+            serialize.load_plan(bytes(flipped) + raw[-4:], TEST_LOOP)
 
 
 class TestFingerprint:
@@ -204,12 +77,8 @@ class TestFingerprint:
         prints = {serialize.params_fingerprint(p) for p in PRESETS.values()}
         assert len(prints) == len(PRESETS)
 
-    def test_guess_params(self, tiny_ctx, tiny_keys):
-        _, pk = tiny_keys
-        p = tiny_ctx.params
-        ct = tiny_ctx.encrypt(Plaintext.from_coeffs([1], p), pk)
-        raw = serialize.dump_ciphertext(ct)
-        assert serialize.guess_params(raw) is p
+    def test_guess_params(self):
+        assert serialize.guess_params(_resnet_block_raw()) is TEST_LOOP
         assert serialize.guess_params(b"xx") is None
 
 
@@ -238,6 +107,39 @@ def _resnet_block_plan():
 @functools.lru_cache(maxsize=None)
 def _resnet_block_raw() -> bytes:
     return serialize.dump_plan(_resnet_block_plan()[1])
+
+
+def _load_array_record(raw: bytes) -> np.ndarray:
+    """One array record, read as the plan reader reads each of its arrays."""
+    buf = io.BytesIO(raw)
+    arr = serialize._read_array(buf)
+    serialize._check_end(buf)
+    return arr
+
+
+def _bit_flip_subject(kind: str):
+    """(bytes, offset of the first shape word's top byte, loader). A plan is
+    flipped without its checksum and resealed by the loader; an array
+    record's shape word follows its one ``ndim`` byte."""
+    if kind == "plan":
+        body = _resnet_block_raw()[:-4]
+        return (body, _first_shape_top(body),
+                lambda b: serialize.load_plan(_resealed(b), TEST_LOOP))
+    p = TEST_TINY
+    shape = {"ciphertext": (p.num_limbs, p.n), "lwe-batch": (3, p.lwe_n)}[kind]
+    buf = io.BytesIO()
+    serialize._write_array(
+        buf, np.random.default_rng(3).integers(0, p.moduli[0], shape))
+    return buf.getvalue(), 8, _load_array_record
+
+
+def _first_shape_top(body: bytes) -> int:
+    """Offset of the top byte of the block plan's first array's shape word:
+    past step ``qconv0``'s name, its kind string ``linear``, the no-payload
+    and S2C flags and the positions array's ``ndim`` byte, the last of the
+    word's eight little-endian bytes."""
+    at = body.index(b"qconv0") + len(b"qconv0") + 2 + len(b"linear") + 1 + 1 + 1
+    return at + 7
 
 
 def _wire_subjects():
@@ -383,7 +285,7 @@ class TestPlanWireV4:
         plan = compile_program(build(), params)
         kinds = [step.kind for step in plan.steps]
         buf = io.BytesIO()
-        buf.write(serialize._header(serialize.KIND_PLAN, params))
+        buf.write(serialize._header(params))
         serialize._write_str(buf, plan.name)
         serialize._write_str(buf, plan.model_hash)
         serialize._write_steps(buf, plan.steps[kinds.index("remap"):])
