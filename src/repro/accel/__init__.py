@@ -25,7 +25,7 @@ from repro.accel.configs import (
 )
 from repro.accel.ablation import AblationResult, run_ablations
 from repro.accel.energy import EnergyResult, energy_for
-from repro.accel.report import bound_census, phase_summary, render_schedule, utilization
+from repro.accel.report import bound_census, phase_summary, render_schedule
 from repro.accel.sensitivity import lane_sweep, precision_sweep_perf
 from repro.accel.scheduler import ScheduleResult, schedule
 from repro.accel.workload import ckks_trace
@@ -62,5 +62,4 @@ __all__ = [
     "precision_sweep_perf",
     "table6",
     "table7",
-    "utilization",
 ]

@@ -51,11 +51,16 @@ def _double_key_traffic(trace: WorkloadTrace) -> WorkloadTrace:
     return out
 
 
-def _slow_extraction(trace: WorkloadTrace, factor: float = 15.0) -> WorkloadTrace:
+#: Cycles per extraction on the barrel shifter that replaces the SE unit:
+#: ~log2(N) at the paper's N = 2^15.
+_SHIFTER_CYCLES = 15.0
+
+
+def _slow_extraction(trace: WorkloadTrace) -> WorkloadTrace:
     out = WorkloadTrace(trace.model, trace.params)
     for p in trace.phases:
         ops = p.ops.scaled(1.0)
-        ops.extract *= factor  # ~log2(N) cycles per extraction
+        ops.extract *= _SHIFTER_CYCLES
         out.add(p.phase, p.layer, ops)
     return out
 

@@ -110,26 +110,15 @@ def reference_athena_trace(model: str, t_cap: int | None = None) -> WorkloadTrac
     return trace_model(qm, ATHENA_PARAMS, t_eff=t_cap)
 
 
-def athena_run(model: str, qmodel=None, t_cap: int | None = None) -> ScheduleResult:
-    """Athena-accelerator run; pass a calibrated ``qmodel`` for real MAC
-    peaks, otherwise the reference trace is used."""
-    if qmodel is not None:
-        trace = trace_model(qmodel, ATHENA_PARAMS, t_eff=t_cap)
-    else:
-        trace = reference_athena_trace(model, t_cap)
-    return schedule(trace, calibrated_athena())
+def athena_run(model: str) -> ScheduleResult:
+    """Athena-accelerator run of ``model``'s reference trace."""
+    return schedule(reference_athena_trace(model), calibrated_athena())
 
 
-def athena_run_w6a7(model: str, qmodel=None) -> ScheduleResult:
+def athena_run_w6a7(model: str) -> ScheduleResult:
     """w6a7 mode: smaller accumulations => smaller effective LUTs (the paper
-    halves the MAC range with 6-bit weights)."""
-    if qmodel is None:
-        trace = reference_athena_trace(model, t_cap=None)
-        # emulate halved MAC peaks by rebuilding with t capped at 2^14
-        trace = reference_athena_trace(model, t_cap=1 << 14)
-    else:
-        trace = trace_model(qmodel, ATHENA_PARAMS)
-    return schedule(trace, calibrated_athena())
+    halves the MAC range with 6-bit weights, emulated by capping t at 2^14)."""
+    return schedule(reference_athena_trace(model, t_cap=1 << 14), calibrated_athena())
 
 
 def table6(models: tuple[str, ...] = MODEL_NAMES) -> dict[str, dict[str, float]]:

@@ -1,5 +1,5 @@
 """Human-readable reports from schedule results: phase timeline (an ASCII
-Gantt), resource-utilization summary, and bound-type census.
+Gantt) and bound-type census.
 
 Used by the examples and handy when exploring new models or configs:
 
@@ -10,12 +10,15 @@ Used by the examples and handy when exploring new models or configs:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 
 from repro.accel.scheduler import ScheduleResult
 from repro.eval.render import render_table
 
 _PHASE_ORDER = ("linear", "se", "packing", "fbs", "s2c", "pooling", "softmax")
+
+#: Characters of the timeline bar a whole schedule spans.
+_BAR_WIDTH = 40
 
 
 def phase_summary(result: ScheduleResult) -> list[tuple[str, float, float]]:
@@ -36,25 +39,12 @@ def bound_census(result: ScheduleResult) -> dict[str, float]:
     return {k: v / total for k, v in census.items()}
 
 
-def utilization(result: ScheduleResult) -> dict[str, float]:
-    """Per-resource busy fraction relative to total raw cycles."""
-    raw: defaultdict = defaultdict(float)
-    raw_total = 0.0
-    for p in result.phases:
-        for res, cyc in p.resource_cycles.items():
-            raw[res] += cyc
-        raw_total += max(p.resource_cycles.values(), default=0.0)
-    if not raw_total:
-        return {}
-    return {k: min(1.0, v / raw_total) for k, v in sorted(raw.items())}
-
-
-def render_schedule(result: ScheduleResult, width: int = 40) -> str:
+def render_schedule(result: ScheduleResult) -> str:
     """ASCII report: Gantt-style phase bars + bound census."""
     summary = phase_summary(result)
     rows = []
     for phase, ms, share in summary:
-        bar = "#" * max(1, round(share * width))
+        bar = "#" * max(1, round(share * _BAR_WIDTH))
         rows.append((phase, f"{ms:.2f}", f"{share * 100:.1f}%", bar))
     header = (
         f"{result.accelerator} / {result.model}: "

@@ -37,18 +37,18 @@ CKKS_RING = CkksRing()
 CKKS_DNUM = 4
 
 
-def _pmult(ring: CkksRing = CKKS_RING) -> OpCounts:
-    l, n = ring.num_limbs, ring.n
+def _pmult() -> OpCounts:
+    l, n = CKKS_RING.num_limbs, CKKS_RING.n
     return OpCounts(ntt=l, mod_mul=2 * l * n, hbm_bytes=l * n * 4)
 
 
-def _hadd(ring: CkksRing = CKKS_RING) -> OpCounts:
-    l, n = ring.num_limbs, ring.n
+def _hadd() -> OpCounts:
+    l, n = CKKS_RING.num_limbs, CKKS_RING.n
     return OpCounts(mod_add=2 * l * n)
 
 
-def _keyswitch(ring: CkksRing = CKKS_RING) -> OpCounts:
-    l, n = ring.num_limbs, ring.n
+def _keyswitch() -> OpCounts:
+    l, n = CKKS_RING.num_limbs, CKKS_RING.n
     return OpCounts(
         ntt=2 * CKKS_DNUM * l,
         mod_mul=2 * CKKS_DNUM * l * n,
@@ -58,16 +58,16 @@ def _keyswitch(ring: CkksRing = CKKS_RING) -> OpCounts:
     )
 
 
-def _rotation(ring: CkksRing = CKKS_RING) -> OpCounts:
-    out = _keyswitch(ring)
-    out.automorph += 2 * ring.num_limbs
+def _rotation() -> OpCounts:
+    out = _keyswitch()
+    out.automorph += 2 * CKKS_RING.num_limbs
     return out
 
 
-def _cmult(ring: CkksRing = CKKS_RING) -> OpCounts:
-    l, n = ring.num_limbs, ring.n
+def _cmult() -> OpCounts:
+    l, n = CKKS_RING.num_limbs, CKKS_RING.n
     out = OpCounts(ntt=6 * l, mod_mul=8 * l * n, mod_add=2 * l * n, rnsconv=4 * l * n)
-    out += _keyswitch(ring)
+    out += _keyswitch()
     return out
 
 
@@ -89,12 +89,16 @@ def fc_ops(in_features: int, out_features: int) -> OpCounts:
     return out
 
 
-def relu_ops(degree: int = 27) -> OpCounts:
+#: Degree p of the minimax composite polynomial ReLU.
+RELU_DEGREE = 27
+
+
+def relu_ops() -> OpCounts:
     """Minimax composite polynomial ReLU: O(p) PMult, O(sqrt p)-ish CMult."""
     out = OpCounts()
-    out += _pmult().scaled(2 * degree)
+    out += _pmult().scaled(2 * RELU_DEGREE)
     out += _cmult().scaled(15)
-    out += _hadd().scaled(2 * degree)
+    out += _hadd().scaled(2 * RELU_DEGREE)
     return out
 
 

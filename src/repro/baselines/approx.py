@@ -35,11 +35,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def chebyshev_coeffs(fn, order: int, domain: float = 1.0) -> np.ndarray:
-    """Chebyshev interpolation coefficients of fn on [-domain, domain]."""
-    nodes = np.cos(np.pi * (np.arange(order + 1) + 0.5) / (order + 1)) * domain
-    vals = fn(nodes)
-    return C.chebfit(nodes / domain, vals, order)
+def chebyshev_coeffs(fn, order: int) -> np.ndarray:
+    """Chebyshev interpolation coefficients of fn on [-1, 1]."""
+    nodes = np.cos(np.pi * (np.arange(order + 1) + 0.5) / (order + 1))
+    return C.chebfit(nodes, fn(nodes), order)
 
 
 def taylor_coeffs(fn_name: str, order: int) -> np.ndarray:

@@ -69,7 +69,7 @@ class AthenaPipeline:
             self.ctx = BfvContext(params, seed=seed)
             self.sk, self.pk = self.ctx.keygen()
             self.rlk = self.ctx.relin_key(self.sk)
-            sampler = Sampler(seed + 1, sigma=params.sigma)
+            sampler = Sampler(seed + 1)
             self.lwe_secret = sampler.ternary(params.lwe_n)
             self.lwe_ksk = lwelib.keyswitch_keygen(
                 self.sk.coeffs, self.lwe_secret, params.lwe_q, lwelib.KS_BASE_BITS, sampler
@@ -143,15 +143,13 @@ class AthenaPipeline:
         kernel_coeffs: np.ndarray,
         lut: FbsLut,
         positions: np.ndarray,
-        s2c: bool = True,
     ) -> BfvCiphertext:
-        """One complete five-step round: Conv -> refresh -> FBS [-> S2C]."""
+        """One complete five-step round: Conv -> refresh -> FBS -> S2C."""
         if positions.shape[0] > self.params.n:
             raise ParameterError("more outputs than slots")
         out = self.linear(ct, kernel_coeffs)
         batch = self.refresh_to_lwe(out, positions)
-        boot = self.bootstrap(batch, lut)
-        return self.to_coeffs(boot) if s2c else boot
+        return self.to_coeffs(self.bootstrap(batch, lut))
 
     # -- compiled-plan driver ---------------------------------------------------
 

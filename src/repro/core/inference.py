@@ -159,11 +159,13 @@ class SimulatedAthenaEngine:
         denom[denom == 0] = 1.0
         return probs / denom
 
-    def accuracy(self, x: np.ndarray, y: np.ndarray, batch: int = 128) -> float:
+    def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Top-1 accuracy, ``x`` run 128 images at a time (the chunking
+        fixes the order of the engine's noise draws)."""
         correct = 0
-        for s in range(0, x.shape[0], batch):
-            logits = self.infer(x[s : s + batch])
-            correct += int((logits.argmax(axis=1) == y[s : s + batch]).sum())
+        for s in range(0, x.shape[0], 128):
+            logits = self.infer(x[s : s + 128])
+            correct += int((logits.argmax(axis=1) == y[s : s + 128]).sum())
         return correct / x.shape[0]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.trace import DNUM
 from repro.fhe import slots as slotlib
 from repro.fhe.lwe import KS_BASE_BITS
 from repro.fhe.params import ATHENA, FheParams
@@ -21,7 +22,6 @@ from repro.fhe.slots import baby_giant_amounts
 @dataclass(frozen=True)
 class KeyInventory:
     params: FheParams
-    rotation_amounts: tuple[int, ...]
     galois_elements: tuple[int, ...]
 
     @property
@@ -33,9 +33,6 @@ class KeyInventory:
         # The uniform half regenerates from a seed.
         return size // 2 if seed_compressed else size
 
-    def relin_key_bytes(self, seed_compressed: bool = True) -> int:
-        return self.galois_key_bytes(seed_compressed)
-
     def lwe_ksk_bytes(self, seed_compressed: bool = True) -> int:
         p = self.params
         digits = -(-p.lwe_q.bit_length() // KS_BASE_BITS)
@@ -44,11 +41,12 @@ class KeyInventory:
             return p.n * digits * 4
         return p.n * digits * (p.lwe_n + 1) * 4
 
-    def total_bytes(self, seed_compressed: bool = True) -> int:
+    def total_bytes(self) -> int:
+        """Seed-compressed bytes of every Galois key, the relinearization
+        key (one more keyswitch key) and the LWE keyswitch key."""
         return (
-            self.num_galois_keys * self.galois_key_bytes(seed_compressed)
-            + self.relin_key_bytes(seed_compressed)
-            + self.lwe_ksk_bytes(seed_compressed)
+            (self.num_galois_keys + 1) * self.galois_key_bytes()
+            + self.lwe_ksk_bytes()
         )
 
 
@@ -64,16 +62,16 @@ def build_inventory(params: FheParams = ATHENA) -> KeyInventory:
         slotlib.rotation_galois_element(params.n, a) for a in amounts if a % (half) != 0
     }
     elements.add(slotlib.row_swap_element(params.n))
-    return KeyInventory(params, tuple(sorted(amounts)), tuple(sorted(elements)))
+    return KeyInventory(params, tuple(sorted(elements)))
 
 
-def summarize(params: FheParams = ATHENA, dnum: int = 3) -> dict[str, float]:
-    """Key sizing under hybrid keyswitching with ``dnum`` grouped digits over
-    Q alone (the accelerator-style configuration; the executed keys have D =
-    5 digits over Q u P at ATHENA) — the regime in which the paper's ~720 MB
-    figure lives."""
+def summarize(params: FheParams = ATHENA) -> dict[str, float]:
+    """Key sizing under hybrid keyswitching with the accelerator's
+    :data:`repro.core.trace.DNUM` grouped digits over Q alone (the executed
+    keys have D = 5 digits over Q u P at ATHENA) — the regime in which the
+    paper's ~720 MB figure lives."""
     inv = build_inventory(params)
-    per_key = dnum * 2 * params.n * params.q.bit_length() // 8 // 2  # seeded
+    per_key = DNUM * 2 * params.n * params.q.bit_length() // 8 // 2  # seeded
     total = (inv.num_galois_keys + 1) * per_key + inv.lwe_ksk_bytes()
     return {
         "galois_keys": inv.num_galois_keys,

@@ -33,9 +33,7 @@ def _centered_domain(t: int) -> np.ndarray:
     return np.where(raw > t // 2, raw - t, raw)
 
 
-def remap_lut(
-    multiplier: float, activation: str, a_max: int, t: int, name: str = ""
-) -> FbsLut:
+def remap_lut(multiplier: float, activation: str, a_max: int, t: int) -> FbsLut:
     """LUT(x) = clip(round(act(x) * multiplier), -a_max, a_max) over Z_t."""
     x = _centered_domain(t).astype(np.float64)
     if activation == "relu":
@@ -43,7 +41,7 @@ def remap_lut(
     elif activation != "identity":
         raise QuantizationError(f"unsupported merged activation {activation!r}")
     vals = np.clip(np.rint(x * multiplier), -a_max, a_max).astype(np.int64)
-    return FbsLut(vals, t, name or f"remap-{activation}")
+    return FbsLut(vals, t, f"remap-{activation}")
 
 
 def layer_lut(layer, cfg: QuantConfig, t: int | None = None) -> FbsLut:
@@ -99,16 +97,23 @@ def sigmoid_lut(t: int, in_scale: float, out_levels: int) -> FbsLut:
 # ---------------------------------------------------------------------------
 
 
-def softmax_luts(
-    t: int, in_scale: float, exp_levels: int = 256, inv_levels: int = 256,
-    max_inputs: int = 64,
-) -> tuple[FbsLut, FbsLut, int]:
+#: The softmax exp table's output scale (its value at 0) and the reciprocal
+#: table's numerator scale, in integer levels.
+SOFTMAX_EXP_LEVELS = 256
+SOFTMAX_INV_LEVELS = 256
+
+
+def softmax_luts(t: int, in_scale: float) -> tuple[FbsLut, FbsLut, int]:
     """(exp table, reciprocal table, product shift) for encrypted softmax.
 
     Step 1: e_i = round(exp(x_i * in_scale) * exp_levels)  (bounded bit width)
     Step 2: r = round(inv_levels * exp_levels / sum_j e_j)
     Step 3: softmax_i ~= e_i * r / (inv_levels)  via one CMult.
+
+    ``exp_levels`` / ``inv_levels`` are :data:`SOFTMAX_EXP_LEVELS` /
+    :data:`SOFTMAX_INV_LEVELS`.
     """
+    exp_levels, inv_levels = SOFTMAX_EXP_LEVELS, SOFTMAX_INV_LEVELS
     exp_lut = activation_lut(
         lambda x: np.clip(np.exp(np.minimum(x, 0.0)) * exp_levels, 0, exp_levels),
         t,

@@ -88,15 +88,18 @@ def budget_bits(params: FheParams = ATHENA) -> float:
     return math.log2(params.delta / 2)
 
 
-def is_correct(params: FheParams = ATHENA, max_cin: int = 64, slack_bits: float = 4.0) -> bool:
-    """The Table 4 correctness condition: total noise fits under Delta/2.
+#: Bits the Table 4 total may exceed log2(Delta/2) by and still count as
+#: correct: the per-op constants are conservative upper bounds, so the
+#: paper's own total (706) nominally exceeds log2(Delta/2) = 703 at ATHENA;
+#: actual measured noise (see the framework tests) sits well below the
+#: budget.
+SLACK_BITS = 4.0
 
-    ``slack_bits`` reflects that the per-op constants are conservative
-    upper bounds: the paper's own total (706) nominally exceeds
-    log2(Delta/2) = 703 at these parameters; actual measured noise (see the
-    framework tests) sits well below the budget.
-    """
-    return table4(params, max_cin)[-1].noise_bits <= budget_bits(params) + slack_bits
+
+def is_correct(params: FheParams = ATHENA) -> bool:
+    """The Table 4 correctness condition: total noise fits under Delta/2,
+    within :data:`SLACK_BITS`."""
+    return table4(params)[-1].noise_bits <= budget_bits(params) + SLACK_BITS
 
 
 #: Paper-reported Table 4 values for comparison in EXPERIMENTS.md.

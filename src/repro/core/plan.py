@@ -439,9 +439,14 @@ class CompiledProgram:
     batch_capacity: int = 1
 
     def __post_init__(self) -> None:
-        entry = next((s for s in self.steps if s.kind != "reshape"), None)
-        if entry is None or entry.kind != "linear":
+        if self.entry is None or self.entry.kind != "linear":
             raise ParameterError("the program's entry step must be a conv/FC")
+
+    @property
+    def entry(self):
+        """The first non-reshape step: the conv/FC whose ``in_shape`` every
+        input takes."""
+        return next((s for s in self.steps if s.kind != "reshape"), None)
 
     def bind(self, program: AthenaProgram, params: FheParams) -> "CompiledProgram":
         """Validate that this plan was compiled from ``program`` (same

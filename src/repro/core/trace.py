@@ -257,8 +257,7 @@ def se_chain_ops(params: FheParams, values: int) -> OpCounts:
     )
 
 
-def strategy_costs(shape: ConvShape, params: FheParams,
-                   t_layer: int | None = None) -> dict:
+def strategy_costs(shape: ConvShape, params: FheParams) -> dict:
     """Predicted mod_mul cost of one raw conv shape under each Table 2
     encoding — the table's cost column.
 
@@ -275,7 +274,7 @@ def strategy_costs(shape: ConvShape, params: FheParams,
         ops = _pmult(params).scaled(plan.pmult)
         ops += se_chain_ops(params, values)
         ops += packing_ops(params).scaled(cts)
-        ops += fbs_ops(params, t_layer).scaled(cts)
+        ops += fbs_ops(params).scaled(cts)
         ops += s2c_ops(params).scaled(cts)
         costs[name] = ops.mod_mul
     costs["pick"] = "cheetah" if costs["cheetah"] < costs["athena"] else "athena"
@@ -402,8 +401,8 @@ class TraceExecutor(ProgramExecutor):
 # -- executed traces -----------------------------------------------------------
 
 #: Phases a CountingBackend records that correspond to per-request runtime
-#: work (the analytical model's domain). ``compile`` / ``keygen`` / ``other``
-#: are request-invariant or unattributed and are excluded by default.
+#: work (the analytical model's domain), the phases an executed trace keeps.
+#: ``compile`` / ``keygen`` / ``other`` are request-invariant or unattributed.
 RUNTIME_PHASES = ("linear", "se", "packing", "fbs", "fbs_giant", "s2c",
                   "pooling", "softmax")
 
@@ -413,12 +412,7 @@ EXECUTED_FIELDS = ("ntt", "automorph", "mod_mul", "mod_add", "extract",
                    "rnsconv")
 
 
-def executed_trace(
-    counting,
-    params: FheParams,
-    model: str = "executed",
-    include: tuple[str, ...] | None = RUNTIME_PHASES,
-) -> WorkloadTrace:
+def executed_trace(counting, params: FheParams) -> WorkloadTrace:
     """View a :class:`repro.fhe.backend.CountingBackend`'s records as a
     :class:`WorkloadTrace` — the same shape the analytical model emits, so
     :func:`repro.accel.scheduler.schedule` can consume ops *actually
@@ -429,14 +423,12 @@ def executed_trace(
     per element, ``rnsconv`` per mod-switch element, ``extract`` per LWE
     sample); negacyclic shifts fold into ``automorph`` (both are limb-wise
     index permutations on the accelerator datapath). ``hbm_bytes`` stays 0:
-    the executed side measures arithmetic, not traffic.
-
-    ``include`` filters phases (default: runtime phases only); pass ``None``
-    to keep everything, including ``compile`` / ``keygen`` / ``other``.
+    the executed side measures arithmetic, not traffic. Only the
+    :data:`RUNTIME_PHASES` are kept.
     """
-    trace = WorkloadTrace(model, params)
+    trace = WorkloadTrace("executed", params)
     for phase, ops in sorted(counting.ops_by_phase().items()):
-        if include is not None and phase not in include:
+        if phase not in RUNTIME_PHASES:
             continue
         trace.add(phase, "executed", OpCounts(
             ntt=float(ops.get("ntt", 0)),

@@ -23,8 +23,8 @@ from repro.quant.quantize import QuantConfig, quantize_model
 # -- Figure 1: approximation accuracy vs Delta ------------------------------------
 
 
-def fig1(orders=(2, 4, 8, 16, 32, 64), deltas=(None, 25, 30, 35)):
-    return sweep(orders=orders, deltas=deltas)
+def fig1():
+    return sweep()
 
 
 def render_fig1() -> str:
@@ -80,8 +80,8 @@ def render_fig4(model: str = "resnet20") -> str:
 # -- Figure 8: Athena framework on other accelerators ---------------------------------------
 
 
-def fig8(model: str = "resnet20") -> dict[str, float]:
-    return accel_baselines.cross_deployment(model)
+def fig8() -> dict[str, float]:
+    return accel_baselines.cross_deployment()
 
 
 def render_fig8() -> str:
@@ -198,8 +198,8 @@ def render_fig12(model: str = "resnet20") -> str:
 # -- Figure 13: lane sensitivity -------------------------------------------------------------------
 
 
-def fig13(model: str = "resnet20"):
-    return lane_sweep(model)
+def fig13():
+    return lane_sweep()
 
 
 def render_fig13() -> str:

@@ -37,7 +37,7 @@ from repro.fhe.ntt import ntt_forward_rns, ntt_inverse_rns
 from repro.fhe.params import FheParams
 from repro.fhe.poly import RnsPoly
 from repro.utils.modmath import centered_array, find_ntt_primes, inv_mod
-from repro.utils.sampling import Sampler
+from repro.utils.sampling import SIGMA, Sampler
 
 
 @dataclass
@@ -214,7 +214,7 @@ class BfvContext:
 
     def __init__(self, params: FheParams, seed: int | None = None):
         self.params = params
-        self.sampler = Sampler(seed, sigma=params.sigma)
+        self.sampler = Sampler(seed)
         self._log_nt = math.log2(params.n) + math.log2(params.t)
         self._log_t = math.log2(params.t)
 
@@ -252,7 +252,7 @@ class BfvContext:
         scaled = RnsPoly.from_int_coeffs(pt.coeffs, p.moduli).scalar_mul(p.delta)
         c0 = pk.b * u + e0 + scaled
         c1 = pk.a * u + e1
-        fresh = math.log2(p.sigma * math.sqrt(2 * p.n) + p.sigma) + 1
+        fresh = math.log2(SIGMA * math.sqrt(2 * p.n) + SIGMA) + 1
         return BfvCiphertext(c0, c1, p, fresh)
 
     def encrypt_zero(self) -> BfvCiphertext:
@@ -455,9 +455,6 @@ class BfvContext:
         """
         (out,) = current_backend().cmult_batch(self, [(a, b)], rlk)
         return out
-
-    def square(self, ct: BfvCiphertext, rlk: KeySwitchKey) -> BfvCiphertext:
-        return self.cmult(ct, ct, rlk)
 
     # ----- automorphisms ----------------------------------------------------
 

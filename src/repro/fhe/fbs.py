@@ -261,7 +261,6 @@ class FbsPlan:
 
     degree: int
     bs: int
-    gs: int
     #: (g, constant, ((power j, coefficient), ...)) for non-empty groups,
     #: ascending g — exactly the iteration order of the per-request scan.
     groups: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
@@ -274,9 +273,8 @@ class FbsPlan:
         coeffs = lut.coeffs
         degree = int(np.max(np.nonzero(coeffs)[0])) if np.any(coeffs) else 0
         bs = max(2, math.ceil(math.sqrt(degree + 1)))
-        gs = -(-(degree + 1) // bs)
         groups = []
-        for g in range(gs):
+        for g in range(-(-(degree + 1) // bs)):
             const = int(coeffs[g * bs]) if g * bs <= degree else 0
             terms = tuple(
                 (j, int(coeffs[g * bs + j]))
@@ -285,7 +283,7 @@ class FbsPlan:
             )
             if const or terms:
                 groups.append((g, const, terms))
-        return cls(degree, bs, gs, tuple(groups))
+        return cls(degree, bs, tuple(groups))
 
     def const_plaintext(self, const: int, params) -> "Plaintext":
         key = (const, params)

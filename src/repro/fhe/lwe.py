@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.fhe.backend import current_backend
 from repro.fhe.bfv import BfvCiphertext
-from repro.utils.sampling import Sampler
+from repro.utils.sampling import SIGMA, Sampler
 
 #: LWE keyswitch gadget base 2^7: the pipeline's keygen, the key-inventory
 #: sizing and the trace model's digit count all read it from here.
@@ -259,6 +259,6 @@ def expected_ems_std(params, secret_norm_sq: int) -> float:
     With our intermediate chain the dominant term is the rounding part
     (||s||^2 + 1)/12 — the scaled-ciphertext-noise term is negligible.
     """
-    scaled = (params.t * params.sigma / params.q) ** 2
+    scaled = (params.t * SIGMA / params.q) ** 2
     rounding = (secret_norm_sq + 1) / 12.0
     return math.sqrt(scaled + rounding)

@@ -38,7 +38,8 @@ class FheParams:
         num_limbs: Number of limb primes; log2(Q) ~= limb_bits * num_limbs.
         t: Plaintext modulus (prime, t = 1 mod 2N for slot packing).
         lwe_n: LWE dimension n after dimension switching.
-        sigma: Error standard deviation.
+
+    The error width is one constant, :data:`repro.utils.sampling.SIGMA`.
     """
 
     name: str
@@ -47,7 +48,6 @@ class FheParams:
     num_limbs: int
     t: int
     lwe_n: int
-    sigma: float = 3.2
 
     def __post_init__(self) -> None:
         if self.n & (self.n - 1) or self.n < 8:

@@ -51,12 +51,6 @@ class RnsPoly:
         """Build from (possibly big / negative) integer coefficients."""
         return cls(rns.to_rns(coeffs, moduli), moduli)
 
-    @classmethod
-    def constant(cls, value: int, n: int, moduli: tuple[int, ...]) -> "RnsPoly":
-        out = cls.zeros(n, moduli)
-        out.data[:, 0] = [value % p for p in moduli]
-        return out
-
     # --- basic properties ------------------------------------------------
 
     @property

@@ -28,6 +28,9 @@ _HE_STANDARD = {
 
 _LEVELS = (128, 192, 256)
 
+#: The security a parameter set must meet (paper section 3.3: ">128 bits").
+TARGET_BITS = 128
+
 
 def max_logq(n: int, level: int = 128) -> float:
     """Maximum log2(Q) at dimension n for the given security level."""
@@ -58,7 +61,7 @@ def security_level(n: int, logq: float) -> float:
     return 128.0 * ceiling / logq
 
 
-def check_params(params: FheParams, target: int = 128) -> dict[str, float]:
+def check_params(params: FheParams) -> dict[str, float]:
     """Security of the RLWE, keyswitch-key and LWE instances of a parameter
     set. Keyswitch keys are RLWE samples modulo Q * P, not Q, so they are
     judged at log2(QP) — the weakest of the three when P is wide."""
@@ -71,5 +74,5 @@ def check_params(params: FheParams, target: int = 128) -> dict[str, float]:
         "logqp": float(logqp),
         "key_bits": key,
         "lwe_bits": lwe,
-        "meets_target": float(min(key, lwe) >= target),  # key_bits <= rlwe_bits
+        "meets_target": float(min(key, lwe) >= TARGET_BITS),  # key_bits <= rlwe_bits
     }

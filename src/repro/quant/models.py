@@ -91,11 +91,12 @@ def _basic_block(in_ch: int, out_ch: int, stride: int, rng) -> Residual:
 
 
 def _cifar_resnet(blocks_per_stage: int, rng: np.random.Generator | None,
-                  width: float, in_ch: int = 3, image: int = 32) -> Sequential:
+                  width: float) -> Sequential:
+    """A CIFAR-10 ResNet over 3-channel images."""
     rng = rng or np.random.default_rng(0)
     widths = [max(4, int(16 * width)), max(8, int(32 * width)), max(8, int(64 * width))]
     layers: list = [
-        Conv2d(in_ch, widths[0], kernel=3, stride=1, pad=1, bias=False, rng=rng),
+        Conv2d(3, widths[0], kernel=3, stride=1, pad=1, bias=False, rng=rng),
         BatchNorm2d(widths[0]),
         ReLU(),
     ]

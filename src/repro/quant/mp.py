@@ -358,11 +358,9 @@ def allocate_bits(
     calib_y: np.ndarray,
     config: QuantConfig,
     params: FheParams = TEST_FBS,
-    candidates: list[LayerQuantConfig] | None = None,
     budget: float = 0.02,
     bias_correct: bool = True,
     lut_margin: int = DEFAULT_LUT_MARGIN,
-    name: str = "model",
 ) -> AllocationResult:
     """Search per-layer bit assignments minimizing predicted FHE cost.
 
@@ -370,13 +368,12 @@ def allocate_bits(
     the uniform-bits baseline; the knapsack is solved exactly by a DP over
     drop units. The result's ``model`` is the fully quantized
     mixed-precision model (tracked MAC peaks, bias-corrected, restricted
-    LUT ranges frozen), ready for ``compile_program``.
+    LUT ranges frozen), ready for ``compile_program``. Each layer's
+    candidates are the uniform ``(b, b)`` widths below the model's.
     """
-    if candidates is None:
-        candidates = [
-            LayerQuantConfig(b, b)
-            for b in range(2, min(config.w_bits, config.a_bits))
-        ]
+    candidates = [
+        LayerQuantConfig(b, b) for b in range(2, min(config.w_bits, config.a_bits))
+    ]
     calib_x = np.asarray(calib_x, dtype=np.float64)
     calib_y = np.asarray(calib_y)
 
@@ -385,7 +382,6 @@ def allocate_bits(
             model,
             calib_x,
             config,
-            name=name,
             mp=mp,
             bias_correct=use_bc if mp is not None else False,
             lut_margin=lut_margin if mp is not None else None,

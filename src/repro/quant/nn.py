@@ -460,9 +460,10 @@ def train_epoch(model: Layer, x: np.ndarray, y: np.ndarray, opt: Sgd,
     return float(np.mean(losses))
 
 
-def accuracy(model: Layer, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
+def accuracy(model: Layer, x: np.ndarray, y: np.ndarray) -> float:
+    """Top-1 accuracy, ``x`` run 256 images at a time."""
     correct = 0
-    for start in range(0, x.shape[0], batch_size):
-        logits = model.forward(x[start : start + batch_size])
-        correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
+    for start in range(0, x.shape[0], 256):
+        logits = model.forward(x[start : start + 256])
+        correct += int((logits.argmax(axis=1) == y[start : start + 256]).sum())
     return correct / x.shape[0]

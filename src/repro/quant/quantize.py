@@ -299,11 +299,12 @@ class QuantizedModel:
     def forward_float(self, x: np.ndarray) -> np.ndarray:
         return self.forward_int(self.quantize_input(x))
 
-    def accuracy(self, x: np.ndarray, y: np.ndarray, batch: int = 256) -> float:
+    def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Top-1 accuracy, ``x`` run 256 images at a time."""
         correct = 0
-        for s in range(0, x.shape[0], batch):
-            logits = self.forward_float(x[s : s + batch])
-            correct += int((logits.argmax(axis=1) == y[s : s + batch]).sum())
+        for s in range(0, x.shape[0], 256):
+            logits = self.forward_float(x[s : s + 256])
+            correct += int((logits.argmax(axis=1) == y[s : s + 256]).sum())
         return correct / x.shape[0]
 
     def mac_layers(self):

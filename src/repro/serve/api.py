@@ -99,7 +99,8 @@ class LayerStats:
     fully processed, ``counters`` holds integer/float event counts,
     ``timings`` wall-clock aggregates in seconds, and ``detail`` arbitrary
     nested context (per-tenant maps, nested layer stats). :meth:`to_dict`
-    is the JSON-ready form; its key set is pinned by ``schema_version``.
+    is the JSON-ready form; its key set is pinned by
+    :data:`STATS_SCHEMA_VERSION`.
     """
 
     layer: str
@@ -107,11 +108,10 @@ class LayerStats:
     counters: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     detail: dict = field(default_factory=dict)
-    schema_version: int = STATS_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": STATS_SCHEMA_VERSION,
             "layer": self.layer,
             "requests": self.requests,
             "counters": dict(self.counters),

@@ -73,13 +73,6 @@ class ShardedPlanCache:
             else:
                 self.misses += 1
 
-    @property
-    def hit_rate(self) -> float | None:
-        """Fraction of lookups served without a compile (None before any)."""
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else None
-
     def stats(self) -> dict:
         """JSON-ready lookup accounting."""
         with self._lock:

@@ -47,6 +47,7 @@ function of the identical noise-margin, see
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from typing import Iterable
 
@@ -284,7 +285,16 @@ class AthenaService:
                 f"model {request.model!r} is not registered; have: "
                 f"{sorted(self.models)}"
             )
-        request.x_q = np.asarray(request.x_q, dtype=np.int64)
+        # Every input of a batch takes the plan's entry shape here, so a
+        # request that cannot never reaches (and fails) its batch-mates.
+        in_shape = self._cores[(request.tenant_id, request.model)].plan.entry.in_shape
+        x_q = np.asarray(request.x_q, dtype=np.int64)
+        if x_q.size != math.prod(in_shape):
+            raise ParameterError(
+                f"input of shape {x_q.shape} does not fit model "
+                f"{request.model!r}, whose entry takes {in_shape}"
+            )
+        request.x_q = x_q.reshape(in_shape)
         request.future = asyncio.get_running_loop().create_future()
         self.scheduler.submit(request)
         return request.future
@@ -296,7 +306,8 @@ class AthenaService:
         Raises :class:`~repro.errors.ServiceOverloaded` synchronously when
         the tenant's queue is full (the exception carries ``tenant_id`` /
         ``depth`` / ``capacity`` for client backoff) and
-        :class:`ParameterError` for unknown tenants/models — in both cases
+        :class:`ParameterError` for unknown tenants/models and for an input
+        whose size differs from the model's entry shape — in every case
         nothing was queued.
         """
         if not isinstance(request, InferenceRequest):

@@ -67,9 +67,9 @@ class Tenant:
         """Evaluation-key inventory this tenant's parameter set implies."""
         return build_inventory(self.params)
 
-    def key_material_bytes(self, seed_compressed: bool = True) -> int:
-        """Size of this tenant's full evaluation-key set."""
-        return self.key_inventory().total_bytes(seed_compressed)
+    def key_material_bytes(self) -> int:
+        """Size of this tenant's full evaluation-key set, seed-compressed."""
+        return self.key_inventory().total_bytes()
 
     def describe(self) -> str:
         return (

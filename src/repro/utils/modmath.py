@@ -177,9 +177,3 @@ def bit_length(x: int) -> int:
     """Bit length of |x| (0 for x == 0)."""
     return int(abs(x)).bit_length()
 
-
-def next_pow2(x: int) -> int:
-    """Smallest power of two >= x (x >= 1)."""
-    if x < 1:
-        raise ParameterError("next_pow2 requires x >= 1")
-    return 1 << (x - 1).bit_length() if x > 1 else 1

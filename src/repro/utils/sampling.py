@@ -2,24 +2,23 @@
 
 A single :class:`Sampler` wraps a ``numpy.random.Generator`` so the whole
 library is reproducible from one seed. Distributions follow standard
-RLWE practice: ternary secrets, centered binomial / discrete Gaussian errors
-(sigma = 3.2 by default, as assumed in the paper's noise analysis), uniform
-ciphertext randomness.
+RLWE practice: ternary secrets, rounded Gaussian errors of width
+:data:`SIGMA`, uniform ciphertext randomness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_SIGMA = 3.2
+#: Error standard deviation, the width the paper's noise analysis assumes.
+SIGMA = 3.2
 
 
 class Sampler:
     """Seedable source of all randomness used by the FHE substrate."""
 
-    def __init__(self, seed: int | None = None, sigma: float = DEFAULT_SIGMA):
+    def __init__(self, seed: int | None = None):
         self.rng = np.random.default_rng(seed)
-        self.sigma = float(sigma)
 
     def uniform(self, modulus: int, size: int) -> np.ndarray:
         """Uniform residues in [0, modulus) as int64."""
@@ -30,9 +29,5 @@ class Sampler:
         return self.rng.integers(-1, 2, size=size, dtype=np.int64)
 
     def gaussian(self, size: int) -> np.ndarray:
-        """Rounded Gaussian error with standard deviation ``sigma``."""
-        return np.rint(self.rng.normal(0.0, self.sigma, size=size)).astype(np.int64)
-
-    def binary(self, size: int) -> np.ndarray:
-        """Uniform bits, used by some keyswitch gadgets."""
-        return self.rng.integers(0, 2, size=size, dtype=np.int64)
+        """Rounded Gaussian error with standard deviation :data:`SIGMA`."""
+        return np.rint(self.rng.normal(0.0, SIGMA, size=size)).astype(np.int64)

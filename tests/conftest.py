@@ -10,6 +10,7 @@ import pytest
 
 from repro.fhe.bfv import BfvContext
 from repro.fhe.params import TEST_FBS, TEST_SMALL, TEST_TINY
+from repro.utils.sampling import SIGMA
 
 
 @pytest.fixture(scope="session")
@@ -96,7 +97,7 @@ def keyswitch_noise_bound(params) -> float:
     groups = digit_groups(params.num_limbs, params.keyswitch_moduli)
     widest = max(math.prod(params.moduli[rows]) for rows in groups)
     n, p = params.n, math.prod(params.special_moduli)
-    return len(groups) * n * 6 * params.sigma * widest / 2 / p + (n + 1) / 2
+    return len(groups) * n * 6 * SIGMA * widest / 2 / p + (n + 1) / 2
 
 
 def assert_rounding_apart(x, y, moduli, roundings: int) -> None:

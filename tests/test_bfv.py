@@ -153,7 +153,7 @@ class TestHomomorphicOps:
         rlk = small_ctx.relin_key(sk)
         v = rng.integers(0, p.t, p.n)
         ct = small_ctx.encrypt(Plaintext.from_slots(v, p), pk)
-        out = small_ctx.square(ct, rlk)
+        out = small_ctx.cmult(ct, ct, rlk)
         assert np.array_equal(small_ctx.decrypt(out, sk).to_slots(), v * v % p.t)
 
     def test_noise_grows_with_ops(self, small_ctx, small_keys, rng):
@@ -187,7 +187,7 @@ class TestHomomorphicOps:
             return math.log2(worst) if worst else 0.0
 
         ct = small_ctx.encrypt(Plaintext.from_coeffs(rng.integers(0, p.t, p.n), p), pk)
-        squared = small_ctx.square(ct, small_ctx.relin_key(sk))
+        squared = small_ctx.cmult(ct, ct, small_ctx.relin_key(sk))
         for subject in (ct, squared, small_ctx.encrypt_zero()):
             assert small_ctx.true_noise_bits(subject, sk) == by_loop(subject)
         assert small_ctx.true_noise_bits(small_ctx.encrypt_zero(), sk) == 0.0

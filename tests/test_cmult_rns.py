@@ -464,7 +464,7 @@ class TestCmultAndGiantStep:
     def test_cmult_and_square(self, subject, backend):
         ctx, rlk, (a, b, *_) = subject
         with use_backend(backend):
-            got = _relinearized([ctx.cmult(a, b, rlk), ctx.square(a, rlk)])
+            got = _relinearized([ctx.cmult(a, b, rlk), ctx.cmult(a, a, rlk)])
         want = [_relinearised_oracle([pair], rlk) for pair in ((a, b), (a, a))]
         assert np.array_equal(got, np.stack(want))
 

@@ -1,16 +1,18 @@
 """Every library module, and every definition in one, has a caller outside
-the tests.
+the tests, and every defaulted parameter has a caller that sets it.
 
 A module or function that only ``tests/`` reaches is test-only code: it
 ships, is maintained and is counted as library, yet no user path runs it.
 The module check walks the import statements of ``src/``, ``benchmarks/``
-and ``examples/``; the definition check counts the identifiers of the same
-trees.
+and ``examples/``; the definition check counts the references of the same
+trees. A defaulted parameter no call sets, tests included, is a
+configuration nothing runs: the parameter check reads every call of the
+four trees.
 """
 
 import ast
-import re
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +25,9 @@ ENTRY_POINTS = {"repro.__main__"}
 #: Definitions kept without a caller outside the tests, each for a reason.
 KEPT = {
     # Reference oracles that tests compare production against.
+    "evaluate_poly_plain": "a polynomial over Z_t in the clear, the FBS evaluation's oracle",
+    "cmult_bounds": "the CMult tensor's overflow bounds, checked on every preset",
+    "true_noise_bits": "a ciphertext's measured noise, the oracle the noise tests read",
     "rotate_slots": "one keyswitched slot rotation, against the hoisted and fused ones",
     "row_swap": "the row-swap automorphism, the fused rotations' second-row reference",
     "keyswitch_bounds": "the keyswitch's overflow bounds, checked on every preset",
@@ -81,19 +86,47 @@ def test_every_module_has_an_importer_outside_tests():
     assert sorted(modules - imported) == []
 
 
+def _references(tree: ast.AST) -> Iterator[str]:
+    """Every name ``tree`` refers to: names, attributes, import aliases and
+    identifier-valued strings (``getattr`` targets, dispatch names). A
+    docstring, an ``__all__`` list and a dict literal's keys name nothing:
+    they are prose, re-exports and labels."""
+    labels: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+            labels.add(id(node.body[0].value))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            labels.update(id(n) for n in ast.walk(node.value))
+        elif isinstance(node, ast.Dict):
+            labels.update(id(k) for k in node.keys if k is not None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in labels):
+            yield node.value
+
+
 def test_every_definition_has_a_caller_outside_tests():
-    """Every function, class and method in ``src/repro`` is named somewhere
-    in ``src/``, ``benchmarks/`` or ``examples/`` beyond its own ``def`` /
-    ``class`` lines. ``__init__.py`` re-exports are not callers. Matching is
-    by name, so a false result can only be a miss, never a false alarm."""
-    mentions: Counter[str] = Counter()
+    """Every function, class and method in ``src/repro`` is referred to
+    somewhere in ``src/``, ``benchmarks/`` or ``examples/``. ``__init__.py``
+    re-exports are not callers, and neither is a ``def`` / ``class`` line.
+    Matching is by name, so a false result can only be a miss, never a false
+    alarm."""
+    references: Counter[str] = Counter()
     defined: dict[str, list[str]] = {}
     for tree in ("src", "benchmarks", "examples"):
         for path in (ROOT / tree).rglob("*.py"):
-            text = path.read_text()
+            module = ast.parse(path.read_text(), filename=str(path))
             if path.name != "__init__.py":
-                mentions.update(re.findall(r"\w+", text))
-            for node in ast.walk(ast.parse(text, filename=str(path))):
+                references.update(_references(module))
+            for node in ast.walk(module):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                     defined.setdefault(node.name, []).append(
@@ -102,8 +135,88 @@ def test_every_definition_has_a_caller_outside_tests():
     uncalled = {
         name: where for name, where in defined.items()
         if any(w.startswith("src/repro/") for w in where)
-        and mentions[name] <= len(where)
+        and not references[name]
         and not (name.startswith("__") and name.endswith("__"))
         and name not in exempt
     }
     assert uncalled == {}
+
+
+#: Defaulted parameters kept although no call sets them, each for a reason,
+#: keyed ``"function.parameter"`` (``"Class.method.parameter"`` for a method).
+KEPT_PARAMS: dict[str, str] = {}
+
+
+def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, int | None]:
+    """A function's defaulted parameters: each with its position, counted
+    without ``self`` / ``cls``, or ``None`` when keyword-only."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    out: dict[str, int | None] = {
+        name: i for i, name in enumerate(positional) if i >= first}
+    out.update((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None)
+    return out
+
+
+def test_every_parameter_is_set_by_a_caller():
+    """Some call in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``
+    passes every defaulted parameter of every function, method and
+    ``__init__`` in ``src/repro``, by keyword or by position. A call
+    ``f(...)`` or ``x.f(...)`` is matched by name (``C(...)`` sets
+    ``C.__init__``). A name also used as a value — a dispatch table,
+    ``once(f)``, ``run_in_executor(..., f, ...)`` — or called with ``*args``
+    or ``**kwargs`` counts as fully set, so the check can miss a parameter
+    but never flags one wrongly. Other dunders are called implicitly and are
+    not checked; neither are dataclass fields, which have no ``def``."""
+    keywords: dict[str, set[str]] = {}
+    positions: Counter[str] = Counter()  # the most positional arguments seen
+    opaque: set[str] = set()
+    for tree in ("src", "benchmarks", "examples", "tests"):
+        for path in (ROOT / tree).rglob("*.py"):
+            module = ast.parse(path.read_text(), filename=str(path))
+            callees: set[int] = set()
+            for node in ast.walk(module):
+                if not isinstance(node, ast.Call):
+                    continue
+                callees.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name is None:
+                    continue
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords)):
+                    opaque.add(name)
+                keywords.setdefault(name, set()).update(
+                    k.arg for k in node.keywords if k.arg)
+                positions[name] = max(positions[name], len(node.args))
+            opaque.update(
+                getattr(node, "id", getattr(node, "attr", None))
+                for node in ast.walk(module)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load) and id(node) not in callees)
+    unset: dict[str, str] = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        module = ast.parse(path.read_text(), filename=str(path))
+        owners = {id(item): node.name for node in ast.walk(module)
+                  if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(module):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name.startswith("__") and node.name != "__init__"):
+                continue
+            owner = owners.get(id(node), "")
+            names = {owner, "__init__"} if node.name == "__init__" else {node.name}
+            if names & opaque:
+                continue
+            called_with = set().union(*(keywords.get(n, set()) for n in names))
+            reach = max(positions[n] for n in names)
+            qualified = f"{owner}.{node.name}" if owner else node.name
+            for param, position in _defaulted(node).items():
+                if (param not in called_with
+                        and (position is None or position >= reach)
+                        and f"{qualified}.{param}" not in KEPT_PARAMS):
+                    unset[f"{qualified}.{param}"] = (
+                        f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert unset == {}

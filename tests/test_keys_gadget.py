@@ -38,7 +38,7 @@ from repro.fhe.poly import RnsPoly
 from repro.fhe.s2c import S2CKey, slot_to_coeff
 from repro.fhe.slots import rotation_galois_element, row_swap_element
 from repro.utils.modmath import inv_mod
-from repro.utils.sampling import Sampler
+from repro.utils.sampling import SIGMA, Sampler
 from tests.conftest import assert_rounding_apart, keyswitch_noise_bound
 
 #: Test-only sets where Q sits under the HE-standard ceiling, so the digit
@@ -148,7 +148,7 @@ class TestRnsDigits:
                 payload.data[rows] = target.data[rows] * (p % np.array(both[rows]))[:, None]
                 payload.data[rows] %= np.array(both[rows])[:, None]
                 noise = (RnsPoly(k0, both) + RnsPoly(k1, both) * s - payload).to_int_coeffs()
-                assert max(abs(v) for v in noise) <= 6 * params.sigma
+                assert max(abs(v) for v in noise) <= 6 * SIGMA
 
 
 def _keyswitch_residual(params, seed):
@@ -156,7 +156,7 @@ def _keyswitch_residual(params, seed):
     component c, with c * g multiplied over Python integers."""
     ctx = BfvContext(params, seed=seed)
     sk, _ = ctx.keygen()
-    sampler = Sampler(seed + 1, sigma=params.sigma)
+    sampler = Sampler(seed + 1)
     target = RnsPoly.from_int_coeffs(sampler.ternary(params.n), params.moduli)
     ksk = KeySwitchKey.generate(target, sk, sampler)
     data = np.stack([sampler.uniform(q, params.n) for q in params.moduli])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.fhe import lwe
 from repro.fhe.bfv import Plaintext
-from repro.utils.sampling import Sampler
+from repro.utils.sampling import SIGMA, Sampler
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ class TestKeyswitch:
         gadget = sk.coeffs[:, None] * 2 ** (ksk.base_bits * np.arange(ksk.num_digits))
         noise = (ksk.beta + ksk.alpha @ s_small - gadget) % q
         noise = np.where(noise > q // 2, noise - q, noise)
-        assert np.abs(noise).max() <= 6 * ctx.params.sigma
+        assert np.abs(noise).max() <= 6 * SIGMA
 
     def test_modulus_mismatch_raises(self, chain):
         *_, ksk = chain

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.fhe.params import (
@@ -17,7 +15,7 @@ from repro.fhe.params import (
     FheParams,
     get_params,
 )
-from repro.utils.sampling import Sampler
+from repro.utils.sampling import SIGMA, Sampler
 
 
 class TestAthenaParams:
@@ -127,11 +125,5 @@ class TestSampler:
         assert 0.25 < (vals == 0).mean() < 0.42
 
     def test_gaussian_std(self):
-        vals = Sampler(3, sigma=3.2).gaussian(50000)
-        assert 2.9 < vals.std() < 3.5
-
-    @given(st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=20)
-    def test_binary_is_bits(self, seed):
-        vals = Sampler(seed).binary(100)
-        assert set(np.unique(vals)) <= {0, 1}
+        vals = Sampler(3).gaussian(50000)
+        assert SIGMA == 3.2 and 2.9 < vals.std() < 3.5

@@ -81,7 +81,7 @@ class TestRnsPolyArithmetic:
 
     def test_constant_identity(self, rng):
         a = random_poly(rng)
-        one = RnsPoly.constant(1, N, MODULI)
+        one = RnsPoly.from_int_coeffs([1] + [0] * (N - 1), MODULI)
         assert a * one == a
 
     def test_ring_mismatch_raises(self, rng):

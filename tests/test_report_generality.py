@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.accel.baselines import calibrated_athena
-from repro.accel.report import bound_census, phase_summary, render_schedule, utilization
+from repro.accel.report import bound_census, phase_summary, render_schedule
 from repro.accel.scheduler import schedule
 from repro.core.inference import SimulatedAthenaEngine
 from repro.core.trace import trace_model
@@ -41,11 +41,6 @@ class TestScheduleReport:
 
     def test_bound_census_sums_to_one(self, result):
         assert sum(bound_census(result).values()) == pytest.approx(1.0)
-
-    def test_utilization_bounded(self, result):
-        util = utilization(result)
-        assert util
-        assert all(0 <= v <= 1 for v in util.values())
 
     def test_render_contains_bars(self, result):
         text = render_schedule(result)

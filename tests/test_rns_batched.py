@@ -152,14 +152,6 @@ class TestRnsPolyOpEquivalence:
         assert not np.array_equal(col, _scalar_column(3, params.moduli, True))
         assert _scalar_column.cache_info().maxsize == 4096
 
-    def test_constant_bit_identical(self, params):
-        for value in (0, 1, -1, 12345, -(2**40)):
-            with use_backend("batched"):
-                batched = RnsPoly.constant(value, params.n, params.moduli)
-            with use_backend("serial"):
-                serial = RnsPoly.constant(value, params.n, params.moduli)
-            assert np.array_equal(batched.data, serial.data)
-
     def test_mul_matches_exact_reference(self, params):
         a, b = self._pair(params, 13)
         fast = a * b

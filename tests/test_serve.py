@@ -360,11 +360,10 @@ class TestCrashSafePersistence:
     def test_hit_miss_accounting(self, tmp_path):
         program = _loop_program()
         cache = ShardedPlanCache(tmp_path)
-        assert cache.hit_rate is None
+        assert cache.stats()["hit_rate"] is None
         cache.get(program, TEST_LOOP)
         cache.get(program, TEST_LOOP)
         assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
         assert cache.stats() == {"hits": 1, "misses": 1, "hit_rate": 0.5}
 
     def test_truncated_artifact_self_heals(self, tmp_path):
@@ -730,6 +729,48 @@ class TestServiceEndToEnd:
         for result in results:
             by_batch.setdefault(result.batch_id, set()).add(result.tenant_id)
         assert all(len(tids) == 1 for tids in by_batch.values())
+
+    def test_a_misshapen_input_never_reaches_its_batch_mates(self):
+        """Admission gives every input the plan's entry shape, or refuses it.
+
+        Two tenants in one key domain share the 2-lane pack plan. A
+        ``(1, 2, 2)`` input cannot take the entry's ``(1, 3, 3)``: it raises
+        at submit and nothing is queued. A flat ``(9,)`` input can: it rides
+        in one batch with a ``(1, 3, 3)`` one. Each answer equals its solo
+        run bit for bit.
+        """
+        qm = pack_cnn(np.random.default_rng(5))
+        rng = np.random.default_rng(41)
+        service = AthenaService(
+            [Tenant("a", TEST_FBS, seed=9), Tenant("b", TEST_FBS, seed=9)],
+            exec_config=ExecConfig("thread", 1),
+            queue_capacity=4,
+            batch_window_s=1.0,
+        )
+        service.register_model("pack", qm)
+        good = rng.integers(-2, 3, (1, 3, 3)).astype(np.int64)
+        flat = rng.integers(-2, 3, 9).astype(np.int64)
+
+        async def scenario():
+            await service.start()
+            try:
+                first = service.submit_nowait(InferenceRequest("a", "pack", good))
+                accepted = service.scheduler.stats().counters["accepted"]
+                with pytest.raises(ParameterError, match="entry"):
+                    service.submit_nowait(InferenceRequest(
+                        "b", "pack", np.zeros((1, 2, 2), dtype=np.int64)))
+                assert service.scheduler.stats().counters["accepted"] == accepted
+                second = service.submit_nowait(InferenceRequest("b", "pack", flat))
+                return await asyncio.gather(first, second)
+            finally:
+                await service.stop()
+
+        res_good, res_flat = asyncio.run(scenario())
+        assert res_good.batch_id == res_flat.batch_id
+        assert [res_good.batch_size, res_flat.batch_size] == [2, 2]
+        solo = InferenceSession(qm, TEST_FBS, seed=9)
+        assert np.array_equal(res_good.output, solo.run(good))
+        assert np.array_equal(res_flat.output, solo.run(flat))
 
     def test_serve_batch_rejects_tuple_era_requests(self):
         """The positional shim was removed: tuples fail fast, typed works."""
