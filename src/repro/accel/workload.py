@@ -28,12 +28,12 @@ from repro.core.trace import OpCounts, WorkloadTrace
 class CkksRing:
     """Minimal ring descriptor for the scheduler (duck-typed FheParams)."""
 
-    n: int = 1 << 16
-    num_limbs: int = 44
-    t: int = 0
+    n: int
+    num_limbs: int
+    t: int
 
 
-CKKS_RING = CkksRing()
+CKKS_RING = CkksRing(n=1 << 16, num_limbs=44, t=0)
 CKKS_DNUM = 4
 
 

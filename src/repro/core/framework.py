@@ -185,7 +185,7 @@ class AthenaPipeline:
         """
         if not xs:
             return []
-        xs = np.stack([np.asarray(x, dtype=np.int64) for x in xs])
+        xs = np.stack([plan.entry_input(x) for x in xs])
         ex = CiphertextExecutor(self, plan, lanes=len(xs))
         ct = run_program(plan, ex, xs)
         raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)

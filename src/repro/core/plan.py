@@ -448,6 +448,15 @@ class CompiledProgram:
         input takes."""
         return next((s for s in self.steps if s.kind != "reshape"), None)
 
+    def entry_input(self, x_q) -> np.ndarray:
+        """``x_q`` as an int64 array of the entry's ``in_shape``, else
+        ``ParameterError``: the pipeline's and the service's one input check."""
+        in_shape, x_q = self.entry.in_shape, np.asarray(x_q, dtype=np.int64)
+        if x_q.size != math.prod(in_shape):
+            raise ParameterError(f"input of shape {x_q.shape} does not fit model "
+                                 f"{self.name!r}, whose entry takes {in_shape}")
+        return x_q.reshape(in_shape)
+
     def bind(self, program: AthenaProgram, params: FheParams) -> "CompiledProgram":
         """Validate that this plan was compiled from ``program`` (same
         structure, weights and LUT recipes) under ``params``;

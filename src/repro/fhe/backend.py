@@ -1,55 +1,50 @@
 """Op-dispatch backends: one reference engine, one fast engine, one wrapper.
 
 Every primitive the Athena loop executes — RNS NTT/INTT and limb
-arithmetic, modulus switching, LWE sample extraction and dimension
-switching, the packing / S2C mat-vec, FBS evaluation — dispatches through
-the *active* :class:`Backend`. Each protocol op has at most two bodies:
+arithmetic, modulus switching, LWE extraction and dimension switching, the
+packing / S2C mat-vec, FBS — dispatches through the *active*
+:class:`Backend`. Each protocol op has at most two bodies:
 
-* the **reference** body, on :class:`Backend` itself: per-prime RNS loops
-  and fused-tier ops decomposed to those primitives. Registered as
-  ``serial`` (:class:`SerialBackend`), it is the oracle every other engine
-  is pinned bit-identical to.
+* the **reference** body, on :class:`Backend`: per-prime RNS loops, fused
+  ops decomposed to those primitives. Registered as ``serial``
+  (:class:`SerialBackend`), it is the oracle every engine is pinned
+  bit-identical to.
 * the **fast** body, on :class:`BatchedBackend` (``batched``, the default):
   the (L, N) residue matrix is one stacked array
   (:func:`repro.fhe.ntt.ntt_forward_rns`), and the fused tier runs stacked
-  kernels on cached NTT-domain key stacks with lazy reduction
-  (:func:`lazy_reduce_sum` under :func:`lazy_chain_limit`, product runs
-  under :func:`lazy_product_limit`).
+  kernels on cached NTT-domain key stacks, products summed unreduced in runs
+  of :func:`lazy_product_limit`, residues in chains of
+  :func:`lazy_chain_limit`.
 
 Engine-independent ops (:meth:`Backend.mod_switch`,
 :meth:`Backend.cmult_batch`, the LWE and composite tiers) have one body.
-:class:`CountingBackend` (``counting``) is the only wrapper and the one way
-to observe a run: it counts and delegates the RNS tier only, so every op
-above it runs its reference body and each count — in the units of
-:class:`repro.core.trace.OpCounts`, the accelerator scheduler's *executed*
-trace — is a primitive that ran; its per-phase self-seconds time that
-stream. Selection is **context-local** (:class:`contextvars.ContextVar`):
-two threads or sessions may run different backends at once. The
-process-wide default honors ``REPRO_BACKEND`` (``batched`` | ``serial``),
-which is how CI runs tier-1 under the reference.
+:class:`CountingBackend` (``counting``), the only wrapper and the one way to
+observe a run, counts and delegates the RNS tier only: every op above runs
+its reference body, each count — in the units of
+:class:`repro.core.trace.OpCounts` — is a primitive that ran, and its
+per-phase self-seconds time that stream. Selection is **context-local**
+(:class:`contextvars.ContextVar`); the process-wide default honors
+``REPRO_BACKEND`` (``batched`` | ``serial``), which is how CI runs tier-1
+under the reference.
 
-Bit-identity contract: both engines hand back the canonical residue in
-[0, p) of the same integer (the stacked NTT as exact float64 matrix
-products, :func:`repro.fhe.ntt.ntt_bounds`; the loops with ``%``), and the
-fused tier keeps it because the NTT is linear mod p. ``tests/test_ntt.py``,
+Bit-identity contract: both engines return the canonical residue in [0, p)
+of the same integer; inside an op, a hand-off whose consumer reduces its own
+input (a transform, an automorphism, a correction add) carries the residue
+class unreduced, within a stated bound (``cmult_bounds``,
+``keyswitch_bounds``, ``extension_bounds``). ``tests/test_ntt.py``,
 ``tests/test_backend.py``, ``tests/test_rns_batched.py`` and
-``tests/test_fused_kernels.py`` pin it per transform, per RnsPoly op, per
-fused op and through the five-step pipeline.
+``tests/test_fused_kernels.py`` pin it per transform, op and pipeline.
 
-Fused tier: :meth:`Backend.hadd_many` (one deferred reduction per HAdd
-chain), :meth:`Backend.keyswitch` (digits extended into Q u P, multiplied
-against the key, divided by the special basis P),
-:meth:`Backend.rotate_keyswitch` (the one rotation: take the digits, then
-X -> X^k on them), :meth:`Backend.matvec` (a whole BSGS mat-vec over
-sources derived from the request's ciphertext (S2C) or ready key material
-(packing): diagonal products summed unreduced in runs, the giants' key
-products summed over Q u P under one mod-down),
-:meth:`Backend.giant_step_batch` (one FBS's giant-step combination as one
-inner-product CMult), :meth:`Backend.cmult_batch` (one FBS ladder level)
-and :meth:`Backend.lincomb` (the FBS baby steps as one matrix product).
-Both bodies are *dispatch-free* — ``self`` methods and module-level
-transforms, never :func:`current_backend` — so a counted reference body's
-primitives are counted once, by the wrapper's RNS tier.
+Fused tier: :meth:`Backend.hadd_many`, :meth:`Backend.keyswitch` (digits
+extended into Q u P, multiplied against the key, divided by P),
+:meth:`Backend.rotate_keyswitch` (take the digits, then X -> X^k on them),
+:meth:`Backend.matvec` (a BSGS mat-vec over sources derived from the
+request's ciphertext or ready key material, the giants under one mod-down),
+:meth:`Backend.giant_step_batch` (one FBS's giant steps as one
+inner-product CMult), :meth:`Backend.cmult_batch` (one FBS ladder level) and
+:meth:`Backend.lincomb` (the baby steps as one matrix product). Both bodies
+are *dispatch-free* — ``self`` methods and module-level transforms, never
+:func:`current_backend` — so a counted primitive is counted once.
 """
 
 from __future__ import annotations
@@ -128,28 +123,16 @@ def lazy_product_limit(moduli: tuple[int, ...]) -> int:
     return limit
 
 
-def lazy_reduce_sum(stack: np.ndarray, moduli: tuple[int, ...], axis: int = 0) -> np.ndarray:
-    """Sum already-reduced residue stacks along ``axis``, reducing once.
-
-    The fused-kernel primitive behind :meth:`Backend.hadd_many` and the
-    NTT-domain keyswitch accumulators: instead of reducing mod p after
-    every addition, defer the reduction across the whole chain and apply
-    one ``%`` at the end. Inputs must already be reduced (< max(moduli));
-    chains longer than :func:`lazy_chain_limit` are folded in
-    overflow-safe chunks. The limb axis of the *result* must be -2 so the
-    (L, 1) modulus column broadcasts.
+def lazy_reduce_sum(stack: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+    """Sum reduced residue stacks along axis 0 with one ``%`` per chain, not
+    one per addition (:meth:`Backend.hadd_many`, the mat-vec's run sums);
+    chains longer than :func:`lazy_chain_limit` fold in overflow-safe chunks.
+    The result's limb axis is -2, where the (L, 1) modulus column broadcasts.
     """
-    mods = _moduli_column(moduli)
-    k = stack.shape[axis]
-    limit = lazy_chain_limit(moduli)
-    if k <= limit:
-        return np.add.reduce(stack, axis=axis) % mods
-    acc = None
-    for start in range(0, k, limit):
-        index = [slice(None)] * stack.ndim
-        index[axis] = slice(start, start + limit)
-        part = np.add.reduce(stack[tuple(index)], axis=axis) % mods
-        acc = part if acc is None else (acc + part) % mods
+    mods, limit = _moduli_column(moduli), lazy_chain_limit(moduli)
+    acc = stack[:limit].sum(axis=0) % mods
+    for start in range(limit, len(stack), limit):
+        acc = (acc + stack[start : start + limit].sum(axis=0) % mods) % mods
     return acc
 
 
@@ -220,11 +203,15 @@ def _mod_up(data, moduli, both) -> np.ndarray:
     """Digits of an (..., L, N) component stack over Q, as an (..., D, L+K,
     N) stack over ``both`` = Q u P: digit j is the centred lift of the
     residues in group j — its own rows as they stand, one exact base
-    extension into every other limb (the CRT idempotent sits in the key)."""
+    extension into every other limb (the CRT idempotent sits in the key),
+    left unreduced: the digits' consumers, transforms and automorphisms,
+    reduce on entry."""
     digits = []
     for rows in digit_groups(len(moduli), both):
         lo, hi = rows.start, rows.stop
-        ext = rns.base_extend(data[..., rows, :], moduli[rows], both[:lo] + both[hi:], True)
+        group = moduli[rows]
+        ext = rns.base_extend(data[..., rows, :], group, both[:lo] + both[hi:],
+                              shift=rns.rns_modulus(group) // 2)
         digits.append(np.concatenate([ext[..., :lo, :], data[..., rows, :], ext[..., lo:, :]], -2))
     return np.stack(digits, axis=-3)
 
@@ -233,10 +220,13 @@ def _mod_down(x, moduli, both, ntt=False) -> np.ndarray:
     """``round(x / P)`` over Q of an (..., L+K, N) stack over ``both`` = Q u
     P: subtract the centred lift of the P residues, multiply by P^-1 — exact,
     word-sized. Linear mod each limb, so it holds in the evaluation domain
-    too (``ntt``): only the K special limbs leave it, their lift comes back."""
+    too (``ntt``): only the K special limbs leave it, their lift comes back.
+    ``x`` may be a key-product sum, the lift unreduced: one difference,
+    one ``%`` before the P^-1 product and one after
+    (:func:`repro.fhe.keys.keyswitch_bounds` "mod_down_difference")."""
     num_limbs, special = len(moduli), both[len(moduli):]
     p_limbs = ntt_inverse_rns(x[..., num_limbs:, :], special) if ntt else x[..., num_limbs:, :]
-    lift = rns.base_extend(p_limbs, special, moduli, True)
+    lift = rns.base_extend(p_limbs, special, moduli, shift=rns.rns_modulus(special) // 2)
     lift = ntt_forward_rns(lift, moduli) if ntt else lift
     mods = _moduli_column(moduli)
     p_inv = _scalar_column(math.prod(special), moduli, True)
@@ -252,10 +242,16 @@ def _galois_key(rotation_keys, k: int):
 
 def _key_products(fd, k0, k1, both):
     """Evaluation-domain (..., 2, L+K, N) (delta_c0, delta_c1) over ``both`` = Q u P
-    of (..., D, L+K, N) transformed digits against (stacked) cached key halves."""
-    mods = _moduli_column(both)
-    # Products reduce below 2**31 before the lazy digit-axis sum.
-    return np.stack([lazy_reduce_sum(fd * k % mods, both, axis=-3) for k in (k0, k1)], axis=-3)
+    of (..., D, L+K, N) transformed digits against (stacked) cached key halves,
+    unreduced: runs of :func:`lazy_product_limit` products, a ``%`` each only
+    if there are two ("key_sum" of :func:`repro.fhe.keys.keyswitch_bounds`)."""
+    mods, run = _moduli_column(both), lazy_product_limit(both)
+    runs = [np.s_[..., r : r + run, :, :] for r in range(0, fd.shape[-3], run)]
+
+    def half(k):
+        sums = [np.einsum("...dln,...dln->...ln", fd[d], k[d]) for d in runs]
+        return sums[0] if len(sums) == 1 else sum(part % mods for part in sums)
+    return np.stack([half(k0), half(k1)], axis=-3)
 
 
 def _stacked_keyswitch(data, ksk, moduli, perm=slice(None)):
@@ -270,19 +266,16 @@ def _stacked_keyswitch(data, ksk, moduli, perm=slice(None)):
 
 def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
     """Evaluation-domain :meth:`Backend.rotate_keyswitch` images of parents
-    under ``elements``, hoisted. A parent is ``f0`` (its c0, evaluation
+    under ``elements``, hoisted; a parent is ``f0`` (its c0, evaluation
     domain) and ``c1`` (coefficient domain, where its digits are taken).
 
     An (L, N) parent shared by every element (babies) pays its digit
     transform once and returns the (E, 2, L, N) images. An (E, L, N) stack,
     one parent per element (giants), returns the (2, L, N) *sum* of the
-    images under one mod-down: it is linear, ``mod_down(P a + w) = a +
-    mod_down(w)``, so the E key products sum over Q u P first. Per chunk of
-    at most :data:`CMULT_BATCH_ELEMS` digit elements the stack pays each
-    step once: mod-up and digit transform, a gather by the (E, N) table of
-    :func:`ntt_automorphism_perm`, the lazy product against the stacked key
-    halves; the mod-down stays in the evaluation domain. Dispatch-free: the
-    batched mat-vec and the packing key use it.
+    images under one mod-down, which is linear (``mod_down(P a + w) = a +
+    mod_down(w)``). Per chunk of :data:`CMULT_BATCH_ELEMS` digit elements:
+    mod-up and digit transform, a gather by :func:`ntt_automorphism_perm`,
+    the key products; the mod-down stays in the evaluation domain.
     """
     n, num_limbs = c1.shape[-1], len(moduli)
     shared = c1.ndim == 2
@@ -305,9 +298,9 @@ def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
         if shared:
             out[part] = _mod_down(products, moduli, both, ntt=True)
         else:  # E reduced terms, far inside lazy_chain_limit
-            wide = wide + products.sum(axis=0)
+            wide = wide + (products % _moduli_column(both)).sum(axis=0)
     if not shared:
-        out = _mod_down(wide % _moduli_column(both), moduli, both, ntt=True)
+        out = _mod_down(wide, moduli, both, ntt=True)
     turned = np.take_along_axis(f0[None] if shared else f0, perms, -1)
     out[..., 0, :, :] += turned if shared else turned.sum(axis=0)
     out[..., 0, :, :] %= _moduli_column(moduli)
@@ -317,24 +310,18 @@ def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
 class Backend:
     """Dispatch point for every homomorphic primitive, and its reference bodies.
 
-    Four tiers:
+    Four tiers: **RNS** — limb arithmetic on (L, N) residue matrices
+    (:meth:`add` .. :meth:`shift`), per-prime loops here, one stacked numpy
+    pass on :class:`BatchedBackend`, :meth:`mod_switch` one body for both;
+    **fused** — the hot paths (keyswitch, rotation, mat-vec, CMult),
+    decomposed here to RNS-tier primitives; **LWE** —
+    :meth:`sample_extract`, :meth:`lwe_keyswitch`, :meth:`lwe_rescale`, in
+    :mod:`repro.fhe.lwe`; **composite** — :meth:`fbs`, :meth:`s2c`, whose
+    inner ops re-enter the active backend, so a wrapper observes each.
 
-    * **RNS tier** — limb arithmetic on (L, N) residue matrices
-      (:meth:`add` .. :meth:`shift`): the per-prime loops, frozen as
-      reference semantics, each one stacked numpy pass on
-      :class:`BatchedBackend`; :meth:`mod_switch` has one body for both.
-    * **fused tier** — the hot-path ops (keyswitch, rotation, mat-vec,
-      giant steps), decomposed here to RNS-tier primitives.
-    * **LWE tier** — :meth:`sample_extract`, :meth:`lwe_keyswitch`,
-      :meth:`lwe_rescale`, delegating to :mod:`repro.fhe.lwe`.
-    * **composite tier** — :meth:`fbs`, :meth:`s2c`, delegating to module
-      implementations whose inner ops re-enter the active backend, so a
-      wrapper observes every sub-op.
-
-    Plus the execution stack's only instrumentation seam, no-ops except on
-    counting backends: :meth:`record` (a primitive event) and
-    :meth:`phase` (a label for subsequent events, and the region whose
-    seconds a counting backend accumulates).
+    Plus the only instrumentation seam, no-ops except on counting backends:
+    :meth:`record` (a primitive event) and :meth:`phase` (a label for later
+    events, and the region whose seconds a counting backend accumulates).
     """
 
     name = "base"
@@ -412,15 +399,15 @@ class Backend:
         """Scale-and-round an (L, N) residue stack from Q to a word-sized
         ``new_modulus`` m (paper Eq. 2: q', or t to decrypt) as an int64
         vector: floor(y / Q) mod m, y = m * x + floor(Q/2) for the lift x in
-        [0, Q). The quotient lies in [0, m], so it is exact modulo one prime
-        r > m, which x and [y]_Q reach by one base extension."""
+        [0, Q). With w the centred lift of [m * x]_Q, ``floor(y / Q) = (m * x
+        - w) / Q``, in [0, m], so exact modulo one prime r > m: x reaches r
+        by one base extension, w by one with m and floor(Q/2) folded in."""
         if not 0 < new_modulus < ROUND_PRIME:
             raise ParameterError(f"scale-and-round target {new_modulus} is not below {ROUND_PRIME}")
-        r, q, mods = ROUND_PRIME, rns.rns_modulus(moduli), _moduli_column(moduli)
-        y = (data * new_modulus + (mods - 1) // 2) % mods  # floor(Q/2) = -1/2 mod odd limbs
-        x_r, y_r = rns.base_extend(np.stack([data, y]), moduli, (r,))[:, 0]
-        v = (x_r * new_modulus + q // 2 % r - y_r) % r
-        return v * pow(q, -1, r) % r % new_modulus
+        r, q = ROUND_PRIME, rns.rns_modulus(moduli)
+        x_r = rns.base_extend(data, moduli, (r,))[0] % r
+        w_r = rns.base_extend(data, moduli, (r,), new_modulus, q // 2)[0]
+        return (x_r * new_modulus - w_r) % r * pow(q, -1, r) % r % new_modulus
 
     # -- fused tier --------------------------------------------------------
     #
@@ -558,8 +545,9 @@ class Backend:
         The tensor is linear, so the G products accumulate in the
         evaluation domain of Q u P (:meth:`BfvContext.tensor_products`) and
         share one scale-round and one keyswitch. Reference: per-pair
-        products joined by G - 1 additions over Q u P, the keyswitch, the
-        two correction adds; BatchedBackend sums stacked products lazily.
+        products joined by G - 1 additions over Q u P (the first reduced,
+        so each addition meets one unreduced pair), the keyswitch, the two
+        correction adds; BatchedBackend sums stacked products in runs.
         Both sums are exact, so the bodies are bit-identical.
         """
         from repro.fhe.bfv import BfvCiphertext
@@ -572,7 +560,7 @@ class Backend:
         for pair in pairs:
             self.record("cmult")
             (e,) = ctx.tensor_products([pair])
-            acc = e if acc is None else self.add(acc, e, both)
+            acc = e % _moduli_column(both) if acc is None else self.add(acc, e, both)
         r0, r1, r2 = ctx.tensor_scale_round(acc)
         self.record("keyswitch")
         d0, d1 = self.keyswitch(r2, rlk, moduli)
@@ -683,14 +671,12 @@ class BatchedBackend(Backend):
     """Residue-stacked execution engine (the default hot path).
 
     RNS tier: one numpy pass covers every limb. Fused tier: a keyswitch runs
-    one (D, L+K, N) forward NTT over all its digits against cached
-    NTT-domain key stacks (:class:`repro.fhe.keys.KeySwitchKey`), sums in
-    the NTT domain lazily and pays one inverse and a word-sized mod-down; a
-    mat-vec hoists every image of one ciphertext on one digit transform and
-    its giants under one mod-down (:func:`hoisted_rotations`), and rotates
-    nothing when its sources come ready (packing). Bit-identical to the
-    reference bodies: the NTT is linear mod p, so ``intt(sum(f_d * k_d mod
-    p) mod p) == sum(intt(f_d * k_d)) mod p`` exactly.
+    one (D, L+K, N) forward NTT over its digits against cached NTT-domain
+    key stacks (:class:`repro.fhe.keys.KeySwitchKey`), sums the products
+    unreduced and pays one inverse and a word-sized mod-down; a mat-vec
+    hoists every image of one ciphertext on one digit transform and its
+    giants under one mod-down (:func:`hoisted_rotations`). Bit-identical to
+    the reference: the NTT is linear mod p.
     """
 
     name = "batched"
@@ -798,12 +784,18 @@ class BatchedBackend(Backend):
         from repro.fhe.poly import RnsPoly
 
         ctx.check_tensor_terms(len(pairs))
-        moduli = ctx.params.moduli
-        # A chunk of G' pairs peaks at its (G', 2, 2, L+K, N) products; the
-        # chunks' lazy sums add up unreduced (cmult_bounds: "lazy_sum").
-        chunk = max(1, GIANT_BATCH_ELEMS // (4 * len(ctx.tensor_moduli) * ctx.params.n))
-        e = sum(ctx.tensor_products(pairs[lo : lo + chunk]).sum(axis=0)
-                for lo in range(0, len(pairs), chunk))
+        moduli, both = ctx.params.moduli, ctx.tensor_moduli
+        mods, run = _moduli_column(both), lazy_product_limit(both)
+        # A chunk of G' pairs peaks at 7 (G', L+K, N) operand and product
+        # rows. Each component sums in runs of `run` products (the middle
+        # holds two a pair), one % a run (cmult_bounds: "lazy_sum").
+        chunk = max(1, GIANT_BATCH_ELEMS // (7 * len(both) * ctx.params.n))
+        e = np.zeros((3, len(both), ctx.params.n), dtype=np.int64)
+        for lo in range(0, len(pairs), chunk):
+            products = ctx.tensor_products(pairs[lo : lo + chunk])
+            for comp, pairs_a_run in ((slice(0, 3, 2), run), (1, run // 2)):
+                runs = np.add.reduceat(products[:, comp], range(0, len(products), pairs_a_run))
+                e[comp] += (runs % mods).sum(axis=0)
         r0, r1, r2 = ctx.tensor_scale_round(e)
         d0, d1 = self.keyswitch(r2, rlk, moduli)
         c0 = RnsPoly(self.add(r0, d0, moduli), moduli)
@@ -830,31 +822,25 @@ class CountingBackend(Backend):
     """Run the reference bodies over ``inner``'s RNS tier, counting per phase.
 
     Only the RNS tier (:meth:`add` .. :meth:`mod_switch`) and the two hooks
-    are overridden: each RNS call is counted, then delegated to ``inner``.
-    Every op above runs :class:`Backend`'s reference body over ``inner``'s
-    primitives (2–4× the batched engine's time on a whole inference), so
-    every count is a primitive that ran. Two kinds of events land in
-    ``phase -> {op: count}`` records:
+    are overridden: each RNS call is counted, then delegated to ``inner``,
+    so every op above runs :class:`Backend`'s reference body (2–4× the
+    batched engine's time on an inference) and every count is a primitive
+    that ran. ``phase -> {op: count}`` records hold RNS-tier work in the
+    analytical model's units (:mod:`repro.core.trace`) — ``ntt`` (limb
+    transforms), ``mod_mul`` / ``mod_add`` (elements), ``automorph`` /
+    ``shift`` (one index map per limb per call), ``rnsconv`` (base-conversion
+    outputs) — and the events bodies and dispatch sites record (``pmult``,
+    ``hadd``, ``cmult``, ``rotation``, ``keyswitch``, ``extract``, ``fbs``,
+    ``s2c``, ...).
 
-    * RNS-tier work, derived from the dispatched array shapes in the same
-      units as the analytical trace model (:mod:`repro.core.trace`):
-      ``ntt`` (limb transforms), ``mod_mul`` / ``mod_add`` (elements),
-      ``automorph`` / ``shift`` (one index map per limb per call, whatever
-      leading axes ride along), ``rnsconv`` (base-conversion outputs).
-    * primitive events the bodies and dispatch sites record: ``pmult``,
-      ``smult``, ``hadd``, ``add_plain``, ``cmult``, ``rotation``,
-      ``keyswitch``, ``extract``, ``lwe_keyswitch``, ``lwe_mod_switch``,
-      ``mod_switch``, ``matvec``, ``pack``, ``fbs``, ``s2c``, ...
-
-    Beside the counts, ``phase_s`` accumulates *self*-seconds per phase
-    label of that counted stream, not of the fused kernels (production
-    per-phase seconds come from timing an uncounted run). A nested phase
-    pauses its parent (``fbs_giant`` inside ``fbs``), so on one thread the
-    labels are disjoint; under a thread fan-out each worker adds to the
-    same labels, so the sum is busy time. The phase label is thread-local
-    and the counter store lock-protected, so one recorder may be shared
-    across a fan-out. :func:`repro.core.trace.executed_trace` views the
-    records as a :class:`~repro.core.trace.WorkloadTrace`.
+    ``phase_s`` accumulates *self*-seconds per phase label of that counted
+    stream (production per-phase seconds come from an uncounted run). A
+    nested phase pauses its parent (``fbs_giant`` inside ``fbs``); under a
+    thread fan-out each worker adds to the same labels, so the sum is busy
+    time. The label is thread-local and the store lock-protected, so one
+    recorder may be shared across a fan-out.
+    :func:`repro.core.trace.executed_trace` views the records as a
+    :class:`~repro.core.trace.WorkloadTrace`.
     """
 
     name = "counting"

@@ -136,8 +136,7 @@ class _TensorTables(NamedTuple):
     both: tuple[int, ...]  # Q u P, Q's limbs first
     both_col: np.ndarray  # (L+K, 1) the primes of Q u P
     aux_col: np.ndarray  # (K, 1) the primes of P
-    half: np.ndarray  # (L+K, 1) floor(Q/2) mod each prime of Q u P
-    q_inv: np.ndarray  # (K, 1) Q^-1 mod each prime of P
+    q_inv: int  # Q^-1 mod P
     terms: int  # products one tensor may sum: ceil(sqrt(t))
 
 
@@ -145,13 +144,12 @@ class _TensorTables(NamedTuple):
 def _tensor_tables(params: FheParams) -> _TensorTables:
     """The auxiliary basis P of the RNS tensor and the constants that go with it.
 
-    P is 31-bit NTT primes (so disjoint from the sub-2**30 limbs of Q) with
+    P is 31-bit NTT primes (disjoint from the sub-2**30 limbs of Q) with
     P > 2*t*N*Q*terms + 4, twice what the centred scaled sum of ``terms``
-    tensors needs — every component of one is at most t*N*Q/2 + 1 in
-    magnitude. ``terms`` is ceil(sqrt(t)): an FBS over Z_t combines
-    ``gs <= bs = ceil(sqrt(degree + 1)) <= ceil(sqrt(t))`` giant steps, so
-    one basis per ring serves every plan. Built on the first CMult of a
-    parameter set; a few KiB.
+    tensors needs (a component of one is at most t*N*Q/2 + 1 in magnitude).
+    ``terms`` is ceil(sqrt(t)): an FBS over Z_t combines at most
+    ``bs = ceil(sqrt(degree + 1))`` giant steps, so one basis serves every
+    plan. Built on a parameter set's first CMult; a few KiB.
     """
     terms = math.isqrt(params.t - 1) + 1
     bound = 2 * params.t * params.n * params.q * terms + 4
@@ -172,8 +170,7 @@ def _tensor_tables(params: FheParams) -> _TensorTables:
         both=both,
         both_col=column(both),
         aux_col=column(aux),
-        half=column([params.q // 2 % p for p in both]),
-        q_inv=column([inv_mod(params.q % p, p) for p in aux]),
+        q_inv=inv_mod(params.q % math.prod(aux), math.prod(aux)),
         terms=terms,
     )
 
@@ -187,18 +184,21 @@ def cmult_bounds(params: FheParams) -> dict[str, tuple[int | float, int | float]
     the moduli tables only (no twiddles), so it is cheap at any ring degree.
     """
     tb = _tensor_tables(params)
-    aux = tb.aux
-    top = max(tb.both) - 1
-    aux_modulus = rns.rns_modulus(aux)
-    widest = max(len(params.moduli), len(aux))
+    top, (below, above) = max(tb.both) - 1, rns.EXTENSION_RANGE
     return {
-        # residue * residue, residue * CRT constant, residue * t
-        "product": (top * max(top, params.t), 2**62),
-        # e1's 2 * terms reduced products; t*e + floor(Q/2); x * inv +
-        # folded shift
-        "lazy_sum": (max(2 * tb.terms * top, top * params.t + top), 2**63),
-        "aux_basis": (2 * params.t * params.n * params.q * tb.terms + 4, aux_modulus),
-        "overflow_estimate": (rns.overflow_estimate_error(widest), rns.V_AMBIGUITY),
+        # residue * residue: a tensor product, a digit times a folded CRT constant
+        "product": (top * top, 2**62),
+        # a0*b1 + a1*b0 unreduced, plus the reduced sum a reference add meets
+        "pair_sum": (2 * top * top + top, 2**63),
+        # the giant steps' 2 * terms reduced product runs, summed unreduced
+        "lazy_sum": (2 * tb.terms * top, 2**63),
+        # the scale-round's digits x * [t (Q/p)^-1]_p + [floor(Q/2) (Q/p)^-1]_p
+        "folded_digits": (top * top + top, 2**63),
+        # its one aux %: t * x_P minus the Q -> P extension's row
+        "aux_input": (max(params.t * top - below, above), 2**63),
+        "aux_basis": (2 * params.t * params.n * params.q * tb.terms + 4, rns.rns_modulus(tb.aux)),
+        "overflow_estimate": (rns.overflow_estimate_error(max(len(params.moduli), len(tb.aux))),
+                              rns.V_AMBIGUITY),
     }
 
 
@@ -406,7 +406,7 @@ class BfvContext:
         if todo:
             tb = _tensor_tables(self.params)
             ops = np.array([(ct.c0.data, ct.c1.data) for ct in todo])
-            ext = rns.base_extend(ops, self.params.moduli, tb.aux, centered=True)
+            ext = rns.base_extend(ops, self.params.moduli, tb.aux, shift=self.params.q // 2)
             forms = ntt_forward_rns(np.concatenate([ops, ext], axis=-2), tb.both)
             forms.setflags(write=False)
             for ct, form in zip(todo, forms):
@@ -415,31 +415,36 @@ class BfvContext:
 
     def tensor_products(self, pairs) -> np.ndarray:
         """Stage 2: ``(a0*b0, a0*b1 + a1*b0, a1*b1)`` of each pair in the
-        evaluation domain of Q u P, a (G, 3, L+K, N) array. Each product is
-        reduced below 2**31 and nothing else, so a sum over pairs (or over
-        partial sums of one batch) adds up in int64 unreduced."""
-        mods = _tensor_tables(self.params).both_col
+        evaluation domain of Q u P, a (G, 3, L+K, N) array, unreduced (each
+        below 2**63, :func:`cmult_bounds` "pair_sum"): the inverse transform
+        of stage 3 reduces on entry, and a sum over pairs reduces in runs."""
         forms = self.tensor_forms([ct for pair in pairs for ct in pair])
         a, b = np.stack(forms[0::2]), np.stack(forms[1::2])
-        e = a[:, :, None] * b[:, None, :] % mods  # e[g, i, j] = ai*bj
-        return np.stack([e[:, 0, 0], e[:, 0, 1] + e[:, 1, 0], e[:, 1, 1]], axis=1)
+        e = np.empty((len(pairs), 3) + a.shape[2:], dtype=np.int64)
+        np.multiply(a[:, 0], b[:, 0], out=e[:, 0])
+        np.einsum("gcln,gcln->gln", a, b[:, ::-1], out=e[:, 1])
+        np.multiply(a[:, 1], b[:, 1], out=e[:, 2])
+        return e
 
     def tensor_scale_round(self, e: np.ndarray) -> np.ndarray:
-        """Stage 3: ``round(t * e / Q) mod Q`` of a (possibly lazy) stage-2
-        sum, a (..., 3, L, N) array — one inverse NTT, one rounding.
+        """Stage 3: ``round(t * e / Q) mod Q`` of a stage-2 product or sum
+        (any int64), a (..., 3, L, N) array — one inverse NTT, one rounding.
 
-        With y = t*e + floor(Q/2), ``floor(y / Q) = (y - [y]_Q) / Q`` is
-        computed modulo each prime of P from the exact extension of
-        [y]_Q, then converted P -> Q centred.
+        With y = t*e + floor(Q/2) and w the centred lift of [t*e]_Q,
+        ``floor(y / Q) = (t*e - w) / Q``: the Q -> P extension folds t and
+        floor(Q/2) into its CRT constants, one ``%`` takes t*e - w mod P, the
+        P -> Q extension folds in Q^-1. Components 0 and 1 come back as
+        residue classes (:data:`repro.fhe.rns.EXTENSION_RANGE`) for the
+        correction add to reduce; component 2, the keyswitch input, canonical.
         """
-        params = self.params
-        moduli = params.moduli
-        tb = _tensor_tables(params)
-        num_limbs = len(moduli)
-        y = (ntt_inverse_rns(e, tb.both) * params.t + tb.half) % tb.both_col
-        y_mod_q = rns.base_extend(y[..., :num_limbs, :], moduli, tb.aux)
-        scaled = (y[..., num_limbs:, :] - y_mod_q) * tb.q_inv % tb.aux_col
-        return rns.base_extend(scaled, tb.aux, moduli, centered=True)
+        params, tb = self.params, _tensor_tables(self.params)
+        moduli, num_limbs = params.moduli, params.num_limbs
+        x = ntt_inverse_rns(e, tb.both)
+        w = rns.base_extend(x[..., :num_limbs, :], moduli, tb.aux, params.t, params.q // 2)
+        quotient = (x[..., num_limbs:, :] * params.t - w) % tb.aux_col
+        out = rns.base_extend(quotient, tb.aux, moduli, tb.q_inv, rns.rns_modulus(tb.aux) // 2)
+        out[..., 2, :, :] %= tb.both_col[:num_limbs]
+        return out
 
     def cmult(
         self, a: BfvCiphertext, b: BfvCiphertext, rlk: KeySwitchKey

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fhe import rns
-from repro.fhe.backend import digit_groups
+from repro.fhe.backend import digit_groups, lazy_product_limit
 from repro.fhe.ntt import ntt_forward_rns
 from repro.fhe.params import FheParams
 from repro.fhe.poly import RnsPoly
@@ -116,12 +116,16 @@ def keyswitch_bounds(params: FheParams) -> dict[str, tuple[int, int]]:
     moduli, both = params.moduli, params.keyswitch_moduli
     special = both[len(moduli):]
     top = max(both) - 1
+    below, above = rns.EXTENSION_RANGE
     groups = [moduli[rows] for rows in digit_groups(len(moduli), both)]
+    key_sum = min(params.num_digits, lazy_product_limit(both)) * top * top
     return {
         # digit residue * key residue; (x - lift) mod q times P^-1
         "product": (top * top, 2**62),
-        # the D reduced products of one digit-axis sum
-        "lazy_sum": (params.num_digits * top, 2**63),
+        # D digit products summed unreduced in runs (one run, no %, at D <= 2)
+        "key_sum": (key_sum, 2**63),
+        # x - lift: a key-product sum or a residue, less a residue or a row
+        "mod_down_difference": (max(key_sum, top - below, above), 2**63),
         # P above every digit's modulus Q_j, so the mod-down shrinks the
         # digits' key noise below the rounding's
         "special_basis": (max(math.prod(g) for g in groups), math.prod(special)),

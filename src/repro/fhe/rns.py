@@ -119,42 +119,47 @@ def overflow_estimate_error(num_limbs: int) -> float:
     return num_limbs * (num_limbs + 2) * 2.0**-53
 
 
-def extension_bounds(
-    src: tuple[int, ...], dst: tuple[int, ...]
-) -> dict[str, tuple[int, int]]:
-    """``name -> (peak, limit)`` in the mould of
-    :func:`repro.fhe.bfv.cmult_bounds`: :func:`base_extend` from ``src`` to
-    ``dst`` is exact iff every peak is strictly below its limit. Its CRT sum
+#: :func:`base_extend`'s rows lie in this open interval.
+EXTENSION_RANGE = (-(2**36), 2**53)
+
+
+def extension_bounds(src: tuple[int, ...], dst: tuple[int, ...]) -> dict[str, tuple[int, int]]:
+    """``name -> (peak, limit)`` in the mould of :func:`repro.fhe.bfv.cmult_bounds`:
+    :func:`base_extend` from ``src`` to ``dst`` is exact, its rows inside
+    :data:`EXTENSION_RANGE`, iff every peak is below its limit. The CRT sum
     is a float64 (BLAS) product of split digits and weights below the target
-    primes: every term and partial sum is an integer, exact below 2**53."""
+    primes, exact below 2**53; the row then subtracts the overflow count
+    (< L) times Q and the shift, each reduced mod dst_j."""
     low = (1 << _SPLIT_BITS) - 1
-    return {"float_sum": (sum((p - 1 >> _SPLIT_BITS) + low for p in src) * (max(dst) - 1),
-                          2**53)}
+    top = max(dst) - 1
+    return {
+        "float_sum": (sum((p - 1 >> _SPLIT_BITS) + low for p in src) * top,
+                      EXTENSION_RANGE[1]),
+        "below_zero": (len(src) * top, -EXTENSION_RANGE[0]),
+    }
 
 
 class _ExtensionTables(NamedTuple):
     """Word-sized constants of one ``src`` -> ``dst`` base conversion."""
 
     src: np.ndarray  # (L, 1) source primes
-    dst: np.ndarray  # (K, 1) target primes
-    inv: np.ndarray  # (L, 1) (Q/p_i)^-1 mod p_i
-    half_inv: np.ndarray  # (L, 1) floor(Q/2) * inv mod p_i
+    inv: np.ndarray  # (L, 1) scale * (Q/p_i)^-1 mod p_i
+    shift_inv: np.ndarray  # (L, 1) shift * (Q/p_i)^-1 mod p_i
     recip: np.ndarray  # (L, 1) float64 1 / p_i
     weights: np.ndarray  # (K, 2L) float64 [(Q/p_i) << _SPLIT_BITS | Q/p_i] mod dst_j
     q_mod: np.ndarray  # (K, 1) Q mod dst_j
-    half_mod: np.ndarray  # (K, 1) floor(Q/2) mod dst_j
+    shift_mod: np.ndarray  # (K, 1) shift mod dst_j
 
 
 @lru_cache(maxsize=None)
 def _extension_tables(
-    src: tuple[int, ...], dst: tuple[int, ...]
+    src: tuple[int, ...], dst: tuple[int, ...], scale: int, shift: int
 ) -> _ExtensionTables:
     for name, (peak, limit) in extension_bounds(src, dst).items():
         if not peak < limit:
             raise ParameterError(f"base extension from {len(src)} primes: {name} "
                                  f"{peak} is not below {limit}")
     q, partials, inverses = _crt_constants(src)
-    half = q // 2
 
     def column(values, dtype=np.int64) -> np.ndarray:
         col = np.array(values, dtype=dtype)[:, None]
@@ -172,13 +177,12 @@ def _extension_tables(
     weights.setflags(write=False)
     return _ExtensionTables(
         src=column(src),
-        dst=column(dst),
-        inv=column(inverses),
-        half_inv=column([half * inv % p for inv, p in zip(inverses, src)]),
+        inv=column([scale * inv % p for inv, p in zip(inverses, src)]),
+        shift_inv=column([shift * inv % p for inv, p in zip(inverses, src)]),
         recip=column([1.0 / p for p in src], np.float64),
         weights=weights,
         q_mod=column([q % p for p in dst]),
-        half_mod=column([half % p for p in dst]),
+        shift_mod=column([shift % p for p in dst]),
     )
 
 
@@ -192,32 +196,34 @@ def base_extend(
     residues: np.ndarray,
     src: tuple[int, ...],
     dst: tuple[int, ...],
-    centered: bool = False,
+    scale: int = 1,
+    shift: int = 0,
 ) -> np.ndarray:
     """Exact change of RNS basis on int64 arrays: (..., L, N) -> (..., K, N).
 
-    Row j of the result is ``x mod dst[j]``, where x is the CRT lift of
-    ``residues`` over ``src`` into [0, Q) — or, with ``centered``, into
-    [-(Q-1)/2, (Q-1)/2], the interval :func:`from_rns_centered` lifts to.
-    Primes on both sides must be below 2**31, Q odd, and the pair of bases
-    inside :func:`extension_bounds` (else ``ParameterError``).
+    Row j is congruent mod ``dst[j]`` to the representative in [-shift,
+    Q - shift) of ``scale * x`` mod Q, x the integer the canonical
+    ``residues`` hold over ``src``: ``shift`` 0 is the plain lift, ``Q // 2``
+    the centred one (:func:`from_rns_centered`'s interval). Rows are residue
+    classes inside :data:`EXTENSION_RANGE`, not canonical: the transforms and
+    automorphisms reduce on entry, a caller that multiplies them reduces
+    first. Primes below 2**31, Q odd, the bases inside
+    :func:`extension_bounds` (else ``ParameterError``).
 
-    With xi_i = [x_i * (Q/p_i)^-1] mod p_i the lift is
-    ``sum_i xi_i * (Q/p_i) - v * Q`` for the overflow count
-    ``v = floor(sum_i xi_i / p_i)``. The sum of fractions is taken in
-    float64; its error is below :func:`overflow_estimate_error`, so its
-    floor is v whenever it lies at least :data:`V_AMBIGUITY` from an
-    integer. The few coefficients where it does not — x within about
-    Q * 2**-30 of 0 or Q — get v from Python integers instead, so the
-    result is exact for every input. A centred lift is the plain lift of
-    ``x + floor(Q/2)`` shifted back: zeros and small values of either sign,
-    the common case, then sit mid-interval rather than on the ambiguous
-    edge.
+    It is the plain lift of ``z = scale * x + shift``, shifted back. With
+    xi_i = [z_i * (Q/p_i)^-1] mod p_i — scale and shift folded into the CRT
+    constants, one ``%`` — that is ``sum_i xi_i * (Q/p_i) - v * Q``, v =
+    floor(sum_i xi_i / p_i). The fractions sum in float64, error below
+    :func:`overflow_estimate_error`, so the floor is v wherever it lies
+    :data:`V_AMBIGUITY` from an integer; elsewhere — z within about
+    Q * 2**-30 of 0 or Q — v comes from Python integers, so every input is
+    exact. Centred, zeros and small values of either sign sit mid-interval,
+    off the ambiguous edge.
     """
-    tb = _extension_tables(src, dst)
+    tb = _extension_tables(src, dst, scale, shift)
     xi = residues * tb.inv  # < 2**62
-    if centered:
-        xi += tb.half_inv  # the folded shift: still < 2**63
+    if shift:
+        xi += tb.shift_inv  # the folded shift: still < 2**63
     xi %= tb.src
     estimate = (xi * tb.recip).sum(axis=-2)
     overflow = np.floor(estimate)
@@ -234,9 +240,9 @@ def base_extend(
     np.bitwise_and(xi, (1 << _SPLIT_BITS) - 1, out=halves[..., len(src) :, :])
     out = np.matmul(tb.weights, halves).astype(np.int64)
     out -= overflow[..., None, :] * tb.q_mod
-    if centered:
-        out -= tb.half_mod
-    return out % tb.dst
+    if shift:
+        out -= tb.shift_mod
+    return out
 
 
 def rns_modulus(moduli: tuple[int, ...]) -> int:

@@ -47,11 +47,8 @@ function of the identical noise-margin, see
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from typing import Iterable
-
-import numpy as np
 
 from repro.core.program import AthenaProgram, lower
 from repro.errors import ParameterError
@@ -287,14 +284,7 @@ class AthenaService:
             )
         # Every input of a batch takes the plan's entry shape here, so a
         # request that cannot never reaches (and fails) its batch-mates.
-        in_shape = self._cores[(request.tenant_id, request.model)].plan.entry.in_shape
-        x_q = np.asarray(request.x_q, dtype=np.int64)
-        if x_q.size != math.prod(in_shape):
-            raise ParameterError(
-                f"input of shape {x_q.shape} does not fit model "
-                f"{request.model!r}, whose entry takes {in_shape}"
-            )
-        request.x_q = x_q.reshape(in_shape)
+        request.x_q = self._cores[(request.tenant_id, request.model)].plan.entry_input(request.x_q)
         request.future = asyncio.get_running_loop().create_future()
         self.scheduler.submit(request)
         return request.future

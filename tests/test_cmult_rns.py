@@ -7,8 +7,9 @@ summing the products of all its pairs and rounding the sum by t/Q — once.
 That big-int computation lives here, as the oracle (:func:`oracle_sum`),
 built from ``negacyclic_mul_exact`` and ``from_rns_centered``. Pinned below:
 
-1. :func:`repro.fhe.rns.base_extend` equals the big-int lift on drawn residue
-   stacks and on the edges of the interval, plain and centred.
+1. :func:`repro.fhe.rns.base_extend` is congruent to the big-int lift on
+   drawn residue stacks and on the edges of the interval, plain, centred and
+   affine, its rows inside ``rns.EXTENSION_RANGE``.
 2. the tensor equals the oracle on random, adversarial and crafted operands
    (including the ones that force the exact-integer route for the CRT
    overflow count), with no big-int conversion on the normal path.
@@ -17,8 +18,9 @@ built from ``negacyclic_mul_exact`` and ``from_rns_centered``. Pinned below:
    transparent-zero operand and crafted rounding edges in the list.
 4. ``cmult`` and ``giant_step_batch`` are bit-identical across engines and to
    oracle tensor + the same keyswitch; mismatched rings raise.
-5. the overflow / precision bounds hold for every preset (tables only), an
-   over-long sum raises, and the kernel runs at the paper's ring size (slow).
+5. the overflow / precision bounds — every unreduced hand-off's among them —
+   hold for every preset (tables only), a basis outside them and an
+   over-long sum raise, and the kernel runs at the paper's ring size (slow).
 """
 
 from fractions import Fraction
@@ -83,9 +85,13 @@ def oracle_tensor(a: BfvCiphertext, b: BfvCiphertext) -> np.ndarray:
 
 
 def tensor_sum(ctx: BfvContext, pairs) -> np.ndarray:
-    """(3, L, N): the three tensor stages, the products summed lazily."""
+    """(3, L, N): the three tensor stages, the products summed (reduced:
+    more than one unreduced pair may overflow), the rounding's residue
+    classes reduced."""
     ctx.check_tensor_terms(len(pairs))
-    return ctx.tensor_scale_round(ctx.tensor_products(pairs).sum(axis=0))
+    mods = np.array(ctx.tensor_moduli, dtype=np.int64)[:, None]
+    e = (ctx.tensor_products(pairs) % mods).sum(axis=0)
+    return ctx.tensor_scale_round(e) % mods[: len(ctx.params.moduli)]
 
 
 def tensor(ctx: BfvContext, a: BfvCiphertext, b: BfvCiphertext) -> np.ndarray:
@@ -142,6 +148,26 @@ def _lift_mod(values, dst) -> np.ndarray:
     )
 
 
+def _extend(stack, src, dst, centered=False) -> np.ndarray:
+    """:func:`rns.base_extend`'s rows reduced to canonical residues, after
+    checking they lie in the range it states."""
+    below, above = rns.EXTENSION_RANGE
+    got = rns.base_extend(stack, src, dst, shift=rns.rns_modulus(src) // 2 if centered else 0)
+    assert below < got.min(initial=0) and got.max(initial=0) < above
+    return got % np.array(dst, dtype=np.int64)[:, None]
+
+
+def _extension_pairs(params):
+    """Every basis pair the ciphertext path extends between at ``params``:
+    the tensor's Q -> P and P -> Q, each keyswitch digit's mod-up and the
+    mod-down's P -> Q."""
+    aux = bfv_module._tensor_tables(params).aux
+    both = params.keyswitch_moduli
+    groups = backend_mod.digit_groups(len(params.moduli), both)
+    return ([(params.moduli, aux), (aux, params.moduli), (both[len(params.moduli):], params.moduli)]
+            + [(params.moduli[g], both[: g.start] + both[g.stop :]) for g in groups])
+
+
 class TestBaseExtend:
     SRC = TEST_LOOP.moduli
     DST = bfv_module._tensor_tables(TEST_LOOP).aux
@@ -161,25 +187,23 @@ class TestBaseExtend:
         )
         q = rns.rns_modulus(src)
         plain = rns.from_rns(stack, src)
-        assert np.array_equal(rns.base_extend(stack, src, dst), _lift_mod(plain, dst))
+        assert np.array_equal(_extend(stack, src, dst), _lift_mod(plain, dst))
         centred = rns.from_rns_centered(stack, src)
         assert all(-(q // 2) <= v <= q // 2 for v in centred)
-        assert np.array_equal(
-            rns.base_extend(stack, src, dst, centered=True), _lift_mod(centred, dst)
-        )
+        assert np.array_equal(_extend(stack, src, dst, True), _lift_mod(centred, dst))
 
     @pytest.mark.parametrize("direction", ["q_to_p", "p_to_q"])
     def test_interval_edges(self, direction, exact_route_calls):
         src, dst = (self.SRC, self.DST) if direction == "q_to_p" else (self.DST, self.SRC)
         q = rns.rns_modulus(src)
         plain = [0, 1, 2, q - 1, q - 2, q // 2, q // 2 + 1, q // 3]
-        got = rns.base_extend(rns.to_rns(plain, src), src, dst)
+        got = _extend(rns.to_rns(plain, src), src, dst)
         assert np.array_equal(got, _lift_mod(plain, dst))
         # 0, 1, 2, Q-1, Q-2 sit on the ambiguous edge; the rest do not.
         assert len(exact_route_calls) == 5
         del exact_route_calls[:]
         centred = edge_values(q)
-        got = rns.base_extend(rns.to_rns(centred, src), src, dst, centered=True)
+        got = _extend(rns.to_rns(centred, src), src, dst, True)
         assert np.array_equal(got, _lift_mod(centred, dst))
         # Centred, only +-(Q-1)/2 and their neighbours are on the edge.
         assert len(exact_route_calls) == 4
@@ -188,14 +212,11 @@ class TestBaseExtend:
         stack = np.stack(
             [rng.integers(0, p, (2, 3, 5)) for p in self.SRC], axis=-2
         )
-        got = rns.base_extend(stack, self.SRC, self.DST, centered=True)
+        got = _extend(stack, self.SRC, self.DST, True)
         assert got.shape == (2, 3, len(self.DST), 5)
         for i in range(2):
             for j in range(3):
-                assert np.array_equal(
-                    got[i, j],
-                    rns.base_extend(stack[i, j], self.SRC, self.DST, centered=True),
-                )
+                assert np.array_equal(got[i, j], _extend(stack[i, j], self.SRC, self.DST, True))
 
     @pytest.mark.parametrize("centered", [False, True], ids=["plain", "centred"])
     @pytest.mark.parametrize("route", ["edges", "all_exact"])
@@ -213,7 +234,7 @@ class TestBaseExtend:
         stack[1, 0] = rns.to_rns(edges, src)
         if route == "all_exact":
             monkeypatch.setattr(rns, "V_AMBIGUITY", 1.0)
-        got = rns.base_extend(stack, src, dst, centered)
+        got = _extend(stack, src, dst, centered)
         assert got.shape == (3, 2, len(dst), 8)
         coefficients = stack[..., 0, :].size
         if route == "edges":
@@ -223,15 +244,54 @@ class TestBaseExtend:
         for e in range(3):
             for c in range(2):
                 row = stack[e, c]
-                assert np.array_equal(got[e, c], rns.base_extend(row, src, dst, centered))
+                assert np.array_equal(got[e, c], _extend(row, src, dst, centered))
                 lift = (rns.from_rns_centered if centered else rns.from_rns)(row, src)
                 assert np.array_equal(got[e, c], _lift_mod(lift, dst))
+
+    @given(st.data())
+    @_drawn
+    def test_rows_congruent_and_in_range(self, data):
+        """The rows are residue classes: congruent to the canonical
+        extension and inside :data:`rns.EXTENSION_RANGE` — on every preset
+        (tables only, so the paper's too), every basis pair of the
+        ciphertext path, residues 0, p - 1 or drawn, under the plain, the
+        centred and a drawn affine map."""
+        params = data.draw(st.sampled_from(sorted(PRESETS.values(), key=lambda p: p.name)))
+        src, dst = data.draw(st.sampled_from(_extension_pairs(params)))
+        q = rns.rns_modulus(src)
+        stack = np.array(
+            [[data.draw(st.sampled_from([0, p - 1]) | st.integers(0, p - 1)) for _ in range(4)]
+             for p in src],
+            dtype=np.int64,
+        )
+        scale, shift = data.draw(st.sampled_from([(1, 0), (1, q // 2)])
+                                 | st.tuples(st.integers(1, q - 1), st.integers(0, q - 1)))
+        got = rns.base_extend(stack, src, dst, scale, shift)
+        below, above = rns.EXTENSION_RANGE
+        assert below < got.min() and got.max() < above
+        want = [(scale * x + shift) % q - shift for x in rns.from_rns(stack, src)]
+        assert np.array_equal(got % np.array(dst, dtype=np.int64)[:, None], _lift_mod(want, dst))
 
 
 # --- tensor == oracle ----------------------------------------------------------------
 
 
 class TestTensorMatchesOracle:
+    @pytest.mark.parametrize("params", RUN_PRESETS, ids=_ids)
+    def test_scale_round_hands_on_residue_classes(self, params, rng):
+        """One unreduced product triple through the scale-round: component 2,
+        the keyswitch input, canonical; 0 and 1 residue classes inside
+        EXTENSION_RANGE; all three congruent to the big-int rounding."""
+        ctx = BfvContext(params, seed=5)
+        mods = np.array(params.moduli, dtype=np.int64)[:, None]
+        below, above = rns.EXTENSION_RANGE
+        for a, b in [(uniform_ct(params, rng), uniform_ct(params, rng)) for _ in range(3)]:
+            got = ctx.tensor_scale_round(ctx.tensor_products([(a, b)])[0])
+            want = oracle_tensor(a, b)
+            assert below < got.min() and got.max() < above
+            assert np.array_equal(got[2], want[2])
+            assert np.array_equal(got % mods, want)
+
     @pytest.mark.parametrize("params", RUN_PRESETS, ids=_ids)
     def test_uniform_operands_and_square(self, params, rng):
         ctx = BfvContext(params, seed=5)
@@ -526,23 +586,36 @@ class TestCmultAndGiantStep:
 class TestBounds:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_peak_below_its_limit(self, name):
-        """Tables only — no twiddles — so the paper-size set is cheap too."""
-        bounds = cmult_bounds(PRESETS[name])
-        assert set(bounds) == {"product", "lazy_sum", "aux_basis", "overflow_estimate"}
+        """Tables only — no twiddles — so the paper-size set is cheap too.
+        Every unreduced hand-off of the CMult has its entry: the product
+        pair sum, the folded scale-round digits and its one aux ``%`` input,
+        the giant steps' run sums."""
+        params = PRESETS[name]
+        bounds = cmult_bounds(params)
+        assert set(bounds) == {"product", "pair_sum", "lazy_sum", "folded_digits",
+                               "aux_input", "aux_basis", "overflow_estimate"}
         for what, (peak, limit) in bounds.items():
             assert 0 < peak < limit, (name, what)
+        top = max(bfv_module._tensor_tables(params).both) - 1
+        below, above = rns.EXTENSION_RANGE
+        assert bounds["pair_sum"][0] == 2 * top * top + top
+        assert bounds["aux_input"][0] >= max(params.t * top - below, above)
+        # A middle component holds two products: a run of pairs is half a run.
+        assert backend_mod.lazy_product_limit(bfv_module._tensor_tables(params).both) >= 2
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_keyswitch_peak_below_its_limit(self, name):
         """What the hybrid keyswitch relies on, on every preset (the paper's
-        ring included): word-sized products, a D-term lazy sum inside int64,
-        P above every digit's modulus, exact float64 CRT sums in the mod-up
-        and the mod-down; and a special basis of alpha primes that are
-        NTT-friendly for 2N, no limb of Q, and a prefix of the tensor's
-        auxiliary basis."""
+        ring included): word-sized products, the D-digit key-product sum
+        unreduced inside int64 (one run at a one-digit set), the one
+        difference of the mod-down, P above every digit's modulus, exact
+        float64 CRT sums in the mod-up and the mod-down; and a special basis
+        of alpha primes that are NTT-friendly for 2N, no limb of Q, and a
+        prefix of the tensor's auxiliary basis."""
         params = PRESETS[name]
         bounds = keyswitch_bounds(params)
-        assert set(bounds) == {"product", "lazy_sum", "special_basis", "mod_up", "mod_down"}
+        assert set(bounds) == {"product", "key_sum", "mod_down_difference", "special_basis",
+                               "mod_up", "mod_down"}
         for what, (peak, limit) in bounds.items():
             assert 0 < peak < limit, (name, what)
         special = params.special_moduli
@@ -552,7 +625,11 @@ class TestBounds:
         assert not set(special) & set(params.moduli)
         assert params.keyswitch_moduli == params.moduli + special
         assert bfv_module._tensor_tables(params).aux[: len(special)] == special
-        assert bounds["lazy_sum"][0] == params.num_digits * (max(special) - 1)
+        top = max(special) - 1
+        run = backend_mod.lazy_product_limit(params.keyswitch_moduli)
+        assert bounds["key_sum"][0] == min(params.num_digits, run) * top * top
+        if params.num_digits == 1:
+            assert bounds["key_sum"][0] == top * top
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_extension_peak_below_its_limit(self, name):
@@ -563,9 +640,10 @@ class TestBounds:
         aux = bfv_module._tensor_tables(params).aux
         for src, dst in ((params.moduli, aux), (aux, params.moduli)):
             bounds = rns.extension_bounds(src, dst)
-            assert set(bounds) == {"float_sum"}
+            assert set(bounds) == {"float_sum", "below_zero"}
             for what, (peak, limit) in bounds.items():
                 assert 0 < peak < limit, (name, what)
+            assert (-bounds["below_zero"][1], bounds["float_sum"][1]) == rns.EXTENSION_RANGE
 
     def test_an_extension_outside_its_bound_raises(self):
         """Seventy 31-bit primes: the float64 CRT sum could reach 2**53.7,
@@ -574,6 +652,16 @@ class TestBounds:
         assert rns.extension_bounds(wide, wide[:1])["float_sum"][0] > 2**53
         with pytest.raises(ParameterError, match="float_sum"):
             rns.base_extend(np.zeros((70, 4), dtype=np.int64), wide, wide[:1])
+
+    def test_an_extension_outside_its_range_raises(self):
+        """Forty 31-bit primes: the float64 sum is still exact, but forty
+        overflow multiples of Q could take a row below -2**36, outside the
+        range every unreduced consumer is bounded for — refused."""
+        wide = tuple(find_ntt_primes(40, 31, 64))
+        bounds = rns.extension_bounds(wide, wide[:1])
+        assert bounds["float_sum"][0] < 2**53 and bounds["below_zero"][0] > 2**36
+        with pytest.raises(ParameterError, match="below_zero"):
+            rns.base_extend(np.zeros((40, 4), dtype=np.int64), wide, wide[:1])
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_aux_basis_is_disjoint_and_not_oversized(self, name):
@@ -618,7 +706,7 @@ class TestBounds:
         """All digits p_i - 1: the largest sum the float estimate ever takes."""
         for params in PRESETS.values():
             for basis in (params.moduli, bfv_module._tensor_tables(params).aux):
-                tb = rns._extension_tables(basis, basis[:1])
+                tb = rns._extension_tables(basis, basis[:1], 1, 0)
                 xi = tb.src - 1
                 estimate = Fraction(float((xi * tb.recip).sum()))
                 exact = sum(Fraction(p - 1, p) for p in basis)

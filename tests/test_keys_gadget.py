@@ -63,12 +63,19 @@ def keys(ctx):
 def _assert_digits_recompose(params, data):
     """``sum_j [c]_{Q_j} * P * delta_j = P * c (mod Q * P)`` over the
     integers, for the digits the kernels multiply: the mod-up of group j is
-    the centred lift of its residues, in every limb of Q u P."""
+    the centred lift of its residues, in every limb of Q u P — its own rows
+    canonical, the extended ones residue classes inside the range
+    :func:`rns.base_extend` states."""
     moduli, both = params.moduli, params.keyswitch_moduli
     assert both == moduli + params.special_moduli
     p, q = math.prod(params.special_moduli), params.q
-    digits = _mod_up(data, moduli, both)
-    assert digits.shape == (params.num_digits, len(both), params.n)
+    raw = _mod_up(data, moduli, both)
+    assert raw.shape == (params.num_digits, len(both), params.n)
+    below, above = rns.EXTENSION_RANGE
+    assert below < raw.min() and raw.max() < above
+    digits = raw % np.array(both, dtype=np.int64)[:, None]
+    for j, rows in enumerate(digit_groups(len(moduli), both)):
+        assert np.array_equal(raw[j, rows], data[rows])
     total = np.zeros(params.n, dtype=object)
     for j, rows in enumerate(digit_groups(len(moduli), both)):
         q_j = math.prod(moduli[rows])

@@ -772,6 +772,22 @@ class TestServiceEndToEnd:
         assert np.array_equal(res_good.output, solo.run(good))
         assert np.array_equal(res_flat.output, solo.run(flat))
 
+    def test_a_misshapen_solo_input_raises_a_parameter_error(self):
+        """The solo path runs the admission's one check: a ``(1, 2, 2)``
+        input to the pack plan's ``(1, 3, 3)`` entry raises
+        ``ParameterError`` — not numpy's reshape error — from
+        ``InferenceSession.run`` and from ``AthenaPipeline.run_batch``, for
+        the whole batch it would have joined."""
+        qm = pack_cnn(np.random.default_rng(5))
+        session = InferenceSession(qm, TEST_FBS, seed=9)
+        good = np.random.default_rng(41).integers(-2, 3, (1, 3, 3)).astype(np.int64)
+        bad = np.zeros((1, 2, 2), dtype=np.int64)
+        with pytest.raises(ParameterError, match=r"entry takes \(1, 3, 3\)"):
+            session.run(bad)
+        with pytest.raises(ParameterError, match="entry"):
+            session.runtime.pipeline.run_batch(session.plan, [good, bad])
+        assert np.array_equal(session.run(good.ravel()), session.run(good))
+
     def test_serve_batch_rejects_tuple_era_requests(self):
         """The positional shim was removed: tuples fail fast, typed works."""
         qm = _micro_model()
