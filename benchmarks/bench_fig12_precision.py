@@ -1,11 +1,12 @@
 """Fig. 12: sensitivity to quantization precision (accuracy + runtime)."""
 
-from repro.eval.figures import fig12_accuracy, fig12_perf, render_fig12
+from repro.accel.sensitivity import precision_sweep_perf
+from repro.eval.figures import fig12_accuracy, render_fig12
 
 
 def test_fig12_precision_sensitivity(once):
     acc = once(fig12_accuracy, "resnet20")
-    perf = fig12_perf("resnet20")
+    perf = precision_sweep_perf("resnet20")
     print("\n" + render_fig12("resnet20"))
     # Accuracy gains plateau by w6a7 (paper: "significant gains plateau at w6a7").
     assert acc["w6a7"]["cipher"] >= acc["w4a4"]["cipher"]

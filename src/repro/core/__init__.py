@@ -15,7 +15,7 @@ from repro.core.inference import (
     InferenceStats,
     SimulatedAthenaEngine,
 )
-from repro.core.lut import activation_lut, layer_lut, relu_lut, remap_lut
+from repro.core.lut import activation_lut, relu_lut, remap_lut
 from repro.core.program import (
     AthenaProgram,
     LinearStep,
@@ -58,7 +58,6 @@ __all__ = [
     "athena_plan",
     "cheetah_plan",
     "conv_via_coefficients",
-    "layer_lut",
     "relu_lut",
     "remap_lut",
     "trace_model",

@@ -44,7 +44,7 @@ from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
 from repro.fhe.fbs import FbsLut, fbs_evaluate
 from repro.fhe.packing import PackingKey, pack_lwe
 from repro.fhe.params import FheParams
-from repro.fhe.s2c import S2CKey, slot_to_coeff
+from repro.fhe.s2c import slot_to_coeff
 from repro.fhe.slots import pack_lane_coeffs, row_swap_element, unpack_lane_coeffs
 from repro.utils.sampling import Sampler
 
@@ -82,7 +82,7 @@ class AthenaPipeline:
             # same objects) and adds only the row swap. Packing itself
             # uses them once, below, never on a request.
             swap = self.ctx.galois_keys(self.sk, [row_swap_element(params.n)])
-            self.s2c_key = S2CKey(self.packing_key.rotation_keys | swap)
+            self.s2c_keys = self.packing_key.rotation_keys | swap
             # The packing key's stack of rotated secrets, every packing's
             # sources, is built once here from the Galois keys.
             self.packing_key.rotated_secrets()
@@ -135,7 +135,7 @@ class AthenaPipeline:
 
     def to_coeffs(self, ct: BfvCiphertext) -> BfvCiphertext:
         """S2C: prepare the FBS output for the next coefficient-encoded layer."""
-        return slot_to_coeff(self.ctx, ct, self.s2c_key)
+        return slot_to_coeff(self.ctx, ct, self.s2c_keys)
 
     def loop(
         self,

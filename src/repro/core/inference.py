@@ -67,13 +67,14 @@ class AthenaNoiseModel:
 
 @dataclass
 class LayerStat:
-    """Per-LUT-layer record for Fig. 4 and the execution trace."""
+    """Per-LUT-layer record for Fig. 4 and the execution trace; the
+    counters are filled as the layer runs."""
 
     name: str
-    mac_peak: int = 0
-    lut_evals: int = 0
-    flipped: int = 0
-    total: int = 0
+    mac_peak: int = field(init=False, default=0)
+    lut_evals: int = field(init=False, default=0)
+    flipped: int = field(init=False, default=0)
+    total: int = field(init=False, default=0)
 
     @property
     def error_ratio(self) -> float:
@@ -82,7 +83,7 @@ class LayerStat:
 
 @dataclass
 class InferenceStats:
-    layers: list[LayerStat] = field(default_factory=list)
+    layers: list[LayerStat] = field(init=False, default_factory=list)
 
     def layer(self, name: str) -> LayerStat:
         stat = LayerStat(name)

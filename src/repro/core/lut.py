@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.errors import QuantizationError
 from repro.fhe.fbs import FbsLut
-from repro.quant.quantize import QuantConfig
 
 
 def _centered_domain(t: int) -> np.ndarray:
@@ -42,20 +41,6 @@ def remap_lut(multiplier: float, activation: str, a_max: int, t: int) -> FbsLut:
         raise QuantizationError(f"unsupported merged activation {activation!r}")
     vals = np.clip(np.rint(x * multiplier), -a_max, a_max).astype(np.int64)
     return FbsLut(vals, t, f"remap-{activation}")
-
-
-def layer_lut(layer, cfg: QuantConfig, t: int | None = None) -> FbsLut:
-    """The FBS table for one IR node's MAC -> activation remapping.
-
-    Built by tabulating the IR node's own ``remap`` over the centered
-    domain, so the encrypted table is bit-exact with plaintext quantized
-    inference for *any* merged activation (relu / sigmoid / gelu / ...).
-    The recipe itself lives in :func:`repro.core.program.lut_spec` — part
-    of the lowering pass, the one place Q-layer dispatch is allowed.
-    """
-    from repro.core.program import lut_spec
-
-    return lut_spec(layer).build(cfg, t)
 
 
 # ---------------------------------------------------------------------------

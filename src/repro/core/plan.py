@@ -302,7 +302,7 @@ class CompiledLinear:
     #: Coefficient span of one image through this round (Eq. 1 workspace).
     lane_span: int = 0
     #: Pack-row stride between lanes' outputs (annotated by the lane chain).
-    lane_out_stride: int = 0
+    lane_out_stride: int = field(init=False, default=0)
     #: Input image ``(C, H, W)`` before zero padding (``(F, 1, 1)`` for an
     #: FC) and the convolution's ``pad``: what the entry step's client-side
     #: encode reshapes and pads a raw input to.
@@ -898,13 +898,17 @@ def compile_program(
 
     A program with a step the ciphertext backend cannot run under ``params``
     raises that step's typed error here, when the plan is built — not on the
-    first request.
+    first request; so does a ``params`` whose t is not the one the model was
+    quantized for (its MACs would wrap where ``forward_int``'s do not).
     """
     # ``tuning`` exists for benchmarks/ledger/tracing.py, its only caller.
     if tuning is not None:
         raise ParameterError("there is no encoding tuner: tuning must be None")
     if params is None:
         params = program.params
+    if program.config.t != params.t:
+        raise ParameterError(f"{program.name} is quantized for t = {program.config.t}, "
+                             f"but {params.name} runs t = {params.t}")
     # Compile-time NTT transforms (cached plaintext operands) are labeled
     # so a counting backend separates them from per-request work.
     with current_backend().phase("compile"):

@@ -62,7 +62,7 @@ no executor can drift from the lowered fusion decisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -179,7 +179,7 @@ class LinearStep:
     mac_values: int  # raw MAC outputs of the linear op
     out_values: int  # LUT-round size (after any fused pooling)
     fused_pool: QMaxPool | None = None
-    s2c: bool = True
+    s2c: bool = field(init=False, default=True)
 
 
 @dataclass
@@ -203,7 +203,7 @@ class RemapStep:
     lut: LutSpec
     name: str
     stat: str  # engine stat label ('avgpool' | 'gap')
-    s2c: bool = True
+    s2c: bool = field(init=False, default=True)
 
     @property
     def source(self):
@@ -224,14 +224,14 @@ class ResidualStep:
     """Wide-scale branch join + one post-add LUT (paper's residual rule)."""
 
     kind: ClassVar[str] = "residual"
+    stat: ClassVar[str] = "residual-add"
 
     layer: QResidual
     body: list
     shortcut: list | None
     lut: LutSpec
     name: str
-    stat: str = "residual-add"
-    s2c: bool = True
+    s2c: bool = field(init=False, default=True)
 
     @property
     def skip_alpha(self) -> int:

@@ -81,7 +81,7 @@ class PhaseTrace:
 class WorkloadTrace:
     model: str
     params: FheParams
-    phases: list[PhaseTrace] = field(default_factory=list)
+    phases: list[PhaseTrace] = field(init=False, default_factory=list)
 
     def add(self, phase: str, layer: str, ops: OpCounts) -> None:
         self.phases.append(PhaseTrace(phase, layer, ops))
@@ -198,9 +198,9 @@ def fbs_ops_split(params: FheParams, t: int | None = None) -> tuple[OpCounts, Op
     return baby, giant
 
 
-def fbs_ops(params: FheParams, t: int | None = None) -> OpCounts:
+def fbs_ops(params: FheParams) -> OpCounts:
     """One FBS evaluation on one ciphertext (both halves combined)."""
-    baby, giant = fbs_ops_split(params, t)
+    baby, giant = fbs_ops_split(params)
     out = OpCounts()
     out += baby
     out += giant

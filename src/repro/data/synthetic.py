@@ -19,6 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Image side and additive pixel-noise std of the MNIST and CIFAR-10 stand-ins.
+DIGIT_SIZE, DIGIT_NOISE = 28, 0.08
+CIFAR_SIZE, CIFAR_NOISE = 32, 0.10
+
 # Seven-segment layout: which segments are lit per digit.
 #     _a_
 #   f|   |b        segments: a b c d e f g
@@ -80,25 +84,23 @@ def _render_digit(digit: int, size: int, rng: np.random.Generator) -> np.ndarray
 
 
 def synthetic_digits(
-    count: int, rng: np.random.Generator | None = None, size: int = 28,
-    noise: float = 0.08,
+    count: int, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (images, labels): (count, 1, size, size) floats in [0,1]."""
+    """Return (images, labels): (count, 1, 28, 28) floats in [0,1]."""
     rng = rng or np.random.default_rng(0)
     labels = rng.integers(0, 10, count)
-    images = np.empty((count, 1, size, size), dtype=np.float64)
+    images = np.empty((count, 1, DIGIT_SIZE, DIGIT_SIZE), dtype=np.float64)
     for i, d in enumerate(labels):
-        img = _render_digit(int(d), size, rng)
-        img += rng.normal(0, noise, img.shape)
+        img = _render_digit(int(d), DIGIT_SIZE, rng)
+        img += rng.normal(0, DIGIT_NOISE, img.shape)
         images[i, 0] = np.clip(img, 0.0, 1.0)
     return images, labels.astype(np.int64)
 
 
 def synthetic_cifar(
-    count: int, rng: np.random.Generator | None = None, size: int = 32,
-    noise: float = 0.10,
+    count: int, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (images, labels): (count, 3, size, size) floats in [0,1].
+    """Return (images, labels): (count, 3, 32, 32) floats in [0,1].
 
     Class k is an oriented grating (angle k*18 deg, class-specific spatial
     frequency) with a class-linked color palette, random phase, a random
@@ -106,7 +108,7 @@ def synthetic_cifar(
     """
     rng = rng or np.random.default_rng(0)
     labels = rng.integers(0, 10, count)
-    yy, xx = np.mgrid[0:size, 0:size] / size
+    yy, xx = np.mgrid[0:CIFAR_SIZE, 0:CIFAR_SIZE] / CIFAR_SIZE
     palettes = np.array(
         [
             [0.9, 0.2, 0.2], [0.2, 0.9, 0.2], [0.2, 0.3, 0.9], [0.9, 0.8, 0.1],
@@ -114,7 +116,7 @@ def synthetic_cifar(
             [0.6, 0.6, 0.9], [0.3, 0.3, 0.3],
         ]
     )
-    images = np.empty((count, 3, size, size), dtype=np.float64)
+    images = np.empty((count, 3, CIFAR_SIZE, CIFAR_SIZE), dtype=np.float64)
     for i, k in enumerate(labels):
         theta = np.pi * k / 10 + rng.normal(0, 0.05)
         freq = 3.0 + (k % 5) * 1.5
@@ -129,7 +131,7 @@ def synthetic_cifar(
         base = np.clip(wave * (1 - 0.6 * blob) + 0.3 * blob, 0, 1)
         color = palettes[k] * rng.uniform(0.8, 1.2)
         for ch in range(3):
-            img = base * color[ch] + rng.normal(0, noise, base.shape)
+            img = base * color[ch] + rng.normal(0, CIFAR_NOISE, base.shape)
             images[i, ch] = np.clip(img, 0.0, 1.0)
     return images, labels.astype(np.int64)
 

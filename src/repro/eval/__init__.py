@@ -16,15 +16,10 @@ from repro.eval.tables import (
     table5,
 )
 from repro.eval.figures import (
-    fig1,
     fig4,
-    fig8,
     fig9,
     fig10,
-    fig11,
     fig12_accuracy,
-    fig12_perf,
-    fig13,
     render_fig1,
     render_fig4,
     render_fig8,
@@ -37,8 +32,7 @@ from repro.eval.figures import (
 from repro.eval.zoo import get_benchmark, train_benchmark
 
 __all__ = [
-    "fig1", "fig4", "fig8", "fig9", "fig10", "fig11",
-    "fig12_accuracy", "fig12_perf", "fig13",
+    "fig4", "fig9", "fig10", "fig12_accuracy",
     "get_benchmark", "render_fig1", "render_fig4", "render_fig8",
     "render_fig9", "render_fig10", "render_fig11", "render_fig12",
     "render_fig13", "render_table", "render_table1", "render_table2",

@@ -23,12 +23,8 @@ from repro.quant.quantize import QuantConfig, quantize_model
 # -- Figure 1: approximation accuracy vs Delta ------------------------------------
 
 
-def fig1():
-    return sweep()
-
-
 def render_fig1() -> str:
-    pts = fig1()
+    pts = sweep()
     rows = []
     for fn in ("relu", "sigmoid"):
         for method in ("taylor", "chebyshev"):
@@ -80,12 +76,8 @@ def render_fig4(model: str = "resnet20") -> str:
 # -- Figure 8: Athena framework on other accelerators ---------------------------------------
 
 
-def fig8() -> dict[str, float]:
-    return accel_baselines.cross_deployment()
-
-
 def render_fig8() -> str:
-    data = fig8()
+    data = accel_baselines.cross_deployment()
     base = data["athena"]
     rows = [(k, f"{v:.1f}", f"{v / base:.1f}x") for k, v in data.items()]
     return render_table(
@@ -139,12 +131,8 @@ def render_fig10() -> str:
     return render_table(["model"] + units, rows, "Fig 10: energy breakdown") + "\n" + memory_note
 
 
-def fig11():
-    return accel_baselines.edap()
-
-
 def render_fig11() -> str:
-    data = fig11()
+    data = accel_baselines.edap()
     headers = ["accelerator", "lenet", "mnist_cnn", "resnet20", "resnet56"]
     rows = [
         [arch] + [f"{row[m]:.2f}" for m in ("lenet", "mnist_cnn", "resnet20", "resnet56")]
@@ -174,13 +162,9 @@ def fig12_accuracy(model: str = "resnet20", seed: int = 0, test_size: int = 256)
     return out
 
 
-def fig12_perf(model: str = "resnet20"):
-    return precision_sweep_perf(model)
-
-
 def render_fig12(model: str = "resnet20") -> str:
     acc = fig12_accuracy(model)
-    perf = fig12_perf(model)
+    perf = precision_sweep_perf(model)
     rows = []
     for label in ("w4a4", "w5a5", "w6a6", "w6a7", "w7a7", "w8a8"):
         a = acc.get(label, {})
@@ -198,12 +182,8 @@ def render_fig12(model: str = "resnet20") -> str:
 # -- Figure 13: lane sensitivity -------------------------------------------------------------------
 
 
-def fig13():
-    return lane_sweep()
-
-
 def render_fig13() -> str:
-    pts = fig13()
+    pts = lane_sweep()
     rows = [
         (p.unit, p.lanes, f"{p.delay:.2f}", f"{p.energy:.2f}", f"{p.edp:.2f}", f"{p.edap:.2f}")
         for p in pts

@@ -45,7 +45,7 @@ from repro.fhe.params import (
     get_params,
 )
 from repro.fhe.poly import RnsPoly
-from repro.fhe.s2c import S2CKey, slot_to_coeff
+from repro.fhe.s2c import slot_to_coeff
 from repro.fhe.security import check_params, security_level
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "LweBatch",
     "PackingKey",
     "Plaintext",
-    "S2CKey",
     "SmallRlwe",
     "current_backend",
     "fbs_evaluate",

@@ -650,12 +650,12 @@ class Backend:
         self.record("fbs")
         return fbs.fbs_evaluate_impl(ctx, ct, lut, rlk)
 
-    def s2c(self, ctx, ct, key):
-        """Slot-to-coefficient transform."""
+    def s2c(self, ctx, ct, keys):
+        """Slot-to-coefficient transform under its Galois ``keys``."""
         from repro.fhe import s2c
 
         self.record("s2c")
-        return s2c.slot_to_coeff_impl(ctx, ct, key)
+        return s2c.slot_to_coeff_impl(ctx, ct, keys)
 
     # -- instrumentation hooks ---------------------------------------------
 

@@ -56,10 +56,10 @@ class Plaintext:
     coeffs: np.ndarray
     params: FheParams
     _ntt_op: np.ndarray | None = field(
-        default=None, repr=False, compare=False
+        init=False, default=None, repr=False, compare=False
     )
     _scaled_op: RnsPoly | None = field(
-        default=None, repr=False, compare=False
+        init=False, default=None, repr=False, compare=False
     )
 
     @classmethod

@@ -264,7 +264,8 @@ class FbsPlan:
     #: (g, constant, ((power j, coefficient), ...)) for non-empty groups,
     #: ascending g — exactly the iteration order of the per-request scan.
     groups: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
-    _const_pts: dict = field(default_factory=dict, repr=False, compare=False)
+    _const_pts: dict = field(
+        init=False, default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_lut(cls, lut: "FbsLut") -> "FbsPlan":

@@ -22,7 +22,6 @@ constant-factor optimization of the same step).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from repro.fhe import slots as slotlib
 from repro.fhe.backend import current_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext
-from repro.fhe.keys import KeySwitchKey, SecretKey
+from repro.fhe.keys import KeySwitchKey
 from repro.fhe.packing import MatvecPlan, hypercube_diagonals, hypercube_matvec
 from repro.fhe.params import FheParams
 from repro.utils.modmath import root_of_unity
@@ -61,21 +60,6 @@ def _evaluation_matrix(n: int, t: int) -> np.ndarray:
     return mat
 
 
-@dataclass
-class S2CKey:
-    """Galois keys of the S2C mat-vec: BSGS rotations plus the row swap."""
-
-    rotation_keys: dict[int, KeySwitchKey]
-
-    @classmethod
-    def generate(cls, ctx: BfvContext, sk: SecretKey) -> "S2CKey":
-        """A standalone key. Beside a :class:`~repro.fhe.packing.PackingKey`
-        (the pipeline), share its Galois keys and add only the row swap."""
-        keys = ctx.rotation_keys(sk, slotlib.baby_giant_amounts(ctx.params.n // 2))
-        keys |= ctx.galois_keys(sk, [slotlib.row_swap_element(ctx.params.n)])
-        return cls(keys)
-
-
 @lru_cache(maxsize=None)
 def s2c_plan(params: FheParams) -> MatvecPlan:
     """The one S2C mat-vec plan of ``params``, rotation index maps warmed.
@@ -102,16 +86,22 @@ def s2c_plan(params: FheParams) -> MatvecPlan:
     return plan
 
 
-def slot_to_coeff(ctx: BfvContext, ct: BfvCiphertext, key: S2CKey) -> BfvCiphertext:
+def slot_to_coeff(
+    ctx: BfvContext, ct: BfvCiphertext, keys: dict[int, KeySwitchKey]
+) -> BfvCiphertext:
     """Return a ciphertext whose *coefficients* equal ``ct``'s slot values.
 
-    Dispatches through the active backend's :meth:`Backend.s2c`.
+    ``keys`` are the mat-vec's Galois keys: the BSGS rotations (the
+    pipeline shares the packing key's) plus the row swap. Dispatches
+    through the active backend's :meth:`Backend.s2c`.
     """
     be = current_backend()
     with be.phase("s2c"):
-        return be.s2c(ctx, ct, key)
+        return be.s2c(ctx, ct, keys)
 
 
-def slot_to_coeff_impl(ctx: BfvContext, ct: BfvCiphertext, key: S2CKey) -> BfvCiphertext:
+def slot_to_coeff_impl(
+    ctx: BfvContext, ct: BfvCiphertext, keys: dict[int, KeySwitchKey]
+) -> BfvCiphertext:
     """Default :meth:`Backend.s2c` implementation (one BSGS mat-vec)."""
-    return hypercube_matvec(ctx, ct, s2c_plan(ctx.params), key.rotation_keys)
+    return hypercube_matvec(ctx, ct, s2c_plan(ctx.params), keys)

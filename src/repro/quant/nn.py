@@ -17,6 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Batch-norm running-statistics momentum and variance epsilon.
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+#: SGD's classical momentum coefficient.
+MOMENTUM = 0.9
+
 
 
 class Layer:
@@ -319,27 +325,26 @@ class GlobalAvgPool(Layer):
 
 
 class BatchNorm2d(Layer):
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.g_grad = np.zeros(channels)
         self.b_grad = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum, self.eps = momentum, eps
         self._cache = None
 
     def forward(self, x, train=False):
         if train:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-            xhat = (x - mean[None, :, None, None]) / np.sqrt(var[None, :, None, None] + self.eps)
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
+            xhat = (x - mean[None, :, None, None]) / np.sqrt(var[None, :, None, None] + BN_EPS)
             self._cache = (xhat, var)
             return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
         xhat = (x - self.running_mean[None, :, None, None]) / np.sqrt(
-            self.running_var[None, :, None, None] + self.eps
+            self.running_var[None, :, None, None] + BN_EPS
         )
         return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
 
@@ -350,7 +355,7 @@ class BatchNorm2d(Layer):
         self.b_grad[...] = grad.sum(axis=(0, 2, 3))
         g = self.gamma[None, :, None, None]
         dxhat = grad * g
-        inv_std = 1.0 / np.sqrt(var[None, :, None, None] + self.eps)
+        inv_std = 1.0 / np.sqrt(var[None, :, None, None] + BN_EPS)
         return inv_std / m * (
             m * dxhat
             - dxhat.sum(axis=(0, 2, 3), keepdims=True)
@@ -426,20 +431,17 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class Sgd:
-    """SGD with classical momentum and optional weight decay."""
+    """SGD with classical momentum (:data:`MOMENTUM`)."""
 
     lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    _velocity: dict[int, np.ndarray] = field(default_factory=dict)
+    _velocity: dict[int, np.ndarray] = field(init=False, default_factory=dict)
 
     def step(self, params: list[tuple[np.ndarray, np.ndarray]]) -> None:
         for i, (p, g) in enumerate(params):
-            update = g + self.weight_decay * p
             v = self._velocity.get(i)
             if v is None:
                 v = np.zeros_like(p)
-            v = self.momentum * v - self.lr * update
+            v = MOMENTUM * v - self.lr * g
             self._velocity[i] = v
             p += v
 

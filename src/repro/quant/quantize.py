@@ -212,15 +212,15 @@ class QAvgPool:
 
     kernel: int
     stride: int
-    mac_peak: int = 0
-    lut_range: int | None = None
+    mac_peak: int = field(init=False, default=0)
+    lut_range: int | None = field(init=False, default=None)
 
 
 @dataclass
 class QGlobalAvgPool:
     spatial: int  # H*W being averaged
-    mac_peak: int = 0
-    lut_range: int | None = None
+    mac_peak: int = field(init=False, default=0)
+    lut_range: int | None = field(init=False, default=None)
 
 
 @dataclass
@@ -252,8 +252,9 @@ class QResidual:
     add_scale: float
     out_scale: float
     skip_alpha: int = 1  # identity-skip integer rescale (1 for projections)
-    mac_peak: int = 0  # peak of the post-add sum (also a LUT input)
-    lut_range: int | None = None
+    #: Peak of the post-add sum (also a LUT input).
+    mac_peak: int = field(init=False, default=0)
+    lut_range: int | None = field(init=False, default=None)
 
     @property
     def remap_multiplier(self) -> float:
@@ -271,7 +272,7 @@ class QuantizedModel:
     input_scale: float
     input_shape: tuple[int, int, int]
     name: str = "model"
-    _program: object = field(default=None, repr=False, compare=False)
+    _program: object = field(init=False, default=None, repr=False, compare=False)
 
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
         q = np.rint(x / self.input_scale)
@@ -408,7 +409,7 @@ def fold_batchnorm(model: Sequential) -> Sequential:
 
 
 def _fuse(conv: Conv2d, bn: BatchNorm2d) -> Conv2d:
-    scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+    scale = bn.gamma / np.sqrt(bn.running_var + nn.BN_EPS)
     fused = Conv2d(conv.in_ch, conv.out_ch, conv.kernel, conv.stride, conv.pad, bias=True)
     fused.weight = conv.weight * scale[:, None, None, None]
     base_bias = conv.bias if conv.bias is not None else 0.0

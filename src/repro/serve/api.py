@@ -47,22 +47,22 @@ def next_batch_id() -> str:
 class InferenceRequest:
     """One client inference request flowing through the service.
 
-    ``request_id`` and ``enqueued_at`` default at construction;
-    ``dequeued_at`` and ``future`` are stamped by the scheduler/service.
-    Mutable on purpose: the same object travels queue -> batch -> worker,
-    accumulating its timeline.
+    ``request_id`` and ``enqueued_at`` are stamped at construction,
+    ``dequeued_at`` and ``future`` by the scheduler/service; none is an
+    argument. Mutable on purpose: the same object travels queue -> batch ->
+    worker, accumulating its timeline.
     """
 
     tenant_id: str
     model: str
     x_q: np.ndarray
-    request_id: str = field(default_factory=next_request_id)
-    enqueued_at: float = field(default_factory=time.perf_counter)
+    request_id: str = field(init=False, default_factory=next_request_id)
+    enqueued_at: float = field(init=False, default_factory=time.perf_counter)
     #: When the scheduler pulled the request off its queue into a batch.
-    dequeued_at: float | None = field(default=None, repr=False)
+    dequeued_at: float | None = field(init=False, default=None, repr=False)
     #: Resolved with an :class:`InferenceResult` (set at admission).
     future: asyncio.Future | None = field(
-        default=None, repr=False, compare=False
+        init=False, default=None, repr=False, compare=False
     )
 
 

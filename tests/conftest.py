@@ -66,6 +66,16 @@ def sigmoid_pack_cnn():
     return qm
 
 
+def s2c_keys(ctx, sk):
+    """The S2C mat-vec's Galois keys on their own: the BSGS rotations plus
+    the row swap (the pipeline shares its rotations with packing)."""
+    from repro.fhe.slots import baby_giant_amounts, row_swap_element
+
+    n = ctx.params.n
+    keys = ctx.rotation_keys(sk, baby_giant_amounts(n // 2))
+    return keys | ctx.galois_keys(sk, [row_swap_element(n)])
+
+
 def plan_rounds(steps):
     """Every :class:`repro.core.plan.RefreshRound` under a step list: layer
     tails, max-tree levels, remaps, residual joins and both branches."""

@@ -89,6 +89,14 @@ class TestSubjectsTable:
         with pytest.raises(SystemExit, match="2"):
             main(argv)
 
+    def test_a_preset_of_another_t_is_exit_1(self, tmp_path, capsys):
+        """mnist_cnn is quantized for t = 257; athena-medium runs 65537."""
+        out = str(tmp_path / "m.plan")
+        assert main(["compile", "--model", "mnist_cnn", "--params", "athena-medium",
+                     "--out", out]) == 1
+        assert "quantized for t = 257, but athena-medium runs t = 65537" in (
+            capsys.readouterr().err)
+
 
 class TestAllocateThenCompile:
     """``repro allocate --config-out A && repro compile --model mp_cnn --mp A``."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import lut as lutlib
 from repro.core.inference import AthenaNoiseModel, SimulatedAthenaEngine
-from repro.core.program import PlainIntExecutor
+from repro.core.program import PlainIntExecutor, lut_spec
 from repro.data import synthetic_digits
 from repro.errors import ParameterError, QuantizationError
 from repro.fhe.params import ATHENA
@@ -53,7 +53,7 @@ class TestRemapLut:
             activation="relu", in_shape=(1, 4, 4), out_shape=(1, 4, 4),
         )
         cfg = QuantConfig(7, 7, t=T)
-        lut = lutlib.layer_lut(layer, cfg, T)
+        lut = lut_spec(layer).build(cfg, T)
         macs = rng.integers(-T // 2, T // 2 + 1, 200)
         assert np.array_equal(
             lut.apply_plain_signed(macs), layer.remap(macs, cfg.a_max)

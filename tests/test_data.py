@@ -32,10 +32,6 @@ class TestDigits:
         # enough to prove class signal (the trained CNN reaches ~98%).
         assert acc > 0.3
 
-    def test_custom_size(self, rng):
-        x, _ = synthetic_digits(4, rng, size=20)
-        assert x.shape == (4, 1, 20, 20)
-
     def test_digits_vary_within_class(self, rng):
         x, y = synthetic_digits(100, rng)
         sevens = x[y == 7]

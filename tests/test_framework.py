@@ -40,7 +40,7 @@ class TestKeygen:
         S2C rotates with them on every request; packing uses them once, to
         build its stack of rotated secrets."""
         pipe = AthenaPipeline(params, seed=41)
-        packing, s2c = pipe.packing_key.rotation_keys, pipe.s2c_key.rotation_keys
+        packing, s2c = pipe.packing_key.rotation_keys, pipe.s2c_keys
         assert packing and all(s2c[k] is gk for k, gk in packing.items())
         distinct = {id(gk) for gk in (*packing.values(), *s2c.values())}
         assert len(distinct) == len(packing | s2c) == count

@@ -70,14 +70,14 @@ from repro.fhe.packing import (
 )
 from repro.fhe.params import PRESETS, TEST_FBS, TEST_LOOP, TEST_SMALL, TEST_TINY
 from repro.fhe.poly import RnsPoly
-from repro.fhe.s2c import S2CKey, _evaluation_matrix, s2c_plan, slot_to_coeff
+from repro.fhe.s2c import _evaluation_matrix, s2c_plan, slot_to_coeff
 from repro.fhe.slots import (
     baby_giant_amounts,
     default_baby_steps,
     rotation_galois_element,
     row_swap_element,
 )
-from tests.conftest import assert_rounding_apart, keyswitch_noise_bound
+from tests.conftest import assert_rounding_apart, keyswitch_noise_bound, s2c_keys
 
 _slow = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -418,10 +418,10 @@ def matvec_setup(request):
     params = request.param
     ctx = BfvContext(params, seed=77)
     sk, pk = ctx.keygen()
-    key = S2CKey.generate(ctx, sk)
+    keys = s2c_keys(ctx, sk)
     rng = np.random.default_rng(78)
     ct = ctx.encrypt(Plaintext.from_slots(rng.integers(0, params.t, params.n), params), pk)
-    return ctx, sk, key, ct
+    return ctx, sk, keys, ct
 
 
 def _assert_same_ciphertext(a, b):
@@ -460,7 +460,7 @@ def _s2c_passes(params):
 
 class TestMatvecBitIdentity:
     def test_s2c_plans_and_a_dense_matrix(self, matvec_setup):
-        ctx, sk, key, ct = matvec_setup
+        ctx, sk, keys, ct = matvec_setup
         params = ctx.params
         half = params.n // 2
         both = _s2c_passes(params)
@@ -469,7 +469,7 @@ class TestMatvecBitIdentity:
         v = ctx.decrypt(ct, sk).to_slots().reshape(2, half)
         sources = (v, v[::-1])  # the second pass reads the row swap
         for diagonals in (both[0], both[1], dense, both):
-            got = _three_ways(ctx, ct, diagonals, key.rotation_keys, default_baby_steps(half))
+            got = _three_ways(ctx, ct, diagonals, keys, default_baby_steps(half))
             passes = diagonals.reshape(-1, half, params.n)
             want = sum(passes[p, d].reshape(2, half) * np.roll(sources[p], -d, axis=1)
                        for p in range(len(passes)) for d in range(half)) % params.t
@@ -478,7 +478,7 @@ class TestMatvecBitIdentity:
         assert np.array_equal(ctx.decrypt(got, sk).coeffs, v.reshape(-1))
 
     def test_sparse_matrices(self, matvec_setup):
-        ctx, _, key, ct = matvec_setup
+        ctx, _, keys, ct = matvec_setup
         params = ctx.params
         half = params.n // 2
         bs = default_baby_steps(half)
@@ -493,7 +493,7 @@ class TestMatvecBitIdentity:
         one_group = sparse(list(range(bs, 2 * bs)))
         one_diagonal = sparse([0])
         for diagonals in (dead_baby, one_group, one_diagonal):
-            _three_ways(ctx, ct, diagonals, key.rotation_keys, bs)
+            _three_ways(ctx, ct, diagonals, keys, bs)
         ((parent, images),) = MatvecPlan.build(dead_baby, params, bs).derived
         assert parent == 0 and [s for s, _ in images] == list(range(2, bs))
         assert len(MatvecPlan.build(one_group, params, bs).groups) == 1
@@ -536,13 +536,13 @@ class TestMatvecBitIdentity:
                 assert [s for s in sums if s[1:] == one] == [(runs, *one)] * (half // bs)
 
     def test_missing_key_and_wrong_shape_raise(self, matvec_setup):
-        ctx, _, key, ct = matvec_setup
+        ctx, _, keys, ct = matvec_setup
         params = ctx.params
         plan = s2c_plan.__wrapped__(params)
         for k in (rotation_galois_element(params.n, plan.baby_steps),  # a giant
                   rotation_galois_element(params.n, 1),  # a baby, both passes
                   row_swap_element(params.n)):
-            without = {e: gk for e, gk in key.rotation_keys.items() if e != k}
+            without = {e: gk for e, gk in keys.items() if e != k}
             for be in (BATCHED, SERIAL, CountingBackend(BATCHED)):
                 with use_backend(be), pytest.raises(ParameterError, match=f"element {k}$"):
                     hypercube_matvec(ctx, ct, plan, without)
@@ -603,12 +603,12 @@ class TestMatvecAccounting:
         """One counted mat-vec records the same totals and per-phase events
         whether the reference body runs over the batched or the serial RNS
         tier."""
-        ctx, _, key, ct = matvec_setup
+        ctx, _, keys, ct = matvec_setup
         plan = s2c_plan.__wrapped__(ctx.params)
         records = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             with use_backend(counting), counting.phase("s2c"):
-                hypercube_matvec(ctx, ct, plan, key.rotation_keys)
+                hypercube_matvec(ctx, ct, plan, keys)
             records.append((counting.totals(), counting.ops_by_phase()))
         assert records[0] == records[1]
         totals = records[0][0]
@@ -659,7 +659,7 @@ class TestMatvecAccounting:
             Plaintext.from_slots(np.arange(TEST_LOOP.n), TEST_LOOP), pipe.pk)
         executed = _spy_transforms(monkeypatch)
         with use_backend(BATCHED):
-            slot_to_coeff(pipe.ctx, ct, pipe.s2c_key)
+            slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys)
         assert len(plan.groups) == 8
         l, width = TEST_LOOP.num_limbs, len(TEST_LOOP.keyswitch_moduli)
         hoisted = 9 * TEST_LOOP.num_digits * width + 16 * 2 * width + 12 * l
@@ -780,7 +780,7 @@ class TestSources:
         pipe, values, _ = pack_setup
         params = pipe.params
         ct = pipe.ctx.encrypt(Plaintext.from_slots(values, params), pipe.pk)
-        out = _same_on_every_engine(lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_key))
+        out = _same_on_every_engine(lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys))
         assert np.array_equal(pipe.decrypt_coeffs(out), values)
 
     @given(st.integers(min_value=0, max_value=2**32))
@@ -793,7 +793,7 @@ class TestSources:
         # Dense, sparse and constant vectors alike.
         values = rng.integers(0, params.t, params.n) * (rng.random(params.n) < rng.random())
         ct = pipe.ctx.encrypt(Plaintext.from_slots(values, params), pipe.pk)
-        out = _same_on_every_engine(lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_key))
+        out = _same_on_every_engine(lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys))
         assert np.array_equal(pipe.decrypt_coeffs(out), values)
 
     def test_pack_identical_on_every_engine(self, pack_setup):
@@ -884,9 +884,9 @@ class TestSources:
         for seed in range(8):
             ctx = BfvContext(params, seed=seed)
             sk, pk = ctx.keygen()
-            keys = S2CKey.generate(ctx, sk).rotation_keys
+            keys = s2c_keys(ctx, sk)
             ct = ctx.encrypt(Plaintext.from_slots(values, params), pk)
-            shared = slot_to_coeff(ctx, ct, S2CKey(keys))
+            shared = slot_to_coeff(ctx, ct, keys)
             groups = _composite_groups(ctx, ct, _s2c_passes(params), keys, bs)
             giants = [(rotation_galois_element(params.n, g * bs), inner)
                       for g, inner in groups if g]

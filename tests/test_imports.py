@@ -5,9 +5,9 @@ A module or function that only ``tests/`` reaches is test-only code: it
 ships, is maintained and is counted as library, yet no user path runs it.
 The module check walks the import statements of ``src/``, ``benchmarks/``
 and ``examples/``; the definition check counts the references of the same
-trees. A defaulted parameter no call sets, tests included, is a
-configuration nothing runs: the parameter check reads every call of the
-four trees.
+trees. A defaulted parameter or dataclass field that no call outside the
+tests sets is a configuration nothing runs: the parameter check reads every
+call of the same trees.
 """
 
 import ast
@@ -142,9 +142,31 @@ def test_every_definition_has_a_caller_outside_tests():
     assert uncalled == {}
 
 
-#: Defaulted parameters kept although no call sets them, each for a reason,
-#: keyed ``"function.parameter"`` (``"Class.method.parameter"`` for a method).
-KEPT_PARAMS: dict[str, str] = {}
+#: Settable values kept although no call outside the tests sets them, each for
+#: a reason, keyed ``"function.parameter"`` (``"Class.method.parameter"`` for a
+#: method, ``"Class.field"`` for a dataclass field).
+KEPT_PARAMS = {
+    # Oracles: the tests sweep what production fixes.
+    "conv_via_coefficients.stride": "the plaintext Eq. 1 reference, checked at every stride",
+    "conv_via_coefficients.pad": "the plaintext Eq. 1 reference, checked at every padding",
+    "conv_via_coefficients.modulus": "the plaintext Eq. 1 reference, checked over Z_t and Z",
+    "lwe_decrypt.delta": "the LWE decryption oracle's message scale",
+    "lwe_decrypt.t": "the LWE decryption oracle's message modulus",
+    "RnsPoly.to_int_coeffs.centered": "the exact-lift oracle's residue convention",
+    "baby_giant_amounts.baby": "the BSGS rotation set at a split production never picks",
+    # Seams.
+    "AthenaNoiseModel.enabled": "the noise-free model behind engine == forward_int",
+    "AthenaNoiseModel.secret_norm_sq": "the secret norm the e_ms scaling test sweeps",
+    "SimulatedAthenaEngine.__init__.noise": "where the engine tests hand in either model above",
+    # Carried until their ROADMAP item lands.
+    "KeyInventory.galois_key_bytes.seed_compressed": "uncompressed key sizes; item 12 deletes it",
+    "KeyInventory.lwe_ksk_bytes.seed_compressed": "uncompressed key sizes; item 12 deletes it",
+    "TuningResult.tuning": "the ledger reads it until item 1 drops the tune stage",
+}
+
+
+def _name(node: ast.AST) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
 def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, int | None]:
@@ -162,28 +184,62 @@ def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, int | No
     return out
 
 
-def test_every_parameter_is_set_by_a_caller():
-    """Some call in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``
-    passes every defaulted parameter of every function, method and
-    ``__init__`` in ``src/repro``, by keyword or by position. A call
-    ``f(...)`` or ``x.f(...)`` is matched by name (``C(...)`` sets
-    ``C.__init__``). A name also used as a value — a dispatch table,
-    ``once(f)``, ``run_in_executor(..., f, ...)`` — or called with ``*args``
-    or ``**kwargs`` counts as fully set, so the check can miss a parameter
-    but never flags one wrongly. Other dunders are called implicitly and are
-    not checked; neither are dataclass fields, which have no ``def``."""
+def _defaulted_fields(cls: ast.ClassDef) -> dict[str, int]:
+    """A dataclass's defaulted ``__init__`` fields, each with its position
+    (none when ``cls`` is no dataclass). A ``ClassVar`` is no field and an
+    ``init=False`` field is no argument."""
+    out: dict[str, int] = {}
+    if not any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list):
+        return out
+    position = 0
+    for item in cls.body:
+        if not isinstance(item, ast.AnnAssign):
+            continue
+        kind = item.annotation
+        if _name(kind.value if isinstance(kind, ast.Subscript) else kind) == "ClassVar":
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            options = {k.arg: k.value for k in value.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+            defaulted = "default" in options or "default_factory" in options
+        else:
+            defaulted = value is not None
+        if defaulted:
+            out[item.target.id] = position
+        position += 1
+    return out
+
+
+def _calls(modules: list[ast.Module]) -> tuple[dict[str, set[str]], Counter[str], set[str]]:
+    """What ``modules`` pass: per callee name, the keywords seen and the most
+    positional arguments seen, plus the opaque names — used as a value (a
+    dispatch table, ``once(f)``, ``default_factory=C``) or called with
+    ``*args`` / ``**kwargs``. A ``cls(...)`` is a call of its class. An
+    annotation, an ``isinstance`` test or the ``C`` of ``C.attr`` reads a
+    name without using it as a value."""
     keywords: dict[str, set[str]] = {}
-    positions: Counter[str] = Counter()  # the most positional arguments seen
+    positions: Counter[str] = Counter()
     opaque: set[str] = set()
-    for tree in ("src", "benchmarks", "examples", "tests"):
-        for path in (ROOT / tree).rglob("*.py"):
-            module = ast.parse(path.read_text(), filename=str(path))
-            callees: set[int] = set()
-            for node in ast.walk(module):
-                if not isinstance(node, ast.Call):
-                    continue
-                callees.add(id(node.func))
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    for module in modules:
+        owners = {id(call): node.name for node in ast.walk(module)
+                  if isinstance(node, ast.ClassDef) for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and _name(call.func) == "cls"}
+        reads: set[int] = set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.Attribute):
+                reads.add(id(node.value))
+            elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+                reads.update(id(n) for n in ast.walk(node.annotation))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                reads.update(id(n) for n in ast.walk(node.returns))
+            elif isinstance(node, ast.Call):
+                reads.add(id(node.func))
+                if _name(node.func) in ("isinstance", "issubclass") and len(node.args) == 2:
+                    reads.update(id(n) for n in ast.walk(node.args[1]))
+                name = owners.get(id(node), _name(node.func))
                 if name is None:
                     continue
                 if (any(isinstance(a, ast.Starred) for a in node.args)
@@ -192,17 +248,32 @@ def test_every_parameter_is_set_by_a_caller():
                 keywords.setdefault(name, set()).update(
                     k.arg for k in node.keywords if k.arg)
                 positions[name] = max(positions[name], len(node.args))
-            opaque.update(
-                getattr(node, "id", getattr(node, "attr", None))
-                for node in ast.walk(module)
-                if isinstance(node, (ast.Name, ast.Attribute))
-                and isinstance(node.ctx, ast.Load) and id(node) not in callees)
+        opaque.update(
+            _name(node) for node in ast.walk(module)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load) and id(node) not in reads)
+    return keywords, positions, opaque
+
+
+def _unset(defining: dict[str, ast.Module], callers: list[ast.Module]) -> dict[str, str]:
+    """Every defaulted parameter and defaulted dataclass field declared in
+    ``defining`` (display path -> module) that no call in ``callers`` sets,
+    with where it is declared."""
+    keywords, positions, opaque = _calls(callers)
     unset: dict[str, str] = {}
-    for path in (SRC / "repro").rglob("*.py"):
-        module = ast.parse(path.read_text(), filename=str(path))
+    for where, module in defining.items():
         owners = {id(item): node.name for node in ast.walk(module)
                   if isinstance(node, ast.ClassDef) for item in node.body}
         for node in ast.walk(module):
+            if isinstance(node, ast.ClassDef):
+                fields = _defaulted_fields(node)
+                if not fields or node.name in opaque or "replace" in opaque:
+                    continue
+                called_with = keywords.get(node.name, set()) | keywords.get("replace", set())
+                for field, position in fields.items():
+                    if field not in called_with and position >= positions[node.name]:
+                        unset[f"{node.name}.{field}"] = f"{where}:{node.lineno}"
+                continue
             if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     or node.name.startswith("__") and node.name != "__init__"):
                 continue
@@ -214,9 +285,70 @@ def test_every_parameter_is_set_by_a_caller():
             reach = max(positions[n] for n in names)
             qualified = f"{owner}.{node.name}" if owner else node.name
             for param, position in _defaulted(node).items():
-                if (param not in called_with
-                        and (position is None or position >= reach)
-                        and f"{qualified}.{param}" not in KEPT_PARAMS):
-                    unset[f"{qualified}.{param}"] = (
-                        f"{path.relative_to(ROOT)}:{node.lineno}")
-    assert unset == {}
+                if param not in called_with and (position is None or position >= reach):
+                    unset[f"{qualified}.{param}"] = f"{where}:{node.lineno}"
+    return unset
+
+
+def _parsed(*trees: str) -> dict[str, ast.Module]:
+    return {str(path.relative_to(ROOT)): ast.parse(path.read_text(), filename=str(path))
+            for tree in trees for path in sorted((ROOT / tree).rglob("*.py"))}
+
+
+def test_every_parameter_is_set_by_a_caller():
+    """Some call in ``src/``, ``benchmarks/`` or ``examples/`` — the trees the
+    definition check reads; a test sets nothing — passes every defaulted
+    parameter of every function, method and ``__init__`` in ``src/repro``,
+    and every defaulted ``__init__`` field of every dataclass there, by
+    keyword or by position. A call ``f(...)`` or ``x.f(...)`` is matched by
+    name: ``C(...)`` and a ``cls(...)`` inside ``C`` set ``C.__init__`` or
+    ``C``'s fields, ``replace(x, f=...)`` sets every field ``f``. A name also
+    used as a value, or called with ``*args`` or ``**kwargs``, counts as
+    fully set, so the check can miss a value but never flags one wrongly.
+    Other dunders are called implicitly and are not checked. State a
+    dataclass computes or caches is ``field(init=False)``, not an argument."""
+    callers = _parsed("src", "benchmarks", "examples")
+    defining = {where: module for where, module in callers.items()
+                if where.startswith("src/repro/")}
+    unset = _unset(defining, list(callers.values()))
+    assert {k: v for k, v in unset.items() if k not in KEPT_PARAMS} == {}
+    assert sorted(set(KEPT_PARAMS) - set(unset)) == []
+
+
+#: A module with a parameter only a test sets and a field nothing sets.
+PLANTED = '''
+from dataclasses import dataclass, field
+
+
+def knob(x, scale=2):
+    return x * scale
+
+
+@dataclass
+class Stat:
+    name: str
+    peak: int = 0
+    cache: dict = field(init=False, default_factory=dict)
+
+    @classmethod
+    def named(cls, name):
+        return cls(name)
+
+
+def run():
+    return knob(1), Stat.named("a")
+'''
+
+
+def test_the_parameter_guard_sees_through_tests_and_into_fields():
+    """Fed the planted module alone — as the real check is fed no test — the
+    guard flags the parameter only a test would set and the defaulted field
+    nothing sets, but not ``init=False`` state. Outside the tests, a keyword,
+    a position or a ``replace`` sets either one."""
+    planted = ast.parse(PLANTED)
+    assert _unset({"planted.py": planted}, [planted]) == {
+        "knob.scale": "planted.py:5", "Stat.peak": "planted.py:10"}
+    for setter in ('knob(1, scale=3)\nStat("a", peak=4)\n',
+                   'knob(1, 3)\nStat("a", 4)\n',
+                   'knob(1, 3)\nreplace(Stat("a"), peak=4)\n'):
+        assert _unset({"planted.py": planted}, [planted, ast.parse(setter)]) == {}

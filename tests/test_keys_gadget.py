@@ -35,11 +35,11 @@ from repro.fhe.params import (
     FheParams,
 )
 from repro.fhe.poly import RnsPoly
-from repro.fhe.s2c import S2CKey, slot_to_coeff
+from repro.fhe.s2c import slot_to_coeff
 from repro.fhe.slots import rotation_galois_element, row_swap_element
 from repro.utils.modmath import inv_mod
 from repro.utils.sampling import SIGMA, Sampler
-from tests.conftest import assert_rounding_apart, keyswitch_noise_bound
+from tests.conftest import assert_rounding_apart, keyswitch_noise_bound, s2c_keys
 
 #: Test-only sets where Q sits under the HE-standard ceiling, so the digit
 #: rule groups: alpha = 1, D = 2; and alpha = 2, D = 3 with a one-limb last
@@ -413,6 +413,6 @@ class TestGroupedDigits:
             _same_on_every_engine(
                 lambda: hypercube_matvec(ctx, ct, _sparse_s2c_plan(ctx.params), gks))
             return
-        key = S2CKey.generate(ctx, sk)
-        out = _same_on_every_engine(lambda: slot_to_coeff(ctx, ct, key))
+        keys = s2c_keys(ctx, sk)
+        out = _same_on_every_engine(lambda: slot_to_coeff(ctx, ct, keys))
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, ctx.decrypt(ct, sk).to_slots())

@@ -225,15 +225,6 @@ class TestLossAndTraining:
         assert last < first
         assert accuracy(model, x, y) > 0.9
 
-    def test_weight_decay_shrinks_weights(self, rng):
-        lin = Linear(4, 4, rng=rng)
-        norm0 = np.linalg.norm(lin.weight)
-        opt = Sgd(lr=0.1, momentum=0.0, weight_decay=0.5)
-        lin.w_grad[...] = 0
-        lin.b_grad[...] = 0
-        opt.step(lin.parameters())
-        assert np.linalg.norm(lin.weight) < norm0
-
 
 class TestIm2col:
     """Direct unit tests for the public patch-matrix primitive."""

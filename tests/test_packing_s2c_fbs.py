@@ -37,7 +37,6 @@ from repro.fhe.packing import (
 )
 from repro.fhe.params import TEST_FBS, TEST_LOOP, TEST_TINY
 from repro.fhe.s2c import (
-    S2CKey,
     _evaluation_matrix,
     _slot_points,
     s2c_plan,
@@ -45,6 +44,7 @@ from repro.fhe.s2c import (
 )
 from repro.fhe.slots import default_baby_steps, slot_decode
 from repro.utils.sampling import Sampler
+from tests.conftest import s2c_keys
 
 
 def make_lwe_batch(rng, count, dim, t, secret, noise_std=1.0, messages=None):
@@ -166,10 +166,10 @@ class TestS2C:
         ctx = tiny_ctx
         sk, pk = tiny_keys
         p = ctx.params
-        key = S2CKey.generate(ctx, sk)
+        keys = s2c_keys(ctx, sk)
         v = rng.integers(0, p.t, p.n)
         ct = ctx.encrypt(Plaintext.from_slots(v, p), pk)
-        out = slot_to_coeff(ctx, ct, key)
+        out = slot_to_coeff(ctx, ct, keys)
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, v % p.t)
 
     def test_one_plan_per_parameter_set(self, tiny_ctx, tiny_keys, rng):
@@ -188,19 +188,19 @@ class TestS2C:
             assert (g, ids) == (g2, ids2) and np.array_equal(stack, stack2)
         v = rng.integers(0, p.t, p.n)
         ct = ctx.encrypt(Plaintext.from_slots(v, p), pk)
-        out = slot_to_coeff(ctx, ct, S2CKey.generate(ctx, sk))
+        out = slot_to_coeff(ctx, ct, s2c_keys(ctx, sk))
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, v % p.t)
 
     def test_s2c_linear(self, tiny_ctx, tiny_keys, rng):
         ctx = tiny_ctx
         sk, pk = tiny_keys
         p = ctx.params
-        key = S2CKey.generate(ctx, sk)
+        keys = s2c_keys(ctx, sk)
         v1 = rng.integers(0, p.t, p.n)
         v2 = rng.integers(0, p.t, p.n)
         c1 = ctx.encrypt(Plaintext.from_slots(v1, p), pk)
         c2 = ctx.encrypt(Plaintext.from_slots(v2, p), pk)
-        out = slot_to_coeff(ctx, ctx.add(c1, c2), key)
+        out = slot_to_coeff(ctx, ctx.add(c1, c2), keys)
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, (v1 + v2) % p.t)
 
 
@@ -218,7 +218,7 @@ class TestDerivedPlansHaveOneOwner:
 
         entry_points = [fbs_evaluate, fbs_evaluate_impl, Backend.fbs, AthenaPipeline.bootstrap,
                         slot_to_coeff, slot_to_coeff_impl, Backend.s2c, AthenaPipeline.to_coeffs]
-        constructors = [S2CKey.generate, PackingKey.generate, s2c_plan]
+        constructors = [PackingKey.generate, s2c_plan]
         assert [f.__qualname__ for f in entry_points
                 if "plan" in inspect.signature(f).parameters] == []
         assert [f.__qualname__ for f in constructors

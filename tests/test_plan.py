@@ -7,6 +7,8 @@ program, bit-identically to the compiled plan) runs real ciphertext loops
 and lives in ``tests/test_program.py`` under the ``slow`` marker.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,16 @@ class TestCompileProgram:
         assert _refresh_round(full, full, lut, TEST_LOOP).correction is None
         relu = FbsLut.from_function(lambda v: np.maximum(v, 0), TEST_LOOP.t)
         assert _refresh_round(positions, np.arange(16), relu, TEST_LOOP).correction is None
+
+    def test_a_plan_is_built_at_the_model_t_only(self):
+        """Every table is tabulated over the parameter set's t: a model
+        quantized for another t would wrap its MACs where ``forward_int``
+        does not, so the build refuses it."""
+        qm, _ = _program()
+        qm.config = dataclasses.replace(qm.config, t=65537)
+        with pytest.raises(ParameterError,
+                           match="quantized for t = 65537, but test-loop runs t = 257"):
+            compile_program(lower(qm, TEST_LOOP), TEST_LOOP)
 
     def test_bind_rejects_other_params(self):
         _, program = _program()

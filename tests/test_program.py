@@ -13,9 +13,9 @@ import pytest
 
 from repro.core import trace as tracelib
 from repro.core.inference import AthenaNoiseModel, SimulatedAthenaEngine
-from repro.core.lut import layer_lut, relu_lut
+from repro.core.lut import relu_lut
 from repro.core.plan import compile_program
-from repro.core.program import lower
+from repro.core.program import lower, lut_spec
 from repro.core.trace import WorkloadTrace, effective_t, trace_model
 from repro.data import synthetic_cifar, synthetic_digits
 from repro.fhe.params import ATHENA
@@ -344,7 +344,7 @@ class TestProgramStructure:
         for step in program.lut_steps()[:6]:
             source = step.layer if step.kind in ("linear", "residual") else step.source
             built = step.lut.build(qm.config)
-            legacy = layer_lut(source, qm.config)
+            legacy = lut_spec(source).build(qm.config)
             assert built.name == legacy.name
             assert np.array_equal(built.values, legacy.values)
 

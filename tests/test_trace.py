@@ -6,7 +6,6 @@ import pytest
 from repro.core.trace import (
     OpCounts,
     effective_t,
-    fbs_ops,
     fbs_ops_split,
     packing_ops,
     s2c_ops,
@@ -42,10 +41,10 @@ class TestOpCounts:
 
 class TestPrimitiveShapes:
     def test_fbs_smult_linear_in_t(self):
-        small = fbs_ops(ATHENA, 1 << 12)
-        large = fbs_ops(ATHENA, 1 << 14)
+        small = sum(ops.mod_mul for ops in fbs_ops_split(ATHENA, 1 << 12))
+        large = sum(ops.mod_mul for ops in fbs_ops_split(ATHENA, 1 << 14))
         # Baby-half elementwise work scales ~linearly with t.
-        assert 3.2 < large.mod_mul / small.mod_mul < 4.8
+        assert 3.2 < large / small < 4.8
 
     def test_fbs_split_shapes(self):
         baby, giant = fbs_ops_split(ATHENA, 1 << 14)
