@@ -23,7 +23,7 @@ def executed_fbs_counts() -> dict[str, int]:
     counting = CountingBackend("batched")
     ct = ctx.encrypt(Plaintext.from_slots(np.arange(params.n), params), pk)
     with use_backend(counting):
-        fbs_evaluate(ctx, ct, lut, ctx.relin_key(sk))
+        fbs_evaluate(ctx, [ct], lut, ctx.relin_key(sk))
     giant = counting.ops_by_phase()["fbs_giant"]
     return {"cmult": giant["cmult"], "relin": giant["keyswitch"],
             "ladder": len(plan.ladder), "bs": plan.bs}

@@ -25,7 +25,7 @@ def main() -> None:
 
     def encrypted_apply(lut: FbsLut) -> np.ndarray:
         ct = ctx.encrypt(Plaintext.from_slots(x, params), pk)
-        out = fbs_evaluate(ctx, ct, lut, rlk)
+        (out,) = fbs_evaluate(ctx, [ct], lut, rlk)
         dec = ctx.decrypt(out, sk).to_slots()
         return np.where(dec > params.t // 2, dec - params.t, dec)
 

@@ -36,7 +36,7 @@ def main() -> None:
     # Functional bootstrapping: ReLU as an exact lookup table.
     ct = ctx.encrypt(Plaintext.from_slots(values, params), pk)
     relu = FbsLut.from_function(lambda x: np.maximum(x, 0), params.t, "relu")
-    out = fbs_evaluate(ctx, ct, relu, rlk)
+    (out,) = fbs_evaluate(ctx, [ct], relu, rlk)
     decoded = ctx.decrypt(out, sk).to_slots()
     assert np.array_equal(decoded, np.maximum(values, 0) % params.t)
     print(f"FBS ReLU      : {decoded[:8]} ...")

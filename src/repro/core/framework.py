@@ -126,9 +126,9 @@ class AthenaPipeline:
 
     # -- Steps 4-5: packing + FBS ---------------------------------------------------
 
-    def bootstrap(self, batch: lwelib.LweBatch, lut: FbsLut) -> BfvCiphertext:
-        """Pack LWE ciphertexts into slots and evaluate the LUT polynomial."""
-        packed = pack_lwe(self.ctx, batch, self.packing_key)
+    def bootstrap(self, batches: list[lwelib.LweBatch], lut: FbsLut) -> list[BfvCiphertext]:
+        """Pack each LWE batch into slots; evaluate the LUT on the stack."""
+        packed = [pack_lwe(self.ctx, batch, self.packing_key) for batch in batches]
         return fbs_evaluate(self.ctx, packed, lut, self.rlk)
 
     # -- loop closure -------------------------------------------------------------
@@ -148,8 +148,8 @@ class AthenaPipeline:
         if positions.shape[0] > self.params.n:
             raise ParameterError("more outputs than slots")
         out = self.linear(ct, kernel_coeffs)
-        batch = self.refresh_to_lwe(out, positions)
-        return self.to_coeffs(self.bootstrap(batch, lut))
+        (boot,) = self.bootstrap([self.refresh_to_lwe(out, positions)], lut)
+        return self.to_coeffs(boot)
 
     # -- compiled-plan driver ---------------------------------------------------
 
@@ -166,7 +166,7 @@ class AthenaPipeline:
         with ``QuantizedModel.forward_int`` on the model the plan was
         compiled from.
 
-        This is the one-lane call of :meth:`run_batch`.
+        This is the one-image call of :meth:`run_batch`.
         """
         return self.run_batch(plan, [x_q])[0]
 
@@ -175,29 +175,30 @@ class AthenaPipeline:
     ) -> list[np.ndarray]:
         """Run ``len(xs)`` independent inputs through *one* fused execution.
 
-        The inputs are packed into a single ciphertext at the plan's lane
-        stride (see :class:`repro.core.plan.LaneLayout`), so the whole batch
-        pays for one PMult, one refresh chain, one pack + FBS, and one S2C
-        per layer — the amortization Eq. 1's spare coefficient space buys.
-        Lane count is bounded by ``plan.batch_capacity``; one input is a
-        batch of one, and :meth:`run` is that call.
+        The inputs fill ``ceil(len(xs) / plan.batch_capacity)`` lane-full
+        ciphertexts (see :class:`repro.core.plan.LaneLayout`), the last one
+        holding the rest: each pays one PMult, refresh chain, pack and S2C
+        per layer, and the stack shares one FBS per layer. Every
+        ciphertext's residues equal a run of its images alone; :meth:`run`
+        is the one-image call.
         Returns the centered integer outputs, one array per input, in order.
         """
         if not xs:
             return []
         xs = np.stack([plan.entry_input(x) for x in xs])
-        ex = CiphertextExecutor(self, plan, lanes=len(xs))
-        ct = run_program(plan, ex, xs)
-        raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)
-        vals = unpack_lane_coeffs(raw, ex.lane_stride, len(xs), ex.out_count)
-        t = self.params.t
-        return list(np.where(vals > t // 2, vals - t, vals))
+        ex = CiphertextExecutor(self, plan, images=len(xs))
+        t, outs = self.params.t, []
+        for ct, lanes in zip(run_program(plan, ex, xs), ex.lanes):
+            raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)
+            vals = unpack_lane_coeffs(raw, ex.lane_stride, lanes, ex.out_count)
+            outs += list(np.where(vals > t // 2, vals - t, vals))
+        return outs
 
 
 class CiphertextExecutor(ProgramExecutor):
     """Thin interpreter: walks a compiled plan with ciphertext ops.
 
-    The flowing value is a BFV ciphertext, and the steps handed to each
+    The flowing value is a list of BFV ciphertexts, and the steps handed to each
     handler are the plan's own (:class:`CompiledLinear`,
     :class:`CompiledPool`, ...). All request-invariant work — kernel/bias
     encoding, every :class:`RefreshRound` and the LUT it carries with its
@@ -207,17 +208,19 @@ class CiphertextExecutor(ProgramExecutor):
     and :meth:`_refresh` — the one place the loop's refresh -> pack -> FBS
     -> S2C is written — on the request's data.
 
-    Every image count runs the one lane path: each linear step takes its
-    geometry from :meth:`CompiledLinear.lane_layout`, and one lane is the
-    step's own round and bias. The entry step — always a conv/FC; a
-    :class:`CompiledProgram` refuses to exist otherwise — receives the raw
-    quantized inputs, stacked, and performs the client-side encode: one
-    reshape per lane to its ``in_shape``, its zero padding, every lane
-    packed at the layout's input stride, encrypt. Interior layers chain
-    through the plan's feature layouts: every refresh round places its LWE
-    samples onto the next consumer's rows (compact Eq. 1 order, or a padded
-    interior grid whose margin is the next convolution's zero padding) and
-    zeroes every row it leaves, for any table.
+    Every image count runs the one path: the images fill lane-full
+    ciphertexts (:attr:`lanes`), each takes its linear steps' geometry from
+    :meth:`CompiledLinear.lane_layout` (one lane is the step's own round and
+    bias), and every refresh runs the whole stack through one FBS. The
+    entry step — always a conv/FC; a :class:`CompiledProgram` refuses to
+    exist otherwise — receives the raw quantized inputs, stacked, and
+    performs the client-side encode: one reshape per image to its
+    ``in_shape``, its zero padding, every lane packed at its layout's input
+    stride, one encryption per ciphertext in stack order. Interior layers
+    chain through the plan's feature layouts: every refresh round places its
+    LWE samples onto the next consumer's rows (compact Eq. 1 order, or a
+    padded interior grid whose margin is the next convolution's zero
+    padding) and zeroes every row it leaves, for any table.
 
     MAC-domain max-pool fusion replays the plan's ``(delta, round)`` tree
     (``max(a, b) = b + relu(a - b)`` per level, one exact monomial shift +
@@ -230,72 +233,73 @@ class CiphertextExecutor(ProgramExecutor):
     step or per request.
     """
 
-    def __init__(self, pipe: AthenaPipeline, plan: CompiledProgram, lanes: int = 1):
-        if lanes < 1:
-            raise ParameterError(f"need at least one lane, got {lanes}")
+    def __init__(self, pipe: AthenaPipeline, plan: CompiledProgram, images: int = 1):
+        if images < 1:
+            raise ParameterError(f"need at least one image, got {images}")
         if plan.params != pipe.params:
             raise ParameterError("plan was compiled for different parameters")
-        if lanes > plan.batch_capacity:
-            raise ParameterError(
-                f"{lanes} lanes exceed the plan's batch capacity "
-                f"{plan.batch_capacity}"
-            )
+        full, rest = divmod(images, plan.batch_capacity)
         self.pipe = pipe
-        self.lanes = lanes
+        #: Images each ciphertext of the stack carries, in stack order.
+        self.lanes = [plan.batch_capacity] * full + [rest] * bool(rest)
         self.out_count = 0
         #: Coefficient/slot distance between consecutive lanes' outputs.
         self.lane_stride = 0
         self.tail_s2c = True
 
-    def linear(self, step: CompiledLinear, value) -> BfvCiphertext:
+    def linear(self, step: CompiledLinear, value) -> list[BfvCiphertext]:
         pipe, n = self.pipe, self.pipe.params.n
-        layout = step.lane_layout(self.lanes, pipe.params)
+        layouts = [step.lane_layout(lanes, pipe.params) for lanes in self.lanes]
         if isinstance(value, np.ndarray):
-            # The entry step: every lane's image onto this step's grid, at
-            # the layout's input stride.
+            # The entry step: every image onto this step's grid, each
+            # ciphertext's lanes at its layout's input stride.
             p = step.pad
-            imgs = np.pad(value.reshape(self.lanes, *step.in_shape),
+            imgs = np.pad(value.reshape(len(value), *step.in_shape),
                           ((0, 0), (0, 0), (p, p), (p, p)))
-            value = pipe.encrypt_coeffs(pack_lane_coeffs(
-                [encode_features(m, n)[: layout.in_stride] for m in imgs],
-                layout.in_stride, n))
+            ends = np.cumsum(self.lanes)
+            value = [pipe.encrypt_coeffs(pack_lane_coeffs(
+                [encode_features(m, n)[: layout.in_stride] for m in imgs[end - lanes : end]],
+                layout.in_stride, n)) for layout, lanes, end in zip(layouts, self.lanes, ends)]
         # An interior step's input is already where its kernel expects it:
         # the previous refresh packed it onto exactly this step's layout
         # (compact Eq. 1 rows, or a padded grid whose exact-zero margin is
         # this convolution's zero padding).
-        out = pipe.linear(value, step.kernel)
-        if layout.bias is not None:
+        outs = [pipe.linear(ct, step.kernel) for ct in value]
+        if step.bias is not None:
             with current_backend().phase("linear"):
-                out = pipe.ctx.add_plain(out, layout.bias)
+                outs = [pipe.ctx.add_plain(out, layout.bias) for out, layout in zip(outs, layouts)]
         for delta, rnd in step.pool_rounds or ():
-            out = self._max_round(out, delta, rnd)
+            outs = self._max_round(outs, delta, rnd)
         self.out_count = step.round.count
-        self.lane_stride = layout.out_stride
+        self.lane_stride = layouts[0].out_stride
         self.tail_s2c = step.s2c
-        return self._refresh(out, layout.round, step.s2c)
+        return self._refresh(outs, [layout.round for layout in layouts], step.s2c)
 
     def _refresh(
-        self, ct: BfvCiphertext, rnd: RefreshRound, s2c: bool
-    ) -> BfvCiphertext:
+        self, cts: list[BfvCiphertext], rounds: list[RefreshRound], s2c: bool
+    ) -> list[BfvCiphertext]:
         """The loop's refresh (Fig. 2 steps 2-5, then S2C), written once.
 
-        Mod-switch + extract at the round's positions, scatter the samples
-        onto its pack rows (gap rows are trivial zero encryptions), pack +
-        FBS through its table, zero the unfilled rows exactly with its
-        ``-LUT(0)`` plaintext (absent only when there is nothing to cancel),
-        and return to coefficients.
+        Each ciphertext through its round: mod-switch + extract at the
+        round's positions, scatter the samples onto its pack rows (gap rows
+        are trivial zero encryptions), pack; the stack through the rounds'
+        one table in one FBS; zero the unfilled rows exactly with each
+        round's ``-LUT(0)`` plaintext (absent when there is nothing to
+        cancel), and return to coefficients.
         """
         pipe = self.pipe
-        batch = pipe.refresh_to_lwe(ct, rnd.positions).place(rnd.rows, rnd.height)
-        boot = pipe.bootstrap(batch, rnd.lut)
-        if rnd.correction is not None:
+        batches = [pipe.refresh_to_lwe(ct, rnd.positions).place(rnd.rows, rnd.height)
+                   for ct, rnd in zip(cts, rounds)]
+        boots = pipe.bootstrap(batches, rounds[0].lut)
+        if any(rnd.correction is not None for rnd in rounds):
             with current_backend().phase("fbs"):
-                boot = pipe.ctx.add_plain(boot, rnd.correction)
-        return pipe.to_coeffs(boot) if s2c else boot
+                boots = [boot if rnd.correction is None else pipe.ctx.add_plain(boot, rnd.correction)
+                         for boot, rnd in zip(boots, rounds)]
+        return [pipe.to_coeffs(boot) for boot in boots] if s2c else boots
 
     def _max_round(
-        self, ct: BfvCiphertext, delta: int, rnd: RefreshRound
-    ) -> BfvCiphertext:
+        self, cts: list[BfvCiphertext], delta: int, rnd: RefreshRound
+    ) -> list[BfvCiphertext]:
         """One MAC-domain max-tree level: ``max(a, b) = b + relu(a - b)``.
 
         ``shifted = ct * X^(n - delta)`` holds ``-x[p + delta]`` at every
@@ -312,44 +316,45 @@ class CiphertextExecutor(ProgramExecutor):
         offset = pipe.params.n - delta
         with current_backend().phase("pooling"):
             # Exact monomial multiplication by X^offset (no key material).
-            shifted = BfvCiphertext(
-                ct.c0.negacyclic_shift(offset), ct.c1.negacyclic_shift(offset),
-                ct.params, ct.noise_bits)
-            diff = pipe.ctx.add(ct, shifted)
-        relu_ct = self._refresh(diff, rnd, True)
+            shifted = [BfvCiphertext(ct.c0.negacyclic_shift(offset),
+                                     ct.c1.negacyclic_shift(offset), ct.params, ct.noise_bits)
+                       for ct in cts]
+            diffs = [pipe.ctx.add(ct, shift) for ct, shift in zip(cts, shifted)]
+        relus = self._refresh(diffs, [rnd] * len(cts), True)
         with current_backend().phase("pooling"):
-            return pipe.ctx.sub(relu_ct, shifted)
+            return [pipe.ctx.sub(relu, shift) for relu, shift in zip(relus, shifted)]
 
     def pool(self, step: CompiledPool, value):
-        """Average/global pooling: one depthwise all-ones PMult.
+        """Average/global pooling: one depthwise all-ones PMult per ciphertext.
 
         The window sums accumulate in the MAC domain at the plan's
         positions; the mandatory following :meth:`remap` step refreshes
         them through the division LUT.
         """
-        return self.pipe.linear(value, step.kernel)
+        return [self.pipe.linear(ct, step.kernel) for ct in value]
 
     def remap(self, step: CompiledRemap, value):
         """A bare LUT refresh round (the pooling division tables)."""
         return self._close(value, step.round, step.s2c)
 
-    def _close(self, ct: BfvCiphertext, rnd: RefreshRound, s2c: bool):
-        """Refresh a one-image round (these steps cap the batch at one
-        lane) and record the tail geometry."""
+    def _close(self, cts: list[BfvCiphertext], rnd: RefreshRound, s2c: bool):
+        """Refresh one-image ciphertexts (these steps cap every ciphertext
+        at one lane) and record the tail geometry."""
         self.out_count = self.lane_stride = rnd.count
         self.tail_s2c = s2c
-        return self._refresh(ct, rnd, s2c)
+        return self._refresh(cts, [rnd] * len(cts), s2c)
 
     def residual(self, step: CompiledResidual, main, skip):
         """Join the branches and refresh through the wide-scale LUT.
 
         Both branch tails packed into the shared join layout at compile
-        time, so the join itself is ``main + alpha * skip`` followed by
-        one standard refresh round placed into the next consumer's layout.
+        time, so the join is ``main + alpha * skip`` per ciphertext,
+        followed by one standard refresh round placed into the next
+        consumer's layout.
         """
         pipe = self.pipe
         with current_backend().phase("residual"):
             if step.alpha != 1:
-                skip = pipe.ctx.smult(skip, step.alpha)
-            total = pipe.ctx.add(main, skip)
+                skip = [pipe.ctx.smult(ct, step.alpha) for ct in skip]
+            total = [pipe.ctx.add(a, b) for a, b in zip(main, skip)]
         return self._close(total, step.round, step.s2c)

@@ -76,7 +76,7 @@ from repro.core.encoding import encode_kernels, lane_span, output_cells
 from repro.core.lut import relu_lut
 from repro.core.program import AthenaProgram, LinearStep
 from repro.errors import EncodingError, ParameterError
-from repro.fhe.backend import current_backend
+from repro.fhe.backend import cmult_chunk, current_backend
 from repro.fhe.bfv import Plaintext
 from repro.fhe.fbs import FbsLut
 from repro.fhe.params import FheParams
@@ -447,6 +447,20 @@ class CompiledProgram:
         """The first non-reshape step: the conv/FC whose ``in_shape`` every
         input takes."""
         return next((s for s in self.steps if s.kind != "reshape"), None)
+
+    @property
+    def stack_capacity(self) -> int:
+        """Ciphertexts one dispatch stacks: as many as one ``cmult_batch``
+        chunk carries pairs of the plan's widest FBS ladder level."""
+        def rounds(steps):
+            for step in steps:
+                yield getattr(step, "round", None)
+                yield from (r for _, r in getattr(step, "pool_rounds", None) or ())
+                yield from rounds(getattr(step, "body", []) + (getattr(step, "shortcut", None) or []))
+
+        widest = max((len(level) for rnd in rounds(self.steps) if rnd
+                      for level in rnd.lut.plan.levels), default=1)
+        return max(1, cmult_chunk(self.params) // widest)
 
     def entry_input(self, x_q) -> np.ndarray:
         """``x_q`` as an int64 array of the entry's ``in_shape``, else

@@ -40,9 +40,10 @@ extended into Q u P, multiplied against the key, divided by P),
 :meth:`Backend.rotate_keyswitch` (take the digits, then X -> X^k on them),
 :meth:`Backend.matvec` (a BSGS mat-vec over sources derived from the
 request's ciphertext or ready key material, the giants under one mod-down),
-:meth:`Backend.giant_step_batch` (one FBS's giant steps as one
-inner-product CMult), :meth:`Backend.cmult_batch` (one FBS ladder level) and
-:meth:`Backend.lincomb` (the baby steps as one matrix product). Both bodies
+:meth:`Backend.giant_step_batch` (a stack of FBS giant steps, one
+inner-product CMult each), :meth:`Backend.cmult_batch` (one FBS ladder
+level) and :meth:`Backend.lincomb` (the baby steps as one matrix
+product). Both bodies
 are *dispatch-free* — ``self`` methods and module-level transforms, never
 :func:`current_backend` — so a counted primitive is counted once.
 """
@@ -103,6 +104,11 @@ ROUND_PRIME = 2**31 - 1
 #: chunk: a whole t = 257 ladder level at n = 32 and n = 128, one CMult
 #: from n = 4096 up (EXPERIMENTS.md has the sweep).
 CMULT_BATCH_ELEMS = 1 << 16
+
+
+def cmult_chunk(params) -> int:
+    """CMult pairs per :meth:`Backend.cmult_batch` chunk: (B, D, L+K, N) digits."""
+    return max(1, CMULT_BATCH_ELEMS // (params.num_digits * len(params.keyswitch_moduli) * params.n))
 
 
 def lazy_chain_limit(moduli: tuple[int, ...]) -> int:
@@ -537,36 +543,40 @@ class Backend:
         self.record("hadd", len(plan.groups) - 1)
         return tuple(self.hadd_many([p[i] for p in parts], moduli) for i in (0, 1))
 
-    def giant_step_batch(self, ctx, pairs, rlk):
-        """The giant-step combination of one FBS: ``relin(sum_g inner_g *
-        giant_g)`` over ``pairs``, a list of (inner, giant) BfvCiphertexts,
-        as one ciphertext.
+    def giant_step_batch(self, ctx, stacks, rlk):
+        """The giant-step combinations of a stack of FBS: ``relin(sum_g
+        inner_g * giant_g)`` for each list of (inner, giant) pairs in
+        ``stacks``, one ciphertext each.
 
-        The tensor is linear, so the G products accumulate in the
+        The tensor is linear, so a ciphertext's G products accumulate in the
         evaluation domain of Q u P (:meth:`BfvContext.tensor_products`) and
-        share one scale-round and one keyswitch. Reference: per-pair
-        products joined by G - 1 additions over Q u P (the first reduced,
-        so each addition meets one unreduced pair), the keyswitch, the two
-        correction adds; BatchedBackend sums stacked products in runs.
+        share one scale-round and one keyswitch. Reference: per ciphertext,
+        per-pair products joined by G - 1 additions over Q u P (the first
+        reduced, so each addition meets one unreduced pair), the keyswitch,
+        the two correction adds; BatchedBackend sums stacked products in
+        runs, and the whole stack shares one scale-round and one keyswitch.
         Both sums are exact, so the bodies are bit-identical.
         """
         from repro.fhe.bfv import BfvCiphertext
         from repro.fhe.poly import RnsPoly
 
-        ctx.check_tensor_terms(len(pairs))
         moduli, both = ctx.params.moduli, ctx.tensor_moduli
-        ctx.tensor_forms([ct for pair in pairs for ct in pair])
-        acc = None
-        for pair in pairs:
-            self.record("cmult")
-            (e,) = ctx.tensor_products([pair])
-            acc = e % _moduli_column(both) if acc is None else self.add(acc, e, both)
-        r0, r1, r2 = ctx.tensor_scale_round(acc)
-        self.record("keyswitch")
-        d0, d1 = self.keyswitch(r2, rlk, moduli)
-        c0 = RnsPoly(self.add(r0, d0, moduli), moduli)
-        c1 = RnsPoly(self.add(r1, d1, moduli), moduli)
-        return BfvCiphertext(c0, c1, ctx.params, ctx.cmult_noise(pairs))
+        out = []
+        for pairs in stacks:
+            ctx.check_tensor_terms(len(pairs))
+            ctx.tensor_forms([ct for pair in pairs for ct in pair])
+            acc = None
+            for pair in pairs:
+                self.record("cmult")
+                (e,) = ctx.tensor_products([pair])
+                acc = e % _moduli_column(both) if acc is None else self.add(acc, e, both)
+            r0, r1, r2 = ctx.tensor_scale_round(acc)
+            self.record("keyswitch")
+            d0, d1 = self.keyswitch(r2, rlk, moduli)
+            c0 = RnsPoly(self.add(r0, d0, moduli), moduli)
+            c1 = RnsPoly(self.add(r1, d1, moduli), moduli)
+            out.append(BfvCiphertext(c0, c1, ctx.params, ctx.cmult_noise(pairs)))
+        return out
 
     def cmult_batch(self, ctx, pairs, rlk):
         """Relinearised products of independent CMults (one FBS ladder
@@ -584,7 +594,7 @@ class Backend:
 
         params = ctx.params
         moduli = params.moduli
-        chunk = max(1, CMULT_BATCH_ELEMS // rlk.k0.size)  # a digit stack is the key's shape
+        chunk = cmult_chunk(params)
         ctx.tensor_forms([ct for pair in pairs for ct in pair])
         out = []
         for lo in range(0, len(pairs), chunk):
@@ -599,21 +609,22 @@ class Backend:
         return out
 
     def lincomb(self, stack, coeffs, moduli):
-        """Row g of the (G, 2, L, N) result is ``sum_j coeffs[g, j] *
-        stack[j]`` over a (J, 2, L, N) ciphertext stack and a (G, J) matrix
-        of small signed integers (FBS baby steps: one row per group); a zero
-        coefficient is no term, an empty row the zero ciphertext.
+        """Row g of the (G, 2C, L, N) result is ``sum_j coeffs[g, j] *
+        stack[j]`` over a (J, 2C, L, N) stack of C ciphertexts and a (G, J)
+        matrix of small signed integers (FBS baby steps: one row per group);
+        a zero coefficient is no term, an empty row the zero ciphertext.
 
         Reference: per nonzero term one scalar product per component, per
         row one HAdd chain. BatchedBackend: one exact matrix product.
         """
         out = np.zeros((len(coeffs),) + stack.shape[1:], dtype=np.int64)
+        per = stack.shape[1] // 2  # the records count every ciphertext's ops
         for row, weights in zip(out, coeffs):
             terms = [[self.scalar_mul(comp, int(c), moduli) for comp in stack[j]]
                      for j, c in enumerate(weights) if c]
-            self.record("smult", len(terms))
+            self.record("smult", len(terms) * per)
             if terms:
-                self.record("hadd", len(terms) - 1)
+                self.record("hadd", (len(terms) - 1) * per)
                 row[...] = [self.hadd_many(list(comps), moduli) for comps in zip(*terms)]
         return out
 
@@ -643,12 +654,13 @@ class Backend:
 
     # -- composite tier ----------------------------------------------------
 
-    def fbs(self, ctx, ct, lut, rlk):
-        """Functional bootstrapping: evaluate a LUT polynomial on all slots."""
+    def fbs(self, ctx, cts, lut, rlk):
+        """Functional bootstrapping: evaluate a LUT polynomial on all slots
+        of every ciphertext of the stack ``cts``, in lockstep."""
         from repro.fhe import fbs
 
-        self.record("fbs")
-        return fbs.fbs_evaluate_impl(ctx, ct, lut, rlk)
+        self.record("fbs", len(cts))
+        return fbs.fbs_evaluate_impl(ctx, cts, lut, rlk)
 
     def s2c(self, ctx, ct, keys):
         """Slot-to-coefficient transform under its Galois ``keys``."""
@@ -779,28 +791,30 @@ class BatchedBackend(Backend):
         out = ntt_inverse_rns(out, moduli)
         return out[0], out[1]
 
-    def giant_step_batch(self, ctx, pairs, rlk):
+    def giant_step_batch(self, ctx, stacks, rlk):
         from repro.fhe.bfv import BfvCiphertext
         from repro.fhe.poly import RnsPoly
 
-        ctx.check_tensor_terms(len(pairs))
+        for pairs in stacks:
+            ctx.check_tensor_terms(len(pairs))
         moduli, both = ctx.params.moduli, ctx.tensor_moduli
         mods, run = _moduli_column(both), lazy_product_limit(both)
         # A chunk of G' pairs peaks at 7 (G', L+K, N) operand and product
-        # rows. Each component sums in runs of `run` products (the middle
-        # holds two a pair), one % a run (cmult_bounds: "lazy_sum").
+        # rows. Each ciphertext's components sum in runs of `run` products
+        # (the middle holds two a pair), one % a run (cmult_bounds: "lazy_sum").
         chunk = max(1, GIANT_BATCH_ELEMS // (7 * len(both) * ctx.params.n))
-        e = np.zeros((3, len(both), ctx.params.n), dtype=np.int64)
-        for lo in range(0, len(pairs), chunk):
-            products = ctx.tensor_products(pairs[lo : lo + chunk])
-            for comp, pairs_a_run in ((slice(0, 3, 2), run), (1, run // 2)):
-                runs = np.add.reduceat(products[:, comp], range(0, len(products), pairs_a_run))
-                e[comp] += (runs % mods).sum(axis=0)
-        r0, r1, r2 = ctx.tensor_scale_round(e)
-        d0, d1 = self.keyswitch(r2, rlk, moduli)
-        c0 = RnsPoly(self.add(r0, d0, moduli), moduli)
-        c1 = RnsPoly(self.add(r1, d1, moduli), moduli)
-        return BfvCiphertext(c0, c1, ctx.params, ctx.cmult_noise(pairs))
+        e = np.zeros((len(stacks), 3, len(both), ctx.params.n), dtype=np.int64)
+        for acc, pairs in zip(e, stacks):
+            for lo in range(0, len(pairs), chunk):
+                products = ctx.tensor_products(pairs[lo : lo + chunk])
+                for comp, pairs_a_run in ((slice(0, 3, 2), run), (1, run // 2)):
+                    runs = np.add.reduceat(products[:, comp], range(0, len(products), pairs_a_run))
+                    acc[comp] += (runs % mods).sum(axis=0)
+        r = ctx.tensor_scale_round(e)
+        d0, d1 = self.keyswitch(r[:, 2], rlk, moduli)
+        c0, c1 = self.add(r[:, 0], d0, moduli), self.add(r[:, 1], d1, moduli)
+        return [BfvCiphertext(RnsPoly(x, moduli), RnsPoly(y, moduli), ctx.params,
+                              ctx.cmult_noise(pairs)) for x, y, pairs in zip(c0, c1, stacks)]
 
     def lincomb(self, stack, coeffs, moduli):
         # Exact in float64 while a chunk sums below 2**53 (one chunk at ATHENA).

@@ -377,26 +377,28 @@ class FbsPlan:
 
 
 def fbs_evaluate(
-    ctx: BfvContext, ct: BfvCiphertext, lut: FbsLut, rlk: KeySwitchKey
-) -> BfvCiphertext:
-    """Algorithm 2: evaluate the LUT polynomial on every slot of ``ct``.
+    ctx: BfvContext, cts: list[BfvCiphertext], lut: FbsLut, rlk: KeySwitchKey
+) -> list[BfvCiphertext]:
+    """Algorithm 2: evaluate the LUT polynomial on every slot of each
+    ciphertext of ``cts``, a stack in lockstep.
 
     Dispatches through the active backend's :meth:`Backend.fbs`. Baby
     steps: inner sums of scalar-multiplied ciphertext powers (SMult +
     HAdd). Giant steps: one inner-product CMult, sum_g inner_g *
     ct^(bs*g), over the precomputed giant powers, on the schedule the LUT
-    carries (:attr:`FbsLut.plan`). Returns a ciphertext whose slot i holds
-    LUT(slot_i(ct)).
+    carries (:attr:`FbsLut.plan`). Returns, in order, ciphertexts whose
+    slot i holds LUT(slot_i(ct)).
     """
     be = current_backend()
     with be.phase("fbs"):
-        return be.fbs(ctx, ct, lut, rlk)
+        return be.fbs(ctx, cts, lut, rlk)
 
 
 def fbs_evaluate_impl(
-    ctx: BfvContext, ct: BfvCiphertext, lut: FbsLut, rlk: KeySwitchKey
-) -> BfvCiphertext:
-    """Default :meth:`Backend.fbs` implementation (BSGS, Algorithm 2).
+    ctx: BfvContext, cts: list[BfvCiphertext], lut: FbsLut, rlk: KeySwitchKey
+) -> list[BfvCiphertext]:
+    """Default :meth:`Backend.fbs` implementation (BSGS, Algorithm 2) over
+    a stack of C ciphertexts; each result equals that of a stack of one.
 
     CMult work — the power ladder and giant-step combinations — runs under
     the ``fbs_giant`` phase so a counting backend attributes it the same
@@ -406,12 +408,13 @@ def fbs_evaluate_impl(
     Structure: replay the plan's minimal-depth power/giant CMult ladder
     (depth ceil(log2 e) per power, which keeps FBS noise at ~log2(t) levels
     instead of sqrt(t)) one :meth:`~repro.fhe.backend.Backend.cmult_batch`
-    per :attr:`FbsPlan.levels` entry; then every group's baby sum as one
-    row of one :meth:`~repro.fhe.backend.Backend.lincomb`; and finally
-    combine ``sum_{g>0} inner_g * giant_g`` in a single
-    :meth:`~repro.fhe.backend.Backend.giant_step_batch`: one tensor sum,
-    one scale-round, one relinearisation, whatever the number of groups.
-    Every CMult operand keeps its Q u P evaluation form
+    per :attr:`FbsPlan.levels` entry over the whole stack; then every
+    group's baby sum as one row of one
+    :meth:`~repro.fhe.backend.Backend.lincomb`; and finally combine
+    ``sum_{g>0} inner_g * giant_g`` in a single
+    :meth:`~repro.fhe.backend.Backend.giant_step_batch`: one tensor sum per
+    ciphertext, one scale-round, one relinearisation, whatever the number
+    of groups. Every CMult operand keeps its Q u P evaluation form
     (:meth:`~repro.fhe.bfv.BfvContext.tensor_forms`) for the rest of the
     call, so a power that feeds several powers, or a giant that feeds a
     giant and the combination, is extended and transformed once.
@@ -423,39 +426,41 @@ def fbs_evaluate_impl(
         raise ParameterError("LUT modulus does not match context")
     plan = lut.plan
 
-    # A private handle on the input: every form built below is held by an
+    # Private handles on the inputs: every form built below is held by an
     # object local to this call and dies with it.
-    held: dict[tuple[str, int], BfvCiphertext] = {("p", 1): replace(ct)}
+    held: list[dict[tuple[str, int], BfvCiphertext]] = [{("p", 1): replace(ct)} for ct in cts]
     for level in plan.levels:
         with be.phase("fbs_giant"):
-            pairs = [(held[plan.operand(kind, lo)], held[plan.operand(kind, hi)])
-                     for kind, _, lo, hi in level]
-            for (kind, e, _, _), got in zip(level, be.cmult_batch(ctx, pairs, rlk)):
-                held[(kind, e)] = got
+            got = iter(be.cmult_batch(ctx, [
+                (h[plan.operand(kind, lo)], h[plan.operand(kind, hi)])
+                for h in held for kind, _, lo, hi in level], rlk))
+            for h in held:
+                h.update(((kind, e), next(got)) for kind, e, _, _ in level)
 
-    # Baby sums, one row per group; then the giant combination in one CMult.
+    # Baby sums, one row per group; then the giant combinations in one CMult.
     powers, raw = plan.baby_terms
-    stack = np.array([(held[("p", j)].c0.data, held[("p", j)].c1.data) for j in powers],
-                     dtype=np.int64).reshape(len(powers), 2, len(moduli), params.n)
+    stack = np.array([[(h[("p", j)].c0.data, h[("p", j)].c1.data) for h in held] for j in powers],
+                     dtype=np.int64).reshape(len(powers), 2 * len(cts), len(moduli), params.n)
     rows = be.lincomb(stack, np.where(raw > t // 2, raw - t, raw), moduli)
+    rows = rows.reshape(len(plan.groups), len(cts), 2, len(moduli), params.n)
     log_t = math.log2(t)
-    combos: list[tuple[BfvCiphertext, BfvCiphertext]] = []
-    result_parts: list[BfvCiphertext] = []
-    for (g, const, terms), (c0, c1) in zip(plan.groups, rows):
-        noise = (ctx.hadd_noise([held[("p", j)].noise_bits + log_t for j, _ in terms])
-                 if terms else 0.0)  # an empty row is the transparent zero
-        inner = BfvCiphertext(RnsPoly(c0, moduli), RnsPoly(c1, moduli), params, noise)
-        if const:
-            inner = ctx.add_plain(inner, plan.const_plaintext(const, params))
-        if g:
-            combos.append((inner, held[plan.operand("g", g)]))
-        else:
-            result_parts.append(inner)
-    if combos:
+    combos: list[list[tuple[BfvCiphertext, BfvCiphertext]]] = [[] for _ in cts]
+    parts: list[list[BfvCiphertext]] = [[] for _ in cts]
+    for h, inners, combo, part in zip(held, rows.swapaxes(0, 1), combos, parts):
+        for (g, const, terms), (c0, c1) in zip(plan.groups, inners):
+            noise = (ctx.hadd_noise([h[("p", j)].noise_bits + log_t for j, _ in terms])
+                     if terms else 0.0)  # an empty row is the transparent zero
+            inner = BfvCiphertext(RnsPoly(c0, moduli), RnsPoly(c1, moduli), params, noise)
+            if const:
+                inner = ctx.add_plain(inner, plan.const_plaintext(const, params))
+            if g:
+                combo.append((inner, h[plan.operand("g", g)]))
+            else:
+                part.append(inner)
+    if any(combos):
         with be.phase("fbs_giant"):
-            result_parts.append(be.giant_step_batch(ctx, combos, rlk))
-    if not result_parts:
-        # All-zero polynomial: the LUT is identically zero, so the answer is
-        # a (transparent) zero ciphertext rather than SMult(ct, 0).
-        return ctx.encrypt_zero()
-    return ctx.add_many(result_parts)
+            for part, combined in zip(parts, be.giant_step_batch(ctx, combos, rlk)):
+                part.append(combined)
+    # An all-zero polynomial (an identically zero LUT) answers a transparent
+    # zero ciphertext rather than SMult(ct, 0).
+    return [ctx.add_many(part) if part else ctx.encrypt_zero() for part in parts]

@@ -236,14 +236,16 @@ def _transform(a: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndar
     n = a.shape[-1]
     forward, backward, (mods, pf, pinv, p_lo, pinv_hi) = _gemm_tables(n, moduli)
     steps = backward if inverse else forward
-    shape = np.broadcast_shapes(a.shape, (len(moduli), n))
-    rows = np.broadcast_to(a, shape).reshape((-1,) + shape[-2:])
-    out = np.empty(shape, dtype=np.int64)
+    basis = (len(moduli), n)
+    if a.shape[-2:] != basis:  # a lone (N,) row or a limb-broadcast stack
+        a = np.broadcast_to(a, np.broadcast_shapes(a.shape, basis))
+    rows = a.reshape((-1,) + basis)
+    out = np.empty(a.shape, dtype=np.int64)
     chunk = max(1, NTT_CHUNK_ELEMS // (len(moduli) * n))
     work = np.empty((2, min(chunk, len(rows)) * len(moduli) * n))
     for lo in range(0, len(rows), chunk):
         src, dst = rows[lo : lo + chunk], out.reshape(rows.shape)[lo : lo + chunk]
-        y, h = (w[: src.size].reshape(src.shape) for w in work)
+        y, h = work[:, : src.size].reshape((2,) + src.shape)
         l, y_int, h_int = dst.view(np.float64), y.view(np.int64), h.view(np.int64)
         # entry: the centred r = a - rint(a / p) p, in (wrapping) int64
         np.multiply(src, pinv, out=y)
@@ -254,11 +256,15 @@ def _transform(a: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndar
         for i, (view, right, m_hi, m_lo, twist) in enumerate(steps):
             np.rint(y, out=h)  # y = r / 2**16: the halves h and l / 2**16
             np.subtract(y, h, out=l)
-            hv, lv, yv = (v.reshape((len(src),) + view) for v in (h, l, y))
+            at = (len(src),) + view
+            hv, lv, yv = h.reshape(at), l.reshape(at), y.reshape(at)
             if right:
-                hv, lv, yv = (v.transpose(1, 2, 3, 0, 4) for v in (hv, lv, yv))
-            for x, m, prod in ((hv, m_hi, yv), (lv, m_lo, hv)):
-                np.matmul(*((x, m) if right else (m, x)), out=prod)
+                axes = (1, 2, 3, 0, 4)
+                np.matmul(hv.transpose(axes), m_hi, out=yv.transpose(axes))
+                np.matmul(lv.transpose(axes), m_lo, out=hv.transpose(axes))
+            else:
+                np.matmul(m_hi, hv, out=yv)
+                np.matmul(m_lo, lv, out=hv)
             np.add(y, h, out=y)
             if i == len(steps) - 1:
                 break

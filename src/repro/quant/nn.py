@@ -261,9 +261,8 @@ class Flatten(Layer):
 
 
 class MaxPool2d(Layer):
-    def __init__(self, kernel: int, stride: int | None = None):
-        self.kernel = kernel
-        self.stride = stride or kernel
+    def __init__(self, kernel: int):
+        self.kernel = self.stride = kernel  # non-overlapping windows
         self._cache = None
 
     def forward(self, x, train=False):
@@ -287,9 +286,8 @@ class MaxPool2d(Layer):
 
 
 class AvgPool2d(Layer):
-    def __init__(self, kernel: int, stride: int | None = None):
-        self.kernel = kernel
-        self.stride = stride or kernel
+    def __init__(self, kernel: int):
+        self.kernel = self.stride = kernel  # non-overlapping windows
         self._shape = None
 
     def forward(self, x, train=False):

@@ -20,9 +20,9 @@ This package layers that split into a service:
 * **scheduler** — :class:`FairScheduler`: bounded per-tenant queues,
   reject/shed admission control (:class:`repro.errors.ServiceOverloaded`,
   carrying the offending tenant's queue depth), round-robin fair dequeue,
-  and cross-request ciphertext batches (same model + key domain, lane
-  count bounded by the plan's ``batch_capacity``, deadline-bounded batch
-  windows).
+  and cross-request batches (same model + key domain): lanes bounded by
+  the plan's ``batch_capacity`` with a deadline-bounded window, times
+  already-queued ciphertexts bounded by its ``stack_capacity``.
 * **workers** — :class:`WorkerPool`: warm ``(tenant, model)`` sessions
   behind thread or process executors with per-worker key material.
 * **service** — :class:`AthenaService`: the asyncio façade composing all

@@ -70,8 +70,9 @@ class InferenceRequest:
 class InferenceResult:
     """The service's answer to one :class:`InferenceRequest`.
 
-    ``lane`` is the request's position inside the fused ciphertext;
-    ``batch_size`` how many requests shared that ciphertext (1 = ran solo).
+    ``lane`` is the request's position inside its ciphertext;
+    ``batch_size`` how many requests shared the fused execution, every
+    stacked ciphertext counted (1 = ran solo); ``batch_id`` names it.
     ``timings`` holds the per-request wall-clock breakdown in seconds:
     ``queue_wait_s`` (admission to dequeue), ``batch_wait_s`` (dequeue to
     dispatch — the deadline-bounded window spent waiting for co-batched

@@ -17,19 +17,18 @@ a multi-tenant deployment:
 * **Fair dequeue** — batches are led round-robin (each leader comes from
   the next tenant in the ring that has work), so a deep queue for one
   tenant cannot starve the others regardless of arrival order.
-* **Lane batches** — Athena's coefficient encoding leaves most of a small
-  model's ring unused: one image of lane span S occupies coefficients
-  [0, S) of an n-coefficient ciphertext, so ``n // S`` independent images
-  can ride one ciphertext and split the cost of the PMult, the refresh
-  chain, the pack + FBS and the S2C (see
-  :class:`repro.core.plan.LaneLayout`). :meth:`FairScheduler.next_batch`
-  fills a leader's remaining lanes with requests of the same
-  ``group_key`` — the same model *and* key domain
-  (:meth:`repro.serve.Tenant.key_domain`) — up to ``lanes(leader)``,
-  taking only matching queue heads so per-tenant FIFO order holds. A
-  leader never waits more than ``window_s`` for co-riders: under load the
-  lanes are already queued and the batch dispatches at once; under light
-  load the window expires and the request runs solo.
+* **Batches of lanes x ciphertexts** — one image of lane span S occupies
+  coefficients [0, S) of an n-coefficient ciphertext, so ``n // S`` images
+  ride one ciphertext and split its PMult, refresh chain, pack and S2C
+  (:class:`repro.core.plan.LaneLayout`); lane-full ciphertexts then stack
+  through one FBS, whose ladder pays per dispatch, not per pair.
+  :meth:`FairScheduler.next_batch` fills a leader's ciphertext with
+  requests of the same ``group_key`` — model *and* key domain
+  (:meth:`repro.serve.Tenant.key_domain`) — waiting at most ``window_s``
+  for those lanes only, then takes matching requests already queued as
+  further ciphertexts, without waiting, up to ``shape(leader)`` (the
+  plan's ``batch_capacity`` lanes times its ``stack_capacity``). Only
+  matching queue heads are taken, so per-tenant FIFO order holds.
 
 The scheduler is asyncio-native and single-loop: :meth:`submit` is called
 from the event-loop thread (the service's ``submit`` coroutine),
@@ -54,11 +53,12 @@ __all__ = ["FairScheduler"]
 
 
 class FairScheduler:
-    """Bounded per-tenant FIFOs, round-robin leaders, lane batches.
+    """Bounded per-tenant FIFOs, round-robin leaders, stacked lane batches.
 
     ``group_key(request)`` is the compatibility key requests must share to
-    ride one ciphertext; ``lanes(request)`` the lane budget of a batch the
-    request leads; ``window_s`` how long a partial batch waits for late
+    ride one batch; ``shape(request)`` the ``(lanes, ciphertexts)`` a batch
+    the request leads may hold — ``lanes * ciphertexts`` requests, at most;
+    ``window_s`` how long a partial first ciphertext waits for late
     co-riders after its leader is dequeued.
     """
 
@@ -67,7 +67,7 @@ class FairScheduler:
         tenant_ids,
         capacity: int,
         group_key: Callable[[InferenceRequest], Hashable],
-        lanes: Callable[[InferenceRequest], int],
+        shape: Callable[[InferenceRequest], tuple[int, int]],
         window_s: float = 0.0,
     ):
         tenant_ids = list(tenant_ids)
@@ -77,7 +77,7 @@ class FairScheduler:
             raise ParameterError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.group_key = group_key
-        self.lanes = lanes
+        self.shape = shape
         self.window_s = window_s
         self._queues: dict[str, deque[InferenceRequest]] = {
             tid: deque() for tid in tenant_ids
@@ -172,10 +172,12 @@ class FairScheduler:
     async def next_batch(self) -> list[InferenceRequest] | None:
         """Await the next batch, fairly across tenants.
 
-        The leader is the next request in round-robin order. Its remaining
-        lanes fill from matching queue heads, then — while lanes remain —
-        from requests admitted before ``leader.dequeued_at + window_s``. A
-        one-lane leader never waits, and a close cuts the window short.
+        The leader is the next request in round-robin order. Its
+        ciphertext's remaining lanes fill from matching queue heads, then —
+        while lanes remain — from requests admitted before
+        ``leader.dequeued_at + window_s``; then matching heads already
+        queued join as further ciphertexts, up to ``lanes * ciphertexts``
+        requests. A one-lane leader never waits; a close cuts the window.
         Returns ``None`` once the scheduler is closed *and* drained — the
         dispatcher's signal to exit. Each admitted request is delivered
         exactly once across concurrent dispatchers.
@@ -185,20 +187,21 @@ class FairScheduler:
                 return None
             await self._wait(None)
         lead = batch[0]
-        lanes = self.lanes(lead)
-        if lanes > 1:
-            key = self.group_key(lead)
-            deadline = lead.dequeued_at + self.window_s
-            while True:
-                batch += self._take(
-                    lambda request: self.group_key(request) == key,
-                    lanes - len(batch),
-                )
-                remaining = deadline - time.perf_counter()
-                if len(batch) >= lanes or remaining <= 0 or self._closed:
-                    break
-                self.window_waits += 1
-                await self._wait(remaining)
+        lanes, ciphertexts = self.shape(lead)
+        key = self.group_key(lead)
+
+        def matches(request: InferenceRequest) -> bool:
+            return self.group_key(request) == key
+
+        deadline = lead.dequeued_at + self.window_s
+        while len(batch) < lanes:
+            batch += self._take(matches, lanes - len(batch))
+            remaining = deadline - time.perf_counter()
+            if len(batch) >= lanes or remaining <= 0 or self._closed:
+                break
+            self.window_waits += 1
+            await self._wait(remaining)
+        batch += self._take(matches, lanes * ciphertexts - len(batch))
         self.batches += 1
         self.batched_requests += len(batch)
         self.occupancy_max = max(self.occupancy_max, len(batch))

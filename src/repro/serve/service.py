@@ -10,13 +10,14 @@ over a shared (sharded) plan cache:
    :class:`~repro.errors.ServiceOverloaded`, payload carrying the tenant's
    queue depth), round-robin fair dequeue, and batch formation: compatible
    queued requests (same model + same key domain, including the shared-key
-   fast path across tenants with identical params + seed) share one
-   ciphertext up to the plan's ``batch_capacity``, within a
-   deadline-bounded window.
+   fast path across tenants with identical params + seed) share a
+   ciphertext up to the plan's ``batch_capacity`` lanes within a
+   deadline-bounded window, and those already queued ride along as further
+   ciphertexts, up to the plan's ``stack_capacity``.
 3. **worker layer** (:mod:`repro.serve.workers`) — warm
    ``(tenant, model)`` sessions behind an :class:`~repro.perf.ExecConfig`
    executor (thread/process); a batch runs as *one* fused pipeline
-   execution and is demultiplexed per lane.
+   execution and is demultiplexed per request.
 4. **this façade** — model registration through the shared
    :class:`~repro.serve.cache.ShardedPlanCache`, the asyncio dispatch loop
    connecting the layers, the typed request/response API
@@ -74,11 +75,12 @@ class AthenaService:
     co-located tenants still share compiled plans; pass a disk-backed
     cache to share them across processes and restarts.
 
-    ``batching`` enables cross-request ciphertext batching (on by
-    default; plans whose ``batch_capacity`` is 1 are unaffected either
-    way). ``batch_window_s`` bounds how long a dispatcher holds a
-    partially-filled batch open for late co-riders — 0 batches only what
-    is already queued.
+    ``batching`` enables cross-request batching (on by default; off, every
+    request runs alone). A batch is lanes x stacked ciphertexts: the
+    leader's ciphertext fills to the plan's ``batch_capacity`` lanes, then
+    matching requests already queued join as further ciphertexts, up to
+    the plan's ``stack_capacity``. ``batch_window_s`` bounds how long the
+    leader's ciphertext waits for late co-riders (0: only what is queued).
     """
 
     def __init__(
@@ -173,11 +175,12 @@ class AthenaService:
         tenant = self.tenants.get(request.tenant_id)
         return (tenant.key_domain(), request.model)
 
-    def _lanes(self, request: InferenceRequest) -> int:
-        """Lane budget for a batch led by ``request``."""
+    def _shape(self, request: InferenceRequest) -> tuple[int, int]:
+        """(lanes, ciphertexts) a batch led by ``request`` may hold."""
         if not self.batching:
-            return 1
-        return self._cores[(request.tenant_id, request.model)].plan.batch_capacity
+            return 1, 1
+        plan = self._cores[(request.tenant_id, request.model)].plan
+        return plan.batch_capacity, plan.stack_capacity
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -193,7 +196,7 @@ class AthenaService:
             self.tenants.ids(),
             capacity=self.queue_capacity,
             group_key=self._group_key,
-            lanes=self._lanes,
+            shape=self._shape,
             window_s=self.batch_window_s if self.batching else 0.0,
         )
         self._dispatchers = [
@@ -227,11 +230,9 @@ class AthenaService:
                     # computing meanwhile.
                     await asyncio.sleep(self.transport_s)
                 lead = batch[0]
-                outs = await self.pool.run_batch(
-                    (lead.tenant_id, lead.model),
-                    [request.x_q for request in batch],
-                )
-                self._resolve(batch, outs, dispatched_at)
+                key = (lead.tenant_id, lead.model)
+                outs = await self.pool.run_batch(key, [request.x_q for request in batch])
+                self._resolve(batch, outs, dispatched_at, self._cores[key].plan.batch_capacity)
             except Exception as exc:  # noqa: BLE001 - delivered to callers
                 delivered = False
                 for request in batch:
@@ -242,13 +243,13 @@ class AthenaService:
                     raise
 
     def _resolve(
-        self, batch: list[InferenceRequest], outs: list, dispatched_at: float
+        self, batch: list[InferenceRequest], outs: list, dispatched_at: float, lanes: int
     ) -> None:
-        """Demultiplex one fused execution into per-request results."""
+        """Demultiplex one fused execution: request ``i`` rode lane ``i % lanes``."""
         done_at = time.perf_counter()
         run_s = done_at - dispatched_at - (self.transport_s or 0.0)
         batch_id = next_batch_id()
-        for lane, (request, out) in enumerate(zip(batch, outs)):
+        for i, (request, out) in enumerate(zip(batch, outs)):
             self._per_tenant_requests[request.tenant_id] += 1
             dequeued_at = request.dequeued_at or dispatched_at
             result = InferenceResult(
@@ -256,7 +257,7 @@ class AthenaService:
                 tenant_id=request.tenant_id,
                 model=request.model,
                 output=out,
-                lane=lane,
+                lane=i % lanes,
                 batch_size=len(batch),
                 batch_id=batch_id,
                 timings={

@@ -138,7 +138,7 @@ class SessionRuntime:
     The core's backend is this runtime's pin: keygen and every run execute
     under it, in whichever thread or worker process the runtime lives in.
 
-    :meth:`run` serializes requests on an internal lock; *all* bookkeeping
+    :meth:`timed_batch` serializes requests on an internal lock; *all* bookkeeping
     (request count, accumulated run time, the windowed run-latency log) is
     updated inside that lock, so concurrent callers never lose updates and
     :meth:`stats` always reports a consistent snapshot, including p50/p99
@@ -156,35 +156,16 @@ class SessionRuntime:
         self.keygen_s = time.perf_counter() - start
         self._lock = threading.Lock()
         self.requests = 0
-        #: Fused pipeline executions (a k-lane batch is one run, k requests).
+        #: Fused pipeline executions (a k-request batch is one run).
         self.runs = 0
-        self.max_lanes = 0
         self.run_s = 0.0
         self.latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
 
-    @property
-    def batch_capacity(self) -> int:
-        """Lanes one ciphertext can carry through this session's plan."""
-        return self.core.plan.batch_capacity
-
-    def run(self, x_q: np.ndarray) -> np.ndarray:
-        """One encrypted inference; returns centered integer outputs."""
-        return self.run_batch([x_q])[0]
-
-    def run_batch(self, xs: list[np.ndarray]) -> list[np.ndarray]:
-        """One *fused* execution answering ``len(xs)`` requests at once.
-
-        The inputs share a single ciphertext (lane count bounded by the
-        plan's ``batch_capacity``), so the whole batch pays one five-step
-        loop per layer; per-request amortized cost is ``run_s / requests``.
-        A single-input batch is exactly the :meth:`run` op sequence.
-        Returns one centered integer output array per input, in order.
-        """
-        return self.timed_batch(xs)[0]
-
     def timed_batch(self, xs: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
-        """:meth:`run_batch` plus the run's wall seconds, measured under
-        the request lock (so waiting for another caller's run is excluded)."""
+        """One *fused* execution answering ``len(xs)`` requests at once
+        (:meth:`AthenaPipeline.run_batch`: lane-full ciphertexts through
+        one FBS per layer), and its wall seconds, measured under the request
+        lock (so waiting for another caller's run is excluded)."""
         core = self.core
         with self._lock, _pinned(self.backend):
             start = time.perf_counter()
@@ -192,7 +173,6 @@ class SessionRuntime:
             wall = time.perf_counter() - start
             self.requests += len(xs)
             self.runs += 1
-            self.max_lanes = max(self.max_lanes, len(xs))
             self.run_s += wall
             self.latencies.append(wall)
         return outs, wall
@@ -212,15 +192,13 @@ class SessionRuntime:
             runs = self.runs
             run_s = self.run_s
             latencies = list(self.latencies)
-            max_lanes = self.max_lanes
         core = self.core
         return LayerStats(
             layer="session",
             requests=requests,
             counters={
                 "runs": runs,
-                "batch_capacity": self.batch_capacity,
-                "max_lanes": max_lanes,
+                "batch_capacity": core.plan.batch_capacity,
             },
             timings={
                 "compile_s": round(core.compile_s, 6),
@@ -266,7 +244,7 @@ class InferenceSession:
     context-local, so concurrent sessions on *different* backends never
     interfere — the thread-safety claim above holds per session, not per
     process. A :class:`~repro.fhe.backend.CountingBackend` here turns every
-    request into an executed-op trace (see ``session.backend.summary()``).
+    request into an executed-op trace (see ``session.runtime.backend.summary()``).
 
     The session is a composition of its two halves (``session.core``,
     ``session.runtime``); multi-worker deployments use those directly (one
@@ -298,10 +276,6 @@ class InferenceSession:
     # -- compile-time half -------------------------------------------------
 
     @property
-    def params(self) -> FheParams:
-        return self.core.plan.params
-
-    @property
     def plan(self) -> CompiledProgram:
         return self.core.plan
 
@@ -309,35 +283,14 @@ class InferenceSession:
     def compile_s(self) -> float:
         return self.core.compile_s
 
-    # -- runtime half ------------------------------------------------------
-
-    @property
-    def backend(self) -> Backend | None:
-        return self.runtime.backend
-
-    @property
-    def pipeline(self) -> AthenaPipeline:
-        return self.runtime.pipeline
-
-    @property
-    def requests(self) -> int:
-        return self.runtime.requests
-
-    @property
-    def run_s(self) -> float:
-        return self.runtime.run_s
-
-    @property
-    def latencies(self) -> deque[float]:
-        return self.runtime.latencies
-
     def run(self, x_q: np.ndarray) -> np.ndarray:
         """One encrypted inference; returns centered integer outputs."""
-        return self.runtime.run(x_q)
+        return self.run_batch([x_q])[0]
 
     def run_batch(self, xs: list[np.ndarray]) -> list[np.ndarray]:
-        """Fused multi-image inference (see :meth:`SessionRuntime.run_batch`)."""
-        return self.runtime.run_batch(xs)
+        """Fused multi-image inference, one output per input, in order
+        (see :meth:`SessionRuntime.timed_batch`)."""
+        return self.runtime.timed_batch(xs)[0]
 
     def stats(self) -> "LayerStats":
         """Session accounting in the uniform :class:`LayerStats` schema."""

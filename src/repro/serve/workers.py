@@ -89,7 +89,7 @@ class WorkerPool:
         self.run_s = 0.0
         #: Seconds :meth:`start` spent spawning workers and generating keys.
         self.start_s = 0.0
-        #: Fused executions dispatched (a k-lane batch counts once).
+        #: Fused executions dispatched (a k-request batch counts once).
         self.runs = 0
         self.started = False
 

@@ -480,7 +480,7 @@ class TestSummedTensor:
         pairs = _mixed_pairs(ctx, count, rng, lambda: uniform_ct(params, rng))
         want = _relinearised_oracle(pairs, rlk)
         for be in (BATCHED, SERIAL):
-            got = be.giant_step_batch(ctx, pairs, rlk)
+            (got,) = be.giant_step_batch(ctx, [pairs], rlk)
             assert np.array_equal(_components(got), want), be.name
 
 
@@ -538,7 +538,7 @@ class TestCmultAndGiantStep:
         noise = max(ct.noise_bits for pair in pairs for ct in pair)
         noise += np.log2(ctx.params.n * ctx.params.t) + np.log2(count)
         for be in (BATCHED, SERIAL):
-            got = be.giant_step_batch(ctx, pairs, rlk)
+            (got,) = be.giant_step_batch(ctx, [pairs], rlk)
             assert np.array_equal(_components(got), want), be.name
             assert got.noise_bits == ctx.cmult_noise(pairs)
             assert got.noise_bits == pytest.approx(noise, abs=1e-9)
@@ -546,7 +546,7 @@ class TestCmultAndGiantStep:
     def test_giant_step_batch_in_two_chunks(self, subject, monkeypatch):
         ctx, rlk, (a, b, c, d) = subject
         pairs = [(a, b), (c, d)]
-        whole = BATCHED.giant_step_batch(ctx, pairs, rlk)
+        (whole,) = BATCHED.giant_step_batch(ctx, [pairs], rlk)
         chunks = []
         real = ctx.tensor_products
 
@@ -557,7 +557,7 @@ class TestCmultAndGiantStep:
         monkeypatch.setattr(ctx, "tensor_products", spy)
         # Below any one pair's products: a pair a chunk.
         monkeypatch.setattr(backend_mod, "GIANT_BATCH_ELEMS", 1)
-        got = BATCHED.giant_step_batch(ctx, pairs, rlk)
+        (got,) = BATCHED.giant_step_batch(ctx, [pairs], rlk)
         assert chunks == [1, 1]
         assert np.array_equal(_components(got), _components(whole))
         assert np.array_equal(_components(got), _relinearised_oracle(pairs, rlk))
@@ -573,8 +573,8 @@ class TestCmultAndGiantStep:
                 lambda: ctx.cmult(a, b, rlk),
                 lambda: ctx.tensor_products([(a, b)]),
                 lambda: ctx.tensor_products([(a, a), (b, a)]),
-                lambda: BATCHED.giant_step_batch(ctx, [(a, a), (a, b)], rlk),
-                lambda: SERIAL.giant_step_batch(ctx, [(a, a), (a, b)], rlk),
+                lambda: BATCHED.giant_step_batch(ctx, [[(a, a), (a, b)]], rlk),
+                lambda: SERIAL.giant_step_batch(ctx, [[(a, a), (a, b)]], rlk),
             ):
                 with pytest.raises(ParameterError, match="ring mismatch"):
                     call()
@@ -692,8 +692,8 @@ class TestBounds:
         for count, error in ((18, TensorOverflow), (0, ParameterError)):
             for call in (
                 lambda: tensor_sum(ctx, [(a, b)] * count),
-                lambda: BATCHED.giant_step_batch(ctx, [(a, b)] * count, rlk),
-                lambda: SERIAL.giant_step_batch(ctx, [(a, b)] * count, rlk),
+                lambda: BATCHED.giant_step_batch(ctx, [[(a, b)] * count], rlk),
+                lambda: SERIAL.giant_step_batch(ctx, [[(a, b)] * count], rlk),
             ):
                 with pytest.raises(error) as err:
                     call()

@@ -111,7 +111,7 @@ def _run_workload(be, ctx, rlk, gk, cts):
     k = rotation_galois_element(ctx.params.n, 1)
     d0, d1 = be.keyswitch(a.c1.data, rlk, moduli)
     r0, r1 = be.rotate_keyswitch(a.c0.data, a.c1.data, k, gk, moduli)
-    prod = be.giant_step_batch(ctx, [(a, b), (b, c), (a, c)], rlk)
+    (prod,) = be.giant_step_batch(ctx, [[(a, b), (b, c), (a, c)]], rlk)
     s = be.hadd_many([a.c0.data, b.c0.data, c.c0.data, a.c1.data], moduli)
     stacked = be.keyswitch(np.stack([a.c1.data, c.c0.data]), rlk, moduli)
     level = be.cmult_batch(ctx, [(a, b), (b, c), (c, c)], rlk)
@@ -145,7 +145,7 @@ class TestCountingParity:
         assert len(rlk.k0) == 1 and len(rlk.moduli) == 2 * l  # one digit, K = L
         totals = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
-            counting.giant_step_batch(ctx, [(a, b), (b, c), (a, c)], rlk)
+            counting.giant_step_batch(ctx, [[(a, b), (b, c), (a, c)]], rlk)
             totals.append(counting.totals())
         assert totals[0] == totals[1] == {
             "cmult": 3,
@@ -196,9 +196,9 @@ class TestFusedBitIdentity:
         from repro.fhe.ntt import negacyclic_mul_exact
 
         ab = np.array(negacyclic_mul_exact(ma, mb))
-        prod = BATCHED.giant_step_batch(ctx, [(a, b)], rlk)
+        (prod,) = BATCHED.giant_step_batch(ctx, [[(a, b)]], rlk)
         assert np.array_equal(ctx.decrypt(prod, sk).coeffs, ab % t)
-        total = BATCHED.giant_step_batch(ctx, [(a, b), (b, c)], rlk)
+        (total,) = BATCHED.giant_step_batch(ctx, [[(a, b), (b, c)]], rlk)
         expect = (ab + np.array(negacyclic_mul_exact(mb, mc))) % t
         assert np.array_equal(ctx.decrypt(total, sk).coeffs, expect)
 
@@ -721,7 +721,7 @@ class TestFbsAccounting:
         ct = ctx.encrypt(Plaintext.from_slots(x, TEST_LOOP), pk)
         executed = _spy_transforms(monkeypatch)
         with use_backend(BATCHED):
-            out = fbs_evaluate(ctx, ct, lut, rlk)
+            (out,) = fbs_evaluate(ctx, [ct], lut, rlk)
         tensors = (2 * 39 + 3 * 31) * len(ctx.tensor_moduli)
         keyswitches = (len(plan.ladder) + 1) * _keyswitch_transforms(TEST_LOOP)
         # Four calls per stacked stage (operand entry, tensor exit, the
@@ -742,7 +742,7 @@ class TestFbsAccounting:
         records = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             with use_backend(counting):
-                fbs_evaluate(ctx, ct, lut, rlk)
+                fbs_evaluate(ctx, [ct], lut, rlk)
             records.append((counting.totals(), counting.ops_by_phase()))
         assert records[0] == records[1]
         giant = records[0][1]["fbs_giant"]

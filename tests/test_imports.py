@@ -217,16 +217,35 @@ def _calls(modules: list[ast.Module]) -> tuple[dict[str, set[str]], Counter[str]
     """What ``modules`` pass: per callee name, the keywords seen and the most
     positional arguments seen, plus the opaque names — used as a value (a
     dispatch table, ``once(f)``, ``default_factory=C``) or called with
-    ``*args`` / ``**kwargs``. A ``cls(...)`` is a call of its class. An
-    annotation, an ``isinstance`` test or the ``C`` of ``C.attr`` reads a
-    name without using it as a value."""
+    ``*args`` / ``**kwargs``. A ``cls(...)`` is a call of its class, a
+    ``super().__init__(...)`` one of the enclosing class's first base, and a
+    ``replace(C(...), f=...)`` sets the keywords of ``C`` (a ``replace`` of
+    anything else stays pooled under ``replace``). An annotation, an
+    ``isinstance`` test or the ``C`` of ``C.attr`` reads a name without
+    using it as a value."""
     keywords: dict[str, set[str]] = {}
     positions: Counter[str] = Counter()
     opaque: set[str] = set()
     for module in modules:
-        owners = {id(call): node.name for node in ast.walk(module)
-                  if isinstance(node, ast.ClassDef) for call in ast.walk(node)
-                  if isinstance(call, ast.Call) and _name(call.func) == "cls"}
+        # Resolved callees by call node; ast.walk is breadth-first, so an
+        # inner class's resolution overwrites its outer class's.
+        owners: dict[int, str] = {}
+        for node in ast.walk(module):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                if _name(call.func) == "cls":
+                    owners[id(call)] = node.name
+                elif (node.bases and _name(call.func) == "__init__"
+                      and isinstance(call.func.value, ast.Call)
+                      and _name(call.func.value.func) == "super"):
+                    owners[id(call)] = _name(node.bases[0])
+        replaced = {id(call): _name(call.args[0].func) for call in ast.walk(module)
+                    if isinstance(call, ast.Call) and _name(call.func) == "replace"
+                    and call.args and isinstance(call.args[0], ast.Call)}
+        owners.update(replaced)
         reads: set[int] = set()
         for node in ast.walk(module):
             if isinstance(node, ast.Attribute):
@@ -247,7 +266,8 @@ def _calls(modules: list[ast.Module]) -> tuple[dict[str, set[str]], Counter[str]
                     opaque.add(name)
                 keywords.setdefault(name, set()).update(
                     k.arg for k in node.keywords if k.arg)
-                positions[name] = max(positions[name], len(node.args))
+                if id(node) not in replaced:  # replace's one positional is the object
+                    positions[name] = max(positions[name], len(node.args))
         opaque.update(
             _name(node) for node in ast.walk(module)
             if isinstance(node, (ast.Name, ast.Attribute))
@@ -278,7 +298,7 @@ def _unset(defining: dict[str, ast.Module], callers: list[ast.Module]) -> dict[s
                     or node.name.startswith("__") and node.name != "__init__"):
                 continue
             owner = owners.get(id(node), "")
-            names = {owner, "__init__"} if node.name == "__init__" else {node.name}
+            names = {owner} if node.name == "__init__" else {node.name}
             if names & opaque:
                 continue
             called_with = set().union(*(keywords.get(n, set()) for n in names))
@@ -301,8 +321,10 @@ def test_every_parameter_is_set_by_a_caller():
     parameter of every function, method and ``__init__`` in ``src/repro``,
     and every defaulted ``__init__`` field of every dataclass there, by
     keyword or by position. A call ``f(...)`` or ``x.f(...)`` is matched by
-    name: ``C(...)`` and a ``cls(...)`` inside ``C`` set ``C.__init__`` or
-    ``C``'s fields, ``replace(x, f=...)`` sets every field ``f``. A name also
+    name: ``C(...)``, a ``cls(...)`` inside ``C`` and a ``super().__init__(...)``
+    in a subclass of ``C`` set ``C.__init__`` or ``C``'s fields;
+    ``replace(C(...), f=...)`` sets ``C``'s field ``f`` and ``replace(x, f=...)``
+    every field ``f``. A name also
     used as a value, or called with ``*args`` or ``**kwargs``, counts as
     fully set, so the check can miss a value but never flags one wrongly.
     Other dunders are called implicitly and are not checked. State a
@@ -352,3 +374,59 @@ def test_the_parameter_guard_sees_through_tests_and_into_fields():
                    'knob(1, 3)\nStat("a", 4)\n',
                    'knob(1, 3)\nreplace(Stat("a"), peak=4)\n'):
         assert _unset({"planted.py": planted}, [planted, ast.parse(setter)]) == {}
+
+
+#: Calls the guard used to pool: a ``super().__init__`` and a ``replace`` of a
+#: constructor call, each of which sets one class only.
+PLANTED_RESOLVED = '''
+from dataclasses import dataclass, replace
+
+
+class Base:
+    def __init__(self, name, scale=2):
+        self.name, self.scale = name, scale
+
+
+class Child(Base):
+    def __init__(self, name, width=3):
+        super().__init__(name, 4)
+        self.width = width
+
+
+class Other:
+    def __init__(self, name, depth=1):
+        self.name, self.depth = name, depth
+
+
+@dataclass
+class Stat:
+    name: str
+    peak: int = 0
+
+
+@dataclass
+class Tally:
+    name: str
+    peak: int = 0
+
+
+def run():
+    return Child("a"), Other("b"), Stat("s"), replace(Tally("t"), peak=1)
+'''
+
+
+def test_the_parameter_guard_resolves_super_and_replace():
+    """``super().__init__(name, 4)`` sets ``Base``'s ``scale`` and no
+    other class's ``__init__`` (it used to pool under ``__init__``, setting
+    ``Child``'s ``width`` and ``Other``'s ``depth`` by position), and
+    ``replace(Tally(...), peak=1)`` sets ``Tally.peak`` only (it used to set
+    every dataclass's ``peak``). A ``replace`` of a plain name still sets
+    every field of that name: the guard cannot tell its class."""
+    planted = ast.parse(PLANTED_RESOLVED)
+    assert _unset({"planted.py": planted}, [planted]) == {
+        "Child.__init__.width": "planted.py:11",
+        "Other.__init__.depth": "planted.py:17",
+        "Stat.peak": "planted.py:22",
+    }
+    pooled = ast.parse("replace(stat, peak=2)\nChild('a', 5)\nOther('b', depth=2)\n")
+    assert _unset({"planted.py": planted}, [planted, pooled]) == {}

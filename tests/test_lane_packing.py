@@ -8,7 +8,9 @@ tests drive real multi-lane ciphertexts through the full pipeline on the
 TEST_FBS pack model and pin the edge cases batching must not bend:
 partial final batches, lane-position symmetry (the same image computes the
 same bits in lane 0 and lane k-1), and cross-lane isolation (one lane's
-input never perturbs another lane's output).
+input never perturbs another lane's output). The stacked-ciphertext tests
+pin that images past one ciphertext's capacity fill further lane-full
+ciphertexts whose residues equal their runs alone, on every engine.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import pytest
 from repro.core.encoding import lane_span
 from repro.core.framework import AthenaPipeline, CiphertextExecutor
 from repro.core.plan import compile_program
-from repro.core.program import lower
+from repro.core.program import lower, run_program
 from repro.errors import ParameterError
+from repro.fhe.backend import BATCHED, SERIAL, CountingBackend, use_backend
 from repro.fhe.lwe import LweBatch
 from repro.fhe.params import TEST_FBS, TEST_LOOP
 from repro.fhe.serialize import dump_plan, load_plan
@@ -236,7 +239,7 @@ class TestOneLane:
         assert plan.steps[0].pool_rounds is not None
         x = np.random.default_rng(17).integers(-2, 3, (1, 4, 4)).astype(np.int64)
         pipe = AthenaPipeline(TEST_LOOP, seed=3)
-        ct = run_program(plan, CiphertextExecutor(pipe, plan), x[None])
+        (ct,) = run_program(plan, CiphertextExecutor(pipe, plan), x[None])
         digest = hashlib.sha256(ct.c0.data.tobytes() + ct.c1.data.tobytes())
         assert digest.hexdigest() == FUSED_MAXPOOL_TAIL_SHA256
         assert pipe.decrypt_slots(ct)[:3].tolist() == [0, 0, 4]
@@ -255,8 +258,8 @@ class TestZeroOutsideTheRows:
         pipe = AthenaPipeline(TEST_FBS, seed=3)
         xs = _inputs(101, 2)
         for lanes in (1, 2):
-            ex = CiphertextExecutor(pipe, plan, lanes=lanes)
-            ct = ex.linear(plan.steps[0], np.stack(xs[:lanes]))
+            ex = CiphertextExecutor(pipe, plan, images=lanes)
+            (ct,) = ex.linear(plan.steps[0], np.stack(xs[:lanes]))
             coeffs = pipe.decrypt_coeffs(ct)
             # Lane d's four outputs land at the fc's lane stride, 11 * d.
             rows = (np.arange(4) + 11 * np.arange(lanes)[:, None]).reshape(-1)
@@ -325,11 +328,89 @@ class TestBatchedPipeline:
         assert np.array_equal(base[1], bumped[1])
         assert np.array_equal(bumped[0], qm.forward_int(x2[None])[0])
 
-    def test_overcapacity_batch_rejected(self):
-        _, plan = _pack_setup()
+    def test_overcapacity_batch_stacks_ciphertexts(self):
+        # Three images at capacity 2: a lane-full ciphertext and a one-lane
+        # one, each computing the bits it computes run alone, in order.
+        qm, plan = _pack_setup()
         xs = _inputs(113, 3)
-        with pytest.raises(ParameterError):
-            AthenaPipeline(TEST_FBS, seed=7).run_batch(plan, xs)
+        outs = AthenaPipeline(TEST_FBS, seed=7).run_batch(plan, xs)
+        alone = AthenaPipeline(TEST_FBS, seed=7)
+        singles = alone.run_batch(plan, xs[:2]) + alone.run_batch(plan, xs[2:])
+        for x, out, single in zip(xs, outs, singles):
+            assert np.array_equal(out, qm.forward_int(x[None])[0])
+            assert np.array_equal(out, single)
+
+
+def _stacked_and_alone(plan, params, xs, backend=BATCHED):
+    """Tail ciphertexts of one stacked run of ``xs``, of each ciphertext's
+    images run alone (in stack order, on a pipeline of the same seed), and
+    the stack's lane counts."""
+    pipes = [AthenaPipeline(params, seed=3) for _ in range(2)]
+    ex = CiphertextExecutor(pipes[0], plan, images=len(xs))
+    with use_backend(backend):
+        stacked = run_program(plan, ex, np.stack(xs))
+        alone, ends = [], np.cumsum(ex.lanes)
+        for lanes, end in zip(ex.lanes, ends):
+            alone += run_program(plan, CiphertextExecutor(pipes[1], plan, images=lanes),
+                                 np.stack(xs[end - lanes : end]))
+    return stacked, alone, ex.lanes
+
+
+def _residues(cts) -> list[bytes]:
+    return [ct.c0.data.tobytes() + ct.c1.data.tobytes() for ct in cts]
+
+
+class TestStackedCiphertexts:
+    """One dispatch, lane-full ciphertexts in lockstep: every ciphertext's
+    residues equal a run of its images alone, on every engine."""
+
+    @pytest.mark.parametrize("images", [1, 2, 3, 4, 5])
+    def test_pack_plan_stacks_bit_identically(self, images):
+        qm, plan = _pack_setup()
+        xs = _inputs(211, images)
+        stacked, alone, lanes = _stacked_and_alone(plan, TEST_FBS, xs)
+        assert lanes == [2] * (images // 2) + [1] * (images % 2)
+        assert _residues(stacked) == _residues(alone)
+        outs = AthenaPipeline(TEST_FBS, seed=3).run_batch(plan, xs)
+        for x, out in zip(xs, outs):
+            assert np.array_equal(out, qm.forward_int(x[None])[0])
+
+    @pytest.mark.parametrize("subject", ["fused_maxpool", "resnet20_block"])
+    def test_a_capacity_one_plan_stacks_its_pool_and_residual_steps(self, subject):
+        from tests.test_serialize import _wire_subjects
+
+        (build, params), = [case.values for case in _wire_subjects() if case.id == subject]
+        plan = compile_program(build(), params)
+        assert plan.batch_capacity == 1
+        rng = np.random.default_rng(223)
+        xs = [rng.integers(-2, 3, plan.entry.in_shape).astype(np.int64) for _ in range(2)]
+        stacked, alone, lanes = _stacked_and_alone(plan, params, xs)
+        assert lanes == [1, 1]
+        assert _residues(stacked) == _residues(alone)
+
+    def test_serial_batched_and_counting_agree_on_a_stack(self):
+        _, plan = _pack_setup()
+        xs = _inputs(227, 3)
+        runs = [_stacked_and_alone(plan, TEST_FBS, xs, be)[0]
+                for be in (BATCHED, SERIAL, CountingBackend(BATCHED))]
+        assert _residues(runs[0]) == _residues(runs[1]) == _residues(runs[2])
+
+    def test_counting_records_are_the_sum_of_the_ciphertexts_runs(self):
+        _, plan = _pack_setup()
+        xs = _inputs(229, 3)
+        stacked, alone = CountingBackend(BATCHED), CountingBackend(BATCHED)
+        # Built once per plan, on first use: the 2-lane layouts.
+        AthenaPipeline(TEST_FBS, seed=3).run_batch(plan, xs)
+        pipes = [AthenaPipeline(TEST_FBS, seed=3) for _ in range(2)]  # both cold
+        with use_backend(stacked):
+            run_program(plan, CiphertextExecutor(pipes[0], plan, images=3), np.stack(xs))
+        with use_backend(alone):
+            for part in (xs[:2], xs[2:]):
+                run_program(plan, CiphertextExecutor(pipes[1], plan, images=len(part)),
+                            np.stack(part))
+        assert stacked.ops_by_phase() == alone.ops_by_phase()
+        rounds = sum(1 for step in plan.steps if step.kind == "linear")
+        assert stacked.totals()["fbs"] == 2 * rounds  # two ciphertexts
 
 
 @pytest.mark.slow

@@ -289,7 +289,7 @@ class TestFbsHomomorphic:
         ct = ctx.encrypt(Plaintext.from_slots(x, p), pk)
         counting = CountingBackend()
         with use_backend(counting):
-            out = fbs_evaluate(ctx, ct, lut, fbs_rlk)
+            (out,) = fbs_evaluate(ctx, [ct], lut, fbs_rlk)
         assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
         # Alg. 2 cost shape: O(t) SMult, O(sqrt t) CMult.
         ops = counting.ops_by_phase()
@@ -307,7 +307,7 @@ class TestFbsHomomorphic:
         )
         x = rng.integers(0, p.t, p.n)
         ct = ctx.encrypt(Plaintext.from_slots(x, p), pk)
-        out = fbs_evaluate(ctx, ct, lut, fbs_rlk)
+        (out,) = fbs_evaluate(ctx, [ct], lut, fbs_rlk)
         assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
 
     def test_low_degree_lut_is_cheap(self, fbs_ctx, fbs_keys, fbs_rlk, rng):
@@ -320,7 +320,7 @@ class TestFbsHomomorphic:
         ct = ctx.encrypt(Plaintext.from_slots(x, p), pk)
         counting = CountingBackend()
         with use_backend(counting):
-            out = fbs_evaluate(ctx, ct, lut, fbs_rlk)
+            (out,) = fbs_evaluate(ctx, [ct], lut, fbs_rlk)
         assert "cmult" not in counting.totals()
         assert np.array_equal(ctx.decrypt(out, sk).to_slots(), x % p.t)
 
@@ -406,7 +406,7 @@ class TestFbsEdgePlans:
         for be in (BATCHED, SERIAL, counting):
             del builds[:]
             with use_backend(be):
-                outs.append(fbs_evaluate(ctx, ct, lut, rlk))
+                outs += fbs_evaluate(ctx, [ct], lut, rlk)
             # The only forward transform in bfv.py builds forms: one per
             # distinct operand, however many CMults it feeds, and at most
             # one call per ladder level plus the combination.
@@ -435,7 +435,7 @@ class TestFbsEdgePlans:
 
         monkeypatch.setattr(BatchedBackend, "giant_step_batch", forbidden)
         with use_backend(BATCHED):
-            out = fbs_evaluate(ctx, ct, lut, rlk)
+            (out,) = fbs_evaluate(ctx, [ct], lut, rlk)
         assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
 
     def test_a_form_dies_with_the_call(self, subject):
@@ -449,7 +449,7 @@ class TestFbsEdgePlans:
             return c.c0.data.tobytes() + c.c1.data.tobytes()
 
         raw, pickled = limbs(ct), pickle.dumps(ct)
-        out = fbs_evaluate(ctx, ct, lut, rlk)
+        (out,) = fbs_evaluate(ctx, [ct], lut, rlk)
         for held in (ct, out):
             assert "_tensor_form" not in vars(held)
         assert limbs(ct) == raw and pickle.dumps(ct) == pickled
@@ -538,7 +538,7 @@ class TestFbsLevels:
             with monkeypatch.context() as patch, use_backend(be):
                 if be is one_at_a_time:
                     patch.setattr(backend_module, "CMULT_BATCH_ELEMS", 1)
-                outs.append(fbs_evaluate(ctx, ct, lut, rlk))
+                outs += fbs_evaluate(ctx, [ct], lut, rlk)
         for out in outs[1:]:
             assert np.array_equal(out.c0.data, outs[0].c0.data)
             assert np.array_equal(out.c1.data, outs[0].c1.data)
@@ -546,6 +546,29 @@ class TestFbsLevels:
         assert "_tensor_form" not in vars(ct)
         if ctx.params is not TEST_TINY:  # two limbs hold no full-domain FBS
             assert np.array_equal(ctx.decrypt(outs[0], sk).to_slots(), lut.apply_plain(x))
+
+    @pytest.mark.parametrize("name", ["affine", "const-only-giant", "zero", 256])
+    def test_a_stack_is_its_ciphertexts_one_at_a_time(self, subject, name):
+        """Three ciphertexts through one ladder, one lincomb and one giant
+        step (batched) == each alone (serial, counting): residues and
+        estimates, for a table with no combination, a constant-only giant
+        group, the zero table and a full-domain one."""
+        ctx, sk, rlk, x, ct = subject
+        t = ctx.params.t
+        lut = _degree_lut(name, t) if isinstance(name, int) else _edge_luts(t)[name]
+        lut.plan.materialize(ctx.params)
+        cts = [ct, ctx.add(ct, ct), ctx.sub(ct, ct)]  # x, 2x and 0 in every slot
+        counting = CountingBackend(BATCHED)
+        with use_backend(BATCHED):
+            stacked = fbs_evaluate(ctx, cts, lut, rlk)
+        for be in (SERIAL, counting):
+            with use_backend(be):
+                alone = [out for c in cts for out in fbs_evaluate(ctx, [c], lut, rlk)]
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got.c0.data, want.c0.data)
+                assert np.array_equal(got.c1.data, want.c1.data)
+                assert got.noise_bits == want.noise_bits
+        assert counting.totals()["fbs"] == len(cts)
 
     def test_lincomb_equals_the_per_term_sum(self, rng):
         """Extreme, zero and large coefficients, an empty row and one row,
@@ -602,7 +625,7 @@ class TestFbsLevels:
 
                 monkeypatch.setattr(module, name, spy)
         with use_backend(BATCHED):
-            fbs_evaluate(fbs_ctx, ct, lut, fbs_rlk)
+            fbs_evaluate(fbs_ctx, [ct], lut, fbs_rlk)
         assert len(plan.levels) == 9
         width = len(p.keyswitch_moduli)
         limbs = 171 * len(fbs_ctx.tensor_moduli) + 31 * (p.num_digits + 2) * width
@@ -636,7 +659,7 @@ class TestFbsNoiseIsMeasured:
             ctx = BfvContext(params, seed=seed)
             sk, pk = ctx.keygen()
             rlk = ctx.relin_key(sk)
-            out = fbs_evaluate(ctx, ctx.encrypt(Plaintext.from_slots(x, params), pk), lut, rlk)
+            (out,) = fbs_evaluate(ctx, [ctx.encrypt(Plaintext.from_slots(x, params), pk)], lut, rlk)
             assert np.array_equal(ctx.decrypt(out, sk).to_slots(), lut.apply_plain(x))
             assert out.noise_bits == pytest.approx(estimate, abs=0.005)
             draws.append(ctx.true_noise_bits(out, sk))
@@ -648,8 +671,8 @@ class TestFbsNoiseIsMeasured:
         p = fbs_ctx.params
         a, b = (fbs_ctx.encrypt(Plaintext.from_slots(np.arange(p.n) + i, p), pk)
                 for i in range(2))
-        one = BATCHED.giant_step_batch(fbs_ctx, [(a, b)], fbs_rlk).noise_bits
+        one = BATCHED.giant_step_batch(fbs_ctx, [[(a, b)]], fbs_rlk)[0].noise_bits
         assert one == fbs_ctx.cmult(a, b, fbs_rlk).noise_bits
         for terms in (2, 4, 16):
-            got = BATCHED.giant_step_batch(fbs_ctx, [(a, b)] * terms, fbs_rlk).noise_bits
+            got = BATCHED.giant_step_batch(fbs_ctx, [[(a, b)] * terms], fbs_rlk)[0].noise_bits
             assert got == pytest.approx(one + np.log2(terms), abs=1e-9)

@@ -195,7 +195,7 @@ class TestCountingThreadSafety:
         def work(ct):
             with current_backend().phase("linear"):
                 ctx.pmult(ct, kernel)
-            fbs_evaluate(ctx, ct, lut, fbs_rlk)
+            fbs_evaluate(ctx, [ct], lut, fbs_rlk)
 
         def counted(items, workers):
             counting = CountingBackend()

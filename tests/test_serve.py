@@ -136,12 +136,13 @@ def _scheduler(
     lanes=1,
     window_s=0.0,
     group_key=lambda request: (request.tenant_id, request.model),
+    ciphertexts=1,
 ):
     return FairScheduler(
         tenant_ids,
         capacity,
         group_key=group_key,
-        lanes=lambda request: lanes,
+        shape=lambda request: (lanes, ciphertexts),
         window_s=window_s,
     )
 
@@ -323,6 +324,87 @@ class TestBatches:
         assert len(batch) == 1
 
 
+class TestStackedBatches:
+    """A batch is lanes x ciphertexts: the leader's ciphertext fills as
+    before, then queued matching requests ride as further ciphertexts."""
+
+    def test_extra_ciphertexts_come_only_from_admitted_requests(self):
+        async def scenario():
+            sched = _scheduler(["a"], lanes=2, ciphertexts=3, window_s=5.0)
+            queued = [_request("a") for _ in range(3)]
+            for req in queued:
+                sched.submit(req)
+            task = asyncio.create_task(sched.next_batch())
+            late = _request("a")
+            sched.submit(late)  # before the dispatcher runs: already admitted
+            batch = await asyncio.wait_for(task, timeout=2.0)
+            after = _request("a")
+            sched.submit(after)  # after dispatch: the next batch's
+            sched.close()
+            rest = await sched.next_batch()
+            return sched, queued + [late], batch, after, rest
+
+        sched, admitted, batch, after, rest = asyncio.run(scenario())
+        assert batch == admitted and rest == [after]
+        # The first ciphertext was full: nothing waited for the others.
+        assert sched.window_waits == 0
+
+    def test_a_lone_leader_waits_only_for_its_own_lanes(self):
+        async def scenario(lanes, window_s):
+            sched = _scheduler(["a"], lanes=lanes, ciphertexts=16, window_s=window_s)
+            sched.submit(_request("a"))
+            start = asyncio.get_running_loop().time()
+            batch = await asyncio.wait_for(sched.next_batch(), timeout=2.0)
+            return sched, batch, asyncio.get_running_loop().time() - start
+
+        # One lane: no window at all, however many ciphertexts may stack.
+        sched, batch, waited = asyncio.run(scenario(1, 60.0))
+        assert len(batch) == 1 and sched.window_waits == 0 and waited < 1.0
+        # Two lanes: the window is spent on the leader's one free lane only.
+        sched, batch, waited = asyncio.run(scenario(2, 0.05))
+        assert len(batch) == 1 and sched.window_waits >= 1 and waited < 1.0
+
+    def test_the_cap_is_lanes_times_ciphertexts(self):
+        sched = _scheduler(["a"], lanes=2, ciphertexts=3)
+        reqs = [_request("a") for _ in range(8)]
+        for req in reqs:
+            sched.submit(req)
+        sched.close()
+        batches = asyncio.run(_drain(sched))
+        assert batches == [reqs[:6], reqs[6:]]
+        assert sched.stats().counters["occupancy_max"] == 6
+
+    def test_fifo_per_tenant_and_round_robin_leaders(self):
+        sched = _scheduler(["a", "b", "c"], ciphertexts=2,
+                           group_key=lambda request: request.model)
+        reqs = {tid: [_request(tid, model) for model in ("m", "m", "x")]
+                for tid in ("a", "b", "c")}
+        for i in range(3):
+            for tid in "abc":
+                sched.submit(reqs[tid][i])
+        sched.close()
+        batches = asyncio.run(_drain(sched))
+        assert all(len({r.model for r in batch}) == 1 for batch in batches)
+        for tid, mine in reqs.items():
+            assert [r for batch in batches for r in batch if r.tenant_id == tid] == mine
+        # The extras' sweep continues the fairness ring, so every tenant
+        # leads once in the first three batches, whoever rode along.
+        assert {batch[0].tenant_id for batch in batches[:3]} == {"a", "b", "c"}
+        assert [len(batch) for batch in batches] == [2, 2, 2, 2, 1]
+
+    def test_derived_cap_is_one_cmult_chunk_over_the_widest_level(self):
+        from repro.core.plan import compile_program
+        from repro.core.program import lower
+        from repro.fhe.backend import cmult_chunk
+
+        plan = compile_program(lower(pack_cnn(np.random.default_rng(5)), TEST_FBS), TEST_FBS)
+        widest = max(len(level) for step in plan.steps if step.kind == "linear"
+                     for level in step.round.lut.plan.levels)
+        assert (cmult_chunk(TEST_FBS), widest) == (128, 8)
+        assert plan.stack_capacity == 16
+        assert cmult_chunk(TEST_LOOP) // widest == 3
+
+
 # -- crash-safe plan persistence --------------------------------------------
 
 
@@ -453,7 +535,7 @@ class TestShardedPlanCache:
         assert (cache.hits, cache.misses) == (1, 0)
         assert [type(s) for s in warm.plan.steps] == [
             type(s) for s in cold.plan.steps]
-        assert warm.runtime.batch_capacity == cold.runtime.batch_capacity
+        assert warm.plan.batch_capacity == cold.plan.batch_capacity
         assert np.array_equal(warm.run(x), want)  # a fresh executor per request
 
 
@@ -482,10 +564,9 @@ class TestSessionCore:
     def test_facade_composes_core_and_runtime(self):
         session = InferenceSession(_micro_model(), TEST_FBS, seed=3)
         assert session.core.plan is session.plan
-        assert session.runtime.pipeline is session.pipeline
-        assert session.requests == 0 and len(session.latencies) == 0
+        assert session.runtime.requests == 0 and len(session.runtime.latencies) == 0
         # The percentile log is a bounded window, not a per-run leak.
-        assert session.latencies.maxlen == LATENCY_WINDOW
+        assert session.runtime.latencies.maxlen == LATENCY_WINDOW
 
 
 # -- service façade: registration and validation (no ciphertext runs) --------
@@ -591,8 +672,10 @@ class TestServiceEndToEnd:
                     continue
                 assert result.request_id == request.request_id
                 assert result.model == "micro"
-                # micro's plan cannot lane-pack (span > n/2): solo batches.
-                assert result.batch_size == 1 and result.lane == 0
+                # micro's plan cannot lane-pack (span > n/2): one lane per
+                # ciphertext, and each tenant's two queued requests stack
+                # as two ciphertexts of one batch (distinct seeds: no mixing).
+                assert result.batch_size == 2 and result.lane == 0
                 assert result.timings["total_s"] >= result.timings["run_s"]
                 direct = session.run(request.x_q)
                 assert np.array_equal(result.output, direct)
@@ -602,7 +685,7 @@ class TestServiceEndToEnd:
             stats = session.stats()
             assert stats.requests == 2
             assert 0 < stats.timings["run_p50_s"] <= stats.timings["run_p99_s"]
-            assert len(session.latencies) == 2
+            assert len(session.runtime.latencies) == 2
 
         stats = service.stats()
         assert isinstance(stats, LayerStats) and stats.layer == "service"
@@ -650,13 +733,12 @@ class TestServiceEndToEnd:
         ]
         results = service.serve_batch(batch)
 
-        # serve_batch admits everything up front, so both 2-lane batches
-        # fill straight from the queue.
-        assert [r.batch_size for r in results] == [2, 2, 2, 2]
+        # serve_batch admits everything up front: the leader's 2-lane
+        # ciphertext fills straight from the queue and the other two
+        # requests ride along as a second, stacked ciphertext.
+        assert [r.batch_size for r in results] == [4, 4, 4, 4]
         assert [r.lane for r in results] == [0, 1, 0, 1]
-        assert results[0].batch_id == results[1].batch_id
-        assert results[2].batch_id == results[3].batch_id
-        assert results[0].batch_id != results[2].batch_id
+        assert len({r.batch_id for r in results}) == 1
 
         singles = [
             InferenceSession(qm, TEST_FBS, seed=9).run(x) for x in xs
@@ -669,11 +751,11 @@ class TestServiceEndToEnd:
         stats = service.stats()
         scheduler = stats.detail["scheduler"]
         assert stats.detail["batcher"] is scheduler
-        assert scheduler["counters"]["batches"] == 2
-        assert scheduler["counters"]["occupancy_max"] == 2
-        assert scheduler["detail"]["occupancy_mean"] == 2.0
+        assert scheduler["counters"]["batches"] == 1
+        assert scheduler["counters"]["occupancy_max"] == 4
+        assert scheduler["detail"]["occupancy_mean"] == 4.0
         workers = stats.detail["workers"]
-        assert workers["counters"]["runs"] == 2 and workers["requests"] == 4
+        assert workers["counters"]["runs"] == 1 and workers["requests"] == 4
 
     def test_batching_off_runs_every_request_solo(self):
         """batching=False gives every leader one lane: no co-riders, no wait."""
