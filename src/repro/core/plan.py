@@ -250,8 +250,8 @@ class RefreshRound:
 def _refresh_round(positions: np.ndarray, rows: np.ndarray, lut: FbsLut,
                    params: FheParams) -> RefreshRound:
     """The one builder of a round — and of its ``-LUT(0)`` plaintext; the
-    LUT's schedule has its constants encoded for ``params`` here."""
-    lut.plan.materialize(params)
+    LUT's CMult schedule is derived here, not on a request."""
+    lut.plan.levels  # noqa: B018 — force the cached schedule
     correction = None
     lut0 = int(lut.values[0])
     if lut0 and rows.size < params.n:

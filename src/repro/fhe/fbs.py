@@ -21,15 +21,15 @@ Athena accelerator's FRU array and two-region dataflow exploit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe.backend import current_backend
-from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
+from repro.fhe.bfv import BfvCiphertext, BfvContext
 from repro.fhe.keys import KeySwitchKey
 from repro.fhe.ntt import cyclic_ntt
 from repro.fhe.poly import RnsPoly
@@ -46,6 +46,17 @@ __all__ = [
 ]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _degree(coeffs: np.ndarray) -> int:
+    """Index of the last nonzero coefficient in row-major order (0 if none)."""
+    nz = np.flatnonzero(coeffs)
+    return int(nz[-1]) if nz.size else 0
+
+
 def interpolate_lut(values: np.ndarray, t: int) -> np.ndarray:
     """Coefficients F_0..F_{t-1} of the interpolating polynomial over Z_t."""
     values = np.mod(np.asarray(values, dtype=np.int64), t)
@@ -56,19 +67,26 @@ def interpolate_lut(values: np.ndarray, t: int) -> np.ndarray:
     return _interpolate_dense(values, t)
 
 
+@lru_cache(maxsize=None)
+def _group_powers(t: int) -> np.ndarray:
+    """``g^m mod t`` for m = 0..t-2, g the primitive root of t: the index
+    table of the multiplicative group (read-only), built by doubling."""
+    g, order = primitive_root(t), t - 1
+    out = np.ones(order, dtype=np.int64)
+    k = 1
+    while k < order:
+        n = min(k, order - k)
+        out[k : k + n] = out[:n] * pow(g, k, t) % t
+        k *= 2
+    return _read_only(out)
+
+
 def _interpolate_ntt(values: np.ndarray, t: int) -> np.ndarray:
     """O(t log t) path via a multiplicative-group DFT (t-1 a power of two)."""
-    g = primitive_root(t)
     # x_m = LUT(g^m); F_j = -sum_m x_m * (g^{-1})^{jm} for j in 1..t-1,
     # with index j = t-1 aliasing to DFT bin 0.
     order = t - 1
-    perm = np.empty(order, dtype=np.int64)
-    acc = 1
-    for m in range(order):
-        perm[m] = acc
-        acc = acc * g % t
-    x = values[perm]
-    dft = cyclic_ntt(x, t, inv_mod(g, t))
+    dft = cyclic_ntt(values[_group_powers(t)], t, inv_mod(primitive_root(t), t))
     coeffs = np.empty(t, dtype=np.int64)
     coeffs[0] = values[0]
     coeffs[1:order] = (-dft[1:order]) % t
@@ -157,16 +175,11 @@ def evaluate_poly_all(coeffs: np.ndarray, t: int) -> np.ndarray:
         dft = cyclic_ntt(a, t, g)  # dft[m] = P(g^m) for nonzero points
         out = np.empty(t, dtype=np.int64)
         out[0] = coeffs[0]
-        acc = 1
-        for m in range(order):
-            out[acc] = dft[m]
-            acc = acc * g % t
+        out[_group_powers(t)] = dft
         return out
-    nz = np.nonzero(coeffs)[0]
-    deg = int(nz[-1]) if nz.size else 0
     x = np.arange(t, dtype=np.int64)
     out = np.zeros(t, dtype=np.int64)
-    for c in coeffs[deg::-1]:
+    for c in coeffs[_degree(coeffs)::-1]:
         out = (out * x + int(c)) % t
     return out
 
@@ -178,11 +191,6 @@ def evaluate_poly_plain(coeffs: np.ndarray, x: np.ndarray, t: int) -> np.ndarray
     for c in coeffs[::-1]:
         out = (out * x + int(c)) % t
     return out
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,52 +255,50 @@ class FbsLut:
         return int(np.abs(centered).max())
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FbsPlan:
     """Compile-time BSGS schedule of one LUT polynomial (Algorithm 2).
 
-    The schedule — polynomial degree, baby/giant split, and the nonzero
-    (power, coefficient) terms of each giant group — depends only on the
-    LUT, so a plan computed at compile time replaces the per-request scan
-    over all t coefficients. The constant term of each group needs a
-    slot-encoded plaintext; those are cached per parameter set so repeated
-    evaluations (and plan-driven sessions) encode each constant once.
+    The plan is the polynomial's coefficient vector reshaped to (G, bs):
+    ``matrix[g, j]`` is the coefficient of x^(g*bs + j), so row g is giant
+    group g's baby sum (its constant in column 0) and the split, the degree,
+    the live groups and the baby powers are all read off it. It depends only
+    on the LUT, so the plan computed at compile time replaces the
+    per-request scan over all t coefficients.
     """
 
-    degree: int
-    bs: int
-    #: (g, constant, ((power j, coefficient), ...)) for non-empty groups,
-    #: ascending g — exactly the iteration order of the per-request scan.
-    groups: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
-    _const_pts: dict = field(
-        init=False, default_factory=dict, repr=False, compare=False)
+    matrix: np.ndarray  # (G, bs), read-only, entries mod t
 
     @classmethod
     def from_lut(cls, lut: "FbsLut") -> "FbsPlan":
         """BSGS schedule of ``lut``'s polynomial, at the
-        ``ceil(sqrt(degree + 1))`` split that balances baby and giant steps."""
+        ``ceil(sqrt(degree + 1))`` split that balances baby and giant steps.
+        The coefficients are zero-padded to G·bs, which may exceed t."""
         coeffs = lut.coeffs
-        degree = int(np.max(np.nonzero(coeffs)[0])) if np.any(coeffs) else 0
+        degree = _degree(coeffs)
         bs = max(2, math.ceil(math.sqrt(degree + 1)))
-        groups = []
-        for g in range(-(-(degree + 1) // bs)):
-            const = int(coeffs[g * bs]) if g * bs <= degree else 0
-            terms = tuple(
-                (j, int(coeffs[g * bs + j]))
-                for j in range(1, bs)
-                if g * bs + j <= degree and coeffs[g * bs + j] != 0
-            )
-            if const or terms:
-                groups.append((g, const, terms))
-        return cls(degree, bs, tuple(groups))
+        matrix = np.zeros(-(-(degree + 1) // bs) * bs, dtype=np.int64)
+        matrix[: degree + 1] = coeffs[: degree + 1]
+        return cls(_read_only(matrix.reshape(-1, bs)))
 
-    def const_plaintext(self, const: int, params) -> "Plaintext":
-        key = (const, params)
-        got = self._const_pts.get(key)
-        if got is None:
-            got = Plaintext.from_slots(np.full(params.n, const), params)
-            self._const_pts[key] = got
-        return got
+    @property
+    def bs(self) -> int:
+        """Baby steps per giant group: the matrix's width."""
+        return self.matrix.shape[1]
+
+    @property
+    def degree(self) -> int:
+        return _degree(self.matrix)
+
+    @cached_property
+    def live(self) -> np.ndarray:
+        """The groups with any nonzero coefficient, ascending (read-only)."""
+        return _read_only(np.flatnonzero(self.matrix.any(axis=1)))
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """The baby powers j >= 1 any group uses, ascending (read-only)."""
+        return _read_only(np.flatnonzero(self.matrix[:, 1:].any(axis=0)) + 1)
 
     @cached_property
     def ladder(self) -> tuple[tuple[str, int, int, int], ...]:
@@ -302,12 +308,12 @@ class FbsPlan:
         ct^e = ct^lo * ct^hi (minimal-depth split e//2 / e - e//2), kind
         ``"g"`` builds the giant power ct^(g*bs) from giants lo and hi
         (giant 1 aliases power bs). The order replays exactly the lazy
-        recursion the evaluator historically ran — per group in ascending
-        order, each needed power before the group's giant — so plan-driven
-        evaluation stays bit-identical while the runtime loses the
-        per-request recursion. The giant-step *combination* is not in the
-        ladder: it is one inner-product CMult after it. Computed once per
-        plan at compile time (``cached_property``).
+        recursion the evaluator historically ran — per live group in
+        ascending order, each power its row uses before the group's giant —
+        so plan-driven evaluation stays bit-identical while the runtime
+        loses the per-request recursion. The giant-step *combination* is not
+        in the ladder: it is one inner-product CMult after it. Computed once
+        per plan at compile time (``cached_property``).
         """
         steps: list[tuple[str, int, int, int]] = []
         have_p = {1}
@@ -334,8 +340,8 @@ class FbsPlan:
             have_g.add(g)
             steps.append(("g", g, half, g - half))
 
-        for g, _, terms in self.groups:
-            for j, _ in terms:
+        for g in self.live.tolist():
+            for j in (np.flatnonzero(self.matrix[g, 1:]) + 1).tolist():
                 need_p(j)
             if g:
                 need_g(g)
@@ -355,25 +361,6 @@ class FbsPlan:
             d = depth[(kind, e)] = 1 + max(depth[self.operand(kind, x)] for x in (lo, hi))
             levels.setdefault(d, []).append((kind, e, lo, hi))
         return tuple(tuple(levels[d]) for d in sorted(levels))
-
-    @cached_property
-    def baby_terms(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """(powers, coeffs): the baby powers j the groups use, ascending, and
-        the read-only (G, J) matrix of their coefficients mod t — row g is
-        group g's sum_j c_j x^j, one row of :meth:`Backend.lincomb`."""
-        powers = tuple(sorted({j for _, _, terms in self.groups for j, _ in terms}))
-        coeffs = np.array([[dict(terms).get(j, 0) for j in powers] for _, _, terms in self.groups],
-                          dtype=np.int64).reshape(len(self.groups), len(powers))
-        coeffs.setflags(write=False)
-        return powers, coeffs
-
-    def materialize(self, params) -> "FbsPlan":
-        """Pre-encode constants and the CMult schedule for one parameter set."""
-        for _, const, _ in self.groups:
-            if const:
-                self.const_plaintext(const, params).add_operand()
-        self.levels, self.baby_terms  # noqa: B018 — force the cached schedules
-        return self
 
 
 def fbs_evaluate(
@@ -437,22 +424,31 @@ def fbs_evaluate_impl(
             for h in held:
                 h.update(((kind, e), next(got)) for kind, e, _, _ in level)
 
-    # Baby sums, one row per group; then the giant combinations in one CMult.
-    powers, raw = plan.baby_terms
+    # Baby sums, one row per live group; then the giant combinations in one CMult.
+    live, powers = plan.live, plan.powers
+    block = plan.matrix[live][:, powers]
     stack = np.array([[(h[("p", j)].c0.data, h[("p", j)].c1.data) for h in held] for j in powers],
                      dtype=np.int64).reshape(len(powers), 2 * len(cts), len(moduli), params.n)
-    rows = be.lincomb(stack, np.where(raw > t // 2, raw - t, raw), moduli)
-    rows = rows.reshape(len(plan.groups), len(cts), 2, len(moduli), params.n)
+    rows = be.lincomb(stack, np.where(block > t // 2, block - t, block), moduli)
+    rows = rows.reshape(len(live), len(cts), 2, len(moduli), params.n)
+    # A group's constant c is the slot-encoded constant plaintext, i.e. the
+    # polynomial c: it adds [Delta*c]_q to coefficient 0 of c0, nothing else.
+    consts = plan.matrix[live, 0]
+    hit = np.flatnonzero(consts)
+    if hit.size:
+        be.record("add_plain", hit.size * len(cts))
+        scaled = np.array([[c * params.delta % q for q in moduli] for c in consts[hit].tolist()],
+                          dtype=np.int64)
+        rows[hit, :, 0, :, :1] = be.add(rows[hit, :, 0, :, :1], scaled[:, None, :, None], moduli)
     log_t = math.log2(t)
+    terms = [powers[row != 0].tolist() for row in block]
     combos: list[list[tuple[BfvCiphertext, BfvCiphertext]]] = [[] for _ in cts]
     parts: list[list[BfvCiphertext]] = [[] for _ in cts]
     for h, inners, combo, part in zip(held, rows.swapaxes(0, 1), combos, parts):
-        for (g, const, terms), (c0, c1) in zip(plan.groups, inners):
-            noise = (ctx.hadd_noise([h[("p", j)].noise_bits + log_t for j, _ in terms])
-                     if terms else 0.0)  # an empty row is the transparent zero
+        for g, js, (c0, c1) in zip(live.tolist(), terms, inners):
+            noise = (ctx.hadd_noise([h[("p", j)].noise_bits + log_t for j in js])
+                     if js else 0.0)  # an empty row is the transparent zero
             inner = BfvCiphertext(RnsPoly(c0, moduli), RnsPoly(c1, moduli), params, noise)
-            if const:
-                inner = ctx.add_plain(inner, plan.const_plaintext(const, params))
             if g:
                 combo.append((inner, h[plan.operand("g", g)]))
             else:

@@ -358,7 +358,7 @@ def _fbs_operands(plan: FbsPlan) -> tuple[int, int]:
     slots = []
     for kind, _, lo, hi in plan.ladder:
         slots += [("p", lo), ("p", hi)] if kind == "p" else [giant(lo), giant(hi)]
-    for g, _, _ in plan.groups:
+    for g in plan.live.tolist():
         if g:
             slots += [("inner", g), giant(g)]
     return len(slots), len(set(slots))
@@ -385,12 +385,12 @@ class TestFbsEdgePlans:
     def test_every_slot_on_every_engine(self, subject, name, monkeypatch):
         ctx, sk, rlk, x, ct = subject
         lut = _edge_luts(ctx.params.t)[name]
-        plan = lut.plan.materialize(ctx.params)
+        plan = lut.plan
         degree, ladder, pairs = self.SHAPES[name]
         assert (plan.degree, len(plan.ladder)) == (degree, ladder)
-        assert sum(1 for g, _, _ in plan.groups if g) == pairs
+        assert np.count_nonzero(plan.live) == pairs
         if name == "const-only-giant":
-            assert plan.groups[-1] == (2, 9, ())
+            assert plan.matrix[2].tolist() == [9, 0, 0]  # the constant alone
         assert (lut.values[0] != 0) == (name in ("affine", "sigmoid"))
 
         builds = []
@@ -477,8 +477,8 @@ def _degree_lut(degree: int, t: int, seed: int = 0) -> FbsLut:
 def _ladder_depth(plan: FbsPlan) -> int:
     """Depth of the minimal-depth ladder in closed form: ceil(log2 e) for
     power e, ceil(log2 bs) + ceil(log2 g) for giant g."""
-    used = {j for _, _, terms in plan.groups for j, _ in terms}
-    giants = {g for g, _, _ in plan.groups if g}
+    used = set(plan.powers.tolist())
+    giants = {g for g in plan.live.tolist() if g}
     if giants:
         used.add(plan.bs)
     depths = [math.ceil(math.log2(e)) for e in used]
@@ -531,7 +531,7 @@ class TestFbsLevels:
             lut = FbsLut(np.full(t, 5), t, "constant")
         else:
             lut = _edge_luts(t)[name]
-        plan = lut.plan.materialize(ctx.params)
+        plan = lut.plan
         one_at_a_time = BatchedBackend()
         outs = []
         for be in (BATCHED, one_at_a_time, SERIAL, CountingBackend(BATCHED)):
@@ -556,7 +556,6 @@ class TestFbsLevels:
         ctx, sk, rlk, x, ct = subject
         t = ctx.params.t
         lut = _degree_lut(name, t) if isinstance(name, int) else _edge_luts(t)[name]
-        lut.plan.materialize(ctx.params)
         cts = [ct, ctx.add(ct, ct), ctx.sub(ct, ct)]  # x, 2x and 0 in every slot
         counting = CountingBackend(BATCHED)
         with use_backend(BATCHED):
@@ -612,7 +611,7 @@ class TestFbsLevels:
         p = fbs_ctx.params
         ct = fbs_ctx.encrypt(Plaintext.from_slots(np.arange(p.n), p), pk)
         lut = _edge_luts(p.t)["relu"]
-        plan = lut.plan.materialize(p)
+        plan = lut.plan
         calls = {}
         for module in (backend_module, bfv_module):
             for name in ("ntt_forward_rns", "ntt_inverse_rns"):

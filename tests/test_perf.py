@@ -67,9 +67,6 @@ class TestInstrumentationSeam:
     def test_no_deleted_option(self, module):
         offenders = {label for label, params in _public_signatures(module)
                      if {"chunk", "pmap", "encoding", "bs"} & params}
-        # The schedule record stores the split ``from_lut`` derives; nothing
-        # passes one in.
-        offenders.discard("repro.fhe.fbs.FbsPlan.__init__")
         assert offenders == set()
 
     def test_tuning_is_ledger_only_and_must_be_none(self):
@@ -184,7 +181,7 @@ class TestCountingThreadSafety:
         k = 16  # more items than workers, more workers than cores
         # Degree 5: a short ladder keeps the serial leg's 18 evaluations cheap.
         lut = FbsLut.from_function(lambda v: v**5 + 3 * v**2 + v, params.t)
-        plan = lut.plan.materialize(params)
+        plan = lut.plan
         assert plan.degree == 5
         kernel = Plaintext.from_coeffs(np.arange(params.n) % 3, params)
         cts = [

@@ -255,7 +255,7 @@ class TestPlanWireV4:
             assert np.array_equal(got.positions, want.positions)
             assert np.array_equal(got.rows, want.rows)
             assert got.height == want.height
-            assert got.lut.plan.groups == want.lut.plan.groups
+            assert np.array_equal(got.lut.plan.matrix, want.lut.plan.matrix)
             assert (got.correction is None) == (want.correction is None)
             if want.correction is not None:
                 assert np.array_equal(

@@ -107,6 +107,11 @@ STAYS_DELETED = [
     ("cmult-reduces-once",
      r"base_extend_(raw|lazy)|_raw\(|reduce=(True|False)",
      "src/repro/fhe"),
+    # An FBS plan is its coefficient matrix (no group tuples, no rebuilt baby matrix,
+    # no constant plaintexts or their encode pass).
+    ("fbs-plan-is-its-matrix",
+     r"baby_terms|const_plaintext|_const_pts|def materialize",
+     "src/repro/fhe/fbs.py"),
 ]
 
 
