@@ -288,6 +288,7 @@ class FbsPlan:
 
     @property
     def degree(self) -> int:
+        """Degree of the polynomial: its last nonzero coefficient."""
         return _degree(self.matrix)
 
     @cached_property
