@@ -15,13 +15,7 @@ import pytest
 from repro.fhe.bfv import BfvContext, Plaintext
 from repro.fhe.fbs import FbsLut, evaluate_poly_all, fbs_evaluate, interpolate_range
 from repro.fhe.params import TEST_FBS
-
-
-def _poly_lut(coeffs: dict[int, int], t: int, name: str) -> FbsLut:
-    """The table of ``sum c_j x^j`` — its interpolant is that polynomial."""
-    x = np.arange(t, dtype=object)
-    values = sum(c * x**j for j, c in coeffs.items()) % t
-    return FbsLut(values.astype(np.int64), t, name)
+from tests.test_packing_s2c_fbs import _poly_lut
 
 
 def _luts(t: int) -> dict[str, FbsLut]:
