@@ -4,7 +4,8 @@ Every case evaluates one LUT (Algorithm 2) on fresh ciphertexts under a
 fixed key seed and pins the sha256 of each output's ``c0`` / ``c1``
 residues: a schedule refactor that claims bit-identity is checked here,
 not asserted. The ladders of relu at t = 257 and t = 65537 and of one
-range-restricted LUT are pinned the same way.
+range-restricted LUT are pinned the same way, and so are the t = 65537
+interpolations (one multiplicative-group transform each) of relu and identity.
 """
 
 import hashlib
@@ -85,3 +86,18 @@ def test_ladder_is_pinned(name):
     ladder = lut.plan.ladder
     digest = hashlib.sha256(repr(ladder).encode()).hexdigest()[:16]
     assert (len(ladder), digest) == LADDERS[name]
+
+
+#: name -> sha256 of ``FbsLut.coeffs`` at t = 65537.
+COEFFS_65537 = {
+    "relu": "6ab02dc830531a79",
+    "identity": "e4c773b2e9312cf3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COEFFS_65537))
+def test_interpolation_is_pinned(name):
+    lut = _luts(65537)[name]
+    assert _digest(lut.coeffs) == COEFFS_65537[name]
+    # The inverse transform (root g, not g^-1) gives the table back.
+    assert np.array_equal(evaluate_poly_all(lut.coeffs, lut.t), lut.values)
