@@ -187,10 +187,11 @@ class AthenaPipeline:
             return []
         xs = np.stack([plan.entry_input(x) for x in xs])
         ex = CiphertextExecutor(self, plan, images=len(xs))
-        t, outs = self.params.t, []
+        t, tail, outs = self.params.t, plan.tail, []
+        count = tail.round.count  # the tail packs each lane's outputs compactly
         for ct, lanes in zip(run_program(plan, ex, xs), ex.lanes):
-            raw = self.decrypt_coeffs(ct) if ex.tail_s2c else self.decrypt_slots(ct)
-            vals = unpack_lane_coeffs(raw, ex.lane_stride, lanes, ex.out_count)
+            raw = self.decrypt_coeffs(ct) if tail.s2c else self.decrypt_slots(ct)
+            vals = unpack_lane_coeffs(raw, count, lanes, count)
             outs += list(np.where(vals > t // 2, vals - t, vals))
         return outs
 
@@ -210,8 +211,8 @@ class CiphertextExecutor(ProgramExecutor):
 
     Every image count runs the one path: the images fill lane-full
     ciphertexts (:attr:`lanes`), each takes its linear steps' geometry from
-    :meth:`CompiledLinear.lane_layout` (one lane is the step's own round and
-    bias), and every refresh runs the whole stack through one FBS. The
+    the step's :attr:`CompiledLinear.layouts` (one lane is the step's own
+    round and bias), and every refresh runs the whole stack through one FBS. The
     entry step — always a conv/FC; a :class:`CompiledProgram` refuses to
     exist otherwise — receives the raw quantized inputs, stacked, and
     performs the client-side encode: one reshape per image to its
@@ -242,14 +243,10 @@ class CiphertextExecutor(ProgramExecutor):
         self.pipe = pipe
         #: Images each ciphertext of the stack carries, in stack order.
         self.lanes = [plan.batch_capacity] * full + [rest] * bool(rest)
-        self.out_count = 0
-        #: Coefficient/slot distance between consecutive lanes' outputs.
-        self.lane_stride = 0
-        self.tail_s2c = True
 
     def linear(self, step: CompiledLinear, value) -> list[BfvCiphertext]:
         pipe, n = self.pipe, self.pipe.params.n
-        layouts = [step.lane_layout(lanes, pipe.params) for lanes in self.lanes]
+        layouts = [step.layouts[lanes - 1] for lanes in self.lanes]
         if isinstance(value, np.ndarray):
             # The entry step: every image onto this step's grid, each
             # ciphertext's lanes at its layout's input stride.
@@ -270,9 +267,6 @@ class CiphertextExecutor(ProgramExecutor):
                 outs = [pipe.ctx.add_plain(out, layout.bias) for out, layout in zip(outs, layouts)]
         for delta, rnd in step.pool_rounds or ():
             outs = self._max_round(outs, delta, rnd)
-        self.out_count = step.round.count
-        self.lane_stride = layouts[0].out_stride
-        self.tail_s2c = step.s2c
         return self._refresh(outs, [layout.round for layout in layouts], step.s2c)
 
     def _refresh(
@@ -334,15 +328,9 @@ class CiphertextExecutor(ProgramExecutor):
         return [self.pipe.linear(ct, step.kernel) for ct in value]
 
     def remap(self, step: CompiledRemap, value):
-        """A bare LUT refresh round (the pooling division tables)."""
-        return self._close(value, step.round, step.s2c)
-
-    def _close(self, cts: list[BfvCiphertext], rnd: RefreshRound, s2c: bool):
-        """Refresh one-image ciphertexts (these steps cap every ciphertext
-        at one lane) and record the tail geometry."""
-        self.out_count = self.lane_stride = rnd.count
-        self.tail_s2c = s2c
-        return self._refresh(cts, [rnd] * len(cts), s2c)
+        """A bare LUT refresh round (the pooling division tables), on
+        one-image ciphertexts: a remap caps every ciphertext at one lane."""
+        return self._refresh(value, [step.round] * len(value), step.s2c)
 
     def residual(self, step: CompiledResidual, main, skip):
         """Join the branches and refresh through the wide-scale LUT.
@@ -357,4 +345,4 @@ class CiphertextExecutor(ProgramExecutor):
             if step.alpha != 1:
                 skip = [pipe.ctx.smult(ct, step.alpha) for ct in skip]
             total = [pipe.ctx.add(a, b) for a, b in zip(main, skip)]
-        return self._close(total, step.round, step.s2c)
+        return self._refresh(total, [step.round] * len(total), step.s2c)

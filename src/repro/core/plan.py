@@ -14,7 +14,8 @@ interleaved on every request:
 
 :func:`compile_program` lowers an :class:`~repro.core.program.AthenaProgram`
 into a :class:`CompiledProgram` holding all of the former but the S2C plan
-(which it builds, so that no request does), so
+(which the plan's constructor builds, with the lane layouts, so that no
+request does), so
 :class:`~repro.core.framework.CiphertextExecutor` becomes a thin interpreter
 that performs only the latter. The compiled artifacts are plain
 plaintext/array data — no key material and nothing secret — so a plan can be
@@ -250,8 +251,8 @@ class RefreshRound:
 def _refresh_round(positions: np.ndarray, rows: np.ndarray, lut: FbsLut,
                    params: FheParams) -> RefreshRound:
     """The one builder of a round — and of its ``-LUT(0)`` plaintext; the
-    LUT's CMult schedule is derived here, not on a request."""
-    lut.plan.levels  # noqa: B018 — force the cached schedule
+    LUT's CMult schedule and baby powers are derived here, not on a request."""
+    lut.plan.levels, lut.plan.powers  # noqa: B018 — force the cached schedule
     correction = None
     lut0 = int(lut.values[0])
     if lut0 and rows.size < params.n:
@@ -269,11 +270,12 @@ class LaneLayout:
     Lane ``d``'s input block sits at coefficient offset ``d * in_stride``
     (``in_stride`` = the step's :attr:`CompiledLinear.lane_span`); ``round``
     extracts every lane's MAC outputs (lane-major) and packs lane ``d``'s
-    sample ``i`` at row ``d * out_stride + i`` — spaced so that after S2C
+    rows at ``rows + d * out_stride`` — spaced so that after S2C
     each lane's coefficients are exactly where the *next* layer's lane ``d``
     expects its input (``out_stride`` = the next step's lane span; the tail
-    packs compactly at ``out_stride = count``). Gap rows are trivial zero
-    encryptions, made exact zeros again by the round's own correction.
+    packs compactly at ``out_stride = count``, and so does every one-lane
+    layout). Gap rows are trivial zero encryptions, made exact zeros again
+    by the round's own correction. Built by :func:`_chain_lanes` only.
     """
 
     lanes: int
@@ -301,8 +303,6 @@ class CompiledLinear:
     round: RefreshRound = None
     #: Coefficient span of one image through this round (Eq. 1 workspace).
     lane_span: int = 0
-    #: Pack-row stride between lanes' outputs (annotated by the lane chain).
-    lane_out_stride: int = field(init=False, default=0)
     #: Input image ``(C, H, W)`` before zero padding (``(F, 1, 1)`` for an
     #: FC) and the convolution's ``pad``: what the entry step's client-side
     #: encode reshapes and pads a raw input to.
@@ -314,50 +314,10 @@ class CompiledLinear:
     #: differences back onto the kept cells (relu(0) = 0 keeps every other
     #: coefficient an exact zero).
     pool_rounds: tuple[tuple[int, RefreshRound], ...] | None = None
-    #: Lazily built per-batch-size layouts, keyed by lane count.
-    _lane_layouts: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def lane_layout(self, lanes: int, params: FheParams) -> LaneLayout:
-        """Build (and cache) the geometry for a ``lanes``-image batch.
-
-        One lane is the step's own geometry — its round and bias objects,
-        compact at ``round.count`` — on every step, a fused max tree too.
-        """
-        if lanes == 1:
-            return LaneLayout(1, self.lane_span, self.round.count,
-                              self.round, self.bias)
-        cached = self._lane_layouts.get(lanes)
-        if cached is not None:
-            return cached
-        base = self.round
-        if self.pool_rounds is not None:
-            raise ParameterError(
-                "a fused max tree shifts one image's cells: no lane batching")
-        if self.lane_span <= 0 or self.lane_out_stride <= 0:
-            raise ParameterError(
-                f"step {self.name!r} carries no lane geometry (stale plan?)")
-        n = params.n
-        if lanes * self.lane_span > n:
-            raise ParameterError(
-                f"{lanes} lanes of span {self.lane_span} exceed n={n}")
-        positions = lane_positions(base.positions, self.lane_span, lanes, n)
-        rows = lane_positions(base.rows, self.lane_out_stride, lanes, n)
-        bias = None
-        if self.bias is not None:
-            coeffs = np.zeros(n, dtype=np.int64)
-            coeffs[positions] = np.tile(self.bias.coeffs[base.positions], lanes)
-            bias = Plaintext.from_coeffs(coeffs, params)
-            bias.add_operand()
-        layout = LaneLayout(
-            lanes=lanes,
-            in_stride=self.lane_span,
-            out_stride=self.lane_out_stride,
-            round=_refresh_round(positions, rows, base.lut, params),
-            bias=bias,
-        )
-        self._lane_layouts[lanes] = layout
-        return layout
+    #: The geometry of a batch of ``k`` images at ``layouts[k - 1]``, for
+    #: every ``k`` up to the plan's ``batch_capacity`` (set with the plan).
+    layouts: tuple[LaneLayout, ...] = field(
+        default=(), init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -423,44 +383,46 @@ class CompiledProgram:
     ``steps`` aligns 1:1 with the source program's top-level steps (residual
     branches as step lists), and the executor walks them alone — no program
     rides along. Construction refuses a plan whose first non-reshape step is
-    not a conv/FC (the entry step encrypts the input), so neither a
-    hand-built plan nor a loaded one reaches a ciphertext op without one.
-    Contains no key material.
+    not a conv/FC (the entry step encrypts the input) or whose last one is a
+    pool (the tail's round packs the outputs), so neither a hand-built plan
+    nor a loaded one reaches a ciphertext op without them. Construction is
+    also where everything the steps imply is derived, once, under the
+    ``compile`` phase: the lane chain (:func:`_chain_lanes`), the stack
+    capacity and the parameter set's S2C plan. A built plan is complete and
+    read-only: no request fills anything in. Contains no key material.
     """
 
     steps: list
     params: FheParams
     model_hash: str
     name: str = "model"
+    #: The first non-reshape step: the conv/FC whose ``in_shape`` every
+    #: input takes.
+    entry: CompiledLinear = field(init=False, repr=False)
+    #: The last non-reshape step: its round packs the outputs, compactly,
+    #: and its ``s2c`` says whether they are read from coefficients.
+    tail: CompiledLinear | CompiledRemap | CompiledResidual = field(init=False, repr=False)
     #: Images one ciphertext can carry through the whole program (>= 1):
     #: the ring-size bound over a chain of conv/FC rounds, and 1 (single
     #: image only) for a fused max tree and for pool / remap / residual
-    #: steps, whose geometry is one image's (see :func:`_annotate_lanes`).
-    batch_capacity: int = 1
+    #: steps, whose geometry is one image's (see :func:`_chain_lanes`).
+    batch_capacity: int = field(init=False)
+    #: Ciphertexts one dispatch stacks: as many as one ``cmult_batch``
+    #: chunk carries pairs of the plan's widest FBS ladder level.
+    stack_capacity: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.entry is None or self.entry.kind != "linear":
+        body = [step for step in self.steps if step.kind != "reshape"]
+        if not body or body[0].kind != "linear":
             raise ParameterError("the program's entry step must be a conv/FC")
-
-    @property
-    def entry(self):
-        """The first non-reshape step: the conv/FC whose ``in_shape`` every
-        input takes."""
-        return next((s for s in self.steps if s.kind != "reshape"), None)
-
-    @property
-    def stack_capacity(self) -> int:
-        """Ciphertexts one dispatch stacks: as many as one ``cmult_batch``
-        chunk carries pairs of the plan's widest FBS ladder level."""
-        def rounds(steps):
-            for step in steps:
-                yield getattr(step, "round", None)
-                yield from (r for _, r in getattr(step, "pool_rounds", None) or ())
-                yield from rounds(getattr(step, "body", []) + (getattr(step, "shortcut", None) or []))
-
-        widest = max((len(level) for rnd in rounds(self.steps) if rnd
-                      for level in rnd.lut.plan.levels), default=1)
-        return max(1, cmult_chunk(self.params) // widest)
+        if body[-1].kind == "pool":
+            raise ParameterError("the program's tail step must refresh, not pool")
+        self.entry, self.tail = body[0], body[-1]
+        with current_backend().phase("compile"):
+            self.batch_capacity = _chain_lanes(self.steps, self.params)
+            s2c_plan(self.params)  # built here once per parameter set, not on a request
+        widest = max(len(level) for rnd in _rounds(self.steps) for level in rnd.lut.plan.levels)
+        self.stack_capacity = max(1, cmult_chunk(self.params) // widest)
 
     def entry_input(self, x_q) -> np.ndarray:
         """``x_q`` as an int64 array of the entry's ``in_shape``, else
@@ -499,36 +461,69 @@ def _aligned(steps: list, csteps: list) -> bool:
         for step, cstep in zip(steps, csteps))
 
 
-def _annotate_lanes(steps: list, params: FheParams) -> int:
-    """Chain lane geometry across the linear steps; return the batch capacity.
-
-    Each interior layer's lanes must exit at the *next* layer's input stride
-    (its lane span) so that S2C drops lane ``d``'s outputs exactly where lane
-    ``d``'s next input block begins — the round's own rows, tiled at that
-    stride, whatever layout they place into; the tail packs lanes compactly.
-    Capacity is the ring-size bound ``min_j n // lane_span_j`` (and
-    ``n // count`` for the compact tail). The chain is re-derived after
-    deserialization, so a loaded plan batches identically to a freshly
-    compiled one.
-    """
-    capacity, tail = params.n, None
+def _walk(steps: list):
+    """Every step of ``steps``, through both residual branches."""
     for step in steps:
-        if step.kind == "reshape":
-            continue
-        if step.kind != "linear" or step.pool_rounds is not None:
-            # One image's geometry by construction: pool / remap / residual
-            # steps address one image's coefficients (window sums, the join
-            # layout), and a max-tree level shifts the whole ciphertext by
-            # one image's cell distance and refreshes back onto its cells.
-            return 1
-        if tail is not None:
-            tail.lane_out_stride = step.lane_span
-        capacity = min(capacity, params.n // max(1, step.lane_span))
-        tail = step
-    if tail is not None:
-        tail.lane_out_stride = tail.round.count
-        capacity = min(capacity, params.n // tail.round.count)
-    return max(1, capacity)
+        yield step
+        yield from _walk(getattr(step, "body", []) + (getattr(step, "shortcut", None) or []))
+
+
+def _rounds(steps: list):
+    """Every refresh round of ``steps``, max-tree levels included."""
+    for step in _walk(steps):
+        if hasattr(step, "round"):
+            yield step.round
+        yield from (rnd for _, rnd in getattr(step, "pool_rounds", None) or ())
+
+
+def _chain_lanes(steps: list, params: FheParams) -> int:
+    """Give every linear step its :attr:`CompiledLinear.layouts`; return the
+    batch capacity.
+
+    A plan whose non-reshape steps are all conv/FC rounds without a max tree
+    chains lanes: each interior layer's lanes exit at the *next* layer's
+    input stride (its lane span) so that S2C drops lane ``d``'s outputs
+    exactly where lane ``d``'s next input block begins — the round's own
+    rows, tiled at that stride, whatever layout they place into — and the
+    tail packs lanes compactly. Its capacity is the ring-size bound
+    ``min_j n // lane_span_j`` (and ``n // count`` for the compact tail).
+    Any other plan carries one image per ciphertext: pool / remap / residual
+    steps address one image's coefficients (window sums, the join layout),
+    and a max-tree level shifts the whole ciphertext by one image's cell
+    distance and refreshes back onto its cells. One lane is every step's own
+    geometry — its round and bias objects — residual branches included.
+    """
+    for step in _walk(steps):
+        if step.kind == "linear":
+            step.layouts = (LaneLayout(1, step.lane_span, step.round.count,
+                                       step.round, step.bias),)
+    body = [step for step in steps if step.kind != "reshape"]
+    if any(step.kind != "linear" or step.pool_rounds is not None for step in body):
+        return 1
+    out_strides = [step.lane_span for step in body[1:]] + [body[-1].round.count]
+    capacity = max(1, min(params.n // max(1, stride)
+                          for stride in [body[0].lane_span, *out_strides]))
+    for step, out_stride in zip(body, out_strides):
+        step.layouts += tuple(_lane_layout(step, lanes, out_stride, params)
+                              for lanes in range(2, capacity + 1))
+    return capacity
+
+
+def _lane_layout(step: CompiledLinear, lanes: int, out_stride: int,
+                 params: FheParams) -> LaneLayout:
+    """``step``'s round and bias tiled over ``lanes`` images: inputs at its
+    lane span, outputs at ``out_stride``."""
+    base, n = step.round, params.n
+    positions = lane_positions(base.positions, step.lane_span, lanes, n)
+    rows = lane_positions(base.rows, out_stride, lanes, n)
+    bias = None
+    if step.bias is not None:
+        coeffs = np.zeros(n, dtype=np.int64)
+        coeffs[positions] = np.tile(step.bias.coeffs[base.positions], lanes)
+        bias = Plaintext.from_coeffs(coeffs, params)
+        bias.add_operand()
+    return LaneLayout(lanes, step.lane_span, out_stride,
+                      _refresh_round(positions, rows, base.lut, params), bias)
 
 
 def _pack_rows_for(target: FeatureLayout | None, out_count: int,
@@ -929,12 +924,9 @@ def compile_program(
         steps = _compile_block(
             program.steps, program.config, params,
             _initial_shape(program.steps), None, None)
-        capacity = _annotate_lanes(steps, params)
-        s2c_plan(params)  # built here once per parameter set, not on a request
         return CompiledProgram(
             steps=steps,
             params=params,
             model_hash=program_fingerprint(program),
             name=program.name,
-            batch_capacity=capacity,
         )

@@ -31,7 +31,7 @@ from repro.errors import ParameterError
 from repro.fhe.backend import current_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext
 from repro.fhe.keys import KeySwitchKey
-from repro.fhe.ntt import cyclic_ntt
+from repro.fhe.ntt import cyclic_ntt, root_powers
 from repro.fhe.poly import RnsPoly
 from repro.utils.modmath import inv_mod, primitive_root
 
@@ -70,15 +70,8 @@ def interpolate_lut(values: np.ndarray, t: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _group_powers(t: int) -> np.ndarray:
     """``g^m mod t`` for m = 0..t-2, g the primitive root of t: the index
-    table of the multiplicative group (read-only), built by doubling."""
-    g, order = primitive_root(t), t - 1
-    out = np.ones(order, dtype=np.int64)
-    k = 1
-    while k < order:
-        n = min(k, order - k)
-        out[k : k + n] = out[:n] * pow(g, k, t) % t
-        k *= 2
-    return _read_only(out)
+    table of the multiplicative group (read-only)."""
+    return _read_only(root_powers(primitive_root(t), t - 1, t))
 
 
 def _interpolate_ntt(values: np.ndarray, t: int) -> np.ndarray:

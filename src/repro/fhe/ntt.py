@@ -30,6 +30,17 @@ from repro.errors import ParameterError
 from repro.utils.modmath import inv_mod, root_of_unity
 
 
+def root_powers(root: int, count: int, p: int) -> np.ndarray:
+    """``root^k mod p`` for k = 0..count-1 (p < 2**31), built by doubling."""
+    out = np.ones(count, dtype=np.int64)
+    k = 1
+    while k < count:
+        m = min(k, count - k)
+        out[k : k + m] = out[:m] * pow(root, k, p) % p
+        k *= 2
+    return out
+
+
 @lru_cache(maxsize=None)
 def _bit_reverse_indices(n: int) -> np.ndarray:
     """Indices 0..n-1 in bit-reversed order (n a power of two).
@@ -55,17 +66,9 @@ def _tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray, int]:
     if (p - 1) % (2 * n):
         raise ParameterError(f"prime {p} does not support negacyclic NTT of size {n}")
     psi = root_of_unity(2 * n, p)
-    ipsi = inv_mod(psi, p)
-    powers = np.empty(n, dtype=np.int64)
-    ipowers = np.empty(n, dtype=np.int64)
-    acc = iacc = 1
-    for i in range(n):
-        powers[i] = acc
-        ipowers[i] = iacc
-        acc = acc * psi % p
-        iacc = iacc * ipsi % p
     rev = _bit_reverse_indices(n)
-    return powers[rev], ipowers[rev], inv_mod(n, p)
+    return (root_powers(psi, n, p)[rev], root_powers(inv_mod(psi, p), n, p)[rev],
+            inv_mod(n, p))
 
 
 def ntt_forward(a: np.ndarray, p: int) -> np.ndarray:
@@ -376,17 +379,14 @@ def cyclic_ntt(a: np.ndarray, p: int, root: int) -> np.ndarray:
         raise ParameterError("cyclic NTT size must be a power of two")
     if pow(root, n, p) != 1 or pow(root, n // 2, p) == 1:
         raise ParameterError("root is not a primitive n-th root of unity")
-    rev = _bit_reverse_indices(n)
-    a = a[rev].copy()
+    a = a[_bit_reverse_indices(n)].copy()
+    # Stage ``length`` takes the powers of root^(n / length): every
+    # (n / length)-th entry of one table.
+    powers = root_powers(root, n // 2, p)
     length = 2
     while length <= n:
-        w = pow(root, n // length, p)
         half = length // 2
-        twiddle = np.empty(half, dtype=np.int64)
-        acc = 1
-        for i in range(half):
-            twiddle[i] = acc
-            acc = acc * w % p
+        twiddle = powers[:: n // length]
         view = a.reshape(-1, length)
         u = view[:, :half].copy()
         v = view[:, half:] * twiddle % p

@@ -36,7 +36,6 @@ from repro.errors import ParameterError
 from repro.fhe.bfv import Plaintext
 from repro.fhe.fbs import FbsLut
 from repro.fhe.params import PRESETS, FheParams
-from repro.fhe.s2c import s2c_plan
 
 _MAGIC = 0x41544E41  # "ATNA"
 # v7: a compiled plan serialises every step as refresh rounds (see
@@ -310,20 +309,20 @@ def dump_plan(plan) -> bytes:
 def load_plan(raw: bytes, params: FheParams):
     """Rebuild a complete, runnable :class:`repro.core.plan.CompiledProgram`
     from wire bytes — no program needed to load it or to run it, nothing left
-    for ``bind`` to finish. A plan whose first non-reshape step is not a
-    conv/FC is refused here, by the plan's own construction.
+    for ``bind`` to finish. The plan's own construction refuses a plan whose
+    first non-reshape step is not a conv/FC, and derives what a compiled plan
+    derives (lane layouts, capacities, the parameter set's S2C plan).
 
     The header (magic, version, parameter fingerprint) and then the CRC32
     trailer are verified before any payload is parsed, so an artifact of an
     older wire version, a truncated file or a flipped bit raises
     :class:`ParameterError` instead of decoding into a wrong kernel. One
     LUT is built per distinct table and derives its polynomial and schedule
-    itself, so rounds repeating a table share them; plaintext
-    operands are re-warmed and the parameter set's S2C plan is built if it
-    is not yet, so the first request on a loaded plan is as fast as on a
+    itself, so rounds repeating a table share them, and plaintext operands
+    are re-warmed, so the first request on a loaded plan is as fast as on a
     compiled one.
     """
-    from repro.core.plan import CompiledProgram, _annotate_lanes
+    from repro.core.plan import CompiledProgram
 
     body = raw[:-4]
     buf = io.BytesIO(body)
@@ -334,17 +333,7 @@ def load_plan(raw: bytes, params: FheParams):
     model_hash = _read_str(buf)
     steps = _read_steps(buf, params, {})
     _check_end(buf)
-    # Lane chaining (out strides + batch capacity) is a pure function of the
-    # spans and the parameter set — re-derived rather than shipped.
-    capacity = _annotate_lanes(steps, params)
-    s2c_plan(params)
-    return CompiledProgram(
-        steps=steps,
-        params=params,
-        model_hash=model_hash,
-        name=name,
-        batch_capacity=capacity,
-    )
+    return CompiledProgram(steps=steps, params=params, model_hash=model_hash, name=name)
 
 
 def guess_params(raw: bytes) -> FheParams | None:

@@ -2,8 +2,9 @@
 
 Fast tests pin the pure-numpy lane arithmetic — capacity, offsets,
 pack/unpack round trips, position fan-out, trivial-row scatter — and the
-compile-time lane annotations (``lane_span`` per linear step,
-``batch_capacity`` per plan, wire-format round trip). The ``slow``-marked
+lane geometry a plan derives when it is built (``lane_span`` and the
+layouts per linear step, ``batch_capacity`` per plan, wire-format round
+trip), which no run changes. The ``slow``-marked
 tests drive real multi-lane ciphertexts through the full pipeline on the
 TEST_FBS pack model and pin the edge cases batching must not bend:
 partial final batches, lane-position symmetry (the same image computes the
@@ -14,6 +15,9 @@ ciphertexts whose residues equal their runs alone, on every engine.
 """
 
 from __future__ import annotations
+
+import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from repro.fhe.slots import (
 from repro.quant.quantize import QConv, QFlatten, QLinear, QuantConfig, QuantizedModel
 from repro.quant.subjects import pack_cnn, serve_micro_cnn
 from tests.conftest import refresh_noise_bound, sigmoid_pack_cnn
+from tests.test_serialize import _wire_subjects
 
 
 # -- pure lane arithmetic -----------------------------------------------------
@@ -100,7 +105,13 @@ class TestLaneArithmetic:
         assert lane_span(2, 4, 1, 1, 1) == 11
 
 
-# -- compile-time annotations -------------------------------------------------
+# -- lane geometry, derived when the plan is built ----------------------------
+
+
+def _lane_strides(plan) -> list[list[tuple[int, int, int]]]:
+    """``(lanes, in_stride, out_stride)`` of every layout, step by step."""
+    return [[(layout.lanes, layout.in_stride, layout.out_stride)
+             for layout in getattr(step, "layouts", ())] for step in plan.steps]
 
 
 class TestPlanLaneAnnotations:
@@ -112,7 +123,8 @@ class TestPlanLaneAnnotations:
         assert [s.lane_span for s in linear] == [13, 11]
         # Interior lane stride chains to the next layer's span; the tail
         # compacts to its own output count.
-        assert [s.lane_out_stride for s in linear] == [11, 2]
+        assert [s.layouts[1].out_stride for s in linear] == [11, 2]
+        assert plan.tail is linear[-1]
 
     def test_micro_model_too_wide_to_batch(self):
         program = lower(serve_micro_cnn(np.random.default_rng(5)), TEST_FBS)
@@ -128,9 +140,7 @@ class TestPlanLaneAnnotations:
         assert [getattr(s, "lane_span", None) for s in loaded.steps] == [
             getattr(s, "lane_span", None) for s in plan.steps
         ]
-        assert [getattr(s, "lane_out_stride", None) for s in loaded.steps] == [
-            getattr(s, "lane_out_stride", None) for s in plan.steps
-        ]
+        assert _lane_strides(loaded) == _lane_strides(plan)
 
 
 def placed_chain_cnn() -> QuantizedModel:
@@ -168,7 +178,7 @@ class TestLaneCapacityRules:
         plan = compile_program(lower(sigmoid_pack_cnn(), TEST_FBS), TEST_FBS)
         assert int(plan.steps[0].round.lut.values[0]) == 4
         assert plan.batch_capacity == 2
-        lanes = plan.steps[0].lane_layout(2, TEST_FBS).round
+        lanes = plan.steps[0].layouts[1].round
         assert lanes.rows.tolist() == [0, 1, 2, 3, 11, 12, 13, 14]
         assert lanes.correction is not None
 
@@ -178,13 +188,11 @@ class TestLaneCapacityRules:
         assert first.round.rows.tolist() == [5, 6, 9, 10]  # inside the 4x4 grid
         assert [first.lane_span, second.lane_span] == [13, 26]
         assert plan.batch_capacity == 4
-        rows = first.lane_layout(4, TEST_LOOP).round.rows.reshape(4, -1)
+        rows = first.layouts[3].round.rows.reshape(4, -1)
         assert np.array_equal(
             rows, first.round.rows + 26 * np.arange(4)[:, None])
 
     def test_a_fused_pool_and_a_residual_do_not(self):
-        from tests.test_serialize import _wire_subjects
-
         plans = {}
         for case in _wire_subjects():
             build, params = case.values
@@ -193,8 +201,11 @@ class TestLaneCapacityRules:
         assert plans["avgpool_remap"].batch_capacity == 1  # pool / remap steps
         assert plans["resnet20_block"].batch_capacity == 1  # residual join
         assert plans["pack"].batch_capacity == 2
-        with pytest.raises(ParameterError, match="max tree"):
-            plans["fused_maxpool"].steps[0].lane_layout(2, TEST_LOOP)
+        # A fused max tree holds the one-lane layout only.
+        assert len(plans["fused_maxpool"].steps[0].layouts) == 1
+        for plan in plans.values():  # one layout per lane count, branches too
+            assert all(len(step.layouts) == plan.batch_capacity
+                       for step in _linear_steps(plan.steps))
 
 
 def _linear_steps(steps):
@@ -216,25 +227,20 @@ FUSED_MAXPOOL_TAIL_SHA256 = (
 
 
 class TestOneLane:
-    """One image is a batch of one: ``lane_layout(1)`` is the step's own
+    """One image is a batch of one: ``layouts[0]`` is the step's own
     geometry, so the lane path reproduces the single-image op sequence."""
 
     def test_one_lane_is_the_steps_own_geometry(self):
-        import hashlib
-
-        from repro.core.program import run_program
-        from tests.test_serialize import _wire_subjects
-
         plans = {}
         for case in _wire_subjects():
             build, params = case.values
             plans[case.id] = plan = compile_program(build(), params)
             for step in _linear_steps(plan.steps):
-                layout = step.lane_layout(1, params)
+                layout = step.layouts[0]
                 assert layout.round is step.round and layout.bias is step.bias
                 assert (layout.lanes, layout.in_stride, layout.out_stride) == (
                     1, step.lane_span, step.round.count)
-        # A fused max tree included: it refuses only a second lane.
+        # A fused max tree included: the one lane is all it holds.
         plan = plans["fused_maxpool"]
         assert plan.steps[0].pool_rounds is not None
         x = np.random.default_rng(17).integers(-2, 3, (1, 4, 4)).astype(np.int64)
@@ -377,8 +383,6 @@ class TestStackedCiphertexts:
 
     @pytest.mark.parametrize("subject", ["fused_maxpool", "resnet20_block"])
     def test_a_capacity_one_plan_stacks_its_pool_and_residual_steps(self, subject):
-        from tests.test_serialize import _wire_subjects
-
         (build, params), = [case.values for case in _wire_subjects() if case.id == subject]
         plan = compile_program(build(), params)
         assert plan.batch_capacity == 1
@@ -399,9 +403,7 @@ class TestStackedCiphertexts:
         _, plan = _pack_setup()
         xs = _inputs(229, 3)
         stacked, alone = CountingBackend(BATCHED), CountingBackend(BATCHED)
-        # Built once per plan, on first use: the 2-lane layouts.
-        AthenaPipeline(TEST_FBS, seed=3).run_batch(plan, xs)
-        pipes = [AthenaPipeline(TEST_FBS, seed=3) for _ in range(2)]  # both cold
+        pipes = [AthenaPipeline(TEST_FBS, seed=3) for _ in range(2)]
         with use_backend(stacked):
             run_program(plan, CiphertextExecutor(pipes[0], plan, images=3), np.stack(xs))
         with use_backend(alone):
@@ -411,6 +413,43 @@ class TestStackedCiphertexts:
         assert stacked.ops_by_phase() == alone.ops_by_phase()
         rounds = sum(1 for step in plan.steps if step.kind == "linear")
         assert stacked.totals()["fbs"] == 2 * rounds  # two ciphertexts
+
+
+class TestAPlanIsCompleteWhenBuilt:
+    """A plan, compiled or loaded, holds every layout and schedule its runs
+    use: a first run counts what any later run counts, and no run changes
+    the plan."""
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["compiled", "loaded"])
+    def test_the_first_run_counts_what_the_second_does(self, loaded):
+        _, plan = _pack_setup()
+        if loaded:
+            plan = load_plan(dump_plan(plan), TEST_FBS)
+        xs = _inputs(233, 2)
+        counting = CountingBackend(BATCHED)
+        runs = []
+        with use_backend(counting):
+            pipe = AthenaPipeline(TEST_FBS, seed=3)
+            for _ in range(2):
+                counting.reset()
+                pipe.run_batch(plan, xs)
+                runs.append(counting.ops_by_phase())
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("build, params", _wire_subjects())
+    def test_a_run_leaves_its_plan_unchanged(self, build, params):
+        compiled = compile_program(build(), params)
+        # Keygen fills the parameter set's cached properties, which the plan
+        # references: build the pipeline before the first snapshot.
+        pipe = AthenaPipeline(params, seed=3)
+        rng = np.random.default_rng(239)
+        for plan in (compiled, load_plan(dump_plan(compiled), params)):
+            xs = [rng.integers(-2, 3, plan.entry.in_shape).astype(np.int64)
+                  for _ in range(plan.batch_capacity + 1)]
+            before = pickle.dumps(plan)
+            pipe.run(plan, xs[0])
+            pipe.run_batch(plan, xs)
+            assert pickle.dumps(plan) == before
 
 
 @pytest.mark.slow

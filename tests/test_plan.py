@@ -236,6 +236,20 @@ class TestCompileFailsWhereRunWould:
                 params=TEST_LOOP,
                 model_hash=program_fingerprint(program))
 
+    def test_a_hand_built_plan_ending_on_a_pool_is_refused(self):
+        """The tail's round packs the outputs, so a plan cut behind its
+        window-sum PMult is refused at construction too."""
+        from repro.core.plan import CompiledProgram
+        from tests.test_serialize import _wire_subjects
+
+        (build, params), = [case.values for case in _wire_subjects()
+                            if case.id == "avgpool_remap"]
+        plan = compile_program(build(), params)
+        assert [step.kind for step in plan.steps[:2]] == ["linear", "pool"]
+        with pytest.raises(ParameterError, match="tail step"):
+            CompiledProgram(steps=plan.steps[:2], params=params,
+                            model_hash=plan.model_hash)
+
 
 class TestEq1FitRule:
     """One rule for every conv / FC / pool kernel: outputs inside the ring,

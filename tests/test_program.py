@@ -456,7 +456,8 @@ class TestCiphertextProgram:
         pipe = AthenaPipeline(TEST_LOOP, seed=41)
         ex = CiphertextExecutor(pipe, plan)
         run_program(plan, ex, rng.integers(-3, 4, (1, 6, 6)).astype(np.int64))
-        assert ex.tail_s2c is False and ex.out_count == 3
+        assert plan.tail is plan.steps[-1]
+        assert plan.tail.s2c is False and plan.tail.round.count == 3
 
 
 @pytest.fixture(scope="module", params=["mnist_cnn", "pack"])

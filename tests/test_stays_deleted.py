@@ -112,6 +112,16 @@ STAYS_DELETED = [
     ("fbs-plan-is-its-matrix",
      r"baby_terms|const_plaintext|_const_pts|def materialize",
      "src/repro/fhe/fbs.py"),
+    # A plan is complete when it is built (its constructor derives every lane layout;
+    # no lazy per-lane-count build, no out stride annotated on a step).
+    ("plan-is-complete-when-built",
+     r"_lane_layouts|lane_out_stride|def lane_layout",
+     "src"),
+    # A plan is complete when it is built (a loaded plan derives nothing beside the
+    # constructor: no lane chain, no S2C plan of its own).
+    ("plan-is-complete-when-loaded",
+     r"_annotate_lanes|s2c_plan",
+     "src/repro/fhe/serialize.py"),
 ]
 
 
