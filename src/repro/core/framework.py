@@ -188,7 +188,7 @@ class AthenaPipeline:
         xs = np.stack([plan.entry_input(x) for x in xs])
         ex = CiphertextExecutor(self, plan, images=len(xs))
         t, tail, outs = self.params.t, plan.tail, []
-        count = tail.round.count  # the tail packs each lane's outputs compactly
+        count = tail.round.count
         for ct, lanes in zip(run_program(plan, ex, xs), ex.lanes):
             raw = self.decrypt_coeffs(ct) if tail.s2c else self.decrypt_slots(ct)
             vals = unpack_lane_coeffs(raw, count, lanes, count)

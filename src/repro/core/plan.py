@@ -387,21 +387,16 @@ class CompiledProgram:
     pool (the tail's round packs the outputs), so neither a hand-built plan
     nor a loaded one reaches a ciphertext op without them. Construction is
     also where everything the steps imply is derived, once, under the
-    ``compile`` phase: the lane chain (:func:`_chain_lanes`), the stack
-    capacity and the parameter set's S2C plan. A built plan is complete and
-    read-only: no request fills anything in. Contains no key material.
+    ``compile`` phase: the lane chain (:func:`_chain_lanes`, which sets
+    the batch capacity), the stack capacity and the parameter set's S2C
+    plan. A built plan is complete and read-only: no request fills anything
+    in. Contains no key material.
     """
 
     steps: list
     params: FheParams
     model_hash: str
     name: str = "model"
-    #: The first non-reshape step: the conv/FC whose ``in_shape`` every
-    #: input takes.
-    entry: CompiledLinear = field(init=False, repr=False)
-    #: The last non-reshape step: its round packs the outputs, compactly,
-    #: and its ``s2c`` says whether they are read from coefficients.
-    tail: CompiledLinear | CompiledRemap | CompiledResidual = field(init=False, repr=False)
     #: Images one ciphertext can carry through the whole program (>= 1):
     #: the ring-size bound over a chain of conv/FC rounds, and 1 (single
     #: image only) for a fused max tree and for pool / remap / residual
@@ -412,17 +407,28 @@ class CompiledProgram:
     stack_capacity: int = field(init=False)
 
     def __post_init__(self) -> None:
-        body = [step for step in self.steps if step.kind != "reshape"]
-        if not body or body[0].kind != "linear":
+        if self.entry is None or self.entry.kind != "linear":
             raise ParameterError("the program's entry step must be a conv/FC")
-        if body[-1].kind == "pool":
+        if self.tail.kind == "pool":
             raise ParameterError("the program's tail step must refresh, not pool")
-        self.entry, self.tail = body[0], body[-1]
         with current_backend().phase("compile"):
             self.batch_capacity = _chain_lanes(self.steps, self.params)
             s2c_plan(self.params)  # built here once per parameter set, not on a request
         widest = max(len(level) for rnd in _rounds(self.steps) for level in rnd.lut.plan.levels)
         self.stack_capacity = max(1, cmult_chunk(self.params) // widest)
+
+    @property
+    def entry(self):
+        """The first non-reshape step: the conv/FC whose ``in_shape`` every
+        input takes."""
+        return next((s for s in self.steps if s.kind != "reshape"), None)
+
+    @property
+    def tail(self):
+        """The last non-reshape step: its round packs the outputs, lane after
+        lane at its ``count``, and its ``s2c`` says whether they are read
+        from coefficients or from slots."""
+        return next(s for s in reversed(self.steps) if s.kind != "reshape")
 
     def entry_input(self, x_q) -> np.ndarray:
         """``x_q`` as an int64 array of the entry's ``in_shape``, else
@@ -501,8 +507,7 @@ def _chain_lanes(steps: list, params: FheParams) -> int:
     if any(step.kind != "linear" or step.pool_rounds is not None for step in body):
         return 1
     out_strides = [step.lane_span for step in body[1:]] + [body[-1].round.count]
-    capacity = max(1, min(params.n // max(1, stride)
-                          for stride in [body[0].lane_span, *out_strides]))
+    capacity = max(1, min(params.n // stride for stride in [body[0].lane_span, *out_strides]))
     for step, out_stride in zip(body, out_strides):
         step.layouts += tuple(_lane_layout(step, lanes, out_stride, params)
                               for lanes in range(2, capacity + 1))

@@ -267,6 +267,9 @@ def _read_steps(buf: io.BytesIO, params: FheParams, luts: dict) -> list:
                 bias = _read_plaintext(buf, params)
                 bias.add_operand()
             (span,) = _unpack(buf, "<Q")
+            if span <= rnd.positions.max():  # lanes at this stride would overlap
+                raise ParameterError(
+                    f"step {name!r} has a lane span below its outputs in serialized plan")
             geometry = _read_array(buf)
             if geometry.shape != (4,) or geometry[:3].min() < 1 or geometry[3] < 0:
                 raise ParameterError(

@@ -135,17 +135,21 @@ class TestExactMultiplier:
 
 
 class TestCyclicNtt:
-    @pytest.mark.parametrize("t", [17, 257])
+    @pytest.mark.parametrize("t", [5, 17, 257])
     def test_matches_direct_dft(self, t):
         g = primitive_root(t)
-        root = inv_mod(g, t)
         n = t - 1
         rng = np.random.default_rng(t)
         x = rng.integers(0, t, n)
-        direct = np.array(
-            [sum(int(x[m]) * pow(root, k * m, t) for m in range(n)) % t for k in range(n)]
-        )
-        assert np.array_equal(ntt.cyclic_ntt(x, t, root), direct)
+        for root in (inv_mod(g, t), g):  # interpolation, then evaluation
+            direct = np.array(
+                [sum(int(x[m]) * pow(root, k * m, t) for m in range(n)) % t for k in range(n)]
+            )
+            assert np.array_equal(ntt.cyclic_ntt(x, t, root), direct)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 13, 64])
+    def test_root_powers_are_the_powers(self, count):
+        assert ntt.root_powers(3, count, P64).tolist() == [pow(3, k, P64) for k in range(count)]
 
     def test_rejects_non_pow2(self):
         with pytest.raises(ParameterError):

@@ -292,6 +292,19 @@ class TestPlanWireV4:
         with pytest.raises(ParameterError, match="entry step"):
             serialize.load_plan(_resealed(buf.getvalue()), params)
 
+    def test_a_lane_span_below_the_outputs_is_refused_at_load(self):
+        """Lanes tile at a linear step's span, so a CRC-valid span that does
+        not hold the step's outputs (0 included) would overlap them."""
+        from repro.core.plan import compile_program
+
+        build, params = next(c.values for c in _wire_subjects() if c.id == "pack")
+        plan = compile_program(build(), params)
+        top = int(plan.steps[0].round.positions.max())
+        for span in (0, top):
+            plan.steps[0].lane_span = span
+            with pytest.raises(ParameterError, match="lane span below its outputs"):
+                serialize.load_plan(serialize.dump_plan(plan), params)
+
     def test_entry_geometry_round_trips(self):
         """Every linear step carries its input shape and pad on the wire:
         a conv's ``(C, H, W)`` and pad, an FC's ``(F, 1, 1)`` and 0."""
