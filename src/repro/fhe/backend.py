@@ -406,14 +406,16 @@ class Backend:
         ``new_modulus`` m (paper Eq. 2: q', or t to decrypt) as an int64
         vector: floor(y / Q) mod m, y = m * x + floor(Q/2) for the lift x in
         [0, Q). With w the centred lift of [m * x]_Q, ``floor(y / Q) = (m * x
-        - w) / Q``, in [0, m], so exact modulo one prime r > m: x reaches r
-        by one base extension, w by one with m and floor(Q/2) folded in."""
+        - w) / Q``. Taken for the centred lift x - b*Q instead, it moves by m*b,
+        which vanishes mod m, into [-m/2, m/2]: exact modulo one odd prime r >
+        m, read centred. x and w reach r by one centred base extension each."""
         if not 0 < new_modulus < ROUND_PRIME:
             raise ParameterError(f"scale-and-round target {new_modulus} is not below {ROUND_PRIME}")
         r, q = ROUND_PRIME, rns.rns_modulus(moduli)
-        x_r = rns.base_extend(data, moduli, (r,))[0] % r
+        x_r = rns.base_extend(data, moduli, (r,), shift=q // 2)[0] % r
         w_r = rns.base_extend(data, moduli, (r,), new_modulus, q // 2)[0]
-        return (x_r * new_modulus - w_r) % r * pow(q, -1, r) % r % new_modulus
+        quotient = (x_r * new_modulus - w_r) % r * pow(q, -1, r) % r
+        return (quotient - r * (quotient > r // 2)) % new_modulus
 
     # -- fused tier --------------------------------------------------------
     #

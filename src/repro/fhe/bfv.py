@@ -134,10 +134,10 @@ class _TensorTables(NamedTuple):
 
     aux: tuple[int, ...]  # P
     both: tuple[int, ...]  # Q u P, Q's limbs first
-    both_col: np.ndarray  # (L+K, 1) the primes of Q u P
-    aux_col: np.ndarray  # (K, 1) the primes of P
-    q_inv: int  # Q^-1 mod P
     terms: int  # products one tensor may sum: ceil(sqrt(t))
+    to_aux: rns._ExtensionTables  # Q -> P of t*x + floor(Q/2), rows mapped onto to_q's digits
+    to_q: rns._ExtensionTables  # P -> Q, Q^-1 and floor(P/2) folded in
+    t_digits: np.ndarray  # (K, 1) t times to_q's folded CRT constants
 
 
 @lru_cache(maxsize=None)
@@ -158,20 +158,19 @@ def _tensor_tables(params: FheParams) -> _TensorTables:
     aux = tuple(find_ntt_primes(bound.bit_length() // 30 + 1, 31, 2 * params.n))
     while math.prod(aux[:-1]) > bound:
         aux = aux[:-1]
-    both = params.moduli + aux
-
-    def column(values) -> np.ndarray:
-        col = np.array(values, dtype=np.int64)[:, None]
-        col.setflags(write=False)
-        return col
-
+    p = math.prod(aux)  # P
+    to_q = rns._extension_tables(aux, params.moduli, inv_mod(params.q % p, p), p // 2, None)
+    gains, offsets = to_q.inv[:, 0].tolist(), tuple(to_q.shift_inv[:, 0].tolist())
+    t_digits = np.array([params.t * g % r for g, r in zip(gains, aux)], dtype=np.int64)[:, None]
+    t_digits.setflags(write=False)
     return _TensorTables(
         aux=aux,
-        both=both,
-        both_col=column(both),
-        aux_col=column(aux),
-        q_inv=inv_mod(params.q % math.prod(aux), math.prod(aux)),
+        both=params.moduli + aux,
         terms=terms,
+        to_aux=rns._extension_tables(params.moduli, aux, params.t, params.q // 2,
+                                     (tuple(-g % r for g, r in zip(gains, aux)), offsets)),
+        to_q=to_q,
+        t_digits=t_digits,
     )
 
 
@@ -184,7 +183,7 @@ def cmult_bounds(params: FheParams) -> dict[str, tuple[int | float, int | float]
     the moduli tables only (no twiddles), so it is cheap at any ring degree.
     """
     tb = _tensor_tables(params)
-    top, (below, above) = max(tb.both) - 1, rns.EXTENSION_RANGE
+    top, float_sum = max(tb.both) - 1, rns.extension_bounds(params.moduli, tb.aux)["float_sum"][0]
     return {
         # residue * residue: a tensor product, a digit times a folded CRT constant
         "product": (top * top, 2**62),
@@ -194,8 +193,8 @@ def cmult_bounds(params: FheParams) -> dict[str, tuple[int | float, int | float]
         "lazy_sum": (2 * tb.terms * top, 2**63),
         # the scale-round's digits x * [t (Q/p)^-1]_p + [floor(Q/2) (Q/p)^-1]_p
         "folded_digits": (top * top + top, 2**63),
-        # its one aux %: t * x_P minus the Q -> P extension's row
-        "aux_input": (max(params.t * top - below, above), 2**63),
+        # its one aux %: x_P * [t Q^-1 (P/p)^-1]_p plus the mapped Q -> P row
+        "aux_input": (top * top + float_sum, 2**63),
         "aux_basis": (2 * params.t * params.n * params.q * tb.terms + 4, rns.rns_modulus(tb.aux)),
         "overflow_estimate": (rns.overflow_estimate_error(max(len(params.moduli), len(tb.aux))),
                               rns.V_AMBIGUITY),
@@ -432,18 +431,19 @@ class BfvContext:
 
         With y = t*e + floor(Q/2) and w the centred lift of [t*e]_Q,
         ``floor(y / Q) = (t*e - w) / Q``: the Q -> P extension folds t and
-        floor(Q/2) into its CRT constants, one ``%`` takes t*e - w mod P, the
-        P -> Q extension folds in Q^-1. Components 0 and 1 come back as
-        residue classes (:data:`repro.fhe.rns.EXTENSION_RANGE`) for the
-        correction add to reduce; component 2, the keyswitch input, canonical.
+        floor(Q/2) into its CRT constants and maps its rows by the P -> Q
+        extension's digit map (Q^-1, centring floor(P/2)): one ``%`` of x_P *
+        [t Q^-1 (P/p)^-1]_p plus them gives that extension's digits of t*e - w.
+        Components 0 and 1 are residue classes (:data:`repro.fhe.rns.EXTENSION_RANGE`)
+        for the correction add to reduce; component 2, the keyswitch input, canonical.
         """
-        params, tb = self.params, _tensor_tables(self.params)
-        moduli, num_limbs = params.moduli, params.num_limbs
+        tb, num_limbs = _tensor_tables(self.params), self.params.num_limbs
         x = ntt_inverse_rns(e, tb.both)
-        w = rns.base_extend(x[..., :num_limbs, :], moduli, tb.aux, params.t, params.q // 2)
-        quotient = (x[..., num_limbs:, :] * params.t - w) % tb.aux_col
-        out = rns.base_extend(quotient, tb.aux, moduli, tb.q_inv, rns.rns_modulus(tb.aux) // 2)
-        out[..., 2, :, :] %= tb.both_col[:num_limbs]
+        digits = tb.to_aux.extend(tb.to_aux.digits(x[..., :num_limbs, :]))
+        digits += x[..., num_limbs:, :] * tb.t_digits
+        digits %= tb.to_q.src
+        out = tb.to_q.extend(digits)
+        out[..., 2, :, :] %= tb.to_aux.src
         return out
 
     def cmult(

@@ -99,24 +99,24 @@ def from_rns_centered(residues: np.ndarray, moduli: tuple[int, ...]) -> list[int
 #: Half-width of the band around every integer inside which the float64
 #: estimate of a CRT overflow count is not trusted and :func:`base_extend`
 #: recomputes it exactly. Must exceed :func:`overflow_estimate_error` for the
-#: limb counts in use; 2**-30 does up to thousands of limbs and sends about
+#: limb counts in use; 2**-30 does up to two thousand limbs and sends about
 #: one coefficient in 2**29 down the exact route.
 V_AMBIGUITY = 2.0**-30
 
 #: :func:`base_extend` splits each CRT digit at this bit so that a whole
-#: limb axis of digit * weight products sums in int64 without reduction.
+#: limb axis of digit * weight products sums exactly in float64.
 _SPLIT_BITS = 15
 
 
 def overflow_estimate_error(num_limbs: int) -> float:
     """Bound on |float64 estimate - sum_i xi_i / p_i| over ``num_limbs`` limbs.
 
-    Each term is ``xi_i * fl(1 / p_i)`` — two roundings — and then passes
-    through at most ``num_limbs - 1`` additions, in whatever order numpy
-    sums: a relative error below ``(num_limbs + 2) * 2**-53`` on a term
-    that is below 1.
+    One GEMM row: the 2L split digits (L = ``num_limbs``) times ``fl(2**15 /
+    p_i)`` and ``fl(1 / p_i)``, summed in any BLAS order. A weight, a product
+    and at most 2L - 1 additions round each term: a relative error below
+    ``(2L + 2) * 2**-53`` on nonnegative terms that sum below L.
     """
-    return num_limbs * (num_limbs + 2) * 2.0**-53
+    return num_limbs * (2 * num_limbs + 2) * 2.0**-53
 
 
 #: :func:`base_extend`'s rows lie in this open interval.
@@ -126,10 +126,10 @@ EXTENSION_RANGE = (-(2**36), 2**53)
 def extension_bounds(src: tuple[int, ...], dst: tuple[int, ...]) -> dict[str, tuple[int, int]]:
     """``name -> (peak, limit)`` in the mould of :func:`repro.fhe.bfv.cmult_bounds`:
     :func:`base_extend` from ``src`` to ``dst`` is exact, its rows inside
-    :data:`EXTENSION_RANGE`, iff every peak is below its limit. The CRT sum
-    is a float64 (BLAS) product of split digits and weights below the target
-    primes, exact below 2**53; the row then subtracts the overflow count
-    (< L) times Q and the shift, each reduced mod dst_j."""
+    :data:`EXTENSION_RANGE`, iff every peak is below its limit. A row is one
+    float64 (BLAS) product of ``[hi; lo; v; 1]`` (split digits, overflow count
+    v < L) and weights below dst_j, the v * Q and shift ones negated, under
+    any per-row affine map: every partial sum is an integer below 2**53."""
     low = (1 << _SPLIT_BITS) - 1
     top = max(dst) - 1
     return {
@@ -140,50 +140,68 @@ def extension_bounds(src: tuple[int, ...], dst: tuple[int, ...]) -> dict[str, tu
 
 
 class _ExtensionTables(NamedTuple):
-    """Word-sized constants of one ``src`` -> ``dst`` base conversion."""
+    """Word-sized constants of one ``src`` -> ``dst`` base conversion, and its two steps."""
 
+    basis: tuple[int, ...]  # src
     src: np.ndarray  # (L, 1) source primes
     inv: np.ndarray  # (L, 1) scale * (Q/p_i)^-1 mod p_i
     shift_inv: np.ndarray  # (L, 1) shift * (Q/p_i)^-1 mod p_i
-    recip: np.ndarray  # (L, 1) float64 1 / p_i
-    weights: np.ndarray  # (K, 2L) float64 [(Q/p_i) << _SPLIT_BITS | Q/p_i] mod dst_j
-    q_mod: np.ndarray  # (K, 1) Q mod dst_j
-    shift_mod: np.ndarray  # (K, 1) shift mod dst_j
+    estimate: np.ndarray  # (1, 2L) float64 [2**_SPLIT_BITS / p_i | 1 / p_i]
+    weights: np.ndarray  # (K, 2L+2) float64 [(Q/p_i) << _SPLIT_BITS | Q/p_i | -Q | -shift]
+
+    def digits(self, residues: np.ndarray) -> np.ndarray:
+        """CRT digits [(scale * x_i + shift) * (Q/p_i)^-1] mod p_i, < 2**63 before the %."""
+        return np.remainder(residues * self.inv + self.shift_inv, self.src)
+
+    def extend(self, xi: np.ndarray) -> np.ndarray:
+        """The rows from canonical (..., L, N) CRT digits."""
+        limbs, v = xi.shape[-2], 2 * xi.shape[-2]
+        operand = np.empty(xi.shape[:-2] + (v + 2, xi.shape[-1]))  # [hi; lo; v; 1]
+        np.right_shift(xi, _SPLIT_BITS, out=operand[..., :limbs, :])
+        np.bitwise_and(xi, (1 << _SPLIT_BITS) - 1, out=operand[..., limbs:v, :])
+        estimate = np.matmul(self.estimate, operand[..., :v, :])[..., 0, :]
+        overflow = np.floor(estimate, out=operand[..., v, :])
+        doubtful = np.abs(estimate - overflow - 0.5) > 0.5 - V_AMBIGUITY
+        if doubtful.any():
+            for at in zip(*np.nonzero(doubtful)):
+                overflow[at] = _exact_overflow(xi[at[:-1] + (slice(None), at[-1])], self.basis)
+        operand[..., v + 1, :] = 1.0
+        # Exact in float64 (extension_bounds), so BLAS does the sum.
+        return np.matmul(self.weights, operand).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
 def _extension_tables(
-    src: tuple[int, ...], dst: tuple[int, ...], scale: int, shift: int
+    src: tuple[int, ...], dst: tuple[int, ...], scale: int, shift: int,
+    rows: tuple[tuple[int, ...], tuple[int, ...]] | None,
 ) -> _ExtensionTables:
+    """``rows`` (gain, offset over ``dst``) maps row j to gain_j * row + offset_j mod dst_j."""
     for name, (peak, limit) in extension_bounds(src, dst).items():
         if not peak < limit:
             raise ParameterError(f"base extension from {len(src)} primes: {name} "
                                  f"{peak} is not below {limit}")
     q, partials, inverses = _crt_constants(src)
-
-    def column(values, dtype=np.int64) -> np.ndarray:
-        col = np.array(values, dtype=dtype)[:, None]
-        col.setflags(write=False)
-        return col
-
+    gain, offset = rows or ((1,) * len(dst), (0,) * len(dst))
     weights = np.array(
         [
-            [(part << _SPLIT_BITS) % p for part in partials]
-            + [part % p for part in partials]
-            for p in dst
+            [g * (part << _SPLIT_BITS) % p for part in partials]
+            + [g * part % p for part in partials]
+            + [-(g * q % p), -((g * shift - o) % p)]
+            for p, g, o in zip(dst, gain, offset)
         ],
         dtype=np.float64,
     )
-    weights.setflags(write=False)
-    return _ExtensionTables(
-        src=column(src),
-        inv=column([scale * inv % p for inv, p in zip(inverses, src)]),
-        shift_inv=column([shift * inv % p for inv, p in zip(inverses, src)]),
-        recip=column([1.0 / p for p in src], np.float64),
+    tables = _ExtensionTables(
+        basis=src,
+        src=np.array(src)[:, None],
+        inv=np.array([scale * inv % p for inv, p in zip(inverses, src)])[:, None],
+        shift_inv=np.array([shift * inv % p for inv, p in zip(inverses, src)])[:, None],
+        estimate=np.array([[2.0**_SPLIT_BITS / p for p in src] + [1.0 / p for p in src]]),
         weights=weights,
-        q_mod=column([q % p for p in dst]),
-        shift_mod=column([shift % p for p in dst]),
     )
+    for table in tables[1:]:
+        table.setflags(write=False)
+    return tables
 
 
 def _exact_overflow(digits: np.ndarray, src: tuple[int, ...]) -> int:
@@ -213,36 +231,16 @@ def base_extend(
     It is the plain lift of ``z = scale * x + shift``, shifted back. With
     xi_i = [z_i * (Q/p_i)^-1] mod p_i — scale and shift folded into the CRT
     constants, one ``%`` — that is ``sum_i xi_i * (Q/p_i) - v * Q``, v =
-    floor(sum_i xi_i / p_i). The fractions sum in float64, error below
-    :func:`overflow_estimate_error`, so the floor is v wherever it lies
-    :data:`V_AMBIGUITY` from an integer; elsewhere — z within about
-    Q * 2**-30 of 0 or Q — v comes from Python integers, so every input is
-    exact. Centred, zeros and small values of either sign sit mid-interval,
-    off the ambiguous edge.
+    floor(sum_i xi_i / p_i). One float64 row over the 15-bit halves of the xi
+    sums the fractions, error below :func:`overflow_estimate_error`, so the
+    floor is v wherever it lies :data:`V_AMBIGUITY` from an integer;
+    elsewhere — z within about Q * 2**-30 of 0 or Q — v comes from Python
+    integers, so every input is exact. A second product over ``[hi; lo; v;
+    1]`` gives the rows, v * Q and the shift as two more weight columns.
+    Centred, zeros and small values of either sign sit mid-interval.
     """
-    tb = _extension_tables(src, dst, scale, shift)
-    xi = residues * tb.inv  # < 2**62
-    if shift:
-        xi += tb.shift_inv  # the folded shift: still < 2**63
-    xi %= tb.src
-    estimate = (xi * tb.recip).sum(axis=-2)
-    overflow = np.floor(estimate)
-    frac = estimate - overflow
-    overflow = overflow.astype(np.int64)
-    doubtful = (frac < V_AMBIGUITY) | (frac > 1.0 - V_AMBIGUITY)
-    if doubtful.any():
-        for index in zip(*np.nonzero(doubtful)):
-            digits = xi[index[:-1] + (slice(None), index[-1])]
-            overflow[index] = _exact_overflow(digits, src)
-    # Exact in float64 (extension_bounds: "float_sum"), so BLAS does the sum.
-    halves = np.empty(xi.shape[:-2] + (2 * len(src), xi.shape[-1]))
-    np.right_shift(xi, _SPLIT_BITS, out=halves[..., : len(src), :])
-    np.bitwise_and(xi, (1 << _SPLIT_BITS) - 1, out=halves[..., len(src) :, :])
-    out = np.matmul(tb.weights, halves).astype(np.int64)
-    out -= overflow[..., None, :] * tb.q_mod
-    if shift:
-        out -= tb.shift_mod
-    return out
+    tb = _extension_tables(src, dst, scale, shift, None)
+    return tb.extend(tb.digits(residues))
 
 
 def rns_modulus(moduli: tuple[int, ...]) -> int:

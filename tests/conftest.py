@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.fhe import rns
 from repro.fhe.bfv import BfvContext
 from repro.fhe.params import TEST_FBS, TEST_SMALL, TEST_TINY
 from repro.utils.sampling import SIGMA
@@ -52,6 +53,21 @@ def fbs_rlk(fbs_ctx, fbs_keys):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def exact_route_calls(monkeypatch):
+    """Count the coefficients :func:`repro.fhe.rns.base_extend` sends down
+    the big-int route."""
+    calls = []
+    real = rns._exact_overflow
+
+    def spy(digits, src):
+        calls.append(len(src))
+        return real(digits, src)
+
+    monkeypatch.setattr(rns, "_exact_overflow", spy)
+    return calls
 
 
 def sigmoid_pack_cnn():

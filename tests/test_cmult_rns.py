@@ -125,20 +125,6 @@ def edge_values(q: int) -> list[int]:
     return [0, 1, -1, h, -h, h - 1, -(h - 1), q // 3, -(q // 3)]
 
 
-@pytest.fixture()
-def exact_route_calls(monkeypatch):
-    """Count the coefficients :func:`base_extend` sends down the big-int route."""
-    calls = []
-    real = rns._exact_overflow
-
-    def spy(digits, src):
-        calls.append(len(src))
-        return real(digits, src)
-
-    monkeypatch.setattr(rns, "_exact_overflow", spy)
-    return calls
-
-
 # --- base extension ---------------------------------------------------------------
 
 
@@ -255,7 +241,8 @@ class TestBaseExtend:
         extension and inside :data:`rns.EXTENSION_RANGE` — on every preset
         (tables only, so the paper's too), every basis pair of the
         ciphertext path, residues 0, p - 1 or drawn, under the plain, the
-        centred and a drawn affine map."""
+        centred and a drawn affine map, and under a drawn per-row map
+        folded into the weights (the scale-round's hand-off)."""
         params = data.draw(st.sampled_from(sorted(PRESETS.values(), key=lambda p: p.name)))
         src, dst = data.draw(st.sampled_from(_extension_pairs(params)))
         q = rns.rns_modulus(src)
@@ -266,11 +253,20 @@ class TestBaseExtend:
         )
         scale, shift = data.draw(st.sampled_from([(1, 0), (1, q // 2)])
                                  | st.tuples(st.integers(1, q - 1), st.integers(0, q - 1)))
-        got = rns.base_extend(stack, src, dst, scale, shift)
+        rows = data.draw(st.none() | st.tuples(*(
+            st.tuples(*(st.integers(0, p - 1) for p in dst)) for _ in range(2))))
+        if rows is None:
+            got = rns.base_extend(stack, src, dst, scale, shift)
+        else:
+            tb = rns._extension_tables(src, dst, scale, shift, rows)
+            got = tb.extend(tb.digits(stack))
         below, above = rns.EXTENSION_RANGE
         assert below < got.min() and got.max() < above
-        want = [(scale * x + shift) % q - shift for x in rns.from_rns(stack, src)]
-        assert np.array_equal(got % np.array(dst, dtype=np.int64)[:, None], _lift_mod(want, dst))
+        want = _lift_mod([(scale * x + shift) % q - shift for x in rns.from_rns(stack, src)], dst)
+        if rows is not None:
+            gain, offset = (np.array(r, dtype=object)[:, None] for r in rows)
+            want = (want.astype(object) * gain + offset) % np.array(dst, dtype=object)[:, None]
+        assert np.array_equal(got % np.array(dst, dtype=np.int64)[:, None], want)
 
 
 # --- tensor == oracle ----------------------------------------------------------------
@@ -597,9 +593,9 @@ class TestBounds:
         for what, (peak, limit) in bounds.items():
             assert 0 < peak < limit, (name, what)
         top = max(bfv_module._tensor_tables(params).both) - 1
-        below, above = rns.EXTENSION_RANGE
         assert bounds["pair_sum"][0] == 2 * top * top + top
-        assert bounds["aux_input"][0] >= max(params.t * top - below, above)
+        float_sum = rns.extension_bounds(params.moduli, bfv_module._tensor_tables(params).aux)
+        assert bounds["aux_input"][0] == top * top + float_sum["float_sum"][0]
         # A middle component holds two products: a run of pairs is half a run.
         assert backend_mod.lazy_product_limit(bfv_module._tensor_tables(params).both) >= 2
 
@@ -635,15 +631,21 @@ class TestBounds:
     def test_every_extension_peak_below_its_limit(self, name):
         """Both conversions of the tensor, Q -> P and P -> Q, sum their CRT
         terms exactly in float64 on every preset (ATHENA's 24-limb Q and
-        its aux basis included)."""
+        its aux basis included): the peaks hold, and every weight of the
+        scale-round's tables — the Q -> P rows mapped onto the P -> Q
+        digits, the v * Q and shift columns — is below its target prime, as
+        the peaks assume."""
         params = PRESETS[name]
-        aux = bfv_module._tensor_tables(params).aux
-        for src, dst in ((params.moduli, aux), (aux, params.moduli)):
+        tb = bfv_module._tensor_tables(params)
+        pairs = ((params.moduli, tb.aux, tb.to_aux), (tb.aux, params.moduli, tb.to_q))
+        for src, dst, table in pairs:
             bounds = rns.extension_bounds(src, dst)
             assert set(bounds) == {"float_sum", "below_zero"}
             for what, (peak, limit) in bounds.items():
                 assert 0 < peak < limit, (name, what)
             assert (-bounds["below_zero"][1], bounds["float_sum"][1]) == rns.EXTENSION_RANGE
+            assert table.weights.shape == (len(dst), 2 * len(src) + 2)
+            assert (np.abs(table.weights) < np.array(dst)[:, None]).all()
 
     def test_an_extension_outside_its_bound_raises(self):
         """Seventy 31-bit primes: the float64 CRT sum could reach 2**53.7,
@@ -702,15 +704,20 @@ class TestBounds:
         assert issubclass(TensorOverflow, ParameterError)
         tensor_sum(ctx, [(a, b)] * 17)  # all the basis holds
 
-    def test_estimate_error_bound_holds_on_the_worst_digits(self):
-        """All digits p_i - 1: the largest sum the float estimate ever takes."""
+    def test_estimate_error_bound_holds_on_the_worst_digits(self, rng):
+        """All digits p_i - 1, the largest sum the float estimate ever takes,
+        and drawn ones beside them, through the kernel's own estimate row and
+        product: the 15-bit halves of the digits, one ``matmul``."""
         for params in PRESETS.values():
             for basis in (params.moduli, bfv_module._tensor_tables(params).aux):
-                tb = rns._extension_tables(basis, basis[:1], 1, 0)
-                xi = tb.src - 1
-                estimate = Fraction(float((xi * tb.recip).sum()))
-                exact = sum(Fraction(p - 1, p) for p in basis)
-                assert abs(estimate - exact) < rns.overflow_estimate_error(len(basis))
+                tb = rns._extension_tables(basis, basis[:1], 1, 0, None)
+                xi = np.concatenate([tb.src - 1, rng.integers(0, tb.src, (len(basis), 63))], -1)
+                low = (1 << rns._SPLIT_BITS) - 1
+                halves = np.concatenate([xi >> rns._SPLIT_BITS, xi & low]).astype(np.float64)
+                estimate = np.matmul(tb.estimate, halves)[0]
+                for digits, value in zip(xi.T.tolist(), estimate.tolist()):
+                    exact = sum(Fraction(d, p) for d, p in zip(digits, basis))
+                    assert abs(Fraction(value) - exact) < rns.overflow_estimate_error(len(basis))
 
 
 @pytest.mark.slow

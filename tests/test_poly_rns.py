@@ -177,6 +177,21 @@ class TestScaleRound:
                 got = be.mod_switch(data, moduli, m)
                 assert got.dtype == np.int64 and np.array_equal(got, want), (name, m, be.name)
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_zero_and_small_coefficients_skip_the_exact_route(self, name, exact_route_calls,
+                                                              rng):
+        """Both lifts are centred, so a zero stack and small coefficients of
+        either sign sit mid-interval: no coefficient takes the big-integer
+        route, and every target still gets the formula's result."""
+        params = PRESETS[name]
+        zero = np.zeros((params.num_limbs, 64), dtype=np.int64)
+        small = rns.to_rns([int(v) for v in rng.integers(-300, 301, 64)], params.moduli)
+        for data in (zero, small):
+            for m in (params.t, params.lwe_q, 2, ROUND_PRIME - 1):
+                want = _big_int_scale_round(data, params.moduli, m)
+                assert np.array_equal(BATCHED.mod_switch(data, params.moduli, m), want)
+        assert exact_route_calls == []
+
     def test_target_must_be_below_the_round_prime(self):
         data = np.zeros((len(MODULI), 4), dtype=np.int64)
         for m in (0, ROUND_PRIME, 2**40):

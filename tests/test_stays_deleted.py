@@ -107,6 +107,11 @@ STAYS_DELETED = [
     ("cmult-reduces-once",
      r"base_extend_(raw|lazy)|_raw\(|reduce=(True|False)",
      "src/repro/fhe"),
+    # A base extension is one split and two BLAS products (the overflow estimate is a
+    # row, the v * Q and shift corrections are weight columns; no side passes).
+    ("base-extend-one-product",
+     r"recip|q_mod|shift_mod|sum\(axis=-2\)",
+     "src/repro/fhe/rns.py"),
     # An FBS plan is its coefficient matrix (no group tuples, no rebuilt baby matrix,
     # no constant plaintexts or their encode pass).
     ("fbs-plan-is-its-matrix",
