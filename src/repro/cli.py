@@ -27,7 +27,9 @@ Exit codes are uniform across commands: 0 on success, 1 when the library
 reports a failure (:class:`repro.errors.ReproError`), 2 on usage errors
 (argparse's own convention). ``experiment``, ``infer``, ``allocate``,
 ``trace`` and ``serve`` share the output parent parser: ``--json`` switches to
-machine-readable output and ``--out PATH`` redirects it to a file.
+machine-readable output and ``--out PATH`` redirects it to a file. The
+op-dispatch engine of every ciphertext run is the process default,
+``REPRO_BACKEND`` (``batched`` unless set to ``serial``).
 """
 
 from __future__ import annotations
@@ -278,8 +280,7 @@ def _infer_with_plan(args: argparse.Namespace) -> int:
     program = lower(qm, params)
     # The session binds the plan: a plan compiled from another model is a
     # ParameterError -> exit 1 in main().
-    session = InferenceSession(program, params, seed=args.seed, plan=plan,
-                               backend=args.backend)
+    session = InferenceSession(program, params, seed=args.seed, plan=plan)
     rng = np.random.default_rng(args.seed + 5)
     max_err = 0
     for _ in range(args.count):
@@ -307,11 +308,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         return _infer_with_plan(args)
-    if args.backend:
-        # The simulated engine runs integers and never dispatches an op.
-        print("repro: error: --backend needs --plan (only a plan run "
-              "dispatches ciphertext ops)", file=sys.stderr)
-        return EXIT_USAGE
 
     from repro.core.inference import SimulatedAthenaEngine
     from repro.eval.zoo import get_benchmark
@@ -378,7 +374,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.trace import compare_traces, executed_trace
     from repro.fhe.backend import CountingBackend, use_backend
 
-    counting = CountingBackend(args.backend)
+    counting = CountingBackend()
     pipe = AthenaPipeline(params, seed=args.seed)
     x_q = rng.integers(-3, 4, qm.input_shape).astype(np.int64)
     with use_backend(counting):
@@ -421,7 +417,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ]
     service = AthenaService(
         tenants,
-        exec_config=ExecConfig(args.mode, args.workers, backend=args.backend),
+        exec_config=ExecConfig(args.mode, args.workers),
         queue_capacity=max(1, -(-args.requests // args.tenants)),
         transport_s=args.transport_ms / 1000.0,
         batching=not args.no_batching,
@@ -511,10 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", metavar="PATH", default=None,
                    help="run warm-session inference from a compiled plan "
                         "(mnist_cnn only; see 'repro compile')")
-    p.add_argument("--backend", default=None,
-                   choices=["batched", "serial", "counting"],
-                   help="op-dispatch backend of a --plan run (default: "
-                        "inherit REPRO_BACKEND, else batched)")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("compile",
@@ -559,9 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--executed", action="store_true",
                    help="run the micro model under a CountingBackend and "
                         "compare executed vs analytical counts")
-    p.add_argument("--backend", default="batched",
-                   choices=["batched", "serial"],
-                   help="backend for --executed (default: batched)")
     p.set_defaults(func=_cmd_trace, seed=41)
 
     p = sub.add_parser("serve", parents=[seed, output],
@@ -588,10 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shared-keys", action="store_true",
                    help="give every tenant the same keygen seed (one key "
                         "domain: enables cross-tenant batching)")
-    p.add_argument("--backend", default=None,
-                   choices=["batched", "serial", "counting"],
-                   help="op-dispatch backend every session pins "
-                        "(default: inherit REPRO_BACKEND, else batched)")
     p.set_defaults(func=_cmd_serve, seed=41)
 
     p = sub.add_parser("ablation", help="accelerator design ablations")

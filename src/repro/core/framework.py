@@ -338,10 +338,11 @@ class CiphertextExecutor(ProgramExecutor):
         Both branch tails packed into the shared join layout at compile
         time, so the join is ``main + alpha * skip`` per ciphertext,
         followed by one standard refresh round placed into the next
-        consumer's layout.
+        consumer's layout. The join is billed to ``linear``, as the
+        analytical trace bills it.
         """
         pipe = self.pipe
-        with current_backend().phase("residual"):
+        with current_backend().phase("linear"):
             if step.alpha != 1:
                 skip = [pipe.ctx.smult(ct, step.alpha) for ct in skip]
             total = [pipe.ctx.add(a, b) for a, b in zip(main, skip)]

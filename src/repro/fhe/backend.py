@@ -3,21 +3,25 @@
 Every primitive the Athena loop executes — RNS NTT/INTT and limb
 arithmetic, modulus switching, LWE extraction and dimension switching, the
 packing / S2C mat-vec, FBS — dispatches through the *active*
-:class:`Backend`. Each protocol op has at most two bodies:
+:class:`Backend`. An op has two bodies only where the engines' algorithms
+differ:
 
-* the **reference** body, on :class:`Backend`: per-prime RNS loops, fused
-  ops decomposed to those primitives. Registered as ``serial``
-  (:class:`SerialBackend`), it is the oracle every engine is pinned
-  bit-identical to.
+* the **reference** body, on :class:`Backend`: per-prime radix-2 transforms
+  (:meth:`~Backend.mul`, :meth:`~Backend.ntt`, :meth:`~Backend.mul_ntt`),
+  fused ops decomposed to RNS-tier primitives, :meth:`~Backend.hadd_many`
+  a left fold. Registered as ``serial`` (:class:`SerialBackend`), it is
+  the oracle the fast bodies are pinned bit-identical to.
 * the **fast** body, on :class:`BatchedBackend` (``batched``, the default):
-  the (L, N) residue matrix is one stacked array
-  (:func:`repro.fhe.ntt.ntt_forward_rns`), and the fused tier runs stacked
+  the four-step float64 transform over the stacked (L, N) residue matrix
+  (:func:`repro.fhe.ntt.ntt_forward_rns`), and the fused tier as stacked
   kernels on cached NTT-domain key stacks, products summed unreduced in runs
   of :func:`lazy_product_limit`, residues in chains of
   :func:`lazy_chain_limit`.
 
-Engine-independent ops (:meth:`Backend.mod_switch`,
-:meth:`Backend.cmult_batch`, the LWE and composite tiers) have one body.
+Every other op has one body, on :class:`Backend`: the element-wise RNS ops
+(``add``, ``sub``, ``neg``, ``scalar_mul``, ``automorphism``, ``shift``:
+one numpy pass against the (L, 1) modulus column), :meth:`Backend.mod_switch`,
+:meth:`Backend.cmult_batch`, the LWE and composite tiers.
 :class:`CountingBackend` (``counting``), the only wrapper and the one way to
 observe a run, counts and delegates the RNS tier only: every op above runs
 its reference body, each count — in the units of
@@ -317,8 +321,10 @@ class Backend:
     """Dispatch point for every homomorphic primitive, and its reference bodies.
 
     Four tiers: **RNS** — limb arithmetic on (L, N) residue matrices
-    (:meth:`add` .. :meth:`shift`), per-prime loops here, one stacked numpy
-    pass on :class:`BatchedBackend`, :meth:`mod_switch` one body for both;
+    (:meth:`add` .. :meth:`shift`), one numpy pass against the (L, 1)
+    modulus column for both engines except the transforms (:meth:`mul`,
+    :meth:`ntt`, :meth:`mul_ntt`: per-prime radix-2 here, stacked on
+    :class:`BatchedBackend`), :meth:`mod_switch` one body for both;
     **fused** — the hot paths (keyswitch, rotation, mat-vec, CMult),
     decomposed here to RNS-tier primitives; **LWE** —
     :meth:`sample_extract`, :meth:`lwe_keyswitch`, :meth:`lwe_rescale`, in
@@ -339,22 +345,13 @@ class Backend:
     # -- RNS tier ----------------------------------------------------------
 
     def add(self, a, b, moduli):
-        data = a + b
-        for i, p in enumerate(moduli):
-            data[..., i, :] %= p
-        return data
+        return (a + b) % _moduli_column(moduli)
 
     def sub(self, a, b, moduli):
-        data = a - b
-        for i, p in enumerate(moduli):
-            data[..., i, :] %= p
-        return data
+        return (a - b) % _moduli_column(moduli)
 
     def neg(self, a, moduli):
-        data = -a
-        for i, p in enumerate(moduli):
-            data[..., i, :] %= p
-        return data
+        return -a % _moduli_column(moduli)
 
     def mul(self, a, b, moduli):
         out = np.empty_like(a)
@@ -376,30 +373,22 @@ class Backend:
         return out
 
     def scalar_mul(self, a, value, moduli):
-        out = np.empty_like(a)
-        for i, p in enumerate(moduli):
-            out[..., i, :] = a[..., i, :] * (value % p) % p
-        return out
+        return a * _scalar_column(value, moduli) % _moduli_column(moduli)
 
     def automorphism(self, a, k, moduli):
         # (..., L, N): leading axes batch (a rotation's digit stack).
         dest, sign = automorphism_map(a.shape[-1], k)
-        out = np.zeros_like(a)
-        signed = a * sign  # safe: |value| < p < 2**31
-        for i, p in enumerate(moduli):
-            # k odd => dest is a permutation
-            out[..., i, dest] = signed[..., i, :] % p
+        out = np.empty_like(a)
+        # k odd => dest is a permutation; |a * sign| < p < 2**31, so the
+        # signed product is int64-exact.
+        out[..., dest] = a * sign % _moduli_column(moduli)
         return out
 
     def shift(self, a, shift, moduli):
         # X^(N + r) = -X^r, so X^shift rolls the length-2N (a, -a) by shift
         # mod 2N, any integer shift; the first N coefficients are the product.
-        n = a.shape[-1]
-        out = np.empty_like(a)
-        for i, p in enumerate(moduli):
-            limb = a[..., i, :]
-            out[..., i, :] = np.roll(np.concatenate([limb, -limb], -1), shift, -1)[..., :n] % p
-        return out
+        rolled = np.roll(np.concatenate([a, -a], -1), shift, -1)
+        return rolled[..., : a.shape[-1]] % _moduli_column(moduli)
 
     def mod_switch(self, data, moduli, new_modulus):
         """Scale-and-round an (L, N) residue stack from Q to a word-sized
@@ -582,8 +571,9 @@ class Backend:
 
     def cmult_batch(self, ctx, pairs, rlk):
         """Relinearised products of independent CMults (one FBS ladder
-        level), each bit-identical to
-        :meth:`~repro.fhe.bfv.BfvContext.cmult` of its (a, b) pair.
+        level, or one pair): per (a, b) pair, the tensor of the centred
+        lifts scaled by t/Q and rounded, its quadratic term folded back to
+        degree one by ``rlk``.
 
         One dispatch-free body for every engine: the operands without a
         Q u P form enter it in one stacked pass, then per chunk of at most
@@ -684,7 +674,9 @@ class Backend:
 class BatchedBackend(Backend):
     """Residue-stacked execution engine (the default hot path).
 
-    RNS tier: one numpy pass covers every limb. Fused tier: a keyswitch runs
+    RNS tier: the transforms (:meth:`mul`, :meth:`ntt`, :meth:`mul_ntt`)
+    run the four-step float64 kernel over every limb at once; the
+    element-wise ops are :class:`Backend`'s. Fused tier: a keyswitch runs
     one (D, L+K, N) forward NTT over its digits against cached NTT-domain
     key stacks (:class:`repro.fhe.keys.KeySwitchKey`), sums the products
     unreduced and pays one inverse and a word-sized mod-down; a mat-vec
@@ -698,15 +690,6 @@ class BatchedBackend(Backend):
 
     # -- RNS tier ----------------------------------------------------------
 
-    def add(self, a, b, moduli):
-        return (a + b) % _moduli_column(moduli)
-
-    def sub(self, a, b, moduli):
-        return (a - b) % _moduli_column(moduli)
-
-    def neg(self, a, moduli):
-        return -a % _moduli_column(moduli)
-
     def mul(self, a, b, moduli):
         return ntt_mul_rns(a, b, moduli)
 
@@ -716,22 +699,6 @@ class BatchedBackend(Backend):
     def mul_ntt(self, a, fb, moduli):
         fa = ntt_forward_rns(a, moduli)
         return ntt_inverse_rns(fa * fb % _moduli_column(moduli), moduli)
-
-    def scalar_mul(self, a, value, moduli):
-        return a * _scalar_column(value, moduli) % _moduli_column(moduli)
-
-    def automorphism(self, a, k, moduli):
-        # Accepts (..., L, N): leading axes batch, so the fused
-        # rotate-keyswitch can permute both ciphertext components at once.
-        dest, sign = automorphism_map(a.shape[-1], k)
-        out = np.empty_like(a)
-        # |a * sign| < p < 2**31, so the signed product is int64-exact.
-        out[..., dest] = a * sign % _moduli_column(moduli)
-        return out
-
-    def shift(self, a, shift, moduli):
-        rolled = np.roll(np.concatenate([a, -a], -1), shift, -1)  # shift mod 2N
-        return rolled[..., : a.shape[-1]] % _moduli_column(moduli)
 
     # -- fused tier --------------------------------------------------------
 

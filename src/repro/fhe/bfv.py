@@ -446,21 +446,6 @@ class BfvContext:
         out[..., 2, :, :] %= tb.to_aux.src
         return out
 
-    def cmult(
-        self, a: BfvCiphertext, b: BfvCiphertext, rlk: KeySwitchKey
-    ) -> BfvCiphertext:
-        """Ciphertext-ciphertext multiplication with relinearization.
-
-        Tensor the ciphertexts (exactly the product of the centred integer
-        lifts, in word-sized RNS: the three stages above, bit-identical to
-        tensoring over Python integers), scale each component by t/Q with
-        rounding, then fold the quadratic term back to degree one with the
-        relinearization key — the one-pair case of the backend's
-        :meth:`~repro.fhe.backend.Backend.cmult_batch`.
-        """
-        (out,) = current_backend().cmult_batch(self, [(a, b)], rlk)
-        return out
-
     # ----- automorphisms ----------------------------------------------------
 
     def apply_galois(

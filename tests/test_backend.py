@@ -25,7 +25,7 @@ import pytest
 from repro.core.framework import AthenaPipeline
 from repro.core.plan import compile_program
 from repro.core.program import lower
-from repro.core.trace import compare_traces, executed_trace, trace_model
+from repro.core.trace import RUNTIME_PHASES, compare_traces, executed_trace, trace_model
 from repro.errors import ParameterError
 from repro.fhe import backend as backend_mod
 from repro.fhe.backend import (
@@ -40,7 +40,8 @@ from repro.fhe.backend import (
 from repro.fhe.ntt import negacyclic_mul_exact
 from repro.fhe.params import TEST_LOOP, TEST_SMALL, TEST_TINY
 from repro.fhe.poly import RnsPoly
-from repro.quant.subjects import mnist_cnn_micro
+from repro.fhe.rns import from_rns, rns_modulus, to_rns
+from repro.quant.subjects import mnist_cnn_micro, resnet_block_micro
 
 #: RNS op mix of one ResNet-20 residual block, scaled down.
 _BLOCK_MIX = {"mul": 8, "add": 96, "scalar_mul": 96, "automorphism": 16}
@@ -108,13 +109,15 @@ class TestSelection:
 
 
 class TestProtocolConformance:
-    #: Ops whose single body is engine-independent: mod_switch is a CRT
-    #: lift; cmult_batch runs the dispatch-free tensor stages and leaves the
-    #: engine its keyswitch and adds; the LWE and composite tiers delegate
-    #: to module implementations whose inner ops re-enter the active
-    #: backend. (``matvec`` left this set when it became a fused op with
-    #: two bodies.)
-    SHARED = {"mod_switch", "cmult_batch", "sample_extract", "lwe_keyswitch",
+    #: Ops whose single body is engine-independent: the element-wise RNS
+    #: ops are one pass against the (L, 1) modulus column; mod_switch is a
+    #: CRT lift; cmult_batch runs the dispatch-free tensor stages and leaves
+    #: the engine its keyswitch and adds; the LWE and composite tiers
+    #: delegate to module implementations whose inner ops re-enter the
+    #: active backend. (``matvec`` left this set when it became a fused op
+    #: with two bodies.)
+    SHARED = {"add", "sub", "neg", "scalar_mul", "automorphism", "shift",
+              "mod_switch", "cmult_batch", "sample_extract", "lwe_keyswitch",
               "lwe_rescale", "fbs", "s2c"}
 
     #: The limb arithmetic the counting wrapper counts and delegates.
@@ -122,10 +125,11 @@ class TestProtocolConformance:
                 "automorphism", "shift", "mod_switch"}
 
     def test_fast_engine_overrides_every_op_and_wrapper_only_the_rns_tier(self):
-        """Backend's bodies are the per-prime reference: an op the batched
-        engine does not override runs silently slow. The counting wrapper
-        counts the RNS tier and inherits every body above it, so what it
-        counts is what ran."""
+        """Outside the shared ops Backend's bodies are the reference (the
+        per-prime transforms, the decomposed fused tier): an op the batched
+        engine does not override runs silently slow, and a shared op it
+        overrides is a twin body. The counting wrapper counts the RNS tier
+        and inherits every body above it, so what it counts is what ran."""
         hooks = {"record", "phase"}
         ops = {
             name for name, value in vars(Backend).items()
@@ -139,6 +143,7 @@ class TestProtocolConformance:
             op for op in sorted(ops)
             if op not in self.SHARED and op not in vars(BatchedBackend)
         ] == []
+        assert self.SHARED <= ops and not self.SHARED & set(vars(BatchedBackend))
 
 
 class TestRnsBitIdentity:
@@ -233,6 +238,39 @@ class TestShift:
         poly = RnsPoly.from_int_coeffs(a, params.moduli)
         got = get_backend(engine).shift(poly.data, amount, params.moduli)
         assert np.array_equal(got, want.data)
+
+
+class TestElementwiseOracle:
+    """The element-wise RNS ops have one body for both engines; its oracle is
+    integer arithmetic mod Q on the CRT lifts (``shift``'s is
+    :class:`TestShift`)."""
+
+    @staticmethod
+    def _automorphism(x, k, q):
+        out = [0] * len(x)
+        for j, u in enumerate(x):  # X^j -> X^(jk), X^(N + r) = -X^r
+            d = j * k % (2 * len(x))
+            out[d % len(x)] = (u if d < len(x) else -u) % q
+        return out
+
+    #: op -> its exact form on the lifts x, y of a, b.
+    ORACLES = {
+        "add": lambda x, y, q: [(u + v) % q for u, v in zip(x, y)],
+        "sub": lambda x, y, q: [(u - v) % q for u, v in zip(x, y)],
+        "neg": lambda x, y, q: [-u % q for u in x],
+        "scalar_mul": lambda x, y, q: [u * -12345 % q for u in x],
+        "automorphism": lambda x, y, q: TestElementwiseOracle._automorphism(x, 3, q),
+    }
+
+    @pytest.mark.parametrize("op", sorted(ORACLES))
+    def test_op_is_integer_arithmetic_mod_q(self, op):
+        moduli = TEST_SMALL.moduli
+        rng = np.random.default_rng(18)
+        a, b = (rng.integers(0, np.array(moduli)[:, None], (len(moduli), TEST_SMALL.n))
+                for _ in range(2))
+        x, y, q = from_rns(a, moduli), from_rns(b, moduli), rns_modulus(moduli)
+        got = TestRnsBitIdentity.RNS_OPS[op](get_backend("serial"), a, b, moduli)
+        assert np.array_equal(got, to_rns(self.ORACLES[op](x, y, q), moduli))
 
 
 class TestCountingBackend:
@@ -469,3 +507,20 @@ class TestMnistOpCountParity:
         assert result.total_ms > 0
         phases = {p.phase for p in result.phases}
         assert {"linear", "se", "packing", "fbs", "s2c"} <= phases
+
+
+class TestResidualJoinIsTraced:
+    def test_a_counted_residual_run_records_only_kept_phases(self):
+        """The join ``main + alpha * skip`` is billed to ``linear``, where the
+        analytical trace bills it: every phase a counted run records is one
+        an executed trace keeps, or one of the request-invariant three."""
+        rng = np.random.default_rng(5)
+        qm = resnet_block_micro(rng)
+        x_q = rng.integers(-2, 3, qm.input_shape).astype(np.int64)
+        counting = CountingBackend()
+        with use_backend(counting):
+            plan = compile_program(lower(qm, TEST_LOOP), TEST_LOOP)
+            AthenaPipeline(TEST_LOOP, seed=7).run(plan, x_q)
+        ops = counting.ops_by_phase()
+        assert set(ops) <= set(RUNTIME_PHASES) | {"compile", "keygen", "other"}
+        assert ops["linear"]["hadd"] == 1  # the join: one ciphertext add

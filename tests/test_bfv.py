@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.fhe import slots as slotlib
+from repro.fhe.backend import current_backend
 from repro.fhe.bfv import Plaintext
 from repro.fhe.ntt import negacyclic_mul_exact
 from repro.fhe.params import TEST_TINY
@@ -129,7 +130,7 @@ class TestHomomorphicOps:
         m2 = rng.integers(0, p.t, p.n)
         c1 = small_ctx.encrypt(Plaintext.from_coeffs(m1, p), pk)
         c2 = small_ctx.encrypt(Plaintext.from_coeffs(m2, p), pk)
-        out = small_ctx.cmult(c1, c2, rlk)
+        (out,) = current_backend().cmult_batch(small_ctx, [(c1, c2)], rlk)
         expected = np.mod(negacyclic_mul_exact(list(m1), list(m2)), p.t)
         assert np.array_equal(small_ctx.decrypt(out, sk).coeffs, expected)
 
@@ -142,7 +143,7 @@ class TestHomomorphicOps:
         v2 = rng.integers(0, p.t, p.n)
         c1 = small_ctx.encrypt(Plaintext.from_slots(v1, p), pk)
         c2 = small_ctx.encrypt(Plaintext.from_slots(v2, p), pk)
-        out = small_ctx.cmult(c1, c2, rlk)
+        (out,) = current_backend().cmult_batch(small_ctx, [(c1, c2)], rlk)
         assert np.array_equal(
             small_ctx.decrypt(out, sk).to_slots(), v1 * v2 % p.t
         )
@@ -153,7 +154,7 @@ class TestHomomorphicOps:
         rlk = small_ctx.relin_key(sk)
         v = rng.integers(0, p.t, p.n)
         ct = small_ctx.encrypt(Plaintext.from_slots(v, p), pk)
-        out = small_ctx.cmult(ct, ct, rlk)
+        (out,) = current_backend().cmult_batch(small_ctx, [(ct, ct)], rlk)
         assert np.array_equal(small_ctx.decrypt(out, sk).to_slots(), v * v % p.t)
 
     def test_noise_grows_with_ops(self, small_ctx, small_keys, rng):
@@ -187,7 +188,7 @@ class TestHomomorphicOps:
             return math.log2(worst) if worst else 0.0
 
         ct = small_ctx.encrypt(Plaintext.from_coeffs(rng.integers(0, p.t, p.n), p), pk)
-        squared = small_ctx.cmult(ct, ct, small_ctx.relin_key(sk))
+        (squared,) = current_backend().cmult_batch(small_ctx, [(ct, ct)], small_ctx.relin_key(sk))
         for subject in (ct, squared, small_ctx.encrypt_zero()):
             assert small_ctx.true_noise_bits(subject, sk) == by_loop(subject)
         assert small_ctx.true_noise_bits(small_ctx.encrypt_zero(), sk) == 0.0

@@ -55,11 +55,6 @@ class TestParser:
         out = capsys.readouterr().out
         assert "ciphertext accuracy" in out
 
-    def test_infer_backend_without_plan_is_usage_error(self, capsys):
-        # The simulated engine dispatches no op, so --backend alone is inert.
-        assert main(["infer", "mnist_cnn", "--backend", "serial"]) == 2
-        assert "--backend needs --plan" in capsys.readouterr().err
-
     def test_ablation_command(self, capsys):
         assert main(["ablation", "--model", "mnist_cnn"]) == 0
         assert "no-two-region-dataflow" in capsys.readouterr().out
@@ -83,8 +78,11 @@ class TestSubjectsTable:
     @pytest.mark.parametrize("argv", [
         ["bench"], ["loadgen"], ["tune"], ["compile", "--tune"],
         ["compile", "--chunk", "16"], ["compile", "--seed", "3"],
+        # REPRO_BACKEND picks the engine of every ciphertext run.
+        ["infer", "mnist_cnn", "--backend", "serial"], ["trace", "--backend", "serial"],
+        ["serve", "--backend", "serial"],
     ], ids=["bench", "loadgen", "tune", "compile--tune", "compile--chunk",
-            "compile--seed"])
+            "compile--seed", "infer--backend", "trace--backend", "serve--backend"])
     def test_deleted_commands_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit, match="2"):
             main(argv)

@@ -16,7 +16,7 @@ built from ``negacyclic_mul_exact`` and ``from_rns_centered``. Pinned below:
 3. a sum of G products equals ``round(t * sum(e) / Q)`` for G up to the
    ``ceil(sqrt(t))`` the auxiliary basis is sized for — squares, a
    transparent-zero operand and crafted rounding edges in the list.
-4. ``cmult`` and ``giant_step_batch`` are bit-identical across engines and to
+4. ``cmult_batch`` and ``giant_step_batch`` are bit-identical across engines and to
    oracle tensor + the same keyswitch; mismatched rings raise.
 5. the overflow / precision bounds — every unreduced hand-off's among them —
    hold for every preset (tables only), a basis outside them and an
@@ -34,7 +34,7 @@ from repro.errors import ParameterError, TensorOverflow
 from repro.fhe import backend as backend_mod
 from repro.fhe import bfv as bfv_module
 from repro.fhe import rns
-from repro.fhe.backend import BATCHED, SERIAL, use_backend
+from repro.fhe.backend import BATCHED, SERIAL, current_backend, use_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext, cmult_bounds
 from repro.fhe.keys import keyswitch_bounds
 from repro.fhe.ntt import negacyclic_mul_exact
@@ -385,11 +385,10 @@ class TestTensorMatchesOracle:
         p = small_ctx.params
         rlk = small_ctx.relin_key(sk)
         m1, m2 = (rng.integers(0, p.t, p.n) for _ in range(2))
-        ct = small_ctx.cmult(
+        (ct,) = current_backend().cmult_batch(small_ctx, [(
             small_ctx.encrypt(Plaintext.from_coeffs(m1, p), pk),
             small_ctx.encrypt(Plaintext.from_coeffs(m2, p), pk),
-            rlk,
-        )
+        )], rlk)
         expect = np.mod(negacyclic_mul_exact(list(m1), list(m2)), p.t)
         assert np.array_equal(small_ctx.decrypt(ct, sk).coeffs, expect)
 
@@ -519,8 +518,8 @@ class TestCmultAndGiantStep:
     @pytest.mark.parametrize("backend", ["batched", "serial"])
     def test_cmult_and_square(self, subject, backend):
         ctx, rlk, (a, b, *_) = subject
-        with use_backend(backend):
-            got = _relinearized([ctx.cmult(a, b, rlk), ctx.cmult(a, a, rlk)])
+        with use_backend(backend) as be:
+            got = _relinearized([be.cmult_batch(ctx, [pair], rlk)[0] for pair in ((a, b), (a, a))])
         want = [_relinearised_oracle([pair], rlk) for pair in ((a, b), (a, a))]
         assert np.array_equal(got, np.stack(want))
 
@@ -566,7 +565,7 @@ class TestCmultAndGiantStep:
         other_t = BfvCiphertext(a.c0, a.c1, t193, 1.0)
         for b in (other_limbs, other_t):
             for call in (
-                lambda: ctx.cmult(a, b, rlk),
+                lambda: BATCHED.cmult_batch(ctx, [(a, b)], rlk),
                 lambda: ctx.tensor_products([(a, b)]),
                 lambda: ctx.tensor_products([(a, a), (b, a)]),
                 lambda: BATCHED.giant_step_batch(ctx, [[(a, a), (a, b)]], rlk),

@@ -200,11 +200,10 @@ class TestKeySwitchKeys:
         rlk = ctx.relin_key(sk)
         m1 = rng.integers(0, 10, p.n)
         m2 = rng.integers(0, 10, p.n)
-        out = ctx.cmult(
+        (out,) = current_backend().cmult_batch(ctx, [(
             ctx.encrypt(Plaintext.from_coeffs(m1, p), pk),
             ctx.encrypt(Plaintext.from_coeffs(m2, p), pk),
-            rlk,
-        )
+        )], rlk)
         expected = np.mod(negacyclic_mul_exact(list(m1), list(m2)), p.t)
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, expected)
 

@@ -440,7 +440,7 @@ class TestFbsEdgePlans:
 
     def test_a_form_dies_with_the_call(self, subject):
         """Nothing the caller holds carries a form afterwards, and a form
-        that is attached (an operand of a bare ``cmult``) stays out of
+        that is attached (an operand of a bare ``cmult_batch``) stays out of
         pickles, the ciphertext's own ``c0`` / ``c1``, ``==`` and ``repr``."""
         ctx, sk, rlk, x, ct = subject
         lut = _edge_luts(ctx.params.t)["relu"]
@@ -455,7 +455,7 @@ class TestFbsEdgePlans:
         assert limbs(ct) == raw and pickle.dumps(ct) == pickled
 
         twin = pickle.loads(pickled)
-        ctx.cmult(ct, ct, rlk)  # attaches: ct is an operand in its own right
+        BATCHED.cmult_batch(ctx, [(ct, ct)], rlk)  # attaches: ct is an operand in its own right
         form = vars(ct)["_tensor_form"]
         assert not form.flags.writeable and ctx.tensor_forms([ct])[0] is form
         assert form.shape == (2, len(ctx.tensor_moduli), ctx.params.n)
@@ -671,7 +671,7 @@ class TestFbsNoiseIsMeasured:
         a, b = (fbs_ctx.encrypt(Plaintext.from_slots(np.arange(p.n) + i, p), pk)
                 for i in range(2))
         one = BATCHED.giant_step_batch(fbs_ctx, [[(a, b)]], fbs_rlk)[0].noise_bits
-        assert one == fbs_ctx.cmult(a, b, fbs_rlk).noise_bits
+        assert one == BATCHED.cmult_batch(fbs_ctx, [(a, b)], fbs_rlk)[0].noise_bits
         for terms in (2, 4, 16):
             got = BATCHED.giant_step_batch(fbs_ctx, [[(a, b)] * terms], fbs_rlk)[0].noise_bits
             assert got == pytest.approx(one + np.log2(terms), abs=1e-9)

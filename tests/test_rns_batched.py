@@ -1,10 +1,11 @@
-"""Batched (residue-stacked) RNS path vs the frozen per-prime serial loop.
+"""Batched (residue-stacked) RNS path vs the per-prime serial transforms.
 
 The batched backend must be *bit-identical* to the serial reference for
-every RnsPoly operation: both reduce the same integers modulo the same
-primes, only the loop structure differs. These tests sweep random (L, N)
-stacks through every op under both backends, each selected explicitly so
-the comparison is batched-vs-serial whatever ``REPRO_BACKEND`` says.
+every RnsPoly operation: the transforms are the four-step kernel against
+per-prime radix-2 loops, and the element-wise ops share one body. These
+tests sweep random (L, N) stacks through every op under both backends, each
+selected explicitly so the comparison is batched-vs-serial whatever
+``REPRO_BACKEND`` says.
 """
 
 import numpy as np

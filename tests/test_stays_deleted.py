@@ -4,7 +4,9 @@ Each case is a grep over the tree for the names a refactor replaced — a
 twin body, a switch, a registry — and fails on any match. A case reads
 ``(rule, pattern, paths)``: ``pattern`` is an extended regular expression
 (``re.escape`` of a literal string), ``paths`` are files or directories from
-the repository root, and a ``:!path`` entry excludes that path.
+the repository root, and a ``:!path`` entry excludes that path. One more
+case reads a class's own definitions, where a grep cannot tell two classes
+of one file apart.
 """
 
 import re
@@ -127,7 +129,24 @@ STAYS_DELETED = [
     ("plan-is-complete-when-loaded",
      r"_annotate_lanes|s2c_plan",
      "src/repro/fhe/serialize.py"),
+    # One RNS body for the element-wise ops (no per-limb reference loop beside the
+    # stacked pass: add / sub / neg's in-place %, scalar_mul's per-prime scalar,
+    # automorphism's per-limb scatter, shift's per-limb roll).
+    ("one-elementwise-rns-body",
+     r"\]\s*%= p\b|\(value % p\)|i, dest\]|limb = a\[",
+     "src/repro/fhe/backend.py"),
+    # One engine switch (REPRO_BACKEND; no CLI flag beside it).
+    ("one-engine-switch",
+     re.escape('"--backend"'),
+     "src/repro/cli.py"),
+    # One CMult entry point (a single CMult is a one-pair cmult_batch).
+    ("one-cmult-entry",
+     re.escape("def cmult("),
+     "src/repro/fhe/bfv.py"),
 ]
+
+#: The element-wise RNS ops, one body on every engine (Backend's).
+ONE_RNS_BODY = {"add", "sub", "neg", "scalar_mul", "automorphism", "shift"}
 
 
 def _generated(path: Path) -> bool:
@@ -164,3 +183,11 @@ def grep(pattern: str, paths: str) -> list[str]:
     pytest.param(pattern, paths, id=rule) for rule, pattern, paths in STAYS_DELETED])
 def test_stays_deleted(pattern, paths):
     assert grep(pattern, paths) == []
+
+
+def test_the_fast_engine_defines_no_elementwise_rns_op():
+    """Both engines live in one file, where a grep cannot tell their
+    methods apart: the fast engine's own definitions are read instead."""
+    from repro.fhe.backend import BatchedBackend
+
+    assert ONE_RNS_BODY & set(vars(BatchedBackend)) == set()
