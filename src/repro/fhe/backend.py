@@ -21,7 +21,8 @@ differ:
 Every other op has one body, on :class:`Backend`: the element-wise RNS ops
 (``add``, ``sub``, ``neg``, ``scalar_mul``, ``automorphism``, ``shift``:
 one numpy pass against the (L, 1) modulus column), :meth:`Backend.mod_switch`,
-:meth:`Backend.cmult_batch`, the LWE and composite tiers.
+:meth:`Backend.cmult_batch`, :meth:`Backend.giant_step_batch` (the engines
+differ in its product sum only), the LWE and composite tiers.
 :class:`CountingBackend` (``counting``), the only wrapper and the one way to
 observe a run, counts and delegates the RNS tier only: every op above runs
 its reference body, each count — in the units of
@@ -179,6 +180,14 @@ def ntt_automorphism_perm(n: int, k: int) -> np.ndarray:
     return perm
 
 
+@lru_cache(maxsize=256)
+def _automorphism_perms(n: int, elements: tuple[int, ...]) -> np.ndarray:
+    """The (E, 1, N) :func:`ntt_automorphism_perm` rows of one element set."""
+    perms = np.stack([ntt_automorphism_perm(n, k) for k in elements])[:, None, :]
+    perms.setflags(write=False)
+    return perms
+
+
 def warm_automorphism(n: int, k: int) -> None:
     """Build both index tables of X -> X^k now (a compile-time hook)."""
     automorphism_map(n, k)
@@ -214,16 +223,19 @@ def _mod_up(data, moduli, both) -> np.ndarray:
     N) stack over ``both`` = Q u P: digit j is the centred lift of the
     residues in group j — its own rows as they stand, one exact base
     extension into every other limb (the CRT idempotent sits in the key),
-    left unreduced: the digits' consumers, transforms and automorphisms,
-    reduce on entry."""
-    digits = []
-    for rows in digit_groups(len(moduli), both):
-        lo, hi = rows.start, rows.stop
-        group = moduli[rows]
-        ext = rns.base_extend(data[..., rows, :], group, both[:lo] + both[hi:],
-                              shift=rns.rns_modulus(group) // 2)
-        digits.append(np.concatenate([ext[..., :lo, :], data[..., rows, :], ext[..., lo:, :]], -2))
-    return np.stack(digits, axis=-3)
+    written in place and left unreduced: the digits' consumers, transforms
+    and automorphisms, reduce on entry."""
+    groups = digit_groups(len(moduli), both)
+    out = np.empty(data.shape[:-2] + (len(groups), len(both), data.shape[-1]), dtype=np.int64)
+    for j, rows in enumerate(groups):
+        lo, hi, digit = rows.start, rows.stop, out[..., j, :, :]
+        digit[..., rows, :] = data[..., rows, :]
+        ext = rns.base_extend(data[..., rows, :], moduli[rows], both[:lo] + both[hi:],
+                              shift=rns.rns_modulus(moduli[rows]) // 2,
+                              out=None if lo else digit[..., hi:, :])
+        if lo:  # the extension's rows lie on both sides of the group's
+            digit[..., :lo, :], digit[..., hi:, :] = ext[..., :lo, :], ext[..., lo:, :]
+    return out
 
 
 def _mod_down(x, moduli, both, ntt=False) -> np.ndarray:
@@ -250,18 +262,18 @@ def _galois_key(rotation_keys, k: int):
     return k, rotation_keys[k]
 
 
-def _key_products(fd, k0, k1, both):
+def _key_products(fd, halves, both):
     """Evaluation-domain (..., 2, L+K, N) (delta_c0, delta_c1) over ``both`` = Q u P
-    of (..., D, L+K, N) transformed digits against (stacked) cached key halves,
-    unreduced: runs of :func:`lazy_product_limit` products, a ``%`` each only
+    of (..., D, L+K, N) transformed digits against a (stacked) cached (..., 2,
+    D, L+K, N) key (:attr:`repro.fhe.keys.KeySwitchKey.halves`), unreduced: one
+    contraction per run of :func:`lazy_product_limit` digits, a ``%`` each only
     if there are two ("key_sum" of :func:`repro.fhe.keys.keyswitch_bounds`)."""
-    mods, run = _moduli_column(both), lazy_product_limit(both)
-    runs = [np.s_[..., r : r + run, :, :] for r in range(0, fd.shape[-3], run)]
-
-    def half(k):
-        sums = [np.einsum("...dln,...dln->...ln", fd[d], k[d]) for d in runs]
-        return sums[0] if len(sums) == 1 else sum(part % mods for part in sums)
-    return np.stack([half(k0), half(k1)], axis=-3)
+    if fd.shape[-3] == 1:  # one digit: (d0, d1) is one product
+        return np.multiply(fd, halves[..., 0, :, :])
+    run = lazy_product_limit(both)
+    sums = [np.einsum("...dln,...kdln->...kln", fd[..., r : r + run, :, :],
+                      halves[..., r : r + run, :, :]) for r in range(0, fd.shape[-3], run)]
+    return sums[0] if len(sums) == 1 else sum(part % _moduli_column(both) for part in sums)
 
 
 def _stacked_keyswitch(data, ksk, moduli, perm=slice(None)):
@@ -270,7 +282,7 @@ def _stacked_keyswitch(data, ksk, moduli, perm=slice(None)):
     automorphism), the lazy key products, one inverse pass, the mod-down."""
     both = ksk.moduli
     fd = ntt_forward_rns(_mod_up(data, moduli, both), both)[..., perm]
-    out = _mod_down(ntt_inverse_rns(_key_products(fd, ksk.k0, ksk.k1, both), both), moduli, both)
+    out = _mod_down(ntt_inverse_rns(_key_products(fd, ksk.halves, both), both), moduli, both)
     return out[..., 0, :, :], out[..., 1, :, :]
 
 
@@ -284,8 +296,9 @@ def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
     one parent per element (giants), returns the (2, L, N) *sum* of the
     images under one mod-down, which is linear (``mod_down(P a + w) = a +
     mod_down(w)``). Per chunk of :data:`CMULT_BATCH_ELEMS` digit elements:
-    mod-up and digit transform, a gather by :func:`ntt_automorphism_perm`,
-    the key products; the mod-down stays in the evaluation domain.
+    mod-up and digit transform, a gather by :func:`ntt_automorphism_perm`
+    (built once per element set), the key products against each key, never
+    a stacked copy of them; the mod-down stays in the evaluation domain.
     """
     n, num_limbs = c1.shape[-1], len(moduli)
     shared = c1.ndim == 2
@@ -296,15 +309,15 @@ def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
     both = keys[0].moduli  # one basis per parameter set: any key's Q u P serves all
     if shared:
         fd = ntt_forward_rns(_mod_up(c1, moduli, both), both)[None]
-    perms = np.stack([ntt_automorphism_perm(n, k) for k in elements])[:, None, :]
-    chunk = max(1, CMULT_BATCH_ELEMS // keys[0].k0.size)  # a digit stack is the key's shape
+    perms = _automorphism_perms(n, tuple(elements))
+    chunk = max(1, CMULT_BATCH_ELEMS // keys[0].halves[0].size)  # a digit stack: one half's shape
     wide = 0
     for lo in range(0, len(keys), chunk):
         part = slice(lo, lo + chunk)
         if not shared:
             fd = ntt_forward_rns(_mod_up(c1[part], moduli, both), both)
-        k0, k1 = (np.stack(half) for half in zip(*[(gk.k0, gk.k1) for gk in keys[part]]))
-        products = _key_products(np.take_along_axis(fd, perms[part, None], -1), k0, k1, both)
+        gathered = zip(np.take_along_axis(fd, perms[part, None], -1), keys[part])
+        products = np.array([_key_products(x, gk.halves, both) for x, gk in gathered])
         if shared:
             out[part] = _mod_down(products, moduli, both, ntt=True)
         else:  # E reduced terms, far inside lazy_chain_limit
@@ -431,7 +444,7 @@ class Backend:
         :meth:`_divide_by_p` takes down to Q."""
         both = ksk.moduli
         out = [np.zeros_like(digits[0]), np.zeros_like(digits[0])]
-        for dig, *keys in zip(digits, ksk.k0, ksk.k1):
+        for dig, *keys in zip(digits, *ksk.halves):
             out = [self.add(acc, self.mul_ntt(dig, k, both), both) for acc, k in zip(out, keys)]
         # Base-conversion outputs of the mod-up: D(L+K) - L.
         self.record("rnsconv", (digits.size // digits.shape[-1] - len(moduli)) * digits.shape[-1])
@@ -540,34 +553,34 @@ class Backend:
         ``stacks``, one ciphertext each.
 
         The tensor is linear, so a ciphertext's G products accumulate in the
-        evaluation domain of Q u P (:meth:`BfvContext.tensor_products`) and
-        share one scale-round and one keyswitch. Reference: per ciphertext,
-        per-pair products joined by G - 1 additions over Q u P (the first
-        reduced, so each addition meets one unreduced pair), the keyswitch,
-        the two correction adds; BatchedBackend sums stacked products in
-        runs, and the whole stack shares one scale-round and one keyswitch.
-        Both sums are exact, so the bodies are bit-identical.
+        evaluation domain of Q u P (:meth:`BfvContext.tensor_products`), and
+        the whole stack shares one operand pass, one scale-round and one
+        keyswitch. One body for every engine; only the sum
+        (:meth:`_tensor_sums`) differs, and both sums are exact, so the
+        engines are bit-identical.
         """
-        from repro.fhe.bfv import BfvCiphertext
-        from repro.fhe.poly import RnsPoly
-
-        moduli, both = ctx.params.moduli, ctx.tensor_moduli
-        out = []
         for pairs in stacks:
             ctx.check_tensor_terms(len(pairs))
-            ctx.tensor_forms([ct for pair in pairs for ct in pair])
+        ctx.tensor_forms([ct for pairs in stacks for pair in pairs for ct in pair])
+        self.record("keyswitch", len(stacks))
+        return self._relinearise(ctx, self._tensor_sums(ctx, stacks), rlk,
+                                 [ctx.cmult_noise(pairs) for pairs in stacks])
+
+    def _tensor_sums(self, ctx, stacks):
+        """The (C, 3, L+K, N) sums of each ciphertext's products. Reference:
+        per-pair products joined by G - 1 additions over Q u P (the first
+        reduced, so each addition meets one unreduced pair); BatchedBackend
+        sums stacked products in runs."""
+        both = ctx.tensor_moduli
+        sums = []
+        for pairs in stacks:
             acc = None
             for pair in pairs:
                 self.record("cmult")
                 (e,) = ctx.tensor_products([pair])
                 acc = e % _moduli_column(both) if acc is None else self.add(acc, e, both)
-            r0, r1, r2 = ctx.tensor_scale_round(acc)
-            self.record("keyswitch")
-            d0, d1 = self.keyswitch(r2, rlk, moduli)
-            c0 = RnsPoly(self.add(r0, d0, moduli), moduli)
-            c1 = RnsPoly(self.add(r1, d1, moduli), moduli)
-            out.append(BfvCiphertext(c0, c1, ctx.params, ctx.cmult_noise(pairs)))
-        return out
+            sums.append(acc)
+        return np.array(sums)
 
     def cmult_batch(self, ctx, pairs, rlk):
         """Relinearised products of independent CMults (one FBS ladder
@@ -581,24 +594,29 @@ class Backend:
         scale-round, one :meth:`keyswitch` of the (B, L, N) quadratic
         components and one call per correction add.
         """
-        from repro.fhe.bfv import BfvCiphertext
-        from repro.fhe.poly import RnsPoly
-
-        params = ctx.params
-        moduli = params.moduli
-        chunk = cmult_chunk(params)
+        chunk = cmult_chunk(ctx.params)
         ctx.tensor_forms([ct for pair in pairs for ct in pair])
         out = []
         for lo in range(0, len(pairs), chunk):
             part = pairs[lo : lo + chunk]
             self.record("cmult", len(part))
             self.record("keyswitch", len(part))
-            r = ctx.tensor_scale_round(ctx.tensor_products(part))
-            d0, d1 = self.keyswitch(r[:, 2], rlk, moduli)
-            c0, c1 = self.add(r[:, 0], d0, moduli), self.add(r[:, 1], d1, moduli)
-            out += [BfvCiphertext(RnsPoly(x, moduli), RnsPoly(y, moduli), params,
-                                  ctx.cmult_noise([pair])) for x, y, pair in zip(c0, c1, part)]
+            out += self._relinearise(ctx, ctx.tensor_products(part), rlk,
+                                     [ctx.cmult_noise([pair]) for pair in part])
         return out
+
+    def _relinearise(self, ctx, e, rlk, noises):
+        """The (B, 3, L+K, N) tensors ``e`` as B ciphertexts: one scale-round,
+        one :meth:`keyswitch` of the quadratic components, the correction adds."""
+        from repro.fhe.bfv import BfvCiphertext
+        from repro.fhe.poly import RnsPoly
+
+        moduli = ctx.params.moduli
+        r = ctx.tensor_scale_round(e)
+        d0, d1 = self.keyswitch(r[:, 2], rlk, moduli)
+        c0, c1 = self.add(r[:, 0], d0, moduli), self.add(r[:, 1], d1, moduli)
+        return [BfvCiphertext(RnsPoly(x, moduli), RnsPoly(y, moduli), ctx.params, noise)
+                for x, y, noise in zip(c0, c1, noises)]
 
     def lincomb(self, stack, coeffs, moduli):
         """Row g of the (G, 2C, L, N) result is ``sum_j coeffs[g, j] *
@@ -681,8 +699,9 @@ class BatchedBackend(Backend):
     key stacks (:class:`repro.fhe.keys.KeySwitchKey`), sums the products
     unreduced and pays one inverse and a word-sized mod-down; a mat-vec
     hoists every image of one ciphertext on one digit transform and its
-    giants under one mod-down (:func:`hoisted_rotations`). Bit-identical to
-    the reference: the NTT is linear mod p.
+    giants under one mod-down (:func:`hoisted_rotations`); a giant step sums
+    its stacked products in runs. Bit-identical to the reference: the NTT is
+    linear mod p.
     """
 
     name = "batched"
@@ -705,7 +724,7 @@ class BatchedBackend(Backend):
     def hadd_many(self, arrays, moduli):
         if len(arrays) == 1:
             return arrays[0]
-        return lazy_reduce_sum(np.stack(arrays), moduli)
+        return lazy_reduce_sum(np.array(arrays), moduli)
 
     def keyswitch(self, data, ksk, moduli):
         return _stacked_keyswitch(data, ksk, moduli)
@@ -760,13 +779,8 @@ class BatchedBackend(Backend):
         out = ntt_inverse_rns(out, moduli)
         return out[0], out[1]
 
-    def giant_step_batch(self, ctx, stacks, rlk):
-        from repro.fhe.bfv import BfvCiphertext
-        from repro.fhe.poly import RnsPoly
-
-        for pairs in stacks:
-            ctx.check_tensor_terms(len(pairs))
-        moduli, both = ctx.params.moduli, ctx.tensor_moduli
+    def _tensor_sums(self, ctx, stacks):
+        both = ctx.tensor_moduli
         mods, run = _moduli_column(both), lazy_product_limit(both)
         # A chunk of G' pairs peaks at 7 (G', L+K, N) operand and product
         # rows. Each ciphertext's components sum in runs of `run` products
@@ -779,11 +793,7 @@ class BatchedBackend(Backend):
                 for comp, pairs_a_run in ((slice(0, 3, 2), run), (1, run // 2)):
                     runs = np.add.reduceat(products[:, comp], range(0, len(products), pairs_a_run))
                     acc[comp] += (runs % mods).sum(axis=0)
-        r = ctx.tensor_scale_round(e)
-        d0, d1 = self.keyswitch(r[:, 2], rlk, moduli)
-        c0, c1 = self.add(r[:, 0], d0, moduli), self.add(r[:, 1], d1, moduli)
-        return [BfvCiphertext(RnsPoly(x, moduli), RnsPoly(y, moduli), ctx.params,
-                              ctx.cmult_noise(pairs)) for x, y, pairs in zip(c0, c1, stacks)]
+        return e
 
     def lincomb(self, stack, coeffs, moduli):
         # Exact in float64 while a chunk sums below 2**53 (one chunk at ATHENA).

@@ -398,15 +398,17 @@ class BfvContext:
         so a square or a power feeding several powers
         enters Q u P once — and those of ``cts`` without one, together.
         """
-        if any(ct.params != self.params for ct in cts):
+        if any(ct.params is not self.params and ct.params != self.params for ct in cts):
             raise ParameterError("ring mismatch between operands")
         todo = list({id(ct): ct for ct in cts
                      if getattr(ct, "_tensor_form", None) is None}.values())
         if todo:
-            tb = _tensor_tables(self.params)
-            ops = np.array([(ct.c0.data, ct.c1.data) for ct in todo])
-            ext = rns.base_extend(ops, self.params.moduli, tb.aux, shift=self.params.q // 2)
-            forms = ntt_forward_rns(np.concatenate([ops, ext], axis=-2), tb.both)
+            tb, num_limbs, n = _tensor_tables(self.params), self.params.num_limbs, self.params.n
+            ops = np.empty((len(todo), 2, len(tb.both), n), dtype=np.int64)  # (c0, c1) over Q u P
+            ops[..., :num_limbs, :] = [(ct.c0.data, ct.c1.data) for ct in todo]
+            rns.base_extend(ops[..., :num_limbs, :], self.params.moduli, tb.aux,
+                            shift=self.params.q // 2, out=ops[..., num_limbs:, :])
+            forms = ntt_forward_rns(ops, tb.both)
             forms.setflags(write=False)
             for ct, form in zip(todo, forms):
                 ct._tensor_form = form
@@ -418,11 +420,11 @@ class BfvContext:
         below 2**63, :func:`cmult_bounds` "pair_sum"): the inverse transform
         of stage 3 reduces on entry, and a sum over pairs reduces in runs."""
         forms = self.tensor_forms([ct for pair in pairs for ct in pair])
-        a, b = np.stack(forms[0::2]), np.stack(forms[1::2])
+        a, b = np.array(forms[0::2]), np.array(forms[1::2])
         e = np.empty((len(pairs), 3) + a.shape[2:], dtype=np.int64)
-        np.multiply(a[:, 0], b[:, 0], out=e[:, 0])
-        np.einsum("gcln,gcln->gln", a, b[:, ::-1], out=e[:, 1])
+        np.multiply(a[:, :1], b, out=e[:, :2])
         np.multiply(a[:, 1], b[:, 1], out=e[:, 2])
+        e[:, 1] += a[:, 1] * b[:, 0]
         return e
 
     def tensor_scale_round(self, e: np.ndarray) -> np.ndarray:
@@ -440,7 +442,7 @@ class BfvContext:
         tb, num_limbs = _tensor_tables(self.params), self.params.num_limbs
         x = ntt_inverse_rns(e, tb.both)
         digits = tb.to_aux.extend(tb.to_aux.digits(x[..., :num_limbs, :]))
-        digits += x[..., num_limbs:, :] * tb.t_digits
+        digits += np.multiply(x[..., num_limbs:, :], tb.t_digits, out=x[..., num_limbs:, :])
         digits %= tb.to_q.src
         out = tb.to_q.extend(digits)
         out[..., 2, :, :] %= tb.to_aux.src

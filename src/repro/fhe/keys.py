@@ -78,11 +78,11 @@ def _uniform_poly(moduli: tuple[int, ...], n: int, sampler: Sampler) -> RnsPoly:
 @dataclass
 class KeySwitchKey:
     """Hybrid keyswitch key from secret ``g`` to secret ``s``: the read-only
-    (D, L+K, N) evaluation-domain stacks of both halves over Q u P,
-    transformed once at generation, so no keyswitch pays a key transform."""
+    (2, D, L+K, N) evaluation-domain stack of both halves over Q u P,
+    transformed once at generation, so no keyswitch pays a key transform and
+    the key products are one contraction against it."""
 
-    k0: np.ndarray  # -(a_j s) + e_j + P g delta_j
-    k1: np.ndarray  # a_j
+    halves: np.ndarray  # [-(a_j s) + e_j + P g delta_j, a_j]
     moduli: tuple[int, ...]  # Q u P: Q's limbs, then the special primes
 
     @classmethod
@@ -102,10 +102,9 @@ class KeySwitchKey:
             b.data[rows] = (b.data[rows] + payload[rows]) % mods[rows]
             k0.append(b.data)
             k1.append(a.data)
-        halves = [ntt_forward_rns(np.stack(half), both) for half in (k0, k1)]
-        for arr in halves:
-            arr.setflags(write=False)
-        return cls(*halves, both)
+        halves = ntt_forward_rns(np.array([k0, k1]), both)
+        halves.setflags(write=False)
+        return cls(halves, both)
 
 
 def keyswitch_bounds(params: FheParams) -> dict[str, tuple[int, int]]:

@@ -49,7 +49,6 @@ from repro.fhe.keys import KeySwitchKey, PublicKey, SecretKey
 from repro.fhe.lwe import LweBatch
 from repro.fhe.ntt import ntt_forward_rns, ntt_inverse_rns
 from repro.fhe.poly import RnsPoly
-from repro.fhe.rns import to_rns
 from repro.utils.modmath import centered_array
 
 
@@ -197,8 +196,11 @@ class MatvecPlan:
             rolled = np.concatenate(
                 [diagonals[rows, cols], diagonals[rows, half + cols]], axis=1
             )
-            coeffs = centered_array(slotlib.slot_encode(rolled, n, params.t), params.t)
-            stack[lo : lo + chunk] = be.ntt(to_rns(coeffs, moduli), moduli)
+            coeffs = slotlib.slot_encode(rolled, n, params.t)  # canonical: centre, no %
+            coeffs -= params.t * (coeffs > params.t // 2)
+            # every limb reads the one row: the forward transform reduces on entry
+            limbs = np.broadcast_to(coeffs[:, None], (len(coeffs),) + stack.shape[1:])
+            stack[lo : lo + chunk] = be.ntt(limbs, moduli)
         stack.setflags(write=False)
         bounds = np.flatnonzero(np.diff(giant, prepend=-1, append=-1))
         groups = tuple(

@@ -16,6 +16,7 @@ estimate is too close to an integer to trust).
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -96,6 +97,22 @@ def from_rns_centered(residues: np.ndarray, moduli: tuple[int, ...]) -> list[int
     return np.where(lifted > half, lifted - q, lifted).tolist()
 
 
+#: Elements of a thread's float64 scratch buffer (:func:`scratch`), 512 KiB.
+SCRATCH_ELEMS = 1 << 16
+_SCRATCH = threading.local()
+
+
+def scratch(size: int) -> np.ndarray:
+    """``size`` float64 elements of this thread's one scratch buffer (a fresh
+    array above :data:`SCRATCH_ELEMS`) for a kernel's temporaries: never
+    returned, never held across a call into another kernel."""
+    if size > SCRATCH_ELEMS:
+        return np.empty(size)
+    if not hasattr(_SCRATCH, "buf"):
+        _SCRATCH.buf = np.empty(SCRATCH_ELEMS)
+    return _SCRATCH.buf[:size]
+
+
 #: Half-width of the band around every integer inside which the float64
 #: estimate of a CRT overflow count is not trusted and :func:`base_extend`
 #: recomputes it exactly. Must exceed :func:`overflow_estimate_error` for the
@@ -151,23 +168,28 @@ class _ExtensionTables(NamedTuple):
 
     def digits(self, residues: np.ndarray) -> np.ndarray:
         """CRT digits [(scale * x_i + shift) * (Q/p_i)^-1] mod p_i, < 2**63 before the %."""
-        return np.remainder(residues * self.inv + self.shift_inv, self.src)
+        xi = residues * self.inv + self.shift_inv
+        return np.remainder(xi, self.src, out=xi)
 
-    def extend(self, xi: np.ndarray) -> np.ndarray:
-        """The rows from canonical (..., L, N) CRT digits."""
+    def extend(self, xi: np.ndarray, out=None) -> np.ndarray:
+        """The rows from canonical (..., L, N) CRT digits, into ``out`` if given."""
         limbs, v = xi.shape[-2], 2 * xi.shape[-2]
-        operand = np.empty(xi.shape[:-2] + (v + 2, xi.shape[-1]))  # [hi; lo; v; 1]
+        shape = xi.shape[:-2] + (v + 2, xi.shape[-1])
+        operand = scratch(math.prod(shape)).reshape(shape)  # [hi; lo; v; 1]
         np.right_shift(xi, _SPLIT_BITS, out=operand[..., :limbs, :])
         np.bitwise_and(xi, (1 << _SPLIT_BITS) - 1, out=operand[..., limbs:v, :])
-        estimate = np.matmul(self.estimate, operand[..., :v, :])[..., 0, :]
-        overflow = np.floor(estimate, out=operand[..., v, :])
-        doubtful = np.abs(estimate - overflow - 0.5) > 0.5 - V_AMBIGUITY
-        if doubtful.any():
-            for at in zip(*np.nonzero(doubtful)):
+        frac = np.matmul(self.estimate, operand[..., :v, :])
+        np.modf(frac, out=(frac, operand[..., v : v + 1, :]))  # the estimate is >= 0
+        if (np.minimum.reduce(frac, None, initial=0.5) < V_AMBIGUITY
+                or np.maximum.reduce(frac, None, initial=0.5) > 1 - V_AMBIGUITY):
+            overflow = operand[..., v, :]
+            for at in zip(*np.nonzero(np.abs(frac[..., 0, :] - 0.5) > 0.5 - V_AMBIGUITY)):
                 overflow[at] = _exact_overflow(xi[at[:-1] + (slice(None), at[-1])], self.basis)
         operand[..., v + 1, :] = 1.0
-        # Exact in float64 (extension_bounds), so BLAS does the sum.
-        return np.matmul(self.weights, operand).astype(np.int64)
+        # Exact in float64 (extension_bounds), so BLAS does the sum and the cast.
+        if out is None:
+            out = np.empty(xi.shape[:-2] + self.weights.shape[:1] + xi.shape[-1:], np.int64)
+        return np.matmul(self.weights, operand, out=out, casting="unsafe")
 
 
 @lru_cache(maxsize=None)
@@ -216,6 +238,7 @@ def base_extend(
     dst: tuple[int, ...],
     scale: int = 1,
     shift: int = 0,
+    out=None,
 ) -> np.ndarray:
     """Exact change of RNS basis on int64 arrays: (..., L, N) -> (..., K, N).
 
@@ -237,10 +260,11 @@ def base_extend(
     elsewhere — z within about Q * 2**-30 of 0 or Q — v comes from Python
     integers, so every input is exact. A second product over ``[hi; lo; v;
     1]`` gives the rows, v * Q and the shift as two more weight columns.
-    Centred, zeros and small values of either sign sit mid-interval.
+    Centred, zeros and small values of either sign sit mid-interval. The
+    rows go into ``out`` when given (:meth:`_ExtensionTables.extend`).
     """
     tb = _extension_tables(src, dst, scale, shift, None)
-    return tb.extend(tb.digits(residues))
+    return tb.extend(tb.digits(residues), out)
 
 
 def rns_modulus(moduli: tuple[int, ...]) -> int:

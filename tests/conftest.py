@@ -126,6 +126,17 @@ def keyswitch_noise_bound(params) -> float:
     return len(groups) * n * 6 * SIGMA * widest / 2 / p + (n + 1) / 2
 
 
+def monomial_map(coeffs, k: int, shift: int, q: int) -> list[int]:
+    """x(X^k) * X^shift mod (X^N + 1, q) on a list of integer coefficients:
+    the exact oracle of an automorphism (shift 0) and of a shift (k = 1)."""
+    n = len(coeffs)
+    out = [0] * n
+    for j, u in enumerate(coeffs):  # X^j -> X^(jk + shift), X^(N + r) = -X^r
+        d = (j * k + shift) % (2 * n)
+        out[d % n] = (u if d < n else -u) % q
+    return out
+
+
 def assert_rounding_apart(x, y, moduli, roundings: int) -> None:
     """``x - y`` over Q is one small integer polynomial (the same on every
     limb) with |coefficient| <= ``roundings // 2``: the mod-down of a sum

@@ -42,6 +42,7 @@ from repro.fhe.params import TEST_LOOP, TEST_SMALL, TEST_TINY
 from repro.fhe.poly import RnsPoly
 from repro.fhe.rns import from_rns, rns_modulus, to_rns
 from repro.quant.subjects import mnist_cnn_micro, resnet_block_micro
+from tests.conftest import monomial_map
 
 #: RNS op mix of one ResNet-20 residual block, scaled down.
 _BLOCK_MIX = {"mul": 8, "add": 96, "scalar_mul": 96, "automorphism": 16}
@@ -111,14 +112,14 @@ class TestSelection:
 class TestProtocolConformance:
     #: Ops whose single body is engine-independent: the element-wise RNS
     #: ops are one pass against the (L, 1) modulus column; mod_switch is a
-    #: CRT lift; cmult_batch runs the dispatch-free tensor stages and leaves
-    #: the engine its keyswitch and adds; the LWE and composite tiers
-    #: delegate to module implementations whose inner ops re-enter the
-    #: active backend. (``matvec`` left this set when it became a fused op
-    #: with two bodies.)
+    #: CRT lift; cmult_batch and giant_step_batch run the dispatch-free
+    #: tensor stages and leave the engine its keyswitch, adds and (the giant
+    #: step's) product sum; the LWE and composite tiers delegate to module
+    #: implementations whose inner ops re-enter the active backend.
+    #: (``matvec`` left this set when it became a fused op with two bodies.)
     SHARED = {"add", "sub", "neg", "scalar_mul", "automorphism", "shift",
-              "mod_switch", "cmult_batch", "sample_extract", "lwe_keyswitch",
-              "lwe_rescale", "fbs", "s2c"}
+              "mod_switch", "cmult_batch", "giant_step_batch", "sample_extract",
+              "lwe_keyswitch", "lwe_rescale", "fbs", "s2c"}
 
     #: The limb arithmetic the counting wrapper counts and delegates.
     RNS_TIER = {"add", "sub", "neg", "mul", "ntt", "mul_ntt", "scalar_mul",
@@ -146,26 +147,32 @@ class TestProtocolConformance:
         assert self.SHARED <= ops and not self.SHARED & set(vars(BatchedBackend))
 
 
+#: The RnsPoly ops of :class:`TestRnsBitIdentity`, each with its oracle on the
+#: CRT lifts x, y mod Q; ``mul``, whose engines run different algorithms, has
+#: none: its engines are compared with each other.
+_POLY_OPS = [
+    (lambda a, b: a + b, lambda x, y, q: [(u + v) % q for u, v in zip(x, y)]),
+    (lambda a, b: a - b, lambda x, y, q: [(u - v) % q for u, v in zip(x, y)]),
+    (lambda a, b: -a, lambda x, y, q: [-u % q for u in x]),
+    (lambda a, b: a * b, None),
+    (lambda a, b: a.scalar_mul(12345), lambda x, y, q: [u * 12345 % q for u in x]),
+    (lambda a, b: a.automorphism(3), lambda x, y, q: monomial_map(x, 3, 0, q)),
+    (lambda a, b: a.negacyclic_shift(5), lambda x, y, q: monomial_map(x, 1, 5, q)),
+]
+
+
 class TestRnsBitIdentity:
-    """Batched == Serial == Counting(Batched) for every RnsPoly op."""
+    """Batched == Serial == Counting(Batched) for every RnsPoly op, and the
+    element-wise ones equal to integer arithmetic mod Q on the CRT lifts
+    (they run one body on every engine: comparing engines alone compares
+    that body with itself)."""
 
     BACKENDS = ("batched", "serial", "counting")
 
     def _resolve(self, name):
         return CountingBackend("batched") if name == "counting" else name
 
-    @pytest.mark.parametrize(
-        "op",
-        [
-            lambda a, b: a + b,
-            lambda a, b: a - b,
-            lambda a, b: -a,
-            lambda a, b: a * b,
-            lambda a, b: a.scalar_mul(12345),
-            lambda a, b: a.automorphism(3),
-            lambda a, b: a.negacyclic_shift(5),
-        ],
-    )
+    @pytest.mark.parametrize("op", [op for op, _ in _POLY_OPS])
     def test_op_identical_across_backends(self, op):
         rng = np.random.default_rng(11)
         a, b = _random_poly(rng, TEST_LOOP), _random_poly(rng, TEST_LOOP)
@@ -175,6 +182,10 @@ class TestRnsBitIdentity:
                 results.append(op(a, b).data)
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], results[2])
+        oracle, moduli = dict(_POLY_OPS)[op], TEST_LOOP.moduli
+        if oracle is not None:
+            want = oracle(from_rns(a.data, moduli), from_rns(b.data, moduli), rns_modulus(moduli))
+            assert np.array_equal(results[0], to_rns(want, moduli))
 
     #: Every RNS-tier op on raw residue stacks; ``b`` doubles as the
     #: evaluation-domain operand of ``mul_ntt``.
@@ -245,21 +256,23 @@ class TestElementwiseOracle:
     integer arithmetic mod Q on the CRT lifts (``shift``'s is
     :class:`TestShift`)."""
 
-    @staticmethod
-    def _automorphism(x, k, q):
-        out = [0] * len(x)
-        for j, u in enumerate(x):  # X^j -> X^(jk), X^(N + r) = -X^r
-            d = j * k % (2 * len(x))
-            out[d % len(x)] = (u if d < len(x) else -u) % q
-        return out
-
-    #: op -> its exact form on the lifts x, y of a, b.
+    #: op -> (its run on raw residue stacks, its exact form on the lifts x, y
+    #: of a, b): every input the engine comparisons once used.
     ORACLES = {
-        "add": lambda x, y, q: [(u + v) % q for u, v in zip(x, y)],
-        "sub": lambda x, y, q: [(u - v) % q for u, v in zip(x, y)],
-        "neg": lambda x, y, q: [-u % q for u in x],
-        "scalar_mul": lambda x, y, q: [u * -12345 % q for u in x],
-        "automorphism": lambda x, y, q: TestElementwiseOracle._automorphism(x, 3, q),
+        "add": (TestRnsBitIdentity.RNS_OPS["add"],
+                lambda x, y, q: [(u + v) % q for u, v in zip(x, y)]),
+        "sub": (TestRnsBitIdentity.RNS_OPS["sub"],
+                lambda x, y, q: [(u - v) % q for u, v in zip(x, y)]),
+        "neg": (TestRnsBitIdentity.RNS_OPS["neg"], lambda x, y, q: [-u % q for u in x]),
+        "scalar_mul": (TestRnsBitIdentity.RNS_OPS["scalar_mul"],
+                       lambda x, y, q: [u * -12345 % q for u in x]),
+        "scalar_mul_positive": (lambda be, a, b, m: be.scalar_mul(a, 12345, m),
+                                lambda x, y, q: [u * 12345 % q for u in x]),
+        "automorphism": (TestRnsBitIdentity.RNS_OPS["automorphism"],
+                         lambda x, y, q: monomial_map(x, 3, 0, q)),
+        "automorphism_2n_minus_1": (
+            lambda be, a, b, m: be.automorphism(a, 2 * a.shape[-1] - 1, m),
+            lambda x, y, q: monomial_map(x, 2 * len(x) - 1, 0, q)),
     }
 
     @pytest.mark.parametrize("op", sorted(ORACLES))
@@ -269,8 +282,9 @@ class TestElementwiseOracle:
         a, b = (rng.integers(0, np.array(moduli)[:, None], (len(moduli), TEST_SMALL.n))
                 for _ in range(2))
         x, y, q = from_rns(a, moduli), from_rns(b, moduli), rns_modulus(moduli)
-        got = TestRnsBitIdentity.RNS_OPS[op](get_backend("serial"), a, b, moduli)
-        assert np.array_equal(got, to_rns(self.ORACLES[op](x, y, q), moduli))
+        run, oracle = self.ORACLES[op]
+        got = run(get_backend("serial"), a, b, moduli)
+        assert np.array_equal(got, to_rns(oracle(x, y, q), moduli))
 
 
 class TestCountingBackend:

@@ -33,6 +33,9 @@ Four claims pinned here:
 """
 
 import math
+import sys
+import threading
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +48,7 @@ from repro.errors import ParameterError
 from repro.fhe import backend as backend_mod
 from repro.fhe import bfv as bfv_mod
 from repro.fhe import keys as keys_mod
+from repro.fhe import ntt as ntt_mod
 from repro.fhe import packing as packing_mod
 from repro.fhe import rns as rns_mod
 from repro.fhe.backend import (
@@ -142,7 +146,7 @@ class TestCountingParity:
         params = ctx.params
         l, n = len(params.moduli), params.n
         wide = len(ctx.tensor_moduli)
-        assert len(rlk.k0) == 1 and len(rlk.moduli) == 2 * l  # one digit, K = L
+        assert rlk.halves.shape[1] == 1 and len(rlk.moduli) == 2 * l  # one digit, K = L
         totals = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             counting.giant_step_batch(ctx, [[(a, b), (b, c), (a, c)]], rlk)
@@ -164,7 +168,7 @@ class TestCountingParity:
         ctx, _, rlk, _, cts = _fixture()
         params = ctx.params
         l, n = len(params.moduli), params.n
-        wide = len(rlk.k0) * len(rlk.moduli)
+        wide = rlk.halves.shape[1] * len(rlk.moduli)
         assert wide == 2 * l
         counting = CountingBackend(BATCHED)
         counting.keyswitch(cts[0].c1.data, rlk, params.moduli)
@@ -201,6 +205,121 @@ class TestFusedBitIdentity:
         (total,) = BATCHED.giant_step_batch(ctx, [[(a, b), (b, c)]], rlk)
         expect = (ab + np.array(negacyclic_mul_exact(mb, mc))) % t
         assert np.array_equal(ctx.decrypt(total, sk).coeffs, expect)
+
+
+# --- prepared kernel state ---------------------------------------------------
+
+
+def _fresh(pairs):
+    """Copies of ``pairs`` without a tensor form: every call forms its operands."""
+    return [(replace(a), replace(b)) for a, b in pairs]
+
+
+def _encrypted(ctx, pk, count, seed):
+    rng = np.random.default_rng(seed)
+    params = ctx.params
+    return [ctx.encrypt(Plaintext.from_coeffs(rng.integers(0, params.t, params.n), params), pk)
+            for _ in range(count)]
+
+
+def _results(ctx, rlk, pairs):
+    """One output array per result of each op this section pins."""
+    moduli = ctx.params.moduli
+    level = BATCHED.cmult_batch(ctx, _fresh(pairs), rlk)
+    (giant,) = BATCHED.giant_step_batch(ctx, [_fresh(pairs)], rlk)
+    stack = np.stack([ct.c1.data for pair in pairs for ct in pair])
+    return ([x for ct in level + [giant] for x in (ct.c0.data, ct.c1.data)]
+            + list(BATCHED.keyswitch(stack, rlk, moduli))
+            + [ntt_forward_rns(stack, ctx.params.moduli), ntt_inverse_rns(stack, rlk.moduli[:1])])
+
+
+class TestPreparedState:
+    """The kernels keep tables per basis and one scratch buffer per thread:
+    no result is a view of either, a later call never rewrites an earlier
+    result, and threads sharing a parameter set share nothing they write."""
+
+    def test_no_result_shares_memory_with_a_cache(self):
+        ctx, _, rlk, _, cts = _fixture()
+        pairs = [(cts[0], cts[1]), (cts[1], cts[2])]
+        results = _results(ctx, rlk, pairs)
+        params, tb = ctx.params, bfv_mod._tensor_tables(ctx.params)
+        cached = [rns_mod.scratch(rns_mod.SCRATCH_ELEMS), rlk.halves, tb.t_digits,
+                  *tb.to_aux[1:], *tb.to_q[1:]]
+        for moduli in (params.moduli, tb.both, rlk.moduli, rlk.moduli[:1]):
+            forward, inverse, cols = ntt_mod._gemm_tables(params.n, moduli)
+            cached += [*cols, *(x for st in forward + inverse
+                                for x in (st[2], st[3], *(st[4] or ())[1:]))]
+        for arr in results:
+            assert not any(np.shares_memory(arr, c) for c in cached)
+
+    def test_a_result_survives_the_next_call(self):
+        """Later calls, on other operands at the same shapes and on a larger
+        stack, reuse the scratch buffer; the first call's results stay put."""
+        ctx, _, rlk, _, cts = _fixture()
+        sk, pk = ctx.keygen()
+        first = _results(ctx, rlk, [(cts[0], cts[1])])
+        kept = [arr.copy() for arr in first]
+        more = _encrypted(ctx, pk, 10, seed=5)
+        _results(ctx, rlk, [tuple(more[:2])])  # the same shapes
+        _results(ctx, rlk, list(zip(more[2::2], more[3::2])))
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+    def test_two_threads_match_serial_runs(self):
+        """Two threads run ``cmult_batch`` at once on one parameter set, each
+        on its own operands at its own stack sizes: residues equal the
+        one-thread runs bit for bit."""
+        ctx, _, rlk, _, _ = _fixture()
+        _, pk = ctx.keygen()
+        jobs = [[tuple(_encrypted(ctx, pk, 2, seed=10 * t + b)) for b in range(size)]
+                for t, size in ((1, 1), (2, 3), (3, 2), (4, 5))]
+        want = [[_components(ct) for ct in BATCHED.cmult_batch(ctx, _fresh(job), rlk)]
+                for job in jobs]
+        got: dict[int, list] = {}
+        start = threading.Barrier(2)
+
+        def worker(ids):
+            start.wait()
+            for _ in range(12):
+                for i in ids:
+                    got.setdefault(i, []).append(
+                        [_components(ct) for ct in BATCHED.cmult_batch(ctx, _fresh(jobs[i]), rlk)])
+
+        threads = [threading.Thread(target=worker, args=(ids,)) for ids in ((0, 1), (2, 3))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        for i, runs in got.items():
+            assert len(runs) == 12
+            for run in runs:
+                assert all(np.array_equal(x, y) for x, y in zip(run, want[i]))
+
+
+class TestFixedCost:
+    """The fixed cost of a fused call, as a count that repeats exactly: the
+    Python-level calls (functions and C functions; numpy's ufuncs are
+    neither) of one fresh-operand, one-pair ``cmult_batch`` at TEST_FBS.
+    BUDGET is what the prepared kernels reach (299 before them); a change
+    that adds per-call glue fails here, where a timing would only drift."""
+
+    BUDGET = 233
+
+    def test_one_pair_cmult_stays_within_its_call_budget(self):
+        ctx, _, rlk, _, cts = _fixture()
+        BATCHED.cmult_batch(ctx, _fresh([cts[:2]]), rlk)  # tables and scratch built
+        pairs = _fresh([cts[:2]])
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        sys.setprofile(count)
+        try:
+            BATCHED.cmult_batch(ctx, pairs, rlk)
+        finally:
+            sys.setprofile(None)
+        assert calls <= self.BUDGET, f"one-pair cmult_batch made {calls} Python-level calls"
 
 
 # --- lazy-reduction safety ----------------------------------------------------

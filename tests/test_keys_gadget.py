@@ -144,12 +144,12 @@ class TestRnsDigits:
             target = RnsPoly.from_int_coeffs(Sampler(7).ternary(params.n), params.moduli)
             ksk = KeySwitchKey.generate(target, sk, Sampler(8))
             groups = digit_groups(len(params.moduli), both)
-            assert len(ksk.k0) == len(groups) == params.num_digits and ksk.moduli == both
+            assert ksk.halves.shape[1] == len(groups) == params.num_digits and ksk.moduli == both
             s = RnsPoly.from_int_coeffs(sk.coeffs, both)
             p = math.prod(params.special_moduli)
-            assert ksk.k0.shape == ksk.k1.shape == (len(groups), len(both), params.n)
-            assert not ksk.k0.flags.writeable and not ksk.k1.flags.writeable
-            halves = (ntt_inverse_rns(h, both) for h in (ksk.k0, ksk.k1))
+            assert ksk.halves.shape == (2, len(groups), len(both), params.n)
+            assert not ksk.halves.flags.writeable
+            halves = (ntt_inverse_rns(h, both) for h in ksk.halves)
             for rows, k0, k1 in zip(groups, *halves):
                 payload = RnsPoly.zeros(params.n, both)
                 payload.data[rows] = target.data[rows] * (p % np.array(both[rows]))[:, None]
@@ -279,7 +279,7 @@ class TestOneKeyswitchThreeBodies:
         """The same images when the digit-stack cap splits the five
         elements into three chunks, shared parent or not."""
         ctx, _, _, gks, ct = rotation_setup
-        cap = 2 * next(iter(gks.values())).k0.size
+        cap = next(iter(gks.values())).halves.size
         monkeypatch.setattr(backend_module, "CMULT_BATCH_ELEMS", cap)
         _assert_hoisted_images(ctx, gks, ct)
 
@@ -371,8 +371,8 @@ class TestGroupedDigits:
         sizes = [r.stop - r.start for r in digit_groups(params.num_limbs, params.keyswitch_moduli)]
         want = {"test-fbs": [8], "test-loop": [9], "grouped-2": [1, 1], "grouped-3": [2, 2, 1]}
         assert sizes == want[params.name]
-        assert len(rlk.k0) == params.num_digits == len(sizes)
-        assert rlk.k0.shape == (len(sizes), params.num_limbs + max(sizes), params.n)
+        assert rlk.halves.shape[1] == params.num_digits == len(sizes)
+        assert rlk.halves.shape == (2, len(sizes), params.num_limbs + max(sizes), params.n)
 
     def test_keyswitch_and_rotations(self, grouped_setup):
         ctx, sk, _, rlk, gks, ct = grouped_setup

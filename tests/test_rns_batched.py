@@ -2,10 +2,10 @@
 
 The batched backend must be *bit-identical* to the serial reference for
 every RnsPoly operation: the transforms are the four-step kernel against
-per-prime radix-2 loops, and the element-wise ops share one body. These
-tests sweep random (L, N) stacks through every op under both backends, each
-selected explicitly so the comparison is batched-vs-serial whatever
-``REPRO_BACKEND`` says.
+per-prime radix-2 loops, and the element-wise ops share one body, whose
+oracle is integer arithmetic mod Q on the CRT lifts. These tests sweep
+random (L, N) stacks through every op, each engine selected explicitly so
+the comparison holds whatever ``REPRO_BACKEND`` says.
 """
 
 import numpy as np
@@ -22,7 +22,8 @@ from repro.fhe.ntt import (
 )
 from repro.fhe.params import ATHENA_MEDIUM, TEST_LOOP
 from repro.fhe.poly import RnsPoly
-from repro.fhe.rns import from_rns, to_rns
+from repro.fhe.rns import from_rns, rns_modulus, to_rns
+from tests.conftest import monomial_map
 
 PARAM_SETS = [TEST_LOOP, ATHENA_MEDIUM]
 
@@ -97,8 +98,35 @@ class TestStackedNtt:
             assert np.array_equal(got[i], ntt_mul(a[i].copy(), b[i].copy(), p))
 
 
+def _mul(a, b):
+    return a * b
+
+
+#: Every RnsPoly op, and its oracle on the CRT lifts x, y mod Q. ``mul``, the
+#: one whose engines run different algorithms, has none: its oracle is the
+#: serial engine.
+_OPS = [
+    (lambda a, b: a + b, lambda x, y, q: [(u + v) % q for u, v in zip(x, y)]),
+    (lambda a, b: a - b, lambda x, y, q: [(u - v) % q for u, v in zip(x, y)]),
+    (lambda a, b: -a, lambda x, y, q: [-u % q for u in x]),
+    (_mul, None),
+    (lambda a, b: a.scalar_mul(12345), lambda x, y, q: [u * 12345 % q for u in x]),
+    (lambda a, b: a.scalar_mul(-7), lambda x, y, q: [u * -7 % q for u in x]),
+    (lambda a, b: a.automorphism(3), lambda x, y, q: monomial_map(x, 3, 0, q)),
+    (lambda a, b: a.automorphism(2 * a.n - 1),
+     lambda x, y, q: monomial_map(x, 2 * len(x) - 1, 0, q)),
+    (lambda a, b: a.negacyclic_shift(1), lambda x, y, q: monomial_map(x, 1, 1, q)),
+    (lambda a, b: a.negacyclic_shift(a.n - 1),
+     lambda x, y, q: monomial_map(x, 1, len(x) - 1, q)),
+    (lambda a, b: a.negacyclic_shift(a.n + 5),
+     lambda x, y, q: monomial_map(x, 1, len(x) + 5, q)),
+]
+
+
 class TestRnsPolyOpEquivalence:
-    """Every RnsPoly op: batched result == serial result, bit for bit."""
+    """Every RnsPoly op on the batched engine, bit for bit: the element-wise
+    ops (one body for both engines) against integer arithmetic mod Q on the
+    CRT lifts, ``mul`` against the serial engine."""
 
     def _pair(self, params, seed):
         rng = np.random.default_rng(seed)
@@ -107,20 +135,7 @@ class TestRnsPolyOpEquivalence:
         return a, b
 
     @pytest.mark.parametrize(
-        "op",
-        [
-            lambda a, b: a + b,
-            lambda a, b: a - b,
-            lambda a, b: -a,
-            lambda a, b: a * b,
-            lambda a, b: a.scalar_mul(12345),
-            lambda a, b: a.scalar_mul(-7),
-            lambda a, b: a.automorphism(3),
-            lambda a, b: a.automorphism(2 * a.n - 1),
-            lambda a, b: a.negacyclic_shift(1),
-            lambda a, b: a.negacyclic_shift(a.n - 1),
-            lambda a, b: a.negacyclic_shift(a.n + 5),
-        ],
+        "op", [op for op, _ in _OPS],
         ids=["add", "sub", "neg", "mul", "smul", "smul_neg", "auto3",
              "auto_conj", "shift1", "shift_nm1", "shift_wrap"],
     )
@@ -128,9 +143,14 @@ class TestRnsPolyOpEquivalence:
         a, b = self._pair(params, 11)
         with use_backend("batched"):
             batched = op(a, b)
-        with use_backend("serial"):
-            serial = op(a, b)
-        assert np.array_equal(batched.data, serial.data)
+        oracle = dict(_OPS)[op]
+        if oracle is None:
+            with use_backend("serial"):
+                want = op(a, b).data
+        else:
+            lifts = (from_rns(x.data, params.moduli) for x in (a, b))
+            want = to_rns(oracle(*lifts, rns_modulus(params.moduli)), params.moduli)
+        assert np.array_equal(batched.data, want)
 
     def test_scalar_columns_are_cached_per_value_and_basis(self, params):
         """scalar_mul reads one bounded, read-only (L, 1) column per (value,
