@@ -13,7 +13,8 @@ Prints one JSON object:
   faults per call;
 - ``kernels``: µs per call, best of seven rounds, of one forward transform of
   a CMult operand over Q u aux and one centred Q -> aux base extension, at
-  the smallest stack a CMult makes (one ciphertext);
+  the smallest stack a CMult makes (one ciphertext), and of one
+  ``MatvecPlan.build`` of a dense (2, N/2, N) diagonal set;
 - ``batch``: one ``serve_packed``-shaped batch (the ledger's ``packed``
   subject at ``TEST_FBS``, 4 images in 2 lane-full ciphertexts): its median
   ms, and per op the ms, share and calls of one batch (ops nest: ``fbs``
@@ -44,6 +45,7 @@ import numpy as np  # noqa: E402
 from repro.fhe import ntt, rns  # noqa: E402
 from repro.fhe.backend import BATCHED, BatchedBackend  # noqa: E402
 from repro.fhe.bfv import BfvContext, Plaintext, _tensor_tables  # noqa: E402
+from repro.fhe.packing import MatvecPlan  # noqa: E402
 from repro.fhe.params import TEST_FBS, TEST_LOOP  # noqa: E402
 
 PRESETS = {"TEST_FBS": TEST_FBS, "TEST_LOOP": TEST_LOOP}
@@ -78,13 +80,15 @@ def kernels_us(params) -> dict:
     rng = np.random.default_rng(1)
     one = rng.integers(0, np.array(moduli)[:, None], (1, 2, len(moduli), params.n))
     both = rng.integers(0, 2**30, (1, 2, len(moduli) + len(aux), params.n))
+    diagonals = rng.integers(0, params.t, (2, params.n // 2, params.n))
     calls = {
-        "ntt_forward_rns (1, 2, L+K, N)": lambda: ntt.ntt_forward_rns(both, moduli + aux),
-        "base_extend (1, 2, L, N)": lambda: rns.base_extend(one, moduli, aux,
-                                                            shift=params.q // 2),
+        "ntt_forward_rns (1, 2, L+K, N)": (200, lambda: ntt.ntt_forward_rns(both, moduli + aux)),
+        "base_extend (1, 2, L, N)": (200, lambda: rns.base_extend(one, moduli, aux,
+                                                                  shift=params.q // 2)),
+        "MatvecPlan.build (2, N/2, N)": (10, lambda: MatvecPlan.build(diagonals, params, 8)),
     }
-    return {name: round(min(timeit.repeat(call, number=200, repeat=7)) / 200 * 1e6, 1)
-            for name, call in calls.items()}
+    return {name: round(min(timeit.repeat(call, number=count, repeat=7)) / count * 1e6, 1)
+            for name, (count, call) in calls.items()}
 
 
 def batch_split(batches: int) -> dict:

@@ -180,14 +180,6 @@ def ntt_automorphism_perm(n: int, k: int) -> np.ndarray:
     return perm
 
 
-@lru_cache(maxsize=256)
-def _automorphism_perms(n: int, elements: tuple[int, ...]) -> np.ndarray:
-    """The (E, 1, N) :func:`ntt_automorphism_perm` rows of one element set."""
-    perms = np.stack([ntt_automorphism_perm(n, k) for k in elements])[:, None, :]
-    perms.setflags(write=False)
-    return perms
-
-
 def warm_automorphism(n: int, k: int) -> None:
     """Build both index tables of X -> X^k now (a compile-time hook)."""
     automorphism_map(n, k)
@@ -296,9 +288,9 @@ def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
     one parent per element (giants), returns the (2, L, N) *sum* of the
     images under one mod-down, which is linear (``mod_down(P a + w) = a +
     mod_down(w)``). Per chunk of :data:`CMULT_BATCH_ELEMS` digit elements:
-    mod-up and digit transform, a gather by :func:`ntt_automorphism_perm`
-    (built once per element set), the key products against each key, never
-    a stacked copy of them; the mod-down stays in the evaluation domain.
+    mod-up and digit transform, a gather by :func:`ntt_automorphism_perm`,
+    the key products against each key, never a stacked copy of the keys; the
+    mod-down stays in the evaluation domain.
     """
     n, num_limbs = c1.shape[-1], len(moduli)
     shared = c1.ndim == 2
@@ -309,7 +301,7 @@ def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
     both = keys[0].moduli  # one basis per parameter set: any key's Q u P serves all
     if shared:
         fd = ntt_forward_rns(_mod_up(c1, moduli, both), both)[None]
-    perms = _automorphism_perms(n, tuple(elements))
+    perms = np.stack([ntt_automorphism_perm(n, k) for k in elements])[:, None, :]
     chunk = max(1, CMULT_BATCH_ELEMS // keys[0].halves[0].size)  # a digit stack: one half's shape
     wide = 0
     for lo in range(0, len(keys), chunk):

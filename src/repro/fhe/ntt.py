@@ -250,7 +250,6 @@ def _transform(a: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndar
     work = scratch(2 * size)  # y and h, this thread's: never returned
     for lo in range(0, len(rows), chunk):
         src, dst = rows[lo : lo + chunk], out.reshape(rows.shape)[lo : lo + chunk]
-        count = len(src)
         y, h = work[: src.size].reshape(src.shape), work[size : size + src.size].reshape(src.shape)
         l, y_int, h_int = dst.view(np.float64), y.view(np.int64), h.view(np.int64)
         # entry: the centred r = a - rint(a / p) p, in (wrapping) int64
@@ -262,7 +261,7 @@ def _transform(a: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndar
         for i, (view, right, m_hi, m_lo, twist) in enumerate(steps):
             np.rint(y, out=h)  # y = r / 2**16: the halves h and l / 2**16
             np.subtract(y, h, out=l)
-            at = (count,) + view
+            at = (len(src),) + view
             hv, lv, yv = h.reshape(at), l.reshape(at), y.reshape(at)
             if right:
                 axes = (1, 2, 3, 0, 4)
@@ -280,7 +279,7 @@ def _transform(a: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndar
             np.multiply(h, p_lo, out=h)
             np.subtract(y, h, out=y)
             if twist is not None:  # r tau - rint(r tau / p) p, in int64
-                at = (count,) + twist[0]
+                at = (len(src),) + twist[0]
                 np.multiply(y, 2.0**16, out=h_int, casting="unsafe")
                 np.multiply(y.reshape(at), twist[2], out=l.reshape(at))
                 np.rint(l, out=dst, casting="unsafe")

@@ -97,20 +97,17 @@ def from_rns_centered(residues: np.ndarray, moduli: tuple[int, ...]) -> list[int
     return np.where(lifted > half, lifted - q, lifted).tolist()
 
 
-#: Elements of a thread's float64 scratch buffer (:func:`scratch`), 512 KiB.
-SCRATCH_ELEMS = 1 << 16
 _SCRATCH = threading.local()
 
 
 def scratch(size: int) -> np.ndarray:
-    """``size`` float64 elements of this thread's one scratch buffer (a fresh
-    array above :data:`SCRATCH_ELEMS`) for a kernel's temporaries: never
-    returned, never held across a call into another kernel."""
-    if size > SCRATCH_ELEMS:
-        return np.empty(size)
-    if not hasattr(_SCRATCH, "buf"):
-        _SCRATCH.buf = np.empty(SCRATCH_ELEMS)
-    return _SCRATCH.buf[:size]
+    """``size`` float64 elements of this thread's one 512 KiB scratch buffer
+    (a fresh array if larger) for a kernel's temporaries: never returned,
+    never held across a call into another kernel."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None:
+        buf = _SCRATCH.buf = np.empty(1 << 16)
+    return buf[:size] if size <= buf.size else np.empty(size)
 
 
 #: Half-width of the band around every integer inside which the float64

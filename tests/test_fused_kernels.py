@@ -1,6 +1,6 @@
 """Fused-kernel tier: counting parity, bit-identity, and lazy-reduction safety.
 
-Four claims pinned here:
+The claims pinned here:
 
 1. *Counting parity* — a counted fused op is its reference decomposition,
    each primitive counted as it runs: CountingBackend totals are
@@ -30,6 +30,11 @@ Four claims pinned here:
    CMult and once for its giant-step combination, every CMult operand
    enters the evaluation domain of Q u P once, and nothing on the request
    path lifts a residue stack to Python integers; counted, not timed.
+7. *Prepared state* — the kernels' per-thread scratch buffer and cached
+   tables never show through a result, a later call never rewrites an
+   earlier result, and concurrent threads match one-thread runs.
+8. *Fixed cost* — one small ``cmult_batch`` stays within a budget of
+   Python-level calls.
 """
 
 import math
@@ -243,7 +248,7 @@ class TestPreparedState:
         pairs = [(cts[0], cts[1]), (cts[1], cts[2])]
         results = _results(ctx, rlk, pairs)
         params, tb = ctx.params, bfv_mod._tensor_tables(ctx.params)
-        cached = [rns_mod.scratch(rns_mod.SCRATCH_ELEMS), rlk.halves, tb.t_digits,
+        cached = [rns_mod.scratch(1).base, rlk.halves, tb.t_digits,
                   *tb.to_aux[1:], *tb.to_q[1:]]
         for moduli in (params.moduli, tb.both, rlk.moduli, rlk.moduli[:1]):
             forward, inverse, cols = ntt_mod._gemm_tables(params.n, moduli)
@@ -256,7 +261,7 @@ class TestPreparedState:
         """Later calls, on other operands at the same shapes and on a larger
         stack, reuse the scratch buffer; the first call's results stay put."""
         ctx, _, rlk, _, cts = _fixture()
-        sk, pk = ctx.keygen()
+        _, pk = ctx.keygen()
         first = _results(ctx, rlk, [(cts[0], cts[1])])
         kept = [arr.copy() for arr in first]
         more = _encrypted(ctx, pk, 10, seed=5)
@@ -289,6 +294,7 @@ class TestPreparedState:
             th.start()
         for th in threads:
             th.join()
+        assert sorted(got) == [0, 1, 2, 3]
         for i, runs in got.items():
             assert len(runs) == 12
             for run in runs:
