@@ -5,14 +5,18 @@ Run:  python examples/custom_activation.py
 Athena's LUT mechanism supports *any* single-input non-linearity exactly —
 not just polynomial-friendly ones. This example evaluates GELU, a quantized
 sigmoid, and a custom "leaky hard-swish" on encrypted data, plus encrypted
-max-pooling via the max-tree, all on the real BFV backend.
+max-pooling via the max-tree, all on the real BFV backend; then the
+classifier softmax (exp LUT, reciprocal LUT, one CMult) through the
+simulated engine.
 """
 
 import numpy as np
 
+from repro.core.inference import SimulatedAthenaEngine
 from repro.core.lut import activation_lut, sigmoid_lut
-from repro.fhe import BfvContext, FbsLut, Plaintext, TEST_FBS, fbs_evaluate
-from repro.quant.quantize import QMaxPool, QuantConfig, QuantizedModel
+from repro.fhe import ATHENA, BfvContext, FbsLut, Plaintext, TEST_FBS, fbs_evaluate
+from repro.quant.models import build
+from repro.quant.quantize import QMaxPool, QuantConfig, QuantizedModel, quantize_model
 
 
 def main() -> None:
@@ -65,6 +69,18 @@ def main() -> None:
     assert np.array_equal(maxed, image.reshape(1, 2, 2, 2, 2, 2).max(axis=(3, 5)))
     print(f"max-tree    ok: {image[0, 0, :2, :2].ravel()} -> {maxed[0, 0, 0, 0]}")
     print("all custom activations evaluated exactly under encryption")
+
+    # 5. Softmax (paper section 3.2.3) at the classifier head: an exp LUT, a
+    #    reciprocal LUT of the sum, one CMult — on the simulated engine, which
+    #    adds the e_ms refresh noise to both LUT inputs.
+    images = rng.normal(size=(8, 1, 28, 28))
+    cnn = quantize_model(build("mnist_cnn", rng=rng, width=0.25), images,
+                         QuantConfig(7, 7), "mnist_cnn")
+    probs = SimulatedAthenaEngine(cnn, ATHENA, seed=1).infer_probs(images)
+    logits = SimulatedAthenaEngine(cnn, ATHENA, seed=1).infer(images)
+    assert np.allclose(probs.sum(axis=-1), 1.0)
+    agree = (probs.argmax(axis=-1) == logits.argmax(axis=-1)).mean()
+    print(f"softmax     ok: top-1 of the probabilities matches the logits on {agree:.0%}")
 
 
 if __name__ == "__main__":

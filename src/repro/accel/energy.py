@@ -47,9 +47,6 @@ class EnergyResult:
         """Energy-delay product in J*s (the paper's Table 7 metric)."""
         return self.energy_j * self.time_ms / 1e3
 
-    def edap(self, area_mm2: float) -> float:
-        return self.edp * area_mm2
-
 
 def athena_energy(result: ScheduleResult, cfg: AcceleratorConfig = ATHENA_ACCEL) -> EnergyResult:
     """Activity-based energy from per-resource busy cycles.

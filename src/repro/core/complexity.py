@@ -21,13 +21,6 @@ class OpComplexity:
     cmult: int
     hrot: int
 
-    def __add__(self, other: "OpComplexity") -> "OpComplexity":
-        return OpComplexity(
-            self.pmult + other.pmult,
-            self.cmult + other.cmult,
-            self.hrot + other.hrot,
-        )
-
 
 def ckks_conv(f: int, c: int) -> OpComplexity:
     """CKKS multiplexed convolution: O(f^2 C) PMult, O(f^2)+O(C) HRot."""

@@ -90,14 +90,6 @@ class InferenceStats:
         self.layers.append(stat)
         return stat
 
-    @property
-    def total_lut_evals(self) -> int:
-        return sum(s.lut_evals for s in self.layers)
-
-    @property
-    def max_error_ratio(self) -> float:
-        return max((s.error_ratio for s in self.layers), default=0.0)
-
 
 class SimulatedAthenaEngine:
     """Runs a :class:`QuantizedModel` through the Athena pipeline."""

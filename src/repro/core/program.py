@@ -247,22 +247,11 @@ class AthenaProgram:
     params: FheParams
     name: str = "model"
 
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def mac_sources(self) -> list:
         """MAC-producing IR nodes in execution order (Fig. 4 x-axis)."""
         return [step.layer for step in _flat(self.steps)
                 if step.kind in ("linear", "residual")
                 or (step.kind == "pool" and step.op in ("sum", "gap"))]
-
-    def lut_steps(self) -> list:
-        """Every step carrying a LUT spec, in execution order."""
-        return [step for step in _flat(self.steps)
-                if step.kind in ("linear", "remap", "residual")]
 
     def final_scale(self) -> float:
         """Output scale of the classifier head (softmax LUT input scale)."""
@@ -369,22 +358,12 @@ def _lower_layers(layers: list, cfg: QuantConfig, params: FheParams,
 
 
 class ProgramExecutor:
-    """One handler per node kind; ``value`` semantics are executor-defined."""
-
-    def linear(self, step: LinearStep, value):
-        raise NotImplementedError
-
-    def pool(self, step: PoolStep, value):
-        raise NotImplementedError
-
-    def remap(self, step: RemapStep, value):
-        raise NotImplementedError
+    """One handler per node kind — ``linear``, ``pool``, ``remap`` and
+    ``residual(step, main, skip)`` are the executor's own; a reshape is free
+    unless it says otherwise. ``value`` semantics are executor-defined."""
 
     def reshape(self, step: ReshapeStep, value):
         return value
-
-    def residual(self, step: ResidualStep, main, skip):
-        raise NotImplementedError
 
 
 def run_program(program, executor: ProgramExecutor, value=None):

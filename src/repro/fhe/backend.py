@@ -268,12 +268,11 @@ def _key_products(fd, halves, both):
     return sums[0] if len(sums) == 1 else sum(part % _moduli_column(both) for part in sums)
 
 
-def _stacked_keyswitch(data, ksk, moduli, perm=slice(None)):
+def _stacked_keyswitch(data, ksk, moduli):
     """The batched keyswitch of an (..., L, N) stack: all digits in one
-    forward pass, gathered by ``perm`` (a rotation's evaluation-domain
-    automorphism), the lazy key products, one inverse pass, the mod-down."""
+    forward pass, the lazy key products, one inverse pass, the mod-down."""
     both = ksk.moduli
-    fd = ntt_forward_rns(_mod_up(data, moduli, both), both)[..., perm]
+    fd = ntt_forward_rns(_mod_up(data, moduli, both), both)
     out = _mod_down(ntt_inverse_rns(_key_products(fd, ksk.halves, both), both), moduli, both)
     return out[..., 0, :, :], out[..., 1, :, :]
 
@@ -720,10 +719,6 @@ class BatchedBackend(Backend):
 
     def keyswitch(self, data, ksk, moduli):
         return _stacked_keyswitch(data, ksk, moduli)
-
-    def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
-        d0, d1 = _stacked_keyswitch(c1, ksk, moduli, ntt_automorphism_perm(c0.shape[-1], k))
-        return (self.automorphism(c0, k, moduli) + d0) % _moduli_column(moduli), d1
 
     def matvec(self, vec, plan, rotation_keys, moduli):
         """The mat-vec without leaving the evaluation domain.

@@ -86,9 +86,6 @@ class Plaintext:
     def to_slots(self) -> np.ndarray:
         return slotlib.slot_decode(self.coeffs, self.params.n, self.params.t)
 
-    def centered(self) -> np.ndarray:
-        return centered_array(self.coeffs, self.params.t)
-
     # -- cached homomorphic-operand forms ---------------------------------
 
     def pmult_operand(self) -> np.ndarray:
@@ -122,11 +119,6 @@ class BfvCiphertext:
     def noise_budget_bits(self) -> float:
         """Remaining headroom: log2(Delta/2) - current noise estimate."""
         return math.log2(self.params.delta / 2) - self.noise_bits
-
-    def __getstate__(self) -> dict:
-        """Pickle the four fields only: a cached CMult operand form
-        (:meth:`BfvContext.tensor_forms`) is derived data."""
-        return {k: v for k, v in self.__dict__.items() if k != "_tensor_form"}
 
 
 class _TensorTables(NamedTuple):
@@ -263,7 +255,7 @@ class BfvContext:
         a live ciphertext (paying log2(t) noise bits for a constant).
         """
         p = self.params
-        zero = RnsPoly.zeros(p.n, p.moduli)
+        zero = RnsPoly(np.zeros((p.num_limbs, p.n), dtype=np.int64), p.moduli)
         return BfvCiphertext(zero, zero, p, 0.0)
 
     def decrypt(self, ct: BfvCiphertext, sk: SecretKey) -> Plaintext:
@@ -394,7 +386,7 @@ class BfvContext:
         (c0, c1), a (2, L+K, N) array.
 
         Built the first time a ciphertext is an operand and kept on it
-        (read-only; not a field: absent from ``==``, ``repr`` and pickles),
+        (read-only; not a field, so absent from ``==`` and ``repr``),
         so a square or a power feeding several powers
         enters Q u P once — and those of ``cts`` without one, together.
         """

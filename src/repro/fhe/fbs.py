@@ -279,11 +279,6 @@ class FbsPlan:
         """Baby steps per giant group: the matrix's width."""
         return self.matrix.shape[1]
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial: its last nonzero coefficient."""
-        return _degree(self.matrix)
-
     @cached_property
     def live(self) -> np.ndarray:
         """The groups with any nonzero coefficient, ascending (read-only)."""

@@ -44,11 +44,6 @@ class SecretKey:
         coeffs = sampler.ternary(params.n)
         return cls(params, RnsPoly.from_int_coeffs(coeffs, params.moduli), coeffs)
 
-    @property
-    def norm_sq(self) -> int:
-        """||s||^2, used in the e_ms noise formula of paper §3.3."""
-        return int(np.sum(self.coeffs * self.coeffs))
-
 
 @dataclass
 class PublicKey:

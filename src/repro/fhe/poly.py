@@ -31,18 +31,15 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class RnsPoly:
-    """Element of Z_Q[X]/(X^N + 1), residues stored per RNS limb."""
+    """Element of Z_Q[X]/(X^N + 1), residues stored per RNS limb. Compare
+    two by their ``data``: ``==`` is identity."""
 
     data: np.ndarray  # shape (L, N), int64, reduced per limb
     moduli: tuple[int, ...]
 
     # --- constructors ---------------------------------------------------
-
-    @classmethod
-    def zeros(cls, n: int, moduli: tuple[int, ...]) -> "RnsPoly":
-        return cls(np.zeros((len(moduli), n), dtype=np.int64), moduli)
 
     @classmethod
     def from_int_coeffs(
@@ -56,17 +53,6 @@ class RnsPoly:
     @property
     def n(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def num_limbs(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def modulus(self) -> int:
-        return rns.rns_modulus(self.moduli)
-
-    def copy(self) -> "RnsPoly":
-        return RnsPoly(self.data.copy(), self.moduli)
 
     def _check(self, other: "RnsPoly") -> None:
         if self.moduli != other.moduli or self.n != other.n:
@@ -155,8 +141,3 @@ class RnsPoly:
         every use: the LWE modulus q' or the plaintext modulus t).
         """
         return current_backend().mod_switch(self.data, self.moduli, new_modulus)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RnsPoly):
-            return NotImplemented
-        return self.moduli == other.moduli and np.array_equal(self.data, other.data)

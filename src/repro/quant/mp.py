@@ -106,15 +106,6 @@ class MpConfig:
                 return cfg
         return None
 
-    def items(self):
-        return iter(self.assignments)
-
-    def __bool__(self) -> bool:
-        return bool(self.assignments)
-
-    def __len__(self) -> int:
-        return len(self.assignments)
-
     def tag(self) -> str:
         """Stable human-readable key (also used in reports and JSON)."""
         if not self.assignments:

@@ -26,13 +26,8 @@ MOMENTUM = 0.9
 
 
 class Layer:
-    """Base class: forward caches whatever backward needs."""
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    """Base class: ``forward(x, train=False)`` caches whatever
+    ``backward(grad)`` needs; every layer defines both."""
 
     def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(param, grad) pairs for the optimizer."""
@@ -207,45 +202,6 @@ class ReLU(Layer):
 
     def backward(self, grad):
         return grad * self._mask
-
-
-class Sigmoid(Layer):
-    """Logistic activation (Athena supports it exactly via its LUT)."""
-
-    def __init__(self):
-        self._out = None
-
-    def forward(self, x, train=False):
-        out = 1.0 / (1.0 + np.exp(-x))
-        if train:
-            self._out = out
-        return out
-
-    def backward(self, grad):
-        return grad * self._out * (1.0 - self._out)
-
-
-class Gelu(Layer):
-    """tanh-approximation GELU."""
-
-    _C = np.sqrt(2.0 / np.pi)
-
-    def __init__(self):
-        self._x = None
-
-    def forward(self, x, train=False):
-        if train:
-            self._x = x
-        inner = self._C * (x + 0.044715 * x**3)
-        return 0.5 * x * (1.0 + np.tanh(inner))
-
-    def backward(self, grad):
-        x = self._x
-        inner = self._C * (x + 0.044715 * x**3)
-        tanh = np.tanh(inner)
-        sech2 = 1.0 - tanh**2
-        d_inner = self._C * (1.0 + 3 * 0.044715 * x**2)
-        return grad * (0.5 * (1.0 + tanh) + 0.5 * x * sech2 * d_inner)
 
 
 class Flatten(Layer):

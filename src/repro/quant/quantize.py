@@ -33,26 +33,13 @@ from repro.quant.nn import (
     BatchNorm2d,
     Conv2d,
     Flatten,
-    Gelu,
     GlobalAvgPool,
     Linear,
     MaxPool2d,
     ReLU,
     Residual,
     Sequential,
-    Sigmoid,
 )
-
-#: Float activation layers that fuse into the remap LUT.
-_ACTIVATION_LAYERS = {ReLU: "relu", Sigmoid: "sigmoid", Gelu: "gelu"}
-
-
-def _merged_activation(layer) -> str | None:
-    for cls, name in _ACTIVATION_LAYERS.items():
-        if isinstance(layer, cls):
-            return name
-    return None
-
 
 #: Merged activations the remap LUT supports (paper §3.2.3/§3.4: "any
 #: non-linear function"): each maps a *float-domain* pre-activation to its
@@ -160,10 +147,6 @@ class QConv:
     #: the remap there (interpolated degree <= 2r instead of t-1).
     lut_range: int | None = None
 
-    @property
-    def remap_multiplier(self) -> float:
-        return self.in_scale * self.w_scale / self.out_scale
-
     def remap(self, mac: np.ndarray, a_max: int) -> np.ndarray:
         """LUT(x) = clip(round(act(x * mac_scale) / out_scale)) elementwise.
 
@@ -189,10 +172,6 @@ class QLinear:
     out_max: int | None = None
     bits: LayerQuantConfig | None = None
     lut_range: int | None = None
-
-    @property
-    def remap_multiplier(self) -> float:
-        return self.in_scale * self.w_scale / self.out_scale
 
     def remap(self, mac: np.ndarray, a_max: int) -> np.ndarray:
         bound = self.out_max or (self.bits.a_max if self.bits else a_max)
@@ -488,7 +467,7 @@ def quantize_model(
             nxt = layers[i + 1] if i + 1 < len(layers) else None
             if isinstance(layer, (Conv2d, Linear)):
                 is_conv = isinstance(layer, Conv2d)
-                act = _merged_activation(nxt) or "identity"
+                act = "relu" if isinstance(nxt, ReLU) else "identity"
                 z = layer.forward(x_f)
                 a = ACTIVATIONS[act](z)
                 lcfg = _layer_cfg("conv" if is_conv else "linear")
@@ -545,7 +524,7 @@ def quantize_model(
                 node, x_f, scale = _convert_residual(layer, x_f, scale)
                 ir.append(node)
                 i += 1
-            elif _merged_activation(layer):
+            elif isinstance(layer, ReLU):
                 raise QuantizationError(
                     "stray activation: must directly follow Conv2d/Linear"
                 )

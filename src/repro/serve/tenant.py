@@ -71,12 +71,6 @@ class Tenant:
         """Size of this tenant's full evaluation-key set, seed-compressed."""
         return self.key_inventory().total_bytes()
 
-    def describe(self) -> str:
-        return (
-            f"{self.tenant_id}: {self.params.name}, seed={self.seed}, "
-            f"keys~{self.key_material_bytes() / 2**20:.2f} MiB"
-        )
-
 
 class TenantRegistry:
     """The service's tenant table: lookup, iteration, capacity sizing."""
@@ -110,6 +104,3 @@ class TenantRegistry:
 
     def __len__(self) -> int:
         return len(self._tenants)
-
-    def __contains__(self, tenant_id: str) -> bool:
-        return tenant_id in self._tenants

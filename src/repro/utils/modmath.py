@@ -172,8 +172,3 @@ def centered_array(x: np.ndarray, m: int) -> np.ndarray:
     x = np.mod(x, m)
     return np.where(x > m // 2, x - m, x)
 
-
-def bit_length(x: int) -> int:
-    """Bit length of |x| (0 for x == 0)."""
-    return int(abs(x)).bit_length()
-

@@ -150,6 +150,22 @@ def assert_rounding_apart(x, y, moduli, roundings: int) -> None:
     assert np.abs(diff).max() <= roundings // 2
 
 
+def lut_steps(program) -> list:
+    """Every step of a lowered program that carries a LUT spec, in
+    execution order."""
+    from repro.core.program import _flat
+
+    return [step for step in _flat(program.steps)
+            if step.kind in ("linear", "remap", "residual")]
+
+
+def remap_multiplier(layer) -> float:
+    """What a LUT round multiplies its MAC by before rounding: the MAC scale
+    (a residual join's shared wide scale) over the output scale."""
+    scale = getattr(layer, "add_scale", None) or layer.in_scale * layer.w_scale
+    return scale / layer.out_scale
+
+
 def refresh_noise_bound(qm, params) -> int:
     """``REFRESH_SIGMAS`` sigma of the logit error the refresh noise causes.
 
@@ -182,9 +198,9 @@ def refresh_noise_bound(qm, params) -> int:
         if spec.kind == "divide":
             return 1 / spec.divisor
         act = getattr(spec.source, "activation", "relu")  # residual joins rectify
-        return spec.source.remap_multiplier * ACTIVATION_SLOPE[act]
+        return remap_multiplier(spec.source) * ACTIVATION_SLOPE[act]
 
-    *_, feed, head = lower(qm, params).lut_steps()
+    *_, feed, head = lut_steps(lower(qm, params))
     sigma_ms = AthenaNoiseModel(params).std
     pool = getattr(feed, "fused_pool", None)
     levels = int(np.ceil(np.log2(pool.kernel**2))) if pool else 0

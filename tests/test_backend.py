@@ -116,10 +116,12 @@ class TestProtocolConformance:
     #: tensor stages and leave the engine its keyswitch, adds and (the giant
     #: step's) product sum; the LWE and composite tiers delegate to module
     #: implementations whose inner ops re-enter the active backend.
-    #: (``matvec`` left this set when it became a fused op with two bodies.)
+    #: (``matvec`` left this set when it became a fused op with two bodies;
+    #: ``rotate_keyswitch`` joined it when its batched twin went: production
+    #: rotates inside ``matvec``, so only the slot-rotation oracle runs it.)
     SHARED = {"add", "sub", "neg", "scalar_mul", "automorphism", "shift",
               "mod_switch", "cmult_batch", "giant_step_batch", "sample_extract",
-              "lwe_keyswitch", "lwe_rescale", "fbs", "s2c"}
+              "lwe_keyswitch", "lwe_rescale", "fbs", "s2c", "rotate_keyswitch"}
 
     #: The limb arithmetic the counting wrapper counts and delegates.
     RNS_TIER = {"add", "sub", "neg", "mul", "ntt", "mul_ntt", "scalar_mul",
@@ -230,14 +232,13 @@ class TestRnsBitIdentity:
 
 
 class TestShift:
-    """Both engines multiply by X^shift for any integer shift, not only for
-    0 <= shift < 2N: equal to the integer negacyclic product by the
-    monomial."""
+    """The one ``Backend.shift`` body, which both engines run, multiplies by
+    X^shift for any integer shift, not only for 0 <= shift < 2N: equal to
+    the integer negacyclic product by the monomial."""
 
-    @pytest.mark.parametrize("engine", ["batched", "serial"])
     @pytest.mark.parametrize("shift", [(0, 0), (0, 3), (1, 0), (1, 3), (2, 3), (0, -3), (-1, -3)],
                              ids=["0", "3", "N", "N+3", "2N+3", "-3", "-N-3"])
-    def test_shift_is_the_monomial_product(self, engine, shift):
+    def test_shift_is_the_monomial_product(self, shift):
         params = TEST_TINY
         n = params.n
         amount = shift[0] * n + shift[1]
@@ -247,7 +248,7 @@ class TestShift:
         mono[amount % n] = -1 if amount % (2 * n) >= n else 1
         want = RnsPoly.from_int_coeffs(negacyclic_mul_exact(list(a), list(mono)), params.moduli)
         poly = RnsPoly.from_int_coeffs(a, params.moduli)
-        got = get_backend(engine).shift(poly.data, amount, params.moduli)
+        got = current_backend().shift(poly.data, amount, params.moduli)
         assert np.array_equal(got, want.data)
 
 

@@ -76,7 +76,7 @@ class TestEncryptDecrypt:
         pt = Plaintext.from_coeffs([1], small_ctx.params)
         c1 = small_ctx.encrypt(pt, pk)
         c2 = small_ctx.encrypt(pt, pk)
-        assert c1.c0 != c2.c0  # fresh randomness per encryption
+        assert not np.array_equal(c1.c0.data, c2.c0.data)  # fresh randomness per encryption
 
 
 class TestHomomorphicOps:

@@ -161,11 +161,11 @@ class TestSimulatedEngine:
         qm, x, _ = engine_setup
         engine = SimulatedAthenaEngine(qm, ATHENA, seed=5)
         _, stats = engine.infer_with_stats(x[:16])
-        assert stats.total_lut_evals > 0
+        assert sum(s.lut_evals for s in stats.layers) > 0
         mac_layers = [s for s in stats.layers if s.total > 0]
         assert all(s.mac_peak > 0 for s in mac_layers)
         # Fig. 4 regime: error ratios are bounded (paper: max ~11%)
-        assert stats.max_error_ratio < 0.30
+        assert max(s.error_ratio for s in stats.layers) < 0.30
 
     def test_error_ratio_grows_with_noise(self, engine_setup):
         qm, x, _ = engine_setup
@@ -177,7 +177,8 @@ class TestSimulatedEngine:
         )
         _, s_quiet = quiet.infer_with_stats(x[:32])
         _, s_loud = loud.infer_with_stats(x[:32])
-        assert s_loud.max_error_ratio > s_quiet.max_error_ratio
+        worst = [max(s.error_ratio for s in st.layers) for st in (s_loud, s_quiet)]
+        assert worst[0] > worst[1]
 
     def test_deterministic_given_seed(self, engine_setup):
         qm, x, _ = engine_setup

@@ -320,11 +320,12 @@ class TestFixedCost:
             nonlocal calls
             calls += event in ("call", "c_call")
 
+        outer = sys.getprofile()  # an enclosing profiler or coverage tool
         sys.setprofile(count)
         try:
             BATCHED.cmult_batch(ctx, pairs, rlk)
         finally:
-            sys.setprofile(None)
+            sys.setprofile(outer)
         assert calls <= self.BUDGET, f"one-pair cmult_batch made {calls} Python-level calls"
 
 

@@ -22,27 +22,62 @@ SRC = ROOT / "src"
 ENTRY_POINTS = {"repro.__main__"}
 
 
-#: Definitions kept without a caller outside the tests, each for a reason.
+#: Functions no production run enters, kept each for a reason, keyed by
+#: qualified name. Read by the definition guard below (by bare name) and by
+#: the execution census (benchmarks/test_census.py), which fails on a
+#: never-entered function missing here and on an entry that is entered or
+#: gone. What no production run enters and has none of these reasons is
+#: deleted, with the tests that test only it.
 KEPT = {
-    # Reference oracles that tests compare production against.
-    "evaluate_poly_plain": "a polynomial over Z_t in the clear, the FBS evaluation's oracle",
-    "cmult_bounds": "the CMult tensor's overflow bounds, checked on every preset",
-    "true_noise_bits": "a ciphertext's measured noise, the oracle the noise tests read",
-    "rotate_slots": "one keyswitched slot rotation, against the hoisted and fused ones",
-    "row_swap": "the row-swap automorphism, the fused rotations' second-row reference",
-    "keyswitch_bounds": "the keyswitch's overflow bounds, checked on every preset",
-    "lwe_decrypt": "LWE decryption, the oracle for extraction, switching and packing",
-    "mul_exact_then_reduce": "the exact-integer product, against the NTT multiply",
-    "to_int_coeffs": "a polynomial's exact integer lift, the noise and RNS tests' oracle",
-    "crt_combine": "scalar CRT reconstruction, the modular-arithmetic tests' oracle",
-    # Views and seams that tests read.
-    "runtime_for": "a worker pool's warm session, read by the service replay test",
-    "lut_steps": "a program's LUT-bearing steps, read by the lowering and allocation tests",
-    "total_lut_evals": "an inference's FBS count, read by the engine tests",
-    "max_error_ratio": "an inference's worst noise margin, read by the engine tests",
-    # The paper's softmax (section 3.2.3).
-    "infer_probs": "encrypted-domain class probabilities through the softmax LUTs",
-    "softmax_plain": "the plaintext softmax those LUTs are checked against",
+    # Oracles that tests compare production against.
+    "repro.fhe.fbs.evaluate_poly_plain": "a polynomial over Z_t in the clear, the FBS evaluation's oracle",
+    "repro.fhe.bfv.cmult_bounds": "the CMult tensor's overflow bounds, checked on every preset",
+    "repro.fhe.keys.keyswitch_bounds": "the keyswitch's overflow bounds, checked on every preset",
+    "repro.fhe.rns.overflow_estimate_error": "the base extension's float64 error bound, in cmult_bounds and its tests",
+    "repro.fhe.bfv.BfvContext.true_noise_bits": "a ciphertext's measured noise, the oracle the noise tests read",
+    "repro.fhe.bfv.BfvContext.rotate_slots": "one keyswitched slot rotation, against the hoisted and fused ones",
+    "repro.fhe.bfv.BfvContext.row_swap": "the row-swap automorphism, the fused rotations' second-row reference",
+    "repro.fhe.bfv.BfvContext.apply_galois": "one keyswitched automorphism, the body of the two rotation oracles",
+    "repro.fhe.lwe.lwe_decrypt": "LWE decryption, the oracle for extraction, switching and packing",
+    "repro.fhe.lwe.LweBatch.phase": "b + <a, s> mod q, the body of lwe_decrypt",
+    "repro.fhe.poly.RnsPoly.mul_exact_then_reduce": "the exact-integer product, against the NTT multiply",
+    "repro.fhe.poly.RnsPoly.to_int_coeffs": "a polynomial's exact integer lift, the noise and RNS tests' oracle",
+    "repro.fhe.rns.from_rns": "the big-int CRT lift to [0, Q), to_int_coeffs' body and the RNS tests' oracle",
+    "repro.utils.modmath.crt_combine": "scalar CRT reconstruction, the modular-arithmetic tests' oracle",
+    "repro.utils.modmath.centered": "the scalar centred residue, centered_array's oracle",
+    "repro.core.lut.softmax_plain": "the plaintext softmax the softmax LUTs are checked against",
+    # Safety code: runs only on bad input or inside the V_AMBIGUITY band.
+    "repro.errors.UnsupportedLayer.__init__": "raised on a layer lowering cannot map",
+    "repro.errors.TensorOverflow.__init__": "raised on a CMult sum longer than its auxiliary basis holds",
+    "repro.errors.ServiceOverloaded.__init__": "raised when a tenant's queue is full or the scheduler closed",
+    "repro.fhe.rns._exact_overflow": "the exact overflow count for a coefficient inside the V_AMBIGUITY band",
+    "repro.fhe.bfv.BfvContext.encrypt_zero": "the transparent zero an all-zero LUT or mat-vec answers",
+    # Size-dependent branches no CI size reaches.
+    "repro.fhe.ntt._gemm_tables.twist": "the twist between digit steps, for an N of three or more factors",
+    "repro.fhe.fbs._interpolate_dense": "LUT interpolation for a t whose t - 1 is no power of two",
+    # The ciphertext pool path: only tests run a pooled plan on ciphertexts (ROADMAP item 7).
+    "repro.core.plan._compile_pool": "compiles a standalone pool step",
+    "repro.core.plan._compile_remap": "compiles a bare LUT round after a pool",
+    "repro.core.plan._pool_tree": "the max tree's levels of a standalone pool",
+    "repro.core.plan._pool_tree.positions_for": "a max-tree level's kept cells",
+    "repro.core.framework.CiphertextExecutor.pool": "runs a standalone pool on ciphertexts",
+    "repro.core.framework.CiphertextExecutor.remap": "runs a bare LUT round on ciphertexts",
+    "repro.core.framework.CiphertextExecutor._max_round": "one max-tree level: shift, subtract, ReLU refresh",
+    "repro.fhe.bfv.BfvContext.sub": "the max tree's ciphertext subtraction",
+    "repro.fhe.poly.RnsPoly.__sub__": "the max tree's ring subtraction",
+    "repro.fhe.poly.RnsPoly.negacyclic_shift": "the max tree's exact monomial product",
+    "repro.fhe.backend.Backend.shift": "the max tree's monomial product, on residue stacks",
+    "repro.fhe.backend.Backend.sub": "the max tree's subtraction, on residue stacks",
+    "repro.fhe.backend.CountingBackend.shift": "counts the max tree's monomial products",
+    "repro.fhe.backend.CountingBackend.sub": "counts the max tree's subtractions",
+    # Process workers: no run selects process mode (ROADMAP item 13).
+    "repro.serve.workers._process_init": "a worker process's initializer",
+    "repro.serve.workers._process_run_batch": "one batch inside a worker process",
+    "repro.serve.workers._process_pid": "the process pool's warm-up probe",
+    "repro.serve.workers.WorkerPool.runtime_for": "a worker pool's warm session, read by the service replay test",
+    # The public lazy top level (PEP 562).
+    "repro.__getattr__": "imports a curated name on first touch",
+    "repro.__dir__": "lists the curated names beside the loaded ones",
 }
 
 
@@ -131,7 +166,7 @@ def test_every_definition_has_a_caller_outside_tests():
                                      ast.ClassDef)):
                     defined.setdefault(node.name, []).append(
                         f"{path.relative_to(ROOT)}:{node.lineno}")
-    exempt = _curated_names() | set(KEPT)
+    exempt = _curated_names() | {name.rpartition(".")[2] for name in KEPT}
     uncalled = {
         name: where for name, where in defined.items()
         if any(w.startswith("src/repro/") for w in where)

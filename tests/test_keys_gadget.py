@@ -151,7 +151,7 @@ class TestRnsDigits:
             assert not ksk.halves.flags.writeable
             halves = (ntt_inverse_rns(h, both) for h in ksk.halves)
             for rows, k0, k1 in zip(groups, *halves):
-                payload = RnsPoly.zeros(params.n, both)
+                payload = RnsPoly(np.zeros((len(both), params.n), dtype=np.int64), both)
                 payload.data[rows] = target.data[rows] * (p % np.array(both[rows]))[:, None]
                 payload.data[rows] %= np.array(both[rows])[:, None]
                 noise = (RnsPoly(k0, both) + RnsPoly(k1, both) * s - payload).to_int_coeffs()
@@ -191,8 +191,7 @@ class TestKeySwitchKeys:
 
     def test_secret_norm(self, keys):
         sk, _ = keys
-        assert sk.norm_sq == int(np.sum(sk.coeffs**2))
-        assert sk.norm_sq <= TEST_TINY.n
+        assert int(np.sum(sk.coeffs**2)) <= TEST_TINY.n
 
     def test_relin_key_enables_cmult(self, ctx, keys, rng):
         sk, pk = keys

@@ -26,6 +26,7 @@ from repro.quant.quantize import (
     QuantConfig,
     quantize_model,
 )
+from tests.conftest import lut_steps
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +52,11 @@ class TestMpConfig:
         assert again.get("linear1") is None
 
     def test_tag_stable_and_uniform(self):
-        assert not MpConfig()
+        assert MpConfig().assignments == ()
         assert MpConfig().tag() == "uniform"
         mp = MpConfig.from_dict({"linear1": LayerQuantConfig(3, 3)})
         assert mp.tag() == "linear1=w3a3"
-        assert len(mp) == 1
+        assert len(mp.assignments) == 1
 
     def test_duplicate_layer_rejected(self):
         with pytest.raises(ParameterError):
@@ -178,7 +179,7 @@ class TestTrackedQuantization:
         assert 2 * (128 + DEFAULT_LUT_MARGIN) + 1 >= config.t
         assign_lut_ranges(qm)
         assert node.lut_range is None
-        assert lower(qm, TEST_FBS).lut_steps()[0].lut.lut_range is None
+        assert lut_steps(lower(qm, TEST_FBS))[0].lut.lut_range is None
 
 
 class TestRestrictedLut:
@@ -188,7 +189,7 @@ class TestRestrictedLut:
                             lut_margin=DEFAULT_LUT_MARGIN)
         program = lower(qm, TEST_FBS)
         checked = 0
-        for step in program.lut_steps():
+        for step in lut_steps(program):
             spec = step.lut
             r = spec.lut_range
             assert r and 2 * r + 1 < config.t

@@ -19,6 +19,10 @@ def random_poly(rng, lo=-(10**6), hi=10**6, n=N, moduli=MODULI):
     return RnsPoly.from_int_coeffs(rng.integers(lo, hi, n), moduli)
 
 
+def same(a: RnsPoly, b: RnsPoly) -> bool:
+    return a.moduli == b.moduli and np.array_equal(a.data, b.data)
+
+
 class TestRnsConversions:
     def test_roundtrip_small(self, rng):
         vals = rng.integers(0, 1000, 16)
@@ -56,37 +60,37 @@ class TestRnsPolyArithmetic:
     def test_add_sub_neg(self, rng):
         a = random_poly(rng)
         b = random_poly(rng)
-        assert (a + b) - b == a
-        assert a + (-a) == RnsPoly.zeros(N, MODULI)
+        assert same((a + b) - b, a)
+        assert not (a + (-a)).data.any()
 
     def test_mul_commutes(self, rng):
         a = random_poly(rng)
         b = random_poly(rng)
-        assert a * b == b * a
+        assert same(a * b, b * a)
 
     def test_mul_distributes(self, rng):
         a, b, c = (random_poly(rng) for _ in range(3))
-        assert a * (b + c) == a * b + a * c
+        assert same(a * (b + c), a * b + a * c)
 
     def test_mul_matches_exact(self, rng):
         a = random_poly(rng)
         b = random_poly(rng)
-        assert a * b == a.mul_exact_then_reduce(b)
+        assert same(a * b, a.mul_exact_then_reduce(b))
 
     def test_scalar_mul_big_scalar(self, rng):
         a = random_poly(rng)
-        q = a.modulus
+        q = rns.rns_modulus(MODULI)
         s = q - 3  # equivalent to -3
-        assert a.scalar_mul(s) == a.scalar_mul(-3)
+        assert same(a.scalar_mul(s), a.scalar_mul(-3))
 
     def test_constant_identity(self, rng):
         a = random_poly(rng)
         one = RnsPoly.from_int_coeffs([1] + [0] * (N - 1), MODULI)
-        assert a * one == a
+        assert same(a * one, a)
 
     def test_ring_mismatch_raises(self, rng):
         a = random_poly(rng)
-        b = RnsPoly.zeros(TEST_SMALL.n, TEST_SMALL.moduli)
+        b = RnsPoly.from_int_coeffs([0] * TEST_SMALL.n, TEST_SMALL.moduli)
         with pytest.raises(ParameterError):
             _ = a + b
 
@@ -94,17 +98,17 @@ class TestRnsPolyArithmetic:
 class TestAutomorphism:
     def test_composition(self, rng):
         a = random_poly(rng)
-        assert a.automorphism(3).automorphism(3) == a.automorphism(9)
+        assert same(a.automorphism(3).automorphism(3), a.automorphism(9))
 
     def test_identity(self, rng):
         a = random_poly(rng)
-        assert a.automorphism(1) == a
+        assert same(a.automorphism(1), a)
 
     def test_inverse_element(self, rng):
         a = random_poly(rng)
         # 3 * inv3 = 1 mod 2N => composition is identity
         inv3 = pow(3, -1, 2 * N)
-        assert a.automorphism(3).automorphism(inv3) == a
+        assert same(a.automorphism(3).automorphism(inv3), a)
 
     def test_even_element_rejected(self):
         with pytest.raises(ParameterError):
@@ -114,27 +118,27 @@ class TestAutomorphism:
         a = random_poly(rng)
         b = random_poly(rng)
         k = 5
-        assert (a * b).automorphism(k) == a.automorphism(k) * b.automorphism(k)
-        assert (a + b).automorphism(k) == a.automorphism(k) + b.automorphism(k)
+        assert same((a * b).automorphism(k), a.automorphism(k) * b.automorphism(k))
+        assert same((a + b).automorphism(k), a.automorphism(k) + b.automorphism(k))
 
 
 class TestShiftAndModSwitch:
     def test_shift_roundtrip(self, rng):
         a = random_poly(rng)
         for s in (1, 5, N - 1, N, 2 * N - 1):
-            assert a.negacyclic_shift(s).negacyclic_shift(-s) == a
+            assert same(a.negacyclic_shift(s).negacyclic_shift(-s), a)
 
     def test_shift_full_cycle_negates(self, rng):
         a = random_poly(rng)
-        assert a.negacyclic_shift(N) == -a
-        assert a.negacyclic_shift(2 * N) == a
+        assert same(a.negacyclic_shift(N), -a)
+        assert same(a.negacyclic_shift(2 * N), a)
 
     def test_shift_matches_monomial_mul(self, rng):
         a = random_poly(rng)
         x5 = np.zeros(N, dtype=np.int64)
         x5[5] = 1
         mono = RnsPoly.from_int_coeffs(x5, MODULI)
-        assert a.negacyclic_shift(5) == a * mono
+        assert same(a.negacyclic_shift(5), a * mono)
 
     def test_mod_switch_preserves_message(self, rng):
         # Scale a message up by Delta, switch down: recover it.

@@ -17,6 +17,7 @@ from repro.quant.quantize import (
     fold_batchnorm,
     quantize_model,
 )
+from tests.conftest import remap_multiplier
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +254,7 @@ class TestRemapMultiplierRounding:
         # multiplier = 0.5*0.25/0.125 = 1: the remap is the identity before
         # the clip, and a 2-bit activation clamps to {-1, 0, 1}.
         lin = self._linear(out_scale=0.125, bits=(2, 2))
-        assert lin.remap_multiplier == pytest.approx(1.0)
+        assert remap_multiplier(lin) == pytest.approx(1.0)
         mac = np.arange(-5, 6)
         out = lin.remap(mac, a_max=63)  # per-layer bound must win over a_max
         assert np.array_equal(out, np.clip(mac, -1, 1))
@@ -262,7 +263,7 @@ class TestRemapMultiplierRounding:
         # multiplier = 0.5: half-integer products round to even (np.rint),
         # and the 10-bit bound (511) never clips in this range.
         lin = self._linear(out_scale=0.25, bits=(10, 10))
-        assert lin.remap_multiplier == pytest.approx(0.5)
+        assert remap_multiplier(lin) == pytest.approx(0.5)
         mac = np.arange(-7, 8)
         out = lin.remap(mac, a_max=3)
         assert np.array_equal(out, np.rint(mac * 0.5).astype(np.int64))

@@ -66,7 +66,7 @@ class TestTenantLayer:
             registry.add(Tenant("alice", TEST_FBS, seed=9))
         with pytest.raises(ParameterError):
             registry.get("mallory")
-        assert "alice" in registry and "mallory" not in registry
+        assert registry.ids() == ["alice"]
 
     def test_empty_tenant_id_rejected(self):
         with pytest.raises(ParameterError):
@@ -78,7 +78,6 @@ class TestTenantLayer:
         assert alice.key_material_bytes() > 0
         # A bigger parameter set implies more evaluation-key storage.
         assert bob.key_material_bytes() > alice.key_material_bytes()
-        assert "MiB" in alice.describe()
 
     def test_ids_keep_registration_order(self):
         registry = TenantRegistry(
