@@ -162,19 +162,6 @@ class WorkerPool:
 
     # -- accounting --------------------------------------------------------
 
-    def runtime_for(self, key) -> SessionRuntime:
-        """The warm in-process runtime for ``key`` (thread mode).
-
-        Process-mode runtimes live in the worker processes and are not
-        reachable from the parent; tests asserting on key material or
-        per-runtime stats use thread pools.
-        """
-        if self._runtimes is None:
-            raise ParameterError(
-                "runtimes live in worker processes in process mode"
-            )
-        return self._runtimes[key]
-
     def stats(self) -> LayerStats:
         """Pool accounting in the uniform layer schema."""
         detail: dict = {

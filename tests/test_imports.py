@@ -23,11 +23,11 @@ ENTRY_POINTS = {"repro.__main__"}
 
 
 #: Functions no production run enters, kept each for a reason, keyed by
-#: qualified name. Read by the definition guard below (by bare name) and by
-#: the execution census (benchmarks/test_census.py), which fails on a
-#: never-entered function missing here and on an entry that is entered or
-#: gone. What no production run enters and has none of these reasons is
-#: deleted, with the tests that test only it.
+#: qualified name. Read by the definition guard below and by the execution
+#: census (benchmarks/test_census.py), which fails on a never-entered
+#: function missing here and on an entry that is entered or gone. What no
+#: production run enters and has none of these reasons is deleted, with the
+#: tests that test only it.
 KEPT = {
     # Oracles that tests compare production against.
     "repro.fhe.fbs.evaluate_poly_plain": "a polynomial over Z_t in the clear, the FBS evaluation's oracle",
@@ -74,7 +74,6 @@ KEPT = {
     "repro.serve.workers._process_init": "a worker process's initializer",
     "repro.serve.workers._process_run_batch": "one batch inside a worker process",
     "repro.serve.workers._process_pid": "the process pool's warm-up probe",
-    "repro.serve.workers.WorkerPool.runtime_for": "a worker pool's warm session, read by the service replay test",
     # The public lazy top level (PEP 562).
     "repro.__getattr__": "imports a curated name on first touch",
     "repro.__dir__": "lists the curated names beside the loaded ones",
@@ -148,32 +147,38 @@ def _references(tree: ast.AST) -> Iterator[str]:
             yield node.value
 
 
+def _definitions(node: ast.AST, prefix: str) -> Iterator[tuple[str, ast.AST]]:
+    """Every function, class and method under ``node``, each with its
+    qualified name: ``prefix``, then its enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            yield name, child
+            yield from _definitions(child, name)
+        else:
+            yield from _definitions(child, prefix)
+
+
 def test_every_definition_has_a_caller_outside_tests():
     """Every function, class and method in ``src/repro`` is referred to
-    somewhere in ``src/``, ``benchmarks/`` or ``examples/``. ``__init__.py``
-    re-exports are not callers, and neither is a ``def`` / ``class`` line.
-    Matching is by name, so a false result can only be a miss, never a false
-    alarm."""
+    somewhere in ``src/``, ``benchmarks/`` or ``examples/``, or is kept by its
+    qualified name in ``KEPT``. ``__init__.py`` re-exports are not callers,
+    and neither is a ``def`` / ``class`` line. Matching is by name, so a false
+    result can only be a miss, never a false alarm."""
     references: Counter[str] = Counter()
-    defined: dict[str, list[str]] = {}
     for tree in ("src", "benchmarks", "examples"):
         for path in (ROOT / tree).rglob("*.py"):
-            module = ast.parse(path.read_text(), filename=str(path))
             if path.name != "__init__.py":
-                references.update(_references(module))
-            for node in ast.walk(module):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    defined.setdefault(node.name, []).append(
-                        f"{path.relative_to(ROOT)}:{node.lineno}")
-    exempt = _curated_names() | {name.rpartition(".")[2] for name in KEPT}
-    uncalled = {
-        name: where for name, where in defined.items()
-        if any(w.startswith("src/repro/") for w in where)
-        and not references[name]
-        and not (name.startswith("__") and name.endswith("__"))
-        and name not in exempt
-    }
+                references.update(_references(ast.parse(path.read_text(), filename=str(path))))
+    curated = _curated_names()
+    uncalled: dict[str, list[str]] = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        module = _module_name(path).removesuffix(".__init__")
+        for qualname, node in _definitions(ast.parse(path.read_text(), filename=str(path)), module):
+            name = node.name
+            if not (references[name] or qualname in KEPT or name in curated
+                    or (name.startswith("__") and name.endswith("__"))):
+                uncalled.setdefault(qualname, []).append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert uncalled == {}
 
 

@@ -658,8 +658,8 @@ class TestServiceEndToEnd:
         # Replay each tenant's request stream through a direct session with
         # the same seed: same keys, same encryption-randomness stream, so
         # the service path must reproduce every output bit for bit.
-        alice_rt = service.pool.runtime_for(("alice", "micro"))
-        bob_rt = service.pool.runtime_for(("bob", "micro"))
+        alice_rt = service.pool._runtimes["alice", "micro"]
+        bob_rt = service.pool._runtimes["bob", "micro"]
         assert alice_rt.backend is counting and bob_rt.backend is counting
         assert counting.totals()["decrypt"] == 4  # the pin reached every run
         assert current_backend() is not counting
@@ -953,5 +953,4 @@ class TestServiceEndToEnd:
             res_b.output, InferenceSession(qm, TEST_FBS, seed=2).run(x_b)
         )
         # Runtimes live in the worker processes, not the parent.
-        with pytest.raises(ParameterError):
-            service.pool.runtime_for(("a", "micro"))
+        assert service.pool._runtimes is None
