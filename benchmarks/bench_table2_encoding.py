@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.encoding import TABLE2_SHAPES, athena_plan, cheetah_plan
+from repro.core.encoding import TABLE2_SHAPES, cheetah_plan
 from repro.eval.tables import render_table2, table2
 from repro.fhe.params import ATHENA
 

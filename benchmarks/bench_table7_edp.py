@@ -1,6 +1,6 @@
 """Table 7: energy-delay product."""
 
-from repro.accel.baselines import PAPER_TABLE7, table7
+from repro.accel.baselines import table7
 from repro.eval.tables import render_table7
 
 

@@ -15,6 +15,11 @@ Prints one JSON object:
   a CMult operand over Q u aux and one centred Q -> aux base extension, at
   the smallest stack a CMult makes (one ciphertext), and of one
   ``MatvecPlan.build`` of a dense (2, N/2, N) diagonal set;
+- ``ops``: µs per call, best of seven rounds, at ``TEST_LOOP``: the
+  relinearisation's scale-round and keyswitch at one and eight CMults
+  (``tensor_scale_round`` of a (B, 3, L+K, N) tensor, ``BATCHED.keyswitch``
+  of its (B, L, N) quadratic components) and the LWE keyswitch
+  (``lwe.keyswitch_impl``) of 32 and 128 extracted samples;
 - ``batch``: one ``serve_packed``-shaped batch (the ledger's ``packed``
   subject at ``TEST_FBS``, 4 images in 2 lane-full ciphertexts): its median
   ms, and per op the ms, share and calls of one batch (ops nest: ``fbs``
@@ -42,11 +47,12 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "ledger")]
 
 import numpy as np  # noqa: E402
 
-from repro.fhe import ntt, rns  # noqa: E402
+from repro.fhe import lwe, ntt, rns  # noqa: E402
 from repro.fhe.backend import BATCHED, BatchedBackend  # noqa: E402
 from repro.fhe.bfv import BfvContext, Plaintext, _tensor_tables  # noqa: E402
 from repro.fhe.packing import MatvecPlan  # noqa: E402
 from repro.fhe.params import TEST_FBS, TEST_LOOP  # noqa: E402
+from repro.utils.sampling import Sampler  # noqa: E402
 
 PRESETS = {"TEST_FBS": TEST_FBS, "TEST_LOOP": TEST_LOOP}
 STACKS = (1, 2, 8, 16)
@@ -87,6 +93,33 @@ def kernels_us(params) -> dict:
                                                                   shift=params.q // 2)),
         "MatvecPlan.build (2, N/2, N)": (10, lambda: MatvecPlan.build(diagonals, params, 8)),
     }
+    return {name: round(min(timeit.repeat(call, number=count, repeat=7)) / count * 1e6, 1)
+            for name, (count, call) in calls.items()}
+
+
+def ops_us(params) -> dict:
+    ctx = BfvContext(params, seed=1)
+    sk, pk = ctx.keygen()
+    rlk = ctx.relin_key(sk)
+    rng = np.random.default_rng(2)
+    cts = [ctx.encrypt(Plaintext.from_coeffs(rng.integers(0, params.t, params.n), params), pk)
+           for _ in range(16)]
+    e = ctx.tensor_products(list(zip(cts[0::2], cts[1::2])))
+    quadratic = ctx.tensor_scale_round(e)[:, 2]
+    q = params.lwe_q
+    ksk = lwe.keyswitch_keygen(sk.coeffs, rng.integers(-1, 2, params.lwe_n), q,
+                               lwe.KS_BASE_BITS, Sampler(3))
+    samples = {c: lwe.LweBatch(rng.integers(0, q, (c, params.n)), rng.integers(0, q, c), q)
+               for c in (32, 128)}
+    calls = {}
+    for b in (1, 8):
+        calls[f"tensor_scale_round ({b}, 3, L+K, N)"] = (
+            100, lambda b=b: ctx.tensor_scale_round(e[:b]))
+        calls[f"keyswitch ({b}, L, N)"] = (
+            100, lambda b=b: BATCHED.keyswitch(quadratic[:b], rlk, params.moduli))
+    for c, batch in samples.items():
+        calls[f"lwe keyswitch_impl ({c}, N)"] = (100, lambda batch=batch: lwe.keyswitch_impl(
+            batch, ksk))
     return {name: round(min(timeit.repeat(call, number=count, repeat=7)) / count * 1e6, 1)
             for name, (count, call) in calls.items()}
 
@@ -140,6 +173,7 @@ def main() -> None:
         "cmult": {name: {str(b): cmult_ms(params, b, args.reps) for b in STACKS}
                   for name, params in PRESETS.items()},
         "kernels": {name: kernels_us(params) for name, params in PRESETS.items()},
+        "ops": ops_us(TEST_LOOP),
         "batch": batch_split(args.batches),
     }, indent=1))
 

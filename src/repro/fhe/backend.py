@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import math
 import os
 import threading
 import time
@@ -77,7 +76,6 @@ from repro.fhe.ntt import (
     ntt_mul_rns,
 )
 from repro.fhe.slots import rotation_galois_element
-from repro.utils.modmath import inv_mod
 
 __all__ = [
     "Backend",
@@ -195,11 +193,10 @@ def _moduli_column(moduli: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _scalar_column(value: int, moduli: tuple[int, ...], invert: bool = False) -> np.ndarray:
-    """(L, 1) column of ``value`` (or of its inverse) mod each limb, from
-    :func:`_moduli_column`'s uncached body; bounded (FBS coefficients are < t)."""
-    return _moduli_column.__wrapped__(
-        [inv_mod(value, p) if invert else value % p for p in moduli])
+def _scalar_column(value: int, moduli: tuple[int, ...]) -> np.ndarray:
+    """(L, 1) column of ``value`` mod each limb, from :func:`_moduli_column`'s
+    uncached body; bounded (FBS coefficients are < t)."""
+    return _moduli_column.__wrapped__([value % p for p in moduli])
 
 
 def digit_groups(num_limbs: int, both: tuple[int, ...]) -> list[slice]:
@@ -230,21 +227,43 @@ def _mod_up(data, moduli, both) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _mod_down_tables(moduli, both):
+    """``(lift, gain, shift, p_inv)`` of the mod-down to ``moduli`` from
+    ``both`` = Q u P: the centred lift P -> Q with -P^-1 in its rows, the
+    per-limb gain and shift that make an inverse over Q u P emit P^-1 x on Q
+    and the lift's CRT digits on P, and the (L, 1) P^-1 column."""
+    special = both[len(moduli):]
+    big_p = rns.rns_modulus(special)
+    p_inv = [pow(big_p, -1, q) for q in moduli]
+    lift = rns._extension_tables(special, moduli, 1, big_p // 2,
+                                 (tuple(-g % q for g, q in zip(p_inv, moduli)), (0,) * len(moduli)))
+    return (lift, tuple(p_inv + lift.inv[:, 0].tolist()),
+            (0,) * len(moduli) + tuple(lift.shift_inv[:, 0].tolist()),
+            _moduli_column.__wrapped__(p_inv))
+
+
 def _mod_down(x, moduli, both, ntt=False) -> np.ndarray:
-    """``round(x / P)`` over Q of an (..., L+K, N) stack over ``both`` = Q u
-    P: subtract the centred lift of the P residues, multiply by P^-1 — exact,
-    word-sized. Linear mod each limb, so it holds in the evaluation domain
-    too (``ntt``): only the K special limbs leave it, their lift comes back.
-    ``x`` may be a key-product sum, the lift unreduced: one difference,
-    one ``%`` before the P^-1 product and one after
-    (:func:`repro.fhe.keys.keyswitch_bounds` "mod_down_difference")."""
+    """``round(x / P)`` over Q of an evaluation-domain (..., L+K, N) stack
+    over ``both`` = Q u P: P^-1 (x - the centred lift of its P residues),
+    exact, word-sized. The inverse's gain and shift (:func:`_mod_down_tables`)
+    emit P^-1 x and the lift's digits, whose rows carry -P^-1: one ``%``. It
+    is linear, so it holds in the evaluation domain too (``ntt``): only the K
+    special limbs leave it. ``x`` may be a key-product sum, unreduced
+    (:func:`repro.fhe.keys.keyswitch_bounds` "mod_down_sum")."""
     num_limbs, special = len(moduli), both[len(moduli):]
-    p_limbs = ntt_inverse_rns(x[..., num_limbs:, :], special) if ntt else x[..., num_limbs:, :]
-    lift = rns.base_extend(p_limbs, special, moduli, shift=rns.rns_modulus(special) // 2)
-    lift = ntt_forward_rns(lift, moduli) if ntt else lift
+    lift, gain, shift, p_inv = _mod_down_tables(moduli, both)
     mods = _moduli_column(moduli)
-    p_inv = _scalar_column(math.prod(special), moduli, True)
-    return (x[..., :num_limbs, :] - lift) % mods * p_inv % mods
+    if ntt:
+        digits = ntt_inverse_rns(x[..., num_limbs:, :], special, gain[num_limbs:],
+                                 shift[num_limbs:])
+        out = x[..., :num_limbs, :] % mods * p_inv
+        out += ntt_forward_rns(lift.extend(digits), moduli)
+    else:
+        x = ntt_inverse_rns(x, both, gain, shift)
+        out = lift.extend(x[..., num_limbs:, :])
+        out += x[..., :num_limbs, :]
+    return np.remainder(out, mods, out=out)
 
 
 def _galois_key(rotation_keys, k: int):
@@ -273,7 +292,7 @@ def _stacked_keyswitch(data, ksk, moduli):
     forward pass, the lazy key products, one inverse pass, the mod-down."""
     both = ksk.moduli
     fd = ntt_forward_rns(_mod_up(data, moduli, both), both)
-    out = _mod_down(ntt_inverse_rns(_key_products(fd, ksk.halves, both), both), moduli, both)
+    out = _mod_down(_key_products(fd, ksk.halves, both), moduli, both)
     return out[..., 0, :, :], out[..., 1, :, :]
 
 
@@ -442,9 +461,13 @@ class Backend:
         return np.stack(out)
 
     def _divide_by_p(self, wide, moduli, both):
-        """Both mod-downs of a (2, L+K, N) digit-loop sum, as (d0, d1)."""
+        """Both mod-downs of a reduced (2, L+K, N) digit-loop sum, as (d0, d1):
+        :func:`_mod_down` with the inverse's gain and shift applied by hand."""
         self.record("rnsconv", 2 * len(moduli) * wide.shape[-1])  # L outputs per component
-        return tuple(_mod_down(wide, moduli, both))
+        lift, _, _, p_inv = _mod_down_tables(moduli, both)
+        out = lift.extend(lift.digits(wide[..., len(moduli):, :]))
+        out += wide[..., : len(moduli), :] * p_inv
+        return tuple(out % _moduli_column(moduli))
 
     def keyswitch(self, data, ksk, moduli):
         """Hybrid keyswitch of one component's (L, N) residue stack (or of

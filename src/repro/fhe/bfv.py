@@ -129,7 +129,8 @@ class _TensorTables(NamedTuple):
     terms: int  # products one tensor may sum: ceil(sqrt(t))
     to_aux: rns._ExtensionTables  # Q -> P of t*x + floor(Q/2), rows mapped onto to_q's digits
     to_q: rns._ExtensionTables  # P -> Q, Q^-1 and floor(P/2) folded in
-    t_digits: np.ndarray  # (K, 1) t times to_q's folded CRT constants
+    gain: tuple[int, ...]  # the scale-round's inverse over Q u P: to_aux's digits, t * to_q's
+    shift: tuple[int, ...]  # its floor(Q/2) digits on Q, 0 on P
 
 
 @lru_cache(maxsize=None)
@@ -153,16 +154,16 @@ def _tensor_tables(params: FheParams) -> _TensorTables:
     p = math.prod(aux)  # P
     to_q = rns._extension_tables(aux, params.moduli, inv_mod(params.q % p, p), p // 2, None)
     gains, offsets = to_q.inv[:, 0].tolist(), tuple(to_q.shift_inv[:, 0].tolist())
-    t_digits = np.array([params.t * g % r for g, r in zip(gains, aux)], dtype=np.int64)[:, None]
-    t_digits.setflags(write=False)
+    to_aux = rns._extension_tables(params.moduli, aux, params.t, params.q // 2,
+                                   (tuple(-g % r for g, r in zip(gains, aux)), offsets))
     return _TensorTables(
         aux=aux,
         both=params.moduli + aux,
         terms=terms,
-        to_aux=rns._extension_tables(params.moduli, aux, params.t, params.q // 2,
-                                     (tuple(-g % r for g, r in zip(gains, aux)), offsets)),
+        to_aux=to_aux,
         to_q=to_q,
-        t_digits=t_digits,
+        gain=tuple(to_aux.inv[:, 0].tolist() + [params.t * g % r for g, r in zip(gains, aux)]),
+        shift=tuple(to_aux.shift_inv[:, 0].tolist() + [0] * len(aux)),
     )
 
 
@@ -177,16 +178,15 @@ def cmult_bounds(params: FheParams) -> dict[str, tuple[int | float, int | float]
     tb = _tensor_tables(params)
     top, float_sum = max(tb.both) - 1, rns.extension_bounds(params.moduli, tb.aux)["float_sum"][0]
     return {
-        # residue * residue: a tensor product, a digit times a folded CRT constant
+        # residue * residue: a tensor product, an operand's CRT digit
         "product": (top * top, 2**62),
         # a0*b1 + a1*b0 unreduced, plus the reduced sum a reference add meets
         "pair_sum": (2 * top * top + top, 2**63),
         # the giant steps' 2 * terms reduced product runs, summed unreduced
         "lazy_sum": (2 * tb.terms * top, 2**63),
-        # the scale-round's digits x * [t (Q/p)^-1]_p + [floor(Q/2) (Q/p)^-1]_p
-        "folded_digits": (top * top + top, 2**63),
-        # its one aux %: x_P * [t Q^-1 (P/p)^-1]_p plus the mapped Q -> P row
-        "aux_input": (top * top + float_sum, 2**63),
+        # the scale-round's one aux %: the mapped Q -> P row plus the gained
+        # inverse's [x_P * t Q^-1 (P/p)^-1]_p (its digits: ntt_bounds "shifted_exit")
+        "aux_input": (top + float_sum, 2**63),
         "aux_basis": (2 * params.t * params.n * params.q * tb.terms + 4, rns.rns_modulus(tb.aux)),
         "overflow_estimate": (rns.overflow_estimate_error(max(len(params.moduli), len(tb.aux))),
                               rns.V_AMBIGUITY),
@@ -424,17 +424,18 @@ class BfvContext:
         (any int64), a (..., 3, L, N) array — one inverse NTT, one rounding.
 
         With y = t*e + floor(Q/2) and w the centred lift of [t*e]_Q,
-        ``floor(y / Q) = (t*e - w) / Q``: the Q -> P extension folds t and
-        floor(Q/2) into its CRT constants and maps its rows by the P -> Q
-        extension's digit map (Q^-1, centring floor(P/2)): one ``%`` of x_P *
-        [t Q^-1 (P/p)^-1]_p plus them gives that extension's digits of t*e - w.
+        ``floor(y / Q) = (t*e - w) / Q``. The inverse's gain and shift make
+        its Q rows the Q -> P extension's CRT digits of t*e + floor(Q/2) and
+        its P rows x_P * [t Q^-1 (P/p)^-1]_p; that extension maps its rows by
+        the P -> Q extension's digit map (Q^-1, centring floor(P/2)), so one
+        ``%`` of the sum gives that extension's digits of t*e - w.
         Components 0 and 1 are residue classes (:data:`repro.fhe.rns.EXTENSION_RANGE`)
         for the correction add to reduce; component 2, the keyswitch input, canonical.
         """
         tb, num_limbs = _tensor_tables(self.params), self.params.num_limbs
-        x = ntt_inverse_rns(e, tb.both)
-        digits = tb.to_aux.extend(tb.to_aux.digits(x[..., :num_limbs, :]))
-        digits += np.multiply(x[..., num_limbs:, :], tb.t_digits, out=x[..., num_limbs:, :])
+        x = ntt_inverse_rns(e, tb.both, tb.gain, tb.shift)
+        digits = tb.to_aux.extend(x[..., :num_limbs, :])
+        digits += x[..., num_limbs:, :]
         digits %= tb.to_q.src
         out = tb.to_q.extend(digits)
         out[..., 2, :, :] %= tb.to_aux.src

@@ -114,12 +114,13 @@ def keyswitch_bounds(params: FheParams) -> dict[str, tuple[int, int]]:
     groups = [moduli[rows] for rows in digit_groups(len(moduli), both)]
     key_sum = min(params.num_digits, lazy_product_limit(both)) * top * top
     return {
-        # digit residue * key residue; (x - lift) mod q times P^-1
+        # digit residue * key residue; x mod q times P^-1
         "product": (top * top, 2**62),
         # D digit products summed unreduced in runs (one run, no %, at D <= 2)
         "key_sum": (key_sum, 2**63),
-        # x - lift: a key-product sum or a residue, less a residue or a row
-        "mod_down_difference": (max(key_sum, top - below, above), 2**63),
+        # the mod-down's one %: P^-1 x (a residue, or a residue times P^-1)
+        # plus the lift's row (-P^-1 in it) or its transform
+        "mod_down_sum": (max(top * top + above, -below), 2**63),
         # P above every digit's modulus Q_j, so the mod-down shrinks the
         # digits' key noise below the rounding's
         "special_basis": (max(math.prod(g) for g in groups), math.prod(special)),

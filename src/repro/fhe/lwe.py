@@ -148,10 +148,11 @@ def sample_extract_impl(ct: SmallRlwe, indices: np.ndarray | None = None) -> Lwe
 
 @dataclass
 class LweKeySwitchKey:
-    """Gadget keyswitch key from a dim-N secret to a dim-n secret."""
+    """Gadget keyswitch key from a dim-N secret to a dim-n secret, held as
+    float64 (exact: entries below q < 2**31) for the BLAS products."""
 
-    alpha: np.ndarray  # (N, digits, n) int64 mod q
-    beta: np.ndarray  # (N, digits) int64 mod q
+    alpha: np.ndarray  # (N, digits, n) float64 mod q
+    beta: np.ndarray  # (N, digits) float64 mod q
     base_bits: int
     modulus: int
 
@@ -171,15 +172,16 @@ def keyswitch_keygen(
 
     Entry (j, d) encrypts big_secret[j] * 2^(d * base_bits) under the small
     secret: beta = -<alpha, s'> + e + s_j * B^d — one uniform draw, one
-    Gaussian draw and one exact int64 product for all N * digits entries
-    (|<alpha, s'>| < n * q for a ternary s').
+    Gaussian draw and one exact float64 product for all N * digits entries
+    (|<alpha, s'>| < n * q < 2**53 for a ternary s').
     """
     big_n, small_n = big_secret.shape[0], small_secret.shape[0]
     digits = -(-modulus.bit_length() // base_bits)
     alpha = sampler.uniform(modulus, big_n * digits * small_n).reshape(big_n, digits, small_n)
+    alpha = alpha.astype(np.float64)
     e = sampler.gaussian(big_n * digits).reshape(big_n, digits)
     payload = big_secret[:, None] << (base_bits * np.arange(digits))
-    beta = (e + payload - alpha @ small_secret) % modulus
+    beta = (e + payload - alpha @ small_secret.astype(np.float64)) % modulus
     return LweKeySwitchKey(alpha, beta, base_bits, modulus)
 
 
@@ -191,39 +193,27 @@ def keyswitch(batch: LweBatch, ksk: LweKeySwitchKey) -> LweBatch:
 
 
 def keyswitch_impl(batch: LweBatch, ksk: LweKeySwitchKey) -> LweBatch:
-    """Default :meth:`Backend.lwe_keyswitch` implementation (gadget N -> n)."""
+    """Default :meth:`Backend.lwe_keyswitch` implementation (gadget N -> n):
+    ``(a', b') = sum_{j,d} dig[c,j,d] * (alpha, beta)[j,d] mod q`` over the
+    base-2^b digits of every a-coefficient as float64 (BLAS) products: each
+    term is a nonnegative integer below 2^b * q, so a chunk whose sum stays
+    below 2**53 is exact (one chunk at every test preset, three at ATHENA)."""
     if batch.modulus != ksk.modulus:
         raise ParameterError("keyswitch key modulus mismatch")
-    q = batch.modulus
-    digits = ksk.num_digits
-    mask = (1 << ksk.base_bits) - 1
-    count, big_n = batch.a.shape
-    # Decompose every a-coefficient into non-negative digits.
-    dig = np.empty((count, big_n, digits), dtype=np.int64)
+    q, mask = batch.modulus, (1 << ksk.base_bits) - 1
+    dig = np.empty(batch.a.shape + (ksk.num_digits,))
     acc = batch.a % q
-    for d in range(digits):
-        dig[:, :, d] = acc & mask
+    for d in range(ksk.num_digits):
+        dig[..., d] = acc & mask
         acc >>= ksk.base_bits
-    # a' = sum_{j,d} dig[c,j,d] * alpha[j,d,:] mod q. Exact int64 matmuls:
-    # each product is < 2^base_bits * q, so the safe chain length before a
-    # reduction is the same lazy-accumulation bound the fused RNS kernels
-    # use, taken at an effective modulus of 2^base_bits * q; chunk the
-    # contraction accordingly (chunk boundaries are invisible mod q).
-    from repro.fhe.backend import lazy_chain_limit
-
-    flat_dig = dig.reshape(count, big_n * digits)
-    flat_alpha = ksk.alpha.reshape(big_n * digits, -1)
-    flat_beta = ksk.beta.reshape(big_n * digits)
-    total = big_n * digits
-    # -1 reserves one chain slot for the carried (already-reduced) accumulator.
-    step = max(1, min(total, lazy_chain_limit(((1 << ksk.base_bits) * q,)) - 1))
-    acc_a = np.zeros((count, ksk.alpha.shape[2]), dtype=np.int64)
-    acc_b = np.zeros(count, dtype=np.int64)
-    for start in range(0, total, step):
-        end = min(total, start + step)
-        acc_a = (acc_a + flat_dig[:, start:end] @ flat_alpha[start:end]) % q
-        acc_b = (acc_b + flat_dig[:, start:end] @ flat_beta[start:end]) % q
-    return LweBatch(acc_a, (acc_b + batch.b) % q, q)
+    dig = dig.reshape(batch.count, -1)
+    alpha, beta = ksk.alpha.reshape(dig.shape[1], -1), ksk.beta.reshape(-1)
+    step = (2**53 - 1) // (mask * (q - 1))
+    a, b = np.zeros((batch.count, alpha.shape[1]), dtype=np.int64), batch.b % q
+    for lo in range(0, dig.shape[1], step):
+        a += (dig[:, lo : lo + step] @ alpha[lo : lo + step]).astype(np.int64) % q
+        b += (dig[:, lo : lo + step] @ beta[lo : lo + step]).astype(np.int64) % q
+    return LweBatch(a % q, b % q, q)
 
 
 def lwe_mod_switch(batch: LweBatch, new_modulus: int) -> LweBatch:

@@ -156,8 +156,10 @@ def ntt_bounds(n: int, moduli: tuple[int, ...]) -> dict[str, tuple[int | float, 
     of the entry, the reductions and the twists are off by < 2**12 / p, so
     every product operand is centred to |r| <= p//2 + 2**12; a product's sum
     stays below :func:`_gemm_peak` < 2**51, an exact integer whose reduction
-    is off by < 1/p and whose exit ``floor((Z + 1/2) / p)`` is exact."""
+    is off by < 1/p. The exit ``floor((Z + s + 1/2) / p)``, s < p a limb's
+    shift, is exact while |Z| + s stays below 2**51."""
     top = max(moduli)
+    gemm_sum = max(_gemm_peak(f, p) for f in _factors(n) for p in moduli)
     return {
         # residues and twiddles are words: an int64 product of two is exact
         "word": (top, 2**31),
@@ -165,13 +167,18 @@ def ntt_bounds(n: int, moduli: tuple[int, ...]) -> dict[str, tuple[int | float, 
         "entry_quotient": (3 * 2**10 + 1, 2**12),
         # the same for a twist's quotient, |r * tau / p| <= p/4 + 2**12
         "twist_quotient": ((top // 4 + 2**12) * top // 2**51 + 1, 2**12),
-        "gemm_sum": (max(_gemm_peak(f, p) for f in _factors(n) for p in moduli), 2**51),
+        "gemm_sum": (gemm_sum, 2**51),
+        # the last step's sum plus a shift below p, before the exit's floor
+        "shifted_exit": (gemm_sum + top, 2**51),
     }
 
 
 @lru_cache(maxsize=None)
-def _gemm_tables(n: int, moduli: tuple[int, ...]):
-    """``(forward, inverse, cols)`` of the stacked kernel, read-only.
+def _gemm_tables(n: int, moduli: tuple[int, ...], part: str | tuple[int, ...] | None):
+    """The steps of one ``part`` of the stacked kernel, read-only: ``"forward"``
+    the forward transform, ``"inverse"`` the inverse's steps before its last,
+    a per-limb gain tuple (``None`` for 1) that last step, its tables times
+    the gain mod p — so a gained inverse builds one step, not a table set.
 
     Four-step over N = f_0 ... f_{k-1} (:func:`_factors`), digit 0 slowest.
     Forward step s < k - 1 is digit s's length-f negacyclic transform: one
@@ -185,8 +192,7 @@ def _gemm_tables(n: int, moduli: tuple[int, ...]):
     it contracts, whether the tables multiply from the right (the folded
     step), the centred tables for the operand halves h and l / 2**16 (scaled
     by 2**-16 where a reduction follows) and the twist after it, ``(view,
-    tau, 2**16 tau / p)``. ``cols``: the (L, 1) int64 and float64 moduli,
-    1/p, p / 2**16 and 2**16 / p."""
+    tau, 2**16 tau / p)``."""
     for name, (peak, limit) in ntt_bounds(n, moduli).items():
         if not peak < limit:
             raise ParameterError(f"stacked NTT, N = {n}: {name} {peak} is not below {limit}")
@@ -198,23 +204,25 @@ def _gemm_tables(n: int, moduli: tuple[int, ...]):
     pw = np.concatenate([pw, (mods - pw) % mods], axis=1)  # psi^0 .. psi^(2N - 1)
     ipw = pw[:, -np.arange(2 * n)]
 
-    def centred(v, f=1):  # v / f mod p, centred
+    def centred(v, f=1, gain=None):  # v * gain / f mod p, centred
         p = mods.reshape((-1,) + (1,) * (v.ndim - 1))
-        v = v * np.array([pow(f, -1, q) for q in moduli]).reshape(p.shape) % p
+        scale = [pow(f, -1, q) * g % q for q, g in zip(moduli, gain or (1,) * len(moduli))]
+        v = v * np.array(scale).reshape(p.shape) % p
         return v - p * (v > p // 2)
 
-    def halves(mat, scale, f=1):  # C order: BLAS reads a transposed table slower
-        mat = np.ascontiguousarray(centred(mat, f))
+    def halves(mat, scale, f=1, gain=None):  # C order: BLAS reads a transposed table slower
+        mat = np.ascontiguousarray(centred(mat, f, gain))
         return (centred(mat * 2**16) * scale)[:, None], (mat * (2.0**16 * scale))[:, None]
 
     def view(s):  # (L, rows above, f, rest) of digit s
         rows = math.prod(fs[:s])
         return len(moduli), rows, fs[s], n // (rows * fs[s])
 
-    def step(powers, s, inverse):  # digit s's transform, or its inverse
+    def step(powers, s, inverse, gain=None):  # digit s's transform, or its inverse
         f, scale = fs[s], 1.0 if inverse and not s else 2.0**-16
         e = n // f * (2 * _bit_reverse_indices(f)[:, None] + 1) * np.arange(f) % (2 * n)
-        return view(s), False, *halves(powers[:, e.T if inverse else e], scale, f if inverse else 1)
+        return (view(s), False,
+                *halves(powers[:, e.T if inverse else e], scale, f if inverse else 1, gain))
 
     def twist(powers, s):
         _, rows, f, rest = view(s)
@@ -225,21 +233,41 @@ def _gemm_tables(n: int, moduli: tuple[int, ...]):
     e = (2 * (_bit_reverse_indices(b)[:, None] + b * _bit_reverse_indices(a)) + 1)[:, :, None]
     e = n // (a * b) * e * np.arange(a) % (2 * n)
     folded = (len(moduli), n // (a * b), b, a)
-    forward = [step(pw, s, False) + (twist(pw, s) if s < k - 2 else None,) for s in range(k - 1)]
-    forward.append((folded, True, *halves(pw[:, e].transpose(0, 1, 3, 2), 1.0), None))
-    inverse = [(folded, True, *halves(ipw[:, e], 2.0**-16 if k > 1 else 1.0, a), None)]
-    for s in reversed(range(k - 1)):
-        inverse.append(step(ipw, s, True) + (twist(ipw, s - 1) if s else None,))
-    cols = (mods, pf, 1.0 / pf, pf * 2.0**-16, 2.0**16 / pf)
-    for arr in (*cols, *(x for st in forward + inverse for x in (*st[2:4], *(st[4] or ())[1:]))):
-        arr.setflags(write=False)
-    return forward, inverse, cols
+    if part == "forward":
+        steps = [step(pw, s, False) + (twist(pw, s) if s < k - 2 else None,)
+                 for s in range(k - 1)]
+        steps.append((folded, True, *halves(pw[:, e].transpose(0, 1, 3, 2), 1.0), None))
+    elif part == "inverse":
+        steps = [(folded, True, *halves(ipw[:, e], 2.0**-16, a), None)][: k - 1]
+        steps += [step(ipw, s, True) + (twist(ipw, s - 1),) for s in reversed(range(1, k - 1))]
+    elif k > 1:
+        steps = [step(ipw, 0, True, part) + (None,)]
+    else:
+        steps = [(folded, True, *halves(ipw[:, e], 1.0, a, part), None)]
+    for x in (x for st in steps for x in (*st[2:4], *(st[4] or ())[1:])):
+        x.setflags(write=False)
+    return tuple(steps)
 
 
-def _transform(a: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _kernel(n: int, moduli: tuple[int, ...], inverse: bool, gain, shift):
+    """``(steps, cols)`` of one transform, in one lookup, read-only: the
+    forward steps, or the inverse's ending in its ``gain`` step
+    (:func:`_gemm_tables`); the (L, 1) int64 and float64 moduli, 1/p,
+    p / 2**16, 2**16 / p and the exit's ``shift + 1/2``."""
+    steps = (_gemm_tables(n, moduli, "inverse") + _gemm_tables(n, moduli, gain) if inverse
+             else _gemm_tables(n, moduli, "forward"))
+    pf = np.array(moduli, dtype=np.float64)[:, None]
+    cols = (pf.astype(np.int64), pf, 1.0 / pf, pf * 2.0**-16, 2.0**16 / pf,
+            np.reshape(shift or 0, (-1, 1)) + 0.5)
+    for col in cols:
+        col.setflags(write=False)
+    return steps, cols
+
+
+def _transform(a: np.ndarray, moduli: tuple[int, ...], inverse: bool, gain, shift) -> np.ndarray:
     n = a.shape[-1]
-    forward, backward, (mods, pf, pinv, p_lo, pinv_hi) = _gemm_tables(n, moduli)
-    steps = backward if inverse else forward
+    steps, (mods, pf, pinv, p_lo, pinv_hi, half) = _kernel(n, moduli, inverse, gain, shift)
     basis = (len(moduli), n)
     if a.shape[-2:] != basis:  # a lone (N,) row or a limb-broadcast stack
         a = np.broadcast_to(a, np.broadcast_shapes(a.shape, basis))
@@ -287,8 +315,8 @@ def _transform(a: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndar
                 np.multiply(dst, mods, out=dst)
                 np.subtract(y_int, dst, out=y_int)
                 np.multiply(y_int, 2.0**-16, out=y)
-        # exit: floor((Z + 1/2) / p) is Z's true quotient
-        np.add(y, 0.5, out=y)
+        # exit: floor((Z + s + 1/2) / p) is Z + s's true quotient
+        np.add(y, half, out=y)
         np.multiply(y, pinv, out=h)
         np.floor(h, out=h)
         np.multiply(h, pf, out=h)
@@ -306,18 +334,20 @@ def ntt_forward_rns(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     bit-reversed out, a fresh array of canonical residues. Each digit's
     transform is one float64 matrix product over the whole stack
     (:func:`_gemm_tables`); no int64 ``%`` anywhere (:func:`ntt_bounds`)."""
-    return _transform(a, moduli, False)
+    return _transform(a, moduli, False, None, None)
 
 
-def ntt_inverse_rns(a: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+def ntt_inverse_rns(a: np.ndarray, moduli: tuple[int, ...], gain=None, shift=None) -> np.ndarray:
     """Inverse of :func:`ntt_forward_rns` (bit-reversed in, natural out):
-    :func:`ntt_inverse` limb by limb, bit for bit, on the same stacks."""
-    return _transform(a, moduli, True)
+    :func:`ntt_inverse` limb by limb, bit for bit, on the same stacks. Per-limb
+    int tuples ``gain`` and ``shift`` (< p_i) make limb i ``[gain_i * x + shift_i]
+    mod p_i`` at no extra pass, in the last step's tables and the exit."""
+    return _transform(a, moduli, True, gain, shift)
 
 
 def ntt_mul_rns(a: np.ndarray, b: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     """Negacyclic product of two (L, N) residue stacks, every limb at once."""
-    mods = _gemm_tables(a.shape[-1], moduli)[2][0]
+    mods = _kernel(a.shape[-1], moduli, False, None, None)[1][0]
     fa = ntt_forward_rns(a, moduli)
     fb = ntt_forward_rns(b, moduli)
     return ntt_inverse_rns(fa * fb % mods, moduli)

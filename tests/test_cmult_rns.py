@@ -583,18 +583,19 @@ class TestBounds:
     def test_every_peak_below_its_limit(self, name):
         """Tables only — no twiddles — so the paper-size set is cheap too.
         Every unreduced hand-off of the CMult has its entry: the product
-        pair sum, the folded scale-round digits and its one aux ``%`` input,
-        the giant steps' run sums."""
+        pair sum, the scale-round's one aux ``%`` input (its digits leave the
+        gained inverse's exit, ``ntt_bounds`` "shifted_exit"), the giant
+        steps' run sums."""
         params = PRESETS[name]
         bounds = cmult_bounds(params)
-        assert set(bounds) == {"product", "pair_sum", "lazy_sum", "folded_digits",
-                               "aux_input", "aux_basis", "overflow_estimate"}
+        assert set(bounds) == {"product", "pair_sum", "lazy_sum", "aux_input", "aux_basis",
+                               "overflow_estimate"}
         for what, (peak, limit) in bounds.items():
             assert 0 < peak < limit, (name, what)
         top = max(bfv_module._tensor_tables(params).both) - 1
         assert bounds["pair_sum"][0] == 2 * top * top + top
         float_sum = rns.extension_bounds(params.moduli, bfv_module._tensor_tables(params).aux)
-        assert bounds["aux_input"][0] == top * top + float_sum["float_sum"][0]
+        assert bounds["aux_input"][0] == top + float_sum["float_sum"][0]
         # A middle component holds two products: a run of pairs is half a run.
         assert backend_mod.lazy_product_limit(bfv_module._tensor_tables(params).both) >= 2
 
@@ -609,7 +610,7 @@ class TestBounds:
         prefix of the tensor's auxiliary basis."""
         params = PRESETS[name]
         bounds = keyswitch_bounds(params)
-        assert set(bounds) == {"product", "key_sum", "mod_down_difference", "special_basis",
+        assert set(bounds) == {"product", "key_sum", "mod_down_sum", "special_basis",
                                "mod_up", "mod_down"}
         for what, (peak, limit) in bounds.items():
             assert 0 < peak < limit, (name, what)

@@ -15,7 +15,7 @@ from repro.eval.tables import (
     render_table9,
     table1,
 )
-from repro.eval.zoo import RECIPES, get_benchmark
+from repro.eval.zoo import RECIPES
 from repro.fhe.params import ATHENA
 
 

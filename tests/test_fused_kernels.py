@@ -248,12 +248,14 @@ class TestPreparedState:
         pairs = [(cts[0], cts[1]), (cts[1], cts[2])]
         results = _results(ctx, rlk, pairs)
         params, tb = ctx.params, bfv_mod._tensor_tables(ctx.params)
-        cached = [rns_mod.scratch(1).base, rlk.halves, tb.t_digits,
-                  *tb.to_aux[1:], *tb.to_q[1:]]
-        for moduli in (params.moduli, tb.both, rlk.moduli, rlk.moduli[:1]):
-            forward, inverse, cols = ntt_mod._gemm_tables(params.n, moduli)
-            cached += [*cols, *(x for st in forward + inverse
-                                for x in (st[2], st[3], *(st[4] or ())[1:]))]
+        lift, gain, shift, p_inv = backend_mod._mod_down_tables(params.moduli, rlk.moduli)
+        cached = [rns_mod.scratch(1).base, rlk.halves, *tb.to_aux[1:], *tb.to_q[1:],
+                  *lift[1:], p_inv]
+        for moduli, g, sh in ((params.moduli, None, None), (tb.both, tb.gain, tb.shift),
+                              (rlk.moduli, gain, shift), (rlk.moduli[:1], None, None)):
+            steps, cols = ntt_mod._kernel(params.n, moduli, True, g, sh)
+            steps += ntt_mod._gemm_tables(params.n, moduli, "forward")
+            cached += [*cols, *(x for st in steps for x in (st[2], st[3], *(st[4] or ())[1:]))]
         for arr in results:
             assert not any(np.shares_memory(arr, c) for c in cached)
 
@@ -305,10 +307,12 @@ class TestFixedCost:
     """The fixed cost of a fused call, as a count that repeats exactly: the
     Python-level calls (functions and C functions; numpy's ufuncs are
     neither) of one fresh-operand, one-pair ``cmult_batch`` at TEST_FBS.
-    BUDGET is what the prepared kernels reach (299 before them); a change
-    that adds per-call glue fails here, where a timing would only drift."""
+    BUDGET is what the prepared kernels reach with the CRT constants in the
+    gained inverse (299 before the prepared kernels, 233 before the gains);
+    a change that adds per-call glue fails here, where a timing would only
+    drift."""
 
-    BUDGET = 233
+    BUDGET = 228
 
     def test_one_pair_cmult_stays_within_its_call_budget(self):
         ctx, _, rlk, _, cts = _fixture()

@@ -123,15 +123,23 @@ class TestRnsDigits:
     @pytest.mark.parametrize("params", (TEST_LOOP, GROUPED_3), ids=lambda p: p.name)
     def test_mod_down_is_the_rounded_division(self, params, rng):
         """round(x / P) mod Q of the lift x of a stack over Q u P: exact,
-        word-sized, edges of the centred P residue included."""
+        word-sized, edges of the centred P residue included — from the
+        evaluation domain into the coefficient domain (the gained inverse)
+        and into the evaluation domain, and from a reduced coefficient-domain
+        sum (the reference's gains by hand)."""
         moduli, both = params.moduli, params.keyswitch_moduli
         p = math.prod(params.special_moduli)
         x = rng.integers(0, 2**31, (2, len(both), params.n)) % np.array(both)[:, None]
         x[:, :, :2] = rns.to_rns([p // 2, p // 2 + 1], both)  # +-(P-1)/2
-        for comp, got in zip(x, _mod_down(x, moduli, both)):
-            lifted = rns.from_rns_object(comp, both)
-            want = (lifted + p // 2) // p % params.q
-            assert np.array_equal(got, rns.to_rns(want, moduli))
+        fx = ntt_forward_rns(x, both)
+        forms = (_mod_down(fx, moduli, both),
+                 ntt_inverse_rns(_mod_down(fx, moduli, both, ntt=True), moduli),
+                 np.stack(SERIAL._divide_by_p(x, moduli, both)))
+        for got in forms:
+            for comp, row in zip(x, got):
+                lifted = rns.from_rns_object(comp, both)
+                want = (lifted + p // 2) // p % params.q
+                assert np.array_equal(row, rns.to_rns(want, moduli))
 
     def test_key_folds_the_idempotent(self, keys):
         """Digit key j is an encryption of P * g * delta_j under s over

@@ -7,8 +7,34 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.fhe import lwe
+from repro.fhe.backend import lazy_chain_limit
 from repro.fhe.bfv import Plaintext
+from repro.fhe.params import PRESETS
 from repro.utils.sampling import SIGMA, Sampler
+
+
+def _int64_keyswitch(batch, ksk):
+    """The gadget keyswitch in int64 arithmetic, the oracle of the float64
+    body: every a-coefficient's base-2^b digits against the key, the
+    contraction chunked at the lazy-accumulation bound of an effective
+    modulus 2^b * q (chunk boundaries are invisible mod q)."""
+    q, mask = batch.modulus, (1 << ksk.base_bits) - 1
+    count, big_n = batch.a.shape
+    dig = np.empty((count, big_n, ksk.num_digits), dtype=np.int64)
+    acc = batch.a % q
+    for d in range(ksk.num_digits):
+        dig[:, :, d] = acc & mask
+        acc >>= ksk.base_bits
+    flat_dig = dig.reshape(count, -1)
+    flat_alpha = ksk.alpha.astype(np.int64).reshape(flat_dig.shape[1], -1)
+    flat_beta = ksk.beta.astype(np.int64).reshape(-1)
+    step = lazy_chain_limit(((1 << ksk.base_bits) * q,)) - 1
+    acc_a = np.zeros((count, flat_alpha.shape[1]), dtype=np.int64)
+    acc_b = np.zeros(count, dtype=np.int64)
+    for lo in range(0, flat_dig.shape[1], step):
+        acc_a = (acc_a + flat_dig[:, lo : lo + step] @ flat_alpha[lo : lo + step]) % q
+        acc_b = (acc_b + flat_dig[:, lo : lo + step] @ flat_beta[lo : lo + step]) % q
+    return lwe.LweBatch(acc_a, (acc_b + batch.b) % q, q)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +148,30 @@ class TestKeyswitch:
         noise = (ksk.beta + ksk.alpha @ s_small - gadget) % q
         noise = np.where(noise > q // 2, noise - q, noise)
         assert np.abs(noise).max() <= 6 * SIGMA
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_blas_body_equals_the_int64_oracle(self, name):
+        """The float64 (BLAS) body equals the int64 one bit for bit at every
+        preset's N, gadget digits and q' — one chunk at the test presets,
+        three at ``ATHENA``'s N = 2**15 — on random keys and inputs and at
+        the peak (every key entry q' - 2, odd, so that a sum past 2**53 would
+        round; every input's digits but its top one 2^b - 1), where
+        ``ATHENA``'s first chunk sums past 2**52. By shape: a small target
+        dimension, the chunks run along N * digits."""
+        params = PRESETS[name]
+        q, big_n, small_n = params.lwe_q, params.n, 4
+        digits = -(-q.bit_length() // lwe.KS_BASE_BITS)
+        step = (2**53 - 1) // ((2**lwe.KS_BASE_BITS - 1) * (q - 1))
+        assert -(-big_n * digits // step) == (3 if name == "athena" else 1)
+        rng = np.random.default_rng(big_n)
+        key = rng.integers(0, q, (big_n, digits, small_n + 1)).astype(np.float64)
+        peak, low = np.full_like(key, q - 2), (1 << lwe.KS_BASE_BITS * (digits - 1)) - 1
+        for k, rows in ((key, rng.integers(0, q, (3, big_n))), (peak, np.full((3, big_n), low))):
+            ksk = lwe.LweKeySwitchKey(k[..., :-1], k[..., -1], lwe.KS_BASE_BITS, q)
+            batch = lwe.LweBatch(rows, rng.integers(0, q, 3), q)
+            got, want = lwe.keyswitch_impl(batch, ksk), _int64_keyswitch(batch, ksk)
+            assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+            assert got.a.dtype == got.b.dtype == np.int64
 
     def test_modulus_mismatch_raises(self, chain):
         *_, ksk = chain

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
+from repro.fhe import backend as backend_mod
+from repro.fhe import bfv as bfv_mod
 from repro.fhe import ntt
 from repro.fhe.bfv import BfvContext
 from repro.fhe.params import PRESETS
@@ -202,6 +204,39 @@ class TestStackedKernel:
             # p - 1 everywhere drives every lazy accumulator to its peak.
             assert_matches_oracle(np.broadcast_to(col - 1, (len(moduli), n)).copy(), moduli)
 
+    @pytest.mark.parametrize("name", PRESET_CASES)
+    def test_a_gained_inverse_is_the_plain_one_scaled_and_shifted(self, name):
+        """``[gain * x + shift] mod p`` bit for bit on every basis a request
+        inverts over — Q, Q u P, P and Q u aux — with the gains the
+        scale-round and the mod-down fold in, a random one on Q, and at the
+        peaks (inputs p - 1, shifts p - 1); a gained inverse adds one step's
+        tables to its basis, never a table set."""
+        params = PRESETS[name]
+        q_p, special, tensor = params.keyswitch_moduli, params.special_moduli, BfvContext(params)
+        tb, (_, down_gain, down_shift, _) = (bfv_mod._tensor_tables(params),
+                                              backend_mod._mod_down_tables(params.moduli, q_p))
+        l = params.num_limbs
+        rng = np.random.default_rng(params.n)
+        cases = [
+            (params.moduli, tuple(int(g) for g in rng.integers(0, 2**31, l)), None),
+            (q_p, down_gain, down_shift),
+            (special, down_gain[l:], down_shift[l:]),
+            (tensor.tensor_moduli, tb.gain, tb.shift),
+            (special, None, tuple(p - 1 for p in special)),
+        ]
+        for moduli, gain, shift in cases:
+            col = np.array(moduli, dtype=np.int64)[:, None]
+            g = np.array(gain or (1,) * len(moduli))[:, None] % col
+            sh = np.array(shift or (0,) * len(moduli))[:, None]
+            for a in (rng.integers(0, col, (2, len(moduli), params.n)),
+                      np.broadcast_to(col - 1, (len(moduli), params.n))):
+                plain = ntt.ntt_inverse_rns(a, moduli)
+                got = ntt.ntt_inverse_rns(a, moduli, gain, shift)
+                assert np.array_equal(got, (plain * g + sh) % col), (name, len(moduli))
+            (exit_step,) = ntt._gemm_tables(params.n, moduli, gain)  # one (f_0, f_0) matrix a limb
+            f = ntt._factors(params.n)[0]
+            assert exit_step[2].nbytes + exit_step[3].nbytes == 16 * len(moduli) * f * f
+
     @pytest.mark.parametrize("name", ["test-tiny", "test-loop"])
     def test_adversarial_inputs(self, name):
         n, (moduli, _) = preset_bases(name)
@@ -270,9 +305,11 @@ class TestStackedKernel:
         n, bases = preset_bases(name)
         for moduli in bases:
             bounds = ntt.ntt_bounds(n, moduli)
-            assert set(bounds) == {"word", "entry_quotient", "twist_quotient", "gemm_sum"}
+            assert set(bounds) == {"word", "entry_quotient", "twist_quotient", "gemm_sum",
+                                   "shifted_exit"}
             for what, (peak, limit) in bounds.items():
                 assert 0 < peak < limit, (name, what)
+            assert bounds["shifted_exit"][0] == bounds["gemm_sum"][0] + max(moduli)
             # the longest product over a 30/31-bit basis: 32 * 1.5 * 2**45
             assert bounds["gemm_sum"][0] > max(ntt._factors(n)) * 2**45
 
@@ -314,7 +351,8 @@ class TestStackedKernel:
         if name == "athena":
             return
         for moduli in bases:
-            forward, inverse, cols = ntt._gemm_tables(n, moduli)
-            tables = [x for step in forward + inverse for x in (*step[2:4], *(step[4] or ())[1:])]
+            steps = [ntt._gemm_tables(n, moduli, part) for part in ("forward", "inverse", None)]
+            tables = [x for step in sum(steps, ()) for x in (*step[2:4], *(step[4] or ())[1:])]
             assert sum(x.nbytes for x in tables) == len(moduli) * per_limb
+            cols = ntt._kernel(n, moduli, True, None, None)[1]
             assert not any(x.flags.writeable for x in (*tables, *cols))

@@ -154,7 +154,7 @@ class TestRnsPolyOpEquivalence:
 
     def test_scalar_columns_are_cached_per_value_and_basis(self, params):
         """scalar_mul reads one bounded, read-only (L, 1) column per (value,
-        basis, direction); a hit computes what a miss did."""
+        basis); a hit computes what a miss did."""
         from repro.fhe.backend import _scalar_column
 
         a, _ = self._pair(params, 19)
@@ -170,7 +170,7 @@ class TestRnsPolyOpEquivalence:
         assert col.shape == (len(params.moduli), 1)
         assert _scalar_column(3, params.keyswitch_moduli).shape == (
             len(params.keyswitch_moduli), 1)
-        assert not np.array_equal(col, _scalar_column(3, params.moduli, True))
+        assert not np.array_equal(col, _scalar_column(5, params.moduli))
         assert _scalar_column.cache_info().maxsize == 4096
 
     def test_mul_matches_exact_reference(self, params):
