@@ -10,7 +10,8 @@ Prints one JSON object:
 - ``cmult``: ms per ``BATCHED.cmult_batch`` call of B pairs of fresh
   encryptions (forms built inside the call), the median of ``--reps`` calls,
   at B = 1, 2, 8 and 16 on ``TEST_FBS`` and ``TEST_LOOP``, with the minor page
-  faults per call;
+  faults per call (``faults_per_call``: 0 everywhere, the allocator policy
+  ``repro.fhe`` sets keeping freed pages for the next call);
 - ``kernels``: µs per call, best of seven rounds, of one forward transform of
   a CMult operand over Q u aux and one centred Q -> aux base extension, at
   the smallest stack a CMult makes (one ciphertext), and of one
@@ -23,7 +24,8 @@ Prints one JSON object:
 - ``batch``: one ``serve_packed``-shaped batch (the ledger's ``packed``
   subject at ``TEST_FBS``, 4 images in 2 lane-full ciphertexts): its median
   ms, and per op the ms, share and calls of one batch (ops nest: ``fbs``
-  holds ``cmult_batch``, ``giant_step_batch`` and every transform under them).
+  holds ``cmult_batch``, ``giant_step_batch`` and every transform under them);
+- ``peak_rss_mb``: the process's peak resident set, MiB, after all of the above.
 """
 
 from __future__ import annotations
@@ -175,6 +177,7 @@ def main() -> None:
         "kernels": {name: kernels_us(params) for name, params in PRESETS.items()},
         "ops": ops_us(TEST_LOOP),
         "batch": batch_split(args.batches),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
     }, indent=1))
 
 

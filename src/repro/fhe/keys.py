@@ -73,9 +73,9 @@ def _uniform_poly(moduli: tuple[int, ...], n: int, sampler: Sampler) -> RnsPoly:
 @dataclass
 class KeySwitchKey:
     """Hybrid keyswitch key from secret ``g`` to secret ``s``: the read-only
-    (2, D, L+K, N) evaluation-domain stack of both halves over Q u P,
-    transformed once at generation, so no keyswitch pays a key transform and
-    the key products are one contraction against it."""
+    (2, D, L+K, N) evaluation-domain stack of both halves over Q u P, built in
+    that domain (``[-A S + NTT(e_j + P g delta_j), A]``, A = NTT(a_j)), so no
+    keyswitch pays a key transform and the key products are one contraction."""
 
     halves: np.ndarray  # [-(a_j s) + e_j + P g delta_j, a_j]
     moduli: tuple[int, ...]  # Q u P: Q's limbs, then the special primes
@@ -84,20 +84,18 @@ class KeySwitchKey:
     def generate(cls, target: RnsPoly, sk: SecretKey, sampler: Sampler) -> "KeySwitchKey":
         params = sk.params
         both = params.keyswitch_moduli
-        s = RnsPoly.from_int_coeffs(sk.coeffs, both).ntt_form()
-        mods = np.array(params.moduli, dtype=np.int64)[:, None]
+        mods = np.array(both, dtype=np.int64)[:, None]
         special = math.prod(params.special_moduli)
-        payload = target.data * np.array([special % q for q in params.moduli])[:, None] % mods
-        k0, k1 = [], []
+        payload = target.data * np.array([special % q for q in params.moduli])[:, None]
+        a, e = [], []
         for rows in digit_groups(params.num_limbs, both):
-            a = _uniform_poly(both, params.n, sampler)
-            e = RnsPoly.from_int_coeffs(sampler.gaussian(params.n), both)
-            b = -a.mul_ntt(s) + e
+            a.append(_uniform_poly(both, params.n, sampler).data)
+            e.append(rns.to_rns(sampler.gaussian(params.n), both))
             # P * g * delta_j is P * g on the limbs of group j, zero elsewhere.
-            b.data[rows] = (b.data[rows] + payload[rows]) % mods[rows]
-            k0.append(b.data)
-            k1.append(a.data)
-        halves = ntt_forward_rns(np.array([k0, k1]), both)
+            e[-1][rows] = (e[-1][rows] + payload[rows]) % mods[rows]
+        halves = ntt_forward_rns(np.array([e, a]), both)
+        s = ntt_forward_rns(rns.to_rns(sk.coeffs, both), both)
+        halves[0] = (halves[0] - halves[1] * s % mods) % mods
         halves.setflags(write=False)
         return cls(halves, both)
 

@@ -27,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.fhe.rns import scratch
 from repro.utils.modmath import inv_mod, root_of_unity
 
 
@@ -275,7 +274,7 @@ def _transform(a: np.ndarray, moduli: tuple[int, ...], inverse: bool, gain, shif
     out = np.empty(a.shape, dtype=np.int64)
     chunk = max(1, NTT_CHUNK_ELEMS // (basis[0] * n))
     size = min(chunk, len(rows)) * basis[0] * n
-    work = scratch(2 * size)  # y and h, this thread's: never returned
+    work = np.empty(2 * size)  # y and h
     for lo in range(0, len(rows), chunk):
         src, dst = rows[lo : lo + chunk], out.reshape(rows.shape)[lo : lo + chunk]
         y, h = work[: src.size].reshape(src.shape), work[size : size + src.size].reshape(src.shape)

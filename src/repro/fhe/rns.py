@@ -15,8 +15,9 @@ estimate is too close to an integer to trust).
 
 from __future__ import annotations
 
+import ctypes
 import math
-import threading
+import os
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -97,17 +98,19 @@ def from_rns_centered(residues: np.ndarray, moduli: tuple[int, ...]) -> list[int
     return np.where(lifted > half, lifted - q, lifted).tolist()
 
 
-_SCRATCH = threading.local()
+def keep_freed_pages(libc) -> bool:
+    """The process's allocator policy (DESIGN.md §18), through glibc's ``mallopt``:
+    blocks below 32 MiB come from the heap, trimmed only past 128 MiB free, so
+    a call reuses the pages the last one freed instead of faulting on fresh
+    ones. True if both are set; False, nothing done, without ``mallopt``."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 128 << 20))  # M_MMAP_, M_TRIM_THRESHOLD
 
 
-def scratch(size: int) -> np.ndarray:
-    """``size`` float64 elements of this thread's one 512 KiB scratch buffer
-    (a fresh array if larger) for a kernel's temporaries: never returned,
-    never held across a call into another kernel."""
-    buf = getattr(_SCRATCH, "buf", None)
-    if buf is None:
-        buf = _SCRATCH.buf = np.empty(1 << 16)
-    return buf[:size] if size <= buf.size else np.empty(size)
+keep_freed_pages(ctypes.CDLL(None) if os.name == "posix" else None)
 
 
 #: Half-width of the band around every integer inside which the float64
@@ -172,7 +175,7 @@ class _ExtensionTables(NamedTuple):
         """The rows from canonical (..., L, N) CRT digits, into ``out`` if given."""
         limbs, v = xi.shape[-2], 2 * xi.shape[-2]
         shape = xi.shape[:-2] + (v + 2, xi.shape[-1])
-        operand = scratch(math.prod(shape)).reshape(shape)  # [hi; lo; v; 1]
+        operand = np.empty(shape)  # [hi; lo; v; 1]
         np.right_shift(xi, _SPLIT_BITS, out=operand[..., :limbs, :])
         np.bitwise_and(xi, (1 << _SPLIT_BITS) - 1, out=operand[..., limbs:v, :])
         frac = np.matmul(self.estimate, operand[..., :v, :])

@@ -2,6 +2,7 @@
 K = alpha special primes), their mod-up and mod-down, and the keyswitch keys
 built on them."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,11 +24,12 @@ from repro.fhe.backend import (
     use_backend,
 )
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext
-from repro.fhe.keys import KeySwitchKey
+from repro.fhe.keys import KeySwitchKey, SecretKey
 from repro.fhe.ntt import negacyclic_mul_exact, ntt_forward_rns, ntt_inverse_rns
 from repro.fhe.packing import MatvecPlan, hypercube_matvec
 from repro.fhe.params import (
     ATHENA_MEDIUM,
+    PRESETS,
     TEST_FBS,
     TEST_LOOP,
     TEST_SMALL,
@@ -183,6 +185,21 @@ def _keyswitch_residual(params, seed):
     return max(abs(v) for v in residual)
 
 
+#: sha256[:16] of the halves of a key to s(X^3) from ``Sampler(7)``, built
+#: before the key moved to the evaluation domain: the same draws in the same
+#: order give the same residues.
+KEY_DIGESTS = {
+    "athena": "bd3b25834c911760",
+    "athena-medium": "7341a0c2a391f7a9",
+    "test-fbs": "5e34e910fc4133ee",
+    "test-loop": "880d546646f7775d",
+    "test-small": "82c008dd3e16f9b7",
+    "test-tiny": "147025de7a9e1ce6",
+    "grouped-2": "d3793b1461055671",
+    "grouped-3": "ceb09d318028acb6",
+}
+
+
 class TestKeySwitchKeys:
     def test_keyswitch_moves_component(self):
         """The keyswitch of c under KSK_{g->s} must satisfy
@@ -192,6 +209,15 @@ class TestKeySwitchKeys:
             for seed in (77, 78):
                 residual = _keyswitch_residual(params, seed)
                 assert residual <= keyswitch_noise_bound(params), params.name
+
+    @pytest.mark.parametrize("params", [
+        pytest.param(p, id=p.name, marks=[pytest.mark.slow] if p.name == "athena" else [])
+        for p in (*PRESETS.values(), GROUPED_2, GROUPED_3)])
+    def test_halves_are_pinned(self, params):
+        sampler = Sampler(7)
+        sk = SecretKey.generate(params, sampler)
+        key = KeySwitchKey.generate(sk.poly.automorphism(3), sk, sampler)
+        assert hashlib.sha256(key.halves.tobytes()).hexdigest()[:16] == KEY_DIGESTS[params.name]
 
     @pytest.mark.slow
     def test_keyswitch_moves_component_at_medium(self):

@@ -143,6 +143,10 @@ STAYS_DELETED = [
     ("one-cmult-entry",
      re.escape("def cmult("),
      "src/repro/fhe/bfv.py"),
+    # One memory policy (the allocator keeps freed pages; no kernel scratch buffer).
+    ("one-memory-policy",
+     r"_SCRATCH|def scratch|scratch\(",
+     "src/repro/fhe"),
 ]
 
 #: The element-wise RNS ops, one body on every engine (Backend's).
