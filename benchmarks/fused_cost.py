@@ -21,6 +21,10 @@ Prints one JSON object:
   (``tensor_scale_round`` of a (B, 3, L+K, N) tensor, ``BATCHED.keyswitch``
   of its (B, L, N) quadratic components) and the LWE keyswitch
   (``lwe.keyswitch_impl``) of 32 and 128 extracted samples;
+- ``s2c``: at ``TEST_LOOP``, ms per ``slot_to_coeff`` call at periods 8, 32,
+  64 and 128 (= N, the dense plan) and per ``pack_lwe`` call of 8 and 43
+  samples (periods 8 and 64), the median of ``--reps`` calls, with the limb
+  transforms one call executes;
 - ``batch``: one ``serve_packed``-shaped batch (the ledger's ``packed``
   subject at ``TEST_FBS``, 4 images in 2 lane-full ciphertexts): its median
   ms, and per op the ms, share and calls of one batch (ops nest: ``fbs``
@@ -50,7 +54,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "ledger")]
 import numpy as np  # noqa: E402
 
 from repro.fhe import lwe, ntt, rns  # noqa: E402
-from repro.fhe.backend import BATCHED, BatchedBackend  # noqa: E402
+from repro.fhe.backend import BATCHED, BatchedBackend, use_backend  # noqa: E402
 from repro.fhe.bfv import BfvContext, Plaintext, _tensor_tables  # noqa: E402
 from repro.fhe.packing import MatvecPlan  # noqa: E402
 from repro.fhe.params import TEST_FBS, TEST_LOOP  # noqa: E402
@@ -126,6 +130,57 @@ def ops_us(params) -> dict:
             for name, (count, call) in calls.items()}
 
 
+def s2c_ms(reps: int) -> dict:
+    from repro.core.framework import AthenaPipeline
+    from repro.fhe import backend
+    from repro.fhe.packing import pack_lwe
+    from repro.fhe.s2c import s2c_plan, slot_to_coeff
+    from repro.fhe.slots import period
+
+    params = TEST_LOOP
+    pipe = AthenaPipeline(params, seed=3)
+    rng = np.random.default_rng(4)
+    calls = {}
+    for p in (8, 32, 64, params.n):
+        s2c_plan(params, p)
+        ct = pipe.ctx.encrypt(Plaintext.from_slots(np.arange(params.n) % p, params), pipe.pk)
+        calls[f"slot_to_coeff period {p}"] = (
+            lambda ct=ct, p=p: slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys, p))
+    for h in (8, 43):
+        batch = lwe.LweBatch(rng.integers(0, params.t, (h, params.lwe_n)),
+                             rng.integers(0, params.t, h), params.t)
+        calls[f"pack_lwe height {h}"] = (
+            lambda batch=batch, h=h: pack_lwe(pipe.ctx, batch, pipe.packing_key,
+                                              period(h, params.n)))
+    limbs = Counter()
+
+    def counted(real):
+        def run(a, *args, **kwargs):
+            limbs["transforms"] += a.size // a.shape[-1]
+            return real(a, *args, **kwargs)
+        return run
+
+    out = {}
+    with use_backend(BATCHED):
+        for name, call in calls.items():
+            call()
+            times = []
+            for _ in range(reps):
+                start = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - start)
+            real = backend.ntt_forward_rns, backend.ntt_inverse_rns
+            backend.ntt_forward_rns, backend.ntt_inverse_rns = map(counted, real)
+            limbs.clear()
+            try:
+                call()
+            finally:
+                backend.ntt_forward_rns, backend.ntt_inverse_rns = real
+            out[name] = {"ms": round(statistics.median(times) * 1e3, 3),
+                         "limb_transforms": limbs["transforms"]}
+    return out
+
+
 def batch_split(batches: int) -> dict:
     import subjects
     from repro.serve.session import InferenceSession
@@ -176,6 +231,7 @@ def main() -> None:
                   for name, params in PRESETS.items()},
         "kernels": {name: kernels_us(params) for name, params in PRESETS.items()},
         "ops": ops_us(TEST_LOOP),
+        "s2c": s2c_ms(args.reps),
         "batch": batch_split(args.batches),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
     }, indent=1))

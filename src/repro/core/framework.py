@@ -45,7 +45,7 @@ from repro.fhe.fbs import FbsLut, fbs_evaluate
 from repro.fhe.packing import PackingKey, pack_lwe
 from repro.fhe.params import FheParams
 from repro.fhe.s2c import slot_to_coeff
-from repro.fhe.slots import pack_lane_coeffs, row_swap_element, unpack_lane_coeffs
+from repro.fhe.slots import pack_lane_coeffs, period, row_swap_element, unpack_lane_coeffs
 from repro.utils.sampling import Sampler
 
 
@@ -126,16 +126,19 @@ class AthenaPipeline:
 
     # -- Steps 4-5: packing + FBS ---------------------------------------------------
 
-    def bootstrap(self, batches: list[lwelib.LweBatch], lut: FbsLut) -> list[BfvCiphertext]:
-        """Pack each LWE batch into slots; evaluate the LUT on the stack."""
-        packed = [pack_lwe(self.ctx, batch, self.packing_key) for batch in batches]
+    def bootstrap(self, batches: list[lwelib.LweBatch], lut: FbsLut,
+                  periods: list[int]) -> list[BfvCiphertext]:
+        """Pack each LWE batch into slots repeating at its period; evaluate
+        the LUT on the stack."""
+        packed = [pack_lwe(self.ctx, batch, self.packing_key, period)
+                  for batch, period in zip(batches, periods, strict=True)]
         return fbs_evaluate(self.ctx, packed, lut, self.rlk)
 
     # -- loop closure -------------------------------------------------------------
 
     def to_coeffs(self, ct: BfvCiphertext) -> BfvCiphertext:
         """S2C: prepare the FBS output for the next coefficient-encoded layer."""
-        return slot_to_coeff(self.ctx, ct, self.s2c_keys)
+        return slot_to_coeff(self.ctx, ct, self.s2c_keys, self.params.n)
 
     def loop(
         self,
@@ -148,8 +151,9 @@ class AthenaPipeline:
         if positions.shape[0] > self.params.n:
             raise ParameterError("more outputs than slots")
         out = self.linear(ct, kernel_coeffs)
-        (boot,) = self.bootstrap([self.refresh_to_lwe(out, positions)], lut)
-        return self.to_coeffs(boot)
+        p = period(positions.shape[0], self.params.n)
+        (boot,) = self.bootstrap([self.refresh_to_lwe(out, positions)], lut, [p])
+        return slot_to_coeff(self.ctx, boot, self.s2c_keys, p)
 
     # -- compiled-plan driver ---------------------------------------------------
 
@@ -204,7 +208,7 @@ class CiphertextExecutor(ProgramExecutor):
     :class:`CompiledPool`, ...). All request-invariant work — kernel/bias
     encoding, every :class:`RefreshRound` and the LUT it carries with its
     polynomial and BSGS schedule — lives in the :class:`CompiledProgram`
-    (compiling or loading it also builds the parameter set's one S2C plan),
+    (compiling or loading it also builds the S2C plan of each round period),
     so each :meth:`linear` call performs only encrypt (first step), PMult,
     and :meth:`_refresh` — the one place the loop's refresh -> pack -> FBS
     -> S2C is written — on the request's data.
@@ -276,20 +280,22 @@ class CiphertextExecutor(ProgramExecutor):
 
         Each ciphertext through its round: mod-switch + extract at the
         round's positions, scatter the samples onto its pack rows (gap rows
-        are trivial zero encryptions), pack; the stack through the rounds'
-        one table in one FBS; zero the unfilled rows exactly with each
-        round's ``-LUT(0)`` plaintext (absent when there is nothing to
-        cancel), and return to coefficients.
+        are trivial zero encryptions) in a batch of the round's period, pack
+        it repeated at that period; the stack through the rounds' one table
+        in one FBS; zero the unfilled rows exactly with each round's
+        ``-LUT(0)`` plaintext (absent when there is nothing to cancel), and
+        return to coefficients at the round's period.
         """
         pipe = self.pipe
         batches = [pipe.refresh_to_lwe(ct, rnd.positions).place(rnd.rows, rnd.height)
                    for ct, rnd in zip(cts, rounds)]
-        boots = pipe.bootstrap(batches, rounds[0].lut)
+        boots = pipe.bootstrap(batches, rounds[0].lut, [rnd.period for rnd in rounds])
         if any(rnd.correction is not None for rnd in rounds):
             with current_backend().phase("fbs"):
                 boots = [boot if rnd.correction is None else pipe.ctx.add_plain(boot, rnd.correction)
                          for boot, rnd in zip(boots, rounds)]
-        return [pipe.to_coeffs(boot) for boot in boots] if s2c else boots
+        return [slot_to_coeff(pipe.ctx, boot, pipe.s2c_keys, rnd.period)
+                for boot, rnd in zip(boots, rounds)] if s2c else boots
 
     def _max_round(
         self, cts: list[BfvCiphertext], delta: int, rnd: RefreshRound

@@ -7,13 +7,14 @@ interleaved on every request:
   *parameter set*: Eq. 1 kernel encoding (and its NTT operand form), bias
   placement, LUT tabulation (each :class:`~repro.fhe.fbs.FbsLut` derives
   its own polynomial and BSGS schedule), the S2C evaluation-matrix
-  diagonals (one plan per parameter set, :func:`repro.fhe.s2c.s2c_plan`),
+  diagonals (one plan per parameter set and round period,
+  :func:`repro.fhe.s2c.s2c_plan`),
   and every refresh round's extraction positions, pack rows and exact
   ``-LUT(0)`` dead-slot correction.
 * **run time** — ciphertext operations on the request's encrypted data.
 
 :func:`compile_program` lowers an :class:`~repro.core.program.AthenaProgram`
-into a :class:`CompiledProgram` holding all of the former but the S2C plan
+into a :class:`CompiledProgram` holding all of the former but the S2C plans
 (which the plan's constructor builds, with the lane layouts, so that no
 request does), so
 :class:`~repro.core.framework.CiphertextExecutor` becomes a thin interpreter
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,6 +78,7 @@ from repro.core.encoding import encode_kernels, lane_span, output_cells
 from repro.core.lut import relu_lut
 from repro.core.program import AthenaProgram, LinearStep
 from repro.errors import EncodingError, ParameterError
+from repro.fhe import slots as slotlib
 from repro.fhe.backend import cmult_chunk, current_backend
 from repro.fhe.bfv import Plaintext
 from repro.fhe.fbs import FbsLut
@@ -232,9 +234,14 @@ class RefreshRound:
     ``None`` only when LUT(0) = 0 or all ``n`` rows are filled — makes
     those rows exact zeros again, so after S2C sample
     ``i`` sits alone at coefficient ``rows[i]`` and everything else is an
-    exact zero. Every refresh the executor runs — a layer's
-    tail, a lane batch, a max-tree level, a remap, a residual join — is one
-    of these, built by :func:`_refresh_round`.
+    exact zero. ``period`` is the slot period its pack and S2C run at:
+    :func:`repro.fhe.slots.period` of ``height``, or N when the round
+    carries a correction (which pins every slot off ``rows``, so the rows
+    may not repeat), or N for every round of a program one of whose S2Cs
+    runs at N (:func:`_run_dense`); derived, never on the wire. Every
+    refresh the executor runs — a layer's tail, a lane batch, a max-tree
+    level, a remap, a residual join — is one of these, built by
+    :func:`_refresh_round`.
     """
 
     positions: np.ndarray
@@ -242,6 +249,7 @@ class RefreshRound:
     height: int
     lut: FbsLut
     correction: Plaintext | None
+    period: int
 
     @property
     def count(self) -> int:
@@ -253,14 +261,15 @@ def _refresh_round(positions: np.ndarray, rows: np.ndarray, lut: FbsLut,
     """The one builder of a round — and of its ``-LUT(0)`` plaintext; the
     LUT's CMult schedule and baby powers are derived here, not on a request."""
     lut.plan.levels, lut.plan.powers  # noqa: B018 — force the cached schedule
-    correction = None
+    height = int(rows.max()) + 1
+    correction, period = None, slotlib.period(height, params.n)
     lut0 = int(lut.values[0])
     if lut0 and rows.size < params.n:
         vals = np.full(params.n, -lut0 % params.t, dtype=np.int64)
         vals[rows] = 0
-        correction = Plaintext.from_slots(vals, params)
+        correction, period = Plaintext.from_slots(vals, params), params.n
         correction.add_operand()
-    return RefreshRound(positions, rows, int(rows.max()) + 1, lut, correction)
+    return RefreshRound(positions, rows, height, lut, correction, period)
 
 
 @dataclass(frozen=True)
@@ -388,9 +397,10 @@ class CompiledProgram:
     nor a loaded one reaches a ciphertext op without them. Construction is
     also where everything the steps imply is derived, once, under the
     ``compile`` phase: the lane chain (:func:`_chain_lanes`, which sets
-    the batch capacity), the stack capacity and the parameter set's S2C
-    plan. A built plan is complete and read-only: no request fills anything
-    in. Contains no key material.
+    the batch capacity), the stack capacity and the S2C plan of every
+    period its S2Cs run at (only the dense one when any of them is dense,
+    :func:`_run_dense`). A built plan is complete
+    and read-only: no request fills anything in. Contains no key material.
     """
 
     steps: list
@@ -413,7 +423,12 @@ class CompiledProgram:
             raise ParameterError("the program's tail step must refresh, not pool")
         with current_backend().phase("compile"):
             self.batch_capacity = _chain_lanes(self.steps, self.params)
-            s2c_plan(self.params)  # built here once per parameter set, not on a request
+            periods = {rnd.period for rnd in _s2c_rounds(self.steps)}
+            if self.params.n in periods:
+                _run_dense(self.steps, self.params.n)
+                periods = {self.params.n}
+            for period in periods:
+                s2c_plan(self.params, period)  # built here, not on a request
         widest = max(len(level) for rnd in _rounds(self.steps) for level in rnd.lut.plan.levels)
         self.stack_capacity = max(1, cmult_chunk(self.params) // widest)
 
@@ -480,6 +495,38 @@ def _rounds(steps: list):
         if hasattr(step, "round"):
             yield step.round
         yield from (rnd for _, rnd in getattr(step, "pool_rounds", None) or ())
+
+
+def _s2c_rounds(steps: list):
+    """Every refresh round of ``steps`` that returns to coefficients: each
+    max-tree level, and the round and lane layouts of each step whose
+    ``s2c`` is set."""
+    for step in _walk(steps):
+        if getattr(step, "s2c", False):
+            yield step.round
+            yield from (layout.round for layout in getattr(step, "layouts", ()))
+        yield from (rnd for _, rnd in getattr(step, "pool_rounds", None) or ())
+
+
+def _run_dense(steps: list, n: int) -> None:
+    """Give every round of ``steps`` the dense period ``n``.
+
+    A program with one S2C at period N holds the dense plan, N diagonals;
+    distinct periods below N sum to fewer, so running every round dense
+    keeps the plans it holds at the dense plan's size — the compile time
+    and memory of a program that had no periodic rounds."""
+    def dense(rnd: RefreshRound) -> RefreshRound:
+        return replace(rnd, period=n)
+
+    for step in _walk(steps):
+        if getattr(step, "round", None) is not None:
+            step.round = dense(step.round)
+        if getattr(step, "pool_rounds", None):
+            step.pool_rounds = tuple((delta, dense(rnd)) for delta, rnd in step.pool_rounds)
+        if getattr(step, "layouts", ()):  # one lane is the step's own round
+            step.layouts = tuple(replace(layout, round=step.round if layout.lanes == 1
+                                         else dense(layout.round))
+                                 for layout in step.layouts)
 
 
 def _chain_lanes(steps: list, params: FheParams) -> int:

@@ -686,12 +686,13 @@ class Backend:
         self.record("fbs", len(cts))
         return fbs.fbs_evaluate_impl(ctx, cts, lut, rlk)
 
-    def s2c(self, ctx, ct, keys):
-        """Slot-to-coefficient transform under its Galois ``keys``."""
+    def s2c(self, ctx, ct, keys, period):
+        """Slot-to-coefficient transform of a ``period``-periodic slot
+        vector under its Galois ``keys``."""
         from repro.fhe import s2c
 
         self.record("s2c")
-        return s2c.slot_to_coeff_impl(ctx, ct, keys)
+        return s2c.slot_to_coeff_impl(ctx, ct, keys, period)
 
     # -- instrumentation hooks ---------------------------------------------
 

@@ -15,6 +15,10 @@ The slot hypercube is 2 x (N/2); row rotations act on both rows in parallel,
 so one mat-vec pass computes N outputs at once: the top row of diagonals is
 drawn from rows 0..N/2-1 of A and the bottom row from rows N/2..N-1, with
 the packing key holding s' (zero-padded to N/2) replicated in both rows.
+The caller names the slot period p (a divisor of N/2, or N): the batch is
+tiled to N rows at p first, so the S2C of that period that follows is one
+pass of p diagonals; the diagonals and sources are the same, so the tiling
+is free.
 
 Only the diagonals depend on the request. The rotations ``rot_d(s')`` are
 key material: :meth:`PackingKey.rotated_secrets` derives all N/2 of them
@@ -26,8 +30,9 @@ The mat-vec itself is one fused backend op (:meth:`Backend.matvec`) fed by a
 :class:`MatvecPlan` and a set of *sources* — images of one ciphertext under
 Galois elements. This module builds the plan — per request for packing,
 whose matrix is the request's and whose sources are the cached stack; once
-per parameter set for S2C, whose sources the op derives from the request's
-ciphertext — and folds the noise estimate; the engines own the arithmetic.
+per parameter set and period for S2C, whose sources the op derives from the
+request's ciphertext — and folds the noise estimate; the engines own the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -38,12 +43,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe import slots as slotlib
-from repro.fhe.backend import (
-    GIANT_BATCH_ELEMS,
-    current_backend,
-    hoisted_rotations,
-    warm_automorphism,
-)
+from repro.fhe.backend import GIANT_BATCH_ELEMS, current_backend, hoisted_rotations
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext, galois_noise_growth
 from repro.fhe.keys import KeySwitchKey, PublicKey, SecretKey
 from repro.fhe.lwe import LweBatch
@@ -153,7 +153,8 @@ class MatvecPlan:
 
     A source is an image of the one input ciphertext v, numbered ``p * bs +
     r``: ``rot_r(v)`` in pass p = 0, ``rot_r(swap(v))`` in pass p = 1 (the
-    other hypercube row, S2C only). One pass with ``bs = N/2`` has no
+    other hypercube row, the dense S2C only). One pass of M <= N/2
+    diagonals has no swap: a periodic S2C. One pass with ``bs = N/2`` has no
     giant step at all: source d is ``rot_d(v)`` and the plan is the plain
     diagonal sum — packing, whose sources come ready.
     """
@@ -173,10 +174,13 @@ class MatvecPlan:
     def build(
         cls, diagonals: np.ndarray, params, baby_steps: int
     ) -> "MatvecPlan":
-        """``diagonals`` is one pass, (N/2, N), or both, (2, N/2, N)."""
+        """``diagonals`` is one pass of at most N/2, (M, N), or both,
+        (2, N/2, N)."""
         n, moduli = params.n, params.moduli
         half = n // 2
-        if diagonals.shape not in ((half, n), (2, half, n)):
+        if not (diagonals.shape == (2, half, n)
+                or diagonals.ndim == 2 and 0 < len(diagonals) <= half
+                and diagonals.shape[1] == n):
             raise ParameterError("diagonal matrix has wrong shape")
         be = current_backend()
         diagonals = diagonals.reshape(-1, n)
@@ -216,21 +220,6 @@ class MatvecPlan:
             direct.append((baby_steps, slotlib.row_swap_element(n)))
         derived = ((0, tuple(direct)), (baby_steps, tuple(crossed)))
         return cls(baby_steps, tuple(d for d in derived if d[1]), groups)
-
-    def warm_automorphisms(self, params) -> None:
-        """Precompute the index tables every rotation will use (baby and
-        giant steps, the row swap).
-
-        The batched mat-vec gathers by the evaluation-domain permutation,
-        the reference permutes coefficients; building both tables here
-        moves that one-time cost into compile time, so warm serve runs pay
-        none of it under either engine.
-        """
-        elements = {k for _, images in self.derived for _, k in images}
-        elements |= {slotlib.rotation_galois_element(params.n, g * self.baby_steps)
-                     for g, _, _ in self.groups if g}
-        for k in elements:
-            warm_automorphism(params.n, k)
 
 
 def _fused_matvec(ctx, vec, noise, plan, rotation_keys) -> BfvCiphertext:
@@ -279,12 +268,14 @@ def hypercube_matvec(
 
 
 def pack_lwe(
-    ctx: BfvContext, batch: LweBatch, packing_key: PackingKey
+    ctx: BfvContext, batch: LweBatch, packing_key: PackingKey, period: int
 ) -> BfvCiphertext:
-    """Pack <= N LWE ciphertexts (modulus t) into one BFV ciphertext.
+    """Pack <= N LWE ciphertexts (modulus t) into one BFV ciphertext whose
+    slots repeat at ``period`` (a round's :attr:`RefreshRound.period`).
 
-    Resulting slots: m_i + e_i in positions 0..count-1 (hypercube order:
-    first N/2 in row 0, remainder in row 1), zeros elsewhere.
+    Slot s (hypercube order: s < N/2 in row 0) holds m_i + e_i of row i =
+    s mod ``period`` of the batch zero-padded to ``period`` rows: the layout
+    the S2C of that period reads. At N that is rows 0..count-1, zeros above.
     """
     params = ctx.params
     if batch.modulus != params.t:
@@ -295,23 +286,17 @@ def pack_lwe(
         raise ParameterError("more LWE ciphertexts than slots")
     if batch.dim > params.n // 2:
         raise ParameterError("LWE dimension exceeds packing row capacity")
+    slotlib.check_period(period, params.n)
+    if batch.count > period:
+        raise ParameterError(f"{batch.count} LWE ciphertexts do not repeat at period {period}")
     be = current_backend()
     with be.phase("packing"):
         be.record("pack")
-        half = params.n // 2
-        a = centered_array(batch.a, params.t)
-        a_top = a[: min(batch.count, half)]
-        a_bot = (
-            a[half:]
-            if batch.count > half
-            else np.zeros((0, batch.dim), dtype=np.int64)
-        )
+        n, half = params.n, params.n // 2
+        tile, pad = np.arange(n) % period, period - batch.count
+        a = np.pad(centered_array(batch.a, params.t), ((0, pad), (0, 0)))[tile]
         # One group, no giant step: diagonal d meets the ready rot_d(s').
-        plan = MatvecPlan.build(hypercube_diagonals(a_top, a_bot, half), params, half)
+        plan = MatvecPlan.build(hypercube_diagonals(a[:half], a[half:], half), params, half)
         sources, noise = packing_key.rotated_secrets()
         out = _fused_matvec(ctx, sources, noise, plan, {})
-        b_slots = np.zeros(params.n, dtype=np.int64)
-        b_slots[: min(batch.count, half)] = batch.b[: min(batch.count, half)]
-        if batch.count > half:
-            b_slots[half : half + batch.count - half] = batch.b[half:]
-        return ctx.add_plain(out, Plaintext.from_slots(b_slots, params))
+        return ctx.add_plain(out, Plaintext.from_slots(np.pad(batch.b, (0, pad))[tile], params))

@@ -314,7 +314,7 @@ def load_plan(raw: bytes, params: FheParams):
     from wire bytes — no program needed to load it or to run it, nothing left
     for ``bind`` to finish. The plan's own construction refuses a plan whose
     first non-reshape step is not a conv/FC, and derives what a compiled plan
-    derives (lane layouts, capacities, the parameter set's S2C plan).
+    derives (lane layouts, capacities, the S2C plan of each round period).
 
     The header (magic, version, parameter fingerprint) and then the CRC32
     trailer are verified before any payload is parsed, so an artifact of an

@@ -160,6 +160,23 @@ def default_baby_steps(dim: int) -> int:
     return max(1, math.isqrt(dim))
 
 
+def period(height: int, n: int) -> int:
+    """Slot period of a refresh round of ``height`` rows: the smallest power
+    of two >= ``height`` when ``height <= N/2``, else N. Packing repeats the
+    rows at it, and the S2C that closes the round is one pass of that many
+    diagonals (:func:`repro.fhe.s2c.s2c_plan`); N is the dense layout."""
+    if height > n // 2:
+        return n
+    return 1 << (height - 1).bit_length()
+
+
+def check_period(p: int, n: int) -> None:
+    """Refuse a slot period other than a divisor of N/2 or N itself: the
+    only vectors packing lays out and S2C reads."""
+    if p != n and (p <= 0 or (n // 2) % p):
+        raise ParameterError(f"slot period {p} neither divides N/2 = {n // 2} nor is N")
+
+
 def baby_giant_amounts(dim: int, baby: int | None = None) -> set[int]:
     """Rotation amounts a BSGS pass over ``dim`` diagonals uses
     (``baby`` defaults to :func:`default_baby_steps`)."""

@@ -417,7 +417,8 @@ class TestMnistOpCountParity:
     Bands document the known convention deltas (measured ratios in
     parentheses, executed/analytical):
 
-    - ``ntt`` (2.01x; 6.65 at one digit per limb, 12.01 under the
+    - ``ntt`` (1.47x; 2.01 while S2C ran the dense plan at every round,
+      6.65 at one digit per limb, 12.01 under the
       base-2^14 gadget's 20 digits, 15.76 while every giant-step pair of an
       FBS paid its own keyswitch, 20.45 while packing rotated its secret on
       every request and S2C ran two passes): the model assumes cached
@@ -431,24 +432,27 @@ class TestMnistOpCountParity:
       of one ciphertext, so uncounted it executes 12 856 limb transforms on
       this request, CMult tensors included (16 400 at one digit per limb,
       21 874 under the gadget, 31 598 before the summed giant step), where
-      the counted reference stream runs 16 200 (were 53 640, 96 840,
-      127 080) and the model 8 064 — the batched side is pinned in
+      the counted reference stream runs 11 880 (were 16 200, 53 640,
+      96 840, 127 080) and the model 8 064 — the batched side is pinned in
       tests/test_fused_kernels.py.
-    - ``mod_mul`` (0.62x; was 1.13, 1.76, 2.20, 2.76) / ``mod_add`` (0.86x;
-      was 1.46, 2.21, 2.71, 3.38): the engine counts every limb stream at
+    - ``mod_mul`` (0.53x; was 0.62, 1.13, 1.76, 2.20, 2.76) / ``mod_add``
+      (0.74x; was 0.86, 1.46, 2.21, 2.71, 3.38): the engine counts every limb stream at
       full width (keyswitch digit accumulation over Q u P, FBS ladder
       bookkeeping); the model keeps only the dominant terms and bills
       ``2 dnum L N`` per keyswitch at ``dnum`` = 3, more than the one digit
       over 2 L limbs the toy set executes. Both fell below the model's with
       the grouped digit.
-    - ``automorph`` (0.295x; 0.207 while a digit stack was permuted over
-      L + 1 limbs rather than 2 L, 0.196 over L; was 0.509, band 0.25-1.0):
+    - ``automorph`` (0.134x; 0.295 with the dense S2C, 0.207 while a digit
+      stack was permuted over L + 1 limbs rather than 2 L, 0.196 over L;
+      was 0.509, band 0.25-1.0):
       the model bills per-digit keyswitch automorphisms — 14 rotations per
       packing and per S2C pass, the paper's Table-3 counts — where the
       engine folds each rotation into one permutation per component and now
-      bills 22 rotations on the whole run (57 before): packing's are paid
-      once per key, S2C's giant steps once per group.
-    - ``rnsconv`` (0.43x; 0.29 while only the mod-downs were billed, ~0.01
+      bills 10 rotations on the whole run (22 with the dense S2C, 57
+      before): packing's are paid once per key, S2C's giant steps once per
+      group, and the conv round's 32 rows return through one pass of 32
+      diagonals.
+    - ``rnsconv`` (0.36x; 0.41 with the dense S2C, 0.29 while only the mod-downs were billed, ~0.01
       while only mod-switch data elements were counted): every keyswitch
       bills its base conversions' outputs, the mod-up's D (L + K) - L and
       the mod-downs' 2 L N — the model bills the latter — and the rest of

@@ -84,10 +84,11 @@ from repro.fhe.packing import (
 )
 from repro.fhe.params import PRESETS, TEST_FBS, TEST_LOOP, TEST_SMALL, TEST_TINY
 from repro.fhe.poly import RnsPoly
-from repro.fhe.s2c import _evaluation_matrix, s2c_plan, slot_to_coeff
+from repro.fhe.s2c import _evaluation_columns, s2c_plan, slot_to_coeff
 from repro.fhe.slots import (
     baby_giant_amounts,
     default_baby_steps,
+    period,
     rotation_galois_element,
     row_swap_element,
 )
@@ -625,7 +626,7 @@ def _three_ways(ctx, ct, diagonals, keys, baby_steps):
 def _s2c_passes(params):
     """Both diagonal sets of the S2C matrix: (direct, crossed)."""
     half = params.n // 2
-    p = _evaluation_matrix(params.n, params.t)
+    p = _evaluation_columns(params.n, params.t, params.n)
     return np.stack([hypercube_diagonals(p[:half, :half], p[half:, half:], half),
                      hypercube_diagonals(p[:half, half:], p[half:, :half], half)])
 
@@ -710,7 +711,7 @@ class TestMatvecBitIdentity:
     def test_missing_key_and_wrong_shape_raise(self, matvec_setup):
         ctx, _, keys, ct = matvec_setup
         params = ctx.params
-        plan = s2c_plan.__wrapped__(params)
+        plan = s2c_plan.__wrapped__(params, params.n)
         for k in (rotation_galois_element(params.n, plan.baby_steps),  # a giant
                   rotation_galois_element(params.n, 1),  # a baby, both passes
                   row_swap_element(params.n)):
@@ -776,7 +777,7 @@ class TestMatvecAccounting:
         whether the reference body runs over the batched or the serial RNS
         tier."""
         ctx, _, keys, ct = matvec_setup
-        plan = s2c_plan.__wrapped__(ctx.params)
+        plan = s2c_plan.__wrapped__(ctx.params, ctx.params.n)
         records = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             with use_backend(counting), counting.phase("s2c"):
@@ -802,7 +803,7 @@ class TestMatvecAccounting:
         records = []
         for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
             with use_backend(counting):
-                pack_lwe(pipe.ctx, lwe, pipe.packing_key)
+                pack_lwe(pipe.ctx, lwe, pipe.packing_key, params.n)
             records.append((counting.totals(), counting.ops_by_phase()))
         assert records[0] == records[1]
         totals = records[0][0]
@@ -824,20 +825,38 @@ class TestMatvecAccounting:
         mod-down per giant executed 1 062; per-limb digits 1 358; two
         passes, a coefficient-domain row swap and an add 3 276 and 17
         decompositions; nine base-2^14 decompositions of 20 digits each,
-        1 728 and 9 lifts."""
+        1 728 and 9 lifts. A periodic round's one pass executes 306 in 5
+        calls at period 8, 423 in 9 at period 32 and 531 in 9 at 64."""
         pipe = AthenaPipeline(TEST_LOOP, seed=81)
-        plan = s2c_plan(TEST_LOOP)  # built before the spy: requests never build it
+        plan = s2c_plan(TEST_LOOP, TEST_LOOP.n)  # built before the spy: requests never build it
         ct = pipe.ctx.encrypt(
             Plaintext.from_slots(np.arange(TEST_LOOP.n), TEST_LOOP), pipe.pk)
         executed = _spy_transforms(monkeypatch)
         with use_backend(BATCHED):
-            slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys)
+            slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys, TEST_LOOP.n)
         assert len(plan.groups) == 8
         l, width = TEST_LOOP.num_limbs, len(TEST_LOOP.keyswitch_moduli)
         hoisted = 9 * TEST_LOOP.num_digits * width + 16 * 2 * width + 12 * l
         assert executed == {"limb_transforms": hoisted, "transform_calls": 1 + 3 * 3 + 2 + 1,
                             "crt_lifts": 0}
         assert hoisted == 846
+        # One pass of p diagonals: c1 and each of the gs - 1 giants pay a
+        # digit transform, the bs - 1 babies and the giants' sum a mod-down,
+        # the entry, the exit and the giants' c1 inverses (gs + 3) L.
+        digits = TEST_LOOP.num_digits * width
+        for p, want, calls in ((8, 306, 5), (32, 423, 9), (64, 531, 9)):
+            plan = s2c_plan(TEST_LOOP, p)
+            bs, gs = plan.baby_steps, len(plan.groups)
+            ct = pipe.ctx.encrypt(Plaintext.from_slots(
+                np.arange(TEST_LOOP.n) % p, TEST_LOOP), pipe.pk)
+            monkeypatch.undo()
+            executed = _spy_transforms(monkeypatch)
+            with use_backend(BATCHED):
+                slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys, p)
+            hoisted = gs * digits + (bs - 1 + (gs > 1)) * 2 * width + (gs + 3) * l
+            assert executed == {"limb_transforms": hoisted,
+                                "transform_calls": 2 + 3 + 4 * (gs > 1), "crt_lifts": 0}
+            assert (hoisted, executed["transform_calls"]) == (want, calls)
 
     def test_executed_transforms_of_one_pack(self, monkeypatch):
         """One ``pack_lwe`` of 43 LWE samples at TEST_LOOP: the request's own
@@ -848,7 +867,7 @@ class TestMatvecAccounting:
         lwe = batch(43)
         executed = _spy_transforms(monkeypatch)
         with use_backend(BATCHED):
-            pack_lwe(pipe.ctx, lwe, pipe.packing_key)
+            pack_lwe(pipe.ctx, lwe, pipe.packing_key, TEST_LOOP.n)
         l = TEST_LOOP.num_limbs
         assert executed == {"limb_transforms": TEST_LOOP.n // 2 * l + 2 * l,
                             "transform_calls": 2, "crt_lifts": 0}
@@ -945,6 +964,47 @@ def _fbs_s2c():
     return AthenaPipeline(TEST_FBS, seed=3)
 
 
+@pytest.fixture(scope="module", params=[TEST_TINY, TEST_SMALL], ids=lambda p: p.name)
+def periodic_setup(request):
+    return _pack_setup(request.param)
+
+
+class TestPeriodicRounds:
+    """A round of at most N/2 rows packs at its period and returns through
+    one pass of that many diagonals; the coefficients are the dense S2C's."""
+
+    def test_pack_tiles_and_s2c_returns_the_unrepeated_vector(self, periodic_setup):
+        pipe, _, batch = periodic_setup
+        params = pipe.params
+        n = params.n
+        for height in (1, 2, 3, 5, 8, 9, n // 2, n // 2 + 1, n):
+            lwe = batch(height)
+            p = period(height, n)
+            assert p == (n if height > n // 2 else 1 << (height - 1).bit_length())
+            # The dense layout's slots, which its S2C returns as coefficients.
+            dense = np.zeros(n, dtype=np.int64)
+            dense[:height] = (lwe.b + lwe.a @ pipe.lwe_secret) % params.t
+            packed = _same_on_every_engine(lambda: pack_lwe(pipe.ctx, lwe, pipe.packing_key, p))
+            assert np.array_equal(pipe.decrypt_slots(packed), np.tile(dense[:p], n // p))
+            out = _same_on_every_engine(
+                lambda: slot_to_coeff(pipe.ctx, packed, pipe.s2c_keys, p))
+            assert np.array_equal(pipe.decrypt_coeffs(out), dense)
+            assert pipe.ctx.true_noise_bits(out, pipe.sk) <= out.noise_bits
+
+    def test_a_periodic_plan_is_one_pass_of_p_diagonals(self):
+        params = TEST_LOOP
+        half = params.n // 2
+        for p in (1 << k for k in range(half.bit_length())):
+            plan = s2c_plan(params, p)
+            elements = {k for _, images in plan.derived for _, k in images}
+            assert row_swap_element(params.n) not in elements
+            assert sum(len(ids) for _, ids, _ in plan.groups) == p
+            assert plan.baby_steps == min(p, default_baby_steps(half))
+        for p in (3, half + 1, 2 * params.n):
+            with pytest.raises(ParameterError, match="period"):
+                s2c_plan(params, p)
+
+
 class TestSources:
     """S2C derives its sources from the request; packing's are key material."""
 
@@ -952,7 +1012,7 @@ class TestSources:
         pipe, values, _ = pack_setup
         params = pipe.params
         ct = pipe.ctx.encrypt(Plaintext.from_slots(values, params), pipe.pk)
-        out = _same_on_every_engine(lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys))
+        out = _same_on_every_engine(lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys, params.n))
         assert np.array_equal(pipe.decrypt_coeffs(out), values)
 
     @given(st.integers(min_value=0, max_value=2**32))
@@ -965,7 +1025,7 @@ class TestSources:
         # Dense, sparse and constant vectors alike.
         values = rng.integers(0, params.t, params.n) * (rng.random(params.n) < rng.random())
         ct = pipe.ctx.encrypt(Plaintext.from_slots(values, params), pipe.pk)
-        out = _same_on_every_engine(lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys))
+        out = _same_on_every_engine(lambda: slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys, params.n))
         assert np.array_equal(pipe.decrypt_coeffs(out), values)
 
     def test_pack_identical_on_every_engine(self, pack_setup):
@@ -975,7 +1035,7 @@ class TestSources:
         for count in (1, half - 1, half, half + 1, params.n):
             lwe = batch(count)
             out = _same_on_every_engine(
-                lambda: pack_lwe(pipe.ctx, lwe, pipe.packing_key))
+                lambda: pack_lwe(pipe.ctx, lwe, pipe.packing_key, params.n))
             # Homomorphic decryption: slot i holds b_i + <a_i, s'> exactly.
             want = np.zeros(params.n, dtype=np.int64)
             want[:count] = (lwe.b + lwe.a @ pipe.lwe_secret) % params.t
@@ -985,7 +1045,8 @@ class TestSources:
         pipe, _, batch = pack_setup
         lwe = batch(5)
         lwe = LweBatch(np.zeros_like(lwe.a), lwe.b, lwe.modulus)
-        out = _same_on_every_engine(lambda: pack_lwe(pipe.ctx, lwe, pipe.packing_key))
+        out = _same_on_every_engine(
+            lambda: pack_lwe(pipe.ctx, lwe, pipe.packing_key, pipe.params.n))
         assert out.noise_bits == 0.0 and not out.c1.data.any()
         assert np.array_equal(pipe.decrypt_slots(out)[:5], lwe.b)
 
@@ -1026,7 +1087,7 @@ class TestSources:
         pipe, values, batch = _pack_setup(TEST_LOOP)
         ct = pipe.ctx.encrypt(Plaintext.from_slots(values, TEST_LOOP), pipe.pk)
         for out, before in ((pipe.to_coeffs(ct), 35.2),
-                            (pack_lwe(pipe.ctx, batch(43), pipe.packing_key), 34.9)):
+                            (pack_lwe(pipe.ctx, batch(43), pipe.packing_key, TEST_LOOP.n), 34.9)):
             measured = pipe.ctx.true_noise_bits(out, pipe.sk)
             assert measured <= out.noise_bits and measured <= before + 1
 
@@ -1058,7 +1119,7 @@ class TestSources:
             sk, pk = ctx.keygen()
             keys = s2c_keys(ctx, sk)
             ct = ctx.encrypt(Plaintext.from_slots(values, params), pk)
-            shared = slot_to_coeff(ctx, ct, keys)
+            shared = slot_to_coeff(ctx, ct, keys, params.n)
             groups = _composite_groups(ctx, ct, _s2c_passes(params), keys, bs)
             giants = [(rotation_galois_element(params.n, g * bs), inner)
                       for g, inner in groups if g]

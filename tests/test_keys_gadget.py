@@ -446,5 +446,5 @@ class TestGroupedDigits:
                 lambda: hypercube_matvec(ctx, ct, _sparse_s2c_plan(ctx.params), gks))
             return
         keys = s2c_keys(ctx, sk)
-        out = _same_on_every_engine(lambda: slot_to_coeff(ctx, ct, keys))
+        out = _same_on_every_engine(lambda: slot_to_coeff(ctx, ct, keys, ctx.params.n))
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, ctx.decrypt(ct, sk).to_slots())

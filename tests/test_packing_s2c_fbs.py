@@ -37,7 +37,7 @@ from repro.fhe.packing import (
 )
 from repro.fhe.params import TEST_FBS, TEST_LOOP, TEST_TINY
 from repro.fhe.s2c import (
-    _evaluation_matrix,
+    _evaluation_columns,
     _slot_points,
     s2c_plan,
     slot_to_coeff,
@@ -71,7 +71,7 @@ class TestPacking:
         ctx, sk, _, s_small, pkey = packing_setup
         p = ctx.params
         batch, m, e = make_lwe_batch(rng, p.n, p.lwe_n, p.t, s_small)
-        packed = pack_lwe(ctx, batch, pkey)
+        packed = pack_lwe(ctx, batch, pkey, p.n)
         dec = ctx.decrypt(packed, sk).to_slots()
         # Packing performs homomorphic decryption: slots hold m + e exactly.
         assert np.array_equal(dec, (m + e) % p.t)
@@ -81,14 +81,14 @@ class TestPacking:
         p = ctx.params
         count = p.n // 4
         batch, m, e = make_lwe_batch(rng, count, p.lwe_n, p.t, s_small)
-        dec = ctx.decrypt(pack_lwe(ctx, batch, pkey), sk).to_slots()
+        dec = ctx.decrypt(pack_lwe(ctx, batch, pkey, p.n), sk).to_slots()
         assert np.array_equal(dec[:count], (m + e) % p.t)
 
     def test_noiseless_lwe_packs_exactly(self, packing_setup, rng):
         ctx, sk, _, s_small, pkey = packing_setup
         p = ctx.params
         batch, m, _ = make_lwe_batch(rng, p.n, p.lwe_n, p.t, s_small, noise_std=0.0)
-        dec = ctx.decrypt(pack_lwe(ctx, batch, pkey), sk).to_slots()
+        dec = ctx.decrypt(pack_lwe(ctx, batch, pkey, p.n), sk).to_slots()
         assert np.array_equal(dec, m % p.t)
 
     def test_all_zero_matrix_is_the_transparent_zero(self, packing_setup):
@@ -138,14 +138,25 @@ class TestPacking:
             31,
         )
         with pytest.raises(ParameterError):
-            pack_lwe(ctx, bad, pkey)
+            pack_lwe(ctx, bad, pkey, ctx.params.n)
 
     def test_too_many_ciphertexts_raises(self, packing_setup, rng):
         ctx, _, _, s_small, pkey = packing_setup
         p = ctx.params
         batch, *_ = make_lwe_batch(rng, p.n + 1, p.lwe_n, p.t, s_small)
         with pytest.raises(ParameterError):
-            pack_lwe(ctx, batch, pkey)
+            pack_lwe(ctx, batch, pkey, p.n)
+
+    def test_a_period_the_batch_does_not_fit_raises(self, packing_setup, rng):
+        """The round names the period; a batch longer than it, or a period
+        that neither divides N/2 nor is N, is refused rather than packed
+        into a layout its S2C would misread."""
+        ctx, _, _, s_small, pkey = packing_setup
+        p = ctx.params
+        batch, *_ = make_lwe_batch(rng, 9, p.lwe_n, p.t, s_small)
+        for period in (8, 12, p.n // 2 + 1):
+            with pytest.raises(ParameterError, match="period"):
+                pack_lwe(ctx, batch, pkey, period)
 
 
 class TestS2C:
@@ -154,7 +165,7 @@ class TestS2C:
         n, t = 32, 257
         rng = np.random.default_rng(0)
         coeffs = rng.integers(0, t, n)
-        p = _evaluation_matrix(n, t)
+        p = _evaluation_columns(n, t, n)
         via_matrix = (p @ coeffs) % t
         assert np.array_equal(via_matrix, slot_decode(coeffs, n, t))
 
@@ -169,26 +180,27 @@ class TestS2C:
         keys = s2c_keys(ctx, sk)
         v = rng.integers(0, p.t, p.n)
         ct = ctx.encrypt(Plaintext.from_slots(v, p), pk)
-        out = slot_to_coeff(ctx, ct, keys)
+        out = slot_to_coeff(ctx, ct, keys, p.n)
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, v % p.t)
 
     def test_one_plan_per_parameter_set(self, tiny_ctx, tiny_keys, rng):
-        """The S2C plan is a memoised function of the parameter set, at the
-        one baby-step rule; every transform under those parameters runs it."""
+        """The S2C plan is a memoised function of the parameter set and the
+        period, at the one baby-step rule; every dense transform under those
+        parameters runs it."""
         ctx = tiny_ctx
         sk, pk = tiny_keys
         p = ctx.params
-        plan = s2c_plan(p)
-        assert s2c_plan(p) is plan
+        plan = s2c_plan(p, p.n)
+        assert s2c_plan(p, p.n) is plan
         assert plan.baby_steps == default_baby_steps(p.n // 2)
-        fresh = s2c_plan.__wrapped__(p)
+        fresh = s2c_plan.__wrapped__(p, p.n)
         assert plan.derived == fresh.derived
         for (g, ids, stack), (g2, ids2, stack2) in zip(plan.groups, fresh.groups,
                                                        strict=True):
             assert (g, ids) == (g2, ids2) and np.array_equal(stack, stack2)
         v = rng.integers(0, p.t, p.n)
         ct = ctx.encrypt(Plaintext.from_slots(v, p), pk)
-        out = slot_to_coeff(ctx, ct, s2c_keys(ctx, sk))
+        out = slot_to_coeff(ctx, ct, s2c_keys(ctx, sk), p.n)
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, v % p.t)
 
     def test_s2c_linear(self, tiny_ctx, tiny_keys, rng):
@@ -200,14 +212,14 @@ class TestS2C:
         v2 = rng.integers(0, p.t, p.n)
         c1 = ctx.encrypt(Plaintext.from_slots(v1, p), pk)
         c2 = ctx.encrypt(Plaintext.from_slots(v2, p), pk)
-        out = slot_to_coeff(ctx, ctx.add(c1, c2), keys)
+        out = slot_to_coeff(ctx, ctx.add(c1, c2), keys, p.n)
         assert np.array_equal(ctx.decrypt(out, sk).coeffs, (v1 + v2) % p.t)
 
 
 class TestDerivedPlansHaveOneOwner:
     def test_no_entry_point_takes_a_plan_or_a_baby_step_count(self):
-        """The LUT carries its schedule and the parameter set fixes the S2C
-        plan, so no FBS / S2C entry point takes either, and the one
+        """The LUT carries its schedule and the parameter set and period fix
+        the S2C plan, so no FBS / S2C entry point takes either, and the one
         baby-step rule is not an option of any key or plan."""
         import inspect
 

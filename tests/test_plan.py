@@ -69,7 +69,7 @@ class TestCompileProgram:
         # Compact is spelled out: identity rows, never ``None``.
         assert np.array_equal(conv.round.rows, np.arange(32))
         assert conv.round.height == 32
-        assert len(s2c_plan(TEST_LOOP).groups) == 8  # one mat-vec, both passes
+        assert len(s2c_plan(TEST_LOOP, TEST_LOOP.n).groups) == 8  # one mat-vec, both passes
         assert plan.model_hash == program_fingerprint(program)
 
     def test_correction_zeroes_exactly_the_unfilled_rows(self):
@@ -83,6 +83,7 @@ class TestCompileProgram:
         for rows, height in ((np.arange(16), 16), (np.arange(16, 32), 32)):
             rnd = _refresh_round(positions, rows, lut, TEST_LOOP)
             assert rnd.height == height
+            assert rnd.period == TEST_LOOP.n  # a correction keeps the dense layout
             slots = rnd.correction.to_slots()
             assert not slots[rows].any()
             assert np.all(np.delete(slots, rows) == (-5) % TEST_LOOP.t)
@@ -90,7 +91,8 @@ class TestCompileProgram:
         full = np.arange(TEST_LOOP.n)
         assert _refresh_round(full, full, lut, TEST_LOOP).correction is None
         relu = FbsLut.from_function(lambda v: np.maximum(v, 0), TEST_LOOP.t)
-        assert _refresh_round(positions, np.arange(16), relu, TEST_LOOP).correction is None
+        rnd = _refresh_round(positions, np.arange(16), relu, TEST_LOOP)
+        assert rnd.correction is None and rnd.period == 16
 
     def test_a_plan_is_built_at_the_model_t_only(self):
         """Every table is tabulated over the parameter set's t: a model
@@ -102,16 +104,44 @@ class TestCompileProgram:
                            match="quantized for t = 65537, but test-loop runs t = 257"):
             compile_program(lower(qm, TEST_LOOP), TEST_LOOP)
 
+    def test_s2c_plans_are_built_for_the_rounds_that_run_s2c(self, monkeypatch):
+        """The constructor builds one plan per period of the rounds that
+        return to coefficients — not the tail's, whose S2C never runs — and
+        a program with a dense S2C runs every round dense, so its plans are
+        the dense plan alone; a loaded plan derives the same periods."""
+        import repro.core.plan as plan_mod
+        from repro.core.plan import _s2c_rounds
+        from repro.fhe.params import TEST_FBS
+        from tests.conftest import plan_rounds, sigmoid_pack_cnn
+
+        built = []
+        monkeypatch.setattr(plan_mod, "s2c_plan", lambda params, period: built.append(period))
+        builder, params = SUBJECTS["resnet20_block"]
+        plan = compile_program(lower(builder(np.random.default_rng(5)), params), params)
+        assert sorted(built) == [8, 32] and plan.tail.round.period == 4
+        built.clear()
+        plan = compile_program(lower(sigmoid_pack_cnn(), TEST_FBS), TEST_FBS)
+        assert plan.batch_capacity == 2 and built == [TEST_FBS.n]
+        rounds = [*plan_rounds(plan.steps), *_s2c_rounds(plan.steps)]
+        assert {rnd.period for rnd in rounds} == {TEST_FBS.n}
+        for step in plan.steps:
+            if step.kind == "linear":
+                assert step.layouts[0].round is step.round
+        loaded = load_plan(dump_plan(plan), TEST_FBS)
+        assert [rnd.period for rnd in _s2c_rounds(loaded.steps)] == [
+            rnd.period for rnd in _s2c_rounds(plan.steps)]
+
     @pytest.mark.slow
     def test_paper_t_compiles_in_half_a_second_outside_s2c(self):
         """At t = 65537 a refresh round derives its FBS schedule from the
         (G, bs) coefficient matrix: ``compile_program`` on the micro model
         under ATHENA_MEDIUM spends < 0.5 s once the S2C plan (10-12 s,
-        1.3 GiB) is built."""
+        1.3 GiB) is built. Its 32-lane layouts reach the dense period, so
+        every round runs dense and that one plan is all it builds."""
         qm, _ = _program()
         qm.config = dataclasses.replace(qm.config, t=ATHENA_MEDIUM.t)
         program = lower(qm, ATHENA_MEDIUM)
-        s2c_plan(ATHENA_MEDIUM)
+        s2c_plan(ATHENA_MEDIUM, ATHENA_MEDIUM.n)
         try:
             start = time.perf_counter()
             compile_program(program, ATHENA_MEDIUM)
