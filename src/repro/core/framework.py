@@ -35,6 +35,7 @@ from repro.core.plan import (
     CompiledRemap,
     CompiledResidual,
     RefreshRound,
+    _refresh_round,
 )
 from repro.core.program import ProgramExecutor, run_program
 from repro.errors import ParameterError
@@ -45,7 +46,7 @@ from repro.fhe.fbs import FbsLut, fbs_evaluate
 from repro.fhe.packing import PackingKey, pack_lwe
 from repro.fhe.params import FheParams
 from repro.fhe.s2c import slot_to_coeff
-from repro.fhe.slots import pack_lane_coeffs, period, row_swap_element, unpack_lane_coeffs
+from repro.fhe.slots import pack_lane_coeffs, row_swap_element, unpack_lane_coeffs
 from repro.utils.sampling import Sampler
 
 
@@ -124,21 +125,32 @@ class AthenaPipeline:
         switched = lwelib.keyswitch(batch, self.lwe_ksk)
         return lwelib.lwe_mod_switch(switched, self.params.t)
 
-    # -- Steps 4-5: packing + FBS ---------------------------------------------------
+    # -- Steps 2-5 and S2C: the refresh ------------------------------------------
 
-    def bootstrap(self, batches: list[lwelib.LweBatch], lut: FbsLut,
-                  periods: list[int]) -> list[BfvCiphertext]:
-        """Pack each LWE batch into slots repeating at its period; evaluate
-        the LUT on the stack."""
-        packed = [pack_lwe(self.ctx, batch, self.packing_key, period)
-                  for batch, period in zip(batches, periods, strict=True)]
-        return fbs_evaluate(self.ctx, packed, lut, self.rlk)
+    def refresh(
+        self, cts: list[BfvCiphertext], rounds: list[RefreshRound], s2c: bool
+    ) -> list[BfvCiphertext]:
+        """The loop's refresh (Fig. 2 steps 2-5, then S2C), written once.
 
-    # -- loop closure -------------------------------------------------------------
-
-    def to_coeffs(self, ct: BfvCiphertext) -> BfvCiphertext:
-        """S2C: prepare the FBS output for the next coefficient-encoded layer."""
-        return slot_to_coeff(self.ctx, ct, self.s2c_keys, self.params.n)
+        Each ciphertext through its round: mod-switch + extract at the
+        round's positions, scatter the samples onto its pack rows (gap rows
+        are trivial zero encryptions), pack them repeated at the round's
+        period; the stack through the rounds' one table in one FBS; zero
+        every slot whose residue mod the period is off the rows exactly with
+        each round's ``-LUT(0)`` plaintext (absent when there is nothing to
+        cancel), and return to coefficients at the round's period.
+        """
+        batches = [self.refresh_to_lwe(ct, rnd.positions).place(rnd.rows, rnd.height)
+                   for ct, rnd in zip(cts, rounds)]
+        packed = [pack_lwe(self.ctx, batch, self.packing_key, rnd.period)
+                  for batch, rnd in zip(batches, rounds)]
+        boots = fbs_evaluate(self.ctx, packed, rounds[0].lut, self.rlk)
+        if any(rnd.correction is not None for rnd in rounds):
+            with current_backend().phase("fbs"):
+                boots = [boot if rnd.correction is None else self.ctx.add_plain(boot, rnd.correction)
+                         for boot, rnd in zip(boots, rounds)]
+        return [slot_to_coeff(self.ctx, boot, self.s2c_keys, rnd.period)
+                for boot, rnd in zip(boots, rounds)] if s2c else boots
 
     def loop(
         self,
@@ -147,13 +159,11 @@ class AthenaPipeline:
         lut: FbsLut,
         positions: np.ndarray,
     ) -> BfvCiphertext:
-        """One complete five-step round: Conv -> refresh -> FBS -> S2C."""
-        if positions.shape[0] > self.params.n:
-            raise ParameterError("more outputs than slots")
-        out = self.linear(ct, kernel_coeffs)
-        p = period(positions.shape[0], self.params.n)
-        (boot,) = self.bootstrap([self.refresh_to_lwe(out, positions)], lut, [p])
-        return slot_to_coeff(self.ctx, boot, self.s2c_keys, p)
+        """One complete five-step round: Conv -> refresh -> FBS -> S2C, the
+        outputs packed compactly at coefficients ``[0, len(positions))`` and
+        every other coefficient an exact zero."""
+        rnd = _refresh_round(positions, np.arange(positions.shape[0]), lut, self.params)
+        return self.refresh([self.linear(ct, kernel_coeffs)], [rnd], True)[0]
 
     # -- compiled-plan driver ---------------------------------------------------
 
@@ -210,8 +220,8 @@ class CiphertextExecutor(ProgramExecutor):
     polynomial and BSGS schedule — lives in the :class:`CompiledProgram`
     (compiling or loading it also builds the S2C plan of each round period),
     so each :meth:`linear` call performs only encrypt (first step), PMult,
-    and :meth:`_refresh` — the one place the loop's refresh -> pack -> FBS
-    -> S2C is written — on the request's data.
+    and :meth:`AthenaPipeline.refresh` — the one place the loop's refresh ->
+    pack -> FBS -> S2C is written — on the request's data.
 
     Every image count runs the one path: the images fill lane-full
     ciphertexts (:attr:`lanes`), each takes its linear steps' geometry from
@@ -271,31 +281,7 @@ class CiphertextExecutor(ProgramExecutor):
                 outs = [pipe.ctx.add_plain(out, layout.bias) for out, layout in zip(outs, layouts)]
         for delta, rnd in step.pool_rounds or ():
             outs = self._max_round(outs, delta, rnd)
-        return self._refresh(outs, [layout.round for layout in layouts], step.s2c)
-
-    def _refresh(
-        self, cts: list[BfvCiphertext], rounds: list[RefreshRound], s2c: bool
-    ) -> list[BfvCiphertext]:
-        """The loop's refresh (Fig. 2 steps 2-5, then S2C), written once.
-
-        Each ciphertext through its round: mod-switch + extract at the
-        round's positions, scatter the samples onto its pack rows (gap rows
-        are trivial zero encryptions) in a batch of the round's period, pack
-        it repeated at that period; the stack through the rounds' one table
-        in one FBS; zero the unfilled rows exactly with each round's
-        ``-LUT(0)`` plaintext (absent when there is nothing to cancel), and
-        return to coefficients at the round's period.
-        """
-        pipe = self.pipe
-        batches = [pipe.refresh_to_lwe(ct, rnd.positions).place(rnd.rows, rnd.height)
-                   for ct, rnd in zip(cts, rounds)]
-        boots = pipe.bootstrap(batches, rounds[0].lut, [rnd.period for rnd in rounds])
-        if any(rnd.correction is not None for rnd in rounds):
-            with current_backend().phase("fbs"):
-                boots = [boot if rnd.correction is None else pipe.ctx.add_plain(boot, rnd.correction)
-                         for boot, rnd in zip(boots, rounds)]
-        return [slot_to_coeff(pipe.ctx, boot, pipe.s2c_keys, rnd.period)
-                for boot, rnd in zip(boots, rounds)] if s2c else boots
+        return pipe.refresh(outs, [layout.round for layout in layouts], step.s2c)
 
     def _max_round(
         self, cts: list[BfvCiphertext], delta: int, rnd: RefreshRound
@@ -320,7 +306,7 @@ class CiphertextExecutor(ProgramExecutor):
                                      ct.c1.negacyclic_shift(offset), ct.params, ct.noise_bits)
                        for ct in cts]
             diffs = [pipe.ctx.add(ct, shift) for ct, shift in zip(cts, shifted)]
-        relus = self._refresh(diffs, [rnd] * len(cts), True)
+        relus = pipe.refresh(diffs, [rnd] * len(cts), True)
         with current_backend().phase("pooling"):
             return [pipe.ctx.sub(relu, shift) for relu, shift in zip(relus, shifted)]
 
@@ -336,7 +322,7 @@ class CiphertextExecutor(ProgramExecutor):
     def remap(self, step: CompiledRemap, value):
         """A bare LUT refresh round (the pooling division tables), on
         one-image ciphertexts: a remap caps every ciphertext at one lane."""
-        return self._refresh(value, [step.round] * len(value), step.s2c)
+        return self.pipe.refresh(value, [step.round] * len(value), step.s2c)
 
     def residual(self, step: CompiledResidual, main, skip):
         """Join the branches and refresh through the wide-scale LUT.
@@ -352,4 +338,4 @@ class CiphertextExecutor(ProgramExecutor):
             if step.alpha != 1:
                 skip = [pipe.ctx.smult(ct, step.alpha) for ct in skip]
             total = [pipe.ctx.add(a, b) for a, b in zip(main, skip)]
-        return self._refresh(total, [step.round] * len(total), step.s2c)
+        return pipe.refresh(total, [step.round] * len(total), step.s2c)

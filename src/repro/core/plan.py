@@ -230,17 +230,15 @@ class RefreshRound:
     zero-padded batch of ``height`` rows (the compact layout is
     ``rows = arange(count)``); step 5 evaluates ``lut`` through the BSGS
     schedule it carries (:attr:`repro.fhe.fbs.FbsLut.plan`); ``correction``
-    — the slot-encoded ``-LUT(0)`` over every row the round did *not* fill,
-    ``None`` only when LUT(0) = 0 or all ``n`` rows are filled — makes
-    those rows exact zeros again, so after S2C sample
-    ``i`` sits alone at coefficient ``rows[i]`` and everything else is an
-    exact zero. ``period`` is the slot period its pack and S2C run at:
-    :func:`repro.fhe.slots.period` of ``height``, or N when the round
-    carries a correction (which pins every slot off ``rows``, so the rows
-    may not repeat), or N for every round of a program one of whose S2Cs
-    runs at N (:func:`_run_dense`); derived, never on the wire. Every
-    refresh the executor runs — a layer's tail, a lane batch, a max-tree
-    level, a remap, a residual join — is one of these, built by
+    — the slot-encoded ``-LUT(0)`` at every slot whose residue mod
+    ``period`` is not a row, ``None`` when LUT(0) = 0 or the rows fill the
+    period — makes those rows exact zeros again, so after S2C sample ``i``
+    sits alone at coefficient ``rows[i]`` and everything else is an exact
+    zero. ``period`` is the slot period its pack and S2C run at:
+    :func:`repro.fhe.slots.period` of ``height``, or N for every round of a
+    program one of whose S2Cs runs at N (:func:`_run_dense`); derived, never
+    on the wire. Every refresh a plan runs — a layer's tail, a lane batch, a
+    max-tree level, a remap, a residual join — is one of these, built by
     :func:`_refresh_round`.
     """
 
@@ -257,17 +255,19 @@ class RefreshRound:
 
 
 def _refresh_round(positions: np.ndarray, rows: np.ndarray, lut: FbsLut,
-                   params: FheParams) -> RefreshRound:
+                   params: FheParams, period: int | None = None) -> RefreshRound:
     """The one builder of a round — and of its ``-LUT(0)`` plaintext; the
-    LUT's CMult schedule and baby powers are derived here, not on a request."""
+    LUT's CMult schedule and baby powers are derived here, not on a request.
+    ``period`` defaults to the one :func:`repro.fhe.slots.period` of the
+    round's height."""
     lut.plan.levels, lut.plan.powers  # noqa: B018 — force the cached schedule
     height = int(rows.max()) + 1
-    correction, period = None, slotlib.period(height, params.n)
-    lut0 = int(lut.values[0])
-    if lut0 and rows.size < params.n:
-        vals = np.full(params.n, -lut0 % params.t, dtype=np.int64)
+    period = period or slotlib.period(height, params.n)
+    correction, lut0 = None, int(lut.values[0])
+    if lut0 and rows.size < period:
+        vals = np.full(period, -lut0 % params.t, dtype=np.int64)
         vals[rows] = 0
-        correction, period = Plaintext.from_slots(vals, params), params.n
+        correction = Plaintext.from_slots(np.tile(vals, params.n // period), params)
         correction.add_operand()
     return RefreshRound(positions, rows, height, lut, correction, period)
 
@@ -425,7 +425,7 @@ class CompiledProgram:
             self.batch_capacity = _chain_lanes(self.steps, self.params)
             periods = {rnd.period for rnd in _s2c_rounds(self.steps)}
             if self.params.n in periods:
-                _run_dense(self.steps, self.params.n)
+                _run_dense(self.steps, self.params)
                 periods = {self.params.n}
             for period in periods:
                 s2c_plan(self.params, period)  # built here, not on a request
@@ -508,15 +508,16 @@ def _s2c_rounds(steps: list):
         yield from (rnd for _, rnd in getattr(step, "pool_rounds", None) or ())
 
 
-def _run_dense(steps: list, n: int) -> None:
-    """Give every round of ``steps`` the dense period ``n``.
+def _run_dense(steps: list, params: FheParams) -> None:
+    """Rebuild every round of ``steps`` at the dense period N, its
+    correction with it.
 
     A program with one S2C at period N holds the dense plan, N diagonals;
     distinct periods below N sum to fewer, so running every round dense
     keeps the plans it holds at the dense plan's size — the compile time
     and memory of a program that had no periodic rounds."""
     def dense(rnd: RefreshRound) -> RefreshRound:
-        return replace(rnd, period=n)
+        return _refresh_round(rnd.positions, rnd.rows, rnd.lut, params, params.n)
 
     for step in _walk(steps):
         if getattr(step, "round", None) is not None:

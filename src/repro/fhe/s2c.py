@@ -67,8 +67,8 @@ def _evaluation_columns(n: int, t: int, cols: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def s2c_plan(params: FheParams, period: int) -> MatvecPlan:
     """The S2C mat-vec plan of ``params`` for slot vectors of ``period``
-    (:func:`repro.fhe.slots.period`), every S2C Galois key's index tables
-    warmed.
+    (:func:`repro.fhe.slots.period`), the index tables of the Galois
+    elements it uses warmed.
 
     Slot s of a vector of period p | N/2 holds u[pos(s) mod p] in either row,
     pos(s) = s mod N/2, so slot s of ``rot_d`` of it holds u[(pos(s) + d) mod
@@ -100,12 +100,13 @@ def s2c_plan(params: FheParams, period: int) -> MatvecPlan:
         bs = min(period, bs)
     plan = MatvecPlan.build(passes, params, bs)
     # The batched mat-vec gathers by the evaluation-domain permutation, the
-    # reference permutes coefficients: both tables of every key the S2C
-    # holds are built here — a few N-entry arrays — so a transform of any
-    # period, the dense one included, builds none.
-    for amount in slotlib.baby_giant_amounts(half):
-        warm_automorphism(n, slotlib.rotation_galois_element(n, amount))
-    warm_automorphism(n, slotlib.row_swap_element(n))
+    # reference permutes coefficients: both tables of every Galois element
+    # this plan rotates by — its derived images and its giant steps — are
+    # built here, a few N-entry arrays, so its transform builds none.
+    elements = [k for _, images in plan.derived for _, k in images]
+    elements += [slotlib.rotation_galois_element(n, g * bs) for g, _, _ in plan.groups if g]
+    for k in elements:
+        warm_automorphism(n, k)
     return plan
 
 

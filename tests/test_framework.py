@@ -20,6 +20,7 @@ from repro.core.keyinventory import build_inventory
 from repro.core.lut import remap_lut
 from repro.fhe import lwe as lwelib
 from repro.fhe.backend import CountingBackend, use_backend
+from repro.fhe.fbs import FbsLut
 from repro.fhe.params import TEST_FBS, TEST_LOOP
 from repro.fhe.slots import row_swap_element
 from tests.conftest import REFRESH_SIGMAS
@@ -52,13 +53,13 @@ class TestKeygen:
 class TestFullLoop:
     CIN, COUT, HW, WK = 1, 2, 6, 3
 
-    def _conv_setup(self, rng, pipe):
+    def _conv_setup(self, rng, pipe, cout=COUT):
         p = pipe.params
         m = rng.integers(-4, 5, (self.CIN, self.HW, self.HW))
-        k = rng.integers(-4, 5, (self.COUT, self.CIN, self.WK, self.WK))
+        k = rng.integers(-4, 5, (cout, self.CIN, self.WK, self.WK))
         mh = encode_features(m, p.n)
         kh = encode_kernels(k, self.HW, self.HW, p.n)
-        pos = valid_output_positions(self.COUT, self.CIN, self.HW, self.HW, self.WK, 1)
+        pos = valid_output_positions(cout, self.CIN, self.HW, self.HW, self.WK, 1)
         macs = conv_via_coefficients(m, k, p.n).reshape(-1)
         return mh, kh, pos, macs
 
@@ -119,6 +120,23 @@ class TestFullLoop:
         assert ops["linear"]["pmult"] == 1
         assert ops["se"]["extract"] == pos.shape[0]
         assert ops["fbs"]["smult"] > 0 and ops["fbs_giant"]["cmult"] > 0
+
+    def test_loop_zeroes_every_row_it_leaves(self, pipeline, rng):
+        """LUT(0) = 4 — the ReLU remap + 4 — over three output channels: 48
+        rows at period 64. The outputs sit within the remap bound of the
+        plaintext table, and every coefficient from 48 up is an exact zero:
+        the pad rows [48, 64) too, which a round without its -LUT(0)
+        correction leaves at 4."""
+        p = pipeline.params
+        mh, kh, pos, macs = self._conv_setup(rng, pipeline, cout=3)
+        relu = remap_lut(multiplier=0.25, activation="relu", a_max=63, t=p.t)
+        lut = FbsLut(relu.values + 4, p.t, "remap-relu+4")
+        assert pos.shape[0] == 48 and lut.values[0] == 4
+        dec = pipeline.decrypt_coeffs(pipeline.loop(pipeline.encrypt_coeffs(mh), kh, lut, pos))
+        assert not dec[48:].any()
+        got = np.where(dec[:48] > p.t // 2, dec[:48] - p.t, dec[:48])
+        expected = lut.apply_plain_signed(macs)
+        assert np.abs(got - expected).max() <= self._remap_bound(pipeline, 0.25)
 
     def test_loop_output_feeds_next_linear(self, pipeline, rng):
         # After S2C the data is back in coefficients: apply another PMult.

@@ -54,6 +54,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.framework import AthenaPipeline
+from repro.core.plan import _refresh_round
 from repro.errors import ParameterError
 from repro.fhe import backend as backend_mod
 from repro.fhe import bfv as bfv_mod
@@ -73,7 +74,7 @@ from repro.fhe.backend import (
 )
 from repro.fhe.bfv import BfvCiphertext, BfvContext, Plaintext, galois_noise_growth
 from repro.fhe.fbs import FbsLut, fbs_evaluate
-from repro.fhe.lwe import LweBatch
+from repro.fhe.lwe import LweBatch, lwe_decrypt
 from repro.fhe.ntt import ntt_forward_rns, ntt_inverse_rns
 from repro.fhe.packing import (
     MatvecPlan,
@@ -991,6 +992,59 @@ class TestPeriodicRounds:
             assert np.array_equal(pipe.decrypt_coeffs(out), dense)
             assert pipe.ctx.true_noise_bits(out, pipe.sk) <= out.noise_bits
 
+    def test_lut0_is_cancelled_at_every_height(self):
+        """A LUT(0) != 0 table at each height above, compact rows and rows
+        with gaps alike: one refresh of the stack leaves LUT(m_i) at row
+        ``rows[i]`` and an exact zero at every other coefficient, whatever
+        the period and whether or not the rows fill it; serial == batched."""
+        pipe = _fbs_s2c()
+        params = pipe.params
+        n, t = params.n, params.t
+        lut = FbsLut.from_function(lambda v: np.maximum(v, 0) // 4 + 4, t)
+        assert lut.values[0] == 4
+        ct = pipe.encrypt_coeffs(np.random.default_rng(7).integers(0, t, n))
+        rounds = []
+        for height in (1, 2, 3, 5, 8, 9, n // 2, n // 2 + 1, n):
+            for rows in (np.arange(height), np.unique(np.r_[0:height:3, height - 1])):
+                rounds.append(_refresh_round(np.arange(rows.size), rows, lut, params))
+        assert {rnd.period for rnd in rounds} == {1, 2, 4, 8, 16, n}
+        assert any(rnd.correction is None for rnd in rounds)
+        assert any(rnd.correction is not None and rnd.period < n for rnd in rounds)
+        results = []
+        for be in (BATCHED, SERIAL):
+            with use_backend(be):
+                results.append(pipe.refresh([ct] * len(rounds), rounds, True))
+        for out, other, rnd in zip(*results, rounds):
+            _assert_same_ciphertext(out, other)
+            m = lwe_decrypt(pipe.refresh_to_lwe(ct, rnd.positions), pipe.lwe_secret, t=t)
+            want = np.zeros(n, dtype=np.int64)
+            want[rnd.rows] = lut.values[m]
+            assert np.array_equal(pipe.decrypt_coeffs(out), want)
+
+    def test_a_corrected_round_runs_at_its_period(self, monkeypatch):
+        """A corrected one-lane round at TEST_LOOP — three 4 x 4 output
+        channels, 48 rows, LUT(0) = 4 — runs at period 64: its S2C executes
+        that period's 531 limb transforms (the pin above), not the dense
+        846, and returns the rows with every other coefficient an exact
+        zero. The FBS output it closes is encrypted directly: the rows'
+        values, LUT(0) on the 16 pad rows, tiled at the period."""
+        pipe = AthenaPipeline(TEST_LOOP, seed=81)
+        n, t = TEST_LOOP.n, TEST_LOOP.t
+        lut = FbsLut.from_function(lambda v: np.maximum(v, 0) // 4 + 4, t)
+        rows = np.arange(48)
+        rnd = _refresh_round(rows, rows, lut, TEST_LOOP)
+        assert rnd.period == 64 and rnd.correction is not None
+        values = lut.values[np.random.default_rng(5).integers(0, t, 48)]
+        boot = pipe.ctx.encrypt(Plaintext.from_slots(
+            np.tile(np.r_[values, np.full(16, 4)], n // 64), TEST_LOOP), pipe.pk)
+        fixed = pipe.ctx.add_plain(boot, rnd.correction)
+        s2c_plan(TEST_LOOP, rnd.period)  # built before the spy: requests never build it
+        executed = _spy_transforms(monkeypatch)
+        with use_backend(BATCHED):
+            out = slot_to_coeff(pipe.ctx, fixed, pipe.s2c_keys, rnd.period)
+        assert executed["limb_transforms"] == 531
+        assert np.array_equal(pipe.decrypt_coeffs(out), np.r_[values, np.zeros(n - 48, np.int64)])
+
     def test_a_periodic_plan_is_one_pass_of_p_diagonals(self):
         params = TEST_LOOP
         half = params.n // 2
@@ -1086,7 +1140,7 @@ class TestSources:
         draw 7 fewer keyswitch terms, the stack's rows at most two each."""
         pipe, values, batch = _pack_setup(TEST_LOOP)
         ct = pipe.ctx.encrypt(Plaintext.from_slots(values, TEST_LOOP), pipe.pk)
-        for out, before in ((pipe.to_coeffs(ct), 35.2),
+        for out, before in ((slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys, TEST_LOOP.n), 35.2),
                             (pack_lwe(pipe.ctx, batch(43), pipe.packing_key, TEST_LOOP.n), 34.9)):
             measured = pipe.ctx.true_noise_bits(out, pipe.sk)
             assert measured <= out.noise_bits and measured <= before + 1

@@ -46,7 +46,6 @@ KEPT = {
     "repro.utils.modmath.crt_combine": "scalar CRT reconstruction, the modular-arithmetic tests' oracle",
     "repro.utils.modmath.centered": "the scalar centred residue, centered_array's oracle",
     "repro.core.lut.softmax_plain": "the plaintext softmax the softmax LUTs are checked against",
-    "repro.core.framework.AthenaPipeline.to_coeffs": "the dense S2C of any slot vector, which the noise and loaded-plan tests drive",
     # Safety code: runs only on bad input or inside the V_AMBIGUITY band.
     "repro.errors.UnsupportedLayer.__init__": "raised on a layer lowering cannot map",
     "repro.errors.TensorOverflow.__init__": "raised on a CMult sum longer than its auxiliary basis holds",

@@ -228,8 +228,8 @@ class TestDerivedPlansHaveOneOwner:
         from repro.fhe.fbs import fbs_evaluate_impl
         from repro.fhe.s2c import slot_to_coeff_impl
 
-        entry_points = [fbs_evaluate, fbs_evaluate_impl, Backend.fbs, AthenaPipeline.bootstrap,
-                        slot_to_coeff, slot_to_coeff_impl, Backend.s2c, AthenaPipeline.to_coeffs]
+        entry_points = [fbs_evaluate, fbs_evaluate_impl, Backend.fbs, AthenaPipeline.refresh,
+                        slot_to_coeff, slot_to_coeff_impl, Backend.s2c]
         constructors = [PackingKey.generate, s2c_plan]
         assert [f.__qualname__ for f in entry_points
                 if "plan" in inspect.signature(f).parameters] == []

@@ -74,25 +74,30 @@ class TestCompileProgram:
 
     def test_correction_zeroes_exactly_the_unfilled_rows(self):
         """One builder for every ``-LUT(0)`` plaintext: compact rounds,
-        placed layouts and lane batches get the same rule."""
+        placed layouts and lane batches get the same rule — -LUT(0) at
+        every slot whose residue mod the round's period is not a row."""
         from repro.core.plan import _refresh_round
         from repro.fhe.fbs import FbsLut
 
         lut = FbsLut.from_function(lambda v: v + 5, TEST_LOOP.t)
-        positions = np.arange(40, 56)
-        for rows, height in ((np.arange(16), 16), (np.arange(16, 32), 32)):
-            rnd = _refresh_round(positions, rows, lut, TEST_LOOP)
-            assert rnd.height == height
-            assert rnd.period == TEST_LOOP.n  # a correction keeps the dense layout
+        n = TEST_LOOP.n
+        for rows, period in ((np.arange(16, 32), 32), (np.arange(0, 32, 2), 32),
+                             (np.r_[0:8, 9:17], 32), (np.delete(np.arange(16), 7), 16),
+                             (np.arange(80), n)):
+            rnd = _refresh_round(rows, rows, lut, TEST_LOOP)
+            assert rnd.height == rows.max() + 1 and rnd.period == period
             slots = rnd.correction.to_slots()
-            assert not slots[rows].any()
-            assert np.all(np.delete(slots, rows) == (-5) % TEST_LOOP.t)
-        # Nothing to cancel: LUT(0) = 0, or no row left unfilled.
-        full = np.arange(TEST_LOOP.n)
-        assert _refresh_round(full, full, lut, TEST_LOOP).correction is None
+            off = ~np.isin(np.arange(n) % period, rows)
+            assert not slots[~off].any()
+            assert np.all(slots[off] == (-5) % TEST_LOOP.t)
+        # Nothing to cancel: the rows fill the period, or LUT(0) = 0.
+        for rows in (np.arange(16), np.arange(n)):
+            rnd = _refresh_round(rows, rows, lut, TEST_LOOP)
+            assert rnd.correction is None and rnd.period == rows.size
         relu = FbsLut.from_function(lambda v: np.maximum(v, 0), TEST_LOOP.t)
-        rnd = _refresh_round(positions, np.arange(16), relu, TEST_LOOP)
-        assert rnd.correction is None and rnd.period == 16
+        rows = np.arange(0, 32, 2)
+        rnd = _refresh_round(rows, rows, relu, TEST_LOOP)
+        assert rnd.correction is None and rnd.period == 32
 
     def test_a_plan_is_built_at_the_model_t_only(self):
         """Every table is tabulated over the parameter set's t: a model
@@ -106,11 +111,13 @@ class TestCompileProgram:
 
     def test_s2c_plans_are_built_for_the_rounds_that_run_s2c(self, monkeypatch):
         """The constructor builds one plan per period of the rounds that
-        return to coefficients — not the tail's, whose S2C never runs — and
-        a program with a dense S2C runs every round dense, so its plans are
-        the dense plan alone; a loaded plan derives the same periods."""
+        return to coefficients — not the tail's, whose S2C never runs —
+        corrected rounds included, and a program with a dense S2C runs
+        every round dense, its corrections rebuilt over all N slots, so its
+        plans are the dense plan alone; a loaded plan derives the same
+        periods."""
         import repro.core.plan as plan_mod
-        from repro.core.plan import _s2c_rounds
+        from repro.core.plan import _run_dense, _s2c_rounds
         from repro.fhe.params import TEST_FBS
         from tests.conftest import plan_rounds, sigmoid_pack_cnn
 
@@ -121,15 +128,22 @@ class TestCompileProgram:
         assert sorted(built) == [8, 32] and plan.tail.round.period == 4
         built.clear()
         plan = compile_program(lower(sigmoid_pack_cnn(), TEST_FBS), TEST_FBS)
-        assert plan.batch_capacity == 2 and built == [TEST_FBS.n]
-        rounds = [*plan_rounds(plan.steps), *_s2c_rounds(plan.steps)]
-        assert {rnd.period for rnd in rounds} == {TEST_FBS.n}
+        assert plan.batch_capacity == 2 and sorted(built) == [4, 16]
+        assert [rnd.period for rnd in _s2c_rounds(plan.steps)] == [4, 4, 16]
         for step in plan.steps:
             if step.kind == "linear":
                 assert step.layouts[0].round is step.round
         loaded = load_plan(dump_plan(plan), TEST_FBS)
         assert [rnd.period for rnd in _s2c_rounds(loaded.steps)] == [
             rnd.period for rnd in _s2c_rounds(plan.steps)]
+        _run_dense(plan.steps, TEST_FBS)
+        rounds = [*plan_rounds(plan.steps), *_s2c_rounds(plan.steps)]
+        assert {rnd.period for rnd in rounds} == {TEST_FBS.n}
+        for rnd in rounds:
+            if int(rnd.lut.values[0]):
+                fix = rnd.correction.to_slots()
+                assert not fix[rnd.rows].any()
+                assert np.all(np.delete(fix, rnd.rows) == -rnd.lut.values[0] % TEST_FBS.t)
 
     @pytest.mark.slow
     def test_paper_t_compiles_in_half_a_second_outside_s2c(self):

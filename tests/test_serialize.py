@@ -341,12 +341,13 @@ class TestPlanWireV4:
         """``load_plan`` warms the S2C rotation tables — the coefficient
         maps and the evaluation-domain permutations — exactly as
         ``compile_program`` does (it did not before v4): in a process that
-        has not built the parameter set's S2C plan yet, it builds it."""
+        has not built the parameter set's S2C plan yet, it builds it — at
+        the period of the loaded plan's own round."""
         from repro.core.framework import AthenaPipeline
-        from repro.core.plan import compile_program
+        from repro.core.plan import _s2c_rounds, compile_program
         from repro.core.program import lower
         from repro.fhe.backend import automorphism_map, ntt_automorphism_perm
-        from repro.fhe.s2c import s2c_plan
+        from repro.fhe.s2c import s2c_plan, slot_to_coeff
         from repro.quant.subjects import SUBJECTS
 
         builder, params = SUBJECTS["serve_micro"]
@@ -357,10 +358,11 @@ class TestPlanWireV4:
         tables = (automorphism_map, ntt_automorphism_perm)
         for table in (*tables, s2c_plan):
             table.cache_clear()
-        serialize.load_plan(raw, params)
+        rnd = next(_s2c_rounds(serialize.load_plan(raw, params).steps))
+        assert rnd.period == 4
         before = [table.cache_info().misses for table in tables]
         assert min(before) > 0
-        pipe.to_coeffs(ct)
+        slot_to_coeff(pipe.ctx, ct, pipe.s2c_keys, rnd.period)
         assert [table.cache_info().misses for table in tables] == before
 
     @pytest.mark.slow
@@ -411,34 +413,41 @@ class TestOneRefreshGeometry:
 
     @pytest.mark.parametrize("build, params", _zero_invariant_subjects())
     def test_every_round_cancels_lut0_outside_its_rows(self, build, params):
-        from repro.core.plan import compile_program
+        """Over the round's period: -LUT(0) at every slot whose residue mod
+        the period is not a row, and nothing on the rows — every round of
+        the steps and of their lane layouts, compiled and loaded."""
+        from repro.core.plan import _walk, compile_program
         from tests.conftest import plan_rounds
 
         plan = compile_program(build(), params)
         loaded = serialize.load_plan(serialize.dump_plan(plan), params)
-        for rounds in (plan_rounds(plan.steps), plan_rounds(loaded.steps)):
-            seen = 0
+        for steps in (plan.steps, loaded.steps):
+            rounds = [*plan_rounds(steps), *(layout.round for step in _walk(steps)
+                                             for layout in getattr(step, "layouts", ()))]
             for rnd in rounds:
-                seen += 1
                 assert rnd.rows.shape == rnd.positions.shape
                 assert rnd.height == rnd.rows.max() + 1
-                if rnd.rows.size == params.n:
-                    continue
+                on_rows = np.isin(np.arange(params.n) % rnd.period, rnd.rows)
                 fix = (np.zeros(params.n, dtype=np.int64)
                        if rnd.correction is None else rnd.correction.to_slots())
-                assert not fix[rnd.rows].any()
-                left = np.delete(int(rnd.lut.values[0]) + fix, rnd.rows)
+                assert not fix[on_rows].any()
+                left = (int(rnd.lut.values[0]) + fix)[~on_rows]
                 assert not (left % params.t).any()
-            assert seen >= 2
+            assert len(rounds) >= 2
 
     def test_the_sigmoid_variant_needs_the_correction(self):
-        """The subject above is not vacuous: its conv round is compact, its
-        table has LUT(0) = 4, and the round carries the plaintext."""
+        """The subject above is not vacuous: its conv table has LUT(0) = 4.
+        The one-lane round's 4 rows fill its period and need no correction;
+        the 2-lane layout's 8 rows at height 15 leave half of its period's
+        16 residues to cancel, and it carries the plaintext."""
         build, params = _zero_invariant_subjects()[-1].values
         from repro.core.plan import compile_program
 
-        rnd = compile_program(build(), params).steps[0].round
-        assert np.array_equal(rnd.rows, np.arange(4))
+        one, two = compile_program(build(), params).steps[0].layouts
+        assert np.array_equal(one.round.rows, np.arange(4)) and one.round.period == 4
+        assert one.round.correction is None
+        rnd = two.round
+        assert (rnd.rows.size, rnd.height, rnd.period) == (8, 15, 16)
         assert int(rnd.lut.values[0]) == 4 and rnd.correction is not None
 
     @pytest.mark.parametrize("build, params", _wire_subjects())
