@@ -384,11 +384,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     payload = {
         "model": qm.name,
         "mode": "executed",
-        "backend": counting.rns_name,
+        "backend": counting.name,
         "comparison": comparison,
         "phase_s": counting.summary()["phase_s"],
     }
-    lines = [f"{qm.name} @ {params.name} (executed [{counting.rns_name}] "
+    lines = [f"{qm.name} @ {params.name} (executed [{counting.name}] "
              f"vs analytical)"]
     for prim, row in comparison.items():
         ratio = "n/a" if row["ratio"] is None else f"{row['ratio']:.3f}"

@@ -418,10 +418,9 @@ def executed_trace(counting, params: FheParams) -> WorkloadTrace:
     :func:`repro.accel.scheduler.schedule` can consume ops *actually
     executed* instead of (or alongside) the model's predictions.
 
-    Primitive mapping: the counting backend's RNS-tier units are already
-    the trace units (``ntt`` per limb transform, ``mod_mul``/``mod_add``
-    per element, ``rnsconv`` per mod-switch element, ``extract`` per LWE
-    sample); negacyclic shifts fold into ``automorph`` (both are limb-wise
+    Primitive mapping: the counting backend's units are already the trace
+    units (``ntt`` per limb transform, ``mod_mul``/``mod_add`` per element,
+    ``rnsconv`` per base-extension output, ``extract`` per LWE sample); negacyclic shifts fold into ``automorph`` (both are limb-wise
     index permutations on the accelerator datapath). ``hbm_bytes`` stays 0:
     the executed side measures arithmetic, not traffic. Only the
     :data:`RUNTIME_PHASES` are kept.

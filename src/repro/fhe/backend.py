@@ -1,4 +1,4 @@
-"""Op-dispatch backends: one reference engine, one fast engine, one wrapper.
+"""Op-dispatch backends: one reference engine, one fast engine, one recorder.
 
 Every primitive the Athena loop executes — RNS NTT/INTT and limb
 arithmetic, modulus switching, LWE extraction and dimension switching, the
@@ -23,11 +23,12 @@ Every other op has one body, on :class:`Backend`: the element-wise RNS ops
 one numpy pass against the (L, 1) modulus column), :meth:`Backend.mod_switch`,
 :meth:`Backend.cmult_batch`, :meth:`Backend.giant_step_batch` (the engines
 differ in its product sum only), the LWE and composite tiers.
-:class:`CountingBackend` (``counting``), the only wrapper and the one way to
-observe a run, counts and delegates the RNS tier only: every op above runs
-its reference body, each count — in the units of
-:class:`repro.core.trace.OpCounts` — is a primitive that ran, and its
-per-phase self-seconds time that stream. Selection is **context-local**
+:class:`CountingBackend` (``counting``), the one way to observe a run, is the
+batched engine plus a recorder: every body the batched engine runs records
+each primitive where it executes, in the units of
+:class:`repro.core.trace.OpCounts`, through :meth:`Backend.record` (a no-op
+on the engines), so a counted run is the production run and its per-phase
+self-seconds time production. Selection is **context-local**
 (:class:`contextvars.ContextVar`); the process-wide default honors
 ``REPRO_BACKEND`` (``batched`` | ``serial``), which is how CI runs tier-1
 under the reference.
@@ -50,7 +51,9 @@ inner-product CMult each), :meth:`Backend.cmult_batch` (one FBS ladder
 level) and :meth:`Backend.lincomb` (the baby steps as one matrix
 product). Both bodies
 are *dispatch-free* — ``self`` methods and module-level transforms, never
-:func:`current_backend` — so a counted primitive is counted once.
+:func:`current_backend` — so a primitive is recorded once. Events (``pmult``,
+``hadd``, ``rotation``, ``keyswitch``, ``smult``, ``cmult``) are recorded
+once, at the dispatch sites, whichever body runs.
 """
 
 from __future__ import annotations
@@ -207,7 +210,17 @@ def digit_groups(num_limbs: int, both: tuple[int, ...]) -> list[slice]:
     return [slice(lo, min(lo + alpha, num_limbs)) for lo in range(0, num_limbs, alpha)]
 
 
-def _mod_up(data, moduli, both) -> np.ndarray:
+def _unrecorded(**units: int) -> None:
+    """The ``record`` of a kernel no backend runs (key material)."""
+
+
+def _recorded(transform, a, moduli, record) -> np.ndarray:
+    """``transform`` of an (..., L, N) stack, recorded: an ``ntt`` a limb."""
+    record(ntt=a.size // a.shape[-1])
+    return transform(a, moduli)
+
+
+def _mod_up(data, moduli, both, record=_unrecorded) -> np.ndarray:
     """Digits of an (..., L, N) component stack over Q, as an (..., D, L+K,
     N) stack over ``both`` = Q u P: digit j is the centred lift of the
     residues in group j — its own rows as they stand, one exact base
@@ -224,6 +237,7 @@ def _mod_up(data, moduli, both) -> np.ndarray:
                               out=None if lo else digit[..., hi:, :])
         if lo:  # the extension's rows lie on both sides of the group's
             digit[..., :lo, :], digit[..., hi:, :] = ext[..., :lo, :], ext[..., lo:, :]
+    record(rnsconv=out.size - data.size)
     return out
 
 
@@ -243,7 +257,7 @@ def _mod_down_tables(moduli, both):
             _moduli_column.__wrapped__(p_inv))
 
 
-def _mod_down(x, moduli, both, ntt=False) -> np.ndarray:
+def _mod_down(x, moduli, both, ntt=False, record=_unrecorded) -> np.ndarray:
     """``round(x / P)`` over Q of an evaluation-domain (..., L+K, N) stack
     over ``both`` = Q u P: P^-1 (x - the centred lift of its P residues),
     exact, word-sized. The inverse's gain and shift (:func:`_mod_down_tables`)
@@ -259,10 +273,12 @@ def _mod_down(x, moduli, both, ntt=False) -> np.ndarray:
                                  shift[num_limbs:])
         out = x[..., :num_limbs, :] % mods * p_inv
         out += ntt_forward_rns(lift.extend(digits), moduli)
+        record(ntt=x.size // x.shape[-1], rnsconv=out.size, mod_mul=out.size, mod_add=out.size)
     else:
         x = ntt_inverse_rns(x, both, gain, shift)
         out = lift.extend(x[..., num_limbs:, :])
         out += x[..., :num_limbs, :]
+        record(ntt=x.size // x.shape[-1], rnsconv=out.size, mod_add=out.size)
     return np.remainder(out, mods, out=out)
 
 
@@ -273,12 +289,14 @@ def _galois_key(rotation_keys, k: int):
     return k, rotation_keys[k]
 
 
-def _key_products(fd, halves, both):
+def _key_products(fd, halves, both, record):
     """Evaluation-domain (..., 2, L+K, N) (delta_c0, delta_c1) over ``both`` = Q u P
     of (..., D, L+K, N) transformed digits against a (stacked) cached (..., 2,
     D, L+K, N) key (:attr:`repro.fhe.keys.KeySwitchKey.halves`), unreduced: one
     contraction per run of :func:`lazy_product_limit` digits, a ``%`` each only
     if there are two ("key_sum" of :func:`repro.fhe.keys.keyswitch_bounds`)."""
+    # D - 1 sums per half
+    record(mod_mul=2 * fd.size, mod_add=2 * (fd.size - fd.size // fd.shape[-3]))
     if fd.shape[-3] == 1:  # one digit: (d0, d1) is one product
         return np.multiply(fd, halves[..., 0, :, :])
     run = lazy_product_limit(both)
@@ -287,16 +305,16 @@ def _key_products(fd, halves, both):
     return sums[0] if len(sums) == 1 else sum(part % _moduli_column(both) for part in sums)
 
 
-def _stacked_keyswitch(data, ksk, moduli):
+def _stacked_keyswitch(data, ksk, moduli, record):
     """The batched keyswitch of an (..., L, N) stack: all digits in one
     forward pass, the lazy key products, one inverse pass, the mod-down."""
     both = ksk.moduli
-    fd = ntt_forward_rns(_mod_up(data, moduli, both), both)
-    out = _mod_down(_key_products(fd, ksk.halves, both), moduli, both)
+    fd = _recorded(ntt_forward_rns, _mod_up(data, moduli, both, record), both, record)
+    out = _mod_down(_key_products(fd, ksk.halves, both, record), moduli, both, record=record)
     return out[..., 0, :, :], out[..., 1, :, :]
 
 
-def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
+def hoisted_rotations(f0, c1, elements, rotation_keys, moduli, record=_unrecorded) -> np.ndarray:
     """Evaluation-domain :meth:`Backend.rotate_keyswitch` images of parents
     under ``elements``, hoisted; a parent is ``f0`` (its c0, evaluation
     domain) and ``c1`` (coefficient domain, where its digits are taken).
@@ -318,25 +336,28 @@ def hoisted_rotations(f0, c1, elements, rotation_keys, moduli) -> np.ndarray:
         return out
     both = keys[0].moduli  # one basis per parameter set: any key's Q u P serves all
     if shared:
-        fd = ntt_forward_rns(_mod_up(c1, moduli, both), both)[None]
+        fd = _recorded(ntt_forward_rns, _mod_up(c1, moduli, both, record), both, record)[None]
     perms = np.stack([ntt_automorphism_perm(n, k) for k in elements])[:, None, :]
     chunk = max(1, CMULT_BATCH_ELEMS // keys[0].halves[0].size)  # a digit stack: one half's shape
     wide = 0
+    record(automorph=len(keys) * (len(both) + num_limbs))
     for lo in range(0, len(keys), chunk):
         part = slice(lo, lo + chunk)
         if not shared:
-            fd = ntt_forward_rns(_mod_up(c1[part], moduli, both), both)
+            fd = _recorded(ntt_forward_rns, _mod_up(c1[part], moduli, both, record), both, record)
         gathered = zip(np.take_along_axis(fd, perms[part, None], -1), keys[part])
-        products = np.array([_key_products(x, gk.halves, both) for x, gk in gathered])
+        products = np.array([_key_products(x, gk.halves, both, record) for x, gk in gathered])
         if shared:
-            out[part] = _mod_down(products, moduli, both, ntt=True)
+            out[part] = _mod_down(products, moduli, both, ntt=True, record=record)
         else:  # E reduced terms, far inside lazy_chain_limit
             wide = wide + (products % _moduli_column(both)).sum(axis=0)
+            record(mod_add=products.size)
     if not shared:
-        out = _mod_down(wide, moduli, both, ntt=True)
+        out = _mod_down(wide, moduli, both, ntt=True, record=record)
     turned = np.take_along_axis(f0[None] if shared else f0, perms, -1)
     out[..., 0, :, :] += turned if shared else turned.sum(axis=0)
     out[..., 0, :, :] %= _moduli_column(moduli)
+    record(mod_add=turned.size)
     return out
 
 
@@ -352,28 +373,31 @@ class Backend:
     decomposed here to RNS-tier primitives; **LWE** —
     :meth:`sample_extract`, :meth:`lwe_keyswitch`, :meth:`lwe_rescale`, in
     :mod:`repro.fhe.lwe`; **composite** — :meth:`fbs`, :meth:`s2c`, whose
-    inner ops re-enter the active backend, so a wrapper observes each.
+    inner ops re-enter the active backend.
 
-    Plus the only instrumentation seam, no-ops except on counting backends:
-    :meth:`record` (a primitive event) and :meth:`phase` (a label for later
-    events, and the region whose seconds a counting backend accumulates).
+    Plus the only instrumentation seam, no-ops except on
+    :class:`CountingBackend`: :meth:`record` (a count per primitive, noted
+    where the primitives run) and :meth:`phase` (a label for later records,
+    and the region whose seconds the recorder accumulates). Every body the
+    batched engine runs records its primitives; the serial engine's own
+    bodies (the per-prime transforms, the decomposed keyswitch, mat-vec,
+    sums) record none: nothing counts them.
     """
 
     name = "base"
 
-    #: Name of the RNS arithmetic actually executing (a wrapper reports
-    #: its inner engine's).
-    rns_name = "serial"
-
     # -- RNS tier ----------------------------------------------------------
 
     def add(self, a, b, moduli):
+        self.record(mod_add=a.size)
         return (a + b) % _moduli_column(moduli)
 
     def sub(self, a, b, moduli):
+        self.record(mod_add=a.size)
         return (a - b) % _moduli_column(moduli)
 
     def neg(self, a, moduli):
+        self.record(mod_add=a.size)
         return -a % _moduli_column(moduli)
 
     def mul(self, a, b, moduli):
@@ -396,10 +420,12 @@ class Backend:
         return out
 
     def scalar_mul(self, a, value, moduli):
+        self.record(mod_mul=a.size)
         return a * _scalar_column(value, moduli) % _moduli_column(moduli)
 
     def automorphism(self, a, k, moduli):
         # (..., L, N): leading axes batch (a rotation's digit stack).
+        self.record(automorph=len(moduli))
         dest, sign = automorphism_map(a.shape[-1], k)
         out = np.empty_like(a)
         # k odd => dest is a permutation; |a * sign| < p < 2**31, so the
@@ -410,6 +436,7 @@ class Backend:
     def shift(self, a, shift, moduli):
         # X^(N + r) = -X^r, so X^shift rolls the length-2N (a, -a) by shift
         # mod 2N, any integer shift; the first N coefficients are the product.
+        self.record(shift=len(moduli))
         rolled = np.roll(np.concatenate([a, -a], -1), shift, -1)
         return rolled[..., : a.shape[-1]] % _moduli_column(moduli)
 
@@ -423,6 +450,7 @@ class Backend:
         m, read centred. x and w reach r by one centred base extension each."""
         if not 0 < new_modulus < ROUND_PRIME:
             raise ParameterError(f"scale-and-round target {new_modulus} is not below {ROUND_PRIME}")
+        self.record(rnsconv=2 * data.size // len(moduli))
         r, q = ROUND_PRIME, rns.rns_modulus(moduli)
         x_r = rns.base_extend(data, moduli, (r,), shift=q // 2)[0] % r
         w_r = rns.base_extend(data, moduli, (r,), new_modulus, q // 2)[0]
@@ -433,9 +461,10 @@ class Backend:
     #
     # Coarse-grained ops covering the hot paths. The reference bodies
     # below decompose to the RNS-tier primitives of *this* backend
-    # (``self`` methods only — never ``current_backend()``), which is what
-    # CountingBackend runs: it counts the decomposed stream one primitive
-    # at a time, plus the events these bodies record.
+    # (``self`` methods only — never ``current_backend()``). The batched
+    # engine shares rotate_keyswitch (and the digit loop and division it
+    # runs), cmult_batch and giant_step_batch, so those record their
+    # kernels' work too.
 
     def hadd_many(self, arrays, moduli):
         """Sum k reduced (L, N) residue stacks; one chain, one result.
@@ -448,7 +477,7 @@ class Backend:
             acc = self.add(acc, other, moduli)
         return acc
 
-    def _digit_loop(self, digits, ksk, moduli):
+    def _digit_loop(self, digits, ksk):
         """(D, L+K, N) digits against the key — one cached-operand product
         over Q u P per digit per output component: the (2, L+K, N) sum that
         :meth:`_divide_by_p` takes down to Q."""
@@ -456,14 +485,12 @@ class Backend:
         out = [np.zeros_like(digits[0]), np.zeros_like(digits[0])]
         for dig, *keys in zip(digits, *ksk.halves):
             out = [self.add(acc, self.mul_ntt(dig, k, both), both) for acc, k in zip(out, keys)]
-        # Base-conversion outputs of the mod-up: D(L+K) - L.
-        self.record("rnsconv", (digits.size // digits.shape[-1] - len(moduli)) * digits.shape[-1])
         return np.stack(out)
 
     def _divide_by_p(self, wide, moduli, both):
         """Both mod-downs of a reduced (2, L+K, N) digit-loop sum, as (d0, d1):
         :func:`_mod_down` with the inverse's gain and shift applied by hand."""
-        self.record("rnsconv", 2 * len(moduli) * wide.shape[-1])  # L outputs per component
+        self.record(rnsconv=2 * len(moduli) * wide.shape[-1])  # L outputs per component
         lift, _, _, p_inv = _mod_down_tables(moduli, both)
         out = lift.extend(lift.digits(wide[..., len(moduli):, :]))
         out += wide[..., : len(moduli), :] * p_inv
@@ -479,7 +506,7 @@ class Backend:
         if data.ndim > 2:
             return tuple(map(np.stack, zip(*(self.keyswitch(x, ksk, moduli) for x in data))))
         both = ksk.moduli
-        return self._divide_by_p(self._digit_loop(_mod_up(data, moduli, both), ksk, moduli),
+        return self._divide_by_p(self._digit_loop(_mod_up(data, moduli, both), ksk),
                                  moduli, both)
 
     def rotate_keyswitch(self, c0, c1, k, ksk, moduli):
@@ -495,8 +522,8 @@ class Backend:
         over c0, the digit loop, the mod-down, the correction add.
         """
         both = ksk.moduli
-        digits = self.automorphism(_mod_up(c1, moduli, both), k, both)
-        d0, d1 = self._divide_by_p(self._digit_loop(digits, ksk, moduli), moduli, both)
+        digits = self.automorphism(_mod_up(c1, moduli, both, self.record), k, both)
+        d0, d1 = self._divide_by_p(self._digit_loop(digits, ksk), moduli, both)
         return self.add(self.automorphism(c0, k, moduli), d0, moduli), d1
 
     def matvec(self, vec, plan, rotation_keys, moduli):
@@ -518,17 +545,6 @@ class Backend:
         digit loops sum over Q u P and share one mod-down.
         """
         n = vec.shape[-1]
-
-        def rotate(pair, k):
-            self.record("rotation")
-            self.record("keyswitch")
-            return self.rotate_keyswitch(*pair, *_galois_key(rotation_keys, k), moduli)
-
-        def chain(pairs):
-            if len(pairs) > 1:
-                self.record("hadd", len(pairs) - 1)
-            return [self.hadd_many([p[i] for p in pairs], moduli) for i in (0, 1)]
-
         if vec.ndim == 4:  # ready sources: back to where mul_ntt takes them
             src = np.empty_like(vec)
             for i, p in enumerate(moduli):
@@ -537,28 +553,24 @@ class Backend:
             src = {0: tuple(vec)}
             for parent, images in plan.derived:
                 for s, k in images:
-                    src[s] = rotate(src[parent], k)
+                    src[s] = self.rotate_keyswitch(
+                        *src[parent], *_galois_key(rotation_keys, k), moduli)
         parts, turned, wide = [], [], []
         for g, ids, stack in plan.groups:
-            self.record("pmult", len(ids))
-            inner = chain([
-                [self.mul_ntt(comp, w, moduli) for comp in src[s]]
-                for s, w in zip(ids, stack)
-            ])
+            products = [[self.mul_ntt(comp, w, moduli) for comp in src[s]]
+                        for s, w in zip(ids, stack)]
+            inner = [self.hadd_many([p[i] for p in products], moduli) for i in (0, 1)]
             if not g:
                 parts.append(inner)
                 continue
-            self.record("rotation")
-            self.record("keyswitch")
             k, ksk = _galois_key(rotation_keys, rotation_galois_element(n, g * plan.baby_steps))
             both = ksk.moduli
             turned.append(self.automorphism(inner[0], k, moduli))
             wide.append(self._digit_loop(
-                self.automorphism(_mod_up(inner[1], moduli, both), k, both), ksk, moduli))
+                self.automorphism(_mod_up(inner[1], moduli, both), k, both), ksk))
         if wide:
             d0, d1 = self._divide_by_p(self.hadd_many(wide, both), moduli, both)
             parts.append((self.hadd_many(turned + [d0], moduli), d1))
-        self.record("hadd", len(plan.groups) - 1)
         return tuple(self.hadd_many([p[i] for p in parts], moduli) for i in (0, 1))
 
     def giant_step_batch(self, ctx, stacks, rlk):
@@ -575,8 +587,8 @@ class Backend:
         """
         for pairs in stacks:
             ctx.check_tensor_terms(len(pairs))
-        ctx.tensor_forms([ct for pairs in stacks for pair in pairs for ct in pair])
-        self.record("keyswitch", len(stacks))
+        ctx.tensor_forms([ct for pairs in stacks for pair in pairs for ct in pair], self.record)
+        self.record(cmult=sum(map(len, stacks)), keyswitch=len(stacks))
         return self._relinearise(ctx, self._tensor_sums(ctx, stacks), rlk,
                                  [ctx.cmult_noise(pairs) for pairs in stacks])
 
@@ -590,7 +602,6 @@ class Backend:
         for pairs in stacks:
             acc = None
             for pair in pairs:
-                self.record("cmult")
                 (e,) = ctx.tensor_products([pair])
                 acc = e % _moduli_column(both) if acc is None else self.add(acc, e, both)
             sums.append(acc)
@@ -609,24 +620,26 @@ class Backend:
         components and one call per correction add.
         """
         chunk = cmult_chunk(ctx.params)
-        ctx.tensor_forms([ct for pair in pairs for ct in pair])
+        ctx.tensor_forms([ct for pair in pairs for ct in pair], self.record)
         out = []
         for lo in range(0, len(pairs), chunk):
             part = pairs[lo : lo + chunk]
-            self.record("cmult", len(part))
-            self.record("keyswitch", len(part))
-            out += self._relinearise(ctx, ctx.tensor_products(part), rlk,
-                                     [ctx.cmult_noise([pair]) for pair in part])
+            e = ctx.tensor_products(part)  # per pair and element: 4 products, 1 sum
+            self.record(cmult=len(part), keyswitch=len(part), mod_mul=4 * e.size // 3,
+                        mod_add=e.size // 3)
+            out += self._relinearise(ctx, e, rlk, [ctx.cmult_noise([pair]) for pair in part])
         return out
 
     def _relinearise(self, ctx, e, rlk, noises):
-        """The (B, 3, L+K, N) tensors ``e`` as B ciphertexts: one scale-round,
-        one :meth:`keyswitch` of the quadratic components, the correction adds."""
+        """The (B, 3, L+K, N) tensors ``e`` as B ciphertexts: one scale-round
+        (an inverse per limb, its Q rows extended to aux and back to Q), one
+        :meth:`keyswitch` of the quadratic components, the correction adds."""
         from repro.fhe.bfv import BfvCiphertext
         from repro.fhe.poly import RnsPoly
 
         moduli = ctx.params.moduli
         r = ctx.tensor_scale_round(e)
+        self.record(ntt=e.size // e.shape[-1], rnsconv=e.size)
         d0, d1 = self.keyswitch(r[:, 2], rlk, moduli)
         c0, c1 = self.add(r[:, 0], d0, moduli), self.add(r[:, 1], d1, moduli)
         return [BfvCiphertext(RnsPoly(x, moduli), RnsPoly(y, moduli), ctx.params, noise)
@@ -642,13 +655,10 @@ class Backend:
         row one HAdd chain. BatchedBackend: one exact matrix product.
         """
         out = np.zeros((len(coeffs),) + stack.shape[1:], dtype=np.int64)
-        per = stack.shape[1] // 2  # the records count every ciphertext's ops
         for row, weights in zip(out, coeffs):
             terms = [[self.scalar_mul(comp, int(c), moduli) for comp in stack[j]]
                      for j, c in enumerate(weights) if c]
-            self.record("smult", len(terms) * per)
             if terms:
-                self.record("hadd", (len(terms) - 1) * per)
                 row[...] = [self.hadd_many(list(comps), moduli) for comps in zip(*terms)]
         return out
 
@@ -659,21 +669,21 @@ class Backend:
         from repro.fhe import lwe
 
         out = lwe.sample_extract_impl(ct, indices)
-        self.record("extract", out.count)
+        self.record(extract=out.count)
         return out
 
     def lwe_keyswitch(self, batch, ksk):
         """LWE dimension switch N -> n with gadget decomposition."""
         from repro.fhe import lwe
 
-        self.record("lwe_keyswitch", batch.count)
+        self.record(lwe_keyswitch=batch.count)
         return lwe.keyswitch_impl(batch, ksk)
 
     def lwe_rescale(self, batch, new_modulus):
         """Scale-and-round a batch of LWE ciphertexts to ``new_modulus``."""
         from repro.fhe import lwe
 
-        self.record("lwe_mod_switch", batch.count)
+        self.record(lwe_mod_switch=batch.count)
         return lwe.lwe_mod_switch_impl(batch, new_modulus)
 
     # -- composite tier ----------------------------------------------------
@@ -683,7 +693,7 @@ class Backend:
         of every ciphertext of the stack ``cts``, in lockstep."""
         from repro.fhe import fbs
 
-        self.record("fbs", len(cts))
+        self.record(fbs=len(cts))
         return fbs.fbs_evaluate_impl(ctx, cts, lut, rlk)
 
     def s2c(self, ctx, ct, keys, period):
@@ -691,16 +701,16 @@ class Backend:
         vector under its Galois ``keys``."""
         from repro.fhe import s2c
 
-        self.record("s2c")
+        self.record(s2c=1)
         return s2c.slot_to_coeff_impl(ctx, ct, keys, period)
 
     # -- instrumentation hooks ---------------------------------------------
 
-    def record(self, op: str, k: int = 1) -> None:
-        """Note ``k`` occurrences of primitive ``op`` (no-op here)."""
+    def record(self, **units: int) -> None:
+        """Note ``units[op]`` occurrences of each primitive ``op`` (no-op here)."""
 
     def phase(self, name: str):
-        """Label subsequent events with ``name`` (no-op context here)."""
+        """Label subsequent records with ``name`` (no-op context here)."""
         return contextlib.nullcontext()
 
 
@@ -716,33 +726,36 @@ class BatchedBackend(Backend):
     hoists every image of one ciphertext on one digit transform and its
     giants under one mod-down (:func:`hoisted_rotations`); a giant step sums
     its stacked products in runs. Bit-identical to the reference: the NTT is
-    linear mod p.
+    linear mod p. Every kernel records its work where it runs.
     """
 
     name = "batched"
-    rns_name = "batched"
 
     # -- RNS tier ----------------------------------------------------------
 
     def mul(self, a, b, moduli):
+        self.record(ntt=3 * a.size // a.shape[-1], mod_mul=a.size)  # two forward, one inverse
         return ntt_mul_rns(a, b, moduli)
 
     def ntt(self, a, moduli):
-        return ntt_forward_rns(a, moduli)
+        return _recorded(ntt_forward_rns, a, moduli, self.record)
 
     def mul_ntt(self, a, fb, moduli):
-        fa = ntt_forward_rns(a, moduli)
-        return ntt_inverse_rns(fa * fb % _moduli_column(moduli), moduli)
+        # The plan-cached operand skips its forward transform.
+        fa = _recorded(ntt_forward_rns, a, moduli, self.record)
+        self.record(mod_mul=a.size)
+        return _recorded(ntt_inverse_rns, fa * fb % _moduli_column(moduli), moduli, self.record)
 
     # -- fused tier --------------------------------------------------------
 
     def hadd_many(self, arrays, moduli):
         if len(arrays) == 1:
             return arrays[0]
+        self.record(mod_add=(len(arrays) - 1) * arrays[0].size)
         return lazy_reduce_sum(np.array(arrays), moduli)
 
     def keyswitch(self, data, ksk, moduli):
-        return _stacked_keyswitch(data, ksk, moduli)
+        return _stacked_keyswitch(data, ksk, moduli, self.record)
 
     def matvec(self, vec, plan, rotation_keys, moduli):
         """The mat-vec without leaving the evaluation domain.
@@ -758,19 +771,20 @@ class BatchedBackend(Backend):
         the reference: the NTT is a ring isomorphism mod each prime, and
         both bodies round the same sum over Q u P.
         """
-        n = vec.shape[-1]
+        n, record = vec.shape[-1], self.record
         mods = _moduli_column(moduli)
         if vec.ndim == 4:
             src = vec
         else:
             size = 1 + max(max(ids) for _, ids, _ in plan.groups)  # the swap is below a live id
             src = np.empty((size, 2, len(moduli), n), dtype=np.int64)
-            src[0] = ntt_forward_rns(vec, moduli)
+            src[0] = _recorded(ntt_forward_rns, vec, moduli, record)
             for parent, images in plan.derived:
                 ids, elements = zip(*images)
-                c1 = ntt_inverse_rns(src[parent, 1], moduli) if parent else vec[1]
+                c1 = (_recorded(ntt_inverse_rns, src[parent, 1], moduli, record)
+                      if parent else vec[1])
                 src[list(ids)] = hoisted_rotations(
-                    src[parent, 0], c1, elements, rotation_keys, moduli)
+                    src[parent, 0], c1, elements, rotation_keys, moduli, record)
         chunk = max(1, GIANT_BATCH_ELEMS // (2 * len(moduli) * n))
         run = lazy_product_limit(moduli)
         parts = np.empty((len(plan.groups), 2, len(moduli), n), dtype=np.int64)
@@ -781,13 +795,17 @@ class BatchedBackend(Backend):
                 sums += [np.einsum("tcln,tln->cln", rows[r : r + run], diags[r : r + run])
                          for r in range(0, len(rows), run)]
             part[...] = lazy_reduce_sum(np.stack(sums) % mods, moduli)
+        terms = sum(len(ids) for _, ids, _ in plan.groups)
+        record(mod_mul=terms * parts[0].size, mod_add=(terms - len(parts)) * parts[0].size)
         elements = [rotation_galois_element(n, g * plan.baby_steps) for g, _, _ in plan.groups if g]
         head = len(parts) - len(elements)  # group 0, when live, is not rotated
         out = parts[0] if head else 0
         if elements:
-            out = (out + hoisted_rotations(parts[head:, 0], ntt_inverse_rns(
-                parts[head:, 1], moduli), elements, rotation_keys, moduli)) % mods
-        out = ntt_inverse_rns(out, moduli)
+            c1 = _recorded(ntt_inverse_rns, parts[head:, 1], moduli, record)
+            out = (out + hoisted_rotations(
+                parts[head:, 0], c1, elements, rotation_keys, moduli, record)) % mods
+            record(mod_add=head * parts[0].size)
+        out = _recorded(ntt_inverse_rns, out, moduli, record)
         return out[0], out[1]
 
     def _tensor_sums(self, ctx, stacks):
@@ -801,6 +819,7 @@ class BatchedBackend(Backend):
         for acc, pairs in zip(e, stacks):
             for lo in range(0, len(pairs), chunk):
                 products = ctx.tensor_products(pairs[lo : lo + chunk])
+                self.record(mod_mul=4 * products.size // 3, mod_add=4 * products.size // 3)
                 for comp, pairs_a_run in ((slice(0, 3, 2), run), (1, run // 2)):
                     runs = np.add.reduceat(products[:, comp], range(0, len(products), pairs_a_run))
                     acc[comp] += (runs % mods).sum(axis=0)
@@ -808,6 +827,9 @@ class BatchedBackend(Backend):
 
     def lincomb(self, stack, coeffs, moduli):
         # Exact in float64 while a chunk sums below 2**53 (one chunk at ATHENA).
+        # Dense: every coefficient, zero or not, is a product.
+        self.record(mod_mul=len(coeffs) * stack.size,
+                    mod_add=len(coeffs) * (stack.size - stack[:1].size))
         x, w = stack.astype(np.float64), coeffs.astype(np.float64)
         step = max(1, (2**53 - 1) // ((max(moduli) - 1) * int(np.abs(coeffs).max(initial=1))))
         out = np.zeros((len(coeffs),) + stack.shape[1:], dtype=np.int64)
@@ -822,23 +844,20 @@ class SerialBackend(Backend):
     name = "serial"
 
 
-class CountingBackend(Backend):
-    """Run the reference bodies over ``inner``'s RNS tier, counting per phase.
+class CountingBackend(BatchedBackend):
+    """The batched engine plus a recorder: a counted run is the production run.
 
-    Only the RNS tier (:meth:`add` .. :meth:`mod_switch`) and the two hooks
-    are overridden: each RNS call is counted, then delegated to ``inner``,
-    so every op above runs :class:`Backend`'s reference body (2–4× the
-    batched engine's time on an inference) and every count is a primitive
-    that ran. ``phase -> {op: count}`` records hold RNS-tier work in the
-    analytical model's units (:mod:`repro.core.trace`) — ``ntt`` (limb
-    transforms), ``mod_mul`` / ``mod_add`` (elements), ``automorph`` /
-    ``shift`` (one index map per limb per call), ``rnsconv`` (base-conversion
-    outputs) — and the events bodies and dispatch sites record (``pmult``,
-    ``hadd``, ``cmult``, ``rotation``, ``keyswitch``, ``extract``, ``fbs``,
-    ``s2c``, ...).
+    Only the two hooks are overridden. Every body the batched engine runs
+    records its primitives where they execute, so ``phase -> {op: count}``
+    records hold production's work in the analytical model's units
+    (:mod:`repro.core.trace`) — ``ntt`` (limb transforms), ``mod_mul`` /
+    ``mod_add`` (elements), ``automorph`` / ``shift`` (one index map per
+    limb per call or gathered image), ``rnsconv`` (base-extension outputs) —
+    and the events the dispatch sites record (``pmult``, ``hadd``,
+    ``cmult``, ``rotation``, ``keyswitch``, ``extract``, ``fbs``, ``s2c``,
+    ...). ``engine`` must name the batched engine, the only one counted.
 
-    ``phase_s`` accumulates *self*-seconds per phase label of that counted
-    stream (production per-phase seconds come from an uncounted run). A
+    ``phase_s`` accumulates *self*-seconds per phase label of that stream. A
     nested phase pauses its parent (``fbs_giant`` inside ``fbs``); under a
     thread fan-out each worker adds to the same labels, so the sum is busy
     time. The label is thread-local and the store lock-protected, so one
@@ -847,24 +866,16 @@ class CountingBackend(Backend):
     :class:`~repro.core.trace.WorkloadTrace`.
     """
 
-    name = "counting"
-
-    def __init__(self, inner: "Backend | str | None" = None):
-        self.inner = get_backend(inner) if inner is not None else default_backend()
+    def __init__(self, engine: "Backend | str" = "batched"):
+        if type(get_backend(engine)) is not BatchedBackend:
+            named = engine if isinstance(engine, str) else type(engine).__name__
+            raise ParameterError(f"a CountingBackend counts the batched engine, not {named!r}")
         self._lock = threading.Lock()
         self._tls = threading.local()
         self.phase_ops: dict[str, dict[str, int]] = {}
         self.phase_s: dict[str, float] = {}
 
-    @property
-    def rns_name(self) -> str:
-        return self.inner.rns_name
-
     # -- recording ----------------------------------------------------------
-
-    def current_phase(self) -> str:
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1] if stack else "other"
 
     @contextlib.contextmanager
     def phase(self, name: str):
@@ -890,14 +901,12 @@ class CountingBackend(Backend):
         with self._lock:
             self.phase_s[phase] = self.phase_s.get(phase, 0.0) + seconds
 
-    def record(self, op: str, k: int = 1) -> None:
-        self._bulk(**{op: k})
-
-    def _bulk(self, **ops: int) -> None:
-        phase = self.current_phase()
+    def record(self, **units: int) -> None:
+        stack = getattr(self._tls, "stack", None)
+        phase = stack[-1] if stack else "other"
         with self._lock:
             store = self.phase_ops.setdefault(phase, {})
-            for op, k in ops.items():
+            for op, k in units.items():
                 if k:
                     store[op] = store.get(op, 0) + k
 
@@ -921,7 +930,7 @@ class CountingBackend(Backend):
         with self._lock:
             phase_s = {ph: round(s, 6) for ph, s in sorted(self.phase_s.items())}
         return {
-            "backend": self.inner.name,
+            "backend": self.name,
             "phase_ops": {
                 ph: dict(sorted(ops.items()))
                 for ph, ops in sorted(self.ops_by_phase().items())
@@ -934,50 +943,6 @@ class CountingBackend(Backend):
         with self._lock:
             self.phase_ops.clear()
             self.phase_s.clear()
-
-    # -- RNS tier (count, then delegate) ------------------------------------
-
-    def add(self, a, b, moduli):
-        self._bulk(mod_add=a.size)
-        return self.inner.add(a, b, moduli)
-
-    def sub(self, a, b, moduli):
-        self._bulk(mod_add=a.size)
-        return self.inner.sub(a, b, moduli)
-
-    def neg(self, a, moduli):
-        self._bulk(mod_add=a.size)
-        return self.inner.neg(a, moduli)
-
-    def mul(self, a, b, moduli):
-        # Two forward transforms + one inverse, plus the pointwise product.
-        self._bulk(ntt=3 * len(moduli), mod_mul=a.size)
-        return self.inner.mul(a, b, moduli)
-
-    def ntt(self, a, moduli):
-        self._bulk(ntt=a.size // a.shape[-1])  # limb transforms, any stack
-        return self.inner.ntt(a, moduli)
-
-    def mul_ntt(self, a, fb, moduli):
-        # The plan-cached operand skips its forward transform.
-        self._bulk(ntt=2 * len(moduli), mod_mul=a.size)
-        return self.inner.mul_ntt(a, fb, moduli)
-
-    def scalar_mul(self, a, value, moduli):
-        self._bulk(mod_mul=a.size)
-        return self.inner.scalar_mul(a, value, moduli)
-
-    def automorphism(self, a, k, moduli):
-        self._bulk(automorph=len(moduli))
-        return self.inner.automorphism(a, k, moduli)
-
-    def shift(self, a, shift, moduli):
-        self._bulk(shift=len(moduli))
-        return self.inner.shift(a, shift, moduli)
-
-    def mod_switch(self, data, moduli, new_modulus):
-        self._bulk(rnsconv=data.size)
-        return self.inner.mod_switch(data, moduli, new_modulus)
 
 
 #: Singleton executing backends (stateless; counting backends are per-use).

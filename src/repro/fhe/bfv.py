@@ -81,9 +81,11 @@ class Plaintext:
             values = np.concatenate(
                 [values, np.zeros(params.n - values.shape[0], dtype=np.int64)]
             )
+        current_backend().record(ntt=1)  # one transform over the basis (t,)
         return cls(slotlib.slot_encode(values, params.n, params.t), params)
 
     def to_slots(self) -> np.ndarray:
+        current_backend().record(ntt=1)
         return slotlib.slot_decode(self.coeffs, self.params.n, self.params.t)
 
     # -- cached homomorphic-operand forms ---------------------------------
@@ -114,6 +116,8 @@ class BfvCiphertext:
     c1: RnsPoly
     params: FheParams
     noise_bits: float
+
+    _tensor_form = None  # BfvContext.tensor_forms' CMult operand, set on the instance
 
     @property
     def noise_budget_bits(self) -> float:
@@ -236,7 +240,7 @@ class BfvContext:
 
     def encrypt(self, pt: Plaintext, pk: PublicKey) -> BfvCiphertext:
         p = self.params
-        current_backend().record("encrypt")
+        current_backend().record(encrypt=1)
         u = RnsPoly.from_int_coeffs(self.sampler.ternary(p.n), p.moduli)
         e0 = RnsPoly.from_int_coeffs(self.sampler.gaussian(p.n), p.moduli)
         e1 = RnsPoly.from_int_coeffs(self.sampler.gaussian(p.n), p.moduli)
@@ -260,7 +264,7 @@ class BfvContext:
 
     def decrypt(self, ct: BfvCiphertext, sk: SecretKey) -> Plaintext:
         p = self.params
-        current_backend().record("decrypt")
+        current_backend().record(decrypt=1)
         phase = ct.c0 + ct.c1 * sk.poly
         return Plaintext(phase.mod_switch(p.t), p)
 
@@ -290,13 +294,13 @@ class BfvContext:
     # ----- homomorphic operations ------------------------------------------
 
     def add(self, a: BfvCiphertext, b: BfvCiphertext) -> BfvCiphertext:
-        current_backend().record("hadd")
+        current_backend().record(hadd=1)
         return BfvCiphertext(
             a.c0 + b.c0, a.c1 + b.c1, a.params, max(a.noise_bits, b.noise_bits) + 1
         )
 
     def sub(self, a: BfvCiphertext, b: BfvCiphertext) -> BfvCiphertext:
-        current_backend().record("hadd")
+        current_backend().record(hadd=1)
         return BfvCiphertext(
             a.c0 - b.c0, a.c1 - b.c1, a.params, max(a.noise_bits, b.noise_bits) + 1
         )
@@ -315,7 +319,7 @@ class BfvContext:
         if len(cts) == 1:
             return cts[0]
         be = current_backend()
-        be.record("hadd", len(cts) - 1)
+        be.record(hadd=len(cts) - 1)
         moduli = cts[0].params.moduli
         c0 = be.hadd_many([ct.c0.data for ct in cts], moduli)
         c1 = be.hadd_many([ct.c1.data for ct in cts], moduli)
@@ -325,7 +329,7 @@ class BfvContext:
         )
 
     def add_plain(self, ct: BfvCiphertext, pt: Plaintext) -> BfvCiphertext:
-        current_backend().record("add_plain")
+        current_backend().record(add_plain=1)
         return BfvCiphertext(
             ct.c0 + pt.add_operand(), ct.c1, ct.params, ct.noise_bits
         )
@@ -336,7 +340,7 @@ class BfvContext:
         scalar = int(scalar) % t
         if scalar > t // 2:
             scalar -= t
-        current_backend().record("smult")
+        current_backend().record(smult=1)
         return BfvCiphertext(
             ct.c0.scalar_mul(scalar),
             ct.c1.scalar_mul(scalar),
@@ -352,7 +356,7 @@ class BfvContext:
         across all requests; the result is bit-identical to the plain
         ``RnsPoly`` product.
         """
-        current_backend().record("pmult")
+        current_backend().record(pmult=1)
         w = pt.pmult_operand()
         return BfvCiphertext(
             ct.c0.mul_ntt(w), ct.c1.mul_ntt(w), ct.params,
@@ -380,7 +384,7 @@ class BfvContext:
                 terms=count, capacity=terms,
             )
 
-    def tensor_forms(self, cts) -> list[np.ndarray]:
+    def tensor_forms(self, cts, record=None) -> list[np.ndarray]:
         """Stage 1: each ciphertext of ``cts`` as a CMult operand — the
         exact centred extension Q -> P and forward NTT over Q u P of
         (c0, c1), a (2, L+K, N) array.
@@ -389,20 +393,26 @@ class BfvContext:
         (read-only; not a field, so absent from ``==`` and ``repr``),
         so a square or a power feeding several powers
         enters Q u P once — and those of ``cts`` without one, together.
+        ``record`` (:meth:`~repro.fhe.backend.Backend.record`) notes the
+        work of the forms built: their extensions and transforms.
         """
-        if any(ct.params is not self.params and ct.params != self.params for ct in cts):
-            raise ParameterError("ring mismatch between operands")
-        todo = list({id(ct): ct for ct in cts
-                     if getattr(ct, "_tensor_form", None) is None}.values())
+        todo = {}
+        for ct in cts:
+            if ct.params is not self.params and ct.params != self.params:
+                raise ParameterError("ring mismatch between operands")
+            if ct._tensor_form is None:
+                todo[id(ct)] = ct
         if todo:
             tb, num_limbs, n = _tensor_tables(self.params), self.params.num_limbs, self.params.n
             ops = np.empty((len(todo), 2, len(tb.both), n), dtype=np.int64)  # (c0, c1) over Q u P
-            ops[..., :num_limbs, :] = [(ct.c0.data, ct.c1.data) for ct in todo]
+            ops[..., :num_limbs, :] = [(ct.c0.data, ct.c1.data) for ct in todo.values()]
             rns.base_extend(ops[..., :num_limbs, :], self.params.moduli, tb.aux,
                             shift=self.params.q // 2, out=ops[..., num_limbs:, :])
             forms = ntt_forward_rns(ops, tb.both)
+            if record is not None:
+                record(ntt=ops.size // n, rnsconv=ops[..., num_limbs:, :].size)
             forms.setflags(write=False)
-            for ct, form in zip(todo, forms):
+            for ct, form in zip(todo.values(), forms):
                 ct._tensor_form = form
         return [ct._tensor_form for ct in cts]
 
@@ -456,8 +466,7 @@ class BfvContext:
         """
         k = k % (2 * ct.params.n)
         be = current_backend()
-        be.record("rotation")
-        be.record("keyswitch")
+        be.record(rotation=1, keyswitch=1)
         moduli = ct.params.moduli
         c0, c1 = be.rotate_keyswitch(ct.c0.data, ct.c1.data, k, gk, moduli)
         return BfvCiphertext(

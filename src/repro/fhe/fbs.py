@@ -420,17 +420,20 @@ def fbs_evaluate_impl(
                      dtype=np.int64).reshape(len(powers), 2 * len(cts), len(moduli), params.n)
     rows = be.lincomb(stack, np.where(block > t // 2, block - t, block), moduli)
     rows = rows.reshape(len(live), len(cts), 2, len(moduli), params.n)
+    # The events of a row: an SMult per nonzero term and an HAdd chain joining them.
+    terms = [powers[row != 0].tolist() for row in block]
+    be.record(smult=len(cts) * sum(map(len, terms)),
+              hadd=len(cts) * sum(len(js) - 1 for js in terms if js))
     # A group's constant c is the slot-encoded constant plaintext, i.e. the
     # polynomial c: it adds [Delta*c]_q to coefficient 0 of c0, nothing else.
     consts = plan.matrix[live, 0]
     hit = np.flatnonzero(consts)
     if hit.size:
-        be.record("add_plain", hit.size * len(cts))
+        be.record(add_plain=hit.size * len(cts))
         scaled = np.array([[c * params.delta % q for q in moduli] for c in consts[hit].tolist()],
                           dtype=np.int64)
         rows[hit, :, 0, :, :1] = be.add(rows[hit, :, 0, :, :1], scaled[:, None, :, None], moduli)
     log_t = math.log2(t)
-    terms = [powers[row != 0].tolist() for row in block]
     combos: list[list[tuple[BfvCiphertext, BfvCiphertext]]] = [[] for _ in cts]
     parts: list[list[BfvCiphertext]] = [[] for _ in cts]
     for h, inners, combo, part in zip(held, rows.swapaxes(0, 1), combos, parts):

@@ -108,7 +108,7 @@ def rlwe_mod_switch(ct: BfvCiphertext, new_modulus: int) -> SmallRlwe:
     """
     be = current_backend()
     with be.phase("se"):
-        be.record("mod_switch")
+        be.record(mod_switch=1)
         return SmallRlwe(
             ct.c0.mod_switch(new_modulus),
             ct.c1.mod_switch(new_modulus),

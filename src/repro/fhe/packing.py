@@ -200,6 +200,7 @@ class MatvecPlan:
             rolled = np.concatenate(
                 [diagonals[rows, cols], diagonals[rows, half + cols]], axis=1
             )
+            be.record(ntt=len(rolled))  # the slot encode: one transform over (t,) a row
             coeffs = slotlib.slot_encode(rolled, n, params.t)  # canonical: centre, no %
             coeffs -= params.t * (coeffs > params.t // 2)
             # every limb reads the one row: the forward transform reduces on entry
@@ -227,13 +228,19 @@ def _fused_matvec(ctx, vec, noise, plan, rotation_keys) -> BfvCiphertext:
 
     ``noise[s]`` is source s's estimate; the rest depends on the plan's
     shape only: the fold the op sequence *PMult -> HAdd chain -> rotate ->
-    HAdd chain* performs (Table 4 rules).
+    HAdd chain* performs (Table 4 rules), recorded here as those events
+    whichever engine's body runs.
     """
     params = ctx.params
     be = current_backend()
-    be.record("matvec")
+    be.record(matvec=1)
     if not plan.groups:  # all-zero matrix: the transparent zero
         return ctx.encrypt_zero()
+    derived = 0 if vec.ndim == 4 else sum(len(images) for _, images in plan.derived)
+    rotations = derived + sum(1 for g, _, _ in plan.groups if g)
+    products = sum(len(ids) for _, ids, _ in plan.groups)
+    # each group's HAdd chain, then the groups' sum
+    be.record(rotation=rotations, keyswitch=rotations, pmult=products, hadd=products - 1)
     moduli = params.moduli
     c0, c1 = be.matvec(vec, plan, rotation_keys, moduli)
     parts = []
@@ -291,7 +298,7 @@ def pack_lwe(
         raise ParameterError(f"{batch.count} LWE ciphertexts do not repeat at period {period}")
     be = current_backend()
     with be.phase("packing"):
-        be.record("pack")
+        be.record(pack=1)
         n, half = params.n, params.n // 2
         tile, pad = np.arange(n) % period, period - batch.count
         a = np.pad(centered_array(batch.a, params.t), ((0, pad), (0, 0)))[tile]

@@ -8,7 +8,7 @@ index permutations of the coefficient vector.
 
 Every op dispatches through the context-active
 :class:`repro.fhe.backend.Backend` (see that module for the reference and
-batched engines, the counting wrapper, and the selection rules). Both
+batched engines, the counting recorder, and the selection rules). Both
 engines honor the same dtype-overflow contract (limb primes < 2**31, so
 products and butterfly sums stay inside int64) and are bit-identical.
 """

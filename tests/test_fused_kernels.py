@@ -2,11 +2,13 @@
 
 The claims pinned here:
 
-1. *Counting parity* — a counted fused op is its reference decomposition,
-   each primitive counted as it runs: CountingBackend totals are
-   identical whether its inner engine fuses (``batched``) or decomposes
-   (``serial``) — the double-count regression — and equal the closed-form
-   units of a keyswitch, a giant step, a mat-vec and a whole FBS.
+1. *Counts are what ran* — a counted run is the batched engine's run, each
+   primitive recorded where its kernel executes: counted limb transforms
+   and base-extension outputs equal what the transform and extension
+   kernels return, on single fused ops and on whole inferences — the
+   double-count regression — the residues equal an uncounted run's, and
+   the totals equal the closed-form units of a keyswitch, a giant step, a
+   mat-vec and a whole FBS.
 2. *Bit-identity* — the batched fused kernels (stacked NTT keyswitch,
    fused rotate, the summed giant-step tensor) produce byte-for-byte the
    same results as the decomposed defaults and the serial reference.
@@ -54,7 +56,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.framework import AthenaPipeline
-from repro.core.plan import _refresh_round
+from repro.core.plan import _refresh_round, compile_program
+from repro.core.program import lower
 from repro.errors import ParameterError
 from repro.fhe import backend as backend_mod
 from repro.fhe import bfv as bfv_mod
@@ -86,6 +89,7 @@ from repro.fhe.packing import (
 from repro.fhe.params import PRESETS, TEST_FBS, TEST_LOOP, TEST_SMALL, TEST_TINY
 from repro.fhe.poly import RnsPoly
 from repro.fhe.s2c import _evaluation_columns, s2c_plan, slot_to_coeff
+from repro.quant.subjects import mnist_cnn_micro, serve_micro_cnn
 from repro.fhe.slots import (
     baby_giant_amounts,
     default_baby_steps,
@@ -137,46 +141,78 @@ def _run_workload(be, ctx, rlk, gk, cts):
             *(_components(x) for x in level)]
 
 
+def _spy_kernels(monkeypatch):
+    """Limb transforms and base-extension outputs, as the transform and
+    extension kernels return them: every site reaches the one
+    ``ntt._transform`` and the one ``_ExtensionTables.extend``."""
+    executed = {"ntt": 0, "rnsconv": 0}
+    transform, extend = ntt_mod._transform, rns_mod._ExtensionTables.extend
+
+    def spy_transform(a, *args):
+        out = transform(a, *args)
+        executed["ntt"] += out.size // out.shape[-1]
+        return out
+
+    def spy_extend(tables, xi, out=None):
+        rows = extend(tables, xi, out)
+        executed["rnsconv"] += rows.size
+        return rows
+
+    monkeypatch.setattr(ntt_mod, "_transform", spy_transform)
+    monkeypatch.setattr(rns_mod._ExtensionTables, "extend", spy_extend)
+    return executed
+
+
 class TestCountingParity:
-    def test_counts_independent_of_inner_fusion(self):
-        """Regression for the double-count bug: totals must not depend on
-        whether the delegated-to engine fuses or decomposes."""
+    def test_counts_independent_of_inner_fusion(self, monkeypatch):
+        """Regression for the double-count bug: a fused op's primitives are
+        recorded once, where its kernels run, however the op nests them
+        (a keyswitch inside a giant step, a mod-up inside a rotation) — the
+        counted transforms and extension outputs are the executed ones, and
+        the counted results are the serial reference's."""
         ctx, _, rlk, gk, cts = _fixture()
-        fused = CountingBackend(BATCHED)
-        unfused = CountingBackend(SERIAL)
-        out_f = _run_workload(fused, ctx, rlk, gk, cts)
-        out_u = _run_workload(unfused, ctx, rlk, gk, cts)
-        assert fused.totals() == unfused.totals()
-        assert fused.ops_by_phase() == unfused.ops_by_phase()
-        for x, y in zip(out_f, out_u):
+        want = _run_workload(SERIAL, ctx, rlk, gk, cts)
+        ctx, _, rlk, gk, cts = _fixture()  # fresh operands: no tensor form held
+        executed = _spy_kernels(monkeypatch)
+        counting = CountingBackend()
+        got = _run_workload(counting, ctx, rlk, gk, cts)
+        totals = counting.totals()
+        assert {unit: totals[unit] for unit in executed} == executed
+        for x, y in zip(want, got):
             assert np.array_equal(x, y)
 
     def test_giant_step_batch_bills_one_keyswitch(self):
-        """G products, G - 1 three-component additions over Q u P, then one
-        keyswitch and its two correction adds — whichever body runs."""
+        """Three operands enter Q u P once, G products and their lazy sum
+        over Q u P, one scale-round, then one keyswitch and its two
+        correction adds."""
         ctx, _, rlk, _, (a, b, c) = _fixture()
         params = ctx.params
         l, n = len(params.moduli), params.n
         wide = len(ctx.tensor_moduli)
         assert rlk.halves.shape[1] == 1 and len(rlk.moduli) == 2 * l  # one digit, K = L
-        totals = []
-        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
-            counting.giant_step_batch(ctx, [[(a, b), (b, c), (a, c)]], rlk)
-            totals.append(counting.totals())
-        assert totals[0] == totals[1] == {
+        counting = CountingBackend()
+        counting.giant_step_batch(ctx, [[(a, b), (b, c), (a, c)]], rlk)
+        assert counting.totals() == {
             "cmult": 3,
             "keyswitch": 1,
-            "ntt": 4 * 2 * l,
-            "mod_mul": 2 * 2 * l * n,
-            "mod_add": 2 * 2 * l * n + 2 * l * n + 2 * 3 * wide * n,
-            "rnsconv": 3 * l * n,
+            # forms 3 x 2 rows, the scale-round 3, the keyswitch 2 l + 2 x 2 l
+            "ntt": 9 * wide + 6 * l,
+            # 4 products a pair; the keyswitch's key products over 2 l limbs
+            "mod_mul": 3 * 4 * wide * n + 2 * 2 * l * n,
+            # 1 sum a pair and the pairs' sum of 3 rows; mod-down, corrections
+            "mod_add": 3 * wide * n + 3 * 3 * wide * n + 2 * l * n + 2 * l * n,
+            # forms into aux, the scale-round's 3 rows, mod-up l, mod-down 2 l
+            "rnsconv": 3 * 2 * (wide - l) * n + 3 * wide * n + 3 * l * n,
         }
 
     def test_keyswitch_unit_formula(self):
-        """One keyswitch = per digit: two cached-key products + two adds over
-        the L + K limbs of Q u P; the base conversions' outputs, D (L + K) - L
-        for the mod-up and 2 L for both mod-downs. TEST_FBS has one digit
-        over L + K = 2 L limbs (the old per-limb digits billed L (L + 1))."""
+        """One keyswitch = the (D, L+K, N) digit transform, two cached-key
+        products per digit over the L + K limbs of Q u P and D - 1 sums of
+        them, the (2, L+K, N) inverse and both mod-downs' 2 L adds; the base
+        conversions' outputs, D (L + K) - L for the mod-up and 2 L for both
+        mod-downs. TEST_FBS has one digit over L + K = 2 L limbs (the old
+        per-limb digits billed L (L + 1) conversions; the reference body
+        transforms per digit product, 4 (L + K), and adds per digit)."""
         ctx, _, rlk, _, cts = _fixture()
         params = ctx.params
         l, n = len(params.moduli), params.n
@@ -185,20 +221,59 @@ class TestCountingParity:
         counting = CountingBackend(BATCHED)
         counting.keyswitch(cts[0].c1.data, rlk, params.moduli)
         assert counting.totals() == {
-            "ntt": 4 * wide,
+            "ntt": 3 * wide,
             "mod_mul": 2 * wide * n,
-            "mod_add": 2 * wide * n,
+            "mod_add": 2 * l * n,
             "rnsconv": (wide + l) * n,
         }
 
 
+class TestCountsAreWhatRan:
+    """A counted inference is the production run: the counts are the work
+    its kernels did, the residues those of an uncounted run."""
+
+    @pytest.mark.parametrize("params, subject, shape", [
+        (TEST_LOOP, mnist_cnn_micro, (1, 6, 6)),
+        (TEST_FBS, serve_micro_cnn, (1, 4, 4)),
+    ], ids=["test-loop", "test-fbs"])
+    def test_counted_run_executes_what_it_counts(self, monkeypatch, params, subject, shape):
+        rng = np.random.default_rng(5)
+        qm = subject(rng)
+        x_q = rng.integers(-2, 3, shape).astype(np.int64)
+        plan = compile_program(lower(qm, params), params)
+        # Keys (and the packing key's rotated secrets) are request-invariant,
+        # built with each pipeline; the same seed makes the same stream.
+        plain, counted = AthenaPipeline(params, seed=41), AthenaPipeline(params, seed=41)
+        residues = []
+        decrypt = BfvContext.decrypt
+
+        def keep(ctx, ct, sk):
+            residues.append((ct.c0.data.copy(), ct.c1.data.copy()))
+            return decrypt(ctx, ct, sk)
+
+        monkeypatch.setattr(BfvContext, "decrypt", keep)
+        with use_backend(BATCHED):
+            want = plain.run(plan, x_q)
+        uncounted, residues = residues, []
+        executed = _spy_kernels(monkeypatch)
+        counting = CountingBackend()
+        with use_backend(counting):
+            got = counted.run(plan, x_q)
+        totals = counting.totals()
+        assert {unit: totals[unit] for unit in executed} == executed
+        assert np.array_equal(want, got)
+        assert len(residues) == len(uncounted) > 0
+        for (c0, c1), (d0, d1) in zip(uncounted, residues):
+            assert np.array_equal(c0, d0) and np.array_equal(c1, d1)
+
+
 class TestFusedBitIdentity:
-    """Batched fused kernels == decomposed defaults == serial reference."""
+    """Batched fused kernels == the counted batched run == serial reference."""
 
     def test_all_fused_ops_identical_across_backends(self):
         ctx, _, rlk, gk, cts = _fixture()
         baseline = _run_workload(BATCHED, ctx, rlk, gk, cts)
-        for be in (SERIAL, CountingBackend(SERIAL), CountingBackend(BATCHED)):
+        for be in (SERIAL, CountingBackend(BATCHED)):
             outs = _run_workload(be, ctx, rlk, gk, cts)
             for x, y in zip(baseline, outs):
                 assert np.array_equal(x, y), be.name
@@ -774,18 +849,17 @@ def _keyswitch_transforms(params) -> int:
 
 class TestMatvecAccounting:
     def test_counting_parity(self, matvec_setup):
-        """One counted mat-vec records the same totals and per-phase events
-        whether the reference body runs over the batched or the serial RNS
-        tier."""
+        """One counted mat-vec records its events once, at the dispatch site,
+        under the phase it runs in, and returns the uncounted product."""
         ctx, _, keys, ct = matvec_setup
         plan = s2c_plan.__wrapped__(ctx.params, ctx.params.n)
-        records = []
-        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
-            with use_backend(counting), counting.phase("s2c"):
-                hypercube_matvec(ctx, ct, plan, keys)
-            records.append((counting.totals(), counting.ops_by_phase()))
-        assert records[0] == records[1]
-        totals = records[0][0]
+        counting = CountingBackend(BATCHED)
+        with use_backend(counting), counting.phase("s2c"):
+            got = hypercube_matvec(ctx, ct, plan, keys)
+        with use_backend(BATCHED):
+            _assert_same_ciphertext(hypercube_matvec(ctx, ct, plan, keys), got)
+        assert set(counting.ops_by_phase()) == {"s2c"}
+        totals = counting.totals()
         bs = plan.baby_steps
         gs = -(-ctx.params.n // 2 // bs)
         # Both passes' babies, the row swap, one merged giant per group.
@@ -801,13 +875,11 @@ class TestMatvecAccounting:
         ready: a PMult per live diagonal, no rotation, no keyswitch."""
         pipe, _, batch = _pack_setup(params)
         lwe = batch(params.n // 2 + 3)
-        records = []
-        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
-            with use_backend(counting):
-                pack_lwe(pipe.ctx, lwe, pipe.packing_key, params.n)
-            records.append((counting.totals(), counting.ops_by_phase()))
-        assert records[0] == records[1]
-        totals = records[0][0]
+        counting = CountingBackend(BATCHED)
+        with use_backend(counting):
+            pack_lwe(pipe.ctx, lwe, pipe.packing_key, params.n)
+        assert set(counting.ops_by_phase()) == {"packing"}
+        totals = counting.totals()
         assert totals["pmult"] == params.n // 2 and totals["hadd"] == params.n // 2 - 1
         assert totals["matvec"] == totals["pack"] == 1
         assert not {"rotation", "keyswitch", "automorph"} & set(totals)
@@ -926,18 +998,16 @@ class TestFbsAccounting:
         assert np.count_nonzero(plan.live) == 15
 
     def test_counting_parity_of_one_fbs(self):
-        """A whole counted FBS records the same totals and per-phase events
-        over either RNS tier: G + ladder CMults, ladder + 1 keyswitches."""
+        """A whole counted FBS records its events once, at the dispatch
+        sites: G + ladder CMults, ladder + 1 keyswitches."""
         ctx, _, rlk, _, (ct, *_) = _fixture()
         lut = FbsLut.from_function(lambda x: np.maximum(x, 0), TEST_FBS.t, "relu")
         plan = lut.plan
-        records = []
-        for counting in (CountingBackend(BATCHED), CountingBackend(SERIAL)):
-            with use_backend(counting):
-                fbs_evaluate(ctx, [ct], lut, rlk)
-            records.append((counting.totals(), counting.ops_by_phase()))
-        assert records[0] == records[1]
-        giant = records[0][1]["fbs_giant"]
+        counting = CountingBackend(BATCHED)
+        with use_backend(counting):
+            fbs_evaluate(ctx, [ct], lut, rlk)
+        assert set(counting.ops_by_phase()) == {"fbs", "fbs_giant"}
+        giant = counting.ops_by_phase()["fbs_giant"]
         assert giant["cmult"] == len(plan.ladder) + 15 == 45
         assert giant["keyswitch"] == len(plan.ladder) + 1 == 31
 

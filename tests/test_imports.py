@@ -68,8 +68,6 @@ KEPT = {
     "repro.fhe.poly.RnsPoly.negacyclic_shift": "the max tree's exact monomial product",
     "repro.fhe.backend.Backend.shift": "the max tree's monomial product, on residue stacks",
     "repro.fhe.backend.Backend.sub": "the max tree's subtraction, on residue stacks",
-    "repro.fhe.backend.CountingBackend.shift": "counts the max tree's monomial products",
-    "repro.fhe.backend.CountingBackend.sub": "counts the max tree's subtractions",
     # Process workers: no run selects process mode (ROADMAP item 13).
     "repro.serve.workers._process_init": "a worker process's initializer",
     "repro.serve.workers._process_run_batch": "one batch inside a worker process",

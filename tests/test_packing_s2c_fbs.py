@@ -600,7 +600,7 @@ class TestFbsLevels:
                    for k in range(params.n)] for i, p in enumerate(moduli)]
                  for comp in range(2)]
                 for row in coeffs], dtype=np.int64).reshape((len(coeffs),) + stack.shape[1:])
-            for be in (BATCHED, SERIAL, CountingBackend(SERIAL)):
+            for be in (BATCHED, SERIAL, CountingBackend(BATCHED)):
                 assert np.array_equal(be.lincomb(stack, coeffs, moduli), want), be.name
         empty = BATCHED.lincomb(stack[:0], np.zeros((2, 0), dtype=np.int64), moduli)
         assert empty.shape == (2,) + stack.shape[1:] and not empty.any()

@@ -43,26 +43,26 @@ def _default_name() -> str:
     serial leg sets it), else batched."""
     import os
 
-    return get_backend(os.environ.get("REPRO_BACKEND") or "batched").rns_name
+    return get_backend(os.environ.get("REPRO_BACKEND") or "batched").name
 
 
 class TestBackendSwitch:
     def test_default_follows_env(self):
-        assert current_backend().rns_name == _default_name()
+        assert current_backend().name == _default_name()
 
     def test_context_manager_swaps_and_restores(self):
         with use_backend("serial"):
-            assert current_backend().rns_name == "serial"
+            assert current_backend().name == "serial"
             with use_backend("batched"):
-                assert current_backend().rns_name == "batched"
-            assert current_backend().rns_name == "serial"
-        assert current_backend().rns_name == _default_name()
+                assert current_backend().name == "batched"
+            assert current_backend().name == "serial"
+        assert current_backend().name == _default_name()
 
     def test_restores_on_exception(self):
         with pytest.raises(RuntimeError):
             with use_backend("serial"):
                 raise RuntimeError("boom")
-        assert current_backend().rns_name == _default_name()
+        assert current_backend().name == _default_name()
 
 
 class TestStackedNtt:

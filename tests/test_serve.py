@@ -635,10 +635,10 @@ class TestServiceEndToEnd:
         qm = _micro_model()
         rng = np.random.default_rng(11)
         # The config's backend is every session's pin: one counter over the
-        # serial engine. Backends are bit-identical, so the pin must not
+        # batched engine. Backends are bit-identical, so the pin must not
         # change an output against unpinned direct sessions, and it must
         # not outlive the runs (asserted below).
-        counting = CountingBackend("serial")
+        counting = CountingBackend()
         tenants = [
             Tenant("alice", TEST_FBS, seed=7),
             Tenant("bob", TEST_FBS, seed=8),

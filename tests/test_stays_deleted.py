@@ -35,7 +35,7 @@ STAYS_DELETED = [
     ("fbs-stacked-ops",
      r"ctx\.(cmult|smult)\(",
      "src/repro/fhe/fbs.py"),
-    # Counting runs the reference bodies (no billing formulas beside them, no
+    # Counting records where the kernels run (no billing formulas beside them, no
     # per-instance chunk cap).
     ("counting-reference-bodies",
      r"_keyswitch_units|_rotate_units|_cmult_units|def inv_scalar|giant_batch_elems",
@@ -134,6 +134,14 @@ STAYS_DELETED = [
     # automorphism's per-limb scatter, shift's per-limb roll).
     ("one-elementwise-rns-body",
      r"\]\s*%= p\b|\(value % p\)|i, dest\]|limb = a\[",
+     "src/repro/fhe/backend.py"),
+    # One executed stream (the recorder is the batched engine: no name for the
+    # arithmetic beside the engine's own, no inner engine it delegates to).
+    ("one-executed-stream-name",
+     re.escape("rns_name"),
+     "src/repro"),
+    ("one-executed-stream-delegate",
+     re.escape("self.inner."),
      "src/repro/fhe/backend.py"),
     # One engine switch (REPRO_BACKEND; no CLI flag beside it).
     ("one-engine-switch",
